@@ -74,46 +74,56 @@ func RMATEdges(cfg RMATConfig) ([]graph.Edge, int64, error) {
 		var r rng.Xoshiro
 		for i := lo; i < hi; i++ {
 			r.Reseed(seedMix ^ rng.Mix64(uint64(i)+0x517cc1b727220a95))
-			edges[i] = rmatEdge(&r, cfg)
+			edges[i] = rmatEdge(r, cfg)
 		}
 	})
 	return edges, n, nil
 }
 
-// rmatEdge draws one edge by descending the recursive quadrant matrix.
-func rmatEdge(r *rng.Xoshiro, cfg RMATConfig) graph.Edge {
+// rmatEdge draws one edge by descending the recursive quadrant matrix. It
+// takes the generator by value: a local copy whose address never leaves
+// the function stays in registers across the inlined draws. The edge stream
+// is pinned by TestRMATGoldenStream — the draw order and every floating
+// point operation here are part of the output.
+func rmatEdge(r rng.Xoshiro, cfg RMATConfig) graph.Edge {
 	var u, v int64
-	a, b, c := cfg.A, cfg.B, cfg.C
+	a, b, c, scale := cfg.A, cfg.B, cfg.C, cfg.Scale
 	d := 1 - a - b - c
-	for level := 0; level < cfg.Scale; level++ {
+	noise, base := cfg.Noise, 1-cfg.Noise/2
+	for level := 0; level < scale; level++ {
 		// Per-level parameter noise (Graph500-style): scale each parameter
-		// by 1 +- Noise*U then renormalize.
-		na, nb, nc, nd := a, b, c, d
-		if cfg.Noise > 0 {
-			na *= 1 - cfg.Noise/2 + cfg.Noise*r.Float64()
-			nb *= 1 - cfg.Noise/2 + cfg.Noise*r.Float64()
-			nc *= 1 - cfg.Noise/2 + cfg.Noise*r.Float64()
-			nd *= 1 - cfg.Noise/2 + cfg.Noise*r.Float64()
+		// by 1 +- Noise*U then renormalize. The fourth parameter is drawn
+		// and summed but never compared against, so it is not normalized.
+		na, nb, nc := a, b, c
+		if noise > 0 {
+			na *= base + noise*r.Float64()
+			nb *= base + noise*r.Float64()
+			nc *= base + noise*r.Float64()
+			nd := d * (base + noise*r.Float64())
 			sum := na + nb + nc + nd
-			na, nb, nc, nd = na/sum, nb/sum, nc/sum, nd/sum
+			na, nb, nc = na/sum, nb/sum, nc/sum
 		}
-		_ = nd
 		x := r.Float64()
 		u <<= 1
 		v <<= 1
-		switch {
-		case x < na:
-			// top-left: no bits set
-		case x < na+nb:
-			v |= 1
-		case x < na+nb+nc:
-			u |= 1
-		default:
-			u |= 1
-			v |= 1
-		}
+		// Quadrants in order: top-left (no bit), top-right (v), bottom-left
+		// (u), bottom-right (both); the first bound x falls under wins. x is
+		// uniform, so a branch here mispredicts every other level: select
+		// the bits with flag arithmetic instead.
+		ge1, ge2, ge3 := b2i(!(x < na)), b2i(!(x < na+nb)), b2i(!(x < na+nb+nc))
+		u |= ge1 & ge2
+		v |= ge1 & ((ge2 ^ 1) | ge3)
 	}
 	return graph.Edge{U: u, V: v}
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// read, not a branch.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RMAT generates an undirected RMAT graph: edges are deduplicated,

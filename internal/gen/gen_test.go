@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -510,5 +512,38 @@ func TestBarabasiAlbertKernelsAgree(t *testing.T) {
 	}
 	if graph.ReferenceTriangles(g) <= 0 {
 		t.Fatal("BA graphs have triangles")
+	}
+}
+
+// TestRMATGoldenStream pins the raw RMAT edge stream: FNV-64a over every
+// edge's (U, V) as little-endian int64 pairs, computed on the commit before
+// the generator's hot loop was restructured. A change here changes every
+// RMAT graph the experiments and the benchmark use.
+func TestRMATGoldenStream(t *testing.T) {
+	cases := []struct {
+		cfg  RMATConfig
+		want uint64
+	}{
+		{RMATConfig{Scale: 10, Seed: 7}, 0x99dd0e0f5dea9235},
+		{RMATConfig{Scale: 16, Seed: 7}, 0x176d57fd5f01f52e},
+		// The noise-free branch and non-default parameters.
+		{RMATConfig{Scale: 12, EdgeFactor: 8, Noise: -1, Seed: 7}, 0x4c85d0062e46513f},
+		{RMATConfig{Scale: 12, EdgeFactor: 8, A: 0.45, B: 0.15, C: 0.15, Noise: 0.3, Seed: 7}, 0xbbaf8c9ccac0ac12},
+	}
+	for _, c := range cases {
+		edges, _, err := RMATEdges(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [16]byte
+		for _, e := range edges {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(e.U))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(e.V))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%+v: stream hash %#016x, want %#016x", c.cfg, got, c.want)
+		}
 	}
 }

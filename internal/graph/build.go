@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"graphxmt/internal/par"
 )
@@ -21,8 +23,9 @@ type BuildOptions struct {
 	// duplicates; the default collapses them, as the Graph500 reference
 	// does before kernel timing.
 	KeepDuplicates bool
-	// SortAdjacency sorts every adjacency list ascending. Required by the
-	// triangle counting kernels; cheap enough to be the default.
+	// SortAdjacency is retained only for source compatibility: Build always
+	// returns ascending adjacency lists (the triangle counting kernels
+	// require them) and this field has never selected an unsorted path.
 	SortAdjacency bool
 	// Weights optionally supplies one weight per input edge (parallel to
 	// the edge slice). Nil builds an unweighted graph. Duplicate collapse
@@ -32,6 +35,14 @@ type BuildOptions struct {
 
 // Build converts an edge list into a CSR Graph over vertices [0, n).
 // Edges referencing vertices outside [0, n) are rejected.
+//
+// The construction never sorts the edge list: it counts out-degrees,
+// prefix-sums them into row offsets, scatters every arc into its source
+// vertex's bucket of the adjacency array, and then sorts (and, unless
+// KeepDuplicates, dedups) each bucket on its own, in parallel. A bucket is
+// sorted on its full key — neighbour, then weight — so entries that compare
+// equal are identical and the order the scatter filled a bucket in cannot
+// reach the result: the CSR is the same at any worker count.
 func Build(n int64, edges []Edge, opt BuildOptions) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -39,88 +50,103 @@ func Build(n int64, edges []Edge, opt BuildOptions) (*Graph, error) {
 	if opt.Weights != nil && len(opt.Weights) != len(edges) {
 		return nil, fmt.Errorf("graph: %d weights for %d edges", len(opt.Weights), len(edges))
 	}
-	for i, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
-		}
+	if i := firstOutOfRange(n, edges); i >= 0 {
+		e := edges[i]
+		return nil, fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
 	}
 
-	// Materialize the directed entry list (possibly symmetrized), dropping
-	// self-loops unless kept.
-	type entry struct {
-		u, v, w int64
-	}
-	entries := make([]entry, 0, len(edges)*2)
-	for i, e := range edges {
-		if e.U == e.V && !opt.KeepSelfLoops {
-			continue
-		}
-		var w int64
-		if opt.Weights != nil {
-			w = opt.Weights[i]
-		}
-		entries = append(entries, entry{e.U, e.V, w})
-		if !opt.Directed && e.U != e.V {
-			entries = append(entries, entry{e.V, e.U, w})
-		}
-	}
-	// A kept self-loop on an undirected graph is stored once (degree
-	// contribution 1), matching GraphCT's convention.
+	// Edge i contributes the arc U->V and, on an undirected graph, V->U. A
+	// dropped self-loop contributes nothing; a kept one is stored once even
+	// when undirected (degree contribution 1), matching GraphCT's convention.
+	directed, keepLoops := opt.Directed, opt.KeepSelfLoops
 
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].u != entries[j].u {
-			return entries[i].u < entries[j].u
-		}
-		if entries[i].v != entries[j].v {
-			return entries[i].v < entries[j].v
-		}
-		return entries[i].w < entries[j].w
-	})
-
-	if !opt.KeepDuplicates {
-		out := entries[:0]
-		for _, e := range entries {
-			if len(out) > 0 && out[len(out)-1].u == e.u && out[len(out)-1].v == e.v {
-				continue // keep first = minimum weight due to sort order
+	// Count out-degrees, then turn them into row offsets.
+	offsets := make([]int64, n+1)
+	for _, e := range edges {
+		if e.U != e.V {
+			offsets[e.U]++
+			if !directed {
+				offsets[e.V]++
 			}
-			out = append(out, e)
+		} else if keepLoops {
+			offsets[e.U]++
 		}
-		entries = out
+	}
+	total := par.ExclusivePrefixSum(offsets)
+
+	// Scatter every arc into its source's bucket; cursor[u] is the next free
+	// slot of u's bucket. Counting and scattering are plain sequential passes
+	// on purpose: the scattered stores are the whole cost, and plain stores
+	// overlap their cache misses where a fetch-add cursor fences each one
+	// behind the last (docs/PERFORMANCE.md §10).
+	adj := make([]int64, total)
+	var weights []int64
+	if opt.Weights != nil {
+		weights = make([]int64, total)
+	}
+	cursor := make([]int64, n)
+	copy(cursor, offsets)
+	place := func(u, v int64, i int) {
+		pos := cursor[u]
+		cursor[u]++
+		adj[pos] = v
+		if weights != nil {
+			weights[pos] = opt.Weights[i]
+		}
+	}
+	for i, e := range edges {
+		if e.U != e.V {
+			place(e.U, e.V, i)
+			if !directed {
+				place(e.V, e.U, i)
+			}
+		} else if keepLoops {
+			place(e.U, e.V, i)
+		}
+	}
+
+	// Sort each bucket; cursor is done and becomes the per-vertex count of
+	// entries that survive duplicate collapse.
+	var kept []int64
+	if !opt.KeepDuplicates {
+		kept = cursor
+	}
+	sortBuckets(offsets, adj, weights, kept)
+	if kept != nil {
+		offsets, adj, weights = compactBuckets(offsets, adj, weights, kept)
 	}
 
 	g := &Graph{
 		n:        n,
 		directed: opt.Directed,
-		sorted:   true, // entries are sorted by (u, v)
-		offsets:  make([]int64, n+1),
-		adj:      make([]int64, len(entries)),
-	}
-	if opt.Weights != nil {
-		g.weights = make([]int64, len(entries))
-	}
-	counts := make([]int64, n)
-	for _, e := range entries {
-		counts[e.u]++
-	}
-	par.ExclusivePrefixSum(counts)
-	copy(g.offsets, counts)
-	g.offsets[n] = int64(len(entries))
-	for i, e := range entries {
-		g.adj[i] = e.v
-		if g.weights != nil {
-			g.weights[i] = e.w
-		}
-	}
-	if !opt.SortAdjacency {
-		g.sorted = sortedByConstruction(entries)
+		sorted:   true,
+		offsets:  offsets,
+		adj:      adj,
+		weights:  weights,
 	}
 	g.computeMaxDegree()
 	return g, nil
 }
 
-// sortedByConstruction reports true because Build always emits entries in
-// (u, v) order; kept for clarity if construction order ever changes.
-func sortedByConstruction(_ interface{}) bool { return true }
+// firstOutOfRange returns the lowest index of an edge with an endpoint
+// outside [0, n), or -1 when every edge is in range.
+func firstOutOfRange(n int64, edges []Edge) int {
+	var mu sync.Mutex
+	first := -1
+	par.ForChunked(len(edges), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if e := edges[i]; e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+				mu.Lock()
+				if first < 0 || i < first {
+					first = i
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	return first
+}
 
 // MustBuild is Build but panics on error; convenient in tests and examples
 // with known-good inputs.
@@ -136,21 +162,11 @@ func MustBuild(n int64, edges []Edge, opt BuildOptions) *Graph {
 // the slices. It validates the structure.
 func FromCSR(n int64, offsets, adj []int64, weights []int64, directed bool) (*Graph, error) {
 	g := &Graph{n: n, offsets: offsets, adj: adj, weights: weights, directed: directed}
-	// Validate the raw shape before touching Neighbors, which indexes
-	// through offsets.
-	if err := g.Validate(); err != nil {
+	ascending, err := g.validate()
+	if err != nil {
 		return nil, err
 	}
-	g.sorted = true
-	for v := int64(0); v < n && g.sorted; v++ {
-		nbr := g.Neighbors(v)
-		for i := 1; i < len(nbr); i++ {
-			if nbr[i-1] > nbr[i] {
-				g.sorted = false
-				break
-			}
-		}
-	}
+	g.sorted = ascending
 	g.computeMaxDegree()
 	return g, nil
 }
@@ -192,7 +208,8 @@ func (g *Graph) Transpose() *Graph {
 			}
 		}
 	}
-	t.sortAdjacencyInPlace()
+	sortBuckets(t.offsets, t.adj, t.weights, nil)
+	t.sorted = true
 	t.computeMaxDegree()
 	return t
 }
@@ -245,31 +262,106 @@ func (g *Graph) InducedSubgraph(vertices []int64) (*Graph, map[int64]int64, erro
 	return sub, relabel, nil
 }
 
-// sortAdjacencyInPlace sorts each adjacency list (with weights, if any).
-func (g *Graph) sortAdjacencyInPlace() {
-	par.For(int(g.n), func(vi int) {
-		v := int64(vi)
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		if g.weights == nil {
-			s := g.adj[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			return
+// arc is one adjacency entry with its weight: the unit the weighted bucket
+// sort moves.
+type arc struct{ v, w int64 }
+
+func compareArcs(a, b arc) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.w, b.w)
+}
+
+// bucketChunksPerWorker oversubscribes sortBuckets' degree-balanced chunks
+// so a chunk that holds a hub's bucket does not leave the other workers
+// idle for long.
+const bucketChunksPerWorker = 8
+
+// radixMinBucket is the bucket length from which the byte-radix sort
+// (3-5 linear passes with a 256-entry histogram each, for n up to 2^40)
+// beats slices.Sort's pdqsort; on a scale-18 RMAT, where most arcs sit in
+// hub buckets, sending those through it halves the sort (PERFORMANCE.md §10).
+const radixMinBucket = 256
+
+// sortBuckets sorts every vertex's bucket adj[offsets[v]:offsets[v+1]]
+// ascending — by (neighbour, weight) when weights != nil, the weights
+// moving with their neighbours. When kept != nil it also collapses each run
+// of equal neighbours to its first entry (the minimum weight), packs the
+// survivors at the front of the bucket and stores their count in kept[v].
+// Buckets are independent, so chunks of them run in parallel.
+func sortBuckets(offsets, adj, weights, kept []int64) {
+	n := len(offsets) - 1
+	// A bucket costs its length plus a constant, so that a long run of
+	// empty vertices is shared out too.
+	bounds := par.WeightedBoundaries(nil, n, par.Workers()*bucketChunksPerWorker,
+		func(v int) int64 { return offsets[v] + int64(v) })
+	par.ForBoundaryChunks(bounds, func(_, lo, hi int) {
+		// Scratch reused by every bucket of the chunk.
+		var pairs []arc
+		var radix []int64
+		for v := lo; v < hi; v++ {
+			a := adj[offsets[v]:offsets[v+1]]
+			if weights == nil {
+				if len(a) >= radixMinBucket {
+					radix = slices.Grow(radix[:0], len(a))
+					par.RadixSortInt64(a, radix[:len(a)], int64(n-1))
+				} else {
+					slices.Sort(a)
+				}
+				if kept != nil {
+					kept[v] = int64(len(slices.Compact(a)))
+				}
+				continue
+			}
+			w := weights[offsets[v]:offsets[v+1]]
+			pairs = pairs[:0]
+			for i := range a {
+				pairs = append(pairs, arc{a[i], w[i]})
+			}
+			slices.SortFunc(pairs, compareArcs)
+			k := 0
+			for i, e := range pairs {
+				if kept != nil && i > 0 && e.v == pairs[i-1].v {
+					continue
+				}
+				a[k], w[k] = e.v, e.w
+				k++
+			}
+			if kept != nil {
+				kept[v] = int64(k)
+			}
 		}
-		a, w := g.adj[lo:hi], g.weights[lo:hi]
-		idx := make([]int, len(a))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return a[idx[i]] < a[idx[j]] })
-		na := make([]int64, len(a))
-		nw := make([]int64, len(w))
-		for i, k := range idx {
-			na[i], nw[i] = a[k], w[k]
-		}
-		copy(a, na)
-		copy(w, nw)
 	})
-	g.sorted = true
+}
+
+// compactBuckets closes the gaps duplicate collapse left: kept[v] entries
+// survive at the front of v's bucket. It returns the arrays unchanged when
+// nothing was dropped, and otherwise exact-size copies, so the graph does
+// not pin the dropped entries' memory.
+func compactBuckets(offsets, adj, weights, kept []int64) (_, _, _ []int64) {
+	n := len(kept)
+	newOffsets := make([]int64, n+1)
+	copy(newOffsets, kept)
+	total := par.ExclusivePrefixSum(newOffsets)
+	if total == int64(len(adj)) {
+		return offsets, adj, weights
+	}
+	newAdj := make([]int64, total)
+	var newWeights []int64
+	if weights != nil {
+		newWeights = make([]int64, total)
+	}
+	par.ForChunked(n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			src, dst, k := offsets[v], newOffsets[v], kept[v]
+			copy(newAdj[dst:dst+k], adj[src:src+k])
+			if weights != nil {
+				copy(newWeights[dst:dst+k], weights[src:src+k])
+			}
+		}
+	})
+	return newOffsets, newAdj, newWeights
 }
 
 // EdgeList returns the graph's edges as an edge list. Undirected edges are

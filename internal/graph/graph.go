@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"graphxmt/internal/par"
 )
@@ -162,53 +163,89 @@ func (g *Graph) DegreeHistogram() map[int64]int64 {
 
 // Validate checks structural invariants and returns the first violation.
 func (g *Graph) Validate() error {
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate, additionally reporting whether every adjacency list
+// of a flat graph is ascending, so FromCSR learns that from the same pass
+// over the adjacency that range-checks it.
+func (g *Graph) validate() (ascending bool, err error) {
 	if g.n < 0 {
-		return errors.New("graph: negative vertex count")
+		return false, errors.New("graph: negative vertex count")
 	}
 	if int64(len(g.offsets)) != g.n+1 {
-		return fmt.Errorf("graph: offsets len %d, want %d", len(g.offsets), g.n+1)
+		return false, fmt.Errorf("graph: offsets len %d, want %d", len(g.offsets), g.n+1)
 	}
 	if g.offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+		return false, fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
 	}
 	for v := int64(0); v < g.n; v++ {
 		if g.offsets[v] > g.offsets[v+1] {
-			return fmt.Errorf("graph: offsets decrease at %d", v)
+			return false, fmt.Errorf("graph: offsets decrease at %d", v)
 		}
 	}
 	if g.coff != nil {
 		// Compressed representation: O(n) structural checks only — the
 		// varint stream is validated by the encoder (Compress) or an
 		// explicit VerifyCompressed sweep, never on the load path.
-		return g.validateCompressed()
+		return g.sorted, g.validateCompressed()
 	}
 	if g.offsets[g.n] != int64(len(g.adj)) {
-		return fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[g.n], len(g.adj))
+		return false, fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[g.n], len(g.adj))
 	}
-	for i, w := range g.adj {
-		if w < 0 || w >= g.n {
-			return fmt.Errorf("graph: adj[%d] = %d out of range", i, w)
-		}
+	bad, unsorted := g.scanAdjacency()
+	if bad >= 0 {
+		return false, fmt.Errorf("graph: adj[%d] = %d out of range", bad, g.adj[bad])
 	}
 	if g.weights != nil && len(g.weights) != len(g.adj) {
-		return fmt.Errorf("graph: weights len %d != adj len %d", len(g.weights), len(g.adj))
+		return false, fmt.Errorf("graph: weights len %d != adj len %d", len(g.weights), len(g.adj))
 	}
-	if g.sorted {
-		for v := int64(0); v < g.n; v++ {
-			nbr := g.Neighbors(v)
-			for i := 1; i < len(nbr); i++ {
-				if nbr[i-1] > nbr[i] {
-					return fmt.Errorf("graph: adjacency of %d not sorted", v)
-				}
-			}
-		}
+	if g.sorted && unsorted >= 0 {
+		return false, fmt.Errorf("graph: adjacency of %d not sorted", unsorted)
 	}
 	if !g.directed {
 		if err := g.checkSymmetric(); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return unsorted < 0, nil
+}
+
+// scanAdjacency makes one parallel pass over a flat graph's adjacency and
+// returns the lowest index holding a neighbour outside [0, n) and the
+// lowest vertex whose list is not ascending, each -1 when there is none.
+// The offsets must already be known monotone and to end at len(adj).
+func (g *Graph) scanAdjacency() (badIndex, unsortedVertex int64) {
+	var mu sync.Mutex
+	badIndex, unsortedVertex = -1, -1
+	par.ForChunked(int(g.n), func(lo, hi int) {
+		bad, unsorted := int64(-1), int64(-1)
+		for v := lo; v < hi; v++ {
+			start, end := g.offsets[v], g.offsets[v+1]
+			for i := start; i < end; i++ {
+				w := g.adj[i]
+				if (w < 0 || w >= g.n) && bad < 0 {
+					bad = i
+				}
+				if i > start && g.adj[i-1] > w && unsorted < 0 {
+					unsorted = int64(v)
+				}
+			}
+		}
+		if bad < 0 && unsorted < 0 {
+			return
+		}
+		mu.Lock()
+		if bad >= 0 && (badIndex < 0 || bad < badIndex) {
+			badIndex = bad
+		}
+		if unsorted >= 0 && (unsortedVertex < 0 || unsorted < unsortedVertex) {
+			unsortedVertex = unsorted
+		}
+		mu.Unlock()
+	})
+	return badIndex, unsortedVertex
 }
 
 func (g *Graph) checkSymmetric() error {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -677,5 +678,31 @@ func TestSortAdjacencyInPlaceWeighted(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Duplicate neighbours: vertex 2 reaches 0 twenty times with descending
+	// weights (a list FromCSR accepts as ascending, since only neighbours
+	// count), so 0's transposed list meets twenty equal neighbours in the
+	// wrong weight order. They must come out ordered by (neighbour, weight).
+	const dups = 20
+	offsets, adj, weights := []int64{0, 0, 1, 1 + dups}, []int64{0}, []int64{7}
+	for w := int64(dups); w >= 1; w-- {
+		adj, weights = append(adj, 0), append(weights, w)
+	}
+	g, err = FromCSR(3, offsets, adj, weights, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr = g.Transpose()
+	wantAdj, wantW := []int64{1}, []int64{7}
+	for w := int64(1); w <= dups; w++ {
+		wantAdj, wantW = append(wantAdj, 2), append(wantW, w)
+	}
+	if !slices.Equal(tr.Neighbors(0), wantAdj) || !slices.Equal(tr.NeighborWeights(0), wantW) {
+		t.Fatalf("transposed list of 0 = %v weights %v, want %v weights %v",
+			tr.Neighbors(0), tr.NeighborWeights(0), wantAdj, wantW)
+	}
+	if !tr.SortedAdjacency() || tr.Degree(1) != 0 || tr.Degree(2) != 0 {
+		t.Fatalf("transpose shape wrong: sorted=%v deg=%d,%d", tr.SortedAdjacency(), tr.Degree(1), tr.Degree(2))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"graphxmt/internal/graph"
@@ -132,23 +133,25 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 }
 
 func readInt64s(r io.Reader, n int) ([]int64, error) {
-	// Grow incrementally rather than trusting the header's count: a
-	// corrupt header cannot force an allocation larger than the bytes the
-	// stream actually delivers (plus append's growth factor).
+	// Grow as bytes arrive rather than trusting the header's count: a
+	// corrupt header cannot force an allocation larger than twice the bytes
+	// the stream has actually delivered. Doubling (append's own factor for
+	// large slices is 1.25, which copies the array four times over) and one
+	// grow check per buffer rather than an append per value.
 	s := make([]int64, 0, min(n, 1<<16))
 	buf := make([]byte, 8*4096)
-	i := 0
-	for i < n {
-		want := (n - i) * 8
-		if want > len(buf) {
-			want = len(buf)
-		}
+	for len(s) < n {
+		want := min((n-len(s))*8, len(buf))
 		if _, err := io.ReadFull(r, buf[:want]); err != nil {
 			return nil, err
 		}
-		for j := 0; j < want; j += 8 {
-			s = append(s, int64(binary.LittleEndian.Uint64(buf[j:j+8])))
-			i++
+		at, end := len(s), len(s)+want/8
+		if end > cap(s) {
+			s = slices.Grow(s, min(n, max(end, 2*cap(s)))-at)
+		}
+		s = s[:end]
+		for j := range s[at:] {
+			s[at+j] = int64(binary.LittleEndian.Uint64(buf[8*j:]))
 		}
 	}
 	return s, nil

@@ -13,7 +13,10 @@
 //     authors recommend.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is D. Lemire / S. Vigna's splitmix64 generator. The zero value
 // is a valid generator (seeded with 0).
@@ -46,7 +49,10 @@ func Mix64(x uint64) uint64 {
 
 // Xoshiro is the xoshiro256** 1.0 generator of Blackman and Vigna.
 type Xoshiro struct {
-	s [4]uint64
+	// Four scalar words, not an array: the compiler keeps a four-field
+	// struct in registers across an inlined Uint64, which it cannot do for
+	// an indexed array.
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a Xoshiro generator seeded from seed via SplitMix64.
@@ -62,29 +68,21 @@ func New(seed uint64) *Xoshiro {
 // each iteration avoids one heap allocation per item.
 func (x *Xoshiro) Reseed(seed uint64) {
 	sm := SplitMix64{state: seed}
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
-	}
+	x.s0, x.s1, x.s2, x.s3 = sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()
 	// All-zero state is the one invalid state; splitmix64 cannot emit four
 	// consecutive zeros, but guard anyway.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next value in the sequence.
+// Uint64 returns the next value in the sequence. It is written to fit the
+// compiler's inlining budget: the RMAT generator draws five values per
+// recursion level, and a call per draw was a third of its time.
 func (x *Xoshiro) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2^x.s0, x.s3^x.s1
+	x.s0, x.s1, x.s2, x.s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform float64 in [0, 1).
