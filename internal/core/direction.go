@@ -3,8 +3,9 @@ package core
 // Direction-optimizing supersteps: the Beamer-style push/pull decision
 // layer. Every superstep the engine either pushes (frontier vertices
 // scatter their broadcasts along out-edges — the classic BSP delivery) or
-// pulls (every vertex walks its own adjacency reading the frontier's
-// broadcast records from a stamped lookaside). On scale-free graphs the
+// pulls (the frontier's broadcast records are stamped into a lookaside and,
+// in the next compute sweep, every vertex walks its own adjacency reading
+// them from it — chunkState.gather). On scale-free graphs the
 // pull sweep turns the paper's Figure-2 message excess — every frontier
 // vertex flooding all neighbors, visited or not — into one O(edges) read
 // pass with O(frontier) materialized records.

@@ -12,10 +12,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"graphxmt/internal/batch"
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/core"
@@ -23,6 +26,8 @@ import (
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/obs"
+	"graphxmt/internal/par"
+	"graphxmt/internal/trace"
 )
 
 // sansDirections returns a copy of res with the decision record dropped,
@@ -35,79 +40,193 @@ func sansDirections(res *core.Result) *core.Result {
 }
 
 func hasDir(res *core.Result, want core.DirectionMode) bool {
-	for _, d := range res.DirectionPerStep {
-		if d == want {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(res.DirectionPerStep, want)
 }
 
-// TestDirectionDeterminismMatrix: for each pull-capable kernel, the auto
-// run equals the forced-push run in every output except the decision
-// record, at 1, 3, and 8 workers; the auto runs themselves (decision record
-// included) are bit-identical across worker counts; and on the dense
-// scale-free graph the heuristic actually fires at least one pull.
+// orderProbe is the order-sensitive pull-capable program: a vertex's state
+// is a rolling hash of Messages() in the order the engine yields them, so a
+// gather that produced the right multiset in the wrong order — or folded
+// it — changes every downstream state. About three quarters of the vertices
+// broadcast in each of the first rounds supersteps: frontiers dense enough
+// to pull, yet far from all-stamped.
+type orderProbe struct{ rounds int }
+
+func (orderProbe) InitialState(_ *graph.Graph, v int64) int64 { return v*0x9E3779B9 + 1 }
+func (orderProbe) PullCapable() bool                          { return true }
+
+func (p orderProbe) Compute(v *core.VertexContext) {
+	h := v.State()
+	for _, m := range v.Messages() {
+		h = h*1099511628211 + m
+	}
+	v.SetState(h)
+	if v.Superstep() < p.rounds && uint64(h)>>11%4 != 0 {
+		v.SendToNeighbors(h)
+	}
+	v.VoteToHalt()
+}
+
+// dirRun is what one cell of the direction matrix compares: the run's
+// outcome without the decision record (which legitimately differs between
+// modes — that is the point of the A/B), the record, and the trace profile.
+type dirRun struct {
+	res    any
+	dirs   []core.DirectionMode
+	phases []*trace.Phase
+}
+
+// cfgRun adapts a Config-shaped kernel to the matrix.
+func cfgRun(mk func(g *graph.Graph) core.Config) func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun {
+	return func(t *testing.T, g *graph.Graph, w int, d core.DirectionMode) dirRun {
+		res, ph := runDet(t, g, w, func() core.Config {
+			cfg := mk(g)
+			cfg.Direction = d
+			return cfg
+		})
+		return dirRun{sansDirections(res), res.DirectionPerStep, ph}
+	}
+}
+
+// multiBFSRun is the core.Or kernel: a 48-lane batched BFS through its
+// bspalg wrapper, the decision record read back from the sink.
+func multiBFSRun(t *testing.T, g *graph.Graph, w int, d core.DirectionMode) dirRun {
+	defer par.SetWorkers(par.SetWorkers(w))
+	n := g.NumVertices()
+	src := make([]int64, 48)
+	for i := range src {
+		src[i] = int64(i) * n / 48
+	}
+	plan, err := batch.NewPlan(src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, capt := trace.NewRecorder(), &stepCapture{}
+	mr, err := bspalg.MultiBFS(g, plan, rec, core.WithDirection(d), func(c *core.Config) { c.Obs = capt })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]core.DirectionMode, len(capt.steps))
+	for i, st := range capt.steps {
+		dirs[i], _ = core.ParseDirection(st.Direction)
+	}
+	return dirRun{mr, dirs, rec.Phases()}
+}
+
+// TestDirectionDeterminismMatrix: for each kernel, the auto run and the
+// forced-pull run equal the forced-push run in every output except the
+// decision record — Result and trace profile — at 1, 3, and 8 workers, on
+// the flat graph and on its compressed twin; each mode's decision record is
+// itself identical in every cell; and where the frontier gets dense the
+// heuristic actually fires, so the equality is not vacuously about an
+// all-push sequence. The rows cover every way a pull superstep hands a
+// vertex its messages (chunkState.gather): in adjacency order with no
+// combiner (orderProbe pins the order, not just the multiset), folded by
+// each built-in combiner and by a closure that takes the generic path,
+// under sparse activation, and on the graph shapes that stress the gather
+// buffers and the delivered count.
 func TestDirectionDeterminismMatrix(t *testing.T) {
-	g := detGraph(t)
+	shared := detGraph(t)
+	edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 11, EdgeFactor: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multigraph := graph.MustBuild(n, edges, graph.BuildOptions{KeepDuplicates: true})
+	if multigraph.NumEdges() <= graph.MustBuild(n, edges, graph.BuildOptions{}).NumEdges() {
+		t.Fatal("multigraph has no parallel edges")
+	}
+	probeWith := func(combine func(a, b int64) int64) func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun {
+		return cfgRun(func(*graph.Graph) core.Config {
+			return core.Config{Program: orderProbe{rounds: 4}, Combiner: combine}
+		})
+	}
+	probe := probeWith(nil)
+	pagerank := cfgRun(func(*graph.Graph) core.Config {
+		return core.Config{Program: bspalg.PageRankProgram{DampingMilli: 850, Rounds: 6}, Combiner: core.Sum}
+	})
 	cases := []struct {
 		name string
-		// wantPull asserts the auto run pulled at least once, so the
-		// equality below is not vacuously about an all-push sequence.
+		// g replaces the shared scale-free graph.
+		g *graph.Graph
+		// wantPull asserts the auto and forced-pull runs pulled at least once.
 		wantPull bool
-		mk       func() core.Config
+		// legacy marks a program that is not pull-capable: forced pull is a
+		// typed error, and auto is the legacy engine, which pulls combining
+		// floods on its own heuristic and keeps no decision record.
+		legacy bool
+		run    func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun
 	}{
-		{"bfs", true, func() core.Config {
+		{name: "bfs", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
 			return core.Config{Program: bspalg.BFSProgram{Source: 0}}
-		}},
-		{"cc", true, func() core.Config {
+		})},
+		{name: "cc", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
 			return core.Config{Program: bspalg.CCProgram{}}
-		}},
-		{"cc/combiner", true, func() core.Config {
+		})},
+		{name: "cc/combiner", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
 			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min}
-		}},
-		{"lp", false, func() core.Config {
+		})},
+		{name: "lp", run: cfgRun(func(g *graph.Graph) core.Config {
 			return core.Config{Program: bspalg.NewLPProgram(g, 20), MaxSupersteps: 22}
-		}},
+		})},
+		{name: "probe", wantPull: true, run: probe},
+		{name: "probe/sparse", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
+			return core.Config{Program: orderProbe{rounds: 4}, SparseActivation: true}
+		})},
+		{name: "cc/combiner/sparse", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
+			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: true}
+		})},
+		{name: "msbfs/or", wantPull: true, run: multiBFSRun},
+		{name: "pagerank/sum", legacy: true, run: pagerank},
+		// The kernels above forgive a fold that lets an unstamped neighbor
+		// in (a stale BFS bit or label changes nothing; PageRank stamps
+		// everyone); the probe's partial frontiers and hashed state do not.
+		{name: "probe/or", wantPull: true, run: probeWith(core.Or)},
+		{name: "probe/sum", wantPull: true, run: probeWith(core.Sum)},
+		{name: "probe/min", wantPull: true, run: probeWith(core.Min)},
+		{name: "probe/closure", wantPull: true, run: probeWith(func(a, b int64) int64 { return max(a, b) })},
+		// A hub whose degree dwarfs every other list in its chunk.
+		{name: "probe/star", g: gen.Star(40001), wantPull: true, run: probe},
+		// Trailing vertices no edge touches.
+		{name: "probe/isolated", g: graph.MustBuild(n+64, edges, graph.BuildOptions{}), wantPull: true, run: probe},
+		// Parallel edges: a neighbor gathered (or summed) once per copy.
+		{name: "probe/multigraph", g: multigraph, wantPull: true, run: probe},
+		{name: "pagerank/multigraph", g: multigraph, legacy: true, run: pagerank},
+		{name: "probe/n=1", g: graph.MustBuild(1, nil, graph.BuildOptions{}), run: probe},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			withDir := func(d core.DirectionMode) func() core.Config {
-				return func() core.Config {
-					cfg := tc.mk()
-					cfg.Direction = d
-					return cfg
+			flat := tc.g
+			if flat == nil {
+				flat = shared
+			}
+			modes := []core.DirectionMode{core.DirPush, core.DirAuto, core.DirPull}
+			if tc.legacy {
+				modes = modes[:2]
+			}
+			base := tc.run(t, flat, 1, core.DirPush)
+			record := map[core.DirectionMode][]core.DirectionMode{core.DirPush: base.dirs}
+			if slices.Contains(base.dirs, core.DirPull) {
+				t.Fatalf("forced-push run recorded a pull: %v", base.dirs)
+			}
+			for _, rep := range []*graph.Graph{flat, graph.MustCompress(flat)} {
+				for _, w := range []int{1, 3, 8} {
+					for _, d := range modes {
+						cell := fmt.Sprintf("%s w=%d %s", rep.Rep(), w, d)
+						r := tc.run(t, rep, w, d)
+						if !reflect.DeepEqual(base.res, r.res) {
+							t.Fatalf("%s: Result differs from the flat 1-worker forced-push run", cell)
+						}
+						comparePhases(t, base.phases, r.phases)
+						want, seen := record[d]
+						if !seen {
+							record[d] = r.dirs
+							if tc.wantPull && !slices.Contains(r.dirs, core.DirPull) {
+								t.Fatalf("%s: never pulled: %v", cell, r.dirs)
+							}
+						} else if !reflect.DeepEqual(want, r.dirs) {
+							t.Fatalf("%s: decision record %v, first %s cell had %v", cell, r.dirs, d, want)
+						}
+					}
 				}
-			}
-			pushBase, pushPh := runDet(t, g, 1, withDir(core.DirPush))
-			autoBase, autoPh := runDet(t, g, 1, withDir(core.DirAuto))
-
-			if tc.wantPull && !hasDir(autoBase, core.DirPull) {
-				t.Fatalf("auto run never pulled: %v", autoBase.DirectionPerStep)
-			}
-			if hasDir(pushBase, core.DirPull) {
-				t.Fatalf("forced-push run recorded a pull: %v", pushBase.DirectionPerStep)
-			}
-			if !reflect.DeepEqual(sansDirections(autoBase), sansDirections(pushBase)) {
-				t.Fatalf("auto Result differs from forced-push control\n  auto: steps=%d active=%v msgs=%v\n  push: steps=%d active=%v msgs=%v",
-					autoBase.Supersteps, autoBase.ActivePerStep, autoBase.MessagesPerStep,
-					pushBase.Supersteps, pushBase.ActivePerStep, pushBase.MessagesPerStep)
-			}
-			comparePhases(t, pushPh, autoPh)
-
-			for _, w := range []int{3, 8} {
-				autoRes, ph := runDet(t, g, w, withDir(core.DirAuto))
-				if !reflect.DeepEqual(autoBase, autoRes) {
-					t.Fatalf("w=%d: auto Result differs from 1-worker run\n  directions %v vs %v",
-						w, autoBase.DirectionPerStep, autoRes.DirectionPerStep)
-				}
-				comparePhases(t, autoPh, ph)
-
-				pushRes, ph := runDet(t, g, w, withDir(core.DirPush))
-				if !reflect.DeepEqual(pushBase, pushRes) {
-					t.Fatalf("w=%d: forced-push Result differs from 1-worker run", w)
-				}
-				comparePhases(t, pushPh, ph)
 			}
 		})
 	}

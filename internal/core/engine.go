@@ -86,7 +86,8 @@ type Config struct {
 	MaxSupersteps int
 	// Combiner, when non-nil, merges messages addressed to the same vertex
 	// at the superstep boundary (Pregel's combiner optimization). It must
-	// be commutative and associative.
+	// be commutative and associative. Or, Sum and Min are recognised by
+	// identity and folded inline on pull supersteps (resolveFold).
 	Combiner func(a, b int64) int64
 	// ExpandBroadcasts reverts SendToNeighbors to eager per-edge expansion
 	// into the send buffer instead of recording broadcast records expanded
@@ -384,7 +385,8 @@ func Run(cfg Config) (*Result, error) {
 		states: res.States,
 		expand: cfg.ExpandBroadcasts,
 	}
-	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts}
+	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts, gather: gatherPool{size: 2 * g.MaxDegree()}}
+	fold := resolveFold(cfg.Combiner)
 
 	if resumeSnap == nil && sup != nil && sup.maxRetries > 0 {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
@@ -518,12 +520,15 @@ func Run(cfg Config) (*Result, error) {
 			scratch.ensureChunks(numChunks, master, visited)
 			sparse := cfg.SparseActivation
 			prog := cfg.Program
-			ib := &inboxView{val: inboxVal, off: inboxOff}
+			// st is the stamp the previous superstep's delivery wrote.
+			ib := &inboxView{val: inboxVal, off: inboxOff, st: int64(step) - 1}
 			if sparse {
 				scratch.ensureSparseInbox(n)
 				ib.sparse = true
 				ib.stamp, ib.lo, ib.hi = scratch.msgStamp, scratch.msgLo, scratch.msgHi
-				ib.st = int64(step) - 1 // what the previous superstep delivered
+			}
+			if scratch.pulled {
+				ib.pull, ib.look, ib.fold, ib.combine, ib.bufs = true, scratch.bcastLook, fold, cfg.Combiner, &scratch.gather
 			}
 			if o != nil {
 				tObs = time.Now()
@@ -630,6 +635,12 @@ func Run(cfg Config) (*Result, error) {
 		live += haltDelta
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
+		}
+		if k := len(res.DeliveredPerStep); scratch.pulled && received != res.DeliveredPerStep[k-1] {
+			// The pull boundary reported its delivered count from the
+			// frontier's out-degrees; the gather just read in-edges. They
+			// differ only on adjacency that is not symmetric.
+			return nil, &AsymmetricGraphError{Superstep: step - 1, Delivered: res.DeliveredPerStep[k-1], Gathered: received}
 		}
 		scratch.mergeAggregates(master, numChunks)
 

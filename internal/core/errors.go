@@ -146,3 +146,23 @@ func (e *MessageCapError) Error() string {
 	return fmt.Sprintf("core: superstep %d sent %d messages, exceeding the %d cap; use a streaming evaluator",
 		e.Superstep, e.Sent, e.Cap)
 }
+
+// AsymmetricGraphError reports a graph flagged undirected whose adjacency
+// is not symmetric, caught by a pull superstep: the boundary after
+// Superstep delivered the frontier's out-degree sum, and the vertices then
+// gathered a different number of messages from their own neighbor lists.
+// graph.Validate rejects such graphs at construction; a file opened without
+// that check (graphio.OpenCSR2) can still carry one, on which push and pull
+// would otherwise silently disagree.
+type AsymmetricGraphError struct {
+	// Superstep is the pull superstep whose messages did not add up.
+	Superstep int
+	// Delivered is the logical message count the boundary reported;
+	// Gathered is what the following sweep read.
+	Delivered, Gathered int64
+}
+
+func (e *AsymmetricGraphError) Error() string {
+	return fmt.Sprintf("core: pull superstep %d delivered %d messages along out-edges but vertices gathered %d along in-edges: the graph is flagged undirected and its adjacency is not symmetric",
+		e.Superstep, e.Delivered, e.Gathered)
+}

@@ -25,9 +25,9 @@ import (
 // InitialState sweep before superstep 0.
 const (
 	obsPhaseInit      = "init"
-	obsPhaseCompute   = "compute"   // chunked Compute sweep + send-buffer concat
+	obsPhaseCompute   = "compute"   // chunked Compute sweep (gathering, after a pull boundary) + send-buffer concat
 	obsPhaseTerminate = "terminate" // chunk-partial merges + live-count termination check
-	obsPhaseDeliver   = "deliver"   // counting-sort delivery / combining
+	obsPhaseDeliver   = "deliver"   // counting-sort delivery / combining; O(frontier) stamping on a pull
 	obsPhaseWorklist  = "worklist"  // sparse-activation worklist build
 
 	// obsPhaseCheckpoint is emitted only when a checkpoint policy is
@@ -192,7 +192,8 @@ func (o *obsRun) flightDump(dir, cause string) string {
 }
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
-// run-level buffers plus every chunk's private send buffer and wake list.
+// run-level buffers (the pull-gather pool among them) plus every chunk's
+// private send buffer, wake list and neighbor decode buffer.
 // Called once per superstep, and only when a sink is attached.
 func (s *runScratch) scratchBytes(sendBuf []Message, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
 	const (
@@ -211,8 +212,10 @@ func (s *runScratch) scratchBytes(sendBuf []Message, bcasts []bcastRec, inboxOff
 	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.denseBounds)+cap(s.pullBnds)+cap(s.bcastBnds)) * 8
 	b += int64(cap(s.msgStamp)+cap(s.msgLo)+cap(s.msgHi)+cap(s.recvList)) * 8
 	b += int64(cap(s.bcastLook))*16 + int64(cap(s.bcastWork))*8
+	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
 	for _, cs := range s.chunks {
-		b += int64(cap(cs.eng.sendBuf))*msgSize + int64(cap(cs.eng.bcastBuf))*recSize + int64(cap(cs.wake))*8
+		b += int64(cap(cs.eng.sendBuf))*msgSize + int64(cap(cs.eng.bcastBuf))*recSize
+		b += int64(cap(cs.wake)+cap(cs.ctx.nbrBuf)) * 8
 	}
 	return b
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime/debug"
 	"sort"
+	"sync"
 
 	"graphxmt/internal/graph"
 	"graphxmt/internal/par"
@@ -38,10 +40,11 @@ import (
 //   - Broadcasts (SendToNeighbors) are carried as (source, value) records
 //     rather than per-edge messages, and a pure-broadcast superstep is
 //     delivered straight from the records: a record-driven stable scatter
-//     when no combiner is set (exactly the legacy grouping), or a
-//     pull-side fold over destination neighbor lists when one is (see
-//     deliverBcasts for the paths and the one associativity caveat).
-//     Counters and charges still see one logical message per edge.
+//     or push fold on push supersteps, and on pull supersteps nothing but a
+//     stamp of each record into the broadcaster lookaside — the next
+//     compute sweep gathers every vertex's messages from its own neighbor
+//     list (see deliverBcasts and chunkState.gather). Counters and charges
+//     still see one logical message per edge.
 //
 //   - The combining path groups messages per destination first (the same
 //     stable sort) and then left-folds each destination's messages in send
@@ -181,6 +184,12 @@ type chunkState struct {
 	// of the vertices this chunk marked this superstep.
 	visited      []bool
 	visitedDelta int64
+	// gatherBuf / one back Messages() after a pull boundary (gather): the
+	// stamped neighbors' values in adjacency order when there is no
+	// combiner, the folded value when there is. gatherBuf is on loan from
+	// the run's gatherPool while the chunk runs.
+	gatherBuf []int64
+	one       [1]int64
 	// trap records a vertex-program panic recovered while running this
 	// chunk (nil otherwise). The engine folds traps into a ProgramError
 	// after the sweep, lowest chunk first.
@@ -210,6 +219,10 @@ func (cs *chunkState) guard() {
 // kill the process.
 func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inboxView, halted []bool, sparse bool, candidates []int64) {
 	defer cs.guard()
+	if ib.pull {
+		cs.gatherBuf = ib.bufs.get()
+		defer ib.bufs.put(cs.gatherBuf)
+	}
 	if sparse {
 		for i := lo; i < hi; i++ {
 			cs.runVertex(p, candidates[i], step, ib, halted, true)
@@ -243,6 +256,10 @@ func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 // instead of rebuilding an O(n) CSR every superstep. st is the stamp the
 // delivering superstep wrote (consumer step - 1); st < 0 means nothing has
 // been delivered yet (superstep 0).
+//
+// Pull mode (the previous boundary was a pull: deliverBcasts stamped
+// the broadcaster lookaside and built no inbox) has no stored messages at
+// all: chunkState.gather reads them off the vertex's own neighbor list.
 type inboxView struct {
 	val    []int64
 	off    []int64 // dense CSR offsets
@@ -250,6 +267,39 @@ type inboxView struct {
 	lo, hi []int64
 	st     int64
 	sparse bool
+
+	pull    bool
+	look    []bcastSlot // broadcaster lookaside, stamped st
+	fold    foldKind
+	combine func(a, b int64) int64
+	bufs    *gatherPool
+}
+
+// gatherPool is a free list of pull-gather buffers, each 2*MaxDegree long
+// — one half for a decoded neighbor list, one for the gathered values — so
+// gather never has to grow one. A chunk holds a buffer only while it runs:
+// at most par.Workers() exist per run, however many chunks a sweep has.
+type gatherPool struct {
+	mu   sync.Mutex
+	free [][]int64
+	size int64
+}
+
+func (p *gatherPool) get() []int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
+		return b
+	}
+	return make([]int64, p.size)
+}
+
+func (p *gatherPool) put(b []int64) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }
 
 // slice returns vertex v's incoming messages.
@@ -263,10 +313,123 @@ func (ib *inboxView) slice(v int64) []int64 {
 	return ib.val[ib.off[v]:ib.off[v+1]]
 }
 
+// foldKind is how a pull-mode gather reduces a vertex's stamped neighbors:
+// foldNone keeps them all (no combiner); the three built-in combiners fold
+// branch-free in registers; any other function folds through the indirect
+// call.
+type foldKind uint8
+
+const (
+	foldNone foldKind = iota
+	foldGeneric
+	foldOr
+	foldSum
+	foldMin
+)
+
+// resolveFold recognises the built-in combiners by function identity, once
+// per run. A closure that merely behaves like one takes the generic fold.
+func resolveFold(combine func(a, b int64) int64) foldKind {
+	if combine == nil {
+		return foldNone
+	}
+	switch reflect.ValueOf(combine).Pointer() {
+	case reflect.ValueOf(Or).Pointer():
+		return foldOr
+	case reflect.ValueOf(Sum).Pointer():
+		return foldSum
+	case reflect.ValueOf(Min).Pointer():
+		return foldMin
+	}
+	return foldGeneric
+}
+
+// gather is the consumer side of a pull superstep: vertex v walks its own
+// neighbor list against the broadcaster lookaside and obtains exactly the
+// messages the push scatter (no combiner: stamped neighbors' values in
+// adjacency order, which on sorted adjacency is ascending source — the
+// record order) or the push fold (combiner: left to right in the same
+// order) would have put in its inbox. The order is a property of the graph
+// alone, so the result is identical at any worker count, on retry and on
+// resume. Stamped density in a pull-worthy superstep is far from 0 or 1,
+// so every loop but the generic fold is branch-free: a data-dependent
+// branch would mispredict on a large fraction of the edge walk.
+func (cs *chunkState) gather(ib *inboxView, v int64) []int64 {
+	if ib.sparse && ib.stamp[v] != ib.st {
+		return nil // pullReceivers found no stamped neighbor
+	}
+	// On a flat graph nbrs is the shared CSR slice and the first half of
+	// the buffer goes unused.
+	half := len(cs.gatherBuf) / 2
+	nbrs := cs.eng.graph.DecodeNeighbors(v, cs.gatherBuf[:0:half])
+	look, st := ib.look, ib.st
+	var acc, hits int64
+	switch ib.fold {
+	case foldNone:
+		// Every probed value is stored at the cursor and the cursor only
+		// advances past stamped ones; the cursor never overtakes the walk,
+		// so len(nbrs) slots suffice.
+		buf := cs.gatherBuf[half:][:len(nbrs)]
+		pos := 0
+		for _, w := range nbrs {
+			slot := look[w]
+			buf[pos] = slot.val
+			if slot.stamp == st {
+				pos++
+			}
+		}
+		return buf[:pos]
+	case foldOr:
+		for _, w := range nbrs {
+			slot := look[w]
+			m := slot.mask(st)
+			acc |= slot.val & m
+			hits -= m
+		}
+	case foldSum:
+		for _, w := range nbrs {
+			slot := look[w]
+			m := slot.mask(st)
+			acc += slot.val & m
+			hits -= m
+		}
+	case foldMin:
+		acc = math.MaxInt64
+		for _, w := range nbrs {
+			slot := look[w]
+			m := slot.mask(st)
+			if c := slot.val&m | math.MaxInt64&^m; c < acc {
+				acc = c
+			}
+			hits -= m
+		}
+	default:
+		for _, w := range nbrs {
+			if slot := look[w]; slot.stamp == st {
+				if hits > 0 {
+					acc = ib.combine(acc, slot.val)
+				} else {
+					acc, hits = slot.val, 1
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		return nil
+	}
+	cs.one[0] = acc
+	return cs.one[:]
+}
+
 // runVertex executes one vertex against this chunk's private context. It
 // is the parallel twin of the sequential engine's per-vertex dispatch.
 func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inboxView, halted []bool, sparse bool) {
-	msgs := ib.slice(v)
+	var msgs []int64
+	if ib.pull {
+		msgs = cs.gather(ib, v)
+	} else {
+		msgs = ib.slice(v)
+	}
 	hasMsgs := len(msgs) > 0
 	if step > 0 && !hasMsgs && halted[v] {
 		return
@@ -317,12 +480,17 @@ type runScratch struct {
 
 	// Broadcast delivery scratch (see deliverBcasts). expandBuf is the
 	// spare message buffer expandTraffic swaps against the engine's send
-	// buffer; bcastLook is the value-stamped broadcaster lookaside of the
-	// pull paths; pullBnds caches the degree-weighted destination ranges
-	// of the parallel pull (graph-constant); bcastWork / bcastBnds
-	// partition broadcast records by degree for the parallel scatter.
+	// buffer; bcastLook is the value-stamped broadcaster lookaside a pull
+	// boundary fills and the next sweep gathers from — pulled says the last
+	// delivery was such a boundary, so that sweep reads bcastLook instead of
+	// an inbox; pullBnds caches the degree-weighted destination ranges of
+	// pullReceivers (graph-constant); gather lends that sweep's chunks their
+	// buffers; bcastWork / bcastBnds partition broadcast records by degree
+	// for the parallel scatter.
 	expandBuf []Message
 	bcastLook []bcastSlot
+	pulled    bool
+	gather    gatherPool
 	pullBnds  []int
 	bcastWork []int64
 	bcastBnds []int
@@ -372,12 +540,21 @@ type runScratch struct {
 }
 
 // bcastSlot pairs a broadcaster's stamp and value in one 16-byte slot.
-// The pull sweeps probe the lookaside once per adjacency entry — random
+// The pull gather probes the lookaside once per adjacency entry — random
 // accesses over a vertex-length array — so keeping stamp and value on the
 // same cache line costs one miss per probe instead of two.
 type bcastSlot struct {
 	stamp int64
 	val   int64
+}
+
+// mask is all ones when the slot was stamped by superstep st, else zero —
+// what the branch-free folds of gather select a value with.
+func (b bcastSlot) mask(st int64) int64 {
+	if b.stamp == st {
+		return -1
+	}
+	return 0
 }
 
 // ensureBcastLook sizes the broadcaster lookaside (stamps start at -1,
@@ -751,8 +928,10 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 // the record paths expand them straight into the inbox. Every path
 // produces the same per-vertex message sequences (the internal layout of
 // inboxVal may differ), so the path choice is a pure host-speed decision;
-// see deliverBcasts for the one associativity caveat.
+// see deliverBcasts for the one associativity caveat. A pull boundary
+// builds no inbox at all and leaves s.pulled set instead.
 func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
+	s.pulled = false
 	if len(bcasts) > 0 {
 		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, sparse, st, dir)
 	}
@@ -818,34 +997,48 @@ func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64
 // records — the tentpole of the broadcast-aware message path. The paths
 // and their determinism obligations:
 //
-//   - No combiner: scatter. Walk the records in order (ascending source),
-//     scattering each record's value to its adjacency through counting-sort
-//     cursors. Record order + adjacency order IS the per-edge send order,
-//     so the output equals the legacy stable grouping EXACTLY — for any
-//     graph, directed or not, with no assumptions on anything.
+//   - Push, no combiner: scatter. Walk the records in order (ascending
+//     source), scattering each record's value to its adjacency through
+//     counting-sort cursors. Record order + adjacency order IS the per-edge
+//     send order, so the output equals the legacy stable grouping EXACTLY —
+//     for any graph, directed or not, with no assumptions on anything.
 //
-//   - Combiner, frontier covering at least half the adjacency, undirected
-//     graph: pull-side fold. Records are stamped into a per-source
-//     value lookaside, then every destination walks its own neighbor list
-//     and folds the stamped neighbors' values in neighbor order — zero
-//     intermediate messages. Neighbor order is a property of the graph, so
-//     the fold is bit-identical at any worker count. It equals the legacy
-//     send-order fold exactly when adjacency lists are sorted ascending
-//     (graph.SortedAdjacency — senders run, hence send, in ascending
-//     order); on unsorted graphs, and when one source broadcasts more than
+//   - Push, combiner: sequential push-fold from the records, which is the
+//     legacy left fold in the legacy order exactly, minus the intermediate
+//     buffer.
+//
+//   - Pull: records are stamped into the per-source value lookaside and
+//     that is all the boundary does — O(frontier). The next compute sweep
+//     gathers: every vertex walks its own neighbor list and reads the
+//     stamped neighbors' values in neighbor order (chunkState.gather) —
+//     zero intermediate messages. Neighbor order is a property of the
+//     graph, so the messages are bit-identical at any worker count. They
+//     equal the push send order exactly when adjacency lists are sorted
+//     ascending (graph.SortedAdjacency — senders run, hence send, in
+//     ascending order), which the no-combiner pull requires; with a
+//     combiner, on unsorted graphs and when one source broadcasts more than
 //     once in a superstep (the lookaside pre-folds its values in record
 //     order), equality with the per-edge path leans on the commutativity +
 //     associativity Config.Combiner documents — the same contract the hub
 //     prefolds rely on.
 //
-//   - Combiner otherwise (directed graph, or a frontier too sparse for an
-//     O(edges) pull): sequential push-fold from the records, which is the
-//     legacy left fold in the legacy order exactly, minus the intermediate
-//     buffer.
+// dir is the superstep's recorded direction decision (direction.go):
+// DirPull selects the pull, DirPush the push, and DirAuto — the legacy
+// engine, no direction layer — keeps PR 5's combiner-pull heuristic. The
+// decision never depends on the worker count; parallel-vs-sequential below
+// is the usual host-speed routing within the decided direction.
+//
+// A pull boundary returns what the push would have delivered without
+// building it: with no combiner every logical message arrives, and the sum
+// of the frontier's out-degrees equals the sum of its in-degrees on the
+// symmetric adjacency an undirected graph has (Run checks the gathered
+// total against it — AsymmetricGraphError); with a combiner it is the
+// number of vertices with a stamped neighbor.
 //
 // Sparse activation routes small supersteps through O(logical) lookaside
 // twins of scatter/push-fold and mirrors the CSR offsets for big ones,
-// exactly as the legacy sparse delivery does.
+// exactly as the legacy sparse delivery does; a pull boundary stamps its
+// receivers itself (pullReceivers).
 func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
 	if sparse {
 		s.ensureSparseInbox(n)
@@ -855,7 +1048,30 @@ func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Gr
 			}
 			return s.bcastCombineSparse(bcasts, g, combine, inboxVal, st)
 		}
-		delivered := s.deliverBcastsDense(bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
+	}
+	pull := dir == DirPull
+	if dir == DirAuto && combine != nil {
+		pull = !g.Directed() && logical*2 >= g.NumEdges()
+	}
+	if pull && s.fillBcastLookaside(bcasts, combine, n, st) {
+		s.pulled = true
+		if combine != nil || sparse {
+			if receivers := s.pullReceivers(g, n, st, sparse); combine != nil {
+				return receivers
+			}
+		}
+		return logical
+	}
+	var delivered int64
+	switch {
+	case combine != nil:
+		delivered = s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
+	case par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32:
+		delivered = s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
+	default:
+		delivered = s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
+	}
+	if sparse {
 		off := *inboxOff
 		stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
 		par.ForChunked(int(n), func(a, b int) {
@@ -867,51 +1083,8 @@ func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Gr
 				}
 			}
 		})
-		return delivered
 	}
-	return s.deliverBcastsDense(bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
-}
-
-// deliverBcastsDense builds the dense inbox CSR from broadcast records.
-// dir is the superstep's recorded direction decision (direction.go):
-// DirPull selects the pull sweeps, DirPush the push scatters/folds, and
-// DirAuto — the legacy engine, no direction layer — keeps PR 5's
-// combiner-pull heuristic. The decision never depends on the worker
-// count; parallel-vs-sequential below is the usual host-speed routing
-// within the decided direction.
-func (s *runScratch) deliverBcastsDense(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64, dir DirectionMode) int64 {
-	parallel := par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32
-	if combine == nil {
-		// Pull without a combiner: stamp the records into the lookaside and
-		// let every destination read its stamped neighbors in adjacency
-		// order — equal to the push scatter's (destination, record order)
-		// grouping exactly when adjacency is sorted and sources are unique
-		// (the pullOK gate checks sortedness; uniqueness is a property of
-		// the record stream — one broadcast per vertex per superstep — and
-		// the lookaside fill falls back to the scatter if it is violated).
-		if dir == DirPull && s.fillBcastLookasideScatter(bcasts, n, st) {
-			if parallel {
-				return s.parBcastPullScatter(g, n, inboxOff, inboxVal, st, logical)
-			}
-			return s.seqBcastPullScatter(g, n, inboxOff, inboxVal, st, logical)
-		}
-		if parallel {
-			return s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-		}
-		return s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-	}
-	pull := dir == DirPull
-	if dir == DirAuto {
-		pull = !g.Directed() && logical*2 >= g.NumEdges()
-	}
-	if pull {
-		s.fillBcastLookaside(bcasts, combine, n, st)
-		if parallel {
-			return s.parBcastPull(g, n, combine, inboxOff, inboxVal, st)
-		}
-		return s.seqBcastPull(g, n, combine, inboxOff, inboxVal, st)
-	}
-	return s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
+	return delivered
 }
 
 // seqBcastScatter is the record-driven twin of seqDeliver: a stable
@@ -1047,82 +1220,36 @@ func (s *runScratch) parBcastScatter(bcasts []bcastRec, logical int64, g *graph.
 	return logical
 }
 
-// fillBcastLookasideScatter stamps each record's value into the
-// per-source lookaside for the combinerless pull scatter. Unlike the
-// combining fill there is no fold to hide behind: a source appearing in
-// more than one record would lose a message, so a duplicate makes the
-// fill report false and delivery falls back to the push scatter — a
-// deterministic, input-driven fallback (the PullProgram contract says it
-// cannot happen; the check makes a contract violation safe rather than
-// silently wrong).
-func (s *runScratch) fillBcastLookasideScatter(bcasts []bcastRec, n, st int64) bool {
+// fillBcastLookaside stamps each record's value into the per-source
+// lookaside the pull gather reads. Sequential and in record order, so with
+// a combiner a source that broadcast more than once this superstep
+// pre-folds its values deterministically (equality with the per-edge path
+// then leans on the documented combiner laws — see deliverBcasts). Without
+// one there is no fold to hide behind: a second record would lose a
+// message, so the fill reports false and delivery falls back to the push
+// scatter — a deterministic, input-driven fallback (the PullProgram
+// contract says it cannot happen; the check makes a contract violation
+// safe rather than silently wrong).
+func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int64) int64, n, st int64) bool {
 	look := s.ensureBcastLook(n)
 	for _, r := range bcasts {
-		if look[r.src].stamp == st {
+		if look[r.src].stamp != st {
+			look[r.src] = bcastSlot{stamp: st, val: r.val}
+		} else if combine != nil {
+			look[r.src].val = combine(look[r.src].val, r.val)
+		} else {
 			return false
 		}
-		look[r.src] = bcastSlot{stamp: st, val: r.val}
 	}
 	return true
 }
 
-// seqBcastPullScatter is the sequential combinerless pull sweep: every
-// destination walks its own neighbor list and copies each stamped
-// neighbor's broadcast value into its inbox slot, in adjacency order. On
-// an undirected graph with sorted adjacency and unique record sources the
-// per-vertex inbox sequence — stamped neighbors ascending — is exactly
-// the push scatter's (record order is ascending source), so the output
-// equals seqBcastScatter bit for bit while never materializing a message.
-func (s *runScratch) seqBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
-	look := s.bcastLook
-	off := *inboxOff
-	// One slack slot past the logical count: the branchless compaction
-	// below stores every probed value at the cursor unconditionally and
-	// only advances the cursor for stamped neighbors, so the final store
-	// can land one past the last delivered entry. Stamped density in a
-	// pull-worthy superstep is far from 0 or 1, so the data-dependent
-	// branch would mispredict on a large fraction of the edge walk.
-	val := ensureInt64(*inboxVal, int(logical)+1)
-	var pos int64
-	comp := g.Compressed()
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		if comp {
-			it := g.NeighborDecoder(v)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				slot := look[w]
-				val[pos] = slot.val
-				var hit int64
-				if slot.stamp == st {
-					hit = 1
-				}
-				pos += hit
-			}
-		} else {
-			for _, w := range g.Neighbors(v) {
-				slot := look[w]
-				val[pos] = slot.val
-				var hit int64
-				if slot.stamp == st {
-					hit = 1
-				}
-				pos += hit
-			}
-		}
-	}
-	off[n] = pos
-	*inboxVal = val
-	return pos
-}
-
-// parBcastPullScatter runs the combinerless pull sweep over the cached
-// degree-weighted destination ranges (the same partition parBcastPull
-// uses). Pass 1 counts each range's stamped-neighbor total — a full count,
-// not parBcastPull's early-exit receiver count, since every stamped
-// neighbor contributes one inbox entry — pass 2 fills through per-range
-// cursors. Each destination's entries are confined to its own adjacency
-// walk, so the partition cannot perturb the output.
-func (s *runScratch) parBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
+// pullReceivers counts the vertices with at least one stamped neighbor —
+// what a combining pull delivers — over degree-weighted destination ranges
+// (cached once per run — they depend only on the graph), each walk exiting
+// on its first hit. Under sparse activation it also stamps them into
+// msgStamp, which is where nextWorklist and gather look for receivers.
+func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, sparse bool) int64 {
 	goff := g.Offsets()
 	if len(s.pullBnds) == 0 {
 		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
@@ -1130,218 +1257,39 @@ func (s *runScratch) parBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]in
 				return goff[i] + int64(i)
 			})
 	}
-	bnds := s.pullBnds
-	numR := len(bnds) - 1
-	s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-	rangeCnt := s.rangeCnt
-	look := s.bcastLook
-	// The count pass is branchless (stamped density makes the branch
-	// unpredictable); the fill pass keeps the conditional store because a
-	// range's cursor sits exactly on the next range's first slot once its
-	// own entries are exhausted — an unconditional slack store there would
-	// race with the neighboring worker.
+	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
+	rangeCnt, look, msgStamp := s.rangeCnt, s.bcastLook, s.msgStamp
 	comp := g.Compressed()
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
+	par.ForBoundaryChunks(s.pullBnds, func(r, lo, hi int) {
 		var cnt int64
 		for v := lo; v < hi; v++ {
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					var hit int64
-					if look[w].stamp == st {
-						hit = 1
-					}
-					cnt += hit
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					var hit int64
-					if look[w].stamp == st {
-						hit = 1
-					}
-					cnt += hit
-				}
-			}
-		}
-		rangeCnt[r] = cnt
-	})
-	delivered := par.ExclusivePrefixSum(rangeCnt)
-	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(delivered))
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		pos := rangeCnt[r]
-		for v := lo; v < hi; v++ {
-			off[v] = pos
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if slot := look[w]; slot.stamp == st {
-						val[pos] = slot.val
-						pos++
-					}
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if slot := look[w]; slot.stamp == st {
-						val[pos] = slot.val
-						pos++
-					}
-				}
-			}
-		}
-	})
-	off[n] = delivered
-	*inboxVal = val
-	return delivered
-}
-
-// fillBcastLookaside stamps each record's value into the per-source
-// lookaside the pull fold reads. Sequential and in record order, so a
-// source that broadcast more than once this superstep pre-folds its values
-// deterministically (in record order; equality with the per-edge path then
-// leans on the documented combiner laws — see deliverBcasts).
-func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int64) int64, n, st int64) {
-	look := s.ensureBcastLook(n)
-	for _, r := range bcasts {
-		if look[r.src].stamp == st {
-			look[r.src].val = combine(look[r.src].val, r.val)
-		} else {
-			look[r.src] = bcastSlot{stamp: st, val: r.val}
-		}
-	}
-}
-
-// seqBcastPull is the sequential pull-side fold: every destination walks
-// its own neighbor list against the broadcaster lookaside and folds the
-// stamped values in neighbor order, writing its combined inbox entry
-// directly — no intermediate messages exist at any point.
-func (s *runScratch) seqBcastPull(g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64) int64 {
-	look := s.bcastLook
-	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(n))
-	var pos int64
-	comp := g.Compressed()
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		var acc int64
-		found := false
-		if comp {
-			it := g.NeighborDecoder(v)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if slot := look[w]; slot.stamp == st {
-					if found {
-						acc = combine(acc, slot.val)
-					} else {
-						acc = slot.val
-						found = true
-					}
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(v) {
-				if slot := look[w]; slot.stamp == st {
-					if found {
-						acc = combine(acc, slot.val)
-					} else {
-						acc = slot.val
-						found = true
-					}
-				}
-			}
-		}
-		if found {
-			val[pos] = acc
-			pos++
-		}
-	}
-	off[n] = pos
-	*inboxVal = val
-	return pos
-}
-
-// parBcastPull runs the pull fold over degree-weighted destination ranges
-// (cached once per run — they depend only on the graph). Each destination's
-// fold is confined to its own neighbor list, so the partition cannot
-// perturb results. Pass 1 counts receivers per range (early-exiting on the
-// first stamped neighbor); pass 2 folds and compacts.
-func (s *runScratch) parBcastPull(g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64) int64 {
-	goff := g.Offsets()
-	if len(s.pullBnds) == 0 {
-		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
-			sweepTargetChunks(int(n)), func(i int) int64 {
-				return goff[i] + int64(i)
-			})
-	}
-	bnds := s.pullBnds
-	numR := len(bnds) - 1
-	s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-	rangeCnt := s.rangeCnt
-	look := s.bcastLook
-	comp := g.Compressed()
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		var cnt int64
-		for v := lo; v < hi; v++ {
+			hit := false
 			if comp {
 				it := g.NeighborDecoder(int64(v))
 				for w, ok := it.Next(); ok; w, ok = it.Next() {
 					if look[w].stamp == st {
-						cnt++
+						hit = true
 						break
 					}
 				}
 			} else {
 				for _, w := range g.Neighbors(int64(v)) {
 					if look[w].stamp == st {
-						cnt++
+						hit = true
 						break
 					}
+				}
+			}
+			if hit {
+				cnt++
+				if sparse {
+					msgStamp[v] = st
 				}
 			}
 		}
 		rangeCnt[r] = cnt
 	})
-	delivered := par.ExclusivePrefixSum(rangeCnt)
-	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(delivered))
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		pos := rangeCnt[r]
-		for v := lo; v < hi; v++ {
-			off[v] = pos
-			var acc int64
-			found := false
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if slot := look[w]; slot.stamp == st {
-						if found {
-							acc = combine(acc, slot.val)
-						} else {
-							acc = slot.val
-							found = true
-						}
-					}
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if slot := look[w]; slot.stamp == st {
-						if found {
-							acc = combine(acc, slot.val)
-						} else {
-							acc = slot.val
-							found = true
-						}
-					}
-				}
-			}
-			if found {
-				val[pos] = acc
-				pos++
-			}
-		}
-	})
-	off[n] = delivered
-	*inboxVal = val
-	return delivered
+	return par.ExclusivePrefixSum(rangeCnt)
 }
 
 // seqBcastCombine is the record-driven twin of seqCombineDeliver: push

@@ -267,3 +267,27 @@ func TestSweepChunkSizeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveFold: the three built-in combiners are recognised by identity
+// — through any path a func value takes to Config.Combiner — and nothing
+// else is, however it behaves.
+func TestResolveFold(t *testing.T) {
+	viaOption := Config{}
+	func(c *Config) { c.Combiner = Min }(&viaOption)
+	for _, tc := range []struct {
+		name string
+		f    func(a, b int64) int64
+		want foldKind
+	}{
+		{"nil", nil, foldNone},
+		{"Or", Or, foldOr},
+		{"Sum", Sum, foldSum},
+		{"Min", viaOption.Combiner, foldMin},
+		{"Max", Max, foldGeneric},
+		{"closure over Sum", func(a, b int64) int64 { return Sum(a, b) }, foldGeneric},
+	} {
+		if got := resolveFold(tc.f); got != tc.want {
+			t.Errorf("resolveFold(%s) = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
