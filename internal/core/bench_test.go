@@ -297,6 +297,19 @@ func BenchmarkEngineSparseRelay(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineGridBFSFullScan is the paper's schedule at its worst: a
+// BFS wave crossing a 256x256 grid in 511 supersteps, each scanning all
+// 65,536 vertices to run at most 256 of them and deliver ~500 messages.
+// What it measures is the scan's cost per idle vertex and the boundary's
+// fixed cost, nothing else.
+func BenchmarkEngineGridBFSFullScan(b *testing.B) {
+	benchRun(b, core.Config{
+		Graph:         gen.Grid(256, 256),
+		Program:       bspalg.BFSProgram{Source: 0},
+		MaxSupersteps: -1,
+	})
+}
+
 // Observability-attached variants of the engine benchmarks. Compare against
 // the plain benchmarks above to measure the observed-run cost; the nil-sink
 // case is the plain benchmarks themselves (Config.Obs nil), which the

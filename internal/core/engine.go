@@ -355,7 +355,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Inbox in CSR form: inboxOff[v]..inboxOff[v+1] indexes inboxVal.
+	// Inbox: CSR offsets or lookaside stamps over inboxVal (see inboxView).
 	inboxOff := make([]int64, n+1)
 	var inboxVal []int64
 	var sendBuf []Message
@@ -387,6 +387,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts, gather: gatherPool{size: 2 * g.MaxDegree()}}
 	fold := resolveFold(cfg.Combiner)
+	// ib is the sweep's view of the inbox, refilled every superstep; one per
+	// run, because the parallel sweep's closure makes it escape.
+	var ib inboxView
+	// With no recorder every superstep charges one throwaway phase, not a
+	// fresh pair.
+	startPhase := cfg.Recorder.StartPhase
+	if cfg.Recorder == nil {
+		discard := new(trace.Phase)
+		startPhase = func(string, int) *trace.Phase { return discard }
+	}
 
 	if resumeSnap == nil && sup != nil && sup.maxRetries > 0 {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
@@ -450,7 +460,7 @@ func Run(cfg Config) (*Result, error) {
 					wake = append(wake, v)
 				}
 			}
-			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, sendBuf, bcasts, g, logical, stamp, n)
+			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, sendBuf, bcasts, g, logical, stamp, n, inboxOff)
 		}
 	}
 
@@ -493,11 +503,11 @@ func Run(cfg Config) (*Result, error) {
 			if cfg.SparseActivation {
 				scanCount = int64(len(candidates))
 			}
-			scan := cfg.Recorder.StartPhase("bsp/scan", step)
+			scan := startPhase("bsp/scan", step)
 			scan.AddTasks(scanCount, 0, costs.ScanLoadsPerVertex*scanCount, 0)
 			scan.ObserveTask(costs.ScanLoadsPerVertex)
 
-			ph = cfg.Recorder.StartPhase("bsp/superstep", step)
+			ph = startPhase("bsp/superstep", step)
 
 			// Compute sweep: worker-independent chunks, each with a private
 			// context, merged in chunk index order below. Chunk boundaries are
@@ -520,20 +530,23 @@ func Run(cfg Config) (*Result, error) {
 			scratch.ensureChunks(numChunks, master, visited)
 			sparse := cfg.SparseActivation
 			prog := cfg.Program
-			// st is the stamp the previous superstep's delivery wrote.
-			ib := &inboxView{val: inboxVal, off: inboxOff, st: int64(step) - 1}
-			if sparse {
-				scratch.ensureSparseInbox(n)
-				ib.sparse = true
-				ib.stamp, ib.lo, ib.hi = scratch.msgStamp, scratch.msgLo, scratch.msgHi
-			}
+			// The inbox as the previous superstep's delivery left it — also
+			// when that delivery was a resume's, or this is a retry.
+			ib = inboxView{val: inboxVal, off: inboxOff, span: scratch.span, code: ^(int64(step) - 1), lookaside: scratch.lookaside}
 			if scratch.pulled {
 				ib.pull, ib.look, ib.fold, ib.combine, ib.bufs = true, scratch.bcastLook, fold, cfg.Combiner, &scratch.gather
 			}
 			if o != nil {
 				tObs = time.Now()
 			}
-			if par.Workers() == 1 {
+			// What the sweep is known to cost: the items it scans, plus an
+			// adjacency walk for every vertex awake and every message waiting.
+			known := live
+			if k := len(res.DeliveredPerStep); k > 0 {
+				known += res.DeliveredPerStep[k-1]
+			}
+			known = int64(count) + known*(1+g.Offsets()[n]/max(n, 1))
+			if par.Workers() == 1 || known < sweepSerialMax {
 				// Serial fast path: chunks run in index order anyway, so thread
 				// one shared send buffer through them — appending in chunk order
 				// is the concatenation the parallel path performs explicitly,
@@ -550,7 +563,7 @@ func Run(cfg Config) (*Result, error) {
 					cs.reset(step, master.prevAggregates)
 					cs.eng.sendBuf = buf
 					cs.eng.bcastBuf = bb
-					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
+					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
 					buf = cs.eng.sendBuf
 					bb = cs.eng.bcastBuf
 					cs.eng.sendBuf = nil
@@ -584,7 +597,7 @@ func Run(cfg Config) (*Result, error) {
 					if presize {
 						cs.presize(scratch.chunkSendHint(lo, hi))
 					}
-					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
+					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
 				})
 				sendBuf = scratch.concatSends(sendBuf, numChunks)
 				bcasts = scratch.concatBcasts(bcasts, numChunks)
@@ -595,9 +608,9 @@ func Run(cfg Config) (*Result, error) {
 			if o != nil {
 				// Emitted before the trap check so a panicking superstep's
 				// compute span still reaches the sink — the flight recorder's
-				// ring must contain the failing step.
-				o.phase(obsPhaseCompute, step, tObs)
-				tObs = time.Now()
+				// ring must contain the failing step. Each span ends where the
+				// next begins.
+				tObs = o.phase(obsPhaseCompute, step, tObs)
 			}
 			pe := scratch.firstTrap(numChunks, step)
 			if pe == nil {
@@ -687,13 +700,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if o != nil {
-			o.phase(obsPhaseTerminate, step, tObs)
+			tObs = o.phase(obsPhaseTerminate, step, tObs)
 		}
 		if sent == 0 && live == 0 {
 			if o != nil {
 				st := obs.StepStats{
 					Step: step, Active: active, Sent: sent, Received: received,
-					ScratchBytes: scratch.scratchBytes(sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
+					ScratchBytes: scratch.scratchBytes(numChunks, sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
 				}
 				if ds != nil {
 					st.Direction = dirMode.String()
@@ -718,27 +731,21 @@ func Run(cfg Config) (*Result, error) {
 		// is what was physically materialized: per-edge messages plus one
 		// record per kept broadcast — the engine-side traffic the logical
 		// counter deliberately does not show.
-		if o != nil {
-			tObs = time.Now()
-		}
 		sendBuf, bcasts = scratch.maybeExpand(sendBuf, bcasts, g, sent)
 		physSent := int64(len(sendBuf)) + int64(len(bcasts))
 		delivered := scratch.deliver(sendBuf, bcasts, sent, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, int64(step), dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
 		if o != nil {
-			o.phase(obsPhaseDeliver, step, tObs)
+			tObs = o.phase(obsPhaseDeliver, step, tObs)
 		}
 
 		if cfg.SparseActivation {
 			// Next worklist: message receivers plus vertices that stayed
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
-			if o != nil {
-				tObs = time.Now()
-			}
 			wake := scratch.mergeWake(numChunks)
-			candidates = scratch.nextWorklist(candidates, step, wake, delivered, sendBuf, bcasts, g, sent, stamp, n)
+			candidates = scratch.nextWorklist(candidates, step, wake, delivered, sendBuf, bcasts, g, sent, stamp, n, inboxOff)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}
@@ -746,7 +753,7 @@ func Run(cfg Config) (*Result, error) {
 		if o != nil {
 			st := obs.StepStats{
 				Step: step, Active: active, Sent: sent, SentPhysical: physSent, Delivered: delivered, Received: received,
-				ScratchBytes: scratch.scratchBytes(sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
+				ScratchBytes: scratch.scratchBytes(numChunks, sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
 			}
 			if ds != nil {
 				st.Direction = dirMode.String()

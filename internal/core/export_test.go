@@ -1,0 +1,7 @@
+package core
+
+// LookasideCutoff and LookasideDeliveries let tests replay deliver's
+// per-superstep representation decision and check the engine made it.
+const LookasideCutoff = lookasideCutoff
+
+func LookasideDeliveries() int64 { return lookasideBuilt.Load() }

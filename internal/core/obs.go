@@ -9,10 +9,9 @@ package core
 // bit-identical with or without a sink (see determinism_test.go).
 
 import (
+	"bytes"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"graphxmt/internal/graph"
@@ -44,18 +43,24 @@ func EnginePhases() []string {
 	return []string{obsPhaseCompute, obsPhaseTerminate, obsPhaseDeliver, obsPhaseWorklist}
 }
 
-// obsMemSampleEvery is the superstep interval between runtime.MemStats
-// samples (ReadMemStats briefly stops the world, so sampling every
-// superstep would distort short-superstep runs).
-const obsMemSampleEvery = 8
+// obsMemSampleGap is the least wall-clock time between two memory samples
+// (the first superstep and the end of the run are always sampled): a
+// sample stops the world for runtime.ReadMemStats and reads procfs, which
+// a run of microsecond supersteps cannot pay every few supersteps, and a
+// run of long ones is sampled every superstep as before.
+const obsMemSampleGap = 10 * time.Millisecond
 
 type obsRun struct {
 	sink      obs.Sink
 	start     time.Time
 	timer     *par.WorkerTimer
 	prevTimer *par.WorkerTimer
-	workers   int
-	lastStep  int
+	// busy backs every span's WorkerBusy (sinks copy what they keep).
+	busy     []time.Duration
+	lastStep int
+	// now is the end of the latest span; nextMem the earliest time of the
+	// next memory sample.
+	now, nextMem time.Time
 }
 
 // runSink resolves the sink for a run: Config.Obs, or the sink carried by
@@ -80,10 +85,10 @@ func startObs(cfg *Config, g *graph.Graph) *obsRun {
 	}
 	w := par.Workers()
 	o := &obsRun{
-		sink:    sink,
-		start:   time.Now(),
-		timer:   par.NewWorkerTimer(w),
-		workers: w,
+		sink:  sink,
+		start: time.Now(),
+		timer: par.NewWorkerTimer(w),
+		busy:  make([]time.Duration, w),
 	}
 	o.prevTimer = par.SetTimer(o.timer)
 	sink.RunStart(obs.RunInfo{
@@ -98,27 +103,28 @@ func startObs(cfg *Config, g *graph.Graph) *obsRun {
 
 // phase emits the span [t0, now) under name, carrying the per-worker busy
 // time and chunk-granularity stats folded since the previous phase
-// boundary. DrainChunks must run before Drain — Drain resets both.
-func (o *obsRun) phase(name string, step int, t0 time.Time) {
+// boundary, and returns now. DrainChunks must run before Drain — Drain
+// resets both.
+func (o *obsRun) phase(name string, step int, t0 time.Time) time.Time {
 	chunks, maxChunk := o.timer.DrainChunks()
-	busy := o.timer.Drain(make([]time.Duration, o.workers))
+	o.now = time.Now()
 	o.sink.Span(obs.Span{
 		Name:       name,
 		Step:       step,
 		Start:      t0.Sub(o.start),
-		Dur:        time.Since(t0),
-		WorkerBusy: busy,
+		Dur:        o.now.Sub(t0),
+		WorkerBusy: o.timer.Drain(o.busy),
 		Chunks:     chunks,
 		MaxChunk:   maxChunk,
 	})
+	return o.now
 }
 
-// step emits the superstep counters and, every obsMemSampleEvery
-// supersteps, a MemStats sample.
+// step emits the superstep counters and, when one is due, a memory sample.
 func (o *obsRun) step(st obs.StepStats) {
 	o.lastStep = st.Step
 	o.sink.Step(st)
-	if st.Step%obsMemSampleEvery == 0 {
+	if !o.now.Before(o.nextMem) {
 		o.sampleMem(st.Step)
 	}
 }
@@ -126,6 +132,7 @@ func (o *obsRun) step(st obs.StepStats) {
 func (o *obsRun) sampleMem(step int) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	o.nextMem = o.now.Add(obsMemSampleGap)
 	o.sink.Mem(obs.MemSample{
 		Step:       step,
 		At:         time.Since(o.start),
@@ -143,25 +150,22 @@ func (o *obsRun) sampleMem(step int) {
 // graph-resident number. Returns 0 (sample omitted from reports) on any
 // failure — non-linux hosts have no procfs.
 func readVmHWM() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
+	f, err := os.Open("/proc/self/status")
 	if err != nil {
 		return 0
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
+	defer f.Close()
+	var buf [4096]byte // the whole file is ~1.5 KiB, and procfs hands it over in one read
+	n, _ := f.Read(buf[:])
+	_, rest, _ := bytes.Cut(buf[:n], []byte("VmHWM:"))
+	var kb uint64
+	for _, c := range bytes.TrimLeft(rest, " \t") {
+		if c < '0' || c > '9' {
+			break
 		}
-		fields := strings.Fields(line[len("VmHWM:"):])
-		if len(fields) < 1 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10 // procfs reports kB
+		kb = kb*10 + uint64(c-'0')
 	}
-	return 0
+	return kb << 10 // procfs reports kB
 }
 
 // finish restores the previous worker timer, takes a final memory sample,
@@ -193,9 +197,11 @@ func (o *obsRun) flightDump(dir, cause string) string {
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
 // run-level buffers (the pull-gather pool among them) plus every chunk's
-// private send buffer, wake list and neighbor decode buffer.
+// private send buffer, wake list and neighbor decode buffer — re-measured
+// only for the numChunks chunks that just ran, so a near-empty superstep
+// after a 256-chunk one does not walk them all again.
 // Called once per superstep, and only when a sink is attached.
-func (s *runScratch) scratchBytes(sendBuf []Message, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
+func (s *runScratch) scratchBytes(numChunks int, sendBuf []Message, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
 	const (
 		msgSize = 16 // Message: two int64s
 		recSize = 24 // bcastRec: three int64s
@@ -210,12 +216,14 @@ func (s *runScratch) scratchBytes(sendBuf []Message, bcasts []bcastRec, inboxOff
 	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8
 	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)+cap(s.candWork)) * 8
 	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.denseBounds)+cap(s.pullBnds)+cap(s.bcastBnds)) * 8
-	b += int64(cap(s.msgStamp)+cap(s.msgLo)+cap(s.msgHi)+cap(s.recvList)) * 8
+	b += int64(cap(s.span)) * 8
 	b += int64(cap(s.bcastLook))*16 + int64(cap(s.bcastWork))*8
 	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
-	for _, cs := range s.chunks {
-		b += int64(cap(cs.eng.sendBuf))*msgSize + int64(cap(cs.eng.bcastBuf))*recSize
-		b += int64(cap(cs.wake)+cap(cs.ctx.nbrBuf)) * 8
+	for _, cs := range s.chunks[:numChunks] {
+		was := cs.scratch
+		cs.scratch = int64(cap(cs.eng.sendBuf))*msgSize + int64(cap(cs.eng.bcastBuf))*recSize
+		cs.scratch += int64(cap(cs.wake)+cap(cs.ctx.nbrBuf)) * 8
+		s.chunkScratch += cs.scratch - was
 	}
-	return b
+	return b + s.chunkScratch
 }

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"graphxmt/internal/graph"
 	"graphxmt/internal/par"
@@ -154,6 +155,15 @@ const sweepVertexWork = 4
 // the threshold is a pure host-speed knob.
 const deliverParallelMin = 1 << 14
 
+// sweepSerialMax is the known work of a compute sweep — items scanned, plus
+// a mean adjacency list for each vertex awake and each message waiting,
+// what a vertex that runs is assumed to touch — below which the serial
+// sweep wins at any worker count: forking, joining and concatenating the
+// chunks costs more than half of so small a sweep. Both sweeps merge the
+// same per-chunk partials, so like deliverParallelMin this is a pure
+// host-speed knob.
+const sweepSerialMax = 1 << 17
+
 // hubFoldMin is the combining-path hub threshold: a destination group of
 // at least this many messages is folded over hubFoldSeg-sized segments in
 // parallel (see parCombineDeliver). Below it, the exact sequential
@@ -190,6 +200,8 @@ type chunkState struct {
 	// the run's gatherPool while the chunk runs.
 	gatherBuf []int64
 	one       [1]int64
+	// scratch is the chunk's share of runScratch.chunkScratch.
+	scratch int64
 	// trap records a vertex-program panic recovered while running this
 	// chunk (nil otherwise). The engine folds traps into a ProgramError
 	// after the sweep, lowest chunk first.
@@ -227,9 +239,29 @@ func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inboxView, halte
 		for i := lo; i < hi; i++ {
 			cs.runVertex(p, candidates[i], step, ib, halted, true)
 		}
-	} else {
+		return
+	}
+	// The full scan: in a near-empty superstep almost every vertex is halted
+	// with nothing to read, and skipping those here costs a fraction of the
+	// call that would find the same thing out. After a pull only the gather
+	// knows who has messages.
+	off, code := ib.off, ib.code
+	switch {
+	case ib.pull:
 		for v := lo; v < hi; v++ {
 			cs.runVertex(p, int64(v), step, ib, halted, false)
+		}
+	case ib.lookaside:
+		for v := lo; v < hi; v++ {
+			if !halted[v] || off[v] == code {
+				cs.runVertex(p, int64(v), step, ib, halted, false)
+			}
+		}
+	default:
+		for v := lo; v < hi; v++ {
+			if !halted[v] || off[v+1] > off[v] {
+				cs.runVertex(p, int64(v), step, ib, halted, false)
+			}
 		}
 	}
 }
@@ -250,26 +282,28 @@ func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 	cs.trap = nil
 }
 
-// inboxView is the sweep's read-side of the inbox. Dense mode reads the
-// CSR offsets; sparse mode reads a stamped per-vertex lookaside (msgStamp
-// / msgLo / msgHi), which lets sparse delivery touch only the receivers
-// instead of rebuilding an O(n) CSR every superstep. st is the stamp the
-// delivering superstep wrote (consumer step - 1); st < 0 means nothing has
-// been delivered yet (superstep 0).
+// inboxView is the sweep's read-side of the inbox, in whichever of its two
+// representations the last delivery built (runScratch.lookaside): the CSR —
+// off is n+1 offsets into val — or, when the superstep's traffic was far
+// below n, the stamped lookaside, which touches only the receivers instead
+// of rebuilding O(n) offsets: off[v] == code marks a receiver and span[v]
+// packs its slice of val as lo<<32 | count. code is the complement of the
+// delivering superstep (consumer step - 1), negative, so no CSR offset
+// left in off from an earlier superstep can be mistaken for it.
 //
-// Pull mode (the previous boundary was a pull: deliverBcasts stamped
-// the broadcaster lookaside and built no inbox) has no stored messages at
-// all: chunkState.gather reads them off the vertex's own neighbor list.
+// After a pull boundary (deliverBcasts stamped the broadcaster lookaside
+// and built no inbox) there are no stored messages at all:
+// chunkState.gather reads them off the vertex's own neighbor list, and
+// under sparse activation off carries the stamps of pullReceivers.
 type inboxView struct {
-	val    []int64
-	off    []int64 // dense CSR offsets
-	stamp  []int64 // sparse lookaside
-	lo, hi []int64
-	st     int64
-	sparse bool
+	val       []int64
+	off       []int64
+	span      []int64
+	code      int64
+	lookaside bool
 
 	pull    bool
-	look    []bcastSlot // broadcaster lookaside, stamped st
+	look    []bcastSlot // broadcaster lookaside, stamped ^code
 	fold    foldKind
 	combine func(a, b int64) int64
 	bufs    *gatherPool
@@ -302,15 +336,24 @@ func (p *gatherPool) put(b []int64) {
 	p.mu.Unlock()
 }
 
+// has reports whether v has stored messages.
+func (ib *inboxView) has(v int64) bool {
+	if ib.lookaside {
+		return ib.off[v] == ib.code
+	}
+	return ib.off[v+1] > ib.off[v]
+}
+
 // slice returns vertex v's incoming messages.
 func (ib *inboxView) slice(v int64) []int64 {
-	if ib.sparse {
-		if ib.st < 0 || ib.stamp[v] != ib.st {
-			return nil
-		}
-		return ib.val[ib.lo[v]:ib.hi[v]]
+	if !ib.lookaside {
+		return ib.val[ib.off[v]:ib.off[v+1]]
 	}
-	return ib.val[ib.off[v]:ib.off[v+1]]
+	if ib.off[v] != ib.code {
+		return nil
+	}
+	lo := ib.span[v] >> 32
+	return ib.val[lo : lo+ib.span[v]&math.MaxUint32]
 }
 
 // foldKind is how a pull-mode gather reduces a vertex's stamped neighbors:
@@ -355,14 +398,14 @@ func resolveFold(combine func(a, b int64) int64) foldKind {
 // so every loop but the generic fold is branch-free: a data-dependent
 // branch would mispredict on a large fraction of the edge walk.
 func (cs *chunkState) gather(ib *inboxView, v int64) []int64 {
-	if ib.sparse && ib.stamp[v] != ib.st {
+	if ib.lookaside && ib.off[v] != ib.code {
 		return nil // pullReceivers found no stamped neighbor
 	}
 	// On a flat graph nbrs is the shared CSR slice and the first half of
 	// the buffer goes unused.
 	half := len(cs.gatherBuf) / 2
 	nbrs := cs.eng.graph.DecodeNeighbors(v, cs.gatherBuf[:0:half])
-	look, st := ib.look, ib.st
+	look, st := ib.look, ^ib.code
 	var acc, hits int64
 	switch ib.fold {
 	case foldNone:
@@ -466,10 +509,12 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inboxView, hal
 // per-chunk worker states and the delivery / worklist scratch that the
 // sequential engine used to reallocate each superstep.
 type runScratch struct {
-	chunks   []*chunkState
-	sendOff  []int // per-chunk send-buffer offsets for the merge copy
-	bcastOff []int // per-chunk broadcast-record offsets for the merge copy
-	wake     []int64
+	chunks []*chunkState
+	// chunkScratch is the chunks' total buffer footprint (scratchBytes).
+	chunkScratch int64
+	sendOff      []int // per-chunk send-buffer offsets for the merge copy
+	bcastOff     []int // per-chunk broadcast-record offsets for the merge copy
+	wake         []int64
 
 	// sawUnicast records whether any superstep of this run has produced
 	// unicast messages yet; the per-chunk send-buffer presize (degree-sum
@@ -529,14 +574,12 @@ type runScratch struct {
 	// Sparse-activation scratch.
 	sortScratch []int64 // radix-sort ping buffer
 
-	// Sparse inbox lookaside: msgStamp[v] == step marks that v received
-	// messages in the superstep stamped step, stored at val[msgLo[v]:
-	// msgHi[v]]. Sparse delivery fills only receivers' entries, making the
-	// superstep boundary O(sent) instead of O(n).
-	msgStamp []int64
-	msgLo    []int64
-	msgHi    []int64
-	recvList []int64
+	// Inbox lookaside (see inboxView): span is allocated by the first
+	// delivery small enough to use it; lookaside says the last delivery
+	// built it (or, after a pull under sparse activation, stamped its
+	// receivers) rather than the CSR.
+	span      []int64
+	lookaside bool
 }
 
 // bcastSlot pairs a broadcaster's stamp and value in one 16-byte slot.
@@ -572,16 +615,27 @@ func (s *runScratch) ensureBcastLook(n int64) []bcastSlot {
 	return s.bcastLook
 }
 
-// ensureSparseInbox sizes the lookaside arrays (stamps start at -1, which
-// matches no superstep).
-func (s *runScratch) ensureSparseInbox(n int64) {
-	if int64(len(s.msgStamp)) >= n {
-		return
+// lookasideCutoff is how far below n a superstep's message count must be
+// for delivery to stamp the lookaside (O(sent), random access) instead of
+// building the CSR (three O(n) passes, sequential): sent*lookasideCutoff <
+// n. A pure host-speed knob — BenchmarkDeliverCutoff (delivery plus the
+// scan that reads it) has the lookaside 13% ahead at n/4 and level at n/2
+// once the arrays outgrow the cache, and ahead all the way to n while they
+// fit.
+const lookasideCutoff = 4
+
+// lookasideBuilt counts lookaside deliveries; only tests read it.
+var lookasideBuilt atomic.Int64
+
+// startLookaside begins a lookaside delivery for superstep st, returning
+// the stamp code and the span array.
+func (s *runScratch) startLookaside(n, st int64) (code int64, span []int64) {
+	if int64(len(s.span)) < n {
+		s.span = make([]int64, n)
 	}
-	s.msgStamp = make([]int64, n)
-	par.FillInt64(s.msgStamp, -1)
-	s.msgLo = make([]int64, n)
-	s.msgHi = make([]int64, n)
+	s.lookaside = true
+	lookasideBuilt.Add(1)
+	return ^st, s.span
 }
 
 // ensureChunks guarantees at least numChunks chunk states exist, each
@@ -796,7 +850,7 @@ func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 	return dst
 }
 
-// mergeWake concatenates the per-chunk wake lists (sparse mode). Order is
+// mergeWake concatenates the per-chunk wake lists (sparse activation). Order is
 // irrelevant downstream — the worklist build stamps or sorts — but chunk
 // order keeps it deterministic anyway.
 func (s *runScratch) mergeWake(numChunks int) []int64 {
@@ -918,74 +972,44 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 	return out
 }
 
-// deliver routes one superstep's traffic into per-vertex inboxes — dense
-// mode builds the CSR arrays (inboxOff, inboxVal); sparse mode fills the
-// stamped lookaside with stamp st — combining same-destination messages
-// when combine is non-nil, and returns the number of delivered
-// (post-combining) messages. Traffic arrives as sendBuf (per-edge unicast
-// messages) plus bcasts (broadcast records, non-empty only after
-// maybeExpand kept them); when records are present sendBuf is empty and
-// the record paths expand them straight into the inbox. Every path
-// produces the same per-vertex message sequences (the internal layout of
-// inboxVal may differ), so the path choice is a pure host-speed decision;
+// deliver routes one superstep's traffic into per-vertex inboxes, combining
+// same-destination messages when combine is non-nil, and returns the number
+// of delivered (post-combining) messages. Which representation it builds —
+// the CSR arrays (inboxOff, inboxVal) or the lookaside stamped for
+// superstep st — is decided here, per superstep, from the traffic alone:
+// the O(sent) lookaside paths win when the messages are few relative to
+// the vertex set; once they are not, the CSR build's O(n) passes are
+// amortized and its branch-free counting sort is cheaper per message.
+// Traffic arrives as sendBuf (per-edge unicast messages) plus bcasts
+// (broadcast records, non-empty only after maybeExpand kept them); when
+// records are present sendBuf is empty and the record paths expand them
+// straight into the inbox. Every path produces the same per-vertex message
+// sequences (the internal layout of inboxVal may differ), so the choice
+// is a pure host-speed decision that never reaches the charged profile;
 // see deliverBcasts for the one associativity caveat. A pull boundary
 // builds no inbox at all and leaves s.pulled set instead.
 func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
 	s.pulled = false
-	if len(bcasts) > 0 {
-		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, sparse, st, dir)
+	// logical is len(sendBuf) unless records are present.
+	parallel := par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32
+	lookaside := !parallel && logical*lookasideCutoff < min(n, math.MaxInt32)
+	switch {
+	case len(bcasts) > 0:
+		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, lookaside, sparse, st, dir)
+	case lookaside && combine == nil:
+		return s.seqDeliverSparse(sendBuf, n, *inboxOff, inboxVal, st)
+	case lookaside:
+		return s.seqCombineDeliverSparse(sendBuf, n, combine, *inboxOff, inboxVal, st)
 	}
-	sent := len(sendBuf)
-	parallel := par.Workers() > 1 && sent >= deliverParallelMin && int64(sent) < math.MaxInt32
-	if sparse {
-		s.ensureSparseInbox(n)
-		// The O(sent) lookaside paths win when the send buffer is small
-		// relative to the vertex set; once sent rivals n, the CSR build's
-		// O(n) passes are amortized and its branch-free counting sort is
-		// cheaper per message, so route through it and mirror the offsets
-		// into the lookaside afterwards.
-		if !parallel && int64(sent) < n {
-			if combine == nil {
-				return s.seqDeliverSparse(sendBuf, n, inboxVal, st)
-			}
-			return s.seqCombineDeliverSparse(sendBuf, n, combine, inboxVal, st)
-		}
-		var delivered int64
-		if combine == nil {
-			if parallel {
-				val := ensureInt64(*inboxVal, sent)
-				s.stableGroupByDest(sendBuf, n, *inboxOff, val)
-				*inboxVal = val
-				delivered = int64(sent)
-			} else {
-				delivered = s.seqDeliver(sendBuf, n, inboxOff, inboxVal)
-			}
-		} else if parallel {
-			delivered = s.parCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
-		} else {
-			delivered = s.seqCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
-		}
-		off := *inboxOff
-		stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
-		par.ForChunked(int(n), func(a, b int) {
-			for v := a; v < b; v++ {
-				if off[v+1] > off[v] {
-					stampArr[v] = st
-					lo[v] = off[v]
-					hi[v] = off[v+1]
-				}
-			}
-		})
-		return delivered
-	}
+	s.lookaside = false
 	if combine == nil {
 		if !parallel {
 			return s.seqDeliver(sendBuf, n, inboxOff, inboxVal)
 		}
-		val := ensureInt64(*inboxVal, sent)
+		val := ensureInt64(*inboxVal, len(sendBuf))
 		s.stableGroupByDest(sendBuf, n, *inboxOff, val)
 		*inboxVal = val
-		return int64(sent)
+		return logical
 	}
 	if !parallel {
 		return s.seqCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
@@ -1035,56 +1059,43 @@ func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64
 // total against it — AsymmetricGraphError); with a combiner it is the
 // number of vertices with a stamped neighbor.
 //
-// Sparse activation routes small supersteps through O(logical) lookaside
-// twins of scatter/push-fold and mirrors the CSR offsets for big ones,
-// exactly as the legacy sparse delivery does; a pull boundary stamps its
-// receivers itself (pullReceivers).
-func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
-	if sparse {
-		s.ensureSparseInbox(n)
-		if par.Workers() == 1 && logical < n {
-			if combine == nil {
-				return s.bcastScatterSparse(bcasts, logical, g, inboxVal, st)
-			}
-			return s.bcastCombineSparse(bcasts, g, combine, inboxVal, st)
+// A superstep small enough for the lookaside (deliver decides) goes through
+// the O(logical) lookaside twins of scatter/push-fold whatever dir says — a
+// gather sweep over every edge costs more than reading a few stored
+// messages; a pull boundary under sparse activation stamps its receivers
+// into the lookaside itself (pullReceivers).
+func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, lookaside, sparse bool, st int64, dir DirectionMode) int64 {
+	if lookaside {
+		if combine == nil {
+			return s.bcastScatterSparse(bcasts, logical, g, n, *inboxOff, inboxVal, st)
 		}
+		return s.bcastCombineSparse(bcasts, g, n, combine, *inboxOff, inboxVal, st)
 	}
+	s.lookaside = false
 	pull := dir == DirPull
 	if dir == DirAuto && combine != nil {
 		pull = !g.Directed() && logical*2 >= g.NumEdges()
 	}
 	if pull && s.fillBcastLookaside(bcasts, combine, n, st) {
 		s.pulled = true
+		var stamps []int64
+		if sparse {
+			stamps, s.lookaside = *inboxOff, true
+		}
 		if combine != nil || sparse {
-			if receivers := s.pullReceivers(g, n, st, sparse); combine != nil {
+			if receivers := s.pullReceivers(g, n, st, stamps); combine != nil {
 				return receivers
 			}
 		}
 		return logical
 	}
-	var delivered int64
 	switch {
 	case combine != nil:
-		delivered = s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
+		return s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
 	case par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32:
-		delivered = s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-	default:
-		delivered = s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
+		return s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
 	}
-	if sparse {
-		off := *inboxOff
-		stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
-		par.ForChunked(int(n), func(a, b int) {
-			for v := a; v < b; v++ {
-				if off[v+1] > off[v] {
-					stampArr[v] = st
-					lo[v] = off[v]
-					hi[v] = off[v+1]
-				}
-			}
-		})
-	}
-	return delivered
+	return s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
 }
 
 // seqBcastScatter is the record-driven twin of seqDeliver: a stable
@@ -1247,9 +1258,10 @@ func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int
 // pullReceivers counts the vertices with at least one stamped neighbor —
 // what a combining pull delivers — over degree-weighted destination ranges
 // (cached once per run — they depend only on the graph), each walk exiting
-// on its first hit. Under sparse activation it also stamps them into
-// msgStamp, which is where nextWorklist and gather look for receivers.
-func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, sparse bool) int64 {
+// on its first hit. Under sparse activation stamps is the lookaside's stamp
+// array, and they are stamped into it too: that is where nextWorklist and
+// gather look for receivers.
+func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, stamps []int64) int64 {
 	goff := g.Offsets()
 	if len(s.pullBnds) == 0 {
 		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
@@ -1258,7 +1270,7 @@ func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, sparse bool) int
 			})
 	}
 	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
-	rangeCnt, look, msgStamp := s.rangeCnt, s.bcastLook, s.msgStamp
+	rangeCnt, look := s.rangeCnt, s.bcastLook
 	comp := g.Compressed()
 	par.ForBoundaryChunks(s.pullBnds, func(r, lo, hi int) {
 		var cnt int64
@@ -1282,8 +1294,8 @@ func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, sparse bool) int
 			}
 			if hit {
 				cnt++
-				if sparse {
-					msgStamp[v] = st
+				if stamps != nil {
+					stamps[v] = ^st
 				}
 			}
 		}
@@ -1347,58 +1359,32 @@ func (s *runScratch) seqBcastCombine(bcasts []bcastRec, g *graph.Graph, n int64,
 
 // bcastScatterSparse is the record-driven twin of seqDeliverSparse:
 // O(logical) work touching only receivers, no O(n) pass at all.
-func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *graph.Graph, inboxVal *[]int64, st int64) int64 {
-	n := int64(len(s.msgStamp))
-	if cap(s.recvList) < int(n) {
-		s.recvList = make([]int64, 0, n)
-	}
-	receivers := s.recvList[:0]
-	stamp, lo, hi := s.msgStamp, s.msgLo, s.msgHi
+func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
+	code, span := s.startLookaside(n, st)
 	comp := g.Compressed()
 	for _, r := range bcasts {
 		if comp {
 			it := g.NeighborDecoder(r.src)
 			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					hi[w] = 1
-					receivers = append(receivers, w)
-				} else {
-					hi[w]++
-				}
+				tally(off, span, code, w)
 			}
 		} else {
 			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					hi[w] = 1
-					receivers = append(receivers, w)
-				} else {
-					hi[w]++
-				}
+				tally(off, span, code, w)
 			}
 		}
 	}
-	var pos int64
-	for _, v := range receivers {
-		cnt := hi[v]
-		lo[v] = pos
-		hi[v] = pos // cursor; restored to end by the scatter below
-		pos += cnt
-	}
 	val := ensureInt64(*inboxVal, int(logical))
+	var pos int64
 	for _, r := range bcasts {
-		v := r.val
 		if comp {
 			it := g.NeighborDecoder(r.src)
 			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				val[hi[w]] = v
-				hi[w]++
+				pos = place(val, span, pos, w, r.val)
 			}
 		} else {
 			for _, w := range g.Neighbors(r.src) {
-				val[hi[w]] = v
-				hi[w]++
+				pos = place(val, span, pos, w, r.val)
 			}
 		}
 	}
@@ -1406,120 +1392,90 @@ func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *gra
 	return logical
 }
 
+// tally counts one message for dest in the first pass of a lookaside
+// scatter, stamping dest on first arrival: span[dest] is the negated count.
+func tally(off, span []int64, code, dest int64) {
+	if off[dest] != code {
+		off[dest], span[dest] = code, -1
+	} else {
+		span[dest]--
+	}
+}
+
+// place stores value in dest's slice of val in the second pass. The first
+// message to reach dest claims val[pos:pos+count] and turns span[dest] from
+// the negated count into lo<<32 | cursor, which ends as the lo<<32 | count
+// the sweep reads. Slices are laid out in order of first arrival.
+func place(val, span []int64, pos, dest, value int64) int64 {
+	sp := span[dest]
+	if sp < 0 {
+		sp, pos = pos<<32, pos-sp
+	}
+	val[sp>>32+sp&math.MaxUint32] = value
+	span[dest] = sp + 1
+	return pos
+}
+
 // bcastCombineSparse is the record-driven twin of seqCombineDeliverSparse:
 // fold per destination in exact send order, touching only receivers.
-func (s *runScratch) bcastCombineSparse(bcasts []bcastRec, g *graph.Graph, combine func(a, b int64) int64, inboxVal *[]int64, st int64) int64 {
-	n := int64(len(s.msgStamp))
-	if cap(s.recvList) < int(n) {
-		s.recvList = make([]int64, 0, n)
-	}
-	if int64(len(s.acc)) < n {
-		s.acc = make([]int64, n)
-	}
-	receivers := s.recvList[:0]
-	stamp, lo, hi, acc := s.msgStamp, s.msgLo, s.msgHi, s.acc
+func (s *runScratch) bcastCombineSparse(bcasts []bcastRec, g *graph.Graph, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
+	code, span := s.startLookaside(n, st)
+	val := (*inboxVal)[:0]
 	comp := g.Compressed()
 	for _, r := range bcasts {
-		v := r.val
 		if comp {
 			it := g.NeighborDecoder(r.src)
 			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					acc[w] = v
-					receivers = append(receivers, w)
-				} else {
-					acc[w] = combine(acc[w], v)
-				}
+				val = fold(val, span, off, code, combine, w, r.val)
 			}
 		} else {
 			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					acc[w] = v
-					receivers = append(receivers, w)
-				} else {
-					acc[w] = combine(acc[w], v)
-				}
+				val = fold(val, span, off, code, combine, w, r.val)
 			}
 		}
 	}
-	delivered := int64(len(receivers))
-	val := ensureInt64(*inboxVal, int(delivered))
-	for i, v := range receivers {
-		val[i] = acc[v]
-		lo[v] = int64(i)
-		hi[v] = int64(i) + 1
-	}
 	*inboxVal = val
-	return delivered
+	return int64(len(val))
 }
 
-// seqDeliverSparse is the sparse counterpart of seqDeliver: it touches
-// only the receivers (O(sent) work, no O(n) offset rebuild), writing the
-// stamped lookaside. msgHi serves triple duty: per-destination count, then
-// scatter cursor, then final end offset.
-func (s *runScratch) seqDeliverSparse(sendBuf []Message, n int64, inboxVal *[]int64, st int64) int64 {
-	if cap(s.recvList) < int(n) {
-		s.recvList = make([]int64, 0, n)
+// fold combines value into dest's single slot of val during a combining
+// lookaside delivery, appending the slot on first arrival.
+func fold(val, span, off []int64, code int64, combine func(a, b int64) int64, dest, value int64) []int64 {
+	if off[dest] != code {
+		off[dest], span[dest] = code, int64(len(val))<<32|1
+		return append(val, value)
 	}
-	receivers := s.recvList[:0]
-	stamp, lo, hi := s.msgStamp, s.msgLo, s.msgHi
+	i := span[dest] >> 32
+	val[i] = combine(val[i], value)
+	return val
+}
+
+// seqDeliverSparse is the lookaside counterpart of seqDeliver: it touches
+// only the receivers (O(sent) work, no O(n) offset rebuild).
+func (s *runScratch) seqDeliverSparse(sendBuf []Message, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
+	code, span := s.startLookaside(n, st)
 	for _, m := range sendBuf {
-		if stamp[m.Dest] != st {
-			stamp[m.Dest] = st
-			hi[m.Dest] = 1
-			receivers = append(receivers, m.Dest)
-		} else {
-			hi[m.Dest]++
-		}
-	}
-	var pos int64
-	for _, v := range receivers {
-		cnt := hi[v]
-		lo[v] = pos
-		hi[v] = pos // cursor; restored to end by the scatter below
-		pos += cnt
+		tally(off, span, code, m.Dest)
 	}
 	val := ensureInt64(*inboxVal, len(sendBuf))
+	var pos int64
 	for _, m := range sendBuf {
-		val[hi[m.Dest]] = m.Value
-		hi[m.Dest]++
+		pos = place(val, span, pos, m.Dest, m.Value)
 	}
 	*inboxVal = val
-	return int64(len(sendBuf))
+	return pos
 }
 
 // seqCombineDeliverSparse combines per destination in send order, touching
-// only the receivers. acc is guarded by the stamp, so it needs no
-// clearing between supersteps.
-func (s *runScratch) seqCombineDeliverSparse(sendBuf []Message, n int64, combine func(a, b int64) int64, inboxVal *[]int64, st int64) int64 {
-	if cap(s.recvList) < int(n) {
-		s.recvList = make([]int64, 0, n)
-	}
-	if int64(len(s.acc)) < n {
-		s.acc = make([]int64, n)
-	}
-	receivers := s.recvList[:0]
-	stamp, lo, hi, acc := s.msgStamp, s.msgLo, s.msgHi, s.acc
+// only the receivers.
+func (s *runScratch) seqCombineDeliverSparse(sendBuf []Message, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
+	code, span := s.startLookaside(n, st)
+	val := (*inboxVal)[:0]
 	for _, m := range sendBuf {
-		if stamp[m.Dest] != st {
-			stamp[m.Dest] = st
-			acc[m.Dest] = m.Value
-			receivers = append(receivers, m.Dest)
-		} else {
-			acc[m.Dest] = combine(acc[m.Dest], m.Value)
-		}
-	}
-	delivered := int64(len(receivers))
-	val := ensureInt64(*inboxVal, int(delivered))
-	for i, v := range receivers {
-		val[i] = acc[v]
-		lo[v] = int64(i)
-		hi[v] = int64(i) + 1
+		val = fold(val, span, off, code, combine, m.Dest, m.Value)
 	}
 	*inboxVal = val
-	return delivered
+	return int64(len(val))
 }
 
 // seqDeliver is the sequential non-combining counting sort, with the
@@ -1800,12 +1756,13 @@ func (s *runScratch) parCombineDeliver(sendBuf []Message, n int64, combine func(
 // construction, O(n)); small ones stamp-deduplicate the receivers and wake
 // list and radix-sort, O(k) — the sort.Slice the sequential engine used is
 // gone entirely.
-func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, sendBuf []Message, bcasts []bcastRec, g *graph.Graph, logical int64, stamp []int64, n int64) []int64 {
+func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, sendBuf []Message, bcasts []bcastRec, g *graph.Graph, logical int64, stamp []int64, n int64, inboxOff []int64) []int64 {
 	st := int64(step)
-	msgStamp := s.msgStamp
 	if (delivered+int64(len(wake)))*4 >= n || logical >= n {
+		// The delivery just made says who received, in the form it built.
+		off, code, look := inboxOff, ^st, s.lookaside
 		// Dense sweep: mark the wake set, then collect every vertex with a
-		// freshly stamped inbox or a fresh wake stamp, in index order.
+		// fresh inbox or a fresh wake stamp, in index order.
 		// Wake entries are unique (a vertex runs at most once per
 		// superstep), so the stamp writes are disjoint.
 		par.ForChunked(len(wake), func(lo, hi int) {
@@ -1820,7 +1777,7 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 		par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
 			var cnt int64
 			for v := lo; v < hi; v++ {
-				if msgStamp[v] == st || stamp[v] == st {
+				if stamp[v] == st || look && off[v] == code || !look && off[v+1] > off[v] {
 					cnt++
 				}
 			}
@@ -1831,7 +1788,7 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 		par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
 			pos := rangeCnt[r]
 			for v := lo; v < hi; v++ {
-				if msgStamp[v] == st || stamp[v] == st {
+				if stamp[v] == st || look && off[v] == code || !look && off[v+1] > off[v] {
 					out[pos] = int64(v)
 					pos++
 				}

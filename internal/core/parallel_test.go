@@ -7,6 +7,8 @@ package core
 // code in production.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"graphxmt/internal/par"
@@ -156,7 +158,7 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 				}
 				stamp := make([]int64, n)
 				par.FillInt64(stamp, -1)
-				got := s.nextWorklist(make([]int64, n), step, wake, delivered, buf, nil, nil, int64(len(buf)), stamp, n)
+				got := s.nextWorklist(make([]int64, n), step, wake, delivered, buf, nil, nil, int64(len(buf)), stamp, n, inboxOff)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d w=%d: worklist len %d, want %d", trial, w, len(got), len(want))
 				}
@@ -170,59 +172,67 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 	}
 }
 
-// TestSparseDeliverMatchesDense checks that every sparse delivery path —
-// the O(sent) stamped lookaside (serial, with and without combiner) and
-// the parallel CSR+lookaside mirror — hands each vertex exactly the
-// message sequence the dense CSR path would.
+// TestSparseDeliverMatchesDense checks that whatever deliver decides to
+// build for a superstep — the O(sent) stamped lookaside (with and without
+// combiner), the sequential CSR or the parallel one — and the lookaside
+// paths forced onto traffic deliver would never give them, hands each
+// vertex exactly the message sequence the sequential CSR path would. The
+// scratch and inbox arrays are reused across the cases, as a run reuses
+// them across supersteps: stamps and offsets left by one representation
+// must never read as messages in the other.
 func TestSparseDeliverMatchesDense(t *testing.T) {
 	r := rng.New(9)
-	for _, tc := range []struct {
-		count int
-		n     int64
-	}{
-		{0, 64}, {7, 64}, {300, 64}, {40000, 500},
-	} {
-		for _, combine := range []func(a, b int64) int64{nil, Sum} {
-			buf := randomMessages(r, tc.count, tc.n)
-
-			denseOff := make([]int64, tc.n+1)
-			var denseVal []int64
-			dense := &runScratch{}
-			var wantDelivered int64
-			if combine == nil {
-				wantDelivered = dense.seqDeliver(buf, tc.n, &denseOff, &denseVal)
-			} else {
-				wantDelivered = dense.seqCombineDeliver(buf, tc.n, combine, &denseOff, &denseVal)
-			}
-
-			for _, w := range []int{1, 6} {
-				func() {
-					defer par.SetWorkers(par.SetWorkers(w))
-					const st = int64(3)
-					s := &runScratch{}
-					off := make([]int64, tc.n+1)
-					var val []int64
-					delivered := s.deliver(buf, nil, int64(len(buf)), nil, tc.n, combine, &off, &val, true, st, DirAuto)
-					if delivered != wantDelivered {
-						t.Fatalf("count=%d n=%d w=%d: delivered = %d, want %d",
-							tc.count, tc.n, w, delivered, wantDelivered)
-					}
-					ib := &inboxView{val: val, stamp: s.msgStamp, lo: s.msgLo, hi: s.msgHi, st: st, sparse: true}
-					for v := int64(0); v < tc.n; v++ {
-						want := denseVal[denseOff[v]:denseOff[v+1]]
-						got := ib.slice(v)
-						if len(got) != len(want) {
-							t.Fatalf("count=%d n=%d w=%d: inbox[%d] len %d, want %d",
-								tc.count, tc.n, w, v, len(got), len(want))
+	const n = int64(5000)
+	for _, combine := range []func(a, b int64) int64{nil, Sum} {
+		for _, w := range []int{1, 6} {
+			for _, sparse := range []bool{false, true} {
+				defer par.SetWorkers(par.SetWorkers(w))
+				s := &runScratch{}
+				off := make([]int64, n+1)
+				var val []int64
+				for st, count := range []int{0, 7, 600, 40000, 3, int(n/lookasideCutoff) - 1, int(n / lookasideCutoff), 20000, 1} {
+					for _, forced := range []bool{false, true} {
+						buf := randomMessages(r, count, n)
+						for i := range buf {
+							buf[i].Dest %= 1 + n/int64(1+st%3) // some cases pile onto a third of the vertices
 						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("count=%d n=%d w=%d: inbox[%d][%d] = %d, want %d",
-									tc.count, tc.n, w, v, i, got[i], want[i])
+						denseOff := make([]int64, n+1)
+						var denseVal []int64
+						var wantDelivered, delivered int64
+						if combine == nil {
+							wantDelivered = (&runScratch{}).seqDeliver(buf, n, &denseOff, &denseVal)
+						} else {
+							wantDelivered = (&runScratch{}).seqCombineDeliver(buf, n, combine, &denseOff, &denseVal)
+						}
+						// Each delivery gets its own stamp, as in a run.
+						st := int64(2*st + 1)
+						switch {
+						case !forced:
+							delivered = s.deliver(buf, nil, int64(len(buf)), nil, n, combine, &off, &val, sparse, st, DirAuto)
+							if want := w == 1 && int64(count)*lookasideCutoff < n || w > 1 && count < deliverParallelMin && int64(count)*lookasideCutoff < n; s.lookaside != want {
+								t.Fatalf("count=%d w=%d: lookaside = %v, want %v", count, w, s.lookaside, want)
+							}
+						case combine == nil:
+							st++
+							delivered = s.seqDeliverSparse(buf, n, off, &val, st)
+						default:
+							st++
+							delivered = s.seqCombineDeliverSparse(buf, n, combine, off, &val, st)
+						}
+						if delivered != wantDelivered {
+							t.Fatalf("count=%d w=%d forced=%v: delivered = %d, want %d", count, w, forced, delivered, wantDelivered)
+						}
+						ib := &inboxView{val: val, off: off, span: s.span, code: ^st, lookaside: s.lookaside}
+						for v := int64(0); v < n; v++ {
+							want := denseVal[denseOff[v]:denseOff[v+1]]
+							got := ib.slice(v)
+							if !slices.Equal(got, want) || ib.has(v) != (len(want) > 0) {
+								t.Fatalf("count=%d w=%d forced=%v: inbox[%d] = %v (has %v), want %v",
+									count, w, forced, v, got, ib.has(v), want)
 							}
 						}
 					}
-				}()
+				}
 			}
 		}
 	}
@@ -288,6 +298,46 @@ func TestResolveFold(t *testing.T) {
 	} {
 		if got := resolveFold(tc.f); got != tc.want {
 			t.Errorf("resolveFold(%s) = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkDeliverCutoff is the bench behind lookasideCutoff: one boundary
+// plus the full-scan sweep's inbox probe that follows it, for n vertices
+// (2^16: the arrays sit in L2; 2^20: they do not) and n/div uniformly
+// random messages, through the CSR build and through the lookaside. The
+// lookaside must win clearly at the cutoff; docs/PERFORMANCE.md §11 has
+// the table.
+func BenchmarkDeliverCutoff(b *testing.B) {
+	r := rng.New(4)
+	for _, n := range []int64{1 << 16, 1 << 20} {
+		for _, div := range []int64{64, 16, 8, 4, 2, 1} {
+			buf := randomMessages(r, int(n/div), n)
+			for _, lookaside := range []bool{false, true} {
+				b.Run(fmt.Sprintf("n=%d/sent=n/%d/lookaside=%v", n, div, lookaside), func(b *testing.B) {
+					s := &runScratch{}
+					off := make([]int64, n+1)
+					var val []int64
+					var sum int64
+					for i := 0; i < b.N; i++ {
+						if lookaside {
+							s.seqDeliverSparse(buf, n, off, &val, int64(i))
+						} else {
+							s.lookaside = false
+							s.seqDeliver(buf, n, &off, &val)
+						}
+						ib := &inboxView{val: val, off: off, span: s.span, code: ^int64(i), lookaside: s.lookaside}
+						for v := int64(0); v < n; v++ {
+							if ib.has(v) {
+								sum += ib.slice(v)[0]
+							}
+						}
+					}
+					if sum == 0 {
+						b.Fatal("no messages read")
+					}
+				})
+			}
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
+	"graphxmt/internal/trace"
 )
 
 // TestPullRecovery kills a run exactly at each pull boundary and resumes
@@ -62,39 +63,7 @@ func TestPullRecovery(t *testing.T) {
 					}
 					tested++
 
-					dir := t.TempDir()
-					plan := &faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}
-					cfg := mk()
-					cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()}
-					_, _, err := runRec(g, w, cfg)
-					var ie *core.InterruptedError
-					if !errors.As(err, &ie) {
-						t.Fatalf("kill@%d: want InterruptedError, got %v", k, err)
-					}
-					cfg = mk()
-					cfg.Checkpoint = &ckpt.Policy{Dir: dir}
-					cfg.Resume = ie.CheckpointPath
-					res, ph, err := runRec(g, w, cfg)
-					if err != nil {
-						t.Fatalf("resume from kill@%d: %v", k, err)
-					}
-					takeRetries(t, res)
-					if !reflect.DeepEqual(base, res) {
-						t.Fatalf("kill@%d: resumed Result differs from the uninterrupted run", k)
-					}
-					comparePhases(t, basePh, ph)
-
-					cfg = mk()
-					cfg.Program = newTransientStep(cfg.Program, k+1, 1)
-					res, ph, err = runRec(g, w, cfg)
-					if err != nil {
-						t.Fatalf("panic@%d: %v", k+1, err)
-					}
-					assertRetries(t, takeRetries(t, res), k+1, 1)
-					if !reflect.DeepEqual(base, res) {
-						t.Fatalf("panic@%d: retried Result differs from the fault-free run", k+1)
-					}
-					comparePhases(t, basePh, ph)
+					recoverAcross(t, g, w, mk, base, basePh, k)
 				}
 				if tested == 0 {
 					t.Fatalf("no pull boundary to recover across: %v", base.DirectionPerStep)
@@ -102,6 +71,48 @@ func TestPullRecovery(t *testing.T) {
 			})
 		}
 	}
+}
+
+// recoverAcross is the drill for one boundary k of a run made by mk
+// (MaxRetries ≥ 1) whose undisturbed outcome is base/basePh: kill the run
+// exactly at k and resume it, then, separately, panic once in superstep
+// k+1 — the one that reads what boundary k delivered — and let the
+// supervisor retry it. Both must equal the undisturbed run bit for bit.
+func recoverAcross(t *testing.T, g *graph.Graph, w int, mk func() core.Config, base *core.Result, basePh []*trace.Phase, k int) {
+	t.Helper()
+	dir := t.TempDir()
+	plan := &faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}
+	cfg := mk()
+	cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()}
+	_, _, err := runRec(g, w, cfg)
+	var ie *core.InterruptedError
+	if !errors.As(err, &ie) {
+		t.Fatalf("kill@%d: want InterruptedError, got %v", k, err)
+	}
+	cfg = mk()
+	cfg.Checkpoint = &ckpt.Policy{Dir: dir}
+	cfg.Resume = ie.CheckpointPath
+	res, ph, err := runRec(g, w, cfg)
+	if err != nil {
+		t.Fatalf("resume from kill@%d: %v", k, err)
+	}
+	takeRetries(t, res)
+	if !reflect.DeepEqual(base, res) {
+		t.Fatalf("kill@%d: resumed Result differs from the uninterrupted run", k)
+	}
+	comparePhases(t, basePh, ph)
+
+	cfg = mk()
+	cfg.Program = newTransientStep(cfg.Program, k+1, 1)
+	res, ph, err = runRec(g, w, cfg)
+	if err != nil {
+		t.Fatalf("panic@%d: %v", k+1, err)
+	}
+	assertRetries(t, takeRetries(t, res), k+1, 1)
+	if !reflect.DeepEqual(base, res) {
+		t.Fatalf("panic@%d: retried Result differs from the fault-free run", k+1)
+	}
+	comparePhases(t, basePh, ph)
 }
 
 // outStarCSR2 writes the hand-crafted file: a star whose hub lists every

@@ -1,11 +1,14 @@
 package live_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -183,4 +186,118 @@ func readFile(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// poisonSink overwrites the span's WorkerBusy with garbage as soon as the
+// wrapped sink's Span returns — what the engine does to it one phase later,
+// now that every span of a run shares one buffer.
+type poisonSink struct{ obs.Sink }
+
+func (p poisonSink) Span(s obs.Span) {
+	p.Sink.Span(s)
+	for i := range s.WorkerBusy {
+		s.WorkerBusy[i] = -12345 * time.Hour
+	}
+}
+
+// feedReusedBusy drives sink through a run of 40 supersteps (more than the
+// flight ring keeps, checkpoint spans arriving after their Step) the way
+// the engine does: every span's WorkerBusy is the same two-element buffer,
+// refilled before each Span call.
+func feedReusedBusy(sink obs.Sink) {
+	us := time.Microsecond
+	busy := make([]time.Duration, 2)
+	span := func(name string, step int, start, dur time.Duration) {
+		busy[0], busy[1] = dur/2, dur/3+time.Duration(step)*us
+		sink.Span(obs.Span{Name: name, Step: step, Start: start, Dur: dur, WorkerBusy: busy, Chunks: int64(1 + step%3), MaxChunk: dur / 4})
+	}
+	sink.RunStart(obs.RunInfo{Label: "bsp", Workers: 2, Vertices: 1000, Edges: 4000})
+	span("init", -1, 0, 5*us)
+	for s := 0; s < 40; s++ {
+		at := time.Duration(s) * 100 * us
+		d := time.Duration(1+s%7) * us
+		span("compute", s, at, 3*d)
+		span("terminate", s, at+3*d, d)
+		span("deliver", s, at+4*d, 2*d)
+		sink.Step(obs.StepStats{Step: s, Active: int64(s + 1), Sent: int64(10 * s), SentPhysical: int64(3 * s), Delivered: int64(9 * s), Received: int64(9 * s), ScratchBytes: 1 << 12})
+		if s%10 == 0 {
+			span("checkpoint", s, at+6*d, 50*us)
+		}
+	}
+	sink.Mem(obs.MemSample{Step: 39, At: 4 * time.Millisecond, HeapAlloc: 1 << 20, HeapSys: 1 << 22, NumGC: 3})
+	sink.RunEnd(4 * time.Millisecond)
+}
+
+// wallClock matches what sinks stamp from their own clock, not from the
+// event stream: Chrome timestamps and /runs ages.
+var wallClock = regexp.MustCompile(`"(ts|age_us|last_checkpoint_age_us)": ?[0-9.e+-]+`)
+
+// TestSinksDoNotRetainWorkerBusy: obs.Span.WorkerBusy is only valid during
+// the Span call. Every sink — alone, behind a Tee, and the live server's
+// trio with its /runs view and flight dump — must render byte for byte the
+// same from a stream whose busy slices are destroyed after each call as
+// from an undisturbed one.
+func TestSinksDoNotRetainWorkerBusy(t *testing.T) {
+	render := func(wrap func(obs.Sink) obs.Sink) map[string]string {
+		out := map[string]string{}
+		var jsonl, chrome, teeJSONL bytes.Buffer
+		report, teeReport := obs.NewReport(), obs.NewReport()
+		metricsSink, teeMetrics := obs.NewMetrics(nil), obs.NewMetrics(nil)
+		jl, ch, teeJL := obs.NewJSONL(&jsonl), obs.NewChrome(&chrome), obs.NewJSONL(&teeJSONL)
+		flight := live.NewFlightRecorder(0)
+		srv := live.NewServer(nil, 8)
+		for _, sink := range []obs.Sink{report, metricsSink, jl, ch, flight, srv.Sink(),
+			obs.Tee(teeReport, teeMetrics, teeJL)} {
+			feedReusedBusy(wrap(sink))
+		}
+		for _, c := range []interface{ Close() error }{jl, ch, teeJL} {
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, r := range map[string]*obs.Report{"report": report, "tee/report": teeReport} {
+			var buf bytes.Buffer
+			if err := r.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[name] = buf.String()
+		}
+		for name, m := range map[string]*metrics.Registry{"metrics": metricsSink.Registry(), "tee/metrics": teeMetrics.Registry(), "server/metrics": srv.Registry()} {
+			var buf bytes.Buffer
+			if err := m.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[name] = buf.String()
+		}
+		out["jsonl"], out["tee/jsonl"] = jsonl.String(), teeJSONL.String()
+		out["chrome"] = wallClock.ReplaceAllString(chrome.String(), `"$1":0`)
+		for name, f := range map[string]*live.FlightRecorder{"flight": flight, "server/flight": srv.Flight()} {
+			path, err := f.DumpFlight(t.TempDir(), "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = string(b)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/runs", nil))
+		out["server/runs"] = wallClock.ReplaceAllString(rec.Body.String(), `"$1":0`)
+		return out
+	}
+	clean := render(func(s obs.Sink) obs.Sink { return s })
+	poisoned := render(func(s obs.Sink) obs.Sink { return poisonSink{s} })
+	for name, want := range clean {
+		if want == "" {
+			t.Errorf("%s rendered nothing", name)
+		}
+		if got := poisoned[name]; got != want {
+			t.Errorf("%s kept a span's WorkerBusy past the Span call:\n--- undisturbed\n%s\n--- poisoned\n%s", name, want, got)
+		}
+	}
+	if !strings.Contains(clean["flight"], "worker_busy_us") || !strings.Contains(clean["jsonl"], "worker_busy_us") {
+		t.Fatal("the stream carried no busy times to retain")
+	}
 }

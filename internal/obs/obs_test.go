@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,87 @@ func TestReportElidesLongRuns(t *testing.T) {
 	}
 	if lines := strings.Count(out, "\n"); lines > 20 {
 		t.Fatalf("elided report still has %d lines", lines)
+	}
+}
+
+// feedLong drives sink through two runs: an engine-shaped run of steps
+// supersteps (every phase, a checkpoint every tenth superstep, one retried
+// superstep, direction and lane columns, chunk stats, memory samples) and a
+// kernel-shaped one whose spans revisit iteration 0 under a second name.
+func feedLong(sink obs.Sink, steps int) {
+	us := time.Microsecond
+	sink.RunStart(obs.RunInfo{Label: "bsp", Workers: 2, Vertices: 1000, Edges: 4000, Lanes: 3})
+	sink.Span(obs.Span{Name: "init", Step: -1, Dur: 5 * us, WorkerBusy: []time.Duration{us, 2 * us}, Chunks: 2, MaxChunk: 2 * us})
+	for s := 0; s < steps; s++ {
+		at := time.Duration(s) * 100 * us
+		d := time.Duration(1+s%7) * us
+		busy := []time.Duration{d, d / 2}
+		compute := obs.Span{Name: "compute", Step: s, Start: at, Dur: 3 * d, WorkerBusy: busy, Chunks: int64(1 + s%3), MaxChunk: d}
+		sink.Span(compute)
+		if s == 7 {
+			sink.Span(compute) // the retried attempt
+		}
+		sink.Span(obs.Span{Name: "terminate", Step: s, Start: at + 3*d, Dur: d})
+		if s < steps-1 {
+			sink.Span(obs.Span{Name: "deliver", Step: s, Start: at + 4*d, Dur: time.Duration(s%11) * 40 * us, WorkerBusy: busy})
+			if s%2 == 0 {
+				sink.Span(obs.Span{Name: "worklist", Step: s, Start: at + 5*d, Dur: d})
+			}
+		}
+		st := obs.StepStats{Step: s, Active: int64(s + 1), Sent: int64(10 * s), SentPhysical: int64(3 * s), Delivered: int64(9 * s), Received: int64(9 * s), ScratchBytes: int64(1<<12 + s), Lanes: int64(s % 4)}
+		if s%3 != 0 {
+			st.Direction, st.FrontierEdges, st.UnvisitedEdges = []string{"push", "pull"}[s%2], int64(s), int64(steps-s)
+		}
+		if s == 7 {
+			st.Retries = 1
+		}
+		st.Stalled = s == 9
+		sink.Step(st)
+		if s%10 == 0 {
+			sink.Span(obs.Span{Name: "checkpoint", Step: s, Start: at + 6*d, Dur: 900 * us})
+			sink.Mem(obs.MemSample{Step: s, At: at, HeapAlloc: uint64(1<<20 + (s%50)<<12), HeapSys: 1 << 22, NumGC: uint32(s / 10), PauseTotal: time.Duration(s) * us, VmHWM: 1 << 25})
+		}
+	}
+	sink.RunEnd(time.Duration(steps) * 100 * us)
+
+	sink.RunStart(obs.RunInfo{Label: "cc", Workers: 1})
+	for i := 0; i < 5; i++ {
+		sink.Span(obs.Span{Name: "cc/iter", Step: i, Dur: time.Duration(i+1) * 10 * us, WorkerBusy: []time.Duration{us}})
+	}
+	sink.Span(obs.Span{Name: "cc/compress", Step: 0, Dur: 7 * us})
+	sink.RunEnd(time.Millisecond)
+}
+
+// TestReportLongRunGolden pins the rendered report, byte for byte, to what
+// the Report that kept one map-backed row per superstep forever produced
+// (hashes captured on that commit): keeping only the rows that render and
+// running totals for the rest is invisible, at the default MaxRows and at a
+// small one, below, at and above the table size.
+func TestReportLongRunGolden(t *testing.T) {
+	for _, tc := range []struct {
+		rows, steps int
+		want        uint64
+	}{
+		{0, 30, 0xee8bbf6d63816745},
+		{0, 48, 0xa3a1f356283c5632},
+		{0, 49, 0x86c49f1fe5db2a5b},
+		{0, 500, 0x93fb244ee1051b07},
+		{8, 100, 0x4d388a7027ef5d84},
+		{2, 3, 0x60b416316bec58bb},
+		{3, 1, 0x408f07baea5d57d6},
+	} {
+		r := obs.NewReport()
+		r.MaxRows = tc.rows
+		feedLong(r, tc.steps)
+		var buf bytes.Buffer
+		if err := r.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("MaxRows=%d, %d supersteps: render hashes to %#x, want %#x:\n%s", tc.rows, tc.steps, got, tc.want, buf.String())
+		}
 	}
 }
 

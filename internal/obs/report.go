@@ -11,10 +11,12 @@ import (
 // Report is the in-memory aggregating sink: it folds the event stream into
 // per-run, per-superstep tables and renders a human-readable run report —
 // the host-side analogue of the paper's per-phase figures, but in wall
-// clock instead of simulated cycles.
+// clock instead of simulated cycles. What it keeps per run is bounded: the
+// MaxRows rows it will render and running totals for everything else, so a
+// superstep costs it a few additions however long the run gets.
 type Report struct {
 	// MaxRows bounds the per-superstep table; longer runs elide the
-	// middle. 0 selects 48.
+	// middle. 0 selects 48. Read when a run starts.
 	MaxRows int
 
 	runs []*reportRun
@@ -25,18 +27,24 @@ type reportRun struct {
 	info RunInfo
 	wall time.Duration
 
-	phaseOrder  []string
-	phaseTotals map[string]time.Duration
-	busyTotals  []time.Duration
+	// phases holds the run totals per phase name, in first-seen order; a
+	// row's phases are indexed by the same position.
+	phases     []phaseStat
+	busyTotals []time.Duration
 
-	// Chunk-granularity imbalance stats per phase, folded from the spans'
-	// Chunks / MaxChunk / WorkerBusy fields.
-	phaseChunks map[string]int64
-	phaseBusy   map[string]time.Duration
-	phaseMaxCh  map[string]time.Duration
-
-	steps   []*stepRow
-	stepIdx map[int]int
+	// rows are the supersteps the table will show: the first headN opened
+	// stay in rows[:headN], the latest cap(rows)-headN cycle through the
+	// rest. opened counts every row ever opened, last is the one touched
+	// most recently and maxStep the highest step seen (a superstep's
+	// events arrive together, in step order, so both lookups almost
+	// always hit). A row that leaves the table is folded into stepWall,
+	// deliver and sent first; RunEnd folds the ones still in it.
+	rows              []stepRow
+	headN             int
+	opened, last      int
+	maxStep           int
+	sent              int64
+	stepWall, deliver *metrics.Histogram
 	// hasDir marks that at least one superstep carried a direction
 	// decision; the dir/front/unvis columns render only then, so runs
 	// without the direction layer keep the legacy table shape.
@@ -54,6 +62,17 @@ type reportRun struct {
 	memSamples        int
 }
 
+// phaseStat is one phase name's run totals, the chunk-granularity
+// imbalance stats among them (folded from the spans' Chunks / MaxChunk /
+// WorkerBusy fields).
+type phaseStat struct {
+	name     string
+	total    time.Duration
+	chunks   int64
+	busy     time.Duration
+	maxChunk time.Duration
+}
+
 type stepRow struct {
 	step                              int
 	active, sent, physical, delivered int64
@@ -64,7 +83,9 @@ type stepRow struct {
 	stalled                           bool
 	lanes                             int64
 	hasStats                          bool
-	phases                            map[string]time.Duration
+	// phases is indexed like reportRun.phases; negative means the row has
+	// no span of that phase.
+	phases []time.Duration
 
 	// Per-step chunk stats across the step's timed spans, for the imbal
 	// column (max single chunk over mean chunk busy time).
@@ -78,26 +99,89 @@ func NewReport() *Report { return &Report{} }
 
 // RunStart implements Sink.
 func (r *Report) RunStart(info RunInfo) {
+	maxRows := r.MaxRows
+	if maxRows <= 0 {
+		maxRows = 48
+	}
 	r.cur = &reportRun{
-		info:        info,
-		phaseTotals: map[string]time.Duration{},
-		phaseChunks: map[string]int64{},
-		phaseBusy:   map[string]time.Duration{},
-		phaseMaxCh:  map[string]time.Duration{},
-		stepIdx:     map[int]int{},
-		hasLanes:    info.Lanes > 0,
+		info:     info,
+		rows:     make([]stepRow, 0, maxRows),
+		headN:    maxRows * 3 / 4,
+		maxStep:  -1,
+		stepWall: metrics.NewHistogram(metrics.DurationBounds),
+		deliver:  metrics.NewHistogram(metrics.DurationBounds),
+		hasLanes: info.Lanes > 0,
 	}
 	r.runs = append(r.runs, r.cur)
 }
 
-func (r *reportRun) row(step int) *stepRow {
-	if i, ok := r.stepIdx[step]; ok {
-		return r.steps[i]
+// phase returns the position of the named phase, appending it on first
+// sight. Runs have a handful of phase names; a scan beats hashing them.
+func (r *reportRun) phase(name string) int {
+	for i := range r.phases {
+		if r.phases[i].name == name {
+			return i
+		}
 	}
-	row := &stepRow{step: step, phases: map[string]time.Duration{}}
-	r.stepIdx[step] = len(r.steps)
-	r.steps = append(r.steps, row)
+	r.phases = append(r.phases, phaseStat{name: name})
+	return len(r.phases) - 1
+}
+
+// row returns the table row of a superstep, opening one — in the place of
+// the oldest row past the head, once the table is full — if it has none.
+// It returns nil for a superstep whose row has left the table: a late
+// event for it counts toward the run totals only.
+func (r *reportRun) row(step int) *stepRow {
+	if step <= r.maxStep {
+		if r.rows[r.last].step == step {
+			return &r.rows[r.last]
+		}
+		for i := range r.rows {
+			if r.rows[i].step == step {
+				r.last = i
+				return &r.rows[i]
+			}
+		}
+		if r.opened > len(r.rows) {
+			return nil
+		}
+	}
+	r.maxStep = max(r.maxStep, step)
+	if r.opened < cap(r.rows) {
+		r.last = r.opened
+		r.rows = append(r.rows, stepRow{})
+	} else {
+		r.last = r.headN + (r.opened-r.headN)%(cap(r.rows)-r.headN)
+		r.fold(&r.rows[r.last])
+	}
+	r.opened++
+	row := &r.rows[r.last]
+	*row = stepRow{step: step, phases: row.phases[:0]}
 	return row
+}
+
+// fold adds a row that is complete — no further event will name its
+// superstep — to the run-level figures computed from whole rows: the
+// latency histograms (superstep wall is the engine phases; the checkpoint
+// span is I/O, not superstep work) and the logical send total.
+func (r *reportRun) fold(row *stepRow) {
+	var wall time.Duration
+	for i, d := range row.phases {
+		if d < 0 {
+			continue
+		}
+		switch r.phases[i].name {
+		case obsCheckpointPhase:
+			continue
+		case "deliver":
+			r.deliver.Observe(d.Microseconds())
+		}
+		wall += d
+	}
+	if wall > 0 {
+		r.stepWall.Observe(wall.Microseconds())
+	}
+	r.sent += row.sent
 }
 
 // Span implements Sink.
@@ -106,10 +190,9 @@ func (r *Report) Span(s Span) {
 	if run == nil {
 		return
 	}
-	if _, seen := run.phaseTotals[s.Name]; !seen {
-		run.phaseOrder = append(run.phaseOrder, s.Name)
-	}
-	run.phaseTotals[s.Name] += s.Dur
+	pi := run.phase(s.Name)
+	ph := &run.phases[pi]
+	ph.total += s.Dur
 	for len(run.busyTotals) < len(s.WorkerBusy) {
 		run.busyTotals = append(run.busyTotals, 0)
 	}
@@ -119,22 +202,25 @@ func (r *Report) Span(s Span) {
 		busy += b
 	}
 	if s.Chunks > 0 {
-		run.phaseChunks[s.Name] += s.Chunks
-		run.phaseBusy[s.Name] += busy
-		if s.MaxChunk > run.phaseMaxCh[s.Name] {
-			run.phaseMaxCh[s.Name] = s.MaxChunk
-		}
+		ph.chunks += s.Chunks
+		ph.busy += busy
+		ph.maxChunk = max(ph.maxChunk, s.MaxChunk)
 	}
-	if s.Step >= 0 {
-		row := run.row(s.Step)
-		row.phases[s.Name] += s.Dur
-		if s.Chunks > 0 {
-			row.chunks += s.Chunks
-			row.busy += busy
-			if s.MaxChunk > row.maxChunk {
-				row.maxChunk = s.MaxChunk
-			}
-		}
+	if s.Step < 0 {
+		return
+	}
+	row := run.row(s.Step)
+	if row == nil {
+		return
+	}
+	for len(row.phases) <= pi {
+		row.phases = append(row.phases, -1)
+	}
+	row.phases[pi] = max(row.phases[pi], 0) + s.Dur
+	if s.Chunks > 0 {
+		row.chunks += s.Chunks
+		row.busy += busy
+		row.maxChunk = max(row.maxChunk, s.MaxChunk)
 	}
 }
 
@@ -144,17 +230,21 @@ func (r *Report) Step(st StepStats) {
 	if run == nil {
 		return
 	}
-	row := run.row(st.Step)
-	row.active, row.sent, row.physical, row.delivered = st.Active, st.Sent, st.SentPhysical, st.Delivered
-	row.scratch = st.ScratchBytes
-	row.direction, row.frontier, row.unvisited = st.Direction, st.FrontierEdges, st.UnvisitedEdges
 	if st.Direction != "" {
 		run.hasDir = true
 	}
-	row.retries, row.stalled = st.Retries, st.Stalled
 	if st.Retries > 0 || st.Stalled {
 		run.hasRetry = true
 	}
+	row := run.row(st.Step)
+	if row == nil {
+		run.sent += st.Sent
+		return
+	}
+	row.active, row.sent, row.physical, row.delivered = st.Active, st.Sent, st.SentPhysical, st.Delivered
+	row.scratch = st.ScratchBytes
+	row.direction, row.frontier, row.unvisited = st.Direction, st.FrontierEdges, st.UnvisitedEdges
+	row.retries, row.stalled = st.Retries, st.Stalled
 	row.lanes = st.Lanes
 	row.hasStats = true
 }
@@ -179,21 +269,20 @@ func (r *Report) Mem(m MemSample) {
 func (r *Report) RunEnd(wall time.Duration) {
 	if r.cur != nil {
 		r.cur.wall = wall
+		for i := range r.cur.rows {
+			r.cur.fold(&r.cur.rows[i])
+		}
 		r.cur = nil
 	}
 }
 
 // Render writes the report for every observed run.
 func (r *Report) Render(w io.Writer) error {
-	maxRows := r.MaxRows
-	if maxRows <= 0 {
-		maxRows = 48
-	}
 	for i, run := range r.runs {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := run.render(w, maxRows); err != nil {
+		if err := run.render(w); err != nil {
 			return err
 		}
 	}
@@ -204,7 +293,7 @@ func (r *Report) Render(w io.Writer) error {
 	return nil
 }
 
-func (r *reportRun) render(w io.Writer, maxRows int) error {
+func (r *reportRun) render(w io.Writer) error {
 	fmt.Fprintf(w, "== run %q: %d workers", r.info.Label, r.info.Workers)
 	if r.info.Vertices > 0 {
 		fmt.Fprintf(w, ", %d vertices, %d edges", r.info.Vertices, r.info.Edges)
@@ -227,31 +316,29 @@ func (r *reportRun) render(w io.Writer, maxRows int) error {
 		fmt.Fprintf(w, " %5s", "lanes")
 	}
 	fmt.Fprintf(w, " %6s", "imbal")
-	for _, name := range r.phaseOrder {
-		fmt.Fprintf(w, " %10s", tail(name, 10))
+	for _, ph := range r.phases {
+		fmt.Fprintf(w, " %10s", tail(ph.name, 10))
 	}
 	fmt.Fprintln(w)
-	rows := r.steps
-	elided := 0
-	if len(rows) > maxRows {
-		head := maxRows * 3 / 4
-		tail := maxRows - head
-		elided = len(rows) - head - tail
-		printRows(w, rows[:head], r.phaseOrder, r.hasDir, r.hasRetry, r.hasLanes)
+	rows := r.rows
+	if elided := r.opened - len(rows); elided > 0 {
+		r.printRows(w, rows[:r.headN])
 		fmt.Fprintf(w, "%6s  ... %d supersteps elided ...\n", "", elided)
-		rows = rows[len(rows)-tail:]
+		// The rest is a ring.
+		newest := r.headN + (r.opened-1-r.headN)%(len(rows)-r.headN)
+		r.printRows(w, rows[newest+1:])
+		rows = rows[r.headN : newest+1]
 	}
-	printRows(w, rows, r.phaseOrder, r.hasDir, r.hasRetry, r.hasLanes)
+	r.printRows(w, rows)
 
 	// Phase totals with share of wall time.
 	fmt.Fprintf(w, "phases:")
-	for _, name := range r.phaseOrder {
-		d := r.phaseTotals[name]
+	for _, ph := range r.phases {
 		share := 0.0
 		if r.wall > 0 {
-			share = 100 * float64(d) / float64(r.wall)
+			share = 100 * float64(ph.total) / float64(r.wall)
 		}
-		fmt.Fprintf(w, "  %s %s (%.0f%%)", name, fmtDur(d), share)
+		fmt.Fprintf(w, "  %s %s (%.0f%%)", ph.name, fmtDur(ph.total), share)
 	}
 	fmt.Fprintln(w)
 
@@ -293,12 +380,8 @@ func (r *reportRun) render(w io.Writer, maxRows int) error {
 	// run's logical sends divided by lane occupancy — the figure the MS-BFS
 	// layer exists to shrink.
 	if r.info.Lanes > 0 {
-		var sent int64
-		for _, row := range r.steps {
-			sent += row.sent
-		}
 		fmt.Fprintf(w, "batch: %d lanes, %d lane-packed sends, %.0f amortized edge traversals/query\n",
-			r.info.Lanes, sent, float64(sent)/float64(r.info.Lanes))
+			r.info.Lanes, r.sent, float64(r.sent)/float64(r.info.Lanes))
 	}
 
 	if r.memSamples > 0 {
@@ -317,28 +400,29 @@ func (r *reportRun) render(w io.Writer, maxRows int) error {
 	return nil
 }
 
-func printRows(w io.Writer, rows []*stepRow, phaseOrder []string, hasDir, hasRetry, hasLanes bool) {
-	for _, row := range rows {
+func (r *reportRun) printRows(w io.Writer, rows []stepRow) {
+	for i := range rows {
+		row := &rows[i]
 		if row.hasStats {
 			fmt.Fprintf(w, "%6d %10d %10d %10d %10d %9s", row.step, row.active, row.sent, row.physical, row.delivered, fmtBytes(uint64(row.scratch)))
 		} else {
 			fmt.Fprintf(w, "%6d %10s %10s %10s %10s %9s", row.step, "-", "-", "-", "-", "-")
 		}
-		if hasDir {
+		if r.hasDir {
 			if row.direction != "" {
 				fmt.Fprintf(w, " %4s %10d %10d", row.direction, row.frontier, row.unvisited)
 			} else {
 				fmt.Fprintf(w, " %4s %10s %10s", "-", "-", "-")
 			}
 		}
-		if hasRetry {
+		if r.hasRetry {
 			stall := "-"
 			if row.stalled {
 				stall = "yes"
 			}
 			fmt.Fprintf(w, " %5d %5s", row.retries, stall)
 		}
-		if hasLanes {
+		if r.hasLanes {
 			if row.hasStats {
 				fmt.Fprintf(w, " %5d", row.lanes)
 			} else {
@@ -346,9 +430,9 @@ func printRows(w io.Writer, rows []*stepRow, phaseOrder []string, hasDir, hasRet
 			}
 		}
 		fmt.Fprintf(w, " %6s", fmtImbalance(row.chunks, row.busy, row.maxChunk))
-		for _, name := range phaseOrder {
-			if d, ok := row.phases[name]; ok {
-				fmt.Fprintf(w, " %10s", fmtDur(d))
+		for pi := range r.phases {
+			if pi < len(row.phases) && row.phases[pi] >= 0 {
+				fmt.Fprintf(w, " %10s", fmtDur(row.phases[pi]))
 			} else {
 				fmt.Fprintf(w, " %10s", "-")
 			}
@@ -363,31 +447,11 @@ func printRows(w io.Writer, rows []*stepRow, phaseOrder []string, hasDir, hasRet
 // the report footer and a /metrics scrape of the same run quote the same
 // numbers.
 func (r *reportRun) latencyLine() string {
-	stepWall := metrics.NewHistogram(metrics.DurationBounds)
-	deliver := metrics.NewHistogram(metrics.DurationBounds)
-	for _, row := range r.steps {
-		if row.step < 0 {
-			continue
-		}
-		var wall time.Duration
-		for name, d := range row.phases {
-			if name == "checkpoint" {
-				continue
-			}
-			wall += d
-		}
-		if wall > 0 {
-			stepWall.Observe(wall.Microseconds())
-		}
-		if d, ok := row.phases["deliver"]; ok {
-			deliver.Observe(d.Microseconds())
-		}
-	}
 	out := ""
 	for _, h := range []struct {
 		name string
 		hist *metrics.Histogram
-	}{{"superstep", stepWall}, {"deliver", deliver}} {
+	}{{"superstep", r.stepWall}, {"deliver", r.deliver}} {
 		if h.hist.Count() == 0 {
 			continue
 		}
@@ -403,13 +467,12 @@ func (r *reportRun) latencyLine() string {
 // order, or "" when no chunk timing was collected.
 func (r *reportRun) imbalanceLine() string {
 	out := ""
-	for _, name := range r.phaseOrder {
-		n := r.phaseChunks[name]
-		if n == 0 {
+	for _, ph := range r.phases {
+		if ph.chunks == 0 {
 			continue
 		}
 		out += fmt.Sprintf("  %s %s (%d chunks, max %s)",
-			name, fmtImbalance(n, r.phaseBusy[name], r.phaseMaxCh[name]), n, fmtDur(r.phaseMaxCh[name]))
+			ph.name, fmtImbalance(ph.chunks, ph.busy, ph.maxChunk), ph.chunks, fmtDur(ph.maxChunk))
 	}
 	return out
 }

@@ -85,12 +85,18 @@ func (t *WorkerTimer) Add(w int, d time.Duration) {
 
 // Drain moves the accumulated busy times into busy (one entry per worker,
 // truncated to len(busy)) and resets the timer, returning busy. Callers
-// drain at phase boundaries to get per-phase utilization.
+// drain at phase boundaries to get per-phase utilization. A slot nothing
+// was added to since the last drain — every slot, in most phases of a
+// near-empty superstep — costs two loads, not three locked writes.
 func (t *WorkerTimer) Drain(busy []time.Duration) []time.Duration {
 	for w := range t.slots {
-		ns := atomic.SwapInt64(&t.slots[w].ns, 0)
-		atomic.StoreInt64(&t.slots[w].chunks, 0)
-		atomic.StoreInt64(&t.slots[w].maxNs, 0)
+		s := &t.slots[w]
+		var ns int64
+		if atomic.LoadInt64(&s.ns) != 0 || atomic.LoadInt64(&s.chunks) != 0 {
+			ns = atomic.SwapInt64(&s.ns, 0)
+			atomic.StoreInt64(&s.chunks, 0)
+			atomic.StoreInt64(&s.maxNs, 0)
+		}
 		if w < len(busy) {
 			busy[w] = time.Duration(ns)
 		}
@@ -104,8 +110,12 @@ func (t *WorkerTimer) Drain(busy []time.Duration) []time.Duration {
 // chunk stats must call DrainChunks before Drain (Drain resets both).
 func (t *WorkerTimer) DrainChunks() (chunks int64, maxChunk time.Duration) {
 	for w := range t.slots {
-		chunks += atomic.SwapInt64(&t.slots[w].chunks, 0)
-		if ns := atomic.SwapInt64(&t.slots[w].maxNs, 0); time.Duration(ns) > maxChunk {
+		s := &t.slots[w]
+		if atomic.LoadInt64(&s.chunks) == 0 {
+			continue // Add counts a chunk whenever it sets a maximum
+		}
+		chunks += atomic.SwapInt64(&s.chunks, 0)
+		if ns := atomic.SwapInt64(&s.maxNs, 0); time.Duration(ns) > maxChunk {
 			maxChunk = time.Duration(ns)
 		}
 	}
@@ -517,14 +527,26 @@ func ParallelExclusivePrefixSum(counts []int64) int64 {
 	return total
 }
 
+const radixSortMin = 32
+
 // RadixSortInt64 sorts a ascending with a stable LSD byte-radix pass,
 // O(len(a) * ceil(bits(maxVal)/8)) time. Keys must lie in [0, maxVal].
 // scratch must be at least len(a) long; it is clobbered. The sort is
 // sequential — it exists to replace comparison sorts on small worklists
 // (the BSP engine's sparse-activation candidate list), where O(k) beats
-// O(k log k) and the deterministic ascending order must be preserved.
+// O(k log k) and the deterministic ascending order must be preserved. Up to
+// radixSortMin keys are insertion-sorted instead: a pass clears and sums
+// 256 counters whatever len(a) is, which for the two-vertex worklist of a
+// relay was most of the superstep.
 func RadixSortInt64(a, scratch []int64, maxVal int64) {
-	if len(a) < 2 {
+	if len(a) <= radixSortMin {
+		for i := 1; i < len(a); i++ {
+			v, j := a[i], i
+			for ; j > 0 && a[j-1] > v; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = v
+		}
 		return
 	}
 	var counts [256]int64

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -370,6 +371,41 @@ func TestRadixSortInt64(t *testing.T) {
 		}
 		if len(a) != len(tc) {
 			t.Fatalf("length changed: %d vs %d", len(a), len(tc))
+		}
+	}
+}
+
+// TestRadixSortInt64MatchesSort is the property test across the switch from
+// insertion sort to radix passes: for every length 0-64 and key ranges
+// from one value to 2^40, the result equals slices.Sort's (equal int64
+// keys are indistinguishable, so that is the stable order too).
+func TestRadixSortInt64MatchesSort(t *testing.T) {
+	state := uint64(99)
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 20
+	}
+	for _, maxVal := range []int64{0, 1, 255, 256, 70000, 1 << 32, 1 << 40} {
+		for n := 0; n <= 64; n++ {
+			for trial := 0; trial < 8; trial++ {
+				a := make([]int64, n)
+				for i := range a {
+					a[i] = int64(next() % uint64(maxVal+1))
+				}
+				switch trial {
+				case 1:
+					slices.Sort(a)
+				case 2:
+					slices.Sort(a)
+					slices.Reverse(a)
+				}
+				want := slices.Clone(a)
+				slices.Sort(want)
+				RadixSortInt64(a, make([]int64, n), maxVal)
+				if !slices.Equal(a, want) {
+					t.Fatalf("n=%d maxVal=%d: got %v, want %v", n, maxVal, a, want)
+				}
+			}
 		}
 	}
 }
