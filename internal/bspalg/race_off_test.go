@@ -1,0 +1,5 @@
+//go:build !race
+
+package bspalg
+
+const raceEnabled = false

@@ -228,6 +228,35 @@ func BenchmarkEngineSkewTC(b *testing.B) {
 	})
 }
 
+// benchHubSend has every vertex Send to the same eight destinations in
+// superstep 0: the unicast path's worst case for the group-by-destination,
+// every delivery worker counting and scattering into the same eight groups.
+type benchHubSend struct{}
+
+func (benchHubSend) InitialState(*graph.Graph, int64) int64 { return 0 }
+func (benchHubSend) Compute(v *core.VertexContext) {
+	if v.Superstep() == 0 {
+		for hub := int64(0); hub < 8; hub++ {
+			v.Send(hub, v.ID())
+		}
+	}
+	v.VoteToHalt()
+}
+
+// BenchmarkEngineUnicastHub: 2^20 unicast messages to eight hubs, grouped
+// (no combiner) and folded (Sum, through the hub prefold).
+func BenchmarkEngineUnicastHub(b *testing.B) {
+	g := gen.Ring(1 << 17)
+	for _, cb := range []struct {
+		name string
+		fn   func(a, b int64) int64
+	}{{"none", nil}, {"sum", core.Sum}} {
+		b.Run("combiner="+cb.name, func(b *testing.B) {
+			benchRun(b, core.Config{Graph: g, Program: benchHubSend{}, Combiner: cb.fn})
+		})
+	}
+}
+
 // Broadcast-path benchmarks on the star: the extreme frontier-vs-edges
 // gap. When every leaf floods, the engine holds one broadcast record per
 // leaf instead of one message per edge; the non-combined variant exercises

@@ -237,12 +237,14 @@ func sortAggs(aggs []ckpt.Aggregate) {
 // In-flight broadcast records (sent during step, not expanded at delivery)
 // are captured alongside the unicast queue — checkpoint format v3 — so a
 // resumed run can re-deliver exactly the traffic the original run held.
-func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, sendBuf []Message, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) {
-	dest := make([]int64, len(sendBuf))
-	val := make([]int64, len(sendBuf))
-	for i, m := range sendBuf {
-		dest[i] = m.Dest
-		val[i] = m.Value
+func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, sends *msgLog, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) {
+	dest := make([]int64, 0, sends.sealed)
+	val := make([]int64, 0, sends.sealed)
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			dest = append(dest, m.Dest)
+			val = append(val, m.Value)
+		}
 	}
 	var bsrc, bval, bseq []int64
 	if len(bcasts) > 0 {
@@ -311,7 +313,7 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, send
 // says so, and surface interruption as *InterruptedError. A checkpoint
 // write failure aborts the run; previously written checkpoints are intact
 // (writes are temp-file + rename).
-func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, sendBuf []Message, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) error {
+func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, sends *msgLog, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) error {
 	stopped := false
 	if ck.stop != nil {
 		select {
@@ -332,7 +334,7 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 		// checkpoint directory): nothing is ever written, but retry still
 		// needs the in-memory boundary snapshot to roll back to.
 		if sup != nil && sup.maxRetries > 0 {
-			ck.record(step, live, res, halted, sendBuf, bcasts, master, ds, rec)
+			ck.record(step, live, res, halted, sends, bcasts, master, ds, rec)
 			sup.lastSnap.Store(ck.snap)
 		}
 		if stopped {
@@ -346,7 +348,7 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 	if p.Hooks != nil && p.Hooks.Kill != nil && p.Hooks.Kill(int64(step)) {
 		stopped = true
 	}
-	ck.record(step, live, res, halted, sendBuf, bcasts, master, ds, rec)
+	ck.record(step, live, res, halted, sends, bcasts, master, ds, rec)
 	if sup != nil {
 		sup.lastSnap.Store(ck.snap)
 	}

@@ -1,15 +1,76 @@
 package core
 
-import "graphxmt/internal/graph"
+import (
+	"sync"
+
+	"graphxmt/internal/graph"
+)
+
+// msgBlockLen is the size, in messages, of one block of the unicast log
+// (64 KiB): the pool and the segment list are touched once per 4 Ki sends,
+// and the partial block a sweep chunk ends on wastes little
+// (docs/PERFORMANCE.md §12 has the measured alternatives).
+const msgBlockLen = 1 << 12
+
+// blockPool recycles log blocks across supersteps and across runs, so
+// unicast traffic is written into memory neither allocated nor zeroed
+// again; a sync.Pool, so an idle process gives it all back.
+var blockPool = sync.Pool{New: func() any { return new([msgBlockLen]Message) }}
+
+// msgLog is a run of unicast messages in send order, written once by Send
+// and read in place by every boundary consumer: segs are blocks from
+// blockPool, each filled from its start; tail is the block being filled,
+// not yet in segs; sealed counts the messages in segs. A chunk's log is
+// spliced into the superstep's by pointer (spliceSends), never copied.
+type msgLog struct {
+	segs   [][]Message
+	tail   []Message
+	sealed int64
+}
+
+// len is the number of messages logged so far.
+func (l *msgLog) len() int64 { return l.sealed + int64(len(l.tail)) }
+
+// add appends one message.
+func (l *msgLog) add(dest, value int64) {
+	if len(l.tail) == cap(l.tail) {
+		l.grow()
+	}
+	l.tail = append(l.tail, Message{Dest: dest, Value: value})
+}
+
+// grow seals the tail and starts a fresh block.
+func (l *msgLog) grow() {
+	l.seal()
+	l.tail = blockPool.Get().(*[msgBlockLen]Message)[:0]
+}
+
+// seal moves the tail into segs; readers see only sealed messages.
+func (l *msgLog) seal() {
+	if l.tail != nil {
+		l.segs = append(l.segs, l.tail)
+		l.sealed += int64(len(l.tail))
+		l.tail = nil
+	}
+}
+
+// release returns every block to the pool and empties the log.
+func (l *msgLog) release() {
+	l.seal()
+	for i, seg := range l.segs {
+		blockPool.Put((*[msgBlockLen]Message)(seg[:msgBlockLen]))
+		l.segs[i] = nil
+	}
+	l.segs, l.sealed = l.segs[:0], 0
+}
 
 // bcastRec is one recorded broadcast: SendToNeighbors stores a single
 // (source, value) record instead of materializing one Message per edge.
-// seq is the number of unicast messages in the same send buffer at record
-// time — the record's position in the interleaved send stream — so
-// expandTraffic can reconstruct the exact per-edge send order when a
-// superstep mixes Send and SendToNeighbors. Within one buffer seq is
-// non-decreasing by construction (vertices run in ascending order and the
-// buffer only grows).
+// seq is the number of unicast messages in the same log at record time —
+// the record's position in the interleaved send stream — so expandTraffic
+// can reconstruct the exact per-edge send order when a superstep mixes Send
+// and SendToNeighbors. Within one log seq is non-decreasing by construction
+// (vertices run in ascending order and the log only grows).
 type bcastRec struct {
 	src, val, seq int64
 }
@@ -20,7 +81,7 @@ type engineState struct {
 	costs     CostSchedule
 	states    []int64
 	superstep int
-	sendBuf   []Message
+	log       msgLog
 	// bcastBuf collects SendToNeighbors records in call order (ascending
 	// source vertex within a chunk). sent counts logical messages — one per
 	// edge for a broadcast — so counters, charges, and budgets see exactly
@@ -36,6 +97,10 @@ type engineState struct {
 	// (Config.ExpandBroadcasts) for A/B comparison.
 	expand     bool
 	aggregates map[string]*aggregator
+	// lastAgg caches the aggregator the last Aggregate call resolved, so a
+	// program folding into one name skips the map on every call but the first.
+	lastAggName string
+	lastAgg     *aggregator
 	// prevAggregates snapshots the aggregators as of the end of the
 	// previous superstep (Pregel semantics: a value aggregated in
 	// superstep s is visible to every vertex in superstep s+1).
@@ -124,9 +189,10 @@ func (v *VertexContext) NumVertices() int64 { return v.engine.graph.NumVertices(
 // Send sends value to vertex dest, to be received next superstep. A vertex
 // may send to any vertex it can identify, not only neighbors.
 func (v *VertexContext) Send(dest, value int64) {
-	v.engine.sendBuf = append(v.engine.sendBuf, Message{Dest: dest, Value: value})
-	v.engine.sent++
-	v.engine.unicast++
+	e := v.engine
+	e.log.add(dest, value)
+	e.sent++
+	e.unicast++
 }
 
 // SendToNeighbors sends value to every neighbor. Logically this is one
@@ -142,15 +208,8 @@ func (v *VertexContext) SendToNeighbors(value int64) {
 		// Expanded per-edge messages still count as broadcast traffic, not
 		// unicast — appended directly so the unicast counter (and therefore
 		// the direction decision) is identical under both treatments.
-		if e.graph.Compressed() {
-			it := e.graph.NeighborDecoder(v.id)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				e.sendBuf = append(e.sendBuf, Message{Dest: w, Value: value})
-			}
-		} else {
-			for _, w := range e.graph.Neighbors(v.id) {
-				e.sendBuf = append(e.sendBuf, Message{Dest: w, Value: value})
-			}
+		for _, w := range v.Neighbors() {
+			e.log.add(w, value)
 		}
 		e.sent += e.graph.Degree(v.id)
 		return
@@ -159,7 +218,7 @@ func (v *VertexContext) SendToNeighbors(value int64) {
 	if deg == 0 {
 		return
 	}
-	e.bcastBuf = append(e.bcastBuf, bcastRec{src: v.id, val: value, seq: int64(len(e.sendBuf))})
+	e.bcastBuf = append(e.bcastBuf, bcastRec{src: v.id, val: value, seq: e.log.len()})
 	e.sent += deg
 }
 
@@ -172,13 +231,18 @@ func (v *VertexContext) VoteToHalt() { v.halt = true }
 // semantic reduction). Aggregator values are visible in Result.Aggregates
 // after the run. Sum, Min and Max are provided as package helpers.
 func (v *VertexContext) Aggregate(name string, value int64, reduce func(a, b int64) int64) {
-	if v.engine.aggregates == nil {
-		v.engine.aggregates = map[string]*aggregator{}
-	}
-	agg, ok := v.engine.aggregates[name]
-	if !ok {
-		agg = &aggregator{reduce: reduce}
-		v.engine.aggregates[name] = agg
+	e := v.engine
+	agg := e.lastAgg
+	if agg == nil || e.lastAggName != name {
+		if e.aggregates == nil {
+			e.aggregates = map[string]*aggregator{}
+		}
+		var ok bool
+		if agg, ok = e.aggregates[name]; !ok {
+			agg = &aggregator{reduce: reduce}
+			e.aggregates[name] = agg
+		}
+		e.lastAggName, e.lastAgg = name, agg
 	}
 	if !agg.seeded {
 		agg.value = value

@@ -276,7 +276,7 @@ func TestDeliverNoCombiner(t *testing.T) {
 	buf := []Message{{Dest: 2, Value: 5}, {Dest: 0, Value: 1}, {Dest: 2, Value: 7}}
 	off := make([]int64, 4)
 	var val []int64
-	delivered := (&runScratch{}).deliver(buf, nil, 3, nil, 3, nil, &off, &val, false, 0, DirAuto)
+	delivered := (&runScratch{}).deliver(logOf(buf), nil, 3, nil, 3, nil, &off, &val, false, 0, DirAuto)
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)
 	}
@@ -296,7 +296,7 @@ func TestDeliverWithCombiner(t *testing.T) {
 	buf := []Message{{Dest: 1, Value: 5}, {Dest: 1, Value: 3}, {Dest: 1, Value: 9}}
 	off := make([]int64, 3)
 	var val []int64
-	delivered := (&runScratch{}).deliver(buf, nil, 3, nil, 2, Min, &off, &val, false, 0, DirAuto)
+	delivered := (&runScratch{}).deliver(logOf(buf), nil, 3, nil, 2, Min, &off, &val, false, 0, DirAuto)
 	if delivered != 1 {
 		t.Fatalf("delivered = %d", delivered)
 	}

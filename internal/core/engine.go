@@ -357,12 +357,17 @@ func Run(cfg Config) (*Result, error) {
 
 	// Inbox: CSR offsets or lookaside stamps over inboxVal (see inboxView).
 	inboxOff := make([]int64, n+1)
-	var inboxVal []int64
-	var sendBuf []Message
+	// The two buffers sized by message volume come from, and go back to, a
+	// pool shared with the process's other runs.
+	flat := flatPool.Get().(*flatBufs)
+	inboxVal := flat.inboxVal
+	// sends is the superstep's unicast log, held from the sweep that writes
+	// it until the boundary's last consumer (the checkpoint) is done.
+	var sends msgLog
 	// bcasts holds the superstep's broadcast records (one per
 	// SendToNeighbors call, not per edge); maybeExpand decides at each
 	// boundary whether delivery consumes the records directly or expands
-	// them into sendBuf.
+	// them into sends.
 	var bcasts []bcastRec
 
 	// Sparse-activation worklist: the vertices worth inspecting this
@@ -385,7 +390,11 @@ func Run(cfg Config) (*Result, error) {
 		states: res.States,
 		expand: cfg.ExpandBroadcasts,
 	}
-	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts, gather: gatherPool{size: 2 * g.MaxDegree()}}
+	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
+	defer func() {
+		flat.inboxVal, flat.groupVal = inboxVal, scratch.groupVal
+		flatPool.Put(flat)
+	}()
 	fold := resolveFold(cfg.Combiner)
 	// ib is the sweep's view of the inbox, refilled every superstep; one per
 	// run, because the parallel sweep's closure makes it escape.
@@ -402,7 +411,7 @@ func Run(cfg Config) (*Result, error) {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
 		// written to disk) so a fault in superstep 0 has a snapshot to
 		// roll back to.
-		ck.record(-1, live, res, halted, nil, nil, master, ds, cfg.Recorder)
+		ck.record(-1, live, res, halted, &sends, nil, master, ds, cfg.Recorder)
 		sup.lastSnap.Store(ck.snap)
 	}
 
@@ -428,20 +437,17 @@ func Run(cfg Config) (*Result, error) {
 			copy(progAux, resumeSnap.Aux)
 		}
 		startStep = int(resumeSnap.Step) + 1
-		sendBuf = make([]Message, len(resumeSnap.MsgDest))
-		for i := range sendBuf {
-			sendBuf[i] = Message{Dest: resumeSnap.MsgDest[i], Value: resumeSnap.MsgVal[i]}
+		for i, dest := range resumeSnap.MsgDest {
+			sends.add(dest, resumeSnap.MsgVal[i])
 		}
+		sends.seal()
 		bcasts = make([]bcastRec, len(resumeSnap.BcastSrc))
-		logical := int64(len(sendBuf))
+		logical := sends.sealed
 		for i := range bcasts {
 			bcasts[i] = bcastRec{src: resumeSnap.BcastSrc[i], val: resumeSnap.BcastVal[i], seq: resumeSnap.BcastSeq[i]}
 			logical += g.Degree(bcasts[i].src)
 		}
-		if len(sendBuf) > 0 {
-			scratch.sawUnicast = true
-		}
-		sendBuf, bcasts = scratch.maybeExpand(sendBuf, bcasts, g, logical)
+		bcasts = scratch.maybeExpand(&sends, bcasts, g, logical)
 		// Re-deliver under the decision the original boundary recorded, so
 		// the resumed inbox is built by the same path (DirAuto when the
 		// direction layer is inactive — the legacy delivery heuristics).
@@ -449,7 +455,7 @@ func Run(cfg Config) (*Result, error) {
 		if k := len(res.DirectionPerStep); ds != nil && k > 0 {
 			resumeDir = res.DirectionPerStep[k-1]
 		}
-		delivered := scratch.deliver(sendBuf, bcasts, logical, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, resumeSnap.Step, resumeDir)
+		delivered := scratch.deliver(&sends, bcasts, logical, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, resumeSnap.Step, resumeDir)
 		if cfg.SparseActivation {
 			// At any boundary the wake set equals the non-halted set (every
 			// non-halted vertex re-ran this superstep and stayed awake), so
@@ -460,7 +466,7 @@ func Run(cfg Config) (*Result, error) {
 					wake = append(wake, v)
 				}
 			}
-			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, sendBuf, bcasts, g, logical, stamp, n, inboxOff)
+			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, &sends, bcasts, g, logical, stamp, n, inboxOff)
 		}
 	}
 
@@ -499,6 +505,9 @@ func Run(cfg Config) (*Result, error) {
 		var numChunks int
 		var retried int64
 		for {
+			// The last boundary is done with its traffic (and a trapped
+			// attempt's is void): the blocks go back to the pool.
+			sends.release()
 			scanCount := n
 			if cfg.SparseActivation {
 				scanCount = int64(len(candidates))
@@ -548,25 +557,25 @@ func Run(cfg Config) (*Result, error) {
 			known = int64(count) + known*(1+g.Offsets()[n]/max(n, 1))
 			if par.Workers() == 1 || known < sweepSerialMax {
 				// Serial fast path: chunks run in index order anyway, so thread
-				// one shared send buffer through them — appending in chunk order
-				// is the concatenation the parallel path performs explicitly,
-				// minus the copy. Counter and aggregator partials stay per-chunk
-				// so their merge fold structure (hence the result) is identical
-				// to the parallel path's.
-				// The shared send buffer makes every broadcast record's seq global
+				// one shared log through them, tail block and all — appending in
+				// chunk order is the splice the parallel path performs
+				// explicitly, and a near-empty superstep touches one block.
+				// Counter and aggregator partials stay per-chunk so their merge
+				// fold structure (hence the result) is identical to the parallel
+				// path's.
+				// The shared log makes every broadcast record's seq global
 				// already, so no offset fix-up is needed on this path.
-				buf := sendBuf[:0]
 				bb := bcasts[:0]
 				for c := 0; c < numChunks; c++ {
 					lo, hi := bounds[c], bounds[c+1]
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					cs.eng.sendBuf = buf
+					cs.eng.log = sends
 					cs.eng.bcastBuf = bb
 					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
-					buf = cs.eng.sendBuf
+					sends = cs.eng.log
 					bb = cs.eng.bcastBuf
-					cs.eng.sendBuf = nil
+					cs.eng.log = msgLog{}
 					cs.eng.bcastBuf = nil
 					if cs.trap != nil {
 						// A trapped chunk is the lowest one (index order); later
@@ -575,35 +584,21 @@ func Run(cfg Config) (*Result, error) {
 						break
 					}
 				}
-				sendBuf, bcasts = buf, bb
+				sends.seal()
+				bcasts = bb
 				if o != nil {
 					// The serial sweep bypasses par entirely; its busy time is
 					// the engine goroutine's, folded to worker 0.
 					o.timer.Add(0, time.Since(tObs))
 				}
 			} else {
-				presize := scratch.sawUnicast
 				par.ForBoundaryChunks(bounds, func(c, lo, hi int) {
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					// Pre-size the chunk's private send buffer from its degree
-					// sum (exact for one-message-per-edge programs), avoiding
-					// append-doubling in the hot sweep — but only once the run
-					// has actually produced unicast messages: a pure-broadcast
-					// run fills only the (tiny) record buffers and must not
-					// allocate per-edge capacity it will never touch. The serial
-					// path threads one shared buffer instead, so it needs no
-					// hint.
-					if presize {
-						cs.presize(scratch.chunkSendHint(lo, hi))
-					}
 					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
 				})
-				sendBuf = scratch.concatSends(sendBuf, numChunks)
+				scratch.spliceSends(&sends, numChunks)
 				bcasts = scratch.concatBcasts(bcasts, numChunks)
-			}
-			if len(sendBuf) > 0 {
-				scratch.sawUnicast = true
 			}
 			if o != nil {
 				// Emitted before the trap check so a panicking superstep's
@@ -706,7 +701,7 @@ func Run(cfg Config) (*Result, error) {
 			if o != nil {
 				st := obs.StepStats{
 					Step: step, Active: active, Sent: sent, Received: received,
-					ScratchBytes: scratch.scratchBytes(numChunks, sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
+					ScratchBytes: scratch.scratchBytes(numChunks, &sends, bcasts, inboxOff, inboxVal, candidates, stamp),
 				}
 				if ds != nil {
 					st.Direction = dirMode.String()
@@ -718,7 +713,7 @@ func Run(cfg Config) (*Result, error) {
 					st.Stalled = sup.stalledAt(step)
 				}
 				if len(laneSrc) > 0 {
-					st.Lanes = laneCount(sendBuf, bcasts)
+					st.Lanes = laneCount(&sends, bcasts)
 				}
 				o.step(st)
 			}
@@ -726,14 +721,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Deliver: normalize the traffic (keep broadcast records, or expand
-		// them into the send buffer — maybeExpand), then route it into
+		// them into the unicast log — maybeExpand), then route it into
 		// per-vertex inboxes, applying the combiner if configured. physSent
 		// is what was physically materialized: per-edge messages plus one
 		// record per kept broadcast — the engine-side traffic the logical
 		// counter deliberately does not show.
-		sendBuf, bcasts = scratch.maybeExpand(sendBuf, bcasts, g, sent)
-		physSent := int64(len(sendBuf)) + int64(len(bcasts))
-		delivered := scratch.deliver(sendBuf, bcasts, sent, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, int64(step), dirMode)
+		bcasts = scratch.maybeExpand(&sends, bcasts, g, sent)
+		physSent := sends.sealed + int64(len(bcasts))
+		delivered := scratch.deliver(&sends, bcasts, sent, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, int64(step), dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
 		if o != nil {
@@ -745,7 +740,7 @@ func Run(cfg Config) (*Result, error) {
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
 			wake := scratch.mergeWake(numChunks)
-			candidates = scratch.nextWorklist(candidates, step, wake, delivered, sendBuf, bcasts, g, sent, stamp, n, inboxOff)
+			candidates = scratch.nextWorklist(candidates, step, wake, delivered, &sends, bcasts, g, sent, stamp, n, inboxOff)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}
@@ -753,7 +748,7 @@ func Run(cfg Config) (*Result, error) {
 		if o != nil {
 			st := obs.StepStats{
 				Step: step, Active: active, Sent: sent, SentPhysical: physSent, Delivered: delivered, Received: received,
-				ScratchBytes: scratch.scratchBytes(numChunks, sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
+				ScratchBytes: scratch.scratchBytes(numChunks, &sends, bcasts, inboxOff, inboxVal, candidates, stamp),
 			}
 			if ds != nil {
 				st.Direction = dirMode.String()
@@ -765,7 +760,7 @@ func Run(cfg Config) (*Result, error) {
 				st.Stalled = sup.stalledAt(step)
 			}
 			if len(laneSrc) > 0 {
-				st.Lanes = laneCount(sendBuf, bcasts)
+				st.Lanes = laneCount(&sends, bcasts)
 			}
 			o.step(st)
 		}
@@ -777,7 +772,7 @@ func Run(cfg Config) (*Result, error) {
 			if o != nil {
 				tObs = time.Now()
 			}
-			if err := ck.atBoundary(step, live, res, halted, sendBuf, bcasts, master, ds, cfg.Recorder); err != nil {
+			if err := ck.atBoundary(step, live, res, halted, &sends, bcasts, master, ds, cfg.Recorder); err != nil {
 				return nil, err
 			}
 			if o != nil && ck.policy != nil {

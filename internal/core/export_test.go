@@ -5,3 +5,6 @@ package core
 const LookasideCutoff = lookasideCutoff
 
 func LookasideDeliveries() int64 { return lookasideBuilt.Load() }
+
+// MsgBlockLen lets tests put send counts either side of a block boundary.
+const MsgBlockLen = msgBlockLen

@@ -96,13 +96,15 @@ func auxOf(p Program) []int64 {
 // lane programs; the mask is a pure function of the logical traffic, so
 // the reported count is identical at any worker count and under either
 // broadcast treatment.
-func laneCount(sendBuf []Message, bcasts []bcastRec) int64 {
+func laneCount(sends *msgLog, bcasts []bcastRec) int64 {
 	var m uint64
 	for i := range bcasts {
 		m |= uint64(bcasts[i].val)
 	}
-	for i := range sendBuf {
-		m |= uint64(sendBuf[i].Value)
+	for _, seg := range sends.segs {
+		for i := range seg {
+			m |= uint64(seg[i].Value)
+		}
 	}
 	return int64(bits.OnesCount64(m))
 }

@@ -24,7 +24,7 @@ import (
 // InitialState sweep before superstep 0.
 const (
 	obsPhaseInit      = "init"
-	obsPhaseCompute   = "compute"   // chunked Compute sweep (gathering, after a pull boundary) + send-buffer concat
+	obsPhaseCompute   = "compute"   // chunked Compute sweep (gathering, after a pull boundary) + unicast-log splice
 	obsPhaseTerminate = "terminate" // chunk-partial merges + live-count termination check
 	obsPhaseDeliver   = "deliver"   // counting-sort delivery / combining; O(frontier) stamping on a pull
 	obsPhaseWorklist  = "worklist"  // sparse-activation worklist build
@@ -196,20 +196,24 @@ func (o *obsRun) flightDump(dir, cause string) string {
 }
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
-// run-level buffers (the pull-gather pool among them) plus every chunk's
-// private send buffer, wake list and neighbor decode buffer — re-measured
-// only for the numChunks chunks that just ran, so a near-empty superstep
-// after a 256-chunk one does not walk them all again.
-// Called once per superstep, and only when a sink is attached.
-func (s *runScratch) scratchBytes(numChunks int, sendBuf []Message, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
+// run-level buffers (the pull-gather pool among them), the blocks the
+// superstep's unicast log holds — full or partial, and none of those idle
+// in blockPool — plus every chunk's record buffer, segment list, wake list
+// and neighbor decode buffer — re-measured only for the numChunks chunks
+// that just ran, so a near-empty superstep after a 256-chunk one does not
+// walk them all again.
+// Called once per superstep, after the sweep's logs were spliced into
+// sends, and only when a sink is attached.
+func (s *runScratch) scratchBytes(numChunks int, sends *msgLog, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
 	const (
 		msgSize = 16 // Message: two int64s
 		recSize = 24 // bcastRec: three int64s
+		segSize = 24 // a segment's slice header
 	)
-	b := int64(cap(sendBuf))*msgSize + int64(cap(bcasts))*recSize
-	b += int64(cap(s.expandBuf)) * msgSize
+	b := int64(len(sends.segs))*msgBlockLen*msgSize + int64(cap(bcasts))*recSize
+	b += int64(cap(sends.segs)+cap(s.expandLog.segs)) * segSize
 	b += int64(cap(inboxOff)+cap(inboxVal)+cap(candidates)+cap(stamp)) * 8
-	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
+	b += int64(cap(s.sendOff)+cap(s.bcastOff)+cap(s.nbrBuf)) * 8
 	b += int64(cap(s.wake)+cap(s.next)+cap(s.acc)) * 8
 	b += int64(cap(s.has))
 	b += int64(cap(s.counts)) * 4
@@ -221,7 +225,7 @@ func (s *runScratch) scratchBytes(numChunks int, sendBuf []Message, bcasts []bca
 	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
 	for _, cs := range s.chunks[:numChunks] {
 		was := cs.scratch
-		cs.scratch = int64(cap(cs.eng.sendBuf))*msgSize + int64(cap(cs.eng.bcastBuf))*recSize
+		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize
 		cs.scratch += int64(cap(cs.wake)+cap(cs.ctx.nbrBuf)) * 8
 		s.chunkScratch += cs.scratch - was
 	}

@@ -26,10 +26,10 @@ import (
 //     sparse activation) into near-equal edge-work chunks, so a hub vertex
 //     of a skewed graph cannot make one chunk run targetChunks× longer
 //     than its peers; the legacy fixed schedule splits by vertex count.
-//     Each chunk runs vertices with a private VertexContext — private send
-//     buffer, work-charge accumulators, aggregator partials, wake list and
-//     halt-transition counter — and the partials are merged in chunk index
-//     order after the sweep. Concatenating per-chunk send buffers in chunk
+//     Each chunk runs vertices with a private VertexContext — private
+//     unicast log, work-charge accumulators, aggregator partials, wake list
+//     and halt-transition counter — and the partials are merged in chunk
+//     index order after the sweep. Splicing the per-chunk logs in chunk
 //     order reproduces exactly the send order of a sequential sweep.
 //
 //   - Delivery is a stable counting sort: the output grouping (messages
@@ -158,8 +158,8 @@ const deliverParallelMin = 1 << 14
 // sweepSerialMax is the known work of a compute sweep — items scanned, plus
 // a mean adjacency list for each vertex awake and each message waiting,
 // what a vertex that runs is assumed to touch — below which the serial
-// sweep wins at any worker count: forking, joining and concatenating the
-// chunks costs more than half of so small a sweep. Both sweeps merge the
+// sweep wins at any worker count: forking, joining and merging the chunks
+// costs more than half of so small a sweep. Both sweeps merge the
 // same per-chunk partials, so like deliverParallelMin this is a pure
 // host-speed knob.
 const sweepSerialMax = 1 << 17
@@ -267,10 +267,10 @@ func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inboxView, halte
 }
 
 // reset prepares the chunk for one superstep. Aggregator partials are not
-// cleared here: mergeAggregates unseeds them as it consumes them.
+// cleared here: mergeAggregates unseeds them as it consumes them. Nor is the
+// unicast log, which every sweep leaves empty (spliceSends).
 func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 	cs.eng.superstep = step
-	cs.eng.sendBuf = cs.eng.sendBuf[:0]
 	cs.eng.bcastBuf = cs.eng.bcastBuf[:0]
 	cs.eng.sent = 0
 	cs.eng.unicast = 0
@@ -512,27 +512,22 @@ type runScratch struct {
 	chunks []*chunkState
 	// chunkScratch is the chunks' total buffer footprint (scratchBytes).
 	chunkScratch int64
-	sendOff      []int // per-chunk send-buffer offsets for the merge copy
-	bcastOff     []int // per-chunk broadcast-record offsets for the merge copy
+	sendOff      []int64 // per-chunk offsets into the superstep's unicast stream
+	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
 	wake         []int64
 
-	// sawUnicast records whether any superstep of this run has produced
-	// unicast messages yet; the per-chunk send-buffer presize (degree-sum
-	// capacity) is applied only then, so pure-broadcast runs never allocate
-	// per-edge buffers at all. Purely a capacity heuristic — it can never
-	// affect results.
-	sawUnicast bool
-
-	// Broadcast delivery scratch (see deliverBcasts). expandBuf is the
-	// spare message buffer expandTraffic swaps against the engine's send
-	// buffer; bcastLook is the value-stamped broadcaster lookaside a pull
+	// Broadcast delivery scratch (see deliverBcasts). expandLog is the
+	// empty spare log (a segment list, no blocks) expandTraffic swaps
+	// against the superstep's, nbrBuf its decode buffer; bcastLook is the
+	// value-stamped broadcaster lookaside a pull
 	// boundary fills and the next sweep gathers from — pulled says the last
 	// delivery was such a boundary, so that sweep reads bcastLook instead of
 	// an inbox; pullBnds caches the degree-weighted destination ranges of
 	// pullReceivers (graph-constant); gather lends that sweep's chunks their
 	// buffers; bcastWork / bcastBnds partition broadcast records by degree
 	// for the parallel scatter.
-	expandBuf []Message
+	expandLog msgLog
+	nbrBuf    []int64
 	bcastLook []bcastSlot
 	pulled    bool
 	gather    gatherPool
@@ -549,9 +544,9 @@ type runScratch struct {
 	acc  []int64
 
 	// Parallel delivery scratch.
-	counts   []int32 // C*n destination counters, dest-major
+	counts   []int32 // C*n destination counters: chunk-major in stableGroupByDest, dest-major in parBcastScatter
 	groupOff []int64 // n+1 group boundaries (combining path)
-	groupVal []int64 // grouped message values (combining path)
+	groupVal []int64 // grouped message values (combining path); Run borrows it from flatPool
 	rangeCnt []int64 // per-range counters for compaction sweeps
 	rangeMax []int64 // per-range max group size (hub detection)
 	foldBnds []int   // message-weighted fold range boundaries
@@ -563,11 +558,7 @@ type runScratch struct {
 	// dense degree-weighted boundaries, which depend only on the graph.
 	bounds      []int
 	denseBounds []int
-	candWork    []int64 // candidate-degree prefix sum, len count+1
-	// sweepWork is the active sweep's work prefix (nil under ChunkFixed):
-	// sweepWork(hi) - sweepWork(lo) - sweepVertexWork*(hi-lo) is the degree
-	// sum of chunk [lo, hi) — the presize hint for its send buffer.
-	sweepWork   func(i int) int64
+	candWork    []int64           // candidate-degree prefix sum, len count+1
 	densePrefix func(i int) int64 // memoized closure over the graph offsets
 	candPrefix  func(i int) int64 // memoized closure over candWork
 
@@ -664,16 +655,13 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []
 // dense prefix is the CSR offsets themselves (computed once per run and
 // cached, since the dense sweep is always over all n vertices); the sparse
 // prefix is built per superstep over the candidate degrees. Under
-// ChunkFixed it replicates the legacy sweepChunkSize partition. It also
-// sets s.sweepWork so callers can presize per-chunk send buffers.
+// ChunkFixed it replicates the legacy sweepChunkSize partition.
 func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse bool, sched ChunkSchedule, count int) []int {
 	if count <= 0 {
-		s.sweepWork = nil
 		s.bounds = append(s.bounds[:0], 0)
 		return s.bounds
 	}
 	if sched.resolve() == ChunkFixed {
-		s.sweepWork = nil
 		cs := sweepChunkSize(count)
 		b := s.bounds[:0]
 		for lo := 0; lo < count; lo += cs {
@@ -687,7 +675,6 @@ func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse boo
 		// One chunk no matter how the weights fall — skip the per-superstep
 		// candidate prefix sum, which relay-style programs (tiny active set,
 		// many supersteps) would otherwise pay on every superstep.
-		s.sweepWork = nil
 		s.bounds = append(s.bounds[:0], 0, count)
 		return s.bounds
 	}
@@ -697,7 +684,6 @@ func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse boo
 				return off[i] + sweepVertexWork*int64(i)
 			}
 		}
-		s.sweepWork = s.densePrefix
 		if len(s.denseBounds) == 0 {
 			s.denseBounds = par.WeightedBoundaries(s.denseBounds, count,
 				sweepTargetChunks(count), s.densePrefix)
@@ -720,31 +706,9 @@ func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse boo
 	if s.candPrefix == nil {
 		s.candPrefix = func(i int) int64 { return s.candWork[i] }
 	}
-	s.sweepWork = s.candPrefix
 	s.bounds = par.WeightedBoundaries(s.bounds, count,
 		sweepTargetChunks(count), s.candPrefix)
 	return s.bounds
-}
-
-// chunkSendHint returns the presize hint for chunk [lo, hi)'s send buffer:
-// its degree sum under the active weighted schedule, or 0 (no hint) under
-// ChunkFixed. An exact bound for flood-style programs that send one
-// message per edge; a floor for chattier ones.
-func (s *runScratch) chunkSendHint(lo, hi int) int {
-	if s.sweepWork == nil {
-		return 0
-	}
-	return int(s.sweepWork(hi) - s.sweepWork(lo) - sweepVertexWork*int64(hi-lo))
-}
-
-// presize grows the chunk's send buffer capacity to hint entries before
-// the chunk runs, so a chunk that sends ~degree-sum messages does one
-// allocation instead of log₂(hint) append-doublings. Reset has already
-// emptied the buffer, so discarding the old array is safe.
-func (cs *chunkState) presize(hint int) {
-	if hint > cap(cs.eng.sendBuf) {
-		cs.eng.sendBuf = make([]Message, 0, hint)
-	}
 }
 
 // mergeCounters sums the per-chunk superstep counters (serial over a few
@@ -795,34 +759,27 @@ func (s *runScratch) firstTrap(numChunks, step int) *ProgramError {
 	return nil
 }
 
-// concatSends concatenates the per-chunk send buffers into dst in chunk
-// index order — exactly the send order a sequential sweep would have
-// produced — copying chunks in parallel.
-func (s *runScratch) concatSends(dst []Message, numChunks int) []Message {
-	if cap(s.sendOff) < numChunks+1 {
-		s.sendOff = make([]int, numChunks+1)
+// spliceSends moves the chunks' unicast logs into dst in chunk index order
+// — exactly the send order a sequential sweep would have produced — by
+// pointer: no message is copied, and every chunk's log is left empty.
+// s.sendOff[c] ends up as the stream position of chunk c's first message.
+func (s *runScratch) spliceSends(dst *msgLog, numChunks int) {
+	s.sendOff = ensureInt64(s.sendOff, numChunks)
+	for c, cs := range s.chunks[:numChunks] {
+		l := &cs.eng.log
+		l.seal()
+		s.sendOff[c] = dst.sealed
+		dst.segs = append(dst.segs, l.segs...)
+		dst.sealed += l.sealed
+		clear(l.segs)
+		l.segs, l.sealed = l.segs[:0], 0
 	}
-	s.sendOff = s.sendOff[:numChunks+1]
-	total := 0
-	for c := 0; c < numChunks; c++ {
-		s.sendOff[c] = total
-		total += len(s.chunks[c].eng.sendBuf)
-	}
-	s.sendOff[numChunks] = total
-	if cap(dst) < total {
-		dst = make([]Message, total)
-	}
-	dst = dst[:total]
-	par.ForCoarse(numChunks, func(c int) {
-		copy(dst[s.sendOff[c]:s.sendOff[c+1]], s.chunks[c].eng.sendBuf)
-	})
-	return dst
 }
 
 // concatBcasts concatenates the per-chunk broadcast records into dst in
 // chunk index order — ascending source vertex, the order a sequential
 // sweep records them in — globalizing each record's seq by the chunk's
-// unicast offset (s.sendOff, so concatSends must run first). The serial
+// unicast offset (s.sendOff, so spliceSends must run first). The serial
 // fast path threads one shared record buffer instead and needs no merge.
 func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 	if cap(s.bcastOff) < numChunks+1 {
@@ -840,7 +797,7 @@ func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 	}
 	dst = dst[:total]
 	par.ForCoarse(numChunks, func(c int) {
-		base := int64(s.sendOff[c])
+		base := s.sendOff[c]
 		out := dst[s.bcastOff[c]:s.bcastOff[c+1]]
 		for i, r := range s.chunks[c].eng.bcastBuf {
 			r.seq += base
@@ -898,6 +855,15 @@ func (s *runScratch) mergeAggregates(master *engineState, numChunks int) {
 	}
 }
 
+// flatBufs are the two buffers of a run sized by its message volume — the
+// inbox values and the combining path's grouped values. They grow to the
+// run's largest superstep and, like the log's blocks, are worth keeping
+// across runs: flatPool hands the next Run in the process the pair the last
+// one returned, un-zeroed (every delivery writes what it later reads).
+type flatBufs struct{ inboxVal, groupVal []int64 }
+
+var flatPool = sync.Pool{New: func() any { return new(flatBufs) }}
+
 func ensureInt64(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
@@ -918,58 +884,52 @@ const bcastExpandMax = 1 << 14
 // O(n) passes; a mixed Send/SendToNeighbors superstep or a small one is
 // expanded to per-edge messages — reproducing the exact interleaved send
 // order via each record's seq — and delivered through the legacy paths.
-// logical is the logical sent count (one message per broadcast edge), so
-// the expansion buffer is sized exactly.
-func (s *runScratch) maybeExpand(sendBuf []Message, bcasts []bcastRec, g *graph.Graph, logical int64) ([]Message, []bcastRec) {
-	if len(bcasts) == 0 {
-		return sendBuf, bcasts
+// logical is the logical sent count (one message per broadcast edge). It
+// returns the records delivery still has to consume.
+func (s *runScratch) maybeExpand(sends *msgLog, bcasts []bcastRec, g *graph.Graph, logical int64) []bcastRec {
+	if len(bcasts) == 0 || sends.sealed == 0 && logical >= bcastExpandMax {
+		return bcasts
 	}
-	if len(sendBuf) == 0 && logical >= bcastExpandMax {
-		return sendBuf, bcasts
-	}
-	return s.expandTraffic(sendBuf, bcasts, g, logical), bcasts[:0]
+	s.expandTraffic(sends, bcasts, g)
+	return bcasts[:0]
 }
 
-// expandTraffic merges the unicast buffer and the broadcast records into
-// one per-edge message buffer in the exact order a per-edge SendToNeighbors
-// would have produced: record seqs are non-decreasing positions in the
-// unicast stream, so a single merge pass reconstructs the interleave. The
-// old send buffer is retired into s.expandBuf for reuse next superstep.
-func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *graph.Graph, logical int64) []Message {
-	out := s.expandBuf
-	if int64(cap(out)) < logical {
-		out = make([]Message, logical)
+// expandTraffic replaces the unicast log by the merge of it and the
+// broadcast records, one message per edge, in the exact order a per-edge
+// SendToNeighbors would have produced: a record's seq is its position in
+// the unicast stream, and seqs are non-decreasing, so one pass over both
+// reconstructs the interleave.
+func (s *runScratch) expandTraffic(sends *msgLog, bcasts []bcastRec, g *graph.Graph) {
+	out := s.expandLog
+	// rest[0][at:] is the unread part of the stream, ui its position.
+	rest, at, ui := sends.segs, 0, int64(0)
+	copyTo := func(upto int64) {
+		for ui < upto {
+			seg := rest[0][at:]
+			k := int(min(int64(len(seg)), upto-ui))
+			for _, m := range seg[:k] {
+				out.add(m.Dest, m.Value)
+			}
+			ui += int64(k)
+			if at += k; at == len(rest[0]) {
+				rest, at = rest[1:], 0
+			}
+		}
 	}
-	out = out[:logical]
-	pos, ui := 0, 0
-	comp := g.Compressed()
 	for _, r := range bcasts {
-		for ui < int(r.seq) {
-			out[pos] = sendBuf[ui]
-			pos++
-			ui++
+		copyTo(r.seq)
+		nbrs := g.DecodeNeighbors(r.src, s.nbrBuf)
+		if g.Compressed() {
+			s.nbrBuf = nbrs
 		}
-		val := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				out[pos] = Message{Dest: w, Value: val}
-				pos++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				out[pos] = Message{Dest: w, Value: val}
-				pos++
-			}
+		for _, w := range nbrs {
+			out.add(w, r.val)
 		}
 	}
-	for ui < len(sendBuf) {
-		out[pos] = sendBuf[ui]
-		pos++
-		ui++
-	}
-	s.expandBuf = sendBuf
-	return out
+	copyTo(sends.sealed)
+	out.seal()
+	sends.release()
+	s.expandLog, *sends = *sends, out
 }
 
 // deliver routes one superstep's traffic into per-vertex inboxes, combining
@@ -980,41 +940,41 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 // the O(sent) lookaside paths win when the messages are few relative to
 // the vertex set; once they are not, the CSR build's O(n) passes are
 // amortized and its branch-free counting sort is cheaper per message.
-// Traffic arrives as sendBuf (per-edge unicast messages) plus bcasts
+// Traffic arrives as sends (the per-edge unicast log) plus bcasts
 // (broadcast records, non-empty only after maybeExpand kept them); when
-// records are present sendBuf is empty and the record paths expand them
+// records are present sends is empty and the record paths expand them
 // straight into the inbox. Every path produces the same per-vertex message
 // sequences (the internal layout of inboxVal may differ), so the choice
 // is a pure host-speed decision that never reaches the charged profile;
 // see deliverBcasts for the one associativity caveat. A pull boundary
 // builds no inbox at all and leaves s.pulled set instead.
-func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
+func (s *runScratch) deliver(sends *msgLog, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
 	s.pulled = false
-	// logical is len(sendBuf) unless records are present.
+	// logical is sends.sealed unless records are present.
 	parallel := par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32
 	lookaside := !parallel && logical*lookasideCutoff < min(n, math.MaxInt32)
 	switch {
 	case len(bcasts) > 0:
 		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, lookaside, sparse, st, dir)
 	case lookaside && combine == nil:
-		return s.seqDeliverSparse(sendBuf, n, *inboxOff, inboxVal, st)
+		return s.seqDeliverSparse(sends, n, *inboxOff, inboxVal, st)
 	case lookaside:
-		return s.seqCombineDeliverSparse(sendBuf, n, combine, *inboxOff, inboxVal, st)
+		return s.seqCombineDeliverSparse(sends, n, combine, *inboxOff, inboxVal, st)
 	}
 	s.lookaside = false
 	if combine == nil {
 		if !parallel {
-			return s.seqDeliver(sendBuf, n, inboxOff, inboxVal)
+			return s.seqDeliver(sends, n, inboxOff, inboxVal)
 		}
-		val := ensureInt64(*inboxVal, len(sendBuf))
-		s.stableGroupByDest(sendBuf, n, *inboxOff, val)
+		val := ensureInt64(*inboxVal, int(logical))
+		s.stableGroupByDest(sends, n, deliverChunks(n), *inboxOff, val)
 		*inboxVal = val
 		return logical
 	}
 	if !parallel {
-		return s.seqCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
+		return s.seqCombineDeliver(sends, n, combine, inboxOff, inboxVal)
 	}
-	return s.parCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
+	return s.parCombineDeliver(sends, n, combine, inboxOff, inboxVal)
 }
 
 // deliverBcasts delivers a pure-broadcast superstep straight from its
@@ -1452,15 +1412,19 @@ func fold(val, span, off []int64, code int64, combine func(a, b int64) int64, de
 
 // seqDeliverSparse is the lookaside counterpart of seqDeliver: it touches
 // only the receivers (O(sent) work, no O(n) offset rebuild).
-func (s *runScratch) seqDeliverSparse(sendBuf []Message, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
+func (s *runScratch) seqDeliverSparse(sends *msgLog, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
 	code, span := s.startLookaside(n, st)
-	for _, m := range sendBuf {
-		tally(off, span, code, m.Dest)
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			tally(off, span, code, m.Dest)
+		}
 	}
-	val := ensureInt64(*inboxVal, len(sendBuf))
+	val := ensureInt64(*inboxVal, int(sends.sealed))
 	var pos int64
-	for _, m := range sendBuf {
-		pos = place(val, span, pos, m.Dest, m.Value)
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			pos = place(val, span, pos, m.Dest, m.Value)
+		}
 	}
 	*inboxVal = val
 	return pos
@@ -1468,11 +1432,13 @@ func (s *runScratch) seqDeliverSparse(sendBuf []Message, n int64, off []int64, i
 
 // seqCombineDeliverSparse combines per destination in send order, touching
 // only the receivers.
-func (s *runScratch) seqCombineDeliverSparse(sendBuf []Message, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
+func (s *runScratch) seqCombineDeliverSparse(sends *msgLog, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
 	code, span := s.startLookaside(n, st)
 	val := (*inboxVal)[:0]
-	for _, m := range sendBuf {
-		val = fold(val, span, off, code, combine, m.Dest, m.Value)
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			val = fold(val, span, off, code, combine, m.Dest, m.Value)
+		}
 	}
 	*inboxVal = val
 	return int64(len(val))
@@ -1480,47 +1446,53 @@ func (s *runScratch) seqCombineDeliverSparse(sendBuf []Message, n int64, combine
 
 // seqDeliver is the sequential non-combining counting sort, with the
 // cursor array hoisted into run-level scratch.
-func (s *runScratch) seqDeliver(sendBuf []Message, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
+func (s *runScratch) seqDeliver(sends *msgLog, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
 	off := *inboxOff
 	for i := range off {
 		off[i] = 0
 	}
-	for _, m := range sendBuf {
-		off[m.Dest+1]++
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			off[m.Dest+1]++
+		}
 	}
 	for v := int64(0); v < n; v++ {
 		off[v+1] += off[v]
 	}
-	val := ensureInt64(*inboxVal, len(sendBuf))
+	val := ensureInt64(*inboxVal, int(sends.sealed))
 	s.next = ensureInt64(s.next, int(n))
 	next := s.next
 	copy(next, off[:n])
-	for _, m := range sendBuf {
-		val[next[m.Dest]] = m.Value
-		next[m.Dest]++
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			val[next[m.Dest]] = m.Value
+			next[m.Dest]++
+		}
 	}
 	*inboxVal = val
-	return int64(len(sendBuf))
+	return sends.sealed
 }
 
 // seqCombineDeliver is the sequential combining path: one slot per
 // destination that received anything, folded in send order. The has flags
 // are cleared during the compaction sweep, restoring the all-false
 // invariant without a separate zeroing pass.
-func (s *runScratch) seqCombineDeliver(sendBuf []Message, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
+func (s *runScratch) seqCombineDeliver(sends *msgLog, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
 	if int64(len(s.has)) < n {
 		s.has = make([]bool, n)
 		s.acc = make([]int64, n)
 	}
 	has, acc := s.has, s.acc
 	var delivered int64
-	for _, m := range sendBuf {
-		if has[m.Dest] {
-			acc[m.Dest] = combine(acc[m.Dest], m.Value)
-		} else {
-			has[m.Dest] = true
-			acc[m.Dest] = m.Value
-			delivered++
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			if has[m.Dest] {
+				acc[m.Dest] = combine(acc[m.Dest], m.Value)
+			} else {
+				has[m.Dest] = true
+				acc[m.Dest] = m.Value
+				delivered++
+			}
 		}
 	}
 	val := ensureInt64(*inboxVal, int(delivered))
@@ -1563,17 +1535,21 @@ func deliverChunks(n int64) int {
 	return C
 }
 
-// stableGroupByDest scatters sendBuf's values into val grouped by
+// stableGroupByDest scatters the log's values into val grouped by
 // destination, preserving send order within each destination (a stable
-// two-pass counting sort), and fills off (length n+1) with the group
-// boundaries. The output is the unique stable grouping, independent of the
-// internal chunking, so the fan-in C may track the worker count freely.
-// Requires len(sendBuf) < 2^31 (the caller gates on this).
-func (s *runScratch) stableGroupByDest(sendBuf []Message, n int64, off, val []int64) {
-	sent := len(sendBuf)
-	C := deliverChunks(n)
-	cw := int64(C)
-	need := n * cw
+// two-pass counting sort over C contiguous runs of segments), and fills off
+// (length n+1) with the group boundaries. The output is the unique stable
+// grouping, independent of the internal chunking, so the fan-in C may track
+// the worker count freely (deliverChunks).
+//
+// The counters are chunk-major — share c owns the contiguous row
+// counts[c*n : (c+1)*n] — so two workers never write the same cache line.
+// Destination-major, the C counters of one destination (and of a skewed
+// graph's hot low-numbered hubs) shared a line that every increment stole
+// from the other workers. Requires fewer than 2^31 messages (the caller
+// gates on this).
+func (s *runScratch) stableGroupByDest(sends *msgLog, n int64, C int, off, val []int64) {
+	need := n * int64(C)
 	if int64(cap(s.counts)) < need {
 		s.counts = make([]int32, need)
 	}
@@ -1581,50 +1557,55 @@ func (s *runScratch) stableGroupByDest(sendBuf []Message, n int64, off, val []in
 	counts := s.counts
 	par.FillInt32(counts, 0)
 
-	mchunk := (sent + C - 1) / C
-	// Pass 1: per-(destination, chunk) counts. Chunk c owns column c of
-	// every destination row, so the writes are disjoint.
+	// Pass 1: per-(chunk, destination) counts.
+	segs := sends.segs
 	par.ForCoarse(C, func(c int) {
-		lo, hi := c*mchunk, (c+1)*mchunk
-		if hi > sent {
-			hi = sent
-		}
-		if lo >= hi {
-			return
-		}
-		cc := int64(c)
-		for _, m := range sendBuf[lo:hi] {
-			counts[m.Dest*cw+cc]++
+		row := counts[int64(c)*n : int64(c+1)*n]
+		for _, seg := range segs[c*len(segs)/C : (c+1)*len(segs)/C] {
+			for _, m := range seg {
+				row[m.Dest]++
+			}
 		}
 	})
 
-	// Exclusive prefix sum in (dest, chunk) order turns counts into start
-	// cursors that realize the stable order: destination-major, then send
-	// (chunk, position) order within a destination.
-	par.ParallelExclusivePrefixSum32(counts)
-
-	par.ForChunked(int(n), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			off[v] = int64(counts[int64(v)*cw])
+	// Exclusive prefix sum in (dest, chunk) order — a transposed walk of the
+	// matrix, blocked over destination ranges: total each range's columns,
+	// scan the totals, then turn every column into its start cursors. They
+	// realize the stable order: destination-major, then send (chunk,
+	// position) order within a destination.
+	rcs := sweepChunkSize(int(n))
+	s.rangeCnt = ensureInt64(s.rangeCnt, (int(n)+rcs-1)/rcs)
+	rangeCnt := s.rangeCnt
+	par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
+		var total int64
+		for base := int64(0); base < need; base += n {
+			for _, k := range counts[base+int64(lo) : base+int64(hi)] {
+				total += int64(k)
+			}
+		}
+		rangeCnt[r] = total
+	})
+	par.ExclusivePrefixSum(rangeCnt)
+	par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
+		run := int32(rangeCnt[r])
+		for d := int64(lo); d < int64(hi); d++ {
+			off[d] = int64(run)
+			for i := d; i < need; i += n {
+				counts[i], run = run, run+counts[i]
+			}
 		}
 	})
-	off[n] = int64(sent)
+	off[n] = sends.sealed
 
-	// Pass 2: scatter through the per-(dest, chunk) cursors.
+	// Pass 2: scatter through the per-(chunk, dest) cursors.
 	par.ForCoarse(C, func(c int) {
-		lo, hi := c*mchunk, (c+1)*mchunk
-		if hi > sent {
-			hi = sent
-		}
-		if lo >= hi {
-			return
-		}
-		cc := int64(c)
-		for _, m := range sendBuf[lo:hi] {
-			i := m.Dest*cw + cc
-			p := counts[i]
-			counts[i] = p + 1
-			val[p] = m.Value
+		row := counts[int64(c)*n : int64(c+1)*n]
+		for _, seg := range segs[c*len(segs)/C : (c+1)*len(segs)/C] {
+			for _, m := range seg {
+				p := row[m.Dest]
+				row[m.Dest] = p + 1
+				val[p] = m.Value
+			}
 		}
 	})
 }
@@ -1646,11 +1627,10 @@ func (s *runScratch) stableGroupByDest(sendBuf []Message, n int64, off, val []in
 //     fold by the associativity Config.Combiner documents. Groups below
 //     the threshold keep the exact sequential left-fold order, preserving
 //     determinism for ANY combiner on non-skewed traffic.
-func (s *runScratch) parCombineDeliver(sendBuf []Message, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	sent := len(sendBuf)
+func (s *runScratch) parCombineDeliver(sends *msgLog, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
 	s.groupOff = ensureInt64(s.groupOff, int(n)+1)
-	s.groupVal = ensureInt64(s.groupVal, sent)
-	s.stableGroupByDest(sendBuf, n, s.groupOff, s.groupVal)
+	s.groupVal = ensureInt64(s.groupVal, int(sends.sealed))
+	s.stableGroupByDest(sends, n, deliverChunks(n), s.groupOff, s.groupVal)
 	gOff, gVal := s.groupOff, s.groupVal
 
 	// Fold ranges weighted by messages-per-destination (+1 per vertex so
@@ -1746,17 +1726,17 @@ func (s *runScratch) parCombineDeliver(sendBuf []Message, n int64, combine func(
 // nextWorklist builds the next superstep's sparse-activation candidate
 // list — message receivers plus vertices that stayed awake, deduplicated,
 // in ascending vertex order — into the candidates backing array (cap n).
-// Receivers are enumerated from sendBuf destinations plus the broadcast
-// records' adjacencies (logical is the combined logical message count);
-// both strategies produce a sorted deduplicated set, so enumeration order
-// is irrelevant.
+// Receivers are enumerated from the unicast log's destinations plus the
+// broadcast records' adjacencies (logical is the combined logical message
+// count); both strategies produce a sorted deduplicated set, so enumeration
+// order is irrelevant.
 //
 // Two equivalent strategies, chosen by deterministic quantities only:
 // large worklists use a parallel stamp-ordered dense sweep (ascending by
 // construction, O(n)); small ones stamp-deduplicate the receivers and wake
 // list and radix-sort, O(k) — the sort.Slice the sequential engine used is
 // gone entirely.
-func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, sendBuf []Message, bcasts []bcastRec, g *graph.Graph, logical int64, stamp []int64, n int64, inboxOff []int64) []int64 {
+func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, sends *msgLog, bcasts []bcastRec, g *graph.Graph, logical int64, stamp []int64, n int64, inboxOff []int64) []int64 {
 	st := int64(step)
 	if (delivered+int64(len(wake)))*4 >= n || logical >= n {
 		// The delivery just made says who received, in the form it built.
@@ -1798,10 +1778,12 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 	}
 
 	out := candidates[:0]
-	for _, m := range sendBuf {
-		if stamp[m.Dest] != st {
-			stamp[m.Dest] = st
-			out = append(out, m.Dest)
+	for _, seg := range sends.segs {
+		for _, m := range seg {
+			if stamp[m.Dest] != st {
+				stamp[m.Dest] = st
+				out = append(out, m.Dest)
+			}
 		}
 	}
 	for _, r := range bcasts {

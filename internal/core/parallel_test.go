@@ -26,6 +26,16 @@ func randomMessages(r *rng.Xoshiro, count int, n int64) []Message {
 	return buf
 }
 
+// logOf writes buf into a unicast log, as a sweep's Sends would have.
+func logOf(buf []Message) *msgLog {
+	l := new(msgLog)
+	for _, m := range buf {
+		l.add(m.Dest, m.Value)
+	}
+	l.seal()
+	return l
+}
+
 func TestStableGroupByDestMatchesSequential(t *testing.T) {
 	r := rng.New(1)
 	for _, tc := range []struct {
@@ -39,14 +49,14 @@ func TestStableGroupByDestMatchesSequential(t *testing.T) {
 		var seqOff, seqVal []int64
 		seqOff = make([]int64, tc.n+1)
 		seq := &runScratch{}
-		seq.seqDeliver(buf, tc.n, &seqOff, &seqVal)
+		seq.seqDeliver(logOf(buf), tc.n, &seqOff, &seqVal)
 
 		for _, w := range []int{1, 4, 9} {
 			func() {
 				defer par.SetWorkers(par.SetWorkers(w))
 				off := make([]int64, tc.n+1)
 				val := make([]int64, tc.count)
-				(&runScratch{}).stableGroupByDest(buf, tc.n, off, val)
+				(&runScratch{}).stableGroupByDest(logOf(buf), tc.n, deliverChunks(tc.n), off, val)
 				for i := range seqOff {
 					if off[i] != seqOff[i] {
 						t.Fatalf("count=%d n=%d w=%d: off[%d] = %d, want %d",
@@ -60,6 +70,43 @@ func TestStableGroupByDestMatchesSequential(t *testing.T) {
 					}
 				}
 			}()
+		}
+	}
+}
+
+// TestGroupByDestLayout: the chunk-major counting sort is the naive stable
+// sort by destination for any fan-in, including more shares than messages,
+// shares that cross block boundaries, and every message to one destination
+// (every share's cursor for it in a different row).
+func TestGroupByDestLayout(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(4))
+	r := rng.New(3)
+	for _, n := range []int64{1, 7, 8192} {
+		for _, count := range []int{0, 5, 3*msgBlockLen + 7} {
+			for _, oneDest := range []bool{false, true} {
+				buf := randomMessages(r, count, n)
+				if oneDest {
+					for i := range buf {
+						buf[i].Dest = n / 2
+					}
+				}
+				want := slices.Clone(buf)
+				slices.SortStableFunc(want, func(a, b Message) int { return int(a.Dest - b.Dest) })
+				for _, C := range []int{2, 3, 8, 96} {
+					off := make([]int64, n+1)
+					val := make([]int64, count)
+					(&runScratch{}).stableGroupByDest(logOf(buf), n, C, off, val)
+					for i, m := range want {
+						if val[i] != m.Value || off[m.Dest] > int64(i) || off[m.Dest+1] <= int64(i) {
+							t.Fatalf("n=%d count=%d oneDest=%v C=%d: slot %d holds %d in group [%d,%d), want %d for destination %d",
+								n, count, oneDest, C, i, val[i], off[m.Dest], off[m.Dest+1], m.Value, m.Dest)
+						}
+					}
+					if off[0] != 0 || off[n] != int64(count) {
+						t.Fatalf("n=%d count=%d oneDest=%v C=%d: groups span [%d,%d)", n, count, oneDest, C, off[0], off[n])
+					}
+				}
+			}
 		}
 	}
 }
@@ -81,14 +128,14 @@ func TestParCombineDeliverMatchesSequential(t *testing.T) {
 
 			seqOff := make([]int64, tc.n+1)
 			var seqVal []int64
-			wantDelivered := (&runScratch{}).seqCombineDeliver(buf, tc.n, combine, &seqOff, &seqVal)
+			wantDelivered := (&runScratch{}).seqCombineDeliver(logOf(buf), tc.n, combine, &seqOff, &seqVal)
 
 			for _, w := range []int{1, 4, 9} {
 				func() {
 					defer par.SetWorkers(par.SetWorkers(w))
 					off := make([]int64, tc.n+1)
 					var val []int64
-					delivered := (&runScratch{}).parCombineDeliver(buf, tc.n, combine, &off, &val)
+					delivered := (&runScratch{}).parCombineDeliver(logOf(buf), tc.n, combine, &off, &val)
 					if delivered != wantDelivered {
 						t.Fatalf("count=%d n=%d w=%d: delivered = %d, want %d",
 							tc.count, tc.n, w, delivered, wantDelivered)
@@ -152,13 +199,13 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 				s := &runScratch{}
 				inboxOff := make([]int64, n+1)
 				var inboxVal []int64
-				delivered := s.deliver(buf, nil, int64(len(buf)), nil, n, nil, &inboxOff, &inboxVal, true, int64(step), DirAuto)
+				delivered := s.deliver(logOf(buf), nil, int64(len(buf)), nil, n, nil, &inboxOff, &inboxVal, true, int64(step), DirAuto)
 				if delivered != int64(len(buf)) {
 					t.Fatalf("trial %d w=%d: delivered = %d, want %d", trial, w, delivered, len(buf))
 				}
 				stamp := make([]int64, n)
 				par.FillInt64(stamp, -1)
-				got := s.nextWorklist(make([]int64, n), step, wake, delivered, buf, nil, nil, int64(len(buf)), stamp, n, inboxOff)
+				got := s.nextWorklist(make([]int64, n), step, wake, delivered, logOf(buf), nil, nil, int64(len(buf)), stamp, n, inboxOff)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d w=%d: worklist len %d, want %d", trial, w, len(got), len(want))
 				}
@@ -200,24 +247,24 @@ func TestSparseDeliverMatchesDense(t *testing.T) {
 						var denseVal []int64
 						var wantDelivered, delivered int64
 						if combine == nil {
-							wantDelivered = (&runScratch{}).seqDeliver(buf, n, &denseOff, &denseVal)
+							wantDelivered = (&runScratch{}).seqDeliver(logOf(buf), n, &denseOff, &denseVal)
 						} else {
-							wantDelivered = (&runScratch{}).seqCombineDeliver(buf, n, combine, &denseOff, &denseVal)
+							wantDelivered = (&runScratch{}).seqCombineDeliver(logOf(buf), n, combine, &denseOff, &denseVal)
 						}
 						// Each delivery gets its own stamp, as in a run.
 						st := int64(2*st + 1)
 						switch {
 						case !forced:
-							delivered = s.deliver(buf, nil, int64(len(buf)), nil, n, combine, &off, &val, sparse, st, DirAuto)
+							delivered = s.deliver(logOf(buf), nil, int64(len(buf)), nil, n, combine, &off, &val, sparse, st, DirAuto)
 							if want := w == 1 && int64(count)*lookasideCutoff < n || w > 1 && count < deliverParallelMin && int64(count)*lookasideCutoff < n; s.lookaside != want {
 								t.Fatalf("count=%d w=%d: lookaside = %v, want %v", count, w, s.lookaside, want)
 							}
 						case combine == nil:
 							st++
-							delivered = s.seqDeliverSparse(buf, n, off, &val, st)
+							delivered = s.seqDeliverSparse(logOf(buf), n, off, &val, st)
 						default:
 							st++
-							delivered = s.seqCombineDeliverSparse(buf, n, combine, off, &val, st)
+							delivered = s.seqCombineDeliverSparse(logOf(buf), n, combine, off, &val, st)
 						}
 						if delivered != wantDelivered {
 							t.Fatalf("count=%d w=%d forced=%v: delivered = %d, want %d", count, w, forced, delivered, wantDelivered)
@@ -248,7 +295,7 @@ func TestSeqCombineDeliverReusesScratch(t *testing.T) {
 	var val []int64
 	for round := 0; round < 3; round++ {
 		buf := []Message{{Dest: 3, Value: 5}, {Dest: 3, Value: 2}, {Dest: 7, Value: 1}}
-		delivered := s.seqCombineDeliver(buf, n, Min, &off, &val)
+		delivered := s.seqCombineDeliver(logOf(buf), n, Min, &off, &val)
 		if delivered != 2 {
 			t.Fatalf("round %d: delivered = %d, want 2", round, delivered)
 		}
@@ -321,10 +368,10 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 					var sum int64
 					for i := 0; i < b.N; i++ {
 						if lookaside {
-							s.seqDeliverSparse(buf, n, off, &val, int64(i))
+							s.seqDeliverSparse(logOf(buf), n, off, &val, int64(i))
 						} else {
 							s.lookaside = false
-							s.seqDeliver(buf, n, &off, &val)
+							s.seqDeliver(logOf(buf), n, &off, &val)
 						}
 						ib := &inboxView{val: val, off: off, span: s.span, code: ^int64(i), lookaside: s.lookaside}
 						for v := int64(0); v < n; v++ {
