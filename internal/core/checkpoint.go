@@ -237,7 +237,8 @@ func sortAggs(aggs []ckpt.Aggregate) {
 // In-flight broadcast records (sent during step, not expanded at delivery)
 // are captured alongside the unicast queue — checkpoint format v3 — so a
 // resumed run can re-deliver exactly the traffic the original run held.
-func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, sends *msgLog, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) {
+func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
+	sends, bcasts := &t.sends, t.bcasts
 	dest := make([]int64, 0, sends.sealed)
 	val := make([]int64, 0, sends.sealed)
 	for _, seg := range sends.segs {
@@ -313,7 +314,7 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, send
 // says so, and surface interruption as *InterruptedError. A checkpoint
 // write failure aborts the run; previously written checkpoints are intact
 // (writes are temp-file + rename).
-func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, sends *msgLog, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) error {
+func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) error {
 	stopped := false
 	if ck.stop != nil {
 		select {
@@ -334,7 +335,7 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 		// checkpoint directory): nothing is ever written, but retry still
 		// needs the in-memory boundary snapshot to roll back to.
 		if sup != nil && sup.maxRetries > 0 {
-			ck.record(step, live, res, halted, sends, bcasts, master, ds, rec)
+			ck.record(step, live, res, halted, t, master, ds, rec)
 			sup.lastSnap.Store(ck.snap)
 		}
 		if stopped {
@@ -348,7 +349,7 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 	if p.Hooks != nil && p.Hooks.Kill != nil && p.Hooks.Kill(int64(step)) {
 		stopped = true
 	}
-	ck.record(step, live, res, halted, sends, bcasts, master, ds, rec)
+	ck.record(step, live, res, halted, t, master, ds, rec)
 	if sup != nil {
 		sup.lastSnap.Store(ck.snap)
 	}

@@ -95,7 +95,9 @@ type engineState struct {
 	unicast int64
 	// expand reverts SendToNeighbors to eager per-edge expansion
 	// (Config.ExpandBroadcasts) for A/B comparison.
-	expand     bool
+	expand bool
+	// bufs is the run's pool of adjacency buffers (VertexContext.buf).
+	bufs       *gatherPool
 	aggregates map[string]*aggregator
 	// lastAgg caches the aggregator the last Aggregate call resolved, so a
 	// program folding into one name skips the map on every call but the first.
@@ -124,7 +126,26 @@ type VertexContext struct {
 	id     int64
 	msgs   []int64
 	halt   bool
-	nbrBuf []int64 // decode buffer for Neighbors on compressed graphs; reused across vertices
+	// nbrBuf is the adjacency buffer of the sweep chunk this context runs,
+	// on loan from the run's gatherPool from the chunk's first need of one
+	// (buf) until the chunk ends (returnBuf); nil in between.
+	nbrBuf []int64
+}
+
+// buf returns the chunk's adjacency buffer, borrowing it on first use.
+func (v *VertexContext) buf() []int64 {
+	if v.nbrBuf == nil {
+		v.nbrBuf = v.engine.bufs.get()
+	}
+	return v.nbrBuf
+}
+
+// returnBuf hands the chunk's adjacency buffer, if it took one, back.
+func (v *VertexContext) returnBuf() {
+	if v.nbrBuf != nil {
+		v.engine.bufs.put(v.nbrBuf)
+		v.nbrBuf = nil
+	}
 }
 
 // ID returns the vertex's identifier.
@@ -149,15 +170,10 @@ func (v *VertexContext) Degree() int64 { return v.engine.graph.Degree(v.id) }
 
 // Neighbors returns the vertex's adjacency list ("the vertex implicitly
 // knows its neighbors"). Read-only, and valid only within Compute: on
-// compressed graphs the slice is a per-context decode buffer reused for
-// the next vertex.
+// compressed graphs the slice is a decode buffer reused for the next
+// vertex (its first half; Messages() after a pull may sit in the second).
 func (v *VertexContext) Neighbors() []int64 {
-	g := v.engine.graph
-	if g.Compressed() {
-		v.nbrBuf = g.DecodeNeighbors(v.id, v.nbrBuf)
-		return v.nbrBuf
-	}
-	return g.Neighbors(v.id)
+	return v.engine.graph.DecodeNeighbors(v.id, v.buf())
 }
 
 // NeighborWeights returns the edge weights parallel to Neighbors. It
@@ -198,10 +214,10 @@ func (v *VertexContext) Send(dest, value int64) {
 // SendToNeighbors sends value to every neighbor. Logically this is one
 // message per edge (and it is counted and charged as such), but the engine
 // records a single broadcast record and expands it at delivery — directly
-// into the inbox CSR — so the physical traffic of a flood superstep is
+// into the inbox — so the physical traffic of a flood superstep is
 // O(frontier), not O(edges incident on the frontier). The received message
-// sequences are identical to per-edge expansion (see deliver in
-// parallel.go for where combiner associativity is leaned on).
+// sequences are identical to per-edge expansion (see deliver for where
+// combiner associativity is leaned on).
 func (v *VertexContext) SendToNeighbors(value int64) {
 	e := v.engine
 	if e.expand {

@@ -274,9 +274,9 @@ func TestProfileCharging(t *testing.T) {
 
 func TestDeliverNoCombiner(t *testing.T) {
 	buf := []Message{{Dest: 2, Value: 5}, {Dest: 0, Value: 1}, {Dest: 2, Value: 7}}
-	off := make([]int64, 4)
-	var val []int64
-	delivered := (&runScratch{}).deliver(logOf(buf), nil, 3, nil, 3, nil, &off, &val, false, 0, DirAuto)
+	ib := &inbox{off: make([]int64, 4)}
+	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 3), ib, false, 0, DirAuto)
+	off, val := ib.off, ib.val
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)
 	}
@@ -294,9 +294,9 @@ func TestDeliverNoCombiner(t *testing.T) {
 
 func TestDeliverWithCombiner(t *testing.T) {
 	buf := []Message{{Dest: 1, Value: 5}, {Dest: 1, Value: 3}, {Dest: 1, Value: 9}}
-	off := make([]int64, 3)
-	var val []int64
-	delivered := (&runScratch{}).deliver(logOf(buf), nil, 3, nil, 2, Min, &off, &val, false, 0, DirAuto)
+	ib := &inbox{off: make([]int64, 3), combine: Min}
+	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 2), ib, false, 0, DirAuto)
+	off, val := ib.off, ib.val
 	if delivered != 1 {
 		t.Fatalf("delivered = %d", delivered)
 	}

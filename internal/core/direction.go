@@ -171,16 +171,15 @@ func startDir(cfg *Config, g *graph.Graph) (*dirState, error) {
 
 // decide returns the direction for the superstep whose compute sweep just
 // finished, given the frontier's broadcast-incident-edge count and the
-// unicast message count. Pull requires a pure-broadcast superstep big
-// enough that maybeExpand keeps the records (bcastExpandMax — below that
-// the records are expanded and only push paths exist). Everything read
-// here is a logical counter or run-constant, keeping the decision
-// worker-count- and treatment-independent.
+// unicast message count. Pull requires a superstep whose records delivery
+// keeps (keepsRecords — otherwise they are expanded and only push paths
+// exist). Everything read here is a logical counter or run-constant,
+// keeping the decision worker-count- and treatment-independent.
 func (ds *dirState) decide(bcastEdges, unicast int64) DirectionMode {
 	if ds.mode == DirPush {
 		return DirPush
 	}
-	if !(ds.pullOK && unicast == 0 && bcastEdges >= bcastExpandMax) {
+	if !(ds.pullOK && keepsRecords(unicast, bcastEdges)) {
 		return DirPush
 	}
 	if ds.mode == DirPull {

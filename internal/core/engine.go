@@ -93,7 +93,7 @@ type Config struct {
 	// into the send buffer instead of recording broadcast records expanded
 	// at delivery. A host-path A/B knob for tests and benchmarks: both
 	// treatments produce the same Result, profile, and logical counters
-	// (bit-identical except where deliverBcasts documents reliance on the
+	// (bit-identical except where deliver documents reliance on the
 	// combiner laws Config.Combiner already requires), so the flag is not
 	// part of checkpoint fingerprints and a run may resume under either
 	// setting.
@@ -250,6 +250,19 @@ func Run(cfg Config) (*Result, error) {
 		States:     make([]int64, n),
 		Aggregates: map[string]int64{},
 	}
+	// The two buffers sized by message volume come from, and go back to, a
+	// pool shared with the process's other runs. Taken before anything forks:
+	// a sync.Pool keeps a lone object in a per-P slot no other P can steal
+	// from, and the first fork/join may resume this goroutine on another P
+	// than the one the previous run's Put ran on.
+	flat := flatPool.Get().(*flatBufs)
+	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
+	// ib is what each boundary's delivery builds and the next sweep reads.
+	ib := &inbox{off: make([]int64, n+1), val: flat.inboxVal, fold: resolveFold(cfg.Combiner), combine: cfg.Combiner}
+	defer func() {
+		flat.inboxVal, flat.groupVal = ib.val, scratch.groupVal
+		flatPool.Put(flat)
+	}()
 	// laneSrc/progAux are the program's batching capability surfaces
 	// (lanes.go): the lane assignment of a batched multi-source program
 	// (obs reporting; the fingerprint pin happens in runFingerprint) and
@@ -355,20 +368,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Inbox: CSR offsets or lookaside stamps over inboxVal (see inboxView).
-	inboxOff := make([]int64, n+1)
-	// The two buffers sized by message volume come from, and go back to, a
-	// pool shared with the process's other runs.
-	flat := flatPool.Get().(*flatBufs)
-	inboxVal := flat.inboxVal
-	// sends is the superstep's unicast log, held from the sweep that writes
-	// it until the boundary's last consumer (the checkpoint) is done.
-	var sends msgLog
-	// bcasts holds the superstep's broadcast records (one per
-	// SendToNeighbors call, not per edge); maybeExpand decides at each
-	// boundary whether delivery consumes the records directly or expands
-	// them into sends.
-	var bcasts []bcastRec
+	// tr is the superstep's outgoing traffic: the unicast log and the
+	// broadcast records (one per SendToNeighbors call, not per edge).
+	tr := &traffic{g: g, bufs: &scratch.gather}
 
 	// Sparse-activation worklist: the vertices worth inspecting this
 	// superstep (message receivers plus non-halted vertices). stamp
@@ -389,16 +391,8 @@ func Run(cfg Config) (*Result, error) {
 		costs:  costs,
 		states: res.States,
 		expand: cfg.ExpandBroadcasts,
+		bufs:   &scratch.gather,
 	}
-	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
-	defer func() {
-		flat.inboxVal, flat.groupVal = inboxVal, scratch.groupVal
-		flatPool.Put(flat)
-	}()
-	fold := resolveFold(cfg.Combiner)
-	// ib is the sweep's view of the inbox, refilled every superstep; one per
-	// run, because the parallel sweep's closure makes it escape.
-	var ib inboxView
 	// With no recorder every superstep charges one throwaway phase, not a
 	// fresh pair.
 	startPhase := cfg.Recorder.StartPhase
@@ -411,8 +405,23 @@ func Run(cfg Config) (*Result, error) {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
 		// written to disk) so a fault in superstep 0 has a snapshot to
 		// roll back to.
-		ck.record(-1, live, res, halted, &sends, nil, master, ds, cfg.Recorder)
+		ck.record(-1, live, res, halted, tr, master, ds, cfg.Recorder)
 		sup.lastSnap.Store(ck.snap)
+	}
+
+	// stepDone completes a superstep's record with what is only known once the
+	// superstep is over — which delivery ran, the scratch footprint after it,
+	// a stall latched meanwhile, the lanes in flight — and emits it.
+	stepDone := func(st obs.StepStats, numChunks int, took path) {
+		st.Delivery = took.String()
+		st.ScratchBytes = scratch.scratchBytes(numChunks, tr, ib, candidates, stamp)
+		if sup != nil {
+			st.Stalled = sup.stalledAt(st.Step)
+		}
+		if len(laneSrc) > 0 {
+			st.Lanes = laneCount(tr)
+		}
+		o.step(st)
 	}
 
 	startStep := 0
@@ -438,16 +447,15 @@ func Run(cfg Config) (*Result, error) {
 		}
 		startStep = int(resumeSnap.Step) + 1
 		for i, dest := range resumeSnap.MsgDest {
-			sends.add(dest, resumeSnap.MsgVal[i])
+			tr.sends.add(dest, resumeSnap.MsgVal[i])
 		}
-		sends.seal()
-		bcasts = make([]bcastRec, len(resumeSnap.BcastSrc))
-		logical := sends.sealed
-		for i := range bcasts {
-			bcasts[i] = bcastRec{src: resumeSnap.BcastSrc[i], val: resumeSnap.BcastVal[i], seq: resumeSnap.BcastSeq[i]}
-			logical += g.Degree(bcasts[i].src)
+		tr.sends.seal()
+		tr.bcasts = make([]bcastRec, len(resumeSnap.BcastSrc))
+		tr.logical = tr.sends.sealed
+		for i := range tr.bcasts {
+			tr.bcasts[i] = bcastRec{src: resumeSnap.BcastSrc[i], val: resumeSnap.BcastVal[i], seq: resumeSnap.BcastSeq[i]}
+			tr.logical += g.Degree(tr.bcasts[i].src)
 		}
-		bcasts = scratch.maybeExpand(&sends, bcasts, g, logical)
 		// Re-deliver under the decision the original boundary recorded, so
 		// the resumed inbox is built by the same path (DirAuto when the
 		// direction layer is inactive — the legacy delivery heuristics).
@@ -455,7 +463,7 @@ func Run(cfg Config) (*Result, error) {
 		if k := len(res.DirectionPerStep); ds != nil && k > 0 {
 			resumeDir = res.DirectionPerStep[k-1]
 		}
-		delivered := scratch.deliver(&sends, bcasts, logical, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, resumeSnap.Step, resumeDir)
+		delivered, _ := scratch.deliver(tr, ib, cfg.SparseActivation, resumeSnap.Step, resumeDir)
 		if cfg.SparseActivation {
 			// At any boundary the wake set equals the non-halted set (every
 			// non-halted vertex re-ran this superstep and stayed awake), so
@@ -466,7 +474,7 @@ func Run(cfg Config) (*Result, error) {
 					wake = append(wake, v)
 				}
 			}
-			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, &sends, bcasts, g, logical, stamp, n, inboxOff)
+			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, tr, stamp, ib)
 		}
 	}
 
@@ -507,7 +515,7 @@ func Run(cfg Config) (*Result, error) {
 		for {
 			// The last boundary is done with its traffic (and a trapped
 			// attempt's is void): the blocks go back to the pool.
-			sends.release()
+			tr.sends.release()
 			scanCount := n
 			if cfg.SparseActivation {
 				scanCount = int64(len(candidates))
@@ -539,12 +547,6 @@ func Run(cfg Config) (*Result, error) {
 			scratch.ensureChunks(numChunks, master, visited)
 			sparse := cfg.SparseActivation
 			prog := cfg.Program
-			// The inbox as the previous superstep's delivery left it — also
-			// when that delivery was a resume's, or this is a retry.
-			ib = inboxView{val: inboxVal, off: inboxOff, span: scratch.span, code: ^(int64(step) - 1), lookaside: scratch.lookaside}
-			if scratch.pulled {
-				ib.pull, ib.look, ib.fold, ib.combine, ib.bufs = true, scratch.bcastLook, fold, cfg.Combiner, &scratch.gather
-			}
 			if o != nil {
 				tObs = time.Now()
 			}
@@ -565,15 +567,15 @@ func Run(cfg Config) (*Result, error) {
 				// path's.
 				// The shared log makes every broadcast record's seq global
 				// already, so no offset fix-up is needed on this path.
-				bb := bcasts[:0]
+				bb := tr.bcasts[:0]
 				for c := 0; c < numChunks; c++ {
 					lo, hi := bounds[c], bounds[c+1]
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					cs.eng.log = sends
+					cs.eng.log = tr.sends
 					cs.eng.bcastBuf = bb
-					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
-					sends = cs.eng.log
+					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
+					tr.sends = cs.eng.log
 					bb = cs.eng.bcastBuf
 					cs.eng.log = msgLog{}
 					cs.eng.bcastBuf = nil
@@ -584,8 +586,8 @@ func Run(cfg Config) (*Result, error) {
 						break
 					}
 				}
-				sends.seal()
-				bcasts = bb
+				tr.sends.seal()
+				tr.bcasts = bb
 				if o != nil {
 					// The serial sweep bypasses par entirely; its busy time is
 					// the engine goroutine's, folded to worker 0.
@@ -595,10 +597,10 @@ func Run(cfg Config) (*Result, error) {
 				par.ForBoundaryChunks(bounds, func(c, lo, hi int) {
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					cs.runRange(prog, lo, hi, step, &ib, halted, sparse, candidates)
+					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
 				})
-				scratch.spliceSends(&sends, numChunks)
-				bcasts = scratch.concatBcasts(bcasts, numChunks)
+				scratch.spliceSends(&tr.sends, numChunks)
+				tr.bcasts = scratch.concatBcasts(tr.bcasts, numChunks)
 			}
 			if o != nil {
 				// Emitted before the trap check so a panicking superstep's
@@ -644,7 +646,7 @@ func Run(cfg Config) (*Result, error) {
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
 		}
-		if k := len(res.DeliveredPerStep); scratch.pulled && received != res.DeliveredPerStep[k-1] {
+		if k := len(res.DeliveredPerStep); ib.pull && received != res.DeliveredPerStep[k-1] {
 			// The pull boundary reported its delivered count from the
 			// frontier's out-degrees; the gather just read in-edges. They
 			// differ only on adjacency that is not symmetric.
@@ -694,41 +696,29 @@ func Run(cfg Config) (*Result, error) {
 			master.prevAggregates = snap
 		}
 
+		var st obs.StepStats
 		if o != nil {
 			tObs = o.phase(obsPhaseTerminate, step, tObs)
+			st = obs.StepStats{Step: step, Active: active, Sent: sent, Received: received, Retries: retried}
+			if ds != nil {
+				st.Direction, st.FrontierEdges, st.UnvisitedEdges = dirMode.String(), frontierEdges, unvisitedEdges
+			}
 		}
 		if sent == 0 && live == 0 {
 			if o != nil {
-				st := obs.StepStats{
-					Step: step, Active: active, Sent: sent, Received: received,
-					ScratchBytes: scratch.scratchBytes(numChunks, &sends, bcasts, inboxOff, inboxVal, candidates, stamp),
-				}
-				if ds != nil {
-					st.Direction = dirMode.String()
-					st.FrontierEdges = frontierEdges
-					st.UnvisitedEdges = unvisitedEdges
-				}
-				if sup != nil {
-					st.Retries = retried
-					st.Stalled = sup.stalledAt(step)
-				}
-				if len(laneSrc) > 0 {
-					st.Lanes = laneCount(&sends, bcasts)
-				}
-				o.step(st)
+				stepDone(st, numChunks, path{})
 			}
 			break
 		}
 
-		// Deliver: normalize the traffic (keep broadcast records, or expand
-		// them into the unicast log — maybeExpand), then route it into
-		// per-vertex inboxes, applying the combiner if configured. physSent
-		// is what was physically materialized: per-edge messages plus one
-		// record per kept broadcast — the engine-side traffic the logical
-		// counter deliberately does not show.
-		bcasts = scratch.maybeExpand(&sends, bcasts, g, sent)
-		physSent := sends.sealed + int64(len(bcasts))
-		delivered := scratch.deliver(&sends, bcasts, sent, g, n, cfg.Combiner, &inboxOff, &inboxVal, cfg.SparseActivation, int64(step), dirMode)
+		// Deliver: route the traffic into per-vertex inboxes — keeping the
+		// broadcast records or expanding them into the unicast log first, and
+		// applying the combiner if configured (deliver). SentPhysical is what
+		// was physically materialized: per-edge messages plus one record per
+		// kept broadcast — the engine-side traffic the logical counter
+		// deliberately does not show.
+		tr.logical = sent
+		delivered, took := scratch.deliver(tr, ib, cfg.SparseActivation, int64(step), dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
 		if o != nil {
@@ -740,29 +730,14 @@ func Run(cfg Config) (*Result, error) {
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
 			wake := scratch.mergeWake(numChunks)
-			candidates = scratch.nextWorklist(candidates, step, wake, delivered, &sends, bcasts, g, sent, stamp, n, inboxOff)
+			candidates = scratch.nextWorklist(candidates, step, wake, delivered, tr, stamp, ib)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}
 		}
 		if o != nil {
-			st := obs.StepStats{
-				Step: step, Active: active, Sent: sent, SentPhysical: physSent, Delivered: delivered, Received: received,
-				ScratchBytes: scratch.scratchBytes(numChunks, &sends, bcasts, inboxOff, inboxVal, candidates, stamp),
-			}
-			if ds != nil {
-				st.Direction = dirMode.String()
-				st.FrontierEdges = frontierEdges
-				st.UnvisitedEdges = unvisitedEdges
-			}
-			if sup != nil {
-				st.Retries = retried
-				st.Stalled = sup.stalledAt(step)
-			}
-			if len(laneSrc) > 0 {
-				st.Lanes = laneCount(&sends, bcasts)
-			}
-			o.step(st)
+			st.SentPhysical, st.Delivered = tr.sends.sealed+int64(len(tr.bcasts)), delivered
+			stepDone(st, numChunks, took)
 		}
 
 		// Superstep boundary: snapshot/write checkpoints and honor stop
@@ -772,7 +747,7 @@ func Run(cfg Config) (*Result, error) {
 			if o != nil {
 				tObs = time.Now()
 			}
-			if err := ck.atBoundary(step, live, res, halted, &sends, bcasts, master, ds, cfg.Recorder); err != nil {
+			if err := ck.atBoundary(step, live, res, halted, tr, master, ds, cfg.Recorder); err != nil {
 				return nil, err
 			}
 			if o != nil && ck.policy != nil {

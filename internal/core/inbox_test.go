@@ -1,7 +1,7 @@
 package core_test
 
 // The inbox representation is a per-superstep host decision (CSR arrays or
-// the stamped lookaside, by traffic — runScratch.deliver): nothing a run
+// the stamped lookaside, by traffic — choosePath): nothing a run
 // returns or records may depend on it. The hashes below were captured on
 // the commit before the full-scan schedule could take the lookaside, when
 // every one of these runs built a CSR at every boundary.
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphxmt/internal/bspalg"
@@ -56,12 +57,12 @@ func hashRun(res *core.Result, phases []*trace.Phase) uint64 {
 	return h.Sum64()
 }
 
-// lookasideBoundaries replays deliver's decision from the logical traffic:
+// lookasideBoundaries replays choosePath's decision from the logical traffic:
 // boundary k builds the lookaside when superstep k's sends are far below n.
 // Exact on graphs this small: parallel routing and a pull both need 2^14
-// messages, far above the cutoff. built is how many boundaries do; ups and
-// downs count the hand-overs CSR → lookaside and back.
-func lookasideBoundaries(res *core.Result, n int64) (look []bool, built, ups, downs int64) {
+// messages, far above the cutoff. ups and downs count the hand-overs CSR →
+// lookaside and back.
+func lookasideBoundaries(res *core.Result, n int64) (look []bool, ups, downs int64) {
 	look = make([]bool, res.Supersteps-1)
 	for k := range look {
 		look[k] = res.MessagesPerStep[k]*core.LookasideCutoff < n
@@ -74,9 +75,8 @@ func lookasideBoundaries(res *core.Result, n int64) (look []bool, built, ups, do
 		case k == 0 || !look[k-1]:
 			ups++
 		}
-		built++
 	}
-	return look, built, ups, downs
+	return look, ups, downs
 }
 
 // quietSource is vertex 0's lowest-degree neighbor (0 when it has none): a
@@ -170,17 +170,20 @@ func TestDenseInboxGolden(t *testing.T) {
 			row := p.name + "/" + gr.name
 			t.Run(row, func(t *testing.T) {
 				for _, w := range []int{1, 3, 8} {
-					before := core.LookasideDeliveries()
-					res, ph, err := runRec(gr.g, w, p.mk(gr.g))
+					cfg, sink := p.mk(gr.g), &stepCapture{}
+					cfg.Obs = sink
+					res, ph, err := runRec(gr.g, w, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := hashRun(res, ph); got != golden[row] {
 						t.Errorf("w=%d: hash %#x, golden %#x", w, got, golden[row])
 					}
-					look, built, ups, downs := lookasideBoundaries(res, gr.g.NumVertices())
-					if got := core.LookasideDeliveries() - before; got != built {
-						t.Errorf("w=%d: engine built the lookaside %d times, traffic says %d (%v)", w, got, built, look)
+					look, ups, downs := lookasideBoundaries(res, gr.g.NumVertices())
+					for k, want := range look {
+						if d := sink.steps[k].Delivery; strings.HasPrefix(d, "lookaside") != want {
+							t.Errorf("w=%d: boundary %d delivered by %q, traffic says lookaside = %v", w, k, d, want)
+						}
 					}
 					if bothWays[row] && (ups < 2 || downs < 1) {
 						t.Errorf("w=%d: traffic never crosses the cutoff both ways between two supersteps: %v", w, res.MessagesPerStep)
@@ -222,7 +225,7 @@ func TestDenseInboxRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 				takeRetries(t, base)
-				look, _, _, _ := lookasideBoundaries(base, g.NumVertices())
+				look, _, _ := lookasideBoundaries(base, g.NumVertices())
 				toLook, toCSR := 0, 0
 				for k := range look {
 					if k == 0 && !look[k] || k > 0 && look[k] == look[k-1] {

@@ -96,12 +96,12 @@ func auxOf(p Program) []int64 {
 // lane programs; the mask is a pure function of the logical traffic, so
 // the reported count is identical at any worker count and under either
 // broadcast treatment.
-func laneCount(sends *msgLog, bcasts []bcastRec) int64 {
+func laneCount(t *traffic) int64 {
 	var m uint64
-	for i := range bcasts {
-		m |= uint64(bcasts[i].val)
+	for i := range t.bcasts {
+		m |= uint64(t.bcasts[i].val)
 	}
-	for _, seg := range sends.segs {
+	for _, seg := range t.sends.segs {
 		for i := range seg {
 			m |= uint64(seg[i].Value)
 		}

@@ -196,37 +196,37 @@ func (o *obsRun) flightDump(dir, cause string) string {
 }
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
-// run-level buffers (the pull-gather pool among them), the blocks the
-// superstep's unicast log holds — full or partial, and none of those idle
-// in blockPool — plus every chunk's record buffer, segment list, wake list
-// and neighbor decode buffer — re-measured only for the numChunks chunks
-// that just ran, so a near-empty superstep after a 256-chunk one does not
-// walk them all again.
+// run-level buffers (the inbox and the adjacency-buffer pool among them),
+// the blocks the superstep's unicast log holds — full or partial, and none
+// of those idle in blockPool — plus every chunk's record buffer, segment
+// list and wake list — re-measured only for the numChunks chunks that just
+// ran, so a near-empty superstep after a 256-chunk one does not walk them
+// all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
-func (s *runScratch) scratchBytes(numChunks int, sends *msgLog, bcasts []bcastRec, inboxOff, inboxVal, candidates, stamp []int64) int64 {
+func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates, stamp []int64) int64 {
 	const (
 		msgSize = 16 // Message: two int64s
 		recSize = 24 // bcastRec: three int64s
 		segSize = 24 // a segment's slice header
 	)
-	b := int64(len(sends.segs))*msgBlockLen*msgSize + int64(cap(bcasts))*recSize
-	b += int64(cap(sends.segs)+cap(s.expandLog.segs)) * segSize
-	b += int64(cap(inboxOff)+cap(inboxVal)+cap(candidates)+cap(stamp)) * 8
-	b += int64(cap(s.sendOff)+cap(s.bcastOff)+cap(s.nbrBuf)) * 8
-	b += int64(cap(s.wake)+cap(s.next)+cap(s.acc)) * 8
+	b := int64(len(t.sends.segs))*msgBlockLen*msgSize + int64(cap(t.bcasts))*recSize
+	b += int64(cap(t.sends.segs)+cap(s.expandLog.segs)) * segSize
+	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(stamp)) * 8
+	b += int64(cap(ib.look)) * 16
+	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
+	b += int64(cap(s.wake)+cap(s.acc)) * 8
 	b += int64(cap(s.has))
 	b += int64(cap(s.counts)) * 4
 	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8
 	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)+cap(s.candWork)) * 8
-	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.denseBounds)+cap(s.pullBnds)+cap(s.bcastBnds)) * 8
-	b += int64(cap(s.span)) * 8
-	b += int64(cap(s.bcastLook))*16 + int64(cap(s.bcastWork))*8
+	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.denseBounds)+cap(s.pullBnds)+cap(s.shareBnds)) * 8
+	b += int64(cap(s.bcastWork)) * 8
 	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
 	for _, cs := range s.chunks[:numChunks] {
 		was := cs.scratch
 		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize
-		cs.scratch += int64(cap(cs.wake)+cap(cs.ctx.nbrBuf)) * 8
+		cs.scratch += int64(cap(cs.wake)) * 8
 		s.chunkScratch += cs.scratch - was
 	}
 	return b + s.chunkScratch

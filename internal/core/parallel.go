@@ -6,9 +6,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"graphxmt/internal/graph"
 	"graphxmt/internal/par"
 )
 
@@ -32,20 +30,21 @@ import (
 //     index order after the sweep. Splicing the per-chunk logs in chunk
 //     order reproduces exactly the send order of a sequential sweep.
 //
-//   - Delivery is a stable counting sort: the output grouping (messages
-//     per destination, in send order) is unique, so the internal
-//     partitioning of the sort is free to follow the worker count. Its
-//     fan-in is derived from par.Workers() under a scratch-memory budget
-//     (deliverChunks) rather than a fixed cap.
+//   - Delivery (delivery.go) is a stable counting sort: the output
+//     grouping (messages per destination, in send order) is unique, so the
+//     internal partitioning of the sort is free to follow the worker
+//     count. Its fan-in is derived from par.Workers() under a
+//     scratch-memory budget (deliverChunks) rather than a fixed cap.
 //
 //   - Broadcasts (SendToNeighbors) are carried as (source, value) records
 //     rather than per-edge messages, and a pure-broadcast superstep is
-//     delivered straight from the records: a record-driven stable scatter
-//     or push fold on push supersteps, and on pull supersteps nothing but a
-//     stamp of each record into the broadcaster lookaside — the next
-//     compute sweep gathers every vertex's messages from its own neighbor
-//     list (see deliverBcasts and chunkState.gather). Counters and charges
-//     still see one logical message per edge.
+//     delivered straight from the records: the same sort or fold,
+//     enumerating each record's adjacency (traffic.all), on push
+//     supersteps, and on pull supersteps nothing but a stamp of each
+//     record into the broadcaster lookaside — the next compute sweep
+//     gathers every vertex's messages from its own neighbor list (see
+//     deliver and chunkState.gather). Counters and charges still see one
+//     logical message per edge.
 //
 //   - The combining path groups messages per destination first (the same
 //     stable sort) and then left-folds each destination's messages in send
@@ -150,23 +149,17 @@ func sweepTargetChunks(count int) int {
 // of collapsing into one chunk.
 const sweepVertexWork = 4
 
-// deliverParallelMin is the send-buffer size below which the sequential
-// delivery paths win on the host. Both paths produce identical output, so
-// the threshold is a pure host-speed knob.
-const deliverParallelMin = 1 << 14
-
 // sweepSerialMax is the known work of a compute sweep — items scanned, plus
 // a mean adjacency list for each vertex awake and each message waiting,
 // what a vertex that runs is assumed to touch — below which the serial
 // sweep wins at any worker count: forking, joining and merging the chunks
 // costs more than half of so small a sweep. Both sweeps merge the
-// same per-chunk partials, so like deliverParallelMin this is a pure
-// host-speed knob.
+// same per-chunk partials, so this is a pure host-speed knob.
 const sweepSerialMax = 1 << 17
 
 // hubFoldMin is the combining-path hub threshold: a destination group of
 // at least this many messages is folded over hubFoldSeg-sized segments in
-// parallel (see parCombineDeliver). Below it, the exact sequential
+// parallel (see combineGroups). Below it, the exact sequential
 // left-fold order is preserved for any combiner.
 const (
 	hubFoldMin = 1 << 13
@@ -194,12 +187,9 @@ type chunkState struct {
 	// of the vertices this chunk marked this superstep.
 	visited      []bool
 	visitedDelta int64
-	// gatherBuf / one back Messages() after a pull boundary (gather): the
-	// stamped neighbors' values in adjacency order when there is no
-	// combiner, the folded value when there is. gatherBuf is on loan from
-	// the run's gatherPool while the chunk runs.
-	gatherBuf []int64
-	one       [1]int64
+	// one backs Messages() after a combining pull boundary (gather): the
+	// folded value.
+	one [1]int64
 	// scratch is the chunk's share of runScratch.chunkScratch.
 	scratch int64
 	// trap records a vertex-program panic recovered while running this
@@ -229,12 +219,9 @@ func (cs *chunkState) guard() {
 // spawns workers without any recovery of its own, so the guard must live
 // inside the per-chunk closure — a program panic that escaped here would
 // kill the process.
-func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inboxView, halted []bool, sparse bool, candidates []int64) {
+func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []bool, sparse bool, candidates []int64) {
 	defer cs.guard()
-	if ib.pull {
-		cs.gatherBuf = ib.bufs.get()
-		defer ib.bufs.put(cs.gatherBuf)
-	}
+	defer cs.ctx.returnBuf()
 	if sparse {
 		for i := lo; i < hi; i++ {
 			cs.runVertex(p, candidates[i], step, ib, halted, true)
@@ -282,37 +269,14 @@ func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 	cs.trap = nil
 }
 
-// inboxView is the sweep's read-side of the inbox, in whichever of its two
-// representations the last delivery built (runScratch.lookaside): the CSR —
-// off is n+1 offsets into val — or, when the superstep's traffic was far
-// below n, the stamped lookaside, which touches only the receivers instead
-// of rebuilding O(n) offsets: off[v] == code marks a receiver and span[v]
-// packs its slice of val as lo<<32 | count. code is the complement of the
-// delivering superstep (consumer step - 1), negative, so no CSR offset
-// left in off from an earlier superstep can be mistaken for it.
-//
-// After a pull boundary (deliverBcasts stamped the broadcaster lookaside
-// and built no inbox) there are no stored messages at all:
-// chunkState.gather reads them off the vertex's own neighbor list, and
-// under sparse activation off carries the stamps of pullReceivers.
-type inboxView struct {
-	val       []int64
-	off       []int64
-	span      []int64
-	code      int64
-	lookaside bool
-
-	pull    bool
-	look    []bcastSlot // broadcaster lookaside, stamped ^code
-	fold    foldKind
-	combine func(a, b int64) int64
-	bufs    *gatherPool
-}
-
-// gatherPool is a free list of pull-gather buffers, each 2*MaxDegree long
-// — one half for a decoded neighbor list, one for the gathered values — so
-// gather never has to grow one. A chunk holds a buffer only while it runs:
-// at most par.Workers() exist per run, however many chunks a sweep has.
+// gatherPool is the run's free list of adjacency buffers, each 2*MaxDegree
+// long — one half for a decoded neighbor list, one for a pull's gathered
+// values — so nothing ever has to grow one and DecodeNeighbors can be handed
+// one on either graph representation (a flat graph's shared CSR slice comes
+// back instead and the buffer goes unused). A sweep chunk holds a buffer
+// from its first need of one until it ends, a traffic enumerator while it
+// runs: at most par.Workers() are out at once, and all are back by the
+// boundary.
 type gatherPool struct {
 	mu   sync.Mutex
 	free [][]int64
@@ -334,26 +298,6 @@ func (p *gatherPool) put(b []int64) {
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()
-}
-
-// has reports whether v has stored messages.
-func (ib *inboxView) has(v int64) bool {
-	if ib.lookaside {
-		return ib.off[v] == ib.code
-	}
-	return ib.off[v+1] > ib.off[v]
-}
-
-// slice returns vertex v's incoming messages.
-func (ib *inboxView) slice(v int64) []int64 {
-	if !ib.lookaside {
-		return ib.val[ib.off[v]:ib.off[v+1]]
-	}
-	if ib.off[v] != ib.code {
-		return nil
-	}
-	lo := ib.span[v] >> 32
-	return ib.val[lo : lo+ib.span[v]&math.MaxUint32]
 }
 
 // foldKind is how a pull-mode gather reduces a vertex's stamped neighbors:
@@ -397,14 +341,13 @@ func resolveFold(combine func(a, b int64) int64) foldKind {
 // resume. Stamped density in a pull-worthy superstep is far from 0 or 1,
 // so every loop but the generic fold is branch-free: a data-dependent
 // branch would mispredict on a large fraction of the edge walk.
-func (cs *chunkState) gather(ib *inboxView, v int64) []int64 {
+func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 	if ib.lookaside && ib.off[v] != ib.code {
 		return nil // pullReceivers found no stamped neighbor
 	}
-	// On a flat graph nbrs is the shared CSR slice and the first half of
-	// the buffer goes unused.
-	half := len(cs.gatherBuf) / 2
-	nbrs := cs.eng.graph.DecodeNeighbors(v, cs.gatherBuf[:0:half])
+	lent := cs.ctx.buf()
+	half := len(lent) / 2
+	nbrs := cs.eng.graph.DecodeNeighbors(v, lent[:0:half])
 	look, st := ib.look, ^ib.code
 	var acc, hits int64
 	switch ib.fold {
@@ -412,7 +355,7 @@ func (cs *chunkState) gather(ib *inboxView, v int64) []int64 {
 		// Every probed value is stored at the cursor and the cursor only
 		// advances past stamped ones; the cursor never overtakes the walk,
 		// so len(nbrs) slots suffice.
-		buf := cs.gatherBuf[half:][:len(nbrs)]
+		buf := lent[half:][:len(nbrs)]
 		pos := 0
 		for _, w := range nbrs {
 			slot := look[w]
@@ -466,7 +409,7 @@ func (cs *chunkState) gather(ib *inboxView, v int64) []int64 {
 
 // runVertex executes one vertex against this chunk's private context. It
 // is the parallel twin of the sequential engine's per-vertex dispatch.
-func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inboxView, halted []bool, sparse bool) {
+func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox, halted []bool, sparse bool) {
 	var msgs []int64
 	if ib.pull {
 		msgs = cs.gather(ib, v)
@@ -516,35 +459,21 @@ type runScratch struct {
 	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
 	wake         []int64
 
-	// Broadcast delivery scratch (see deliverBcasts). expandLog is the
-	// empty spare log (a segment list, no blocks) expandTraffic swaps
-	// against the superstep's, nbrBuf its decode buffer; bcastLook is the
-	// value-stamped broadcaster lookaside a pull
-	// boundary fills and the next sweep gathers from — pulled says the last
-	// delivery was such a boundary, so that sweep reads bcastLook instead of
-	// an inbox; pullBnds caches the degree-weighted destination ranges of
-	// pullReceivers (graph-constant); gather lends that sweep's chunks their
-	// buffers; bcastWork / bcastBnds partition broadcast records by degree
-	// for the parallel scatter.
+	// Delivery scratch (delivery.go). expandLog is the empty spare log (a
+	// segment list, no blocks) expandTraffic swaps against the superstep's;
+	// gather lends adjacency buffers to sweep chunks and traffic enumerators;
+	// pullBnds caches the degree-weighted destination ranges of pullReceivers
+	// (graph-constant); bcastWork / shareBnds split traffic into a counting
+	// sort's shares; has / acc are denseFold's.
 	expandLog msgLog
-	nbrBuf    []int64
-	bcastLook []bcastSlot
-	pulled    bool
 	gather    gatherPool
 	pullBnds  []int
 	bcastWork []int64
-	bcastBnds []int
+	shareBnds []int
+	has       []bool
+	acc       []int64
 
-	// Sequential delivery scratch (the hoisted next/has/acc of the old
-	// per-superstep allocations). has is all-false between deliveries:
-	// seqCombineDeliver re-clears the flags it set during its compaction
-	// sweep, so no O(n) zeroing is ever needed.
-	next []int64
-	has  []bool
-	acc  []int64
-
-	// Parallel delivery scratch.
-	counts   []int32 // C*n destination counters: chunk-major in stableGroupByDest, dest-major in parBcastScatter
+	counts   []int32 // C*n destination cursors, share-major (countingSort)
 	groupOff []int64 // n+1 group boundaries (combining path)
 	groupVal []int64 // grouped message values (combining path); Run borrows it from flatPool
 	rangeCnt []int64 // per-range counters for compaction sweeps
@@ -564,13 +493,6 @@ type runScratch struct {
 
 	// Sparse-activation scratch.
 	sortScratch []int64 // radix-sort ping buffer
-
-	// Inbox lookaside (see inboxView): span is allocated by the first
-	// delivery small enough to use it; lookaside says the last delivery
-	// built it (or, after a pull under sparse activation, stamped its
-	// receivers) rather than the CSR.
-	span      []int64
-	lookaside bool
 }
 
 // bcastSlot pairs a broadcaster's stamp and value in one 16-byte slot.
@@ -591,42 +513,19 @@ func (b bcastSlot) mask(st int64) int64 {
 	return 0
 }
 
-// ensureBcastLook sizes the broadcaster lookaside (stamps start at -1,
-// which matches no superstep).
-func (s *runScratch) ensureBcastLook(n int64) []bcastSlot {
-	if int64(len(s.bcastLook)) < n {
-		s.bcastLook = make([]bcastSlot, n)
-		look := s.bcastLook
+// ensureLook sizes the broadcaster lookaside (stamps start at -1, which
+// matches no superstep).
+func (ib *inbox) ensureLook(n int64) []bcastSlot {
+	if int64(len(ib.look)) < n {
+		ib.look = make([]bcastSlot, n)
+		look := ib.look
 		par.ForChunked(int(n), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				look[i].stamp = -1
 			}
 		})
 	}
-	return s.bcastLook
-}
-
-// lookasideCutoff is how far below n a superstep's message count must be
-// for delivery to stamp the lookaside (O(sent), random access) instead of
-// building the CSR (three O(n) passes, sequential): sent*lookasideCutoff <
-// n. A pure host-speed knob — BenchmarkDeliverCutoff (delivery plus the
-// scan that reads it) has the lookaside 13% ahead at n/4 and level at n/2
-// once the arrays outgrow the cache, and ahead all the way to n while they
-// fit.
-const lookasideCutoff = 4
-
-// lookasideBuilt counts lookaside deliveries; only tests read it.
-var lookasideBuilt atomic.Int64
-
-// startLookaside begins a lookaside delivery for superstep st, returning
-// the stamp code and the span array.
-func (s *runScratch) startLookaside(n, st int64) (code int64, span []int64) {
-	if int64(len(s.span)) < n {
-		s.span = make([]int64, n)
-	}
-	s.lookaside = true
-	lookasideBuilt.Add(1)
-	return ^st, s.span
+	return ib.look
 }
 
 // ensureChunks guarantees at least numChunks chunk states exist, each
@@ -639,6 +538,7 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []
 		cs.eng.costs = master.costs
 		cs.eng.states = master.states
 		cs.eng.expand = master.expand
+		cs.eng.bufs = master.bufs
 		cs.ctx.engine = &cs.eng
 		s.chunks = append(s.chunks, cs)
 	}
@@ -871,343 +771,23 @@ func ensureInt64(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-// bcastExpandMax is the logical-message count below which a pure-broadcast
-// superstep is expanded to per-edge messages instead of delivered from
-// records: small supersteps are where the O(sent) sparse lookaside paths
-// shine, and expansion there costs what the sequential engine always paid.
-// A pure host-speed knob — both treatments deliver the same sequences.
-const bcastExpandMax = 1 << 14
-
-// maybeExpand normalizes one superstep's outgoing traffic before delivery.
-// Broadcast records are kept (O(frontier) physical traffic) only when the
-// superstep is pure broadcast and big enough to amortize the record paths'
-// O(n) passes; a mixed Send/SendToNeighbors superstep or a small one is
-// expanded to per-edge messages — reproducing the exact interleaved send
-// order via each record's seq — and delivered through the legacy paths.
-// logical is the logical sent count (one message per broadcast edge). It
-// returns the records delivery still has to consume.
-func (s *runScratch) maybeExpand(sends *msgLog, bcasts []bcastRec, g *graph.Graph, logical int64) []bcastRec {
-	if len(bcasts) == 0 || sends.sealed == 0 && logical >= bcastExpandMax {
-		return bcasts
-	}
-	s.expandTraffic(sends, bcasts, g)
-	return bcasts[:0]
-}
-
-// expandTraffic replaces the unicast log by the merge of it and the
-// broadcast records, one message per edge, in the exact order a per-edge
-// SendToNeighbors would have produced: a record's seq is its position in
-// the unicast stream, and seqs are non-decreasing, so one pass over both
-// reconstructs the interleave.
-func (s *runScratch) expandTraffic(sends *msgLog, bcasts []bcastRec, g *graph.Graph) {
-	out := s.expandLog
-	// rest[0][at:] is the unread part of the stream, ui its position.
-	rest, at, ui := sends.segs, 0, int64(0)
-	copyTo := func(upto int64) {
-		for ui < upto {
-			seg := rest[0][at:]
-			k := int(min(int64(len(seg)), upto-ui))
-			for _, m := range seg[:k] {
-				out.add(m.Dest, m.Value)
-			}
-			ui += int64(k)
-			if at += k; at == len(rest[0]) {
-				rest, at = rest[1:], 0
-			}
-		}
-	}
-	for _, r := range bcasts {
-		copyTo(r.seq)
-		nbrs := g.DecodeNeighbors(r.src, s.nbrBuf)
-		if g.Compressed() {
-			s.nbrBuf = nbrs
-		}
-		for _, w := range nbrs {
-			out.add(w, r.val)
-		}
-	}
-	copyTo(sends.sealed)
-	out.seal()
-	sends.release()
-	s.expandLog, *sends = *sends, out
-}
-
-// deliver routes one superstep's traffic into per-vertex inboxes, combining
-// same-destination messages when combine is non-nil, and returns the number
-// of delivered (post-combining) messages. Which representation it builds —
-// the CSR arrays (inboxOff, inboxVal) or the lookaside stamped for
-// superstep st — is decided here, per superstep, from the traffic alone:
-// the O(sent) lookaside paths win when the messages are few relative to
-// the vertex set; once they are not, the CSR build's O(n) passes are
-// amortized and its branch-free counting sort is cheaper per message.
-// Traffic arrives as sends (the per-edge unicast log) plus bcasts
-// (broadcast records, non-empty only after maybeExpand kept them); when
-// records are present sends is empty and the record paths expand them
-// straight into the inbox. Every path produces the same per-vertex message
-// sequences (the internal layout of inboxVal may differ), so the choice
-// is a pure host-speed decision that never reaches the charged profile;
-// see deliverBcasts for the one associativity caveat. A pull boundary
-// builds no inbox at all and leaves s.pulled set instead.
-func (s *runScratch) deliver(sends *msgLog, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
-	s.pulled = false
-	// logical is sends.sealed unless records are present.
-	parallel := par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32
-	lookaside := !parallel && logical*lookasideCutoff < min(n, math.MaxInt32)
-	switch {
-	case len(bcasts) > 0:
-		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, lookaside, sparse, st, dir)
-	case lookaside && combine == nil:
-		return s.seqDeliverSparse(sends, n, *inboxOff, inboxVal, st)
-	case lookaside:
-		return s.seqCombineDeliverSparse(sends, n, combine, *inboxOff, inboxVal, st)
-	}
-	s.lookaside = false
-	if combine == nil {
-		if !parallel {
-			return s.seqDeliver(sends, n, inboxOff, inboxVal)
-		}
-		val := ensureInt64(*inboxVal, int(logical))
-		s.stableGroupByDest(sends, n, deliverChunks(n), *inboxOff, val)
-		*inboxVal = val
-		return logical
-	}
-	if !parallel {
-		return s.seqCombineDeliver(sends, n, combine, inboxOff, inboxVal)
-	}
-	return s.parCombineDeliver(sends, n, combine, inboxOff, inboxVal)
-}
-
-// deliverBcasts delivers a pure-broadcast superstep straight from its
-// records — the tentpole of the broadcast-aware message path. The paths
-// and their determinism obligations:
-//
-//   - Push, no combiner: scatter. Walk the records in order (ascending
-//     source), scattering each record's value to its adjacency through
-//     counting-sort cursors. Record order + adjacency order IS the per-edge
-//     send order, so the output equals the legacy stable grouping EXACTLY —
-//     for any graph, directed or not, with no assumptions on anything.
-//
-//   - Push, combiner: sequential push-fold from the records, which is the
-//     legacy left fold in the legacy order exactly, minus the intermediate
-//     buffer.
-//
-//   - Pull: records are stamped into the per-source value lookaside and
-//     that is all the boundary does — O(frontier). The next compute sweep
-//     gathers: every vertex walks its own neighbor list and reads the
-//     stamped neighbors' values in neighbor order (chunkState.gather) —
-//     zero intermediate messages. Neighbor order is a property of the
-//     graph, so the messages are bit-identical at any worker count. They
-//     equal the push send order exactly when adjacency lists are sorted
-//     ascending (graph.SortedAdjacency — senders run, hence send, in
-//     ascending order), which the no-combiner pull requires; with a
-//     combiner, on unsorted graphs and when one source broadcasts more than
-//     once in a superstep (the lookaside pre-folds its values in record
-//     order), equality with the per-edge path leans on the commutativity +
-//     associativity Config.Combiner documents — the same contract the hub
-//     prefolds rely on.
-//
-// dir is the superstep's recorded direction decision (direction.go):
-// DirPull selects the pull, DirPush the push, and DirAuto — the legacy
-// engine, no direction layer — keeps PR 5's combiner-pull heuristic. The
-// decision never depends on the worker count; parallel-vs-sequential below
-// is the usual host-speed routing within the decided direction.
-//
-// A pull boundary returns what the push would have delivered without
-// building it: with no combiner every logical message arrives, and the sum
-// of the frontier's out-degrees equals the sum of its in-degrees on the
-// symmetric adjacency an undirected graph has (Run checks the gathered
-// total against it — AsymmetricGraphError); with a combiner it is the
-// number of vertices with a stamped neighbor.
-//
-// A superstep small enough for the lookaside (deliver decides) goes through
-// the O(logical) lookaside twins of scatter/push-fold whatever dir says — a
-// gather sweep over every edge costs more than reading a few stored
-// messages; a pull boundary under sparse activation stamps its receivers
-// into the lookaside itself (pullReceivers).
-func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, lookaside, sparse bool, st int64, dir DirectionMode) int64 {
-	if lookaside {
-		if combine == nil {
-			return s.bcastScatterSparse(bcasts, logical, g, n, *inboxOff, inboxVal, st)
-		}
-		return s.bcastCombineSparse(bcasts, g, n, combine, *inboxOff, inboxVal, st)
-	}
-	s.lookaside = false
-	pull := dir == DirPull
-	if dir == DirAuto && combine != nil {
-		pull = !g.Directed() && logical*2 >= g.NumEdges()
-	}
-	if pull && s.fillBcastLookaside(bcasts, combine, n, st) {
-		s.pulled = true
-		var stamps []int64
-		if sparse {
-			stamps, s.lookaside = *inboxOff, true
-		}
-		if combine != nil || sparse {
-			if receivers := s.pullReceivers(g, n, st, stamps); combine != nil {
-				return receivers
-			}
-		}
-		return logical
-	}
-	switch {
-	case combine != nil:
-		return s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
-	case par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32:
-		return s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-	}
-	return s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-}
-
-// seqBcastScatter is the record-driven twin of seqDeliver: a stable
-// counting sort whose input is enumerated from the records' adjacencies
-// instead of a materialized buffer. Identical output to seqDeliver on the
-// expanded messages.
-func (s *runScratch) seqBcastScatter(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	off := *inboxOff
-	for i := range off {
-		off[i] = 0
-	}
-	comp := g.Compressed()
-	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				off[w+1]++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				off[w+1]++
-			}
-		}
-	}
-	for v := int64(0); v < n; v++ {
-		off[v+1] += off[v]
-	}
-	val := ensureInt64(*inboxVal, int(logical))
-	s.next = ensureInt64(s.next, int(n))
-	next := s.next
-	copy(next, off[:n])
-	for _, r := range bcasts {
-		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				val[next[w]] = v
-				next[w]++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				val[next[w]] = v
-				next[w]++
-			}
-		}
-	}
-	*inboxVal = val
-	return logical
-}
-
-// parBcastScatter is the parallel record-driven counting sort: records are
-// split into degree-weighted ranges (the broadcast analogue of
-// stableGroupByDest's message chunks), each range counts per-(destination,
-// range) into an int32 matrix, and an exclusive prefix sum in (dest,
-// range) order yields cursors that realize the unique stable grouping —
-// (destination, record order, adjacency order), which is exactly the
-// per-edge send order. The fan-in tracks the worker count freely for the
-// same reason stableGroupByDest's does.
-func (s *runScratch) parBcastScatter(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	nrec := len(bcasts)
-	s.bcastWork = ensureInt64(s.bcastWork, nrec+1)
-	bw := s.bcastWork
-	par.ForChunked(nrec, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bw[i] = g.Degree(bcasts[i].src) + 1
-		}
-	})
-	bw[nrec] = 0
-	par.ParallelExclusivePrefixSum(bw)
-	C := deliverChunks(n)
-	s.bcastBnds = par.WeightedBoundaries(s.bcastBnds, nrec, C, func(i int) int64 { return bw[i] })
-	bnds := s.bcastBnds
-	R := len(bnds) - 1
-	rw := int64(R)
-	need := n * rw
-	if int64(cap(s.counts)) < need {
-		s.counts = make([]int32, need)
-	}
-	s.counts = s.counts[:need]
-	counts := s.counts
-	par.FillInt32(counts, 0)
-
-	comp := g.Compressed()
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		rc := int64(r)
-		for _, rec := range bcasts[lo:hi] {
-			if comp {
-				it := g.NeighborDecoder(rec.src)
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					counts[w*rw+rc]++
-				}
-			} else {
-				for _, w := range g.Neighbors(rec.src) {
-					counts[w*rw+rc]++
-				}
-			}
-		}
-	})
-	par.ParallelExclusivePrefixSum32(counts)
-
-	off := *inboxOff
-	par.ForChunked(int(n), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			off[v] = int64(counts[int64(v)*rw])
-		}
-	})
-	off[n] = logical
-
-	val := ensureInt64(*inboxVal, int(logical))
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		rc := int64(r)
-		for _, rec := range bcasts[lo:hi] {
-			v := rec.val
-			if comp {
-				it := g.NeighborDecoder(rec.src)
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					i := w*rw + rc
-					p := counts[i]
-					counts[i] = p + 1
-					val[p] = v
-				}
-			} else {
-				for _, w := range g.Neighbors(rec.src) {
-					i := w*rw + rc
-					p := counts[i]
-					counts[i] = p + 1
-					val[p] = v
-				}
-			}
-		}
-	})
-	*inboxVal = val
-	return logical
-}
-
 // fillBcastLookaside stamps each record's value into the per-source
 // lookaside the pull gather reads. Sequential and in record order, so with
 // a combiner a source that broadcast more than once this superstep
 // pre-folds its values deterministically (equality with the per-edge path
-// then leans on the documented combiner laws — see deliverBcasts). Without
+// then leans on the documented combiner laws — see deliver). Without
 // one there is no fold to hide behind: a second record would lose a
 // message, so the fill reports false and delivery falls back to the push
 // scatter — a deterministic, input-driven fallback (the PullProgram
 // contract says it cannot happen; the check makes a contract violation
 // safe rather than silently wrong).
-func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int64) int64, n, st int64) bool {
-	look := s.ensureBcastLook(n)
+func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n, st int64) bool {
+	look := ib.ensureLook(n)
 	for _, r := range bcasts {
 		if look[r.src].stamp != st {
 			look[r.src] = bcastSlot{stamp: st, val: r.val}
-		} else if combine != nil {
-			look[r.src].val = combine(look[r.src].val, r.val)
+		} else if ib.combine != nil {
+			look[r.src].val = ib.combine(look[r.src].val, r.val)
 		} else {
 			return false
 		}
@@ -1218,44 +798,30 @@ func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int
 // pullReceivers counts the vertices with at least one stamped neighbor —
 // what a combining pull delivers — over degree-weighted destination ranges
 // (cached once per run — they depend only on the graph), each walk exiting
-// on its first hit. Under sparse activation stamps is the lookaside's stamp
+// on its first hit. Under sparse activation stamps is the inbox's stamp
 // array, and they are stamped into it too: that is where nextWorklist and
 // gather look for receivers.
-func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, stamps []int64) int64 {
-	goff := g.Offsets()
+func (s *runScratch) pullReceivers(t *traffic, ib *inbox, st int64, stamps []int64) int64 {
+	g, look := t.g, ib.look
 	if len(s.pullBnds) == 0 {
-		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
-			sweepTargetChunks(int(n)), func(i int) int64 {
+		n, goff := int(g.NumVertices()), g.Offsets()
+		s.pullBnds = par.WeightedBoundaries(s.pullBnds, n,
+			sweepTargetChunks(n), func(i int) int64 {
 				return goff[i] + int64(i)
 			})
 	}
 	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
-	rangeCnt, look := s.rangeCnt, s.bcastLook
-	comp := g.Compressed()
+	rangeCnt := s.rangeCnt
 	par.ForBoundaryChunks(s.pullBnds, func(r, lo, hi int) {
 		var cnt int64
 		for v := lo; v < hi; v++ {
-			hit := false
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if look[w].stamp == st {
-						hit = true
-						break
+			for w := range g.Adjacent(int64(v)) {
+				if look[w].stamp == st {
+					cnt++
+					if stamps != nil {
+						stamps[v] = ^st
 					}
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if look[w].stamp == st {
-						hit = true
-						break
-					}
-				}
-			}
-			if hit {
-				cnt++
-				if stamps != nil {
-					stamps[v] = ^st
+					break
 				}
 			}
 		}
@@ -1264,353 +830,7 @@ func (s *runScratch) pullReceivers(g *graph.Graph, n, st int64, stamps []int64) 
 	return par.ExclusivePrefixSum(rangeCnt)
 }
 
-// seqBcastCombine is the record-driven twin of seqCombineDeliver: push
-// each record's value to its adjacency, folding per destination in the
-// exact legacy send order — correct for ANY combiner and for directed
-// graphs, where the pull fold cannot see in-edges.
-func (s *runScratch) seqBcastCombine(bcasts []bcastRec, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	if int64(len(s.has)) < n {
-		s.has = make([]bool, n)
-		s.acc = make([]int64, n)
-	}
-	has, acc := s.has, s.acc
-	var delivered int64
-	comp := g.Compressed()
-	for _, r := range bcasts {
-		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if has[w] {
-					acc[w] = combine(acc[w], v)
-				} else {
-					has[w] = true
-					acc[w] = v
-					delivered++
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if has[w] {
-					acc[w] = combine(acc[w], v)
-				} else {
-					has[w] = true
-					acc[w] = v
-					delivered++
-				}
-			}
-		}
-	}
-	val := ensureInt64(*inboxVal, int(delivered))
-	off := *inboxOff
-	var pos int64
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		if has[v] {
-			val[pos] = acc[v]
-			pos++
-			has[v] = false
-		}
-	}
-	off[n] = pos
-	*inboxVal = val
-	return delivered
-}
-
-// bcastScatterSparse is the record-driven twin of seqDeliverSparse:
-// O(logical) work touching only receivers, no O(n) pass at all.
-func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
-	code, span := s.startLookaside(n, st)
-	comp := g.Compressed()
-	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				tally(off, span, code, w)
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				tally(off, span, code, w)
-			}
-		}
-	}
-	val := ensureInt64(*inboxVal, int(logical))
-	var pos int64
-	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				pos = place(val, span, pos, w, r.val)
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				pos = place(val, span, pos, w, r.val)
-			}
-		}
-	}
-	*inboxVal = val
-	return logical
-}
-
-// tally counts one message for dest in the first pass of a lookaside
-// scatter, stamping dest on first arrival: span[dest] is the negated count.
-func tally(off, span []int64, code, dest int64) {
-	if off[dest] != code {
-		off[dest], span[dest] = code, -1
-	} else {
-		span[dest]--
-	}
-}
-
-// place stores value in dest's slice of val in the second pass. The first
-// message to reach dest claims val[pos:pos+count] and turns span[dest] from
-// the negated count into lo<<32 | cursor, which ends as the lo<<32 | count
-// the sweep reads. Slices are laid out in order of first arrival.
-func place(val, span []int64, pos, dest, value int64) int64 {
-	sp := span[dest]
-	if sp < 0 {
-		sp, pos = pos<<32, pos-sp
-	}
-	val[sp>>32+sp&math.MaxUint32] = value
-	span[dest] = sp + 1
-	return pos
-}
-
-// bcastCombineSparse is the record-driven twin of seqCombineDeliverSparse:
-// fold per destination in exact send order, touching only receivers.
-func (s *runScratch) bcastCombineSparse(bcasts []bcastRec, g *graph.Graph, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
-	code, span := s.startLookaside(n, st)
-	val := (*inboxVal)[:0]
-	comp := g.Compressed()
-	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				val = fold(val, span, off, code, combine, w, r.val)
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				val = fold(val, span, off, code, combine, w, r.val)
-			}
-		}
-	}
-	*inboxVal = val
-	return int64(len(val))
-}
-
-// fold combines value into dest's single slot of val during a combining
-// lookaside delivery, appending the slot on first arrival.
-func fold(val, span, off []int64, code int64, combine func(a, b int64) int64, dest, value int64) []int64 {
-	if off[dest] != code {
-		off[dest], span[dest] = code, int64(len(val))<<32|1
-		return append(val, value)
-	}
-	i := span[dest] >> 32
-	val[i] = combine(val[i], value)
-	return val
-}
-
-// seqDeliverSparse is the lookaside counterpart of seqDeliver: it touches
-// only the receivers (O(sent) work, no O(n) offset rebuild).
-func (s *runScratch) seqDeliverSparse(sends *msgLog, n int64, off []int64, inboxVal *[]int64, st int64) int64 {
-	code, span := s.startLookaside(n, st)
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			tally(off, span, code, m.Dest)
-		}
-	}
-	val := ensureInt64(*inboxVal, int(sends.sealed))
-	var pos int64
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			pos = place(val, span, pos, m.Dest, m.Value)
-		}
-	}
-	*inboxVal = val
-	return pos
-}
-
-// seqCombineDeliverSparse combines per destination in send order, touching
-// only the receivers.
-func (s *runScratch) seqCombineDeliverSparse(sends *msgLog, n int64, combine func(a, b int64) int64, off []int64, inboxVal *[]int64, st int64) int64 {
-	code, span := s.startLookaside(n, st)
-	val := (*inboxVal)[:0]
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			val = fold(val, span, off, code, combine, m.Dest, m.Value)
-		}
-	}
-	*inboxVal = val
-	return int64(len(val))
-}
-
-// seqDeliver is the sequential non-combining counting sort, with the
-// cursor array hoisted into run-level scratch.
-func (s *runScratch) seqDeliver(sends *msgLog, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	off := *inboxOff
-	for i := range off {
-		off[i] = 0
-	}
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			off[m.Dest+1]++
-		}
-	}
-	for v := int64(0); v < n; v++ {
-		off[v+1] += off[v]
-	}
-	val := ensureInt64(*inboxVal, int(sends.sealed))
-	s.next = ensureInt64(s.next, int(n))
-	next := s.next
-	copy(next, off[:n])
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			val[next[m.Dest]] = m.Value
-			next[m.Dest]++
-		}
-	}
-	*inboxVal = val
-	return sends.sealed
-}
-
-// seqCombineDeliver is the sequential combining path: one slot per
-// destination that received anything, folded in send order. The has flags
-// are cleared during the compaction sweep, restoring the all-false
-// invariant without a separate zeroing pass.
-func (s *runScratch) seqCombineDeliver(sends *msgLog, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	if int64(len(s.has)) < n {
-		s.has = make([]bool, n)
-		s.acc = make([]int64, n)
-	}
-	has, acc := s.has, s.acc
-	var delivered int64
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			if has[m.Dest] {
-				acc[m.Dest] = combine(acc[m.Dest], m.Value)
-			} else {
-				has[m.Dest] = true
-				acc[m.Dest] = m.Value
-				delivered++
-			}
-		}
-	}
-	val := ensureInt64(*inboxVal, int(delivered))
-	off := *inboxOff
-	var pos int64
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		if has[v] {
-			val[pos] = acc[v]
-			pos++
-			has[v] = false
-		}
-	}
-	off[n] = pos
-	*inboxVal = val
-	return delivered
-}
-
-// deliverChunkBudget is the counting-sort scratch budget: the fan-in C
-// keeps C*n int32 destination counters, and C is chosen so that array
-// stays within this many entries (64 MiB) however wide the host is.
-const deliverChunkBudget = 1 << 24
-
-// deliverChunks picks the counting-sort fan-in: enough chunks to feed the
-// workers (2 per worker so the tail balances), bounded only by the
-// scratch-memory budget rather than a fixed cap — a 48-core host gets
-// 96-way fan-in on any graph up to ~175k vertices and degrades
-// proportionally beyond. The sort's output is the unique stable grouping
-// whatever C is, so tracking the worker count here cannot perturb results.
-func deliverChunks(n int64) int {
-	C := par.Workers() * 2
-	if n > 0 {
-		if byBudget := int(deliverChunkBudget / n); byBudget < C {
-			C = byBudget
-		}
-	}
-	if C < 2 {
-		C = 2
-	}
-	return C
-}
-
-// stableGroupByDest scatters the log's values into val grouped by
-// destination, preserving send order within each destination (a stable
-// two-pass counting sort over C contiguous runs of segments), and fills off
-// (length n+1) with the group boundaries. The output is the unique stable
-// grouping, independent of the internal chunking, so the fan-in C may track
-// the worker count freely (deliverChunks).
-//
-// The counters are chunk-major — share c owns the contiguous row
-// counts[c*n : (c+1)*n] — so two workers never write the same cache line.
-// Destination-major, the C counters of one destination (and of a skewed
-// graph's hot low-numbered hubs) shared a line that every increment stole
-// from the other workers. Requires fewer than 2^31 messages (the caller
-// gates on this).
-func (s *runScratch) stableGroupByDest(sends *msgLog, n int64, C int, off, val []int64) {
-	need := n * int64(C)
-	if int64(cap(s.counts)) < need {
-		s.counts = make([]int32, need)
-	}
-	s.counts = s.counts[:need]
-	counts := s.counts
-	par.FillInt32(counts, 0)
-
-	// Pass 1: per-(chunk, destination) counts.
-	segs := sends.segs
-	par.ForCoarse(C, func(c int) {
-		row := counts[int64(c)*n : int64(c+1)*n]
-		for _, seg := range segs[c*len(segs)/C : (c+1)*len(segs)/C] {
-			for _, m := range seg {
-				row[m.Dest]++
-			}
-		}
-	})
-
-	// Exclusive prefix sum in (dest, chunk) order — a transposed walk of the
-	// matrix, blocked over destination ranges: total each range's columns,
-	// scan the totals, then turn every column into its start cursors. They
-	// realize the stable order: destination-major, then send (chunk,
-	// position) order within a destination.
-	rcs := sweepChunkSize(int(n))
-	s.rangeCnt = ensureInt64(s.rangeCnt, (int(n)+rcs-1)/rcs)
-	rangeCnt := s.rangeCnt
-	par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
-		var total int64
-		for base := int64(0); base < need; base += n {
-			for _, k := range counts[base+int64(lo) : base+int64(hi)] {
-				total += int64(k)
-			}
-		}
-		rangeCnt[r] = total
-	})
-	par.ExclusivePrefixSum(rangeCnt)
-	par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
-		run := int32(rangeCnt[r])
-		for d := int64(lo); d < int64(hi); d++ {
-			off[d] = int64(run)
-			for i := d; i < need; i += n {
-				counts[i], run = run, run+counts[i]
-			}
-		}
-	})
-	off[n] = sends.sealed
-
-	// Pass 2: scatter through the per-(chunk, dest) cursors.
-	par.ForCoarse(C, func(c int) {
-		row := counts[int64(c)*n : int64(c+1)*n]
-		for _, seg := range segs[c*len(segs)/C : (c+1)*len(segs)/C] {
-			for _, m := range seg {
-				p := row[m.Dest]
-				row[m.Dest] = p + 1
-				val[p] = m.Value
-			}
-		}
-	})
-}
-
-// parCombineDeliver groups messages per destination with the stable sort,
+// combineGroups groups messages per destination with the stable sort,
 // then folds each destination's group and compacts the folded values into
 // the inbox. Two skew defenses keep a hub inbox from serializing the
 // phase:
@@ -1627,10 +847,11 @@ func (s *runScratch) stableGroupByDest(sends *msgLog, n int64, C int, off, val [
 //     fold by the associativity Config.Combiner documents. Groups below
 //     the threshold keep the exact sequential left-fold order, preserving
 //     determinism for ANY combiner on non-skewed traffic.
-func (s *runScratch) parCombineDeliver(sends *msgLog, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
+func (s *runScratch) combineGroups(t *traffic, ib *inbox, n int64, C int) int64 {
+	combine := ib.combine
 	s.groupOff = ensureInt64(s.groupOff, int(n)+1)
-	s.groupVal = ensureInt64(s.groupVal, int(sends.sealed))
-	s.stableGroupByDest(sends, n, deliverChunks(n), s.groupOff, s.groupVal)
+	s.groupVal = ensureInt64(s.groupVal, int(t.logical))
+	s.groupByDest(t, n, C, s.groupOff, s.groupVal)
 	gOff, gVal := s.groupOff, s.groupVal
 
 	// Fold ranges weighted by messages-per-destination (+1 per vertex so
@@ -1693,8 +914,8 @@ func (s *runScratch) parCombineDeliver(sends *msgLog, n int64, combine func(a, b
 	}
 
 	delivered := par.ExclusivePrefixSum(rangeCnt)
-	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(delivered))
+	off := ib.off
+	val := ensureInt64(ib.val, int(delivered))
 	par.ForBoundaryChunks(s.foldBnds, func(r, lo, hi int) {
 		pos := rangeCnt[r]
 		for v := lo; v < hi; v++ {
@@ -1719,28 +940,26 @@ func (s *runScratch) parCombineDeliver(sends *msgLog, n int64, combine func(a, b
 		}
 	})
 	off[n] = delivered
-	*inboxVal = val
+	ib.val = val
 	return delivered
 }
 
 // nextWorklist builds the next superstep's sparse-activation candidate
 // list — message receivers plus vertices that stayed awake, deduplicated,
 // in ascending vertex order — into the candidates backing array (cap n).
-// Receivers are enumerated from the unicast log's destinations plus the
-// broadcast records' adjacencies (logical is the combined logical message
-// count); both strategies produce a sorted deduplicated set, so enumeration
-// order is irrelevant.
+// Both strategies produce a sorted deduplicated set, so the order receivers
+// are enumerated in is irrelevant.
 //
 // Two equivalent strategies, chosen by deterministic quantities only:
 // large worklists use a parallel stamp-ordered dense sweep (ascending by
 // construction, O(n)); small ones stamp-deduplicate the receivers and wake
 // list and radix-sort, O(k) — the sort.Slice the sequential engine used is
 // gone entirely.
-func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, sends *msgLog, bcasts []bcastRec, g *graph.Graph, logical int64, stamp []int64, n int64, inboxOff []int64) []int64 {
-	st := int64(step)
-	if (delivered+int64(len(wake)))*4 >= n || logical >= n {
+func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, t *traffic, stamp []int64, ib *inbox) []int64 {
+	st, n := int64(step), int64(len(stamp))
+	if (delivered+int64(len(wake)))*4 >= n || t.logical >= n {
 		// The delivery just made says who received, in the form it built.
-		off, code, look := inboxOff, ^st, s.lookaside
+		off, code, look := ib.off, ib.code, ib.lookaside
 		// Dense sweep: mark the wake set, then collect every vertex with a
 		// fresh inbox or a fresh wake stamp, in index order.
 		// Wake entries are unique (a vertex runs at most once per
@@ -1778,30 +997,10 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 	}
 
 	out := candidates[:0]
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			if stamp[m.Dest] != st {
-				stamp[m.Dest] = st
-				out = append(out, m.Dest)
-			}
-		}
-	}
-	for _, r := range bcasts {
-		if g.Compressed() {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					out = append(out, w)
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					out = append(out, w)
-				}
-			}
+	for dest := range t.all() {
+		if stamp[dest] != st {
+			stamp[dest] = st
+			out = append(out, dest)
 		}
 	}
 	for _, v := range wake {

@@ -1,16 +1,18 @@
 package core
 
-// White-box equivalence tests for the host-parallel building blocks: each
-// parallel path must produce bit-identical output to its sequential twin
-// on the same input, for any worker count. These call the paths directly,
-// bypassing the size thresholds that route small inputs to the sequential
-// code in production.
+// White-box tests of the delivery primitives and the decision in front of
+// them (delivery.go): every primitive against a naive oracle — a stable
+// sort by destination, then a flat left fold — and choosePath against a
+// literal table of today's routing. These call the primitives directly,
+// bypassing the thresholds that route small inputs in production.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
+	"graphxmt/internal/graph"
 	"graphxmt/internal/par"
 	"graphxmt/internal/rng"
 )
@@ -26,136 +28,359 @@ func randomMessages(r *rng.Xoshiro, count int, n int64) []Message {
 	return buf
 }
 
-// logOf writes buf into a unicast log, as a sweep's Sends would have.
-func logOf(buf []Message) *msgLog {
-	l := new(msgLog)
+// logTraffic is buf as the unicast log a sweep's Sends would have left, over
+// an edgeless graph of n vertices.
+func logTraffic(buf []Message, n int64) *traffic {
+	t := &traffic{g: graph.MustBuild(n, nil, graph.BuildOptions{}), logical: int64(len(buf))}
 	for _, m := range buf {
-		l.add(m.Dest, m.Value)
+		t.sends.add(m.Dest, m.Value)
 	}
-	l.seal()
-	return l
+	t.sends.seal()
+	return t
 }
 
-func TestStableGroupByDestMatchesSequential(t *testing.T) {
+// recordTraffic is a pure-broadcast superstep whose per-edge expansion is
+// exactly count messages: a directed multigraph (flat or compressed) with
+// one arc per message — all into the last vertex when oneDest — and one
+// record per source in ascending source order, as a sweep leaves them;
+// source 0 broadcasts twice. It returns the naive expansion beside it.
+func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool) (*traffic, []Message) {
+	edges := make([]graph.Edge, count)
+	for i := range edges {
+		if oneDest {
+			edges[i] = graph.Edge{U: int64(i), V: n - 1}
+		} else {
+			edges[i] = graph.Edge{U: int64(i % 37), V: int64(r.Uint64n(uint64(n)))}
+		}
+	}
+	flat := graph.MustBuild(n, edges, graph.BuildOptions{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
+	t := &traffic{g: flat, bufs: &gatherPool{size: 2 * flat.MaxDegree()}, logical: int64(count)}
+	if compressed {
+		t.g = graph.MustCompress(flat)
+	}
+	var msgs []Message
+	for src := int64(0); src < n; src++ {
+		for rep := 0; rep < 2 && flat.Degree(src) > 0; rep++ {
+			if rep == 1 && src > 0 {
+				break
+			}
+			rec := bcastRec{src: src, val: int64(r.Uint64n(1000))}
+			t.bcasts = append(t.bcasts, rec)
+			for _, w := range flat.Neighbors(src) {
+				msgs = append(msgs, Message{Dest: w, Value: rec.val})
+			}
+		}
+	}
+	t.logical = int64(len(msgs))
+	return t, msgs
+}
+
+// oracle is what every vertex must find in its inbox: its messages in send
+// order (a stable sort by destination), left-folded flat when combining.
+func oracle(msgs []Message, n int64, combine func(a, b int64) int64) [][]int64 {
+	sorted := slices.Clone(msgs)
+	slices.SortStableFunc(sorted, func(a, b Message) int { return int(a.Dest - b.Dest) })
+	want := make([][]int64, n)
+	for _, m := range sorted {
+		if combine == nil || len(want[m.Dest]) == 0 {
+			want[m.Dest] = append(want[m.Dest], m.Value)
+		} else {
+			want[m.Dest][0] = combine(want[m.Dest][0], m.Value)
+		}
+	}
+	return want
+}
+
+// hasMessages is the full scan's inline test for stored messages (runRange).
+func hasMessages(ib *inbox, v int64) bool {
+	if ib.lookaside {
+		return ib.off[v] == ib.code
+	}
+	return ib.off[v+1] > ib.off[v]
+}
+
+// checkInbox compares what the sweep would read from ib with want.
+func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
+	t.Helper()
+	var total int64
+	for v, w := range want {
+		total += int64(len(w))
+		if got := ib.slice(int64(v)); !slices.Equal(got, w) || hasMessages(ib, int64(v)) != (len(w) > 0) {
+			t.Fatalf("inbox[%d] = %v (has %v), want %v", v, got, hasMessages(ib, int64(v)), w)
+		}
+	}
+	if delivered != total {
+		t.Fatalf("delivered = %d, want %d", delivered, total)
+	}
+}
+
+// TestDeliveryPrimitives runs the four primitives (and combineGroups on top
+// of groupByDest) over source {log, records} × graph representation ×
+// combiner {none, Min, Sum, a non-associative one} × inbox {CSR at fan-in 1,
+// 2, 3, 8 and 96 — more shares than segments, shares crossing block
+// boundaries — and lookaside} × message counts straddling a log block ×
+// {random destinations, every message to one destination: every share's
+// cursor for it in a different row}. One scratch and one inbox serve every
+// row, as a run reuses them across supersteps: stamps and offsets left by
+// one representation must never read as messages in the other, and
+// denseFold must leave its has flags clear.
+func TestDeliveryPrimitives(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(1)
-	for _, tc := range []struct {
-		count int
-		n     int64
-	}{
-		{0, 16}, {1, 16}, {100, 7}, {5000, 64}, {40000, 1000}, {40000, 3},
-	} {
-		buf := randomMessages(r, tc.count, tc.n)
-
-		var seqOff, seqVal []int64
-		seqOff = make([]int64, tc.n+1)
-		seq := &runScratch{}
-		seq.seqDeliver(logOf(buf), tc.n, &seqOff, &seqVal)
-
-		for _, w := range []int{1, 4, 9} {
-			func() {
-				defer par.SetWorkers(par.SetWorkers(w))
-				off := make([]int64, tc.n+1)
-				val := make([]int64, tc.count)
-				(&runScratch{}).stableGroupByDest(logOf(buf), tc.n, deliverChunks(tc.n), off, val)
-				for i := range seqOff {
-					if off[i] != seqOff[i] {
-						t.Fatalf("count=%d n=%d w=%d: off[%d] = %d, want %d",
-							tc.count, tc.n, w, i, off[i], seqOff[i])
+	const B = msgBlockLen
+	// 3a-b is neither commutative nor associative: every primitive must
+	// reproduce the exact per-destination send order, bar the hub prefold.
+	weird := func(a, b int64) int64 { return 3*a - b }
+	combiners := []struct {
+		name string
+		f    func(a, b int64) int64
+	}{{"none", nil}, {"min", Min}, {"sum", Sum}, {"3a-b", weird}}
+	s := &runScratch{}
+	ib := &inbox{}
+	var backing []int64
+	st := int64(0)
+	for _, records := range []bool{false, true} {
+		for _, oneDest := range []bool{false, true} {
+			for _, count := range []int{0, 1, B - 1, B, B + 1, 3*B + 7} {
+				for _, compressed := range []bool{false, true} {
+					if compressed && !records {
+						continue // the log never touches the graph
+					}
+					n := int64(1000)
+					if oneDest {
+						n = int64(count) + 1
+					}
+					var tr *traffic
+					var msgs []Message
+					if records {
+						tr, msgs = recordTraffic(r, count, n, oneDest, compressed)
+					} else {
+						msgs = randomMessages(r, count, n)
+						for i := range msgs {
+							if oneDest {
+								msgs[i].Dest = n - 1
+							}
+						}
+						tr = logTraffic(msgs, n)
+					}
+					backing = ensureInt64(backing, int(n)+1)
+					ib.off = backing[:n+1]
+					for _, cb := range combiners {
+						want := oracle(msgs, n, cb.f)
+						ib.combine = cb.f
+						for _, C := range []int{0, 1, 2, 3, 8, 96} {
+							name := fmt.Sprintf("records=%v/oneDest=%v/count=%d/compressed=%v/%s/C=%d", records, oneDest, count, compressed, cb.name, C)
+							if C > 1 && cb.name == "3a-b" && oneDest && count >= hubFoldMin {
+								continue // a hub group folds as a tree: associativity required
+							}
+							st++
+							ib.code, ib.lookaside = ^st, C == 0
+							var delivered int64
+							switch {
+							case C == 0:
+								if int64(len(ib.span)) < n {
+									ib.span = make([]int64, n)
+								}
+								if cb.f == nil {
+									delivered = lookasideScatter(tr, ib)
+								} else {
+									delivered = lookasideFold(tr, ib)
+								}
+							case cb.f == nil:
+								ib.val = ensureInt64(ib.val, len(msgs))
+								s.groupByDest(tr, n, C, ib.off, ib.val)
+								delivered = int64(len(msgs))
+								if ib.off[0] != 0 || ib.off[n] != delivered {
+									t.Fatalf("%s: groups span [%d,%d), want [0,%d)", name, ib.off[0], ib.off[n], delivered)
+								}
+							case C == 1:
+								delivered = s.denseFold(tr, ib, n)
+								if slices.Contains(s.has, true) {
+									t.Fatalf("%s: denseFold left a has flag set", name)
+								}
+							default:
+								delivered = s.combineGroups(tr, ib, n, C)
+							}
+							t.Run(name, func(t *testing.T) { checkInbox(t, ib, delivered, want) })
+						}
 					}
 				}
-				for i := range seqVal {
-					if val[i] != seqVal[i] {
-						t.Fatalf("count=%d n=%d w=%d: val[%d] = %d, want %d",
-							tc.count, tc.n, w, i, val[i], seqVal[i])
-					}
-				}
-			}()
+			}
 		}
 	}
 }
 
-// TestGroupByDestLayout: the chunk-major counting sort is the naive stable
-// sort by destination for any fan-in, including more shares than messages,
-// shares that cross block boundaries, and every message to one destination
-// (every share's cursor for it in a different row).
+// TestGroupByDestLayout: a superstep of 2^31 or more messages sorts through
+// int64 cursors — too many messages to test with, so the same sort is run at
+// that width over small traffic, at every fan-in.
 func TestGroupByDestLayout(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(3)
 	for _, n := range []int64{1, 7, 8192} {
 		for _, count := range []int{0, 5, 3*msgBlockLen + 7} {
 			for _, oneDest := range []bool{false, true} {
-				buf := randomMessages(r, count, n)
-				if oneDest {
-					for i := range buf {
-						buf[i].Dest = n / 2
+				msgs := randomMessages(r, count, n)
+				for i := range msgs {
+					if oneDest {
+						msgs[i].Dest = n / 2
 					}
 				}
-				want := slices.Clone(buf)
-				slices.SortStableFunc(want, func(a, b Message) int { return int(a.Dest - b.Dest) })
-				for _, C := range []int{2, 3, 8, 96} {
-					off := make([]int64, n+1)
-					val := make([]int64, count)
-					(&runScratch{}).stableGroupByDest(logOf(buf), n, C, off, val)
-					for i, m := range want {
-						if val[i] != m.Value || off[m.Dest] > int64(i) || off[m.Dest+1] <= int64(i) {
-							t.Fatalf("n=%d count=%d oneDest=%v C=%d: slot %d holds %d in group [%d,%d), want %d for destination %d",
-								n, count, oneDest, C, i, val[i], off[m.Dest], off[m.Dest+1], m.Value, m.Dest)
-						}
-					}
-					if off[0] != 0 || off[n] != int64(count) {
-						t.Fatalf("n=%d count=%d oneDest=%v C=%d: groups span [%d,%d)", n, count, oneDest, C, off[0], off[n])
-					}
+				tr, want := logTraffic(msgs, n), oracle(msgs, n, nil)
+				for _, C := range []int{1, 2, 3, 8, 96} {
+					s := &runScratch{}
+					bnds := s.shares(tr, C)
+					off, val := make([]int64, n+1), make([]int64, count)
+					countingSort(s, tr, bnds, make([]int64, n*int64(len(bnds)-1)), n, off, val)
+					t.Run(fmt.Sprintf("n=%d/count=%d/oneDest=%v/C=%d", n, count, oneDest, C), func(t *testing.T) {
+						checkInbox(t, &inbox{off: off, val: val}, int64(count), want)
+					})
 				}
 			}
 		}
 	}
 }
 
-func TestParCombineDeliverMatchesSequential(t *testing.T) {
-	r := rng.New(2)
-	// A non-commutative, non-associative combiner: the parallel combining
-	// path must reproduce the sequential per-destination fold order
-	// exactly, so even this pathological combiner stays deterministic.
-	weird := func(a, b int64) int64 { return 3*a - b }
-	for _, combine := range []func(a, b int64) int64{Min, Sum, weird} {
-		for _, tc := range []struct {
-			count int
-			n     int64
-		}{
-			{0, 16}, {17, 5}, {5000, 64}, {40000, 1000},
-		} {
-			buf := randomMessages(r, tc.count, tc.n)
+// TestChoosePath pins the routing: every cell of the table, both sides of
+// each of the three constants, the int32-cursor limit, one worker, and the
+// PR 5 combiner-pull rule.
+func TestChoosePath(t *testing.T) {
+	const (
+		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
+		small = 1 << 10 // vertices: 2^14 messages are far above it
+	)
+	for _, tc := range []struct {
+		name string
+		in   pathInputs
+		want string
+		why  string
+	}{
+		// The log, no combiner or with one: same routing.
+		{"log far below n", pathInputs{logical: 100, unicast: 100, n: big, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
+		{"log just below n/cutoff", pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
+		{"log at n/cutoff", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"log at n/cutoff, combiner", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"log below deliverParallelMin", pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"log at deliverParallelMin", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"log at deliverParallelMin, combiner", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"log at deliverParallelMin, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"parallel beats lookaside", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"same traffic, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
+		{"last int32 cursor", pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"logical == MaxInt32", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"MaxInt32 messages, huge n", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"no messages, vertices awake", pathInputs{n: small, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
 
-			seqOff := make([]int64, tc.n+1)
-			var seqVal []int64
-			wantDelivered := (&runScratch{}).seqCombineDeliver(logOf(buf), tc.n, combine, &seqOff, &seqVal)
+		// Records: expanded below bcastExpandMax or beside any unicast.
+		{"records below bcastExpandMax", pathInputs{logical: bcastExpandMax - 1, records: 9, n: small, workers: 1, dir: DirPull}, "csr+expanded", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"small records, big graph", pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside+expanded", "logical*lookasideCutoff < n"},
+		{"records beside a unicast", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr-par+expanded", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"records at bcastExpandMax", pathInputs{logical: bcastExpandMax, records: 9, n: small, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"kept records, parallel", pathInputs{logical: bcastExpandMax, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"kept records far below n", pathInputs{logical: bcastExpandMax, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}, "lookaside", "logical*lookasideCutoff < n"},
+		{"kept records far below n, parallel", pathInputs{logical: bcastExpandMax, records: 9, n: big, workers: 4, dir: DirPull}, "pull", "recorded direction"},
 
-			for _, w := range []int{1, 4, 9} {
-				func() {
-					defer par.SetWorkers(par.SetWorkers(w))
-					off := make([]int64, tc.n+1)
-					var val []int64
-					delivered := (&runScratch{}).parCombineDeliver(logOf(buf), tc.n, combine, &off, &val)
-					if delivered != wantDelivered {
-						t.Fatalf("count=%d n=%d w=%d: delivered = %d, want %d",
-							tc.count, tc.n, w, delivered, wantDelivered)
-					}
-					for i := range seqOff {
-						if off[i] != seqOff[i] {
-							t.Fatalf("count=%d n=%d w=%d: off[%d] = %d, want %d",
-								tc.count, tc.n, w, i, off[i], seqOff[i])
-						}
-					}
-					for i := int64(0); i < wantDelivered; i++ {
-						if val[i] != seqVal[i] {
-							t.Fatalf("count=%d n=%d w=%d: val[%d] = %d, want %d",
-								tc.count, tc.n, w, i, val[i], seqVal[i])
-						}
-					}
-				}()
-			}
+		// Kept records: direction, then combiner.
+		{"recorded pull", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}, "pull", "recorded direction"},
+		{"recorded pull, combiner", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}, "pull", "recorded direction"},
+		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"recorded push, combiner: no parallel cell", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush, combiner: true}, "csr", "records fold sequentially"},
+		{"PR 5 combiner-pull", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 17, workers: 4, combiner: true}, "pull", "combiner, undirected, 2*logical >= edges"},
+		{"PR 5: frontier under half the edges", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1<<17 + 1, workers: 4, combiner: true}, "csr", "records fold sequentially"},
+		{"PR 5: directed", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, combiner: true, directed: true}, "csr", "records fold sequentially"},
+		{"PR 5: no combiner", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"PR 5: no combiner, one worker", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+	} {
+		p, why := choosePath(tc.in)
+		if p.String() != tc.want || why != tc.why {
+			t.Errorf("%s: choosePath(%+v) = %s (%s), want %s (%s)", tc.name, tc.in, p, why, tc.want, tc.why)
 		}
 	}
+}
+
+// FuzzDeliverEquivalence: random traffic — a unicast log, or one broadcast
+// record per sender — over a random small undirected graph, flat or
+// compressed, delivered by every path choosePath can return, forced in
+// turn on one scratch and one inbox: each vertex reads the oracle's
+// sequence whichever path built its inbox, pull (read through the gather)
+// included. The combiners are commutative and associative, as a pull's
+// neighbor-order fold requires.
+func FuzzDeliverEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint16(300), uint16(5000), false, uint8(0), uint8(1), false)
+	f.Add(uint64(2), uint16(64), uint16(0), true, uint8(1), uint8(4), true)
+	f.Add(uint64(3), uint16(511), uint16(9000), true, uint8(2), uint8(3), false)
+	f.Add(uint64(4), uint16(0), uint16(7), false, uint8(3), uint8(7), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nv, count uint16, records bool, combiner, workers uint8, sparse bool) {
+		defer par.SetWorkers(par.SetWorkers(1 + int(workers%8)))
+		r := rng.New(seed)
+		n := 1 + int64(nv%512)
+		edges := make([]graph.Edge, r.Uint64n(uint64(4*n)))
+		for i := range edges {
+			edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
+		}
+		g := graph.MustBuild(n, edges, graph.BuildOptions{})
+		if seed&1 == 1 {
+			g = graph.MustCompress(g)
+		}
+		pool := &gatherPool{size: 2 * g.MaxDegree()}
+		// mk rebuilds the same traffic for every path: expansion consumes it.
+		mk := func() (*traffic, []Message) {
+			r := rng.New(seed + 1)
+			if !records {
+				msgs := randomMessages(r, int(count), n)
+				tr := logTraffic(msgs, n)
+				tr.g, tr.bufs = g, pool
+				return tr, msgs
+			}
+			tr := &traffic{g: g, bufs: pool}
+			var msgs []Message
+			for src := int64(0); src < n; src++ {
+				if g.Degree(src) == 0 || r.Uint64n(2) == 0 {
+					continue
+				}
+				rec := bcastRec{src: src, val: int64(r.Uint64n(1000))}
+				tr.bcasts = append(tr.bcasts, rec)
+				for _, w := range g.Neighbors(src) {
+					msgs = append(msgs, Message{Dest: w, Value: rec.val})
+				}
+			}
+			tr.logical = int64(len(msgs))
+			return tr, msgs
+		}
+		combine := []func(a, b int64) int64{nil, Min, Sum, Or}[combiner%4]
+		s := &runScratch{}
+		ib := &inbox{off: make([]int64, n+1), combine: combine, fold: resolveFold(combine)}
+		paths := []path{{kind: pathLookaside}, {kind: pathCSR}, {kind: pathCSRPar}}
+		if records {
+			paths = append(paths, path{kind: pathLookaside, expanded: true}, path{kind: pathCSR, expanded: true},
+				path{kind: pathCSRPar, expanded: true}, path{kind: pathPull})
+		}
+		for i, p := range paths {
+			tr, msgs := mk()
+			want := oracle(msgs, n, combine)
+			st := int64(2*i + 1)
+			if p.kind == pathPull && !ib.fillBcastLookaside(tr.bcasts, n, st) {
+				t.Fatal("one record per source, yet the broadcaster stamp reports a duplicate")
+			}
+			delivered := s.build(p, tr, ib, sparse, st)
+			if p.kind != pathPull {
+				checkInbox(t, ib, delivered, want)
+				continue
+			}
+			cs := &chunkState{}
+			cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, pool, &cs.eng
+			var total int64
+			for v, w := range want {
+				total += int64(len(w))
+				if got := cs.gather(ib, int64(v)); !slices.Equal(got, w) {
+					t.Fatalf("pull: vertex %d gathers %v, want %v", v, got, w)
+				}
+			}
+			cs.ctx.returnBuf()
+			if delivered != total {
+				t.Fatalf("pull: delivered = %d, want %d", delivered, total)
+			}
+		}
+	})
 }
 
 func TestNextWorklistPathsAgree(t *testing.T) {
@@ -197,15 +422,15 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 			func() {
 				defer par.SetWorkers(par.SetWorkers(w))
 				s := &runScratch{}
-				inboxOff := make([]int64, n+1)
-				var inboxVal []int64
-				delivered := s.deliver(logOf(buf), nil, int64(len(buf)), nil, n, nil, &inboxOff, &inboxVal, true, int64(step), DirAuto)
+				ib := &inbox{off: make([]int64, n+1)}
+				tr := logTraffic(buf, n)
+				delivered, _ := s.deliver(tr, ib, true, int64(step), DirAuto)
 				if delivered != int64(len(buf)) {
 					t.Fatalf("trial %d w=%d: delivered = %d, want %d", trial, w, delivered, len(buf))
 				}
 				stamp := make([]int64, n)
 				par.FillInt64(stamp, -1)
-				got := s.nextWorklist(make([]int64, n), step, wake, delivered, logOf(buf), nil, nil, int64(len(buf)), stamp, n, inboxOff)
+				got := s.nextWorklist(make([]int64, n), step, wake, delivered, tr, stamp, ib)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d w=%d: worklist len %d, want %d", trial, w, len(got), len(want))
 				}
@@ -215,97 +440,6 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 					}
 				}
 			}()
-		}
-	}
-}
-
-// TestSparseDeliverMatchesDense checks that whatever deliver decides to
-// build for a superstep — the O(sent) stamped lookaside (with and without
-// combiner), the sequential CSR or the parallel one — and the lookaside
-// paths forced onto traffic deliver would never give them, hands each
-// vertex exactly the message sequence the sequential CSR path would. The
-// scratch and inbox arrays are reused across the cases, as a run reuses
-// them across supersteps: stamps and offsets left by one representation
-// must never read as messages in the other.
-func TestSparseDeliverMatchesDense(t *testing.T) {
-	r := rng.New(9)
-	const n = int64(5000)
-	for _, combine := range []func(a, b int64) int64{nil, Sum} {
-		for _, w := range []int{1, 6} {
-			for _, sparse := range []bool{false, true} {
-				defer par.SetWorkers(par.SetWorkers(w))
-				s := &runScratch{}
-				off := make([]int64, n+1)
-				var val []int64
-				for st, count := range []int{0, 7, 600, 40000, 3, int(n/lookasideCutoff) - 1, int(n / lookasideCutoff), 20000, 1} {
-					for _, forced := range []bool{false, true} {
-						buf := randomMessages(r, count, n)
-						for i := range buf {
-							buf[i].Dest %= 1 + n/int64(1+st%3) // some cases pile onto a third of the vertices
-						}
-						denseOff := make([]int64, n+1)
-						var denseVal []int64
-						var wantDelivered, delivered int64
-						if combine == nil {
-							wantDelivered = (&runScratch{}).seqDeliver(logOf(buf), n, &denseOff, &denseVal)
-						} else {
-							wantDelivered = (&runScratch{}).seqCombineDeliver(logOf(buf), n, combine, &denseOff, &denseVal)
-						}
-						// Each delivery gets its own stamp, as in a run.
-						st := int64(2*st + 1)
-						switch {
-						case !forced:
-							delivered = s.deliver(logOf(buf), nil, int64(len(buf)), nil, n, combine, &off, &val, sparse, st, DirAuto)
-							if want := w == 1 && int64(count)*lookasideCutoff < n || w > 1 && count < deliverParallelMin && int64(count)*lookasideCutoff < n; s.lookaside != want {
-								t.Fatalf("count=%d w=%d: lookaside = %v, want %v", count, w, s.lookaside, want)
-							}
-						case combine == nil:
-							st++
-							delivered = s.seqDeliverSparse(logOf(buf), n, off, &val, st)
-						default:
-							st++
-							delivered = s.seqCombineDeliverSparse(logOf(buf), n, combine, off, &val, st)
-						}
-						if delivered != wantDelivered {
-							t.Fatalf("count=%d w=%d forced=%v: delivered = %d, want %d", count, w, forced, delivered, wantDelivered)
-						}
-						ib := &inboxView{val: val, off: off, span: s.span, code: ^st, lookaside: s.lookaside}
-						for v := int64(0); v < n; v++ {
-							want := denseVal[denseOff[v]:denseOff[v+1]]
-							got := ib.slice(v)
-							if !slices.Equal(got, want) || ib.has(v) != (len(want) > 0) {
-								t.Fatalf("count=%d w=%d forced=%v: inbox[%d] = %v (has %v), want %v",
-									count, w, forced, v, got, ib.has(v), want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSeqCombineDeliverReusesScratch pins the allocation-churn fix: the
-// has-flag invariant (all false between deliveries) must hold so repeated
-// deliveries on one scratch need no per-superstep zeroing.
-func TestSeqCombineDeliverReusesScratch(t *testing.T) {
-	s := &runScratch{}
-	const n = int64(32)
-	off := make([]int64, n+1)
-	var val []int64
-	for round := 0; round < 3; round++ {
-		buf := []Message{{Dest: 3, Value: 5}, {Dest: 3, Value: 2}, {Dest: 7, Value: 1}}
-		delivered := s.seqCombineDeliver(logOf(buf), n, Min, &off, &val)
-		if delivered != 2 {
-			t.Fatalf("round %d: delivered = %d, want 2", round, delivered)
-		}
-		if got := val[off[3]:off[4]]; len(got) != 1 || got[0] != 2 {
-			t.Fatalf("round %d: inbox[3] = %v", round, got)
-		}
-		for v, h := range s.has {
-			if h {
-				t.Fatalf("round %d: has[%d] left set", round, v)
-			}
 		}
 	}
 }
@@ -363,19 +497,16 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 			for _, lookaside := range []bool{false, true} {
 				b.Run(fmt.Sprintf("n=%d/sent=n/%d/lookaside=%v", n, div, lookaside), func(b *testing.B) {
 					s := &runScratch{}
-					off := make([]int64, n+1)
-					var val []int64
+					ib := &inbox{off: make([]int64, n+1)}
+					kind := pathCSR
+					if lookaside {
+						kind = pathLookaside
+					}
 					var sum int64
 					for i := 0; i < b.N; i++ {
-						if lookaside {
-							s.seqDeliverSparse(logOf(buf), n, off, &val, int64(i))
-						} else {
-							s.lookaside = false
-							s.seqDeliver(logOf(buf), n, &off, &val)
-						}
-						ib := &inboxView{val: val, off: off, span: s.span, code: ^int64(i), lookaside: s.lookaside}
+						s.build(path{kind: kind}, logTraffic(buf, n), ib, false, int64(i))
 						for v := int64(0); v < n; v++ {
-							if ib.has(v) {
+							if hasMessages(ib, v) {
 								sum += ib.slice(v)[0]
 							}
 						}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 
 	"graphxmt/internal/par"
 )
@@ -252,6 +253,29 @@ func (d *NeighborDecoder) Next() (int64, bool) {
 	}
 	d.i++
 	return d.prev, true
+}
+
+// Adjacent enumerates v's neighbors in adjacency order on either
+// representation, decoding a compressed list as it goes: the form for a
+// walk that may stop early, which DecodeNeighbors would make pay for the
+// whole list.
+func (g *Graph) Adjacent(v int64) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		if g.coff == nil {
+			for _, w := range g.adj[g.offsets[v]:g.offsets[v+1]] {
+				if !yield(w) {
+					return
+				}
+			}
+			return
+		}
+		d := g.NeighborDecoder(v)
+		for w, ok := d.Next(); ok; w, ok = d.Next() {
+			if !yield(w) {
+				return
+			}
+		}
+	}
 }
 
 // Compress returns the delta-varint compressed twin of g, sharing the

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphxmt/internal/gen"
@@ -69,6 +70,18 @@ func TestCompressRoundtrip(t *testing.T) {
 		}
 		if got, ok := it.Next(); ok {
 			t.Fatalf("vertex %d: decoder overruns with %d", v, got)
+		}
+		// Adjacent on both representations, walked whole and left early.
+		for _, gr := range []*graph.Graph{g, c} {
+			if got := slices.Collect(gr.Adjacent(v)); !equalInt64s(got, want) {
+				t.Fatalf("vertex %d: Adjacent %v, want %v", v, got, want)
+			}
+			for w := range gr.Adjacent(v) {
+				if w != want[0] {
+					t.Fatalf("vertex %d: Adjacent starts at %d, want %d", v, w, want[0])
+				}
+				break
+			}
 		}
 	}
 	// The blob should actually compress: scale-free varint deltas sit well

@@ -76,13 +76,14 @@ func (j *JSONL) Step(st StepStats) {
 		Received  int64  `json:"received"`
 		Scratch   int64  `json:"scratch_bytes"`
 		Direction string `json:"direction,omitempty"`
+		Delivery  string `json:"delivery,omitempty"`
 		Frontier  int64  `json:"frontier_edges,omitempty"`
 		Unvisited int64  `json:"unvisited_edges,omitempty"`
 		Retries   int64  `json:"retries,omitempty"`
 		Stalled   bool   `json:"stalled,omitempty"`
 		Lanes     int64  `json:"lanes,omitempty"`
 	}{"step", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, st.Received, st.ScratchBytes,
-		st.Direction, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes})
+		st.Direction, st.Delivery, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes})
 }
 
 // NoteFallback implements FallbackNoter: each damaged checkpoint the

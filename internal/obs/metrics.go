@@ -46,6 +46,7 @@ type Metrics struct {
 	fallbacks   *metrics.Counter
 	batchRuns   *metrics.Counter
 	dirSteps    map[string]*metrics.Counter
+	delivery    map[string]*metrics.Counter // by StepStats.Delivery, registered on first sight
 
 	workers   *metrics.Gauge
 	vertices  *metrics.Gauge
@@ -103,6 +104,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		fallbacks:   reg.Counter("graphxmt_ckpt_fallback_total", "damaged checkpoints skipped by the resume fallback chain"),
 		batchRuns:   reg.Counter("graphxmt_batch_runs_total", "batched multi-source runs observed (lane occupancy > 0)"),
 		dirSteps:    map[string]*metrics.Counter{},
+		delivery:    map[string]*metrics.Counter{},
 		workers:     reg.Gauge("graphxmt_run_workers", "host worker count of the current run"),
 		vertices:    reg.Gauge("graphxmt_graph_vertices", "vertex count of the current run's graph"),
 		edges:       reg.Gauge("graphxmt_graph_edges", "edge count of the current run's graph"),
@@ -200,6 +202,15 @@ func (m *Metrics) Step(st StepStats) {
 		}
 		m.frontier.Set(st.FrontierEdges)
 		m.unvisited.Set(st.UnvisitedEdges)
+	}
+	if st.Delivery != "" {
+		c, ok := m.delivery[st.Delivery]
+		if !ok {
+			c = m.reg.Counter("graphxmt_delivery_total", "superstep boundaries by delivery path taken",
+				metrics.Label{Key: "path", Value: st.Delivery})
+			m.delivery[st.Delivery] = c
+		}
+		c.Inc()
 	}
 	m.stepWall.Observe(m.curWall.Microseconds())
 	if m.curWall > 0 && m.curWkrs > 0 {

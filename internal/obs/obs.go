@@ -101,6 +101,16 @@ type StepStats struct {
 	// Direction is the superstep's push/pull decision ("push" or "pull")
 	// when the engine's direction layer is active; empty otherwise.
 	Direction string
+	// Delivery names what the boundary after this superstep did with its
+	// traffic (core's choosePath): "lookaside" (stamped only the receivers,
+	// O(traffic)), "csr" (sequential CSR inbox build), "csr-par" (the same,
+	// forked), "pull" (stamped the broadcasters and built nothing — the
+	// NEXT superstep's compute span contains the gather), each suffixed
+	// "+expanded" when broadcast records were expanded to per-edge
+	// messages first; "none" on the terminal superstep, which delivers
+	// nothing. A host-speed decision: unlike Direction it may differ
+	// between worker counts.
+	Delivery string
 	// FrontierEdges is the broadcast-incident-edge count the direction
 	// heuristic compared (logical messages minus unicasts); UnvisitedEdges
 	// is the incident-edge count of not-yet-visited vertices. Both zero

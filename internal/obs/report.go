@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"time"
@@ -49,6 +50,9 @@ type reportRun struct {
 	// decision; the dir/front/unvis columns render only then, so runs
 	// without the direction layer keep the legacy table shape.
 	hasDir bool
+	// hasDelivery marks that at least one superstep named its delivery
+	// path (a BSP engine run); the delivery column renders only then.
+	hasDelivery bool
 	// hasRetry marks that at least one superstep was retried or stalled;
 	// the retry/stall columns render only then — clean runs (supervised
 	// or not) keep the legacy table shape.
@@ -77,7 +81,7 @@ type stepRow struct {
 	step                              int
 	active, sent, physical, delivered int64
 	scratch                           int64
-	direction                         string
+	direction, delivery               string
 	frontier, unvisited               int64
 	retries                           int64
 	stalled                           bool
@@ -233,6 +237,9 @@ func (r *Report) Step(st StepStats) {
 	if st.Direction != "" {
 		run.hasDir = true
 	}
+	if st.Delivery != "" {
+		run.hasDelivery = true
+	}
 	if st.Retries > 0 || st.Stalled {
 		run.hasRetry = true
 	}
@@ -244,6 +251,7 @@ func (r *Report) Step(st StepStats) {
 	row.active, row.sent, row.physical, row.delivered = st.Active, st.Sent, st.SentPhysical, st.Delivered
 	row.scratch = st.ScratchBytes
 	row.direction, row.frontier, row.unvisited = st.Direction, st.FrontierEdges, st.UnvisitedEdges
+	row.delivery = st.Delivery
 	row.retries, row.stalled = st.Retries, st.Stalled
 	row.lanes = st.Lanes
 	row.hasStats = true
@@ -308,6 +316,9 @@ func (r *reportRun) render(w io.Writer) error {
 	fmt.Fprintf(w, "%6s %10s %10s %10s %10s %9s", "step", "active", "sent", "phys", "delivered", "scratch")
 	if r.hasDir {
 		fmt.Fprintf(w, " %4s %10s %10s", "dir", "front", "unvis")
+	}
+	if r.hasDelivery {
+		fmt.Fprintf(w, " %-18s", "delivery")
 	}
 	if r.hasRetry {
 		fmt.Fprintf(w, " %5s %5s", "retry", "stall")
@@ -414,6 +425,9 @@ func (r *reportRun) printRows(w io.Writer, rows []stepRow) {
 			} else {
 				fmt.Fprintf(w, " %4s %10s %10s", "-", "-", "-")
 			}
+		}
+		if r.hasDelivery {
+			fmt.Fprintf(w, " %-18s", cmp.Or(row.delivery, "-"))
 		}
 		if r.hasRetry {
 			stall := "-"
