@@ -114,9 +114,9 @@ func (p *MultiBFSProgram) ProgramName() string {
 func (p *MultiBFSProgram) Lanes() []int64 { return p.lanes }
 
 // AuxState implements core.AuxProgram: the packed levels ride in every
-// boundary snapshot (checkpoint format v7), so resumed and retried batches
-// keep the levels recorded before the boundary. nil (absent) for
-// reachability-only batches.
+// boundary snapshot, so resumed and retried batches keep the levels
+// recorded before the boundary. nil (absent) for reachability-only
+// batches.
 func (p *MultiBFSProgram) AuxState() []int64 { return p.levels }
 
 // Compute implements core.Program. A vertex ORs its incoming masks,
@@ -231,8 +231,8 @@ func (r *MultiResult) laneWordsI() int64 { return int64(r.laneWords) }
 // MultiBFS runs up to 64 BFS queries as one batched engine pass and
 // recovers every lane's per-vertex distances. Trailing options configure
 // engine extras exactly as for BFS — including checkpointing: the lane
-// assignment is pinned in the fingerprint (ckpt format v7) and the packed
-// levels ride in every snapshot, so a killed batch resumes bit-identically.
+// assignment is pinned in the fingerprint and the packed levels ride in
+// every snapshot, so a killed batch resumes bit-identically.
 func MultiBFS(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, opts ...core.Option) (*MultiResult, error) {
 	return runMulti(g, plan, rec, true, opts)
 }

@@ -86,8 +86,7 @@ type Fingerprint struct {
 	Sparse bool
 	// Schedule names the sweep chunk schedule the run uses ("degree" or
 	// "fixed"). Aggregator fold trees follow chunk boundaries, so a run may
-	// only resume under the schedule it started with; version-1 checkpoints
-	// decode as "fixed", the only schedule that existed then.
+	// only resume under the schedule it started with.
 	Schedule string
 	// MaxSupersteps / MaxMessages are the resolved engine bounds.
 	MaxSupersteps int64
@@ -97,28 +96,25 @@ type Fingerprint struct {
 	// Direction is the run's direction mode ("auto", "push" or "pull" —
 	// core.DirectionMode). The push/pull decision sequence is a pure
 	// function of the mode and the run's logical counters, so a run may
-	// only resume under the mode it started with; v1-v3 checkpoints decode
-	// as "auto", the only behavior that existed then.
+	// only resume under the mode it started with.
 	Direction string
 	// Retries is the run's Config.MaxRetries bound. The retry loop
 	// re-executes a faulting superstep from the boundary snapshot, so the
 	// retry budget shapes which faults a run survives; a resumed run must
 	// keep the bound it started with for Result.RetriesPerStep to stay
-	// comparable. v1-v4 checkpoints decode as 0 (retry did not exist).
+	// comparable.
 	Retries int64
 	// Rep is the graph's adjacency representation ("flat" or "compressed"
 	// — graph.Rep). GraphCRC hashes the stored arrays — the flat adjacency
 	// or the delta-varint bytes — so the same logical graph fingerprints
 	// differently per representation, and a run may only resume under the
-	// representation it checkpointed with. v1-v5 checkpoints decode as
-	// "flat", the only representation that existed then.
+	// representation it checkpointed with.
 	Rep string
 	// Lanes is the batched run's lane assignment — the comma-separated
 	// source list in lane order (core.LaneProgram) — or "" for unbatched
 	// runs. Per-vertex lane masks and the aux level words are meaningful
 	// only under the assignment they were written with, so a batch may
-	// only resume under the exact source order it started with. v1-v6
-	// checkpoints decode as "" (batching did not exist).
+	// only resume under the exact source order it started with.
 	Lanes string
 }
 
@@ -178,13 +174,13 @@ type Snapshot struct {
 	// consumed by Step+1), parallel slices in send order.
 	MsgDest []int64
 	MsgVal  []int64
-	// BcastSrc/BcastVal/BcastSeq are the in-flight broadcast records
-	// (format v3): one entry per SendToNeighbors call the engine kept as a
-	// record instead of expanding per edge — source vertex, payload, and
+	// BcastSrc/BcastVal/BcastSeq are the in-flight broadcast records: one
+	// entry per SendToNeighbors call the engine kept as a record instead
+	// of expanding per edge — source vertex, payload, and
 	// the record's position in the unicast stream (BcastSeq[i] unicasts
 	// precede record i; non-decreasing). Parallel slices in record order
 	// (ascending source). Empty for runs whose boundary traffic was
-	// expanded, and for v1/v2 checkpoints.
+	// expanded.
 	BcastSrc []int64
 	BcastVal []int64
 	BcastSeq []int64
@@ -192,23 +188,22 @@ type Snapshot struct {
 	ActivePerStep    []int64
 	MessagesPerStep  []int64
 	DeliveredPerStep []int64
-	// Directions is the per-superstep push/pull decision sequence (format
-	// v4): one entry per completed superstep (length Step+1), values 1
-	// (push) or 2 (pull) — core.DirectionMode. Visited is the direction
-	// heuristic's visited-vertex bitmap (length FP.Vertices). Both are
-	// present together when the run's direction layer was active, and both
-	// empty otherwise (and for v1-v3 checkpoints).
+	// Directions is the per-superstep push/pull decision sequence: one
+	// entry per completed superstep (length Step+1), values 1 (push) or 2
+	// (pull) — core.DirectionMode. Visited is the direction heuristic's
+	// visited-vertex bitmap (length FP.Vertices). Both are present together
+	// when the run's direction layer was active, and both empty otherwise.
 	Directions []int64
 	Visited    []bool
-	// RetriesPerStep is the per-superstep retry count (format v5): one
-	// entry per completed superstep (length Step+1) when the run's retry
-	// supervisor was active, empty otherwise (and for v1-v4 checkpoints).
+	// RetriesPerStep is the per-superstep retry count: one entry per
+	// completed superstep (length Step+1) when the run's retry supervisor
+	// was active, empty otherwise.
 	RetriesPerStep []int64
-	// Aux is the program's auxiliary state (format v7) — the deep copy of
+	// Aux is the program's auxiliary state — the deep copy of
 	// core.AuxProgram's backing slice at this boundary (e.g. MultiBFS's
 	// packed per-vertex per-lane levels). Its length and encoding are
 	// program-defined; FP.Lanes plus FP.Program pin the interpretation.
-	// Empty for programs without aux state and for v1-v6 checkpoints.
+	// Empty for programs without aux state.
 	Aux []int64
 	// Aggregates and PrevAggregates (the Pregel previous-superstep view),
 	// sorted by name.

@@ -3,7 +3,7 @@ package ckpt_test
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
@@ -21,7 +21,14 @@ import (
 // cross-checks (array lengths vs fingerprint, live count vs halted set,
 // message destinations in range) must all hold or Load would reject it.
 func randSnapshot(rng *rand.Rand) *ckpt.Snapshot {
-	n := int64(1 + rng.Intn(200))
+	return randSnapshotSized(rng, 200, 300)
+}
+
+// randSnapshotSized is randSnapshot with the vertex and message counts
+// drawn below the given bounds (the fuzzer wants seeds of a few hundred
+// bytes, not a few thousand).
+func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snapshot {
+	n := int64(1 + rng.Intn(maxVertices))
 	step := int64(rng.Intn(20))
 	s := &ckpt.Snapshot{
 		FP: ckpt.Fingerprint{
@@ -54,7 +61,7 @@ func randSnapshot(rng *rand.Rand) *ckpt.Snapshot {
 			s.Live++
 		}
 	}
-	m := rng.Intn(300)
+	m := rng.Intn(maxMessages)
 	if m > 0 { // the decoder yields nil (not empty) slices for zero lengths
 		s.MsgDest = make([]int64, m)
 		s.MsgVal = make([]int64, m)
@@ -83,7 +90,7 @@ func randSnapshot(rng *rand.Rand) *ckpt.Snapshot {
 		s.DeliveredPerStep = append(s.DeliveredPerStep, int64(rng.Intn(1000)))
 	}
 	if rng.Intn(2) == 0 {
-		// Direction-layer state (v4): present together — one push/pull
+		// Direction-layer state: present together — one push/pull
 		// decision per completed superstep plus the per-vertex visited
 		// bitmap.
 		for i := int64(0); i <= step; i++ {
@@ -95,14 +102,14 @@ func randSnapshot(rng *rand.Rand) *ckpt.Snapshot {
 		}
 	}
 	if rng.Intn(2) == 0 {
-		// Retry-supervisor state (v5): one retry count per completed
+		// Retry-supervisor state: one retry count per completed
 		// superstep.
 		for i := int64(0); i <= step; i++ {
 			s.RetriesPerStep = append(s.RetriesPerStep, int64(rng.Intn(3)))
 		}
 	}
 	if rng.Intn(2) == 0 {
-		// Program-owned aux state (v7): program-defined length, opaque to
+		// Program-owned aux state: program-defined length, opaque to
 		// the decoder.
 		s.Aux = make([]int64, 1+rng.Intn(64))
 		for i := range s.Aux {
@@ -282,6 +289,24 @@ func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 	}
 }
 
+// stampVersion rewrites the format-version word of the checkpoint at path.
+// The CRC covers only the payload, so the file stays otherwise intact.
+func stampVersion(t *testing.T, path string, ver uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], ver)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnknownVersionRejected: the format has one version and no decoder
+// for any other. Files stamped with a retired version (1-6 were written by
+// earlier engines), a future one, or garbage are a typed VersionError from
+// both Load and Verify — never a mis-decode.
 func TestUnknownVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := randSnapshot(rand.New(rand.NewSource(3)))
@@ -289,16 +314,55 @@ func TestUnknownVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(path)
-	data[8] = 99 // version field
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 99} {
+		stampVersion(t, path, ver)
+		_, loadErr := ckpt.Load(path)
+		for _, err := range []error{loadErr, ckpt.Verify(path)} {
+			var ve *ckpt.VersionError
+			if !errors.As(err, &ve) {
+				t.Fatalf("version %d: want VersionError, got %v", ver, err)
+			}
+			if ve.Version != ver {
+				t.Fatalf("VersionError.Version = %d, want %d", ve.Version, ver)
+			}
+		}
 	}
-	var ve *ckpt.VersionError
-	if _, err := ckpt.Load(path); !errors.As(err, &ve) {
-		t.Fatalf("want VersionError, got %v", err)
-	} else if ve.Version != 99 {
-		t.Fatalf("VersionError.Version = %d, want 99", ve.Version)
+	stampVersion(t, path, 7)
+	if _, err := ckpt.Load(path); err != nil {
+		t.Fatalf("restamped current version: %v", err)
+	}
+}
+
+// TestEncodeGolden pins the payload bytes: FNV-64a of Encode over
+// randSnapshot seeds 1-8, captured on the commit before the field list
+// became Snapshot.walk. The seeds cover every optional section both present
+// and absent (broadcast records, direction arrays, retry counts, aux,
+// aggregates, phases). A change here is a format change: bump the version.
+func TestEncodeGolden(t *testing.T) {
+	golden := []struct {
+		seed int64
+		size int
+		hash uint64
+	}{
+		{1, 2699, 0x10e37c566363fa26}, // dir, retry, aux; no bcast
+		{2, 6447, 0x09b46b8aedc09c67}, // bcast, dir, retry; no aux
+		{3, 3196, 0x004a6f8d2ac78283}, // bcast, aux; no dir, no retry
+		{4, 6730, 0x6c9f1a5a5f4c0f18}, // bcast, dir, aux; no retry
+		{5, 2223, 0xd2e773446e7076ba}, // bcast, aux; no aggregates
+		{6, 3490, 0x5a8e09da05054505}, // bcast, retry; no phases
+		{7, 2390, 0xdbb0098d66a1e0b7}, // dir, retry; no bcast, no aux
+		{8, 6116, 0xb7921c25fce365be}, // bcast, dir, aux; no aggregates
+	}
+	for _, g := range golden {
+		b := ckpt.Encode(randSnapshot(rand.New(rand.NewSource(g.seed))))
+		h := fnv.New64a()
+		h.Write(b)
+		if len(b) != g.size || h.Sum64() != g.hash {
+			t.Errorf("seed %d: %d bytes, hash %#016x; want %d bytes, hash %#016x", g.seed, len(b), h.Sum64(), g.size, g.hash)
+		}
+		if cap(b) != len(b) {
+			t.Errorf("seed %d: Encode sized its buffer at %d for a %d-byte payload", g.seed, cap(b), len(b))
+		}
 	}
 }
 
@@ -430,320 +494,5 @@ func TestLatestPathAndPrune(t *testing.T) {
 
 	if latest, _ = ckpt.LatestPath(t.TempDir()); latest != "" {
 		t.Fatalf("latest in empty dir = %q, want empty", latest)
-	}
-}
-
-// spliceVersion reconstructs the exact byte layout of an older-format file
-// from a current-version encode of s: versions below 7 drop the
-// Fingerprint Lanes string (after Rep) and the Aux array (after
-// RetriesPerStep); versions below 6 drop the
-// Fingerprint Rep string (after Retries); versions below 5 also drop
-// FP.Retries and the RetriesPerStep array; versions below 4 drop the
-// Fingerprint Direction string after Schedule and the Directions/Visited
-// arrays after DeliveredPerStep; version 2 also drops the
-// broadcast-record arrays (added in v3, after MsgVal); version 1
-// additionally drops the Schedule string. The header version and checksum
-// are rewritten to match. Offsets are computed against the original
-// current-version layout and spliced back to front so earlier offsets
-// stay valid.
-func spliceVersion(t *testing.T, s *ckpt.Snapshot, data []byte, ver uint32) []byte {
-	t.Helper()
-	const header = 16
-	out := append([]byte{}, data...)
-
-	schedOff := header + 4 + 8 + 8 +
-		4 + len(s.FP.Program) +
-		4 + len(s.FP.Label) +
-		1 + 1
-	schedLen := 4 + len(s.FP.Schedule)
-	dirStrOff := schedOff + schedLen
-	dirStrLen := 4 + len(s.FP.Direction)
-	// FP.Retries (v5) sits after the Direction string, and the FP.Rep
-	// string (v6) after that.
-	retryFPOff := dirStrOff + dirStrLen
-	const retryFPLen = 8
-	repStrOff := retryFPOff + retryFPLen
-	repStrLen := 4 + len(s.FP.Rep)
-	// The FP.Lanes string (v7) sits after the Rep string.
-	lanesStrOff := repStrOff + repStrLen
-	lanesStrLen := 4 + len(s.FP.Lanes)
-	// Broadcast arrays sit after MsgVal: three length-prefixed int64 slices.
-	bcastOff := lanesStrOff + lanesStrLen +
-		8 + 8 + 4 + // MaxSupersteps, MaxMessages, CostsCRC
-		8 + 8 + // Step, Live
-		8 + 8*len(s.States) +
-		8 + len(s.Halted) +
-		8 + 8*len(s.MsgDest) +
-		8 + 8*len(s.MsgVal)
-	bcastLen := 3*8 + 8*(len(s.BcastSrc)+len(s.BcastVal)+len(s.BcastSeq))
-	dirArrOff := bcastOff + bcastLen +
-		8 + 8*len(s.ActivePerStep) +
-		8 + 8*len(s.MessagesPerStep) +
-		8 + 8*len(s.DeliveredPerStep)
-	dirArrLen := 8 + 8*len(s.Directions) +
-		8 + len(s.Visited)
-	// RetriesPerStep (v5) sits after the Visited bitmap, and the Aux
-	// array (v7) after that.
-	retryArrOff := dirArrOff + dirArrLen
-	retryArrLen := 8 + 8*len(s.RetriesPerStep)
-	auxOff := retryArrOff + retryArrLen
-	auxLen := 8 + 8*len(s.Aux)
-
-	if ver < 7 {
-		out = append(out[:auxOff], out[auxOff+auxLen:]...)
-	}
-	if ver < 5 {
-		out = append(out[:retryArrOff], out[retryArrOff+retryArrLen:]...)
-	}
-	if ver < 4 {
-		out = append(out[:dirArrOff], out[dirArrOff+dirArrLen:]...)
-	}
-	if ver < 3 {
-		out = append(out[:bcastOff], out[bcastOff+bcastLen:]...)
-	}
-	if ver < 7 {
-		out = append(out[:lanesStrOff], out[lanesStrOff+lanesStrLen:]...)
-	}
-	if ver < 6 {
-		out = append(out[:repStrOff], out[repStrOff+repStrLen:]...)
-	}
-	if ver < 5 {
-		out = append(out[:retryFPOff], out[retryFPOff+retryFPLen:]...)
-	}
-	if ver < 4 {
-		out = append(out[:dirStrOff], out[dirStrOff+dirStrLen:]...)
-	}
-	if ver < 2 {
-		out = append(out[:schedOff], out[schedOff+schedLen:]...)
-	}
-	binary.LittleEndian.PutUint32(out[8:12], ver)
-	binary.LittleEndian.PutUint32(out[12:16], crc32.Checksum(out[header:], crc32.MakeTable(crc32.Castagnoli)))
-	return out
-}
-
-// TestLoadVersion1DefaultsSchedule: a version-1 checkpoint (written before
-// chunk schedules existed) must load with Schedule "fixed" — the only
-// schedule version-1 runs could have used. The test splices the Schedule
-// string and the v3 broadcast arrays out of a current-version file and
-// rewrites the header, reconstructing the exact v1 byte layout.
-func TestLoadVersion1DefaultsSchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := spliceVersion(t, s, data, 1)
-
-	v1path := filepath.Join(dir, "v1"+ckpt.Ext)
-	if err := os.WriteFile(v1path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v1path)
-	if err != nil {
-		t.Fatalf("loading version-1 checkpoint: %v", err)
-	}
-	if got.FP.Schedule != "fixed" {
-		t.Fatalf("v1 Schedule = %q, want \"fixed\"", got.FP.Schedule)
-	}
-	want := *s
-	want.FP.Schedule = "fixed"
-	want.FP.Direction = "auto"
-	want.FP.Retries = 0
-	want.FP.Rep = "flat"
-	want.FP.Lanes = ""
-	want.BcastSrc, want.BcastVal, want.BcastSeq = nil, nil, nil
-	want.Directions, want.Visited = nil, nil
-	want.RetriesPerStep = nil
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v1 round trip mismatch beyond Schedule:\nwant %+v\ngot  %+v", &want, got)
-	}
-}
-
-// TestLoadVersion2NoBroadcasts: a version-2 checkpoint (written before
-// broadcast records existed) must load with empty record slices and
-// everything else intact — the traffic a v2 run checkpointed is fully
-// expanded in MsgDest/MsgVal, so resume re-delivers it unchanged.
-func TestLoadVersion2NoBroadcasts(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := spliceVersion(t, s, data, 2)
-
-	v2path := filepath.Join(dir, "v2"+ckpt.Ext)
-	if err := os.WriteFile(v2path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v2path)
-	if err != nil {
-		t.Fatalf("loading version-2 checkpoint: %v", err)
-	}
-	want := *s
-	want.FP.Direction = "auto"
-	want.FP.Retries = 0
-	want.FP.Rep = "flat"
-	want.FP.Lanes = ""
-	want.BcastSrc, want.BcastVal, want.BcastSeq = nil, nil, nil
-	want.Directions, want.Visited = nil, nil
-	want.RetriesPerStep = nil
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v2 round trip mismatch:\nwant %+v\ngot  %+v", &want, got)
-	}
-}
-
-// TestLoadVersion3NoDirection: a version-3 checkpoint (written before the
-// direction layer existed) must load with Direction "auto" — direction
-// optimization shipped defaulting to auto, and pre-direction runs behave
-// exactly as auto runs over push-only programs — and nil direction arrays,
-// with the broadcast records intact.
-func TestLoadVersion3NoDirection(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := spliceVersion(t, s, data, 3)
-
-	v3path := filepath.Join(dir, "v3"+ckpt.Ext)
-	if err := os.WriteFile(v3path, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v3path)
-	if err != nil {
-		t.Fatalf("loading version-3 checkpoint: %v", err)
-	}
-	want := *s
-	want.FP.Direction = "auto"
-	want.FP.Retries = 0
-	want.FP.Rep = "flat"
-	want.FP.Lanes = ""
-	want.Directions, want.Visited = nil, nil
-	want.RetriesPerStep = nil
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v3 round trip mismatch:\nwant %+v\ngot  %+v", &want, got)
-	}
-}
-
-// TestLoadVersion4NoRetries: a version-4 checkpoint (written before the
-// run supervisor existed) must load with Retries 0 and a nil
-// RetriesPerStep, with direction state and broadcast records intact.
-func TestLoadVersion4NoRetries(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4 := spliceVersion(t, s, data, 4)
-
-	v4path := filepath.Join(dir, "v4"+ckpt.Ext)
-	if err := os.WriteFile(v4path, v4, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v4path)
-	if err != nil {
-		t.Fatalf("loading version-4 checkpoint: %v", err)
-	}
-	want := *s
-	want.FP.Retries = 0
-	want.FP.Rep = "flat"
-	want.FP.Lanes = ""
-	want.RetriesPerStep = nil
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v4 round trip mismatch:\nwant %+v\ngot  %+v", &want, got)
-	}
-}
-
-// TestLoadVersion5NoRep: a version-5 checkpoint (written before compressed
-// adjacency existed) must load with Rep "flat" — the only representation
-// version-5 runs could have used — with retry state intact.
-func TestLoadVersion5NoRep(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v5 := spliceVersion(t, s, data, 5)
-	v5path := filepath.Join(dir, "v5"+ckpt.Ext)
-	if err := os.WriteFile(v5path, v5, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v5path)
-	if err != nil {
-		t.Fatalf("loading version-5 checkpoint: %v", err)
-	}
-	want := *s
-	want.FP.Rep = "flat"
-	want.FP.Lanes = ""
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v5 round trip mismatch:\nwant %+v\ngot  %+v", &want, got)
-	}
-}
-
-// TestLoadVersion6NoLanes: a version-6 checkpoint (written before batched
-// multi-source runs existed) must load with an empty lane assignment and a
-// nil Aux array — pre-batch runs carried neither — with everything newer
-// than v5 (the Rep string) intact.
-func TestLoadVersion6NoLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	s := randSnapshot(rng)
-	dir := t.TempDir()
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v6 := spliceVersion(t, s, data, 6)
-	v6path := filepath.Join(dir, "v6"+ckpt.Ext)
-	if err := os.WriteFile(v6path, v6, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ckpt.Load(v6path)
-	if err != nil {
-		t.Fatalf("loading version-6 checkpoint: %v", err)
-	}
-	want := *s
-	want.FP.Lanes = ""
-	want.Aux = nil
-	if !reflect.DeepEqual(&want, got) {
-		t.Fatalf("v6 round trip mismatch:\nwant %+v\ngot  %+v", &want, got)
 	}
 }

@@ -16,50 +16,21 @@ import (
 // File format: an 8-byte magic, a little-endian uint32 format version, a
 // little-endian uint32 CRC32 (Castagnoli) over the payload, then the
 // payload. The payload is a flat little-endian encoding of Snapshot with
-// length-prefixed slices and strings; every length is validated against
-// the remaining bytes during decode, so a truncated or bit-flipped file
-// yields a typed CorruptError, never a panic or a silently wrong state.
+// length-prefixed slices and strings, in the order Snapshot.walk visits
+// them; every length is validated against the remaining bytes during
+// decode, so a truncated or bit-flipped file yields a typed CorruptError,
+// never a panic or a silently wrong state.
 //
-// Version history:
-//
-//	1 — initial format. Runs predate the chunk-schedule fingerprint field
-//	    and were always taken under fixed vertex-count chunking, so decode
-//	    fills Schedule with "fixed".
-//	2 — Fingerprint gains Schedule (the sweep chunk schedule name), encoded
-//	    after the Sparse flag.
-//	3 — Snapshot gains the in-flight broadcast records (BcastSrc/BcastVal/
-//	    BcastSeq), encoded after MsgVal. v1/v2 checkpoints predate broadcast
-//	    records — their boundary traffic is fully expanded in MsgDest/MsgVal
-//	    — so decode leaves the record slices empty and resume re-delivers
-//	    the expanded queue, which is bit-identical.
-//	4 — direction-optimizing supersteps: Fingerprint gains Direction (the
-//	    run's direction mode, encoded after Schedule; older checkpoints
-//	    decode as "auto", the only behavior that existed then) and Snapshot
-//	    gains the per-superstep decision sequence Directions plus the
-//	    heuristic's Visited bitmap (encoded after DeliveredPerStep; empty
-//	    in older checkpoints and when the direction layer was inactive).
-//	5 — run supervisor: Fingerprint gains Retries (Config.MaxRetries,
-//	    encoded after Direction; older checkpoints decode as 0) and
-//	    Snapshot gains RetriesPerStep, the per-superstep retry counts
-//	    (encoded after Visited; empty in older checkpoints and when the
-//	    retry supervisor was inactive).
-//	6 — graph representations: Fingerprint gains Rep (the graph's adjacency
-//	    representation, "flat" or "compressed", encoded after Retries).
-//	    The GraphCRC of a compressed graph hashes the delta-varint bytes
-//	    directly, so the same logical graph has a different CRC per
-//	    representation; older checkpoints decode as "flat", the only
-//	    representation that existed then.
-//	7 — batched multi-source runs: Fingerprint gains Lanes (the batch's
-//	    lane assignment as a comma-separated source list, encoded after
-//	    Rep; "" for unbatched runs and older checkpoints) and Snapshot
-//	    gains Aux, the program-owned auxiliary state (core.AuxProgram —
-//	    e.g. MultiBFS's packed per-lane levels; encoded after
-//	    RetriesPerStep, empty for programs without aux state and for
-//	    older checkpoints).
+// There is one format version and no decoder for any other: a file stamped
+// with a different version is a typed VersionError, which the resume
+// fallback chain skips like any other unreadable snapshot. To add a field,
+// add its line to walk, add its structural cross-check to Decode, and bump
+// version and minVersion together.
 const (
 	magic      = "GXMTCKP1"
 	version    = 7
-	minVersion = 1
+	minVersion = version
+	headerLen  = 16
 
 	// Ext is the checkpoint file extension.
 	Ext = ".gxckpt"
@@ -85,7 +56,7 @@ type VersionError struct {
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("ckpt: checkpoint %s has unsupported format version %d (supported: %d-%d)", e.Path, e.Version, minVersion, version)
+	return fmt.Sprintf("ckpt: checkpoint %s has unsupported format version %d (supported: %d)", e.Path, e.Version, version)
 }
 
 // MismatchError reports a fingerprint field that differs between a
@@ -113,39 +84,166 @@ func (e *WriteError) Error() string {
 
 func (e *WriteError) Unwrap() error { return e.Err }
 
+// codec gives Snapshot.walk's visit of the payload fields one of its three
+// meanings: sizer counts the bytes, encoder writes them, decoder reads and
+// bounds-checks them. Only the decoder stores through the pointers.
+type codec interface {
+	u8(*uint8)
+	u32(*uint32)
+	i64(*int64)
+	index(*int) // an int stored as an i64
+	boolean(*bool)
+	str(*string)
+	int64s(*[]int64)
+	bools(*[]bool)
+	// length visits the element count of a list of records that each occupy
+	// at least minBytes and returns how many the walk should visit: have
+	// when writing, the stored count — checked against the bytes left —
+	// when reading.
+	length(have, minBytes int) int
+	// fail rejects the payload; only reading can.
+	fail(format string, args ...any)
+}
+
+// walk visits the fingerprint and every snapshot field exactly once, in
+// file order. It is the definition of the payload layout.
+func (s *Snapshot) walk(c codec) {
+	fp := &s.FP
+	c.u32(&fp.GraphCRC)
+	c.i64(&fp.Vertices)
+	c.i64(&fp.Edges)
+	c.str(&fp.Program)
+	c.str(&fp.Label)
+	c.boolean(&fp.Combiner)
+	c.boolean(&fp.Sparse)
+	c.str(&fp.Schedule)
+	c.str(&fp.Direction)
+	c.i64(&fp.Retries)
+	c.str(&fp.Rep)
+	c.str(&fp.Lanes)
+	c.i64(&fp.MaxSupersteps)
+	c.i64(&fp.MaxMessages)
+	c.u32(&fp.CostsCRC)
+
+	c.i64(&s.Step)
+	c.i64(&s.Live)
+	c.int64s(&s.States)
+	c.bools(&s.Halted)
+	c.int64s(&s.MsgDest)
+	c.int64s(&s.MsgVal)
+	c.int64s(&s.BcastSrc)
+	c.int64s(&s.BcastVal)
+	c.int64s(&s.BcastSeq)
+	c.int64s(&s.ActivePerStep)
+	c.int64s(&s.MessagesPerStep)
+	c.int64s(&s.DeliveredPerStep)
+	c.int64s(&s.Directions)
+	c.bools(&s.Visited)
+	c.int64s(&s.RetriesPerStep)
+	// Program-defined length — no structural cross-check is possible beyond
+	// the slice-length sanity the decoder already applies; a mismatched
+	// length is caught by the engine at restore time.
+	c.int64s(&s.Aux)
+
+	for _, aggs := range []*[]Aggregate{&s.Aggregates, &s.PrevAggregates} {
+		if n := c.length(len(*aggs), aggregateMinBytes); n != len(*aggs) {
+			*aggs = make([]Aggregate, n)
+		}
+		for i := range *aggs {
+			a := &(*aggs)[i]
+			c.str(&a.Name)
+			c.i64(&a.Value)
+			c.boolean(&a.Seeded)
+		}
+	}
+
+	if n := c.length(len(s.Phases), phaseMinBytes); n != len(s.Phases) {
+		s.Phases = make([]trace.PhaseState, n)
+	}
+	for i := range s.Phases {
+		p := &s.Phases[i]
+		c.str(&p.Name)
+		c.index(&p.Index)
+		c.i64(&p.Tasks)
+		c.i64(&p.Issue)
+		c.i64(&p.Loads)
+		c.i64(&p.Stores)
+		c.i64(&p.MaxTask)
+		nh := uint8(trace.NumHotClasses)
+		if c.u8(&nh); nh != uint8(trace.NumHotClasses) {
+			c.fail("phase %d has %d hot classes, want %d", i, nh, trace.NumHotClasses)
+		}
+		for h := range p.Hot {
+			c.i64(&p.Hot[h])
+		}
+		c.i64(&p.Barriers)
+	}
+}
+
+// The fewest bytes one Aggregate and one PhaseState can encode to (empty
+// name). The decoder holds a stored record count to what the remaining
+// bytes could back, so a damaged count cannot make it allocate more than
+// a small multiple of the file's size.
+const (
+	aggregateMinBytes = 4 + 8 + 1
+	phaseMinBytes     = 4 + 8*6 + 1 + 8*int(trace.NumHotClasses) + 8
+)
+
+// sizer counts the bytes a walk encodes to, so Encode allocates once.
+type sizer int
+
+func (z *sizer) u8(*uint8)              { *z++ }
+func (z *sizer) u32(*uint32)            { *z += 4 }
+func (z *sizer) i64(*int64)             { *z += 8 }
+func (z *sizer) index(*int)             { *z += 8 }
+func (z *sizer) boolean(*bool)          { *z++ }
+func (z *sizer) str(s *string)          { *z += sizer(4 + len(*s)) }
+func (z *sizer) int64s(s *[]int64)      { *z += sizer(8 + 8*len(*s)) }
+func (z *sizer) bools(s *[]bool)        { *z += sizer(8 + len(*s)) }
+func (z *sizer) length(have, _ int) int { *z += 8; return have }
+func (z *sizer) fail(string, ...any)    {}
+
 type encoder struct {
 	buf []byte
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
+func (e *encoder) u8(v *uint8)   { e.buf = append(e.buf, *v) }
+func (e *encoder) u32(v *uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, *v) }
+func (e *encoder) i64(v *int64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(*v)) }
+func (e *encoder) index(v *int)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(*v)) }
+func (e *encoder) boolean(v *bool) {
+	if *v {
+		e.buf = append(e.buf, 1)
 	} else {
-		e.u8(0)
+		e.buf = append(e.buf, 0)
 	}
 }
 
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+func (e *encoder) str(s *string) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(*s)))
+	e.buf = append(e.buf, *s...)
 }
 
-func (e *encoder) int64s(s []int64) {
-	e.i64(int64(len(s)))
-	for _, v := range s {
-		e.i64(v)
+func (e *encoder) int64s(s *[]int64) {
+	e.length(len(*s), 8)
+	for i := range *s {
+		e.i64(&(*s)[i])
 	}
 }
 
-func (e *encoder) bools(s []bool) {
-	e.i64(int64(len(s)))
-	for _, v := range s {
-		e.boolean(v)
+func (e *encoder) bools(s *[]bool) {
+	e.length(len(*s), 1)
+	for i := range *s {
+		e.boolean(&(*s)[i])
 	}
 }
+
+func (e *encoder) length(have, _ int) int {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(have))
+	return have
+}
+
+func (e *encoder) fail(string, ...any) {}
 
 type decoder struct {
 	data []byte
@@ -171,272 +269,101 @@ func (d *decoder) need(n int) bool {
 	return true
 }
 
-func (d *decoder) u8() uint8 {
-	if !d.need(1) {
-		return 0
+func (d *decoder) u8(v *uint8) {
+	if d.need(1) {
+		*v = d.data[d.pos]
+		d.pos++
 	}
-	v := d.data[d.pos]
-	d.pos++
-	return v
 }
 
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
+func (d *decoder) u32(v *uint32) {
+	if d.need(4) {
+		*v = binary.LittleEndian.Uint32(d.data[d.pos:])
+		d.pos += 4
 	}
-	v := binary.LittleEndian.Uint32(d.data[d.pos:])
-	d.pos += 4
-	return v
 }
 
-func (d *decoder) i64() int64 {
-	if !d.need(8) {
-		return 0
+func (d *decoder) i64(v *int64) {
+	if d.need(8) {
+		*v = int64(binary.LittleEndian.Uint64(d.data[d.pos:]))
+		d.pos += 8
 	}
-	v := int64(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
 }
 
-func (d *decoder) boolean() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
+func (d *decoder) index(v *int) {
+	var x int64
+	d.i64(&x)
+	*v = int(x)
+}
+
+func (d *decoder) boolean(v *bool) {
+	var b uint8
+	d.u8(&b)
+	if b > 1 {
 		d.fail("invalid boolean at offset %d", d.pos-1)
-		return false
+	}
+	*v = b == 1
+}
+
+func (d *decoder) str(s *string) {
+	var n uint32
+	d.u32(&n)
+	if d.need(int(n)) {
+		*s = string(d.data[d.pos : d.pos+int(n)])
+		d.pos += int(n)
 	}
 }
 
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-// length reads a slice length and validates it against the bytes that a
-// slice of elemSize-byte elements would occupy.
-func (d *decoder) length(elemSize int) int {
-	n := d.i64()
+// length reads a list length and validates it against the bytes that a
+// list of minBytes-byte elements would occupy.
+func (d *decoder) length(_, minBytes int) int {
+	var n int64
+	d.i64(&n)
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n > int64(len(d.data)-d.pos)/int64(elemSize) {
+	if n < 0 || n > int64(len(d.data)-d.pos)/int64(minBytes) {
 		d.fail("impossible slice length %d at offset %d", n, d.pos-8)
 		return 0
 	}
 	return int(n)
 }
 
-func (d *decoder) int64s() []int64 {
-	n := d.length(8)
-	if d.err != nil || n == 0 {
-		return nil
+func (d *decoder) int64s(s *[]int64) {
+	if n := d.length(0, 8); n > 0 {
+		*s = make([]int64, n)
+		for i := range *s {
+			d.i64(&(*s)[i])
+		}
 	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = d.i64()
-	}
-	return s
 }
 
-func (d *decoder) bools() []bool {
-	n := d.length(1)
-	if d.err != nil || n == 0 {
-		return nil
+func (d *decoder) bools(s *[]bool) {
+	if n := d.length(0, 1); n > 0 {
+		*s = make([]bool, n)
+		for i := range *s {
+			d.boolean(&(*s)[i])
+		}
 	}
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = d.boolean()
-	}
-	return s
 }
 
 // Encode serializes the snapshot payload (without magic/version/checksum —
-// WriteFile adds the envelope).
+// WriteFile adds the envelope). The buffer is sized by a first walk, so a
+// boundary that carries its traffic as broadcast records, or a long
+// per-step history, costs one allocation like any other.
 func Encode(s *Snapshot) []byte {
-	e := &encoder{buf: make([]byte, 0, 64+8*(len(s.States)+len(s.MsgDest)+len(s.MsgVal))+len(s.Halted))}
-	e.u32(s.FP.GraphCRC)
-	e.i64(s.FP.Vertices)
-	e.i64(s.FP.Edges)
-	e.str(s.FP.Program)
-	e.str(s.FP.Label)
-	e.boolean(s.FP.Combiner)
-	e.boolean(s.FP.Sparse)
-	e.str(s.FP.Schedule)
-	e.str(s.FP.Direction)
-	e.i64(s.FP.Retries)
-	e.str(s.FP.Rep)
-	e.str(s.FP.Lanes)
-	e.i64(s.FP.MaxSupersteps)
-	e.i64(s.FP.MaxMessages)
-	e.u32(s.FP.CostsCRC)
-
-	e.i64(s.Step)
-	e.i64(s.Live)
-	e.int64s(s.States)
-	e.bools(s.Halted)
-	e.int64s(s.MsgDest)
-	e.int64s(s.MsgVal)
-	e.int64s(s.BcastSrc)
-	e.int64s(s.BcastVal)
-	e.int64s(s.BcastSeq)
-	e.int64s(s.ActivePerStep)
-	e.int64s(s.MessagesPerStep)
-	e.int64s(s.DeliveredPerStep)
-	e.int64s(s.Directions)
-	e.bools(s.Visited)
-	e.int64s(s.RetriesPerStep)
-	e.int64s(s.Aux)
-
-	encAggs := func(aggs []Aggregate) {
-		e.i64(int64(len(aggs)))
-		for _, a := range aggs {
-			e.str(a.Name)
-			e.i64(a.Value)
-			e.boolean(a.Seeded)
-		}
-	}
-	encAggs(s.Aggregates)
-	encAggs(s.PrevAggregates)
-
-	e.i64(int64(len(s.Phases)))
-	for _, p := range s.Phases {
-		e.str(p.Name)
-		e.i64(int64(p.Index))
-		e.i64(p.Tasks)
-		e.i64(p.Issue)
-		e.i64(p.Loads)
-		e.i64(p.Stores)
-		e.i64(p.MaxTask)
-		e.u8(uint8(trace.NumHotClasses))
-		for _, h := range p.Hot {
-			e.i64(h)
-		}
-		e.i64(p.Barriers)
-	}
+	var size sizer
+	s.walk(&size)
+	e := &encoder{buf: make([]byte, 0, size)}
+	s.walk(e)
 	return e.buf
 }
 
-// Decode parses a current-version snapshot payload. path is used only in
-// error messages.
+// Decode parses a snapshot payload. path is used only in error messages.
 func Decode(payload []byte, path string) (*Snapshot, error) {
-	return decodeVersion(payload, path, version)
-}
-
-// decodeVersion parses a snapshot payload written by the given format
-// version (Load dispatches on the header).
-func decodeVersion(payload []byte, path string, ver uint32) (*Snapshot, error) {
 	d := &decoder{data: payload, path: path}
 	s := &Snapshot{}
-	s.FP.GraphCRC = d.u32()
-	s.FP.Vertices = d.i64()
-	s.FP.Edges = d.i64()
-	s.FP.Program = d.str()
-	s.FP.Label = d.str()
-	s.FP.Combiner = d.boolean()
-	s.FP.Sparse = d.boolean()
-	if ver >= 2 {
-		s.FP.Schedule = d.str()
-	} else {
-		// Version-1 checkpoints predate selectable chunk schedules and were
-		// always taken under the fixed schedule.
-		s.FP.Schedule = "fixed"
-	}
-	if ver >= 4 {
-		s.FP.Direction = d.str()
-	} else {
-		// Pre-v4 checkpoints predate direction modes; every run behaved as
-		// direction "auto".
-		s.FP.Direction = "auto"
-	}
-	if ver >= 5 {
-		s.FP.Retries = d.i64()
-	}
-	if ver >= 6 {
-		s.FP.Rep = d.str()
-	} else {
-		// Pre-v6 checkpoints predate compressed adjacency; every run was
-		// flat.
-		s.FP.Rep = "flat"
-	}
-	if ver >= 7 {
-		// Pre-v7 checkpoints predate batching; Lanes stays "".
-		s.FP.Lanes = d.str()
-	}
-	s.FP.MaxSupersteps = d.i64()
-	s.FP.MaxMessages = d.i64()
-	s.FP.CostsCRC = d.u32()
-
-	s.Step = d.i64()
-	s.Live = d.i64()
-	s.States = d.int64s()
-	s.Halted = d.bools()
-	s.MsgDest = d.int64s()
-	s.MsgVal = d.int64s()
-	if ver >= 3 {
-		s.BcastSrc = d.int64s()
-		s.BcastVal = d.int64s()
-		s.BcastSeq = d.int64s()
-	}
-	s.ActivePerStep = d.int64s()
-	s.MessagesPerStep = d.int64s()
-	s.DeliveredPerStep = d.int64s()
-	if ver >= 4 {
-		s.Directions = d.int64s()
-		s.Visited = d.bools()
-	}
-	if ver >= 5 {
-		s.RetriesPerStep = d.int64s()
-	}
-	if ver >= 7 {
-		// Program-defined length — no structural cross-check is possible
-		// beyond the slice-length sanity d.length already applies; a
-		// mismatched length is caught by the engine at restore time.
-		s.Aux = d.int64s()
-	}
-
-	decAggs := func() []Aggregate {
-		n := d.length(13) // name len + value + seeded lower-bounds an entry
-		if d.err != nil || n == 0 {
-			return nil
-		}
-		aggs := make([]Aggregate, n)
-		for i := range aggs {
-			aggs[i] = Aggregate{Name: d.str(), Value: d.i64(), Seeded: d.boolean()}
-		}
-		return aggs
-	}
-	s.Aggregates = decAggs()
-	s.PrevAggregates = decAggs()
-
-	nPh := d.length(4)
-	if d.err == nil && nPh > 0 {
-		s.Phases = make([]trace.PhaseState, nPh)
-		for i := range s.Phases {
-			p := &s.Phases[i]
-			p.Name = d.str()
-			p.Index = int(d.i64())
-			p.Tasks = d.i64()
-			p.Issue = d.i64()
-			p.Loads = d.i64()
-			p.Stores = d.i64()
-			p.MaxTask = d.i64()
-			if nh := d.u8(); d.err == nil && nh != uint8(trace.NumHotClasses) {
-				d.fail("phase %d has %d hot classes, want %d", i, nh, trace.NumHotClasses)
-			}
-			for c := range p.Hot {
-				p.Hot[c] = d.i64()
-			}
-			p.Barriers = d.i64()
-		}
-	}
+	s.walk(d)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -528,82 +455,23 @@ func EmergencyFileName(step int64) string {
 	return fmt.Sprintf("emergency-%09d%s", step, Ext)
 }
 
-// WriteFile atomically writes the snapshot to dir/FileName(s.Step): encode
-// into a temp file in dir, sync, rename. wrap (the fault-injection hook)
-// may interpose a failing writer; any failure removes the temp file,
-// leaves existing checkpoints untouched, and returns a WriteError.
-func WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, error) {
-	final := filepath.Join(dir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", &WriteError{Path: final, Err: err}
-	}
-	if hooks != nil && hooks.TornWrite != nil && hooks.TornWrite(s.Step) {
-		return tornWrite(final, s)
-	}
-	f, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return "", &WriteError{Path: final, Err: err}
-	}
-	tmp := f.Name()
-	failed := func(err error) (string, error) {
-		f.Close()
-		os.Remove(tmp)
-		return "", &WriteError{Path: final, Err: err}
-	}
-	payload := Encode(s)
-	var w io.Writer = f
-	if hooks != nil && hooks.WrapWrite != nil {
-		w = hooks.WrapWrite(s.Step, f)
-	}
-	var hdr [16]byte
+// frame returns the envelope that precedes payload on disk.
+func frame(payload []byte) (hdr [headerLen]byte) {
 	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], version)
 	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return failed(err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return failed(err)
-	}
-	if err := f.Sync(); err != nil {
-		return failed(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", &WriteError{Path: final, Err: err}
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", &WriteError{Path: final, Err: err}
-	}
-	return final, nil
+	return hdr
 }
 
-// tornWrite simulates a crash mid-write on a filesystem without atomic
-// rename (Hooks.TornWrite): a valid header followed by half the payload
-// lands directly at the final name, and the write reports success so the
-// run carries on oblivious. A later Load of the file fails its CRC check.
-func tornWrite(final string, s *Snapshot) (string, error) {
-	payload := Encode(s)
-	var hdr [16]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], version)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
-	torn := append(hdr[:], payload[:len(payload)/2]...)
-	if err := os.WriteFile(final, torn, 0o644); err != nil {
-		return "", &WriteError{Path: final, Err: err}
-	}
-	return final, nil
-}
-
-// Load reads, validates, and decodes the checkpoint at path.
-func Load(path string) (*Snapshot, error) {
+// unframe reads the file at path and returns its payload once the envelope
+// holds: header shape, magic, known version, and payload CRC.
+func unframe(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 16 {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), 16)}
+	if len(data) < headerLen {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), headerLen)}
 	}
 	if string(data[:8]) != magic {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
@@ -613,33 +481,68 @@ func Load(path string) (*Snapshot, error) {
 		return nil, &VersionError{Path: path, Version: v}
 	}
 	want := binary.LittleEndian.Uint32(data[12:16])
-	payload := data[16:]
+	payload := data[headerLen:]
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
 	}
-	return decodeVersion(payload, path, v)
+	return payload, nil
 }
 
-// LatestPath returns the highest-step periodic checkpoint in dir, or ""
-// when dir contains none (emergency checkpoints are not considered — they
-// capture the boundary before a crashed superstep and the caller should
-// name them explicitly to resume from one).
-func LatestPath(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+// WriteFile atomically writes the snapshot to dir/name: encode into a temp
+// file in dir, sync, rename. hooks.WrapWrite (fault injection) may
+// interpose a failing writer; any failure removes the temp file, leaves
+// existing checkpoints untouched, and returns a WriteError.
+func WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, error) {
+	final := filepath.Join(dir, name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", &WriteError{Path: final, Err: err}
+	}
+	payload := Encode(s)
+	hdr := frame(payload)
+	if hooks != nil && hooks.TornWrite != nil && hooks.TornWrite(s.Step) {
+		// Simulate a crash mid-write on a filesystem without atomic rename:
+		// a valid header followed by half the payload lands directly at the
+		// final name, and the write reports success so the run carries on
+		// oblivious. A later Load of the file fails its CRC check.
+		if err := os.WriteFile(final, append(hdr[:], payload[:len(payload)/2]...), 0o644); err != nil {
+			return "", &WriteError{Path: final, Err: err}
+		}
+		return final, nil
+	}
+	f, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
-		return "", err
+		return "", &WriteError{Path: final, Err: err}
 	}
-	best, bestStep := "", int64(-1)
-	for _, e := range entries {
-		var step int64
-		if n, err := fmt.Sscanf(e.Name(), "ckpt-%d"+Ext, &step); err != nil || n != 1 {
-			continue
-		}
-		if step > bestStep {
-			best, bestStep = filepath.Join(dir, e.Name()), step
-		}
+	var w io.Writer = f
+	if hooks != nil && hooks.WrapWrite != nil {
+		w = hooks.WrapWrite(s.Step, f)
 	}
-	return best, nil
+	if _, err = w.Write(hdr[:]); err == nil {
+		_, err = w.Write(payload)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), final)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", &WriteError{Path: final, Err: err}
+	}
+	return final, nil
+}
+
+// Load reads, validates, and decodes the checkpoint at path.
+func Load(path string) (*Snapshot, error) {
+	payload, err := unframe(path)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(payload, path)
 }
 
 // Verify cheaply checks the structural integrity of the checkpoint at
@@ -648,25 +551,40 @@ func LatestPath(dir string) (string, error) {
 // bytes on disk are the bytes that were written, which is the guarantee
 // Prune and the fallback chain need.
 func Verify(path string) error {
-	data, err := os.ReadFile(path)
+	_, err := unframe(path)
+	return err
+}
+
+// periodicSteps lists the supersteps of dir's periodic checkpoints, newest
+// first. Only exact canonical names count: emergency checkpoints, and the
+// ckpt-N.gxckpt.tmpXXXX a kill between WriteFile's CreateTemp and Rename
+// leaves behind, are neither resumed from nor pruned.
+func periodicSteps(dir string) ([]int64, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(data) < 16 {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), 16)}
+	var steps []int64
+	for _, e := range entries {
+		var step int64
+		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d", &step); n == 1 && step >= 0 && FileName(step) == e.Name() {
+			steps = append(steps, step)
+		}
 	}
-	if string(data[:8]) != magic {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
+	sort.Slice(steps, func(i, j int) bool { return steps[i] > steps[j] })
+	return steps, nil
+}
+
+// LatestPath returns the highest-step periodic checkpoint in dir, or ""
+// when dir contains none (emergency checkpoints are not considered — they
+// capture the boundary before a crashed superstep and the caller should
+// name them explicitly to resume from one).
+func LatestPath(dir string) (string, error) {
+	steps, err := periodicSteps(dir)
+	if err != nil || len(steps) == 0 {
+		return "", err
 	}
-	v := binary.LittleEndian.Uint32(data[8:12])
-	if v < minVersion || v > version {
-		return &VersionError{Path: path, Version: v}
-	}
-	want := binary.LittleEndian.Uint32(data[12:16])
-	if got := crc32.Checksum(data[16:], castagnoli); got != want {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
-	}
-	return nil
+	return filepath.Join(dir, FileName(steps[0])), nil
 }
 
 // NoValidCheckpointError reports that ResumeLatestValid walked every
@@ -696,18 +614,10 @@ func (e *NoValidCheckpointError) Error() string {
 // state. When no checkpoint survives the walk the error is a
 // *NoValidCheckpointError.
 func ResumeLatestValid(dir string, want Fingerprint, onSkip func(path string, err error)) (*Snapshot, string, error) {
-	entries, err := os.ReadDir(dir)
+	steps, err := periodicSteps(dir)
 	if err != nil {
 		return nil, "", err
 	}
-	var steps []int64
-	for _, e := range entries {
-		var step int64
-		if n, err := fmt.Sscanf(e.Name(), "ckpt-%d"+Ext, &step); err == nil && n == 1 {
-			steps = append(steps, step)
-		}
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] > steps[j] })
 	skipped := 0
 	for _, step := range steps {
 		path := filepath.Join(dir, FileName(step))
@@ -741,21 +651,10 @@ func Prune(dir string, keep int) error {
 	if keep <= 0 {
 		return nil
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	steps, err := periodicSteps(dir)
+	if err != nil || len(steps) <= keep {
 		return err
 	}
-	var steps []int64
-	for _, e := range entries {
-		var step int64
-		if n, err := fmt.Sscanf(e.Name(), "ckpt-%d"+Ext, &step); err == nil && n == 1 {
-			steps = append(steps, step)
-		}
-	}
-	if len(steps) <= keep {
-		return nil
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] > steps[j] })
 	// Find the newest structurally valid snapshot. Only checkpoints inside
 	// the doomed tail need verification once a valid one is known to sit
 	// inside the retention window.

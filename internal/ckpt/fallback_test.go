@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"graphxmt/internal/ckpt"
@@ -34,10 +35,12 @@ func writeChain(t *testing.T, dir string, n int64) ckpt.Fingerprint {
 
 func TestResumeLatestValidFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	fp := writeChain(t, dir, 5)
+	fp := writeChain(t, dir, 6)
 
-	// Damage the newest two snapshots: a mid-file bit flip in ckpt-4 and a
-	// torn tail on ckpt-3. The chain must land on ckpt-2.
+	// Damage the newest three snapshots: ckpt-5 is stamped with a retired
+	// format version, ckpt-4 has a mid-file bit flip, ckpt-3 a torn tail.
+	// The chain must skip all three — none is fatal — and land on ckpt-2.
+	stampVersion(t, filepath.Join(dir, ckpt.FileName(5)), 6)
 	newest := filepath.Join(dir, ckpt.FileName(4))
 	fi, err := os.Stat(newest)
 	if err != nil {
@@ -63,9 +66,55 @@ func TestResumeLatestValidFallsBack(t *testing.T) {
 	if s.Step != 2 || path != filepath.Join(dir, ckpt.FileName(2)) {
 		t.Fatalf("resumed step %d from %s, want step 2 from %s", s.Step, path, ckpt.FileName(2))
 	}
-	want := []string{ckpt.FileName(4), ckpt.FileName(3)}
-	if len(skips) != 2 || skips[0] != want[0] || skips[1] != want[1] {
+	want := []string{ckpt.FileName(5), ckpt.FileName(4), ckpt.FileName(3)}
+	if !slices.Equal(skips, want) {
 		t.Fatalf("skips = %v, want %v (newest first)", skips, want)
+	}
+}
+
+// TestStrayTempFileIgnored: a kill -9 between WriteFile's CreateTemp and
+// Rename leaves ckpt-N.gxckpt.tmpXXXX behind. It is not a checkpoint: the
+// resume chain and LatestPath must not see it (no skip is reported — there
+// is nothing damaged to report), and Prune must neither count it against
+// the retention window nor remove it.
+func TestStrayTempFileIgnored(t *testing.T) {
+	dir := t.TempDir()
+	fp := writeChain(t, dir, 1)
+	stray := filepath.Join(dir, ckpt.FileName(1)+".tmp123456")
+	if err := os.WriteFile(stray, []byte("half a header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, ckpt.FileName(0))
+
+	s, path, err := ckpt.ResumeLatestValid(dir, fp, func(p string, cause error) {
+		t.Errorf("skip reported for %s: %v", p, cause)
+	})
+	if err != nil {
+		t.Fatalf("ResumeLatestValid: %v", err)
+	}
+	if s.Step != 0 || path != first {
+		t.Fatalf("resumed step %d from %s, want step 0 from %s", s.Step, path, first)
+	}
+	if latest, err := ckpt.LatestPath(dir); err != nil || latest != first {
+		t.Fatalf("LatestPath = %q, %v; want %q", latest, err, first)
+	}
+
+	// Valid steps 0-2 beside the stray temp for step 1: keeping one leaves
+	// step 2 and the temp file.
+	writeChain(t, dir, 3)
+	if err := ckpt.Prune(dir, 1); err != nil {
+		t.Fatalf("Prune: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{ckpt.FileName(1) + ".tmp123456", ckpt.FileName(2)}; !slices.Equal(names, want) {
+		t.Fatalf("dir after prune = %v, want %v", names, want)
 	}
 }
 

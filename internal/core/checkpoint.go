@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"slices"
 
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/graph"
@@ -176,9 +177,15 @@ type ckptRun struct {
 	// mid-superstep and the retry supervisor's rollback.
 	snap *ckpt.Snapshot
 	// aux is the program's live auxiliary state slice (core.AuxProgram),
-	// deep-copied into every boundary snapshot — checkpoint format v7.
-	// nil for programs without aux state.
+	// deep-copied into every boundary snapshot. nil for programs without
+	// aux state.
 	aux []int64
+	// dirs and phases mirror, in the snapshot's element types, the run's
+	// two append-only histories that are not []int64 already
+	// (Result.DirectionPerStep, the recorder's phases). record extends each
+	// by what the last superstep added and snapshots reference a prefix.
+	dirs   []int64
+	phases []trace.PhaseState
 }
 
 // startCkpt resolves the run's checkpoint state; nil disables everything.
@@ -233,79 +240,82 @@ func sortAggs(aggs []ckpt.Aggregate) {
 	}
 }
 
-// record refreshes the in-memory boundary snapshot after superstep step.
-// In-flight broadcast records (sent during step, not expanded at delivery)
-// are captured alongside the unicast queue — checkpoint format v3 — so a
-// resumed run can re-deliver exactly the traffic the original run held.
+// record refreshes the in-memory boundary snapshot after superstep step and
+// publishes it. What the next sweep can overwrite is deep-copied: states,
+// the halted set, the visited bitmap, aux, the in-flight traffic, the
+// aggregates. What only ever grows by append is referenced — the per-step
+// counters, retry counts, direction decisions and trace phases — so a
+// boundary costs O(n + traffic) however many supersteps came before. Every
+// such reference is clipped to its length: the engine appends past it (in
+// place or after a move, never through it), and neither a snapshot's
+// holder nor a rollback can reach the entries that come later.
 func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
-	sends, bcasts := &t.sends, t.bcasts
-	dest := make([]int64, 0, sends.sealed)
-	val := make([]int64, 0, sends.sealed)
-	for _, seg := range sends.segs {
-		for _, m := range seg {
-			dest = append(dest, m.Dest)
-			val = append(val, m.Value)
-		}
-	}
-	var bsrc, bval, bseq []int64
-	if len(bcasts) > 0 {
-		bsrc = make([]int64, len(bcasts))
-		bval = make([]int64, len(bcasts))
-		bseq = make([]int64, len(bcasts))
-		for i, r := range bcasts {
-			bsrc[i], bval[i], bseq[i] = r.src, r.val, r.seq
-		}
-	}
-	// Direction layer state — checkpoint format v4: the per-step decision
-	// sequence (so resume re-delivers under the recorded decision and the
-	// restored Result matches) and the visited bitmap (so post-resume
-	// decisions see the same unvisited-edge count the uninterrupted run
-	// would have). Both absent when the direction layer is inactive.
-	var dirs []int64
-	var visited []bool
-	if ds != nil {
-		dirs = make([]int64, len(res.DirectionPerStep))
-		for i, d := range res.DirectionPerStep {
-			dirs[i] = int64(d)
-		}
-		visited = append([]bool(nil), ds.visited...)
-	}
-	// Per-superstep retry counts — checkpoint format v5: present exactly
-	// when the retry supervisor is active, so a resumed run's
-	// Result.RetriesPerStep matches an uninterrupted one's.
-	var rets []int64
-	if ck.sup != nil && ck.sup.maxRetries > 0 {
-		rets = append([]int64(nil), ck.sup.retries...)
-	}
-	// Program-owned auxiliary state — checkpoint format v7: MultiBFS's
-	// packed per-lane levels and the like. The compute sweep confines aux
-	// writes to the computing vertex's own words, so at a boundary the
-	// slice is quiescent and a plain copy captures it exactly.
-	var aux []int64
-	if len(ck.aux) > 0 {
-		aux = append([]int64(nil), ck.aux...)
-	}
-	ck.snap = &ckpt.Snapshot{
+	ck.phases = rec.AppendStates(ck.phases)
+	s := &ckpt.Snapshot{
 		FP:               ck.fp,
 		Step:             int64(step),
 		Live:             live,
-		Directions:       dirs,
-		Visited:          visited,
-		States:           append([]int64(nil), master.states...),
-		Halted:           append([]bool(nil), halted...),
-		MsgDest:          dest,
-		MsgVal:           val,
-		BcastSrc:         bsrc,
-		BcastVal:         bval,
-		BcastSeq:         bseq,
-		ActivePerStep:    append([]int64(nil), res.ActivePerStep...),
-		MessagesPerStep:  append([]int64(nil), res.MessagesPerStep...),
-		DeliveredPerStep: append([]int64(nil), res.DeliveredPerStep...),
-		RetriesPerStep:   rets,
-		Aux:              aux,
+		States:           slices.Clone(master.states),
+		Halted:           slices.Clone(halted),
+		MsgDest:          make([]int64, 0, t.sends.sealed),
+		MsgVal:           make([]int64, 0, t.sends.sealed),
+		ActivePerStep:    slices.Clip(res.ActivePerStep),
+		MessagesPerStep:  slices.Clip(res.MessagesPerStep),
+		DeliveredPerStep: slices.Clip(res.DeliveredPerStep),
 		Aggregates:       aggSnapshot(master.aggregates),
 		PrevAggregates:   prevAggSnapshot(master.prevAggregates),
-		Phases:           rec.StateSnapshot(),
+		Phases:           slices.Clip(ck.phases),
+	}
+	// In-flight traffic, sent during step: the unicast log, and beside it
+	// the broadcast records delivery kept instead of expanding, so a resumed
+	// run re-delivers exactly the traffic the original run held.
+	for _, seg := range t.sends.segs {
+		for _, m := range seg {
+			s.MsgDest = append(s.MsgDest, m.Dest)
+			s.MsgVal = append(s.MsgVal, m.Value)
+		}
+	}
+	if len(t.bcasts) > 0 {
+		s.BcastSrc = make([]int64, len(t.bcasts))
+		s.BcastVal = make([]int64, len(t.bcasts))
+		s.BcastSeq = make([]int64, len(t.bcasts))
+		for i, r := range t.bcasts {
+			s.BcastSrc[i], s.BcastVal[i], s.BcastSeq[i] = r.src, r.val, r.seq
+		}
+	}
+	// Direction layer state: the per-step decision sequence (so resume
+	// re-delivers under the recorded decision and the restored Result
+	// matches) and the visited bitmap (so post-resume decisions see the same
+	// unvisited-edge count the uninterrupted run would have). Both absent
+	// when the direction layer is inactive.
+	if ds != nil {
+		for _, d := range res.DirectionPerStep[len(ck.dirs):] {
+			ck.dirs = append(ck.dirs, int64(d))
+		}
+		s.Directions = slices.Clip(ck.dirs)
+		s.Visited = slices.Clone(ds.visited)
+	}
+	// Per-superstep retry counts: present exactly when the retry supervisor
+	// is active, so a resumed run's Result.RetriesPerStep matches an
+	// uninterrupted one's.
+	if ck.sup != nil && ck.sup.maxRetries > 0 {
+		s.RetriesPerStep = slices.Clip(ck.sup.retries)
+	}
+	// Program-owned auxiliary state: MultiBFS's packed per-lane levels and
+	// the like. The compute sweep confines aux writes to the computing
+	// vertex's own words, so at a boundary the slice is quiescent and a
+	// plain copy captures it exactly.
+	s.Aux = slices.Clone(ck.aux)
+	ck.publish(s)
+}
+
+// publish makes s the run's boundary snapshot: what a trapped superstep
+// rolls back to, what emergency writes, and — through the supervisor's
+// atomic pointer — what the watchdog goroutine persists on a stall.
+func (ck *ckptRun) publish(s *ckpt.Snapshot) {
+	ck.snap = s
+	if ck.sup != nil {
+		ck.sup.lastSnap.Store(s)
 	}
 }
 
@@ -329,39 +339,26 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 	// is configured), and the run exits typed. An interrupt outranks the
 	// deadline — it carries the caller's intent.
 	timedOut := sup != nil && sup.runExpired()
+	// With no policy, or a label-only one (a resume without a new
+	// checkpoint directory), nothing is ever written, but retry still needs
+	// the in-memory boundary snapshot to roll back to.
 	p := ck.policy
-	if p == nil || p.Dir == "" {
-		// No policy, or a label-only policy (a resume without a new
-		// checkpoint directory): nothing is ever written, but retry still
-		// needs the in-memory boundary snapshot to roll back to.
-		if sup != nil && sup.maxRetries > 0 {
-			ck.record(step, live, res, halted, t, master, ds, rec)
-			sup.lastSnap.Store(ck.snap)
-		}
-		if stopped {
-			return &InterruptedError{Superstep: step}
-		}
-		if timedOut {
-			return &TimeoutError{Superstep: step, Limit: sup.runTimeout}
-		}
-		return nil
-	}
-	if p.Hooks != nil && p.Hooks.Kill != nil && p.Hooks.Kill(int64(step)) {
+	writes := p != nil && p.Dir != ""
+	if writes && p.Hooks != nil && p.Hooks.Kill != nil && p.Hooks.Kill(int64(step)) {
 		stopped = true
 	}
-	ck.record(step, live, res, halted, t, master, ds, rec)
-	if sup != nil {
-		sup.lastSnap.Store(ck.snap)
+	if writes || (sup != nil && sup.maxRetries > 0) {
+		ck.record(step, live, res, halted, t, master, ds, rec)
 	}
-	if !stopped && !timedOut && (step+1)%ck.everyN != 0 {
-		return nil
-	}
-	path, err := ckpt.WriteFile(p.Dir, ck.snap, ckpt.FileName(int64(step)), p.Hooks)
-	if err != nil {
-		return err
-	}
-	if err := ckpt.Prune(p.Dir, p.Keep); err != nil {
-		return err
+	path := ""
+	if writes && (stopped || timedOut || (step+1)%ck.everyN == 0) {
+		var err error
+		if path, err = ckpt.WriteFile(p.Dir, ck.snap, ckpt.FileName(int64(step)), p.Hooks); err != nil {
+			return err
+		}
+		if err := ckpt.Prune(p.Dir, p.Keep); err != nil {
+			return err
+		}
 	}
 	if stopped {
 		return &InterruptedError{Superstep: step, CheckpointPath: path}
@@ -372,21 +369,26 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, 
 	return nil
 }
 
-// emergency writes the last completed boundary's snapshot as an emergency
-// checkpoint (best effort — a vertex-program panic is already being
-// reported; a failing emergency write leaves CheckpointPath empty rather
-// than masking the ProgramError).
+// emergency persists the run's boundary snapshot because the superstep
+// after it trapped.
 func (ck *ckptRun) emergency() string {
-	if ck == nil || ck.policy == nil || ck.policy.Dir == "" || ck.snap == nil {
+	if ck == nil {
 		return ""
 	}
-	if ck.snap.Step < 0 {
-		// The retry supervisor's post-init snapshot (Step = -1) is
-		// in-memory only: no boundary has completed, so there is nothing
-		// worth persisting (and nothing a resume could consume).
+	return writeEmergency(ck.policy, ck.snap)
+}
+
+// writeEmergency writes snap — the last completed boundary — as an
+// emergency checkpoint and returns its path, or "" when there is nowhere to
+// write, nothing to write, or the write fails: a fault is already being
+// reported, and a failing emergency write must not mask it. The retry
+// supervisor's post-init snapshot (Step = -1) is in-memory only: no
+// boundary has completed, so there is nothing a resume could consume.
+func writeEmergency(p *ckpt.Policy, snap *ckpt.Snapshot) string {
+	if p == nil || p.Dir == "" || snap == nil || snap.Step < 0 {
 		return ""
 	}
-	path, err := ckpt.WriteFile(ck.policy.Dir, ck.snap, ckpt.EmergencyFileName(ck.snap.Step), ck.policy.Hooks)
+	path, err := ckpt.WriteFile(p.Dir, snap, ckpt.EmergencyFileName(snap.Step), p.Hooks)
 	if err != nil {
 		return ""
 	}
@@ -405,7 +407,7 @@ func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 	// The loaded snapshot doubles as the resumed run's first boundary
 	// snapshot, so retry can roll back — and an emergency checkpoint can be
 	// written — before the first post-resume boundary refreshes it.
-	ck.snap = s
+	ck.publish(s)
 	return s, nil
 }
 
@@ -433,7 +435,7 @@ func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
 		}
 		return nil, err
 	}
-	ck.snap = s
+	ck.publish(s)
 	return s, nil
 }
 
@@ -454,16 +456,12 @@ func restore(s *ckpt.Snapshot, res *Result, halted []bool, master *engineState, 
 			res.DirectionPerStep = append(res.DirectionPerStep, DirectionMode(d))
 		}
 		// Rebuild the visited bitmap and its incident-edge sum from the
-		// snapshot (v≤3 checkpoints carry neither — the bitmap restarts
-		// empty, a documented best-effort for old checkpoints of
-		// pull-capable runs).
+		// snapshot.
+		copy(ds.visited, s.Visited)
 		ds.visitedEdges = 0
-		if len(s.Visited) > 0 {
-			copy(ds.visited, s.Visited)
-			for v := int64(0); v < int64(len(ds.visited)); v++ {
-				if ds.visited[v] {
-					ds.visitedEdges += master.graph.Degree(v)
-				}
+		for v, seen := range ds.visited {
+			if seen {
+				ds.visitedEdges += master.graph.Degree(int64(v))
 			}
 		}
 	}

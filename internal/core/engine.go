@@ -296,11 +296,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		resumeSnap = s
 	}
-	if sup != nil && resumeSnap != nil {
-		sup.lastSnap.Store(resumeSnap)
-		if sup.maxRetries > 0 {
-			sup.retries = append(sup.retries, resumeSnap.RetriesPerStep...)
-		}
+	if sup != nil && sup.maxRetries > 0 && resumeSnap != nil {
+		sup.retries = append(sup.retries, resumeSnap.RetriesPerStep...)
 	}
 	// ds is the direction-decision state; nil (program not pull-capable,
 	// mode auto) is the legacy engine and costs one pointer check per
@@ -406,7 +403,6 @@ func Run(cfg Config) (*Result, error) {
 		// written to disk) so a fault in superstep 0 has a snapshot to
 		// roll back to.
 		ck.record(-1, live, res, halted, tr, master, ds, cfg.Recorder)
-		sup.lastSnap.Store(ck.snap)
 	}
 
 	// stepDone completes a superstep's record with what is only known once the
@@ -435,13 +431,12 @@ func Run(cfg Config) (*Result, error) {
 		// bit-identical to the uninterrupted run's.
 		live = restore(resumeSnap, res, halted, master, ds, cfg.Recorder)
 		if len(progAux) > 0 {
-			// Program-owned aux state (format v7). A pre-v7 checkpoint of an
-			// aux-bearing program — or one taken under a different batch
-			// shape — cannot resume: the levels recorded before the boundary
-			// are gone, and silently restarting them would corrupt every
-			// per-source distance.
+			// Program-owned aux state. A checkpoint taken under a different
+			// batch shape cannot resume: the levels recorded before the
+			// boundary are not the program's, and silently restarting them
+			// would corrupt every per-source distance.
 			if len(resumeSnap.Aux) != len(progAux) {
-				return nil, fmt.Errorf("core: checkpoint carries %d aux words, program expects %d (checkpoint predates format v7 or was taken under a different configuration)", len(resumeSnap.Aux), len(progAux))
+				return nil, fmt.Errorf("core: checkpoint carries %d aux words, program expects %d (it was taken under a different configuration)", len(resumeSnap.Aux), len(progAux))
 			}
 			copy(progAux, resumeSnap.Aux)
 		}

@@ -20,10 +20,11 @@ package core
 // is set. It observes superstep progress through two atomics the engine
 // updates at superstep entry, and on expiry persists what it can — an
 // emergency checkpoint of the last boundary snapshot (via an atomic
-// pointer; snapshots are immutable deep copies) and a flight-recorder
-// dump — then latches a stall flag the engine turns into a typed
-// *TimeoutError. A superstep that never finishes cannot return an error,
-// but its artifacts are already on disk.
+// pointer; nothing a published snapshot can reach is written again while
+// the run lasts, and stop joins the goroutine before Run hands the Result's
+// arrays to its caller) and a flight-recorder dump — then latches a stall
+// flag the engine turns into a typed *TimeoutError. A superstep that never
+// finishes cannot return an error, but its artifacts are already on disk.
 //
 // With MaxRetries, StepTimeout, and RunTimeout all unset the supervisor
 // is nil and the engine pays one pointer check per superstep, the same
@@ -72,16 +73,17 @@ type supRun struct {
 	retries []int64
 
 	// Watchdog plumbing. lastSnap is the newest boundary snapshot
-	// (immutable once published), stepMark/curStep are the in-flight
-	// superstep's start time and index, fired latches the one-shot stall.
+	// (ckptRun.publish; immutable once published), stepMark/curStep are the
+	// in-flight superstep's start time and index, fired latches the
+	// one-shot stall. done stops the goroutine and exited reports it gone.
 	o        *obsRun
-	dir      string
-	hooks    *ckpt.Hooks
+	policy   *ckpt.Policy
 	lastSnap atomic.Pointer[ckpt.Snapshot]
 	stepMark atomic.Int64 // unix nanos; 0 = no superstep in flight
 	curStep  atomic.Int64
 	fired    atomic.Bool
 	done     chan struct{}
+	exited   chan struct{}
 
 	mu          sync.Mutex
 	stallStep   int
@@ -110,12 +112,8 @@ func (sp *supRun) startWatchdog(o *obsRun, p *ckpt.Policy) {
 	if sp.stepTimeout <= 0 {
 		return
 	}
-	sp.o = o
-	if p != nil {
-		sp.dir = p.Dir
-		sp.hooks = p.Hooks
-	}
-	sp.done = make(chan struct{})
+	sp.o, sp.policy = o, p
+	sp.done, sp.exited = make(chan struct{}), make(chan struct{})
 	tick := sp.stepTimeout / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
@@ -125,15 +123,19 @@ func (sp *supRun) startWatchdog(o *obsRun, p *ckpt.Policy) {
 	go sp.watch(tick)
 }
 
-// stop disarms the watchdog. Deferred from Run, so every exit path —
-// success, fault, interrupt — reclaims the goroutine.
+// stop disarms the watchdog and waits for its goroutine to exit. Deferred
+// from Run, so every exit path — success, fault, interrupt — reclaims the
+// goroutine, and an emergency write in flight finishes before the caller
+// owns the Result arrays the snapshot references.
 func (sp *supRun) stop() {
 	if sp.done != nil {
 		close(sp.done)
+		<-sp.exited
 	}
 }
 
 func (sp *supRun) watch(tick time.Duration) {
+	defer close(sp.exited)
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -156,19 +158,15 @@ func (sp *supRun) watch(tick time.Duration) {
 }
 
 // fire persists the stall artifacts and latches the flag. Runs on the
-// watchdog goroutine: it touches only the atomic snapshot pointer (deep
-// copies, never mutated after publication), the checkpoint directory,
-// and the flight recorder (internally locked).
+// watchdog goroutine: it touches only the atomic snapshot pointer (nothing
+// it reaches is written after publication), the checkpoint directory, and
+// the flight recorder (internally locked).
 func (sp *supRun) fire() {
 	step := int(sp.curStep.Load())
-	var ckptPath, flightPath string
-	if snap := sp.lastSnap.Load(); snap != nil && sp.dir != "" && snap.Step >= 0 {
-		if path, err := ckpt.WriteFile(sp.dir, snap, ckpt.EmergencyFileName(snap.Step), sp.hooks); err == nil {
-			ckptPath = path
-		}
-	}
-	if sp.dir != "" {
-		flightPath = sp.o.flightDump(sp.dir,
+	ckptPath := writeEmergency(sp.policy, sp.lastSnap.Load())
+	var flightPath string
+	if sp.policy != nil && sp.policy.Dir != "" {
+		flightPath = sp.o.flightDump(sp.policy.Dir,
 			fmt.Sprintf("watchdog: superstep %d exceeded %v", step, sp.stepTimeout))
 	}
 	sp.mu.Lock()

@@ -219,19 +219,22 @@ func NewPhaseFromState(s PhaseState) *Phase {
 	}
 }
 
-// StateSnapshot snapshots every recorded phase, in order. Used by the BSP
-// engine's checkpoint writer; the recorder must be quiescent.
-func (r *Recorder) StateSnapshot() []PhaseState {
+// AppendStates appends to dst the state of every recorded phase past the
+// first len(dst) and returns it, so a caller that snapshots the recorder
+// repeatedly converts each phase once: dst must hold the states of the
+// recorder's first len(dst) phases, none of which has been charged since.
+// The BSP engine's boundary snapshot is that caller — a superstep's phases
+// are final once its boundary is reached. The recorder must be quiescent.
+func (r *Recorder) AppendStates(dst []PhaseState) []PhaseState {
 	if r == nil {
-		return nil
+		return dst
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]PhaseState, len(r.phases))
-	for i, p := range r.phases {
-		out[i] = p.State()
+	for _, p := range r.phases[len(dst):] {
+		dst = append(dst, p.State())
 	}
-	return out
+	return dst
 }
 
 // RestoreState replaces the recorder's phases with ones materialized from

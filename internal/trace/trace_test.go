@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,35 @@ func TestRecorderPhaseOrderAndNames(t *testing.T) {
 	as := r.PhasesNamed("a")
 	if len(as) != 2 || as[0].Index != 0 || as[1].Index != 1 {
 		t.Fatalf("PhasesNamed = %v", as)
+	}
+}
+
+// TestAppendStates: the accessor converts only the phases past len(dst), so
+// a caller that keeps its last result converts each phase once, and the
+// states round-trip through RestoreState.
+func TestAppendStates(t *testing.T) {
+	r := NewRecorder()
+	r.StartPhase("a", 0).AddTasks(1, 2, 3, 4)
+	r.StartPhase("b", 0).AddHot(HotReduction, 5)
+	states := r.AppendStates(nil)
+	if len(states) != 2 || states[0].Tasks != 1 || states[1].Hot[HotReduction] != 5 {
+		t.Fatalf("states = %+v", states)
+	}
+	// A phase already converted is not read again; a new one is appended.
+	r.Phases()[0].AddTasks(100, 0, 0, 0)
+	r.StartPhase("a", 1).AddTasks(7, 0, 0, 0)
+	states = r.AppendStates(states)
+	if len(states) != 3 || states[0].Tasks != 1 || states[2].Tasks != 7 || states[2].Index != 1 {
+		t.Fatalf("states after second call = %+v", states)
+	}
+	restored := NewRecorder()
+	restored.RestoreState(states)
+	if got := restored.AppendStates(nil); !slices.Equal(got, states) {
+		t.Fatalf("round trip through RestoreState: %+v, want %+v", got, states)
+	}
+	var none *Recorder
+	if got := none.AppendStates(states[:1]); len(got) != 1 {
+		t.Fatalf("nil recorder AppendStates = %+v, want dst unchanged", got)
 	}
 }
 
