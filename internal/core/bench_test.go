@@ -288,6 +288,48 @@ func BenchmarkEngineDirBFSPush(b *testing.B) {
 	benchRun(b, core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}, Direction: core.DirPush})
 }
 
+// BenchmarkGather is the sweep after a pull boundary and nothing else: every
+// vertex of the engine graph gathers once (core.NewGatherSweep), for each
+// fold the gather specialises, a frontier of every 16th connected vertex,
+// every 2nd, or all of them (saturated: no receiver stamps to test), on both
+// representations. ns/arc is per arc of the graph, walked or not — a
+// combining gather skips the vertices no stamped neighbor reaches.
+func BenchmarkGather(b *testing.B) {
+	folds := []struct {
+		name string
+		f    func(a, b int64) int64
+	}{{"none", nil}, {"or", core.Or}, {"sum", core.Sum}, {"min", core.Min},
+		{"generic", func(a, b int64) int64 { return max(a, b) }}}
+	fracs := []struct {
+		name  string
+		every int64
+	}{{"1of16", 16}, {"1of2", 2}, {"saturated", 1}}
+	for _, g := range []*graph.Graph{engineGraph(b), engineGraphCompressed(b)} {
+		for _, fold := range folds {
+			for _, frac := range fracs {
+				b.Run(fmt.Sprintf("%s/%s/%s", fold.name, frac.name, g.Rep()), func(b *testing.B) {
+					var srcs []int64
+					for v, k := int64(0), int64(0); v < g.NumVertices(); v++ {
+						if g.Degree(v) > 0 {
+							if k%frac.every == 0 {
+								srcs = append(srcs, v)
+							}
+							k++
+						}
+					}
+					sweep := core.NewGatherSweep(g, fold.f, srcs)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sweep()
+					}
+					arcs := g.Offsets()[g.NumVertices()]
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*arcs), "ns/arc")
+				})
+			}
+		}
+	}
+}
+
 // benchRelay passes a hop-counted token around a ring — the sparse
 // worst case: one active vertex per superstep for many supersteps, where
 // the worklist build and termination check dominate the engine's cost.

@@ -73,17 +73,19 @@ func ProgramNameOf(p Program) string {
 
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
+// crcInt64s hashes s as little-endian bytes, converted 32 KiB at a time
+// over a re-sliced source/destination pair, so the loop has one condition
+// and one store per value: the conversion, not the CRC, is graphCRC's cost.
 func crcInt64s(h hash.Hash32, s []int64) {
-	var buf [8192]byte
-	i := 0
-	for i < len(s) {
-		n := 0
-		for i < len(s) && n+8 <= len(buf) {
-			binary.LittleEndian.PutUint64(buf[n:], uint64(s[i]))
-			n += 8
-			i++
+	var buf [1 << 15]byte
+	for len(s) > 0 {
+		blk := s[:min(len(s), len(buf)/8)]
+		out := buf[:8*len(blk)]
+		for i, x := range blk {
+			binary.LittleEndian.PutUint64(out[8*i:8*i+8], uint64(x))
 		}
-		h.Write(buf[:n])
+		h.Write(out)
+		s = s[len(blk):]
 	}
 }
 

@@ -98,10 +98,13 @@ func (t *traffic) part(bnds []int, c int) traffic {
 }
 
 // path is a delivery decision: what the boundary builds for the next sweep
-// and whether the records are expanded into the log first.
+// and whether the records are expanded into the log first. saturated is not
+// decided but found: build sets it on a pull whose every possible receiver
+// receives (inbox.saturated).
 type path struct {
-	kind     pathKind
-	expanded bool
+	kind      pathKind
+	expanded  bool
+	saturated bool
 }
 
 type pathKind uint8
@@ -125,8 +128,11 @@ const (
 
 // String is the name reports, JSONL lines and metrics carry.
 func (p path) String() string {
-	if p.expanded {
+	switch {
+	case p.expanded:
 		return [...]string{"none+expanded", "lookaside+expanded", "csr+expanded", "csr-par+expanded", "pull+expanded"}[p.kind]
+	case p.saturated:
+		return "pull+saturated"
 	}
 	return [...]string{"none", "lookaside", "csr", "csr-par", "pull"}[p.kind]
 }
@@ -226,10 +232,16 @@ func choosePath(in pathInputs) (p path, why string) {
 // delivering superstep, negative, so no CSR offset left in off from an
 // earlier superstep can be mistaken for it.
 //
-// After a pull boundary there are no stored messages at all: look holds
-// the broadcasters' values, stamped ^code, chunkState.gather reads them
-// off the vertex's own neighbor list, and under sparse activation off
-// carries the receiver stamps of pullReceivers (lookaside is set too).
+// After a pull boundary there are no stored messages at all:
+// chunkState.gather reads the broadcasters' values off the vertex's own
+// neighbor list. Bit w of sent says w broadcast (stamped counts the bits);
+// look[w] is then its value, and otherwise the identity of the run's
+// built-in fold — 0, or MaxInt64 under Min — so a fold needs no test per
+// arc. Who receives is decided per vertex: off carries the receiver stamps
+// of pullReceivers (lookaside is set too), unless the boundary was
+// saturated — every vertex with a neighbor broadcast, so exactly those
+// receive — or the run keeps every message and scans every vertex, where
+// the gather tests the bit per arc.
 //
 // A resume re-derives the inbox by re-delivering; a retry's rollback never
 // touches it (no sweep writes it).
@@ -240,8 +252,10 @@ type inbox struct {
 	code      int64
 	lookaside bool
 
-	pull bool
-	look []bcastSlot
+	pull, saturated bool
+	look            []int64
+	sent            []uint64
+	stamped         int64
 	// fold and combine are the run's combiner, resolved once (resolveFold).
 	fold    foldKind
 	combine func(a, b int64) int64
@@ -269,9 +283,9 @@ func (ib *inbox) slice(v int64) []int64 {
 // of the frontier's out-degrees equals the sum of its in-degrees on the
 // symmetric adjacency an undirected graph has (Run checks the gathered
 // total against it — AsymmetricGraphError); with a combiner it is the
-// number of vertices with a stamped neighbor. Pulled messages arrive in
-// neighbor order, a property of the graph, so they are bit-identical at any
-// worker count. They equal the push send order exactly when adjacency
+// number of vertices with a stamped neighbor (build). Pulled messages
+// arrive in neighbor order, a property of the graph, so they are
+// bit-identical at any worker count. They equal the push send order exactly when adjacency
 // lists are sorted ascending (senders run, hence send, in ascending order),
 // which the no-combiner pull requires (dirState.pullOK); with a combiner,
 // on unsorted graphs and when one source broadcasts more than once in a
@@ -291,7 +305,9 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, sparse bool, st int64, dir D
 		in.dir = DirPush
 		p, _ = choosePath(in)
 	}
-	return s.build(p, t, ib, sparse, st), p
+	delivered := s.build(p, t, ib, sparse, st)
+	p.saturated = ib.saturated
+	return delivered, p
 }
 
 // build delivers t into ib the way p says (for pathPull the broadcasters
@@ -301,22 +317,37 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64)
 		s.expandTraffic(t)
 	}
 	n, combine := t.g.NumVertices(), ib.combine
-	ib.code, ib.lookaside, ib.pull = ^st, p.kind == pathLookaside, p.kind == pathPull
+	ib.code, ib.lookaside, ib.pull, ib.saturated = ^st, p.kind == pathLookaside, p.kind == pathPull, false
 	C := 1
 	switch p.kind {
 	case pathPull:
-		delivered := t.logical
-		var stamps []int64
-		if sparse {
-			// The sweep and nextWorklist find the receivers stamped in off.
-			stamps, ib.lookaside = ib.off, true
+		if combine == nil && !sparse {
+			return t.logical // the gather tests the bit per arc; Run checks its total against this
 		}
-		if combine != nil || sparse {
-			if receivers := s.pullReceivers(t, ib, st, stamps); combine != nil {
-				delivered = receivers
-			}
+		// Every vertex with a neighbor broadcast: on symmetric adjacency all
+		// the neighbors of each are stamped, they are the receivers, and no
+		// receiver pass is needed. That leans on the symmetry deliver
+		// documents, so the run's first such boundary makes the pass anyway;
+		// if it disagrees the boundary is not saturated, and the sweep that
+		// gathers behind its stamps falls short of the count reported here:
+		// Run's AsymmetricGraphError.
+		connected := s.pullRanges(t)
+		saturated := !sparse && ib.stamped == connected
+		if saturated && s.symmetric {
+			ib.saturated = true
+			return connected
 		}
-		return delivered
+		ib.lookaside = true // the sweep and nextWorklist find the receivers stamped in off
+		receivers := s.pullReceivers(t, ib)
+		switch {
+		case combine == nil:
+			return t.logical
+		case saturated:
+			s.symmetric = receivers == connected
+			ib.saturated = s.symmetric
+			return connected
+		}
+		return receivers
 	case pathLookaside:
 		if int64(len(ib.span)) < n {
 			ib.span = make([]int64, n)

@@ -149,8 +149,9 @@ func (e *MessageCapError) Error() string {
 
 // AsymmetricGraphError reports a graph flagged undirected whose adjacency
 // is not symmetric, caught by a pull superstep: the boundary after
-// Superstep delivered the frontier's out-degree sum, and the vertices then
-// gathered a different number of messages from their own neighbor lists.
+// Superstep delivered the frontier's out-degree sum (a combining one on
+// which every vertex with a neighbor broadcast: one message for each), and
+// the vertices then gathered a different number from their own neighbor lists.
 // graph.Validate rejects such graphs at construction; a file opened without
 // that check (graphio.OpenCSR2) can still carry one, on which push and pull
 // would otherwise silently disagree.

@@ -1,8 +1,42 @@
 package core
 
+import "graphxmt/internal/graph"
+
 // LookasideCutoff lets tests replay choosePath's per-superstep
 // representation decision and check the engine made it.
 const LookasideCutoff = lookasideCutoff
 
 // MsgBlockLen lets tests put send counts either side of a block boundary.
 const MsgBlockLen = msgBlockLen
+
+// NewGatherSweep is BenchmarkGather's harness: it delivers one broadcast
+// per source in srcs (value source+1) as a pull boundary of a full-scan run
+// under combine — twice, as a run's second such boundary, because its first
+// saturated one also checks the graph's symmetry — and returns the sweep
+// that follows: gather for every vertex, returning the messages obtained.
+func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64) func() int64 {
+	n := g.NumVertices()
+	s := &runScratch{gather: gatherPool{size: 2 * g.MaxDegree()}}
+	ib := &inbox{off: make([]int64, n+1), combine: combine, fold: resolveFold(combine)}
+	tr := &traffic{g: g, bufs: &s.gather}
+	for _, src := range srcs {
+		tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: src + 1})
+		tr.logical += g.Degree(src)
+	}
+	for st := int64(1); st <= 2; st++ {
+		if !ib.fillBcastLookaside(tr.bcasts, n, st) {
+			panic("NewGatherSweep: duplicate source")
+		}
+		s.build(path{kind: pathPull}, tr, ib, false, st)
+	}
+	cs := &chunkState{}
+	cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, &s.gather, &cs.eng
+	return func() int64 {
+		var received int64
+		for v := int64(0); v < n; v++ {
+			received += int64(len(cs.gather(ib, v)))
+		}
+		cs.ctx.returnBuf()
+		return received
+	}
+}

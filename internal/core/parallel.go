@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"runtime/debug"
 	"sort"
@@ -230,11 +231,11 @@ func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []
 	}
 	// The full scan: in a near-empty superstep almost every vertex is halted
 	// with nothing to read, and skipping those here costs a fraction of the
-	// call that would find the same thing out. After a pull only the gather
-	// knows who has messages.
+	// call that would find the same thing out. After a pull that stamped no
+	// receivers only the gather knows who has messages.
 	off, code := ib.off, ib.code
 	switch {
-	case ib.pull:
+	case ib.pull && !ib.lookaside:
 		for v := lo; v < hi; v++ {
 			cs.runVertex(p, int64(v), step, ib, halted, false)
 		}
@@ -302,8 +303,8 @@ func (p *gatherPool) put(b []int64) {
 
 // foldKind is how a pull-mode gather reduces a vertex's stamped neighbors:
 // foldNone keeps them all (no combiner); the three built-in combiners fold
-// branch-free in registers; any other function folds through the indirect
-// call.
+// every neighbor's slot, the unstamped ones holding their identity; any
+// other function folds the stamped ones through the indirect call.
 type foldKind uint8
 
 const (
@@ -331,6 +332,18 @@ func resolveFold(combine func(a, b int64) int64) foldKind {
 	return foldGeneric
 }
 
+// identity is what an unstamped slot of the pull lookaside holds: the value
+// that leaves the run's built-in fold unchanged.
+func (ib *inbox) identity() int64 {
+	if ib.fold == foldMin {
+		return math.MaxInt64
+	}
+	return 0
+}
+
+// bit reads bit w of a vertex bitmap, as 0 or 1.
+func bit(set []uint64, w int64) int64 { return int64(set[w>>6] >> (uint64(w) & 63) & 1) }
+
 // gather is the consumer side of a pull superstep: vertex v walks its own
 // neighbor list against the broadcaster lookaside and obtains exactly the
 // messages the push scatter (no combiner: stamped neighbors' values in
@@ -338,9 +351,12 @@ func resolveFold(combine func(a, b int64) int64) foldKind {
 // record order) or the push fold (combiner: left to right in the same
 // order) would have put in its inbox. The order is a property of the graph
 // alone, so the result is identical at any worker count, on retry and on
-// resume. Stamped density in a pull-worthy superstep is far from 0 or 1,
-// so every loop but the generic fold is branch-free: a data-dependent
-// branch would mispredict on a large fraction of the edge walk.
+// resume. A built-in fold is one 8-byte load per arc and nothing else — an
+// unstamped slot holds its identity (inbox.look), and whether v receives at
+// all was settled per vertex at the boundary, so a message that equals the
+// identity is still a message. The cursor of the no-combiner loop is
+// branch-free too: stamped density in a pull-worthy superstep is far from 0
+// or 1, and a data-dependent branch would mispredict on much of the walk.
 func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 	if ib.lookaside && ib.off[v] != ib.code {
 		return nil // pullReceivers found no stamped neighbor
@@ -348,8 +364,11 @@ func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 	lent := cs.ctx.buf()
 	half := len(lent) / 2
 	nbrs := cs.eng.graph.DecodeNeighbors(v, lent[:0:half])
-	look, st := ib.look, ^ib.code
-	var acc, hits int64
+	if len(nbrs) == 0 {
+		return nil // a saturated boundary stamps nobody: who has a neighbor receives
+	}
+	look, sent := ib.look, ib.sent
+	var acc int64
 	switch ib.fold {
 	case foldNone:
 		// Every probed value is stored at the cursor and the cursor only
@@ -358,50 +377,34 @@ func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 		buf := lent[half:][:len(nbrs)]
 		pos := 0
 		for _, w := range nbrs {
-			slot := look[w]
-			buf[pos] = slot.val
-			if slot.stamp == st {
-				pos++
-			}
+			buf[pos] = look[w]
+			pos += int(bit(sent, w))
 		}
 		return buf[:pos]
 	case foldOr:
 		for _, w := range nbrs {
-			slot := look[w]
-			m := slot.mask(st)
-			acc |= slot.val & m
-			hits -= m
+			acc |= look[w]
 		}
 	case foldSum:
 		for _, w := range nbrs {
-			slot := look[w]
-			m := slot.mask(st)
-			acc += slot.val & m
-			hits -= m
+			acc += look[w]
 		}
 	case foldMin:
 		acc = math.MaxInt64
 		for _, w := range nbrs {
-			slot := look[w]
-			m := slot.mask(st)
-			if c := slot.val&m | math.MaxInt64&^m; c < acc {
-				acc = c
-			}
-			hits -= m
+			acc = min(acc, look[w])
 		}
 	default:
+		first := true
 		for _, w := range nbrs {
-			if slot := look[w]; slot.stamp == st {
-				if hits > 0 {
-					acc = ib.combine(acc, slot.val)
-				} else {
-					acc, hits = slot.val, 1
-				}
+			switch {
+			case bit(sent, w) == 0: // w did not broadcast
+			case first:
+				acc, first = look[w], false
+			default:
+				acc = ib.combine(acc, look[w])
 			}
 		}
-	}
-	if hits == 0 {
-		return nil
 	}
 	cs.one[0] = acc
 	return cs.one[:]
@@ -462,12 +465,14 @@ type runScratch struct {
 	// Delivery scratch (delivery.go). expandLog is the empty spare log (a
 	// segment list, no blocks) expandTraffic swaps against the superstep's;
 	// gather lends adjacency buffers to sweep chunks and traffic enumerators;
-	// pullBnds caches the degree-weighted destination ranges of pullReceivers
-	// (graph-constant); bcastWork / shareBnds split traffic into a counting
-	// sort's shares; has / acc are denseFold's.
+	// pullBnds / connected / symmetric are what a pull knows of the graph
+	// alone (pullRanges, build); bcastWork / shareBnds split traffic into a
+	// counting sort's shares; has / acc are denseFold's.
 	expandLog msgLog
 	gather    gatherPool
 	pullBnds  []int
+	connected int64
+	symmetric bool
 	bcastWork []int64
 	shareBnds []int
 	has       []bool
@@ -495,37 +500,15 @@ type runScratch struct {
 	sortScratch []int64 // radix-sort ping buffer
 }
 
-// bcastSlot pairs a broadcaster's stamp and value in one 16-byte slot.
-// The pull gather probes the lookaside once per adjacency entry — random
-// accesses over a vertex-length array — so keeping stamp and value on the
-// same cache line costs one miss per probe instead of two.
-type bcastSlot struct {
-	stamp int64
-	val   int64
-}
-
-// mask is all ones when the slot was stamped by superstep st, else zero —
-// what the branch-free folds of gather select a value with.
-func (b bcastSlot) mask(st int64) int64 {
-	if b.stamp == st {
-		return -1
-	}
-	return 0
-}
-
-// ensureLook sizes the broadcaster lookaside (stamps start at -1, which
-// matches no superstep).
-func (ib *inbox) ensureLook(n int64) []bcastSlot {
+// ensureLook sizes the pull lookaside, every slot holding the identity and
+// no bit set.
+func (ib *inbox) ensureLook(n int64) {
 	if int64(len(ib.look)) < n {
-		ib.look = make([]bcastSlot, n)
-		look := ib.look
-		par.ForChunked(int(n), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				look[i].stamp = -1
-			}
-		})
+		ib.look, ib.sent = make([]int64, n), make([]uint64, (n+63)/64)
+		if id := ib.identity(); id != 0 {
+			par.FillInt64(ib.look, id)
+		}
 	}
-	return ib.look
 }
 
 // ensureChunks guarantees at least numChunks chunk states exist, each
@@ -772,55 +755,76 @@ func ensureInt64(s []int64, n int) []int64 {
 }
 
 // fillBcastLookaside stamps each record's value into the per-source
-// lookaside the pull gather reads. Sequential and in record order, so with
-// a combiner a source that broadcast more than once this superstep
-// pre-folds its values deterministically (equality with the per-edge path
-// then leans on the documented combiner laws — see deliver). Without
-// one there is no fold to hide behind: a second record would lose a
-// message, so the fill reports false and delivery falls back to the push
-// scatter — a deterministic, input-driven fallback (the PullProgram
-// contract says it cannot happen; the check makes a contract violation
-// safe rather than silently wrong).
-func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n, st int64) bool {
-	look := ib.ensureLook(n)
+// lookaside the pull gather reads, after retiring the previous fill: its set
+// bits say which slots to hand back to the identity, O(n/64 + its frontier).
+// Sequential and in record order, so with a combiner a source that broadcast
+// more than once this superstep pre-folds its values deterministically
+// (equality with the per-edge path then leans on the documented combiner
+// laws — see deliver). Without one there is no fold to hide behind: a
+// second record would lose a message, so the fill reports false and
+// delivery falls back to the push scatter — a deterministic, input-driven
+// fallback (the PullProgram contract says it cannot happen; the check makes
+// a contract violation safe rather than silently wrong).
+func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n, _ int64) bool {
+	ib.ensureLook(n)
+	look, sent, id := ib.look, ib.sent, ib.identity()
+	for i, word := range sent {
+		for ; word != 0; word &= word - 1 {
+			look[i<<6|bits.TrailingZeros64(word)] = id
+		}
+		sent[i] = 0
+	}
+	ib.stamped = 0
 	for _, r := range bcasts {
-		if look[r.src].stamp != st {
-			look[r.src] = bcastSlot{stamp: st, val: r.val}
-		} else if ib.combine != nil {
-			look[r.src].val = ib.combine(look[r.src].val, r.val)
-		} else {
+		switch {
+		case bit(sent, r.src) == 0:
+			sent[r.src>>6] |= 1 << (uint64(r.src) & 63)
+			look[r.src] = r.val
+			ib.stamped++
+		case ib.combine != nil:
+			look[r.src] = ib.combine(look[r.src], r.val)
+		default:
 			return false
 		}
 	}
 	return true
 }
 
-// pullReceivers counts the vertices with at least one stamped neighbor —
-// what a combining pull delivers — over degree-weighted destination ranges
-// (cached once per run — they depend only on the graph), each walk exiting
-// on its first hit. Under sparse activation stamps is the inbox's stamp
-// array, and they are stamped into it too: that is where nextWorklist and
-// gather look for receivers.
-func (s *runScratch) pullReceivers(t *traffic, ib *inbox, st int64, stamps []int64) int64 {
-	g, look := t.g, ib.look
+// pullRanges returns the number of vertices with a neighbor — the most a
+// combining pull can deliver — counted once per run along with the
+// degree-weighted destination ranges of pullReceivers: both depend only on
+// the graph.
+func (s *runScratch) pullRanges(t *traffic) int64 {
 	if len(s.pullBnds) == 0 {
-		n, goff := int(g.NumVertices()), g.Offsets()
+		n, goff := int(t.g.NumVertices()), t.g.Offsets()
 		s.pullBnds = par.WeightedBoundaries(s.pullBnds, n,
 			sweepTargetChunks(n), func(i int) int64 {
 				return goff[i] + int64(i)
 			})
+		for v := 0; v < n; v++ {
+			if goff[v+1] > goff[v] {
+				s.connected++
+			}
+		}
 	}
+	return s.connected
+}
+
+// pullReceivers counts the vertices with at least one stamped neighbor —
+// what a combining pull delivers — over the ranges of pullRanges, each walk
+// exiting on its first hit, and stamps them in the inbox's off: that is
+// where gather, the full scan and nextWorklist look for receivers.
+func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
+	g, sent, off, code := t.g, ib.sent, ib.off, ib.code
 	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
 	rangeCnt := s.rangeCnt
 	par.ForBoundaryChunks(s.pullBnds, func(r, lo, hi int) {
 		var cnt int64
 		for v := lo; v < hi; v++ {
 			for w := range g.Adjacent(int64(v)) {
-				if look[w].stamp == st {
+				if bit(sent, w) != 0 {
 					cnt++
-					if stamps != nil {
-						stamps[v] = ^st
-					}
+					off[v] = code
 					break
 				}
 			}

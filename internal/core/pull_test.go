@@ -9,6 +9,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,12 +203,30 @@ func fuzzGraph(seed uint64, shape uint8) (*graph.Graph, error) {
 	}
 }
 
+// fuzzPrograms indexes FuzzPullEquivalence's shape argument beyond the
+// graph shapes (shape/5): the order probe; three quarters of the vertices
+// broadcasting the identity of one built-in fold or another, which the
+// gather folds unasked out of every unstamped slot; and every vertex
+// broadcasting in every round, a saturated boundary under a combiner.
+var fuzzPrograms = []core.Program{
+	orderProbe{rounds: 3},
+	scriptProbe{rounds: 3, cast: func(step int, v int64) []int64 {
+		if (v+int64(step))%4 == 0 {
+			return nil
+		}
+		return [][]int64{{0}, {math.MaxInt64}}[v>>2&1]
+	}},
+	scriptProbe{rounds: 3, cast: func(step int, v int64) []int64 { return []int64{v ^ int64(step)} }},
+}
+
 // FuzzPullEquivalence: on generated graphs, a run that pulls every eligible
 // superstep equals the run that pushes them all — Result and profile — for
 // any combiner treatment, activation mode, representation and worker count.
 func FuzzPullEquivalence(f *testing.F) {
 	for shape := uint8(0); shape < 5; shape++ {
 		f.Add(uint64(shape)+1, shape, shape+1, shape%2 == 0, shape)
+		f.Add(uint64(shape)+6, shape+5, shape+2, shape%2 == 1, shape+3)   // identity-valued payloads
+		f.Add(uint64(shape)+11, shape+10, shape+3, shape%2 == 0, shape+1) // an all-broadcast superstep
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, shape, combiner uint8, sparse bool, workers uint8) {
 		g, err := fuzzGraph(seed, shape)
@@ -219,7 +238,7 @@ func FuzzPullEquivalence(f *testing.F) {
 		}
 		mk := func(d core.DirectionMode) core.Config {
 			return core.Config{
-				Program:          orderProbe{rounds: 3},
+				Program:          fuzzPrograms[int(shape)/5%len(fuzzPrograms)],
 				Combiner:         fuzzCombiners[int(combiner)%len(fuzzCombiners)],
 				SparseActivation: sparse,
 				Direction:        d,

@@ -107,7 +107,9 @@ type StepStats struct {
 	// forked), "pull" (stamped the broadcasters and built nothing — the
 	// NEXT superstep's compute span contains the gather), each suffixed
 	// "+expanded" when broadcast records were expanded to per-edge
-	// messages first; "none" on the terminal superstep, which delivers
+	// messages first; "pull+saturated" when every vertex with a neighbor
+	// broadcast into a combining pull, which then knows its receivers
+	// without looking; "none" on the terminal superstep, which delivers
 	// nothing. A host-speed decision: unlike Direction it may differ
 	// between worker counts.
 	Delivery string
