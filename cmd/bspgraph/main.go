@@ -6,7 +6,7 @@
 //
 //	bspgraph -g graph.gxmt -alg cc|bfs|reach|sssp|tc|tc-streaming|pagerank|kcore|lp|bc|mis|diameter
 //	         [-src -1] [-sources 5,17,99] [-batch] [-procs 128] [-rounds 30] [-workers N]
-//	         [-chunking degree|fixed] [-direction auto|push|pull]
+//	         [-direction auto|push|pull]
 //	         [-graph-rep flat|compressed]
 //	         [-checkpoint-dir dir] [-ckpt-every 1] [-ckpt-keep 0] [-resume ckpt|auto]
 //	         [-retries N] [-step-timeout 0] [-run-timeout 0]
@@ -104,7 +104,6 @@ func main() {
 	stepTimeout := flag.Duration("step-timeout", 0, "per-superstep watchdog deadline, e.g. 30s (0 = off)")
 	runTimeout := flag.Duration("run-timeout", 0, "whole-run deadline; finishes the superstep in flight and checkpoints (0 = off)")
 	faultPlan := flag.String("fault-plan", "", "fault-injection plan, e.g. \"kill@2;panic@3:17\" (testing)")
-	chunking := flag.String("chunking", "degree", "sweep chunk schedule: degree (edge-work weighted) or fixed (vertex count)")
 	direction := flag.String("direction", "auto", "superstep direction: auto (adaptive push/pull), push (forced scatter), pull (pull every eligible superstep)")
 	graphRep := flag.String("graph-rep", "", "force the adjacency representation: flat or compressed (default: as loaded)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
@@ -148,15 +147,6 @@ func main() {
 			}
 		}
 	})
-	var sched core.ChunkSchedule
-	switch strings.TrimSpace(*chunking) {
-	case "degree":
-		sched = core.ChunkDegree
-	case "fixed":
-		sched = core.ChunkFixed
-	default:
-		usage("-chunking must be degree or fixed, got %q", *chunking)
-	}
 	dir, ok := core.ParseDirection(strings.TrimSpace(*direction))
 	if !ok {
 		usage("-direction must be auto, push or pull, got %q", *direction)
@@ -321,7 +311,7 @@ func main() {
 		label = fmt.Sprintf("%s seed=%d", name, 7)
 	}
 
-	opts := []core.Option{core.WithChunking(sched), core.WithDirection(dir)}
+	opts := []core.Option{core.WithDirection(dir)}
 	if checkpointed {
 		// With -resume but no -checkpoint-dir the policy is label-only:
 		// it validates the checkpoint's identity but writes nothing new.

@@ -84,9 +84,12 @@ type Fingerprint struct {
 	Combiner bool
 	// Sparse is Config.SparseActivation.
 	Sparse bool
-	// Schedule names the sweep chunk schedule the run uses ("degree" or
-	// "fixed"). Aggregator fold trees follow chunk boundaries, so a run may
-	// only resume under the schedule it started with.
+	// Schedule names the sweep partition the run's chunk boundaries come
+	// from: "degree" (a full scan, cut at the graph's degree-weighted
+	// ranges) or "ranges" (a sparse sweep, cut at their restriction to the
+	// candidates; "fixed" and a sparse "degree" name partitions older
+	// engines used). Aggregator fold trees follow chunk boundaries, so a run
+	// may only resume under the partition it started with.
 	Schedule string
 	// MaxSupersteps / MaxMessages are the resolved engine bounds.
 	MaxSupersteps int64

@@ -103,15 +103,6 @@ func BenchmarkEngineDenseFlood(b *testing.B) {
 	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}})
 }
 
-// BenchmarkEngineDenseFloodExpand is the A/B control for the broadcast
-// message path: the same dense flood with Config.ExpandBroadcasts forcing
-// the legacy eager per-edge expansion, so the record path's effect is the
-// DenseFlood / DenseFloodExpand ratio on identical work.
-func BenchmarkEngineDenseFloodExpand(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}, ExpandBroadcasts: true})
-}
-
 // BenchmarkEngineDenseFloodCompressed is the representation A/B control:
 // the same dense flood over the delta-varint compressed graph, so the
 // streaming-decode cost on the engine's scatter and worklist sweeps is the
@@ -155,13 +146,10 @@ func benchName(w int) string {
 	return fmt.Sprintf("w=%d", w)
 }
 
-// Degree-skew benchmarks: the A/B pair for the chunk-schedule comparison.
-// Each benchmark runs as sched=degree / sched=fixed sub-benchmarks over the
-// same graph, so `go test -bench EngineSkew` (or cmd/benchgate on its JSON
-// output) reads the degree-weighted schedule's effect directly. The star is
-// the worst case fixed chunking can face — one chunk owns nearly every edge —
-// and its hub inbox exercises the combining path's segment prefold; the RMAT
-// graph is the paper's skewed-degree workload.
+// Degree-skew benchmarks: the sweep partition on the graphs it exists for.
+// The star is the worst case vertex-count chunking would face — one chunk
+// owning nearly every edge — and its hub inbox exercises the combining path's
+// segment prefold; the RMAT graph is the paper's skewed-degree workload.
 var (
 	skewBenchOnce sync.Once
 	skewBenchRMAT *graph.Graph
@@ -181,32 +169,20 @@ func skewGraphs(b *testing.B) (star, rmat *graph.Graph) {
 	return skewBenchStar, skewBenchRMAT
 }
 
-func benchSchedules(b *testing.B, run func(b *testing.B, sched core.ChunkSchedule)) {
-	for _, s := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
-		b.Run("sched="+s.String(), func(b *testing.B) { run(b, s) })
-	}
-}
-
 func BenchmarkEngineSkewStarFlood(b *testing.B) {
 	star, _ := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATDenseFlood(b *testing.B) {
 	_, rmat := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{}, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATSparseFlood(b *testing.B) {
 	_, rmat := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{},
-			SparseActivation: true, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{},
+		SparseActivation: true, Combiner: core.Min})
 }
 
 // BenchmarkEngineSkewTC runs the message-heaviest algorithm (triangle
@@ -218,14 +194,13 @@ func BenchmarkEngineSkewTC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bspalg.Triangles(g, nil, core.WithChunking(s)); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bspalg.Triangles(g, nil); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // benchHubSend has every vertex Send to the same eight destinations in

@@ -4,7 +4,7 @@ package core_test
 // O(frontier) broadcast records instead of O(edges) expanded messages is
 // invisible everywhere except the physical-traffic counter. Result, trace
 // profile, and logical message counts are bit-identical to the eager
-// per-edge expansion (Config.ExpandBroadcasts) at any worker count, across
+// per-edge expansion (WithExpandBroadcasts) at any worker count, across
 // dense and sparse delivery, with and without a combiner, for mixed
 // unicast+broadcast supersteps, and through checkpoint/resume.
 
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"graphxmt/internal/batch"
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/core"
@@ -22,10 +23,11 @@ import (
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/obs"
+	"graphxmt/internal/par"
 )
 
 // TestBroadcastMatchesExpandedPath: the record path vs the expanded path,
-// elementwise. The reference is a 1-worker run with ExpandBroadcasts (the
+// elementwise. The reference is a 1-worker run with WithExpandBroadcasts (the
 // legacy eager expansion); the record path must match it bit-for-bit at 1,
 // 3, and 8 workers, and the expanded path must stay worker-deterministic
 // too. detGraph's dense supersteps carry ~2x16K logical messages, above
@@ -66,7 +68,7 @@ func TestBroadcastMatchesExpandedPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mkExpand := func() core.Config {
 				cfg := tc.mk()
-				cfg.ExpandBroadcasts = true
+				core.WithExpandBroadcasts(true)(&cfg)
 				return cfg
 			}
 			baseRes, basePh := runDet(t, g, 1, mkExpand)
@@ -127,11 +129,9 @@ func TestBroadcastMixedSendOrder(t *testing.T) {
 		t.Run(fmt.Sprintf("sparse=%v", sparse), func(t *testing.T) {
 			mk := func(expand bool) func() core.Config {
 				return func() core.Config {
-					return core.Config{
-						Program:          orderFold{n: g.NumVertices(), rounds: 4},
-						SparseActivation: sparse,
-						ExpandBroadcasts: expand,
-					}
+					cfg := core.Config{Program: orderFold{n: g.NumVertices(), rounds: 4}, SparseActivation: sparse}
+					core.WithExpandBroadcasts(expand)(&cfg)
+					return cfg
 				}
 			}
 			baseRes, basePh := runDet(t, g, 1, mk(true))
@@ -149,7 +149,7 @@ func TestBroadcastMixedSendOrder(t *testing.T) {
 // TestBroadcastCheckpointRoundTrip: a dense flood killed at a boundary
 // whose in-flight traffic is pure broadcast writes a v3 checkpoint carrying
 // records (not expanded messages), and resuming from it — under either
-// delivery treatment, since ExpandBroadcasts is not fingerprinted — is
+// delivery treatment, since the treatment is not fingerprinted — is
 // bit-identical to the uninterrupted run.
 func TestBroadcastCheckpointRoundTrip(t *testing.T) {
 	g := detGraph(t)
@@ -189,7 +189,7 @@ func TestBroadcastCheckpointRoundTrip(t *testing.T) {
 		}
 		for _, expand := range []bool{false, true} {
 			cfg = mk()
-			cfg.ExpandBroadcasts = expand
+			core.WithExpandBroadcasts(expand)(&cfg)
 			cfg.Checkpoint = &ckpt.Policy{Dir: dir}
 			cfg.Resume = ie.CheckpointPath
 			res, ph, err := runRec(g, 3, cfg)
@@ -223,12 +223,8 @@ func TestBroadcastPhysicalCounter(t *testing.T) {
 	g := detGraph(t)
 	run := func(expand bool) []obs.StepStats {
 		sink := &stepCapture{}
-		cfg := core.Config{
-			Program:          bspalg.CCProgram{},
-			ExpandBroadcasts: expand,
-			Obs:              sink,
-		}
-		cfg.Graph = g
+		cfg := core.Config{Graph: g, Program: bspalg.CCProgram{}, Obs: sink}
+		core.WithExpandBroadcasts(expand)(&cfg)
 		if _, err := core.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +287,7 @@ func TestBroadcastStarPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mkExpand := func() core.Config {
 				cfg := tc.mk()
-				cfg.ExpandBroadcasts = true
+				core.WithExpandBroadcasts(true)(&cfg)
 				return cfg
 			}
 			baseRes, basePh := runDet(t, star, 1, mkExpand)
@@ -303,5 +299,58 @@ func TestBroadcastStarPaths(t *testing.T) {
 				comparePhases(t, basePh, ph)
 			}
 		})
+	}
+}
+
+// TestMultiBFSExpandedBroadcasts: a batched multi-source BFS, whose
+// broadcasts carry 64 lane bits, unpacks to the same per-lane distances and
+// reports the same per-superstep active-lane counts (a pure function of the
+// logical traffic) under the per-edge treatment, at every worker count,
+// representation and direction mode.
+func TestMultiBFSExpandedBroadcasts(t *testing.T) {
+	flat, err := gen.RMAT(gen.RMATConfig{Scale: 11, EdgeFactor: 8, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := flat.NumVertices()
+	var sources []int64
+	for i := int64(0); i < 48; i++ {
+		sources = append(sources, i*n/40%n) // the last eight repeat the first
+	}
+	plan, err := batch.NewPlan(sources, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{flat, graph.MustCompress(flat)} {
+		for _, dir := range []core.DirectionMode{core.DirAuto, core.DirPush, core.DirPull} {
+			for _, w := range []int{1, 3, 8} {
+				t.Run(fmt.Sprintf("%s/%s/w=%d", g.Rep(), dir, w), func(t *testing.T) {
+					defer par.SetWorkers(par.SetWorkers(w))
+					run := func(expand bool) (dist [][]int64, lanes []int64) {
+						sink := &stepCapture{}
+						mr, err := bspalg.MultiBFS(g, plan, nil, core.WithDirection(dir), core.WithExpandBroadcasts(expand),
+							func(c *core.Config) { c.Obs = sink })
+						if err != nil {
+							t.Fatal(err)
+						}
+						for lane := range plan.Sources {
+							dist = append(dist, mr.Dist(lane))
+						}
+						for _, st := range sink.steps {
+							lanes = append(lanes, st.Lanes)
+						}
+						return dist, lanes
+					}
+					recDist, recLanes := run(false)
+					expDist, expLanes := run(true)
+					if !reflect.DeepEqual(recDist, expDist) {
+						t.Fatal("per-lane distances differ between broadcast treatments")
+					}
+					if !reflect.DeepEqual(recLanes, expLanes) || len(recLanes) == 0 || recLanes[0] == 0 {
+						t.Fatalf("lane counts differ across broadcast treatments:\n  record %v\n  expand %v", recLanes, expLanes)
+					}
+				})
+			}
+		}
 	}
 }

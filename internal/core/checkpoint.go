@@ -139,6 +139,13 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 	if cfg.Checkpoint != nil {
 		label = cfg.Checkpoint.Label
 	}
+	// The sweep partition (sweepBoundaries), which aggregator fold trees
+	// follow: the degree-weighted ranges for a full scan, their restriction
+	// to the candidates for a sparse sweep.
+	schedule := "degree"
+	if cfg.SparseActivation {
+		schedule = "ranges"
+	}
 	return ckpt.Fingerprint{
 		GraphCRC:      graphCRC(g),
 		Vertices:      g.NumVertices(),
@@ -147,7 +154,7 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		Label:         label,
 		Combiner:      cfg.Combiner != nil,
 		Sparse:        cfg.SparseActivation,
-		Schedule:      cfg.Chunking.String(),
+		Schedule:      schedule,
 		MaxSupersteps: int64(maxSteps),
 		MaxMessages:   maxMsgs,
 		CostsCRC:      costsCRC(costs),

@@ -94,7 +94,7 @@ type engineState struct {
 	// logical quantity identical across treatments and worker counts.
 	unicast int64
 	// expand reverts SendToNeighbors to eager per-edge expansion
-	// (Config.ExpandBroadcasts) for A/B comparison.
+	// (Config.expandBroadcasts), the tests' per-edge oracle.
 	expand bool
 	// bufs is the run's pool of adjacency buffers (VertexContext.buf).
 	bufs       *gatherPool

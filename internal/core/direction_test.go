@@ -240,7 +240,9 @@ func TestDirectionTreatmentIndependent(t *testing.T) {
 	g := detGraph(t)
 	run := func(expand bool) *core.Result {
 		res, _ := runDet(t, g, 3, func() core.Config {
-			return core.Config{Program: bspalg.CCProgram{}, ExpandBroadcasts: expand}
+			cfg := core.Config{Program: bspalg.CCProgram{}}
+			core.WithExpandBroadcasts(expand)(&cfg)
+			return cfg
 		})
 		return res
 	}

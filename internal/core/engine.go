@@ -24,9 +24,9 @@
 // # Host parallelism
 //
 // Run executes supersteps on all host cores via package par — the compute
-// sweep over worker-independent chunks (degree-weighted by default, so a
-// skewed graph's hub vertices don't unbalance the sweep; see ChunkSchedule
-// in parallel.go) with private per-chunk contexts merged in chunk index
+// sweep over worker-independent, degree-weighted chunks (so a skewed graph's
+// hub vertices don't unbalance the sweep; see sweepBoundaries in
+// parallel.go) with private per-chunk contexts merged in chunk index
 // order, delivery as a stable parallel counting sort, and the
 // sparse-activation worklist as a stamp-ordered dense sweep (see
 // parallel.go). The package invariant is that the host worker count
@@ -89,15 +89,6 @@ type Config struct {
 	// be commutative and associative. Or, Sum and Min are recognised by
 	// identity and folded inline on pull supersteps (resolveFold).
 	Combiner func(a, b int64) int64
-	// ExpandBroadcasts reverts SendToNeighbors to eager per-edge expansion
-	// into the send buffer instead of recording broadcast records expanded
-	// at delivery. A host-path A/B knob for tests and benchmarks: both
-	// treatments produce the same Result, profile, and logical counters
-	// (bit-identical except where deliver documents reliance on the
-	// combiner laws Config.Combiner already requires), so the flag is not
-	// part of checkpoint fingerprints and a run may resume under either
-	// setting.
-	ExpandBroadcasts bool
 	// Recorder receives the work profile; nil disables recording.
 	Recorder *trace.Recorder
 	// Costs is the engine cost schedule; the zero value selects
@@ -125,12 +116,6 @@ type Config struct {
 	// magnitude larger" in BSP — with sparse activation that overhead
 	// disappears (see experiments.AblationActivation).
 	SparseActivation bool
-	// Chunking selects how the compute sweep is partitioned into chunks.
-	// The zero value (ChunkAuto) selects the degree-weighted schedule.
-	// Either schedule is deterministic across worker counts; the choice is
-	// recorded in checkpoint fingerprints, so a resumed run must use the
-	// schedule it started with.
-	Chunking ChunkSchedule
 	// Checkpoint, when non-nil, enables superstep-boundary checkpointing
 	// under the given policy (package ckpt; see checkpoint.go and
 	// docs/ROBUSTNESS.md). nil costs one pointer check per superstep.
@@ -186,6 +171,12 @@ type Config struct {
 	// only damaged checkpoints is an error. Requires a Checkpoint policy
 	// with a directory. Mutually exclusive with Resume.
 	ResumeLatest bool
+
+	// expandBroadcasts reverts SendToNeighbors to eager per-edge expansion
+	// into the send log: the per-edge oracle the record path is tested
+	// against (set only through export_test.go). Both treatments give the
+	// same Result, profile and logical counters, so it is not fingerprinted.
+	expandBroadcasts bool
 }
 
 // Result is the outcome of a BSP run.
@@ -387,7 +378,7 @@ func Run(cfg Config) (*Result, error) {
 		graph:  g,
 		costs:  costs,
 		states: res.States,
-		expand: cfg.ExpandBroadcasts,
+		expand: cfg.expandBroadcasts,
 		bufs:   &scratch.gather,
 	}
 	// With no recorder every superstep charges one throwaway phase, not a
@@ -523,18 +514,11 @@ func Run(cfg Config) (*Result, error) {
 
 			// Compute sweep: worker-independent chunks, each with a private
 			// context, merged in chunk index order below. Chunk boundaries are
-			// a pure function of the schedule, graph, and active set (see
+			// a pure function of the graph and the active set (see
 			// sweepBoundaries) — never of the worker count — so results and
 			// profiles are identical at any host configuration.
-			count := int(n)
-			if cfg.SparseActivation {
-				count = len(candidates)
-			}
-			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation, cfg.Chunking, count)
+			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation)
 			numChunks = len(bounds) - 1
-			if numChunks < 0 {
-				numChunks = 0
-			}
 			var visited []bool
 			if ds != nil {
 				visited = ds.visited
@@ -551,7 +535,7 @@ func Run(cfg Config) (*Result, error) {
 			if k := len(res.DeliveredPerStep); k > 0 {
 				known += res.DeliveredPerStep[k-1]
 			}
-			known = int64(count) + known*(1+g.Offsets()[n]/max(n, 1))
+			known = scanCount + known*(1+g.Offsets()[n]/max(n, 1))
 			if par.Workers() == 1 || known < sweepSerialMax {
 				// Serial fast path: chunks run in index order anyway, so thread
 				// one shared log through them, tail block and all — appending in

@@ -9,6 +9,17 @@ const LookasideCutoff = lookasideCutoff
 // MsgBlockLen lets tests put send counts either side of a block boundary.
 const MsgBlockLen = msgBlockLen
 
+// WithExpandBroadcasts reverts SendToNeighbors to eager per-edge expansion
+// (Config.expandBroadcasts): the per-edge oracle the record path must match.
+func WithExpandBroadcasts(on bool) Option {
+	return func(c *Config) { c.expandBroadcasts = on }
+}
+
+// SweepRanges is the full-scan chunk partition a run on g uses.
+func SweepRanges(g *graph.Graph) []int {
+	return new(runScratch).sweepBoundaries(g.Offsets(), nil, false)
+}
+
 // NewGatherSweep is BenchmarkGather's harness: it delivers one broadcast
 // per source in srcs (value source+1) as a pull boundary of a full-scan run
 // under combine — twice, as a run's second such boundary, because its first

@@ -4,15 +4,18 @@ package core_test
 // superstep S produces, next to the emergency checkpoint, a JSONL dump of
 // the last N supersteps — including step S itself (its compute span is
 // emitted before the trap check exactly so the ring contains the failing
-// step).
+// step) — whose every completed superstep is, field for field, the step
+// event the JSONL sink wrote for it: a superstep retried on the way says so.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,18 +44,23 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 		t.Fatal("no suitable panic target")
 	}
 	const failStep = 2
-	plan, err := faultinject.ParsePlan(fmt.Sprintf("panic@%d:%d", failStep, target))
+	// Superstep 1 panics once and is retried; superstep failStep panics
+	// every time and exhausts the retry.
+	plan, err := faultinject.ParsePlan(fmt.Sprintf("panicn@1:%d:1;panic@%d:%d", target, failStep, target))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	fr := live.NewFlightRecorder(0)
+	var stream bytes.Buffer
+	jsonl := obs.NewJSONL(&stream)
 	cfg := core.Config{
 		Program:    plan.WrapProgram(bspalg.CCProgram{}),
 		Combiner:   core.Min,
 		Checkpoint: &ckpt.Policy{Dir: dir},
-		Obs:        obs.Tee(obs.NewReport(), fr),
+		MaxRetries: 1,
+		Obs:        obs.Tee(obs.NewReport(), fr, jsonl),
 	}
 	_, _, err = runRec(g, 3, cfg)
 	var pe *core.ProgramError
@@ -64,6 +72,19 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	}
 	if pe.FlightRecorderPath == "" {
 		t.Fatal("ProgramError carries no flight-recorder path")
+	}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stepEvents := map[int]map[string]any{}
+	for _, line := range bytes.Split(bytes.TrimSpace(stream.Bytes()), []byte("\n")) {
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev["ev"] == "step" {
+			stepEvents[int(ev["step"].(float64))] = ev
+		}
 	}
 	if filepath.Dir(pe.FlightRecorderPath) != filepath.Dir(pe.CheckpointPath) {
 		t.Fatalf("flight dump %q not alongside emergency checkpoint %q",
@@ -85,6 +106,9 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 		}
 		steps []int
 		spans = map[int][]string{}
+		// records are the dumped supersteps with JSONL step events: the dump's
+		// own label and spans set aside, what is left must be that event.
+		records = map[int]map[string]any{}
 	)
 	for lineno := 0; sc.Scan(); lineno++ {
 		if lineno == 0 {
@@ -105,6 +129,20 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 		}
 		if rec.Ev != "step" {
 			t.Fatalf("flight line %d: ev = %q, want step", lineno, rec.Ev)
+		}
+		var obj map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
+			t.Fatal(err)
+		}
+		delete(obj, "label")
+		delete(obj, "spans")
+		if want, ok := stepEvents[rec.Step]; ok {
+			if !reflect.DeepEqual(obj, want) {
+				t.Fatalf("flight superstep %d differs from its JSONL step event:\n  flight %v\n  jsonl  %v", rec.Step, obj, want)
+			}
+			records[rec.Step] = obj
+		} else if rec.Step != failStep {
+			t.Fatalf("flight superstep %d has no JSONL step event", rec.Step)
 		}
 		steps = append(steps, rec.Step)
 		for _, s := range rec.Spans {
@@ -145,5 +183,8 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	}
 	if !hasCompute {
 		t.Fatalf("failing superstep %d has spans %v, want compute", failStep, spans[failStep])
+	}
+	if len(records) != failStep || records[1]["retries"] != 1.0 || records[1]["delivery"] == nil {
+		t.Fatalf("completed supersteps %v: want %d, superstep 1 retried once and naming its delivery", records, failStep)
 	}
 }

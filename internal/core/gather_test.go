@@ -84,7 +84,8 @@ func pullAgrees(t *testing.T, g *graph.Graph, mk func() core.Config) map[bool][]
 	for _, sparse := range []bool{false, true} {
 		run := func(rep *graph.Graph, w int, d core.DirectionMode, expand bool) (*core.Result, *stepCapture, []*trace.Phase) {
 			cfg, sink := mk(), &stepCapture{}
-			cfg.Direction, cfg.ExpandBroadcasts, cfg.SparseActivation, cfg.Obs = d, expand, sparse, sink
+			cfg.Direction, cfg.SparseActivation, cfg.Obs = d, sparse, sink
+			core.WithExpandBroadcasts(expand)(&cfg)
 			res, ph, err := runRec(rep, w, cfg)
 			if err != nil {
 				t.Fatalf("%s sparse=%v w=%d %s: %v", rep.Rep(), sparse, w, d, err)

@@ -219,8 +219,8 @@ func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidat
 	b += int64(cap(s.has))
 	b += int64(cap(s.counts)) * 4
 	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8
-	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)+cap(s.candWork)) * 8
-	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.denseBounds)+cap(s.pullBnds)+cap(s.shareBnds)) * 8
+	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)) * 8
+	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.ranges)+cap(s.pullBnds)+cap(s.shareBnds)) * 8
 	b += int64(cap(s.bcastWork)) * 8
 	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
 	for _, cs := range s.chunks[:numChunks] {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,11 +21,11 @@ import (
 //
 //   - The compute sweep is partitioned into chunks whose boundaries are a
 //     pure function of the graph and the active set — never of the worker
-//     count. The default (degree-weighted) schedule splits the CSR degree
-//     prefix sum (graph.Offsets, or the candidate-degree prefix sum under
-//     sparse activation) into near-equal edge-work chunks, so a hub vertex
-//     of a skewed graph cannot make one chunk run targetChunks× longer
-//     than its peers; the legacy fixed schedule splits by vertex count.
+//     count. The graph's degree prefix sum (graph.Offsets) is split once
+//     per run into near-equal edge-work vertex ranges, so a hub vertex of a
+//     skewed graph cannot make one chunk run sweepMaxChunks× longer than
+//     its peers; a full scan is cut at those ranges, a sparse sweep at the
+//     same ranges restricted to its candidates (sweepBoundaries).
 //     Each chunk runs vertices with a private VertexContext — private
 //     unicast log, work-charge accumulators, aggregator partials, wake list
 //     and halt-transition counter — and the partials are merged in chunk
@@ -62,92 +63,34 @@ import (
 //     index order. Chunk boundaries are worker-independent, so the fold
 //     tree — and therefore the result, even for non-associative
 //     reductions — is too. (Because the fold tree follows chunk
-//     boundaries, the chunk schedule is part of a checkpoint's fingerprint:
-//     a run may only resume under the schedule it started with.)
+//     boundaries, the partition is named in a checkpoint's fingerprint —
+//     "degree" for a full scan, "ranges" for a sparse sweep — so a run never
+//     resumes under boundaries it did not start with.)
 
-// ChunkSchedule selects how Run partitions the compute sweep into chunks.
-// Both schedules are deterministic — boundaries are a pure function of the
-// graph and the active set — so either yields bit-identical results and
-// profiles at any worker count; they may differ from each other only for
-// non-associative aggregator reductions (the fold tree follows chunk
-// boundaries), which is why the schedule is part of checkpoint
-// fingerprints.
-type ChunkSchedule int
-
+// The shape of every partition into chunks: at most sweepMaxChunks chunks,
+// each of at least sweepMinChunk items where there are enough to go round.
 const (
-	// ChunkAuto selects the engine default, ChunkDegree.
-	ChunkAuto ChunkSchedule = iota
-	// ChunkDegree splits the degree prefix sum (the CSR offsets, or the
-	// candidate-degree prefix under sparse activation) into near-equal
-	// edge-work chunks — the schedule for skewed (RMAT, power-law) graphs,
-	// where per-vertex work is dominated by adjacency size.
-	ChunkDegree
-	// ChunkFixed splits the sweep into fixed vertex-count chunks — the
-	// legacy schedule, kept for A/B benchmarking and old checkpoints.
-	ChunkFixed
+	sweepMinChunk  = 64
+	sweepMaxChunks = 256
 )
 
-// resolve maps ChunkAuto to the engine default.
-func (s ChunkSchedule) resolve() ChunkSchedule {
-	if s == ChunkAuto {
-		return ChunkDegree
-	}
-	return s
-}
-
-// String returns the schedule's fingerprint name ("degree" or "fixed").
-func (s ChunkSchedule) String() string {
-	if s.resolve() == ChunkFixed {
-		return "fixed"
-	}
-	return "degree"
-}
-
-// WithChunking selects the sweep chunk schedule (see Config.Chunking).
-func WithChunking(s ChunkSchedule) Option {
-	return func(c *Config) { c.Chunking = s }
-}
-
-// sweepChunkSize returns the fixed chunk size used to partition a sweep of
-// count items. It depends only on count — never on the worker count — so
-// chunk boundaries, and every merge keyed on chunk index, are identical
-// across host configurations. It drives the ChunkFixed schedule and the
-// delivery/worklist compaction sweeps, whose outputs do not depend on the
-// partitioning at all.
+// sweepChunkSize returns the fixed chunk size the delivery and worklist
+// compaction sweeps partition count items by, whose outputs do not depend on
+// the partitioning at all. It depends only on count.
 func sweepChunkSize(count int) int {
-	const (
-		minChunk     = 64
-		targetChunks = 256
-	)
-	cs := count / targetChunks
-	if cs < minChunk {
-		cs = minChunk
-	}
-	return cs
+	return max(count/sweepMaxChunks, sweepMinChunk)
 }
 
-// sweepTargetChunks is the chunk-count target of the weighted schedules:
-// the same 256-chunk / 64-vertex-minimum shape as sweepChunkSize, expressed
-// as a count. Depends only on count.
+// sweepTargetChunks is the chunk-count target of the weighted partitions:
+// the sweepChunkSize shape expressed as a count. Depends only on count.
 func sweepTargetChunks(count int) int {
-	const (
-		minChunk     = 64
-		targetChunks = 256
-	)
-	c := (count + minChunk - 1) / minChunk
-	if c > targetChunks {
-		c = targetChunks
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return min(max((count+sweepMinChunk-1)/sweepMinChunk, 1), sweepMaxChunks)
 }
 
-// sweepVertexWork is the constant per-vertex weight the degree-weighted
-// schedule adds to each vertex's degree: it accounts for the fixed
-// per-vertex dispatch cost, so zero-degree stretches still split instead
-// of collapsing into one chunk.
+// sweepVertexWork is the constant per-vertex weight the sweep partition adds
+// to each vertex's degree: it accounts for the fixed per-vertex dispatch
+// cost, so zero-degree stretches still split instead of collapsing into one
+// chunk.
 const sweepVertexWork = 4
 
 // sweepSerialMax is the known work of a compute sweep — items scanned, plus
@@ -488,13 +431,11 @@ type runScratch struct {
 	hubVal   []int64 // prefolded hub values, parallel to hubDest
 	hubPart  []int64 // per-segment partials of one hub prefold
 
-	// Sweep chunk boundaries (see sweepBoundaries). denseBounds caches the
-	// dense degree-weighted boundaries, which depend only on the graph.
-	bounds      []int
-	denseBounds []int
-	candWork    []int64           // candidate-degree prefix sum, len count+1
-	densePrefix func(i int) int64 // memoized closure over the graph offsets
-	candPrefix  func(i int) int64 // memoized closure over candWork
+	// Sweep chunk boundaries (see sweepBoundaries): ranges is the graph's
+	// degree-weighted vertex partition, cut once per run; bounds is a sparse
+	// sweep's restriction of it to the candidates.
+	bounds []int
+	ranges []int
 
 	// Sparse-activation scratch.
 	sortScratch []int64 // radix-sort ping buffer
@@ -530,68 +471,46 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []
 	}
 }
 
-// sweepBoundaries computes the compute sweep's chunk boundaries for one
-// superstep: a strictly increasing []int starting at 0 and ending at count,
-// a pure function of (schedule, graph offsets, active set) — never of the
-// worker count. Under ChunkDegree it splits the work prefix sum (degree +
-// sweepVertexWork per item) into sweepTargetChunks near-equal chunks: the
-// dense prefix is the CSR offsets themselves (computed once per run and
-// cached, since the dense sweep is always over all n vertices); the sparse
-// prefix is built per superstep over the candidate degrees. Under
-// ChunkFixed it replicates the legacy sweepChunkSize partition.
-func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse bool, sched ChunkSchedule, count int) []int {
-	if count <= 0 {
-		s.bounds = append(s.bounds[:0], 0)
-		return s.bounds
-	}
-	if sched.resolve() == ChunkFixed {
-		cs := sweepChunkSize(count)
-		b := s.bounds[:0]
-		for lo := 0; lo < count; lo += cs {
-			b = append(b, lo)
+// sweepBoundaries returns the compute sweep's chunk boundaries for one
+// superstep: a strictly increasing []int from 0 to the number of items swept
+// (n, or the sparse sweep's candidates), a pure function of the graph offsets
+// and the active set — never of the worker count. The graph's vertex ranges split the work prefix sum (degree +
+// sweepVertexWork per vertex) into sweepTargetChunks(n) near-equal chunks,
+// once per run, and a full scan is cut at them. A sparse sweep takes the same
+// ranges restricted to its ascending candidates — one binary search per range
+// boundary, each resuming where the last one ended — and keeps a cut only
+// once the chunk behind it holds sweepMinChunk candidates. So every sparse
+// chunk but the last holds at least that many, and none is heavier than one
+// full range plus its first sweepMinChunk-1 candidates, with no pass over the
+// candidates at all.
+func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int {
+	if s.ranges == nil {
+		s.ranges = []int{0} // no vertices, no chunks
+		if n := len(off) - 1; n > 0 {
+			s.ranges = par.WeightedBoundaries(nil, n, sweepTargetChunks(n), func(i int) int64 {
+				return off[i] + sweepVertexWork*int64(i)
+			})
 		}
-		b = append(b, count)
-		s.bounds = b
-		return b
-	}
-	if sparse && sweepTargetChunks(count) == 1 {
-		// One chunk no matter how the weights fall — skip the per-superstep
-		// candidate prefix sum, which relay-style programs (tiny active set,
-		// many supersteps) would otherwise pay on every superstep.
-		s.bounds = append(s.bounds[:0], 0, count)
-		return s.bounds
 	}
 	if !sparse {
-		if s.densePrefix == nil {
-			s.densePrefix = func(i int) int64 {
-				return off[i] + sweepVertexWork*int64(i)
+		return s.ranges
+	}
+	count := len(candidates)
+	b := append(s.bounds[:0], 0)
+	if count > sweepMinChunk {
+		at := 0
+		for _, v := range s.ranges[1 : len(s.ranges)-1] {
+			i, _ := slices.BinarySearch(candidates[at:], int64(v))
+			if at += i; at-b[len(b)-1] >= sweepMinChunk && at < count {
+				b = append(b, at)
 			}
 		}
-		if len(s.denseBounds) == 0 {
-			s.denseBounds = par.WeightedBoundaries(s.denseBounds, count,
-				sweepTargetChunks(count), s.densePrefix)
-		}
-		return s.denseBounds
 	}
-	// Sparse: candWork[i] = summed work of candidates [0, i), with the total
-	// at candWork[count] (exclusive prefix over per-candidate weights plus a
-	// trailing zero).
-	s.candWork = ensureInt64(s.candWork, count+1)
-	cw := s.candWork
-	par.ForChunked(count, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := candidates[i]
-			cw[i] = (off[v+1] - off[v]) + sweepVertexWork
-		}
-	})
-	cw[count] = 0
-	par.ParallelExclusivePrefixSum(cw)
-	if s.candPrefix == nil {
-		s.candPrefix = func(i int) int64 { return s.candWork[i] }
+	if count > 0 {
+		b = append(b, count)
 	}
-	s.bounds = par.WeightedBoundaries(s.bounds, count,
-		sweepTargetChunks(count), s.candPrefix)
-	return s.bounds
+	s.bounds = b
+	return b
 }
 
 // mergeCounters sums the per-chunk superstep counters (serial over a few

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/par"
 	"graphxmt/internal/rng"
@@ -444,18 +445,145 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 	}
 }
 
+// TestSweepChunkSizeDeterministic: chunk boundaries depend only on the sweep
+// — never on the worker count — and the determinism of every chunk-order
+// merge rests on that. The compute sweep's partition (sweepBoundaries) must
+// also keep its shape on every graph and candidate set: boundaries from 0 to
+// count, strictly increasing, at most sweepMaxChunks chunks, every chunk but
+// the last holding sweepMinChunk candidates, an all-candidates sparse sweep
+// cut only where the full scan is, and no chunk heavier than the heaviest
+// full-scan range plus its first sweepMinChunk-1 candidates.
 func TestSweepChunkSizeDeterministic(t *testing.T) {
-	// Chunk boundaries must depend only on the sweep length, never the
-	// worker count — the determinism of every chunk-order merge rests on
-	// this.
+	defer par.SetWorkers(par.SetWorkers(1))
 	for _, count := range []int{0, 1, 63, 64, 4096, 1 << 20} {
-		defer par.SetWorkers(par.SetWorkers(1))
+		par.SetWorkers(1)
 		a := sweepChunkSize(count)
 		par.SetWorkers(16)
-		b := sweepChunkSize(count)
-		if a != b {
+		if b := sweepChunkSize(count); a != b {
 			t.Fatalf("sweepChunkSize(%d) differs across worker counts: %d vs %d", count, a, b)
 		}
+	}
+
+	rmat, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 16, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := gen.BarabasiAlbert(1<<12, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"star", gen.Star(1 << 12)},
+		{"ba", ba},
+		{"grid128", gen.Grid(128, 128)},
+		{"rmat10", rmat},
+		{"path", gen.Path(5000)},
+		{"n=1", gen.Path(1)},
+		{"empty", graph.MustBuild(0, nil, graph.BuildOptions{})},
+	} {
+		n, off := gc.g.NumVertices(), gc.g.Offsets()
+		work := func(vs []int64) (w int64) {
+			for _, v := range vs {
+				w += off[v+1] - off[v] + sweepVertexWork
+			}
+			return w
+		}
+		all := make([]int64, n)
+		par.Iota(all)
+		// spread is k candidates spaced evenly over the vertices (all of them
+		// when there are fewer than k).
+		spread := func(k int64) []int64 {
+			if n <= k {
+				return all
+			}
+			var c []int64
+			for i := int64(0); i < k; i++ {
+				c = append(c, i*n/k)
+			}
+			return c
+		}
+		var third, sample, hub []int64
+		r := rng.New(11)
+		for v := int64(0); v < n; v++ {
+			if v%3 == 0 {
+				third = append(third, v)
+			}
+			if r.Uint64n(100) == 0 {
+				sample = append(sample, v)
+			}
+			if hub == nil || gc.g.Degree(v) > gc.g.Degree(hub[0]) {
+				hub = []int64{v}
+			}
+		}
+		sets := []struct {
+			name string
+			cand []int64
+		}{
+			{"all", all}, {"none", []int64{}}, {"one", spread(1)}, {"64", spread(64)}, {"65", spread(65)},
+			{"every-third", third}, {"hub", hub}, {"1%", sample},
+		}
+
+		var full []int
+		for _, w := range []int{1, 16} {
+			par.SetWorkers(w)
+			s := &runScratch{}
+			got := slices.Clone(s.sweepBoundaries(off, nil, false))
+			if full == nil {
+				full = got
+			} else if !slices.Equal(full, got) {
+				t.Fatalf("%s: full-scan ranges differ across worker counts: %v vs %v", gc.name, full, got)
+			}
+			for _, set := range sets {
+				b := s.sweepBoundaries(off, set.cand, true)
+				t.Run(fmt.Sprintf("%s/%s/w=%d", gc.name, set.name, w), func(t *testing.T) {
+					checkPartition(t, b, len(set.cand))
+					for c := 0; c+2 < len(b); c++ {
+						if k := b[c+1] - b[c]; k < sweepMinChunk {
+							t.Errorf("chunk %d holds %d candidates, want >= %d", c, k, sweepMinChunk)
+						}
+					}
+					if set.name == "all" {
+						for _, cut := range b {
+							if _, on := slices.BinarySearch(full, cut); !on {
+								t.Errorf("all-candidates cut %d is not a full-scan boundary %v", cut, full)
+							}
+						}
+					}
+					var heaviest int64
+					for c := 0; c+1 < len(full); c++ {
+						heaviest = max(heaviest, work(all[full[c]:full[c+1]]))
+					}
+					for c := 0; c+1 < len(b); c++ {
+						chunk := set.cand[b[c]:b[c+1]]
+						head := chunk[:min(len(chunk), sweepMinChunk-1)]
+						if w, bound := work(chunk), heaviest+work(head); w > bound {
+							t.Errorf("chunk %d [%d,%d) weighs %d, over the heaviest range %d plus its head %d", c, b[c], b[c+1], w, heaviest, bound-heaviest)
+						}
+					}
+				})
+			}
+		}
+		t.Run(gc.name+"/full", func(t *testing.T) { checkPartition(t, full, int(n)) })
+	}
+}
+
+// checkPartition: b splits [0, count) into at most sweepMaxChunks non-empty
+// chunks.
+func checkPartition(t *testing.T, b []int, count int) {
+	t.Helper()
+	if len(b) == 0 || b[0] != 0 || b[len(b)-1] != count {
+		t.Fatalf("boundaries %v do not run from 0 to %d", b, count)
+	}
+	for c := 0; c+1 < len(b); c++ {
+		if b[c+1] <= b[c] {
+			t.Fatalf("boundaries %v not strictly increasing at %d", b, c)
+		}
+	}
+	if len(b)-1 > sweepMaxChunks {
+		t.Fatalf("%d chunks, want <= %d", len(b)-1, sweepMaxChunks)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestEngineRepMatrix(t *testing.T) {
 					for _, expand := range []bool{false, true} {
 						mk := func() core.Config {
 							cfg := tc.mk()
-							cfg.ExpandBroadcasts = expand
+							core.WithExpandBroadcasts(expand)(&cfg)
 							return cfg
 						}
 						res, ph := runDet(t, rep.g, w, mk)

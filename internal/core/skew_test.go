@@ -1,14 +1,15 @@
 package core_test
 
-// Degree-skew determinism: the worst imbalance a chunking schedule can
-// face is a star graph, whose hub has degree N-1 while every other vertex
-// has degree 1. Under fixed vertex-count chunking the hub's chunk carries
-// almost all the work; under degree-weighted chunking the hub is isolated
-// into its own narrow chunk. Either way the engine's invariant must hold:
-// Result and trace profile bit-identical at any worker count — and, for
-// the associative combiners and aggregators these programs use, across
-// the two schedules as well. The hub also funnels >= hubFoldMin messages
-// into one inbox, exercising the combining path's segment prefold.
+// Degree-skew determinism: the worst imbalance a sweep partition can face
+// is a star graph, whose hub has degree N-1 while every other vertex has
+// degree 1. Vertex-count chunking would leave the hub's chunk almost all the
+// work; the degree-weighted ranges isolate the hub into its own narrow chunk,
+// and a sparse sweep cuts its candidates at the same ranges. Either way the
+// engine's invariant must hold: Result and trace profile bit-identical at
+// any worker count — and, for the associative combiners and aggregators these
+// programs use, Result identical between the full scan and the sparse sweep
+// as well. The hub also funnels >= hubFoldMin messages into one inbox,
+// exercising the combining path's segment prefold.
 
 import (
 	"errors"
@@ -37,19 +38,13 @@ func skewCases(g *graph.Graph) []struct {
 		name string
 		mk   func() core.Config
 	}{
-		{"bfs/dense", func() core.Config {
+		{"bfs", func() core.Config {
 			return core.Config{Program: bspalg.BFSProgram{Source: 1}}
-		}},
-		{"bfs/sparse", func() core.Config {
-			return core.Config{Program: bspalg.BFSProgram{Source: 1}, SparseActivation: true}
 		}},
 		{"cc/combiner", func() core.Config {
 			// Hub inbox: every leaf sends to vertex 0 each superstep, so the
 			// combining path sees one group of N-1 messages.
 			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min}
-		}},
-		{"cc/sparse-combiner", func() core.Config {
-			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: true}
 		}},
 		{"pagerank/combiner", func() core.Config {
 			return core.Config{
@@ -60,27 +55,27 @@ func skewCases(g *graph.Graph) []struct {
 	}
 }
 
-// TestSkewDeterminismStar asserts bit-identical Result + profile at 1/3/8
-// workers under BOTH chunk schedules on the star graph, and that the two
-// schedules agree with each other (these programs' reductions are
-// associative, so the schedule cannot change answers).
-func TestSkewDeterminismStar(t *testing.T) {
-	g := gen.Star(skewN)
+// skewSweeps runs every skew case as a full scan and as a sparse sweep,
+// each at 1 worker and at every count in workers: bit-identical Result and
+// profile across worker counts, and the same Result from both sweeps (these
+// programs' reductions are associative, so the partition cannot change
+// answers; the profiles differ by the scan charges).
+func skewSweeps(t *testing.T, g *graph.Graph, workers ...int) {
 	for _, tc := range skewCases(g) {
 		t.Run(tc.name, func(t *testing.T) {
 			var baseline *core.Result
-			for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
+			for _, sparse := range []bool{false, true} {
 				mk := func() core.Config {
 					cfg := tc.mk()
-					cfg.Chunking = sched
+					cfg.SparseActivation = sparse
 					return cfg
 				}
 				baseRes, basePh := runDet(t, g, 1, mk)
-				for _, w := range []int{3, 8} {
+				for _, w := range workers {
 					res, ph := runDet(t, g, w, mk)
 					if !reflect.DeepEqual(baseRes, res) {
-						t.Fatalf("%v w=%d: Result differs from 1-worker run\n  supersteps %d vs %d\n  active %v vs %v",
-							sched, w, baseRes.Supersteps, res.Supersteps,
+						t.Fatalf("sparse=%v w=%d: Result differs from 1-worker run\n  supersteps %d vs %d\n  active %v vs %v",
+							sparse, w, baseRes.Supersteps, res.Supersteps,
 							baseRes.ActivePerStep, res.ActivePerStep)
 					}
 					comparePhases(t, basePh, ph)
@@ -88,11 +83,16 @@ func TestSkewDeterminismStar(t *testing.T) {
 				if baseline == nil {
 					baseline = baseRes
 				} else if !reflect.DeepEqual(baseline, baseRes) {
-					t.Fatalf("schedules disagree: degree vs fixed Results differ")
+					t.Fatalf("full scan and sparse sweep disagree")
 				}
 			}
 		})
 	}
+}
+
+// TestSkewDeterminismStar runs the skew matrix at 1/3/8 workers on the star.
+func TestSkewDeterminismStar(t *testing.T) {
+	skewSweeps(t, gen.Star(skewN), 3, 8)
 }
 
 // TestSkewDeterminismPowerLaw runs the same matrix on a Barabási–Albert
@@ -103,33 +103,17 @@ func TestSkewDeterminismPowerLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range skewCases(g) {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
-				mk := func() core.Config {
-					cfg := tc.mk()
-					cfg.Chunking = sched
-					return cfg
-				}
-				baseRes, basePh := runDet(t, g, 1, mk)
-				res, ph := runDet(t, g, 8, mk)
-				if !reflect.DeepEqual(baseRes, res) {
-					t.Fatalf("%v: Result differs at w=8", sched)
-				}
-				comparePhases(t, basePh, ph)
-			}
-		})
-	}
+	skewSweeps(t, g, 8)
 }
 
 // TestSkewRecoveryStar kills a CC run on the star at every superstep
-// boundary and resumes it under the degree-weighted schedule: resumed
+// boundary and resumes it: resumed
 // Result and profile must match the uninterrupted run bit-for-bit, at
 // multiple worker counts (the resume-mid-run case on a skewed graph).
 func TestSkewRecoveryStar(t *testing.T) {
 	g := gen.Star(skewN)
 	mk := func() core.Config {
-		return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, Chunking: core.ChunkDegree}
+		return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min}
 	}
 	for _, w := range []int{1, 8} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
@@ -164,46 +148,62 @@ func TestSkewRecoveryStar(t *testing.T) {
 	}
 }
 
-// TestScheduleFingerprintMismatch: a checkpoint taken under one chunk
-// schedule must refuse to resume under the other — aggregator fold trees
-// follow chunk boundaries, so silently switching schedules could change
-// non-associative reductions.
+// TestScheduleFingerprintMismatch: the fingerprint names the sweep
+// partition — aggregator fold trees follow chunk boundaries, so a run must
+// never resume under boundaries it did not start with. A sparse checkpoint
+// written by an engine that cut sparse sweeps differently (its fingerprint
+// said "degree") is a typed mismatch; a full-scan one, whose boundaries
+// never changed, resumes.
 func TestScheduleFingerprintMismatch(t *testing.T) {
 	g := gen.Star(1 << 10)
-	dir := t.TempDir()
-	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
-	cfg := core.Config{
-		Program:    bspalg.CCProgram{},
-		Combiner:   core.Min,
-		Chunking:   core.ChunkDegree,
-		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
-	}
-	_, _, err := runRec(g, 1, cfg)
-	var ie *core.InterruptedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want InterruptedError, got %v", err)
-	}
-
-	resume := core.Config{
-		Program:  bspalg.CCProgram{},
-		Combiner: core.Min,
-		Chunking: core.ChunkFixed,
-		Resume:   ie.CheckpointPath,
-	}
-	_, _, err = runRec(g, 1, resume)
-	var me *ckpt.MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("want MismatchError, got %v", err)
-	}
-	if me.Field != "chunk schedule" || me.Got != "degree" || me.Want != "fixed" {
-		t.Fatalf("MismatchError = %+v, want chunk schedule degree vs fixed", me)
-	}
-
-	// The matching schedule (and the ChunkAuto alias for it) resumes fine.
-	for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkAuto} {
-		resume.Chunking = sched
-		if _, _, err := runRec(g, 1, resume); err != nil {
-			t.Fatalf("resume with %v: %v", sched, err)
+	kill := func(sparse bool) string {
+		plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
+		cfg := core.Config{
+			Program:          bspalg.CCProgram{},
+			Combiner:         core.Min,
+			SparseActivation: sparse,
+			Checkpoint:       &ckpt.Policy{Dir: t.TempDir(), Hooks: plan.Hooks()},
 		}
+		_, _, err := runRec(g, 1, cfg)
+		var ie *core.InterruptedError
+		if !errors.As(err, &ie) {
+			t.Fatalf("sparse=%v: want InterruptedError, got %v", sparse, err)
+		}
+		return ie.CheckpointPath
+	}
+	resume := func(sparse bool, path string) error {
+		_, _, err := runRec(g, 1, core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: sparse, Resume: path})
+		return err
+	}
+
+	path := kill(true)
+	snap, err := ckpt.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.FP.Schedule != "ranges" {
+		t.Fatalf("sparse checkpoint names partition %q, want ranges", snap.FP.Schedule)
+	}
+	snap.FP.Schedule = "degree"
+	old, err := ckpt.WriteFile(t.TempDir(), snap, "old.gxckpt", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var me *ckpt.MismatchError
+	if err := resume(true, old); !errors.As(err, &me) {
+		t.Fatalf("sparse checkpoint under the old partition: want MismatchError, got %v", err)
+	}
+	if me.Field != "chunk schedule" || me.Got != "degree" || me.Want != "ranges" {
+		t.Fatalf("MismatchError = %+v, want chunk schedule degree vs ranges", me)
+	}
+	if err := resume(true, path); err != nil {
+		t.Fatalf("sparse resume: %v", err)
+	}
+	full := kill(false)
+	if snap, err := ckpt.Load(full); err != nil || snap.FP.Schedule != "degree" {
+		t.Fatalf("full-scan checkpoint: %v, want partition degree", err)
+	}
+	if err := resume(false, full); err != nil {
+		t.Fatalf("full-scan resume: %v", err)
 	}
 }

@@ -120,7 +120,7 @@ func TestRetryDeterminismMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/expand=%v", tc.name, expand), func(t *testing.T) {
 				mk := func() core.Config {
 					cfg := tc.mk()
-					cfg.ExpandBroadcasts = expand
+					core.WithExpandBroadcasts(expand)(&cfg)
 					cfg.MaxRetries = 2
 					return cfg
 				}

@@ -27,12 +27,13 @@ import (
 // The rows below straddle a 4096-message block.
 const logBlock = 4096
 
-// logProbeChunk is the ChunkFixed chunk size on logGraph (16384/256).
+// logProbeChunk is the sweep chunk size on logGraph (16384/256), asserted
+// by TestUnicastLogGolden.
 const logProbeChunk = 64
 
-// logGraph is a 16384-vertex circulant (v ~ v±1..v±4): regular, so the
-// fixed schedule's 64-vertex chunks are known, and dense enough that a
-// superstep with every vertex awake takes the parallel sweep.
+// logGraph is a 16384-vertex circulant (v ~ v±1..v±4): regular, so its
+// degree-weighted sweep ranges are known 64-vertex chunks, and dense enough
+// that a superstep with every vertex awake takes the parallel sweep.
 func logGraph() *graph.Graph {
 	const n = 1 << 14
 	edges := make([]graph.Edge, 0, 4*n)
@@ -100,6 +101,11 @@ func TestUnicastLogGolden(t *testing.T) {
 		t.Fatalf("rows straddle a %d-message block, the engine's is %d: re-derive the rows", logBlock, core.MsgBlockLen)
 	}
 	g := logGraph()
+	for c, lo := range core.SweepRanges(g) {
+		if lo != c*logProbeChunk {
+			t.Fatalf("sweep range %d starts at vertex %d, the probe assumes %d", c, lo, c*logProbeChunk)
+		}
+	}
 	const B = logBlock
 	rows := []struct {
 		name     string
@@ -179,13 +185,9 @@ func TestUnicastLogGolden(t *testing.T) {
 				t.Run(row, func(t *testing.T) {
 					for _, expand := range []bool{false, true} {
 						for _, w := range []int{1, 3, 8} {
-							res, ph, err := runRec(g, w, core.Config{
-								Program:          logProbe{perChunk: r.perChunk},
-								Combiner:         cb.fn,
-								SparseActivation: sparse,
-								ExpandBroadcasts: expand,
-								Chunking:         core.ChunkFixed,
-							})
+							cfg := core.Config{Program: logProbe{perChunk: r.perChunk}, Combiner: cb.fn, SparseActivation: sparse}
+							core.WithExpandBroadcasts(expand)(&cfg)
+							res, ph, err := runRec(g, w, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -259,11 +261,13 @@ func TestUnicastLogConcurrentRuns(t *testing.T) {
 // traffic — unicast messages and broadcast records mixed — spans several
 // blocks, resumes it, and separately panics once in superstep 1 and lets
 // the supervisor retry it (recoverAcross). The checkpoint written at the
-// kill must be byte for byte the one the flat send buffer produced.
+// kill must be byte for byte the one the flat send buffer produced (the
+// golden was re-captured, on the commit before the sweep partition became
+// one, under the degree schedule whose name the fingerprint now carries).
 func TestUnicastLogRecovery(t *testing.T) {
 	g := logGraph()
 	const B = logBlock
-	const ckptGolden = uint64(0xa7f2e4393406d201)
+	const ckptGolden = uint64(0x91beaf07b5201426)
 	for _, sparse := range []bool{false, true} {
 		for _, w := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("sparse=%v/w=%d", sparse, w), func(t *testing.T) {
@@ -271,7 +275,6 @@ func TestUnicastLogRecovery(t *testing.T) {
 					return core.Config{
 						Program:          logProbe{perChunk: []int{0, 1, B - 1, B, B + 1, 3*B + 7, B, 0, B}},
 						SparseActivation: sparse,
-						Chunking:         core.ChunkFixed,
 						MaxRetries:       1,
 					}
 				}

@@ -43,8 +43,22 @@ func (j *JSONL) RunStart(info RunInfo) {
 	}{"run_start", info.Label, info.Workers, info.Vertices, info.Edges, info.Lanes})
 }
 
-// Span implements Sink.
-func (j *JSONL) Span(s Span) {
+// SpanEvent is a Span as the JSONL stream writes it, the "span" event. The
+// flight recorder's dump carries the same objects.
+type SpanEvent struct {
+	Ev         string    `json:"ev"`
+	Name       string    `json:"name"`
+	Step       int       `json:"step"`
+	StartUs    float64   `json:"start_us"`
+	DurUs      float64   `json:"dur_us"`
+	BusyUs     []float64 `json:"worker_busy_us,omitempty"`
+	Chunks     int64     `json:"chunks,omitempty"`
+	MaxChunkUs float64   `json:"max_chunk_us,omitempty"`
+}
+
+// NewSpanEvent encodes s; the event owns its busy times, so it may outlive
+// the Span call.
+func NewSpanEvent(s Span) SpanEvent {
 	var busy []float64
 	if len(s.WorkerBusy) > 0 {
 		busy = make([]float64, len(s.WorkerBusy))
@@ -52,39 +66,40 @@ func (j *JSONL) Span(s Span) {
 			busy[i] = us(b)
 		}
 	}
-	j.emit(struct {
-		Ev         string    `json:"ev"`
-		Name       string    `json:"name"`
-		Step       int       `json:"step"`
-		StartUs    float64   `json:"start_us"`
-		DurUs      float64   `json:"dur_us"`
-		BusyUs     []float64 `json:"worker_busy_us,omitempty"`
-		Chunks     int64     `json:"chunks,omitempty"`
-		MaxChunkUs float64   `json:"max_chunk_us,omitempty"`
-	}{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk)})
+	return SpanEvent{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk)}
 }
 
-// Step implements Sink.
-func (j *JSONL) Step(st StepStats) {
-	j.emit(struct {
-		Ev        string `json:"ev"`
-		Step      int    `json:"step"`
-		Active    int64  `json:"active"`
-		Sent      int64  `json:"sent"`
-		Physical  int64  `json:"msgs_physical"`
-		Deliver   int64  `json:"delivered"`
-		Received  int64  `json:"received"`
-		Scratch   int64  `json:"scratch_bytes"`
-		Direction string `json:"direction,omitempty"`
-		Delivery  string `json:"delivery,omitempty"`
-		Frontier  int64  `json:"frontier_edges,omitempty"`
-		Unvisited int64  `json:"unvisited_edges,omitempty"`
-		Retries   int64  `json:"retries,omitempty"`
-		Stalled   bool   `json:"stalled,omitempty"`
-		Lanes     int64  `json:"lanes,omitempty"`
-	}{"step", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, st.Received, st.ScratchBytes,
-		st.Direction, st.Delivery, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes})
+// StepEvent is a StepStats as the JSONL stream writes it, the "step" event.
+// The flight recorder's dump and live's /runs carry the same objects.
+type StepEvent struct {
+	Ev        string `json:"ev"`
+	Step      int    `json:"step"`
+	Active    int64  `json:"active"`
+	Sent      int64  `json:"sent"`
+	Physical  int64  `json:"msgs_physical"`
+	Delivered int64  `json:"delivered"`
+	Received  int64  `json:"received"`
+	Scratch   int64  `json:"scratch_bytes"`
+	Direction string `json:"direction,omitempty"`
+	Delivery  string `json:"delivery,omitempty"`
+	Frontier  int64  `json:"frontier_edges,omitempty"`
+	Unvisited int64  `json:"unvisited_edges,omitempty"`
+	Retries   int64  `json:"retries,omitempty"`
+	Stalled   bool   `json:"stalled,omitempty"`
+	Lanes     int64  `json:"lanes,omitempty"`
 }
+
+// NewStepEvent encodes st.
+func NewStepEvent(st StepStats) StepEvent {
+	return StepEvent{"step", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, st.Received, st.ScratchBytes,
+		st.Direction, st.Delivery, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes}
+}
+
+// Span implements Sink.
+func (j *JSONL) Span(s Span) { j.emit(NewSpanEvent(s)) }
+
+// Step implements Sink.
+func (j *JSONL) Step(st StepStats) { j.emit(NewStepEvent(st)) }
 
 // NoteFallback implements FallbackNoter: each damaged checkpoint the
 // resume fallback chain skips becomes a "ckpt_fallback" event.

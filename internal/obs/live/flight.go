@@ -34,15 +34,17 @@ type FlightRecorder struct {
 	depth   int
 	label   string
 	workers int
-	pending []obs.Span  // spans of the superstep whose Step event hasn't arrived
-	ring    []flightRec // completed supersteps, oldest first
-	dropped int64       // supersteps pushed out of the ring
+	pending []obs.SpanEvent // spans of the superstep whose Step event hasn't arrived
+	ring    []flightRec     // completed supersteps, oldest first
+	dropped int64           // supersteps pushed out of the ring
 }
 
+// flightRec is one dumped superstep: the JSONL sink's step event, the run's
+// label and the superstep's span events.
 type flightRec struct {
-	label string
-	stats obs.StepStats
-	spans []obs.Span
+	obs.StepEvent
+	Label string          `json:"label,omitempty"`
+	Spans []obs.SpanEvent `json:"spans"`
 }
 
 // NewFlightRecorder returns a recorder keeping the last depth supersteps
@@ -51,7 +53,7 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 	if depth <= 0 {
 		depth = DefaultFlightDepth
 	}
-	return &FlightRecorder{depth: depth}
+	return &FlightRecorder{depth: depth, pending: []obs.SpanEvent{}}
 }
 
 // RunStart implements obs.Sink. The ring persists across runs — after a
@@ -67,12 +69,12 @@ func (f *FlightRecorder) RunStart(info obs.RunInfo) {
 // checkpoint span arrives after its superstep's counters) is attached to
 // the completed ring entry; anything else waits in pending.
 func (f *FlightRecorder) Span(s obs.Span) {
-	s.WorkerBusy = append([]time.Duration(nil), s.WorkerBusy...)
+	ev := obs.NewSpanEvent(s)
 	f.mu.Lock()
-	if n := len(f.ring); n > 0 && f.ring[n-1].stats.Step == s.Step {
-		f.ring[n-1].spans = append(f.ring[n-1].spans, s)
+	if n := len(f.ring); n > 0 && f.ring[n-1].Step == s.Step {
+		f.ring[n-1].Spans = append(f.ring[n-1].Spans, ev)
 	} else {
-		f.pending = append(f.pending, s)
+		f.pending = append(f.pending, ev)
 	}
 	f.mu.Unlock()
 }
@@ -80,8 +82,8 @@ func (f *FlightRecorder) Span(s obs.Span) {
 // Step implements obs.Sink: seals the in-flight superstep into the ring.
 func (f *FlightRecorder) Step(st obs.StepStats) {
 	f.mu.Lock()
-	rec := flightRec{label: f.label, stats: st, spans: f.pending}
-	f.pending = nil
+	rec := flightRec{StepEvent: obs.NewStepEvent(st), Label: f.label, Spans: f.pending}
+	f.pending = []obs.SpanEvent{} // never nil: a span-less superstep dumps "spans":[]
 	if len(f.ring) == f.depth {
 		copy(f.ring, f.ring[1:])
 		f.ring[len(f.ring)-1] = rec
@@ -105,16 +107,16 @@ func (f *FlightRecorder) Steps() []int {
 	defer f.mu.Unlock()
 	out := make([]int, len(f.ring))
 	for i, r := range f.ring {
-		out[i] = r.stats.Step
+		out[i] = r.Step
 	}
 	return out
 }
 
 // DumpFlight implements obs.FlightDumper: writes the ring as JSONL to
 // dir/flight.jsonl and returns the path. The first line is a header
-// carrying the cause and ring shape; each following line is one superstep
-// ("ev":"step") with its counters and spans, field names matching the
-// obs JSONL sink (docs/OBSERVABILITY.md documents the schema). Spans still
+// carrying the cause and ring shape; each following line is one superstep:
+// the obs JSONL sink's step event plus the run label and the superstep's
+// span events (docs/OBSERVABILITY.md documents the schema). Spans still
 // pending (the failing superstep's, when its Step event never arrived) are
 // dumped as a final partial record.
 func (f *FlightRecorder) DumpFlight(dir, cause string) (string, error) {
@@ -122,9 +124,9 @@ func (f *FlightRecorder) DumpFlight(dir, cause string) (string, error) {
 	recs := append([]flightRec(nil), f.ring...)
 	if len(f.pending) > 0 {
 		recs = append(recs, flightRec{
-			label: f.label,
-			stats: obs.StepStats{Step: f.pending[len(f.pending)-1].Step},
-			spans: append([]obs.Span(nil), f.pending...),
+			StepEvent: obs.NewStepEvent(obs.StepStats{Step: f.pending[len(f.pending)-1].Step}),
+			Label:     f.label,
+			Spans:     append([]obs.SpanEvent(nil), f.pending...),
 		})
 	}
 	label, workers, dropped := f.label, f.workers, f.dropped
@@ -145,21 +147,7 @@ func (f *FlightRecorder) DumpFlight(dir, cause string) (string, error) {
 		if werr != nil {
 			break
 		}
-		werr = enc.Encode(flightStepJSON{
-			Ev:        "step",
-			Step:      r.stats.Step,
-			Label:     r.label,
-			Active:    r.stats.Active,
-			Sent:      r.stats.Sent,
-			Physical:  r.stats.SentPhysical,
-			Delivered: r.stats.Delivered,
-			Received:  r.stats.Received,
-			Scratch:   r.stats.ScratchBytes,
-			Direction: r.stats.Direction,
-			Frontier:  r.stats.FrontierEdges,
-			Unvisited: r.stats.UnvisitedEdges,
-			Spans:     flightSpans(r.spans),
-		})
+		werr = enc.Encode(r)
 	}
 	if ferr := bw.Flush(); werr == nil {
 		werr = ferr
@@ -181,49 +169,4 @@ type flightHeaderJSON struct {
 	Steps   int    `json:"steps"`
 	Depth   int    `json:"depth"`
 	Dropped int64  `json:"dropped,omitempty"`
-}
-
-type flightStepJSON struct {
-	Ev        string           `json:"ev"`
-	Step      int              `json:"step"`
-	Label     string           `json:"label,omitempty"`
-	Active    int64            `json:"active"`
-	Sent      int64            `json:"sent"`
-	Physical  int64            `json:"msgs_physical"`
-	Delivered int64            `json:"delivered"`
-	Received  int64            `json:"received"`
-	Scratch   int64            `json:"scratch_bytes"`
-	Direction string           `json:"direction,omitempty"`
-	Frontier  int64            `json:"frontier_edges,omitempty"`
-	Unvisited int64            `json:"unvisited_edges,omitempty"`
-	Spans     []flightSpanJSON `json:"spans"`
-}
-
-type flightSpanJSON struct {
-	Name    string    `json:"name"`
-	Step    int       `json:"step"`
-	StartUs float64   `json:"start_us"`
-	DurUs   float64   `json:"dur_us"`
-	BusyUs  []float64 `json:"worker_busy_us,omitempty"`
-}
-
-func flightSpans(spans []obs.Span) []flightSpanJSON {
-	out := make([]flightSpanJSON, len(spans))
-	for i, s := range spans {
-		var busy []float64
-		if len(s.WorkerBusy) > 0 {
-			busy = make([]float64, len(s.WorkerBusy))
-			for w, b := range s.WorkerBusy {
-				busy[w] = float64(b.Nanoseconds()) / 1e3
-			}
-		}
-		out[i] = flightSpanJSON{
-			Name:    s.Name,
-			Step:    s.Step,
-			StartUs: float64(s.Start.Nanoseconds()) / 1e3,
-			DurUs:   float64(s.Dur.Nanoseconds()) / 1e3,
-			BusyUs:  busy,
-		}
-	}
-	return out
 }

@@ -173,7 +173,7 @@ type runState struct {
 	vertices  int64
 	edges     int64
 	started   time.Time
-	steps     []stepJSON
+	steps     []obs.StepEvent
 	truncated int
 	lastStep  int
 	lastCkpt  time.Time // zero = no checkpoint observed
@@ -185,31 +185,19 @@ type runState struct {
 
 // runJSON is the wire schema of one run (docs/OBSERVABILITY.md).
 type runJSON struct {
-	Label     string     `json:"label"`
-	Workers   int        `json:"workers"`
-	Vertices  int64      `json:"vertices,omitempty"`
-	Edges     int64      `json:"edges,omitempty"`
-	Superstep int        `json:"superstep"`
-	Done      bool       `json:"done"`
-	WallUs    float64    `json:"wall_us,omitempty"`
-	AgeUs     float64    `json:"age_us"`
-	CkptAgeUs float64    `json:"last_checkpoint_age_us,omitempty"`
-	Truncated int        `json:"truncated_steps,omitempty"`
-	Retries   int64      `json:"retries,omitempty"`
-	Stalls    int64      `json:"stalls,omitempty"`
-	Steps     []stepJSON `json:"steps"`
-}
-
-type stepJSON struct {
-	Step      int    `json:"step"`
-	Active    int64  `json:"active"`
-	Sent      int64  `json:"sent"`
-	Physical  int64  `json:"msgs_physical"`
-	Direction string `json:"direction,omitempty"`
-	Frontier  int64  `json:"frontier_edges,omitempty"`
-	Unvisited int64  `json:"unvisited_edges,omitempty"`
-	Retries   int64  `json:"retries,omitempty"`
-	Stalled   bool   `json:"stalled,omitempty"`
+	Label     string          `json:"label"`
+	Workers   int             `json:"workers"`
+	Vertices  int64           `json:"vertices,omitempty"`
+	Edges     int64           `json:"edges,omitempty"`
+	Superstep int             `json:"superstep"`
+	Done      bool            `json:"done"`
+	WallUs    float64         `json:"wall_us,omitempty"`
+	AgeUs     float64         `json:"age_us"`
+	CkptAgeUs float64         `json:"last_checkpoint_age_us,omitempty"`
+	Truncated int             `json:"truncated_steps,omitempty"`
+	Retries   int64           `json:"retries,omitempty"`
+	Stalls    int64           `json:"stalls,omitempty"`
+	Steps     []obs.StepEvent `json:"steps"`
 }
 
 // RunStart implements obs.Sink.
@@ -253,17 +241,7 @@ func (l *runLog) Step(st obs.StepStats) {
 			r.stalls++
 		}
 		if len(r.steps) < maxStepsPerRun {
-			r.steps = append(r.steps, stepJSON{
-				Step:      st.Step,
-				Active:    st.Active,
-				Sent:      st.Sent,
-				Physical:  st.SentPhysical,
-				Direction: st.Direction,
-				Frontier:  st.FrontierEdges,
-				Unvisited: st.UnvisitedEdges,
-				Retries:   st.Retries,
-				Stalled:   st.Stalled,
-			})
+			r.steps = append(r.steps, obs.NewStepEvent(st))
 		} else {
 			r.truncated++
 		}
@@ -309,7 +287,7 @@ func (l *runLog) snapshot() []runJSON {
 			Truncated: r.truncated,
 			Retries:   r.retries,
 			Stalls:    r.stalls,
-			Steps:     append([]stepJSON(nil), r.steps...),
+			Steps:     append([]obs.StepEvent(nil), r.steps...),
 		}
 		if r.done {
 			j.WallUs = float64(r.wall.Nanoseconds()) / 1e3

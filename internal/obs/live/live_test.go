@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -24,7 +25,8 @@ import (
 // TestServerEndToEnd attaches a started Server to a real BSP run and reads
 // every endpoint over HTTP: /metrics must be well-formed Prometheus text
 // whose logical counters reconcile exactly with the Result, /runs and
-// /runs/current must describe the run step by step, and /debug/pprof must
+// /runs/current must describe the run step by step — each step object the
+// JSONL sink's step event for it, field for field — and /debug/pprof must
 // answer.
 func TestServerEndToEnd(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 3})
@@ -38,13 +40,28 @@ func TestServerEndToEnd(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 
+	var stream bytes.Buffer
+	jsonl := obs.NewJSONL(&stream)
 	res, err := core.Run(core.Config{
 		Graph:   g,
 		Program: bspalg.BFSProgram{Source: 0},
-		Obs:     srv.Sink(),
+		Obs:     obs.Tee(srv.Sink(), jsonl),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var stepEvents []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(stream.Bytes()), []byte("\n")) {
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev["ev"] == "step" {
+			stepEvents = append(stepEvents, ev)
+		}
 	}
 
 	// /metrics: well-formed exposition, counters reconcile with Result.
@@ -97,13 +114,21 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /runs: wraps the same run.
+	// /runs: wraps the same run, whose steps are the JSONL step events.
 	var runs struct {
-		Runs []json.RawMessage `json:"runs"`
+		Runs []struct {
+			Steps []map[string]any `json:"steps"`
+		} `json:"runs"`
 	}
 	jsonGet(t, base+"/runs", &runs)
 	if len(runs.Runs) != 1 {
 		t.Fatalf("/runs has %d runs, want 1", len(runs.Runs))
+	}
+	if got := runs.Runs[0].Steps; !reflect.DeepEqual(got, stepEvents) {
+		t.Fatalf("/runs steps differ from the JSONL step events:\n  /runs %v\n  jsonl %v", got, stepEvents)
+	}
+	if stepEvents[0]["delivery"] == nil || stepEvents[0]["delivered"] == nil {
+		t.Fatalf("step 0 event %v names no delivery", stepEvents[0])
 	}
 
 	// /debug/pprof: the index answers.

@@ -70,8 +70,8 @@ type Span struct {
 	Chunks int64
 	// MaxChunk is the longest single timed chunk within the span. The
 	// load-imbalance factor MaxChunk / (busy total / Chunks) — max over
-	// mean chunk time — is what degree-weighted sweep chunking drives
-	// toward 1 on skewed graphs.
+	// mean chunk time — is what the engine's degree-weighted sweep
+	// partition drives toward 1 on skewed graphs.
 	MaxChunk time.Duration
 }
 

@@ -354,10 +354,10 @@ func (r *reportRun) render(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	// Load imbalance per phase: the run's longest single chunk over the
-	// mean chunk busy time. 1.0x means perfectly even chunks; a large
-	// factor on "compute" is the signature of a degree-skewed graph under
-	// fixed vertex-count chunking (the degree-weighted schedule drives it
-	// toward 1).
+	// mean chunk busy time. 1.0x means perfectly even chunks. The engine's
+	// sweep chunks are degree-weighted, so a large factor on "compute" is
+	// one vertex's own adjacency (a star's hub), which no vertex partition
+	// can split.
 	if imb := r.imbalanceLine(); imb != "" {
 		fmt.Fprintf(w, "chunk imbalance (max/mean):%s\n", imb)
 	}
