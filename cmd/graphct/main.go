@@ -9,9 +9,10 @@
 //	        [-src -1] [-dst 0] [-procs 128] [-samples 16] [-workers N]
 //	        [-obs-format report|jsonl|chrome] [-obs-out trace.json] [-pprof addr|file]
 //
-// Graphs with a .dimacs/.txt extension are parsed as DIMACS text;
-// everything else as the binary snapshot format. The -obs-* flags export
-// host runtime observability for each kernel's top-level phases (see
+// The graph file's format is detected from its content, whatever its name:
+// the CSR1 or CSR2 snapshot (either gzip-wrapped), DIMACS or an edge list.
+// The kernels run on the flat adjacency. The -obs-* flags export host
+// runtime observability for each kernel's top-level phases (see
 // docs/OBSERVABILITY.md).
 package main
 
@@ -59,8 +60,15 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	g, err := graphio.LoadFile(*path)
+	// A CSR2 file is mmap'd and decoded to flat adjacency: the kernels call
+	// Neighbors in their hot loops, which allocates per call on a compressed
+	// graph. The closer outlives every use of the graph.
+	g, closer, err := graphio.Open(*path)
 	if err != nil {
+		fatal(err)
+	}
+	defer closer.Close()
+	if g, err = graph.WithRep(g, graph.RepFlat); err != nil {
 		fatal(err)
 	}
 	fmt.Println("loaded", g)

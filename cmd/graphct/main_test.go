@@ -15,11 +15,14 @@ import (
 	"testing"
 
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
 )
 
-// bin is the graphct binary TestMain builds; graphFile a small RMAT graph.
-var bin, graphFile string
+// bin is the graphct binary TestMain builds; graphFile a small RMAT graph,
+// and csr2File and textFile the same graph as a CSR2 snapshot and as an edge
+// list named like DIMACS text.
+var bin, graphFile, csr2File, textFile string
 
 func TestMain(m *testing.M) {
 	os.Exit(func() int {
@@ -34,10 +37,27 @@ func TestMain(m *testing.M) {
 			fmt.Fprintf(os.Stderr, "building graphct: %v\n%s", err, out)
 			return 1
 		}
-		g, err := gen.RMAT(gen.RMATConfig{Scale: 6, EdgeFactor: 4, Seed: 5})
+		// RMAT plus one edge to the last vertex, which an edge list could not
+		// otherwise name.
+		edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 6, EdgeFactor: 4, Seed: 5})
+		var g *graph.Graph
 		if err == nil {
-			graphFile = filepath.Join(dir, "g.gxmt")
+			g, err = graph.Build(n, append(edges, graph.Edge{U: 0, V: n - 1}), graph.BuildOptions{SortAdjacency: true})
+		}
+		graphFile = filepath.Join(dir, "g.gxmt")
+		csr2File = filepath.Join(dir, "g.csr2")
+		textFile = filepath.Join(dir, "g.txt")
+		if err == nil {
 			err = graphio.WriteBinaryFile(graphFile, g)
+		}
+		if err == nil {
+			err = graphio.WriteCSR2File(csr2File, g)
+		}
+		if err == nil {
+			var text bytes.Buffer
+			if err = graphio.WriteEdgeList(&text, g); err == nil {
+				err = os.WriteFile(textFile, text.Bytes(), 0o644)
+			}
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -45,6 +65,45 @@ func TestMain(m *testing.M) {
 		}
 		return m.Run()
 	}())
+}
+
+// run runs the binary and returns its stdout, stderr and exit status.
+func run(t *testing.T, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var ee *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestLoadsEveryFormat: the format is read from the content, not the name —
+// the CSR2 snapshot and an edge list named .txt (the DIMACS extension) load
+// and give the CSR1 fixture's components.
+func TestLoadsEveryFormat(t *testing.T) {
+	ccLine := func(file string) string {
+		t.Helper()
+		stdout, stderr, status := run(t, "-g", file, "-kernels", "cc")
+		if status != 0 {
+			t.Fatalf("%s: exit status %d\n%s", filepath.Base(file), status, stderr)
+		}
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "[cc] ") {
+				return line
+			}
+		}
+		t.Fatalf("%s: no [cc] line in\n%s", filepath.Base(file), stdout)
+		return ""
+	}
+	want := ccLine(graphFile)
+	for _, file := range []string{csr2File, textFile} {
+		if got := ccLine(file); got != want {
+			t.Errorf("%s: %q, the CSR1 file gives %q", filepath.Base(file), got, want)
+		}
+	}
 }
 
 func TestExitStatus(t *testing.T) {
@@ -72,25 +131,19 @@ func TestExitStatus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.args...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			var ee *exec.ExitError
-			if err := cmd.Run(); err != nil && !errors.As(err, &ee) {
-				t.Fatal(err)
+			stdout, stderr, status := run(t, tc.args...)
+			if status != tc.status {
+				t.Errorf("exit status %d, want %d\n%s", status, tc.status, stderr)
 			}
-			if got := cmd.ProcessState.ExitCode(); got != tc.status {
-				t.Errorf("exit status %d, want %d\n%s", got, tc.status, stderr.String())
-			}
-			text := stderr.String()
+			text := stderr
 			if tc.status == 0 {
-				text, _, _ = strings.Cut(stdout.String(), "\n")
+				text, _, _ = strings.Cut(stdout, "\n")
 			}
 			if !regexp.MustCompile(tc.out).MatchString(text) {
 				t.Errorf("output %q does not match %q", text, tc.out)
 			}
-			if strings.Contains(stderr.String(), "panic") {
-				t.Errorf("panicked:\n%s", stderr.String())
+			if strings.Contains(stderr, "panic") {
+				t.Errorf("panicked:\n%s", stderr)
 			}
 		})
 	}

@@ -178,12 +178,12 @@ type Snapshot struct {
 	MsgDest []int64
 	MsgVal  []int64
 	// BcastSrc/BcastVal/BcastSeq are the in-flight broadcast records: one
-	// entry per SendToNeighbors call the engine kept as a record instead
-	// of expanding per edge — source vertex, payload, and
-	// the record's position in the unicast stream (BcastSeq[i] unicasts
-	// precede record i; non-decreasing). Parallel slices in record order
-	// (ascending source). Empty for runs whose boundary traffic was
-	// expanded.
+	// entry per SendToNeighbors call — source vertex, payload, and the
+	// record's position in the unicast stream (BcastSeq[i] unicasts precede
+	// record i; non-decreasing). Parallel slices in record order (ascending
+	// source). Empty when the boundary's traffic holds no broadcast, or when
+	// the writer stored it as per-edge messages in MsgDest/MsgVal, which
+	// reads the same.
 	BcastSrc []int64
 	BcastVal []int64
 	BcastSeq []int64

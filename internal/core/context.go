@@ -67,9 +67,9 @@ func (l *msgLog) release() {
 // bcastRec is one recorded broadcast: SendToNeighbors stores a single
 // (source, value) record instead of materializing one Message per edge.
 // seq is the number of unicast messages in the same log at record time —
-// the record's position in the interleaved send stream — so expandTraffic
-// can reconstruct the exact per-edge send order when a superstep mixes Send
-// and SendToNeighbors. Within one log seq is non-decreasing by construction
+// the record's position in the interleaved send stream — so traffic.all
+// reads the exact per-edge send order when a superstep mixes Send and
+// SendToNeighbors. Within one log seq is non-decreasing by construction
 // (vertices run in ascending order and the log only grows).
 type bcastRec struct {
 	src, val, seq int64
@@ -221,9 +221,9 @@ func (v *VertexContext) Send(dest, value int64) {
 func (v *VertexContext) SendToNeighbors(value int64) {
 	e := v.engine
 	if e.expand {
-		// Expanded per-edge messages still count as broadcast traffic, not
-		// unicast — appended directly so the unicast counter (and therefore
-		// the direction decision) is identical under both treatments.
+		// Per-edge messages still count as broadcast traffic, not unicast —
+		// appended directly so the unicast counter (and therefore the
+		// direction decision) is identical under both treatments.
 		for _, w := range v.Neighbors() {
 			e.log.add(w, value)
 		}

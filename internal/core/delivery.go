@@ -19,9 +19,8 @@ import (
 
 // traffic is one superstep's outgoing messages, held from the sweep that
 // writes them until the boundary's last consumer (the checkpoint) is done:
-// the unicast log plus the broadcast records. deliver leaves only one of
-// the two non-empty (choosePath decides whether records are expanded into
-// the log), and everything after it reads the messages one way — all.
+// the unicast log plus the broadcast records, each written once and never
+// copied. Everything after the sweep reads the messages one way — all.
 type traffic struct {
 	sends  msgLog
 	bcasts []bcastRec
@@ -32,48 +31,75 @@ type traffic struct {
 }
 
 // all enumerates the (destination, value) pairs in send order: the log's
-// messages, then each record's value once per neighbor of its source, in
-// adjacency order — record order + adjacency order IS the per-edge send
-// order of a pure-broadcast superstep. The adjacency is read the same way
-// on both graph representations, decoded into a lent buffer. The body is
-// inlined into the loops (the compiler needs the iterator free of defers
-// for that), so a pass costs what the hand-written loop did.
+// messages, and each record's value once per neighbor of its source, in
+// adjacency order, where the record stands in the stream — after the first
+// seq log messages. Record order + adjacency order IS the per-edge send
+// order of the broadcasts; seq merges them with the Sends. The adjacency is
+// read the same way on both graph representations, decoded into a buffer
+// borrowed only when there are records. The body is inlined into the loops
+// (the compiler needs the iterator free of defers for that), so a pass
+// costs what the hand-written loop did.
 func (t traffic) all() iter.Seq2[int64, int64] {
 	return func(yield func(dest, value int64) bool) {
-		for _, seg := range t.sends.segs {
+		// seg is the unread rest of the log segment at stream position at,
+		// segs the segments after it.
+		segs, seg, at := t.sends.segs, []Message(nil), int64(0)
+		if len(t.bcasts) > 0 {
+			buf := t.bufs.get()
+			for _, r := range t.bcasts {
+				for at < r.seq {
+					if len(seg) == 0 {
+						seg, segs = segs[0], segs[1:]
+					}
+					k := min(int64(len(seg)), r.seq-at)
+					for _, m := range seg[:k] {
+						if !yield(m.Dest, m.Value) {
+							t.bufs.put(buf)
+							return
+						}
+					}
+					seg, at = seg[k:], at+k
+				}
+				for _, w := range t.g.DecodeNeighbors(r.src, buf) {
+					if !yield(w, r.val) {
+						t.bufs.put(buf)
+						return
+					}
+				}
+			}
+			t.bufs.put(buf)
+		}
+		for _, m := range seg {
+			if !yield(m.Dest, m.Value) {
+				return
+			}
+		}
+		for _, seg := range segs {
 			for _, m := range seg {
 				if !yield(m.Dest, m.Value) {
 					return
 				}
 			}
 		}
-		if len(t.bcasts) == 0 {
-			return
-		}
-		buf := t.bufs.get()
-		for _, r := range t.bcasts {
-			for _, w := range t.g.DecodeNeighbors(r.src, buf) {
-				if !yield(w, r.val) {
-					t.bufs.put(buf)
-					return
-				}
-			}
-		}
-		t.bufs.put(buf)
 	}
 }
 
 // shares splits the traffic into at most C contiguous runs for the C
 // workers of a counting sort and returns their boundaries: runs of whole
 // log segments, or record ranges of near-equal summed degree (one hub's
-// record cannot make a share C times longer than its peers).
+// record cannot make a share C times longer than its peers). One share is
+// the whole traffic, and so is a mixed log + records stream at any C:
+// choosePath never forks one.
 func (s *runScratch) shares(t *traffic, C int) []int {
 	b := s.shareBnds[:0]
-	if nrec := len(t.bcasts); nrec == 0 {
+	switch nrec := len(t.bcasts); {
+	case nrec == 0:
 		for c := 0; c <= C; c++ {
 			b = append(b, c*len(t.sends.segs)/C)
 		}
-	} else {
+	case C == 1 || t.sends.sealed > 0:
+		b = append(b, 0, nrec)
+	default:
 		s.bcastWork = ensureInt64(s.bcastWork, nrec+1)
 		bw, g, bcasts := s.bcastWork, t.g, t.bcasts
 		par.ForChunked(nrec, func(lo, hi int) {
@@ -91,19 +117,20 @@ func (s *runScratch) shares(t *traffic, C int) []int {
 
 // part is share c of the split bnds describes.
 func (t *traffic) part(bnds []int, c int) traffic {
-	if len(t.bcasts) == 0 {
+	switch {
+	case len(bnds) == 2:
+		return *t
+	case len(t.bcasts) == 0:
 		return traffic{sends: msgLog{segs: t.sends.segs[bnds[c]:bnds[c+1]]}}
 	}
 	return traffic{bcasts: t.bcasts[bnds[c]:bnds[c+1]], g: t.g, bufs: t.bufs}
 }
 
-// path is a delivery decision: what the boundary builds for the next sweep
-// and whether the records are expanded into the log first. saturated is not
-// decided but found: build sets it on a pull whose every possible receiver
-// receives (inbox.saturated).
+// path is a delivery decision: what the boundary builds for the next sweep.
+// saturated is not decided but found: build sets it on a pull whose every
+// possible receiver receives (inbox.saturated).
 type path struct {
 	kind      pathKind
-	expanded  bool
 	saturated bool
 }
 
@@ -128,25 +155,22 @@ const (
 
 // String is the name reports, JSONL lines and metrics carry.
 func (p path) String() string {
-	switch {
-	case p.expanded:
-		return [...]string{"none+expanded", "lookaside+expanded", "csr+expanded", "csr-par+expanded", "pull+expanded"}[p.kind]
-	case p.saturated:
+	if p.saturated {
 		return "pull+saturated"
 	}
 	return [...]string{"none", "lookaside", "csr", "csr-par", "pull"}[p.kind]
 }
 
-// The three host-speed constants of delivery. choosePath is their only
-// reader; every path delivers the same sequences, so none of them can
-// reach a result.
+// The three host-speed constants of delivery. Every path delivers the same
+// sequences, so none of them can reach a message; pullMinEdges, which the
+// direction decision reads too, reaches Result.DirectionPerStep.
 const (
-	// bcastExpandMax is the logical-message count below which a
-	// pure-broadcast superstep is expanded to per-edge messages instead of
-	// delivered from records: small supersteps are where the O(traffic)
-	// lookaside shines, and expansion there costs what the sequential
-	// engine always paid.
-	bcastExpandMax = 1 << 14
+	// pullMinEdges is the logical-message count below which a
+	// pure-broadcast superstep is never pulled. BenchmarkPullFloor finds
+	// the pull's win set by the frontier's density, not by this size, at
+	// 2^10 to 2^17 messages; it stays because moving it moves
+	// Result.DirectionPerStep.
+	pullMinEdges = 1 << 14
 	// deliverParallelMin is the logical-message count below which forking
 	// the counting sort costs more than it saves.
 	deliverParallelMin = 1 << 14
@@ -160,14 +184,11 @@ const (
 	lookasideCutoff = 4
 )
 
-// keepsRecords reports whether a superstep's broadcast records are
-// delivered as records: only when it is pure broadcast and big enough to
-// amortize the record paths' O(n) passes. A mixed Send/SendToNeighbors
-// superstep or a small one is expanded to per-edge messages. The direction
-// decision asks too (dirState.decide): there is nothing to pull from once
-// the records are gone.
-func keepsRecords(unicast, logical int64) bool {
-	return unicast == 0 && logical >= bcastExpandMax
+// pullable reports whether a superstep's broadcast records may be pulled:
+// only when it is pure broadcast (a pull cannot deliver a Send) and at
+// least pullMinEdges big. The direction decision asks too (dirState.decide).
+func pullable(unicast, logical int64) bool {
+	return unicast == 0 && logical >= pullMinEdges
 }
 
 // pathInputs is everything a delivery decision may depend on: logical and
@@ -190,35 +211,35 @@ type pathInputs struct {
 // predicate that decided. It is the one place the routing lives; deliver
 // is a switch on its result.
 //
-//   - Records are expanded into the log unless keepsRecords.
 //   - A superstep far below n takes the lookaside whatever the direction
 //     says (a gather sweep over every edge costs more than reading a few
 //     stored messages) — unless it is large enough to sort in parallel.
-//   - Kept records are pulled when the recorded direction says so, and,
-//     with no direction layer, under PR 5's combiner-pull rule: the
+//   - Pullable records are pulled when the recorded direction says so,
+//     and, with no direction layer, under PR 5's combiner-pull rule: the
 //     frontier covers half the edges of an undirected graph.
-//   - Kept records with a combiner and no pull fold sequentially
+//   - Pullable records with a combiner and no pull fold sequentially
 //     (denseFold): the exact per-edge fold order for any combiner, and for
 //     directed graphs, where a pull cannot see in-edges.
 //   - Everything else is the counting sort, forked when there are workers
-//     and messages enough to pay for it and few enough for int32 cursors.
+//     and messages enough to pay for it, few enough for int32 cursors, and
+//     the traffic is not a mixed log + records stream.
 func choosePath(in pathInputs) (p path, why string) {
-	kept := in.records > 0 && keepsRecords(in.unicast, in.logical)
-	p.expanded = in.records > 0 && !kept
-	parallel := in.workers > 1 && in.logical >= deliverParallelMin && in.logical < math.MaxInt32
+	eligible := in.records > 0 && pullable(in.unicast, in.logical)
+	parallel := in.workers > 1 && in.logical >= deliverParallelMin && in.logical < math.MaxInt32 &&
+		(in.unicast == 0 || in.records == 0)
 	switch {
 	case !parallel && in.logical*lookasideCutoff < min(in.n, math.MaxInt32):
 		p.kind, why = pathLookaside, "logical*lookasideCutoff < n"
-	case kept && in.dir == DirPull:
+	case eligible && in.dir == DirPull:
 		p.kind, why = pathPull, "recorded direction"
-	case kept && in.dir == DirAuto && in.combiner && !in.directed && in.logical*2 >= in.edges:
+	case eligible && in.dir == DirAuto && in.combiner && !in.directed && in.logical*2 >= in.edges:
 		p.kind, why = pathPull, "combiner, undirected, 2*logical >= edges"
-	case kept && in.combiner:
+	case eligible && in.combiner:
 		p.kind, why = pathCSR, "records fold sequentially"
 	case parallel:
 		p.kind, why = pathCSRPar, "workers > 1, deliverParallelMin <= logical < 2^31"
 	default:
-		p.kind, why = pathCSR, "one worker, or logical outside [deliverParallelMin, 2^31)"
+		p.kind, why = pathCSR, "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"
 	}
 	return p, why
 }
@@ -274,9 +295,9 @@ func (ib *inbox) slice(v int64) []int64 {
 }
 
 // deliver routes one superstep's traffic into ib for the sweep of
-// superstep st+1 — expanding the records first when choosePath says so —
-// and returns the number of delivered (post-combining) messages and the
-// path taken. dir is the superstep's recorded direction decision.
+// superstep st+1 and returns the number of delivered (post-combining)
+// messages and the path taken. dir is the superstep's recorded direction
+// decision.
 //
 // A pull boundary returns what the push would have delivered without
 // building it: with no combiner every logical message arrives, and the sum
@@ -313,9 +334,6 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, sparse bool, st int64, dir D
 // build delivers t into ib the way p says (for pathPull the broadcasters
 // are already stamped) and returns the delivered count.
 func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64) int64 {
-	if p.expanded {
-		s.expandTraffic(t)
-	}
 	n, combine := t.g.NumVertices(), ib.combine
 	ib.code, ib.lookaside, ib.pull, ib.saturated = ^st, p.kind == pathLookaside, p.kind == pathPull, false
 	C := 1
@@ -368,43 +386,6 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64)
 		return s.denseFold(t, ib, n)
 	}
 	return s.combineGroups(t, ib, n, C)
-}
-
-// expandTraffic replaces the unicast log by the merge of it and the
-// broadcast records, one message per edge, in the exact order a per-edge
-// SendToNeighbors would have produced: a record's seq is its position in
-// the unicast stream, and seqs are non-decreasing, so one pass over both
-// reconstructs the interleave.
-func (s *runScratch) expandTraffic(t *traffic) {
-	out := s.expandLog
-	// rest[0][at:] is the unread part of the stream, ui its position.
-	rest, at, ui := t.sends.segs, 0, int64(0)
-	copyTo := func(upto int64) {
-		for ui < upto {
-			seg := rest[0][at:]
-			k := int(min(int64(len(seg)), upto-ui))
-			for _, m := range seg[:k] {
-				out.add(m.Dest, m.Value)
-			}
-			ui += int64(k)
-			if at += k; at == len(rest[0]) {
-				rest, at = rest[1:], 0
-			}
-		}
-	}
-	buf := t.bufs.get()
-	for _, r := range t.bcasts {
-		copyTo(r.seq)
-		for _, w := range t.g.DecodeNeighbors(r.src, buf) {
-			out.add(w, r.val)
-		}
-	}
-	t.bufs.put(buf)
-	copyTo(t.sends.sealed)
-	out.seal()
-	t.sends.release()
-	s.expandLog, t.sends = t.sends, out
-	t.bcasts = t.bcasts[:0]
 }
 
 // deliverChunkBudget is the counting-sort scratch budget: the fan-in C

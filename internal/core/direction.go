@@ -15,14 +15,15 @@ package core
 // sum), never of the worker count or any physical-delivery artifact, so
 // the push/pull sequence — and therefore the Result and trace profile —
 // is bit-identical at any worker count, under either broadcast treatment
-// (records kept or expanded), and across checkpoint/resume. The sequence
-// is recorded per superstep in Result.DirectionPerStep and persisted in
-// checkpoints (fingerprint mode + per-step decisions) so a resumed run
-// replays it exactly.
+// (records, or the tests' per-edge sends), and across checkpoint/resume.
+// The sequence is recorded per superstep in Result.DirectionPerStep and
+// persisted in checkpoints (fingerprint mode + per-step decisions) so a
+// resumed run replays it exactly.
 //
 // Logical message counting is unchanged in either direction: a broadcast
 // still costs one logical message per edge (the paper-fidelity count the
-// cost model charges); only SentPhysical shows the pull win.
+// cost model charges), and SentPhysical is the record count under either;
+// only host time shows the pull win.
 
 import "graphxmt/internal/graph"
 
@@ -39,8 +40,8 @@ const (
 	// DirPush forces push scatter every superstep — the A/B control.
 	DirPush
 	// DirPull forces a pull sweep on every eligible superstep (pure
-	// broadcast, large enough to keep records); ineligible supersteps
-	// still push, since there are no records to pull from.
+	// broadcast, at least pullMinEdges messages); ineligible supersteps
+	// still push.
 	DirPull
 )
 
@@ -171,15 +172,15 @@ func startDir(cfg *Config, g *graph.Graph) (*dirState, error) {
 
 // decide returns the direction for the superstep whose compute sweep just
 // finished, given the frontier's broadcast-incident-edge count and the
-// unicast message count. Pull requires a superstep whose records delivery
-// keeps (keepsRecords — otherwise they are expanded and only push paths
-// exist). Everything read here is a logical counter or run-constant,
-// keeping the decision worker-count- and treatment-independent.
+// unicast message count. Pull requires a pullable superstep (pure
+// broadcast, and big enough). Everything read here is a logical counter or
+// run-constant, keeping the decision worker-count- and
+// treatment-independent.
 func (ds *dirState) decide(bcastEdges, unicast int64) DirectionMode {
 	if ds.mode == DirPush {
 		return DirPush
 	}
-	if !(ds.pullOK && keepsRecords(unicast, bcastEdges)) {
+	if !(ds.pullOK && pullable(unicast, bcastEdges)) {
 		return DirPush
 	}
 	if ds.mode == DirPull {

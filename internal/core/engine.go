@@ -690,11 +690,10 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 
-		// Deliver: route the traffic into per-vertex inboxes — keeping the
-		// broadcast records or expanding them into the unicast log first, and
-		// applying the combiner if configured (deliver). SentPhysical is what
-		// was physically materialized: per-edge messages plus one record per
-		// kept broadcast — the engine-side traffic the logical counter
+		// Deliver: route the traffic into per-vertex inboxes, applying the
+		// combiner if configured (deliver). SentPhysical is what was
+		// physically materialized: one message per Send plus one record per
+		// SendToNeighbors — the engine-side traffic the logical counter
 		// deliberately does not show.
 		tr.logical = sent
 		delivered, took := scratch.deliver(tr, ib, cfg.SparseActivation, int64(step), dirMode)

@@ -90,11 +90,11 @@ func auxOf(p Program) []int64 {
 }
 
 // laneCount folds the superstep's outgoing traffic into the set of active
-// lanes: the popcount of the OR of every payload. O(records) — broadcast
-// records are O(frontier), so this is cheap on the record path and
-// O(sent) only under forced expansion. Called only for observed runs of
-// lane programs; the mask is a pure function of the logical traffic, so
-// the reported count is identical at any worker count and under either
+// lanes: the popcount of the OR of every payload. O(unicast + records) —
+// broadcast records are O(frontier), so this is cheap, and O(sent) only
+// under the tests' per-edge sends. Called only for observed runs of lane
+// programs; the mask is a pure function of the logical traffic, so the
+// reported count is identical at any worker count and under either
 // broadcast treatment.
 func laneCount(t *traffic) int64 {
 	var m uint64

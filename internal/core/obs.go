@@ -211,7 +211,7 @@ func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidat
 		segSize = 24 // a segment's slice header
 	)
 	b := int64(len(t.sends.segs))*msgBlockLen*msgSize + int64(cap(t.bcasts))*recSize
-	b += int64(cap(t.sends.segs)+cap(s.expandLog.segs)) * segSize
+	b += int64(cap(t.sends.segs)) * segSize
 	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(stamp)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8

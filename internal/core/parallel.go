@@ -405,13 +405,11 @@ type runScratch struct {
 	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
 	wake         []int64
 
-	// Delivery scratch (delivery.go). expandLog is the empty spare log (a
-	// segment list, no blocks) expandTraffic swaps against the superstep's;
-	// gather lends adjacency buffers to sweep chunks and traffic enumerators;
-	// pullBnds / connected / symmetric are what a pull knows of the graph
-	// alone (pullRanges, build); bcastWork / shareBnds split traffic into a
-	// counting sort's shares; has / acc are denseFold's.
-	expandLog msgLog
+	// Delivery scratch (delivery.go). gather lends adjacency buffers to
+	// sweep chunks and traffic enumerators; pullBnds / connected / symmetric
+	// are what a pull knows of the graph alone (pullRanges, build);
+	// bcastWork / shareBnds split traffic into a counting sort's shares;
+	// has / acc are denseFold's.
 	gather    gatherPool
 	pullBnds  []int
 	connected int64

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -76,6 +77,45 @@ func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool)
 	return t, msgs
 }
 
+// mixedTraffic is a superstep that Sends count messages — all to the last
+// vertex when oneDest — and broadcasts in between: recordTraffic's records
+// over at most 97 arcs, placed before the first message, at the log block's
+// edges, between segments and after the last message. It returns the
+// per-edge send order beside it.
+func mixedTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool) (*traffic, []Message) {
+	t, _ := recordTraffic(r, min(97, int(n)), n, oneDest, compressed)
+	log := randomMessages(r, count, n)
+	for i := range log {
+		if oneDest {
+			log[i].Dest = n - 1
+		}
+		t.sends.add(log[i].Dest, log[i].Value)
+	}
+	t.sends.seal()
+	const B = msgBlockLen
+	at := []int64{0, 0, B - 1, B, B + 1, 2 * B, int64(count)}
+	for i := range t.bcasts {
+		t.bcasts[i].seq = min(at[i*len(at)/len(t.bcasts)], int64(count))
+	}
+	msgs := sendOrder(log, t.bcasts, t.g.Neighbors)
+	t.logical = int64(len(msgs))
+	return t, msgs
+}
+
+// sendOrder is the per-edge stream of a superstep that logged these Sends
+// and these records: before each record, the Sends up to its seq.
+func sendOrder(log []Message, bcasts []bcastRec, nbrs func(int64) []int64) []Message {
+	var out []Message
+	var at int64
+	for _, r := range bcasts {
+		out, at = append(out, log[at:r.seq]...), r.seq
+		for _, w := range nbrs(r.src) {
+			out = append(out, Message{Dest: w, Value: r.val})
+		}
+	}
+	return append(out, log[at:]...)
+}
+
 // oracle is what every vertex must find in its inbox: its messages in send
 // order (a stable sort by destination), left-folded flat when combining.
 func oracle(msgs []Message, n int64, combine func(a, b int64) int64) [][]int64 {
@@ -116,7 +156,8 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 }
 
 // TestDeliveryPrimitives runs the four primitives (and combineGroups on top
-// of groupByDest) over source {log, records} × graph representation ×
+// of groupByDest) over source {log, records, both interleaved} × graph
+// representation ×
 // combiner {none, Min, Sum, a non-associative one} × inbox {CSR at fan-in 1,
 // 2, 3, 8 and 96 — more shares than segments, shares crossing block
 // boundaries — and lookaside} × message counts straddling a log block ×
@@ -140,11 +181,11 @@ func TestDeliveryPrimitives(t *testing.T) {
 	ib := &inbox{}
 	var backing []int64
 	st := int64(0)
-	for _, records := range []bool{false, true} {
+	for _, source := range []string{"log", "records", "mixed"} {
 		for _, oneDest := range []bool{false, true} {
 			for _, count := range []int{0, 1, B - 1, B, B + 1, 3*B + 7} {
 				for _, compressed := range []bool{false, true} {
-					if compressed && !records {
+					if compressed && source == "log" {
 						continue // the log never touches the graph
 					}
 					n := int64(1000)
@@ -153,9 +194,12 @@ func TestDeliveryPrimitives(t *testing.T) {
 					}
 					var tr *traffic
 					var msgs []Message
-					if records {
+					switch source {
+					case "records":
 						tr, msgs = recordTraffic(r, count, n, oneDest, compressed)
-					} else {
+					case "mixed":
+						tr, msgs = mixedTraffic(r, count, n, oneDest, compressed)
+					default:
 						msgs = randomMessages(r, count, n)
 						for i := range msgs {
 							if oneDest {
@@ -170,8 +214,8 @@ func TestDeliveryPrimitives(t *testing.T) {
 						want := oracle(msgs, n, cb.f)
 						ib.combine = cb.f
 						for _, C := range []int{0, 1, 2, 3, 8, 96} {
-							name := fmt.Sprintf("records=%v/oneDest=%v/count=%d/compressed=%v/%s/C=%d", records, oneDest, count, compressed, cb.name, C)
-							if C > 1 && cb.name == "3a-b" && oneDest && count >= hubFoldMin {
+							name := fmt.Sprintf("%s/oneDest=%v/count=%d/compressed=%v/%s/C=%d", source, oneDest, count, compressed, cb.name, C)
+							if C > 1 && cb.name == "3a-b" && oneDest && len(msgs) >= hubFoldMin {
 								continue // a hub group folds as a tree: associativity required
 							}
 							st++
@@ -258,29 +302,32 @@ func TestChoosePath(t *testing.T) {
 		// The log, no combiner or with one: same routing.
 		{"log far below n", pathInputs{logical: 100, unicast: 100, n: big, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
 		{"log just below n/cutoff", pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
-		{"log at n/cutoff", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
-		{"log at n/cutoff, combiner", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
-		{"log below deliverParallelMin", pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"log at n/cutoff", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"log at n/cutoff, combiner", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"log below deliverParallelMin", pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
 		{"log at deliverParallelMin", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
 		{"log at deliverParallelMin, combiner", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"log at deliverParallelMin, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"log at deliverParallelMin, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
 		{"parallel beats lookaside", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
 		{"same traffic, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
 		{"last int32 cursor", pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"logical == MaxInt32", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
-		{"MaxInt32 messages, huge n", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"logical == MaxInt32", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"MaxInt32 messages, huge n", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
 		{"no messages, vertices awake", pathInputs{n: small, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
 
-		// Records: expanded below bcastExpandMax or beside any unicast.
-		{"records below bcastExpandMax", pathInputs{logical: bcastExpandMax - 1, records: 9, n: small, workers: 1, dir: DirPull}, "csr+expanded", "one worker, or logical outside [deliverParallelMin, 2^31)"},
-		{"small records, big graph", pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside+expanded", "logical*lookasideCutoff < n"},
-		{"records beside a unicast", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr-par+expanded", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"records at bcastExpandMax", pathInputs{logical: bcastExpandMax, records: 9, n: small, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
-		{"kept records, parallel", pathInputs{logical: bcastExpandMax, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"kept records far below n", pathInputs{logical: bcastExpandMax, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}, "lookaside", "logical*lookasideCutoff < n"},
-		{"kept records far below n, parallel", pathInputs{logical: bcastExpandMax, records: 9, n: big, workers: 4, dir: DirPull}, "pull", "recorded direction"},
+		// Records: pulled only at pullMinEdges and beside no unicast; a mixed
+		// stream is never forked.
+		{"records below pullMinEdges", pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 1, dir: DirPull}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"records below pullMinEdges, combiner", pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"small records, big graph", pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside", "logical*lookasideCutoff < n"},
+		{"records beside a unicast", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"records beside a unicast, big graph", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside", "logical*lookasideCutoff < n"},
+		{"records at pullMinEdges", pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"pullable records, parallel", pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"pullable records far below n", pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}, "lookaside", "logical*lookasideCutoff < n"},
+		{"pullable records far below n, parallel", pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 4, dir: DirPull}, "pull", "recorded direction"},
 
-		// Kept records: direction, then combiner.
+		// Pullable records: direction, then combiner.
 		{"recorded pull", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}, "pull", "recorded direction"},
 		{"recorded pull, combiner", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}, "pull", "recorded direction"},
 		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
@@ -289,7 +336,7 @@ func TestChoosePath(t *testing.T) {
 		{"PR 5: frontier under half the edges", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1<<17 + 1, workers: 4, combiner: true}, "csr", "records fold sequentially"},
 		{"PR 5: directed", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, combiner: true, directed: true}, "csr", "records fold sequentially"},
 		{"PR 5: no combiner", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"PR 5: no combiner, one worker", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 1}, "csr", "one worker, or logical outside [deliverParallelMin, 2^31)"},
+		{"PR 5: no combiner, one worker", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
 	} {
 		p, why := choosePath(tc.in)
 		if p.String() != tc.want || why != tc.why {
@@ -298,19 +345,21 @@ func TestChoosePath(t *testing.T) {
 	}
 }
 
-// FuzzDeliverEquivalence: random traffic — a unicast log, or one broadcast
-// record per sender — over a random small undirected graph, flat or
-// compressed, delivered by every path choosePath can return, forced in
-// turn on one scratch and one inbox: each vertex reads the oracle's
-// sequence whichever path built its inbox, pull (read through the gather)
-// included. The combiners are commutative and associative, as a pull's
-// neighbor-order fold requires.
+// FuzzDeliverEquivalence: random traffic — a unicast log, one broadcast
+// record per sender, or both interleaved at random stream positions — over a
+// random small undirected graph, flat or compressed, delivered by every path
+// choosePath can return, forced in turn on one scratch and one inbox: each
+// vertex reads the oracle's sequence whichever path built its inbox, pull
+// (read through the gather, pure broadcast only) included. The combiners are
+// commutative and associative, as a pull's neighbor-order fold requires.
 func FuzzDeliverEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint16(300), uint16(5000), false, uint8(0), uint8(1), false)
-	f.Add(uint64(2), uint16(64), uint16(0), true, uint8(1), uint8(4), true)
-	f.Add(uint64(3), uint16(511), uint16(9000), true, uint8(2), uint8(3), false)
-	f.Add(uint64(4), uint16(0), uint16(7), false, uint8(3), uint8(7), true)
-	f.Fuzz(func(t *testing.T, seed uint64, nv, count uint16, records bool, combiner, workers uint8, sparse bool) {
+	f.Add(uint64(1), uint16(300), uint16(5000), uint8(0), uint8(0), uint8(1), false)
+	f.Add(uint64(2), uint16(64), uint16(0), uint8(1), uint8(1), uint8(4), true)
+	f.Add(uint64(3), uint16(511), uint16(9000), uint8(1), uint8(2), uint8(3), false)
+	f.Add(uint64(4), uint16(0), uint16(7), uint8(0), uint8(3), uint8(7), true)
+	f.Add(uint64(5), uint16(200), uint16(4100), uint8(2), uint8(2), uint8(2), false)
+	f.Add(uint64(6), uint16(511), uint16(9000), uint8(2), uint8(0), uint8(5), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nv, count uint16, source, combiner, workers uint8, sparse bool) {
 		defer par.SetWorkers(par.SetWorkers(1 + int(workers%8)))
 		r := rng.New(seed)
 		n := 1 + int64(nv%512)
@@ -322,42 +371,41 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		if seed&1 == 1 {
 			g = graph.MustCompress(g)
 		}
-		pool := &gatherPool{size: 2 * g.MaxDegree()}
-		// mk rebuilds the same traffic for every path: expansion consumes it.
-		mk := func() (*traffic, []Message) {
-			r := rng.New(seed + 1)
-			if !records {
-				msgs := randomMessages(r, int(count), n)
-				tr := logTraffic(msgs, n)
-				tr.g, tr.bufs = g, pool
-				return tr, msgs
+		// source%3: 0 the log alone, 1 the records alone, 2 both.
+		tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
+		var log []Message
+		if source%3 != 1 {
+			log = randomMessages(r, int(count), n)
+			for _, m := range log {
+				tr.sends.add(m.Dest, m.Value)
 			}
-			tr := &traffic{g: g, bufs: pool}
-			var msgs []Message
+			tr.sends.seal()
+		}
+		if source%3 != 0 {
+			var seqs []int64
 			for src := int64(0); src < n; src++ {
 				if g.Degree(src) == 0 || r.Uint64n(2) == 0 {
 					continue
 				}
-				rec := bcastRec{src: src, val: int64(r.Uint64n(1000))}
-				tr.bcasts = append(tr.bcasts, rec)
-				for _, w := range g.Neighbors(src) {
-					msgs = append(msgs, Message{Dest: w, Value: rec.val})
-				}
+				tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: int64(r.Uint64n(1000))})
+				seqs = append(seqs, int64(r.Uint64n(uint64(len(log)+1))))
 			}
-			tr.logical = int64(len(msgs))
-			return tr, msgs
+			slices.Sort(seqs)
+			for i := range tr.bcasts {
+				tr.bcasts[i].seq = seqs[i]
+			}
 		}
+		msgs := sendOrder(log, tr.bcasts, g.Neighbors)
+		tr.logical = int64(len(msgs))
 		combine := []func(a, b int64) int64{nil, Min, Sum, Or}[combiner%4]
+		want := oracle(msgs, n, combine)
 		s := &runScratch{}
 		ib := &inbox{off: make([]int64, n+1), combine: combine, fold: resolveFold(combine)}
 		paths := []path{{kind: pathLookaside}, {kind: pathCSR}, {kind: pathCSRPar}}
-		if records {
-			paths = append(paths, path{kind: pathLookaside, expanded: true}, path{kind: pathCSR, expanded: true},
-				path{kind: pathCSRPar, expanded: true}, path{kind: pathPull})
+		if source%3 == 1 {
+			paths = append(paths, path{kind: pathPull})
 		}
 		for i, p := range paths {
-			tr, msgs := mk()
-			want := oracle(msgs, n, combine)
 			st := int64(2*i + 1)
 			if p.kind == pathPull && !ib.fillBcastLookaside(tr.bcasts, n, st) {
 				t.Fatal("one record per source, yet the broadcaster stamp reports a duplicate")
@@ -368,7 +416,7 @@ func FuzzDeliverEquivalence(f *testing.F) {
 				continue
 			}
 			cs := &chunkState{}
-			cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, pool, &cs.eng
+			cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
 			var total int64
 			for v, w := range want {
 				total += int64(len(w))
@@ -643,6 +691,75 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 						b.Fatal("no messages read")
 					}
 				})
+			}
+		}
+	}
+}
+
+// BenchmarkPullFloor is the bench behind pullMinEdges: one pure-broadcast
+// superstep of about logical messages on a random graph of average degree
+// 8, pushed (the CSR build) and pulled (the broadcaster stamp and, but for a
+// saturated boundary, the receiver pass), plus the full-scan sweep that
+// reads it: the inbox probe, or the gather. Either every vertex broadcasts
+// (frontier=1/1: n = logical/8) or every fourth does (frontier=1/4: n =
+// logical/2, the edge of the direction decision's DirGamma gate). 4*logical
+// >= n, so the lookaside row pre-empts neither. docs/PERFORMANCE.md §3 has
+// the table.
+func BenchmarkPullFloor(b *testing.B) {
+	for logical := int64(1 << 10); logical <= 1<<17; logical <<= 1 {
+		for _, stride := range []int64{1, 4} {
+			n := logical * stride / 8
+			g, err := gen.ErdosRenyi(n, 4*n, uint64(logical))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
+			for v := int64(0); v < n; v += stride {
+				if g.Degree(v) > 0 {
+					tr.bcasts = append(tr.bcasts, bcastRec{src: v, val: v + 1})
+					tr.logical += g.Degree(v)
+				}
+			}
+			for _, cb := range []struct {
+				name string
+				f    func(a, b int64) int64
+			}{{"none", nil}, {"min", Min}} {
+				for _, pull := range []bool{false, true} {
+					name := fmt.Sprintf("logical=2^%d/frontier=1/%d/%s/pull=%v", bits.Len64(uint64(logical))-1, stride, cb.name, pull)
+					b.Run(name, func(b *testing.B) {
+						s := &runScratch{symmetric: true}
+						ib := &inbox{off: make([]int64, n+1), combine: cb.f, fold: resolveFold(cb.f)}
+						cs := &chunkState{}
+						cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
+						var sum int64
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							p, st := path{kind: pathCSR}, int64(i)
+							if pull {
+								p.kind = pathPull
+								ib.fillBcastLookaside(tr.bcasts, n, st)
+							}
+							s.build(p, tr, ib, false, st)
+							for v := int64(0); v < n; v++ {
+								var msgs []int64
+								switch {
+								case pull:
+									msgs = cs.gather(ib, v)
+								case hasMessages(ib, v):
+									msgs = ib.slice(v)
+								}
+								if len(msgs) > 0 {
+									sum += msgs[0]
+								}
+							}
+						}
+						cs.ctx.returnBuf()
+						if sum == 0 {
+							b.Fatal("no messages read")
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*tr.logical), "ns/edge")
+					})
+				}
 			}
 		}
 	}

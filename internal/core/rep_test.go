@@ -23,7 +23,7 @@ import (
 
 // TestEngineRepMatrix runs BFS, CC, and PageRank over the flat graph and
 // its compressed twin, at 1, 3, and 8 workers, under both broadcast
-// treatments (records expanded at delivery vs per-edge expansion at send).
+// treatments (records read at delivery vs per-edge messages at send).
 // Every cell must be bit-identical — Result and trace profile — to the
 // flat 1-worker record-delivery baseline.
 func TestEngineRepMatrix(t *testing.T) {

@@ -8,10 +8,10 @@ package core_test
 // slice and the engine concatenated them.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sync"
 	"testing"
 
@@ -257,17 +257,45 @@ func TestUnicastLogConcurrentRuns(t *testing.T) {
 	wg.Wait()
 }
 
+// boundaryStream is FNV-64a over the per-edge send stream a checkpoint holds
+// at its boundary — the unicast log with each broadcast record expanded, in
+// adjacency order, at its seq — as little-endian (dest, value) pairs. It
+// reads the same whether the writer stored the broadcasts as records or as
+// per-edge messages.
+func boundaryStream(g *graph.Graph, s *ckpt.Snapshot) uint64 {
+	h := fnv.New64a()
+	var b [16]byte
+	put := func(dest, val int64) {
+		binary.LittleEndian.PutUint64(b[:8], uint64(dest))
+		binary.LittleEndian.PutUint64(b[8:], uint64(val))
+		h.Write(b[:])
+	}
+	var at int64
+	for i, src := range s.BcastSrc {
+		for ; at < s.BcastSeq[i]; at++ {
+			put(s.MsgDest[at], s.MsgVal[at])
+		}
+		for _, w := range g.Neighbors(src) {
+			put(w, s.BcastVal[i])
+		}
+	}
+	for ; at < int64(len(s.MsgDest)); at++ {
+		put(s.MsgDest[at], s.MsgVal[at])
+	}
+	return h.Sum64()
+}
+
 // TestUnicastLogRecovery kills the "all" row at boundary 0, whose in-flight
 // traffic — unicast messages and broadcast records mixed — spans several
 // blocks, resumes it, and separately panics once in superstep 1 and lets
 // the supervisor retry it (recoverAcross). The checkpoint written at the
-// kill must be byte for byte the one the flat send buffer produced (the
-// golden was re-captured, on the commit before the sweep partition became
-// one, under the degree schedule whose name the fingerprint now carries).
+// kill must keep the broadcasts as records beside the unicast log, and
+// spell the per-edge stream streamGolden was taken from when that boundary
+// was stored as per-edge messages.
 func TestUnicastLogRecovery(t *testing.T) {
 	g := logGraph()
 	const B = logBlock
-	const ckptGolden = uint64(0x91beaf07b5201426)
+	const streamGolden = uint64(0x9ed93fbf0ae60054)
 	for _, sparse := range []bool{false, true} {
 		for _, w := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("sparse=%v/w=%d", sparse, w), func(t *testing.T) {
@@ -288,9 +316,6 @@ func TestUnicastLogRecovery(t *testing.T) {
 				}
 				recoverAcross(t, g, w, mk, base, basePh, 0)
 
-				if sparse {
-					return // the fingerprint differs; one golden file is enough
-				}
 				cfg := mk()
 				plan := &faultinject.Plan{KillAt: map[int64]bool{0: true}}
 				cfg.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), Hooks: plan.Hooks()}
@@ -299,14 +324,15 @@ func TestUnicastLogRecovery(t *testing.T) {
 				if !errors.As(err, &ie) {
 					t.Fatalf("kill@0: want InterruptedError, got %v", err)
 				}
-				raw, err := os.ReadFile(ie.CheckpointPath)
+				snap, err := ckpt.Load(ie.CheckpointPath)
 				if err != nil {
 					t.Fatal(err)
 				}
-				h := fnv.New64a()
-				h.Write(raw)
-				if got := h.Sum64(); got != ckptGolden {
-					t.Errorf("checkpoint file hash %#x (%d bytes), golden %#x", got, len(raw), ckptGolden)
+				if len(snap.BcastSrc) == 0 {
+					t.Errorf("checkpoint holds %d per-edge messages and no broadcast records", len(snap.MsgDest))
+				}
+				if got := boundaryStream(g, snap); got != streamGolden {
+					t.Errorf("boundary stream hash %#x (%d messages, %d records), golden %#x", got, len(snap.MsgDest), len(snap.BcastSrc), streamGolden)
 				}
 			})
 		}

@@ -268,7 +268,6 @@ func Fig2(g *graph.Graph, s Setup) (*Fig2Result, error) {
 		return nil, err
 	}
 	res := &Fig2Result{Source: src, Frontier: bsp.FrontierPerStep}
-	// Trim the message series to the levels that expanded anything.
 	res.Messages = bsp.MessagesPerStep
 	return res, nil
 }

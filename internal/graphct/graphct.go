@@ -110,7 +110,7 @@ type BFSResult struct {
 	// EdgesScanned holds, per level, the number of adjacency entries
 	// examined while expanding that level's frontier.
 	EdgesScanned []int64
-	// Levels is the number of levels expanded (the eccentricity + 1).
+	// Levels is the number of BFS levels (the eccentricity + 1).
 	Levels int
 }
 

@@ -86,9 +86,9 @@ type StepStats struct {
 	// charges.
 	Sent int64
 	// SentPhysical is the number of physically materialized outgoing
-	// records: per-edge messages plus one record per broadcast the engine
-	// kept in record form. Equal to Sent when every send was per-edge;
-	// O(frontier) instead of O(edges) on broadcast-heavy supersteps.
+	// records: one message per unicast Send plus one record per broadcast.
+	// Equal to Sent when every send was a unicast; O(frontier) instead of
+	// O(edges) on broadcast-heavy supersteps.
 	SentPhysical int64
 	// Delivered is the number of messages delivered into inboxes (after
 	// combining); zero on the terminal superstep, which delivers nothing.
@@ -105,13 +105,11 @@ type StepStats struct {
 	// traffic (core's choosePath): "lookaside" (stamped only the receivers,
 	// O(traffic)), "csr" (sequential CSR inbox build), "csr-par" (the same,
 	// forked), "pull" (stamped the broadcasters and built nothing — the
-	// NEXT superstep's compute span contains the gather), each suffixed
-	// "+expanded" when broadcast records were expanded to per-edge
-	// messages first; "pull+saturated" when every vertex with a neighbor
-	// broadcast into a combining pull, which then knows its receivers
-	// without looking; "none" on the terminal superstep, which delivers
-	// nothing. A host-speed decision: unlike Direction it may differ
-	// between worker counts.
+	// NEXT superstep's compute span contains the gather); "pull+saturated"
+	// when every vertex with a neighbor broadcast into a combining pull,
+	// which then knows its receivers without looking; "none" on the
+	// terminal superstep, which delivers nothing. A host-speed decision:
+	// unlike Direction it may differ between worker counts.
 	Delivery string
 	// FrontierEdges is the broadcast-incident-edge count the direction
 	// heuristic compared (logical messages minus unicasts); UnvisitedEdges
