@@ -50,19 +50,45 @@ func (TCProgram) Compute(v *core.VertexContext) {
 		}
 	case 2:
 		// Membership check per candidate: binary search in the sorted
-		// adjacency list.
-		searchCost := int64(bits.Len64(uint64(v.Degree())) + 1)
-		for _, m := range v.Messages() {
-			v.Charge(searchCost, searchCost, 0)
-			if v.HasNeighbor(m) {
+		// adjacency list, charged at the full list's depth. Every
+		// candidate m is a wedge's low end, below v, so the host searches
+		// only the neighbors below v.
+		nbr := v.Neighbors()
+		lows := nbr[:below(nbr, v.ID())]
+		msgs := v.Messages()
+		searchCost := int64(bits.Len64(uint64(len(nbr))) + 1)
+		v.Charge(searchCost*int64(len(msgs)), searchCost*int64(len(msgs)), 0)
+		var found int64
+		for _, m := range msgs {
+			if i := below(lows, m); i < len(lows) && lows[i] == m {
 				v.Send(m, 1)
-				v.Aggregate("triangles", 1, core.Sum)
+				found++
 			}
+		}
+		if found > 0 {
+			v.Aggregate("triangles", found, core.Sum)
 		}
 	default:
 		// Superstep 3: triangle notifications arrive; nothing to compute.
 	}
 	v.VoteToHalt()
+}
+
+// below returns the number of elements of the ascending list s of vertex
+// IDs that are less than x >= 0. Each step adds half or nothing under the
+// sign mask of s[i]-x (which cannot overflow for non-negative IDs), so the
+// search has no data-dependent branch to mispredict.
+func below(s []int64, x int64) int {
+	if len(s) == 0 {
+		return 0
+	}
+	base, n := 0, len(s)
+	for n > 1 {
+		half := n >> 1
+		base += half & int((s[base+half]-x)>>63)
+		n -= half
+	}
+	return base + int(uint64(s[base]-x)>>63)
 }
 
 // TCResult is the output of Triangles.

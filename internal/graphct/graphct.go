@@ -167,68 +167,159 @@ type TriangleResult struct {
 	// triangle found, the quantity the paper compares against BSP's
 	// message writes (30.9M vs 5.6B, a 181x ratio).
 	Writes int64
-	// CompareOps is the number of sorted-intersection merge steps.
+	// CompareOps is the number of steps GraphCT's sorted-intersection
+	// merge takes, summed over every pair. The host computes it from the
+	// intersection (see intersectPairs); it does not execute the merge.
 	CompareOps int64
 }
 
 // Triangles counts distinct triangles with the shared-memory kernel: for
-// every edge (v,u) with v < u, merge the sorted adjacency lists of v and u
-// counting common neighbors w > u, so each triangle v < u < w is found
-// exactly once. The only writes are the per-discovery counter increments,
-// matching the paper's analysis ("the shared memory implementation only
-// produces a write when a triangle is detected").
+// every edge (v,u) with v < u, GraphCT merges the sorted adjacency lists
+// of v and u counting common neighbors w > u, so each triangle v < u < w
+// is found exactly once. The only writes are the per-discovery counter
+// increments, matching the paper's analysis ("the shared memory
+// implementation only produces a write when a triangle is detected").
+//
+// The profile charges that merge step for step. The host produces the
+// same count and the same steps from a marked intersection per vertex
+// (intersectPairs), which is the merge's answer without its
+// data-dependent branches.
 //
 // The graph must be undirected with sorted adjacency.
 func Triangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 	if !g.SortedAdjacency() {
 		panic("graphct: Triangles requires sorted adjacency")
 	}
-	n := g.NumVertices()
 	ph := rec.StartPhase("tri/count", 0)
 	// With detailed recording on, capture each pair's true merge cost so
 	// the discrete-event model sees the real task-size skew (hub pairs are
 	// thousands of times costlier than leaf pairs on scale-free graphs).
 	const detailCap = 1 << 20
-	recordDetail := rec.Detail() && g.NumEdges()/2 <= detailCap
-	var count, cmps int64
-	var maxPair int64
-	for v := int64(0); v < n; v++ {
-		nv := g.Neighbors(v)
-		for _, u := range nv {
-			if u <= v {
-				continue
-			}
-			nu := g.Neighbors(u)
-			c, steps := countCommonGreater(nv, nu, u)
-			count += c
-			cmps += steps
-			if pair := int64(len(nv) + len(nu)); pair > maxPair {
-				maxPair = pair
-			}
-			if recordDetail {
-				ph.AddDetail(trace.TaskCost{
-					Issue: uint32(steps * triIssuePerCmp),
-					Mem:   uint32(steps*triLoadsPerCmp + 2),
-				})
-			}
+	var detail func(steps int64)
+	if rec.Detail() && g.NumEdges()/2 <= detailCap {
+		detail = func(steps int64) {
+			ph.AddDetail(trace.TaskCost{
+				Issue: uint32(steps * triIssuePerCmp),
+				Mem:   uint32(steps*triLoadsPerCmp + 2),
+			})
 		}
 	}
+	count, cmps, maxPair := intersectPairs(g, nil, detail)
 	m := g.NumEdges() / 2 // (v,u) pairs with v < u
 	ph.AddTasks(m, triIssuePerCmp*cmps, triLoadsPerCmp*cmps+2*m, count)
 	ph.ObserveTask(maxPair * (triIssuePerCmp + triLoadsPerCmp))
 	return &TriangleResult{Count: count, Writes: count, CompareOps: cmps}
 }
 
-// countCommonGreater merges sorted lists a and b counting common elements
-// strictly greater than floor; it also reports merge steps taken.
-func countCommonGreater(a, b []int64, floor int64) (count, steps int64) {
+// intersectPairs visits every edge (v,u) with v < u, in ascending order of
+// v and then of u, and intersects N(v) with N(u) as a two-pointer merge
+// would. It returns the common neighbors w > u summed over the pairs (the
+// triangles), the merge steps summed over the pairs, and the largest
+// len(N(v))+len(N(u)). A non-nil perVertex credits each triangle to its
+// three corners; a non-nil pair receives each pair's merge steps.
+//
+// When every adjacency list is strictly increasing — any graph built
+// without KeepDuplicates — the merge is computed, not executed: N(v) is
+// marked once per v and each pair is two binary searches plus branch-free
+// sums of marks (markedIntersect). Multigraphs take mergeIntersect.
+func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (count, steps, maxPair int64) {
+	n := g.NumVertices()
+	var mark []uint8
+	if strictlyIncreasing(g) {
+		mark = make([]uint8, n)
+	}
+	var nvBuf, nuBuf []int64
+	for v := int64(0); v < n; v++ {
+		nv := g.DecodeNeighbors(v, nvBuf)
+		nvBuf = nv
+		above := nv[rank(nv, v):] // the u > v
+		if len(above) == 0 {
+			continue
+		}
+		if mark != nil {
+			for _, w := range nv {
+				mark[w] = 1
+			}
+		}
+		for _, u := range above {
+			nu := g.DecodeNeighbors(u, nuBuf)
+			nuBuf = nu
+			var c, s int64
+			if mark != nil {
+				c, s = markedIntersect(mark, nv, nu, u, perVertex)
+			} else {
+				c, s = mergeIntersect(nv, nu, u, perVertex)
+			}
+			count += c
+			steps += s
+			if perVertex != nil {
+				perVertex[v] += c
+				perVertex[u] += c
+			}
+			if p := int64(len(nv) + len(nu)); p > maxPair {
+				maxPair = p
+			}
+			if pair != nil {
+				pair(s)
+			}
+		}
+		if mark != nil {
+			for _, w := range nv {
+				mark[w] = 0
+			}
+		}
+	}
+	return count, steps, maxPair
+}
+
+// markedIntersect returns what mergeIntersect returns for strictly
+// increasing lists a and b, given mark[w] == 1 exactly for the w in a. The
+// merge stops when either list runs out, by which point it has consumed
+// exactly the elements <= M = min(last a, last b) of each list, taking one
+// step per element except one step per common element, and every common
+// element is <= M. So steps = rank(a,M) + rank(b,M) - |a∩b|, and the
+// marks over b[:rank(b,M)] count a∩b, split at u into the common elements
+// below and above the floor.
+func markedIntersect(mark []uint8, a, b []int64, u int64, perVertex []int64) (count, steps int64) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	ra, rb := len(a), len(b)
+	if la, lb := a[ra-1], b[rb-1]; la < lb {
+		rb = rank(b, la)
+	} else if lb < la {
+		ra = rank(a, lb)
+	}
+	k := rank(b[:rb], u)
+	var below int64
+	for _, w := range b[:k] {
+		below += int64(mark[w])
+	}
+	for _, w := range b[k:rb] {
+		c := int64(mark[w])
+		count += c
+		if perVertex != nil {
+			perVertex[w] += c
+		}
+	}
+	return count, int64(ra+rb) - below - count
+}
+
+// mergeIntersect is GraphCT's two-pointer merge of sorted lists a and b: it
+// counts common elements strictly greater than floor, crediting each to
+// perVertex when that is non-nil, and reports the merge steps taken. It is
+// the multigraph path, where a repeated neighbor moves the merge's exit.
+func mergeIntersect(a, b []int64, floor int64, perVertex []int64) (count, steps int64) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		steps++
 		switch {
 		case a[i] == b[j]:
-			if a[i] > floor {
+			if w := a[i]; w > floor {
 				count++
+				if perVertex != nil {
+					perVertex[w]++
+				}
 			}
 			i++
 			j++
@@ -239,6 +330,38 @@ func countCommonGreater(a, b []int64, floor int64) (count, steps int64) {
 		}
 	}
 	return count, steps
+}
+
+// rank returns the number of elements <= x in the ascending list s of
+// vertex IDs, x >= 0, without a data-dependent branch: each step adds half
+// or nothing under the sign mask of s[i]-x-1.
+func rank(s []int64, x int64) int {
+	if len(s) == 0 {
+		return 0
+	}
+	base, n := 0, len(s)
+	for n > 1 {
+		half := n >> 1
+		base += half & int((s[base+half]-x-1)>>63)
+		n -= half
+	}
+	return base + int(uint64(s[base]-x-1)>>63)
+}
+
+// strictlyIncreasing reports whether no adjacency list of the sorted
+// graph g repeats a neighbor.
+func strictlyIncreasing(g *graph.Graph) bool {
+	var buf []int64
+	for v := int64(0); v < g.NumVertices(); v++ {
+		nbr := g.DecodeNeighbors(v, buf)
+		buf = nbr
+		for i := 1; i < len(nbr); i++ {
+			if nbr[i] == nbr[i-1] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ClusteringResult is the output of ClusteringCoefficients.
@@ -255,7 +378,7 @@ type ClusteringResult struct {
 }
 
 // ClusteringCoefficients computes local and global clustering coefficients
-// using the triangle kernel's intersection structure, crediting each
+// using the triangle kernel's intersection (intersectPairs), crediting each
 // triangle to all three corners.
 func ClusteringCoefficients(g *graph.Graph, rec *trace.Recorder) *ClusteringResult {
 	if !g.SortedAdjacency() {
@@ -264,35 +387,7 @@ func ClusteringCoefficients(g *graph.Graph, rec *trace.Recorder) *ClusteringResu
 	n := g.NumVertices()
 	perVertex := make([]int64, n)
 	ph := rec.StartPhase("ccoef/count", 0)
-	var count, cmps int64
-	for v := int64(0); v < n; v++ {
-		nv := g.Neighbors(v)
-		for _, u := range nv {
-			if u <= v {
-				continue
-			}
-			nu := g.Neighbors(u)
-			i, j := 0, 0
-			for i < len(nv) && j < len(nu) {
-				cmps++
-				switch {
-				case nv[i] == nu[j]:
-					if w := nv[i]; w > u {
-						count++
-						perVertex[v]++
-						perVertex[u]++
-						perVertex[w]++
-					}
-					i++
-					j++
-				case nv[i] < nu[j]:
-					i++
-				default:
-					j++
-				}
-			}
-		}
-	}
+	count, cmps, _ := intersectPairs(g, perVertex, nil)
 	m := g.NumEdges() / 2
 	ph.AddTasks(m, cmps, cmps+2*m, 3*count)
 

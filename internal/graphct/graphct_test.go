@@ -1,7 +1,9 @@
 package graphct
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +179,208 @@ func TestTrianglesMatchReferenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mergeTriangles and mergeClustering are the kernels as GraphCT writes
+// them, executing the two-pointer merge per edge. They are the oracle the
+// marked intersection must reproduce: result, profile and detail alike.
+func mergeTriangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
+	ph := rec.StartPhase("tri/count", 0)
+	recordDetail := rec.Detail() && g.NumEdges()/2 <= 1<<20
+	var count, cmps, maxPair int64
+	for v := int64(0); v < g.NumVertices(); v++ {
+		nv := g.Neighbors(v)
+		for _, u := range nv {
+			if u <= v {
+				continue
+			}
+			nu := g.Neighbors(u)
+			c, steps := oracleMerge(nv, nu, u, nil)
+			count += c
+			cmps += steps
+			maxPair = max(maxPair, int64(len(nv)+len(nu)))
+			if recordDetail {
+				ph.AddDetail(trace.TaskCost{Issue: uint32(steps * triIssuePerCmp), Mem: uint32(steps*triLoadsPerCmp + 2)})
+			}
+		}
+	}
+	m := g.NumEdges() / 2
+	ph.AddTasks(m, triIssuePerCmp*cmps, triLoadsPerCmp*cmps+2*m, count)
+	ph.ObserveTask(maxPair * (triIssuePerCmp + triLoadsPerCmp))
+	return &TriangleResult{Count: count, Writes: count, CompareOps: cmps}
+}
+
+func mergeClustering(g *graph.Graph, rec *trace.Recorder) *ClusteringResult {
+	n := g.NumVertices()
+	perVertex := make([]int64, n)
+	ph := rec.StartPhase("ccoef/count", 0)
+	var count, cmps int64
+	for v := int64(0); v < n; v++ {
+		nv := g.Neighbors(v)
+		for _, u := range nv {
+			if u <= v {
+				continue
+			}
+			c, steps := oracleMerge(nv, g.Neighbors(u), u, perVertex)
+			count += c
+			cmps += steps
+			perVertex[v] += c
+			perVertex[u] += c
+		}
+	}
+	m := g.NumEdges() / 2
+	ph.AddTasks(m, cmps, cmps+2*m, 3*count)
+	res := &ClusteringResult{PerVertex: make([]float64, n), TrianglesPerVertex: perVertex, Triangles: count}
+	var wedges int64
+	for v := int64(0); v < n; v++ {
+		d := g.Degree(v)
+		wedges += d * (d - 1) / 2
+		if d > 1 {
+			res.PerVertex[v] = float64(perVertex[v]) / float64(d*(d-1)/2)
+		}
+	}
+	if wedges > 0 {
+		res.Global = 3 * float64(count) / float64(wedges)
+	}
+	return res
+}
+
+func oracleMerge(a, b []int64, floor int64, perVertex []int64) (count, steps int64) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		steps++
+		switch {
+		case a[i] == b[j]:
+			if a[i] > floor {
+				count++
+				if perVertex != nil {
+					perVertex[a[i]]++
+				}
+			}
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return count, steps
+}
+
+// phaseView is a Phase without its mutex, for whole-value comparison.
+type phaseView struct {
+	Name                                       string
+	Index                                      int
+	Tasks, Issue, Loads, Stores, MaxTask, Barr int64
+	Hot                                        [trace.NumHotClasses]int64
+	Detail                                     []trace.TaskCost
+}
+
+func phaseViews(rec *trace.Recorder) []phaseView {
+	var out []phaseView
+	for _, p := range rec.Phases() {
+		out = append(out, phaseView{p.Name, p.Index, p.Tasks, p.Issue, p.Loads, p.Stores,
+			p.MaxTask, p.Barriers, p.Hot, p.Detail})
+	}
+	return out
+}
+
+// checkTrianglesMatchMerge runs Triangles and ClusteringCoefficients and
+// their merge oracles with detail recording on, and reports the first
+// difference in result or recorded profile.
+func checkTrianglesMatchMerge(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	run := func(kernel func(*trace.Recorder) any) (any, []phaseView) {
+		rec := trace.NewRecorder()
+		rec.DetailTasks = true
+		return kernel(rec), phaseViews(rec)
+	}
+	for _, k := range []struct {
+		name      string
+		got, want func(*trace.Recorder) any
+	}{
+		{"Triangles",
+			func(r *trace.Recorder) any { return Triangles(g, r) },
+			func(r *trace.Recorder) any { return mergeTriangles(g, r) }},
+		{"ClusteringCoefficients",
+			func(r *trace.Recorder) any { return ClusteringCoefficients(g, r) },
+			func(r *trace.Recorder) any { return mergeClustering(g, r) }},
+	} {
+		got, gotPh := run(k.got)
+		want, wantPh := run(k.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s = %+v, merge oracle %+v", k.name, got, want)
+		}
+		if !reflect.DeepEqual(gotPh, wantPh) {
+			t.Fatalf("%s profile = %+v, merge oracle %+v", k.name, gotPh, wantPh)
+		}
+	}
+}
+
+// buildBits maps the low three bits of b to the build options whose every
+// combination the oracle is checked under.
+func buildBits(b uint8) graph.BuildOptions {
+	return graph.BuildOptions{Directed: b&1 != 0, KeepSelfLoops: b&2 != 0, KeepDuplicates: b&4 != 0}
+}
+
+func TestTrianglesMatchMergeOracle(t *testing.T) {
+	type row struct {
+		name string
+		g    *graph.Graph
+	}
+	var rows []row
+	for scale := 8; scale <= 11; scale++ {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g, err := gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row{fmt.Sprintf("rmat-s%d-seed%d", scale, seed), g})
+		}
+	}
+	rows = append(rows,
+		row{"complete7", gen.Complete(7)},
+		row{"star", gen.Star(33)},
+		row{"path", gen.Path(20)},
+		row{"grid", gen.Grid(6, 7)},
+		row{"empty", graph.MustBuild(0, nil, graph.BuildOptions{})},
+		row{"n1", graph.MustBuild(1, nil, graph.BuildOptions{})},
+	)
+	for bits := uint8(0); bits < 8; bits++ {
+		opt := buildBits(bits)
+		for seed := uint64(1); seed <= 3; seed++ {
+			r := rng.New(seed)
+			edges := make([]graph.Edge, 400)
+			for i := range edges {
+				edges[i] = graph.Edge{U: int64(r.Uint64n(40)), V: int64(r.Uint64n(40))}
+			}
+			rows = append(rows, row{fmt.Sprintf("random-dir%t-loops%t-dups%t-seed%d",
+				opt.Directed, opt.KeepSelfLoops, opt.KeepDuplicates, seed), graph.MustBuild(40, edges, opt)})
+		}
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { checkTrianglesMatchMerge(t, r.g) })
+	}
+}
+
+// FuzzTriangles checks the marked intersection against the merge oracle on
+// arbitrary edge lists under arbitrary build options: each pair of bytes
+// is one edge, taken modulo the vertex count.
+func FuzzTriangles(f *testing.F) {
+	f.Add(uint8(0), uint8(4), []byte{0, 1, 1, 2, 2, 0, 2, 3})
+	f.Add(uint8(4), uint8(5), []byte{0, 1, 0, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 0})
+	f.Add(uint8(7), uint8(3), []byte{0, 0, 0, 1, 1, 2, 2, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, bits, nRaw uint8, data []byte) {
+		n := int64(nRaw % 48)
+		var edges []graph.Edge
+		if n > 0 {
+			for i := 0; i+1 < len(data); i += 2 {
+				edges = append(edges, graph.Edge{U: int64(data[i]) % n, V: int64(data[i+1]) % n})
+			}
+		}
+		checkTrianglesMatchMerge(t, graph.MustBuild(n, edges, buildBits(bits)))
+	})
 }
 
 func TestTrianglesRequiresSorted(t *testing.T) {
