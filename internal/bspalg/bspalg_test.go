@@ -1,13 +1,19 @@
 package bspalg
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"graphxmt/internal/core"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphct"
+	"graphxmt/internal/par"
 	"graphxmt/internal/rng"
 	"graphxmt/internal/trace"
 )
@@ -292,57 +298,218 @@ func TestBSPTrianglesMessageBlowup(t *testing.T) {
 	}
 }
 
-func TestStreamingTrianglesMatchesEngine(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
-		g := randomGraph(seed, 40, 160)
-		eng, err := Triangles(g, nil)
+// oracleTC is Algorithm 3 as the paper writes it: superstep 1 sends
+// message-major, and superstep 2 binary-searches the neighbors below v for
+// each candidate. TCProgram must deliver the same inboxes and record the
+// same Result and profile.
+type oracleTC struct{}
+
+func (oracleTC) InitialState(*graph.Graph, int64) int64 { return 0 }
+
+func (oracleTC) Compute(v *core.VertexContext) {
+	switch v.Superstep() {
+	case 0:
+		nbr := v.Neighbors()
+		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v.ID() })
+		v.Charge(int64(len(nbr)), int64(len(nbr)), 0)
+		for _, n := range nbr[i:] {
+			v.Send(n, v.ID())
+		}
+	case 1:
+		nbr := v.Neighbors()
+		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v.ID() })
+		v.Charge(int64(len(v.Messages()))*int64(len(nbr)),
+			int64(len(v.Messages()))*int64(len(nbr)), 0)
+		for _, m := range v.Messages() {
+			if m >= v.ID() {
+				continue
+			}
+			for _, n := range nbr[i:] {
+				v.Send(n, m)
+			}
+		}
+	case 2:
+		nbr := v.Neighbors()
+		lows := nbr[:below(nbr, v.ID())]
+		msgs := v.Messages()
+		searchCost := int64(bits.Len64(uint64(len(nbr))) + 1)
+		v.Charge(searchCost*int64(len(msgs)), searchCost*int64(len(msgs)), 0)
+		var found int64
+		for _, m := range msgs {
+			if i := below(lows, m); i < len(lows) && lows[i] == m {
+				v.Send(m, 1)
+				found++
+			}
+		}
+		if found > 0 {
+			v.Aggregate("triangles", found, core.Sum)
+		}
+	}
+	v.VoteToHalt()
+}
+
+// inboxFold runs p and folds every inbox a vertex is handed into its state,
+// so Result.States compares what each vertex received. An ordered fold
+// hashes the sequence; otherwise it sums a hash per message, comparing the
+// multiset.
+type inboxFold struct {
+	p       core.Program
+	ordered bool
+}
+
+func (f inboxFold) InitialState(g *graph.Graph, v int64) int64 { return f.p.InitialState(g, v) }
+
+func (f inboxFold) Compute(v *core.VertexContext) {
+	h := uint64(v.State())
+	step := uint64(v.Superstep()) << 48
+	for _, m := range v.Messages() {
+		if f.ordered {
+			h = rng.Mix64(h ^ step ^ uint64(m))
+		} else {
+			h += rng.Mix64(step ^ uint64(m))
+		}
+	}
+	v.SetState(int64(h))
+	f.p.Compute(v)
+}
+
+// phaseView is a Phase without its mutex, for whole-value comparison.
+type phaseView struct {
+	Name                                           string
+	Index                                          int
+	Tasks, Issue, Loads, Stores, MaxTask, Barriers int64
+	Hot                                            [trace.NumHotClasses]int64
+}
+
+func phaseViews(rec *trace.Recorder) []phaseView {
+	var out []phaseView
+	for _, p := range rec.Phases() {
+		out = append(out, phaseView{p.Name, p.Index, p.Tasks, p.Issue, p.Loads, p.Stores,
+			p.MaxTask, p.Barriers, p.Hot})
+	}
+	return out
+}
+
+// checkTCMatchesOracle runs oracleTC at one worker, then TCProgram at one,
+// two and three, both under inboxFold, and StreamingTriangles, and reports
+// the first difference in Result (every inbox folded into States,
+// Aggregates, MessagesPerStep) or recorded profile. ordered is false only
+// for graphs with parallel edges, whose inboxes TCProgram reorders.
+func checkTCMatchesOracle(t *testing.T, g *graph.Graph, ordered bool) {
+	t.Helper()
+	run := func(p core.Program, w int) (*core.Result, []phaseView) {
+		defer par.SetWorkers(par.SetWorkers(w))
+		rec := trace.NewRecorder()
+		res, err := core.Run(core.Config{Graph: g, Program: inboxFold{p, ordered}, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		str := StreamingTriangles(g, nil)
-		if eng.Count != str.Count {
-			t.Fatalf("seed %d: count %d vs %d", seed, eng.Count, str.Count)
+		return res, phaseViews(rec)
+	}
+	want, wantPh := run(oracleTC{}, 1)
+	for _, w := range []int{1, 2, 3} {
+		got, gotPh := run(TCProgram{}, w)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("w=%d: Result differs from the oracle's\n  aggregates %v vs %v\n  msgs %v vs %v\n  states equal: %t",
+				w, got.Aggregates, want.Aggregates, got.MessagesPerStep, want.MessagesPerStep,
+				reflect.DeepEqual(got.States, want.States))
 		}
-		if eng.CandidateMessages != str.CandidateMessages {
-			t.Fatalf("seed %d: candidates %d vs %d", seed, eng.CandidateMessages, str.CandidateMessages)
+		if !reflect.DeepEqual(gotPh, wantPh) {
+			t.Fatalf("w=%d: profile = %+v, oracle %+v", w, gotPh, wantPh)
 		}
-		if eng.TotalMessages != str.TotalMessages {
-			t.Fatalf("seed %d: total messages %d vs %d", seed, eng.TotalMessages, str.TotalMessages)
-		}
-		for s := range eng.MessagesPerStep {
-			if eng.MessagesPerStep[s] != str.MessagesPerStep[s] {
-				t.Fatalf("seed %d step %d: %v vs %v", seed, s, eng.MessagesPerStep, str.MessagesPerStep)
+	}
+	rec := trace.NewRecorder()
+	if got, want := StreamingTriangles(g, rec), newTCResult(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StreamingTriangles = %+v, engine %+v", got, want)
+	}
+	if got := phaseViews(rec); !reflect.DeepEqual(got, wantPh) {
+		t.Fatalf("StreamingTriangles profile = %+v, engine %+v", got, wantPh)
+	}
+}
+
+// tcBuildBits maps the low two bits of b to the undirected build options
+// TC is checked under.
+func tcBuildBits(b uint8) graph.BuildOptions {
+	return graph.BuildOptions{KeepSelfLoops: b&1 != 0, KeepDuplicates: b&2 != 0}
+}
+
+// TestBSPTrianglesMatchOracle: TCProgram against oracleTC, and
+// StreamingTriangles against both, on RMAT, shaped and small random graphs
+// built simple, with self-loops, with parallel edges and with both. Only the
+// raw RMAT edge lists have loops and parallel edges of their own, so every
+// other graph gets a self-loop on every third vertex and a second copy of
+// every other edge.
+func TestBSPTrianglesMatchOracle(t *testing.T) {
+	type row struct {
+		name  string
+		n     int64
+		edges []graph.Edge
+	}
+	var rows []row
+	for scale := 6; scale <= 11; scale++ {
+		for seed := uint64(1); seed <= 3; seed++ {
+			edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
 			}
+			rows = append(rows, row{fmt.Sprintf("rmat-s%d-seed%d", scale, seed), n, edges})
+		}
+	}
+	type shape struct {
+		name string
+		g    *graph.Graph
+	}
+	shapes := []shape{
+		{"complete7", gen.Complete(7)},
+		{"cliquechain", gen.CliqueChain(4, 5)},
+		{"star", gen.Star(33)},
+		{"path", gen.Path(20)},
+		{"grid", gen.Grid(6, 7)},
+		{"empty", graph.MustBuild(0, nil, graph.BuildOptions{})},
+		{"n1", graph.MustBuild(1, nil, graph.BuildOptions{})},
+	}
+	for seed := uint64(0); seed < 10; seed++ {
+		shapes = append(shapes, shape{fmt.Sprintf("random40-seed%d", seed), randomGraph(seed, 40, 160)})
+	}
+	for _, s := range shapes {
+		edges := s.g.EdgeList()
+		for v := int64(0); v < s.g.NumVertices(); v += 3 {
+			edges = append(edges, graph.Edge{U: v, V: v})
+		}
+		for i, m := 0, len(edges); i < m; i += 2 {
+			edges = append(edges, edges[i])
+		}
+		rows = append(rows, row{s.name, s.g.NumVertices(), edges})
+	}
+	for _, r := range rows {
+		for b := uint8(0); b < 4; b++ {
+			opt := tcBuildBits(b)
+			t.Run(fmt.Sprintf("%s/loops%t-dups%t", r.name, opt.KeepSelfLoops, opt.KeepDuplicates), func(t *testing.T) {
+				checkTCMatchesOracle(t, graph.MustBuild(r.n, r.edges, opt), !opt.KeepDuplicates)
+			})
 		}
 	}
 }
 
-func TestStreamingTrianglesProfileMatchesEngine(t *testing.T) {
-	g := gen.CliqueChain(4, 5)
-	engRec := trace.NewRecorder()
-	if _, err := Triangles(g, engRec); err != nil {
-		t.Fatal(err)
-	}
-	strRec := trace.NewRecorder()
-	StreamingTriangles(g, strRec)
-	engPh := engRec.PhasesNamed("bsp/superstep")
-	strPh := strRec.PhasesNamed("bsp/superstep")
-	if len(engPh) != len(strPh) {
-		t.Fatalf("phase counts: %d vs %d", len(engPh), len(strPh))
-	}
-	for i := range engPh {
-		e, s := engPh[i], strPh[i]
-		if e.Loads != s.Loads || e.Stores != s.Stores || e.Issue != s.Issue {
-			t.Fatalf("superstep %d: engine {%d %d %d} vs streaming {%d %d %d}",
-				i, e.Issue, e.Loads, e.Stores, s.Issue, s.Loads, s.Stores)
+// FuzzBSPTriangles checks TCProgram against oracleTC, and
+// StreamingTriangles against both, on arbitrary undirected edge lists: each
+// pair of bytes is one edge, taken modulo the vertex count, and b selects
+// self-loops and parallel edges.
+func FuzzBSPTriangles(f *testing.F) {
+	f.Add(uint8(0), uint8(4), []byte{0, 1, 1, 2, 2, 0, 2, 3})
+	f.Add(uint8(2), uint8(5), []byte{0, 1, 0, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 0})
+	f.Add(uint8(3), uint8(3), []byte{0, 0, 0, 1, 1, 2, 2, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, b, nRaw uint8, data []byte) {
+		n := int64(nRaw % 48)
+		var edges []graph.Edge
+		if n > 0 {
+			for i := 0; i+1 < len(data); i += 2 {
+				edges = append(edges, graph.Edge{U: int64(data[i]) % n, V: int64(data[i+1]) % n})
+			}
 		}
-		if e.Hot != s.Hot {
-			t.Fatalf("superstep %d: hot %v vs %v", i, e.Hot, s.Hot)
-		}
-		if e.Tasks != s.Tasks {
-			t.Fatalf("superstep %d: tasks %d vs %d", i, e.Tasks, s.Tasks)
-		}
-	}
+		opt := tcBuildBits(b)
+		checkTCMatchesOracle(t, graph.MustBuild(n, edges, opt), !opt.KeepDuplicates)
+	})
 }
 
 func TestSSSPMatchesDijkstra(t *testing.T) {

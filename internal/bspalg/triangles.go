@@ -2,7 +2,7 @@ package bspalg
 
 import (
 	"math/bits"
-	"sort"
+	"sync"
 
 	"graphxmt/internal/core"
 	"graphxmt/internal/graph"
@@ -18,6 +18,18 @@ import (
 // neighbor; if so the wedge closes and a triangle is reported by sending m
 // back to its origin. The triangle count is the number of superstep-2
 // messages.
+//
+// The membership check is charged as what the XMT executes, a binary search
+// of the full adjacency list per candidate, but it is not executed: the host
+// marks the neighbours below v in an n-bit bitmap and tests each candidate
+// with one bit. Superstep 1 sends destination-major, every received ID to
+// one upper neighbour before the next, so each (v, n) pair writes its
+// wedges to consecutive inbox slots. Delivery is stable and each sender
+// sends every n the list it received, in order, so each inbox holds exactly
+// the sequence Algorithm 3's message-major loop would put there — unless
+// the graph keeps parallel edges: a repeated upper neighbour then receives
+// its copies interleaved differently, the same multiset in another order,
+// with the same count, Result and profile.
 type TCProgram struct{}
 
 // InitialState implements core.Program.
@@ -28,43 +40,46 @@ func (TCProgram) Compute(v *core.VertexContext) {
 	switch v.Superstep() {
 	case 0:
 		nbr := v.Neighbors()
-		// Sorted adjacency: the suffix after v holds all n > v.
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v.ID() })
 		v.Charge(int64(len(nbr)), int64(len(nbr)), 0)
-		for _, n := range nbr[i:] {
+		// Sorted adjacency: the suffix after v holds all n > v.
+		for _, n := range nbr[below(nbr, v.ID()+1):] {
 			v.Send(n, v.ID())
 		}
 	case 1:
+		// Every message is an m < v: superstep 0 sends only upward.
 		nbr := v.Neighbors()
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v.ID() })
+		msgs := v.Messages()
 		// Algorithm 3 scans the full neighbor list once per message.
-		v.Charge(int64(len(v.Messages()))*int64(len(nbr)),
-			int64(len(v.Messages()))*int64(len(nbr)), 0)
-		for _, m := range v.Messages() {
-			if m >= v.ID() {
-				continue
-			}
-			for _, n := range nbr[i:] {
+		v.Charge(int64(len(msgs))*int64(len(nbr)), int64(len(msgs))*int64(len(nbr)), 0)
+		for _, n := range nbr[below(nbr, v.ID()+1):] {
+			for _, m := range msgs {
 				v.Send(n, m)
 			}
 		}
 	case 2:
-		// Membership check per candidate: binary search in the sorted
-		// adjacency list, charged at the full list's depth. Every
-		// candidate m is a wedge's low end, below v, so the host searches
-		// only the neighbors below v.
+		// Every candidate m is a wedge's low end, below v, so it closes the
+		// wedge when it is one of the neighbors below v.
 		nbr := v.Neighbors()
 		lows := nbr[:below(nbr, v.ID())]
 		msgs := v.Messages()
 		searchCost := int64(bits.Len64(uint64(len(nbr))) + 1)
 		v.Charge(searchCost*int64(len(msgs)), searchCost*int64(len(msgs)), 0)
+		p := getMarks(v.NumVertices())
+		mark := *p
+		for _, u := range lows {
+			mark[u>>6] |= 1 << (uint64(u) & 63)
+		}
 		var found int64
 		for _, m := range msgs {
-			if i := below(lows, m); i < len(lows) && lows[i] == m {
+			if mark[m>>6]>>(uint64(m)&63)&1 != 0 {
 				v.Send(m, 1)
 				found++
 			}
 		}
+		for _, u := range lows {
+			mark[u>>6] = 0
+		}
+		markPool.Put(p)
 		if found > 0 {
 			v.Aggregate("triangles", found, core.Sum)
 		}
@@ -72,6 +87,20 @@ func (TCProgram) Compute(v *core.VertexContext) {
 		// Superstep 3: triangle notifications arrive; nothing to compute.
 	}
 	v.VoteToHalt()
+}
+
+// markPool holds superstep 2's bitmaps. A bitmap in the pool is all zero:
+// Compute clears the words it set before putting one back.
+var markPool sync.Pool
+
+// getMarks returns a zero bitmap of at least n bits.
+func getMarks(n int64) *[]uint64 {
+	words := int((n + 63) >> 6)
+	if p, ok := markPool.Get().(*[]uint64); ok && len(*p) >= words {
+		return p
+	}
+	mark := make([]uint64, words)
+	return &mark
 }
 
 // below returns the number of elements of the ascending list s of vertex
@@ -129,6 +158,11 @@ func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCRes
 	if err != nil {
 		return nil, err
 	}
+	return newTCResult(res), nil
+}
+
+// newTCResult reads a TCProgram run's outcome.
+func newTCResult(res *core.Result) *TCResult {
 	out := &TCResult{
 		Count:           res.Aggregates["triangles"],
 		MessagesPerStep: res.MessagesPerStep,
@@ -140,93 +174,85 @@ func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCRes
 	for _, m := range res.MessagesPerStep {
 		out.TotalMessages += m
 	}
-	return out, nil
+	return out
 }
 
 // StreamingTriangles computes exactly what Triangles computes — triangle
 // count, per-superstep message counts, and the work profile under the same
 // cost schedule — without materializing the wedge messages. Wedges are
-// generated and consumed per middle vertex. This is the substitution that
-// stands in for the paper's 1 TiB of XMT memory (DESIGN.md): behaviour and
-// charged cost are identical, only peak host memory differs, which tests
-// verify against the engine path on small graphs.
+// generated and consumed per receiving vertex, as TCProgram's superstep 2
+// tests them. This is the substitution that stands in for the paper's 1 TiB
+// of XMT memory (DESIGN.md): behaviour and charged cost are identical, only
+// peak host memory differs, which tests verify against the engine path.
+// The graph must be undirected: on a directed graph the two count different
+// directed patterns.
 func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) *TCResult {
 	if !g.SortedAdjacency() {
 		panic("bspalg: StreamingTriangles requires sorted adjacency")
 	}
 	costs := core.DefaultCosts()
 	n := g.NumVertices()
-
-	// Per-vertex counts of neighbors below/above the vertex ID.
-	lt := make([]int64, n)
-	gt := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		nbr := g.Neighbors(v)
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v })
-		lt[v] = int64(i)
-		gt[v] = int64(len(nbr) - i)
-	}
+	words := (n + 63) >> 6
+	// mark holds the neighbors below the receiver under test; origin the
+	// vertices a closed wedge reports back to in superstep 3.
+	bitmaps := make([]uint64, 2*words)
+	mark, origin := bitmaps[:words], bitmaps[words:]
 
 	out := &TCResult{}
+	var s0, scan0, s1, active1, scan1, s2, active2, searchOps int64
+	var nbuf, ubuf []int64
+	for r := int64(0); r < n; r++ {
+		nbr := g.DecodeNeighbors(r, nbuf)
+		nbuf = nbr
+		deg := int64(len(nbr))
+		lows := nbr[:below(nbr, r)]
+		lt, gt := int64(len(lows)), deg-int64(below(nbr, r+1))
 
-	// Superstep 0: v sends to each neighbor > v.
-	var s0 int64
-	var scan0 int64
-	for v := int64(0); v < n; v++ {
-		s0 += gt[v]
-		scan0 += g.Degree(v)
-	}
-
-	// Superstep 1: each incoming m < v is retransmitted to each n > v.
-	// Active vertices are those that received superstep-0 messages.
-	var s1, active1, scan1 int64
-	for v := int64(0); v < n; v++ {
-		if lt[v] == 0 {
-			continue
+		// Superstep 0: r sends to each neighbor above it. Superstep 1: r
+		// received from each neighbor below it, and retransmits each
+		// message to each neighbor above.
+		s0 += gt
+		scan0 += deg
+		if lt > 0 {
+			active1++
+			s1 += lt * gt
+			scan1 += lt * deg
 		}
-		active1++
-		s1 += lt[v] * gt[v]
-		scan1 += lt[v] * g.Degree(v)
+
+		// Superstep 2: r receives the wedges (m, u, r), m < u < r, from
+		// each u below it, one per neighbor m of u below u; the wedge
+		// closes when m is below r too.
+		for _, u := range lows {
+			mark[u>>6] |= 1 << (uint64(u) & 63)
+		}
+		var wedges int64
+		for _, u := range lows {
+			un := g.DecodeNeighbors(u, ubuf)
+			ubuf = un
+			ulows := un[:below(un, u)]
+			wedges += int64(len(ulows))
+			for _, m := range ulows {
+				closed := mark[m>>6] >> (uint64(m) & 63) & 1
+				s2 += int64(closed)
+				origin[m>>6] |= closed << (uint64(m) & 63)
+			}
+		}
+		for _, u := range lows {
+			mark[u>>6] = 0
+		}
+		if wedges > 0 {
+			active2++
+			searchOps += wedges * int64(bits.Len64(uint64(deg))+1)
+		}
 	}
 	out.CandidateMessages = s1
-
-	// Superstep 2: wedges (m, v, n) with m < v < n arrive at n; a triangle
-	// closes when m is adjacent to n. Generate wedges per middle vertex
-	// and test membership immediately instead of buffering.
-	var s2, active2, searchOps int64
-	seen := make([]bool, n)   // which n received anything (for active count)
-	origin := make([]bool, n) // which m had a wedge close (receives in step 3)
-	for v := int64(0); v < n; v++ {
-		nbr := g.Neighbors(v)
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] > v })
-		lows, highs := nbr[:i], nbr[i:]
-		if len(lows) == 0 || len(highs) == 0 {
-			continue
-		}
-		for _, nn := range highs {
-			if !seen[nn] {
-				seen[nn] = true
-				active2++
-			}
-			cost := int64(bits.Len64(uint64(g.Degree(nn))) + 1)
-			for _, m := range lows {
-				searchOps += cost
-				if g.HasEdge(nn, m) {
-					s2++
-					origin[m] = true
-				}
-			}
-		}
-	}
 	out.Count = s2
 
 	// Superstep 3: triangle notifications delivered; receivers run and
 	// halt.
 	var active3 int64
-	for _, b := range origin {
-		if b {
-			active3++
-		}
+	for _, w := range origin {
+		active3 += int64(bits.OnesCount64(w))
 	}
 
 	// Charge superstep phases with the engine's exact structure, stopping
