@@ -108,7 +108,7 @@ func (s *runScratch) shares(t *traffic, C int) []int {
 			}
 		})
 		bw[nrec] = 0
-		par.ParallelExclusivePrefixSum(bw)
+		par.ExclusivePrefixSum(bw)
 		b = par.WeightedBoundaries(b, nrec, C, func(i int) int64 { return bw[i] })
 	}
 	s.shareBnds = b

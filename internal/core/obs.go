@@ -102,20 +102,20 @@ func startObs(cfg *Config, g *graph.Graph) *obsRun {
 }
 
 // phase emits the span [t0, now) under name, carrying the per-worker busy
-// time and chunk-granularity stats folded since the previous phase
-// boundary, and returns now. DrainChunks must run before Drain — Drain
-// resets both.
+// time, chunk-granularity stats and regions folded since the previous phase
+// boundary, and returns now.
 func (o *obsRun) phase(name string, step int, t0 time.Time) time.Time {
-	chunks, maxChunk := o.timer.DrainChunks()
+	s := o.timer.Drain(o.busy)
 	o.now = time.Now()
 	o.sink.Span(obs.Span{
 		Name:       name,
 		Step:       step,
 		Start:      t0.Sub(o.start),
 		Dur:        o.now.Sub(t0),
-		WorkerBusy: o.timer.Drain(o.busy),
-		Chunks:     chunks,
-		MaxChunk:   maxChunk,
+		WorkerBusy: s.Busy,
+		Chunks:     s.Chunks,
+		MaxChunk:   s.MaxChunk,
+		Regions:    s.Regions,
 	})
 	return o.now
 }

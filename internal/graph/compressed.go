@@ -308,7 +308,7 @@ func Compress(g *Graph) (*Graph, error) {
 			coff[v] = sz
 		}
 	})
-	total := par.ParallelExclusivePrefixSum(coff[:n])
+	total := par.ExclusivePrefixSum(coff[:n])
 	coff[n] = total
 	blob := make([]byte, total)
 	par.ForChunked(int(n), func(lo, hi int) {

@@ -54,6 +54,7 @@ type SpanEvent struct {
 	BusyUs     []float64 `json:"worker_busy_us,omitempty"`
 	Chunks     int64     `json:"chunks,omitempty"`
 	MaxChunkUs float64   `json:"max_chunk_us,omitempty"`
+	Regions    int64     `json:"regions,omitempty"`
 }
 
 // NewSpanEvent encodes s; the event owns its busy times, so it may outlive
@@ -66,7 +67,7 @@ func NewSpanEvent(s Span) SpanEvent {
 			busy[i] = us(b)
 		}
 	}
-	return SpanEvent{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk)}
+	return SpanEvent{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk), s.Regions}
 }
 
 // StepEvent is a StepStats as the JSONL stream writes it, the "step" event.

@@ -73,6 +73,10 @@ type Span struct {
 	// mean chunk time — is what the engine's degree-weighted sweep
 	// partition drives toward 1 on skewed graphs.
 	MaxChunk time.Duration
+	// Regions is the number of parallel regions (fork/joins) the span's
+	// loops forked; a loop that ran inline — one worker, or at most one
+	// chunk — is not one. Zero when no worker timing was collected.
+	Regions int64
 }
 
 // StepStats are one superstep's counters, emitted once per superstep after

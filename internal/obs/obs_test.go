@@ -27,9 +27,9 @@ func feedSynthetic(sink obs.Sink) {
 	busy := []time.Duration{3 * time.Millisecond, 2 * time.Millisecond}
 	for step := 0; step < 2; step++ {
 		at := time.Duration(step) * 10 * time.Millisecond
-		sink.Span(obs.Span{Name: "compute", Step: step, Start: at, Dur: 4 * time.Millisecond, WorkerBusy: busy})
+		sink.Span(obs.Span{Name: "compute", Step: step, Start: at, Dur: 4 * time.Millisecond, WorkerBusy: busy, Regions: 2})
 		sink.Span(obs.Span{Name: "terminate", Step: step, Start: at + 4*time.Millisecond, Dur: time.Millisecond, WorkerBusy: busy})
-		sink.Span(obs.Span{Name: "deliver", Step: step, Start: at + 5*time.Millisecond, Dur: 3 * time.Millisecond, WorkerBusy: busy})
+		sink.Span(obs.Span{Name: "deliver", Step: step, Start: at + 5*time.Millisecond, Dur: 3 * time.Millisecond, WorkerBusy: busy, Regions: int64(step)})
 		sink.Step(obs.StepStats{Step: step, Active: 50, Sent: 200, Delivered: 180, Received: 180, ScratchBytes: 1 << 16})
 	}
 	sink.Mem(obs.MemSample{Step: 1, At: 19 * time.Millisecond, HeapAlloc: 1 << 20, HeapSys: 1 << 22, NumGC: 3})
@@ -49,6 +49,7 @@ func TestReportRender(t *testing.T) {
 		"step", "active", "sent", "delivered", "scratch",
 		"compute", "terminate", "deliver",
 		"phases:",
+		"regions/step:  compute 2.00  terminate 0.00  deliver 0.50\n",
 		"worker busy/wall:",
 		"mem: heap",
 	} {
@@ -200,10 +201,12 @@ func TestJSONLStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
+	var regions int64
 	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
 	for sc.Scan() {
 		var ev struct {
-			Ev string `json:"ev"`
+			Ev      string `json:"ev"`
+			Regions int64  `json:"regions"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
@@ -212,6 +215,13 @@ func TestJSONLStream(t *testing.T) {
 			t.Fatalf("line %q: missing ev discriminator", sc.Text())
 		}
 		counts[ev.Ev]++
+		regions += ev.Regions
+		if ev.Regions == 0 && bytes.Contains(sc.Bytes(), []byte(`"regions"`)) {
+			t.Errorf("line %q: zero regions not omitted", sc.Text())
+		}
+	}
+	if regions != 5 {
+		t.Errorf("span regions sum to %d, want 5", regions)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ type RecorderObserver struct {
 	runStart  time.Time
 	timer     *par.WorkerTimer
 	prevTimer *par.WorkerTimer
-	workers   int
+	busy      []time.Duration // backs every span's WorkerBusy
 
 	open     bool
 	curName  string
@@ -62,8 +62,9 @@ func (o *RecorderObserver) PhaseStarted(name string, index int) {
 	if !o.started {
 		o.started = true
 		o.runStart = now
-		o.workers = par.Workers()
-		o.timer = par.NewWorkerTimer(o.workers)
+		workers := par.Workers()
+		o.timer = par.NewWorkerTimer(workers)
+		o.busy = make([]time.Duration, workers)
 		o.prevTimer = par.SetTimer(o.timer)
 		label := name
 		if i := strings.IndexByte(name, '/'); i >= 0 {
@@ -71,7 +72,7 @@ func (o *RecorderObserver) PhaseStarted(name string, index int) {
 		}
 		o.sink.RunStart(RunInfo{
 			Label:    label,
-			Workers:  o.workers,
+			Workers:  workers,
 			Vertices: o.vertices,
 			Edges:    o.edges,
 		})
@@ -84,14 +85,16 @@ func (o *RecorderObserver) flushSpan(now time.Time) {
 	if !o.open {
 		return
 	}
-	busy := make([]time.Duration, o.workers)
-	o.timer.Drain(busy)
+	s := o.timer.Drain(o.busy)
 	o.sink.Span(Span{
 		Name:       o.curName,
 		Step:       o.curIndex,
 		Start:      o.curT0.Sub(o.runStart),
 		Dur:        now.Sub(o.curT0),
-		WorkerBusy: busy,
+		WorkerBusy: s.Busy,
+		Chunks:     s.Chunks,
+		MaxChunk:   s.MaxChunk,
+		Regions:    s.Regions,
 	})
 	o.open = false
 }

@@ -68,13 +68,15 @@ type reportRun struct {
 
 // phaseStat is one phase name's run totals, the chunk-granularity
 // imbalance stats among them (folded from the spans' Chunks / MaxChunk /
-// WorkerBusy fields).
+// WorkerBusy fields), and the regions its spans forked.
 type phaseStat struct {
 	name     string
 	total    time.Duration
 	chunks   int64
 	busy     time.Duration
 	maxChunk time.Duration
+	spans    int64
+	regions  int64
 }
 
 type stepRow struct {
@@ -197,6 +199,8 @@ func (r *Report) Span(s Span) {
 	pi := run.phase(s.Name)
 	ph := &run.phases[pi]
 	ph.total += s.Dur
+	ph.spans++
+	ph.regions += s.Regions
 	for len(run.busyTotals) < len(s.WorkerBusy) {
 		run.busyTotals = append(run.busyTotals, 0)
 	}
@@ -362,6 +366,13 @@ func (r *reportRun) render(w io.Writer) error {
 		fmt.Fprintf(w, "chunk imbalance (max/mean):%s\n", imb)
 	}
 
+	// Parallel regions (fork/joins) per span of each phase — one span per
+	// superstep — the barriers the host paid. Absent when nothing forked:
+	// one worker, or every loop small enough to run inline.
+	if line := r.regionsLine(); line != "" {
+		fmt.Fprintf(w, "regions/step:%s\n", line)
+	}
+
 	// Superstep latency percentiles, estimated through the same log2
 	// histograms the live /metrics endpoint exposes: superstep wall (the
 	// engine phases; the checkpoint span is I/O, not superstep work) and
@@ -487,6 +498,20 @@ func (r *reportRun) imbalanceLine() string {
 		}
 		out += fmt.Sprintf("  %s %s (%d chunks, max %s)",
 			ph.name, fmtImbalance(ph.chunks, ph.busy, ph.maxChunk), ph.chunks, fmtDur(ph.maxChunk))
+	}
+	return out
+}
+
+// regionsLine renders each phase's regions per span in phase order, or ""
+// when no span forked a region.
+func (r *reportRun) regionsLine() string {
+	out, forked := "", false
+	for _, ph := range r.phases {
+		out += fmt.Sprintf("  %s %.2f", ph.name, float64(ph.regions)/float64(ph.spans))
+		forked = forked || ph.regions > 0
+	}
+	if !forked {
+		return ""
 	}
 	return out
 }

@@ -7,6 +7,14 @@
 //
 // The primitives mirror the loop-level parallelism GraphCT relies on on the
 // XMT: flat parallel-for over index ranges, reductions, and prefix sums.
+//
+// Every parallel loop in the package is one call of a single fork/join, run:
+// it hands a fixed number of tasks to at most Workers() workers, the calling
+// goroutine among them, and returns when all are done. A region is one call
+// of run that actually forks — more than one worker and more than one task;
+// a call that runs inline (one worker, or at most one task) is not one.
+// Regions are what a barrier costs the host, so an installed WorkerTimer
+// counts them alongside the busy time it folds.
 package par
 
 import (
@@ -43,12 +51,14 @@ const grainSize = 2048
 // host worker spent inside loop bodies, folded chunk by chunk. It also
 // tracks chunk-granularity statistics (chunk count and the single longest
 // chunk) so observers can report load imbalance — max over mean per-chunk
-// busy time — per phase. It exists for the observability layer (package
-// obs) — installing a timer changes only what is measured, never what is
-// computed, so the determinism invariant is untouched. Slots are
-// cache-line padded so concurrent workers don't false-share.
+// busy time — per phase, and counts the regions forked. It exists for the
+// observability layer (package obs) — installing a timer changes only what
+// is measured, never what is computed, so the determinism invariant is
+// untouched. Slots are cache-line padded so concurrent workers don't
+// false-share.
 type WorkerTimer struct {
-	slots []timerSlot
+	slots   []timerSlot
+	regions atomic.Int64
 }
 
 type timerSlot struct {
@@ -83,51 +93,47 @@ func (t *WorkerTimer) Add(w int, d time.Duration) {
 	}
 }
 
-// Drain moves the accumulated busy times into busy (one entry per worker,
-// truncated to len(busy)) and resets the timer, returning busy. Callers
-// drain at phase boundaries to get per-phase utilization. A slot nothing
-// was added to since the last drain — every slot, in most phases of a
-// near-empty superstep — costs two loads, not three locked writes.
-func (t *WorkerTimer) Drain(busy []time.Duration) []time.Duration {
+// Sample is what a WorkerTimer folded between two drains.
+type Sample struct {
+	// Busy is each worker's busy time: the buffer passed to Drain.
+	Busy []time.Duration
+	// Chunks is the number of chunks timed, across all workers.
+	Chunks int64
+	// MaxChunk is the single longest chunk.
+	MaxChunk time.Duration
+	// Regions is the number of regions forked.
+	Regions int64
+}
+
+// Drain moves everything accumulated since the last drain into a Sample
+// and resets the timer. Busy times go into busy (one entry per worker,
+// truncated to len(busy)), which the Sample returns. Callers drain at phase
+// boundaries to get per-phase figures. A slot nothing was added to since
+// the last drain — every slot, in most phases of a near-empty superstep —
+// costs one load, not three locked writes.
+func (t *WorkerTimer) Drain(busy []time.Duration) Sample {
+	s := Sample{Busy: busy}
+	if t.regions.Load() != 0 {
+		s.Regions = t.regions.Swap(0)
+	}
 	for w := range t.slots {
-		s := &t.slots[w]
+		sl := &t.slots[w]
 		var ns int64
-		if atomic.LoadInt64(&s.ns) != 0 || atomic.LoadInt64(&s.chunks) != 0 {
-			ns = atomic.SwapInt64(&s.ns, 0)
-			atomic.StoreInt64(&s.chunks, 0)
-			atomic.StoreInt64(&s.maxNs, 0)
+		if atomic.LoadInt64(&sl.chunks) != 0 { // Add counts a chunk with every duration
+			ns = atomic.SwapInt64(&sl.ns, 0)
+			s.Chunks += atomic.SwapInt64(&sl.chunks, 0)
+			s.MaxChunk = max(s.MaxChunk, time.Duration(atomic.SwapInt64(&sl.maxNs, 0)))
 		}
 		if w < len(busy) {
 			busy[w] = time.Duration(ns)
 		}
 	}
-	return busy
+	return s
 }
-
-// DrainChunks reads and resets the chunk-granularity statistics: the total
-// number of chunks timed since the last drain and the single longest chunk
-// across all workers. Callers that want both per-worker busy time and
-// chunk stats must call DrainChunks before Drain (Drain resets both).
-func (t *WorkerTimer) DrainChunks() (chunks int64, maxChunk time.Duration) {
-	for w := range t.slots {
-		s := &t.slots[w]
-		if atomic.LoadInt64(&s.chunks) == 0 {
-			continue // Add counts a chunk whenever it sets a maximum
-		}
-		chunks += atomic.SwapInt64(&s.chunks, 0)
-		if ns := atomic.SwapInt64(&s.maxNs, 0); time.Duration(ns) > maxChunk {
-			maxChunk = time.Duration(ns)
-		}
-	}
-	return chunks, maxChunk
-}
-
-// Workers returns the worker count the timer was sized for.
-func (t *WorkerTimer) Workers() int { return len(t.slots) }
 
 // curTimer is the installed timer; nil (the default) means "don't
 // measure", and the only hot-path cost is one atomic pointer load per
-// parallel region plus a nil check per chunk.
+// parallel loop plus a nil check per chunk.
 var curTimer atomic.Pointer[WorkerTimer]
 
 // SetTimer installs t as the process's busy-time collector (nil uninstalls)
@@ -138,117 +144,87 @@ func SetTimer(t *WorkerTimer) *WorkerTimer {
 	return curTimer.Swap(t)
 }
 
-// For runs body(i) for every i in [0, n), potentially in parallel.
-// Iterations must be independent.
-func For(n int, body func(i int)) {
-	ForChunked(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+// run is the package's one fork/join: it calls body(i) for every task i in
+// [0, tasks) and returns when all have returned. With one worker or at most
+// one task it runs them inline, and an installed timer folds the whole call
+// into worker 0 as one chunk. Otherwise it starts min(workers, tasks)-1
+// goroutines, the caller joining in as worker 0, and the workers claim
+// tasks in index order from one counter — dynamic scheduling, which handles
+// the skewed work of scale-free graphs (one task may hold a vertex with a
+// million-edge adjacency list) — each task timed as one chunk.
+func run(tasks int, body func(i int)) {
+	timer := curTimer.Load()
+	workers := min(maxProcs, tasks)
+	if workers <= 1 {
+		var start time.Time
+		if timer != nil {
+			start = time.Now()
+		}
+		for i := 0; i < tasks; i++ {
 			body(i)
 		}
-	})
+		if timer != nil {
+			timer.Add(0, time.Since(start))
+		}
+		return
+	}
+	if timer != nil {
+		timer.regions.Add(1)
+	}
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= tasks {
+				return
+			}
+			if timer == nil {
+				body(i)
+				continue
+			}
+			start := time.Now()
+			body(i)
+			timer.Add(w, time.Since(start))
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }
 
 // ForChunked partitions [0, n) into contiguous chunks and runs body(lo, hi)
-// for each chunk, potentially in parallel. It is the preferred form for hot
-// loops: the per-iteration closure call of For is hoisted out.
+// for each chunk, potentially in parallel. It is the form for hot loops of
+// tiny iterations: with one worker, or at most grainSize iterations, the
+// whole range is one chunk; otherwise chunks are a grainSize or more, about
+// eight per worker.
 func ForChunked(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := maxProcs
-	if workers <= 1 || n <= grainSize {
-		if t := curTimer.Load(); t != nil {
-			start := time.Now()
-			body(0, n)
-			t.Add(0, time.Since(start))
-			return
-		}
-		body(0, n)
-		return
+	chunk := n
+	if maxProcs > 1 && n > grainSize {
+		chunk = max(n/(maxProcs*8), grainSize)
 	}
-	// Dynamic scheduling over fixed-size chunks handles the skewed work
-	// distributions of scale-free graphs (one chunk may contain a vertex
-	// with a million-edge adjacency list).
-	chunk := n / (workers * 8)
-	if chunk < grainSize {
-		chunk = grainSize
-	}
-	t := curTimer.Load()
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				if t != nil {
-					start := time.Now()
-					body(lo, hi)
-					t.Add(w, time.Since(start))
-				} else {
-					body(lo, hi)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	run((n+chunk-1)/chunk, func(c int) {
+		lo := c * chunk
+		body(lo, min(lo+chunk, n))
+	})
 }
 
 // ForCoarse runs body(i) for every i in [0, n), potentially in parallel,
-// with one task per iteration. Unlike For, which assumes per-iteration work
-// is tiny and batches iterations by grainSize, ForCoarse is for
-// coarse-grained bodies (whole chunks, per-chunk merges) where even a
+// with one task per iteration. Unlike ForChunked, which assumes
+// per-iteration work is tiny and batches iterations by grainSize, ForCoarse
+// is for coarse-grained bodies (whole chunks, per-chunk merges) where even a
 // handful of iterations are worth distributing across workers.
 func ForCoarse(n int, body func(i int)) {
-	workers := maxProcs
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if t := curTimer.Load(); t != nil {
-			start := time.Now()
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-			t.Add(0, time.Since(start))
-			return
-		}
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	t := curTimer.Load()
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				if t != nil {
-					start := time.Now()
-					body(i)
-					t.Add(w, time.Since(start))
-				} else {
-					body(i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	run(n, body)
 }
 
 // ForFixedChunks partitions [0, n) into chunks of exactly chunkSize (the
@@ -269,11 +245,7 @@ func ForFixedChunks(n, chunkSize int, body func(c, lo, hi int)) {
 	numChunks := (n + chunkSize - 1) / chunkSize
 	ForCoarse(numChunks, func(c int) {
 		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		body(c, lo, hi)
+		body(c, lo, min(lo+chunkSize, n))
 	})
 }
 
@@ -335,46 +307,6 @@ func WeightedBoundaries(dst []int, n, maxChunks int, prefix func(i int) int64) [
 	return append(dst, n)
 }
 
-// ReduceInt64 computes the sum of body(i) over i in [0, n) in parallel.
-func ReduceInt64(n int, body func(i int) int64) int64 {
-	var total int64
-	ForChunked(n, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			local += body(i)
-		}
-		atomic.AddInt64(&total, local)
-	})
-	return total
-}
-
-// ReduceFloat64 computes the sum of body(i) over i in [0, n).
-//
-// Note: with more than one worker the association order of the floating
-// point sum depends on chunk boundaries, which are deterministic for a given
-// worker count, so results are reproducible per configuration.
-func ReduceFloat64(n int, body func(i int) float64) float64 {
-	if maxProcs <= 1 || n <= grainSize {
-		var total float64
-		for i := 0; i < n; i++ {
-			total += body(i)
-		}
-		return total
-	}
-	var mu sync.Mutex
-	var total float64
-	ForChunked(n, func(lo, hi int) {
-		var local float64
-		for i := lo; i < hi; i++ {
-			local += body(i)
-		}
-		mu.Lock()
-		total += local
-		mu.Unlock()
-	})
-	return total
-}
-
 // MaxInt64 returns the maximum of body(i) over i in [0, n), or def when
 // n == 0.
 func MaxInt64(n int, def int64, body func(i int) int64) int64 {
@@ -401,50 +333,48 @@ func MaxInt64(n int, def int64, body func(i int) int64) int64 {
 	return best
 }
 
-// CountIf returns the number of i in [0, n) for which pred(i) holds.
-func CountIf(n int, pred func(i int) bool) int64 {
-	return ReduceInt64(n, func(i int) int64 {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
-}
-
 // ExclusivePrefixSum replaces counts with its exclusive prefix sum in place
 // and returns the total. counts[i] afterwards holds the sum of the original
 // counts[0:i]. This is the standard CSR row-offset construction step.
+//
+// With more than one worker and at least 4·grainSize counts it is the
+// classic two-pass chunked scan, two regions over about four chunks per
+// worker: per-chunk totals, a serial scan of those, then per-chunk local
+// scans offset by the chunk's base. Integer sums do not depend on how they
+// are split, so the result is the serial scan's.
 func ExclusivePrefixSum(counts []int64) int64 {
-	var sum int64
-	for i, c := range counts {
-		counts[i] = sum
-		sum += c
+	n, workers := len(counts), maxProcs
+	if workers <= 1 || n < 4*grainSize {
+		var sum int64
+		for i, c := range counts {
+			counts[i] = sum
+			sum += c
+		}
+		return sum
 	}
-	return sum
-}
-
-// ExclusivePrefixSum32 is ExclusivePrefixSum for int32 counts with an int64
-// total (the total may exceed 2^31 even when individual offsets fit).
-func ExclusivePrefixSum32(counts []int32) int64 {
-	var sum int64
-	for i, c := range counts {
-		counts[i] = int32(sum)
-		sum += int64(c)
-	}
-	return sum
+	chunkSize := (n + 4*workers - 1) / (4 * workers)
+	sums := make([]int64, (n+chunkSize-1)/chunkSize)
+	ForFixedChunks(n, chunkSize, func(c, lo, hi int) {
+		var s int64
+		for _, v := range counts[lo:hi] {
+			s += v
+		}
+		sums[c] = s
+	})
+	total := ExclusivePrefixSum(sums)
+	ForFixedChunks(n, chunkSize, func(c, lo, hi int) {
+		run := sums[c]
+		for i := lo; i < hi; i++ {
+			v := counts[i]
+			counts[i] = run
+			run += v
+		}
+	})
+	return total
 }
 
 // FillInt64 sets every element of s to v, in parallel for large slices.
 func FillInt64(s []int64, v int64) {
-	ForChunked(len(s), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s[i] = v
-		}
-	})
-}
-
-// FillInt32 sets every element of s to v, in parallel for large slices.
-func FillInt32(s []int32, v int32) {
 	ForChunked(len(s), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s[i] = v
@@ -459,72 +389,6 @@ func Iota(s []int64) {
 			s[i] = int64(i)
 		}
 	})
-}
-
-// ParallelExclusivePrefixSum computes the exclusive prefix sum of counts in
-// place using the classic two-pass chunked scan (per-chunk sums, serial
-// scan of chunk totals, parallel local scans). Semantically identical to
-// ExclusivePrefixSum; preferable for very large arrays on multi-core
-// hosts. Returns the total.
-func ParallelExclusivePrefixSum(counts []int64) int64 {
-	n := len(counts)
-	workers := maxProcs
-	if workers <= 1 || n < 4*grainSize {
-		return ExclusivePrefixSum(counts)
-	}
-	chunks := workers * 4
-	chunkSize := (n + chunks - 1) / chunks
-	sums := make([]int64, chunks)
-
-	// Pass 1: per-chunk totals.
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := c * chunkSize
-		if lo >= n {
-			break
-		}
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += counts[i]
-			}
-			sums[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-
-	// Serial scan of chunk totals.
-	total := ExclusivePrefixSum(sums)
-
-	// Pass 2: local exclusive scans offset by the chunk base.
-	for c := 0; c < chunks; c++ {
-		lo := c * chunkSize
-		if lo >= n {
-			break
-		}
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			run := sums[c]
-			for i := lo; i < hi; i++ {
-				v := counts[i]
-				counts[i] = run
-				run += v
-			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	return total
 }
 
 const radixSortMin = 32
@@ -573,66 +437,4 @@ func RadixSortInt64(a, scratch []int64, maxVal int64) {
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
-}
-
-// ParallelExclusivePrefixSum32 is ParallelExclusivePrefixSum for int32
-// counts with an int64 total. The caller must ensure every prefix fits in
-// int32 (the BSP engine's message counts do: supersteps are capped well
-// below 2^31 messages).
-func ParallelExclusivePrefixSum32(counts []int32) int64 {
-	n := len(counts)
-	workers := maxProcs
-	if workers <= 1 || n < 4*grainSize {
-		return ExclusivePrefixSum32(counts)
-	}
-	chunks := workers * 4
-	chunkSize := (n + chunks - 1) / chunks
-	sums := make([]int64, chunks)
-
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := c * chunkSize
-		if lo >= n {
-			break
-		}
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += int64(counts[i])
-			}
-			sums[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-
-	total := ExclusivePrefixSum(sums)
-
-	for c := 0; c < chunks; c++ {
-		lo := c * chunkSize
-		if lo >= n {
-			break
-		}
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			run := sums[c]
-			for i := lo; i < hi; i++ {
-				v := int64(counts[i])
-				counts[i] = int32(run)
-				run += v
-			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	return total
 }

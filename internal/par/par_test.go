@@ -1,23 +1,13 @@
 package par
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, grainSize, grainSize + 1, 3*grainSize + 5} {
-		visited := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&visited[i], 1) })
-		for i, v := range visited {
-			if v != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, v)
-			}
-		}
-	}
-}
 
 func TestForChunkedCoversAllIndicesParallel(t *testing.T) {
 	defer SetWorkers(SetWorkers(4))
@@ -35,43 +25,250 @@ func TestForChunkedCoversAllIndicesParallel(t *testing.T) {
 	}
 }
 
+// TestEntryPointsCoverOnce: at three workers, every entry point visits each
+// index exactly once with 0, 1, 2 and more tasks than workers, and forks one
+// region exactly when it has at least two tasks.
+func TestEntryPointsCoverOnce(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	wt := NewWorkerTimer(3)
+	defer SetTimer(SetTimer(wt))
+	span := func(hit func(i int)) func(lo, hi int) {
+		return func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hit(i)
+			}
+		}
+	}
+	for _, e := range []struct {
+		name string
+		size int // indices per task
+		run  func(n int, hit func(i int))
+	}{
+		{"ForChunked", grainSize, func(n int, hit func(int)) { ForChunked(n, span(hit)) }},
+		{"ForCoarse", 1, ForCoarse},
+		{"ForFixedChunks", 100, func(n int, hit func(int)) {
+			ForFixedChunks(n, 100, func(_, lo, hi int) { span(hit)(lo, hi) })
+		}},
+		{"ForBoundaryChunks", 10, func(n int, hit func(int)) {
+			b := []int{0}
+			for hi := 10; hi <= n; hi += 10 {
+				b = append(b, hi)
+			}
+			ForBoundaryChunks(b, func(_, lo, hi int) { span(hit)(lo, hi) })
+		}},
+		{"MaxInt64", grainSize, func(n int, hit func(int)) {
+			MaxInt64(n, 0, func(i int) int64 { hit(i); return 0 })
+		}},
+		{"FillInt64", grainSize, func(n int, hit func(int)) {
+			s := make([]int64, n)
+			FillInt64(s, 1)
+			for i, v := range s {
+				for ; v > 0; v-- {
+					hit(i)
+				}
+			}
+		}},
+		{"Iota", grainSize, func(n int, hit func(int)) {
+			s := make([]int64, n)
+			Iota(s)
+			for i, v := range s {
+				if v == int64(i) {
+					hit(i)
+				}
+			}
+		}},
+	} {
+		for _, tasks := range []int{0, 1, 2, 5} {
+			n := tasks * e.size
+			hits := make([]int32, n)
+			e.run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s, %d tasks: index %d hit %d times", e.name, tasks, i, h)
+				}
+			}
+			want := int64(0)
+			if tasks >= 2 {
+				want = 1
+			}
+			if got := wt.Drain(nil).Regions; got != want {
+				t.Errorf("%s, %d tasks: %d regions, want %d", e.name, tasks, got, want)
+			}
+		}
+	}
+}
+
+// TestForCoversAllIndices: the index loops visit every index of [0, n)
+// exactly once for lengths around the grainSize chunk edges, at one worker
+// and at four.
+func TestForCoversAllIndices(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			defer SetWorkers(SetWorkers(w))
+			for _, n := range []int{0, 1, 7, grainSize, grainSize + 1, 3*grainSize + 5} {
+				chunked, coarse := make([]int32, n), make([]int32, n)
+				ForChunked(n, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&chunked[i], 1)
+					}
+				})
+				ForCoarse(n, func(i int) { atomic.AddInt32(&coarse[i], 1) })
+				for i := range chunked {
+					if chunked[i] != 1 || coarse[i] != 1 {
+						t.Fatalf("n=%d: index %d visited %d times by ForChunked, %d by ForCoarse",
+							n, i, chunked[i], coarse[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForNegativeN: a negative length runs no body, forks nothing, and
+// leaves MaxInt64 at its default.
 func TestForNegativeN(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	wt := NewWorkerTimer(3)
+	defer SetTimer(SetTimer(wt))
 	called := false
-	For(-5, func(i int) { called = true })
+	ForChunked(-5, func(lo, hi int) { called = true })
+	ForCoarse(-5, func(i int) { called = true })
+	ForFixedChunks(-5, 2, func(c, lo, hi int) { called = true })
+	if got := MaxInt64(-5, -7, func(i int) int64 { called = true; return 0 }); got != -7 {
+		t.Fatalf("MaxInt64(-5) = %d, want the default -7", got)
+	}
 	if called {
 		t.Fatal("body called for negative n")
 	}
-}
-
-func TestReduceInt64(t *testing.T) {
-	n := 4*grainSize + 13
-	got := ReduceInt64(n, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("ReduceInt64 = %d, want %d", got, want)
+	if r := wt.Drain(nil).Regions; r != 0 {
+		t.Fatalf("negative n forked %d regions", r)
 	}
 }
 
+// TestReduceInt64MatchesSequential: MaxInt64, the package's int64
+// reduction, folds its per-chunk partials into the sequential answer at one
+// worker and at three, for lengths on both sides of the chunk grain.
 func TestReduceInt64MatchesSequential(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw)
-		var seq int64
-		for i := 0; i < n; i++ {
-			seq += int64(i) ^ seed
+	for _, w := range []int{1, 3} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			defer SetWorkers(SetWorkers(w))
+			f := func(seed int64, nRaw uint16) bool {
+				n := int(nRaw)
+				body := func(i int) int64 { return (int64(i) ^ seed) * -7046029254386353131 }
+				seq := int64(-1)
+				for i := 0; i < n; i++ {
+					if v := body(i); i == 0 || v > seq {
+						seq = v
+					}
+				}
+				return MaxInt64(n, -1, body) == seq
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestParallelExclusivePrefixSumMatchesSerial: the scan equals a plain
+// serial scan at any worker count, on lengths either side of the 4·grainSize
+// switch to the two-pass scan, which forks exactly two regions.
+func TestParallelExclusivePrefixSumMatchesSerial(t *testing.T) {
+	wt := NewWorkerTimer(8)
+	defer SetTimer(SetTimer(wt))
+	for _, w := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			defer SetWorkers(SetWorkers(w))
+			for _, n := range []int{0, 1, 100, 4*grainSize - 1, 4 * grainSize, 4*grainSize + 17, 10*grainSize + 3} {
+				got := make([]int64, n)
+				want := make([]int64, n)
+				var wantTotal int64
+				for i := range got {
+					got[i] = int64(i%13) - 3
+					want[i] = wantTotal
+					wantTotal += got[i]
+				}
+				if total := ExclusivePrefixSum(got); total != wantTotal {
+					t.Fatalf("n=%d: total %d, want %d", n, total, wantTotal)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d: prefix differs from the serial scan", n)
+				}
+				wantRegions := int64(0)
+				if w > 1 && n >= 4*grainSize {
+					wantRegions = 2
+				}
+				if r := wt.Drain(nil).Regions; r != wantRegions {
+					t.Fatalf("n=%d: %d regions, want %d", n, r, wantRegions)
+				}
+			}
+		})
+	}
+}
+
+// TestParallelExclusivePrefixSumProperty is the property test across the
+// switch to the two-pass scan: at three workers, random counts whose
+// length falls within 128 of 4·grainSize on either side scan to their
+// running sums.
+func TestParallelExclusivePrefixSumProperty(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	f := func(seed uint64, extra uint8) bool {
+		counts := make([]int64, 4*grainSize-128+int(extra))
+		orig := make([]int64, len(counts))
+		for i := range counts {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			counts[i] = int64(seed>>48) - 1<<15
+			orig[i] = counts[i]
 		}
-		parv := ReduceInt64(n, func(i int) int64 { return int64(i) ^ seed })
-		return seq == parv
+		total := ExclusivePrefixSum(counts)
+		var sum int64
+		for i := range counts {
+			if counts[i] != sum {
+				return false
+			}
+			sum += orig[i]
+		}
+		return total == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestReduceFloat64(t *testing.T) {
-	n := 2 * grainSize
-	got := ReduceFloat64(n, func(i int) float64 { return 0.5 })
-	if got != float64(n)/2 {
-		t.Fatalf("ReduceFloat64 = %v, want %v", got, float64(n)/2)
+// BenchmarkRegion is the cost of one fork/join: an empty two-task region,
+// and a 4·grainSize FillInt64, the smallest fill that forks. Run it with
+// -cpu 1,2; at one worker neither forks.
+func BenchmarkRegion(b *testing.B) {
+	// -cpu sets GOMAXPROCS for each leaf benchmark, not for this parent.
+	b.Run("empty2", func(b *testing.B) {
+		defer SetWorkers(SetWorkers(runtime.GOMAXPROCS(0)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ForCoarse(2, func(int) {})
+		}
+	})
+	b.Run("fill", func(b *testing.B) {
+		defer SetWorkers(SetWorkers(runtime.GOMAXPROCS(0)))
+		s := make([]int64, 4*grainSize)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(s)) * 8)
+		for i := 0; i < b.N; i++ {
+			FillInt64(s, int64(i))
+		}
+	})
+}
+
+func BenchmarkExclusivePrefixSum(b *testing.B) {
+	defer SetWorkers(SetWorkers(runtime.GOMAXPROCS(0)))
+	data := make([]int64, 1<<22)
+	for i := range data {
+		data[i] = int64(i % 7)
+	}
+	scratch := make([]int64, len(data))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, data)
+		ExclusivePrefixSum(scratch)
 	}
 }
 
@@ -88,15 +285,6 @@ func TestMaxInt64(t *testing.T) {
 	}
 	if got := MaxInt64(0, -7, func(i int) int64 { return 0 }); got != -7 {
 		t.Fatalf("MaxInt64 empty = %d, want -7", got)
-	}
-}
-
-func TestCountIf(t *testing.T) {
-	n := 2*grainSize + 100
-	got := CountIf(n, func(i int) bool { return i%3 == 0 })
-	want := int64((n + 2) / 3)
-	if got != want {
-		t.Fatalf("CountIf = %d, want %d", got, want)
 	}
 }
 
@@ -150,16 +338,6 @@ func TestExclusivePrefixSumProperty(t *testing.T) {
 	}
 }
 
-func TestExclusivePrefixSum32(t *testing.T) {
-	counts := []int32{1, 2, 3}
-	if total := ExclusivePrefixSum32(counts); total != 6 {
-		t.Fatalf("total = %d, want 6", total)
-	}
-	if counts[0] != 0 || counts[1] != 1 || counts[2] != 3 {
-		t.Fatalf("prefix = %v", counts)
-	}
-}
-
 func TestFillAndIota(t *testing.T) {
 	s := make([]int64, 3*grainSize)
 	FillInt64(s, 42)
@@ -172,13 +350,6 @@ func TestFillAndIota(t *testing.T) {
 	for i, v := range s {
 		if v != int64(i) {
 			t.Fatalf("s[%d] = %d after iota", i, v)
-		}
-	}
-	s32 := make([]int32, grainSize*2)
-	FillInt32(s32, -1)
-	for i, v := range s32 {
-		if v != -1 {
-			t.Fatalf("s32[%d] = %d after fill", i, v)
 		}
 	}
 }
@@ -213,65 +384,6 @@ func BenchmarkForChunkedSum(b *testing.B) {
 			}
 			atomic.AddInt64(&total, local)
 		})
-	}
-}
-
-func TestParallelExclusivePrefixSumMatchesSerial(t *testing.T) {
-	defer SetWorkers(SetWorkers(4))
-	for _, n := range []int{0, 1, 100, 4 * grainSize, 4*grainSize + 17, 10 * grainSize} {
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i := range a {
-			a[i] = int64(i%13) - 3
-			b[i] = a[i]
-		}
-		ta := ExclusivePrefixSum(a)
-		tb := ParallelExclusivePrefixSum(b)
-		if ta != tb {
-			t.Fatalf("n=%d: totals %d vs %d", n, ta, tb)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: prefix[%d] %d vs %d", n, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestParallelExclusivePrefixSumProperty(t *testing.T) {
-	defer SetWorkers(SetWorkers(3))
-	f := func(raw []uint16) bool {
-		counts := make([]int64, len(raw))
-		orig := make([]int64, len(raw))
-		for i, v := range raw {
-			counts[i] = int64(v)
-			orig[i] = int64(v)
-		}
-		total := ParallelExclusivePrefixSum(counts)
-		var sum int64
-		for i := range counts {
-			if counts[i] != sum {
-				return false
-			}
-			sum += orig[i]
-		}
-		return total == sum
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkParallelPrefixSum(b *testing.B) {
-	data := make([]int64, 1<<22)
-	for i := range data {
-		data[i] = int64(i % 7)
-	}
-	scratch := make([]int64, len(data))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, data)
-		ParallelExclusivePrefixSum(scratch)
 	}
 }
 
@@ -323,27 +435,6 @@ func TestForFixedChunksBoundaries(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-func TestParallelExclusivePrefixSum32MatchesSerial(t *testing.T) {
-	defer SetWorkers(SetWorkers(7))
-	n := 5*grainSize + 123
-	a := make([]int32, n)
-	b := make([]int32, n)
-	for i := range a {
-		a[i] = int32(i % 11)
-		b[i] = a[i]
-	}
-	totA := ExclusivePrefixSum32(a)
-	totB := ParallelExclusivePrefixSum32(b)
-	if totA != totB {
-		t.Fatalf("totals differ: %d vs %d", totA, totB)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, b[i], a[i])
-		}
 	}
 }
 

@@ -8,16 +8,13 @@ import (
 
 func TestWorkerTimerAddDrain(t *testing.T) {
 	wt := NewWorkerTimer(4)
-	if wt.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", wt.Workers())
-	}
 	wt.Add(0, 5*time.Millisecond)
 	wt.Add(0, 3*time.Millisecond)
 	wt.Add(3, time.Second)
 	wt.Add(-1, time.Hour) // out of range: dropped, not a panic
 	wt.Add(4, time.Hour)
 
-	busy := wt.Drain(make([]time.Duration, 4))
+	busy := wt.Drain(make([]time.Duration, 4)).Busy
 	want := []time.Duration{8 * time.Millisecond, 0, 0, time.Second}
 	for i := range want {
 		if busy[i] != want[i] {
@@ -25,7 +22,7 @@ func TestWorkerTimerAddDrain(t *testing.T) {
 		}
 	}
 	// Drain resets the accumulators.
-	busy = wt.Drain(busy)
+	busy = wt.Drain(busy).Busy
 	for i, b := range busy {
 		if b != 0 {
 			t.Fatalf("after drain, busy[%d] = %v, want 0", i, b)
@@ -47,7 +44,7 @@ func TestWorkerTimerConcurrentAdds(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	busy := wt.Drain(make([]time.Duration, workers))
+	busy := wt.Drain(make([]time.Duration, workers)).Busy
 	for w, b := range busy {
 		if b != adds*time.Microsecond {
 			t.Fatalf("worker %d busy = %v, want %v", w, b, adds*time.Microsecond)
@@ -78,7 +75,7 @@ func TestSetTimerCapturesLoopBusy(t *testing.T) {
 	if want := int64(n) * (n - 1) / 2; total != want {
 		t.Fatalf("timed loop altered results: sum = %d, want %d", total, want)
 	}
-	busy := wt.Drain(make([]time.Duration, wt.Workers()))
+	busy := wt.Drain(make([]time.Duration, Workers())).Busy
 	var sum time.Duration
 	for w, b := range busy {
 		if b < 0 {
@@ -96,7 +93,7 @@ func TestSetTimerNilUninstalls(t *testing.T) {
 	prev := SetTimer(wt)
 	SetTimer(prev)
 	ForChunked(1<<12, func(lo, hi int) {})
-	busy := wt.Drain(make([]time.Duration, wt.Workers()))
+	busy := wt.Drain(make([]time.Duration, Workers())).Busy
 	for w, b := range busy {
 		if b != 0 {
 			t.Fatalf("worker %d accumulated %v after uninstall", w, b)
@@ -119,7 +116,7 @@ func TestForCoarseTimed(t *testing.T) {
 			t.Fatalf("index %d visited %d times", i, h)
 		}
 	}
-	busy := wt.Drain(make([]time.Duration, wt.Workers()))
+	busy := wt.Drain(make([]time.Duration, Workers())).Busy
 	var sum time.Duration
 	for _, b := range busy {
 		sum += b
@@ -141,37 +138,40 @@ func TestDrainChunksTracksMax(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	})
-	chunks, maxChunk := wt.DrainChunks()
-	if chunks < 1 {
-		t.Fatalf("chunks = %d, want >= 1", chunks)
+	s := wt.Drain(make([]time.Duration, Workers()))
+	if s.Chunks < 1 {
+		t.Fatalf("chunks = %d, want >= 1", s.Chunks)
 	}
-	if maxChunk < 2*time.Millisecond {
-		t.Fatalf("maxChunk = %v, want >= 2ms", maxChunk)
+	if s.MaxChunk < 2*time.Millisecond {
+		t.Fatalf("maxChunk = %v, want >= 2ms", s.MaxChunk)
 	}
-	busy := wt.Drain(make([]time.Duration, wt.Workers()))
 	var sum time.Duration
-	for _, b := range busy {
+	for _, b := range s.Busy {
 		sum += b
 	}
-	if maxChunk > sum {
-		t.Fatalf("maxChunk %v exceeds total busy %v", maxChunk, sum)
-	}
-
-	// Both drains reset their stats.
-	if c, m := wt.DrainChunks(); c != 0 || m != 0 {
-		t.Fatalf("second DrainChunks = (%d, %v), want zeros", c, m)
+	if s.MaxChunk > sum {
+		t.Fatalf("maxChunk %v exceeds total busy %v", s.MaxChunk, sum)
 	}
 }
 
 func TestDrainResetsChunkStats(t *testing.T) {
-	wt := NewWorkerTimer(Workers())
+	defer SetWorkers(SetWorkers(2))
+	wt := NewWorkerTimer(2)
 	prev := SetTimer(wt)
 	defer SetTimer(prev)
 
 	ForChunked(1<<16, func(lo, hi int) { time.Sleep(time.Microsecond) })
-	wt.Drain(make([]time.Duration, wt.Workers()))
-	// Drain resets chunk stats too (the documented DrainChunks-first rule).
-	if c, m := wt.DrainChunks(); c != 0 || m != 0 {
-		t.Fatalf("DrainChunks after Drain = (%d, %v), want zeros", c, m)
+	if s := wt.Drain(nil); s.Chunks == 0 || s.Regions != 1 {
+		t.Fatalf("first Drain = %+v, want chunks and one region", s)
+	}
+	// Drain resets everything it reports.
+	s := wt.Drain(make([]time.Duration, 2))
+	if s.Chunks != 0 || s.MaxChunk != 0 || s.Regions != 0 {
+		t.Fatalf("second Drain = %+v, want zeros", s)
+	}
+	for w, b := range s.Busy {
+		if b != 0 {
+			t.Fatalf("second Drain: worker %d busy %v", w, b)
+		}
 	}
 }
