@@ -429,7 +429,8 @@ func main() {
 		fmt.Printf("[bsp tc] triangles=%d candidates=%d total-messages=%d supersteps=%d\n",
 			res.Count, res.CandidateMessages, res.TotalMessages, res.Supersteps)
 	case "tc-streaming":
-		res := bspalg.StreamingTriangles(g, rec)
+		res, err := bspalg.StreamingTriangles(g, rec)
+		exitOn(err)
 		fmt.Printf("[bsp tc-streaming] triangles=%d candidates=%d total-messages=%d supersteps=%d\n",
 			res.Count, res.CandidateMessages, res.TotalMessages, res.Supersteps)
 	case "mis":

@@ -17,12 +17,14 @@ import (
 	"testing"
 
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
 )
 
 // bin is the bspgraph binary TestMain builds; graphFile a small RMAT graph
-// on which CC runs enough supersteps to be killed at boundary 1.
-var bin, graphFile string
+// on which CC runs enough supersteps to be killed at boundary 1, and
+// directedFile its edge list built directed.
+var bin, graphFile, directedFile string
 
 func TestMain(m *testing.M) {
 	os.Exit(func() int {
@@ -41,6 +43,10 @@ func TestMain(m *testing.M) {
 		if err == nil {
 			graphFile = filepath.Join(dir, "g.gxmt")
 			err = graphio.WriteBinaryFile(graphFile, g)
+		}
+		if err == nil {
+			directedFile = filepath.Join(dir, "directed.gxmt")
+			err = graphio.WriteBinaryFile(directedFile, graph.MustBuild(g.NumVertices(), g.EdgeList(), graph.BuildOptions{Directed: true}))
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -99,6 +105,8 @@ func TestExitStatus(t *testing.T) {
 		{"usage/retired -chunking flag", []string{"-g", graphFile, "-chunking", "degree"}, 2, `flag provided but not defined: -chunking`},
 		{"fatal/missing graph file", []string{"-g", filepath.Join(ckDir, "absent.gxmt")}, 1, `absent\.gxmt`},
 		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`},
+		{"fatal/tc on a directed graph", []string{"-g", directedFile, "-alg", "tc"}, 1, `Triangles counts the triangles of an undirected graph`},
+		{"fatal/tc-streaming on a directed graph", []string{"-g", directedFile, "-alg", "tc-streaming"}, 1, `StreamingTriangles counts the triangles of an undirected graph`},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,
 			`resume with -resume \S+ckpt-000000001\.gxckpt`},
 	}

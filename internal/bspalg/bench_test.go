@@ -59,7 +59,9 @@ func BenchmarkBSPTrianglesStreaming(b *testing.B) {
 	g := benchRMAT(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		StreamingTriangles(g, nil)
+		if _, err := StreamingTriangles(g, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

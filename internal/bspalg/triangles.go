@@ -139,12 +139,27 @@ type TCResult struct {
 	Supersteps int
 }
 
+// DirectedGraphError is what Triangles and StreamingTriangles return for a
+// directed graph. Algorithm 3 counts the triangles of an undirected graph;
+// on directed adjacency the engine and the streaming evaluator would each
+// count some other directed pattern, and not the same one.
+type DirectedGraphError struct {
+	Algorithm string // "Triangles" or "StreamingTriangles"
+}
+
+func (e *DirectedGraphError) Error() string {
+	return "bspalg: " + e.Algorithm + " counts the triangles of an undirected graph; this one is directed"
+}
+
 // Triangles runs Algorithm 3 through the generic engine, materializing
 // every wedge message. Use StreamingTriangles for graphs whose wedge count
-// exceeds memory.
+// exceeds memory. A directed graph is a *DirectedGraphError.
 func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCResult, error) {
 	if !g.SortedAdjacency() {
 		panic("bspalg: Triangles requires sorted adjacency")
+	}
+	if g.Directed() {
+		return nil, &DirectedGraphError{Algorithm: "Triangles"}
 	}
 	cfg := core.Config{
 		Graph:    g,
@@ -184,11 +199,13 @@ func newTCResult(res *core.Result) *TCResult {
 // tests them. This is the substitution that stands in for the paper's 1 TiB
 // of XMT memory (DESIGN.md): behaviour and charged cost are identical, only
 // peak host memory differs, which tests verify against the engine path.
-// The graph must be undirected: on a directed graph the two count different
-// directed patterns.
-func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) *TCResult {
+// A directed graph is a *DirectedGraphError, as it is for Triangles.
+func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) (*TCResult, error) {
 	if !g.SortedAdjacency() {
 		panic("bspalg: StreamingTriangles requires sorted adjacency")
+	}
+	if g.Directed() {
+		return nil, &DirectedGraphError{Algorithm: "StreamingTriangles"}
 	}
 	costs := core.DefaultCosts()
 	n := g.NumVertices()
@@ -275,7 +292,7 @@ func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) *TCResult {
 			break
 		}
 	}
-	return out
+	return out, nil
 }
 
 // chargeSuperstep records one synthetic BSP superstep phase with the same

@@ -85,11 +85,12 @@ type Fingerprint struct {
 	// Sparse is Config.SparseActivation.
 	Sparse bool
 	// Schedule names the sweep partition the run's chunk boundaries come
-	// from: "degree" (a full scan, cut at the graph's degree-weighted
-	// ranges) or "ranges" (a sparse sweep, cut at their restriction to the
-	// candidates; "fixed" and a sparse "degree" name partitions older
-	// engines used). Aggregator fold trees follow chunk boundaries, so a run
-	// may only resume under the partition it started with.
+	// from: "degree64" (a full scan, cut at the graph's degree-weighted
+	// ranges rounded down to multiples of 64) or "ranges64" (a sparse sweep,
+	// cut at their restriction to the candidates; "fixed", "degree" and
+	// "ranges" name partitions older engines used). Aggregator fold trees
+	// follow chunk boundaries, so a run may only resume under the partition
+	// it started with.
 	Schedule string
 	// MaxSupersteps / MaxMessages are the resolved engine bounds.
 	MaxSupersteps int64
@@ -160,6 +161,17 @@ type Aggregate struct {
 	Seeded bool
 }
 
+// Bitmap is a per-vertex flag set as the engine keeps it: vertex v is bit
+// v&63 of Words[v>>6], N is the vertex count, and the bits past N are zero.
+// On disk it is N bytes of 0 or 1, so the file layout is the []bool's.
+type Bitmap struct {
+	N     int64
+	Words []uint64
+}
+
+// Has reports vertex v's flag.
+func (b Bitmap) Has(v int64) bool { return b.Words[v>>6]>>(v&63)&1 != 0 }
+
 // Snapshot is the complete engine state at one superstep boundary: the
 // boundary after superstep Step completed, before Step+1 begins. Messages
 // are the ones sent during Step (they are delivered to inboxes when the
@@ -172,7 +184,7 @@ type Snapshot struct {
 	Live int64
 	// States and Halted are per-vertex (length FP.Vertices).
 	States []int64
-	Halted []bool
+	Halted Bitmap
 	// MsgDest/MsgVal are the in-flight message queue (sent in Step,
 	// consumed by Step+1), parallel slices in send order.
 	MsgDest []int64
@@ -194,10 +206,10 @@ type Snapshot struct {
 	// Directions is the per-superstep push/pull decision sequence: one
 	// entry per completed superstep (length Step+1), values 1 (push) or 2
 	// (pull) — core.DirectionMode. Visited is the direction heuristic's
-	// visited-vertex bitmap (length FP.Vertices). Both are present together
+	// visited-vertex bitmap (FP.Vertices bits). Both are present together
 	// when the run's direction layer was active, and both empty otherwise.
 	Directions []int64
-	Visited    []bool
+	Visited    Bitmap
 	// RetriesPerStep is the per-superstep retry count: one entry per
 	// completed superstep (length Step+1) when the run's retry supervisor
 	// was active, empty otherwise.

@@ -50,14 +50,13 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 		},
 		Step:   step,
 		States: make([]int64, n),
-		Halted: make([]bool, n),
+		Halted: ckpt.Bitmap{N: n, Words: make([]uint64, (n+63)/64)},
 	}
 	for i := range s.States {
 		s.States[i] = rng.Int63() - rng.Int63()
-		s.Halted[i] = rng.Intn(3) == 0
-	}
-	for _, h := range s.Halted {
-		if !h {
+		if rng.Intn(3) == 0 {
+			s.Halted.Words[i/64] |= 1 << (i % 64)
+		} else {
 			s.Live++
 		}
 	}
@@ -96,9 +95,11 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 		for i := int64(0); i <= step; i++ {
 			s.Directions = append(s.Directions, int64(1+rng.Intn(2)))
 		}
-		s.Visited = make([]bool, n)
-		for i := range s.Visited {
-			s.Visited[i] = rng.Intn(2) == 0
+		s.Visited = ckpt.Bitmap{N: n, Words: make([]uint64, (n+63)/64)}
+		for i := int64(0); i < n; i++ {
+			if rng.Intn(2) == 0 {
+				s.Visited.Words[i/64] |= 1 << (i % 64)
+			}
 		}
 	}
 	if rng.Intn(2) == 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -95,7 +96,7 @@ type codec interface {
 	boolean(*bool)
 	str(*string)
 	int64s(*[]int64)
-	bools(*[]bool)
+	bitmap(*Bitmap)
 	// length visits the element count of a list of records that each occupy
 	// at least minBytes and returns how many the walk should visit: have
 	// when writing, the stored count — checked against the bytes left —
@@ -128,7 +129,7 @@ func (s *Snapshot) walk(c codec) {
 	c.i64(&s.Step)
 	c.i64(&s.Live)
 	c.int64s(&s.States)
-	c.bools(&s.Halted)
+	c.bitmap(&s.Halted)
 	c.int64s(&s.MsgDest)
 	c.int64s(&s.MsgVal)
 	c.int64s(&s.BcastSrc)
@@ -138,7 +139,7 @@ func (s *Snapshot) walk(c codec) {
 	c.int64s(&s.MessagesPerStep)
 	c.int64s(&s.DeliveredPerStep)
 	c.int64s(&s.Directions)
-	c.bools(&s.Visited)
+	c.bitmap(&s.Visited)
 	c.int64s(&s.RetriesPerStep)
 	// Program-defined length — no structural cross-check is possible beyond
 	// the slice-length sanity the decoder already applies; a mismatched
@@ -199,7 +200,7 @@ func (z *sizer) index(*int)             { *z += 8 }
 func (z *sizer) boolean(*bool)          { *z++ }
 func (z *sizer) str(s *string)          { *z += sizer(4 + len(*s)) }
 func (z *sizer) int64s(s *[]int64)      { *z += sizer(8 + 8*len(*s)) }
-func (z *sizer) bools(s *[]bool)        { *z += sizer(8 + len(*s)) }
+func (z *sizer) bitmap(b *Bitmap)       { *z += sizer(8 + b.N) }
 func (z *sizer) length(have, _ int) int { *z += 8; return have }
 func (z *sizer) fail(string, ...any)    {}
 
@@ -231,10 +232,11 @@ func (e *encoder) int64s(s *[]int64) {
 	}
 }
 
-func (e *encoder) bools(s *[]bool) {
-	e.length(len(*s), 1)
-	for i := range *s {
-		e.boolean(&(*s)[i])
+// bitmap writes one byte per vertex, as the []bool it replaced did.
+func (e *encoder) bitmap(b *Bitmap) {
+	e.length(int(b.N), 1)
+	for v := int64(0); v < b.N; v++ {
+		e.buf = append(e.buf, byte(b.Words[v>>6]>>(v&63)&1))
 	}
 }
 
@@ -338,11 +340,14 @@ func (d *decoder) int64s(s *[]int64) {
 	}
 }
 
-func (d *decoder) bools(s *[]bool) {
+func (d *decoder) bitmap(b *Bitmap) {
 	if n := d.length(0, 1); n > 0 {
-		*s = make([]bool, n)
-		for i := range *s {
-			d.boolean(&(*s)[i])
+		*b = Bitmap{N: int64(n), Words: make([]uint64, (n+63)/64)}
+		for v := 0; v < n; v++ {
+			var set bool
+			if d.boolean(&set); set {
+				b.Words[v>>6] |= 1 << (v & 63)
+			}
 		}
 	}
 }
@@ -371,8 +376,8 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("%d trailing bytes after payload", len(d.data)-d.pos)}
 	}
 	// Structural cross-checks: catch damage that survives within a field.
-	if int64(len(s.States)) != s.FP.Vertices || int64(len(s.Halted)) != s.FP.Vertices {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("state arrays sized %d/%d, fingerprint says %d vertices", len(s.States), len(s.Halted), s.FP.Vertices)}
+	if int64(len(s.States)) != s.FP.Vertices || s.Halted.N != s.FP.Vertices {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("state arrays sized %d/%d, fingerprint says %d vertices", len(s.States), s.Halted.N, s.FP.Vertices)}
 	}
 	if len(s.MsgDest) != len(s.MsgVal) {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("message queue slices differ in length (%d dests, %d values)", len(s.MsgDest), len(s.MsgVal))}
@@ -415,15 +420,15 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 	// Direction-layer arrays are present together or not at all; when
 	// present, the decision sequence covers every completed superstep with
 	// push/pull values and the visited bitmap is per-vertex.
-	if (len(s.Directions) == 0) != (len(s.Visited) == 0) {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction arrays mismatched (%d decisions, %d visited)", len(s.Directions), len(s.Visited))}
+	if (len(s.Directions) == 0) != (s.Visited.N == 0) {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction arrays mismatched (%d decisions, %d visited)", len(s.Directions), s.Visited.N)}
 	}
 	if len(s.Directions) > 0 {
 		if int64(len(s.Directions)) != want {
 			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction sequence sized %d, want %d (step %d)", len(s.Directions), want, s.Step)}
 		}
-		if int64(len(s.Visited)) != s.FP.Vertices {
-			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("visited bitmap sized %d, fingerprint says %d vertices", len(s.Visited), s.FP.Vertices)}
+		if s.Visited.N != s.FP.Vertices {
+			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("visited bitmap sized %d, fingerprint says %d vertices", s.Visited.N, s.FP.Vertices)}
 		}
 		for i, v := range s.Directions {
 			if v != 1 && v != 2 {
@@ -431,11 +436,9 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 			}
 		}
 	}
-	var live int64
-	for _, h := range s.Halted {
-		if !h {
-			live++
-		}
+	live := s.FP.Vertices
+	for _, w := range s.Halted.Words {
+		live -= int64(bits.OnesCount64(w))
 	}
 	if live != s.Live {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("halted set has %d live vertices, header says %d", live, s.Live)}

@@ -84,7 +84,7 @@ func (benchFloodMin) Compute(v *core.VertexContext) {
 	v.VoteToHalt()
 }
 
-func benchRun(b *testing.B, cfg core.Config) {
+func benchRun(b *testing.B, cfg core.Config) (res *core.Result) {
 	b.Helper()
 	b.ReportAllocs()
 	// The caller built the input graph before this point (a sync.Once RMAT
@@ -92,10 +92,12 @@ func benchRun(b *testing.B, cfg core.Config) {
 	// would bill that construction to its first iteration.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(cfg); err != nil {
+		var err error
+		if res, err = core.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return res
 }
 
 func BenchmarkEngineDenseFlood(b *testing.B) {
@@ -347,13 +349,17 @@ func BenchmarkEngineSparseRelay(b *testing.B) {
 // BFS wave crossing a 256x256 grid in 511 supersteps, each scanning all
 // 65,536 vertices to run at most 256 of them and deliver ~500 messages.
 // What it measures is the scan's cost per idle vertex and the boundary's
-// fixed cost, nothing else.
+// fixed cost, nothing else; ns/scanned-vertex is the whole run's time over
+// vertices times supersteps.
 func BenchmarkEngineGridBFSFullScan(b *testing.B) {
-	benchRun(b, core.Config{
-		Graph:         gen.Grid(256, 256),
+	g := gen.Grid(256, 256)
+	res := benchRun(b, core.Config{
+		Graph:         g,
 		Program:       bspalg.BFSProgram{Source: 0},
 		MaxSupersteps: -1,
 	})
+	scanned := int64(b.N) * g.NumVertices() * int64(res.Supersteps)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/scanned-vertex")
 }
 
 // Observability-attached variants of the engine benchmarks. Compare against

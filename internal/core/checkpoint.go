@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 
 	"graphxmt/internal/ckpt"
@@ -140,11 +141,11 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		label = cfg.Checkpoint.Label
 	}
 	// The sweep partition (sweepBoundaries), which aggregator fold trees
-	// follow: the degree-weighted ranges for a full scan, their restriction
-	// to the candidates for a sparse sweep.
-	schedule := "degree"
+	// follow: the degree-weighted ranges cut at multiples of 64 for a full
+	// scan, their restriction to the candidates for a sparse sweep.
+	schedule := "degree64"
 	if cfg.SparseActivation {
-		schedule = "ranges"
+		schedule = "ranges64"
 	}
 	return ckpt.Fingerprint{
 		GraphCRC:      graphCRC(g),
@@ -258,14 +259,14 @@ func sortAggs(aggs []ckpt.Aggregate) {
 // such reference is clipped to its length: the engine appends past it (in
 // place or after a move, never through it), and neither a snapshot's
 // holder nor a rollback can reach the entries that come later.
-func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
+func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
 	ck.phases = rec.AppendStates(ck.phases)
 	s := &ckpt.Snapshot{
 		FP:               ck.fp,
 		Step:             int64(step),
 		Live:             live,
 		States:           slices.Clone(master.states),
-		Halted:           slices.Clone(halted),
+		Halted:           ckpt.Bitmap{N: int64(len(res.States)), Words: slices.Clone(halted)},
 		MsgDest:          make([]int64, 0, t.sends.sealed),
 		MsgVal:           make([]int64, 0, t.sends.sealed),
 		ActivePerStep:    slices.Clip(res.ActivePerStep),
@@ -302,7 +303,7 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, t *t
 			ck.dirs = append(ck.dirs, int64(d))
 		}
 		s.Directions = slices.Clip(ck.dirs)
-		s.Visited = slices.Clone(ds.visited)
+		s.Visited = ckpt.Bitmap{N: s.Halted.N, Words: slices.Clone(ds.visited)}
 	}
 	// Per-superstep retry counts: present exactly when the retry supervisor
 	// is active, so a resumed run's Result.RetriesPerStep matches an
@@ -333,7 +334,7 @@ func (ck *ckptRun) publish(s *ckpt.Snapshot) {
 // says so, and surface interruption as *InterruptedError. A checkpoint
 // write failure aborts the run; previously written checkpoints are intact
 // (writes are temp-file + rename).
-func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []bool, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) error {
+func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) error {
 	stopped := false
 	if ck.stop != nil {
 		select {
@@ -452,9 +453,9 @@ func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
 // halted set, counters, aggregators, and the trace profile. The message
 // queue and worklist are rebuilt by Run (they live in engine-local
 // buffers).
-func restore(s *ckpt.Snapshot, res *Result, halted []bool, master *engineState, ds *dirState, rec *trace.Recorder) (live int64) {
+func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState, ds *dirState, rec *trace.Recorder) (live int64) {
 	copy(res.States, s.States)
-	copy(halted, s.Halted)
+	copy(halted, s.Halted.Words)
 	res.Supersteps = int(s.Step) + 1
 	res.ActivePerStep = append(res.ActivePerStep[:0], s.ActivePerStep...)
 	res.MessagesPerStep = append(res.MessagesPerStep[:0], s.MessagesPerStep...)
@@ -466,11 +467,11 @@ func restore(s *ckpt.Snapshot, res *Result, halted []bool, master *engineState, 
 		}
 		// Rebuild the visited bitmap and its incident-edge sum from the
 		// snapshot.
-		copy(ds.visited, s.Visited)
+		copy(ds.visited, s.Visited.Words)
 		ds.visitedEdges = 0
-		for v, seen := range ds.visited {
-			if seen {
-				ds.visitedEdges += master.graph.Degree(int64(v))
+		for i, w := range ds.visited {
+			for ; w != 0; w &= w - 1 {
+				ds.visitedEdges += master.graph.Degree(int64(i<<6 | bits.TrailingZeros64(w)))
 			}
 		}
 	}

@@ -274,8 +274,8 @@ func TestProfileCharging(t *testing.T) {
 
 func TestDeliverNoCombiner(t *testing.T) {
 	buf := []Message{{Dest: 2, Value: 5}, {Dest: 0, Value: 1}, {Dest: 2, Value: 7}}
-	ib := &inbox{off: make([]int64, 4)}
-	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 3), ib, false, 0, DirAuto)
+	ib := newInbox(3, nil)
+	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 3), ib, nil, DirAuto)
 	off, val := ib.off, ib.val
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)
@@ -294,8 +294,8 @@ func TestDeliverNoCombiner(t *testing.T) {
 
 func TestDeliverWithCombiner(t *testing.T) {
 	buf := []Message{{Dest: 1, Value: 5}, {Dest: 1, Value: 3}, {Dest: 1, Value: 9}}
-	ib := &inbox{off: make([]int64, 3), combine: Min}
-	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 2), ib, false, 0, DirAuto)
+	ib := newInbox(2, Min)
+	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 2), ib, nil, DirAuto)
 	off, val := ib.off, ib.val
 	if delivered != 1 {
 		t.Fatalf("delivered = %d", delivered)

@@ -247,22 +247,20 @@ func choosePath(in pathInputs) (p path, why string) {
 // inbox is what delivery builds and the next compute sweep reads, in
 // whichever representation the last boundary chose: the CSR — off is n+1
 // offsets into val — or, when the superstep's traffic was far below n, the
-// stamped lookaside, which touches only the receivers instead of
-// rebuilding O(n) offsets: off[v] == code marks a receiver and span[v]
-// packs its slice of val as lo<<32 | count. code is the complement of the
-// delivering superstep, negative, so no CSR offset left in off from an
-// earlier superstep can be mistaken for it.
+// lookaside, which touches only the receivers instead of rebuilding O(n)
+// offsets: span[v] packs a receiver's slice of val as lo<<32 | count.
+//
+// recv, set by every path, is the one answer to who received: own, or the
+// run's connected-vertex bitmap after a pull whose receivers are every
+// vertex with a neighbor (saturated, or without a combiner under the full
+// scan, where the gather finds out). Each build first retires own's bits.
 //
 // After a pull boundary there are no stored messages at all:
 // chunkState.gather reads the broadcasters' values off the vertex's own
 // neighbor list. Bit w of sent says w broadcast (stamped counts the bits);
 // look[w] is then its value, and otherwise the identity of the run's
 // built-in fold — 0, or MaxInt64 under Min — so a fold needs no test per
-// arc. Who receives is decided per vertex: off carries the receiver stamps
-// of pullReceivers (lookaside is set too), unless the boundary was
-// saturated — every vertex with a neighbor broadcast, so exactly those
-// receive — or the run keeps every message and scans every vertex, where
-// the gather tests the bit per arc.
+// arc.
 //
 // A resume re-derives the inbox by re-delivering; a retry's rollback never
 // touches it (no sweep writes it).
@@ -270,7 +268,7 @@ type inbox struct {
 	off       []int64
 	val       []int64 // Run borrows it from flatPool
 	span      []int64 // allocated by the first lookaside delivery
-	code      int64
+	recv, own []uint64
 	lookaside bool
 
 	pull, saturated bool
@@ -282,22 +280,29 @@ type inbox struct {
 	combine func(a, b int64) int64
 }
 
+// newInbox is an n-vertex run's inbox before any delivery: nobody received.
+func newInbox(n int64, combine func(a, b int64) int64) *inbox {
+	own := make([]uint64, (n+63)/64)
+	return &inbox{off: make([]int64, n+1), recv: own, own: own, fold: resolveFold(combine), combine: combine}
+}
+
 // slice returns vertex v's stored messages.
 func (ib *inbox) slice(v int64) []int64 {
 	if !ib.lookaside {
 		return ib.val[ib.off[v]:ib.off[v+1]]
 	}
-	if ib.off[v] != ib.code {
+	if bit(ib.recv, v) == 0 {
 		return nil
 	}
 	lo := ib.span[v] >> 32
 	return ib.val[lo : lo+ib.span[v]&math.MaxUint32]
 }
 
-// deliver routes one superstep's traffic into ib for the sweep of
-// superstep st+1 and returns the number of delivered (post-combining)
-// messages and the path taken. dir is the superstep's recorded direction
-// decision.
+// deliver routes one superstep's traffic into ib for the next sweep and
+// returns the number of delivered (post-combining) messages and the path
+// taken. prev is the candidates of the sweep that sent it under sparse
+// activation, nil under the full scan (build); dir is the superstep's
+// recorded direction decision.
 //
 // A pull boundary returns what the push would have delivered without
 // building it: with no combiner every logical message arrives, and the sum
@@ -313,7 +318,7 @@ func (ib *inbox) slice(v int64) []int64 {
 // superstep, equality with the per-edge path leans on the commutativity +
 // associativity Config.Combiner documents — the same contract the hub
 // prefolds of combineGroups rely on.
-func (s *runScratch) deliver(t *traffic, ib *inbox, sparse bool, st int64, dir DirectionMode) (int64, path) {
+func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionMode) (int64, path) {
 	n := t.g.NumVertices()
 	in := pathInputs{
 		logical: t.logical, unicast: t.sends.sealed, records: len(t.bcasts),
@@ -321,27 +326,35 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, sparse bool, st int64, dir D
 		dir: dir, workers: par.Workers(),
 	}
 	p, _ := choosePath(in)
-	if p.kind == pathPull && !ib.fillBcastLookaside(t.bcasts, n, st) {
+	if p.kind == pathPull && !ib.fillBcastLookaside(t.bcasts, n) {
 		// A source broadcast twice with no combiner to fold the values: push.
 		in.dir = DirPush
 		p, _ = choosePath(in)
 	}
-	delivered := s.build(p, t, ib, sparse, st)
+	delivered := s.build(p, t, ib, prev)
 	p.saturated = ib.saturated
 	return delivered, p
 }
 
 // build delivers t into ib the way p says (for pathPull the broadcasters
-// are already stamped) and returns the delivered count.
-func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64) int64 {
-	n, combine := t.g.NumVertices(), ib.combine
-	ib.code, ib.lookaside, ib.pull, ib.saturated = ^st, p.kind == pathLookaside, p.kind == pathPull, false
+// are already stamped) and returns the delivered count. It first retires
+// the last delivery's receivers: every word of own under the full scan
+// (prev nil) or when prev has more entries, and under sparse activation
+// the words of prev — the candidates of the sweep just run, which hold
+// every receiver — so a near-empty superstep pays nothing per vertex.
+func (s *runScratch) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
+	n, combine, sparse := t.g.NumVertices(), ib.combine, prev != nil
+	if !sparse || len(prev) > len(ib.own) {
+		clear(ib.own)
+		prev = nil
+	}
+	for _, v := range prev {
+		ib.own[v>>6] = 0
+	}
+	ib.recv, ib.lookaside, ib.pull, ib.saturated = ib.own, p.kind == pathLookaside, p.kind == pathPull, false
 	C := 1
 	switch p.kind {
 	case pathPull:
-		if combine == nil && !sparse {
-			return t.logical // the gather tests the bit per arc; Run checks its total against this
-		}
 		// Every vertex with a neighbor broadcast: on symmetric adjacency all
 		// the neighbors of each are stamped, they are the receivers, and no
 		// receiver pass is needed. That leans on the symmetry deliver
@@ -350,12 +363,15 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64)
 		// gathers behind its stamps falls short of the count reported here:
 		// Run's AsymmetricGraphError.
 		connected := s.pullRanges(t)
+		if combine == nil && !sparse {
+			ib.recv = s.connected
+			return t.logical // the gather tests the bit per arc; Run checks its total against this
+		}
 		saturated := !sparse && ib.stamped == connected
 		if saturated && s.symmetric {
-			ib.saturated = true
+			ib.saturated, ib.recv = true, s.connected
 			return connected
 		}
-		ib.lookaside = true // the sweep and nextWorklist find the receivers stamped in off
 		receivers := s.pullReceivers(t, ib)
 		switch {
 		case combine == nil:
@@ -380,7 +396,7 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, sparse bool, st int64)
 	switch {
 	case combine == nil:
 		ib.val = ensureInt64(ib.val, int(t.logical))
-		s.groupByDest(t, n, C, ib.off, ib.val)
+		s.groupByDest(t, n, C, ib.off, ib.val, ib.recv)
 		return t.logical
 	case C == 1:
 		return s.denseFold(t, ib, n)
@@ -413,25 +429,26 @@ func deliverChunks(n int64) int {
 }
 
 // groupByDest scatters the traffic's values into val grouped by
-// destination, preserving send order within each destination, and fills
-// off (length n+1) with the group boundaries: a stable two-pass counting
-// sort over C shares of the traffic (shares). The output is the unique
+// destination, preserving send order within each destination, fills off
+// (length n+1) with the group boundaries and sets the bit in recv of every
+// destination with a message: a stable two-pass counting sort over C shares
+// of the traffic (shares). The output is the unique
 // stable grouping, independent of the internal split, so the fan-in may
 // track the worker count freely (deliverChunks); the sequential sort is
 // C = 1, which forks nothing.
-func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64) {
+func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64, recv []uint64) {
 	bnds := s.shares(t, C)
 	need := n * int64(len(bnds)-1)
 	if t.logical >= math.MaxInt32 {
 		// Only the sequential sort gets here (choosePath); a superstep that
 		// moves 32 GiB of messages can afford its own cursor row.
-		countingSort(s, t, bnds, make([]int64, need), n, off, val)
+		countingSort(s, t, bnds, make([]int64, need), n, off, val, recv)
 		return
 	}
 	if int64(cap(s.counts)) < need {
 		s.counts = make([]int32, need)
 	}
-	countingSort(s, t, bnds, s.counts[:need], n, off, val)
+	countingSort(s, t, bnds, s.counts[:need], n, off, val, recv)
 }
 
 // countingSort is groupByDest over cursors of width K, one row of n per
@@ -439,7 +456,7 @@ func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64) {
 // so two workers never write the same cache line; destination-major, the
 // counters of one destination (and of a skewed graph's hot low-numbered
 // hubs) shared a line that every increment stole from the other workers.
-func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts []K, n int64, off, val []int64) {
+func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts []K, n int64, off, val []int64, recv []uint64) {
 	R, need := len(bnds)-1, int64(len(counts))
 
 	// Pass 1: per-(share, destination) counts.
@@ -456,7 +473,7 @@ func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts
 	// scan the totals, then turn every column into its start cursors. They
 	// realize the stable order: destination-major, then send (share,
 	// position) order within a destination. One share is one block, whose
-	// cursors start at 0.
+	// cursors start at 0; blocks are whole words of recv (sweepChunkSize).
 	block, blocks := int(n), 1
 	if R > 1 {
 		block = sweepChunkSize(int(n))
@@ -484,6 +501,9 @@ func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts
 			for i := d; i < need; i += n {
 				counts[i], run = run, run+counts[i]
 			}
+			if int64(run) > off[d] {
+				setBit(recv, d)
+			}
 		}
 	})
 	off[n] = t.logical
@@ -500,11 +520,18 @@ func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts
 }
 
 // lookasideScatter stores every message in the lookaside, touching only
-// the receivers: O(traffic) work, no O(n) pass at all.
+// the receivers: O(traffic) work, no O(n) pass at all. The first pass
+// counts each receiver's messages, marking it in recv on first arrival:
+// span[dest] is the negated count.
 func lookasideScatter(t *traffic, ib *inbox) int64 {
-	off, span, code := ib.off, ib.span, ib.code
+	recv, span := ib.recv, ib.span
 	for dest := range t.all() {
-		tally(off, span, code, dest)
+		if bit(recv, dest) == 0 {
+			setBit(recv, dest)
+			span[dest] = -1
+		} else {
+			span[dest]--
+		}
 	}
 	val := ensureInt64(ib.val, int(t.logical))
 	var pos int64
@@ -513,16 +540,6 @@ func lookasideScatter(t *traffic, ib *inbox) int64 {
 	}
 	ib.val = val
 	return t.logical
-}
-
-// tally counts one message for dest in the first pass of a lookaside
-// scatter, stamping dest on first arrival: span[dest] is the negated count.
-func tally(off, span []int64, code, dest int64) {
-	if off[dest] != code {
-		off[dest], span[dest] = code, -1
-	} else {
-		span[dest]--
-	}
 }
 
 // place stores value in dest's slice of val in the second pass. The first
@@ -543,11 +560,12 @@ func place(val, span []int64, pos, dest, value int64) int64 {
 // only the receivers: one slot of val per receiver, appended on first
 // arrival.
 func lookasideFold(t *traffic, ib *inbox) int64 {
-	off, span, code, combine := ib.off, ib.span, ib.code, ib.combine
+	recv, span, combine := ib.recv, ib.span, ib.combine
 	val := ib.val[:0]
 	for dest, value := range t.all() {
-		if off[dest] != code {
-			off[dest], span[dest] = code, int64(len(val))<<32|1
+		if bit(recv, dest) == 0 {
+			setBit(recv, dest)
+			span[dest] = int64(len(val))<<32 | 1
 			val = append(val, value)
 		} else {
 			i := span[dest] >> 32
@@ -560,21 +578,17 @@ func lookasideFold(t *traffic, ib *inbox) int64 {
 
 // denseFold is the sequential combining CSR build: one slot per
 // destination that received anything, left-folded in exact send order —
-// correct for ANY combiner, and for records on directed graphs. has is
-// all-false between deliveries: the compaction sweep re-clears the flags
-// it reads, so no O(n) zeroing is ever needed.
+// correct for ANY combiner, and for records on directed graphs. The first
+// arrival at a destination sets its recv bit, which the compaction reads.
 func (s *runScratch) denseFold(t *traffic, ib *inbox, n int64) int64 {
-	if int64(len(s.has)) < n {
-		s.has = make([]bool, n)
-		s.acc = make([]int64, n)
-	}
-	has, acc, combine := s.has, s.acc, ib.combine
+	s.acc = ensureInt64(s.acc, int(n))
+	recv, acc, combine := ib.recv, s.acc, ib.combine
 	var delivered int64
 	for dest, value := range t.all() {
-		if has[dest] {
+		if bit(recv, dest) != 0 {
 			acc[dest] = combine(acc[dest], value)
 		} else {
-			has[dest] = true
+			setBit(recv, dest)
 			acc[dest] = value
 			delivered++
 		}
@@ -584,10 +598,9 @@ func (s *runScratch) denseFold(t *traffic, ib *inbox, n int64) int64 {
 	var pos int64
 	for v := int64(0); v < n; v++ {
 		off[v] = pos
-		if has[v] {
+		if bit(recv, v) != 0 {
 			val[pos] = acc[v]
 			pos++
-			has[v] = false
 		}
 	}
 	off[n] = pos

@@ -7,11 +7,18 @@ package core_test
 // that host parallelism never leaks into the machine model.
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphxmt/internal/bspalg"
+	"graphxmt/internal/ckpt"
 	"graphxmt/internal/core"
+	"graphxmt/internal/faultinject"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/obs"
@@ -206,6 +213,218 @@ func TestEngineMatchesReference(t *testing.T) {
 				t.Fatalf("cc labels differ across edge (%d,%d): %d vs %d",
 					v, w, cc.Labels[v], cc.Labels[w])
 			}
+		}
+	}
+}
+
+// TestBitmapWordEdges pins the per-vertex bitmaps — halted, visited, the
+// inbox's receivers — where a word boundary falls: BFS from vertex 0 on a
+// path, a star and a grid of n vertices, n either side of a multiple of 64,
+// under the full scan and sparse activation. Each row checks that
+//   - w=3, w=8, a run that retries every superstep once, and runs killed at
+//     a boundary and resumed at another worker count give the w=1 Result
+//     and profile;
+//   - the vertices that run are those a plain BFS says receive, and a sparse
+//     sweep scans no others: a receiver bit the next delivery failed to
+//     retire would run or scan a vertex more;
+//   - at every boundary the checkpointed halted set has exactly live clear
+//     bits below n and, like visited, no bit set past it (on the 4097-vertex
+//     path, whose 4096 boundaries would cost a file sync each, only where
+//     it is killed).
+//
+// A full scan that dropped its [lo, hi) mask would run vertices past n and
+// fail every row whose n is not a multiple of 64.
+func TestBitmapWordEdges(t *testing.T) {
+	shapes := []struct {
+		name string
+		mk   func(n int64) *graph.Graph
+	}{
+		{"path", gen.Path},
+		{"star", gen.Star},
+		{"grid", func(n int64) *graph.Graph {
+			rows := int64(1)
+			for r := int64(2); r*r <= n; r++ {
+				if n%r == 0 {
+					rows = r
+				}
+			}
+			return gen.Grid(rows, n/rows)
+		}},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int64{1, 63, 64, 65, 127, 129, 4097} {
+			g := sh.mk(n)
+			wantActive, firstRun := bfsReceivers(g)
+			for _, sparse := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/n=%d/sparse=%v", sh.name, n, sparse), func(t *testing.T) {
+					cfg := func() core.Config {
+						return core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: sparse, MaxSupersteps: -1}
+					}
+					base, basePh, err := runRec(g, 1, cfg())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(base.ActivePerStep, wantActive) {
+						t.Fatalf("ActivePerStep = %v, a plain BFS says %v", base.ActivePerStep, wantActive)
+					}
+					for _, p := range basePh {
+						if p.Name != "bsp/scan" {
+							continue
+						}
+						want := n
+						if sparse && p.Index > 0 {
+							want = wantActive[p.Index]
+						}
+						if p.Tasks != want {
+							t.Fatalf("superstep %d scans %d vertices, want %d (%d run)", p.Index, p.Tasks, want, wantActive[p.Index])
+						}
+					}
+					same := func(what string, res *core.Result, ph []*trace.Phase, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if !reflect.DeepEqual(base, res) {
+							t.Fatalf("%s: Result differs from w=1's", what)
+						}
+						comparePhases(t, basePh, ph)
+					}
+					for _, w := range []int{3, 8} {
+						res, ph, err := runRec(g, w, cfg())
+						same(fmt.Sprintf("w=%d", w), res, ph, err)
+					}
+
+					// One transient panic in every superstep, at a vertex that runs.
+					plan := &faultinject.Plan{PanicNAt: map[int64]*faultinject.PanicN{}}
+					for s, v := range firstRun {
+						plan.PanicNAt[int64(s)] = faultinject.NewPanicN(v, 1)
+					}
+					c := cfg()
+					c.Program, c.MaxRetries = plan.WrapProgram(c.Program), 1
+					res, ph, err := runRec(g, 3, c)
+					if err == nil {
+						if want := slices.Repeat([]int64{1}, base.Supersteps); !slices.Equal(res.RetriesPerStep, want) {
+							t.Fatalf("RetriesPerStep = %v, want one per superstep", res.RetriesPerStep)
+						}
+						res.RetriesPerStep = nil
+					}
+					same("retry every superstep", res, ph, err)
+
+					if base.Supersteps <= 1<<10 {
+						// Every boundary, checked as the checkpoint writer encodes it.
+						tap := &haltedTap{t: t}
+						c = cfg()
+						c.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), Keep: 1, Hooks: &ckpt.Hooks{WrapWrite: func(_ int64, w io.Writer) io.Writer {
+							tap.writes = 0
+							return io.MultiWriter(w, tap)
+						}}}
+						res, ph, err = runRec(g, 8, c)
+						same("checkpointed", res, ph, err)
+						if tap.boundaries != base.Supersteps-1 {
+							t.Fatalf("checked %d boundaries, the run has %d", tap.boundaries, base.Supersteps-1)
+						}
+					}
+
+					last := int64(base.Supersteps - 2) // the last boundary
+					kills := []int64{0, 1, 63, 64, last / 2, last}
+					slices.Sort(kills)
+					for i, k := range slices.Compact(kills) {
+						if k < 0 || k > last {
+							continue
+						}
+						kw, rw := []int{1, 8, 3}[i%3], []int{8, 3, 1}[i%3]
+						plan := &faultinject.Plan{KillAt: map[int64]bool{k: true}}
+						c := cfg()
+						c.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), EveryN: 1 << 30, Hooks: plan.Hooks()}
+						_, _, err := runRec(g, kw, c)
+						var ie *core.InterruptedError
+						if !errors.As(err, &ie) {
+							t.Fatalf("kill@%d: want InterruptedError, got %v", k, err)
+						}
+						snap, err := ckpt.Load(ie.CheckpointPath)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkBitmaps(t, snap)
+						c = cfg()
+						c.Resume = ie.CheckpointPath
+						res, ph, err := runRec(g, rw, c)
+						same(fmt.Sprintf("kill@%d at w=%d, resumed at w=%d", k, kw, rw), res, ph, err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// bfsReceivers is what BFSProgram from vertex 0 runs, from a plain BFS:
+// every vertex in superstep 0, then in each superstep the neighbors of the
+// level found in the one before, for as long as that level has an edge to
+// send along. first is the lowest vertex that runs in each superstep.
+func bfsReceivers(g *graph.Graph) (active, first []int64) {
+	n := g.NumVertices()
+	seen := make([]bool, n)
+	seen[0] = true
+	active, first = []int64{n}, []int64{0}
+	for level := []int64{0}; ; {
+		recv := map[int64]bool{}
+		var next []int64
+		for _, v := range level {
+			for _, w := range g.Neighbors(v) {
+				recv[w] = true
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
+				}
+			}
+		}
+		if len(recv) == 0 {
+			return active, first
+		}
+		active = append(active, int64(len(recv)))
+		first = append(first, slices.Min(slices.Collect(maps.Keys(recv))))
+		level = next
+	}
+}
+
+// haltedTap reads each boundary's checkpoint payload as the writer encodes
+// it — the second Write of a checkpoint file, after its header — and checks
+// its bitmaps.
+type haltedTap struct {
+	t                  *testing.T
+	writes, boundaries int
+}
+
+func (h *haltedTap) Write(b []byte) (int, error) {
+	if h.writes++; h.writes != 2 {
+		return len(b), nil
+	}
+	s, err := ckpt.Decode(b, "tap")
+	if err != nil {
+		h.t.Fatalf("boundary %d: %v", h.boundaries, err)
+	}
+	checkBitmaps(h.t, s)
+	h.boundaries++
+	return len(b), nil
+}
+
+// checkBitmaps: the boundary's halted set has live clear bits below n, and
+// neither it nor visited has a bit set past n.
+func checkBitmaps(t *testing.T, s *ckpt.Snapshot) {
+	t.Helper()
+	n := s.FP.Vertices
+	var clear int64
+	for v := int64(0); v < n; v++ {
+		if !s.Halted.Has(v) {
+			clear++
+		}
+	}
+	if clear != s.Live {
+		t.Fatalf("boundary %d: %d vertices below n=%d are not halted, live = %d", s.Step, clear, n, s.Live)
+	}
+	for _, bm := range []ckpt.Bitmap{s.Halted, s.Visited} {
+		if k := len(bm.Words); k > 0 && n%64 != 0 && bm.Words[k-1]>>(n%64) != 0 {
+			t.Fatalf("boundary %d: a bitmap has bits set past n=%d: %#x", s.Step, n, bm.Words[k-1])
 		}
 	}
 }

@@ -134,7 +134,7 @@ type dirState struct {
 	// internals — so the decision below is worker- and
 	// treatment-independent.
 	totalEdges   int64
-	visited      []bool
+	visited      []uint64 // one bit per vertex, words owned as halted's are
 	visitedEdges int64
 }
 
@@ -159,7 +159,7 @@ func startDir(cfg *Config, g *graph.Graph) (*dirState, error) {
 	ds := &dirState{
 		mode:       cfg.Direction,
 		totalEdges: g.NumEdges(),
-		visited:    make([]bool, g.NumVertices()),
+		visited:    make([]uint64, (g.NumVertices()+63)/64),
 	}
 	// The pull sweep reads broadcast records through each destination's
 	// own adjacency, so it needs in-edges visible from out-edges

@@ -28,8 +28,8 @@
 // hub vertices don't unbalance the sweep; see sweepBoundaries in
 // parallel.go) with private per-chunk contexts merged in chunk index
 // order, delivery as a stable parallel counting sort, and the
-// sparse-activation worklist as a stamp-ordered dense sweep (see
-// parallel.go). The package invariant is that the host worker count
+// sparse-activation worklist as a dense sweep over the halted and receiver
+// bitmaps (see parallel.go). The package invariant is that the host worker count
 // affects only wall-clock time: Result and the recorded trace profile are
 // bit-identical whether par runs on 1 or N cores (asserted by the
 // determinism tests). For that to hold, Program implementations must
@@ -249,7 +249,8 @@ func Run(cfg Config) (*Result, error) {
 	flat := flatPool.Get().(*flatBufs)
 	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
 	// ib is what each boundary's delivery builds and the next sweep reads.
-	ib := &inbox{off: make([]int64, n+1), val: flat.inboxVal, fold: resolveFold(cfg.Combiner), combine: cfg.Combiner}
+	ib := newInbox(n, cfg.Combiner)
+	ib.val = flat.inboxVal
 	defer func() {
 		flat.inboxVal, flat.groupVal = ib.val, scratch.groupVal
 		flatPool.Put(flat)
@@ -309,10 +310,9 @@ func Run(cfg Config) (*Result, error) {
 		sup.startWatchdog(o, cfg.Checkpoint)
 		defer sup.stop()
 	}
-	halted := make([]bool, n)
-	// live tracks the number of non-halted vertices incrementally (via
-	// per-chunk halt-transition deltas), replacing the sequential engine's
-	// full rescan of the halt flags on every message-free superstep.
+	// halted has one bit per vertex. live counts the clear ones from the
+	// chunks' halt transitions: a popcount would cost n/64 every superstep.
+	halted := make([]uint64, (n+63)/64)
 	live := n
 	if resumeSnap == nil {
 		// initTrap collects vertex-program panics from the InitialState
@@ -361,8 +361,8 @@ func Run(cfg Config) (*Result, error) {
 	tr := &traffic{g: g, bufs: &scratch.gather}
 
 	// Sparse-activation worklist: the vertices worth inspecting this
-	// superstep (message receivers plus non-halted vertices). stamp
-	// deduplicates insertions per superstep.
+	// superstep (message receivers plus non-halted vertices), nil under the
+	// full scan. stamp deduplicates insertions per superstep.
 	var candidates []int64
 	var stamp []int64
 	if cfg.SparseActivation {
@@ -449,18 +449,11 @@ func Run(cfg Config) (*Result, error) {
 		if k := len(res.DirectionPerStep); ds != nil && k > 0 {
 			resumeDir = res.DirectionPerStep[k-1]
 		}
-		delivered, _ := scratch.deliver(tr, ib, cfg.SparseActivation, resumeSnap.Step, resumeDir)
+		scratch.deliver(tr, ib, candidates, resumeDir)
 		if cfg.SparseActivation {
-			// At any boundary the wake set equals the non-halted set (every
-			// non-halted vertex re-ran this superstep and stayed awake), so
-			// the worklist rebuild sees exactly what the original run's did.
-			wake := make([]int64, 0, live)
-			for v := int64(0); v < n; v++ {
-				if !halted[v] {
-					wake = append(wake, v)
-				}
-			}
-			candidates = scratch.nextWorklist(candidates, int(resumeSnap.Step), wake, delivered, tr, stamp, ib)
+			// The worklist is every vertex awake or with mail, however the
+			// original boundary built it (awakeList).
+			candidates = scratch.awakeList(candidates, halted, ib.recv)
 		}
 	}
 
@@ -519,12 +512,7 @@ func Run(cfg Config) (*Result, error) {
 			// profiles are identical at any host configuration.
 			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation)
 			numChunks = len(bounds) - 1
-			var visited []bool
-			if ds != nil {
-				visited = ds.visited
-			}
-			scratch.ensureChunks(numChunks, master, visited)
-			sparse := cfg.SparseActivation
+			scratch.ensureChunks(numChunks, master, ds)
 			prog := cfg.Program
 			if o != nil {
 				tObs = time.Now()
@@ -553,7 +541,7 @@ func Run(cfg Config) (*Result, error) {
 					cs.reset(step, master.prevAggregates)
 					cs.eng.log = tr.sends
 					cs.eng.bcastBuf = bb
-					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
+					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
 					tr.sends = cs.eng.log
 					bb = cs.eng.bcastBuf
 					cs.eng.log = msgLog{}
@@ -576,7 +564,7 @@ func Run(cfg Config) (*Result, error) {
 				par.ForBoundaryChunks(bounds, func(c, lo, hi int) {
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					cs.runRange(prog, lo, hi, step, ib, halted, sparse, candidates)
+					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
 				})
 				scratch.spliceSends(&tr.sends, numChunks)
 				tr.bcasts = scratch.concatBcasts(tr.bcasts, numChunks)
@@ -620,7 +608,7 @@ func Run(cfg Config) (*Result, error) {
 		// per-edge expansion produced before broadcasts became records — so
 		// counters, charges, budgets, and termination are untouched by how
 		// the traffic is physically represented.
-		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta := scratch.mergeCounters(numChunks)
+		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta := scratch.mergeCounters(numChunks)
 		live += haltDelta
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
@@ -643,7 +631,7 @@ func Run(cfg Config) (*Result, error) {
 		var dirMode DirectionMode
 		var frontierEdges, unvisitedEdges int64
 		if ds != nil {
-			ds.visitedEdges += scratch.mergeVisited(numChunks)
+			ds.visitedEdges += visitedDelta
 			frontierEdges = sent - unicast
 			unvisitedEdges = ds.totalEdges - ds.visitedEdges
 			dirMode = ds.decide(frontierEdges, unicast)
@@ -696,7 +684,7 @@ func Run(cfg Config) (*Result, error) {
 		// SendToNeighbors — the engine-side traffic the logical counter
 		// deliberately does not show.
 		tr.logical = sent
-		delivered, took := scratch.deliver(tr, ib, cfg.SparseActivation, int64(step), dirMode)
+		delivered, took := scratch.deliver(tr, ib, candidates, dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
 		if o != nil {
@@ -707,8 +695,7 @@ func Run(cfg Config) (*Result, error) {
 			// Next worklist: message receivers plus vertices that stayed
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
-			wake := scratch.mergeWake(numChunks)
-			candidates = scratch.nextWorklist(candidates, step, wake, delivered, tr, stamp, ib)
+			candidates = scratch.nextWorklist(candidates, step, live, delivered, tr, stamp, ib, halted)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}

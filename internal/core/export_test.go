@@ -28,17 +28,17 @@ func SweepRanges(g *graph.Graph) []int {
 func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64) func() int64 {
 	n := g.NumVertices()
 	s := &runScratch{gather: gatherPool{size: 2 * g.MaxDegree()}}
-	ib := &inbox{off: make([]int64, n+1), combine: combine, fold: resolveFold(combine)}
+	ib := newInbox(n, combine)
 	tr := &traffic{g: g, bufs: &s.gather}
 	for _, src := range srcs {
 		tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: src + 1})
 		tr.logical += g.Degree(src)
 	}
-	for st := int64(1); st <= 2; st++ {
-		if !ib.fillBcastLookaside(tr.bcasts, n, st) {
+	for range 2 {
+		if !ib.fillBcastLookaside(tr.bcasts, n) {
 			panic("NewGatherSweep: duplicate source")
 		}
-		s.build(path{kind: pathPull}, tr, ib, false, st)
+		s.build(path{kind: pathPull}, tr, ib, nil)
 	}
 	cs := &chunkState{}
 	cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, &s.gather, &cs.eng

@@ -30,7 +30,7 @@ func TestPullLookasideFill(t *testing.T) {
 				{},
 			}
 			for st, recs := range fills {
-				if !ib.fillBcastLookaside(recs, n, int64(st)) {
+				if !ib.fillBcastLookaside(recs, n) {
 					t.Fatalf("fill %d reports a duplicate source", st)
 				}
 				want := map[int64]int64{}

@@ -198,10 +198,9 @@ func (o *obsRun) flightDump(dir, cause string) string {
 // scratchBytes approximates the engine's reusable scratch footprint: the
 // run-level buffers (the inbox and the adjacency-buffer pool among them),
 // the blocks the superstep's unicast log holds — full or partial, and none
-// of those idle in blockPool — plus every chunk's record buffer, segment
-// list and wake list — re-measured only for the numChunks chunks that just
-// ran, so a near-empty superstep after a 256-chunk one does not walk them
-// all again.
+// of those idle in blockPool — plus every chunk's record buffer and segment
+// list — re-measured only for the numChunks chunks that just ran, so a
+// near-empty superstep after a 256-chunk one does not walk them all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
 func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates, stamp []int64) int64 {
@@ -215,8 +214,7 @@ func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidat
 	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(stamp)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
-	b += int64(cap(s.wake)+cap(s.acc)) * 8
-	b += int64(cap(s.has))
+	b += int64(cap(s.acc)+cap(ib.own)+cap(s.connected)) * 8
 	b += int64(cap(s.counts)) * 4
 	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8
 	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)) * 8
@@ -226,7 +224,6 @@ func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidat
 	for _, cs := range s.chunks[:numChunks] {
 		was := cs.scratch
 		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize
-		cs.scratch += int64(cap(cs.wake)) * 8
 		s.chunkScratch += cs.scratch - was
 	}
 	return b + s.chunkScratch

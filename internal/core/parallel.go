@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math"
 	"math/bits"
 	"reflect"
@@ -25,9 +26,10 @@ import (
 //     per run into near-equal edge-work vertex ranges, so a hub vertex of a
 //     skewed graph cannot make one chunk run sweepMaxChunks× longer than
 //     its peers; a full scan is cut at those ranges, a sparse sweep at the
-//     same ranges restricted to its candidates (sweepBoundaries).
-//     Each chunk runs vertices with a private VertexContext — private
-//     unicast log, work-charge accumulators, aggregator partials, wake list
+//     same ranges restricted to its candidates (sweepBoundaries), every cut
+//     a multiple of 64: a chunk owns whole words of the bitmaps it writes
+//     (wordRanges). Each chunk runs vertices with a private VertexContext —
+//     private unicast log, work-charge accumulators, aggregator partials
 //     and halt-transition counter — and the partials are merged in chunk
 //     index order after the sweep. Splicing the per-chunk logs in chunk
 //     order reproduces exactly the send order of a sequential sweep.
@@ -64,8 +66,8 @@ import (
 //     tree — and therefore the result, even for non-associative
 //     reductions — is too. (Because the fold tree follows chunk
 //     boundaries, the partition is named in a checkpoint's fingerprint —
-//     "degree" for a full scan, "ranges" for a sparse sweep — so a run never
-//     resumes under boundaries it did not start with.)
+//     "degree64" for a full scan, "ranges64" for a sparse sweep — so a run
+//     never resumes under boundaries it did not start with.)
 
 // The shape of every partition into chunks: at most sweepMaxChunks chunks,
 // each of at least sweepMinChunk items where there are enough to go round.
@@ -74,11 +76,25 @@ const (
 	sweepMaxChunks = 256
 )
 
-// sweepChunkSize returns the fixed chunk size the delivery and worklist
-// compaction sweeps partition count items by, whose outputs do not depend on
-// the partitioning at all. It depends only on count.
+// sweepChunkSize returns the fixed block size the counting sort's cursor
+// pass partitions count destinations by, whose output does not depend on
+// the partitioning at all: whole bitmap words, depending only on count.
 func sweepChunkSize(count int) int {
-	return max(count/sweepMaxChunks, sweepMinChunk)
+	return max(count/sweepMaxChunks&^63, sweepMinChunk)
+}
+
+// wordRanges splits [0, n), n > 0, into at most sweepTargetChunks(n) ranges
+// of near-equal weight under the prefix sum at, every cut rounded down to a
+// multiple of 64 (collapsed cuts dropped): a range owns whole bitmap words.
+func wordRanges(dst []int, n int, at func(i int) int64) []int {
+	b := par.WeightedBoundaries(dst, n, sweepTargetChunks(n), at)
+	out := b[:1]
+	for _, c := range b[1 : len(b)-1] {
+		if c &^= 63; c > out[len(out)-1] {
+			out = append(out, c)
+		}
+	}
+	return append(out, n)
 }
 
 // sweepTargetChunks is the chunk-count target of the weighted partitions:
@@ -116,20 +132,18 @@ const (
 type chunkState struct {
 	ctx VertexContext
 	eng engineState
-	// wake collects non-halted vertices (sparse activation only).
-	wake []int64
 	// active / received mirror the per-superstep counters of the
 	// sequential engine, chunk-locally.
 	active   int64
 	received int64
-	// haltDelta is the net change to the live (non-halted) vertex count
-	// produced by this chunk's halt-flag transitions.
+	// halt walks the run's halted bitmap; haltDelta is the net change to
+	// the live (non-halted) vertex count its transitions made.
+	halt      wordCursor
 	haltDelta int64
-	// visited is the run's shared visited bitmap (direction.go); nil when
-	// the direction layer is inactive. Chunks write only vertices they own
-	// (single-owner, no races) and visitedDelta accumulates the degree sum
-	// of the vertices this chunk marked this superstep.
-	visited      []bool
+	// seen walks the run's visited bitmap (direction.go; set is nil when
+	// the direction layer is inactive); visitedDelta accumulates the degree
+	// sum of the vertices this chunk marked this superstep.
+	seen         wordCursor
 	visitedDelta int64
 	// one backs Messages() after a combining pull boundary (gather): the
 	// folded value.
@@ -162,36 +176,75 @@ func (cs *chunkState) guard() {
 // runRange executes the chunk's vertex range under the panic guard. par
 // spawns workers without any recovery of its own, so the guard must live
 // inside the per-chunk closure — a program panic that escaped here would
-// kill the process.
-func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []bool, sparse bool, candidates []int64) {
+// kill the process. A sparse sweep (candidates non-nil) runs
+// candidates[lo:hi]; the full scan runs the awake vertices of [lo, hi).
+func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []uint64, candidates []int64) {
 	defer cs.guard()
 	defer cs.ctx.returnBuf()
-	if sparse {
-		for i := lo; i < hi; i++ {
-			cs.runVertex(p, candidates[i], step, ib, halted, true)
+	cs.halt, cs.seen = wordCursor{set: halted, i: -1}, wordCursor{set: cs.seen.set, i: -1}
+	if candidates != nil {
+		for _, v := range candidates[lo:hi] {
+			cs.runVertex(p, v, step, ib)
 		}
-		return
+	} else {
+		for v := range awake(halted, ib.recv, lo, hi) {
+			cs.runVertex(p, v, step, ib)
+		}
 	}
-	// The full scan: in a near-empty superstep almost every vertex is halted
-	// with nothing to read, and skipping those here costs a fraction of the
-	// call that would find the same thing out. After a pull that stamped no
-	// receivers only the gather knows who has messages.
-	off, code := ib.off, ib.code
-	switch {
-	case ib.pull && !ib.lookaside:
-		for v := lo; v < hi; v++ {
-			cs.runVertex(p, int64(v), step, ib, halted, false)
-		}
-	case ib.lookaside:
-		for v := lo; v < hi; v++ {
-			if !halted[v] || off[v] == code {
-				cs.runVertex(p, int64(v), step, ib, halted, false)
+	cs.halt.flush()
+	cs.seen.flush()
+}
+
+// wordCursor walks a vertex bitmap for a chunk's ascending vertices, loading
+// each word once and storing it back, if changed, when it moves on: chunks
+// share cache lines, and per-bit accesses bounce a line between workers (the
+// relay's superstep 0, every vertex halting, ran 60% longer at w=2). A
+// trapped attempt loses its last word; the rollback restores it anyway.
+type wordCursor struct {
+	set    []uint64
+	i      int64
+	w, was uint64
+}
+
+// at moves the cursor to v's word and reports v's bit.
+func (c *wordCursor) at(v int64) bool {
+	if v>>6 != c.i {
+		c.flush()
+		c.i, c.w = v>>6, c.set[v>>6]
+		c.was = c.w
+	}
+	return c.w>>(v&63)&1 != 0
+}
+
+// flip toggles v's bit; the cursor is at v's word.
+func (c *wordCursor) flip(v int64) { c.w ^= 1 << (v & 63) }
+
+// flush stores the word the cursor is at if it changed.
+func (c *wordCursor) flush() {
+	if c.w != c.was {
+		c.set[c.i] = c.w
+	}
+}
+
+// awake enumerates in ascending order the vertices of [lo, hi) that are not
+// halted or received at the last boundary — the set bits of ^halted | recv,
+// 64 vertices per load, the last word masked at hi. lo is a multiple of 64,
+// as every cut of a partition that reads or writes a bitmap is. Like
+// traffic.all, its body is inlined into the caller's loop.
+func awake(halted, recv []uint64, lo, hi int) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		h := halted[lo>>6 : (hi+63)>>6]
+		r := recv[lo>>6:][:len(h)]
+		for j, hw := range h {
+			base := lo + j<<6
+			w := ^hw | r[j]
+			if hi-base < 64 {
+				w &= 1<<(hi-base) - 1
 			}
-		}
-	default:
-		for v := lo; v < hi; v++ {
-			if !halted[v] || off[v+1] > off[v] {
-				cs.runVertex(p, int64(v), step, ib, halted, false)
+			for ; w != 0; w &= w - 1 {
+				if !yield(int64(base | bits.TrailingZeros64(w))) {
+					return
+				}
 			}
 		}
 	}
@@ -207,9 +260,7 @@ func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 	cs.eng.unicast = 0
 	cs.eng.extraIssue, cs.eng.extraLoads, cs.eng.extraStores = 0, 0, 0
 	cs.eng.prevAggregates = prevAggs
-	cs.active, cs.received, cs.haltDelta = 0, 0, 0
-	cs.visitedDelta = 0
-	cs.wake = cs.wake[:0]
+	cs.active, cs.received, cs.haltDelta, cs.visitedDelta = 0, 0, 0, 0
 	cs.trap = nil
 }
 
@@ -284,8 +335,9 @@ func (ib *inbox) identity() int64 {
 	return 0
 }
 
-// bit reads bit w of a vertex bitmap, as 0 or 1.
+// bit reads bit w of a vertex bitmap, as 0 or 1; setBit sets it.
 func bit(set []uint64, w int64) int64 { return int64(set[w>>6] >> (uint64(w) & 63) & 1) }
+func setBit(set []uint64, w int64)    { set[w>>6] |= 1 << (uint64(w) & 63) }
 
 // gather is the consumer side of a pull superstep: vertex v walks its own
 // neighbor list against the broadcaster lookaside and obtains exactly the
@@ -301,15 +353,12 @@ func bit(set []uint64, w int64) int64 { return int64(set[w>>6] >> (uint64(w) & 6
 // branch-free too: stamped density in a pull-worthy superstep is far from 0
 // or 1, and a data-dependent branch would mispredict on much of the walk.
 func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
-	if ib.lookaside && ib.off[v] != ib.code {
-		return nil // pullReceivers found no stamped neighbor
+	if bit(ib.recv, v) == 0 {
+		return nil // no stamped neighbor, or no neighbor at all
 	}
 	lent := cs.ctx.buf()
 	half := len(lent) / 2
 	nbrs := cs.eng.graph.DecodeNeighbors(v, lent[:0:half])
-	if len(nbrs) == 0 {
-		return nil // a saturated boundary stamps nobody: who has a neighbor receives
-	}
 	look, sent := ib.look, ib.sent
 	var acc int64
 	switch ib.fold {
@@ -355,15 +404,15 @@ func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 
 // runVertex executes one vertex against this chunk's private context. It
 // is the parallel twin of the sequential engine's per-vertex dispatch.
-func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox, halted []bool, sparse bool) {
+func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	var msgs []int64
 	if ib.pull {
 		msgs = cs.gather(ib, v)
 	} else {
 		msgs = ib.slice(v)
 	}
-	hasMsgs := len(msgs) > 0
-	if step > 0 && !hasMsgs && halted[v] {
+	hasMsgs, wasHalted := len(msgs) > 0, cs.halt.at(v)
+	if step > 0 && !hasMsgs && wasHalted {
 		return
 	}
 	cs.active++
@@ -374,23 +423,20 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox, halted 
 	ctx.halt = false
 	sentBefore := cs.eng.sent
 	p.Compute(ctx)
-	if cs.visited != nil && !cs.visited[v] && (hasMsgs || cs.eng.sent > sentBefore) {
+	if cs.seen.set != nil && !cs.seen.at(v) && (hasMsgs || cs.eng.sent > sentBefore) {
 		// A vertex is visited once it has received or sent a message — the
 		// logical event the direction heuristic's unvisited-edge count
-		// tracks. Single-owner write: v belongs to exactly this chunk.
-		cs.visited[v] = true
+		// tracks. Single-owner write: v's word belongs to exactly this chunk.
+		cs.seen.flip(v)
 		cs.visitedDelta += cs.eng.graph.Degree(v)
 	}
-	if ctx.halt != halted[v] {
-		halted[v] = ctx.halt
+	if ctx.halt != wasHalted {
+		cs.halt.flip(v)
 		if ctx.halt {
 			cs.haltDelta--
 		} else {
 			cs.haltDelta++
 		}
-	}
-	if sparse && !ctx.halt {
-		cs.wake = append(cs.wake, v)
 	}
 }
 
@@ -403,21 +449,20 @@ type runScratch struct {
 	chunkScratch int64
 	sendOff      []int64 // per-chunk offsets into the superstep's unicast stream
 	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
-	wake         []int64
 
 	// Delivery scratch (delivery.go). gather lends adjacency buffers to
-	// sweep chunks and traffic enumerators; pullBnds / connected / symmetric
-	// are what a pull knows of the graph alone (pullRanges, build);
-	// bcastWork / shareBnds split traffic into a counting sort's shares;
-	// has / acc are denseFold's.
-	gather    gatherPool
-	pullBnds  []int
-	connected int64
-	symmetric bool
-	bcastWork []int64
-	shareBnds []int
-	has       []bool
-	acc       []int64
+	// sweep chunks and traffic enumerators; pullBnds / connected /
+	// numConnected / symmetric are what a pull knows of the graph alone
+	// (pullRanges, build); bcastWork / shareBnds split traffic into a
+	// counting sort's shares; acc is denseFold's.
+	gather       gatherPool
+	pullBnds     []int
+	connected    []uint64
+	numConnected int64
+	symmetric    bool
+	bcastWork    []int64
+	shareBnds    []int
+	acc          []int64
 
 	counts   []int32 // C*n destination cursors, share-major (countingSort)
 	groupOff []int64 // n+1 group boundaries (combining path)
@@ -453,9 +498,12 @@ func (ib *inbox) ensureLook(n int64) {
 // ensureChunks guarantees at least numChunks chunk states exist, each
 // wired to the run's shared graph/costs/states and (when the direction
 // layer is active) the shared visited bitmap.
-func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []bool) {
+func (s *runScratch) ensureChunks(numChunks int, master *engineState, ds *dirState) {
 	for len(s.chunks) < numChunks {
 		cs := &chunkState{}
+		if ds != nil {
+			cs.seen.set = ds.visited
+		}
 		cs.eng.graph = master.graph
 		cs.eng.costs = master.costs
 		cs.eng.states = master.states
@@ -464,28 +512,27 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []
 		cs.ctx.engine = &cs.eng
 		s.chunks = append(s.chunks, cs)
 	}
-	for _, cs := range s.chunks[:numChunks] {
-		cs.visited = visited
-	}
 }
 
 // sweepBoundaries returns the compute sweep's chunk boundaries for one
 // superstep: a strictly increasing []int from 0 to the number of items swept
 // (n, or the sparse sweep's candidates), a pure function of the graph offsets
-// and the active set — never of the worker count. The graph's vertex ranges split the work prefix sum (degree +
-// sweepVertexWork per vertex) into sweepTargetChunks(n) near-equal chunks,
+// and the active set — never of the worker count. The graph's vertex ranges
+// split the work prefix sum (degree + sweepVertexWork per vertex) into
+// sweepTargetChunks(n) near-equal chunks at multiples of 64 (wordRanges),
 // once per run, and a full scan is cut at them. A sparse sweep takes the same
 // ranges restricted to its ascending candidates — one binary search per range
 // boundary, each resuming where the last one ended — and keeps a cut only
 // once the chunk behind it holds sweepMinChunk candidates. So every sparse
 // chunk but the last holds at least that many, and none is heavier than one
 // full range plus its first sweepMinChunk-1 candidates, with no pass over the
-// candidates at all.
+// candidates at all. A sparse cut is the first candidate at or above a range
+// start, so a sparse chunk owns whole bitmap words too.
 func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int {
 	if s.ranges == nil {
 		s.ranges = []int{0} // no vertices, no chunks
 		if n := len(off) - 1; n > 0 {
-			s.ranges = par.WeightedBoundaries(nil, n, sweepTargetChunks(n), func(i int) int64 {
+			s.ranges = wordRanges(nil, n, func(i int) int64 {
 				return off[i] + sweepVertexWork*int64(i)
 			})
 		}
@@ -515,7 +562,7 @@ func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int
 // hundred chunks; the order is irrelevant for integer sums). sent is the
 // logical message count — broadcasts count one message per edge, exactly
 // what per-edge expansion would have appended.
-func (s *runScratch) mergeCounters(numChunks int) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta int64) {
+func (s *runScratch) mergeCounters(numChunks int) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta int64) {
 	for _, cs := range s.chunks[:numChunks] {
 		active += cs.active
 		received += cs.received
@@ -525,18 +572,9 @@ func (s *runScratch) mergeCounters(numChunks int) (active, received, sent, unica
 		extraLoads += cs.eng.extraLoads
 		extraStores += cs.eng.extraStores
 		haltDelta += cs.haltDelta
+		visitedDelta += cs.visitedDelta
 	}
 	return
-}
-
-// mergeVisited sums the chunks' newly-visited degree deltas for one
-// superstep (an integer sum — worker- and order-independent).
-func (s *runScratch) mergeVisited(numChunks int) int64 {
-	var d int64
-	for _, cs := range s.chunks[:numChunks] {
-		d += cs.visitedDelta
-	}
-	return d
 }
 
 // firstTrap returns the ProgramError for the lowest-indexed chunk that
@@ -607,17 +645,6 @@ func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 	return dst
 }
 
-// mergeWake concatenates the per-chunk wake lists (sparse activation). Order is
-// irrelevant downstream — the worklist build stamps or sorts — but chunk
-// order keeps it deterministic anyway.
-func (s *runScratch) mergeWake(numChunks int) []int64 {
-	s.wake = s.wake[:0]
-	for _, cs := range s.chunks[:numChunks] {
-		s.wake = append(s.wake, cs.wake...)
-	}
-	return s.wake
-}
-
 // mergeAggregates folds each chunk's aggregator partials into the run's
 // persistent aggregators in chunk index order, then unseeds the partials
 // for the next superstep. Chunk boundaries are worker-independent, so the
@@ -682,7 +709,7 @@ func ensureInt64(s []int64, n int) []int64 {
 // delivery falls back to the push scatter — a deterministic, input-driven
 // fallback (the PullProgram contract says it cannot happen; the check makes
 // a contract violation safe rather than silently wrong).
-func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n, _ int64) bool {
+func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n int64) bool {
 	ib.ensureLook(n)
 	look, sent, id := ib.look, ib.sent, ib.identity()
 	for i, word := range sent {
@@ -708,31 +735,31 @@ func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n, _ int64) bool {
 }
 
 // pullRanges returns the number of vertices with a neighbor — the most a
-// combining pull can deliver — counted once per run along with the
-// degree-weighted destination ranges of pullReceivers: both depend only on
-// the graph.
+// combining pull can deliver — counted once per run along with the bitmap of
+// them (connected: the receivers of a saturated pull) and the degree-weighted
+// destination ranges of pullReceivers: all depend only on the graph.
 func (s *runScratch) pullRanges(t *traffic) int64 {
 	if len(s.pullBnds) == 0 {
 		n, goff := int(t.g.NumVertices()), t.g.Offsets()
-		s.pullBnds = par.WeightedBoundaries(s.pullBnds, n,
-			sweepTargetChunks(n), func(i int) int64 {
-				return goff[i] + int64(i)
-			})
+		s.pullBnds = wordRanges(s.pullBnds, n, func(i int) int64 {
+			return goff[i] + int64(i)
+		})
+		s.connected = make([]uint64, (n+63)/64)
 		for v := 0; v < n; v++ {
 			if goff[v+1] > goff[v] {
-				s.connected++
+				setBit(s.connected, int64(v))
+				s.numConnected++
 			}
 		}
 	}
-	return s.connected
+	return s.numConnected
 }
 
 // pullReceivers counts the vertices with at least one stamped neighbor —
 // what a combining pull delivers — over the ranges of pullRanges, each walk
-// exiting on its first hit, and stamps them in the inbox's off: that is
-// where gather, the full scan and nextWorklist look for receivers.
+// exiting on its first hit, and sets their bits in recv.
 func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
-	g, sent, off, code := t.g, ib.sent, ib.off, ib.code
+	g, sent, recv := t.g, ib.sent, ib.recv
 	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
 	rangeCnt := s.rangeCnt
 	par.ForBoundaryChunks(s.pullBnds, func(r, lo, hi int) {
@@ -741,7 +768,7 @@ func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
 			for w := range g.Adjacent(int64(v)) {
 				if bit(sent, w) != 0 {
 					cnt++
-					off[v] = code
+					setBit(recv, int64(v))
 					break
 				}
 			}
@@ -751,10 +778,10 @@ func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
 	return par.ExclusivePrefixSum(rangeCnt)
 }
 
-// combineGroups groups messages per destination with the stable sort,
-// then folds each destination's group and compacts the folded values into
-// the inbox. Two skew defenses keep a hub inbox from serializing the
-// phase:
+// combineGroups groups messages per destination with the stable sort, which
+// marks the receivers in recv, then folds each destination's group and
+// compacts the folded values into the inbox. Two skew defenses keep a hub
+// inbox from serializing the phase:
 //
 //   - The compaction sweep runs over destination ranges weighted by
 //     message count — gOff is itself a message prefix sum, so
@@ -772,7 +799,7 @@ func (s *runScratch) combineGroups(t *traffic, ib *inbox, n int64, C int) int64 
 	combine := ib.combine
 	s.groupOff = ensureInt64(s.groupOff, int(n)+1)
 	s.groupVal = ensureInt64(s.groupVal, int(t.logical))
-	s.groupByDest(t, n, C, s.groupOff, s.groupVal)
+	s.groupByDest(t, n, C, s.groupOff, s.groupVal, ib.recv)
 	gOff, gVal := s.groupOff, s.groupVal
 
 	// Fold ranges weighted by messages-per-destination (+1 per vertex so
@@ -866,71 +893,46 @@ func (s *runScratch) combineGroups(t *traffic, ib *inbox, n int64, C int) int64 
 }
 
 // nextWorklist builds the next superstep's sparse-activation candidate
-// list — message receivers plus vertices that stayed awake, deduplicated,
-// in ascending vertex order — into the candidates backing array (cap n).
-// Both strategies produce a sorted deduplicated set, so the order receivers
-// are enumerated in is irrelevant.
+// list — message receivers plus the live vertices still awake,
+// deduplicated, in ascending vertex order — over candidates, the list the
+// sweep just ran (cap n). Every vertex still awake ran in that sweep: at a
+// boundary the wake set is the non-halted set.
 //
 // Two equivalent strategies, chosen by deterministic quantities only:
-// large worklists use a parallel stamp-ordered dense sweep (ascending by
-// construction, O(n)); small ones stamp-deduplicate the receivers and wake
-// list and radix-sort, O(k) — the sort.Slice the sequential engine used is
-// gone entirely.
-func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, delivered int64, t *traffic, stamp []int64, ib *inbox) []int64 {
+// large worklists take awakeList's dense sweep over the bitmaps (ascending
+// by construction, O(n/64 + k)); small ones keep the awake candidates in
+// place, add the receivers stamp-deduplicated and radix-sort, O(k).
+func (s *runScratch) nextWorklist(candidates []int64, step int, live, delivered int64, t *traffic, stamp []int64, ib *inbox, halted []uint64) []int64 {
 	st, n := int64(step), int64(len(stamp))
-	if (delivered+int64(len(wake)))*4 >= n || t.logical >= n {
-		// The delivery just made says who received, in the form it built.
-		off, code, look := ib.off, ib.code, ib.lookaside
-		// Dense sweep: mark the wake set, then collect every vertex with a
-		// fresh inbox or a fresh wake stamp, in index order.
-		// Wake entries are unique (a vertex runs at most once per
-		// superstep), so the stamp writes are disjoint.
-		par.ForChunked(len(wake), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				stamp[wake[i]] = st
-			}
-		})
-		rcs := sweepChunkSize(int(n))
-		numR := (int(n) + rcs - 1) / rcs
-		s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-		rangeCnt := s.rangeCnt
-		par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
-			var cnt int64
-			for v := lo; v < hi; v++ {
-				if stamp[v] == st || look && off[v] == code || !look && off[v+1] > off[v] {
-					cnt++
-				}
-			}
-			rangeCnt[r] = cnt
-		})
-		k := par.ExclusivePrefixSum(rangeCnt)
-		out := candidates[:k]
-		par.ForFixedChunks(int(n), rcs, func(r, lo, hi int) {
-			pos := rangeCnt[r]
-			for v := lo; v < hi; v++ {
-				if stamp[v] == st || look && off[v] == code || !look && off[v+1] > off[v] {
-					out[pos] = int64(v)
-					pos++
-				}
-			}
-		})
-		return out
+	if (delivered+live)*4 >= n || t.logical >= n {
+		return s.awakeList(candidates, halted, ib.recv)
 	}
-
 	out := candidates[:0]
+	for i := 0; live > 0 && i < len(candidates); i++ {
+		if v := candidates[i]; bit(halted, v) == 0 {
+			stamp[v] = st
+			out = append(out, v)
+		}
+	}
 	for dest := range t.all() {
 		if stamp[dest] != st {
 			stamp[dest] = st
 			out = append(out, dest)
 		}
 	}
-	for _, v := range wake {
-		if stamp[v] != st {
-			stamp[v] = st
-			out = append(out, v)
-		}
-	}
 	s.sortScratch = ensureInt64(s.sortScratch, len(out))
 	par.RadixSortInt64(out, s.sortScratch, n-1)
+	return out
+}
+
+// awakeList is the dense worklist — every vertex awake or with mail, in
+// index order, over the candidates backing array: nextWorklist's answer,
+// and a resume's. It is serial: an entry costs one store, where the sweep
+// that reads it pays a call per entry.
+func (s *runScratch) awakeList(candidates []int64, halted, recv []uint64) []int64 {
+	out := candidates[:0]
+	for v := range awake(halted, recv, 0, cap(candidates)) {
+		out = append(out, v)
+	}
 	return out
 }

@@ -132,22 +132,24 @@ func oracle(msgs []Message, n int64, combine func(a, b int64) int64) [][]int64 {
 	return want
 }
 
-// hasMessages is the full scan's inline test for stored messages (runRange).
-func hasMessages(ib *inbox, v int64) bool {
-	if ib.lookaside {
-		return ib.off[v] == ib.code
-	}
-	return ib.off[v+1] > ib.off[v]
-}
+// hasMessages is the full scan's test for stored messages (runRange): v's
+// bit in recv.
+func hasMessages(ib *inbox, v int64) bool { return bit(ib.recv, v) == 1 }
 
-// checkInbox compares what the sweep would read from ib with want.
+// checkInbox compares what the sweep would read from ib with want, and recv
+// with the vertices want has messages for.
 func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 	t.Helper()
 	var total int64
 	for v, w := range want {
 		total += int64(len(w))
 		if got := ib.slice(int64(v)); !slices.Equal(got, w) || hasMessages(ib, int64(v)) != (len(w) > 0) {
-			t.Fatalf("inbox[%d] = %v (has %v), want %v", v, got, hasMessages(ib, int64(v)), w)
+			t.Fatalf("inbox[%d] = %v (recv %v), want %v", v, got, hasMessages(ib, int64(v)), w)
+		}
+	}
+	for i, w := range ib.recv {
+		if hi := 64 * (i + 1); hi > len(want) && w>>(64-(hi-len(want))) != 0 {
+			t.Fatalf("recv has bits past vertex %d: %#x", len(want), w)
 		}
 	}
 	if delivered != total {
@@ -163,9 +165,8 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 // boundaries — and lookaside} × message counts straddling a log block ×
 // {random destinations, every message to one destination: every share's
 // cursor for it in a different row}. One scratch and one inbox serve every
-// row, as a run reuses them across supersteps: stamps and offsets left by
-// one representation must never read as messages in the other, and
-// denseFold must leave its has flags clear.
+// row, as a run reuses them across supersteps: receiver bits and offsets
+// left by one row must never read as messages in the next.
 func TestDeliveryPrimitives(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(1)
@@ -180,7 +181,7 @@ func TestDeliveryPrimitives(t *testing.T) {
 	s := &runScratch{}
 	ib := &inbox{}
 	var backing []int64
-	st := int64(0)
+	var words []uint64
 	for _, source := range []string{"log", "records", "mixed"} {
 		for _, oneDest := range []bool{false, true} {
 			for _, count := range []int{0, 1, B - 1, B, B + 1, 3*B + 7} {
@@ -210,6 +211,10 @@ func TestDeliveryPrimitives(t *testing.T) {
 					}
 					backing = ensureInt64(backing, int(n)+1)
 					ib.off = backing[:n+1]
+					if len(words) < int(n+63)/64 {
+						words = make([]uint64, (n+63)/64)
+					}
+					ib.own = words[:(n+63)/64]
 					for _, cb := range combiners {
 						want := oracle(msgs, n, cb.f)
 						ib.combine = cb.f
@@ -218,8 +223,8 @@ func TestDeliveryPrimitives(t *testing.T) {
 							if C > 1 && cb.name == "3a-b" && oneDest && len(msgs) >= hubFoldMin {
 								continue // a hub group folds as a tree: associativity required
 							}
-							st++
-							ib.code, ib.lookaside = ^st, C == 0
+							clear(ib.own)
+							ib.recv, ib.lookaside = ib.own, C == 0
 							var delivered int64
 							switch {
 							case C == 0:
@@ -233,16 +238,13 @@ func TestDeliveryPrimitives(t *testing.T) {
 								}
 							case cb.f == nil:
 								ib.val = ensureInt64(ib.val, len(msgs))
-								s.groupByDest(tr, n, C, ib.off, ib.val)
+								s.groupByDest(tr, n, C, ib.off, ib.val, ib.recv)
 								delivered = int64(len(msgs))
 								if ib.off[0] != 0 || ib.off[n] != delivered {
 									t.Fatalf("%s: groups span [%d,%d), want [0,%d)", name, ib.off[0], ib.off[n], delivered)
 								}
 							case C == 1:
 								delivered = s.denseFold(tr, ib, n)
-								if slices.Contains(s.has, true) {
-									t.Fatalf("%s: denseFold left a has flag set", name)
-								}
 							default:
 								delivered = s.combineGroups(tr, ib, n, C)
 							}
@@ -274,10 +276,11 @@ func TestGroupByDestLayout(t *testing.T) {
 				for _, C := range []int{1, 2, 3, 8, 96} {
 					s := &runScratch{}
 					bnds := s.shares(tr, C)
-					off, val := make([]int64, n+1), make([]int64, count)
-					countingSort(s, tr, bnds, make([]int64, n*int64(len(bnds)-1)), n, off, val)
+					ib := newInbox(n, nil)
+					ib.val = make([]int64, count)
+					countingSort(s, tr, bnds, make([]int64, n*int64(len(bnds)-1)), n, ib.off, ib.val, ib.recv)
 					t.Run(fmt.Sprintf("n=%d/count=%d/oneDest=%v/C=%d", n, count, oneDest, C), func(t *testing.T) {
-						checkInbox(t, &inbox{off: off, val: val}, int64(count), want)
+						checkInbox(t, ib, int64(count), want)
 					})
 				}
 			}
@@ -348,10 +351,16 @@ func TestChoosePath(t *testing.T) {
 // FuzzDeliverEquivalence: random traffic — a unicast log, one broadcast
 // record per sender, or both interleaved at random stream positions — over a
 // random small undirected graph, flat or compressed, delivered by every path
-// choosePath can return, forced in turn on one scratch and one inbox: each
-// vertex reads the oracle's sequence whichever path built its inbox, pull
-// (read through the gather, pure broadcast only) included. The combiners are
-// commutative and associative, as a pull's neighbor-order fold requires.
+// choosePath can return, forced in turn on one scratch and one inbox, for
+// two supersteps' traffic in turn: each vertex reads the oracle's sequence
+// whichever path built its inbox, pull (read through the gather, pure
+// broadcast only) included, and recv is exactly the vertices with a message
+// — after a pull that stamped its receivers or found them saturated (every
+// vertex with a neighbor broadcasts when count is even), with no bit left by
+// the delivery before.
+// Only a no-combiner pull under the full scan marks every vertex with a
+// neighbor instead: its gather finds out. The combiners are commutative and
+// associative, as a pull's neighbor-order fold requires.
 func FuzzDeliverEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint16(5000), uint8(0), uint8(0), uint8(1), false)
 	f.Add(uint64(2), uint16(64), uint16(0), uint8(1), uint8(1), uint8(4), true)
@@ -371,62 +380,92 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		if seed&1 == 1 {
 			g = graph.MustCompress(g)
 		}
-		// source%3: 0 the log alone, 1 the records alone, 2 both.
-		tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
-		var log []Message
-		if source%3 != 1 {
-			log = randomMessages(r, int(count), n)
-			for _, m := range log {
-				tr.sends.add(m.Dest, m.Value)
-			}
-			tr.sends.seal()
-		}
-		if source%3 != 0 {
-			var seqs []int64
-			for src := int64(0); src < n; src++ {
-				if g.Degree(src) == 0 || r.Uint64n(2) == 0 {
-					continue
-				}
-				tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: int64(r.Uint64n(1000))})
-				seqs = append(seqs, int64(r.Uint64n(uint64(len(log)+1))))
-			}
-			slices.Sort(seqs)
-			for i := range tr.bcasts {
-				tr.bcasts[i].seq = seqs[i]
-			}
-		}
-		msgs := sendOrder(log, tr.bcasts, g.Neighbors)
-		tr.logical = int64(len(msgs))
 		combine := []func(a, b int64) int64{nil, Min, Sum, Or}[combiner%4]
-		want := oracle(msgs, n, combine)
+		// superstep draws one superstep's traffic and its oracle: source%3 is
+		// 0 for the log alone, 1 for the records alone, 2 for both.
+		superstep := func() (*traffic, [][]int64) {
+			tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
+			var log []Message
+			if source%3 != 1 {
+				log = randomMessages(r, int(count), n)
+				for _, m := range log {
+					tr.sends.add(m.Dest, m.Value)
+				}
+				tr.sends.seal()
+			}
+			if source%3 != 0 {
+				var seqs []int64
+				for src := int64(0); src < n; src++ {
+					if g.Degree(src) == 0 || count%2 == 1 && r.Uint64n(2) == 0 {
+						continue
+					}
+					tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: int64(r.Uint64n(1000))})
+					seqs = append(seqs, int64(r.Uint64n(uint64(len(log)+1))))
+				}
+				slices.Sort(seqs)
+				for i := range tr.bcasts {
+					tr.bcasts[i].seq = seqs[i]
+				}
+			}
+			msgs := sendOrder(log, tr.bcasts, g.Neighbors)
+			tr.logical = int64(len(msgs))
+			return tr, oracle(msgs, n, combine)
+		}
+		// Two supersteps, delivered in turn, so each delivery follows one
+		// that had other receivers.
+		var trs [2]*traffic
+		var wants [2][][]int64
+		for i := range trs {
+			trs[i], wants[i] = superstep()
+		}
 		s := &runScratch{}
-		ib := &inbox{off: make([]int64, n+1), combine: combine, fold: resolveFold(combine)}
+		ib := newInbox(n, combine)
 		paths := []path{{kind: pathLookaside}, {kind: pathCSR}, {kind: pathCSRPar}}
 		if source%3 == 1 {
 			paths = append(paths, path{kind: pathPull})
 		}
-		for i, p := range paths {
-			st := int64(2*i + 1)
-			if p.kind == pathPull && !ib.fillBcastLookaside(tr.bcasts, n, st) {
-				t.Fatal("one record per source, yet the broadcaster stamp reports a duplicate")
-			}
-			delivered := s.build(p, tr, ib, sparse, st)
-			if p.kind != pathPull {
-				checkInbox(t, ib, delivered, want)
-				continue
-			}
-			cs := &chunkState{}
-			cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
-			var total int64
-			for v, w := range want {
-				total += int64(len(w))
-				if got := cs.gather(ib, int64(v)); !slices.Equal(got, w) {
-					t.Fatalf("pull: vertex %d gathers %v, want %v", v, got, w)
+		// Under sparse activation a delivery retires the bits of the sweep's
+		// candidates, which hold every receiver of the delivery before: here,
+		// those receivers alone.
+		var prev []int64
+		if sparse {
+			prev = []int64{}
+		}
+		for _, p := range paths {
+			for i, tr := range trs {
+				want := wants[i]
+				if p.kind == pathPull && !ib.fillBcastLookaside(tr.bcasts, n) {
+					t.Fatal("one record per source, yet the broadcaster stamp reports a duplicate")
 				}
-			}
-			cs.ctx.returnBuf()
-			if delivered != total {
-				t.Fatalf("pull: delivered = %d, want %d", delivered, total)
+				delivered := s.build(p, tr, ib, prev)
+				if sparse {
+					prev = prev[:0]
+					for v, w := range want {
+						if len(w) > 0 {
+							prev = append(prev, int64(v))
+						}
+					}
+				}
+				if p.kind != pathPull {
+					checkInbox(t, ib, delivered, want)
+					continue
+				}
+				cs := &chunkState{}
+				cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
+				var total int64
+				for v, w := range want {
+					total += int64(len(w))
+					if got := cs.gather(ib, int64(v)); !slices.Equal(got, w) {
+						t.Fatalf("pull: vertex %d gathers %v, want %v", v, got, w)
+					}
+					if recv := hasMessages(ib, int64(v)); recv != (len(w) > 0) && !(recv && combine == nil && !sparse) {
+						t.Fatalf("pull (saturated %v): recv bit of vertex %d is %v, want %v", ib.saturated, v, recv, len(w) > 0)
+					}
+				}
+				cs.ctx.returnBuf()
+				if delivered != total {
+					t.Fatalf("pull: delivered = %d, want %d", delivered, total)
+				}
 			}
 		}
 	})
@@ -471,15 +510,25 @@ func TestNextWorklistPathsAgree(t *testing.T) {
 			func() {
 				defer par.SetWorkers(par.SetWorkers(w))
 				s := &runScratch{}
-				ib := &inbox{off: make([]int64, n+1)}
+				ib := newInbox(n, nil)
 				tr := logTraffic(buf, n)
-				delivered, _ := s.deliver(tr, ib, true, int64(step), DirAuto)
+				delivered, _ := s.deliver(tr, ib, []int64{}, DirAuto)
 				if delivered != int64(len(buf)) {
 					t.Fatalf("trial %d w=%d: delivered = %d, want %d", trial, w, delivered, len(buf))
 				}
 				stamp := make([]int64, n)
 				par.FillInt64(stamp, -1)
-				got := s.nextWorklist(make([]int64, n), step, wake, delivered, tr, stamp, ib)
+				// At a boundary the halted set is the complement of the wake
+				// set; here every vertex ran in the sweep before it.
+				halted := make([]uint64, (n+63)/64)
+				for v := int64(0); v < n; v++ {
+					if !wakeSet[v] {
+						setBit(halted, v)
+					}
+				}
+				ran := make([]int64, n)
+				par.Iota(ran)
+				got := s.nextWorklist(ran, step, int64(len(wake)), delivered, tr, stamp, ib, halted)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d w=%d: worklist len %d, want %d", trial, w, len(got), len(want))
 				}
@@ -673,14 +722,14 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 			for _, lookaside := range []bool{false, true} {
 				b.Run(fmt.Sprintf("n=%d/sent=n/%d/lookaside=%v", n, div, lookaside), func(b *testing.B) {
 					s := &runScratch{}
-					ib := &inbox{off: make([]int64, n+1)}
+					ib := newInbox(n, nil)
 					kind := pathCSR
 					if lookaside {
 						kind = pathLookaside
 					}
 					var sum int64
 					for i := 0; i < b.N; i++ {
-						s.build(path{kind: kind}, logTraffic(buf, n), ib, false, int64(i))
+						s.build(path{kind: kind}, logTraffic(buf, n), ib, nil)
 						for v := int64(0); v < n; v++ {
 							if hasMessages(ib, v) {
 								sum += ib.slice(v)[0]
@@ -728,18 +777,18 @@ func BenchmarkPullFloor(b *testing.B) {
 					name := fmt.Sprintf("logical=2^%d/frontier=1/%d/%s/pull=%v", bits.Len64(uint64(logical))-1, stride, cb.name, pull)
 					b.Run(name, func(b *testing.B) {
 						s := &runScratch{symmetric: true}
-						ib := &inbox{off: make([]int64, n+1), combine: cb.f, fold: resolveFold(cb.f)}
+						ib := newInbox(n, cb.f)
 						cs := &chunkState{}
 						cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
 						var sum int64
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							p, st := path{kind: pathCSR}, int64(i)
+							p := path{kind: pathCSR}
 							if pull {
 								p.kind = pathPull
-								ib.fillBcastLookaside(tr.bcasts, n, st)
+								ib.fillBcastLookaside(tr.bcasts, n)
 							}
-							s.build(p, tr, ib, false, st)
+							s.build(p, tr, ib, nil)
 							for v := int64(0); v < n; v++ {
 								var msgs []int64
 								switch {

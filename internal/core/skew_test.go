@@ -150,10 +150,10 @@ func TestSkewRecoveryStar(t *testing.T) {
 
 // TestScheduleFingerprintMismatch: the fingerprint names the sweep
 // partition — aggregator fold trees follow chunk boundaries, so a run must
-// never resume under boundaries it did not start with. A sparse checkpoint
-// written by an engine that cut sparse sweeps differently (its fingerprint
-// said "degree") is a typed mismatch; a full-scan one, whose boundaries
-// never changed, resumes.
+// never resume under boundaries it did not start with. Checkpoints written
+// by an engine that cut its ranges anywhere (a full scan said "degree", a
+// sparse sweep "ranges") or cut sparse sweeps differently (a sparse "degree")
+// are typed mismatches; the engine's own, "degree64" and "ranges64", resume.
 func TestScheduleFingerprintMismatch(t *testing.T) {
 	g := gen.Star(1 << 10)
 	kill := func(sparse bool) string {
@@ -175,35 +175,38 @@ func TestScheduleFingerprintMismatch(t *testing.T) {
 		_, _, err := runRec(g, 1, core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: sparse, Resume: path})
 		return err
 	}
-
-	path := kill(true)
-	snap, err := ckpt.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.FP.Schedule != "ranges" {
-		t.Fatalf("sparse checkpoint names partition %q, want ranges", snap.FP.Schedule)
-	}
-	snap.FP.Schedule = "degree"
-	old, err := ckpt.WriteFile(t.TempDir(), snap, "old.gxckpt", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var me *ckpt.MismatchError
-	if err := resume(true, old); !errors.As(err, &me) {
-		t.Fatalf("sparse checkpoint under the old partition: want MismatchError, got %v", err)
-	}
-	if me.Field != "chunk schedule" || me.Got != "degree" || me.Want != "ranges" {
-		t.Fatalf("MismatchError = %+v, want chunk schedule degree vs ranges", me)
-	}
-	if err := resume(true, path); err != nil {
-		t.Fatalf("sparse resume: %v", err)
-	}
-	full := kill(false)
-	if snap, err := ckpt.Load(full); err != nil || snap.FP.Schedule != "degree" {
-		t.Fatalf("full-scan checkpoint: %v, want partition degree", err)
-	}
-	if err := resume(false, full); err != nil {
-		t.Fatalf("full-scan resume: %v", err)
+	for _, tc := range []struct {
+		sparse   bool
+		want     string
+		oldNames []string
+	}{
+		{sparse: true, want: "ranges64", oldNames: []string{"ranges", "degree"}},
+		{sparse: false, want: "degree64", oldNames: []string{"degree"}},
+	} {
+		path := kill(tc.sparse)
+		snap, err := ckpt.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.FP.Schedule != tc.want {
+			t.Fatalf("sparse=%v checkpoint names partition %q, want %s", tc.sparse, snap.FP.Schedule, tc.want)
+		}
+		for _, name := range tc.oldNames {
+			snap.FP.Schedule = name
+			old, err := ckpt.WriteFile(t.TempDir(), snap, "old.gxckpt", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var me *ckpt.MismatchError
+			if err := resume(tc.sparse, old); !errors.As(err, &me) {
+				t.Fatalf("sparse=%v checkpoint under partition %q: want MismatchError, got %v", tc.sparse, name, err)
+			}
+			if me.Field != "chunk schedule" || me.Got != name || me.Want != tc.want {
+				t.Fatalf("MismatchError = %+v, want chunk schedule %s vs %s", me, name, tc.want)
+			}
+		}
+		if err := resume(tc.sparse, path); err != nil {
+			t.Fatalf("sparse=%v resume: %v", tc.sparse, err)
+		}
 	}
 }

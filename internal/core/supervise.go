@@ -229,14 +229,14 @@ func (sp *supRun) runExpired() bool {
 // re-recorded), and the chunk-local aggregator partials (reset
 // deliberately preserves seeded partials for mergeAggregates to consume;
 // a discarded attempt must unseed them or the retry would double-fold).
-func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []bool, aux []int64, master *engineState, ds *dirState, scratch *runScratch, rec *trace.Recorder) {
+func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, master *engineState, ds *dirState, scratch *runScratch, rec *trace.Recorder) {
 	copy(master.states, snap.States)
-	copy(halted, snap.Halted)
+	copy(halted, snap.Halted.Words)
 	if len(aux) > 0 && len(snap.Aux) == len(aux) {
 		copy(aux, snap.Aux)
 	}
-	if ds != nil && len(snap.Visited) > 0 {
-		copy(ds.visited, snap.Visited)
+	if ds != nil {
+		copy(ds.visited, snap.Visited.Words)
 	}
 	for _, cs := range scratch.chunks {
 		for _, a := range cs.eng.aggregates {

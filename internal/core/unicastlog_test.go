@@ -213,7 +213,10 @@ func TestUnicastLogTriangles(t *testing.T) {
 	}
 	for name, g := range map[string]*graph.Graph{"rmat10": rmat, "star": gen.Star(20001)} {
 		want := graph.ReferenceTriangles(g)
-		stream := bspalg.StreamingTriangles(g, nil)
+		stream, err := bspalg.StreamingTriangles(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if stream.Count != want {
 			t.Fatalf("%s: StreamingTriangles = %d, reference %d", name, stream.Count, want)
 		}

@@ -172,7 +172,10 @@ func Table1(g *graph.Graph, s Setup) (*Table1Result, error) {
 	// Triangle counting (streaming evaluator: identical cost profile to
 	// the engine without materializing wedges).
 	bspRec = trace.NewRecorder()
-	bspTC := bspalg.StreamingTriangles(g, bspRec)
+	bspTC, err := bspalg.StreamingTriangles(g, bspRec)
+	if err != nil {
+		return nil, err
+	}
 	ctRec = trace.NewRecorder()
 	ctTC := graphct.Triangles(g, ctRec)
 	if bspTC.Count != ctTC.Count {
@@ -333,7 +336,10 @@ type Fig4Result struct {
 func Fig4(g *graph.Graph, s Setup) (*Fig4Result, error) {
 	s = s.withDefaults()
 	bspRec := trace.NewRecorder()
-	bspTC := bspalg.StreamingTriangles(g, bspRec)
+	bspTC, err := bspalg.StreamingTriangles(g, bspRec)
+	if err != nil {
+		return nil, err
+	}
 	ctRec := trace.NewRecorder()
 	ctTC := graphct.Triangles(g, ctRec)
 	if bspTC.Count != ctTC.Count {
@@ -381,7 +387,10 @@ func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
 	res.GraphCTCCIterations = graphct.ConnectedComponents(g, nil).Iterations
 
 	rec := trace.NewRecorder()
-	tc := bspalg.StreamingTriangles(g, rec)
+	tc, err := bspalg.StreamingTriangles(g, rec)
+	if err != nil {
+		return nil, err
+	}
 	res.Candidates = tc.CandidateMessages
 	res.Triangles = tc.Count
 	// Every BSP message is materialized with SendStoresPerMsg writes; the
