@@ -190,19 +190,29 @@ func BenchmarkEngineSkewRMATSparseFlood(b *testing.B) {
 // BenchmarkEngineSkewTC runs the message-heaviest algorithm (triangle
 // counting floods adjacency lists as candidate messages, so hubs dominate
 // both send and delivery work) on a smaller RMAT instance that keeps the
-// candidate-message volume benchable.
+// candidate-message volume benchable. log-B/msg is the unicast log's
+// footprint per message: under 10, because the wedges of superstep 1, most
+// of the traffic, go out in long runs to one destination at 8 bytes and a
+// bit; supersteps 0 and 2 send runs of one, 16 bytes a message.
 func BenchmarkEngineSkewTC(b *testing.B) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bspalg.Triangles(g, nil); err != nil {
+	tc := func(opts ...core.Option) {
+		if _, err := bspalg.Triangles(g, nil, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc()
+	}
+	b.StopTimer()
+	var bytes, msgs int64
+	tc(core.WithLogBytes(&bytes, &msgs))
+	b.ReportMetric(float64(bytes)/float64(msgs), "log-B/msg")
 }
 
 // benchHubSend has every vertex Send to the same eight destinations in
@@ -221,7 +231,9 @@ func (benchHubSend) Compute(v *core.VertexContext) {
 }
 
 // BenchmarkEngineUnicastHub: 2^20 unicast messages to eight hubs, grouped
-// (no combiner) and folded (Sum, through the hub prefold).
+// (no combiner) and folded (Sum, through the hub prefold). No two
+// consecutive sends share a destination, so every run is one message long
+// and log-B/msg is 16: a value and a run header each.
 func BenchmarkEngineUnicastHub(b *testing.B) {
 	g := gen.Ring(1 << 17)
 	for _, cb := range []struct {
@@ -229,7 +241,15 @@ func BenchmarkEngineUnicastHub(b *testing.B) {
 		fn   func(a, b int64) int64
 	}{{"none", nil}, {"sum", core.Sum}} {
 		b.Run("combiner="+cb.name, func(b *testing.B) {
-			benchRun(b, core.Config{Graph: g, Program: benchHubSend{}, Combiner: cb.fn})
+			cfg := core.Config{Graph: g, Program: benchHubSend{}, Combiner: cb.fn}
+			benchRun(b, cfg)
+			b.StopTimer()
+			var bytes, msgs int64
+			core.WithLogBytes(&bytes, &msgs)(&cfg)
+			if _, err := core.Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(bytes)/float64(msgs), "log-B/msg")
 		})
 	}
 }

@@ -279,11 +279,9 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t 
 	// In-flight traffic, sent during step: the unicast log, and beside it
 	// the broadcast records delivery kept instead of expanding, so a resumed
 	// run re-delivers exactly the traffic the original run held.
-	for _, seg := range t.sends.segs {
-		for _, m := range seg {
-			s.MsgDest = append(s.MsgDest, m.Dest)
-			s.MsgVal = append(s.MsgVal, m.Value)
-		}
+	for dest, value := range (traffic{sends: t.sends}).all() {
+		s.MsgDest = append(s.MsgDest, dest)
+		s.MsgVal = append(s.MsgVal, value)
 	}
 	if len(t.bcasts) > 0 {
 		s.BcastSrc = make([]int64, len(t.bcasts))

@@ -1,56 +1,107 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"graphxmt/internal/graph"
 )
 
-// msgBlockLen is the size, in messages, of one block of the unicast log
-// (64 KiB): the pool and the segment list are touched once per 4 Ki sends,
-// and the partial block a sweep chunk ends on wastes little
+// msgBlockLen is the size, in 8-byte slots, of one block of the unicast log
+// (64 KiB): the pool and the segment list are touched once per block, and
+// the partial block a sweep chunk ends on wastes little
 // (docs/PERFORMANCE.md §12 has the measured alternatives).
-const msgBlockLen = 1 << 12
+const msgBlockLen = 1 << 13
+
+// A run header is one slot: the destination above runLenBits, the run's
+// length below. A block holds at most msgBlockLen-1 values, so the length
+// fits in 13 bits, and any destination below 2^50 above them.
+const (
+	runLenBits = 13
+	runLenMask = 1<<runLenBits - 1
+)
+
+// msgBlock is one block of the unicast log: values from the front, one
+// header per run of consecutive sends to the same destination from the
+// back, full when they meet. A run never spans two blocks.
+type msgBlock [msgBlockLen]int64
 
 // blockPool recycles log blocks across supersteps and across runs, so
 // unicast traffic is written into memory neither allocated nor zeroed
 // again; a sync.Pool, so an idle process gives it all back.
-var blockPool = sync.Pool{New: func() any { return new([msgBlockLen]Message) }}
+var blockPool = sync.Pool{New: func() any { return new(msgBlock) }}
 
-// msgLog is a run of unicast messages in send order, written once by Send
-// and read in place by every boundary consumer: segs are blocks from
-// blockPool, each filled from its start; tail is the block being filled,
-// not yet in segs; sealed counts the messages in segs. A chunk's log is
-// spliced into the superstep's by pointer (spliceSends), never copied.
+// logSeg is a sealed block: nval values, and the headers of the nrun runs
+// that hold them, the first run's in the block's last slot.
+type logSeg struct {
+	blk        *msgBlock
+	nval, nrun int32
+}
+
+// hdrs is the segment's run headers, last run first; vals its values.
+func (s logSeg) hdrs() []int64 { return s.blk[msgBlockLen-s.nrun:] }
+func (s logSeg) vals() []int64 { return s.blk[:s.nval] }
+
+// msgLog is a stream of unicast messages in send order, written once by
+// Send and read in place by every boundary consumer: segs are blocks from
+// blockPool, sealed counts the values in segs. The block being filled, blk,
+// is not yet in segs: vals is its values, capped at lim, the slot reserved
+// for the open run's header — so that a send with room is an append; the
+// closed runs' headers fill the slots above lim, and the open run, to dest,
+// began at start. A chunk's log is spliced into the superstep's by pointer
+// (spliceSends), never copied.
 type msgLog struct {
-	segs   [][]Message
-	tail   []Message
+	segs   []logSeg
 	sealed int64
+
+	blk        *msgBlock
+	vals       []int64
+	dest       int64
+	start, lim int
 }
 
-// len is the number of messages logged so far.
-func (l *msgLog) len() int64 { return l.sealed + int64(len(l.tail)) }
-
-// add appends one message.
+// add appends one message. VertexContext.Send is the same over the open run
+// it holds, and openRun the same slow path.
 func (l *msgLog) add(dest, value int64) {
-	if len(l.tail) == cap(l.tail) {
-		l.grow()
+	if dest != l.dest || len(l.vals) == cap(l.vals) {
+		l.closeRun(len(l.vals), l.dest)
+		if len(l.vals) >= l.lim {
+			l.vals = l.fresh(l.vals)
+		}
+		l.vals, l.dest = l.vals[:len(l.vals):l.lim], dest
 	}
-	l.tail = append(l.tail, Message{Dest: dest, Value: value})
+	l.vals = append(l.vals, value)
 }
 
-// grow seals the tail and starts a fresh block.
-func (l *msgLog) grow() {
+// closeRun writes the header of the run to dest that ends at value
+// position end, if it holds a value, into its slot, and reserves the next:
+// the next run starts at end. (A fresh block's first run starts at 0.)
+func (l *msgLog) closeRun(end int, dest int64) {
+	if n := end - l.start; n > 0 {
+		l.blk[l.lim] = dest<<runLenBits | int64(n)
+		l.lim--
+		l.start = end
+	}
+}
+
+// fresh seals the block run fills and returns an empty one. A run opens
+// where the block has a slot for its value below lim, the slot for its
+// header: nowhere without a block, where lim is 0.
+func (l *msgLog) fresh(run []int64) []int64 {
+	l.vals = run
 	l.seal()
-	l.tail = blockPool.Get().(*[msgBlockLen]Message)[:0]
+	l.blk, l.lim = blockPool.Get().(*msgBlock), msgBlockLen-1
+	return l.blk[:0]
 }
 
-// seal moves the tail into segs; readers see only sealed messages.
+// seal moves the block being filled into segs; readers see only sealed
+// messages.
 func (l *msgLog) seal() {
-	if l.tail != nil {
-		l.segs = append(l.segs, l.tail)
-		l.sealed += int64(len(l.tail))
-		l.tail = nil
+	if l.blk != nil {
+		l.closeRun(len(l.vals), l.dest)
+		l.segs = append(l.segs, logSeg{blk: l.blk, nval: int32(len(l.vals)), nrun: int32(msgBlockLen - 1 - l.lim)})
+		l.sealed += int64(len(l.vals))
+		l.blk, l.vals, l.start, l.lim = nil, nil, 0, 0
 	}
 }
 
@@ -58,14 +109,26 @@ func (l *msgLog) seal() {
 func (l *msgLog) release() {
 	l.seal()
 	for i, seg := range l.segs {
-		blockPool.Put((*[msgBlockLen]Message)(seg[:msgBlockLen]))
-		l.segs[i] = nil
+		blockPool.Put(seg.blk)
+		l.segs[i] = logSeg{}
 	}
 	l.segs, l.sealed = l.segs[:0], 0
 }
 
+// bytes is the log's footprint in slots used, values and run headers.
+func (l *msgLog) bytes() int64 {
+	b := l.sealed + int64(len(l.vals))
+	if l.blk != nil {
+		b += int64(msgBlockLen - 1 - l.lim)
+	}
+	for _, s := range l.segs {
+		b += int64(s.nrun)
+	}
+	return 8 * b
+}
+
 // bcastRec is one recorded broadcast: SendToNeighbors stores a single
-// (source, value) record instead of materializing one Message per edge.
+// (source, value) record instead of materializing one message per edge.
 // seq is the number of unicast messages in the same log at record time —
 // the record's position in the interleaved send stream — so traffic.all
 // reads the exact per-edge send order when a superstep mixes Send and
@@ -83,16 +146,15 @@ type engineState struct {
 	superstep int
 	log       msgLog
 	// bcastBuf collects SendToNeighbors records in call order (ascending
-	// source vertex within a chunk). sent counts logical messages — one per
-	// edge for a broadcast — so counters, charges, and budgets see exactly
-	// the traffic the per-edge expansion would have produced.
-	bcastBuf []bcastRec
-	sent     int64
-	// unicast counts Send calls only (never SendToNeighbors, under either
-	// broadcast treatment), so sent-unicast is the frontier's
-	// broadcast-incident-edge count the direction heuristic reads — a
-	// logical quantity identical across treatments and worker counts.
-	unicast int64
+	// source vertex within a chunk). sent counts the broadcasts' logical
+	// messages — one per edge — and expanded those of them the tests'
+	// per-edge expansion appended to the log. Send counts nothing: a
+	// superstep's unicast count is its log's length less expanded
+	// (mergeCounters), so counters, charges and budgets see exactly the
+	// traffic the per-edge expansion would have produced, and the direction
+	// heuristic reads the same unicast count under either treatment.
+	bcastBuf       []bcastRec
+	sent, expanded int64
 	// expand reverts SendToNeighbors to eager per-edge expansion
 	// (Config.expandBroadcasts), the tests' per-edge oracle.
 	expand bool
@@ -122,10 +184,21 @@ type aggregator struct {
 // superstep: its identity, state, incoming messages, and the operations the
 // BSP model permits (local computation, sending, voting to halt).
 type VertexContext struct {
+	// run and runDest are the chunk log's open run — its values so far in
+	// the block being filled, capped at the run's header slot, and their
+	// destination — held here while the chunk runs (attach to detach) so
+	// that Send inlines: a send that continues the run is one append.
+	run     []int64
+	runDest int64
+	// log is the log the chunk appends to: its engine's, or under the
+	// serial sweep the superstep's, threaded through every chunk.
+	log    *msgLog
 	engine *engineState
-	id     int64
-	msgs   []int64
-	halt   bool
+	// n is the graph's vertex count, the bound openRun checks.
+	n    int64
+	id   int64
+	msgs []int64
+	halt bool
 	// nbrBuf is the adjacency buffer of the sweep chunk this context runs,
 	// on loan from the run's gatherPool from the chunk's first need of one
 	// (buf) until the chunk ends (returnBuf); nil in between.
@@ -138,6 +211,22 @@ func (v *VertexContext) buf() []int64 {
 		v.nbrBuf = v.engine.bufs.get()
 	}
 	return v.nbrBuf
+}
+
+// attach loads the chunk log's open run; detach, deferred, stores it back
+// and returns the adjacency buffer.
+func (v *VertexContext) attach() {
+	v.run, v.runDest = v.log.vals, v.log.dest
+}
+
+func (v *VertexContext) detach() {
+	v.log.vals, v.log.dest, v.run = v.run, v.runDest, nil
+	v.returnBuf()
+}
+
+// logLen is the length of the chunk's log, open run included.
+func (v *VertexContext) logLen() int64 {
+	return v.log.sealed + int64(len(v.run))
 }
 
 // returnBuf hands the chunk's adjacency buffer, if it took one, back.
@@ -203,12 +292,30 @@ func (v *VertexContext) Charge(issue, loads, stores int64) {
 func (v *VertexContext) NumVertices() int64 { return v.engine.graph.NumVertices() }
 
 // Send sends value to vertex dest, to be received next superstep. A vertex
-// may send to any vertex it can identify, not only neighbors.
+// may send to any vertex it can identify, not only neighbors; a dest outside
+// [0, NumVertices()) panics, so Run returns a *ProgramError naming the
+// sender.
 func (v *VertexContext) Send(dest, value int64) {
-	e := v.engine
-	e.log.add(dest, value)
-	e.sent++
-	e.unicast++
+	if dest != v.runDest || len(v.run) == cap(v.run) {
+		v.openRun(dest)
+	}
+	v.run = append(v.run, value)
+}
+
+// openRun is Send's slow path: the send starts a run, so it is where the
+// destination is checked — once per run, not once per message.
+//
+//go:noinline
+func (v *VertexContext) openRun(dest int64) {
+	if uint64(dest) >= uint64(v.n) {
+		panic(fmt.Sprintf("core: Send to vertex %d, outside [0, %d)", dest, v.n))
+	}
+	l := v.log
+	l.closeRun(len(v.run), v.runDest)
+	if len(v.run) >= l.lim {
+		v.run = l.fresh(v.run)
+	}
+	v.run, v.runDest = v.run[:len(v.run):l.lim], dest
 }
 
 // SendToNeighbors sends value to every neighbor. Logically this is one
@@ -220,21 +327,25 @@ func (v *VertexContext) Send(dest, value int64) {
 // combiner associativity is leaned on).
 func (v *VertexContext) SendToNeighbors(value int64) {
 	e := v.engine
+	deg := e.graph.Degree(v.id)
 	if e.expand {
 		// Per-edge messages still count as broadcast traffic, not unicast —
-		// appended directly so the unicast counter (and therefore the
-		// direction decision) is identical under both treatments.
+		// expanded keeps them out of the unicast count (and therefore the
+		// direction decision), identical under both treatments.
+		l := v.log
+		l.vals, l.dest = v.run, v.runDest
 		for _, w := range v.Neighbors() {
-			e.log.add(w, value)
+			l.add(w, value)
 		}
-		e.sent += e.graph.Degree(v.id)
+		v.run, v.runDest = l.vals, l.dest
+		e.sent += deg
+		e.expanded += deg
 		return
 	}
-	deg := e.graph.Degree(v.id)
 	if deg == 0 {
 		return
 	}
-	e.bcastBuf = append(e.bcastBuf, bcastRec{src: v.id, val: value, seq: e.log.len()})
+	e.bcastBuf = append(e.bcastBuf, bcastRec{src: v.id, val: value, seq: v.logLen()})
 	e.sent += deg
 }
 

@@ -33,32 +33,33 @@ type traffic struct {
 // all enumerates the (destination, value) pairs in send order: the log's
 // messages, and each record's value once per neighbor of its source, in
 // adjacency order, where the record stands in the stream — after the first
-// seq log messages. Record order + adjacency order IS the per-edge send
-// order of the broadcasts; seq merges them with the Sends. The adjacency is
-// read the same way on both graph representations, decoded into a buffer
-// borrowed only when there are records. The body is inlined into the loops
-// (the compiler needs the iterator free of defers for that), so a pass
-// costs what the hand-written loop did.
+// seq log messages, inside a run or between two. Record order + adjacency
+// order IS the per-edge send order of the broadcasts; seq merges them with
+// the Sends. The adjacency is read the same way on both graph
+// representations, decoded into a buffer borrowed only when there are
+// records. The body is inlined into the loops (the compiler needs the
+// iterator free of defers for that), so a pass costs what the hand-written
+// loop did.
 func (t traffic) all() iter.Seq2[int64, int64] {
 	return func(yield func(dest, value int64) bool) {
-		// seg is the unread rest of the log segment at stream position at,
-		// segs the segments after it.
-		segs, seg, at := t.sends.segs, []Message(nil), int64(0)
+		// run is the unread rest of the log run to dest at stream position
+		// at; c reads the runs after it.
+		c, dest, run, at := logCursor{segs: t.sends.segs}, int64(0), []int64(nil), int64(0)
 		if len(t.bcasts) > 0 {
 			buf := t.bufs.get()
 			for _, r := range t.bcasts {
 				for at < r.seq {
-					if len(seg) == 0 {
-						seg, segs = segs[0], segs[1:]
+					if len(run) == 0 {
+						dest, run = c.next()
 					}
-					k := min(int64(len(seg)), r.seq-at)
-					for _, m := range seg[:k] {
-						if !yield(m.Dest, m.Value) {
+					k := min(int64(len(run)), r.seq-at)
+					for _, v := range run[:k] {
+						if !yield(dest, v) {
 							t.bufs.put(buf)
 							return
 						}
 					}
-					seg, at = seg[k:], at+k
+					run, at = run[k:], at+k
 				}
 				for _, w := range t.g.DecodeNeighbors(r.src, buf) {
 					if !yield(w, r.val) {
@@ -69,19 +70,50 @@ func (t traffic) all() iter.Seq2[int64, int64] {
 			}
 			t.bufs.put(buf)
 		}
-		for _, m := range seg {
-			if !yield(m.Dest, m.Value) {
-				return
-			}
-		}
-		for _, seg := range segs {
-			for _, m := range seg {
-				if !yield(m.Dest, m.Value) {
+		for {
+			for _, v := range run {
+				if !yield(dest, v) {
 					return
 				}
 			}
+			if len(c.hdrs) == 0 {
+				break
+			}
+			dest, run = c.next()
+		}
+		for _, s := range c.segs {
+			hdrs, vals := s.hdrs(), s.vals()
+			for i := len(hdrs) - 1; i >= 0; i-- {
+				dest, run := hdrs[i]>>runLenBits, vals[:hdrs[i]&runLenMask]
+				for _, v := range run {
+					if !yield(dest, v) {
+						return
+					}
+				}
+				vals = vals[len(run):]
+			}
 		}
 	}
+}
+
+// logCursor reads a log run by run where all must stop inside one to place
+// a record: segs are the segments after the current one, whose unread run
+// headers (last run first) and values are hdrs and vals.
+type logCursor struct {
+	segs       []logSeg
+	hdrs, vals []int64
+}
+
+// next returns the next run's destination and values.
+func (c *logCursor) next() (int64, []int64) {
+	if len(c.hdrs) == 0 {
+		c.hdrs, c.vals, c.segs = c.segs[0].hdrs(), c.segs[0].vals(), c.segs[1:]
+	}
+	h := c.hdrs[len(c.hdrs)-1]
+	c.hdrs = c.hdrs[:len(c.hdrs)-1]
+	run := c.vals[:h&runLenMask]
+	c.vals = c.vals[len(run):]
+	return h >> runLenBits, run
 }
 
 // shares splits the traffic into at most C contiguous runs for the C
@@ -459,12 +491,17 @@ func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64, r
 func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts []K, n int64, off, val []int64, recv []uint64) {
 	R, need := len(bnds)-1, int64(len(counts))
 
-	// Pass 1: per-(share, destination) counts.
+	// Pass 1: per-(share, destination) counts — one length per run when the
+	// share is log alone.
 	par.ForCoarse(R, func(c int) {
 		row := counts[int64(c)*n : int64(c+1)*n]
 		clear(row)
-		for dest := range t.part(bnds, c).all() {
-			row[dest]++
+		if share := t.part(bnds, c); len(share.bcasts) == 0 {
+			countRuns(row, share.sends.segs)
+		} else {
+			for dest := range share.all() {
+				row[dest]++
+			}
 		}
 	})
 
@@ -508,15 +545,52 @@ func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts
 	})
 	off[n] = t.logical
 
-	// Pass 2: scatter through the per-(share, dest) cursors.
+	// Pass 2: scatter through the per-(share, dest) cursors, a run at a
+	// time when the share is log alone.
 	par.ForCoarse(R, func(c int) {
 		row := counts[int64(c)*n : int64(c+1)*n]
-		for dest, value := range t.part(bnds, c).all() {
-			p := row[dest]
-			row[dest] = p + 1
-			val[p] = value
+		if share := t.part(bnds, c); len(share.bcasts) == 0 {
+			for _, s := range share.sends.segs {
+				scatterRuns(row, val, s)
+			}
+		} else {
+			for dest, value := range share.all() {
+				p := row[dest]
+				row[dest] = p + 1
+				val[p] = value
+			}
 		}
 	})
+}
+
+// countRuns adds the length of every run in segs to its destination's
+// count, in any order: the headers as they lie in the blocks.
+func countRuns[K int32 | int64](row []K, segs []logSeg) {
+	for _, s := range segs {
+		for _, h := range s.hdrs() {
+			row[h>>runLenBits] += K(h & runLenMask)
+		}
+	}
+}
+
+// scatterRuns moves every run of segment s, in send order, to its
+// destination's cursor in val: a store for a run of one, a copy for a
+// longer one. A function of its own per segment, so that its loop keeps its
+// state in registers.
+func scatterRuns[K int32 | int64](row []K, val []int64, s logSeg) {
+	p := 0
+	for i := msgBlockLen - 1; i >= msgBlockLen-int(s.nrun); i-- {
+		h := s.blk[i&(msgBlockLen-1)]
+		dest, n := h>>runLenBits, int(h&runLenMask)
+		at := row[dest]
+		row[dest] = at + K(n)
+		if n == 1 {
+			val[at] = s.blk[p&(msgBlockLen-1)]
+		} else {
+			copy(val[at:], s.blk[p:p+n])
+		}
+		p += n
+	}
 }
 
 // lookasideScatter stores every message in the lookaside, touching only

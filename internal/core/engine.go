@@ -54,14 +54,6 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// Message is one in-flight message: a destination vertex and an int64
-// payload. The paper's three algorithms all exchange vertex IDs or
-// distances, so payloads are plain int64s.
-type Message struct {
-	Dest  int64
-	Value int64
-}
-
 // Program is a vertex program. Compute is called once per active vertex
 // per superstep with the vertex's incoming messages. Compute runs
 // concurrently for distinct vertices on the host (see the package comment
@@ -177,6 +169,10 @@ type Config struct {
 	// against (set only through export_test.go). Both treatments give the
 	// same Result, profile and logical counters, so it is not fingerprinted.
 	expandBroadcasts bool
+	// logSeen, when set (only through export_test.go), is handed every
+	// delivered superstep's unicast log: the bytes it fills and the
+	// messages it holds.
+	logSeen func(bytes, msgs int64)
 }
 
 // Result is the outcome of a BSP run.
@@ -526,9 +522,10 @@ func Run(cfg Config) (*Result, error) {
 			known = scanCount + known*(1+g.Offsets()[n]/max(n, 1))
 			if par.Workers() == 1 || known < sweepSerialMax {
 				// Serial fast path: chunks run in index order anyway, so thread
-				// one shared log through them, tail block and all — appending in
-				// chunk order is the splice the parallel path performs
-				// explicitly, and a near-empty superstep touches one block.
+				// one shared log through their contexts, open block and all —
+				// appending in chunk order is the splice the parallel path
+				// performs explicitly, and a near-empty superstep touches one
+				// block.
 				// Counter and aggregator partials stay per-chunk so their merge
 				// fold structure (hence the result) is identical to the parallel
 				// path's.
@@ -539,12 +536,11 @@ func Run(cfg Config) (*Result, error) {
 					lo, hi := bounds[c], bounds[c+1]
 					cs := scratch.chunks[c]
 					cs.reset(step, master.prevAggregates)
-					cs.eng.log = tr.sends
+					cs.ctx.log = &tr.sends
 					cs.eng.bcastBuf = bb
 					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
-					tr.sends = cs.eng.log
+					cs.ctx.log = &cs.eng.log
 					bb = cs.eng.bcastBuf
-					cs.eng.log = msgLog{}
 					cs.eng.bcastBuf = nil
 					if cs.trap != nil {
 						// A trapped chunk is the lowest one (index order); later
@@ -608,7 +604,7 @@ func Run(cfg Config) (*Result, error) {
 		// per-edge expansion produced before broadcasts became records — so
 		// counters, charges, budgets, and termination are untouched by how
 		// the traffic is physically represented.
-		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta := scratch.mergeCounters(numChunks)
+		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta := scratch.mergeCounters(numChunks, tr.sends.sealed)
 		live += haltDelta
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
@@ -684,6 +680,9 @@ func Run(cfg Config) (*Result, error) {
 		// SendToNeighbors — the engine-side traffic the logical counter
 		// deliberately does not show.
 		tr.logical = sent
+		if cfg.logSeen != nil {
+			cfg.logSeen(tr.sends.bytes(), tr.sends.sealed)
+		}
 		delivered, took := scratch.deliver(tr, ib, candidates, dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)

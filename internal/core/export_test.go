@@ -6,8 +6,10 @@ import "graphxmt/internal/graph"
 // representation decision and check the engine made it.
 const LookasideCutoff = lookasideCutoff
 
-// MsgBlockLen lets tests put send counts either side of a block boundary.
-const MsgBlockLen = msgBlockLen
+// UnitRunsPerBlock lets tests put send counts either side of a block
+// boundary: the messages a log block holds when no two consecutive sends
+// share a destination, each a value and a run header.
+const UnitRunsPerBlock = msgBlockLen / 2
 
 // WithExpandBroadcasts reverts SendToNeighbors to eager per-edge expansion
 // (Config.expandBroadcasts): the per-edge oracle the record path must match.
@@ -49,5 +51,13 @@ func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64
 		}
 		cs.ctx.returnBuf()
 		return received
+	}
+}
+
+// WithLogBytes makes Run add every delivered superstep's unicast log
+// footprint to *bytes and the messages it holds to *msgs.
+func WithLogBytes(bytes, msgs *int64) Option {
+	return func(c *Config) {
+		c.logSeen = func(b, m int64) { *bytes, *msgs = *bytes+b, *msgs+m }
 	}
 }

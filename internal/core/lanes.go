@@ -102,8 +102,8 @@ func laneCount(t *traffic) int64 {
 		m |= uint64(t.bcasts[i].val)
 	}
 	for _, seg := range t.sends.segs {
-		for i := range seg {
-			m |= uint64(seg[i].Value)
+		for _, v := range seg.vals() {
+			m |= uint64(v)
 		}
 	}
 	return int64(bits.OnesCount64(m))

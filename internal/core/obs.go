@@ -197,19 +197,19 @@ func (o *obsRun) flightDump(dir, cause string) string {
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
 // run-level buffers (the inbox and the adjacency-buffer pool among them),
-// the blocks the superstep's unicast log holds — full or partial, and none
-// of those idle in blockPool — plus every chunk's record buffer and segment
-// list — re-measured only for the numChunks chunks that just ran, so a
-// near-empty superstep after a 256-chunk one does not walk them all again.
+// the slots the superstep's unicast log fills — values and run headers, not
+// the rest of a partial block, nor the blocks idle in blockPool — plus
+// every chunk's record buffer and segment list — re-measured only for the
+// numChunks chunks that just ran, so a near-empty superstep after a
+// 256-chunk one does not walk them all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
 func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates, stamp []int64) int64 {
 	const (
-		msgSize = 16 // Message: two int64s
 		recSize = 24 // bcastRec: three int64s
-		segSize = 24 // a segment's slice header
+		segSize = 16 // logSeg: a block pointer and two int32s
 	)
-	b := int64(len(t.sends.segs))*msgBlockLen*msgSize + int64(cap(t.bcasts))*recSize
+	b := t.sends.bytes() + int64(cap(t.bcasts))*recSize
 	b += int64(cap(t.sends.segs)) * segSize
 	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(stamp)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8

@@ -180,7 +180,8 @@ func (cs *chunkState) guard() {
 // candidates[lo:hi]; the full scan runs the awake vertices of [lo, hi).
 func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []uint64, candidates []int64) {
 	defer cs.guard()
-	defer cs.ctx.returnBuf()
+	defer cs.ctx.detach()
+	cs.ctx.attach()
 	cs.halt, cs.seen = wordCursor{set: halted, i: -1}, wordCursor{set: cs.seen.set, i: -1}
 	if candidates != nil {
 		for _, v := range candidates[lo:hi] {
@@ -256,8 +257,7 @@ func awake(halted, recv []uint64, lo, hi int) iter.Seq[int64] {
 func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
 	cs.eng.superstep = step
 	cs.eng.bcastBuf = cs.eng.bcastBuf[:0]
-	cs.eng.sent = 0
-	cs.eng.unicast = 0
+	cs.eng.sent, cs.eng.expanded = 0, 0
 	cs.eng.extraIssue, cs.eng.extraLoads, cs.eng.extraStores = 0, 0, 0
 	cs.eng.prevAggregates = prevAggs
 	cs.active, cs.received, cs.haltDelta, cs.visitedDelta = 0, 0, 0, 0
@@ -421,9 +421,12 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	ctx.id = v
 	ctx.msgs = msgs
 	ctx.halt = false
-	sentBefore := cs.eng.sent
+	var sentBefore int64
+	if cs.seen.set != nil {
+		sentBefore = cs.eng.sent + ctx.logLen()
+	}
 	p.Compute(ctx)
-	if cs.seen.set != nil && !cs.seen.at(v) && (hasMsgs || cs.eng.sent > sentBefore) {
+	if cs.seen.set != nil && !cs.seen.at(v) && (hasMsgs || cs.eng.sent+ctx.logLen() > sentBefore) {
 		// A vertex is visited once it has received or sent a message — the
 		// logical event the direction heuristic's unvisited-edge count
 		// tracks. Single-owner write: v's word belongs to exactly this chunk.
@@ -509,7 +512,7 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, ds *dirSta
 		cs.eng.states = master.states
 		cs.eng.expand = master.expand
 		cs.eng.bufs = master.bufs
-		cs.ctx.engine = &cs.eng
+		cs.ctx.engine, cs.ctx.log, cs.ctx.n = &cs.eng, &cs.eng.log, master.graph.NumVertices()
 		s.chunks = append(s.chunks, cs)
 	}
 }
@@ -559,21 +562,24 @@ func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int
 }
 
 // mergeCounters sums the per-chunk superstep counters (serial over a few
-// hundred chunks; the order is irrelevant for integer sums). sent is the
-// logical message count — broadcasts count one message per edge, exactly
-// what per-edge expansion would have appended.
-func (s *runScratch) mergeCounters(numChunks int) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta int64) {
+// hundred chunks; the order is irrelevant for integer sums). logged is the
+// superstep's log length: its Sends, and the per-edge messages of expanded
+// broadcasts. sent is the logical message count — broadcasts count one
+// message per edge, exactly what per-edge expansion would have appended.
+func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta int64) {
+	unicast = logged
 	for _, cs := range s.chunks[:numChunks] {
 		active += cs.active
 		received += cs.received
 		sent += cs.eng.sent
-		unicast += cs.eng.unicast
+		unicast -= cs.eng.expanded
 		extraIssue += cs.eng.extraIssue
 		extraLoads += cs.eng.extraLoads
 		extraStores += cs.eng.extraStores
 		haltDelta += cs.haltDelta
 		visitedDelta += cs.visitedDelta
 	}
+	sent += unicast
 	return
 }
 

@@ -270,6 +270,50 @@ func TestPanicWithoutBoundary(t *testing.T) {
 	}
 }
 
+// badSend has one vertex send to vertex 3, then open a run to dest: a
+// vertex outside the graph in every row of TestSendOutOfRange.
+type badSend struct{ from, dest int64 }
+
+func (badSend) InitialState(*graph.Graph, int64) int64 { return 0 }
+func (p badSend) Compute(v *core.VertexContext) {
+	if v.Superstep() == 0 && v.ID() == p.from {
+		v.Send(3, 1)
+		v.Send(3, 2)
+		v.Send(p.dest, 7)
+	}
+	v.VoteToHalt()
+}
+
+// TestSendOutOfRange: a Send outside [0, n) panics where it is made, so the
+// sweep's guard turns it into a ProgramError naming the sender, at any
+// worker count, under the full scan and sparse activation alike. 2^32+3
+// would alias vertex 3 — the run the sender has open — through a 32-bit
+// destination field; 2^40 through none, but lies outside all the same.
+func TestSendOutOfRange(t *testing.T) {
+	const n = 1 << 15 // superstep 0 takes the parallel sweep at w=3
+	g := gen.Path(n)
+	from := int64(n/2 + 5)
+	for _, dest := range []int64{-1, n, 1<<32 + 3, 1 << 40} {
+		for _, w := range []int{1, 3} {
+			for _, sparse := range []bool{false, true} {
+				t.Run(fmt.Sprintf("dest=%d/w=%d/sparse=%v", dest, w, sparse), func(t *testing.T) {
+					_, _, err := runRec(g, w, core.Config{Program: badSend{from: from, dest: dest}, SparseActivation: sparse})
+					var pe *core.ProgramError
+					if !errors.As(err, &pe) {
+						t.Fatalf("want ProgramError, got %v", err)
+					}
+					if pe.Vertex != from || pe.Superstep != 0 || pe.Phase != "compute" {
+						t.Fatalf("ProgramError = vertex %d, superstep %d, phase %s; want %d/0/compute", pe.Vertex, pe.Superstep, pe.Phase, from)
+					}
+					if want := fmt.Sprintf("Send to vertex %d,", dest); !strings.Contains(fmt.Sprint(pe.Recovered), want) {
+						t.Fatalf("panic value %q does not name the destination (%q)", pe.Recovered, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCheckpointWriteFailure: an injected mid-stream write failure aborts
 // the run with a typed WriteError, leaves earlier checkpoints loadable,
 // and leaves no temp-file litter or partial final file.

@@ -24,7 +24,8 @@ import (
 	"graphxmt/internal/par"
 )
 
-// The rows below straddle a 4096-message block.
+// The rows below straddle a block of the probe's sends, which almost never
+// repeat a destination: 4096 one-message runs.
 const logBlock = 4096
 
 // logProbeChunk is the sweep chunk size on logGraph (16384/256), asserted
@@ -97,8 +98,8 @@ func (p logProbe) Compute(v *core.VertexContext) {
 }
 
 func TestUnicastLogGolden(t *testing.T) {
-	if core.MsgBlockLen != logBlock {
-		t.Fatalf("rows straddle a %d-message block, the engine's is %d: re-derive the rows", logBlock, core.MsgBlockLen)
+	if core.UnitRunsPerBlock != logBlock {
+		t.Fatalf("rows straddle a %d-message block, the engine's holds %d: re-derive the rows", logBlock, core.UnitRunsPerBlock)
 	}
 	g := logGraph()
 	for c, lo := range core.SweepRanges(g) {
