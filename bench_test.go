@@ -30,8 +30,8 @@ var (
 func setup(b *testing.B) (*graph.Graph, experiments.Setup) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSetup = experiments.DefaultSetup()
-		benchSetup.Scale = benchScale
+		// The EXPERIMENTS.md workload at a smaller scale.
+		benchSetup = experiments.Setup{Scale: benchScale, EdgeFactor: 16, Seed: 1, Procs: 128}
 		var err error
 		benchGraph, err = experiments.BuildGraph(benchSetup)
 		if err != nil {

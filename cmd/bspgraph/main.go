@@ -268,9 +268,10 @@ func main() {
 	sess.Attach(rec, g.NumVertices(), g.NumEdges())
 	source := *src
 	if source < 0 {
-		source = maxDegreeVertex(g)
+		source = g.MaxDegreeVertex()
 	}
-	if source >= g.NumVertices() {
+	usesSrc := name == "sssp" || name == "diameter" || (name == "bfs" && *sources == "")
+	if usesSrc && source >= g.NumVertices() {
 		usage("-src %d out of range [0,%d)", source, g.NumVertices())
 	}
 
@@ -569,14 +570,4 @@ func lanesReached(masks []int64) int64 {
 		n += int64(bits.OnesCount64(uint64(m)))
 	}
 	return n
-}
-
-func maxDegreeVertex(g *graph.Graph) int64 {
-	var best, src int64 = -1, 0
-	for v := int64(0); v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > best {
-			best, src = d, v
-		}
-	}
-	return src
 }

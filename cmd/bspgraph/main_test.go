@@ -93,6 +93,11 @@ func TestExitStatus(t *testing.T) {
 	if err := os.WriteFile(oldVersion, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A graph with no vertices: an edge list with only a comment.
+	emptyFile := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(emptyFile, []byte("# empty\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name   string
@@ -107,6 +112,8 @@ func TestExitStatus(t *testing.T) {
 		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`},
 		{"fatal/tc on a directed graph", []string{"-g", directedFile, "-alg", "tc"}, 1, `Triangles counts the triangles of an undirected graph`},
 		{"fatal/tc-streaming on a directed graph", []string{"-g", directedFile, "-alg", "tc-streaming"}, 1, `StreamingTriangles counts the triangles of an undirected graph`},
+		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`},
+		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,
 			`resume with -resume \S+ckpt-000000001\.gxckpt`},
 	}
@@ -118,6 +125,48 @@ func TestExitStatus(t *testing.T) {
 			}
 			if !regexp.MustCompile(tc.stderr).MatchString(stderr) {
 				t.Errorf("stderr does not match %q:\n%s", tc.stderr, stderr)
+			}
+		})
+	}
+}
+
+// TestEmptyGraph: every algorithm that takes no source runs on a graph with
+// no vertices and prints its empty result; the ones that need a source exit
+// 2 naming -src, since an empty graph has none to default to.
+func TestEmptyGraph(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("# empty\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		alg    string
+		status int
+		out    string // regexp stdout (status 0) or stderr must match
+	}{
+		{"cc", 0, `(?m)^\[bsp cc\] 0 components in 1 supersteps$`},
+		{"tc", 0, `(?m)^\[bsp tc\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
+		{"tc-streaming", 0, `(?m)^\[bsp tc-streaming\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
+		{"pagerank", 0, `(?m)^\[bsp pagerank\] supersteps=1 `},
+		{"kcore", 0, `(?m)^\[bsp kcore\] degeneracy=0 supersteps=1$`},
+		{"lp", 0, `(?m)^\[bsp lp\] 0 communities in 1 supersteps$`},
+		{"bc", 0, `(?m)^\[bsp bc\] sources=0 supersteps=0 `},
+		{"mis", 0, `(?m)^\[bsp mis\] 0 members in 1 rounds \(valid=true\)$`},
+		{"bfs", 2, `-src 0 out of range \[0,0\)`},
+		{"sssp", 2, `-src 0 out of range \[0,0\)`},
+		{"diameter", 2, `-src 0 out of range \[0,0\)`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.alg, func(t *testing.T) {
+			status, stdout, stderr := run(t, "-g", empty, "-alg", tc.alg)
+			if status != tc.status {
+				t.Fatalf("exit status %d, want %d\n%s", status, tc.status, stderr)
+			}
+			text := stderr
+			if tc.status == 0 {
+				text = stdout
+			}
+			if !regexp.MustCompile(tc.out).MatchString(text) {
+				t.Errorf("output does not match %q:\n%s", tc.out, text)
 			}
 		})
 	}

@@ -76,10 +76,14 @@ func main() {
 	model := machine.NewAnalytic(machine.DefaultConfig())
 	source := *src
 	if source < 0 {
-		source = maxDegreeVertex(g)
+		source = g.MaxDegreeVertex()
 	}
-	if source >= g.NumVertices() || *dst >= g.NumVertices() {
-		usage("-src/-dst out of range [0,%d)", g.NumVertices())
+	for _, k := range strings.Split(*kernels, ",") {
+		k = strings.TrimSpace(k)
+		usesSrc, usesDst := k == "bfs" || k == "diameter" || k == "stcon", k == "stcon"
+		if (usesSrc && source >= g.NumVertices()) || (usesDst && *dst >= g.NumVertices()) {
+			usage("-src/-dst out of range [0,%d)", g.NumVertices())
+		}
 	}
 
 	for _, k := range strings.Split(*kernels, ",") {
@@ -155,16 +159,6 @@ func usage(format string, args ...any) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "graphct:", err)
 	os.Exit(1)
-}
-
-func maxDegreeVertex(g *graph.Graph) int64 {
-	var best, src int64 = -1, 0
-	for v := int64(0); v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > best {
-			best, src = d, v
-		}
-	}
-	return src
 }
 
 // topK returns the indices of the k largest scores, formatted.

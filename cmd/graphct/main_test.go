@@ -80,6 +80,54 @@ func run(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
+// TestEmptyGraph: every kernel that takes no source runs on a graph with no
+// vertices and prints its empty result; the ones that need a source (or a
+// destination) exit 2, since an empty graph has none to default to.
+func TestEmptyGraph(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("# empty\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		kernel string
+		status int
+		out    string // regexp the kernel's stdout line (status 0) or stderr must match
+	}{
+		{"degrees", 0, `^\[degrees\] min=0 max=0 mean=0\.00 median=0 p99=0 isolated=0 `},
+		{"cc", 0, `^\[cc\] 0 components, largest 0 vertices`},
+		{"sv", 0, `^\[sv\] 0 components, largest 0,`},
+		{"tc", 0, `^\[tc\] triangles=0 writes=0 merge-steps=0$`},
+		{"ccoef", 0, `^\[ccoef\] triangles=0 global=0\.0000$`},
+		{"kcore", 0, `^\[kcore\] degeneracy=0 rounds=0$`},
+		{"pagerank", 0, `^\[pagerank\] iterations=0 converged=false top=\[\]$`},
+		{"bc", 0, `^\[bc\] sources=0 top=\[\]$`},
+		{"lp", 0, `^\[lp\] 0 communities in 1 iterations \(converged=true\)`},
+		{"bfs", 2, `-src/-dst out of range \[0,0\)`},
+		{"stcon", 2, `-src/-dst out of range \[0,0\)`},
+		{"diameter", 2, `-src/-dst out of range \[0,0\)`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kernel, func(t *testing.T) {
+			stdout, stderr, status := run(t, "-g", empty, "-kernels", tc.kernel)
+			if status != tc.status {
+				t.Fatalf("exit status %d, want %d\n%s", status, tc.status, stderr)
+			}
+			text := stderr
+			if tc.status == 0 {
+				text = ""
+				for _, line := range strings.Split(stdout, "\n") {
+					if strings.HasPrefix(line, "["+tc.kernel+"] ") {
+						text = line
+					}
+				}
+			}
+			if !regexp.MustCompile(tc.out).MatchString(text) {
+				t.Errorf("output %q does not match %q\n%s", text, tc.out, stdout)
+			}
+		})
+	}
+}
+
 // TestLoadsEveryFormat: the format is read from the content, not the name —
 // the CSR2 snapshot and an edge list named .txt (the DIMACS extension) load
 // and give the CSR1 fixture's components.
@@ -115,6 +163,11 @@ func TestExitStatus(t *testing.T) {
 	if err := os.WriteFile(truncated, data[:40], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A graph with no vertices: an edge list with only a comment.
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("# empty\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -122,6 +175,8 @@ func TestExitStatus(t *testing.T) {
 		out    string // regexp the first stdout line (status 0) or stderr must match
 	}{
 		{"ok/degrees,cc", []string{"-g", graphFile, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 64 vertices, \d+ edges\}$`},
+		{"ok/degrees,cc on an empty graph", []string{"-g", empty, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 0 vertices, 0 edges\}$`},
+		{"usage/bfs from an explicit source on an empty graph", []string{"-g", empty, "-kernels", "bfs", "-src", "0"}, 2, `-src/-dst out of range \[0,0\)`},
 		{"usage/no graph", []string{"-kernels", "cc"}, 2, `-g is required`},
 		{"usage/bad procs", []string{"-g", graphFile, "-procs", "0"}, 2, `-procs must be > 0, got 0`},
 		{"usage/bad samples", []string{"-g", graphFile, "-samples", "-1"}, 2, `-samples must be >= 0`},

@@ -15,9 +15,9 @@
 //     I/O in three formats, RMAT/ER/WS/BA and structured generators,
 //     deterministic PRNG, host parallelism, work-profile tracing)
 //   - machine: the simulated Cray XMT (analytic and discrete-event
-//     Threadstorm models, regime diagnosis) standing in for the hardware
-//   - fullempty: the XMT's full/empty-bit synchronization primitives and
-//     the lock/queue/hash-set/barrier idioms built from them
+//     Threadstorm models, regime diagnosis) standing in for the hardware;
+//     full/empty-bit synchronization is charged as memory and hotspot
+//     operations in the work profiles only
 //   - graph500: a Graph500-style BFS benchmark harness with validation
 //   - experiments: drivers that regenerate Table I, Figures 1-4, the
 //     auxiliary counts, regime diagnoses, and the ablations

@@ -71,13 +71,8 @@ func (p *Plan) Occupancy() int { return len(p.Sources) }
 // lane order — the form pinned into checkpoint fingerprints and printed by
 // the CLIs.
 func (p *Plan) String() string {
-	return FormatSources(p.Sources)
-}
-
-// FormatSources renders sources as a comma-separated list ("5,17,99").
-func FormatSources(sources []int64) string {
 	var sb strings.Builder
-	for i, s := range sources {
+	for i, s := range p.Sources {
 		if i > 0 {
 			sb.WriteByte(',')
 		}

@@ -110,10 +110,10 @@ func TestParseSources(t *testing.T) {
 }
 
 func TestFormatSources(t *testing.T) {
-	if got := FormatSources([]int64{3, 1, 2}); got != "3,1,2" {
-		t.Fatalf("FormatSources = %q", got)
+	if got := (&Plan{Sources: []int64{3, 1, 2}}).String(); got != "3,1,2" {
+		t.Fatalf("String = %q", got)
 	}
-	if got := FormatSources(nil); got != "" {
-		t.Fatalf("FormatSources(nil) = %q, want empty", got)
+	if got := (&Plan{}).String(); got != "" {
+		t.Fatalf("String of no sources = %q, want empty", got)
 	}
 }

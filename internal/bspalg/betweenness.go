@@ -28,7 +28,7 @@ import (
 const deltaScale = 1_000_000_000
 
 // sigmaProgram runs the forward pass. State is the vertex's BFS level
-// (Unreachable until settled); sigma lives in the program (the vertex
+// (unreachable until settled); sigma lives in the program (the vertex
 // value beyond the engine's int64 state slot).
 type sigmaProgram struct {
 	source int64
@@ -39,7 +39,7 @@ func (p *sigmaProgram) InitialState(_ *graph.Graph, v int64) int64 {
 	if v == p.source {
 		return 0
 	}
-	return Unreachable
+	return unreachable
 }
 
 func (p *sigmaProgram) Compute(v *core.VertexContext) {
@@ -51,7 +51,7 @@ func (p *sigmaProgram) Compute(v *core.VertexContext) {
 		v.VoteToHalt()
 		return
 	}
-	if v.State() >= Unreachable {
+	if v.State() >= unreachable {
 		// First messages: settle at this level with the summed path count.
 		var sum int64
 		for _, m := range v.Messages() {
@@ -79,7 +79,7 @@ func (p *deltaProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
 
 func (p *deltaProgram) Compute(v *core.VertexContext) {
 	d := p.dist[v.ID()]
-	if d < 0 || d >= Unreachable || p.sigma[v.ID()] == 0 {
+	if d < 0 || d >= unreachable || p.sigma[v.ID()] == 0 {
 		v.VoteToHalt()
 		return
 	}
@@ -183,7 +183,7 @@ func Betweenness(g *graph.Graph, opt BetweennessOptions, rec *trace.Recorder, op
 
 		var maxLevel int64
 		for v := int64(0); v < n; v++ {
-			if d := fres.States[v]; d < Unreachable && d > maxLevel {
+			if d := fres.States[v]; d < unreachable && d > maxLevel {
 				maxLevel = d
 			}
 		}

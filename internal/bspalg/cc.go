@@ -83,29 +83,3 @@ func ConnectedComponents(g *graph.Graph, rec *trace.Recorder, opts ...core.Optio
 		MessagesPerStep: res.MessagesPerStep,
 	}, nil
 }
-
-// ConnectedComponentsCombined runs Algorithm 1 with a min-combiner, the
-// Pregel optimization that collapses same-destination messages at the
-// superstep boundary. Results are identical; delivered message counts
-// shrink.
-func ConnectedComponentsCombined(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*CCResult, error) {
-	cfg := core.Config{
-		Graph:    g,
-		Program:  CCProgram{},
-		Combiner: core.Min,
-		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CCResult{
-		Labels:          res.States,
-		Supersteps:      res.Supersteps,
-		ActivePerStep:   res.ActivePerStep,
-		MessagesPerStep: res.MessagesPerStep,
-	}, nil
-}

@@ -8,7 +8,7 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// KCoreProgram is the distributed k-core decomposition of Montresor, De
+// kcoreProgram is the distributed k-core decomposition of Montresor, De
 // Pellegrini and Miorandi expressed as a vertex program — the natural BSP
 // formulation of GraphCT's peeling kernel. Every vertex maintains a
 // coreness estimate, initially its degree, and a cache of its neighbors'
@@ -24,16 +24,16 @@ import (
 // Messages encode (sender, estimate) as sender<<32 | estimate, which bounds
 // the program to graphs with fewer than 2^31 vertices and degrees — far
 // beyond anything this repository simulates.
-type KCoreProgram struct {
+type kcoreProgram struct {
 	// cache[v][i] is the latest estimate received from Neighbors(v)[i].
 	// This is the vertex's Pregel "value" beyond the int64 state slot.
 	cache [][]int32
 }
 
 // NewKCoreProgram returns a program instance sized for g.
-func NewKCoreProgram(g *graph.Graph) *KCoreProgram {
+func NewKCoreProgram(g *graph.Graph) core.Program {
 	n := g.NumVertices()
-	p := &KCoreProgram{cache: make([][]int32, n)}
+	p := &kcoreProgram{cache: make([][]int32, n)}
 	for v := int64(0); v < n; v++ {
 		nbr := g.Neighbors(v)
 		c := make([]int32, len(nbr))
@@ -46,12 +46,12 @@ func NewKCoreProgram(g *graph.Graph) *KCoreProgram {
 }
 
 // InitialState implements core.Program: the initial estimate is the degree.
-func (p *KCoreProgram) InitialState(g *graph.Graph, v int64) int64 {
+func (p *kcoreProgram) InitialState(g *graph.Graph, v int64) int64 {
 	return g.Degree(v)
 }
 
 // Compute implements core.Program.
-func (p *KCoreProgram) Compute(v *core.VertexContext) {
+func (p *kcoreProgram) Compute(v *core.VertexContext) {
 	nbr := v.Neighbors()
 	cache := p.cache[v.ID()]
 	for _, m := range v.Messages() {

@@ -9,7 +9,7 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// LPProgram is synchronous label-propagation community detection as a
+// lpProgram is synchronous label-propagation community detection as a
 // vertex program. Each vertex keeps a cache of its neighbors' labels (its
 // Pregel vertex value beyond the int64 state slot); a vertex whose label
 // changes broadcasts (sender, newLabel), receivers update their caches and
@@ -21,7 +21,7 @@ import (
 // oscillation on symmetric structures.
 //
 // Messages encode (sender, label) as sender<<32 | label.
-type LPProgram struct {
+type lpProgram struct {
 	// Rounds is the maximum number of propagation supersteps.
 	Rounds int
 	// cache[v][i] is the latest label received from Neighbors(v)[i].
@@ -29,9 +29,9 @@ type LPProgram struct {
 }
 
 // NewLPProgram returns a program instance sized for g.
-func NewLPProgram(g *graph.Graph, rounds int) *LPProgram {
+func NewLPProgram(g *graph.Graph, rounds int) core.Program {
 	n := g.NumVertices()
-	p := &LPProgram{Rounds: rounds, cache: make([][]int64, n)}
+	p := &lpProgram{Rounds: rounds, cache: make([][]int64, n)}
 	for v := int64(0); v < n; v++ {
 		// Initial labels are the neighbor IDs themselves.
 		p.cache[v] = append([]int64(nil), g.Neighbors(v)...)
@@ -41,16 +41,16 @@ func NewLPProgram(g *graph.Graph, rounds int) *LPProgram {
 
 // InitialState implements core.Program: every vertex starts in its own
 // community.
-func (*LPProgram) InitialState(_ *graph.Graph, v int64) int64 { return v }
+func (*lpProgram) InitialState(_ *graph.Graph, v int64) int64 { return v }
 
 // PullCapable implements core.PullProgram: label propagation broadcasts
 // only via SendToNeighbors and at most once per vertex per superstep, so
 // direction-optimizing supersteps may execute its exchanges as pull
 // sweeps.
-func (*LPProgram) PullCapable() bool { return true }
+func (*lpProgram) PullCapable() bool { return true }
 
 // Compute implements core.Program.
-func (p *LPProgram) Compute(v *core.VertexContext) {
+func (p *lpProgram) Compute(v *core.VertexContext) {
 	if v.Superstep() == 0 {
 		// Everyone knows everyone's initial label already (it is the
 		// vertex ID); kick off the first exchange by recomputing from the

@@ -7,7 +7,7 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// MISProgram is Luby's maximal independent set as a vertex program — the
+// misProgram is Luby's maximal independent set as a vertex program — the
 // standard demonstration that randomized symmetry-breaking fits the BSP
 // model (the Pregel paper's matching example uses the same trick). Rounds
 // alternate two supersteps:
@@ -26,26 +26,26 @@ const (
 	misOut       = int64(2)
 )
 
-// MISProgram implements core.Program.
-type MISProgram struct {
+// misProgram implements core.Program.
+type misProgram struct {
 	// Seed makes the per-round priorities deterministic.
 	Seed uint64
 }
 
 // InitialState implements core.Program.
-func (MISProgram) InitialState(*graph.Graph, int64) int64 { return misUndecided }
+func (misProgram) InitialState(*graph.Graph, int64) int64 { return misUndecided }
 
 // priority derives the vertex's priority for a round; ties are broken by
 // ID because Mix64 is injective over (v, round) pairs only with high
 // probability, so the low bits carry the ID.
-func (p MISProgram) priority(v int64, round int) int64 {
+func (p misProgram) priority(v int64, round int) int64 {
 	h := rng.Mix64(uint64(v)*0x9e3779b97f4a7c15 ^ uint64(round)*0xbf58476d1ce4e5b9 ^ p.Seed)
 	// Positive value; fold the vertex ID into the low bits for total order.
 	return int64((h>>16)&0x7fffffffffff)<<16 | (v & 0xffff)
 }
 
 // Compute implements core.Program.
-func (p MISProgram) Compute(v *core.VertexContext) {
+func (p misProgram) Compute(v *core.VertexContext) {
 	round := v.Superstep() / 2
 	if v.Superstep()%2 == 0 {
 		// Select phase. Winner notifications from the previous round's
@@ -115,7 +115,7 @@ type MISResult struct {
 func MaximalIndependentSet(g *graph.Graph, seed uint64, rec *trace.Recorder, opts ...core.Option) (*MISResult, error) {
 	cfg := core.Config{
 		Graph:    g,
-		Program:  MISProgram{Seed: seed},
+		Program:  misProgram{Seed: seed},
 		Recorder: rec,
 	}
 	for _, o := range opts {
@@ -134,25 +134,6 @@ func MaximalIndependentSet(g *graph.Graph, seed uint64, rec *trace.Recorder, opt
 		out.InSet[v] = s == misIn
 	}
 	return out, nil
-}
-
-// GreedyMIS is the sequential shared-memory reference: scan vertices in
-// order, adding each whose neighbors are all outside the set. Used to
-// cross-check the MIS invariants (the sets themselves legitimately differ).
-func GreedyMIS(g *graph.Graph) []bool {
-	n := g.NumVertices()
-	in := make([]bool, n)
-	for v := int64(0); v < n; v++ {
-		ok := true
-		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				ok = false
-				break
-			}
-		}
-		in[v] = ok
-	}
-	return in
 }
 
 // ValidateMIS reports whether in marks an independent set that is maximal.

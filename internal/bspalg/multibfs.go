@@ -48,9 +48,9 @@ const (
 	laneLevelMax      = laneLevelMask - 1
 )
 
-// MultiBFSProgram is the batched multi-source vertex program. Construct it
+// multiBFSProgram is the batched multi-source vertex program. Construct it
 // through MultiBFS/MultiReach (the zero value is not runnable).
-type MultiBFSProgram struct {
+type multiBFSProgram struct {
 	// lanes is the lane assignment: lanes[i] owns bit i (batch.Plan.Sources).
 	lanes []int64
 	// srcMask maps a source vertex to its lane bit. Read-only after
@@ -64,8 +64,8 @@ type MultiBFSProgram struct {
 	laneWords int
 }
 
-func newMultiProgram(g *graph.Graph, plan *batch.Plan, withLevels bool) *MultiBFSProgram {
-	p := &MultiBFSProgram{
+func newMultiProgram(g *graph.Graph, plan *batch.Plan, withLevels bool) *multiBFSProgram {
+	p := &multiBFSProgram{
 		lanes:   plan.Sources,
 		srcMask: make(map[int64]uint64, len(plan.Sources)),
 	}
@@ -84,7 +84,7 @@ func newMultiProgram(g *graph.Graph, plan *batch.Plan, withLevels bool) *MultiBF
 
 // InitialState implements core.Program: sources start with their own lane
 // bit set (level 0); everyone else starts empty.
-func (p *MultiBFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
+func (p *multiBFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
 	m, ok := p.srcMask[v]
 	if !ok {
 		return 0
@@ -99,10 +99,10 @@ func (p *MultiBFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
 // program broadcasts at most once per vertex per superstep via
 // SendToNeighbors only, so direction-optimizing supersteps may execute its
 // floods as pull sweeps.
-func (*MultiBFSProgram) PullCapable() bool { return true }
+func (*multiBFSProgram) PullCapable() bool { return true }
 
-// ProgramName implements core.ProgramNamer.
-func (p *MultiBFSProgram) ProgramName() string {
+// ProgramName is the program's checkpoint fingerprint identity.
+func (p *multiBFSProgram) ProgramName() string {
 	if p.levels == nil {
 		return "multireach"
 	}
@@ -111,19 +111,19 @@ func (p *MultiBFSProgram) ProgramName() string {
 
 // Lanes implements core.LaneProgram: checkpoints pin the assignment and
 // obs reports lane occupancy.
-func (p *MultiBFSProgram) Lanes() []int64 { return p.lanes }
+func (p *multiBFSProgram) Lanes() []int64 { return p.lanes }
 
 // AuxState implements core.AuxProgram: the packed levels ride in every
 // boundary snapshot, so resumed and retried batches keep the levels
 // recorded before the boundary. nil (absent) for reachability-only
 // batches.
-func (p *MultiBFSProgram) AuxState() []int64 { return p.levels }
+func (p *multiBFSProgram) AuxState() []int64 { return p.levels }
 
 // Compute implements core.Program. A vertex ORs its incoming masks,
 // extracts the bits it has not seen ("fresh"), records their levels, and
 // broadcasts exactly those fresh bits — the per-lane traffic pattern of
 // single-source BFS, packed 64 lanes wide.
-func (p *MultiBFSProgram) Compute(v *core.VertexContext) {
+func (p *multiBFSProgram) Compute(v *core.VertexContext) {
 	if v.Superstep() == 0 {
 		// Sources flood their lane bit; everyone else sleeps until woken.
 		if m := uint64(v.State()); m != 0 {
@@ -151,7 +151,7 @@ func (p *MultiBFSProgram) Compute(v *core.VertexContext) {
 // vertex v. Writes touch only v's own words (the engine's vertex-confined
 // side-effect rule), and each lane's field is written at most once per run
 // — a bit is fresh exactly once.
-func (p *MultiBFSProgram) setLevels(v int64, mask uint64, step int64) {
+func (p *multiBFSProgram) setLevels(v int64, mask uint64, step int64) {
 	if step > laneLevelMax {
 		panic(fmt.Sprintf("bspalg: superstep %d exceeds the packed level range %d", step, laneLevelMax))
 	}

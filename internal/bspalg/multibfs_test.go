@@ -47,7 +47,10 @@ func multiTestSources(n int64) []int64 {
 // is core's to set: core's TestMultiBFSExpandedBroadcasts.)
 func TestMultiBFSEquivalenceMatrix(t *testing.T) {
 	flat := multiTestGraph(t, 11)
-	comp := graph.MustCompress(flat)
+	comp, err := graph.Compress(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan, err := batch.NewPlan(multiTestSources(flat.NumVertices()), flat.NumVertices())
 	if err != nil {
 		t.Fatal(err)

@@ -6,26 +6,26 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// SSSPProgram is single-source shortest paths in the BSP model — the
+// ssspProgram is single-source shortest paths in the BSP model — the
 // canonical Pregel example and the algorithm Kajdanowicz et al. use in the
 // Giraph comparison the paper cites. Vertex state is the best known
 // distance; a vertex that improves its distance relaxes all outgoing edges
 // by sending dist + weight.
-type SSSPProgram struct {
+type ssspProgram struct {
 	// Source is the root vertex.
 	Source int64
 }
 
 // InitialState implements core.Program.
-func (p SSSPProgram) InitialState(_ *graph.Graph, v int64) int64 {
+func (p ssspProgram) InitialState(_ *graph.Graph, v int64) int64 {
 	if v == p.Source {
 		return 0
 	}
-	return Unreachable
+	return unreachable
 }
 
 // Compute implements core.Program.
-func (p SSSPProgram) Compute(v *core.VertexContext) {
+func (p ssspProgram) Compute(v *core.VertexContext) {
 	d := v.State()
 	changed := false
 	for _, m := range v.Messages() {
@@ -65,7 +65,7 @@ func SSSP(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option
 	}
 	cfg := core.Config{
 		Graph:    g,
-		Program:  SSSPProgram{Source: source},
+		Program:  ssspProgram{Source: source},
 		Combiner: core.Min,
 		Recorder: rec,
 	}
@@ -82,7 +82,7 @@ func SSSP(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option
 		MessagesPerStep: res.MessagesPerStep,
 	}
 	for i, d := range out.Dist {
-		if d >= Unreachable {
+		if d >= unreachable {
 			out.Dist[i] = -1
 		}
 	}

@@ -33,8 +33,8 @@ const (
 	minVersion = version
 	headerLen  = 16
 
-	// Ext is the checkpoint file extension.
-	Ext = ".gxckpt"
+	// ext is the checkpoint file extension.
+	ext = ".gxckpt"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -190,7 +190,7 @@ const (
 	phaseMinBytes     = 4 + 8*6 + 1 + 8*int(trace.NumHotClasses) + 8
 )
 
-// sizer counts the bytes a walk encodes to, so Encode allocates once.
+// sizer counts the bytes a walk encodes to, so encode allocates once.
 type sizer int
 
 func (z *sizer) u8(*uint8)              { *z++ }
@@ -352,11 +352,11 @@ func (d *decoder) bitmap(b *Bitmap) {
 	}
 }
 
-// Encode serializes the snapshot payload (without magic/version/checksum —
+// encode serializes the snapshot payload (without magic/version/checksum —
 // WriteFile adds the envelope). The buffer is sized by a first walk, so a
 // boundary that carries its traffic as broadcast records, or a long
 // per-step history, costs one allocation like any other.
-func Encode(s *Snapshot) []byte {
+func encode(s *Snapshot) []byte {
 	var size sizer
 	s.walk(&size)
 	e := &encoder{buf: make([]byte, 0, size)}
@@ -449,13 +449,13 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 // FileName returns the canonical file name for the checkpoint at the given
 // superstep boundary.
 func FileName(step int64) string {
-	return fmt.Sprintf("ckpt-%09d%s", step, Ext)
+	return fmt.Sprintf("ckpt-%09d%s", step, ext)
 }
 
 // EmergencyFileName returns the file name used for the emergency
 // checkpoint written when a vertex program panics during superstep step.
 func EmergencyFileName(step int64) string {
-	return fmt.Sprintf("emergency-%09d%s", step, Ext)
+	return fmt.Sprintf("emergency-%09d%s", step, ext)
 }
 
 // frame returns the envelope that precedes payload on disk.
@@ -500,7 +500,7 @@ func WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", &WriteError{Path: final, Err: err}
 	}
-	payload := Encode(s)
+	payload := encode(s)
 	hdr := frame(payload)
 	if hooks != nil && hooks.TornWrite != nil && hooks.TornWrite(s.Step) {
 		// Simulate a crash mid-write on a filesystem without atomic rename:
@@ -576,18 +576,6 @@ func periodicSteps(dir string) ([]int64, error) {
 	}
 	sort.Slice(steps, func(i, j int) bool { return steps[i] > steps[j] })
 	return steps, nil
-}
-
-// LatestPath returns the highest-step periodic checkpoint in dir, or ""
-// when dir contains none (emergency checkpoints are not considered — they
-// capture the boundary before a crashed superstep and the caller should
-// name them explicitly to resume from one).
-func LatestPath(dir string) (string, error) {
-	steps, err := periodicSteps(dir)
-	if err != nil || len(steps) == 0 {
-		return "", err
-	}
-	return filepath.Join(dir, FileName(steps[0])), nil
 }
 
 // NoValidCheckpointError reports that ResumeLatestValid walked every

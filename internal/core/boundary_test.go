@@ -112,7 +112,7 @@ func TestBoundaryHistorySharedAcrossKillAndRetry(t *testing.T) {
 				}
 				comparePhases(t, basePh, ph)
 
-				paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*"+ckpt.Ext))
+				paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.gxckpt"))
 				if err != nil || len(paths) != base.Supersteps-1 {
 					t.Fatalf("checkpoints = %v, %v; want one per boundary (%d)", paths, err, base.Supersteps-1)
 				}

@@ -312,7 +312,7 @@ func TestMultiBFSExpandedBroadcasts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*graph.Graph{flat, graph.MustCompress(flat)} {
+	for _, g := range []*graph.Graph{flat, core.MustCompress(flat)} {
 		for _, dir := range []core.DirectionMode{core.DirAuto, core.DirPush, core.DirPull} {
 			for _, w := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w=%d", g.Rep(), dir, w), func(t *testing.T) {

@@ -56,17 +56,17 @@ func WithMaxSupersteps(n int) Option {
 	return func(c *Config) { c.MaxSupersteps = n }
 }
 
-// ProgramNamer lets a vertex program name itself for checkpoint
+// programNamer lets a vertex program name itself for checkpoint
 // fingerprints. Programs that don't implement it are named by their Go
 // type. Wrappers (e.g. the fault-injection harness) forward the inner
 // program's name so wrapping never changes the fingerprint.
-type ProgramNamer interface {
+type programNamer interface {
 	ProgramName() string
 }
 
 // ProgramNameOf returns the fingerprint name of a vertex program.
 func ProgramNameOf(p Program) string {
-	if n, ok := p.(ProgramNamer); ok {
+	if n, ok := p.(programNamer); ok {
 		return n.ProgramName()
 	}
 	return fmt.Sprintf("%T", p)

@@ -398,11 +398,3 @@ func Min(a, b int64) int64 {
 	}
 	return b
 }
-
-// Max is an aggregator reduction.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -175,7 +175,7 @@ type aggProgram struct{}
 func (aggProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
 func (aggProgram) Compute(v *VertexContext) {
 	v.Aggregate("degsum", v.Degree(), Sum)
-	v.Aggregate("maxid", v.ID(), Max)
+	v.Aggregate("maxid", v.ID(), func(a, b int64) int64 { return max(a, b) })
 	v.Aggregate("minid", v.ID(), Min)
 	v.VoteToHalt()
 }

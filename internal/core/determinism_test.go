@@ -13,6 +13,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphxmt/internal/bspalg"
@@ -295,9 +296,13 @@ func TestBitmapWordEdges(t *testing.T) {
 					}
 
 					// One transient panic in every superstep, at a vertex that runs.
-					plan := &faultinject.Plan{PanicNAt: map[int64]*faultinject.PanicN{}}
+					var spec []string
 					for s, v := range firstRun {
-						plan.PanicNAt[int64(s)] = faultinject.NewPanicN(v, 1)
+						spec = append(spec, fmt.Sprintf("panicn@%d:%d:1", s, v))
+					}
+					plan, err := faultinject.ParsePlan(strings.Join(spec, ";"))
+					if err != nil {
+						t.Fatal(err)
 					}
 					c := cfg()
 					c.Program, c.MaxRetries = plan.WrapProgram(c.Program), 1

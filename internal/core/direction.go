@@ -110,14 +110,14 @@ func (e *DirectionError) Error() string {
 // Beamer-style threshold constants (α and 1/γ in the BFS
 // direction-optimization literature, tuned for this engine's record-based
 // pull): switch to pull when the frontier's incident edges are within a
-// factor DirAlpha of the unvisited incident edges AND cover at least
-// 1/DirGamma of the total adjacency. The second gate keeps the O(edges)
+// factor dirAlpha of the unvisited incident edges AND cover at least
+// 1/dirGamma of the total adjacency. The second gate keeps the O(edges)
 // pull sweep off small frontiers where the O(frontier·degree) push is
 // cheaper; the first catches the moment most traffic would land on
 // already-visited vertices.
 const (
-	DirAlpha int64 = 14
-	DirGamma int64 = 4
+	dirAlpha int64 = 14
+	dirGamma int64 = 4
 )
 
 // dirState is the per-run direction-decision state, nil-gated like
@@ -187,7 +187,7 @@ func (ds *dirState) decide(bcastEdges, unicast int64) DirectionMode {
 		return DirPull
 	}
 	unvisited := ds.totalEdges - ds.visitedEdges
-	if bcastEdges*DirAlpha >= unvisited && bcastEdges*DirGamma >= ds.totalEdges {
+	if bcastEdges*dirAlpha >= unvisited && bcastEdges*dirGamma >= ds.totalEdges {
 		return DirPull
 	}
 	return DirPush

@@ -207,7 +207,7 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 			if slices.Contains(base.dirs, core.DirPull) {
 				t.Fatalf("forced-push run recorded a pull: %v", base.dirs)
 			}
-			for _, rep := range []*graph.Graph{flat, graph.MustCompress(flat)} {
+			for _, rep := range []*graph.Graph{flat, core.MustCompress(flat)} {
 				for _, w := range []int{1, 3, 8} {
 					for _, d := range modes {
 						cell := fmt.Sprintf("%s w=%d %s", rep.Rep(), w, d)

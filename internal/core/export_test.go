@@ -2,6 +2,15 @@ package core
 
 import "graphxmt/internal/graph"
 
+// MustCompress is graph.Compress for test graphs known to compress.
+func MustCompress(g *graph.Graph) *graph.Graph {
+	c, err := graph.Compress(g)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // LookasideCutoff lets tests replay choosePath's per-superstep
 // representation decision and check the engine made it.
 const LookasideCutoff = lookasideCutoff

@@ -93,7 +93,7 @@ func pullAgrees(t *testing.T, g *graph.Graph, mk func() core.Config) map[bool][]
 			return sansDirections(res), sink, ph
 		}
 		base, baseSink, basePh := run(g, 1, core.DirPush, true)
-		for _, rep := range []*graph.Graph{g, graph.MustCompress(g)} {
+		for _, rep := range []*graph.Graph{g, core.MustCompress(g)} {
 			for _, w := range []int{1, 3, 8} {
 				cell := fmt.Sprintf("%s sparse=%v w=%d", rep.Rep(), sparse, w)
 				res, sink, ph := run(rep, w, core.DirPull, false)

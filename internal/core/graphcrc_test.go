@@ -24,7 +24,7 @@ func TestGraphCRCGolden(t *testing.T) {
 		want uint32
 	}{
 		{"flat", flat, 0xdc313f85},
-		{"compressed", graph.MustCompress(flat), 0xbda6819e},
+		{"compressed", MustCompress(flat), 0xbda6819e},
 		{"weighted", graph.MustBuild(n, edges, graph.BuildOptions{Weights: gen.UniformWeights(len(edges), 1000, 7)}), 0x23ce9467},
 		{"directed", graph.MustBuild(n, edges, graph.BuildOptions{Directed: true}), 0x1648eca3},
 		{"empty", graph.MustBuild(0, nil, graph.BuildOptions{}), 0xc925cd24},

@@ -102,7 +102,7 @@ func TestDenseInboxGolden(t *testing.T) {
 		{"grid64", gen.Grid(64, 64)},
 		{"star40k", gen.Star(40001)},
 		{"rmat12", rmat},
-		{"rmat12c", graph.MustCompress(rmat)},
+		{"rmat12c", core.MustCompress(rmat)},
 		{"n=1", graph.MustBuild(1, nil, graph.BuildOptions{})},
 		{"edgeless", graph.MustBuild(100, nil, graph.BuildOptions{})},
 	}

@@ -30,18 +30,9 @@ const (
 	obsPhaseWorklist  = "worklist"  // sparse-activation worklist build
 
 	// obsPhaseCheckpoint is emitted only when a checkpoint policy is
-	// configured (the superstep-boundary snapshot + write), so it is not
-	// part of EnginePhases.
+	// configured (the superstep-boundary snapshot + write).
 	obsPhaseCheckpoint = "checkpoint"
 )
-
-// EnginePhases returns the obs span names Run emits for each superstep, in
-// execution order ("worklist" only under SparseActivation). The "init"
-// span (step -1) precedes superstep 0. Runs with a checkpoint policy
-// additionally emit a "checkpoint" span per superstep boundary.
-func EnginePhases() []string {
-	return []string{obsPhaseCompute, obsPhaseTerminate, obsPhaseDeliver, obsPhaseWorklist}
-}
 
 // obsMemSampleGap is the least wall-clock time between two memory samples
 // (the first superstep and the end of the run are always sampled): a

@@ -79,7 +79,7 @@ func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool)
 	flat := graph.MustBuild(n, edges, graph.BuildOptions{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
 	t := &traffic{g: flat, bufs: &gatherPool{size: 2 * flat.MaxDegree()}, logical: int64(count)}
 	if compressed {
-		t.g = graph.MustCompress(flat)
+		t.g = MustCompress(flat)
 	}
 	var msgs []Message
 	for src := int64(0); src < n; src++ {
@@ -431,7 +431,7 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		}
 		g := graph.MustBuild(n, edges, graph.BuildOptions{})
 		if seed&1 == 1 {
-			g = graph.MustCompress(g)
+			g = MustCompress(g)
 		}
 		combine := []func(a, b int64) int64{nil, Min, Sum, Or}[combiner%4]
 		// superstep draws one superstep's traffic and its oracle: source%3 is
@@ -752,7 +752,7 @@ func TestResolveFold(t *testing.T) {
 		{"Or", Or, foldOr},
 		{"Sum", Sum, foldSum},
 		{"Min", viaOption.Combiner, foldMin},
-		{"Max", Max, foldGeneric},
+		{"max", func(a, b int64) int64 { return max(a, b) }, foldGeneric},
 		{"closure over Sum", func(a, b int64) int64 { return Sum(a, b) }, foldGeneric},
 	} {
 		if got := resolveFold(tc.f); got != tc.want {
@@ -807,7 +807,7 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 // saturated boundary, the receiver pass), plus the full-scan sweep that
 // reads it: the inbox probe, or the gather. Either every vertex broadcasts
 // (frontier=1/1: n = logical/8) or every fourth does (frontier=1/4: n =
-// logical/2, the edge of the direction decision's DirGamma gate). 4*logical
+// logical/2, the edge of the direction decision's dirGamma gate). 4*logical
 // >= n, so the lookaside row pre-empts neither. docs/PERFORMANCE.md §3 has
 // the table.
 func BenchmarkPullFloor(b *testing.B) {

@@ -234,7 +234,7 @@ func FuzzPullEquivalence(f *testing.F) {
 			t.Skip(err)
 		}
 		if seed&1 == 1 {
-			g = graph.MustCompress(g)
+			g = core.MustCompress(g)
 		}
 		mk := func(d core.DirectionMode) core.Config {
 			return core.Config{

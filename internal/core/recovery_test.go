@@ -443,7 +443,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 		t.Fatalf("want InterruptedError, got %v", err)
 	}
 
-	flipped := filepath.Join(dir, "flipped"+ckpt.Ext)
+	flipped := filepath.Join(dir, "flipped.gxckpt")
 	data, err := os.ReadFile(ie.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 		t.Fatalf("bit-flipped resume: want CorruptError, got %v", err)
 	}
 
-	truncated := filepath.Join(dir, "truncated"+ckpt.Ext)
+	truncated := filepath.Join(dir, "truncated.gxckpt")
 	if err := os.WriteFile(truncated, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointCadenceAndRetention: EveryN gates disk writes, Keep prunes
-// old checkpoints, and LatestPath resumes to a bit-identical result.
+// old checkpoints, and the newest one resumes to a bit-identical result.
 func TestCheckpointCadenceAndRetention(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 1})
 	if err != nil {
@@ -506,18 +506,16 @@ func TestCheckpointCadenceAndRetention(t *testing.T) {
 		}
 		t.Fatalf("retention: dir has %v, want 2 newest even-boundary checkpoints", names)
 	}
+	var latest string
 	for _, e := range entries {
 		var step int64
-		if _, err := fmt.Sscanf(e.Name(), "ckpt-%d"+ckpt.Ext, &step); err != nil {
+		if _, err := fmt.Sscanf(e.Name(), "ckpt-%d", &step); err != nil || e.Name() != ckpt.FileName(step) {
 			t.Fatalf("unexpected file %s", e.Name())
 		}
 		if (step+1)%2 != 0 {
 			t.Fatalf("checkpoint %s written off the EveryN=2 cadence", e.Name())
 		}
-	}
-	latest, err := ckpt.LatestPath(dir)
-	if err != nil || latest == "" {
-		t.Fatalf("LatestPath: %q, %v", latest, err)
+		latest = filepath.Join(dir, e.Name()) // ReadDir sorts by name, so by step
 	}
 	cfg = mk()
 	cfg.Checkpoint = &ckpt.Policy{Dir: t.TempDir()}
@@ -527,7 +525,7 @@ func TestCheckpointCadenceAndRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, res) {
-		t.Fatal("resume from LatestPath differs from uninterrupted run")
+		t.Fatal("resume from the latest checkpoint differs from uninterrupted run")
 	}
 	comparePhases(t, basePh, ph)
 }

@@ -42,7 +42,7 @@ type ActivationResult struct {
 // times. Results (distances) are identical; only scheduling work differs.
 func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
 	s = s.withDefaults()
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 
 	fullRec := trace.NewRecorder()
 	full, err := core.Run(core.Config{
@@ -117,7 +117,7 @@ type HotspotResult struct {
 // fetch-and-add cursor.
 func AblationHotspot(g *graph.Graph, s Setup) (*HotspotResult, error) {
 	s = s.withDefaults()
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	res := &HotspotResult{Chunks: []int64{1, 4, 16, 64, 256}}
 	for _, chunk := range res.Chunks {
 		costs := core.DefaultCosts()

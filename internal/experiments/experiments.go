@@ -71,12 +71,6 @@ func (s Setup) engineOpts() []core.Option {
 	return opts
 }
 
-// DefaultSetup returns the configuration the committed EXPERIMENTS.md
-// numbers were produced with.
-func DefaultSetup() Setup {
-	return Setup{Scale: 16, EdgeFactor: 16, Seed: 1, Procs: 128}
-}
-
 func (s Setup) withDefaults() Setup {
 	if s.Scale == 0 {
 		s.Scale = 16
@@ -97,18 +91,6 @@ func (s Setup) withDefaults() Setup {
 func BuildGraph(s Setup) (*graph.Graph, error) {
 	s = s.withDefaults()
 	return gen.RMAT(gen.RMATConfig{Scale: s.Scale, EdgeFactor: s.EdgeFactor, Seed: s.Seed})
-}
-
-// BFSSource picks the experiment's BFS root: the maximum-degree vertex,
-// which sits in the giant component of any scale-free instance.
-func BFSSource(g *graph.Graph) int64 {
-	var src, best int64 = 0, -1
-	for v := int64(0); v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > best {
-			best, src = d, v
-		}
-	}
-	return src
 }
 
 // Table1Row is one line of Table I.
@@ -152,7 +134,7 @@ func Table1(g *graph.Graph, s Setup) (*Table1Result, error) {
 		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
 
 	// Breadth-first search.
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	bspRec = trace.NewRecorder()
 	bspBFS, err := bspalg.BFS(g, src, bspRec, s.engineOpts()...)
 	if err != nil {
@@ -265,7 +247,7 @@ type Fig2Result struct {
 
 // Fig2 runs BSP BFS and reports frontier vs messages per level.
 func Fig2(g *graph.Graph, s Setup) (*Fig2Result, error) {
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	bsp, err := bspalg.BFS(g, src, nil, s.engineOpts()...)
 	if err != nil {
 		return nil, err
@@ -291,7 +273,7 @@ type Fig3Result struct {
 // Fig3 runs both BFS kernels and evaluates per-level scalability.
 func Fig3(g *graph.Graph, s Setup) (*Fig3Result, error) {
 	s = s.withDefaults()
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	bspRec := trace.NewRecorder()
 	if _, err := bspalg.BFS(g, src, bspRec, s.engineOpts()...); err != nil {
 		return nil, err
@@ -402,7 +384,7 @@ func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
 		res.WriteRatio = float64(res.BSPWrites) / float64(res.GraphCTWrites)
 	}
 
-	bfs, err := bspalg.BFS(g, BFSSource(g), nil, s.engineOpts()...)
+	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.engineOpts()...)
 	if err != nil {
 		return nil, err
 	}

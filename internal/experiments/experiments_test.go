@@ -9,10 +9,16 @@ import (
 	"graphxmt/internal/machine"
 )
 
+// defaultSetup is the configuration the committed EXPERIMENTS.md numbers
+// were produced with.
+func defaultSetup() Setup {
+	return Setup{Scale: 16, EdgeFactor: 16, Seed: 1, Procs: 128}
+}
+
 // testSetup keeps unit tests fast: a scale-12 instance of the default
 // workload (the committed EXPERIMENTS.md numbers use scale 16).
 func testSetup() Setup {
-	s := DefaultSetup()
+	s := defaultSetup()
 	s.Scale = 12
 	return s
 }
@@ -298,7 +304,7 @@ func TestRenderers(t *testing.T) {
 
 func TestBFSSourcePicksMaxDegree(t *testing.T) {
 	g, _ := testGraph(t)
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	d := g.Degree(src)
 	for v := int64(0); v < g.NumVertices(); v++ {
 		if g.Degree(v) > d {
@@ -311,7 +317,7 @@ func TestTable1UnderDESModel(t *testing.T) {
 	// The full pipeline also runs under the discrete-event Threadstorm
 	// model (small scale: the DES simulates op-by-op). The analytic and
 	// DES evaluations must tell the same story: GraphCT wins everything.
-	s := DefaultSetup()
+	s := defaultSetup()
 	s.Scale = 9
 	cfg := machine.DefaultConfig()
 	s.Model = machine.NewDES(cfg)

@@ -84,7 +84,7 @@ func Extensions(g *graph.Graph, s Setup) (*ExtensionsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := BFSSource(wg)
+	src := wg.MaxDegreeVertex()
 	bspRec = trace.NewRecorder()
 	bspSP, err := bspalg.SSSP(wg, src, bspRec)
 	if err != nil {

@@ -36,7 +36,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Run BFS on the reloaded graph, recording a profile.
 	rec := trace.NewRecorder()
-	src := BFSSource(g2)
+	src := g2.MaxDegreeVertex()
 	res, err := bspalg.BFS(g2, src, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,10 @@ type MSBFSResult struct {
 	AmortizedEdges float64
 }
 
-// MSBFSSources picks the default batch: MaxLanes sources spread uniformly
+// msbfsSources picks the default batch: MaxLanes sources spread uniformly
 // across the vertex ID range (stride n/64), the deterministic stand-in for
 // a query mix. Duplicates from tiny graphs collapse in the planner.
-func MSBFSSources(g *graph.Graph) []int64 {
+func msbfsSources(g *graph.Graph) []int64 {
 	n := g.NumVertices()
 	srcs := make([]int64, 0, batch.MaxLanes)
 	for i := int64(0); i < batch.MaxLanes; i++ {
@@ -64,12 +64,12 @@ func MSBFSSources(g *graph.Graph) []int64 {
 }
 
 // MSBFS runs the batched-vs-sequential comparison for the given sources
-// (nil selects MSBFSSources) and verifies the two sides agree bit-exactly
+// (nil selects msbfsSources) and verifies the two sides agree bit-exactly
 // on every lane's distances before reporting any number.
 func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 	s = s.withDefaults()
 	if sources == nil {
-		sources = MSBFSSources(g)
+		sources = msbfsSources(g)
 	}
 	plan, err := batch.NewPlan(sources, g.NumVertices())
 	if err != nil {

@@ -67,7 +67,7 @@ func Regimes(g *graph.Graph, s Setup) (*RegimeResult, error) {
 	graphct.ConnectedComponents(g, rec)
 	res.CTCC = diagnose(rec.Phases())
 
-	src := BFSSource(g)
+	src := g.MaxDegreeVertex()
 	rec = trace.NewRecorder()
 	if _, err := bspalg.BFS(g, src, rec); err != nil {
 		return nil, err

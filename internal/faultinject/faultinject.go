@@ -36,16 +36,16 @@ import (
 	"graphxmt/internal/graph"
 )
 
-// InitStep is the pseudo-superstep identifying the InitialState sweep in
+// initStep is the pseudo-superstep identifying the InitialState sweep in
 // panic directives ("panic@init:V").
-const InitStep = int64(-1)
+const initStep = int64(-1)
 
 // ErrInjectedWrite is the error injected write failures surface.
 var ErrInjectedWrite = errors.New("faultinject: injected checkpoint write failure")
 
-// ErrInjectedENOSPC is the error injected out-of-space write failures
+// errInjectedENOSPC is the error injected out-of-space write failures
 // surface; it wraps syscall.ENOSPC so errors.Is(err, syscall.ENOSPC) holds.
-var ErrInjectedENOSPC = fmt.Errorf("faultinject: injected checkpoint write failure: %w", syscall.ENOSPC)
+var errInjectedENOSPC = fmt.Errorf("faultinject: injected checkpoint write failure: %w", syscall.ENOSPC)
 
 // PanicN is a transient fault: vertex Vertex's program panics on its first
 // Count executions of one superstep, then succeeds — the shape the
@@ -57,8 +57,8 @@ type PanicN struct {
 	remaining atomic.Int64
 }
 
-// NewPanicN builds a transient-panic spec that fires count times.
-func NewPanicN(vertex, count int64) *PanicN {
+// newPanicN builds a transient-panic spec that fires count times.
+func newPanicN(vertex, count int64) *PanicN {
 	pn := &PanicN{Vertex: vertex}
 	pn.remaining.Store(count)
 	return pn
@@ -76,7 +76,7 @@ type SlowStep struct {
 // Plan is a deterministic fault schedule. The zero value injects nothing.
 type Plan struct {
 	// PanicAt maps superstep → vertex whose program panics in that
-	// superstep (InitStep for the InitialState sweep).
+	// superstep (-1 for the InitialState sweep).
 	PanicAt map[int64]int64
 	// PanicNAt maps superstep → a transient panic spec for that superstep.
 	PanicNAt map[int64]*PanicN
@@ -128,7 +128,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("faultinject: panic directive %q needs step:vertex", dir)
 			}
-			step := InitStep
+			step := initStep
 			if stepStr != "init" {
 				var err error
 				step, err = strconv.ParseInt(stepStr, 10, 64)
@@ -164,7 +164,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			if p.PanicNAt == nil {
 				p.PanicNAt = map[int64]*PanicN{}
 			}
-			p.PanicNAt[step] = NewPanicN(vertex, count)
+			p.PanicNAt[step] = newPanicN(vertex, count)
 		case "slowstep":
 			stepStr, msStr, ok := strings.Cut(arg, ":")
 			if !ok {
@@ -222,7 +222,7 @@ func (p *Plan) Hooks() *ckpt.Hooks {
 				return &failingWriter{w: w, remaining: 12, err: ErrInjectedWrite}
 			}
 			if p.ENOSPCAt[step] {
-				return &failingWriter{w: w, remaining: 12, err: ErrInjectedENOSPC}
+				return &failingWriter{w: w, remaining: 12, err: errInjectedENOSPC}
 			}
 			return w
 		},
@@ -272,7 +272,7 @@ type panicProgram struct {
 }
 
 func (pp *panicProgram) InitialState(g *graph.Graph, v int64) int64 {
-	if target, ok := pp.plan.PanicAt[InitStep]; ok && target == v {
+	if target, ok := pp.plan.PanicAt[initStep]; ok && target == v {
 		panic(fmt.Sprintf("faultinject: planned panic in InitialState at vertex %d", v))
 	}
 	return pp.inner.InitialState(g, v)

@@ -17,7 +17,7 @@ func TestParsePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PanicAt[3] != 42 || p.PanicAt[InitStep] != 7 {
+	if p.PanicAt[3] != 42 || p.PanicAt[initStep] != 7 {
 		t.Fatalf("PanicAt = %v", p.PanicAt)
 	}
 	if !p.FailWriteAt[2] || !p.KillAt[5] {
@@ -103,7 +103,7 @@ func TestENOSPCWriter(t *testing.T) {
 	var cut bytes.Buffer
 	w := h.WrapWrite(2, &cut)
 	_, werr := w.Write(make([]byte, 100))
-	if !errors.Is(werr, ErrInjectedENOSPC) {
+	if !errors.Is(werr, errInjectedENOSPC) {
 		t.Fatalf("targeted write: err=%v, want ErrInjectedENOSPC", werr)
 	}
 	if !errors.Is(werr, syscall.ENOSPC) {

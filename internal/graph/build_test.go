@@ -78,6 +78,8 @@ func sameCSR(got, want *Graph) error {
 		return fmt.Errorf("SortedAdjacency = %v, want %v", got.SortedAdjacency(), want.SortedAdjacency())
 	case got.MaxDegree() != want.MaxDegree():
 		return fmt.Errorf("MaxDegree = %d, want %d", got.MaxDegree(), want.MaxDegree())
+	case got.MaxDegreeVertex() != want.MaxDegreeVertex():
+		return fmt.Errorf("MaxDegreeVertex = %d, want %d", got.MaxDegreeVertex(), want.MaxDegreeVertex())
 	}
 	return nil
 }

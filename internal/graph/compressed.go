@@ -66,7 +66,7 @@ func (g *Graph) CompressedBlob() []byte { return g.blob }
 
 // DecodeError reports a structurally invalid compressed adjacency block:
 // truncation, an overlong varint, or a decoded neighbor outside [0, n).
-// The checked decoder (DecodeAdjacency) returns it instead of panicking or
+// The checked decoder (decodeAdjacency) returns it instead of panicking or
 // reading past the block, whatever bytes it is handed.
 type DecodeError struct {
 	// Vertex is the source vertex whose block failed.
@@ -97,7 +97,7 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// DecodeAdjacency is the checked decoder: it decodes exactly deg neighbors
+// decodeAdjacency is the checked decoder: it decodes exactly deg neighbors
 // of src from data into buf (reusing its capacity) and validates every
 // step — truncated blocks, overlong varints (more than 10 bytes or 64-bit
 // overflow), neighbors outside [0, n), and trailing bytes all return a
@@ -105,7 +105,7 @@ func uvarintLen(x uint64) int {
 // paths (DecodeNeighbors, NeighborDecoder) skip these checks because the
 // blob is validated at construction; this entry point is for loaders,
 // verification sweeps, and the fuzz harness.
-func DecodeAdjacency(src, n, deg int64, data []byte, buf []int64) ([]int64, error) {
+func decodeAdjacency(src, n, deg int64, data []byte, buf []int64) ([]int64, error) {
 	fail := func(off int, reason string) ([]int64, error) {
 		return nil, &DecodeError{Vertex: src, Offset: off, Reason: reason}
 	}
@@ -332,19 +332,10 @@ func Compress(g *Graph) (*Graph, error) {
 		directed: g.directed,
 		sorted:   true,
 		maxDeg:   g.maxDeg,
+		maxDegV:  g.maxDegV,
 		coff:     coff,
 		blob:     blob,
 	}, nil
-}
-
-// MustCompress is Compress but panics on error; convenient in tests with
-// known-sorted inputs.
-func MustCompress(g *Graph) *Graph {
-	c, err := Compress(g)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Decompress returns the flat twin of a compressed graph (sharing offsets
@@ -368,6 +359,7 @@ func Decompress(g *Graph) *Graph {
 		directed: g.directed,
 		sorted:   true,
 		maxDeg:   g.maxDeg,
+		maxDegV:  g.maxDegV,
 	}
 }
 
@@ -423,7 +415,7 @@ func (g *Graph) VerifyCompressed() error {
 	var buf []int64
 	for v := int64(0); v < g.n; v++ {
 		deg := g.offsets[v+1] - g.offsets[v]
-		nbr, err := DecodeAdjacency(v, g.n, deg, g.blob[g.coff[v]:g.coff[v+1]], buf)
+		nbr, err := decodeAdjacency(v, g.n, deg, g.blob[g.coff[v]:g.coff[v+1]], buf)
 		if err != nil {
 			return err
 		}

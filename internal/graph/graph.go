@@ -42,6 +42,7 @@ type Graph struct {
 	directed bool
 	sorted   bool  // every adjacency list is ascending
 	maxDeg   int64 // memoized maximum out-degree (computed at build time)
+	maxDegV  int64 // first vertex of degree maxDeg (0 for an empty graph)
 
 	// Compressed representation (nil on flat graphs): the adjacency of v is
 	// the delta-varint stream blob[coff[v]:coff[v+1]].
@@ -143,12 +144,24 @@ func (g *Graph) Weights() []int64 { return g.weights }
 // are O(1).
 func (g *Graph) MaxDegree() int64 { return g.maxDeg }
 
-// computeMaxDegree scans the offsets once; called by every constructor
-// after the CSR arrays are final.
+// MaxDegreeVertex returns the first vertex of maximum out-degree, or 0 for
+// an empty graph: the default BFS source, which sits in the giant component
+// of any scale-free instance. Memoized with MaxDegree.
+func (g *Graph) MaxDegreeVertex() int64 { return g.maxDegV }
+
+// computeMaxDegree scans the offsets once, then up to the first vertex of
+// that degree; called by every constructor after the CSR arrays are final.
 func (g *Graph) computeMaxDegree() {
 	g.maxDeg = par.MaxInt64(int(g.n), 0, func(v int) int64 {
 		return g.offsets[v+1] - g.offsets[v]
 	})
+	g.maxDegV = 0
+	for v := int64(0); v < g.n; v++ {
+		if g.offsets[v+1]-g.offsets[v] == g.maxDeg {
+			g.maxDegV = v
+			break
+		}
+	}
 }
 
 // DegreeHistogram returns counts of vertices per degree value, as a map

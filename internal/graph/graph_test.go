@@ -300,16 +300,23 @@ func TestMaxDegreeAndHistogram(t *testing.T) {
 }
 
 func TestMaxDegreeMemoizedByEveryConstructor(t *testing.T) {
-	// MaxDegree is computed at build time; verify each constructor fills it
-	// by comparing against a fresh offsets scan.
-	scan := func(g *Graph) int64 {
-		var max int64
+	// MaxDegree and MaxDegreeVertex are computed at build time; verify each
+	// constructor fills them by comparing against a fresh offsets scan for
+	// the first vertex of maximum degree.
+	check := func(what string, g *Graph, wantMax int64) {
+		t.Helper()
+		var max, argmax int64 = -1, 0
 		for v := int64(0); v < g.NumVertices(); v++ {
 			if d := g.Degree(v); d > max {
-				max = d
+				max, argmax = d, v
 			}
 		}
-		return max
+		if got := g.MaxDegree(); got != wantMax || (g.NumVertices() > 0 && got != max) {
+			t.Fatalf("%s MaxDegree = %d, want %d", what, got, wantMax)
+		}
+		if got := g.MaxDegreeVertex(); got != argmax {
+			t.Fatalf("%s MaxDegreeVertex = %d, want %d", what, got, argmax)
+		}
 	}
 
 	// Build, with a hub of degree n-1 (star).
@@ -319,31 +326,31 @@ func TestMaxDegreeMemoizedByEveryConstructor(t *testing.T) {
 		edges = append(edges, Edge{0, v})
 	}
 	star := MustBuild(n, edges, BuildOptions{SortAdjacency: true})
-	if got := star.MaxDegree(); got != n-1 || got != scan(star) {
-		t.Fatalf("star MaxDegree = %d, want %d", got, n-1)
-	}
+	check("star", star, n-1)
 
-	// FromCSR.
-	csr, err := FromCSR(3, []int64{0, 2, 2, 2}, []int64{1, 2}, nil, true)
+	// FromCSR, with the maximum on a later vertex.
+	csr, err := FromCSR(3, []int64{0, 0, 2, 2}, []int64{0, 2}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := csr.MaxDegree(); got != 2 || got != scan(csr) {
-		t.Fatalf("FromCSR MaxDegree = %d, want 2", got)
-	}
+	check("FromCSR", csr, 2)
 
-	// Transpose flips the star: max in-degree becomes 1.
+	// Transpose flips the star: max in-degree becomes 1, first at vertex 1.
 	dirStar := MustBuild(n, edges, BuildOptions{Directed: true, SortAdjacency: true})
 	tr := dirStar.Transpose()
-	if got := tr.MaxDegree(); got != 1 || got != scan(tr) {
-		t.Fatalf("transpose MaxDegree = %d, want 1", got)
+	check("transpose", tr, 1)
+
+	// Compress and Decompress carry both over; ties keep the first vertex.
+	path := MustBuild(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, BuildOptions{SortAdjacency: true})
+	c, err := Compress(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("compressed path", c, 2)
+	check("decompressed path", Decompress(c), 2)
 
 	// Empty graph.
-	empty := MustBuild(0, nil, BuildOptions{})
-	if empty.MaxDegree() != 0 {
-		t.Fatalf("empty MaxDegree = %d, want 0", empty.MaxDegree())
-	}
+	check("empty", MustBuild(0, nil, BuildOptions{}), 0)
 }
 
 func TestStringForms(t *testing.T) {
@@ -402,7 +409,7 @@ func TestBuildSymmetryProperty(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
+	uf := newUnionFind(5)
 	if uf.Sets() != 5 {
 		t.Fatalf("sets = %d", uf.Sets())
 	}
@@ -504,7 +511,7 @@ func TestComponentsMatchUnionFindProperty(t *testing.T) {
 		}
 		labels := ReferenceComponents(g)
 		// Same label <=> connected via union-find built independently.
-		uf := NewUnionFind(n)
+		uf := newUnionFind(n)
 		for _, e := range g.EdgeList() {
 			uf.Union(e.U, e.V)
 		}
@@ -516,65 +523,6 @@ func TestComponentsMatchUnionFindProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	// Components: {0,1,2,3} (path), {4,5} (edge), {6} isolated.
-	g := MustBuild(7, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 5}},
-		BuildOptions{SortAdjacency: true})
-	sub, members, err := LargestComponent(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != 4 || len(members) != 4 {
-		t.Fatalf("giant size = %d", sub.NumVertices())
-	}
-	for i, m := range members {
-		if m != int64(i) {
-			t.Fatalf("members = %v", members)
-		}
-	}
-	if CountComponents(ReferenceComponents(sub)) != 1 {
-		t.Fatal("giant component subgraph should be connected")
-	}
-	// An empty graph yields an empty component.
-	empty := MustBuild(0, nil, BuildOptions{})
-	sub2, members2, err := LargestComponent(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub2.NumVertices() != 0 || len(members2) != 0 {
-		t.Fatal("empty graph should give empty component")
-	}
-}
-
-func TestLargestComponentProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint8) bool {
-		n := int64(nRaw%40) + 1
-		g, err := Build(n, randomEdges(seed, n, int(mRaw%120)), BuildOptions{SortAdjacency: true})
-		if err != nil {
-			return false
-		}
-		sub, members, err := LargestComponent(g)
-		if err != nil {
-			return false
-		}
-		// Size matches the true largest component size.
-		labels := ReferenceComponents(g)
-		counts := map[int64]int64{}
-		var best int64
-		for _, l := range labels {
-			counts[l]++
-			if counts[l] > best {
-				best = counts[l]
-			}
-		}
-		return int64(len(members)) == best && sub.NumVertices() == best &&
-			CountComponents(ReferenceComponents(sub)) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -1,18 +1,18 @@
 package graph
 
-// UnionFind is a disjoint-set forest with union by rank and path halving.
+// unionFind is a disjoint-set forest with union by rank and path halving.
 // It serves as the sequential reference for the connected-components
 // kernels: both the GraphCT Shiloach-Vishkin kernel and the BSP label
 // propagation algorithm must agree with it.
-type UnionFind struct {
+type unionFind struct {
 	parent []int64
 	rank   []int8
 	sets   int64
 }
 
-// NewUnionFind returns n singleton sets.
-func NewUnionFind(n int64) *UnionFind {
-	uf := &UnionFind{
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int64) *unionFind {
+	uf := &unionFind{
 		parent: make([]int64, n),
 		rank:   make([]int8, n),
 		sets:   n,
@@ -24,7 +24,7 @@ func NewUnionFind(n int64) *UnionFind {
 }
 
 // Find returns the representative of x's set.
-func (uf *UnionFind) Find(x int64) int64 {
+func (uf *unionFind) Find(x int64) int64 {
 	for uf.parent[x] != x {
 		uf.parent[x] = uf.parent[uf.parent[x]] // path halving
 		x = uf.parent[x]
@@ -33,7 +33,7 @@ func (uf *UnionFind) Find(x int64) int64 {
 }
 
 // Union merges the sets of x and y, reporting whether a merge happened.
-func (uf *UnionFind) Union(x, y int64) bool {
+func (uf *unionFind) Union(x, y int64) bool {
 	rx, ry := uf.Find(x), uf.Find(y)
 	if rx == ry {
 		return false
@@ -50,17 +50,17 @@ func (uf *UnionFind) Union(x, y int64) bool {
 }
 
 // Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int64 { return uf.sets }
+func (uf *unionFind) Sets() int64 { return uf.sets }
 
 // Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int64) bool { return uf.Find(x) == uf.Find(y) }
+func (uf *unionFind) Same(x, y int64) bool { return uf.Find(x) == uf.Find(y) }
 
 // ReferenceComponents labels every vertex with the smallest vertex ID in
 // its connected component using union-find, ignoring edge direction. It is
 // the ground truth the parallel kernels are tested against.
 func ReferenceComponents(g *Graph) []int64 {
 	n := g.NumVertices()
-	uf := NewUnionFind(n)
+	uf := newUnionFind(n)
 	for v := int64(0); v < n; v++ {
 		for _, w := range g.Neighbors(v) {
 			uf.Union(v, w)
@@ -141,34 +141,4 @@ func ReferenceTriangles(g *Graph) int64 {
 	}
 	// Each triangle is counted once per corner.
 	return count / 3
-}
-
-// LargestComponent extracts the induced subgraph of the largest connected
-// component (a GraphCT workflow utility: analyses on scale-free graphs
-// usually target the giant component). It returns the subgraph, the
-// original vertex IDs of its members (index = new ID), and the component's
-// size.
-func LargestComponent(g *Graph) (*Graph, []int64, error) {
-	labels := ReferenceComponents(g)
-	sizes := make(map[int64]int64)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	var bestLabel, bestSize int64 = -1, 0
-	for l, s := range sizes {
-		if s > bestSize || (s == bestSize && l < bestLabel) {
-			bestLabel, bestSize = l, s
-		}
-	}
-	var members []int64
-	for v := int64(0); v < g.NumVertices(); v++ {
-		if labels[v] == bestLabel {
-			members = append(members, v)
-		}
-	}
-	sub, _, err := g.InducedSubgraph(members)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, members, nil
 }

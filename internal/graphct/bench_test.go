@@ -49,14 +49,6 @@ func BenchmarkBFS(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelBFS(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelBFS(g, 0, nil)
-	}
-}
-
 func BenchmarkTriangles(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()

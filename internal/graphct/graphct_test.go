@@ -10,7 +10,6 @@ import (
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/machine"
-	"graphxmt/internal/par"
 	"graphxmt/internal/rng"
 	"graphxmt/internal/trace"
 )
@@ -774,67 +773,6 @@ func TestApproxDiameterLowerBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParallelBFSMatchesSequential(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(4))
-	for seed := uint64(0); seed < 10; seed++ {
-		g := randomGraph(seed, 80, 300)
-		seq := BFS(g, 0, nil)
-		pl := ParallelBFS(g, 0, nil)
-		for v := range seq.Dist {
-			if seq.Dist[v] != pl.Dist[v] {
-				t.Fatalf("seed %d: dist[%d] = %d vs %d", seed, v, seq.Dist[v], pl.Dist[v])
-			}
-		}
-		if len(seq.FrontierSizes) != len(pl.FrontierSizes) {
-			t.Fatalf("seed %d: level counts differ", seed)
-		}
-		for l := range seq.FrontierSizes {
-			if seq.FrontierSizes[l] != pl.FrontierSizes[l] {
-				t.Fatalf("seed %d level %d: frontier %d vs %d",
-					seed, l, seq.FrontierSizes[l], pl.FrontierSizes[l])
-			}
-			if seq.EdgesScanned[l] != pl.EdgesScanned[l] {
-				t.Fatalf("seed %d level %d: edges %d vs %d",
-					seed, l, seq.EdgesScanned[l], pl.EdgesScanned[l])
-			}
-		}
-	}
-}
-
-func TestParallelBFSProfileMatchesSequential(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(4))
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 11, EdgeFactor: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRec := trace.NewRecorder()
-	BFS(g, 0, seqRec)
-	plRec := trace.NewRecorder()
-	ParallelBFS(g, 0, plRec)
-	seqPh := seqRec.PhasesNamed("bfs/level")
-	plPh := plRec.PhasesNamed("bfs/level")
-	if len(seqPh) != len(plPh) {
-		t.Fatalf("phase counts: %d vs %d", len(seqPh), len(plPh))
-	}
-	for i := range seqPh {
-		a, b := seqPh[i], plPh[i]
-		if a.Loads != b.Loads || a.Stores != b.Stores || a.Issue != b.Issue ||
-			a.Tasks != b.Tasks || a.Hot != b.Hot {
-			t.Fatalf("level %d profile mismatch: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestParallelBFSInvalidSource(t *testing.T) {
-	g := gen.Ring(6)
-	res := ParallelBFS(g, 99, nil)
-	for _, d := range res.Dist {
-		if d != -1 {
-			t.Fatal("invalid source should reach nothing")
-		}
 	}
 }
 

@@ -30,10 +30,10 @@ const (
 	flagWeighted
 )
 
-// WriteBinary writes g as a binary CSR snapshot. The snapshot is the flat
+// writeBinary writes g as a binary CSR snapshot. The snapshot is the flat
 // representation: a compressed graph is written through its flat twin
-// (use WriteCSR2 to persist the compressed form).
-func WriteBinary(w io.Writer, g *graph.Graph) error {
+// (WriteCSR2File persists the compressed form).
+func writeBinary(w io.Writer, g *graph.Graph) error {
 	if g.Compressed() {
 		g = graph.Decompress(g)
 	}
@@ -81,12 +81,12 @@ func writeInt64s(w io.Writer, s []int64) error {
 	return nil
 }
 
-// ReadBinary reads a binary CSR snapshot written by WriteBinary. Any
+// readBinary reads a binary CSR snapshot written by writeBinary. Any
 // defect in the stream — bad magic, unknown flags, implausible sizes,
 // truncation, trailing garbage, or CSR arrays that fail the structural
 // invariants (monotone offsets, in-range adjacency, matching weights) —
 // is reported as a *CorruptError naming the offending section.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
+func readBinary(r io.Reader) (*graph.Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var gotMagic [8]byte
 	if _, err := io.ReadFull(br, gotMagic[:]); err != nil {
@@ -163,21 +163,11 @@ func WriteBinaryFile(path string, g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteBinary(f, g); err != nil {
+	if err := writeBinary(f, g); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// ReadBinaryFile reads a binary snapshot from path.
-func ReadBinaryFile(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }
 
 // LoadFile reads a graph from path, choosing the format by extension:
@@ -203,9 +193,9 @@ func LoadFile(path string) (*graph.Graph, error) {
 	}
 	switch {
 	case strings.HasSuffix(base, ".dimacs") || strings.HasSuffix(base, ".txt"):
-		return ReadDIMACS(r, DIMACSOptions{})
+		return readDIMACS(r)
 	case strings.HasSuffix(base, ".el") || strings.HasSuffix(base, ".edges"):
-		return ReadEdgeList(r, EdgeListOptions{})
+		return readEdgeList(r)
 	}
-	return ReadBinary(r)
+	return readBinary(r)
 }

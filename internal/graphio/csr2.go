@@ -88,10 +88,10 @@ func csr2Layout(n, m, blobLen int64, weighted bool) (offsetsOff, coffOff, blobOf
 	return offsetsOff, coffOff, blobOff, weightsOff, off
 }
 
-// WriteCSR2 writes g as a compressed memory-mappable snapshot. A flat
+// writeCSR2 writes g as a compressed memory-mappable snapshot. A flat
 // graph is compressed first (which requires sorted adjacency); a
 // compressed graph is written as-is.
-func WriteCSR2(w io.Writer, g *graph.Graph) error {
+func writeCSR2(w io.Writer, g *graph.Graph) error {
 	if !g.Compressed() {
 		var err error
 		if g, err = graph.Compress(g); err != nil {
@@ -168,7 +168,7 @@ func WriteCSR2File(path string, g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteCSR2(f, g); err != nil {
+	if err := writeCSR2(f, g); err != nil {
 		f.Close()
 		return err
 	}
@@ -204,10 +204,10 @@ func parseCSR2Header(b []byte) (csr2Hdr, error) {
 	return h, nil
 }
 
-// ReadCSR2 reads a compressed snapshot from a byte stream — the portable
+// readCSR2 reads a compressed snapshot from a byte stream — the portable
 // path, used for gzip-wrapped files and platforms without mmap. The
 // arrays are copied out of the stream; OpenCSR2 is the zero-copy loader.
-func ReadCSR2(r io.Reader) (*graph.Graph, error) {
+func readCSR2(r io.Reader) (*graph.Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hb [csr2Header]byte
 	if _, err := io.ReadFull(br, hb[:]); err != nil {
@@ -269,14 +269,14 @@ func ReadCSR2(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// ReadCSR2File reads a compressed snapshot from path by streaming copy.
-func ReadCSR2File(path string) (*graph.Graph, error) {
+// readCSR2File reads a compressed snapshot from path by streaming copy.
+func readCSR2File(path string) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadCSR2(f)
+	return readCSR2(f)
 }
 
 // nopCloser is the Closer returned when a load holds no OS resource.
@@ -293,7 +293,7 @@ func (nopCloser) Close() error { return nil }
 func OpenCSR2(path string) (*graph.Graph, io.Closer, error) {
 	data, closer, err := mmapFile(path)
 	if err == errNoMmap {
-		g, rerr := ReadCSR2File(path)
+		g, rerr := readCSR2File(path)
 		return g, nopCloser{}, rerr
 	}
 	if err != nil {
@@ -367,10 +367,10 @@ func Open(path string) (*graph.Graph, io.Closer, error) {
 			// Plain CSR2 file: reopen through the zero-copy loader.
 			return OpenCSR2(path)
 		}
-		g, err := ReadCSR2(br)
+		g, err := readCSR2(br)
 		return g, nopCloser{}, err
 	case len(sniff) >= 8 && [8]byte(sniff) == magic:
-		g, err := ReadBinary(br)
+		g, err := readBinary(br)
 		return g, nopCloser{}, err
 	}
 	g, err := readText(br)
@@ -403,7 +403,7 @@ func readText(br *bufio.Reader) (*graph.Graph, error) {
 		break
 	}
 	if isDIMACS {
-		return ReadDIMACS(br, DIMACSOptions{})
+		return readDIMACS(br)
 	}
-	return ReadEdgeList(br, EdgeListOptions{})
+	return readEdgeList(br)
 }

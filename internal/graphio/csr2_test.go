@@ -21,7 +21,7 @@ func csr2TestGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestCSR2RoundTripStream: WriteCSR2 then the streaming ReadCSR2 is the
+// TestCSR2RoundTripStream: writeCSR2 then the streaming readCSR2 is the
 // identity on the logical graph, from both flat and compressed inputs,
 // and the result is compressed.
 func TestCSR2RoundTripStream(t *testing.T) {
@@ -32,10 +32,10 @@ func TestCSR2RoundTripStream(t *testing.T) {
 	}
 	for _, src := range []*graph.Graph{flat, comp} {
 		var buf bytes.Buffer
-		if err := WriteCSR2(&buf, src); err != nil {
+		if err := writeCSR2(&buf, src); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadCSR2(bytes.NewReader(buf.Bytes()))
+		g2, err := readCSR2(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +56,10 @@ func TestCSR2ByteStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := WriteCSR2(&a, flat); err != nil {
+	if err := writeCSR2(&a, flat); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSR2(&b, comp); err != nil {
+	if err := writeCSR2(&b, comp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -110,7 +110,7 @@ func TestCSR2MmapLoad(t *testing.T) {
 		t.Fatalf("mapped stream fails verification: %v", err)
 	}
 	graphsEqual(t, flat, g2)
-	streamed, err := ReadCSR2File(path)
+	streamed, err := readCSR2File(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCSR2SectionsPageAligned(t *testing.T) {
 func TestCSR2RejectsCorruption(t *testing.T) {
 	flat := csr2TestGraph(t)
 	var buf bytes.Buffer
-	if err := WriteCSR2(&buf, flat); err != nil {
+	if err := writeCSR2(&buf, flat); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -142,7 +142,7 @@ func TestCSR2RejectsCorruption(t *testing.T) {
 		t.Helper()
 		mutated := mutate(append([]byte{}, data...))
 		var ce *CorruptError
-		if _, err := ReadCSR2(bytes.NewReader(mutated)); !errors.As(err, &ce) {
+		if _, err := readCSR2(bytes.NewReader(mutated)); !errors.As(err, &ce) {
 			t.Fatalf("%s: streaming read gave %v, want CorruptError", name, err)
 		}
 		path := filepath.Join(dir, name+".csr2")
@@ -188,11 +188,11 @@ func TestOpenAutoDetects(t *testing.T) {
 	}
 
 	// Every file gets a deliberately unhelpful extension.
-	csr1 := write("a.dat", func(f *os.File) error { return WriteBinary(f, flat) })
-	csr2 := write("b.dat", func(f *os.File) error { return WriteCSR2(f, flat) })
+	csr1 := write("a.dat", func(f *os.File) error { return writeBinary(f, flat) })
+	csr2 := write("b.dat", func(f *os.File) error { return writeCSR2(f, flat) })
 	csr2gz := write("c.dat", func(f *os.File) error {
 		gz := gzip.NewWriter(f)
-		if err := WriteCSR2(gz, flat); err != nil {
+		if err := writeCSR2(gz, flat); err != nil {
 			return err
 		}
 		return gz.Close()
@@ -210,7 +210,7 @@ func TestOpenAutoDetects(t *testing.T) {
 	if err := WriteEdgeList(&elBuf, flat); err != nil {
 		t.Fatal(err)
 	}
-	elWant, err := ReadEdgeList(&elBuf, EdgeListOptions{})
+	elWant, err := readEdgeList(&elBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

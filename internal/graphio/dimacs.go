@@ -10,20 +10,13 @@ import (
 	"graphxmt/internal/graph"
 )
 
-// DIMACSOptions controls text parsing.
-type DIMACSOptions struct {
-	// Directed builds a directed graph from the edge lines.
-	Directed bool
-	// KeepDuplicates keeps parallel edges instead of collapsing them.
-	KeepDuplicates bool
-	// MaxVertices bounds the problem line's vertex count so a hostile or
-	// corrupt file cannot force an enormous allocation; 0 selects 1<<26
-	// (67M vertices, ~1 GiB of CSR offsets). Raise it for genuinely huge
-	// text files.
-	MaxVertices int64
-}
+// maxTextVertices bounds the vertex count of a text graph (the DIMACS
+// problem line, or an edge list's largest ID plus one), so a hostile or
+// corrupt file cannot force an enormous allocation: 1<<26 vertices is
+// ~512 MiB of CSR offsets.
+const maxTextVertices = 1 << 26
 
-// ReadDIMACS parses a DIMACS-style graph:
+// readDIMACS parses a DIMACS-style graph:
 //
 //	c <comment>
 //	p edge <numVertices> <numEdges>
@@ -32,7 +25,7 @@ type DIMACSOptions struct {
 // Vertex IDs are 1-based in the file and converted to 0-based. A missing
 // problem line is an error; edge-count mismatches are tolerated (the actual
 // edges read win) because many published files get m wrong.
-func ReadDIMACS(r io.Reader, opt DIMACSOptions) (*graph.Graph, error) {
+func readDIMACS(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var n int64 = -1
@@ -61,12 +54,8 @@ func ReadDIMACS(r io.Reader, opt DIMACSOptions) (*graph.Graph, error) {
 			if err != nil || v < 0 {
 				return nil, parseErrf(line, "bad vertex count %q", fields[2])
 			}
-			maxN := opt.MaxVertices
-			if maxN <= 0 {
-				maxN = 1 << 26
-			}
-			if v > maxN {
-				return nil, parseErrf(line, "vertex count %d exceeds limit %d (raise DIMACSOptions.MaxVertices)", v, maxN)
+			if v > maxTextVertices {
+				return nil, parseErrf(line, "vertex count %d exceeds limit %d", v, maxTextVertices)
 			}
 			n = v
 		case "e", "a":
@@ -105,18 +94,14 @@ func ReadDIMACS(r io.Reader, opt DIMACSOptions) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, &ParseError{Reason: "missing problem line"}
 	}
-	bopt := graph.BuildOptions{
-		Directed:       opt.Directed,
-		KeepDuplicates: opt.KeepDuplicates,
-		SortAdjacency:  true,
-	}
+	bopt := graph.BuildOptions{SortAdjacency: true}
 	if sawWeight {
 		bopt.Weights = weights
 	}
 	return graph.Build(n, edges, bopt)
 }
 
-// WriteDIMACS writes g in the DIMACS text format read by ReadDIMACS.
+// WriteDIMACS writes g in the DIMACS text format read by readDIMACS.
 // Undirected edges are written once with u <= v.
 func WriteDIMACS(w io.Writer, g *graph.Graph, comment string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)

@@ -10,24 +10,11 @@ import (
 	"graphxmt/internal/graph"
 )
 
-// EdgeListOptions controls plain edge-list parsing.
-type EdgeListOptions struct {
-	// Directed builds a directed graph.
-	Directed bool
-	// ZeroBased treats vertex IDs as already 0-based (the default assumes
-	// nothing and simply uses the IDs as given; the vertex count is
-	// maxID+1 either way, so this flag exists only for documentation
-	// symmetry with DIMACS and is accepted for forward compatibility).
-	ZeroBased bool
-	// MaxVertices bounds the inferred vertex count; 0 selects 1<<26.
-	MaxVertices int64
-}
-
-// ReadEdgeList parses the ubiquitous whitespace-separated edge-list text
+// readEdgeList parses the ubiquitous whitespace-separated edge-list text
 // format (SNAP-style): one "u v [w]" pair per line, '#' or '%' comment
 // lines, blank lines ignored, vertex count inferred as maxID+1. A third
 // numeric column makes the graph weighted.
-func ReadEdgeList(r io.Reader, opt EdgeListOptions) (*graph.Graph, error) {
+func readEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []graph.Edge
@@ -71,14 +58,10 @@ func ReadEdgeList(r io.Reader, opt EdgeListOptions) (*graph.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, &ParseError{Line: line + 1, Reason: "read error", Err: err}
 	}
-	maxN := opt.MaxVertices
-	if maxN <= 0 {
-		maxN = 1 << 26
+	if maxID+1 > maxTextVertices {
+		return nil, parseErrf(0, "inferred vertex count %d exceeds limit %d", maxID+1, maxTextVertices)
 	}
-	if maxID+1 > maxN {
-		return nil, parseErrf(0, "inferred vertex count %d exceeds limit %d", maxID+1, maxN)
-	}
-	bopt := graph.BuildOptions{Directed: opt.Directed, SortAdjacency: true}
+	bopt := graph.BuildOptions{SortAdjacency: true}
 	if sawWeight {
 		bopt.Weights = weights
 	}

@@ -22,7 +22,7 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add("p edge 3 2\na 1 2 -5\na 2 3 9223372036854775807\n")
 	f.Add("p edge 2 1\ne 1 2 extra fields here\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadDIMACS(strings.NewReader(input), DIMACSOptions{})
+		g, err := readDIMACS(strings.NewReader(input))
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {
@@ -50,7 +50,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 notanumber\n")
 	f.Add("1000000000 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input), EdgeListOptions{})
+		g, err := readEdgeList(strings.NewReader(input))
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {
@@ -70,7 +70,7 @@ func FuzzReadEdgeList(f *testing.F) {
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a real snapshot and some mutations of it.
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, gen.CliqueChain(2, 3)); err != nil {
+	if err := writeBinary(&buf, gen.CliqueChain(2, 3)); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -89,7 +89,7 @@ func FuzzReadBinary(f *testing.F) {
 	badFlags[8] |= 0x80 // unknown flag bit
 	f.Add(badFlags)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+		g, err := readBinary(bytes.NewReader(data))
 		if err != nil {
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
@@ -107,7 +107,7 @@ func FuzzReadBinary(f *testing.F) {
 // classes — these are part of the loader's error contract.
 func TestBinaryRejectionsTyped(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, gen.CliqueChain(2, 3)); err != nil {
+	if err := writeBinary(&buf, gen.CliqueChain(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -143,7 +143,7 @@ func TestBinaryRejectionsTyped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadBinary(bytes.NewReader(tc.mutate(valid)))
+			_, err := readBinary(bytes.NewReader(tc.mutate(valid)))
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("want *CorruptError, got %T %v", err, err)
@@ -157,7 +157,7 @@ func TestBinaryRejectionsTyped(t *testing.T) {
 
 // TestParseErrorsTyped pins line attribution for the text parsers.
 func TestParseErrorsTyped(t *testing.T) {
-	_, err := ReadEdgeList(strings.NewReader("0 1\nbogus\n"), EdgeListOptions{})
+	_, err := readEdgeList(strings.NewReader("0 1\nbogus\n"))
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %T %v", err, err)
@@ -166,7 +166,7 @@ func TestParseErrorsTyped(t *testing.T) {
 		t.Fatalf("edge list defect attributed to line %d, want 2", pe.Line)
 	}
 
-	_, err = ReadDIMACS(strings.NewReader("c ok\np edge 2 1\ne 1 9\n"), DIMACSOptions{})
+	_, err = readDIMACS(strings.NewReader("c ok\np edge 2 1\ne 1 9\n"))
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %T %v", err, err)
 	}
@@ -174,7 +174,7 @@ func TestParseErrorsTyped(t *testing.T) {
 		t.Fatalf("DIMACS defect attributed to line %d, want 3", pe.Line)
 	}
 
-	_, err = ReadDIMACS(strings.NewReader("c only comments\n"), DIMACSOptions{})
+	_, err = readDIMACS(strings.NewReader("c only comments\n"))
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %T %v", err, err)
 	}

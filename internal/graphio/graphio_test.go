@@ -49,10 +49,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := writeBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestBinaryRoundTripWeightedDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := writeBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestBinaryRoundTripWeightedDirected(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph file"))); err == nil {
+	if _, err := readBinary(bytes.NewReader([]byte("not a graph file"))); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := readBinary(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected EOF error")
 	}
 	// Valid magic, truncated header.
-	if _, err := ReadBinary(bytes.NewReader([]byte("GXMTCSR1\x01"))); err == nil {
+	if _, err := readBinary(bytes.NewReader([]byte("GXMTCSR1\x01"))); err == nil {
 		t.Fatal("expected truncated header error")
 	}
 }
@@ -96,7 +96,7 @@ func TestBinaryRejectsImplausibleSizes(t *testing.T) {
 	buf.Write(make([]byte, 8))
 	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0x10})
 	buf.Write(make([]byte, 8))
-	if _, err := ReadBinary(&buf); err == nil {
+	if _, err := readBinary(&buf); err == nil {
 		t.Fatal("expected implausible-size error")
 	}
 }
@@ -107,12 +107,12 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	if err := WriteBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinaryFile(path)
+	g2, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	graphsEqual(t, g, g2)
-	if _, err := ReadBinaryFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("expected missing-file error")
 	}
 }
@@ -123,7 +123,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 	if err := WriteDIMACS(&buf, g, "clique chain\ntwo lines"); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadDIMACS(&buf, DIMACSOptions{})
+	g2, err := readDIMACS(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDIMACSWeightedRoundTrip(t *testing.T) {
 	if err := WriteDIMACS(&buf, g, ""); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadDIMACS(&buf, DIMACSOptions{})
+	g2, err := readDIMACS(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,10 @@ func TestDIMACSParsing(t *testing.T) {
 
 p edge 4 3
 e 1 2
-e 2 3 7
+a 2 3 7
 e 4 4
 `
-	g, err := ReadDIMACS(strings.NewReader(in), DIMACSOptions{})
+	g, err := readDIMACS(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ e 4 4
 		t.Fatalf("n = %d", g.NumVertices())
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(2, 1) {
-		t.Fatal("edges missing")
+		t.Fatal("edges missing (an arc line is an undirected edge too)")
 	}
 	if g.HasEdge(3, 3) {
 		t.Fatal("self loop should be dropped by default build")
@@ -188,20 +188,9 @@ func TestDIMACSErrors(t *testing.T) {
 		"",                         // missing problem line
 	}
 	for _, in := range cases {
-		if _, err := ReadDIMACS(strings.NewReader(in), DIMACSOptions{}); err == nil {
+		if _, err := readDIMACS(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q: expected error", in)
 		}
-	}
-}
-
-func TestDIMACSDirected(t *testing.T) {
-	in := "p edge 3 2\na 1 2\na 2 3\n"
-	g, err := ReadDIMACS(strings.NewReader(in), DIMACSOptions{Directed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Directed() || !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("directed parse wrong")
 	}
 }
 
@@ -219,10 +208,10 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
+		if err := writeBinary(&buf, g); err != nil {
 			return false
 		}
-		g2, err := ReadBinary(&buf)
+		g2, err := readBinary(&buf)
 		if err != nil {
 			return false
 		}
@@ -289,7 +278,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf, EdgeListOptions{})
+	g2, err := readEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +295,7 @@ func TestEdgeListWeightedRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf, EdgeListOptions{})
+	g2, err := readEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +310,7 @@ func TestEdgeListParsing(t *testing.T) {
 1 2
 5 0
 `
-	g, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{})
+	g, err := readEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,23 +333,13 @@ func TestEdgeListErrors(t *testing.T) {
 		"0 1 zz\n", // bad weight
 	}
 	for _, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{}); err == nil {
+		if _, err := readEdgeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q: expected error", in)
 		}
 	}
 	// Inferred size limit.
-	if _, err := ReadEdgeList(strings.NewReader("0 99999999999\n"), EdgeListOptions{}); err == nil {
+	if _, err := readEdgeList(strings.NewReader("0 99999999999\n")); err == nil {
 		t.Fatal("expected vertex-count limit error")
-	}
-}
-
-func TestEdgeListDirected(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n"), EdgeListOptions{Directed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Directed() || g.HasEdge(1, 0) {
-		t.Fatal("directed parse wrong")
 	}
 }
 
@@ -373,7 +352,7 @@ func TestLoadFileGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	gz := gzip.NewWriter(f)
-	if err := WriteBinary(gz, g); err != nil {
+	if err := writeBinary(gz, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := gz.Close(); err != nil {

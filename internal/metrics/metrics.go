@@ -63,15 +63,11 @@ type Histogram struct {
 // durations: 1µs, 2µs, 4µs, ... 2^35µs (~34s), then +Inf. 36 buckets
 // resolve any latency to within a factor of two — coarse enough to stay
 // tiny, fine enough for p50/p90/p99 tail reporting.
-var DurationBounds = Pow2Bounds(36)
+var DurationBounds = pow2Bounds(36)
 
-// CountBounds are the default log2-scale bounds for counts (messages,
-// edges): 1, 2, 4, ... 2^47, then +Inf.
-var CountBounds = Pow2Bounds(48)
-
-// Pow2Bounds returns n ascending power-of-two bucket bounds: 1, 2, 4, ...,
+// pow2Bounds returns n ascending power-of-two bucket bounds: 1, 2, 4, ...,
 // 2^(n-1).
-func Pow2Bounds(n int) []int64 {
+func pow2Bounds(n int) []int64 {
 	b := make([]int64, n)
 	for i := range b {
 		b[i] = 1 << uint(i)
@@ -184,22 +180,22 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Label is one name=value pair attached to a metric series.
 type Label struct{ Key, Value string }
 
-// Kind is the exposition type of a metric family.
-type Kind int
+// metricKind is the exposition type of a metric family.
+type metricKind int
 
 const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
+	kindCounter metricKind = iota
+	kindGauge
+	kindHistogram
 )
 
-func (k Kind) String() string {
+func (k metricKind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	}
 	return "untyped"
@@ -217,7 +213,7 @@ type series struct {
 type family struct {
 	name   string
 	help   string
-	kind   Kind
+	kind   metricKind
 	series []*series
 	byKey  map[string]*series
 }
@@ -239,14 +235,14 @@ func NewRegistry() *Registry {
 // on first use. Reusing a name with a different kind panics (a wiring bug,
 // not a runtime condition).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.seriesFor(name, help, KindCounter, labels)
+	s := r.seriesFor(name, help, kindCounter, labels)
 	return s.c
 }
 
 // Gauge returns the gauge named name with the given labels, creating it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.seriesFor(name, help, KindGauge, labels)
+	s := r.seriesFor(name, help, kindGauge, labels)
 	return s.g
 }
 
@@ -256,7 +252,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, KindHistogram)
+	f := r.familyLocked(name, help, kindHistogram)
 	key := renderLabels(labels)
 	if s, ok := f.byKey[key]; ok {
 		return s.h
@@ -270,7 +266,7 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label)
 	return s.h
 }
 
-func (r *Registry) seriesFor(name, help string, kind Kind, labels []Label) *series {
+func (r *Registry) seriesFor(name, help string, kind metricKind, labels []Label) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.familyLocked(name, help, kind)
@@ -280,9 +276,9 @@ func (r *Registry) seriesFor(name, help string, kind Kind, labels []Label) *seri
 	}
 	s := &series{labels: key}
 	switch kind {
-	case KindCounter:
+	case kindCounter:
 		s.c = &Counter{}
-	case KindGauge:
+	case kindGauge:
 		s.g = &Gauge{}
 	}
 	f.series = append(f.series, s)
@@ -290,7 +286,7 @@ func (r *Registry) seriesFor(name, help string, kind Kind, labels []Label) *seri
 	return s
 }
 
-func (r *Registry) familyLocked(name, help string, kind Kind) *family {
+func (r *Registry) familyLocked(name, help string, kind metricKind) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}

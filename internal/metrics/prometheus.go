@@ -32,11 +32,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.series {
 			switch f.kind {
-			case KindCounter:
+			case kindCounter:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case KindGauge:
+			case kindGauge:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Value())
-			case KindHistogram:
+			case kindHistogram:
 				writeHistogram(bw, f.name, s.labels, s.h)
 			}
 		}

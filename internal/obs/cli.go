@@ -24,21 +24,20 @@ import (
 //	-pprof X        host:port serves net/http/pprof; any other value is a
 //	                file path receiving a CPU profile of the run
 //
-// Register with AddFlags (or AddWorkersFlag for commands that only sweep
-// worker counts), then call Start after flag.Parse and Close when done.
+// Register with AddFlags, then call Start after flag.Parse and Close when
+// done.
 type CLIFlags struct {
 	Workers int
 	Format  string
 	Out     string
 	PProf   string
 
-	hasObs bool
 	envErr error
 }
 
-// AddWorkersFlag registers only -workers (with its GRAPHXMT_WORKERS
-// default) on fs.
-func AddWorkersFlag(fs *flag.FlagSet) *CLIFlags {
+// AddFlags registers the observability flag set on fs; -workers defaults
+// to GRAPHXMT_WORKERS.
+func AddFlags(fs *flag.FlagSet) *CLIFlags {
 	c := &CLIFlags{}
 	def := 0
 	if v := os.Getenv("GRAPHXMT_WORKERS"); v != "" {
@@ -49,13 +48,6 @@ func AddWorkersFlag(fs *flag.FlagSet) *CLIFlags {
 		}
 	}
 	fs.IntVar(&c.Workers, "workers", def, "host worker count (0 = GOMAXPROCS; env GRAPHXMT_WORKERS)")
-	return c
-}
-
-// AddFlags registers the full observability flag set on fs.
-func AddFlags(fs *flag.FlagSet) *CLIFlags {
-	c := AddWorkersFlag(fs)
-	c.hasObs = true
 	fs.StringVar(&c.Format, "obs-format", "", "host observability format: report, jsonl, or chrome (empty = off)")
 	fs.StringVar(&c.Out, "obs-out", "", "host observability output path (report defaults to stdout)")
 	fs.StringVar(&c.PProf, "pprof", "", "host:port to serve net/http/pprof, or a file path for a CPU profile")

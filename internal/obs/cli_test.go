@@ -108,7 +108,7 @@ func TestCLIChromeOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.ValidateChromeTrace(f); err != nil {
+	if err := validateChromeTrace(f); err != nil {
 		t.Fatalf("CLI chrome output invalid: %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestChromeTraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.ValidateChromeTrace(f); err != nil {
+	if err := validateChromeTrace(f); err != nil {
 		t.Fatalf("trace %s invalid: %v", path, err)
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"graphxmt/internal/obs"
 )
 
-// FlightFileName is the file DumpFlight writes into its target directory —
+// flightFileName is the file DumpFlight writes into its target directory —
 // next to the emergency checkpoint on a vertex-program panic, or wherever
 // the SIGQUIT handler points it. A second dump into the same directory
 // overwrites the first: the newest crash context wins.
-const FlightFileName = "flight.jsonl"
+const flightFileName = "flight.jsonl"
 
-// DefaultFlightDepth is the default ring capacity in supersteps.
-const DefaultFlightDepth = 32
+// defaultFlightDepth is the default ring capacity in supersteps.
+const defaultFlightDepth = 32
 
 // FlightRecorder is an obs.Sink that keeps the last N supersteps' spans and
 // counters in a fixed-size ring — cheap enough to leave attached to every
@@ -48,10 +48,10 @@ type flightRec struct {
 }
 
 // NewFlightRecorder returns a recorder keeping the last depth supersteps
-// (depth <= 0 selects DefaultFlightDepth).
+// (depth <= 0 selects defaultFlightDepth).
 func NewFlightRecorder(depth int) *FlightRecorder {
 	if depth <= 0 {
-		depth = DefaultFlightDepth
+		depth = defaultFlightDepth
 	}
 	return &FlightRecorder{depth: depth, pending: []obs.SpanEvent{}}
 }
@@ -132,7 +132,7 @@ func (f *FlightRecorder) DumpFlight(dir, cause string) (string, error) {
 	label, workers, dropped := f.label, f.workers, f.dropped
 	f.mu.Unlock()
 
-	path := filepath.Join(dir, FlightFileName)
+	path := filepath.Join(dir, flightFileName)
 	file, err := os.Create(path)
 	if err != nil {
 		return "", fmt.Errorf("live: flight dump: %w", err)

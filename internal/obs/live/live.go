@@ -59,7 +59,7 @@ type Server struct {
 
 // NewServer returns a server feeding reg (nil creates a fresh registry)
 // with a flight ring of flightDepth supersteps (<= 0 selects
-// DefaultFlightDepth).
+// defaultFlightDepth).
 func NewServer(reg *metrics.Registry, flightDepth int) *Server {
 	s := &Server{
 		metrics: obs.NewMetrics(reg),

@@ -49,7 +49,8 @@ type RunInfo struct {
 // Span is one wall-clock phase of one superstep (or kernel iteration).
 type Span struct {
 	// Name is the phase name. The BSP engine emits "init", "compute",
-	// "terminate", "deliver" and "worklist" (see core.EnginePhases);
+	// "terminate", "deliver" and "worklist" (the last only under sparse
+	// activation) for each superstep, and "checkpoint" under a policy;
 	// recorder-derived kernel spans carry the trace phase name ("cc/iter",
 	// "bfs/level", ...), cross-linking the span to the recorded profile.
 	Name string

@@ -22,6 +22,10 @@ import (
 
 // feedSynthetic drives sink through a small, fixed event stream: one run of
 // two supersteps with two workers.
+// enginePhases are the span names the engine emits for each superstep, in
+// execution order ("worklist" only under sparse activation).
+var enginePhases = []string{"compute", "terminate", "deliver", "worklist"}
+
 func feedSynthetic(sink obs.Sink) {
 	sink.RunStart(obs.RunInfo{Label: "bsp", Workers: 2, Vertices: 100, Edges: 400})
 	busy := []time.Duration{3 * time.Millisecond, 2 * time.Millisecond}
@@ -83,7 +87,7 @@ func TestReportPhaseColumnsMatchEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, name := range core.EnginePhases() {
+	for _, name := range enginePhases {
 		if !strings.Contains(out, name) {
 			t.Errorf("report missing engine phase %q:\n%s", name, out)
 		}
@@ -241,7 +245,7 @@ func TestChromeSyntheticValid(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := validateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("synthetic trace invalid: %v\n%s", err, buf.String())
 	}
 }
@@ -258,7 +262,7 @@ func TestChromeEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace is not JSON: %v\n%s", err, buf.String())
 	}
 	// ...but fails schema validation, which demands events.
-	if err := obs.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := validateChromeTrace(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("empty trace passed validation")
 	}
 }
@@ -298,7 +302,7 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := obs.ValidateChromeTrace(strings.NewReader(tc.in)); err == nil {
+			if err := validateChromeTrace(strings.NewReader(tc.in)); err == nil {
 				t.Fatal("expected validation error")
 			}
 		})
@@ -356,7 +360,7 @@ func TestRecorderObserverSpans(t *testing.T) {
 }
 
 // TestEngineObsEvents drives a real BSP run through a capture sink and pins
-// the event stream's shape: phase names from core.EnginePhases, one
+// the event stream's shape: phase names from enginePhases, one
 // StepStats per superstep, worker-busy slices sized to the worker count.
 func TestEngineObsEvents(t *testing.T) {
 	g := gen.Ring(1 << 10)
@@ -380,7 +384,7 @@ func TestEngineObsEvents(t *testing.T) {
 		t.Fatalf("step events = %d, want %d", len(sink.steps), res.Supersteps)
 	}
 	known := map[string]bool{"init": true}
-	for _, n := range core.EnginePhases() {
+	for _, n := range enginePhases {
 		known[n] = true
 	}
 	seen := map[string]bool{}
@@ -396,7 +400,7 @@ func TestEngineObsEvents(t *testing.T) {
 			t.Fatalf("span %q has negative time: %+v", s.Name, s)
 		}
 	}
-	for _, n := range append([]string{"init"}, core.EnginePhases()...) {
+	for _, n := range append([]string{"init"}, enginePhases...) {
 		if !seen[n] {
 			t.Errorf("engine never emitted phase %q (saw %v)", n, seen)
 		}
@@ -412,7 +416,7 @@ func TestEngineObsEvents(t *testing.T) {
 }
 
 // TestEngineChromeTraceBFS is the end-to-end schema check: a real BFS run
-// exported through the Chrome sink must satisfy ValidateChromeTrace — the
+// exported through the Chrome sink must satisfy validateChromeTrace — the
 // same validation CI applies to a bspgraph-produced scale-16 trace.
 func TestEngineChromeTraceBFS(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 7})
@@ -431,7 +435,7 @@ func TestEngineChromeTraceBFS(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := validateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("BFS chrome trace invalid: %v", err)
 	}
 }

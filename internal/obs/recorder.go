@@ -7,7 +7,7 @@ import (
 	"graphxmt/internal/par"
 )
 
-// RecorderObserver adapts a Sink into a trace.PhaseObserver: attached to a
+// RecorderObserver adapts a Sink into a phase observer: attached to a
 // trace.Recorder (Recorder.SetObserver), it converts the recorder's phase
 // stream into wall-clock spans — a phase's span runs from its StartPhase
 // call to the next one, or to Finish. This instruments the shared-memory
@@ -53,7 +53,7 @@ func NewRecorderObserver(sink Sink, vertices, edges int64) *RecorderObserver {
 // this observer.
 func (o *RecorderObserver) ObsSink() Sink { return o.sink }
 
-// PhaseStarted implements trace.PhaseObserver.
+// PhaseStarted is the trace.Recorder phase-observer callback.
 func (o *RecorderObserver) PhaseStarted(name string, index int) {
 	if o.finished || strings.HasPrefix(name, "bsp/") {
 		return

@@ -2,11 +2,11 @@ package obs
 
 import "time"
 
-// TeeSink fans one observability event stream out to several sinks, in
+// teeSink fans one observability event stream out to several sinks, in
 // order — how a CLI attaches a post-hoc sink (report/JSONL/chrome), the
 // live metrics sink, and a flight recorder to the same run without the
 // engine knowing about any of them. Construct with Tee.
-type TeeSink struct{ sinks []Sink }
+type teeSink struct{ sinks []Sink }
 
 // Tee composes sinks into one. Nil sinks are dropped and nested tees are
 // flattened; zero remaining sinks return nil (the engine's disabled state)
@@ -18,7 +18,7 @@ func Tee(sinks ...Sink) Sink {
 		switch t := s.(type) {
 		case nil:
 			continue
-		case *TeeSink:
+		case *teeSink:
 			out = append(out, t.sinks...)
 		default:
 			out = append(out, s)
@@ -30,42 +30,39 @@ func Tee(sinks ...Sink) Sink {
 	case 1:
 		return out[0]
 	}
-	return &TeeSink{sinks: out}
+	return &teeSink{sinks: out}
 }
 
-// Sinks returns the composed sinks in delivery order.
-func (t *TeeSink) Sinks() []Sink { return t.sinks }
-
 // RunStart implements Sink.
-func (t *TeeSink) RunStart(info RunInfo) {
+func (t *teeSink) RunStart(info RunInfo) {
 	for _, s := range t.sinks {
 		s.RunStart(info)
 	}
 }
 
 // Span implements Sink.
-func (t *TeeSink) Span(sp Span) {
+func (t *teeSink) Span(sp Span) {
 	for _, s := range t.sinks {
 		s.Span(sp)
 	}
 }
 
 // Step implements Sink.
-func (t *TeeSink) Step(st StepStats) {
+func (t *teeSink) Step(st StepStats) {
 	for _, s := range t.sinks {
 		s.Step(st)
 	}
 }
 
 // Mem implements Sink.
-func (t *TeeSink) Mem(m MemSample) {
+func (t *teeSink) Mem(m MemSample) {
 	for _, s := range t.sinks {
 		s.Mem(m)
 	}
 }
 
 // RunEnd implements Sink.
-func (t *TeeSink) RunEnd(wall time.Duration) {
+func (t *teeSink) RunEnd(wall time.Duration) {
 	for _, s := range t.sinks {
 		s.RunEnd(wall)
 	}
@@ -81,12 +78,12 @@ type FlightDumper interface {
 }
 
 // FindFlightDumper returns the first FlightDumper reachable from s —
-// s itself, or a member of a TeeSink — or nil.
+// s itself, or a member of a teeSink — or nil.
 func FindFlightDumper(s Sink) FlightDumper {
 	if fd, ok := s.(FlightDumper); ok {
 		return fd
 	}
-	if t, ok := s.(*TeeSink); ok {
+	if t, ok := s.(*teeSink); ok {
 		for _, inner := range t.sinks {
 			if fd, ok := inner.(FlightDumper); ok {
 				return fd
@@ -106,10 +103,10 @@ type FallbackNoter interface {
 }
 
 // FindFallbackNoter returns a FallbackNoter covering every sink reachable
-// from s — s itself, or the members of a TeeSink — or nil when none
+// from s — s itself, or the members of a teeSink — or nil when none
 // implement the interface.
 func FindFallbackNoter(s Sink) FallbackNoter {
-	if t, ok := s.(*TeeSink); ok {
+	if t, ok := s.(*teeSink); ok {
 		var out []FallbackNoter
 		for _, inner := range t.sinks {
 			if fn, ok := inner.(FallbackNoter); ok {

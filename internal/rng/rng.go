@@ -5,12 +5,9 @@
 // state and use explicit generator values that can be split into
 // independent streams for parallel graph generation.
 //
-// Two generators are provided:
-//
-//   - SplitMix64: a tiny 64-bit generator used for seeding and for cheap
-//     one-shot hashing of integers.
-//   - Xoshiro256**: the workhorse generator, seeded from SplitMix64 as its
-//     authors recommend.
+// Xoshiro256** is the generator, seeded through splitmix64 as its authors
+// recommend; Mix64 is one splitmix64 round, for cheap one-shot hashing of
+// integers.
 package rng
 
 import (
@@ -18,19 +15,14 @@ import (
 	"math/bits"
 )
 
-// SplitMix64 is D. Lemire / S. Vigna's splitmix64 generator. The zero value
-// is a valid generator (seeded with 0).
-type SplitMix64 struct {
+// splitMix64 is D. Lemire / S. Vigna's splitmix64 generator, seeded with
+// its state.
+type splitMix64 struct {
 	state uint64
 }
 
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
 // Uint64 returns the next value in the sequence.
-func (s *SplitMix64) Uint64() uint64 {
+func (s *splitMix64) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -55,7 +47,7 @@ type Xoshiro struct {
 	s0, s1, s2, s3 uint64
 }
 
-// New returns a Xoshiro generator seeded from seed via SplitMix64.
+// New returns a Xoshiro generator seeded from seed via splitmix64.
 func New(seed uint64) *Xoshiro {
 	var x Xoshiro
 	x.Reseed(seed)
@@ -67,7 +59,7 @@ func New(seed uint64) *Xoshiro {
 // stream (per-edge graph generation): a stack-allocated Xoshiro reseeded
 // each iteration avoids one heap allocation per item.
 func (x *Xoshiro) Reseed(seed uint64) {
-	sm := SplitMix64{state: seed}
+	sm := splitMix64{state: seed}
 	x.s0, x.s1, x.s2, x.s3 = sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()
 	// All-zero state is the one invalid state; splitmix64 cannot emit four
 	// consecutive zeros, but guard anyway.

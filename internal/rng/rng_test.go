@@ -9,7 +9,7 @@ import (
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference values for splitmix64 seeded with 1234567, from the
 	// canonical C implementation.
-	sm := NewSplitMix64(1234567)
+	sm := &splitMix64{state: 1234567}
 	want := []uint64{
 		6457827717110365317,
 		3203168211198807973,

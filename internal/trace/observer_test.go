@@ -40,7 +40,7 @@ func TestPhaseObserverNotified(t *testing.T) {
 }
 
 // TestObserverNonPhaseObserver: any value can ride on the recorder; only
-// PhaseObserver implementations get StartPhase callbacks.
+// phaseObserver implementations get StartPhase callbacks.
 func TestObserverNonPhaseObserver(t *testing.T) {
 	r := NewRecorder()
 	r.SetObserver("opaque payload")

@@ -204,21 +204,6 @@ func (p *Phase) State() PhaseState {
 	}
 }
 
-// NewPhaseFromState materializes a phase from a snapshot.
-func NewPhaseFromState(s PhaseState) *Phase {
-	return &Phase{
-		Name:     s.Name,
-		Index:    s.Index,
-		Tasks:    s.Tasks,
-		Issue:    s.Issue,
-		Loads:    s.Loads,
-		Stores:   s.Stores,
-		MaxTask:  s.MaxTask,
-		Hot:      s.Hot,
-		Barriers: s.Barriers,
-	}
-}
-
 // AppendStates appends to dst the state of every recorded phase past the
 // first len(dst) and returns it, so a caller that snapshots the recorder
 // repeatedly converts each phase once: dst must hold the states of the
@@ -246,19 +231,29 @@ func (r *Recorder) RestoreState(states []PhaseState) {
 	}
 	phases := make([]*Phase, len(states))
 	for i, s := range states {
-		phases[i] = NewPhaseFromState(s)
+		phases[i] = &Phase{
+			Name:     s.Name,
+			Index:    s.Index,
+			Tasks:    s.Tasks,
+			Issue:    s.Issue,
+			Loads:    s.Loads,
+			Stores:   s.Stores,
+			MaxTask:  s.MaxTask,
+			Hot:      s.Hot,
+			Barriers: s.Barriers,
+		}
 	}
 	r.mu.Lock()
 	r.phases = phases
 	r.mu.Unlock()
 }
 
-// PhaseObserver receives a host-side notification for every StartPhase
+// phaseObserver receives a host-side notification for every StartPhase
 // call on a Recorder it is attached to. It is the cross-link between the
 // simulated work profile and host-runtime observability (package obs): a
 // phase's wall-clock span is the gap between its StartPhase and the next
 // one (or the observer's flush). Observers must not mutate the profile.
-type PhaseObserver interface {
+type phaseObserver interface {
 	PhaseStarted(name string, index int)
 }
 
@@ -273,9 +268,9 @@ type Recorder struct {
 
 	// obs is an opaque host-observability attachment (set by CLIs, read
 	// back by the BSP engine via Observer); po is its cached
-	// PhaseObserver view, nil when the attachment doesn't observe phases.
+	// phaseObserver view, nil when the attachment doesn't observe phases.
 	obs any
-	po  PhaseObserver
+	po  phaseObserver
 }
 
 // observerFactory, when set, attaches a fresh observer to every Recorder
@@ -303,14 +298,14 @@ func NewRecorder() *Recorder {
 }
 
 // SetObserver attaches a host-observability object to the recorder. If it
-// implements PhaseObserver, StartPhase will notify it. A nil recorder
+// implements phaseObserver, StartPhase will notify it. A nil recorder
 // ignores the call; attaching nil detaches.
 func (r *Recorder) SetObserver(o any) {
 	if r == nil {
 		return
 	}
 	r.obs = o
-	r.po, _ = o.(PhaseObserver)
+	r.po, _ = o.(phaseObserver)
 }
 
 // Observer returns the attached host-observability object, or nil.
