@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	bspgraph -g graph.gxmt -alg cc|bfs|reach|sssp|tc|tc-streaming|pagerank|kcore|lp|bc|mis|diameter
-//	         [-src -1] [-sources 5,17,99] [-batch] [-procs 128] [-rounds 30] [-workers N]
-//	         [-direction auto|push|pull]
-//	         [-graph-rep flat|compressed]
+//	bspgraph -g graph.gxmt -alg cc [-src -1] [-sources 5,17,99] [-batch] [-procs 128]
+//	         [-rounds 30] [-workers N] [-direction auto|push|pull] [-graph-rep flat|compressed]
 //	         [-checkpoint-dir dir] [-ckpt-every 1] [-ckpt-keep 0] [-resume ckpt|auto]
-//	         [-retries N] [-step-timeout 0] [-run-timeout 0]
+//	         [-retries N] [-step-timeout 0] [-run-timeout 0] [-http host:port] [-http-linger 0s]
 //	         [-obs-format report|jsonl|chrome] [-obs-out trace.json] [-pprof addr|file]
-//	         [-http host:port] [-http-linger 0s]
+//
+// The algorithms are the rows of internal/bspalg's kernel table with a
+// BSP runner; -h lists them. A row says which of -src, -sources and
+// -rounds it reads, and whether it is one checkpointable engine pass.
 //
 // -sources runs multi-source BFS over a comma-separated vertex list:
 // with -batch (and always for -alg reach) the queries share one MS-BFS
@@ -47,16 +48,14 @@
 // to -resume to continue the same run bit-identically, or pass
 // "-resume auto" (alias "latest") to resume from the newest *valid*
 // checkpoint in -checkpoint-dir — damaged snapshots are skipped and
-// reported (see docs/ROBUSTNESS.md). Multi-run algorithms (bc, diameter,
-// tc-streaming) do not support checkpointing.
+// reported (see docs/ROBUSTNESS.md). Multi-pass rows do not checkpoint.
 //
 // Self-healing knobs: -retries N re-executes a faulting superstep from the
 // last boundary snapshot up to N times (results stay bit-identical to a
 // fault-free run); -step-timeout arms a per-superstep watchdog that dumps
 // the flight recorder and an emergency checkpoint when a superstep stalls;
 // -run-timeout bounds the whole run, finishing the superstep in flight and
-// checkpointing before exiting. All three work on every algorithm,
-// including the multi-run ones.
+// checkpointing before exiting. All three apply to every engine pass.
 //
 // Exit status: 0 on success, 1 on runtime errors (including retry
 // exhaustion and watchdog stalls), 2 on usage errors, 3 when interrupted
@@ -64,12 +63,13 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
-	"math/bits"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -89,12 +89,15 @@ import (
 
 func main() {
 	path := flag.String("g", "", "graph file (required)")
-	alg := flag.String("alg", "cc", "algorithm: cc, bfs, reach, sssp, tc, tc-streaming, pagerank, kcore, lp, bc, mis, diameter")
-	src := flag.Int64("src", -1, "bfs/sssp source (-1 = max-degree vertex)")
-	sources := flag.String("sources", "", "comma-separated bfs/reach sources (batched with -batch, else sequential runs)")
+	alg := flag.String("alg", "cc", "algorithm: "+bspalg.Names(func(k *bspalg.Kernel) bool { return k.BSP != nil }))
+	readers := func(p bspalg.Param) string {
+		return bspalg.Names(func(k *bspalg.Kernel) bool { return k.BSP != nil && k.Reads&p != 0 })
+	}
+	src := flag.Int64("src", -1, "source vertex for "+readers(bspalg.Source)+" (-1 = max-degree vertex)")
+	sources := flag.String("sources", "", "comma-separated sources for "+readers(bspalg.Sources)+" (batched with -batch, else sequential runs)")
 	batchMode := flag.Bool("batch", false, "answer -sources in one MS-BFS engine pass (<= 64 unique sources)")
 	procs := flag.Int("procs", 128, "simulated processors")
-	rounds := flag.Int("rounds", 30, "pagerank/lp supersteps")
+	rounds := flag.Int("rounds", 30, "supersteps of "+readers(bspalg.Rounds))
 	profile := flag.String("profile", "", "write the recorded work profile as JSON to this path")
 	ckptDir := flag.String("checkpoint-dir", "", "write superstep-boundary checkpoints into this directory")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every N superstep boundaries")
@@ -112,6 +115,11 @@ func main() {
 
 	if *path == "" {
 		usage("-g is required")
+	}
+	name := strings.TrimSpace(*alg)
+	k := bspalg.Lookup(name)
+	if k == nil || k.BSP == nil {
+		usage("unknown algorithm %q", *alg)
 	}
 	if *procs <= 0 {
 		usage("-procs must be > 0, got %d", *procs)
@@ -131,8 +139,13 @@ func main() {
 	// The supervision knobs default to 0 = disabled; an *explicit* zero or
 	// negative value is a contradiction ("supervise this, never") and is
 	// rejected rather than silently ignored.
+	srcSet, sourcesSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
+		case "src":
+			srcSet = true
+		case "sources":
+			sourcesSet = true
 		case "retries":
 			if *retries <= 0 {
 				usage("-retries must be > 0, got %d", *retries)
@@ -157,16 +170,6 @@ func main() {
 			usage("-graph-rep must be flat or compressed, got %q", *graphRep)
 		}
 	}
-	name := strings.TrimSpace(*alg)
-	srcSet, sourcesSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "src":
-			srcSet = true
-		case "sources":
-			sourcesSet = true
-		}
-	})
 	// An explicitly empty list is rejected rather than silently falling
 	// back to the single-source default the user opted out of.
 	if sourcesSet && strings.TrimSpace(*sources) == "" {
@@ -178,27 +181,25 @@ func main() {
 	if srcSet && *sources != "" {
 		usage("-src and -sources are mutually exclusive")
 	}
-	if *sources != "" && name != "bfs" && name != "reach" {
-		usage("-sources applies to bfs and reach, not %s", name)
+	if *sources != "" && k.Reads&bspalg.Sources == 0 {
+		usage("-sources applies to %s, not %s", readers(bspalg.Sources), name)
 	}
-	if name == "reach" && *sources == "" {
-		usage("reach needs -sources (batched reachability queries)")
+	// A row that reads a source list but no single source answers only
+	// batched queries.
+	batched := *batchMode || k.Reads&(bspalg.Source|bspalg.Sources) == bspalg.Sources
+	if batched && *sources == "" {
+		usage("%s needs -sources", name)
 	}
-	resumeLatest := false
-	switch strings.TrimSpace(*resume) {
-	case "auto", "latest":
-		resumeLatest = true
+	resumeLatest := slices.Contains([]string{"auto", "latest"}, strings.TrimSpace(*resume))
+	if resumeLatest {
 		*resume = ""
 		if *ckptDir == "" {
 			usage("-resume auto needs -checkpoint-dir to know where to look")
 		}
 	}
 	checkpointed := *ckptDir != "" || *resume != ""
-	switch name {
-	case "bc", "diameter", "tc-streaming":
-		if checkpointed || *faultPlan != "" {
-			usage("%s runs multiple engine passes and does not support -checkpoint-dir/-resume/-fault-plan", name)
-		}
+	if k.MultiPass && (checkpointed || *faultPlan != "") {
+		usage("%s runs multiple engine passes and does not support -checkpoint-dir/-resume/-fault-plan", name)
 	}
 
 	plan, err := faultinject.ParsePlan(*faultPlan)
@@ -231,10 +232,7 @@ func main() {
 	if flight != nil {
 		// SIGQUIT dumps the superstep ring without stopping the run —
 		// crash-context on demand for a wedged or slow computation.
-		dumpDir := *ckptDir
-		if dumpDir == "" {
-			dumpDir = "."
-		}
+		dumpDir := cmp.Or(*ckptDir, ".")
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
 		go func() {
@@ -253,66 +251,48 @@ func main() {
 	loadStart := time.Now()
 	g, gCloser, err := graphio.Open(*path)
 	if err != nil {
-		fatal(err)
+		exitOn(err)
 	}
 	defer gCloser.Close()
 	if rep != "" && g.Rep() != rep {
 		if g, err = graph.WithRep(g, rep); err != nil {
-			fatal(err)
+			exitOn(err)
 		}
 	}
 	fmt.Printf("loaded %v (%s adjacency) in %v\n", g, g.Rep(), time.Since(loadStart).Round(time.Microsecond))
 
-	model := machine.NewAnalytic(machine.DefaultConfig())
 	rec := trace.NewRecorder()
 	sess.Attach(rec, g.NumVertices(), g.NumEdges())
 	source := *src
 	if source < 0 {
 		source = g.MaxDegreeVertex()
 	}
-	usesSrc := name == "sssp" || name == "diameter" || (name == "bfs" && *sources == "")
-	if usesSrc && source >= g.NumVertices() {
+	if k.Reads&bspalg.Source != 0 && *sources == "" && source >= g.NumVertices() {
 		usage("-src %d out of range [0,%d)", source, g.NumVertices())
+	}
+	if k.Reads&bspalg.Weights != 0 && !g.Weighted() {
+		usage("%s requires a weighted graph", name)
 	}
 
 	// Source-list validation is shared with xmtbench (internal/batch), so
 	// both CLIs reject malformed or out-of-range lists identically.
-	var bplan *batch.Plan
+	p := bspalg.Params{Source: source, Batch: batched, Rounds: *rounds, Samples: 16, Seed: 7}
 	if *sources != "" {
 		srcs, err := batch.ParseSources(*sources, g.NumVertices())
 		if err != nil {
 			usage("%v", err)
 		}
-		if bplan, err = batch.NewPlan(srcs, g.NumVertices()); err != nil {
+		if p.Plan, err = batch.NewPlan(srcs, g.NumVertices()); err != nil {
 			usage("%v", err)
 		}
-		if name == "reach" {
-			*batchMode = true // reachability queries only exist batched
-		}
-		if !*batchMode && bplan.Occupancy() > 1 && (checkpointed || *faultPlan != "") {
-			usage("sequential multi-source bfs runs one engine pass per source and does not support -checkpoint-dir/-resume/-fault-plan; add -batch")
+		if !batched && p.Plan.Occupancy() > 1 && (checkpointed || *faultPlan != "") {
+			usage("sequential multi-source %s runs one engine pass per source and does not support -checkpoint-dir/-resume/-fault-plan; add -batch", name)
 		}
 	}
 
-	// Checkpoint label: algorithm plus the parameters that shape the run,
-	// so a checkpoint cannot be resumed under different ones. Batched runs
-	// pin the full lane assignment (also carried by the format-v7
-	// fingerprint) so a resume under a permuted source list is refused.
-	label := name
-	switch {
-	case bplan != nil && *batchMode && name == "reach":
-		label = "multireach lanes=" + bplan.String()
-	case bplan != nil && *batchMode:
-		label = "multibfs lanes=" + bplan.String()
-	case name == "bfs" || name == "sssp":
-		label = fmt.Sprintf("%s src=%d", name, source)
-	case name == "pagerank" || name == "lp":
-		label = fmt.Sprintf("%s rounds=%d", name, *rounds)
-	case name == "mis":
-		label = fmt.Sprintf("%s seed=%d", name, 7)
-	}
-
-	opts := []core.Option{core.WithDirection(dir)}
+	// Zero supervision knobs leave the supervisor off.
+	opts := []core.Option{core.WithDirection(dir),
+		core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout)}
 	if checkpointed {
 		// With -resume but no -checkpoint-dir the policy is label-only:
 		// it validates the checkpoint's identity but writes nothing new.
@@ -320,7 +300,7 @@ func main() {
 			Dir:    *ckptDir,
 			EveryN: *ckptEvery,
 			Keep:   *ckptKeep,
-			Label:  label,
+			Label:  k.Label(p),
 			Hooks:  plan.Hooks(),
 		}))
 	}
@@ -329,15 +309,6 @@ func main() {
 	}
 	if resumeLatest {
 		opts = append(opts, core.WithResumeLatest())
-	}
-	if *retries > 0 {
-		opts = append(opts, core.WithRetries(*retries))
-	}
-	if *stepTimeout > 0 {
-		opts = append(opts, core.WithStepTimeout(*stepTimeout))
-	}
-	if *runTimeout > 0 {
-		opts = append(opts, core.WithRunTimeout(*runTimeout))
 	}
 	if len(plan.PanicAt) > 0 || len(plan.PanicNAt) > 0 || len(plan.SlowStepAt) > 0 {
 		opts = append(opts, func(cfg *core.Config) {
@@ -358,133 +329,13 @@ func main() {
 		opts = append(opts, core.WithStop(stop))
 	}
 
-	switch name {
-	case "cc":
-		res, err := bspalg.ConnectedComponents(g, rec, opts...)
-		exitOn(err)
-		comps := map[int64]int64{}
-		for _, l := range res.Labels {
-			comps[l]++
-		}
-		fmt.Printf("[bsp cc] %d components in %d supersteps\n", len(comps), res.Supersteps)
-		fmt.Printf("         active/step:   %v\n", res.ActivePerStep)
-		fmt.Printf("         messages/step: %v\n", res.MessagesPerStep)
-	case "bfs":
-		switch {
-		case bplan != nil && *batchMode:
-			res, err := bspalg.MultiBFS(g, bplan, rec, opts...)
-			exitOn(err)
-			var sent int64
-			for _, m := range res.MessagesPerStep {
-				sent += m
-			}
-			fmt.Printf("[bsp multibfs] lanes=%d supersteps=%d reached(sum over lanes)=%d\n",
-				bplan.Occupancy(), res.Supersteps, lanesReached(res.Masks))
-			fmt.Printf("               messages/step: %v\n", res.MessagesPerStep)
-			fmt.Printf("               amortized edge traversals/query: %.0f\n",
-				float64(sent)/float64(bplan.Occupancy()))
-		case bplan != nil:
-			// One engine pass per unique source — the unbatched control the
-			// MS-BFS layer is measured against.
-			for _, s := range bplan.Sources {
-				res, err := bspalg.BFS(g, s, rec, opts...)
-				exitOn(err)
-				var reached int64
-				for _, f := range res.FrontierPerStep {
-					reached += f
-				}
-				fmt.Printf("[bsp bfs] source=%d supersteps=%d reached=%d\n", s, res.Supersteps, reached)
-			}
-		default:
-			res, err := bspalg.BFS(g, source, rec, opts...)
-			exitOn(err)
-			var reached int64
-			for _, f := range res.FrontierPerStep {
-				reached += f
-			}
-			fmt.Printf("[bsp bfs] source=%d supersteps=%d reached=%d\n", source, res.Supersteps, reached)
-			fmt.Printf("          frontier/level: %v\n", res.FrontierPerStep)
-			fmt.Printf("          messages/step:  %v\n", res.MessagesPerStep)
-		}
-	case "reach":
-		res, err := bspalg.MultiReach(g, bplan, rec, opts...)
-		exitOn(err)
-		fmt.Printf("[bsp multireach] lanes=%d supersteps=%d reached(sum over lanes)=%d\n",
-			bplan.Occupancy(), res.Supersteps, lanesReached(res.Masks))
-	case "sssp":
-		if !g.Weighted() {
-			usage("sssp requires a weighted graph")
-		}
-		res, err := bspalg.SSSP(g, source, rec, opts...)
-		exitOn(err)
-		var reached int
-		for _, d := range res.Dist {
-			if d >= 0 {
-				reached++
-			}
-		}
-		fmt.Printf("[bsp sssp] source=%d supersteps=%d reached=%d\n", source, res.Supersteps, reached)
-	case "tc":
-		res, err := bspalg.Triangles(g, rec, opts...)
-		exitOn(err)
-		fmt.Printf("[bsp tc] triangles=%d candidates=%d total-messages=%d supersteps=%d\n",
-			res.Count, res.CandidateMessages, res.TotalMessages, res.Supersteps)
-	case "tc-streaming":
-		res, err := bspalg.StreamingTriangles(g, rec)
-		exitOn(err)
-		fmt.Printf("[bsp tc-streaming] triangles=%d candidates=%d total-messages=%d supersteps=%d\n",
-			res.Count, res.CandidateMessages, res.TotalMessages, res.Supersteps)
-	case "mis":
-		res, err := bspalg.MaximalIndependentSet(g, 7, rec, opts...)
-		exitOn(err)
-		members := 0
-		for _, in := range res.InSet {
-			if in {
-				members++
-			}
-		}
-		valid := bspalg.ValidateMIS(g, res.InSet)
-		fmt.Printf("[bsp mis] %d members in %d rounds (valid=%v)\n", members, res.Rounds, valid)
-	case "diameter":
-		d, err := bspalg.ApproxDiameter(g, source, 4, rec, opts...)
-		exitOn(err)
-		fmt.Printf("[bsp diameter] >= %d (double-sweep from %d)\n", d, source)
-	case "bc":
-		res, err := bspalg.Betweenness(g, bspalg.BetweennessOptions{Samples: 16, Seed: 7}, rec, opts...)
-		exitOn(err)
-		var max float64
-		var arg int
-		for i, sc := range res.Score {
-			if sc > max {
-				max, arg = sc, i
-			}
-		}
-		fmt.Printf("[bsp bc] sources=%d supersteps=%d top vertex %d (%.4g)\n",
-			len(res.Sources), res.Supersteps, arg, max)
-	case "kcore":
-		res, err := bspalg.KCore(g, rec, opts...)
-		exitOn(err)
-		fmt.Printf("[bsp kcore] degeneracy=%d supersteps=%d\n", res.MaxCore, res.Supersteps)
-	case "lp":
-		res, err := bspalg.LabelPropagation(g, *rounds, rec, opts...)
-		exitOn(err)
-		fmt.Printf("[bsp lp] %d communities in %d supersteps\n", res.Communities, res.Supersteps)
-	case "pagerank":
-		res, err := bspalg.PageRank(g, *rounds, rec, opts...)
-		exitOn(err)
-		var max float64
-		var arg int
-		for i, r := range res.Rank {
-			if r > max {
-				max, arg = r, i
-			}
-		}
-		fmt.Printf("[bsp pagerank] supersteps=%d top vertex %d (%.5f)\n", res.Supersteps, arg, max)
-	default:
-		usage("unknown algorithm %q", *alg)
+	out, err := k.BSP(g, p, rec, opts...)
+	for _, line := range out.Lines {
+		fmt.Println(line)
 	}
+	exitOn(err)
 	fmt.Printf("simulated time on %d procs: %.4fs\n",
-		*procs, machine.Seconds(model, rec.Phases(), *procs))
+		*procs, machine.Seconds(machine.NewAnalytic(machine.DefaultConfig()), rec.Phases(), *procs))
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		exitOn(err)
@@ -501,15 +352,10 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bspgraph:", err)
-	os.Exit(1)
-}
-
-// exitOn reports err and exits: interrupted runs (signal or injected kill)
-// and expired run deadlines exit 3 after printing the resume command;
-// everything else — retry exhaustion, watchdog stalls, program faults —
-// exits 1.
+// exitOn returns on a nil err and otherwise reports it and exits:
+// interrupted runs (signal or injected kill) and expired run deadlines exit
+// 3 after printing the resume command; everything else — load failures,
+// retry exhaustion, watchdog stalls, program faults — exits 1.
 func exitOn(err error) {
 	if err == nil {
 		return
@@ -525,49 +371,29 @@ func exitOn(err error) {
 		}
 		os.Exit(3)
 	}
+	// Deadlines, retry exhaustion and program faults name what they left
+	// behind; a run deadline that expired cleanly exits 3, the rest 1.
+	fmt.Fprintln(os.Stderr, "bspgraph:", err)
+	status, resumeFrom, ckptPath, flightPath := 1, "emergency checkpoint: resume with", "", ""
 	var te *core.TimeoutError
-	if errors.As(err, &te) {
-		fmt.Fprintln(os.Stderr, "bspgraph:", err)
-		if te.CheckpointPath != "" {
-			fmt.Fprintf(os.Stderr, "bspgraph: resume with -resume %s\n", te.CheckpointPath)
-		}
-		if te.FlightRecorderPath != "" {
-			fmt.Fprintf(os.Stderr, "bspgraph: flight recorder: %s\n", te.FlightRecorderPath)
-		}
-		if te.Stalled {
-			os.Exit(1) // a wedged superstep is a failure, not a clean deadline
-		}
-		os.Exit(3)
-	}
 	var re *core.RetryExhaustedError
-	if errors.As(err, &re) {
-		fmt.Fprintln(os.Stderr, "bspgraph:", err)
-		if re.CheckpointPath != "" {
-			fmt.Fprintf(os.Stderr, "bspgraph: emergency checkpoint: resume with -resume %s\n", re.CheckpointPath)
-		}
-		if re.FlightRecorderPath != "" {
-			fmt.Fprintf(os.Stderr, "bspgraph: flight recorder: %s\n", re.FlightRecorderPath)
-		}
-		os.Exit(1)
-	}
 	var pe *core.ProgramError
-	if errors.As(err, &pe) && pe.CheckpointPath != "" {
-		fmt.Fprintf(os.Stderr, "bspgraph: %v\nbspgraph: emergency checkpoint: resume with -resume %s\n",
-			err, pe.CheckpointPath)
-		if pe.FlightRecorderPath != "" {
-			fmt.Fprintf(os.Stderr, "bspgraph: flight recorder: %s\n", pe.FlightRecorderPath)
+	switch {
+	case errors.As(err, &te):
+		resumeFrom, ckptPath, flightPath = "resume with", te.CheckpointPath, te.FlightRecorderPath
+		if !te.Stalled {
+			status = 3
 		}
-		os.Exit(1)
+	case errors.As(err, &re):
+		ckptPath, flightPath = re.CheckpointPath, re.FlightRecorderPath
+	case errors.As(err, &pe) && pe.CheckpointPath != "":
+		ckptPath, flightPath = pe.CheckpointPath, pe.FlightRecorderPath
 	}
-	fatal(err)
-}
-
-// lanesReached sums per-lane reached-set sizes: the popcount of every
-// vertex's lane mask.
-func lanesReached(masks []int64) int64 {
-	var n int64
-	for _, m := range masks {
-		n += int64(bits.OnesCount64(uint64(m)))
+	if ckptPath != "" {
+		fmt.Fprintf(os.Stderr, "bspgraph: %s -resume %s\n", resumeFrom, ckptPath)
 	}
-	return n
+	if flightPath != "" {
+		fmt.Fprintf(os.Stderr, "bspgraph: flight recorder: %s\n", flightPath)
+	}
+	os.Exit(status)
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphxmt/internal/bspalg"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
@@ -56,9 +57,9 @@ func TestMain(m *testing.M) {
 	}())
 }
 
-// run executes bspgraph and returns its exit status, its stdout without the
-// "loaded ... in <duration>" line (the one line that reads a clock), and
-// its stderr.
+// run executes bspgraph and returns its exit status, its stdout with the
+// duration of the "loaded ... in <duration>" line (the one clock reading)
+// masked, and its stderr.
 func run(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
 	var out, errOut bytes.Buffer
@@ -69,13 +70,8 @@ func run(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatalf("bspgraph %v: %v", args, err)
 	}
-	var kept []string
-	for _, line := range strings.SplitAfter(out.String(), "\n") {
-		if !strings.HasPrefix(line, "loaded ") {
-			kept = append(kept, line)
-		}
-	}
-	return cmd.ProcessState.ExitCode(), strings.Join(kept, ""), errOut.String()
+	stdout = regexp.MustCompile(`(?m)^(loaded .*) in \S+$`).ReplaceAllString(out.String(), "$1 in <duration>")
+	return cmd.ProcessState.ExitCode(), stdout, errOut.String()
 }
 
 func TestExitStatus(t *testing.T) {
@@ -104,60 +100,75 @@ func TestExitStatus(t *testing.T) {
 		args   []string
 		status int
 		stderr string // regexp stderr must match
+		quiet  bool   // refused before the graph is read: nothing on stdout
 	}{
-		{"usage/no graph", []string{"-alg", "cc"}, 2, `-g is required`},
-		{"usage/explicit zero retries", []string{"-g", graphFile, "-retries", "0"}, 2, `-retries must be > 0`},
-		{"usage/retired -chunking flag", []string{"-g", graphFile, "-chunking", "degree"}, 2, `flag provided but not defined: -chunking`},
-		{"fatal/missing graph file", []string{"-g", filepath.Join(ckDir, "absent.gxmt")}, 1, `absent\.gxmt`},
-		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`},
-		{"fatal/tc on a directed graph", []string{"-g", directedFile, "-alg", "tc"}, 1, `Triangles counts the triangles of an undirected graph`},
-		{"fatal/tc-streaming on a directed graph", []string{"-g", directedFile, "-alg", "tc-streaming"}, 1, `StreamingTriangles counts the triangles of an undirected graph`},
-		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`},
-		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`},
+		{"usage/no graph", []string{"-alg", "cc"}, 2, `-g is required`, false},
+		{"usage/unknown algorithm", []string{"-g", graphFile, "-alg", "bogus"}, 2, `unknown algorithm "bogus"`, true},
+		{"usage/trailing comma", []string{"-g", graphFile, "-alg", "cc,"}, 2, `unknown algorithm "cc,"`, true},
+		{"usage/explicit zero retries", []string{"-g", graphFile, "-retries", "0"}, 2, `-retries must be > 0`, false},
+		{"usage/retired -chunking flag", []string{"-g", graphFile, "-chunking", "degree"}, 2, `flag provided but not defined: -chunking`, false},
+		{"fatal/missing graph file", []string{"-g", filepath.Join(ckDir, "absent.gxmt")}, 1, `absent\.gxmt`, false},
+		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`, false},
+		{"fatal/tc on a directed graph", []string{"-g", directedFile, "-alg", "tc"}, 1, `Triangles counts the triangles of an undirected graph`, false},
+		{"fatal/tc-streaming on a directed graph", []string{"-g", directedFile, "-alg", "tc-streaming"}, 1, `StreamingTriangles counts the triangles of an undirected graph`, false},
+		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`, false},
+		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`, false},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,
-			`resume with -resume \S+ckpt-000000001\.gxckpt`},
+			`resume with -resume \S+ckpt-000000001\.gxckpt`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, _, stderr := run(t, tc.args...)
+			status, stdout, stderr := run(t, tc.args...)
 			if status != tc.status {
 				t.Errorf("exit status %d, want %d", status, tc.status)
 			}
 			if !regexp.MustCompile(tc.stderr).MatchString(stderr) {
 				t.Errorf("stderr does not match %q:\n%s", tc.stderr, stderr)
 			}
+			if tc.quiet && stdout != "" {
+				t.Errorf("printed before refusing:\n%s", stdout)
+			}
+			if tc.status == 2 && regexp.MustCompile(`(?m)^\[`).MatchString(stdout) {
+				t.Errorf("a usage error printed a kernel line:\n%s", stdout)
+			}
 		})
 	}
 }
 
-// TestEmptyGraph: every algorithm that takes no source runs on a graph with
+// TestEmptyGraph: every algorithm of the kernel table runs on a graph with
 // no vertices and prints its empty result; the ones that need a source exit
-// 2 naming -src, since an empty graph has none to default to.
+// 2, since an empty graph has none to default to. A row without an entry
+// here fails by name.
 func TestEmptyGraph(t *testing.T) {
 	empty := filepath.Join(t.TempDir(), "empty.txt")
 	if err := os.WriteFile(empty, []byte("# empty\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		alg    string
+	type result struct {
 		status int
 		out    string // regexp stdout (status 0) or stderr must match
-	}{
-		{"cc", 0, `(?m)^\[bsp cc\] 0 components in 1 supersteps$`},
-		{"tc", 0, `(?m)^\[bsp tc\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
-		{"tc-streaming", 0, `(?m)^\[bsp tc-streaming\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
-		{"pagerank", 0, `(?m)^\[bsp pagerank\] supersteps=1 `},
-		{"kcore", 0, `(?m)^\[bsp kcore\] degeneracy=0 supersteps=1$`},
-		{"lp", 0, `(?m)^\[bsp lp\] 0 communities in 1 supersteps$`},
-		{"bc", 0, `(?m)^\[bsp bc\] sources=0 supersteps=0 `},
-		{"mis", 0, `(?m)^\[bsp mis\] 0 members in 1 rounds \(valid=true\)$`},
-		{"bfs", 2, `-src 0 out of range \[0,0\)`},
-		{"sssp", 2, `-src 0 out of range \[0,0\)`},
-		{"diameter", 2, `-src 0 out of range \[0,0\)`},
 	}
-	for _, tc := range cases {
-		t.Run(tc.alg, func(t *testing.T) {
-			status, stdout, stderr := run(t, "-g", empty, "-alg", tc.alg)
+	want := map[string]result{
+		"cc":           {0, `(?m)^\[bsp cc\] 0 components in 1 supersteps$`},
+		"tc":           {0, `(?m)^\[bsp tc\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
+		"tc-streaming": {0, `(?m)^\[bsp tc-streaming\] triangles=0 candidates=0 total-messages=0 supersteps=1$`},
+		"pagerank":     {0, `(?m)^\[bsp pagerank\] supersteps=1 `},
+		"kcore":        {0, `(?m)^\[bsp kcore\] degeneracy=0 supersteps=1$`},
+		"lp":           {0, `(?m)^\[bsp lp\] 0 communities in 1 supersteps$`},
+		"bc":           {0, `(?m)^\[bsp bc\] sources=0 supersteps=0 `},
+		"mis":          {0, `(?m)^\[bsp mis\] 0 members in 1 rounds \(valid=true\)$`},
+		"bfs":          {2, `-src 0 out of range \[0,0\)`},
+		"reach":        {2, `reach needs -sources`},
+		"sssp":         {2, `-src 0 out of range \[0,0\)`},
+		"diameter":     {2, `-src 0 out of range \[0,0\)`},
+	}
+	for _, alg := range strings.Split(bspalg.Names(func(k *bspalg.Kernel) bool { return k.BSP != nil }), ", ") {
+		t.Run(alg, func(t *testing.T) {
+			tc, ok := want[alg]
+			if !ok {
+				t.Fatalf("no expected empty-graph result for algorithm %s", alg)
+			}
+			status, stdout, stderr := run(t, "-g", empty, "-alg", alg)
 			if status != tc.status {
 				t.Fatalf("exit status %d, want %d\n%s", status, tc.status, stderr)
 			}

@@ -5,9 +5,12 @@
 //
 // Usage:
 //
-//	graphct -g graph.gxmt -kernels degrees,cc,sv,bfs,tc,ccoef,kcore,pagerank,bc,stcon,lp,diameter \
-//	        [-src -1] [-dst 0] [-procs 128] [-samples 16] [-workers N]
+//	graphct -g graph.gxmt -kernels degrees,cc [-src -1] [-dst 0] [-procs 128] [-samples 16] [-workers N]
 //	        [-obs-format report|jsonl|chrome] [-obs-out trace.json] [-pprof addr|file]
+//
+// The kernels are the rows of internal/bspalg's kernel table with a
+// GraphCT twin that needs no edge weights; -h lists them. Every name is
+// checked before the graph is read.
 //
 // The graph file's format is detected from its content, whatever its name:
 // the CSR1 or CSR2 snapshot (either gzip-wrapped), DIMACS or an edge list.
@@ -20,22 +23,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
+	"graphxmt/internal/bspalg"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/graphct"
 	"graphxmt/internal/graphio"
 	"graphxmt/internal/machine"
 	"graphxmt/internal/obs"
 	"graphxmt/internal/trace"
 )
 
+// workflow selects graphct's kernels; the weighted SSSP twin runs only in
+// the experiments.
+func workflow(k *bspalg.Kernel) bool { return k.Twin != nil && k.Reads&bspalg.Weights == 0 }
+
 func main() {
 	path := flag.String("g", "", "graph file (required)")
-	kernels := flag.String("kernels", "degrees,cc", "comma-separated kernels: degrees, cc, sv, bfs, tc, ccoef, kcore, pagerank, bc, stcon, lp, diameter")
-	src := flag.Int64("src", -1, "bfs/stcon source (-1 = max-degree vertex)")
-	dst := flag.Int64("dst", 0, "stcon target")
+	kernels := flag.String("kernels", "degrees,cc", "comma-separated kernels: "+bspalg.Names(workflow))
+	src := flag.Int64("src", -1, "source vertex for "+bspalg.Names(func(k *bspalg.Kernel) bool { return workflow(k) && k.Reads&bspalg.Source != 0 })+" (-1 = max-degree vertex)")
+	dst := flag.Int64("dst", 0, "target vertex for "+bspalg.Names(func(k *bspalg.Kernel) bool { return workflow(k) && k.Reads&bspalg.Target != 0 }))
 	procs := flag.Int("procs", 128, "simulated processors")
 	samples := flag.Int("samples", 16, "betweenness sample count (0 = exact)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
@@ -43,6 +49,15 @@ func main() {
 
 	if *path == "" {
 		usage("-g is required")
+	}
+	var ks []*bspalg.Kernel
+	for _, name := range strings.Split(*kernels, ",") {
+		name = strings.TrimSpace(name)
+		k := bspalg.Lookup(name)
+		if k == nil || !workflow(k) {
+			usage("unknown kernel %q", name)
+		}
+		ks = append(ks, k)
 	}
 	if *procs <= 0 {
 		usage("-procs must be > 0, got %d", *procs)
@@ -74,74 +89,22 @@ func main() {
 	fmt.Println("loaded", g)
 
 	model := machine.NewAnalytic(machine.DefaultConfig())
-	source := *src
-	if source < 0 {
-		source = g.MaxDegreeVertex()
+	p := bspalg.Params{Source: *src, Target: *dst, Samples: *samples, Seed: 7}
+	if p.Source < 0 {
+		p.Source = g.MaxDegreeVertex()
 	}
-	for _, k := range strings.Split(*kernels, ",") {
-		k = strings.TrimSpace(k)
-		usesSrc, usesDst := k == "bfs" || k == "diameter" || k == "stcon", k == "stcon"
-		if (usesSrc && source >= g.NumVertices()) || (usesDst && *dst >= g.NumVertices()) {
+	for _, k := range ks {
+		if (k.Reads&bspalg.Source != 0 && p.Source >= g.NumVertices()) || (k.Reads&bspalg.Target != 0 && p.Target >= g.NumVertices()) {
 			usage("-src/-dst out of range [0,%d)", g.NumVertices())
 		}
 	}
 
-	for _, k := range strings.Split(*kernels, ",") {
+	for _, k := range ks {
 		rec := trace.NewRecorder()
 		sess.Attach(rec, g.NumVertices(), g.NumEdges())
-		switch strings.TrimSpace(k) {
-		case "degrees":
-			s := graphct.Degrees(g, rec)
-			fmt.Printf("[degrees] min=%d max=%d mean=%.2f median=%d p99=%d isolated=%d gini=%.3f assortativity=%.3f\n",
-				s.Min, s.Max, s.Mean, s.Median, s.P99, s.Isolated, s.GiniIndex,
-				graphct.Assortativity(g, rec))
-		case "cc":
-			res := graphct.ConnectedComponents(g, rec)
-			sizes, largest := graphct.ComponentSizes(res.Labels)
-			fmt.Printf("[cc] %d components, largest %d vertices, %d iterations\n",
-				len(sizes), largest, res.Iterations)
-		case "bfs":
-			res := graphct.BFS(g, source, rec)
-			reached := int64(0)
-			for _, f := range res.FrontierSizes {
-				reached += f
-			}
-			fmt.Printf("[bfs] source=%d levels=%d reached=%d frontiers=%v\n",
-				source, res.Levels, reached, res.FrontierSizes)
-		case "tc":
-			res := graphct.Triangles(g, rec)
-			fmt.Printf("[tc] triangles=%d writes=%d merge-steps=%d\n",
-				res.Count, res.Writes, res.CompareOps)
-		case "ccoef":
-			res := graphct.ClusteringCoefficients(g, rec)
-			fmt.Printf("[ccoef] triangles=%d global=%.4f\n", res.Triangles, res.Global)
-		case "kcore":
-			res := graphct.KCore(g, rec)
-			fmt.Printf("[kcore] degeneracy=%d rounds=%d\n", res.MaxCore, res.Rounds)
-		case "pagerank":
-			res := graphct.PageRank(g, graphct.PageRankOptions{}, rec)
-			fmt.Printf("[pagerank] iterations=%d converged=%v top=%v\n",
-				res.Iterations, res.Converged, topK(res.Rank, 5))
-		case "bc":
-			res := graphct.Betweenness(g, graphct.BetweennessOptions{Samples: *samples, Seed: 7}, rec)
-			fmt.Printf("[bc] sources=%d top=%v\n", len(res.Sources), topK(res.Score, 5))
-		case "stcon":
-			ok, d := graphct.STConnectivity(g, source, *dst, rec)
-			fmt.Printf("[stcon] %d->%d connected=%v distance=%d\n", source, *dst, ok, d)
-		case "sv":
-			res := graphct.ConnectedComponentsSV(g, rec)
-			sizes, largest := graphct.ComponentSizes(res.Labels)
-			fmt.Printf("[sv] %d components, largest %d, %d rounds (%d hooks, %d jumps)\n",
-				len(sizes), largest, res.Iterations, res.Hooks, res.Jumps)
-		case "lp":
-			res := graphct.LabelPropagation(g, graphct.CommunityOptions{}, rec)
-			fmt.Printf("[lp] %d communities in %d iterations (converged=%v), modularity %.4f\n",
-				res.Communities, res.Iterations, res.Converged, graphct.Modularity(g, res.Labels))
-		case "diameter":
-			d := graphct.ApproxDiameter(g, source, 4, rec)
-			fmt.Printf("[diameter] >= %d (double-sweep estimate from %d)\n", d, source)
-		default:
-			usage("unknown kernel %q", k)
+		out, _ := k.Twin(g, p, rec) // twins never fail
+		for _, line := range out.Lines {
+			fmt.Println(line)
 		}
 		fmt.Printf("        simulated time on %d procs: %.4fs\n",
 			*procs, machine.Seconds(model, rec.Phases(), *procs))
@@ -159,21 +122,4 @@ func usage(format string, args ...any) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "graphct:", err)
 	os.Exit(1)
-}
-
-// topK returns the indices of the k largest scores, formatted.
-func topK(scores []float64, k int) []string {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = fmt.Sprintf("%d:%.4g", idx[i], scores[idx[i]])
-	}
-	return out
 }

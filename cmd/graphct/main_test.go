@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphxmt/internal/bspalg"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
@@ -80,35 +81,40 @@ func run(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
-// TestEmptyGraph: every kernel that takes no source runs on a graph with no
+// TestEmptyGraph: every kernel of the kernel table runs on a graph with no
 // vertices and prints its empty result; the ones that need a source (or a
-// destination) exit 2, since an empty graph has none to default to.
+// destination) exit 2, since an empty graph has none to default to. A
+// kernel without an entry here fails by name.
 func TestEmptyGraph(t *testing.T) {
 	empty := filepath.Join(t.TempDir(), "empty.txt")
 	if err := os.WriteFile(empty, []byte("# empty\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		kernel string
+	type result struct {
 		status int
 		out    string // regexp the kernel's stdout line (status 0) or stderr must match
-	}{
-		{"degrees", 0, `^\[degrees\] min=0 max=0 mean=0\.00 median=0 p99=0 isolated=0 `},
-		{"cc", 0, `^\[cc\] 0 components, largest 0 vertices`},
-		{"sv", 0, `^\[sv\] 0 components, largest 0,`},
-		{"tc", 0, `^\[tc\] triangles=0 writes=0 merge-steps=0$`},
-		{"ccoef", 0, `^\[ccoef\] triangles=0 global=0\.0000$`},
-		{"kcore", 0, `^\[kcore\] degeneracy=0 rounds=0$`},
-		{"pagerank", 0, `^\[pagerank\] iterations=0 converged=false top=\[\]$`},
-		{"bc", 0, `^\[bc\] sources=0 top=\[\]$`},
-		{"lp", 0, `^\[lp\] 0 communities in 1 iterations \(converged=true\)`},
-		{"bfs", 2, `-src/-dst out of range \[0,0\)`},
-		{"stcon", 2, `-src/-dst out of range \[0,0\)`},
-		{"diameter", 2, `-src/-dst out of range \[0,0\)`},
 	}
-	for _, tc := range cases {
-		t.Run(tc.kernel, func(t *testing.T) {
-			stdout, stderr, status := run(t, "-g", empty, "-kernels", tc.kernel)
+	want := map[string]result{
+		"degrees":  {0, `^\[degrees\] min=0 max=0 mean=0\.00 median=0 p99=0 isolated=0 `},
+		"cc":       {0, `^\[cc\] 0 components, largest 0 vertices`},
+		"sv":       {0, `^\[sv\] 0 components, largest 0,`},
+		"tc":       {0, `^\[tc\] triangles=0 writes=0 merge-steps=0$`},
+		"ccoef":    {0, `^\[ccoef\] triangles=0 global=0\.0000$`},
+		"kcore":    {0, `^\[kcore\] degeneracy=0 rounds=0$`},
+		"pagerank": {0, `^\[pagerank\] iterations=0 converged=false top=\[\]$`},
+		"bc":       {0, `^\[bc\] sources=0 top=\[\]$`},
+		"lp":       {0, `^\[lp\] 0 communities in 1 iterations \(converged=true\)`},
+		"bfs":      {2, `-src/-dst out of range \[0,0\)`},
+		"stcon":    {2, `-src/-dst out of range \[0,0\)`},
+		"diameter": {2, `-src/-dst out of range \[0,0\)`},
+	}
+	for _, kernel := range strings.Split(bspalg.Names(workflow), ", ") {
+		t.Run(kernel, func(t *testing.T) {
+			tc, ok := want[kernel]
+			if !ok {
+				t.Fatalf("no expected empty-graph result for kernel %s", kernel)
+			}
+			stdout, stderr, status := run(t, "-g", empty, "-kernels", kernel)
 			if status != tc.status {
 				t.Fatalf("exit status %d, want %d\n%s", status, tc.status, stderr)
 			}
@@ -116,7 +122,7 @@ func TestEmptyGraph(t *testing.T) {
 			if tc.status == 0 {
 				text = ""
 				for _, line := range strings.Split(stdout, "\n") {
-					if strings.HasPrefix(line, "["+tc.kernel+"] ") {
+					if strings.HasPrefix(line, "["+kernel+"] ") {
 						text = line
 					}
 				}
@@ -173,16 +179,19 @@ func TestExitStatus(t *testing.T) {
 		args   []string
 		status int
 		out    string // regexp the first stdout line (status 0) or stderr must match
+		quiet  bool   // refused before the graph is read: nothing on stdout
 	}{
-		{"ok/degrees,cc", []string{"-g", graphFile, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 64 vertices, \d+ edges\}$`},
-		{"ok/degrees,cc on an empty graph", []string{"-g", empty, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 0 vertices, 0 edges\}$`},
-		{"usage/bfs from an explicit source on an empty graph", []string{"-g", empty, "-kernels", "bfs", "-src", "0"}, 2, `-src/-dst out of range \[0,0\)`},
-		{"usage/no graph", []string{"-kernels", "cc"}, 2, `-g is required`},
-		{"usage/bad procs", []string{"-g", graphFile, "-procs", "0"}, 2, `-procs must be > 0, got 0`},
-		{"usage/bad samples", []string{"-g", graphFile, "-samples", "-1"}, 2, `-samples must be >= 0`},
-		{"usage/unknown kernel", []string{"-g", graphFile, "-kernels", "sssp"}, 2, `unknown kernel "sssp"`},
-		{"fatal/missing graph file", []string{"-g", graphFile + ".absent"}, 1, `g\.gxmt\.absent: no such file or directory`},
-		{"fatal/corrupt graph file", []string{"-g", truncated}, 1, `corrupt snapshot`},
+		{"ok/degrees,cc", []string{"-g", graphFile, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 64 vertices, \d+ edges\}$`, false},
+		{"ok/degrees,cc on an empty graph", []string{"-g", empty, "-kernels", "degrees,cc"}, 0, `^loaded graph\{undirected, 0 vertices, 0 edges\}$`, false},
+		{"usage/bfs from an explicit source on an empty graph", []string{"-g", empty, "-kernels", "bfs", "-src", "0"}, 2, `-src/-dst out of range \[0,0\)`, false},
+		{"usage/no graph", []string{"-kernels", "cc"}, 2, `-g is required`, false},
+		{"usage/bad procs", []string{"-g", graphFile, "-procs", "0"}, 2, `-procs must be > 0, got 0`, false},
+		{"usage/bad samples", []string{"-g", graphFile, "-samples", "-1"}, 2, `-samples must be >= 0`, false},
+		{"usage/unknown kernel", []string{"-g", graphFile, "-kernels", "sssp"}, 2, `unknown kernel "sssp"`, true},
+		{"usage/unknown kernel after a known one", []string{"-g", graphFile, "-kernels", "cc,bogus"}, 2, `unknown kernel "bogus"`, true},
+		{"usage/trailing comma", []string{"-g", graphFile, "-kernels", "cc,"}, 2, `unknown kernel ""`, true},
+		{"fatal/missing graph file", []string{"-g", graphFile + ".absent"}, 1, `g\.gxmt\.absent: no such file or directory`, false},
+		{"fatal/corrupt graph file", []string{"-g", truncated}, 1, `corrupt snapshot`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,6 +205,12 @@ func TestExitStatus(t *testing.T) {
 			}
 			if !regexp.MustCompile(tc.out).MatchString(text) {
 				t.Errorf("output %q does not match %q", text, tc.out)
+			}
+			if tc.quiet && stdout != "" {
+				t.Errorf("printed before refusing:\n%s", stdout)
+			}
+			if tc.status == 2 && regexp.MustCompile(`(?m)^\[`).MatchString(stdout) {
+				t.Errorf("a usage error printed a kernel line:\n%s", stdout)
 			}
 			if strings.Contains(stderr, "panic") {
 				t.Errorf("panicked:\n%s", stderr)

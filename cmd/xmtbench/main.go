@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	xmtbench [-exp all|table1|fig1|fig2|fig3|fig4|aux|msbfs|ablation]
+//	xmtbench [-exp all|table1|fig1|fig2|fig3|fig4|aux|extensions|graph500|regimes|msbfs|ablation]
 //	         [-scale 16] [-ef 16] [-seed 1] [-procs 128] [-model analytic|des]
 //	         [-sources 5,17,99]
 //	         [-direction auto|push|pull] [-graph-rep flat|compressed]

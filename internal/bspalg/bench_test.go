@@ -69,7 +69,7 @@ func BenchmarkBSPKCore(b *testing.B) {
 	g := benchRMAT(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KCore(g, nil); err != nil {
+		if _, err := Lookup("kcore").BSP(g, Params{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

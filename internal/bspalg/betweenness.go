@@ -113,16 +113,8 @@ func (p *deltaProgram) Compute(v *core.VertexContext) {
 	v.VoteToHalt()
 }
 
-// BetweennessOptions configures Betweenness.
-type BetweennessOptions struct {
-	// Samples is the number of source vertices (0 = every vertex).
-	Samples int
-	// Seed selects sampled sources deterministically.
-	Seed uint64
-}
-
-// BetweennessResult is the output of Betweenness.
-type BetweennessResult struct {
+// betweennessResult is the output of betweenness.
+type betweennessResult struct {
 	// Score holds (approximate) betweenness per vertex, scaled like the
 	// shared-memory kernel's (each pair counted in both directions;
 	// sampled runs scaled by n/samples).
@@ -133,25 +125,27 @@ type BetweennessResult struct {
 	Supersteps int
 }
 
-// Betweenness computes BSP betweenness centrality over unweighted graphs.
+// betweenness computes BSP betweenness centrality over unweighted graphs
+// from samples source vertices (0 = every vertex), chosen deterministically
+// by seed.
 // Trailing engine options apply to every pass (both directions of every
 // sampled source) — how callers thread retry and watchdog supervision
 // through a multi-run algorithm. Checkpoint/resume options are not
 // supported here: the passes share no resumable state.
-func Betweenness(g *graph.Graph, opt BetweennessOptions, rec *trace.Recorder, opts ...core.Option) (*BetweennessResult, error) {
+func betweenness(g *graph.Graph, samples int, seed uint64, rec *trace.Recorder, opts ...core.Option) (*betweennessResult, error) {
 	n := g.NumVertices()
-	res := &BetweennessResult{Score: make([]float64, n)}
+	res := &betweennessResult{Score: make([]float64, n)}
 	if n == 0 {
 		return res, nil
 	}
-	if opt.Samples <= 0 || int64(opt.Samples) >= n {
+	if samples <= 0 || int64(samples) >= n {
 		for s := int64(0); s < n; s++ {
 			res.Sources = append(res.Sources, s)
 		}
 	} else {
-		r := rng.New(opt.Seed)
-		seen := make(map[int64]bool, opt.Samples)
-		for len(res.Sources) < opt.Samples {
+		r := rng.New(seed)
+		seen := make(map[int64]bool, samples)
+		for len(res.Sources) < samples {
 			s := int64(r.Uint64n(uint64(n)))
 			if !seen[s] {
 				seen[s] = true
@@ -172,10 +166,7 @@ func Betweenness(g *graph.Graph, opt BetweennessOptions, rec *trace.Recorder, op
 		}
 		fwd := &sigmaProgram{source: s, sigma: sigma}
 		fwdCfg := core.Config{Graph: g, Program: fwd, Recorder: rec}
-		for _, o := range opts {
-			o(&fwdCfg)
-		}
-		fres, err := core.Run(fwdCfg)
+		fres, err := run(fwdCfg, opts)
 		if err != nil {
 			return nil, fmt.Errorf("bspalg: betweenness forward pass: %w", err)
 		}
@@ -188,16 +179,12 @@ func Betweenness(g *graph.Graph, opt BetweennessOptions, rec *trace.Recorder, op
 			}
 		}
 		bwd := &deltaProgram{dist: fres.States, sigma: sigma, delta: delta, maxLevel: maxLevel}
-		bwdCfg := core.Config{
+		bres, err := run(core.Config{
 			Graph:         g,
 			Program:       bwd,
 			Recorder:      rec,
 			MaxSupersteps: int(maxLevel) + 3,
-		}
-		for _, o := range opts {
-			o(&bwdCfg)
-		}
-		bres, err := core.Run(bwdCfg)
+		}, opts)
 		if err != nil {
 			return nil, fmt.Errorf("bspalg: betweenness backward pass: %w", err)
 		}

@@ -21,7 +21,7 @@ func scoresClose(t *testing.T, bsp, ct []float64, tol float64) {
 
 func TestBSPBetweennessPath(t *testing.T) {
 	g := gen.Path(5)
-	bsp, err := Betweenness(g, BetweennessOptions{}, nil)
+	bsp, err := betweenness(g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBSPBetweennessPath(t *testing.T) {
 
 func TestBSPBetweennessStar(t *testing.T) {
 	g := gen.Star(10)
-	bsp, err := Betweenness(g, BetweennessOptions{}, nil)
+	bsp, err := betweenness(g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBSPBetweennessStar(t *testing.T) {
 func TestBSPBetweennessMatchesSharedMemory(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := randomGraph(seed, 40, 120)
-		bsp, err := Betweenness(g, BetweennessOptions{}, nil)
+		bsp, err := betweenness(g, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestBSPBetweennessMatchesSharedMemory(t *testing.T) {
 func TestBSPBetweennessOnCliqueChain(t *testing.T) {
 	// Bridge endpoints dominate betweenness in a chain of cliques.
 	g := gen.CliqueChain(3, 4)
-	bsp, err := Betweenness(g, BetweennessOptions{}, nil)
+	bsp, err := betweenness(g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestBSPBetweennessOnCliqueChain(t *testing.T) {
 
 func TestBSPBetweennessSampled(t *testing.T) {
 	g := randomGraph(9, 60, 180)
-	a, err := Betweenness(g, BetweennessOptions{Samples: 8, Seed: 4}, nil)
+	a, err := betweenness(g, 8, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Betweenness(g, BetweennessOptions{Samples: 8, Seed: 4}, nil)
+	b, err := betweenness(g, 8, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestBSPBetweennessSampled(t *testing.T) {
 
 func TestBSPBetweennessEmptyAndDisconnected(t *testing.T) {
 	empty := graph.MustBuild(0, nil, graph.BuildOptions{})
-	res, err := Betweenness(empty, BetweennessOptions{}, nil)
+	res, err := betweenness(empty, 0, 0, nil)
 	if err != nil || len(res.Score) != 0 {
 		t.Fatalf("empty: %v, %v", res, err)
 	}
 	// Disconnected: scores restricted to each component.
 	g := graph.MustBuild(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}},
 		graph.BuildOptions{SortAdjacency: true})
-	bsp, err := Betweenness(g, BetweennessOptions{}, nil)
+	bsp, err := betweenness(g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,15 +82,11 @@ type BFSResult struct {
 // BFS runs Algorithm 2 from the given source. Trailing options configure
 // engine extras (checkpointing, resume, stop channels, budgets).
 func BFS(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option) (*BFSResult, error) {
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  BFSProgram{Source: source},
 		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -119,13 +115,13 @@ func BFS(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option)
 	return out, nil
 }
 
-// ApproxDiameter estimates the diameter with the double-sweep heuristic
+// approxDiameter estimates the diameter with the double-sweep heuristic
 // over the BSP BFS — the vertex-centric counterpart of
 // graphct.ApproxDiameter, and another composition of the engine's
 // primitives. It returns a lower bound that is exact on trees. Trailing
 // engine options apply to every BFS sweep (retry/watchdog supervision;
 // checkpoint/resume options are not supported across sweeps).
-func ApproxDiameter(g *graph.Graph, start int64, sweeps int, rec *trace.Recorder, opts ...core.Option) (int64, error) {
+func approxDiameter(g *graph.Graph, start int64, sweeps int, rec *trace.Recorder, opts ...core.Option) (int64, error) {
 	if sweeps <= 0 {
 		sweeps = 4
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -720,7 +721,7 @@ func TestBSPApproxDiameterMatchesSharedMemory(t *testing.T) {
 		randomGraph(4, 50, 200),
 	}
 	for i, g := range cases {
-		bsp, err := ApproxDiameter(g, 0, 4, nil)
+		bsp, err := approxDiameter(g, 0, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -729,7 +730,7 @@ func TestBSPApproxDiameterMatchesSharedMemory(t *testing.T) {
 			t.Fatalf("case %d: bsp diameter %d vs shared-memory %d", i, bsp, ct)
 		}
 	}
-	if d, err := ApproxDiameter(gen.Ring(4), -1, 4, nil); err != nil || d != -1 {
+	if d, err := approxDiameter(gen.Ring(4), -1, 4, nil); err != nil || d != -1 {
 		t.Fatalf("invalid start: %d, %v", d, err)
 	}
 }
@@ -737,20 +738,24 @@ func TestBSPApproxDiameterMatchesSharedMemory(t *testing.T) {
 // greedyMIS is the sequential shared-memory reference: scan vertices in
 // order, adding each whose neighbors are all outside the set. Used to
 // cross-check the MIS invariants (the sets themselves legitimately differ).
-func greedyMIS(g *graph.Graph) []bool {
+func greedyMIS(g *graph.Graph) []int64 {
 	n := g.NumVertices()
-	in := make([]bool, n)
+	in := make([]int64, n)
 	for v := int64(0); v < n; v++ {
-		ok := true
+		in[v] = 1
 		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				ok = false
+			if in[w] == 1 && w != v {
+				in[v] = 0
 				break
 			}
 		}
-		in[v] = ok
 	}
 	return in
+}
+
+// mis runs the mis row's BSP runner: Answer marks the members with 1.
+func mis(g *graph.Graph, seed uint64) (Out, error) {
+	return Lookup("mis").BSP(g, Params{Seed: seed}, nil)
 }
 
 func TestMISValidOnKnownGraphs(t *testing.T) {
@@ -759,30 +764,24 @@ func TestMISValidOnKnownGraphs(t *testing.T) {
 		gen.BinaryTree(31), gen.CliqueChain(3, 5), gen.Grid(5, 5),
 	}
 	for i, g := range cases {
-		res, err := MaximalIndependentSet(g, 7, nil)
+		res, err := mis(g, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ValidateMIS(g, res.InSet) {
+		if !validateMIS(g, res.Answer) {
 			t.Fatalf("case %d: invalid MIS", i)
 		}
 		// Greedy reference also validates (sanity on the validator).
-		if !ValidateMIS(g, greedyMIS(g)) {
+		if !validateMIS(g, greedyMIS(g)) {
 			t.Fatalf("case %d: greedy MIS invalid", i)
 		}
 	}
 	// K7: any MIS has exactly one member.
-	res, err := MaximalIndependentSet(gen.Complete(7), 7, nil)
+	res, err := mis(gen.Complete(7), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := 0
-	for _, in := range res.InSet {
-		if in {
-			members++
-		}
-	}
-	if members != 1 {
+	if members := sum(res.Answer); members != 1 {
 		t.Fatalf("K7 MIS has %d members", members)
 	}
 }
@@ -791,11 +790,11 @@ func TestMISProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int64(nRaw%40) + 1
 		g := randomGraph(seed, n, int(mRaw%150))
-		res, err := MaximalIndependentSet(g, seed^0xabc, nil)
+		res, err := mis(g, seed^0xabc)
 		if err != nil {
 			return false
 		}
-		return ValidateMIS(g, res.InSet)
+		return validateMIS(g, res.Answer)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -807,39 +806,31 @@ func TestMISDeterministicAndFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := MaximalIndependentSet(g, 5, nil)
+	a, err := mis(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaximalIndependentSet(g, 5, nil)
+	b, err := mis(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range a.InSet {
-		if a.InSet[v] != b.InSet[v] {
-			t.Fatal("MIS not deterministic")
-		}
+	if !slices.Equal(a.Answer, b.Answer) {
+		t.Fatal("MIS not deterministic")
 	}
-	if !ValidateMIS(g, a.InSet) {
+	if !validateMIS(g, a.Answer) {
 		t.Fatal("invalid MIS on RMAT")
 	}
-	// Luby converges in O(log n) rounds with high probability.
-	if a.Rounds > 20 {
-		t.Fatalf("rounds = %d, expected O(log n)", a.Rounds)
+	// Luby converges in O(log n) rounds (two supersteps each) with high
+	// probability.
+	if rounds := (a.Steps + 1) / 2; rounds > 20 {
+		t.Fatalf("rounds = %d, expected O(log n)", rounds)
 	}
 	// Different seeds generally give different sets.
-	c, err := MaximalIndependentSet(g, 6, nil)
+	c, err := mis(g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for v := range a.InSet {
-		if a.InSet[v] != c.InSet[v] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.Equal(a.Answer, c.Answer) {
 		t.Log("warning: identical MIS across seeds (possible but unlikely)")
 	}
 }
@@ -847,15 +838,15 @@ func TestMISDeterministicAndFast(t *testing.T) {
 func TestValidateMISCatchesViolations(t *testing.T) {
 	g := gen.Path(4) // 0-1-2-3
 	// Adjacent members: not independent.
-	if ValidateMIS(g, []bool{true, true, false, false}) {
+	if validateMIS(g, []int64{1, 1, 0, 0}) {
 		t.Fatal("validator accepted adjacent members")
 	}
 	// Not maximal: vertex 3 uncovered.
-	if ValidateMIS(g, []bool{true, false, false, false}) {
+	if validateMIS(g, []int64{1, 0, 0, 0}) {
 		t.Fatal("validator accepted non-maximal set")
 	}
 	// Valid: {0, 2} covers everything... 3 is adjacent to 2.
-	if !ValidateMIS(g, []bool{true, false, true, false}) {
+	if !validateMIS(g, []int64{1, 0, 1, 0}) {
 		t.Fatal("validator rejected a valid MIS")
 	}
 }

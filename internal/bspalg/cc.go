@@ -3,7 +3,8 @@
 // search (Algorithm 2) and triangle counting (Algorithm 3), plus the
 // natural extensions a Pregel-style framework ships with (SSSP, PageRank)
 // and a streaming triangle-counting evaluator for graphs whose candidate
-// messages do not fit in memory.
+// messages do not fit in memory. Each is a row of the kernel table
+// (kernels.go), beside its GraphCT twin; Lookup finds a row by name.
 package bspalg
 
 import (
@@ -64,15 +65,11 @@ type CCResult struct {
 
 // ConnectedComponents runs Algorithm 1 to convergence.
 func ConnectedComponents(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*CCResult, error) {
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  CCProgram{},
 		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"graphxmt/internal/core"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/trace"
 )
 
 // kcoreProgram is the distributed k-core decomposition of Montresor, De
@@ -30,8 +29,13 @@ type kcoreProgram struct {
 	cache [][]int32
 }
 
-// NewKCoreProgram returns a program instance sized for g.
+// NewKCoreProgram returns a program instance sized for g, which must have
+// sorted adjacency. It runs to convergence: the final states are the core
+// numbers.
 func NewKCoreProgram(g *graph.Graph) core.Program {
+	if !g.SortedAdjacency() {
+		panic("bspalg: the k-core program requires sorted adjacency")
+	}
 	n := g.NumVertices()
 	p := &kcoreProgram{cache: make([][]int32, n)}
 	for v := int64(0); v < n; v++ {
@@ -100,41 +104,4 @@ func hIndex(values []int32, maxK int32) int32 {
 		}
 	}
 	return 0
-}
-
-// KCoreResult is the output of KCore.
-type KCoreResult struct {
-	// Core holds each vertex's core number.
-	Core []int64
-	// MaxCore is the degeneracy.
-	MaxCore int64
-	// Supersteps until convergence.
-	Supersteps int
-}
-
-// KCore runs the BSP k-core decomposition to convergence. The graph must
-// have sorted adjacency.
-func KCore(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*KCoreResult, error) {
-	if !g.SortedAdjacency() {
-		panic("bspalg: KCore requires sorted adjacency")
-	}
-	cfg := core.Config{
-		Graph:    g,
-		Program:  NewKCoreProgram(g),
-		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &KCoreResult{Core: res.States, Supersteps: res.Supersteps}
-	for _, c := range out.Core {
-		if c > out.MaxCore {
-			out.MaxCore = c
-		}
-	}
-	return out, nil
 }

@@ -21,19 +21,19 @@ func TestBSPKCoreMatchesGraphCT(t *testing.T) {
 		randomGraph(9, 80, 300),
 	}
 	for i, g := range cases {
-		bsp, err := KCore(g, nil)
+		bsp, err := Lookup("kcore").BSP(g, Params{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ct := graphct.KCore(g, nil)
 		for v := range ct.Core {
-			if bsp.Core[v] != ct.Core[v] {
+			if bsp.Answer[v] != ct.Core[v] {
 				t.Fatalf("case %d: core[%d] = %d (bsp) vs %d (graphct)",
-					i, v, bsp.Core[v], ct.Core[v])
+					i, v, bsp.Answer[v], ct.Core[v])
 			}
 		}
-		if bsp.MaxCore != ct.MaxCore {
-			t.Fatalf("case %d: degeneracy %d vs %d", i, bsp.MaxCore, ct.MaxCore)
+		if maxOf(bsp.Answer) != ct.MaxCore {
+			t.Fatalf("case %d: degeneracy %d vs %d", i, maxOf(bsp.Answer), ct.MaxCore)
 		}
 	}
 }
@@ -42,13 +42,13 @@ func TestBSPKCoreProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int64(nRaw%30) + 2
 		g := randomGraph(seed, n, int(mRaw%120))
-		bsp, err := KCore(g, nil)
+		bsp, err := Lookup("kcore").BSP(g, Params{}, nil)
 		if err != nil {
 			return false
 		}
 		ct := graphct.KCore(g, nil)
 		for v := range ct.Core {
-			if bsp.Core[v] != ct.Core[v] {
+			if bsp.Answer[v] != ct.Core[v] {
 				return false
 			}
 		}
@@ -65,23 +65,23 @@ func TestBSPKCoreOnRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder()
-	bsp, err := KCore(g, rec)
+	bsp, err := Lookup("kcore").BSP(g, Params{}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := graphct.KCore(g, nil)
 	for v := range ct.Core {
-		if bsp.Core[v] != ct.Core[v] {
+		if bsp.Answer[v] != ct.Core[v] {
 			t.Fatalf("core[%d] mismatch", v)
 		}
 	}
-	if len(rec.PhasesNamed("bsp/superstep")) != bsp.Supersteps {
+	if len(rec.PhasesNamed("bsp/superstep")) != bsp.Steps {
 		t.Fatal("phase count mismatch")
 	}
 	// Estimates only decrease, so convergence is fast on small-world
 	// graphs.
-	if bsp.Supersteps > 40 {
-		t.Fatalf("supersteps = %d, expected quick convergence", bsp.Supersteps)
+	if bsp.Steps > 40 {
+		t.Fatalf("supersteps = %d, expected quick convergence", bsp.Steps)
 	}
 }
 

@@ -104,16 +104,12 @@ func LabelPropagation(g *graph.Graph, rounds int, rec *trace.Recorder, opts ...c
 	if !g.SortedAdjacency() {
 		panic("bspalg: LabelPropagation requires sorted adjacency")
 	}
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:         g,
 		Program:       NewLPProgram(g, rounds),
 		Recorder:      rec,
 		MaxSupersteps: rounds + 2,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"graphxmt/internal/core"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/rng"
-	"graphxmt/internal/trace"
 )
 
 // misProgram is Luby's maximal independent set as a vertex program — the
@@ -100,50 +99,15 @@ func (p misProgram) Compute(v *core.VertexContext) {
 	// Lost this round: stay undecided and awake for the next select phase.
 }
 
-// MISResult is the output of MaximalIndependentSet.
-type MISResult struct {
-	// InSet marks the members of the maximal independent set.
-	InSet []bool
-	// Rounds is the number of Luby rounds (2 supersteps each).
-	Rounds int
-	// Supersteps executed.
-	Supersteps int
-}
-
-// MaximalIndependentSet computes an MIS with Luby's algorithm on the BSP
-// engine. The result is deterministic for a given seed.
-func MaximalIndependentSet(g *graph.Graph, seed uint64, rec *trace.Recorder, opts ...core.Option) (*MISResult, error) {
-	cfg := core.Config{
-		Graph:    g,
-		Program:  misProgram{Seed: seed},
-		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &MISResult{
-		InSet:      make([]bool, len(res.States)),
-		Supersteps: res.Supersteps,
-		Rounds:     (res.Supersteps + 1) / 2,
-	}
-	for v, s := range res.States {
-		out.InSet[v] = s == misIn
-	}
-	return out, nil
-}
-
-// ValidateMIS reports whether in marks an independent set that is maximal.
-func ValidateMIS(g *graph.Graph, in []bool) bool {
+// validateMIS reports whether the vertices in marks with 1 are an
+// independent set that is maximal.
+func validateMIS(g *graph.Graph, in []int64) bool {
 	n := g.NumVertices()
 	for v := int64(0); v < n; v++ {
-		if in[v] {
+		if in[v] == 1 {
 			// Independence: no two adjacent members.
 			for _, w := range g.Neighbors(v) {
-				if in[w] && w != v {
+				if in[w] == 1 && w != v {
 					return false
 				}
 			}
@@ -152,7 +116,7 @@ func ValidateMIS(g *graph.Graph, in []bool) bool {
 		// Maximality: every non-member has a member neighbor.
 		covered := false
 		for _, w := range g.Neighbors(v) {
-			if in[w] {
+			if in[w] == 1 {
 				covered = true
 				break
 			}

@@ -49,7 +49,7 @@ const (
 )
 
 // multiBFSProgram is the batched multi-source vertex program. Construct it
-// through MultiBFS/MultiReach (the zero value is not runnable).
+// through MultiBFS/multiReach (the zero value is not runnable).
 type multiBFSProgram struct {
 	// lanes is the lane assignment: lanes[i] owns bit i (batch.Plan.Sources).
 	lanes []int64
@@ -188,23 +188,6 @@ type MultiResult struct {
 	laneWords int
 }
 
-// Reached reports lane's reached set as a per-vertex bitmap.
-func (r *MultiResult) Reached(lane int) []bool {
-	bit := int64(1) << uint(lane)
-	out := make([]bool, len(r.Masks))
-	for v, m := range r.Masks {
-		out[v] = m&bit != 0
-	}
-	return out
-}
-
-// Connected reports whether lanes a and b started in the same connected
-// component (undirected graphs): lane a's search reaches lane b's source
-// iff the two sources are connected.
-func (r *MultiResult) Connected(a, b int) bool {
-	return r.Masks[r.Plan.Sources[b]]&(1<<uint(a)) != 0
-}
-
 // Dist unpacks lane's per-vertex hop distances (-1 for unreachable),
 // bit-identical to a single-source BFS from Plan.Sources[lane]. nil for
 // reachability-only batches, which record no levels.
@@ -221,12 +204,10 @@ func (r *MultiResult) Dist(lane int) []int64 {
 			out[v] = -1
 			continue
 		}
-		out[v] = int64(uint64(r.levels[int64(v)*r.laneWordsI()+wi]) >> sh & laneLevelMask)
+		out[v] = int64(uint64(r.levels[int64(v)*int64(r.laneWords)+wi]) >> sh & laneLevelMask)
 	}
 	return out
 }
-
-func (r *MultiResult) laneWordsI() int64 { return int64(r.laneWords) }
 
 // MultiBFS runs up to 64 BFS queries as one batched engine pass and
 // recovers every lane's per-vertex distances. Trailing options configure
@@ -237,28 +218,19 @@ func MultiBFS(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, opts ...cor
 	return runMulti(g, plan, rec, true, opts)
 }
 
-// MultiReach runs the same batched pass without level bookkeeping —
-// reachability / CC-membership queries (MultiResult.Reached, Connected)
-// where per-hop distances are not needed.
-func MultiReach(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, opts ...core.Option) (*MultiResult, error) {
-	return runMulti(g, plan, rec, false, opts)
-}
-
+// runMulti runs a batched pass; without levels it answers reachability
+// only (the reach kernel).
 func runMulti(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, withLevels bool, opts []core.Option) (*MultiResult, error) {
 	if plan == nil || plan.Occupancy() == 0 {
 		return nil, fmt.Errorf("bspalg: empty batch plan")
 	}
 	prog := newMultiProgram(g, plan, withLevels)
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  prog,
 		Combiner: core.Or,
 		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

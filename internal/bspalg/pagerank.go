@@ -67,7 +67,7 @@ func PageRank(g *graph.Graph, rounds int, rec *trace.Recorder, opts ...core.Opti
 	if rounds <= 0 {
 		rounds = 30
 	}
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  PageRankProgram{DampingMilli: 850, Rounds: rounds},
 		Combiner: core.Sum,
@@ -76,11 +76,7 @@ func PageRank(g *graph.Graph, rounds int, rec *trace.Recorder, opts ...core.Opti
 		// then drain); a rounds above the default budget is intentional,
 		// not a runaway.
 		MaxSupersteps: rounds + 2,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

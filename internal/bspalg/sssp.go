@@ -63,16 +63,12 @@ func SSSP(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option
 	if !g.Weighted() {
 		panic("bspalg: SSSP requires a weighted graph")
 	}
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  ssspProgram{Source: source},
 		Combiner: core.Min,
 		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -161,15 +161,11 @@ func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCRes
 	if g.Directed() {
 		return nil, &DirectedGraphError{Algorithm: "Triangles"}
 	}
-	cfg := core.Config{
+	res, err := run(core.Config{
 		Graph:    g,
 		Program:  TCProgram{},
 		Recorder: rec,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	res, err := core.Run(cfg)
+	}, opts)
 	if err != nil {
 		return nil, err
 	}

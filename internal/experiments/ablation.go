@@ -45,7 +45,7 @@ func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
 	src := g.MaxDegreeVertex()
 
 	fullRec := trace.NewRecorder()
-	full, err := core.Run(core.Config{
+	full, err := s.run("full-scan bfs", core.Config{
 		Graph:    g,
 		Program:  bspalg.BFSProgram{Source: src},
 		Recorder: fullRec,
@@ -54,7 +54,7 @@ func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
 		return nil, err
 	}
 	sparseRec := trace.NewRecorder()
-	sparse, err := core.Run(core.Config{
+	sparse, err := s.run("sparse-activation bfs", core.Config{
 		Graph:            g,
 		Program:          bspalg.BFSProgram{Source: src},
 		Recorder:         sparseRec,
@@ -71,18 +71,8 @@ func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
 
 	res := &ActivationResult{Procs: machine.ProcSweep(s.Procs)}
 	for _, p := range res.Procs {
-		for i, t := range perIndexSeconds(s.Model, fullRec.Phases(), p) {
-			if i >= len(res.FullScan) {
-				res.FullScan = append(res.FullScan, nil)
-			}
-			res.FullScan[i] = append(res.FullScan[i], t)
-		}
-		for i, t := range perIndexSeconds(s.Model, sparseRec.Phases(), p) {
-			if i >= len(res.Sparse) {
-				res.Sparse = append(res.Sparse, nil)
-			}
-			res.Sparse[i] = append(res.Sparse[i], t)
-		}
+		res.FullScan = appendColumn(res.FullScan, perIndexSeconds(s.Model, fullRec.Phases(), p))
+		res.Sparse = appendColumn(res.Sparse, perIndexSeconds(s.Model, sparseRec.Phases(), p))
 	}
 	res.FullScanTotal = machine.Seconds(s.Model, fullRec.Phases(), s.Procs)
 	res.SparseTotal = machine.Seconds(s.Model, sparseRec.Phases(), s.Procs)
@@ -123,7 +113,7 @@ func AblationHotspot(g *graph.Graph, s Setup) (*HotspotResult, error) {
 		costs := core.DefaultCosts()
 		costs.HotMsgChunk = chunk
 		rec := trace.NewRecorder()
-		if _, err := core.Run(core.Config{
+		if _, err := s.run(fmt.Sprintf("bfs chunk=%d", chunk), core.Config{
 			Graph:    g,
 			Program:  bspalg.BFSProgram{Source: src},
 			Recorder: rec,
@@ -162,12 +152,12 @@ type CombinerResult struct {
 func AblationCombiner(g *graph.Graph, s Setup) (*CombinerResult, error) {
 	s = s.withDefaults()
 	plainRec := trace.NewRecorder()
-	plain, err := core.Run(core.Config{Graph: g, Program: bspalg.CCProgram{}, Recorder: plainRec})
+	plain, err := s.run("plain cc", core.Config{Graph: g, Program: bspalg.CCProgram{}, Recorder: plainRec})
 	if err != nil {
 		return nil, err
 	}
 	combRec := trace.NewRecorder()
-	comb, err := core.Run(core.Config{Graph: g, Program: bspalg.CCProgram{}, Recorder: combRec, Combiner: core.Min})
+	comb, err := s.run("combined cc", core.Config{Graph: g, Program: bspalg.CCProgram{}, Recorder: combRec, Combiner: core.Min})
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +198,14 @@ type SensitivityResult struct {
 }
 
 // SensitivityMachine sweeps the machine model's memory latency and
-// streams-per-processor over a fixed shared-memory CC profile, exposing
+// streams-per-processor over a fixed BSP CC profile, exposing
 // the latency-tolerance mechanism: with enough streams, time is
 // insensitive to latency; starve the streams and latency bites.
 func SensitivityMachine(g *graph.Graph, s Setup) (*SensitivityResult, error) {
 	s = s.withDefaults()
 	rec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, rec); err != nil {
-		return nil, err
+	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
+		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	res := &SensitivityResult{
 		Latencies: []int{100, 300, 600, 1200, 2400},

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"graphxmt/internal/core"
 )
 
 func TestAblationActivation(t *testing.T) {
@@ -269,5 +273,37 @@ func TestCSVWriters(t *testing.T) {
 	rows := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(rows)-1 != len(f4.Procs) {
 		t.Fatalf("fig4 rows = %d, want %d", len(rows)-1, len(f4.Procs))
+	}
+}
+
+// TestSupervisionReachesEveryPass: the supervisor knobs reach every engine
+// pass an experiment makes, so a run deadline no pass can meet stops each
+// experiment in its first pass with a typed error naming that pass.
+func TestSupervisionReachesEveryPass(t *testing.T) {
+	g, s := testGraph(t)
+	s.RunTimeout = time.Nanosecond
+	cases := []struct {
+		name  string
+		run   func() error
+		first string
+	}{
+		{"Extensions", func() error { _, err := Extensions(g, s); return err }, "bsp kcore"},
+		{"Regimes", func() error { _, err := Regimes(g, s); return err }, "bsp cc"},
+		{"SensitivityMachine", func() error { _, err := SensitivityMachine(g, s); return err }, "bsp cc"},
+		{"AblationActivation", func() error { _, err := AblationActivation(g, s); return err }, "full-scan bfs"},
+		{"AblationHotspot", func() error { _, err := AblationHotspot(g, s); return err }, "bfs chunk=1"},
+		{"AblationCombiner", func() error { _, err := AblationCombiner(g, s); return err }, "plain cc"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			var te *core.TimeoutError
+			if !errors.As(err, &te) {
+				t.Fatalf("error %v, want a *core.TimeoutError", err)
+			}
+			if !strings.Contains(err.Error(), "experiments: "+tc.first+": ") {
+				t.Errorf("error %q does not name the first pass, %s", err, tc.first)
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graphxmt/internal/bspalg"
@@ -54,21 +55,28 @@ type Setup struct {
 	RunTimeout  time.Duration
 }
 
-// engineOpts returns the core options every BSP engine pass of an
-// experiment shares: direction mode plus, when armed, the supervisor
-// knobs.
-func (s Setup) engineOpts() []core.Option {
-	opts := []core.Option{core.WithDirection(s.Direction)}
-	if s.Retries > 0 {
-		opts = append(opts, core.WithRetries(s.Retries))
-	}
-	if s.StepTimeout > 0 {
-		opts = append(opts, core.WithStepTimeout(s.StepTimeout))
-	}
-	if s.RunTimeout > 0 {
-		opts = append(opts, core.WithRunTimeout(s.RunTimeout))
+// engineOpts returns the core options of one BSP engine pass: the
+// supervisor knobs (zero values leave it off) and, for a pull-capable
+// program (pull), the direction mode.
+func (s Setup) engineOpts(pull bool) []core.Option {
+	opts := []core.Option{core.WithRetries(s.Retries), core.WithStepTimeout(s.StepTimeout), core.WithRunTimeout(s.RunTimeout)}
+	if pull {
+		opts = append(opts, core.WithDirection(s.Direction))
 	}
 	return opts
+}
+
+// run is one engine pass named name under the setup's supervisor, with
+// the engine's default direction.
+func (s Setup) run(name string, cfg core.Config) (*core.Result, error) {
+	for _, o := range s.engineOpts(false) {
+		o(&cfg)
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
+	return res, nil
 }
 
 func (s Setup) withDefaults() Setup {
@@ -111,79 +119,68 @@ type Table1Result struct {
 	GraphCTCCIterations int
 }
 
-// Table1 runs all three algorithm pairs on g and returns the table.
+// pair is one Table I-style comparison: kernel bsp's BSP runner timed
+// against kernel twin's GraphCT twin; gap, when set, names the pair in
+// ExtensionsResult.IterationGaps.
+type pair struct{ title, bsp, twin, gap string }
+
+// table1Pairs are the paper's three pairs. Triangle counting runs the
+// streaming evaluator: the engine's cost profile without materializing
+// the wedges.
+var table1Pairs = []pair{
+	{"Connected Components", "cc", "cc", ""},
+	{"Breadth-first Search", "bfs", "bfs", ""},
+	{"Triangle Counting", "tc-streaming", "tc", ""},
+}
+
+// Table1 runs the paper's three algorithm pairs on g and returns the table.
 func Table1(g *graph.Graph, s Setup) (*Table1Result, error) {
 	s = s.withDefaults()
-	res := &Table1Result{}
-
-	// Connected components.
-	bspRec := trace.NewRecorder()
-	bspCC, err := bspalg.ConnectedComponents(g, bspRec, s.engineOpts()...)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
-	}
-	ctRec := trace.NewRecorder()
-	ctCC := graphct.ConnectedComponents(g, ctRec)
-	if err := sameLabels(bspCC.Labels, ctCC.Labels); err != nil {
-		return nil, err
-	}
-	res.BSPCCSupersteps = bspCC.Supersteps
-	res.GraphCTCCIterations = ctCC.Iterations
-	res.Rows = append(res.Rows, row("Connected Components",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-
-	// Breadth-first search.
-	src := g.MaxDegreeVertex()
-	bspRec = trace.NewRecorder()
-	bspBFS, err := bspalg.BFS(g, src, bspRec, s.engineOpts()...)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
-	}
-	ctRec = trace.NewRecorder()
-	ctBFS := graphct.BFS(g, src, ctRec)
-	for v := range bspBFS.Dist {
-		if bspBFS.Dist[v] != ctBFS.Dist[v] {
-			return nil, fmt.Errorf("experiments: bfs mismatch at vertex %d", v)
-		}
-	}
-	res.Rows = append(res.Rows, row("Breadth-first Search",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-
-	// Triangle counting (streaming evaluator: identical cost profile to
-	// the engine without materializing wedges).
-	bspRec = trace.NewRecorder()
-	bspTC, err := bspalg.StreamingTriangles(g, bspRec)
+	rows, steps, err := s.runPairs(g, table1Pairs, bspalg.Params{})
 	if err != nil {
 		return nil, err
 	}
-	ctRec = trace.NewRecorder()
-	ctTC := graphct.Triangles(g, ctRec)
-	if bspTC.Count != ctTC.Count {
-		return nil, fmt.Errorf("experiments: triangle counts differ: %d vs %d", bspTC.Count, ctTC.Count)
-	}
-	res.Rows = append(res.Rows, row("Triangle Counting",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-	return res, nil
+	return &Table1Result{Rows: rows, BSPCCSupersteps: steps[0][0], GraphCTCCIterations: steps[0][1]}, nil
 }
 
-func row(name string, bsp, ct float64) Table1Row {
-	r := Table1Row{Algorithm: name, BSP: bsp, GraphCT: ct}
-	if ct > 0 {
-		r.Ratio = bsp / ct
-	}
-	return r
-}
-
-func sameLabels(a, b []int64) error {
-	for v := range a {
-		if a[v] != b[v] {
-			return fmt.Errorf("experiments: component labels diverge at vertex %d", v)
+// runPairs runs each pair's two models from the max-degree vertex of the
+// pair's input under p, checks their answers agree where the kernel's are
+// exact, and returns the table rows and each pair's BSP supersteps and
+// GraphCT iterations. A kernel that reads weights runs on a weighted copy
+// of g (weights in [1,10] derived from s.Seed).
+func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]Table1Row, [][2]int, error) {
+	var rows []Table1Row
+	var steps [][2]int
+	for _, pr := range pairs {
+		k, twin := bspalg.Lookup(pr.bsp), bspalg.Lookup(pr.twin)
+		in := g
+		if k.Reads&bspalg.Weights != 0 {
+			edges := g.EdgeList()
+			var err error
+			if in, err = graph.Build(g.NumVertices(), edges, graph.BuildOptions{
+				SortAdjacency: true, Weights: gen.UniformWeights(len(edges), 10, s.Seed)}); err != nil {
+				return nil, nil, err
+			}
 		}
+		p.Source = in.MaxDegreeVertex()
+		bspRec := trace.NewRecorder()
+		b, err := k.BSP(in, p, bspRec, s.engineOpts(k.Pull)...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: bsp %s: %w", pr.bsp, err)
+		}
+		ctRec := trace.NewRecorder()
+		c, _ := twin.Twin(in, p, ctRec) // twins never fail
+		if twin.Exact && !slices.Equal(b.Answer, c.Answer) {
+			return nil, nil, fmt.Errorf("experiments: %s: the BSP and GraphCT answers differ", pr.title)
+		}
+		r := Table1Row{Algorithm: pr.title, BSP: machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
+			GraphCT: machine.Seconds(s.Model, ctRec.Phases(), s.Procs)}
+		if r.GraphCT > 0 {
+			r.Ratio = r.BSP / r.GraphCT
+		}
+		rows, steps = append(rows, r), append(steps, [2]int{b.Steps, c.Steps})
 	}
-	return nil
+	return rows, steps, nil
 }
 
 // Fig1Result reproduces Figure 1: connected-components execution time per
@@ -203,7 +200,7 @@ type Fig1Result struct {
 func Fig1(g *graph.Graph, s Setup) (*Fig1Result, error) {
 	s = s.withDefaults()
 	bspRec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, bspRec, s.engineOpts()...); err != nil {
+	if _, err := bspalg.ConnectedComponents(g, bspRec, s.engineOpts(true)...); err != nil {
 		return nil, err
 	}
 	ctRec := trace.NewRecorder()
@@ -248,13 +245,11 @@ type Fig2Result struct {
 // Fig2 runs BSP BFS and reports frontier vs messages per level.
 func Fig2(g *graph.Graph, s Setup) (*Fig2Result, error) {
 	src := g.MaxDegreeVertex()
-	bsp, err := bspalg.BFS(g, src, nil, s.engineOpts()...)
+	bsp, err := bspalg.BFS(g, src, nil, s.engineOpts(true)...)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig2Result{Source: src, Frontier: bsp.FrontierPerStep}
-	res.Messages = bsp.MessagesPerStep
-	return res, nil
+	return &Fig2Result{Source: src, Frontier: bsp.FrontierPerStep, Messages: bsp.MessagesPerStep}, nil
 }
 
 // Fig3Result reproduces Figure 3: per-level BFS execution time versus
@@ -275,7 +270,7 @@ func Fig3(g *graph.Graph, s Setup) (*Fig3Result, error) {
 	s = s.withDefaults()
 	src := g.MaxDegreeVertex()
 	bspRec := trace.NewRecorder()
-	if _, err := bspalg.BFS(g, src, bspRec, s.engineOpts()...); err != nil {
+	if _, err := bspalg.BFS(g, src, bspRec, s.engineOpts(true)...); err != nil {
 		return nil, err
 	}
 	ctRec := trace.NewRecorder()
@@ -285,22 +280,23 @@ func Fig3(g *graph.Graph, s Setup) (*Fig3Result, error) {
 	bspPhases := bspRec.Phases()
 	ctPhases := ctRec.PhasesNamed("bfs/level")
 	for _, p := range res.Procs {
-		for i, t := range perIndexSeconds(s.Model, bspPhases, p) {
-			if i >= len(res.BSP) {
-				res.BSP = append(res.BSP, nil)
-			}
-			res.BSP[i] = append(res.BSP[i], t)
-		}
-		for i, t := range machine.PhaseSeconds(s.Model, ctPhases, p) {
-			if i >= len(res.GraphCT) {
-				res.GraphCT = append(res.GraphCT, nil)
-			}
-			res.GraphCT[i] = append(res.GraphCT[i], t)
-		}
+		res.BSP = appendColumn(res.BSP, perIndexSeconds(s.Model, bspPhases, p))
+		res.GraphCT = appendColumn(res.GraphCT, machine.PhaseSeconds(s.Model, ctPhases, p))
 	}
 	res.BSPTotal = machine.Seconds(s.Model, bspPhases, s.Procs)
 	res.GraphCTTotal = machine.Seconds(s.Model, ctPhases, s.Procs)
 	return res, nil
+}
+
+// appendColumn appends ts[i] to rows[i], growing rows as needed.
+func appendColumn(rows [][]float64, ts []float64) [][]float64 {
+	for i, t := range ts {
+		if i >= len(rows) {
+			rows = append(rows, nil)
+		}
+		rows[i] = append(rows[i], t)
+	}
+	return rows
 }
 
 // Fig4Result reproduces Figure 4: triangle counting execution time versus
@@ -361,7 +357,7 @@ func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
 	s = s.withDefaults()
 	res := &AuxResult{}
 
-	bspCC, err := bspalg.ConnectedComponents(g, nil, s.engineOpts()...)
+	bspCC, err := bspalg.ConnectedComponents(g, nil, s.engineOpts(true)...)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +380,7 @@ func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
 		res.WriteRatio = float64(res.BSPWrites) / float64(res.GraphCTWrites)
 	}
 
-	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.engineOpts()...)
+	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.engineOpts(true)...)
 	if err != nil {
 		return nil, err
 	}

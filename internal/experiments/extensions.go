@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"graphxmt/internal/bspalg"
-	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/graphct"
-	"graphxmt/internal/machine"
-	"graphxmt/internal/trace"
 )
 
 // ExtensionsResult applies Table I's methodology to the algorithm pairs
@@ -25,83 +21,32 @@ type ExtensionsResult struct {
 	IterationGaps map[string][2]int
 }
 
-// Extensions runs the four extension pairs on g. SSSP runs on a weighted
-// copy of g (unit-range random weights derived from s.Seed).
+// extensionPairs are the four pairs beyond the paper's three. Label
+// propagation's answers differ legitimately between the models
+// (synchronous vs in-place sweeps), so only its time is compared; its
+// quality is compared by modularity in the communities example.
+var extensionPairs = []pair{
+	{"k-core decomposition", "kcore", "kcore", "k-core"},
+	{"label propagation", "lp", "lp", "label propagation"},
+	{"betweenness (sampled)", "bc", "bc", ""},
+	{"SSSP (weighted)", "sssp", "sssp", "SSSP"},
+}
+
+// Extensions runs the four extension pairs on g: BSP label propagation for
+// 40 rounds, betweenness from 8 sources sampled by s.Seed in both models,
+// and SSSP on a weighted copy of g.
 func Extensions(g *graph.Graph, s Setup) (*ExtensionsResult, error) {
 	s = s.withDefaults()
-	res := &ExtensionsResult{IterationGaps: map[string][2]int{}}
-
-	// k-core.
-	bspRec := trace.NewRecorder()
-	bspKC, err := bspalg.KCore(g, bspRec)
+	rows, steps, err := s.runPairs(g, extensionPairs, bspalg.Params{Rounds: 40, Samples: 8, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
-	ctRec := trace.NewRecorder()
-	ctKC := graphct.KCore(g, ctRec)
-	for v := range ctKC.Core {
-		if bspKC.Core[v] != ctKC.Core[v] {
-			return nil, fmt.Errorf("experiments: kcore mismatch at vertex %d", v)
+	res := &ExtensionsResult{Rows: rows, IterationGaps: map[string][2]int{}}
+	for i, pr := range extensionPairs {
+		if pr.gap != "" {
+			res.IterationGaps[pr.gap] = steps[i]
 		}
 	}
-	res.Rows = append(res.Rows, row("k-core decomposition",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-	res.IterationGaps["k-core"] = [2]int{bspKC.Supersteps, ctKC.Rounds}
-
-	// Label propagation. Results differ legitimately between the models
-	// (synchronous vs in-place sweeps); quality is compared by modularity
-	// in the communities example, so only time is tabulated here.
-	bspRec = trace.NewRecorder()
-	bspLP, err := bspalg.LabelPropagation(g, 40, bspRec, s.engineOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	ctRec = trace.NewRecorder()
-	ctLP := graphct.LabelPropagation(g, graphct.CommunityOptions{}, ctRec)
-	res.Rows = append(res.Rows, row("label propagation",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-	res.IterationGaps["label propagation"] = [2]int{bspLP.Supersteps, ctLP.Iterations}
-
-	// Betweenness (sampled; same sources both sides via the same seed).
-	const bcSamples = 8
-	bspRec = trace.NewRecorder()
-	if _, err := bspalg.Betweenness(g, bspalg.BetweennessOptions{Samples: bcSamples, Seed: s.Seed}, bspRec); err != nil {
-		return nil, err
-	}
-	ctRec = trace.NewRecorder()
-	graphct.Betweenness(g, graphct.BetweennessOptions{Samples: bcSamples, Seed: s.Seed}, ctRec)
-	res.Rows = append(res.Rows, row("betweenness (sampled)",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-
-	// SSSP over a weighted copy.
-	edges := g.EdgeList()
-	weights := gen.UniformWeights(len(edges), 10, s.Seed)
-	wg, err := graph.Build(g.NumVertices(), edges, graph.BuildOptions{
-		SortAdjacency: true, Weights: weights})
-	if err != nil {
-		return nil, err
-	}
-	src := wg.MaxDegreeVertex()
-	bspRec = trace.NewRecorder()
-	bspSP, err := bspalg.SSSP(wg, src, bspRec)
-	if err != nil {
-		return nil, err
-	}
-	ctRec = trace.NewRecorder()
-	ctSP := graphct.BellmanFordSSSP(wg, src, ctRec)
-	for v := range ctSP.Dist {
-		if bspSP.Dist[v] != ctSP.Dist[v] {
-			return nil, fmt.Errorf("experiments: sssp mismatch at vertex %d", v)
-		}
-	}
-	res.Rows = append(res.Rows, row("SSSP (weighted)",
-		machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-		machine.Seconds(s.Model, ctRec.Phases(), s.Procs)))
-	res.IterationGaps["SSSP"] = [2]int{bspSP.Supersteps, ctSP.Iterations}
-
 	return res, nil
 }
 

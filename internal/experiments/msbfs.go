@@ -78,7 +78,7 @@ func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 
 	batchRec := trace.NewRecorder()
 	batchStart := time.Now()
-	mr, err := bspalg.MultiBFS(g, plan, batchRec, s.engineOpts()...)
+	mr, err := bspalg.MultiBFS(g, plan, batchRec, s.engineOpts(true)...)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 	for lane, src := range plan.Sources {
 		seqRec := trace.NewRecorder()
 		seqStart := time.Now()
-		sr, err := bspalg.BFS(g, src, seqRec, s.engineOpts()...)
+		sr, err := bspalg.BFS(g, src, seqRec, s.engineOpts(true)...)
 		if err != nil {
 			return nil, err
 		}

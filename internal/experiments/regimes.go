@@ -58,8 +58,8 @@ func Regimes(g *graph.Graph, s Setup) (*RegimeResult, error) {
 	}
 
 	rec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, rec); err != nil {
-		return nil, err
+	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
+		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	res.BSPCC = diagnose(rec.PhasesNamed("bsp/superstep"))
 
@@ -69,8 +69,8 @@ func Regimes(g *graph.Graph, s Setup) (*RegimeResult, error) {
 
 	src := g.MaxDegreeVertex()
 	rec = trace.NewRecorder()
-	if _, err := bspalg.BFS(g, src, rec); err != nil {
-		return nil, err
+	if _, err := bspalg.BFS(g, src, rec, s.engineOpts(true)...); err != nil {
+		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
 	res.BSPBFS = diagnose(rec.PhasesNamed("bsp/superstep"))
 

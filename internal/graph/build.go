@@ -214,54 +214,6 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
-// InducedSubgraph extracts the subgraph induced by the given vertices,
-// which are relabeled 0..len(vertices)-1 in the order supplied. Duplicate
-// vertices are rejected.
-func (g *Graph) InducedSubgraph(vertices []int64) (*Graph, map[int64]int64, error) {
-	relabel := make(map[int64]int64, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: subgraph vertex %d out of range", v)
-		}
-		if _, dup := relabel[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate subgraph vertex %d", v)
-		}
-		relabel[v] = int64(i)
-	}
-	var edges []Edge
-	var weights []int64
-	for _, v := range vertices {
-		nv := relabel[v]
-		nbr := g.Neighbors(v)
-		for i, w := range nbr {
-			nw, ok := relabel[w]
-			if !ok {
-				continue
-			}
-			if !g.directed && nv > nw {
-				continue // count undirected edges once
-			}
-			edges = append(edges, Edge{nv, nw})
-			if g.weights != nil {
-				weights = append(weights, g.NeighborWeights(v)[i])
-			}
-		}
-	}
-	opt := BuildOptions{
-		Directed:      g.directed,
-		SortAdjacency: true,
-		KeepSelfLoops: true, // already filtered by the source graph's policy
-	}
-	if g.weights != nil {
-		opt.Weights = weights
-	}
-	sub, err := Build(int64(len(vertices)), edges, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, relabel, nil
-}
-
 // arc is one adjacency entry with its weight: the unit the weighted bucket
 // sort moves.
 type arc struct{ v, w int64 }

@@ -218,37 +218,6 @@ func TestTransposeUndirectedIsIdentity(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := triangleWithTail(t)
-	sub, relabel, err := g.InducedSubgraph([]int64{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != 3 || sub.UndirectedEdges() != 3 {
-		t.Fatalf("sub = %v", sub)
-	}
-	if relabel[0] != 0 || relabel[2] != 2 {
-		t.Fatalf("relabel = %v", relabel)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Tail vertex excluded: edge 2-3 must not appear.
-	if sub.Degree(2) != 2 {
-		t.Fatalf("deg(2) in sub = %d, want 2", sub.Degree(2))
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g := triangleWithTail(t)
-	if _, _, err := g.InducedSubgraph([]int64{0, 0}); err == nil {
-		t.Fatal("expected duplicate error")
-	}
-	if _, _, err := g.InducedSubgraph([]int64{99}); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := triangleWithTail(t)
 	edges := g.EdgeList()
