@@ -18,14 +18,12 @@ import (
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/gen"
-	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
 )
 
 // bin is the bspgraph binary TestMain builds; graphFile a small RMAT graph
-// on which CC runs enough supersteps to be killed at boundary 1, and
-// directedFile its edge list built directed.
-var bin, graphFile, directedFile string
+// on which CC runs enough supersteps to be killed at boundary 1.
+var bin, graphFile string
 
 func TestMain(m *testing.M) {
 	os.Exit(func() int {
@@ -44,10 +42,6 @@ func TestMain(m *testing.M) {
 		if err == nil {
 			graphFile = filepath.Join(dir, "g.gxmt")
 			err = graphio.WriteBinaryFile(graphFile, g)
-		}
-		if err == nil {
-			directedFile = filepath.Join(dir, "directed.gxmt")
-			err = graphio.WriteBinaryFile(directedFile, graph.MustBuild(g.NumVertices(), g.EdgeList(), graph.BuildOptions{Directed: true}))
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -72,6 +66,21 @@ func run(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	}
 	stdout = regexp.MustCompile(`(?m)^(loaded .*) in \S+$`).ReplaceAllString(out.String(), "$1 in <duration>")
 	return cmd.ProcessState.ExitCode(), stdout, errOut.String()
+}
+
+// csr1File writes a GXMTCSR1 file with the given header flags and CSR
+// arrays, whatever they hold, and returns its path.
+func csr1File(t *testing.T, flags int64, offsets, adj []int64) string {
+	t.Helper()
+	b := []byte("GXMTCSR1")
+	for _, x := range append([]int64{flags, int64(len(offsets) - 1), int64(len(adj))}, append(offsets, adj...)...) {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	path := filepath.Join(t.TempDir(), "g.gxmt")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestExitStatus(t *testing.T) {
@@ -109,8 +118,9 @@ func TestExitStatus(t *testing.T) {
 		{"usage/retired -chunking flag", []string{"-g", graphFile, "-chunking", "degree"}, 2, `flag provided but not defined: -chunking`, false},
 		{"fatal/missing graph file", []string{"-g", filepath.Join(ckDir, "absent.gxmt")}, 1, `absent\.gxmt`, false},
 		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`, false},
-		{"fatal/tc on a directed graph", []string{"-g", directedFile, "-alg", "tc"}, 1, `Triangles counts the triangles of an undirected graph`, false},
-		{"fatal/tc-streaming on a directed graph", []string{"-g", directedFile, "-alg", "tc-streaming"}, 1, `StreamingTriangles counts the triangles of an undirected graph`, false},
+		{"fatal/CSR1 file with the directed flag", []string{"-g", csr1File(t, 1, []int64{0, 1, 2}, []int64{1, 0}), "-alg", "tc"}, 1, `directed flag set`, false},
+		{"fatal/CSR1 file with a duplicate arc", []string{"-g", csr1File(t, 0, []int64{0, 2, 4}, []int64{1, 1, 0, 0}), "-alg", "tc"}, 1, `duplicate neighbour 1`, false},
+		{"fatal/CSR1 file with a self-loop", []string{"-g", csr1File(t, 0, []int64{0, 1, 2}, []int64{0, 1}), "-alg", "tc"}, 1, `adjacency of vertex 0: self-loop`, false},
 		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`, false},
 		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`, false},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,

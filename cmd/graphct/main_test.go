@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ func TestMain(m *testing.M) {
 		edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 6, EdgeFactor: 4, Seed: 5})
 		var g *graph.Graph
 		if err == nil {
-			g, err = graph.Build(n, append(edges, graph.Edge{U: 0, V: n - 1}), graph.BuildOptions{SortAdjacency: true})
+			g, err = graph.Build(n, append(edges, graph.Edge{U: 0, V: n - 1}), graph.BuildOptions{})
 		}
 		graphFile = filepath.Join(dir, "g.gxmt")
 		csr2File = filepath.Join(dir, "g.csr2")
@@ -160,6 +161,21 @@ func TestLoadsEveryFormat(t *testing.T) {
 	}
 }
 
+// csr1File writes a GXMTCSR1 file with the given header flags and CSR
+// arrays, whatever they hold, and returns its path.
+func csr1File(t *testing.T, flags int64, offsets, adj []int64) string {
+	t.Helper()
+	b := []byte("GXMTCSR1")
+	for _, x := range append([]int64{flags, int64(len(offsets) - 1), int64(len(adj))}, append(offsets, adj...)...) {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	path := filepath.Join(t.TempDir(), "g.gxmt")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestExitStatus(t *testing.T) {
 	data, err := os.ReadFile(graphFile)
 	if err != nil {
@@ -192,6 +208,9 @@ func TestExitStatus(t *testing.T) {
 		{"usage/trailing comma", []string{"-g", graphFile, "-kernels", "cc,"}, 2, `unknown kernel ""`, true},
 		{"fatal/missing graph file", []string{"-g", graphFile + ".absent"}, 1, `g\.gxmt\.absent: no such file or directory`, false},
 		{"fatal/corrupt graph file", []string{"-g", truncated}, 1, `corrupt snapshot`, false},
+		{"fatal/CSR1 file with the directed flag", []string{"-g", csr1File(t, 1, []int64{0, 1, 2}, []int64{1, 0}), "-kernels", "tc"}, 1, `directed flag set`, false},
+		{"fatal/CSR1 file with a duplicate arc", []string{"-g", csr1File(t, 0, []int64{0, 2, 4}, []int64{1, 1, 0, 0}), "-kernels", "tc"}, 1, `duplicate neighbour 1`, false},
+		{"fatal/CSR1 file with a self-loop", []string{"-g", csr1File(t, 0, []int64{0, 1, 2}, []int64{0, 1}), "-kernels", "tc"}, 1, `adjacency of vertex 0: self-loop`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	weights := gen.UniformWeights(len(edges), 10, 99)
-	g, err := graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true, Weights: weights})
+	g, err := graph.Build(n, edges, graph.BuildOptions{Weights: weights})
 	if err != nil {
 		log.Fatal(err)
 	}

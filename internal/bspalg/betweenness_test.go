@@ -106,7 +106,7 @@ func TestBSPBetweennessEmptyAndDisconnected(t *testing.T) {
 	}
 	// Disconnected: scores restricted to each component.
 	g := graph.MustBuild(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}},
-		graph.BuildOptions{SortAdjacency: true})
+		graph.BuildOptions{})
 	bsp, err := betweenness(g, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package bspalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -26,7 +25,7 @@ func randomGraph(seed uint64, n int64, m int) *graph.Graph {
 	for i := range edges {
 		edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 func TestBSPCCMatchesReferenceAndGraphCT(t *testing.T) {
@@ -351,12 +350,10 @@ func (oracleTC) Compute(v *core.VertexContext) {
 }
 
 // inboxFold runs p and folds every inbox a vertex is handed into its state,
-// so Result.States compares what each vertex received. An ordered fold
-// hashes the sequence; otherwise it sums a hash per message, comparing the
-// multiset.
+// hashing the sequence, so Result.States compares what each vertex
+// received and in what order.
 type inboxFold struct {
-	p       core.Program
-	ordered bool
+	p core.Program
 }
 
 func (f inboxFold) InitialState(g *graph.Graph, v int64) int64 { return f.p.InitialState(g, v) }
@@ -365,11 +362,7 @@ func (f inboxFold) Compute(v *core.VertexContext) {
 	h := uint64(v.State())
 	step := uint64(v.Superstep()) << 48
 	for _, m := range v.Messages() {
-		if f.ordered {
-			h = rng.Mix64(h ^ step ^ uint64(m))
-		} else {
-			h += rng.Mix64(step ^ uint64(m))
-		}
+		h = rng.Mix64(h ^ step ^ uint64(m))
 	}
 	v.SetState(int64(h))
 	f.p.Compute(v)
@@ -395,14 +388,13 @@ func phaseViews(rec *trace.Recorder) []phaseView {
 // checkTCMatchesOracle runs oracleTC at one worker, then TCProgram at one,
 // two and three, both under inboxFold, and StreamingTriangles, and reports
 // the first difference in Result (every inbox folded into States,
-// Aggregates, MessagesPerStep) or recorded profile. ordered is false only
-// for graphs with parallel edges, whose inboxes TCProgram reorders.
-func checkTCMatchesOracle(t *testing.T, g *graph.Graph, ordered bool) {
+// Aggregates, MessagesPerStep) or recorded profile.
+func checkTCMatchesOracle(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	run := func(p core.Program, w int) (*core.Result, []phaseView) {
 		defer par.SetWorkers(par.SetWorkers(w))
 		rec := trace.NewRecorder()
-		res, err := core.Run(core.Config{Graph: g, Program: inboxFold{p, ordered}, Recorder: rec})
+		res, err := core.Run(core.Config{Graph: g, Program: inboxFold{p}, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,23 +425,16 @@ func checkTCMatchesOracle(t *testing.T, g *graph.Graph, ordered bool) {
 	}
 }
 
-// tcBuildBits maps the low two bits of b to the undirected build options
-// TC is checked under.
-func tcBuildBits(b uint8) graph.BuildOptions {
-	return graph.BuildOptions{KeepSelfLoops: b&1 != 0, KeepDuplicates: b&2 != 0}
-}
-
 // TestBSPTrianglesMatchOracle: TCProgram against oracleTC, and
-// StreamingTriangles against both, on RMAT, shaped and small random graphs
-// built simple, with self-loops, with parallel edges and with both. Only the
-// raw RMAT edge lists have loops and parallel edges of their own, so every
-// other graph gets a self-loop on every third vertex and a second copy of
-// every other edge.
+// StreamingTriangles against both, on RMAT, shaped and small random graphs.
+// Each graph is rebuilt from its edge list as given, with a self-loop on
+// every third vertex, with a reversed second copy of every other edge, and
+// with both: Build must collapse each back to the simple graph, and TC must
+// match the oracle on what it built.
 func TestBSPTrianglesMatchOracle(t *testing.T) {
 	type row struct {
-		name  string
-		n     int64
-		edges []graph.Edge
+		name string
+		g    *graph.Graph
 	}
 	var rows []row
 	for scale := 6; scale <= 11; scale++ {
@@ -458,72 +443,63 @@ func TestBSPTrianglesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows = append(rows, row{fmt.Sprintf("rmat-s%d-seed%d", scale, seed), n, edges})
+			rows = append(rows, row{fmt.Sprintf("rmat-s%d-seed%d", scale, seed), graph.MustBuild(n, edges, graph.BuildOptions{})})
 		}
 	}
-	type shape struct {
-		name string
-		g    *graph.Graph
-	}
-	shapes := []shape{
-		{"complete7", gen.Complete(7)},
-		{"cliquechain", gen.CliqueChain(4, 5)},
-		{"star", gen.Star(33)},
-		{"path", gen.Path(20)},
-		{"grid", gen.Grid(6, 7)},
-		{"empty", graph.MustBuild(0, nil, graph.BuildOptions{})},
-		{"n1", graph.MustBuild(1, nil, graph.BuildOptions{})},
-	}
-	for seed := uint64(0); seed < 10; seed++ {
-		shapes = append(shapes, shape{fmt.Sprintf("random40-seed%d", seed), randomGraph(seed, 40, 160)})
-	}
-	for _, s := range shapes {
-		edges := s.g.EdgeList()
-		for v := int64(0); v < s.g.NumVertices(); v += 3 {
-			edges = append(edges, graph.Edge{U: v, V: v})
+	rows = append(rows,
+		row{"complete7", gen.Complete(7)},
+		row{"cliquechain", gen.CliqueChain(4, 5)},
+		row{"star", gen.Star(33)},
+		row{"path", gen.Path(20)},
+		row{"grid", gen.Grid(6, 7)},
+		row{"empty", graph.MustBuild(0, nil, graph.BuildOptions{})},
+		row{"n1", graph.MustBuild(1, nil, graph.BuildOptions{})},
+	)
+	// Random graphs from sparse to near-complete (40 vertices have 780
+	// possible edges).
+	for _, m := range []int{40, 160, 640} {
+		for seed := uint64(0); seed < 10; seed++ {
+			name := fmt.Sprintf("random40-m%d-seed%d", m, seed)
+			if m == 160 {
+				name = fmt.Sprintf("random40-seed%d", seed)
+			}
+			rows = append(rows, row{name, randomGraph(seed, 40, m)})
 		}
-		for i, m := 0, len(edges); i < m; i += 2 {
-			edges = append(edges, edges[i])
-		}
-		rows = append(rows, row{s.name, s.g.NumVertices(), edges})
 	}
 	for _, r := range rows {
-		for b := uint8(0); b < 4; b++ {
-			opt := tcBuildBits(b)
-			t.Run(fmt.Sprintf("%s/loops%t-dups%t", r.name, opt.KeepSelfLoops, opt.KeepDuplicates), func(t *testing.T) {
-				checkTCMatchesOracle(t, graph.MustBuild(r.n, r.edges, opt), !opt.KeepDuplicates)
-			})
+		for _, loops := range []bool{false, true} {
+			for _, dups := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/loops%t-dups%t", r.name, loops, dups), func(t *testing.T) {
+					edges := r.g.EdgeList()
+					if loops {
+						for v := int64(0); v < r.g.NumVertices(); v += 3 {
+							edges = append(edges, graph.Edge{U: v, V: v})
+						}
+					}
+					if dups {
+						for i, m := 0, len(edges); i < m; i += 2 {
+							edges = append(edges, graph.Edge{U: edges[i].V, V: edges[i].U})
+						}
+					}
+					g := graph.MustBuild(r.g.NumVertices(), edges, graph.BuildOptions{})
+					if !slices.Equal(g.Offsets(), r.g.Offsets()) || !slices.Equal(g.Adjacency(), r.g.Adjacency()) {
+						t.Fatalf("Build kept a self-loop or parallel edge: %v, want %v", g, r.g)
+					}
+					checkTCMatchesOracle(t, g)
+				})
+			}
 		}
-	}
-}
-
-// TestBSPTrianglesRejectDirected: on directed adjacency the engine and the
-// streaming evaluator would count different patterns (23,699 and 24,401 on
-// one scale-10 RMAT edge list), so both refuse the graph with a typed error.
-func TestBSPTrianglesRejectDirected(t *testing.T) {
-	edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.MustBuild(n, edges, graph.BuildOptions{Directed: true})
-	var de *DirectedGraphError
-	if _, err := Triangles(g, nil); !errors.As(err, &de) || de.Algorithm != "Triangles" {
-		t.Errorf("Triangles on a directed graph: %v, want *DirectedGraphError", err)
-	}
-	if _, err := StreamingTriangles(g, nil); !errors.As(err, &de) || de.Algorithm != "StreamingTriangles" {
-		t.Errorf("StreamingTriangles on a directed graph: %v, want *DirectedGraphError", err)
 	}
 }
 
 // FuzzBSPTriangles checks TCProgram against oracleTC, and
-// StreamingTriangles against both, on arbitrary undirected edge lists: each
-// pair of bytes is one edge, taken modulo the vertex count, and b selects
-// self-loops and parallel edges.
+// StreamingTriangles against both, on arbitrary edge lists: each pair of
+// bytes is one edge, taken modulo the vertex count.
 func FuzzBSPTriangles(f *testing.F) {
-	f.Add(uint8(0), uint8(4), []byte{0, 1, 1, 2, 2, 0, 2, 3})
-	f.Add(uint8(2), uint8(5), []byte{0, 1, 0, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 0})
-	f.Add(uint8(3), uint8(3), []byte{0, 0, 0, 1, 1, 2, 2, 0, 1, 0})
-	f.Fuzz(func(t *testing.T, b, nRaw uint8, data []byte) {
+	f.Add(uint8(4), []byte{0, 1, 1, 2, 2, 0, 2, 3})
+	f.Add(uint8(5), []byte{0, 1, 0, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 0})
+	f.Add(uint8(3), []byte{0, 0, 0, 1, 1, 2, 2, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := int64(nRaw % 48)
 		var edges []graph.Edge
 		if n > 0 {
@@ -531,8 +507,7 @@ func FuzzBSPTriangles(f *testing.F) {
 				edges = append(edges, graph.Edge{U: int64(data[i]) % n, V: int64(data[i+1]) % n})
 			}
 		}
-		opt := tcBuildBits(b)
-		checkTCMatchesOracle(t, graph.MustBuild(n, edges, opt), !opt.KeepDuplicates)
+		checkTCMatchesOracle(t, graph.MustBuild(n, edges, graph.BuildOptions{}))
 	})
 }
 
@@ -546,7 +521,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 			edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
 		}
 		weights := gen.UniformWeights(m, 9, seed)
-		g, err := graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true, Weights: weights})
+		g, err := graph.Build(n, edges, graph.BuildOptions{Weights: weights})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -580,7 +555,7 @@ func TestSSSPEqualsBFSOnUnitWeights(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1
 	}
-	g, err := graph.Build(g0.NumVertices(), edges, graph.BuildOptions{SortAdjacency: true, Weights: weights})
+	g, err := graph.Build(g0.NumVertices(), edges, graph.BuildOptions{Weights: weights})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +613,7 @@ func TestBSPPageRankRingUniform(t *testing.T) {
 }
 
 func TestBFSUnreachableNormalized(t *testing.T) {
-	g := graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, graph.BuildOptions{SortAdjacency: true})
+	g := graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, graph.BuildOptions{})
 	res, err := BFS(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -668,7 +643,7 @@ func TestSSSPBothModelsMatchDijkstra(t *testing.T) {
 			edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
 		}
 		g, err := graph.Build(n, edges, graph.BuildOptions{
-			SortAdjacency: true, Weights: gen.UniformWeights(m, 9, seed)})
+			Weights: gen.UniformWeights(m, 9, seed)})
 		if err != nil {
 			t.Fatal(err)
 		}

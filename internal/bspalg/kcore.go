@@ -29,13 +29,9 @@ type kcoreProgram struct {
 	cache [][]int32
 }
 
-// NewKCoreProgram returns a program instance sized for g, which must have
-// sorted adjacency. It runs to convergence: the final states are the core
-// numbers.
+// NewKCoreProgram returns a program instance sized for g. It runs to
+// convergence: the final states are the core numbers.
 func NewKCoreProgram(g *graph.Graph) core.Program {
-	if !g.SortedAdjacency() {
-		panic("bspalg: the k-core program requires sorted adjacency")
-	}
 	n := g.NumVertices()
 	p := &kcoreProgram{cache: make([][]int32, n)}
 	for v := int64(0); v < n; v++ {

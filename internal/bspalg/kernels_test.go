@@ -21,11 +21,6 @@ var noTwin = map[string]string{
 	"mis":          "GraphCT has no independent-set kernel",
 }
 
-// simpleOnly names the rows defined only on graphs without self-loops or
-// parallel edges, which skip the multigraph fixture: on it the BSP program
-// counts 4 triangles, GraphCT 3, and it has 2 distinct ones.
-var simpleOnly = map[string]bool{"tc": true, "tc-streaming": true, "ccoef": true}
-
 // kernelRefs holds each row's naive reference: a short, obviously right
 // computation of what the row's primary runner (BSP if it has one, else
 // the twin) must report. A reference returns what is wrong with out.
@@ -340,41 +335,39 @@ func refBetweenness(g *graph.Graph) []float64 {
 type kernelFixture struct {
 	name        string
 	g, weighted *graph.Graph
-	multi       bool // has self-loops and parallel edges
 }
 
 // kernelFixtures are the graphs every row runs on, each also with edge
-// weights in [1,9] for the rows that read them.
+// weights in [1,9] for the rows that read them. The loops+multi edge list
+// checks Build's collapse: its self-loops and parallel edges must leave the
+// simple graph every row is defined on.
 func kernelFixtures(t *testing.T) []kernelFixture {
 	t.Helper()
 	type input struct {
 		name  string
 		n     int64
 		edges []graph.Edge
-		opt   graph.BuildOptions
 	}
 	inputs := []input{
-		{"path", 12, gen.Path(12).EdgeList(), graph.BuildOptions{}},
-		{"star", 9, gen.Star(9).EdgeList(), graph.BuildOptions{}},
-		{"grid", 30, gen.Grid(5, 6).EdgeList(), graph.BuildOptions{}},
-		{"empty", 0, nil, graph.BuildOptions{}},
-		{"n=1", 1, nil, graph.BuildOptions{}},
+		{"path", 12, gen.Path(12).EdgeList()},
+		{"star", 9, gen.Star(9).EdgeList()},
+		{"grid", 30, gen.Grid(5, 6).EdgeList()},
+		{"empty", 0, nil},
+		{"n=1", 1, nil},
 		{"loops+multi", 7, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 1}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 2},
-			{U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 5}},
-			graph.BuildOptions{KeepSelfLoops: true, KeepDuplicates: true}},
+			{U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 5}}},
 	}
 	for i, cfg := range []gen.RMATConfig{{Scale: 5, EdgeFactor: 4, Seed: 1}, {Scale: 6, EdgeFactor: 6, Seed: 2}, {Scale: 7, EdgeFactor: 8, Seed: 3}} {
 		edges, n, err := gen.RMATEdges(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs = append(inputs, input{fmt.Sprintf("rmat%d", i+1), n, edges, graph.BuildOptions{}})
+		inputs = append(inputs, input{fmt.Sprintf("rmat%d", i+1), n, edges})
 	}
 	var out []kernelFixture
 	for _, in := range inputs {
-		w := in.opt
-		w.Weights = gen.UniformWeights(len(in.edges), 9, uint64(len(out)))
-		out = append(out, kernelFixture{in.name, graph.MustBuild(in.n, in.edges, in.opt), graph.MustBuild(in.n, in.edges, w), in.opt.KeepDuplicates})
+		w := graph.BuildOptions{Weights: gen.UniformWeights(len(in.edges), 9, uint64(len(out)))}
+		out = append(out, kernelFixture{in.name, graph.MustBuild(in.n, in.edges, graph.BuildOptions{}), graph.MustBuild(in.n, in.edges, w)})
 	}
 	return out
 }
@@ -417,7 +410,7 @@ func TestKernelTable(t *testing.T) {
 	for _, fx := range kernelFixtures(t) {
 		for _, k := range kernels {
 			ref := kernelRefs[k.Name]
-			if ref == nil || fx.g.NumVertices() == 0 && k.Reads&(Source|Sources|Target) != 0 || simpleOnly[k.Name] && fx.multi {
+			if ref == nil || fx.g.NumVertices() == 0 && k.Reads&(Source|Sources|Target) != 0 {
 				continue // an empty graph has no vertex to start from
 			}
 			g := fx.g

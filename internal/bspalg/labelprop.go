@@ -95,14 +95,10 @@ type LPResult struct {
 }
 
 // LabelPropagation runs BSP community detection for at most rounds
-// propagation supersteps (0 selects 30). The graph must have sorted
-// adjacency.
+// propagation supersteps (0 selects 30).
 func LabelPropagation(g *graph.Graph, rounds int, rec *trace.Recorder, opts ...core.Option) (*LPResult, error) {
 	if rounds <= 0 {
 		rounds = 30
-	}
-	if !g.SortedAdjacency() {
-		panic("bspalg: LabelPropagation requires sorted adjacency")
 	}
 	res, err := run(core.Config{
 		Graph:         g,

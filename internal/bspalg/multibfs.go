@@ -8,7 +8,7 @@ package bspalg
 // frontier at once. This attacks the source paper's core finding head-on:
 // BSP BFS drowns in per-edge frontier traffic, so dividing that traffic by
 // the batch width is the single biggest throughput lever for query-heavy
-// workloads (the cmd/graphd service of ROADMAP item 4).
+// workloads (the deferred cmd/graphd batching query daemon in ROADMAP).
 //
 // Correctness rests on an induction the tests assert bit-exactly: a vertex
 // broadcasts exactly the lane bits it acquired this superstep ("fresh"

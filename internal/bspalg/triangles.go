@@ -139,28 +139,10 @@ type TCResult struct {
 	Supersteps int
 }
 
-// DirectedGraphError is what Triangles and StreamingTriangles return for a
-// directed graph. Algorithm 3 counts the triangles of an undirected graph;
-// on directed adjacency the engine and the streaming evaluator would each
-// count some other directed pattern, and not the same one.
-type DirectedGraphError struct {
-	Algorithm string // "Triangles" or "StreamingTriangles"
-}
-
-func (e *DirectedGraphError) Error() string {
-	return "bspalg: " + e.Algorithm + " counts the triangles of an undirected graph; this one is directed"
-}
-
 // Triangles runs Algorithm 3 through the generic engine, materializing
 // every wedge message. Use StreamingTriangles for graphs whose wedge count
-// exceeds memory. A directed graph is a *DirectedGraphError.
+// exceeds memory.
 func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCResult, error) {
-	if !g.SortedAdjacency() {
-		panic("bspalg: Triangles requires sorted adjacency")
-	}
-	if g.Directed() {
-		return nil, &DirectedGraphError{Algorithm: "Triangles"}
-	}
 	res, err := run(core.Config{
 		Graph:    g,
 		Program:  TCProgram{},
@@ -195,14 +177,7 @@ func newTCResult(res *core.Result) *TCResult {
 // tests them. This is the substitution that stands in for the paper's 1 TiB
 // of XMT memory (DESIGN.md): behaviour and charged cost are identical, only
 // peak host memory differs, which tests verify against the engine path.
-// A directed graph is a *DirectedGraphError, as it is for Triangles.
 func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) (*TCResult, error) {
-	if !g.SortedAdjacency() {
-		panic("bspalg: StreamingTriangles requires sorted adjacency")
-	}
-	if g.Directed() {
-		return nil, &DirectedGraphError{Algorithm: "StreamingTriangles"}
-	}
 	costs := core.DefaultCosts()
 	n := g.NumVertices()
 	words := (n + 63) >> 6

@@ -91,7 +91,9 @@ func crcInt64s(h hash.Hash32, s []int64) {
 }
 
 // graphCRC checksums the graph's identity: vertex count, flags, and the
-// CSR arrays (plus weights when present). Computed once per checkpointed
+// CSR arrays (plus weights when present). Byte 8 of the header once flagged
+// a directed graph and is always 0, so CRCs from before graphs were only
+// undirected still match. Computed once per checkpointed
 // run; O(E) but pure streaming. On compressed graphs the delta-varint
 // bytes are hashed directly — never decoded — so the CRC is O(1) extra
 // memory, but it differs from the flat CRC of the same graph: the
@@ -100,9 +102,6 @@ func graphCRC(g *graph.Graph) uint32 {
 	h := crc32.New(ckptCRCTable)
 	var hdr [10]byte
 	binary.LittleEndian.PutUint64(hdr[:8], uint64(g.NumVertices()))
-	if g.Directed() {
-		hdr[8] = 1
-	}
 	if g.Weighted() {
 		hdr[9] = 1
 	}

@@ -231,7 +231,6 @@ type pathInputs struct {
 	unicast  int64 // messages in the log
 	records  int   // broadcast records
 	n, edges int64 // graph.NumVertices, graph.NumEdges
-	directed bool
 	combiner bool
 	// dir is the superstep's recorded direction (direction.go); DirAuto
 	// when the direction layer is inactive.
@@ -248,10 +247,9 @@ type pathInputs struct {
 //     stored messages) — unless it is large enough to sort in parallel.
 //   - Pullable records are pulled when the recorded direction says so,
 //     and, with no direction layer, under PR 5's combiner-pull rule: the
-//     frontier covers half the edges of an undirected graph.
+//     frontier covers half the edges.
 //   - Pullable records with a combiner and no pull fold sequentially
-//     (denseFold): the exact per-edge fold order for any combiner, and for
-//     directed graphs, where a pull cannot see in-edges.
+//     (denseFold): the exact per-edge fold order for any combiner.
 //   - Everything else is the counting sort, forked when there are workers
 //     and messages enough to pay for it, few enough for int32 cursors, and
 //     the traffic is not a mixed log + records stream.
@@ -264,8 +262,8 @@ func choosePath(in pathInputs) (p path, why string) {
 		p.kind, why = pathLookaside, "logical*lookasideCutoff < n"
 	case eligible && in.dir == DirPull:
 		p.kind, why = pathPull, "recorded direction"
-	case eligible && in.dir == DirAuto && in.combiner && !in.directed && in.logical*2 >= in.edges:
-		p.kind, why = pathPull, "combiner, undirected, 2*logical >= edges"
+	case eligible && in.dir == DirAuto && in.combiner && in.logical*2 >= in.edges:
+		p.kind, why = pathPull, "combiner, 2*logical >= edges"
 	case eligible && in.combiner:
 		p.kind, why = pathCSR, "records fold sequentially"
 	case parallel:
@@ -339,14 +337,13 @@ func (ib *inbox) slice(v int64) []int64 {
 // A pull boundary returns what the push would have delivered without
 // building it: with no combiner every logical message arrives, and the sum
 // of the frontier's out-degrees equals the sum of its in-degrees on the
-// symmetric adjacency an undirected graph has (Run checks the gathered
-// total against it — AsymmetricGraphError); with a combiner it is the
-// number of vertices with a stamped neighbor (build). Pulled messages
-// arrive in neighbor order, a property of the graph, so they are
-// bit-identical at any worker count. They equal the push send order exactly when adjacency
-// lists are sorted ascending (senders run, hence send, in ascending order),
-// which the no-combiner pull requires (dirState.pullOK); with a combiner,
-// on unsorted graphs and when one source broadcasts more than once in a
+// symmetric adjacency every graph has (Run checks the gathered total
+// against it — AsymmetricGraphError); with a combiner it is the number of
+// vertices with a stamped neighbor (build). Pulled messages arrive in
+// neighbor order, a property of the graph, so they are bit-identical at
+// any worker count, and they equal the push send order exactly, because
+// adjacency lists are ascending and senders run, hence send, in ascending
+// order. With a combiner, when one source broadcasts more than once in a
 // superstep, equality with the per-edge path leans on the commutativity +
 // associativity Config.Combiner documents — the same contract the hub
 // prefolds of combineGroups rely on.
@@ -354,7 +351,7 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionM
 	n := t.g.NumVertices()
 	in := pathInputs{
 		logical: t.logical, unicast: t.sends.sealed, records: len(t.bcasts),
-		n: n, edges: t.g.NumEdges(), directed: t.g.Directed(), combiner: ib.combine != nil,
+		n: n, edges: t.g.NumEdges(), combiner: ib.combine != nil,
 		dir: dir, workers: par.Workers(),
 	}
 	p, _ := choosePath(in)
@@ -652,7 +649,7 @@ func lookasideFold(t *traffic, ib *inbox) int64 {
 
 // denseFold is the sequential combining CSR build: one slot per
 // destination that received anything, left-folded in exact send order —
-// correct for ANY combiner, and for records on directed graphs. The first
+// correct for ANY combiner. The first
 // arrival at a destination sets its recv bit, which the compaction reads.
 func (s *runScratch) denseFold(t *traffic, ib *inbox, n int64) int64 {
 	s.acc = ensureInt64(s.acc, int(n))

@@ -125,7 +125,7 @@ const (
 // iff the program is pull-capable or a non-auto mode was requested.
 type dirState struct {
 	mode   DirectionMode
-	pullOK bool // graph+program admit a pull sweep at all
+	pullOK bool // the program admits a pull sweep at all
 
 	// totalEdges is g.NumEdges(); visitedEdges accumulates the
 	// degree sum of visited vertices (a vertex is visited once it has
@@ -156,18 +156,12 @@ func startDir(cfg *Config, g *graph.Graph) (*dirState, error) {
 			return nil, nil
 		}
 	}
-	ds := &dirState{
+	return &dirState{
 		mode:       cfg.Direction,
+		pullOK:     capable,
 		totalEdges: g.NumEdges(),
 		visited:    make([]uint64, (g.NumVertices()+63)/64),
-	}
-	// The pull sweep reads broadcast records through each destination's
-	// own adjacency, so it needs in-edges visible from out-edges
-	// (undirected graph) and — without a combiner — sorted adjacency so
-	// the pull-scatter inbox order equals the push send order exactly.
-	ds.pullOK = capable && !g.Directed() &&
-		(cfg.Combiner != nil || g.SortedAdjacency())
-	return ds, nil
+	}, nil
 }
 
 // decide returns the direction for the superstep whose compute sweep just

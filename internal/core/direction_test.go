@@ -130,10 +130,7 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multigraph := graph.MustBuild(n, edges, graph.BuildOptions{KeepDuplicates: true})
-	if multigraph.NumEdges() <= graph.MustBuild(n, edges, graph.BuildOptions{}).NumEdges() {
-		t.Fatal("multigraph has no parallel edges")
-	}
+	cliques := gen.CliqueChain(40, 30)
 	probeWith := func(combine func(a, b int64) int64) func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun {
 		return cfgRun(func(*graph.Graph) core.Config {
 			return core.Config{Program: orderProbe{rounds: 4}, Combiner: combine}
@@ -187,9 +184,10 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 		{name: "probe/star", g: gen.Star(40001), wantPull: true, run: probe},
 		// Trailing vertices no edge touches.
 		{name: "probe/isolated", g: graph.MustBuild(n+64, edges, graph.BuildOptions{}), wantPull: true, run: probe},
-		// Parallel edges: a neighbor gathered (or summed) once per copy.
-		{name: "probe/multigraph", g: multigraph, wantPull: true, run: probe},
-		{name: "pagerank/multigraph", g: multigraph, legacy: true, run: pagerank},
+		// Dense, overlapping lists of equal length: every gather reads a
+		// full clique.
+		{name: "probe/cliques", g: cliques, wantPull: true, run: probe},
+		{name: "pagerank/cliques", g: cliques, legacy: true, run: pagerank},
 		{name: "probe/n=1", g: graph.MustBuild(1, nil, graph.BuildOptions{}), run: probe},
 	}
 	for _, tc := range cases {

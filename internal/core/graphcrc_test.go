@@ -26,7 +26,6 @@ func TestGraphCRCGolden(t *testing.T) {
 		{"flat", flat, 0xdc313f85},
 		{"compressed", MustCompress(flat), 0xbda6819e},
 		{"weighted", graph.MustBuild(n, edges, graph.BuildOptions{Weights: gen.UniformWeights(len(edges), 1000, 7)}), 0x23ce9467},
-		{"directed", graph.MustBuild(n, edges, graph.BuildOptions{Directed: true}), 0x1648eca3},
 		{"empty", graph.MustBuild(0, nil, graph.BuildOptions{}), 0xc925cd24},
 	} {
 		if got := graphCRC(tc.g); got != tc.want {

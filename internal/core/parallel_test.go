@@ -63,26 +63,39 @@ func logTraffic(buf []Message, n int64) *traffic {
 }
 
 // recordTraffic is a pure-broadcast superstep whose per-edge expansion is
-// exactly count messages: a directed multigraph (flat or compressed) with
-// one arc per message — all into the last vertex when oneDest — and one
-// record per source in ascending source order, as a sweep leaves them;
-// source 0 broadcasts twice. It returns the naive expansion beside it.
+// exactly count messages, bar source 0's second broadcast: a simple graph
+// (flat or compressed) with count edges from the sources — the first 37
+// vertices, or every vertex but the last when oneDest — to vertices that
+// broadcast nothing: random distinct ones above the sources, or the last
+// vertex when oneDest. There is one record per source in ascending source
+// order, as a sweep leaves them; source 0 broadcasts twice. It returns the
+// naive expansion beside it.
 func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool) (*traffic, []Message) {
+	const sources = 37
 	edges := make([]graph.Edge, count)
+	var dests [sources][]int // a permutation of the non-sources per source
 	for i := range edges {
+		u := i % sources
 		if oneDest {
 			edges[i] = graph.Edge{U: int64(i), V: n - 1}
-		} else {
-			edges[i] = graph.Edge{U: int64(i % 37), V: int64(r.Uint64n(uint64(n)))}
+			continue
 		}
+		if dests[u] == nil {
+			dests[u] = r.Perm(int(n) - sources)
+		}
+		edges[i] = graph.Edge{U: int64(u), V: int64(sources + dests[u][i/sources])}
 	}
-	flat := graph.MustBuild(n, edges, graph.BuildOptions{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
+	isSource := func(v int64) bool { return v < sources }
+	if oneDest {
+		isSource = func(v int64) bool { return v < n-1 }
+	}
+	flat := graph.MustBuild(n, edges, graph.BuildOptions{})
 	t := &traffic{g: flat, bufs: &gatherPool{size: 2 * flat.MaxDegree()}, logical: int64(count)}
 	if compressed {
 		t.g = MustCompress(flat)
 	}
 	var msgs []Message
-	for src := int64(0); src < n; src++ {
+	for src := int64(0); src < n && isSource(src); src++ {
 		for rep := 0; rep < 2 && flat.Degree(src) > 0; rep++ {
 			if rep == 1 && src > 0 {
 				break
@@ -388,9 +401,8 @@ func TestChoosePath(t *testing.T) {
 		{"recorded pull, combiner", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}, "pull", "recorded direction"},
 		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
 		{"recorded push, combiner: no parallel cell", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush, combiner: true}, "csr", "records fold sequentially"},
-		{"PR 5 combiner-pull", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 17, workers: 4, combiner: true}, "pull", "combiner, undirected, 2*logical >= edges"},
+		{"PR 5 combiner-pull", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 17, workers: 4, combiner: true}, "pull", "combiner, 2*logical >= edges"},
 		{"PR 5: frontier under half the edges", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1<<17 + 1, workers: 4, combiner: true}, "csr", "records fold sequentially"},
-		{"PR 5: directed", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, combiner: true, directed: true}, "csr", "records fold sequentially"},
 		{"PR 5: no combiner", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
 		{"PR 5: no combiner, one worker", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
 	} {

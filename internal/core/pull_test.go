@@ -7,6 +7,7 @@ package core_test
 // say has to fail typed instead of letting push and pull disagree.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -116,27 +117,36 @@ func recoverAcross(t *testing.T, g *graph.Graph, w int, mk func() core.Config, b
 	comparePhases(t, basePh, ph)
 }
 
-// outStarCSR2 writes the hand-crafted file: a star whose hub lists every
-// leaf and whose leaves list nothing — a directed graph — with the directed
-// flag cleared, so the loader hands the engine an "undirected" graph whose
+// outStarCSR2 writes a hand-crafted CSR2 file, byte by byte after the
+// layout in graphio's csr2.go: a star whose hub lists every leaf and whose
+// leaves list nothing, so the loader hands the engine a graph whose
 // adjacency is not symmetric. OpenCSR2 checks shape in O(n), never symmetry.
 func outStarCSR2(t *testing.T, n int64) string {
 	t.Helper()
-	edges := make([]graph.Edge, n-1)
-	for i := range edges {
-		edges[i] = graph.Edge{U: 0, V: int64(i) + 1}
+	le := binary.LittleEndian
+	// page zero-pads b to the next 4096-byte section boundary.
+	page := func(b []byte) []byte { return append(b, make([]byte, (4096-len(b)%4096)%4096)...) }
+	// Header: magic, then u64 flags, n, m and blob length; one blob byte
+	// per arc, since every delta is below 128.
+	b := []byte("GXMTCSR2")
+	for _, x := range []int64{0, n, n - 1, n - 1} {
+		b = le.AppendUint64(b, uint64(x))
+	}
+	// The degree prefix sum and the blob's byte offsets are the same array
+	// here: [0, n-1, n-1, ..., n-1].
+	for range 2 {
+		b = le.AppendUint64(page(b), 0)
+		for v := int64(1); v <= n; v++ {
+			b = le.AppendUint64(b, uint64(n-1))
+		}
+	}
+	// The hub's list: zigzag(1-0) = 2, then deltas of 1.
+	b = append(page(b), 2)
+	for w := int64(2); w < n; w++ {
+		b = append(b, 1)
 	}
 	path := filepath.Join(t.TempDir(), "outstar.csr2")
-	if err := graphio.WriteCSR2File(path, graph.MustBuild(n, edges, graph.BuildOptions{Directed: true})); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// Header: 8 magic bytes, then the little-endian u64 flags word.
-	if _, err := f.WriteAt(make([]byte, 8), 8); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -154,8 +164,8 @@ func TestPullAsymmetricGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	if comp.Directed() || !comp.Compressed() {
-		t.Fatalf("fixture loaded as directed=%v compressed=%v", comp.Directed(), comp.Compressed())
+	if !comp.Compressed() {
+		t.Fatal("fixture loaded flat")
 	}
 	for _, g := range []*graph.Graph{comp, graph.Decompress(comp)} {
 		for _, w := range []int{1, 3} {
@@ -192,12 +202,12 @@ func fuzzGraph(seed uint64, shape uint8) (*graph.Graph, error) {
 		return gen.ErdosRenyi(3000+int64(seed%1000), 24000, seed)
 	case 2:
 		return gen.Star(36001 + int64(seed%512)), nil
-	case 3: // parallel edges, and vertices no edge touches
+	case 3: // vertices no edge touches
 		edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 10, EdgeFactor: 24, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		return graph.Build(n+int64(seed%97), edges, graph.BuildOptions{KeepDuplicates: true})
+		return graph.Build(n+int64(seed%97), edges, graph.BuildOptions{})
 	default:
 		return gen.BarabasiAlbert(4000, 6, seed)
 	}

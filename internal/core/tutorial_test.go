@@ -93,7 +93,7 @@ func TestTutorialKHopMinProperty(t *testing.T) {
 		for i := range edges {
 			edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
 		}
-		g, err := graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+		g, err := graph.Build(n, edges, graph.BuildOptions{})
 		if err != nil {
 			return false
 		}

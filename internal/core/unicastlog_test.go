@@ -43,7 +43,7 @@ func logGraph() *graph.Graph {
 			edges = append(edges, graph.Edge{U: v, V: (v + d) % n})
 		}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // logProbe folds its inbox in order into its state — so any reordering of a

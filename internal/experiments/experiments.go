@@ -158,7 +158,7 @@ func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]Table1
 			edges := g.EdgeList()
 			var err error
 			if in, err = graph.Build(g.NumVertices(), edges, graph.BuildOptions{
-				SortAdjacency: true, Weights: gen.UniformWeights(len(edges), 10, s.Seed)}); err != nil {
+				Weights: gen.UniformWeights(len(edges), 10, s.Seed)}); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -133,7 +133,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.Build(n, edges, graph.BuildOptions{})
 }
 
 // ErdosRenyi generates a G(n, m) uniform random multigraph as an undirected
@@ -154,7 +154,7 @@ func ErdosRenyi(n int64, m int64, seed uint64) (*graph.Graph, error) {
 			}
 		}
 	})
-	return graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.Build(n, edges, graph.BuildOptions{})
 }
 
 // WattsStrogatz generates a small-world graph: a ring lattice of n vertices
@@ -183,7 +183,7 @@ func WattsStrogatz(n int64, k int, beta float64, seed uint64) (*graph.Graph, err
 			edges = append(edges, graph.Edge{U: v, V: w})
 		}
 	}
-	return graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.Build(n, edges, graph.BuildOptions{})
 }
 
 // Ring returns the cycle graph C_n.
@@ -192,7 +192,7 @@ func Ring(n int64) *graph.Graph {
 	for v := int64(0); v < n; v++ {
 		edges[v] = graph.Edge{U: v, V: (v + 1) % n}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // Star returns the star graph: vertex 0 connected to 1..n-1.
@@ -201,7 +201,7 @@ func Star(n int64) *graph.Graph {
 	for v := int64(1); v < n; v++ {
 		edges[v-1] = graph.Edge{U: 0, V: v}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // Complete returns the complete graph K_n.
@@ -212,7 +212,7 @@ func Complete(n int64) *graph.Graph {
 			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // Grid returns the rows x cols 2D mesh.
@@ -229,7 +229,7 @@ func Grid(rows, cols int64) *graph.Graph {
 			}
 		}
 	}
-	return graph.MustBuild(rows*cols, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(rows*cols, edges, graph.BuildOptions{})
 }
 
 // BinaryTree returns a complete binary tree with n vertices (vertex i's
@@ -244,7 +244,7 @@ func BinaryTree(n int64) *graph.Graph {
 			edges = append(edges, graph.Edge{U: v, V: 2*v + 2})
 		}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // CliqueChain returns k cliques of size s connected in a chain by single
@@ -264,7 +264,7 @@ func CliqueChain(k, s int64) *graph.Graph {
 			edges = append(edges, graph.Edge{U: base + s - 1, V: base + s})
 		}
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // Path returns the path graph P_n.
@@ -273,7 +273,7 @@ func Path(n int64) *graph.Graph {
 	for v := int64(0); v+1 < n; v++ {
 		edges = append(edges, graph.Edge{U: v, V: v + 1})
 	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
 // UniformWeights returns a deterministic pseudo-random weight in [1, maxW]
@@ -312,7 +312,7 @@ func PlantedPartition(k, s int64, pIn, pOut float64, seed uint64) (*graph.Graph,
 			}
 		}
 	}
-	return graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.Build(n, edges, graph.BuildOptions{})
 }
 
 // BarabasiAlbert generates a scale-free graph by preferential attachment:
@@ -350,5 +350,5 @@ func BarabasiAlbert(n int64, m int, seed uint64) (*graph.Graph, error) {
 			targets = append(targets, v, w)
 		}
 	}
-	return graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+	return graph.Build(n, edges, graph.BuildOptions{})
 }

@@ -93,12 +93,6 @@ func TestRMATValidGraph(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Directed() {
-		t.Fatal("RMAT graph should be undirected")
-	}
-	if !g.SortedAdjacency() {
-		t.Fatal("adjacency should be sorted")
-	}
 	// Self-loops must be gone.
 	for v := int64(0); v < g.NumVertices(); v++ {
 		if g.HasEdge(v, v) {

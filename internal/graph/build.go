@@ -11,21 +11,9 @@ import (
 
 // BuildOptions controls edge-list to CSR conversion.
 type BuildOptions struct {
-	// Directed selects a directed graph: each input edge becomes exactly
-	// one adjacency entry U->V. When false (the default, matching the
-	// paper's undirected RMAT inputs), each edge is stored in both
-	// directions.
-	Directed bool
-	// KeepSelfLoops retains U==V edges. GraphCT kernels assume self-loops
-	// are removed, so the default drops them.
-	KeepSelfLoops bool
-	// KeepDuplicates retains parallel edges. RMAT naturally generates
-	// duplicates; the default collapses them, as the Graph500 reference
-	// does before kernel timing.
-	KeepDuplicates bool
-	// SortAdjacency is retained only for source compatibility: Build always
-	// returns ascending adjacency lists (the triangle counting kernels
-	// require them) and this field has never selected an unsorted path.
+	// SortAdjacency is ignored: every Graph has ascending adjacency lists.
+	//
+	// Deprecated: leave it unset; it stays so callers that name it compile.
 	SortAdjacency bool
 	// Weights optionally supplies one weight per input edge (parallel to
 	// the edge slice). Nil builds an unweighted graph. Duplicate collapse
@@ -33,16 +21,18 @@ type BuildOptions struct {
 	Weights []int64
 }
 
-// Build converts an edge list into a CSR Graph over vertices [0, n).
-// Edges referencing vertices outside [0, n) are rejected.
+// Build converts an edge list into a CSR Graph over vertices [0, n): each
+// edge is stored in both directions, self-loops are dropped and parallel
+// edges collapse to one, as the Graph500 reference does before kernel
+// timing. Edges referencing vertices outside [0, n) are rejected.
 //
 // The construction never sorts the edge list: it counts out-degrees,
 // prefix-sums them into row offsets, scatters every arc into its source
-// vertex's bucket of the adjacency array, and then sorts (and, unless
-// KeepDuplicates, dedups) each bucket on its own, in parallel. A bucket is
-// sorted on its full key — neighbour, then weight — so entries that compare
-// equal are identical and the order the scatter filled a bucket in cannot
-// reach the result: the CSR is the same at any worker count.
+// vertex's bucket of the adjacency array, and then sorts and dedups each
+// bucket on its own, in parallel. A bucket is sorted on its full key —
+// neighbour, then weight — so entries that compare equal are identical and
+// the order the scatter filled a bucket in cannot reach the result: the CSR
+// is the same at any worker count.
 func Build(n int64, edges []Edge, opt BuildOptions) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -55,21 +45,13 @@ func Build(n int64, edges []Edge, opt BuildOptions) (*Graph, error) {
 		return nil, fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
 	}
 
-	// Edge i contributes the arc U->V and, on an undirected graph, V->U. A
-	// dropped self-loop contributes nothing; a kept one is stored once even
-	// when undirected (degree contribution 1), matching GraphCT's convention.
-	directed, keepLoops := opt.Directed, opt.KeepSelfLoops
-
-	// Count out-degrees, then turn them into row offsets.
+	// Edge i contributes the arcs U->V and V->U; a self-loop contributes
+	// nothing. Count out-degrees, then turn them into row offsets.
 	offsets := make([]int64, n+1)
 	for _, e := range edges {
 		if e.U != e.V {
 			offsets[e.U]++
-			if !directed {
-				offsets[e.V]++
-			}
-		} else if keepLoops {
-			offsets[e.U]++
+			offsets[e.V]++
 		}
 	}
 	total := par.ExclusivePrefixSum(offsets)
@@ -97,33 +79,16 @@ func Build(n int64, edges []Edge, opt BuildOptions) (*Graph, error) {
 	for i, e := range edges {
 		if e.U != e.V {
 			place(e.U, e.V, i)
-			if !directed {
-				place(e.V, e.U, i)
-			}
-		} else if keepLoops {
-			place(e.U, e.V, i)
+			place(e.V, e.U, i)
 		}
 	}
 
-	// Sort each bucket; cursor is done and becomes the per-vertex count of
-	// entries that survive duplicate collapse.
-	var kept []int64
-	if !opt.KeepDuplicates {
-		kept = cursor
-	}
-	sortBuckets(offsets, adj, weights, kept)
-	if kept != nil {
-		offsets, adj, weights = compactBuckets(offsets, adj, weights, kept)
-	}
+	// Sort and dedup each bucket; cursor is done and becomes the per-vertex
+	// count of entries that survive duplicate collapse.
+	sortBuckets(offsets, adj, weights, cursor)
+	offsets, adj, weights = compactBuckets(offsets, adj, weights, cursor)
 
-	g := &Graph{
-		n:        n,
-		directed: opt.Directed,
-		sorted:   true,
-		offsets:  offsets,
-		adj:      adj,
-		weights:  weights,
-	}
+	g := &Graph{n: n, offsets: offsets, adj: adj, weights: weights}
 	g.computeMaxDegree()
 	return g, nil
 }
@@ -159,59 +124,16 @@ func MustBuild(n int64, edges []Edge, opt BuildOptions) *Graph {
 }
 
 // FromCSR constructs a Graph directly from CSR arrays, taking ownership of
-// the slices. It validates the structure.
-func FromCSR(n int64, offsets, adj []int64, weights []int64, directed bool) (*Graph, error) {
-	g := &Graph{n: n, offsets: offsets, adj: adj, weights: weights, directed: directed}
-	ascending, err := g.validate()
-	if err != nil {
+// the slices. It validates the structure: an adjacency list that is not
+// strictly ascending or that holds its own vertex is an *AdjacencyError,
+// and the lists must be symmetric.
+func FromCSR(n int64, offsets, adj []int64, weights []int64) (*Graph, error) {
+	g := &Graph{n: n, offsets: offsets, adj: adj, weights: weights}
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	g.sorted = ascending
 	g.computeMaxDegree()
 	return g, nil
-}
-
-// Transpose returns the graph with every directed entry reversed. For an
-// undirected graph it returns a structurally equal copy. A compressed
-// graph is transposed through its flat twin; the result is flat.
-func (g *Graph) Transpose() *Graph {
-	if g.Compressed() {
-		g = Decompress(g)
-	}
-	t := &Graph{
-		n:        g.n,
-		directed: g.directed,
-		offsets:  make([]int64, g.n+1),
-		adj:      make([]int64, len(g.adj)),
-	}
-	if g.weights != nil {
-		t.weights = make([]int64, len(g.weights))
-	}
-	counts := make([]int64, g.n)
-	for _, w := range g.adj {
-		counts[w]++
-	}
-	par.ExclusivePrefixSum(counts)
-	copy(t.offsets, counts)
-	t.offsets[g.n] = int64(len(g.adj))
-	next := make([]int64, g.n)
-	copy(next, t.offsets[:g.n])
-	for v := int64(0); v < g.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			w := g.adj[i]
-			pos := next[w]
-			next[w]++
-			t.adj[pos] = v
-			if t.weights != nil {
-				t.weights[pos] = g.weights[i]
-			}
-		}
-	}
-	sortBuckets(t.offsets, t.adj, t.weights, nil)
-	t.sorted = true
-	t.computeMaxDegree()
-	return t
 }
 
 // arc is one adjacency entry with its weight: the unit the weighted bucket
@@ -238,9 +160,9 @@ const radixMinBucket = 256
 
 // sortBuckets sorts every vertex's bucket adj[offsets[v]:offsets[v+1]]
 // ascending — by (neighbour, weight) when weights != nil, the weights
-// moving with their neighbours. When kept != nil it also collapses each run
-// of equal neighbours to its first entry (the minimum weight), packs the
-// survivors at the front of the bucket and stores their count in kept[v].
+// moving with their neighbours — then collapses each run of equal
+// neighbours to its first entry (the minimum weight), packs the survivors
+// at the front of the bucket and stores their count in kept[v].
 // Buckets are independent, so chunks of them run in parallel.
 func sortBuckets(offsets, adj, weights, kept []int64) {
 	n := len(offsets) - 1
@@ -261,9 +183,7 @@ func sortBuckets(offsets, adj, weights, kept []int64) {
 				} else {
 					slices.Sort(a)
 				}
-				if kept != nil {
-					kept[v] = int64(len(slices.Compact(a)))
-				}
+				kept[v] = int64(len(slices.Compact(a)))
 				continue
 			}
 			w := weights[offsets[v]:offsets[v+1]]
@@ -274,15 +194,13 @@ func sortBuckets(offsets, adj, weights, kept []int64) {
 			slices.SortFunc(pairs, compareArcs)
 			k := 0
 			for i, e := range pairs {
-				if kept != nil && i > 0 && e.v == pairs[i-1].v {
+				if i > 0 && e.v == pairs[i-1].v {
 					continue
 				}
 				a[k], w[k] = e.v, e.w
 				k++
 			}
-			if kept != nil {
-				kept[v] = int64(k)
-			}
+			kept[v] = int64(k)
 		}
 	})
 }
@@ -316,13 +234,12 @@ func compactBuckets(offsets, adj, weights, kept []int64) (_, _, _ []int64) {
 	return newOffsets, newAdj, newWeights
 }
 
-// EdgeList returns the graph's edges as an edge list. Undirected edges are
-// emitted once with U <= V; directed entries are emitted as stored.
+// EdgeList returns the graph's edges as an edge list, each once with U < V.
 func (g *Graph) EdgeList() []Edge {
 	var out []Edge
 	for v := int64(0); v < g.n; v++ {
 		for _, w := range g.Neighbors(v) {
-			if g.directed || v <= w {
+			if v < w {
 				out = append(out, Edge{v, w})
 			}
 		}

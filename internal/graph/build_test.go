@@ -12,24 +12,22 @@ import (
 )
 
 // referenceBuild is the sort-based Build this package shipped before the
-// bucketed one, kept as the oracle: materialize every directed entry, sort
-// the whole list by (u, v, w), drop equal-(u,v) runs after their first
-// entry, read the CSR off the sorted list. Inputs must be in range.
+// bucketed one, kept as the oracle: materialize both entries of every
+// non-loop edge, sort the whole list by (u, v, w), drop equal-(u,v) runs
+// after their first entry, read the CSR off the sorted list. Inputs must be
+// in range.
 func referenceBuild(n int64, edges []Edge, opt BuildOptions) *Graph {
 	type entry struct{ u, v, w int64 }
 	var entries []entry
 	for i, e := range edges {
-		if e.U == e.V && !opt.KeepSelfLoops {
+		if e.U == e.V {
 			continue
 		}
 		var w int64
 		if opt.Weights != nil {
 			w = opt.Weights[i]
 		}
-		entries = append(entries, entry{e.U, e.V, w})
-		if !opt.Directed && e.U != e.V {
-			entries = append(entries, entry{e.V, e.U, w})
-		}
+		entries = append(entries, entry{e.U, e.V, w}, entry{e.V, e.U, w})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
@@ -41,11 +39,8 @@ func referenceBuild(n int64, edges []Edge, opt BuildOptions) *Graph {
 		}
 		return a.w < b.w
 	})
-	if !opt.KeepDuplicates {
-		entries = slices.CompactFunc(entries, func(a, b entry) bool { return a.u == b.u && a.v == b.v })
-	}
-	g := &Graph{n: n, directed: opt.Directed, sorted: true,
-		offsets: make([]int64, n+1), adj: make([]int64, len(entries))}
+	entries = slices.CompactFunc(entries, func(a, b entry) bool { return a.u == b.u && a.v == b.v })
+	g := &Graph{n: n, offsets: make([]int64, n+1), adj: make([]int64, len(entries))}
 	if opt.Weights != nil {
 		g.weights = make([]int64, len(entries))
 	}
@@ -66,16 +61,14 @@ func referenceBuild(n int64, edges []Edge, opt BuildOptions) *Graph {
 // sameCSR compares two graphs array for array.
 func sameCSR(got, want *Graph) error {
 	switch {
-	case got.n != want.n || got.directed != want.directed:
-		return fmt.Errorf("shape: n=%d directed=%v, want n=%d directed=%v", got.n, got.directed, want.n, want.directed)
+	case got.n != want.n:
+		return fmt.Errorf("n=%d, want %d", got.n, want.n)
 	case !slices.Equal(got.offsets, want.offsets):
 		return fmt.Errorf("offsets differ: %v, want %v", clip(got.offsets), clip(want.offsets))
 	case !slices.Equal(got.adj, want.adj):
 		return fmt.Errorf("adj differs: %v, want %v", clip(got.adj), clip(want.adj))
 	case (got.weights == nil) != (want.weights == nil) || !slices.Equal(got.weights, want.weights):
 		return fmt.Errorf("weights differ: %v, want %v", clip(got.weights), clip(want.weights))
-	case got.SortedAdjacency() != want.SortedAdjacency():
-		return fmt.Errorf("SortedAdjacency = %v, want %v", got.SortedAdjacency(), want.SortedAdjacency())
 	case got.MaxDegree() != want.MaxDegree():
 		return fmt.Errorf("MaxDegree = %d, want %d", got.MaxDegree(), want.MaxDegree())
 	case got.MaxDegreeVertex() != want.MaxDegreeVertex():
@@ -85,22 +78,6 @@ func sameCSR(got, want *Graph) error {
 }
 
 func clip(s []int64) []int64 { return s[:min(len(s), 24)] }
-
-// allBuildOptions is every combination of the four flags, indexed by
-// Directed | KeepSelfLoops<<1 | KeepDuplicates<<2 | SortAdjacency<<3.
-// SortAdjacency is one of them precisely because it must change nothing.
-func allBuildOptions() []BuildOptions {
-	var out []BuildOptions
-	for bits := 0; bits < 16; bits++ {
-		out = append(out, BuildOptions{
-			Directed:       bits&1 != 0,
-			KeepSelfLoops:  bits&2 != 0,
-			KeepDuplicates: bits&4 != 0,
-			SortAdjacency:  bits&8 != 0,
-		})
-	}
-	return out
-}
 
 func TestBuildMatchesReference(t *testing.T) {
 	repeat := func(e Edge, k int) []Edge {
@@ -150,23 +127,21 @@ func TestBuildMatchesReference(t *testing.T) {
 		for i := range weights {
 			weights[i] = int64(r.Uint64n(4)) - 1
 		}
-		for flags, opt := range allBuildOptions() {
-			for _, w := range [][]int64{nil, weights} {
-				opt.Weights = w
-				want := referenceBuild(c.n, c.edges, opt)
-				for _, workers := range []int{1, 3, 8} {
-					name := fmt.Sprintf("%s/flags=%04b/weighted=%v/w=%d", c.name, flags, w != nil, workers)
-					par.SetWorkers(workers)
-					got, err := Build(c.n, c.edges, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := sameCSR(got, want); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("%s: Validate: %v", name, err)
-					}
+		for _, w := range [][]int64{nil, weights} {
+			opt := BuildOptions{Weights: w}
+			want := referenceBuild(c.n, c.edges, opt)
+			for _, workers := range []int{1, 3, 8} {
+				name := fmt.Sprintf("%s/weighted=%v/w=%d", c.name, w != nil, workers)
+				par.SetWorkers(workers)
+				got, err := Build(c.n, c.edges, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := sameCSR(got, want); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: Validate: %v", name, err)
 				}
 			}
 		}
@@ -200,13 +175,13 @@ func TestBuildNamesLowestOutOfRangeEdge(t *testing.T) {
 
 // FuzzBuild feeds Build arbitrary edge lists: out-of-range input must be
 // refused with an error, and everything else must pass Validate and equal
-// the sort-based oracle, whatever the flags.
+// the sort-based oracle.
 func FuzzBuild(f *testing.F) {
-	f.Add(uint8(4), uint8(0), []byte{0, 1, 1, 2, 2, 0, 2, 3}, false)
-	f.Add(uint8(3), uint8(15), []byte{0, 0, 1, 1, 1, 1, 2, 1, 1, 2}, true)
-	f.Add(uint8(0), uint8(3), []byte{}, true)
-	f.Add(uint8(2), uint8(6), []byte{0, 1, 0, 1, 1, 0, 9, 0}, false)
-	f.Fuzz(func(t *testing.T, nRaw, flags uint8, data []byte, weighted bool) {
+	f.Add(uint8(4), []byte{0, 1, 1, 2, 2, 0, 2, 3}, false)
+	f.Add(uint8(3), []byte{0, 0, 1, 1, 1, 1, 2, 1, 1, 2}, true)
+	f.Add(uint8(0), []byte{}, true)
+	f.Add(uint8(2), []byte{0, 1, 0, 1, 1, 0, 9, 0}, false)
+	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte, weighted bool) {
 		n := int64(nRaw % 64)
 		edges := make([]Edge, len(data)/2)
 		inRange := true
@@ -215,7 +190,7 @@ func FuzzBuild(f *testing.F) {
 			edges[i] = Edge{int64(int8(data[2*i])), int64(int8(data[2*i+1]))}
 			inRange = inRange && edges[i].U >= 0 && edges[i].U < n && edges[i].V >= 0 && edges[i].V < n
 		}
-		opt := allBuildOptions()[flags%16]
+		var opt BuildOptions
 		if weighted {
 			opt.Weights = make([]int64, len(edges))
 			for i := range opt.Weights {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"iter"
 
@@ -17,12 +16,12 @@ import (
 //	zigzag-varint(nbr[0] - v), varint(nbr[1]-nbr[0]), varint(nbr[2]-nbr[1]), ...
 //
 // — the first neighbor is signed (a neighbor may precede its source), every
-// later delta is non-negative because the list is sorted. A parallel byte
-// offsets array coff (len n+1, the byte prefix sum) locates each vertex's
-// block in the blob, and the ordinary degree prefix sum (Graph.Offsets)
-// stays uncompressed, so Degree, degree-weighted sweep chunking, and the
-// direction heuristic's unvisited-edge counters work unchanged on either
-// representation.
+// later delta is positive because the list is strictly ascending. A
+// parallel byte offsets array coff (len n+1, the byte prefix sum) locates
+// each vertex's block in the blob, and the ordinary degree prefix sum
+// (Graph.Offsets) stays uncompressed, so Degree, degree-weighted sweep
+// chunking, and the direction heuristic's unvisited-edge counters work
+// unchanged on either representation.
 
 // Rep names a graph representation; CLIs expose it as -graph-rep.
 type Rep string
@@ -283,14 +282,11 @@ func (g *Graph) Adjacent(v int64) iter.Seq[int64] {
 // parallel two-pass scheme: a sizing sweep per vertex, an exclusive prefix
 // sum over the byte lengths, then an encoding sweep into the final blob —
 // no per-vertex allocation, deterministic output bytes. Compressing a
-// compressed graph returns it unchanged; unsorted adjacency is rejected
-// because the delta encoding requires non-decreasing lists.
+// compressed graph returns it unchanged. Compress cannot fail; its error
+// result is kept for source compatibility.
 func Compress(g *Graph) (*Graph, error) {
 	if g.Compressed() {
 		return g, nil
-	}
-	if !g.sorted {
-		return nil, errors.New("graph: Compress requires sorted adjacency")
 	}
 	n := g.n
 	coff := make([]int64, n+1)
@@ -326,15 +322,13 @@ func Compress(g *Graph) (*Graph, error) {
 		}
 	})
 	return &Graph{
-		n:        n,
-		offsets:  g.offsets,
-		weights:  g.weights,
-		directed: g.directed,
-		sorted:   true,
-		maxDeg:   g.maxDeg,
-		maxDegV:  g.maxDegV,
-		coff:     coff,
-		blob:     blob,
+		n:       n,
+		offsets: g.offsets,
+		weights: g.weights,
+		maxDeg:  g.maxDeg,
+		maxDegV: g.maxDegV,
+		coff:    coff,
+		blob:    blob,
 	}, nil
 }
 
@@ -352,14 +346,12 @@ func Decompress(g *Graph) *Graph {
 		}
 	})
 	return &Graph{
-		n:        g.n,
-		offsets:  g.offsets,
-		adj:      adj,
-		weights:  g.weights,
-		directed: g.directed,
-		sorted:   true,
-		maxDeg:   g.maxDeg,
-		maxDegV:  g.maxDegV,
+		n:       g.n,
+		offsets: g.offsets,
+		adj:     adj,
+		weights: g.weights,
+		maxDeg:  g.maxDeg,
+		maxDegV: g.maxDegV,
 	}
 }
 
@@ -380,19 +372,15 @@ func WithRep(g *Graph, rep Rep) (*Graph, error) {
 // mmap loader uses. Validation is strictly O(n) (shape, monotonicity, and
 // per-vertex byte-count bounds): the blob's varint stream is NOT decoded,
 // so loading stays an open+map regardless of edge count. Run
-// VerifyCompressed for the full O(E) checked decode.
-//
-// Adjacency lists are sorted by format contract (the encoder only accepts
-// sorted lists), so SortedAdjacency reports true.
-func FromCompressedCSR(n int64, offsets, coff []int64, blob []byte, weights []int64, directed bool) (*Graph, error) {
+// VerifyCompressed for the full O(E) checked decode, which also checks
+// that every list is strictly ascending and loop-free.
+func FromCompressedCSR(n int64, offsets, coff []int64, blob []byte, weights []int64) (*Graph, error) {
 	g := &Graph{
-		n:        n,
-		offsets:  offsets,
-		weights:  weights,
-		directed: directed,
-		sorted:   true,
-		coff:     coff,
-		blob:     blob,
+		n:       n,
+		offsets: offsets,
+		weights: weights,
+		coff:    coff,
+		blob:    blob,
 	}
 	if g.coff == nil {
 		g.coff = make([]int64, 1)
@@ -406,8 +394,9 @@ func FromCompressedCSR(n int64, offsets, coff []int64, blob []byte, weights []in
 
 // VerifyCompressed runs the checked decoder over every vertex of a
 // compressed graph — the O(E) integrity sweep FromCompressedCSR skips. It
-// returns the first *DecodeError, a sortedness violation, or nil. On flat
-// graphs it returns nil.
+// returns the first *DecodeError — a corrupt block, or a list that is not
+// strictly ascending or holds its own vertex — or nil. On flat graphs it
+// returns nil.
 func (g *Graph) VerifyCompressed() error {
 	if !g.Compressed() {
 		return nil
@@ -420,10 +409,8 @@ func (g *Graph) VerifyCompressed() error {
 			return err
 		}
 		buf = nbr[:0]
-		for i := 1; i < len(nbr); i++ {
-			if nbr[i-1] > nbr[i] {
-				return &DecodeError{Vertex: v, Offset: 0, Reason: "adjacency not sorted"}
-			}
+		if reason := listFault(v, nbr); reason != "" {
+			return &DecodeError{Vertex: v, Offset: 0, Reason: reason}
 		}
 	}
 	return nil

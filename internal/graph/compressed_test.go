@@ -36,9 +36,6 @@ func TestCompressRoundtrip(t *testing.T) {
 	if c.MaxDegree() != g.MaxDegree() {
 		t.Fatalf("compressed max degree %d, want %d", c.MaxDegree(), g.MaxDegree())
 	}
-	if !c.SortedAdjacency() {
-		t.Fatal("compressed graph not sorted")
-	}
 	if c.Adjacency() != nil {
 		t.Fatal("compressed graph exposes a flat adjacency array")
 	}
@@ -139,41 +136,38 @@ func TestWithRep(t *testing.T) {
 }
 
 // TestCompressEdgeCases exercises the encodings the RMAT test cannot:
-// backward first neighbors, self-loops (delta encodes v-v=0 via zigzag),
-// kept duplicates (plain delta 0), weights, and degenerate graphs.
+// backward first neighbors, weights, and degenerate graphs.
 func TestCompressEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(t *testing.T) *graph.Graph
 	}{
 		{"empty", func(t *testing.T) *graph.Graph {
-			return graph.MustBuild(0, nil, graph.BuildOptions{SortAdjacency: true})
+			return graph.MustBuild(0, nil, graph.BuildOptions{})
 		}},
 		{"isolated", func(t *testing.T) *graph.Graph {
-			return graph.MustBuild(5, nil, graph.BuildOptions{SortAdjacency: true})
+			return graph.MustBuild(5, nil, graph.BuildOptions{})
 		}},
 		{"selfloop", func(t *testing.T) *graph.Graph {
-			return graph.MustBuild(3, []graph.Edge{{U: 1, V: 1}, {U: 0, V: 2}},
-				graph.BuildOptions{SortAdjacency: true, KeepSelfLoops: true})
+			return graph.MustBuild(3, []graph.Edge{{U: 1, V: 1}, {U: 0, V: 2}}, graph.BuildOptions{})
 		}},
 		{"duplicates", func(t *testing.T) *graph.Graph {
-			return graph.MustBuild(4, []graph.Edge{{U: 0, V: 3}, {U: 0, V: 3}, {U: 2, V: 1}},
-				graph.BuildOptions{SortAdjacency: true, KeepDuplicates: true})
+			return graph.MustBuild(4, []graph.Edge{{U: 0, V: 3}, {U: 3, V: 0}, {U: 2, V: 1}}, graph.BuildOptions{})
 		}},
 		{"weighted", func(t *testing.T) *graph.Graph {
 			return graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}},
-				graph.BuildOptions{SortAdjacency: true, Weights: []int64{7, -2, 9}})
+				graph.BuildOptions{Weights: []int64{7, -2, 9}})
 		}},
-		{"directed", func(t *testing.T) *graph.Graph {
+		{"backward", func(t *testing.T) *graph.Graph {
 			return graph.MustBuild(6, []graph.Edge{{U: 5, V: 0}, {U: 5, V: 4}, {U: 3, V: 1}},
-				graph.BuildOptions{SortAdjacency: true, Directed: true})
+				graph.BuildOptions{})
 		}},
 		{"star", func(t *testing.T) *graph.Graph {
 			edges := make([]graph.Edge, 63)
 			for i := range edges {
 				edges[i] = graph.Edge{U: 0, V: int64(i + 1)}
 			}
-			return graph.MustBuild(64, edges, graph.BuildOptions{SortAdjacency: true})
+			return graph.MustBuild(64, edges, graph.BuildOptions{})
 		}},
 	}
 	for _, tc := range cases {
@@ -213,27 +207,43 @@ func TestCompressEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCompressRejectsUnsorted(t *testing.T) {
-	g, err := graph.FromCSR(3, []int64{0, 2, 2, 2}, []int64{2, 1}, nil, true)
-	if err != nil {
-		t.Fatal(err)
+// TestVerifyCompressedRefusesNonSimpleLists: a CSR2 open checks only the
+// O(n) shape, so a stream that repeats a neighbour or holds its own vertex
+// loads, and the O(E) sweep names it as a *DecodeError.
+func TestVerifyCompressedRefusesNonSimpleLists(t *testing.T) {
+	cases := []struct {
+		name          string
+		n             int64
+		offsets, coff []int64
+		blob          []byte
+		vertex        int64
+		reason        string
+	}{
+		// Vertex 0 lists 1 twice (zigzag(1-0)=2, delta 0), as does vertex 1 with 0.
+		{"duplicate arc", 2, []int64{0, 2, 4}, []int64{0, 2, 4}, []byte{2, 0, 1, 0}, 0, "duplicate neighbour 1"},
+		// Vertex 0 lists itself: zigzag(0-0)=0.
+		{"self-loop", 1, []int64{0, 1}, []int64{0, 1}, []byte{0}, 0, "self-loop"},
 	}
-	if g.SortedAdjacency() {
-		t.Fatal("fixture unexpectedly sorted")
-	}
-	if _, err := graph.Compress(g); err == nil {
-		t.Fatal("Compress accepted unsorted adjacency")
+	for _, c := range cases {
+		g, err := graph.FromCompressedCSR(c.n, c.offsets, c.coff, c.blob, nil)
+		if err != nil {
+			t.Fatalf("%s: FromCompressedCSR: %v", c.name, err)
+		}
+		var de *graph.DecodeError
+		if err := g.VerifyCompressed(); !errors.As(err, &de) || de.Vertex != c.vertex || de.Reason != c.reason {
+			t.Errorf("%s: VerifyCompressed = %v, want vertex %d %s", c.name, err, c.vertex, c.reason)
+		}
 	}
 }
 
 func TestFromCompressedCSRValidates(t *testing.T) {
 	g := rmatGraph(t, 6, 4)
 	c := graph.MustCompress(g)
-	ok, err := graph.FromCompressedCSR(c.NumVertices(), c.Offsets(), c.CompressedOffsets(), c.CompressedBlob(), nil, false)
+	ok, err := graph.FromCompressedCSR(c.NumVertices(), c.Offsets(), c.CompressedOffsets(), c.CompressedBlob(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok.NumEdges() != g.NumEdges() || !ok.SortedAdjacency() {
+	if ok.NumEdges() != g.NumEdges() {
 		t.Fatalf("reconstructed graph %v", ok)
 	}
 	n := c.NumVertices()
@@ -242,18 +252,18 @@ func TestFromCompressedCSRValidates(t *testing.T) {
 		f    func() (*graph.Graph, error)
 	}{
 		{"short coff", func() (*graph.Graph, error) {
-			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets()[:n], c.CompressedBlob(), nil, false)
+			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets()[:n], c.CompressedBlob(), nil)
 		}},
 		{"blob length", func() (*graph.Graph, error) {
-			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets(), c.CompressedBlob()[:len(c.CompressedBlob())-1], nil, false)
+			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets(), c.CompressedBlob()[:len(c.CompressedBlob())-1], nil)
 		}},
 		{"bytes below degree", func() (*graph.Graph, error) {
 			coff := append([]int64(nil), c.CompressedOffsets()...)
 			coff[1] = coff[0] // vertex 0 has degree > 0 in this fixture
-			return graph.FromCompressedCSR(n, c.Offsets(), coff, c.CompressedBlob(), nil, false)
+			return graph.FromCompressedCSR(n, c.Offsets(), coff, c.CompressedBlob(), nil)
 		}},
 		{"weights length", func() (*graph.Graph, error) {
-			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets(), c.CompressedBlob(), []int64{1, 2}, false)
+			return graph.FromCompressedCSR(n, c.Offsets(), c.CompressedOffsets(), c.CompressedBlob(), []int64{1, 2})
 		}},
 	}
 	if c.Degree(0) == 0 {
@@ -269,7 +279,7 @@ func TestFromCompressedCSRValidates(t *testing.T) {
 // TestDecodeAdjacencyErrors pins the typed errors of the checked decoder.
 func TestDecodeAdjacencyErrors(t *testing.T) {
 	g := graph.MustBuild(8, []graph.Edge{{U: 3, V: 1}, {U: 3, V: 5}, {U: 3, V: 6}},
-		graph.BuildOptions{SortAdjacency: true, Directed: true})
+		graph.BuildOptions{})
 	c := graph.MustCompress(g)
 	block := append([]byte(nil), c.CompressedBlob()[c.CompressedOffsets()[3]:c.CompressedOffsets()[4]]...)
 	want := []int64{1, 5, 6}

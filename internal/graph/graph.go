@@ -6,23 +6,25 @@
 // variants "with GraphCT in order to obtain a comparison with fewer
 // variables".
 //
-// Vertices are identified by int64 IDs in [0, NumVertices()). Undirected
-// graphs store each edge in both adjacency lists; NumEdges reports the
-// number of stored (directed) entries, and UndirectedEdges reports
-// NumEdges/2 for undirected graphs.
+// Vertices are identified by int64 IDs in [0, NumVertices()). Every Graph
+// is undirected and simple, the paper's RMAT inputs' kind: each edge is
+// stored in both adjacency lists, every list is strictly ascending, and no
+// list holds its own vertex. Build establishes that; FromCSR checks it.
+// NumEdges reports the number of stored entries, and UndirectedEdges
+// NumEdges/2.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"graphxmt/internal/par"
 )
 
-// Edge is one endpoint pair of an edge list. For undirected graphs an edge
-// should appear once in the list; Build symmetrizes it.
+// Edge is one endpoint pair of an edge list. An edge should appear once in
+// the list; Build symmetrizes it.
 type Edge struct {
 	U, V int64
 }
@@ -35,14 +37,12 @@ type Edge struct {
 // is nil). The degree prefix sum (offsets) and the flat weight array are
 // identical in both.
 type Graph struct {
-	n        int64
-	offsets  []int64 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
-	adj      []int64 // flat representation; nil when compressed
-	weights  []int64 // nil for unweighted; else parallel to the decoded adjacency
-	directed bool
-	sorted   bool  // every adjacency list is ascending
-	maxDeg   int64 // memoized maximum out-degree (computed at build time)
-	maxDegV  int64 // first vertex of degree maxDeg (0 for an empty graph)
+	n       int64
+	offsets []int64 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
+	adj     []int64 // flat representation; nil when compressed
+	weights []int64 // nil for unweighted; else parallel to the decoded adjacency
+	maxDeg  int64   // memoized maximum out-degree (computed at build time)
+	maxDegV int64   // first vertex of degree maxDeg (0 for an empty graph)
 
 	// Compressed representation (nil on flat graphs): the adjacency of v is
 	// the delta-varint stream blob[coff[v]:coff[v+1]].
@@ -53,8 +53,8 @@ type Graph struct {
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int64 { return g.n }
 
-// NumEdges returns the number of stored directed adjacency entries. For an
-// undirected graph this is twice the number of undirected edges.
+// NumEdges returns the number of stored adjacency entries: twice the number
+// of undirected edges.
 func (g *Graph) NumEdges() int64 {
 	if g.coff != nil {
 		return g.offsets[g.n]
@@ -62,24 +62,11 @@ func (g *Graph) NumEdges() int64 {
 	return int64(len(g.adj))
 }
 
-// UndirectedEdges returns the number of undirected edges (NumEdges/2) for
-// undirected graphs, and NumEdges for directed graphs.
-func (g *Graph) UndirectedEdges() int64 {
-	if g.directed {
-		return g.NumEdges()
-	}
-	return g.NumEdges() / 2
-}
-
-// Directed reports whether the graph is directed.
-func (g *Graph) Directed() bool { return g.directed }
+// UndirectedEdges returns the number of undirected edges, NumEdges/2.
+func (g *Graph) UndirectedEdges() int64 { return g.NumEdges() / 2 }
 
 // Weighted reports whether the graph carries edge weights.
 func (g *Graph) Weighted() bool { return g.weights != nil }
-
-// SortedAdjacency reports whether every adjacency list is in ascending
-// order (required by the intersection-based triangle counting kernels).
-func (g *Graph) SortedAdjacency() bool { return g.sorted }
 
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v int64) int64 {
@@ -106,20 +93,10 @@ func (g *Graph) NeighborWeights(v int64) []int64 {
 	return g.weights[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the directed entry u->v is stored. O(log d) on
-// sorted graphs, O(d) otherwise.
+// HasEdge reports whether the edge {u, v} is stored, in O(log d).
 func (g *Graph) HasEdge(u, v int64) bool {
-	nbr := g.Neighbors(u)
-	if g.sorted {
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] >= v })
-		return i < len(nbr) && nbr[i] == v
-	}
-	for _, w := range nbr {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // Offsets exposes the CSR row offsets (len NumVertices+1). Read-only.
@@ -140,8 +117,7 @@ func (g *Graph) Adjacency() []int64 { return g.adj }
 func (g *Graph) Weights() []int64 { return g.weights }
 
 // MaxDegree returns the maximum out-degree, or 0 for an empty graph. The
-// value is memoized at build time (Build, FromCSR, Transpose), so calls
-// are O(1).
+// value is memoized at build time (Build, FromCSR), so calls are O(1).
 func (g *Graph) MaxDegree() int64 { return g.maxDeg }
 
 // MaxDegreeVertex returns the first vertex of maximum out-degree, or 0 for
@@ -174,66 +150,83 @@ func (g *Graph) DegreeHistogram() map[int64]int64 {
 	return h
 }
 
-// Validate checks structural invariants and returns the first violation.
-func (g *Graph) Validate() error {
-	_, err := g.validate()
-	return err
+// AdjacencyError reports a flat adjacency list that breaks the Graph
+// invariant: a neighbour repeated or out of order, or the vertex itself.
+type AdjacencyError struct {
+	// Vertex is the lowest vertex whose list is at fault.
+	Vertex int64
+	// Reason is "self-loop", "duplicate neighbour w" or "not ascending".
+	Reason string
 }
 
-// validate is Validate, additionally reporting whether every adjacency list
-// of a flat graph is ascending, so FromCSR learns that from the same pass
-// over the adjacency that range-checks it.
-func (g *Graph) validate() (ascending bool, err error) {
+func (e *AdjacencyError) Error() string {
+	return fmt.Sprintf("graph: adjacency of vertex %d: %s", e.Vertex, e.Reason)
+}
+
+// Validate checks structural invariants and returns the first violation.
+func (g *Graph) Validate() error {
 	if g.n < 0 {
-		return false, errors.New("graph: negative vertex count")
+		return errors.New("graph: negative vertex count")
 	}
 	if int64(len(g.offsets)) != g.n+1 {
-		return false, fmt.Errorf("graph: offsets len %d, want %d", len(g.offsets), g.n+1)
+		return fmt.Errorf("graph: offsets len %d, want %d", len(g.offsets), g.n+1)
 	}
 	if g.offsets[0] != 0 {
-		return false, fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
 	}
 	for v := int64(0); v < g.n; v++ {
 		if g.offsets[v] > g.offsets[v+1] {
-			return false, fmt.Errorf("graph: offsets decrease at %d", v)
+			return fmt.Errorf("graph: offsets decrease at %d", v)
 		}
 	}
 	if g.coff != nil {
 		// Compressed representation: O(n) structural checks only — the
 		// varint stream is validated by the encoder (Compress) or an
 		// explicit VerifyCompressed sweep, never on the load path.
-		return g.sorted, g.validateCompressed()
+		return g.validateCompressed()
 	}
 	if g.offsets[g.n] != int64(len(g.adj)) {
-		return false, fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[g.n], len(g.adj))
+		return fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[g.n], len(g.adj))
 	}
-	bad, unsorted := g.scanAdjacency()
+	bad, faulty := g.scanAdjacency()
 	if bad >= 0 {
-		return false, fmt.Errorf("graph: adj[%d] = %d out of range", bad, g.adj[bad])
+		return fmt.Errorf("graph: adj[%d] = %d out of range", bad, g.adj[bad])
 	}
 	if g.weights != nil && len(g.weights) != len(g.adj) {
-		return false, fmt.Errorf("graph: weights len %d != adj len %d", len(g.weights), len(g.adj))
+		return fmt.Errorf("graph: weights len %d != adj len %d", len(g.weights), len(g.adj))
 	}
-	if g.sorted && unsorted >= 0 {
-		return false, fmt.Errorf("graph: adjacency of %d not sorted", unsorted)
+	if faulty >= 0 {
+		return &AdjacencyError{Vertex: faulty, Reason: listFault(faulty, g.Neighbors(faulty))}
 	}
-	if !g.directed {
-		if err := g.checkSymmetric(); err != nil {
-			return false, err
+	return g.checkSymmetric()
+}
+
+// listFault names what is wrong with v's adjacency list nbr — it holds v,
+// or is not strictly ascending — or returns "" when nothing is.
+func listFault(v int64, nbr []int64) string {
+	for i, w := range nbr {
+		switch {
+		case w == v:
+			return "self-loop"
+		case i > 0 && nbr[i-1] == w:
+			return fmt.Sprintf("duplicate neighbour %d", w)
+		case i > 0 && nbr[i-1] > w:
+			return "not ascending"
 		}
 	}
-	return unsorted < 0, nil
+	return ""
 }
 
 // scanAdjacency makes one parallel pass over a flat graph's adjacency and
 // returns the lowest index holding a neighbour outside [0, n) and the
-// lowest vertex whose list is not ascending, each -1 when there is none.
-// The offsets must already be known monotone and to end at len(adj).
-func (g *Graph) scanAdjacency() (badIndex, unsortedVertex int64) {
+// lowest vertex whose list is not strictly ascending or holds the vertex
+// itself, each -1 when there is none. The offsets must already be known
+// monotone and to end at len(adj).
+func (g *Graph) scanAdjacency() (badIndex, faultyVertex int64) {
 	var mu sync.Mutex
-	badIndex, unsortedVertex = -1, -1
+	badIndex, faultyVertex = -1, -1
 	par.ForChunked(int(g.n), func(lo, hi int) {
-		bad, unsorted := int64(-1), int64(-1)
+		bad, faulty := int64(-1), int64(-1)
 		for v := lo; v < hi; v++ {
 			start, end := g.offsets[v], g.offsets[v+1]
 			for i := start; i < end; i++ {
@@ -241,24 +234,24 @@ func (g *Graph) scanAdjacency() (badIndex, unsortedVertex int64) {
 				if (w < 0 || w >= g.n) && bad < 0 {
 					bad = i
 				}
-				if i > start && g.adj[i-1] > w && unsorted < 0 {
-					unsorted = int64(v)
+				if (w == int64(v) || i > start && g.adj[i-1] >= w) && faulty < 0 {
+					faulty = int64(v)
 				}
 			}
 		}
-		if bad < 0 && unsorted < 0 {
+		if bad < 0 && faulty < 0 {
 			return
 		}
 		mu.Lock()
 		if bad >= 0 && (badIndex < 0 || bad < badIndex) {
 			badIndex = bad
 		}
-		if unsorted >= 0 && (unsortedVertex < 0 || unsorted < unsortedVertex) {
-			unsortedVertex = unsorted
+		if faulty >= 0 && (faultyVertex < 0 || faulty < faultyVertex) {
+			faultyVertex = faulty
 		}
 		mu.Unlock()
 	})
-	return badIndex, unsortedVertex
+	return badIndex, faultyVertex
 }
 
 func (g *Graph) checkSymmetric() error {
@@ -294,9 +287,5 @@ func (g *Graph) checkSymmetric() error {
 
 // String summarizes the graph.
 func (g *Graph) String() string {
-	kind := "undirected"
-	if g.directed {
-		kind = "directed"
-	}
-	return fmt.Sprintf("graph{%s, %d vertices, %d edges}", kind, g.n, g.UndirectedEdges())
+	return fmt.Sprintf("graph{undirected, %d vertices, %d edges}", g.n, g.UndirectedEdges())
 }

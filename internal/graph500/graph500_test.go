@@ -142,7 +142,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestValidateDisconnected(t *testing.T) {
 	// Two components: unreached vertices must be consistently absent.
 	g := graph.MustBuild(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}},
-		graph.BuildOptions{SortAdjacency: true})
+		graph.BuildOptions{})
 	dist := graphct.BFS(g, 0, nil).Dist
 	parent := DeriveParents(g, 0, dist)
 	if err := Validate(g, 0, dist, parent); err != nil {

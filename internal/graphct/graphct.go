@@ -184,12 +184,7 @@ type TriangleResult struct {
 // same count and the same steps from a marked intersection per vertex
 // (intersectPairs), which is the merge's answer without its
 // data-dependent branches.
-//
-// The graph must be undirected with sorted adjacency.
 func Triangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
-	if !g.SortedAdjacency() {
-		panic("graphct: Triangles requires sorted adjacency")
-	}
 	ph := rec.StartPhase("tri/count", 0)
 	// With detailed recording on, capture each pair's true merge cost so
 	// the discrete-event model sees the real task-size skew (hub pairs are
@@ -218,16 +213,12 @@ func Triangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 // len(N(v))+len(N(u)). A non-nil perVertex credits each triangle to its
 // three corners; a non-nil pair receives each pair's merge steps.
 //
-// When every adjacency list is strictly increasing — any graph built
-// without KeepDuplicates — the merge is computed, not executed: N(v) is
-// marked once per v and each pair is two binary searches plus branch-free
-// sums of marks (markedIntersect). Multigraphs take mergeIntersect.
+// The merge is computed, not executed: N(v) is marked once per v and each
+// pair is two binary searches plus branch-free sums of marks
+// (markedIntersect).
 func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (count, steps, maxPair int64) {
 	n := g.NumVertices()
-	var mark []uint8
-	if strictlyIncreasing(g) {
-		mark = make([]uint8, n)
-	}
+	mark := make([]uint8, n)
 	var nvBuf, nuBuf []int64
 	for v := int64(0); v < n; v++ {
 		nv := g.DecodeNeighbors(v, nvBuf)
@@ -236,20 +227,13 @@ func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (
 		if len(above) == 0 {
 			continue
 		}
-		if mark != nil {
-			for _, w := range nv {
-				mark[w] = 1
-			}
+		for _, w := range nv {
+			mark[w] = 1
 		}
 		for _, u := range above {
 			nu := g.DecodeNeighbors(u, nuBuf)
 			nuBuf = nu
-			var c, s int64
-			if mark != nil {
-				c, s = markedIntersect(mark, nv, nu, u, perVertex)
-			} else {
-				c, s = mergeIntersect(nv, nu, u, perVertex)
-			}
+			c, s := markedIntersect(mark, nv, nu, u, perVertex)
 			count += c
 			steps += s
 			if perVertex != nil {
@@ -263,23 +247,22 @@ func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (
 				pair(s)
 			}
 		}
-		if mark != nil {
-			for _, w := range nv {
-				mark[w] = 0
-			}
+		for _, w := range nv {
+			mark[w] = 0
 		}
 	}
 	return count, steps, maxPair
 }
 
-// markedIntersect returns what mergeIntersect returns for strictly
-// increasing lists a and b, given mark[w] == 1 exactly for the w in a. The
-// merge stops when either list runs out, by which point it has consumed
-// exactly the elements <= M = min(last a, last b) of each list, taking one
-// step per element except one step per common element, and every common
-// element is <= M. So steps = rank(a,M) + rank(b,M) - |a∩b|, and the
-// marks over b[:rank(b,M)] count a∩b, split at u into the common elements
-// below and above the floor.
+// markedIntersect returns what GraphCT's two-pointer merge of the strictly
+// increasing lists a and b returns — the common elements greater than u,
+// each credited to perVertex when that is non-nil, and the merge steps —
+// given mark[w] == 1 exactly for the w in a. The merge stops when either
+// list runs out, by which point it has consumed exactly the elements <= M
+// = min(last a, last b) of each list, taking one step per element except
+// one step per common element, and every common element is <= M. So steps
+// = rank(a,M) + rank(b,M) - |a∩b|, and the marks over b[:rank(b,M)] count
+// a∩b, split at u into the common elements below and above the floor.
 func markedIntersect(mark []uint8, a, b []int64, u int64, perVertex []int64) (count, steps int64) {
 	if len(b) == 0 {
 		return 0, 0
@@ -305,33 +288,6 @@ func markedIntersect(mark []uint8, a, b []int64, u int64, perVertex []int64) (co
 	return count, int64(ra+rb) - below - count
 }
 
-// mergeIntersect is GraphCT's two-pointer merge of sorted lists a and b: it
-// counts common elements strictly greater than floor, crediting each to
-// perVertex when that is non-nil, and reports the merge steps taken. It is
-// the multigraph path, where a repeated neighbor moves the merge's exit.
-func mergeIntersect(a, b []int64, floor int64, perVertex []int64) (count, steps int64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		steps++
-		switch {
-		case a[i] == b[j]:
-			if w := a[i]; w > floor {
-				count++
-				if perVertex != nil {
-					perVertex[w]++
-				}
-			}
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return count, steps
-}
-
 // rank returns the number of elements <= x in the ascending list s of
 // vertex IDs, x >= 0, without a data-dependent branch: each step adds half
 // or nothing under the sign mask of s[i]-x-1.
@@ -346,22 +302,6 @@ func rank(s []int64, x int64) int {
 		n -= half
 	}
 	return base + int(uint64(s[base]-x-1)>>63)
-}
-
-// strictlyIncreasing reports whether no adjacency list of the sorted
-// graph g repeats a neighbor.
-func strictlyIncreasing(g *graph.Graph) bool {
-	var buf []int64
-	for v := int64(0); v < g.NumVertices(); v++ {
-		nbr := g.DecodeNeighbors(v, buf)
-		buf = nbr
-		for i := 1; i < len(nbr); i++ {
-			if nbr[i] == nbr[i-1] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ClusteringResult is the output of ClusteringCoefficients.
@@ -381,9 +321,6 @@ type ClusteringResult struct {
 // using the triangle kernel's intersection (intersectPairs), crediting each
 // triangle to all three corners.
 func ClusteringCoefficients(g *graph.Graph, rec *trace.Recorder) *ClusteringResult {
-	if !g.SortedAdjacency() {
-		panic("graphct: ClusteringCoefficients requires sorted adjacency")
-	}
 	n := g.NumVertices()
 	perVertex := make([]int64, n)
 	ph := rec.StartPhase("ccoef/count", 0)

@@ -29,11 +29,10 @@ type PageRankResult struct {
 	Converged bool
 }
 
-// PageRank runs the classical power iteration over the graph. Directed
-// graphs follow edge direction (rank flows u -> v along u's out-edges);
-// undirected graphs treat each stored entry as an out-edge, the standard
-// symmetric formulation. Vertices without out-edges distribute their rank
-// uniformly (the dangling-node correction).
+// PageRank runs the classical power iteration over the graph, treating
+// each stored entry as an out-edge: the standard symmetric formulation.
+// Vertices without out-edges distribute their rank uniformly (the
+// dangling-node correction).
 func PageRank(g *graph.Graph, opt PageRankOptions, rec *trace.Recorder) *PageRankResult {
 	if opt.Damping == 0 {
 		opt.Damping = 0.85

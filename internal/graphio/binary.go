@@ -26,9 +26,14 @@ import (
 var magic = [8]byte{'G', 'X', 'M', 'T', 'C', 'S', 'R', '1'}
 
 const (
-	flagDirected = 1 << iota
+	// flagDigraph is the header bit that marked a directed graph. A graph
+	// is always undirected, so a file with it set is refused (errDigraph).
+	flagDigraph = 1 << iota
 	flagWeighted
 )
+
+// errDigraph is the refusal of a snapshot whose header sets flagDigraph.
+var errDigraph = &CorruptError{Section: "header", Reason: "directed flag set: a graph must be undirected"}
 
 // writeBinary writes g as a binary CSR snapshot. The snapshot is the flat
 // representation: a compressed graph is written through its flat twin
@@ -42,9 +47,6 @@ func writeBinary(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 	var flags uint64
-	if g.Directed() {
-		flags |= flagDirected
-	}
 	if g.Weighted() {
 		flags |= flagWeighted
 	}
@@ -84,7 +86,8 @@ func writeInt64s(w io.Writer, s []int64) error {
 // readBinary reads a binary CSR snapshot written by writeBinary. Any
 // defect in the stream — bad magic, unknown flags, implausible sizes,
 // truncation, trailing garbage, or CSR arrays that fail the structural
-// invariants (monotone offsets, in-range adjacency, matching weights) —
+// invariants (monotone offsets, in-range adjacency, matching weights,
+// strictly ascending loop-free lists, symmetry) or set the directed flag —
 // is reported as a *CorruptError naming the offending section.
 func readBinary(r io.Reader) (*graph.Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -101,7 +104,10 @@ func readBinary(r io.Reader) (*graph.Graph, error) {
 			return nil, &CorruptError{Section: "header", Reason: "short read", Err: err}
 		}
 	}
-	if unknown := flags &^ (flagDirected | flagWeighted); unknown != 0 {
+	if flags&flagDigraph != 0 {
+		return nil, errDigraph
+	}
+	if unknown := flags &^ flagWeighted; unknown != 0 {
 		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("unknown flag bits %#x", unknown)}
 	}
 	const sane = 1 << 40
@@ -125,7 +131,7 @@ func readBinary(r io.Reader) (*graph.Graph, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, &CorruptError{Section: "trailer", Reason: "trailing bytes after snapshot"}
 	}
-	g, err := graph.FromCSR(int64(n), offsets, adj, weights, flags&flagDirected != 0)
+	g, err := graph.FromCSR(int64(n), offsets, adj, weights)
 	if err != nil {
 		return nil, &CorruptError{Section: "structure", Reason: err.Error(), Err: err}
 	}

@@ -89,8 +89,7 @@ func csr2Layout(n, m, blobLen int64, weighted bool) (offsetsOff, coffOff, blobOf
 }
 
 // writeCSR2 writes g as a compressed memory-mappable snapshot. A flat
-// graph is compressed first (which requires sorted adjacency); a
-// compressed graph is written as-is.
+// graph is compressed first; a compressed graph is written as-is.
 func writeCSR2(w io.Writer, g *graph.Graph) error {
 	if !g.Compressed() {
 		var err error
@@ -105,9 +104,6 @@ func writeCSR2(w io.Writer, g *graph.Graph) error {
 		return err
 	}
 	var flags uint64
-	if g.Directed() {
-		flags |= flagDirected
-	}
 	if g.Weighted() {
 		flags |= flagWeighted
 	}
@@ -193,7 +189,10 @@ func parseCSR2Header(b []byte) (csr2Hdr, error) {
 	n := binary.LittleEndian.Uint64(b[16:24])
 	m := binary.LittleEndian.Uint64(b[24:32])
 	blob := binary.LittleEndian.Uint64(b[32:40])
-	if unknown := h.flags &^ (flagDirected | flagWeighted); unknown != 0 {
+	if h.flags&flagDigraph != 0 {
+		return h, errDigraph
+	}
+	if unknown := h.flags &^ flagWeighted; unknown != 0 {
 		return h, &CorruptError{Section: "header", Reason: fmt.Sprintf("unknown flag bits %#x", unknown)}
 	}
 	const sane = 1 << 40
@@ -248,8 +247,10 @@ func readCSR2(r io.Reader) (*graph.Graph, error) {
 	if err := skipPad(); err != nil {
 		return nil, err
 	}
-	blob := make([]byte, h.blob)
-	if _, err := io.ReadFull(br, blob); err != nil {
+	// Read the blob as it arrives rather than allocating the header's
+	// length up front, which a corrupt header could set to a terabyte.
+	blob, err := io.ReadAll(io.LimitReader(br, h.blob))
+	if err != nil || int64(len(blob)) != h.blob {
 		return nil, &CorruptError{Section: "blob", Reason: "short read", Err: err}
 	}
 	pos += h.blob
@@ -262,7 +263,7 @@ func readCSR2(r io.Reader) (*graph.Graph, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, &CorruptError{Section: "trailer", Reason: "trailing bytes after snapshot"}
 	}
-	g, err := graph.FromCompressedCSR(h.n, offsets, coff, blob, weights, h.flags&flagDirected != 0)
+	g, err := graph.FromCompressedCSR(h.n, offsets, coff, blob, weights)
 	if err != nil {
 		return nil, &CorruptError{Section: "structure", Reason: err.Error(), Err: err}
 	}
@@ -326,7 +327,7 @@ func csr2FromMapping(data []byte) (*graph.Graph, error) {
 	if h.flags&flagWeighted != 0 {
 		weights = int64View(data, weightsOff, h.m)
 	}
-	g, err := graph.FromCompressedCSR(h.n, offsets, coff, blob, weights, h.flags&flagDirected != 0)
+	g, err := graph.FromCompressedCSR(h.n, offsets, coff, blob, weights)
 	if err != nil {
 		return nil, &CorruptError{Section: "structure", Reason: err.Error(), Err: err}
 	}

@@ -67,11 +67,10 @@ func TestCSR2ByteStability(t *testing.T) {
 	}
 }
 
-// TestCSR2RoundTripWeightedDirected covers the weights section and the
-// directed flag.
-func TestCSR2RoundTripWeightedDirected(t *testing.T) {
+// TestCSR2RoundTripWeighted covers the weights section.
+func TestCSR2RoundTripWeighted(t *testing.T) {
 	g, err := graph.Build(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 0}},
-		graph.BuildOptions{Directed: true, Weights: []int64{3, 7, 11}, SortAdjacency: true})
+		graph.BuildOptions{Weights: []int64{3, 7, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,8 @@ func TestCSR2SectionsPageAligned(t *testing.T) {
 }
 
 // TestCSR2RejectsCorruption: truncation, bad magic, flipped header sizes,
-// and trailing bytes are typed CorruptErrors on both load paths.
+// trailing bytes and the retired directed flag are typed CorruptErrors on
+// both load paths.
 func TestCSR2RejectsCorruption(t *testing.T) {
 	flat := csr2TestGraph(t)
 	var buf bytes.Buffer
@@ -154,6 +154,9 @@ func TestCSR2RejectsCorruption(t *testing.T) {
 			closer.Close()
 			t.Fatalf("%s: OpenCSR2 accepted corrupt file (graph %v)", name, g)
 		}
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: OpenCSR2 gave %v, want CorruptError", name, err)
+		}
 	}
 	check("badmagic", func(b []byte) []byte { b[0] = 'X'; return b })
 	check("truncated", func(b []byte) []byte { return b[:len(b)/2] })
@@ -163,6 +166,7 @@ func TestCSR2RejectsCorruption(t *testing.T) {
 		return b
 	})
 	check("shortheader", func(b []byte) []byte { return b[:12] })
+	check("directed", func(b []byte) []byte { b[8] |= flagDigraph; return b })
 }
 
 // TestOpenAutoDetects: Open dispatches on content — CSR1, CSR2, gzipped

@@ -94,7 +94,7 @@ func readDIMACS(r io.Reader) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, &ParseError{Reason: "missing problem line"}
 	}
-	bopt := graph.BuildOptions{SortAdjacency: true}
+	var bopt graph.BuildOptions
 	if sawWeight {
 		bopt.Weights = weights
 	}
@@ -102,7 +102,7 @@ func readDIMACS(r io.Reader) (*graph.Graph, error) {
 }
 
 // WriteDIMACS writes g in the DIMACS text format read by readDIMACS.
-// Undirected edges are written once with u <= v.
+// Each edge is written once with u < v.
 func WriteDIMACS(w io.Writer, g *graph.Graph, comment string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if comment != "" {
@@ -118,7 +118,7 @@ func WriteDIMACS(w io.Writer, g *graph.Graph, comment string) error {
 	for v := int64(0); v < g.NumVertices(); v++ {
 		nbr := g.Neighbors(v)
 		for i, u := range nbr {
-			if !g.Directed() && v > u {
+			if v > u {
 				continue
 			}
 			if g.Weighted() {

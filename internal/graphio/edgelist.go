@@ -61,7 +61,7 @@ func readEdgeList(r io.Reader) (*graph.Graph, error) {
 	if maxID+1 > maxTextVertices {
 		return nil, parseErrf(0, "inferred vertex count %d exceeds limit %d", maxID+1, maxTextVertices)
 	}
-	bopt := graph.BuildOptions{SortAdjacency: true}
+	var bopt graph.BuildOptions
 	if sawWeight {
 		bopt.Weights = weights
 	}
@@ -69,14 +69,14 @@ func readEdgeList(r io.Reader) (*graph.Graph, error) {
 }
 
 // WriteEdgeList writes g as a plain edge list ("u v" or "u v w" per line),
-// undirected edges once with u <= v.
+// each edge once with u < v.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "# graphxmt edge list: %v\n", g)
 	for v := int64(0); v < g.NumVertices(); v++ {
 		nbr := g.Neighbors(v)
 		for i, u := range nbr {
-			if !g.Directed() && v > u {
+			if v > u {
 				continue
 			}
 			if g.Weighted() {

@@ -2,11 +2,14 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 )
 
 // FuzzReadDIMACS checks the text parser never panics, rejects defects with
@@ -103,6 +106,73 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
+// FuzzOpenCSR2 feeds arbitrary file images to both CSR2 loaders: the
+// zero-copy csr2FromMapping and the streaming readCSR2. Each must return a
+// graph or a typed *CorruptError, never panic. A graph that comes back has
+// passed only the O(n) checks at open, so the O(E) VerifyCompressed sweep
+// over it must return nil or a typed *graph.DecodeError.
+func FuzzOpenCSR2(f *testing.F) {
+	image := func(g *graph.Graph) []byte {
+		var buf bytes.Buffer
+		if err := writeCSR2(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := image(gen.CliqueChain(2, 3))
+	f.Add(valid)
+	f.Add(image(graph.MustBuild(3, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}}, graph.BuildOptions{Weights: []int64{4, -1}})))
+	f.Add([]byte{})
+	f.Add(valid[:csr2Header])
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	directed := append([]byte(nil), valid...)
+	directed[8] |= flagDigraph
+	f.Add(directed)
+	// Vertex 1's stream names itself (zigzag delta 0): a layout-valid file
+	// whose defect only the O(E) sweep sees.
+	loop := image(gen.Path(2))
+	_, _, blobOff, _, _ := csr2Layout(2, 2, 2, false)
+	loop[blobOff+1] = 0
+	f.Add(loop)
+	// An empty graph whose header claims a terabyte of blob: the stream
+	// reader once allocated it before reading, and the runtime died.
+	huge := make([]byte, 3*csr2Align)
+	copy(huge, magic2[:])
+	binary.LittleEndian.PutUint64(huge[32:], 1<<40)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The zero-copy views need the 8-byte alignment an mmap'd file has.
+		words := make([]uint64, (len(data)+7)/8)
+		aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+		copy(aligned, data)
+		mapped, err := csr2FromMapping(aligned)
+		checkCSR2Load(t, "csr2FromMapping", mapped, err)
+		streamed, err := readCSR2(bytes.NewReader(data))
+		checkCSR2Load(t, "readCSR2", streamed, err)
+		if (mapped == nil) != (streamed == nil) {
+			t.Fatalf("csr2FromMapping returned %v, readCSR2 %v", mapped, streamed)
+		}
+	})
+}
+
+func checkCSR2Load(t *testing.T, loader string, g *graph.Graph, err error) {
+	t.Helper()
+	if err != nil {
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: rejection is not a *CorruptError: %T %v", loader, err, err)
+		}
+		return
+	}
+	if verr := g.VerifyCompressed(); verr != nil {
+		var de *graph.DecodeError
+		if !errors.As(verr, &de) {
+			t.Fatalf("%s: VerifyCompressed returned %T %v, want nil or *graph.DecodeError", loader, verr, verr)
+		}
+	}
+}
+
 // TestBinaryRejectionsTyped pins the Section names for the common defect
 // classes — these are part of the loader's error contract.
 func TestBinaryRejectionsTyped(t *testing.T) {
@@ -127,6 +197,11 @@ func TestBinaryRejectionsTyped(t *testing.T) {
 		{"unknown flags", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[8] |= 0x80
+			return c
+		}, "header"},
+		{"directed flag", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[8] |= flagDigraph
 			return c
 		}, "header"},
 		{"truncated offsets", func(b []byte) []byte { return b[:40] }, "offsets"},

@@ -3,6 +3,8 @@ package graphio
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +21,7 @@ func graphsEqual(t *testing.T, a, b *graph.Graph) {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		t.Fatalf("size mismatch: %v vs %v", a, b)
 	}
-	if a.Directed() != b.Directed() || a.Weighted() != b.Weighted() {
+	if a.Weighted() != b.Weighted() {
 		t.Fatalf("flags mismatch")
 	}
 	for v := int64(0); v < a.NumVertices(); v++ {
@@ -59,9 +61,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	graphsEqual(t, g, g2)
 }
 
-func TestBinaryRoundTripWeightedDirected(t *testing.T) {
+func TestBinaryRoundTripWeighted(t *testing.T) {
 	g, err := graph.Build(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 0}},
-		graph.BuildOptions{Directed: true, Weights: []int64{3, 7, 11}})
+		graph.BuildOptions{Weights: []int64{3, 7, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +76,32 @@ func TestBinaryRoundTripWeightedDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphsEqual(t, g, g2)
+}
+
+// TestBinaryRefusesNonSimpleLists: a CSR1 file whose arrays are symmetric
+// but repeat an arc or hold a self-loop is a "structure" *CorruptError
+// wrapping the *graph.AdjacencyError that names the fault.
+func TestBinaryRefusesNonSimpleLists(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		offsets, adj []int64
+		reason       string
+	}{
+		{"duplicate arc", []int64{0, 2, 4}, []int64{1, 1, 0, 0}, "duplicate neighbour 1"},
+		{"self-loop", []int64{0, 1, 1}, []int64{0}, "self-loop"},
+	} {
+		var buf bytes.Buffer
+		buf.WriteString("GXMTCSR1")
+		for _, x := range append([]int64{0, int64(len(c.offsets) - 1), int64(len(c.adj))}, append(c.offsets, c.adj...)...) {
+			binary.Write(&buf, binary.LittleEndian, x)
+		}
+		_, err := readBinary(&buf)
+		var ce *CorruptError
+		var ae *graph.AdjacencyError
+		if !errors.As(err, &ce) || ce.Section != "structure" || !errors.As(err, &ae) || ae.Reason != c.reason {
+			t.Errorf("%s: err = %v, want a structure CorruptError naming %q", c.name, err, c.reason)
+		}
+	}
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
@@ -203,7 +231,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		for i := range edges {
 			edges[i] = graph.Edge{U: int64(r.Uint64n(uint64(n))), V: int64(r.Uint64n(uint64(n)))}
 		}
-		g, err := graph.Build(n, edges, graph.BuildOptions{SortAdjacency: true})
+		g, err := graph.Build(n, edges, graph.BuildOptions{})
 		if err != nil {
 			return false
 		}
