@@ -1,8 +1,10 @@
-// Benchmarks regenerating the paper's evaluation artifacts — one benchmark
-// per table and figure, plus the auxiliary counts. Each benchmark runs the
-// real kernels and reports the simulated 128-processor Cray XMT time as a
-// custom metric ("sim_sec") beside the host ns/op; for Table I rows the
-// BSP:GraphCT ratio is reported as "ratio".
+// Benchmarks regenerating the paper's evaluation artifacts: one
+// sub-benchmark per row of the experiment table (Table I, Figures 1-4,
+// the auxiliary counts, extensions, Graph500, MS-BFS, regimes and the
+// ablations), each timing the row's kernels, model evaluation, rendering
+// and CSV on the host. A row whose CSV is a name,value summary (aux,
+// graph500, msbfs, ablation-combiner) reports each numeric value as a
+// metric named by its name.
 //
 // Benchmarks run at scale 13 so `go test -bench=.` completes quickly; the
 // committed EXPERIMENTS.md numbers use `cmd/xmtbench` at scale 16 (flags
@@ -10,280 +12,55 @@
 package graphxmt_test
 
 import (
-	"sync"
+	"bytes"
+	"encoding/csv"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"graphxmt/internal/experiments"
-	"graphxmt/internal/graph"
-	"graphxmt/internal/graph500"
-	"graphxmt/internal/machine"
 )
 
-const benchScale = 13
-
-var (
-	benchOnce  sync.Once
-	benchGraph *graph.Graph
-	benchSetup experiments.Setup
-)
-
-func setup(b *testing.B) (*graph.Graph, experiments.Setup) {
-	b.Helper()
-	benchOnce.Do(func() {
-		// The EXPERIMENTS.md workload at a smaller scale.
-		benchSetup = experiments.Setup{Scale: benchScale, EdgeFactor: 16, Seed: 1, Procs: 128}
-		var err error
-		benchGraph, err = experiments.BuildGraph(benchSetup)
-		if err != nil {
-			panic(err)
-		}
-	})
-	return benchGraph, benchSetup
-}
-
-// BenchmarkTable1 regenerates Table I: total execution time for connected
-// components, BFS and triangle counting in both programming models.
-func BenchmarkTable1(b *testing.B) {
-	g, s := setup(b)
-	var last *experiments.Table1Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+func BenchmarkExperiments(b *testing.B) {
+	// The EXPERIMENTS.md workload at a smaller scale.
+	s := experiments.Setup{Scale: 13, EdgeFactor: 16, Seed: 1, Procs: 128}
+	g, err := experiments.BuildGraph(s)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, row := range last.Rows {
-		b.ReportMetric(row.Ratio, "ratio_"+shortName(row.Algorithm))
-	}
-}
-
-func shortName(alg string) string {
-	switch alg {
-	case "Connected Components":
-		return "cc"
-	case "Breadth-first Search":
-		return "bfs"
-	case "Triangle Counting":
-		return "tc"
-	}
-	return alg
-}
-
-// BenchmarkTable1ConnectedComponentsBSP times the BSP side of Table I row 1.
-func BenchmarkTable1ConnectedComponentsBSP(b *testing.B) {
-	benchOneAlg(b, "cc", true)
-}
-
-// BenchmarkTable1ConnectedComponentsGraphCT times the shared-memory side.
-func BenchmarkTable1ConnectedComponentsGraphCT(b *testing.B) {
-	benchOneAlg(b, "cc", false)
-}
-
-// BenchmarkTable1BFSBSP times the BSP side of Table I row 2.
-func BenchmarkTable1BFSBSP(b *testing.B) { benchOneAlg(b, "bfs", true) }
-
-// BenchmarkTable1BFSGraphCT times the shared-memory side.
-func BenchmarkTable1BFSGraphCT(b *testing.B) { benchOneAlg(b, "bfs", false) }
-
-// BenchmarkTable1TriangleCountingBSP times the BSP side of Table I row 3.
-func BenchmarkTable1TriangleCountingBSP(b *testing.B) { benchOneAlg(b, "tc", true) }
-
-// BenchmarkTable1TriangleCountingGraphCT times the shared-memory side.
-func BenchmarkTable1TriangleCountingGraphCT(b *testing.B) { benchOneAlg(b, "tc", false) }
-
-func benchOneAlg(b *testing.B, alg string, bsp bool) {
-	g, s := setup(b)
-	model := machine.NewAnalytic(machine.DefaultConfig())
-	_ = model
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if shortName(row.Algorithm) != alg {
-				continue
+	for _, e := range experiments.Select("all") {
+		b.Run(e.Name, func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				if err := experiments.Run(io.Discard, g, s, []experiments.Experiment{e}, dir); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if bsp {
-				sim = row.BSP
-			} else {
-				sim = row.GraphCT
-			}
-		}
-	}
-	b.ReportMetric(sim, "sim_sec")
-}
-
-// BenchmarkFig1 regenerates Figure 1: per-iteration connected-components
-// times across the processor sweep.
-func BenchmarkFig1(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig1(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.BSPTotal, "bsp_sim_sec")
-	b.ReportMetric(res.GraphCTTotal, "graphct_sim_sec")
-}
-
-// BenchmarkFig2 regenerates Figure 2: frontier vs messages per BFS level.
-func BenchmarkFig2(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig2(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var msgs, frontier int64
-	for _, m := range res.Messages {
-		msgs += m
-	}
-	for _, f := range res.Frontier {
-		frontier += f
-	}
-	b.ReportMetric(float64(msgs)/float64(frontier), "msg_excess")
-}
-
-// BenchmarkFig3 regenerates Figure 3: per-level BFS scalability.
-func BenchmarkFig3(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig3(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.BSPTotal, "bsp_sim_sec")
-	b.ReportMetric(res.GraphCTTotal, "graphct_sim_sec")
-}
-
-// BenchmarkFig4 regenerates Figure 4: triangle-counting scalability.
-func BenchmarkFig4(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig4(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := len(res.Procs) - 1
-	b.ReportMetric(res.BSP[last], "bsp_sim_sec")
-	b.ReportMetric(res.GraphCT[last], "graphct_sim_sec")
-	b.ReportMetric(res.BSP[0]/res.BSP[last], "bsp_speedup")
-}
-
-// BenchmarkAuxCounts regenerates the auxiliary counts quoted in the text
-// (iteration gap, candidate-message and write blowups, BFS message excess).
-func BenchmarkAuxCounts(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.AuxResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Aux(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.WriteRatio, "write_ratio")
-	b.ReportMetric(res.MessageExcess, "bfs_msg_excess")
-	b.ReportMetric(float64(res.BSPCCSupersteps)/float64(res.GraphCTCCIterations), "iter_gap")
-}
-
-// BenchmarkAblationActivation compares the paper's full-vertex-scan BSP
-// runtime against a sparse-activation worklist runtime on BFS.
-func BenchmarkAblationActivation(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.ActivationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationActivation(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.FullScanTotal/res.SparseTotal, "scan_overhead_x")
-}
-
-// BenchmarkAblationHotspot sweeps the fetch-and-add allocation chunk size
-// (the paper's named scalability hazard).
-func BenchmarkAblationHotspot(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.HotspotResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationHotspot(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Speedup[0], "speedup_chunk1")
-	b.ReportMetric(res.Speedup[len(res.Speedup)-1], "speedup_chunk256")
-}
-
-// BenchmarkAblationCombiner toggles the Pregel min-combiner on connected
-// components.
-func BenchmarkAblationCombiner(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.CombinerResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AblationCombiner(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.DeliveredPlain)/float64(res.DeliveredCombined), "msg_reduction_x")
-}
-
-// BenchmarkExtensionsTable regenerates the extensions table (Table I
-// methodology on k-core, label propagation, betweenness, SSSP).
-func BenchmarkExtensionsTable(b *testing.B) {
-	g, s := setup(b)
-	var res *experiments.ExtensionsResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Extensions(g, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Algorithm == "k-core decomposition" {
-			b.ReportMetric(row.Ratio, "ratio_kcore")
-		}
+			reportNameValues(b, filepath.Join(dir, e.Name+".csv"))
+		})
 	}
 }
 
-// BenchmarkGraph500 regenerates the Graph500-style TEPS comparison.
-func BenchmarkGraph500(b *testing.B) {
-	g, s := setup(b)
-	var shared, bsp *graph500.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		shared, err = graph500.RunOnGraph(g, graph500.Config{
-			Scale: benchScale, SearchKeys: 8, Seed: s.Seed, Procs: s.Procs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bsp, err = graph500.RunOnGraph(g, graph500.Config{
-			Scale: benchScale, SearchKeys: 8, Seed: s.Seed, Procs: s.Procs, BSP: true})
-		if err != nil {
-			b.Fatal(err)
+// reportNameValues reports each numeric pair of a name,value CSV as a
+// metric; a CSV of any other shape reports nothing.
+func reportNameValues(b *testing.B, path string) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(recs) == 0 || strings.Join(recs[0], ",") != "name,value" {
+		return
+	}
+	for _, rec := range recs[1:] {
+		if v, err := strconv.ParseFloat(rec[1], 64); err == nil {
+			b.ReportMetric(v, rec[0])
 		}
 	}
-	b.ReportMetric(shared.HarmonicMeanTEPS, "graphct_teps")
-	b.ReportMetric(bsp.HarmonicMeanTEPS, "bsp_teps")
 }

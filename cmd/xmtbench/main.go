@@ -7,13 +7,32 @@
 //
 // Usage:
 //
-//	xmtbench [-exp all|table1|fig1|fig2|fig3|fig4|aux|extensions|graph500|regimes|msbfs|ablation]
+//	xmtbench [-exp all|<name>|<group>] [-csv dir]
 //	         [-scale 16] [-ef 16] [-seed 1] [-procs 128] [-model analytic|des]
 //	         [-sources 5,17,99]
 //	         [-direction auto|push|pull] [-graph-rep flat|compressed]
 //	         [-retries N] [-step-timeout 0] [-run-timeout 0]
 //	         [-workers N] [-obs-format report|jsonl|chrome] [-obs-out out] [-pprof addr|file]
 //	         [-http host:port] [-http-linger 0s]
+//
+// The experiments, the rows of internal/experiments' table, in the order
+// -exp all runs them; -exp ablation runs the four ablation-* rows, and
+// -csv dir writes each row's numbers to dir/<name>.csv:
+//
+//	-exp table1                Table I: total time of CC, BFS and TC, BSP vs GraphCT
+//	-exp fig1                  Figure 1: CC time per iteration across processor counts
+//	-exp fig2                  Figure 2: BFS frontier size vs BSP messages per level
+//	-exp fig3                  Figure 3: BFS time per level across processor counts
+//	-exp fig4                  Figure 4: TC time across processor counts
+//	-exp aux                   the counts the text quotes: CC iteration gap, TC write blowup, BFS message excess
+//	-exp extensions            Table I's method on k-core, label propagation, betweenness and SSSP
+//	-exp graph500              Graph500-style BFS: sampled keys, validated trees, TEPS in both models
+//	-exp msbfs                 64 BFS queries in one batched MS-BFS pass vs one pass each
+//	-exp regimes               the machine bound that dominates each CC and BFS phase
+//	-exp ablation-activation   full vertex scan vs sparse activation on BSP BFS
+//	-exp ablation-hotspot      fetch-and-add allocation chunk sweep on BSP BFS
+//	-exp ablation-combiner     min-combiner on and off on BSP CC
+//	-exp ablation-sensitivity  memory latency and streams-per-processor sweeps over a BSP CC profile
 //
 // -retries, -step-timeout and -run-timeout arm the engine's run
 // supervisor on every BSP pass an experiment performs (multi-run
@@ -27,9 +46,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -37,14 +54,13 @@ import (
 	"graphxmt/internal/core"
 	"graphxmt/internal/experiments"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/graph500"
 	"graphxmt/internal/machine"
 	"graphxmt/internal/obs"
 	"graphxmt/internal/obs/live"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, fig1, fig2, fig3, fig4, aux, extensions, graph500, regimes, msbfs, ablation")
+	exp := flag.String("exp", "all", experiments.Usage())
 	scale := flag.Int("scale", 16, "RMAT scale (log2 vertices); the paper uses 24")
 	ef := flag.Int("ef", 16, "RMAT edge factor; the paper uses 16")
 	seed := flag.Uint64("seed", 1, "workload seed")
@@ -56,11 +72,15 @@ func main() {
 	stepTimeout := flag.Duration("step-timeout", 0, "per-superstep watchdog deadline for every BSP pass (0 = off)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-pass engine run deadline (0 = off)")
 	sources := flag.String("sources", "", "comma-separated source vertices for the msbfs experiment (default: 64 stride-spread sources)")
-	csvDir := flag.String("csv", "", "also write figure series as CSV files into this directory")
+	csvDir := flag.String("csv", "", "also write each experiment's numbers as <name>.csv into this directory")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	liveFlags := live.AddFlags(flag.CommandLine)
 	flag.Parse()
 
+	exps := experiments.Select(*exp)
+	if exps == nil {
+		usage("unknown experiment %q", *exp)
+	}
 	if *scale <= 0 || *scale > 40 {
 		usage("-scale must be in (0,40], got %d", *scale)
 	}
@@ -151,151 +171,16 @@ func main() {
 		}
 	}
 	fmt.Printf("workload: %v (%s adjacency, generated in %v)\n\n", g, g.Rep(), time.Since(start).Round(time.Millisecond))
+	// Source-list validation is shared with bspgraph (internal/batch), so
+	// both CLIs reject malformed or out-of-range lists identically.
+	if *sources != "" {
+		if setup.Sources, err = batch.ParseSources(*sources, g.NumVertices()); err != nil {
+			usage("%v", err)
+		}
+	}
 
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-	ran := false
-
-	if want("table1") {
-		ran = true
-		res, err := experiments.Table1(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderTable1(os.Stdout, res)
-		fmt.Println()
-	}
-	if want("fig1") {
-		ran = true
-		res, err := experiments.Fig1(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderFig1(os.Stdout, res)
-		writeCSV(*csvDir, "fig1.csv", res.WriteFig1CSV)
-		fmt.Println()
-	}
-	if want("fig2") {
-		ran = true
-		res, err := experiments.Fig2(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderFig2(os.Stdout, res)
-		writeCSV(*csvDir, "fig2.csv", res.WriteFig2CSV)
-		fmt.Println()
-	}
-	if want("fig3") {
-		ran = true
-		res, err := experiments.Fig3(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderFig3(os.Stdout, res)
-		writeCSV(*csvDir, "fig3.csv", res.WriteFig3CSV)
-		fmt.Println()
-	}
-	if want("fig4") {
-		ran = true
-		res, err := experiments.Fig4(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderFig4(os.Stdout, res)
-		writeCSV(*csvDir, "fig4.csv", res.WriteFig4CSV)
-		fmt.Println()
-	}
-	if want("aux") {
-		ran = true
-		res, err := experiments.Aux(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderAux(os.Stdout, res)
-		fmt.Println()
-	}
-	if want("extensions") {
-		ran = true
-		res, err := experiments.Extensions(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderExtensions(os.Stdout, res, *procs)
-		fmt.Println()
-	}
-	if want("graph500") {
-		ran = true
-		for _, bsp := range []bool{false, true} {
-			res, err := graph500.RunOnGraph(g, graph500.Config{
-				Scale: *scale, SearchKeys: 16, Seed: *seed, Procs: *procs,
-				Model: setup.Model, BSP: bsp,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			name := "GraphCT"
-			if bsp {
-				name = "BSP"
-			}
-			fmt.Printf("GRAPH500-style (%s): %d/%d searches validated; TEPS min %.3g / median %.3g / harmonic %.3g / max %.3g\n",
-				name, res.Validated, len(res.Keys), res.MinTEPS, res.MedianTEPS, res.HarmonicMeanTEPS, res.MaxTEPS)
-		}
-		fmt.Println()
-	}
-	if want("msbfs") {
-		ran = true
-		// Source-list validation is shared with bspgraph (internal/batch),
-		// so both CLIs reject malformed or out-of-range lists identically.
-		var srcs []int64
-		if *sources != "" {
-			if srcs, err = batch.ParseSources(*sources, g.NumVertices()); err != nil {
-				usage("%v", err)
-			}
-		}
-		res, err := experiments.MSBFS(g, setup, srcs)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderMSBFS(os.Stdout, res, *procs)
-		fmt.Println()
-	}
-	if want("regimes") {
-		ran = true
-		res, err := experiments.Regimes(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderRegimes(os.Stdout, res)
-		fmt.Println()
-	}
-	if want("ablation") {
-		ran = true
-		act, err := experiments.AblationActivation(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderActivation(os.Stdout, act)
-		fmt.Println()
-		hot, err := experiments.AblationHotspot(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderHotspot(os.Stdout, hot, *procs)
-		fmt.Println()
-		comb, err := experiments.AblationCombiner(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderCombiner(os.Stdout, comb, *procs)
-		fmt.Println()
-		sens, err := experiments.SensitivityMachine(g, setup)
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderSensitivity(os.Stdout, sens, *procs)
-		fmt.Println()
-	}
-	if !ran {
-		usage("unknown experiment %q", *exp)
+	if err := experiments.Run(os.Stdout, g, setup, exps, *csvDir); err != nil {
+		fatal(err)
 	}
 	if err := sess.Close(); err != nil {
 		fatal(err)
@@ -305,29 +190,6 @@ func main() {
 	}
 	fmt.Printf("done in %v (host time; reported numbers are simulated XMT seconds)\n",
 		time.Since(start).Round(time.Millisecond))
-}
-
-// writeCSV writes one figure's CSV into dir when -csv is set.
-func writeCSV(dir, name string, write func(io.Writer) error) {
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", path)
 }
 
 func usage(format string, args ...any) {

@@ -12,8 +12,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"graphxmt/internal/experiments"
 )
 
 // bin is the xmtbench binary TestMain builds.
@@ -53,6 +56,9 @@ func TestExitStatus(t *testing.T) {
 		{"usage/bad scale", []string{"-scale", "0"}, 2, `-scale must be in \(0,40\], got 0`},
 		{"usage/bad direction", append([]string{"-direction", "sideways"}, small...), 2, `-direction must be auto, push or pull`},
 		{"usage/unknown experiment", append([]string{"-exp", "fig9"}, small...), 2, `unknown experiment "fig9"`},
+		{"usage/bad sources", append([]string{"-exp", "table1", "-sources", "5,64"}, small...), 2, `source 64 out of range \[0,64\)`},
+		{"fatal/graph500 run timeout", append([]string{"-exp", "graph500", "-run-timeout", "1ns"}, small...), 1,
+			`^xmtbench: experiments: graph500 bsp: graph500: key \d+: .*run exceeded`},
 		{"fatal/unwritable csv directory", append([]string{"-exp", "fig1", "-csv", filepath.Join(file, "csv")}, small...), 1, `not a directory`},
 	}
 	for _, tc := range cases {
@@ -74,9 +80,37 @@ func TestExitStatus(t *testing.T) {
 			if !regexp.MustCompile(tc.out).MatchString(text) {
 				t.Errorf("output %q does not match %q", text, tc.out)
 			}
+			// Usage errors are refused before the banner, except a -sources
+			// list, whose range check needs the built graph.
+			if tc.status == 2 && !slices.Contains(tc.args, "-sources") && stdout.Len() > 0 {
+				t.Errorf("a usage error printed to stdout:\n%s", stdout.String())
+			}
 			if strings.Contains(stderr.String(), "panic") {
 				t.Errorf("panicked:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+// TestDocListsEveryExperiment: the package comment lists every row of the
+// experiment table with its doc line, and EXPERIMENTS.md names each.
+func TestDocListsEveryExperiment(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "package main")
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiments.Select("all") {
+		line := regexp.MustCompile(`(?m)^//\t-exp ` + regexp.QuoteMeta(e.Name) + ` +` + regexp.QuoteMeta(e.Doc) + `$`)
+		if !line.MatchString(doc) {
+			t.Errorf("the doc comment has no line %q", "-exp "+e.Name+"  "+e.Doc)
+		}
+		if !strings.Contains(string(md), "-exp "+e.Name+"`") && !strings.Contains(string(md), "-exp "+e.Name+" ") {
+			t.Errorf("EXPERIMENTS.md does not name -exp %s", e.Name)
+		}
 	}
 }

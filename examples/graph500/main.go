@@ -1,7 +1,7 @@
 // Graph500-style BFS benchmark in both programming models. The paper
 // motivates breadth-first search as "the classical graph traversal
 // algorithm ... used in the Graph500 benchmark": this example runs the
-// internal/graph500 harness — RMAT generation, BFS from sampled search
+// internal/graph500 harness on an RMAT graph — BFS from sampled search
 // keys, specification-style tree validation, and TEPS statistics under the
 // simulated Cray XMT — once with the shared-memory kernel and once with
 // the BSP vertex program.
@@ -13,32 +13,32 @@ import (
 	"fmt"
 	"log"
 
+	"graphxmt/internal/gen"
 	"graphxmt/internal/graph500"
 )
 
 func main() {
-	base := graph500.Config{
-		Scale:      13,
-		EdgeFactor: 16,
-		SearchKeys: 16,
-		Seed:       42,
-		Procs:      128,
-	}
+	const scale, edgeFactor = 13, 16
+	base := graph500.Config{SearchKeys: 16, Seed: 42, Procs: 128}
 	fmt.Printf("graph500-style run: scale %d, edge factor %d, %d search keys, %d simulated procs\n",
-		base.Scale, base.EdgeFactor, base.SearchKeys, base.Procs)
+		scale, edgeFactor, base.SearchKeys, base.Procs)
 
-	shared, err := graph500.Run(base)
+	g, err := gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: edgeFactor, Seed: base.Seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	shared, err := graph500.RunOnGraph(g, base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bspCfg := base
 	bspCfg.BSP = true
-	bsp, err := graph500.Run(bspCfg)
+	bsp, err := graph500.RunOnGraph(g, bspCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("workload: %v\n", shared.Graph)
+	fmt.Printf("workload: %v\n", g)
 	fmt.Printf("validated searches: shared %d/%d, bsp %d/%d (spec-style tree checks)\n\n",
 		shared.Validated, len(shared.Keys), bsp.Validated, len(bsp.Keys))
 

@@ -296,7 +296,7 @@ func choosePath(in pathInputs) (p path, why string) {
 // touches it (no sweep writes it).
 type inbox struct {
 	off       []int64
-	val       []int64 // Run borrows it from flatPool
+	val       []int64 // Run borrows it from flatCache
 	span      []int64 // allocated by the first lookaside delivery
 	recv, own []uint64
 	lookaside bool

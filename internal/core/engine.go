@@ -106,7 +106,7 @@ type Config struct {
 	// scan work changes. This is the ablation for the paper's observation
 	// that "the overhead of the early and late iterations is two orders of
 	// magnitude larger" in BSP — with sparse activation that overhead
-	// disappears (see experiments.AblationActivation).
+	// disappears (see xmtbench -exp ablation-activation).
 	SparseActivation bool
 	// Checkpoint, when non-nil, enables superstep-boundary checkpointing
 	// under the given policy (package ckpt; see checkpoint.go and
@@ -237,19 +237,16 @@ func Run(cfg Config) (*Result, error) {
 		States:     make([]int64, n),
 		Aggregates: map[string]int64{},
 	}
-	// The two buffers sized by message volume come from, and go back to, a
-	// pool shared with the process's other runs. Taken before anything forks:
-	// a sync.Pool keeps a lone object in a per-P slot no other P can steal
-	// from, and the first fork/join may resume this goroutine on another P
-	// than the one the previous run's Put ran on.
-	flat := flatPool.Get().(*flatBufs)
+	// The two buffers sized by message volume come from, and go back to,
+	// the process's other runs (flatCache).
+	flat := takeFlat()
 	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
 	// ib is what each boundary's delivery builds and the next sweep reads.
 	ib := newInbox(n, cfg.Combiner)
 	ib.val = flat.inboxVal
 	defer func() {
 		flat.inboxVal, flat.groupVal = ib.val, scratch.groupVal
-		flatPool.Put(flat)
+		putFlat(flat)
 	}()
 	// laneSrc/progAux are the program's batching capability surfaces
 	// (lanes.go): the lane assignment of a batched multi-source program

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"weak"
 
 	"graphxmt/internal/par"
 )
@@ -469,7 +470,7 @@ type runScratch struct {
 
 	counts   []int32 // C*n destination cursors, share-major (countingSort)
 	groupOff []int64 // n+1 group boundaries (combining path)
-	groupVal []int64 // grouped message values (combining path); Run borrows it from flatPool
+	groupVal []int64 // grouped message values (combining path); Run borrows it from flatCache
 	rangeCnt []int64 // per-range counters for compaction sweeps
 	rangeMax []int64 // per-range max group size (hub detection)
 	foldBnds []int   // message-weighted fold range boundaries
@@ -691,11 +692,46 @@ func (s *runScratch) mergeAggregates(master *engineState, numChunks int) {
 // flatBufs are the two buffers of a run sized by its message volume — the
 // inbox values and the combining path's grouped values. They grow to the
 // run's largest superstep and, like the log's blocks, are worth keeping
-// across runs: flatPool hands the next Run in the process the pair the last
-// one returned, un-zeroed (every delivery writes what it later reads).
+// across runs: the next Run in the process takes the pair the last one put
+// back, un-zeroed (every delivery writes what it later reads).
 type flatBufs struct{ inboxVal, groupVal []int64 }
 
-var flatPool = sync.Pool{New: func() any { return new(flatBufs) }}
+// flatCache keeps the pair between runs. A sync.Pool alone keeps a lone
+// object in the per-P slot of the P that put it, where a Get on any other P
+// cannot reach it, so whether a run reused the pair or allocated a fresh
+// one (51 MiB for BSP TC at scale 13) depended on which P the scheduler
+// resumed it on. Here the pool only decides how long the pair lives: it
+// holds the one strong reference and drops it at the second collection
+// after the last put, so an idle process gives the pair back. A run on any
+// P takes the pair through the weak pointer.
+var flatCache struct {
+	mu   sync.Mutex
+	last weak.Pointer[flatBufs]
+	keep sync.Pool
+}
+
+// takeFlat returns the pair the last run put back, while the pool still
+// holds it, or an empty one.
+func takeFlat() *flatBufs {
+	flatCache.mu.Lock()
+	b := flatCache.last.Value()
+	flatCache.last = weak.Pointer[flatBufs]{}
+	flatCache.mu.Unlock()
+	if b == nil {
+		b = new(flatBufs)
+	}
+	return b
+}
+
+// putFlat hands b to the next run. It first drops one reference the pool
+// holds, so the pool does not grow with the runs between two collections.
+func putFlat(b *flatBufs) {
+	flatCache.keep.Get()
+	flatCache.keep.Put(b)
+	flatCache.mu.Lock()
+	flatCache.last = weak.Make(b)
+	flatCache.mu.Unlock()
+}
 
 func ensureInt64(s []int64, n int) []int64 {
 	if cap(s) < n {

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"graphxmt/internal/gen"
@@ -879,5 +881,38 @@ func BenchmarkPullFloor(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// TestFlatCache: a run takes the message buffers the last run put back
+// whichever P either ran on, and two collections after the last put the
+// cache holds nothing. The putting goroutine spins on its P while the test
+// takes, so the take runs on another.
+func TestFlatCache(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps")
+	}
+	const mark = 12345
+	b := &flatBufs{inboxVal: make([]int64, mark)}
+	var put, stop atomic.Bool
+	go func() {
+		putFlat(b)
+		put.Store(true)
+		for !stop.Load() {
+		}
+	}()
+	for !put.Load() {
+	}
+	got := takeFlat()
+	stop.Store(true)
+	if got != b {
+		t.Fatal("a run on another P allocated instead of taking the buffers the last run put back")
+	}
+	putFlat(b)
+	b, got = nil, nil
+	runtime.GC()
+	runtime.GC()
+	if got := takeFlat(); len(got.inboxVal) == mark {
+		t.Fatal("the cache still holds the buffers two collections after the last put")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/core"
@@ -15,19 +16,19 @@ import (
 // Each isolates one mechanism the paper blames for a BSP overhead and
 // shows the overhead move when the mechanism changes:
 //
-//   - AblationActivation removes the full per-superstep vertex scan
+//   - ablationActivation removes the full per-superstep vertex scan
 //     (paper: early/late BSP iterations cost "two orders of magnitude"
 //     more than shared memory).
-//   - AblationHotspot varies the chunk size of fetch-and-add buffer
+//   - ablationHotspot varies the chunk size of fetch-and-add buffer
 //     allocation (paper: "serialization around a single atomic
 //     fetch-and-add is possible, inhibiting scalability").
-//   - AblationCombiner toggles Pregel's combiner optimization on the
+//   - ablationCombiner toggles Pregel's combiner optimization on the
 //     min-label connected components.
-//   - SensitivityMachine sweeps memory latency and streams-per-processor
+//   - sensitivityMachine sweeps memory latency and streams-per-processor
 //     to show which regimes each kernel sits in.
 
-// ActivationResult is the output of AblationActivation.
-type ActivationResult struct {
+// activationResult is the output of ablationActivation.
+type activationResult struct {
 	Procs []int
 	// FullScan[s][i] and Sparse[s][i] are per-superstep BFS times at
 	// Procs[i] under the two runtimes.
@@ -37,11 +38,10 @@ type ActivationResult struct {
 	FullScanTotal, SparseTotal float64
 }
 
-// AblationActivation runs BSP BFS under the paper's full-scan runtime and
+// ablationActivation runs BSP BFS under the paper's full-scan runtime and
 // under a sparse-activation worklist runtime, and compares per-superstep
 // times. Results (distances) are identical; only scheduling work differs.
-func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
-	s = s.withDefaults()
+func ablationActivation(g *graph.Graph, s Setup) (*activationResult, error) {
 	src := g.MaxDegreeVertex()
 
 	fullRec := trace.NewRecorder()
@@ -69,30 +69,36 @@ func AblationActivation(g *graph.Graph, s Setup) (*ActivationResult, error) {
 		}
 	}
 
-	res := &ActivationResult{Procs: machine.ProcSweep(s.Procs)}
-	for _, p := range res.Procs {
-		res.FullScan = appendColumn(res.FullScan, perIndexSeconds(s.Model, fullRec.Phases(), p))
-		res.Sparse = appendColumn(res.Sparse, perIndexSeconds(s.Model, sparseRec.Phases(), p))
+	procs := machine.ProcSweep(s.Procs)
+	res := &activationResult{
+		Procs:    procs,
+		FullScan: stepTimes(s.Model, fullRec.Phases(), procs, true),
+		Sparse:   stepTimes(s.Model, sparseRec.Phases(), procs, true),
 	}
 	res.FullScanTotal = machine.Seconds(s.Model, fullRec.Phases(), s.Procs)
 	res.SparseTotal = machine.Seconds(s.Model, sparseRec.Phases(), s.Procs)
 	return res, nil
 }
 
-// RenderActivation prints the activation ablation.
-func RenderActivation(w io.Writer, r *ActivationResult) {
+// render prints the activation ablation.
+func (r *activationResult) render(w io.Writer) {
 	fmt.Fprintln(w, "ABLATION: per-superstep vertex scan (paper runtime) vs sparse activation")
 	fmt.Fprintln(w, "BSP BFS, full scan:")
-	renderLevelSeries(w, r.Procs, r.FullScan)
+	renderSteps(w, "level", 6, r.Procs, r.FullScan)
 	fmt.Fprintln(w, "BSP BFS, sparse activation:")
-	renderLevelSeries(w, r.Procs, r.Sparse)
+	renderSteps(w, "level", 6, r.Procs, r.Sparse)
 	fmt.Fprintf(w, "Totals at %d procs: full scan %.5fs, sparse %.5fs (%.2fx)\n",
 		r.Procs[len(r.Procs)-1], r.FullScanTotal, r.SparseTotal,
 		r.FullScanTotal/r.SparseTotal)
 }
 
-// HotspotResult is the output of AblationHotspot.
-type HotspotResult struct {
+func (r *activationResult) csv() ([]string, [][]string) {
+	return levelCSV(r.Procs, series{"full-scan", r.FullScan}, series{"sparse", r.Sparse})
+}
+
+// hotspotResult is the output of ablationHotspot.
+type hotspotResult struct {
+	procs int
 	// Chunks lists the fetch-and-add allocation chunk sizes swept.
 	Chunks []int64
 	// TimeAtMax[i] is total BSP BFS time at Setup.Procs for Chunks[i].
@@ -102,13 +108,12 @@ type HotspotResult struct {
 	Speedup []float64
 }
 
-// AblationHotspot sweeps the message-buffer allocation chunk size, the
+// ablationHotspot sweeps the message-buffer allocation chunk size, the
 // knob controlling how hard sends serialize on the single global
 // fetch-and-add cursor.
-func AblationHotspot(g *graph.Graph, s Setup) (*HotspotResult, error) {
-	s = s.withDefaults()
+func ablationHotspot(g *graph.Graph, s Setup) (*hotspotResult, error) {
 	src := g.MaxDegreeVertex()
-	res := &HotspotResult{Chunks: []int64{1, 4, 16, 64, 256}}
+	res := &hotspotResult{procs: s.Procs, Chunks: []int64{1, 4, 16, 64, 256}}
 	for _, chunk := range res.Chunks {
 		costs := core.DefaultCosts()
 		costs.HotMsgChunk = chunk
@@ -129,18 +134,28 @@ func AblationHotspot(g *graph.Graph, s Setup) (*HotspotResult, error) {
 	return res, nil
 }
 
-// RenderHotspot prints the hotspot ablation.
-func RenderHotspot(w io.Writer, r *HotspotResult, procs int) {
+// render prints the hotspot ablation.
+func (r *hotspotResult) render(w io.Writer) {
 	fmt.Fprintln(w, "ABLATION: fetch-and-add allocation chunk (hotspot serialization)")
-	fmt.Fprintf(w, "  %-8s %14s %14s\n", "chunk", fmt.Sprintf("time@%dP", procs), "speedup 8->max")
+	fmt.Fprintf(w, "  %-8s %14s %14s\n", "chunk", fmt.Sprintf("time@%dP", r.procs), "speedup 8->max")
 	for i, c := range r.Chunks {
 		fmt.Fprintf(w, "  %-8d %14.5f %13.1fx\n", c, r.TimeAtMax[i], r.Speedup[i])
 	}
 	fmt.Fprintln(w, "chunk=1 serializes every message on one memory word, flattening scalability")
 }
 
-// CombinerResult is the output of AblationCombiner.
-type CombinerResult struct {
+// csv emits one row per chunk size.
+func (r *hotspotResult) csv() ([]string, [][]string) {
+	var rows [][]string
+	for i, c := range r.Chunks {
+		rows = append(rows, []string{itoa(c), ftoa(r.TimeAtMax[i]), ftoa(r.Speedup[i])})
+	}
+	return []string{"chunk", fmt.Sprintf("t_%dp", r.procs), "speedup"}, rows
+}
+
+// combinerResult is the output of ablationCombiner.
+type combinerResult struct {
+	procs int
 	// Plain and Combined are total CC times at Setup.Procs.
 	Plain, Combined float64
 	// DeliveredPlain and DeliveredCombined are total delivered messages.
@@ -148,9 +163,8 @@ type CombinerResult struct {
 	Supersteps                        int
 }
 
-// AblationCombiner toggles the min-combiner on BSP connected components.
-func AblationCombiner(g *graph.Graph, s Setup) (*CombinerResult, error) {
-	s = s.withDefaults()
+// ablationCombiner toggles the min-combiner on BSP connected components.
+func ablationCombiner(g *graph.Graph, s Setup) (*combinerResult, error) {
 	plainRec := trace.NewRecorder()
 	plain, err := s.run("plain cc", core.Config{Graph: g, Program: bspalg.CCProgram{}, Recorder: plainRec})
 	if err != nil {
@@ -166,7 +180,8 @@ func AblationCombiner(g *graph.Graph, s Setup) (*CombinerResult, error) {
 			return nil, fmt.Errorf("experiments: combiner changed results at vertex %d", v)
 		}
 	}
-	res := &CombinerResult{
+	res := &combinerResult{
+		procs:      s.Procs,
 		Plain:      machine.Seconds(s.Model, plainRec.Phases(), s.Procs),
 		Combined:   machine.Seconds(s.Model, combRec.Phases(), s.Procs),
 		Supersteps: plain.Supersteps,
@@ -180,34 +195,40 @@ func AblationCombiner(g *graph.Graph, s Setup) (*CombinerResult, error) {
 	return res, nil
 }
 
-// RenderCombiner prints the combiner ablation.
-func RenderCombiner(w io.Writer, r *CombinerResult, procs int) {
+// render prints the combiner ablation.
+func (r *combinerResult) render(w io.Writer) {
 	fmt.Fprintln(w, "ABLATION: Pregel min-combiner on BSP connected components")
-	fmt.Fprintf(w, "  plain:    %.5fs at %dP, %d messages delivered\n", r.Plain, procs, r.DeliveredPlain)
+	fmt.Fprintf(w, "  plain:    %.5fs at %dP, %d messages delivered\n", r.Plain, r.procs, r.DeliveredPlain)
 	fmt.Fprintf(w, "  combined: %.5fs at %dP, %d messages delivered (%.1f%% fewer)\n",
-		r.Combined, procs, r.DeliveredCombined,
+		r.Combined, r.procs, r.DeliveredCombined,
 		100*(1-float64(r.DeliveredCombined)/float64(r.DeliveredPlain)))
 }
 
-// SensitivityResult is the output of SensitivityMachine.
-type SensitivityResult struct {
+func (r *combinerResult) csv() ([]string, [][]string) {
+	return nameValueCSV("plain_s", r.Plain, "combined_s", r.Combined,
+		"delivered_plain", r.DeliveredPlain, "delivered_combined", r.DeliveredCombined, "supersteps", r.Supersteps)
+}
+
+// sensitivityResult is the output of sensitivityMachine.
+type sensitivityResult struct {
+	procs        int
 	Latencies    []int
 	LatencyTimes []float64 // GraphCT CC time at Setup.Procs per latency
 	Streams      []int
 	StreamTimes  []float64 // same, per streams-per-processor
 }
 
-// SensitivityMachine sweeps the machine model's memory latency and
+// sensitivityMachine sweeps the machine model's memory latency and
 // streams-per-processor over a fixed BSP CC profile, exposing
 // the latency-tolerance mechanism: with enough streams, time is
 // insensitive to latency; starve the streams and latency bites.
-func SensitivityMachine(g *graph.Graph, s Setup) (*SensitivityResult, error) {
-	s = s.withDefaults()
+func sensitivityMachine(g *graph.Graph, s Setup) (*sensitivityResult, error) {
 	rec := trace.NewRecorder()
 	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
-	res := &SensitivityResult{
+	res := &sensitivityResult{
+		procs:     s.Procs,
 		Latencies: []int{100, 300, 600, 1200, 2400},
 		Streams:   []int{8, 32, 128, 512},
 	}
@@ -226,15 +247,27 @@ func SensitivityMachine(g *graph.Graph, s Setup) (*SensitivityResult, error) {
 	return res, nil
 }
 
-// RenderSensitivity prints the machine sensitivity sweep.
-func RenderSensitivity(w io.Writer, r *SensitivityResult, procs int) {
+// render prints the machine sensitivity sweep.
+func (r *sensitivityResult) render(w io.Writer) {
 	fmt.Fprintln(w, "SENSITIVITY: machine parameters (BSP CC profile)")
-	fmt.Fprintf(w, "  memory latency sweep at %dP:\n", procs)
+	fmt.Fprintf(w, "  memory latency sweep at %dP:\n", r.procs)
 	for i, lat := range r.Latencies {
 		fmt.Fprintf(w, "    L=%5d cycles: %.5fs\n", lat, r.LatencyTimes[i])
 	}
-	fmt.Fprintf(w, "  streams-per-processor sweep at %dP:\n", procs)
+	fmt.Fprintf(w, "  streams-per-processor sweep at %dP:\n", r.procs)
 	for i, st := range r.Streams {
 		fmt.Fprintf(w, "    S=%5d: %.5fs\n", st, r.StreamTimes[i])
 	}
+}
+
+// csv emits one row per swept parameter value.
+func (r *sensitivityResult) csv() ([]string, [][]string) {
+	var rows [][]string
+	for i, lat := range r.Latencies {
+		rows = append(rows, []string{"mem_latency", strconv.Itoa(lat), ftoa(r.LatencyTimes[i])})
+	}
+	for i, st := range r.Streams {
+		rows = append(rows, []string{"streams_per_proc", strconv.Itoa(st), ftoa(r.StreamTimes[i])})
+	}
+	return []string{"parameter", "value", fmt.Sprintf("t_%dp", r.procs)}, rows
 }

@@ -53,6 +53,9 @@ type Setup struct {
 	Retries     int
 	StepTimeout time.Duration
 	RunTimeout  time.Duration
+	// Sources are the msbfs experiment's BFS sources; nil selects 64
+	// stride-spread ones.
+	Sources []int64
 }
 
 // engineOpts returns the core options of one BSP engine pass: the
@@ -101,18 +104,19 @@ func BuildGraph(s Setup) (*graph.Graph, error) {
 	return gen.RMAT(gen.RMATConfig{Scale: s.Scale, EdgeFactor: s.EdgeFactor, Seed: s.Seed})
 }
 
-// Table1Row is one line of Table I.
-type Table1Row struct {
+// pairRow is one line of Table I or of the extensions table.
+type pairRow struct {
 	Algorithm string
 	BSP       float64 // seconds at Setup.Procs
 	GraphCT   float64 // seconds at Setup.Procs
 	Ratio     float64 // BSP / GraphCT
 }
 
-// Table1Result reproduces Table I plus the iteration counts the text
+// table1Result reproduces Table I plus the iteration counts the text
 // quotes alongside it.
-type Table1Result struct {
-	Rows []Table1Row
+type table1Result struct {
+	procs int
+	Rows  []pairRow
 	// BSPCCSupersteps vs GraphCTCCIterations: the ">= factor of two"
 	// iteration gap (13 vs 6 in the paper).
 	BSPCCSupersteps     int
@@ -121,7 +125,7 @@ type Table1Result struct {
 
 // pair is one Table I-style comparison: kernel bsp's BSP runner timed
 // against kernel twin's GraphCT twin; gap, when set, names the pair in
-// ExtensionsResult.IterationGaps.
+// the extensions table's iteration gaps.
 type pair struct{ title, bsp, twin, gap string }
 
 // table1Pairs are the paper's three pairs. Triangle counting runs the
@@ -133,14 +137,13 @@ var table1Pairs = []pair{
 	{"Triangle Counting", "tc-streaming", "tc", ""},
 }
 
-// Table1 runs the paper's three algorithm pairs on g and returns the table.
-func Table1(g *graph.Graph, s Setup) (*Table1Result, error) {
-	s = s.withDefaults()
+// table1 runs the paper's three algorithm pairs on g and returns the table.
+func table1(g *graph.Graph, s Setup) (*table1Result, error) {
 	rows, steps, err := s.runPairs(g, table1Pairs, bspalg.Params{})
 	if err != nil {
 		return nil, err
 	}
-	return &Table1Result{Rows: rows, BSPCCSupersteps: steps[0][0], GraphCTCCIterations: steps[0][1]}, nil
+	return &table1Result{procs: s.Procs, Rows: rows, BSPCCSupersteps: steps[0][0], GraphCTCCIterations: steps[0][1]}, nil
 }
 
 // runPairs runs each pair's two models from the max-degree vertex of the
@@ -148,8 +151,8 @@ func Table1(g *graph.Graph, s Setup) (*Table1Result, error) {
 // exact, and returns the table rows and each pair's BSP supersteps and
 // GraphCT iterations. A kernel that reads weights runs on a weighted copy
 // of g (weights in [1,10] derived from s.Seed).
-func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]Table1Row, [][2]int, error) {
-	var rows []Table1Row
+func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]pairRow, [][2]int, error) {
+	var rows []pairRow
 	var steps [][2]int
 	for _, pr := range pairs {
 		k, twin := bspalg.Lookup(pr.bsp), bspalg.Lookup(pr.twin)
@@ -173,7 +176,7 @@ func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]Table1
 		if twin.Exact && !slices.Equal(b.Answer, c.Answer) {
 			return nil, nil, fmt.Errorf("experiments: %s: the BSP and GraphCT answers differ", pr.title)
 		}
-		r := Table1Row{Algorithm: pr.title, BSP: machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
+		r := pairRow{Algorithm: pr.title, BSP: machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
 			GraphCT: machine.Seconds(s.Model, ctRec.Phases(), s.Procs)}
 		if r.GraphCT > 0 {
 			r.Ratio = r.BSP / r.GraphCT
@@ -183,125 +186,105 @@ func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]Table1
 	return rows, steps, nil
 }
 
-// Fig1Result reproduces Figure 1: connected-components execution time per
-// iteration, one curve per processor count, for both models.
-type Fig1Result struct {
-	Procs []int
-	// BSP[i][s] is the time of BSP superstep s at Procs[i]; GraphCT[i][k]
-	// likewise for shared-memory iteration k.
-	BSP     [][]float64
-	GraphCT [][]float64
-	// Totals at the largest processor count.
+// procSweep is BSP beside GraphCT over a processor sweep: BSP[s][i] is
+// BSP superstep s's time at Procs[i], GraphCT[k][i] that of GraphCT
+// iteration or level k, and the totals are at Setup.Procs.
+type procSweep struct {
+	Procs                  []int
+	BSP, GraphCT           [][]float64
 	BSPTotal, GraphCTTotal float64
 }
 
-// Fig1 runs both connected-components kernels and evaluates per-iteration
+// sweepOf evaluates bsp's supersteps and ct's phases named ctPhase over
+// s's processor sweep.
+func (s Setup) sweepOf(bsp, ct *trace.Recorder, ctPhase string) procSweep {
+	procs := machine.ProcSweep(s.Procs)
+	b, c := bsp.Phases(), ct.PhasesNamed(ctPhase)
+	return procSweep{
+		Procs:        procs,
+		BSP:          stepTimes(s.Model, b, procs, true),
+		GraphCT:      stepTimes(s.Model, c, procs, false),
+		BSPTotal:     machine.Seconds(s.Model, b, s.Procs),
+		GraphCTTotal: machine.Seconds(s.Model, c, s.Procs),
+	}
+}
+
+// stepTimes evaluates phases at every processor count of procs: t[k][i]
+// is step k's time at procs[i]. perIndex sums the phases that share an
+// Index into one step, as a BSP superstep's scan and compute regions
+// are; otherwise each phase is a step.
+func stepTimes(m machine.Model, phases []*trace.Phase, procs []int, perIndex bool) [][]float64 {
+	var t [][]float64
+	for i, p := range procs {
+		for k, sec := range machine.PhaseSeconds(m, phases, p) {
+			if perIndex {
+				k = phases[k].Index
+			}
+			for k >= len(t) {
+				t = append(t, make([]float64, len(procs)))
+			}
+			t[k][i] += sec
+		}
+	}
+	return t
+}
+
+// fig1Result reproduces Figure 1: connected-components execution time per
+// iteration, one curve per processor count, for both models.
+type fig1Result struct{ procSweep }
+
+// fig1 runs both connected-components kernels and evaluates per-iteration
 // times across the processor sweep.
-func Fig1(g *graph.Graph, s Setup) (*Fig1Result, error) {
-	s = s.withDefaults()
+func fig1(g *graph.Graph, s Setup) (*fig1Result, error) {
 	bspRec := trace.NewRecorder()
 	if _, err := bspalg.ConnectedComponents(g, bspRec, s.engineOpts(true)...); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	ctRec := trace.NewRecorder()
 	graphct.ConnectedComponents(g, ctRec)
-
-	res := &Fig1Result{Procs: machine.ProcSweep(s.Procs)}
-	bspPhases := bspRec.Phases() // scan + compute regions, grouped by superstep
-	ctPhases := ctRec.PhasesNamed("cc/iter")
-	for _, p := range res.Procs {
-		res.BSP = append(res.BSP, perIndexSeconds(s.Model, bspPhases, p))
-		res.GraphCT = append(res.GraphCT, machine.PhaseSeconds(s.Model, ctPhases, p))
-	}
-	res.BSPTotal = machine.Seconds(s.Model, bspPhases, s.Procs)
-	res.GraphCTTotal = machine.Seconds(s.Model, ctPhases, s.Procs)
-	return res, nil
+	return &fig1Result{s.sweepOf(bspRec, ctRec, "cc/iter")}, nil
 }
 
-// perIndexSeconds sums each phase's simulated time into its Index slot, so
-// a superstep's scan and compute regions report as one number.
-func perIndexSeconds(m machine.Model, phases []*trace.Phase, procs int) []float64 {
-	maxIdx := -1
-	for _, p := range phases {
-		if p.Index > maxIdx {
-			maxIdx = p.Index
-		}
-	}
-	out := make([]float64, maxIdx+1)
-	for _, p := range phases {
-		out[p.Index] += m.Config().Seconds(m.PhaseCycles(p, procs))
-	}
-	return out
-}
-
-// Fig2Result reproduces Figure 2: the true BFS frontier per level against
+// fig2Result reproduces Figure 2: the true BFS frontier per level against
 // the number of BSP messages generated per superstep.
-type Fig2Result struct {
+type fig2Result struct {
 	Source   int64
 	Frontier []int64 // size of level-s frontier (GraphCT's exact frontier)
 	Messages []int64 // messages generated by BSP superstep s
 }
 
-// Fig2 runs BSP BFS and reports frontier vs messages per level.
-func Fig2(g *graph.Graph, s Setup) (*Fig2Result, error) {
+// fig2 runs BSP BFS and reports frontier vs messages per level.
+func fig2(g *graph.Graph, s Setup) (*fig2Result, error) {
 	src := g.MaxDegreeVertex()
 	bsp, err := bspalg.BFS(g, src, nil, s.engineOpts(true)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
-	return &Fig2Result{Source: src, Frontier: bsp.FrontierPerStep, Messages: bsp.MessagesPerStep}, nil
+	return &fig2Result{Source: src, Frontier: bsp.FrontierPerStep, Messages: bsp.MessagesPerStep}, nil
 }
 
-// Fig3Result reproduces Figure 3: per-level BFS execution time versus
+// fig3Result reproduces Figure 3: per-level BFS execution time versus
 // processor count for both models.
-type Fig3Result struct {
+type fig3Result struct {
 	Source int64
-	Procs  []int
-	// BSP[s][i] is the time of BSP superstep s at Procs[i]; GraphCT[l][i]
-	// likewise per shared-memory level.
-	BSP     [][]float64
-	GraphCT [][]float64
-	// Totals at the largest processor count.
-	BSPTotal, GraphCTTotal float64
+	procSweep
 }
 
-// Fig3 runs both BFS kernels and evaluates per-level scalability.
-func Fig3(g *graph.Graph, s Setup) (*Fig3Result, error) {
-	s = s.withDefaults()
+// fig3 runs both BFS kernels and evaluates per-level scalability.
+func fig3(g *graph.Graph, s Setup) (*fig3Result, error) {
 	src := g.MaxDegreeVertex()
 	bspRec := trace.NewRecorder()
 	if _, err := bspalg.BFS(g, src, bspRec, s.engineOpts(true)...); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
 	ctRec := trace.NewRecorder()
 	graphct.BFS(g, src, ctRec)
-
-	res := &Fig3Result{Source: src, Procs: machine.ProcSweep(s.Procs)}
-	bspPhases := bspRec.Phases()
-	ctPhases := ctRec.PhasesNamed("bfs/level")
-	for _, p := range res.Procs {
-		res.BSP = appendColumn(res.BSP, perIndexSeconds(s.Model, bspPhases, p))
-		res.GraphCT = appendColumn(res.GraphCT, machine.PhaseSeconds(s.Model, ctPhases, p))
-	}
-	res.BSPTotal = machine.Seconds(s.Model, bspPhases, s.Procs)
-	res.GraphCTTotal = machine.Seconds(s.Model, ctPhases, s.Procs)
-	return res, nil
+	return &fig3Result{src, s.sweepOf(bspRec, ctRec, "bfs/level")}, nil
 }
 
-// appendColumn appends ts[i] to rows[i], growing rows as needed.
-func appendColumn(rows [][]float64, ts []float64) [][]float64 {
-	for i, t := range ts {
-		if i >= len(rows) {
-			rows = append(rows, nil)
-		}
-		rows[i] = append(rows[i], t)
-	}
-	return rows
-}
-
-// Fig4Result reproduces Figure 4: triangle counting execution time versus
+// fig4Result reproduces Figure 4: triangle counting execution time versus
 // processor count for both models.
-type Fig4Result struct {
+type fig4Result struct {
 	Procs   []int
 	BSP     []float64
 	GraphCT []float64
@@ -310,9 +293,9 @@ type Fig4Result struct {
 	Candidates int64
 }
 
-// Fig4 runs both triangle kernels and evaluates the scaling curves.
-func Fig4(g *graph.Graph, s Setup) (*Fig4Result, error) {
-	s = s.withDefaults()
+// fig4 runs both triangle kernels and evaluates the scaling curves. The
+// BSP side is the streaming evaluator, so it makes no engine pass.
+func fig4(g *graph.Graph, s Setup) (*fig4Result, error) {
 	bspRec := trace.NewRecorder()
 	bspTC, err := bspalg.StreamingTriangles(g, bspRec)
 	if err != nil {
@@ -323,7 +306,7 @@ func Fig4(g *graph.Graph, s Setup) (*Fig4Result, error) {
 	if bspTC.Count != ctTC.Count {
 		return nil, fmt.Errorf("experiments: triangle counts differ: %d vs %d", bspTC.Count, ctTC.Count)
 	}
-	res := &Fig4Result{
+	res := &fig4Result{
 		Procs:      machine.ProcSweep(s.Procs),
 		Triangles:  bspTC.Count,
 		Candidates: bspTC.CandidateMessages,
@@ -335,9 +318,9 @@ func Fig4(g *graph.Graph, s Setup) (*Fig4Result, error) {
 	return res, nil
 }
 
-// AuxResult collects the counts the paper's text quotes outside tables:
+// auxResult collects the counts the paper's text quotes outside tables:
 // superstep/iteration gap, message and write blowups.
-type AuxResult struct {
+type auxResult struct {
 	// CC iteration gap (paper: 13 BSP supersteps vs 6 shared-memory
 	// iterations).
 	BSPCCSupersteps, GraphCTCCIterations int
@@ -352,14 +335,13 @@ type AuxResult struct {
 	MessageExcess            float64
 }
 
-// Aux computes the auxiliary counts on g.
-func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
-	s = s.withDefaults()
-	res := &AuxResult{}
+// aux computes the auxiliary counts on g.
+func aux(g *graph.Graph, s Setup) (*auxResult, error) {
+	res := &auxResult{}
 
 	bspCC, err := bspalg.ConnectedComponents(g, nil, s.engineOpts(true)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	res.BSPCCSupersteps = bspCC.Supersteps
 	res.GraphCTCCIterations = graphct.ConnectedComponents(g, nil).Iterations
@@ -382,7 +364,7 @@ func Aux(g *graph.Graph, s Setup) (*AuxResult, error) {
 
 	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.engineOpts(true)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
 	for _, m := range bfs.MessagesPerStep {
 		res.BFSMessages += m

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 
 	"graphxmt/internal/graph"
@@ -20,7 +20,7 @@ func defaultSetup() Setup {
 func testSetup() Setup {
 	s := defaultSetup()
 	s.Scale = 12
-	return s
+	return s.withDefaults()
 }
 
 func testGraph(t *testing.T) (*graph.Graph, Setup) {
@@ -35,7 +35,7 @@ func testGraph(t *testing.T) (*graph.Graph, Setup) {
 
 func TestTable1Shape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Table1(g, s)
+	res, err := table1(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,28 +63,30 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Fig1(g, s)
+	res, err := fig1(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Procs) == 0 || len(res.BSP) != len(res.Procs) {
-		t.Fatalf("series sizes wrong: %d procs, %d bsp", len(res.Procs), len(res.BSP))
+	if len(res.Procs) == 0 || len(res.BSP[0]) != len(res.Procs) {
+		t.Fatalf("series sizes wrong: %d procs, %d bsp", len(res.Procs), len(res.BSP[0]))
 	}
 	last := len(res.Procs) - 1
+	// bsp[i] and ct[i] are the per-iteration times at Procs[i].
+	bsp, ct := transpose(res.BSP), transpose(res.GraphCT)
 
 	// BSP per-iteration time collapses from the first to the last
 	// superstep as the active set shrinks.
 	// (At scale 12 the collapse is bounded by fixed per-superstep
 	// overheads; the full >= 2-orders-of-magnitude span shows at the
 	// EXPERIMENTS.md scale.)
-	bsp128 := res.BSP[last]
+	bsp128 := bsp[last]
 	if bsp128[0] < 3*bsp128[len(bsp128)-1] {
 		t.Fatalf("bsp iteration times did not collapse: first %.6f last %.6f",
 			bsp128[0], bsp128[len(bsp128)-1])
 	}
 	// GraphCT iteration time is roughly constant (constant work per
 	// iteration).
-	ct128 := res.GraphCT[last]
+	ct128 := ct[last]
 	minT, maxT := ct128[0], ct128[0]
 	for _, v := range ct128 {
 		if v < minT {
@@ -98,9 +100,9 @@ func TestFig1Shape(t *testing.T) {
 		t.Fatalf("graphct iteration times not flat: min %.6f max %.6f", minT, maxT)
 	}
 	// Early BSP iterations scale with processors; the tail does not.
-	speedupFirst := res.BSP[0][0] / res.BSP[last][0]
+	speedupFirst := bsp[0][0] / bsp[last][0]
 	tail := len(bsp128) - 1
-	speedupTail := res.BSP[0][tail] / res.BSP[last][tail]
+	speedupTail := bsp[0][tail] / bsp[last][tail]
 	if speedupFirst < 4 {
 		t.Fatalf("first superstep speedup 8->128 = %.2f, want near-linear", speedupFirst)
 	}
@@ -111,11 +113,38 @@ func TestFig1Shape(t *testing.T) {
 	if res.BSPTotal <= res.GraphCTTotal {
 		t.Fatal("BSP total should exceed GraphCT total")
 	}
+	// The CSV: a row per iteration of the longer series, each series'
+	// cells its [step][proc] times, empty past its last step.
+	_, rows := res.csv()
+	for it, row := range rows {
+		for si, times := range [][][]float64{res.BSP, res.GraphCT} {
+			for pi := range res.Procs {
+				want := ""
+				if it < len(times) {
+					want = strconv.FormatFloat(times[it][pi], 'g', 8, 64)
+				}
+				if cell := row[1+si*len(res.Procs)+pi]; cell != want {
+					t.Errorf("fig1.csv iteration %d, series %d, column %d = %q, want %q", it, si, pi, cell, want)
+				}
+			}
+		}
+	}
+}
+
+// transpose turns [step][proc] times into [proc][step].
+func transpose(times [][]float64) [][]float64 {
+	out := make([][]float64, len(times[0]))
+	for _, ts := range times {
+		for i, v := range ts {
+			out[i] = append(out[i], v)
+		}
+	}
+	return out
 }
 
 func TestFig2Shape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Fig2(g, s)
+	res, err := fig2(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +184,7 @@ func TestFig2Shape(t *testing.T) {
 
 func TestFig3Shape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Fig3(g, s)
+	res, err := fig3(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +221,14 @@ func TestFig3Shape(t *testing.T) {
 	if res.BSPTotal <= res.GraphCTTotal {
 		t.Fatal("BSP BFS should be slower in total")
 	}
+	if _, rows := res.csv(); !slices.Equal(rows[len(res.BSP)][:2], []string{"graphct", "0"}) {
+		t.Errorf("fig3.csv's GraphCT rows do not follow its %d BSP rows", len(res.BSP))
+	}
 }
 
 func TestFig4Shape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Fig4(g, s)
+	res, err := fig4(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +255,7 @@ func TestFig4Shape(t *testing.T) {
 
 func TestAuxShape(t *testing.T) {
 	g, s := testGraph(t)
-	res, err := Aux(g, s)
+	res, err := aux(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,70 +267,6 @@ func TestAuxShape(t *testing.T) {
 	}
 	if res.MessageExcess < 5 {
 		t.Fatalf("bfs message excess = %.1f", res.MessageExcess)
-	}
-}
-
-func TestRenderers(t *testing.T) {
-	g, s := testGraph(t)
-	var buf bytes.Buffer
-
-	t1, err := Table1(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderTable1(&buf, t1)
-	if !strings.Contains(buf.String(), "TABLE I") || !strings.Contains(buf.String(), "Triangle Counting") {
-		t.Fatalf("table output missing sections:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f1, err := Fig1(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderFig1(&buf, f1)
-	if !strings.Contains(buf.String(), "FIGURE 1") || !strings.Contains(buf.String(), "128P") {
-		t.Fatalf("fig1 output wrong:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f2, err := Fig2(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderFig2(&buf, f2)
-	if !strings.Contains(buf.String(), "FIGURE 2") {
-		t.Fatal("fig2 output wrong")
-	}
-
-	buf.Reset()
-	f3, err := Fig3(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderFig3(&buf, f3)
-	if !strings.Contains(buf.String(), "FIGURE 3") {
-		t.Fatal("fig3 output wrong")
-	}
-
-	buf.Reset()
-	f4, err := Fig4(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderFig4(&buf, f4)
-	if !strings.Contains(buf.String(), "FIGURE 4") {
-		t.Fatal("fig4 output wrong")
-	}
-
-	buf.Reset()
-	aux, err := Aux(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RenderAux(&buf, aux)
-	if !strings.Contains(buf.String(), "181x") {
-		t.Fatal("aux output wrong")
 	}
 }
 
@@ -325,12 +293,12 @@ func TestTable1UnderDESModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := Table1(g, s)
+	des, err := table1(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Model = machine.NewAnalytic(cfg)
-	ana, err := Table1(g, s)
+	ana, err := table1(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,11 +94,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Table1(g1, s)
+	a, err := table1(g1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Table1(g2, s)
+	b, err := table1(g2, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("%s: times differ across identical runs", a.Rows[i].Algorithm)
 		}
 	}
-	f1a, err := Fig1(g1, s)
+	f1a, err := fig1(g1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1b, err := Fig1(g2, s)
+	f1b, err := fig1(g2, s)
 	if err != nil {
 		t.Fatal(err)
 	}

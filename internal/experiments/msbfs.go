@@ -22,9 +22,10 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// MSBFSResult compares one batched multi-source run against sequential
+// msbfsResult compares one batched multi-source run against sequential
 // single-source runs over the same sources.
-type MSBFSResult struct {
+type msbfsResult struct {
+	procs int
 	// Plan is the lane assignment both sides answered.
 	Plan *batch.Plan
 
@@ -41,14 +42,12 @@ type MSBFSResult struct {
 	// BatchSupersteps is the batched run's superstep count (the deepest
 	// lane plus the terminal step).
 	BatchSupersteps int
-	// Speedup is SeqWall / BatchWall; QueriesPerSec and PerQuery rate the
-	// batched pass as a query server (occupancy / BatchWall).
-	Speedup       float64
-	QueriesPerSec float64
-	PerQuery      time.Duration
-	// AmortizedEdges is BatchMessages / occupancy: logical edge traversals
-	// charged to each query after lane-packing.
-	AmortizedEdges float64
+}
+
+// amortizedEdges is the logical edge traversals charged to each query
+// after lane-packing.
+func (r *msbfsResult) amortizedEdges() float64 {
+	return float64(r.BatchMessages) / float64(r.Plan.Occupancy())
 }
 
 // msbfsSources picks the default batch: MaxLanes sources spread uniformly
@@ -63,11 +62,11 @@ func msbfsSources(g *graph.Graph) []int64 {
 	return srcs
 }
 
-// MSBFS runs the batched-vs-sequential comparison for the given sources
-// (nil selects msbfsSources) and verifies the two sides agree bit-exactly
-// on every lane's distances before reporting any number.
-func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
-	s = s.withDefaults()
+// msbfs runs the batched-vs-sequential comparison for s.Sources (nil
+// selects msbfsSources) and verifies the two sides agree bit-exactly on
+// every lane's distances before reporting any number.
+func msbfs(g *graph.Graph, s Setup) (*msbfsResult, error) {
+	sources := s.Sources
 	if sources == nil {
 		sources = msbfsSources(g)
 	}
@@ -80,9 +79,10 @@ func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 	batchStart := time.Now()
 	mr, err := bspalg.MultiBFS(g, plan, batchRec, s.engineOpts(true)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: bsp msbfs: %w", err)
 	}
-	r := &MSBFSResult{
+	r := &msbfsResult{
+		procs:           s.Procs,
 		Plan:            plan,
 		BatchWall:       time.Since(batchStart),
 		BatchSim:        machine.Seconds(s.Model, batchRec.Phases(), s.Procs),
@@ -97,7 +97,7 @@ func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 		seqStart := time.Now()
 		sr, err := bspalg.BFS(g, src, seqRec, s.engineOpts(true)...)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: bsp bfs source=%d: %w", src, err)
 		}
 		r.SeqWall += time.Since(seqStart)
 		r.SeqSim += machine.Seconds(s.Model, seqRec.Phases(), s.Procs)
@@ -108,27 +108,33 @@ func MSBFS(g *graph.Graph, s Setup, sources []int64) (*MSBFSResult, error) {
 			return nil, fmt.Errorf("msbfs: lane %d (source %d) distances diverge from the single-source run", lane, src)
 		}
 	}
-
-	occ := plan.Occupancy()
-	if r.BatchWall > 0 {
-		r.Speedup = float64(r.SeqWall) / float64(r.BatchWall)
-		r.QueriesPerSec = float64(occ) / r.BatchWall.Seconds()
-	}
-	r.PerQuery = r.BatchWall / time.Duration(occ)
-	r.AmortizedEdges = float64(r.BatchMessages) / float64(occ)
 	return r, nil
 }
 
-// RenderMSBFS writes the batched-query throughput comparison.
-func RenderMSBFS(w io.Writer, r *MSBFSResult, procs int) {
+// render writes the batched-query throughput comparison, rating the
+// batched pass as a query server: its queries per second and wall time
+// per query.
+func (r *msbfsResult) render(w io.Writer) {
 	occ := r.Plan.Occupancy()
+	var speedup, qps float64
+	if r.BatchWall > 0 {
+		speedup, qps = float64(r.SeqWall)/float64(r.BatchWall), float64(occ)/r.BatchWall.Seconds()
+	}
 	fmt.Fprintf(w, "MS-BFS batched queries: %d lanes, %d supersteps (verified bit-identical to %d sequential runs)\n",
 		occ, r.BatchSupersteps, occ)
 	fmt.Fprintf(w, "  %-28s %14s %14s\n", "", "batched (1 run)", fmt.Sprintf("sequential (%d)", occ))
 	fmt.Fprintf(w, "  %-28s %14v %14v\n", "host wall", r.BatchWall.Round(time.Microsecond), r.SeqWall.Round(time.Microsecond))
-	fmt.Fprintf(w, "  %-28s %14.4f %14.4f\n", fmt.Sprintf("simulated s (%d procs)", procs), r.BatchSim, r.SeqSim)
+	fmt.Fprintf(w, "  %-28s %14.4f %14.4f\n", fmt.Sprintf("simulated s (%d procs)", r.procs), r.BatchSim, r.SeqSim)
 	fmt.Fprintf(w, "  %-28s %14d %14d\n", "logical messages", r.BatchMessages, r.SeqMessages)
 	fmt.Fprintf(w, "  speedup %.2fx wall, %.2fx messages; %.0f queries/s, %v per query, %.0f amortized edge traversals/query\n",
-		r.Speedup, float64(r.SeqMessages)/float64(r.BatchMessages),
-		r.QueriesPerSec, r.PerQuery.Round(time.Microsecond), r.AmortizedEdges)
+		speedup, float64(r.SeqMessages)/float64(r.BatchMessages),
+		qps, (r.BatchWall / time.Duration(occ)).Round(time.Microsecond), r.amortizedEdges())
+}
+
+// csv emits the deterministic numbers; the host wall times are left out.
+func (r *msbfsResult) csv() ([]string, [][]string) {
+	return nameValueCSV("lanes", r.Plan.Occupancy(), "batch_supersteps", r.BatchSupersteps,
+		"batch_sim_s", r.BatchSim, "seq_sim_s", r.SeqSim,
+		"batch_messages", r.BatchMessages, "seq_messages", r.SeqMessages,
+		"amortized_edges_per_query", r.amortizedEdges())
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/graph"
@@ -11,8 +12,8 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// RegimePhase is one phase's diagnosis.
-type RegimePhase struct {
+// regimePhase is one phase's diagnosis.
+type regimePhase struct {
 	Name    string
 	Index   int
 	Regime  machine.Regime
@@ -20,33 +21,35 @@ type RegimePhase struct {
 	Seconds float64
 }
 
-// RegimeResult diagnoses which machine bound dominates every phase of the
+// regimeResult diagnoses which machine bound dominates every phase of the
 // paper's kernels — the quantitative form of the paper's per-iteration
 // scalability arguments ("as the number of active vertices becomes small,
 // the parallelism that can be exposed also becomes small").
-type RegimeResult struct {
-	Procs  int
-	BSPCC  []RegimePhase
-	CTCC   []RegimePhase
-	BSPBFS []RegimePhase
-	CTBFS  []RegimePhase
+type regimeResult struct {
+	Procs int
+	// Kernels are BSP CC, GraphCT CC, BSP BFS and GraphCT BFS.
+	Kernels []regimeKernel
 }
 
-// Regimes runs CC and BFS in both models and diagnoses every recorded
+// regimeKernel is one kernel's diagnosis: its title, CSV name and phases.
+type regimeKernel struct {
+	title, name string
+	phases      []regimePhase
+}
+
+// regimes runs CC and BFS in both models and diagnoses every recorded
 // phase under the analytic model.
-func Regimes(g *graph.Graph, s Setup) (*RegimeResult, error) {
-	s = s.withDefaults()
+func regimes(g *graph.Graph, s Setup) (*regimeResult, error) {
 	analytic, ok := s.Model.(*machine.Analytic)
 	if !ok {
 		analytic = machine.NewAnalytic(machine.DefaultConfig())
 	}
-	res := &RegimeResult{Procs: s.Procs}
-
-	diagnose := func(phases []*trace.Phase) []RegimePhase {
-		var out []RegimePhase
+	res := &regimeResult{Procs: s.Procs}
+	diagnose := func(title, name string, phases []*trace.Phase) {
+		k := regimeKernel{title: title, name: name}
 		for _, p := range phases {
 			r, share := analytic.Diagnose(p, s.Procs)
-			out = append(out, RegimePhase{
+			k.phases = append(k.phases, regimePhase{
 				Name:    p.Name,
 				Index:   p.Index,
 				Regime:  r,
@@ -54,49 +57,49 @@ func Regimes(g *graph.Graph, s Setup) (*RegimeResult, error) {
 				Seconds: analytic.Config().Seconds(analytic.PhaseCycles(p, s.Procs)),
 			})
 		}
-		return out
+		res.Kernels = append(res.Kernels, k)
 	}
 
 	rec := trace.NewRecorder()
 	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
-	res.BSPCC = diagnose(rec.PhasesNamed("bsp/superstep"))
-
+	diagnose("BSP connected components", "bsp_cc", rec.PhasesNamed("bsp/superstep"))
 	rec = trace.NewRecorder()
 	graphct.ConnectedComponents(g, rec)
-	res.CTCC = diagnose(rec.Phases())
+	diagnose("GraphCT connected components", "graphct_cc", rec.Phases())
 
 	src := g.MaxDegreeVertex()
 	rec = trace.NewRecorder()
 	if _, err := bspalg.BFS(g, src, rec, s.engineOpts(true)...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
-	res.BSPBFS = diagnose(rec.PhasesNamed("bsp/superstep"))
-
+	diagnose("BSP breadth-first search", "bsp_bfs", rec.PhasesNamed("bsp/superstep"))
 	rec = trace.NewRecorder()
 	graphct.BFS(g, src, rec)
-	res.CTBFS = diagnose(rec.Phases())
+	diagnose("GraphCT breadth-first search", "graphct_bfs", rec.Phases())
 	return res, nil
 }
 
-// RenderRegimes prints the diagnosis.
-func RenderRegimes(w io.Writer, r *RegimeResult) {
+// render prints the diagnosis.
+func (r *regimeResult) render(w io.Writer) {
 	fmt.Fprintf(w, "REGIME DIAGNOSIS at %d processors (dominant bound per phase)\n", r.Procs)
-	sections := []struct {
-		name   string
-		phases []RegimePhase
-	}{
-		{"BSP connected components", r.BSPCC},
-		{"GraphCT connected components", r.CTCC},
-		{"BSP breadth-first search", r.BSPBFS},
-		{"GraphCT breadth-first search", r.CTBFS},
-	}
-	for _, sec := range sections {
-		fmt.Fprintf(w, "%s:\n", sec.name)
-		for _, p := range sec.phases {
+	for _, k := range r.Kernels {
+		fmt.Fprintf(w, "%s:\n", k.title)
+		for _, p := range k.phases {
 			fmt.Fprintf(w, "  %-16s[%2d] %-14s (%.0f%% of phase, %.6fs)\n",
 				p.Name, p.Index, p.Regime, 100*p.Share, p.Seconds)
 		}
 	}
+}
+
+// csv emits one row per diagnosed phase.
+func (r *regimeResult) csv() ([]string, [][]string) {
+	var rows [][]string
+	for _, k := range r.Kernels {
+		for _, p := range k.phases {
+			rows = append(rows, []string{k.name, p.Name, strconv.Itoa(p.Index), string(p.Regime), ftoa(p.Share), ftoa(p.Seconds)})
+		}
+	}
+	return []string{"kernel", "phase", "index", "regime", "share", "seconds"}, rows
 }

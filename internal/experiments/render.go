@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
-// RenderTable1 prints Table I in the paper's layout.
-func RenderTable1(w io.Writer, r *Table1Result) {
-	fmt.Fprintln(w, "TABLE I: EXECUTION TIMES (simulated Cray XMT, 128 processors)")
+// render prints Table I in the paper's layout.
+func (r *table1Result) render(w io.Writer) {
+	fmt.Fprintf(w, "TABLE I: EXECUTION TIMES (simulated Cray XMT, %d processors)\n", r.procs)
 	fmt.Fprintln(w, "---------------------------------------------------------------")
 	fmt.Fprintf(w, "%-24s %12s %12s %8s\n", "Algorithm", "BSP (s)", "GraphCT (s)", "Ratio")
 	for _, row := range r.Rows {
@@ -18,41 +17,43 @@ func RenderTable1(w io.Writer, r *Table1Result) {
 		r.BSPCCSupersteps, r.GraphCTCCIterations)
 }
 
-// RenderFig1 prints Figure 1's series: per-iteration time for each
+// render prints Figure 1's series: per-iteration time for each
 // processor count, BSP beside GraphCT.
-func RenderFig1(w io.Writer, r *Fig1Result) {
+func (r *fig1Result) render(w io.Writer) {
 	fmt.Fprintln(w, "FIGURE 1: Connected components execution time by iteration (seconds)")
+	r.renderSweep(w, "iter", 5)
+}
+
+// renderSweep prints both series, steps labelled label with digits
+// decimals, then the totals.
+func (r *procSweep) renderSweep(w io.Writer, label string, digits int) {
 	fmt.Fprintln(w, "BSP:")
-	renderIterationSeries(w, r.Procs, r.BSP)
+	renderSteps(w, label, digits, r.Procs, r.BSP)
 	fmt.Fprintln(w, "GraphCT:")
-	renderIterationSeries(w, r.Procs, r.GraphCT)
+	renderSteps(w, label, digits, r.Procs, r.GraphCT)
 	fmt.Fprintf(w, "Totals at %d procs: BSP %.3fs, GraphCT %.3fs\n",
 		r.Procs[len(r.Procs)-1], r.BSPTotal, r.GraphCTTotal)
 }
 
-func renderIterationSeries(w io.Writer, procs []int, series [][]float64) {
-	if len(series) == 0 {
-		return
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "  %-6s", "iter")
+// renderSteps prints one row per step of times ([step][proc]), one column
+// per processor count.
+func renderSteps(w io.Writer, label string, digits int, procs []int, times [][]float64) {
+	fmt.Fprintf(w, "  %-6s", label)
 	for _, p := range procs {
-		fmt.Fprintf(&sb, " %11s", fmt.Sprintf("%dP", p))
+		fmt.Fprintf(w, " %11s", fmt.Sprintf("%dP", p))
 	}
-	fmt.Fprintln(w, sb.String())
-	iters := len(series[0])
-	for it := 0; it < iters; it++ {
-		var row strings.Builder
-		fmt.Fprintf(&row, "  %-6d", it)
-		for pi := range procs {
-			fmt.Fprintf(&row, " %11.5f", series[pi][it])
+	fmt.Fprintln(w)
+	for k, ts := range times {
+		fmt.Fprintf(w, "  %-6d", k)
+		for _, t := range ts {
+			fmt.Fprintf(w, " %11.*f", digits, t)
 		}
-		fmt.Fprintln(w, row.String())
+		fmt.Fprintln(w)
 	}
 }
 
-// RenderFig2 prints Figure 2's two series per level.
-func RenderFig2(w io.Writer, r *Fig2Result) {
+// render prints Figure 2's two series per level.
+func (r *fig2Result) render(w io.Writer) {
 	fmt.Fprintln(w, "FIGURE 2: BFS frontier size vs BSP messages per level")
 	fmt.Fprintf(w, "source vertex: %d\n", r.Source)
 	fmt.Fprintf(w, "  %-6s %14s %14s %8s\n", "level", "frontier", "messages", "ratio")
@@ -70,37 +71,15 @@ func RenderFig2(w io.Writer, r *Fig2Result) {
 	fmt.Fprintln(w, "ratio = messages sent at level s / true next frontier")
 }
 
-// RenderFig3 prints Figure 3: per-level time against processor count.
-func RenderFig3(w io.Writer, r *Fig3Result) {
+// render prints Figure 3: per-level time against processor count.
+func (r *fig3Result) render(w io.Writer) {
 	fmt.Fprintln(w, "FIGURE 3: BFS per-level scalability (seconds)")
 	fmt.Fprintf(w, "source vertex: %d\n", r.Source)
-	fmt.Fprintln(w, "BSP:")
-	renderLevelSeries(w, r.Procs, r.BSP)
-	fmt.Fprintln(w, "GraphCT:")
-	renderLevelSeries(w, r.Procs, r.GraphCT)
-	fmt.Fprintf(w, "Totals at %d procs: BSP %.3fs, GraphCT %.3fs\n",
-		r.Procs[len(r.Procs)-1], r.BSPTotal, r.GraphCTTotal)
+	r.renderSweep(w, "level", 6)
 }
 
-func renderLevelSeries(w io.Writer, procs []int, series [][]float64) {
-	var hdr strings.Builder
-	fmt.Fprintf(&hdr, "  %-6s", "level")
-	for _, p := range procs {
-		fmt.Fprintf(&hdr, " %11s", fmt.Sprintf("%dP", p))
-	}
-	fmt.Fprintln(w, hdr.String())
-	for lvl, times := range series {
-		var row strings.Builder
-		fmt.Fprintf(&row, "  %-6d", lvl)
-		for _, t := range times {
-			fmt.Fprintf(&row, " %11.6f", t)
-		}
-		fmt.Fprintln(w, row.String())
-	}
-}
-
-// RenderFig4 prints Figure 4's two scaling curves.
-func RenderFig4(w io.Writer, r *Fig4Result) {
+// render prints Figure 4's two scaling curves.
+func (r *fig4Result) render(w io.Writer) {
 	fmt.Fprintln(w, "FIGURE 4: Triangle counting scalability (seconds)")
 	fmt.Fprintf(w, "triangles: %d, candidate messages: %d\n", r.Triangles, r.Candidates)
 	fmt.Fprintf(w, "  %-8s %12s %12s\n", "procs", "BSP", "GraphCT")
@@ -109,8 +88,8 @@ func RenderFig4(w io.Writer, r *Fig4Result) {
 	}
 }
 
-// RenderAux prints the auxiliary counts.
-func RenderAux(w io.Writer, r *AuxResult) {
+// render prints the auxiliary counts.
+func (r *auxResult) render(w io.Writer) {
 	fmt.Fprintln(w, "AUXILIARY COUNTS")
 	fmt.Fprintf(w, "  CC: BSP %d supersteps vs GraphCT %d iterations (paper: 13 vs 6)\n",
 		r.BSPCCSupersteps, r.GraphCTCCIterations)

@@ -1,9 +1,9 @@
 // Package graph500 implements a Graph500-style BFS benchmark harness over
 // graphxmt's kernels. The paper motivates breadth-first search as "the
 // classical graph traversal algorithm ... used in the Graph500 benchmark";
-// this package follows the benchmark's structure: generate an RMAT graph
-// (kernel 1: construction), run BFS from a set of pseudo-randomly sampled
-// search keys (kernel 2), validate every resulting BFS tree against the
+// this package follows the benchmark's structure: over a graph the caller
+// built (kernel 1: construction, an RMAT graph from gen.RMAT), run BFS
+// from a set of pseudo-randomly sampled search keys (kernel 2), validate every resulting BFS tree against the
 // specification's checks, and report traversed-edges-per-second (TEPS)
 // statistics — here under the simulated Cray XMT, for both programming
 // models.
@@ -26,7 +26,7 @@ import (
 	"sort"
 
 	"graphxmt/internal/bspalg"
-	"graphxmt/internal/gen"
+	"graphxmt/internal/core"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphct"
 	"graphxmt/internal/machine"
@@ -36,13 +36,9 @@ import (
 
 // Config parameterizes a benchmark run.
 type Config struct {
-	// Scale and EdgeFactor parameterize the RMAT workload (Graph500's
-	// edge factor is 16).
-	Scale      int
-	EdgeFactor int
 	// SearchKeys is the number of BFS roots (the benchmark uses 64).
 	SearchKeys int
-	// Seed drives generation and key sampling.
+	// Seed drives key sampling.
 	Seed uint64
 	// Procs is the simulated machine size.
 	Procs int
@@ -53,9 +49,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.EdgeFactor == 0 {
-		c.EdgeFactor = 16
-	}
 	if c.SearchKeys == 0 {
 		c.SearchKeys = 64
 	}
@@ -70,7 +63,6 @@ func (c Config) withDefaults() Config {
 
 // Result is the outcome of a benchmark run.
 type Result struct {
-	Graph *graph.Graph
 	// Keys are the BFS roots used.
 	Keys []int64
 	// TEPS holds traversed edges per (simulated) second for each search.
@@ -84,23 +76,11 @@ type Result struct {
 	Validated int
 }
 
-// Run executes the benchmark.
-func Run(cfg Config) (*Result, error) {
+// RunOnGraph executes kernel 2 and validation over g. The BSP searches
+// run under opts.
+func RunOnGraph(g *graph.Graph, cfg Config, opts ...core.Option) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("graph500: scale must be positive")
-	}
-	g, err := gen.RMAT(gen.RMATConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return RunOnGraph(g, cfg)
-}
-
-// RunOnGraph executes kernel 2 and validation over a pre-built graph.
-func RunOnGraph(g *graph.Graph, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Result{Graph: g}
+	res := &Result{}
 	res.Keys = SampleKeys(g, cfg.SearchKeys, cfg.Seed)
 	if len(res.Keys) == 0 {
 		return nil, fmt.Errorf("graph500: no vertices with edges to sample")
@@ -109,9 +89,9 @@ func RunOnGraph(g *graph.Graph, cfg Config) (*Result, error) {
 		rec := trace.NewRecorder()
 		var dist []int64
 		if cfg.BSP {
-			bfs, err := bspalg.BFS(g, key, rec)
+			bfs, err := bspalg.BFS(g, key, rec, opts...)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("graph500: key %d: %w", key, err)
 			}
 			dist = bfs.Dist
 		} else {

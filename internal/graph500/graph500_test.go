@@ -1,16 +1,29 @@
 package graph500
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"graphxmt/internal/core"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphct"
 )
 
+// rmat builds the scale-10, edge-factor-8 RMAT graph of seed 5.
+func rmat(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestRunSharedMemory(t *testing.T) {
-	res, err := Run(Config{Scale: 10, EdgeFactor: 8, SearchKeys: 8, Seed: 5})
+	res, err := RunOnGraph(rmat(t), Config{SearchKeys: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +43,12 @@ func TestRunSharedMemory(t *testing.T) {
 }
 
 func TestRunBSPSlowerThanSharedMemory(t *testing.T) {
-	shared, err := Run(Config{Scale: 10, EdgeFactor: 8, SearchKeys: 4, Seed: 5})
+	g := rmat(t)
+	shared, err := RunOnGraph(g, Config{SearchKeys: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp, err := Run(Config{Scale: 10, EdgeFactor: 8, SearchKeys: 4, Seed: 5, BSP: true})
+	bsp, err := RunOnGraph(g, Config{SearchKeys: 4, Seed: 5, BSP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +61,17 @@ func TestRunBSPSlowerThanSharedMemory(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadScale(t *testing.T) {
-	if _, err := Run(Config{Scale: 0}); err == nil {
-		t.Fatal("scale 0 should error")
+// TestRunOnGraphTakesOptions: the BSP searches run under the caller's
+// engine options, and a failing one names its key.
+func TestRunOnGraphTakesOptions(t *testing.T) {
+	g := rmat(t)
+	if _, err := RunOnGraph(g, Config{SearchKeys: 2, Seed: 5}, core.WithRunTimeout(time.Nanosecond)); err != nil {
+		t.Fatalf("GraphCT searches take no engine options, but failed: %v", err)
+	}
+	_, err := RunOnGraph(g, Config{SearchKeys: 2, Seed: 5, BSP: true}, core.WithRunTimeout(time.Nanosecond))
+	var te *core.TimeoutError
+	if !errors.As(err, &te) || !strings.HasPrefix(err.Error(), "graph500: key ") {
+		t.Fatalf("error %v, want a *core.TimeoutError naming the key", err)
 	}
 }
 
@@ -160,11 +182,11 @@ func TestRunOnGraphDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunOnGraph(g, Config{Scale: 9, SearchKeys: 4, Seed: 3})
+	a, err := RunOnGraph(g, Config{SearchKeys: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOnGraph(g, Config{Scale: 9, SearchKeys: 4, Seed: 3})
+	b, err := RunOnGraph(g, Config{SearchKeys: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
