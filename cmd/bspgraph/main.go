@@ -293,14 +293,11 @@ func main() {
 	// Zero supervision knobs leave the supervisor off.
 	opts := []core.Option{core.WithDirection(dir),
 		core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout)}
-	if checkpointed {
-		// With -resume but no -checkpoint-dir the policy is label-only:
-		// it validates the checkpoint's identity but writes nothing new.
+	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(&ckpt.Policy{
 			Dir:    *ckptDir,
 			EveryN: *ckptEvery,
 			Keep:   *ckptKeep,
-			Label:  k.Label(p),
 			Hooks:  plan.Hooks(),
 		}))
 	}

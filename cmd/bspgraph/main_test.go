@@ -18,12 +18,14 @@ import (
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
 )
 
 // bin is the bspgraph binary TestMain builds; graphFile a small RMAT graph
-// on which CC runs enough supersteps to be killed at boundary 1.
-var bin, graphFile string
+// on which every checkpointable row runs enough supersteps to be killed at
+// boundary 1, and weightedFile the same graph with edge weights.
+var bin, graphFile, weightedFile string
 
 func TestMain(m *testing.M) {
 	os.Exit(func() int {
@@ -38,10 +40,14 @@ func TestMain(m *testing.M) {
 			fmt.Fprintf(os.Stderr, "building bspgraph: %v\n%s", err, out)
 			return 1
 		}
-		g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 5})
+		graphFile, weightedFile = filepath.Join(dir, "g.gxmt"), filepath.Join(dir, "w.gxmt")
+		edges, n, err := gen.RMATEdges(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 5})
 		if err == nil {
-			graphFile = filepath.Join(dir, "g.gxmt")
-			err = graphio.WriteBinaryFile(graphFile, g)
+			err = graphio.WriteBinaryFile(graphFile, graph.MustBuild(n, edges, graph.BuildOptions{}))
+		}
+		if err == nil {
+			w := graph.BuildOptions{Weights: gen.UniformWeights(len(edges), 9, 5)}
+			err = graphio.WriteBinaryFile(weightedFile, graph.MustBuild(n, edges, w))
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -94,10 +100,20 @@ func TestExitStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:12], 6)
+	binary.LittleEndian.PutUint32(data[8:12], 7)
 	if err := os.WriteFile(oldVersion, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Checkpoints of BFS from source 5, and of a batch over sources 5 and 9,
+	// for the rows that resume them under other sources.
+	bfsCkpt := func(args ...string) string {
+		dir := t.TempDir()
+		if status, _, stderr := run(t, append([]string{"-g", graphFile, "-alg", "bfs", "-checkpoint-dir", dir, "-fault-plan", "kill@1"}, args...)...); status != 3 {
+			t.Fatalf("checkpointing bfs %v: exit %d\n%s", args, status, stderr)
+		}
+		return filepath.Join(dir, "ckpt-000000001.gxckpt")
+	}
+	source5, batch59 := bfsCkpt("-sources", "5"), bfsCkpt("-sources", "5,9", "-batch")
 	// A graph with no vertices: an edge list with only a comment.
 	emptyFile := filepath.Join(t.TempDir(), "empty.txt")
 	if err := os.WriteFile(emptyFile, []byte("# empty\n"), 0o644); err != nil {
@@ -117,7 +133,11 @@ func TestExitStatus(t *testing.T) {
 		{"usage/explicit zero retries", []string{"-g", graphFile, "-retries", "0"}, 2, `-retries must be > 0`, false},
 		{"usage/retired -chunking flag", []string{"-g", graphFile, "-chunking", "degree"}, 2, `flag provided but not defined: -chunking`, false},
 		{"fatal/missing graph file", []string{"-g", filepath.Join(ckDir, "absent.gxmt")}, 1, `absent\.gxmt`, false},
-		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 6`, false},
+		{"fatal/resume retired format version", []string{"-g", graphFile, "-alg", "cc", "-resume", oldVersion}, 1, `unsupported format version 7`, false},
+		{"fatal/resume source 5 as source 7", []string{"-g", graphFile, "-alg", "bfs", "-sources", "7", "-resume", source5}, 1,
+			`program mismatch: checkpoint has "bspalg\.BFSProgram\{Source:5\}", run has "bspalg\.BFSProgram\{Source:7\}"`, false},
+		{"fatal/resume lanes 5,9 as 9,5", []string{"-g", graphFile, "-alg", "bfs", "-sources", "9,5", "-batch", "-resume", batch59}, 1,
+			`program mismatch: checkpoint has "multibfs lanes=5,9", run has "multibfs lanes=9,5"`, false},
 		{"fatal/CSR1 file with the directed flag", []string{"-g", csr1File(t, 1, []int64{0, 1, 2}, []int64{1, 0}), "-alg", "tc"}, 1, `directed flag set`, false},
 		{"fatal/CSR1 file with a duplicate arc", []string{"-g", csr1File(t, 0, []int64{0, 2, 4}, []int64{1, 1, 0, 0}), "-alg", "tc"}, 1, `duplicate neighbour 1`, false},
 		{"fatal/CSR1 file with a self-loop", []string{"-g", csr1File(t, 0, []int64{0, 1, 2}, []int64{0, 1}), "-alg", "tc"}, 1, `adjacency of vertex 0: self-loop`, false},
@@ -193,24 +213,44 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestResumeMatchesUninterrupted: a run killed at boundary 1 and resumed
-// from the checkpoint it printed exits 0 with the stdout of a run that was
-// never interrupted.
+// TestResumeMatchesUninterrupted: for every checkpointable row, a run
+// killed at boundary 1 and resumed from the checkpoint it printed exits 0
+// with the stdout of a run that was never interrupted. bfs also runs from
+// one -sources entry and as a batch.
 func TestResumeMatchesUninterrupted(t *testing.T) {
-	status, want, stderr := run(t, "-g", graphFile, "-alg", "cc")
-	if status != 0 {
-		t.Fatalf("uninterrupted run: exit %d\n%s", status, stderr)
+	runs := map[string][]string{
+		"bfs -sources 5":          {"-alg", "bfs", "-sources", "5"},
+		"bfs -sources 5,9 -batch": {"-alg", "bfs", "-sources", "5,9", "-batch"},
 	}
-	status, _, stderr = run(t, "-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1")
-	path := regexp.MustCompile(`\S+\.gxckpt`).FindString(stderr)
-	if status != 3 || path == "" {
-		t.Fatalf("killed run: exit %d, checkpoint %q\n%s", status, path, stderr)
+	for _, alg := range strings.Split(bspalg.Names(func(k *bspalg.Kernel) bool { return k.BSP != nil && !k.MultiPass }), ", ") {
+		runs[alg] = []string{"-alg", alg}
+		if bspalg.Lookup(alg).Reads&(bspalg.Source|bspalg.Sources) == bspalg.Sources {
+			runs[alg] = append(runs[alg], "-sources", "5,9")
+		}
 	}
-	status, got, stderr := run(t, "-g", graphFile, "-alg", "cc", "-resume", path)
-	if status != 0 {
-		t.Fatalf("resumed run: exit %d\n%s", status, stderr)
-	}
-	if got != want {
-		t.Fatalf("resumed stdout differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
+	for name, args := range runs {
+		t.Run(name, func(t *testing.T) {
+			g := graphFile
+			if bspalg.Lookup(args[1]).Reads&bspalg.Weights != 0 {
+				g = weightedFile
+			}
+			args = append([]string{"-g", g}, args...)
+			status, want, stderr := run(t, args...)
+			if status != 0 {
+				t.Fatalf("uninterrupted run: exit %d\n%s", status, stderr)
+			}
+			status, _, stderr = run(t, append(args, "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1")...)
+			path := regexp.MustCompile(`\S+\.gxckpt`).FindString(stderr)
+			if status != 3 || path == "" {
+				t.Fatalf("killed run: exit %d, checkpoint %q\n%s", status, path, stderr)
+			}
+			status, got, stderr := run(t, append(args, "-resume", path)...)
+			if status != 0 {
+				t.Fatalf("resumed run: exit %d\n%s", status, stderr)
+			}
+			if got != want {
+				t.Fatalf("resumed stdout differs from the uninterrupted run's:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
+			}
+		})
 	}
 }

@@ -87,18 +87,18 @@ func TestBSPKCoreOnRMAT(t *testing.T) {
 
 func TestHIndex(t *testing.T) {
 	cases := []struct {
-		values []int32
-		maxK   int32
-		want   int32
+		values []int64
+		maxK   int64
+		want   int64
 	}{
 		{nil, 0, 0},
 		{nil, 5, 0},
-		{[]int32{3, 3, 3}, 3, 3},
-		{[]int32{1, 1, 1, 1}, 4, 1},
-		{[]int32{5, 4, 3, 2, 1}, 5, 3},
-		{[]int32{9, 9}, 2, 2},
-		{[]int32{9, 9}, 5, 2}, // only two values >= anything
-		{[]int32{0, 0, 0}, 3, 0},
+		{[]int64{3, 3, 3}, 3, 3},
+		{[]int64{1, 1, 1, 1}, 4, 1},
+		{[]int64{5, 4, 3, 2, 1}, 5, 3},
+		{[]int64{9, 9}, 2, 2},
+		{[]int64{9, 9}, 5, 2}, // only two values >= anything
+		{[]int64{0, 0, 0}, 3, 0},
 	}
 	for _, c := range cases {
 		if got := hIndex(c.values, c.maxK); got != c.want {

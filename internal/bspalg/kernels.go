@@ -15,8 +15,10 @@ import (
 
 // The kernel table: one row per algorithm, pairing its BSP vertex program
 // with its GraphCT shared-memory twin as the paper's Table I does. Both
-// CLIs' kernel lists, usage text, flag checks and checkpoint labels, and
-// the experiments' BSP-vs-GraphCT pairs, are read from the rows.
+// CLIs' kernel lists, usage text and flag checks, and the experiments'
+// BSP-vs-GraphCT pairs, are read from the rows. A row's checkpoints need
+// nothing from it: the engine fingerprints the program value a runner
+// builds (core.ProgramNameOf), parameters included.
 
 // Param is a set of the parameters a kernel reads.
 type Param uint8
@@ -90,26 +92,6 @@ func Names(keep func(*Kernel) bool) string {
 		}
 	}
 	return strings.Join(names, ", ")
-}
-
-// Label is the checkpoint label of a run under p: the name plus every
-// parameter that shapes the run, so a checkpoint cannot be resumed under
-// different ones. A batched run pins its lane assignment.
-func (k *Kernel) Label(p Params) string {
-	if p.Plan != nil && p.Batch {
-		return "multi" + k.Name + " lanes=" + p.Plan.String()
-	}
-	label := k.Name
-	if k.Reads&Source != 0 {
-		label += fmt.Sprintf(" src=%d", p.Source)
-	}
-	if k.Reads&Rounds != 0 {
-		label += fmt.Sprintf(" rounds=%d", p.Rounds)
-	}
-	if k.Reads&Seed != 0 {
-		label += fmt.Sprintf(" seed=%d", p.Seed)
-	}
-	return label
 }
 
 var kernels = []*Kernel{

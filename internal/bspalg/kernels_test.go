@@ -1,6 +1,7 @@
 package bspalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"graphxmt/internal/batch"
+	"graphxmt/internal/ckpt"
+	"graphxmt/internal/core"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphct"
@@ -445,45 +448,80 @@ func TestKernelTable(t *testing.T) {
 	}
 }
 
-// TestKernelLabels pins the checkpoint label of every checkpointable row:
-// a checkpoint written under one label resumes only under the same one, so
-// these strings are part of the checkpoint format.
-func TestKernelLabels(t *testing.T) {
-	plan, err := batch.NewPlan([]int64{9, 2, 9}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{Source: 5, Rounds: 30, Samples: 16, Seed: 7}
-	batched := Params{Plan: plan, Batch: true}
-	want := map[string]string{
-		"cc":       "cc",
-		"bfs":      "bfs src=5",
-		"reach":    "multireach lanes=9,2",
-		"sssp":     "sssp src=5",
-		"tc":       "tc",
-		"pagerank": "pagerank rounds=30",
-		"kcore":    "kcore",
-		"lp":       "lp rounds=30",
-		"mis":      "mis seed=7",
+// perturb changes one parameter a row may read. A single-pass row that
+// reads a parameter without an entry here fails TestKernelIdentity by name.
+// Weights are the graph's, pinned by the fingerprint's graph checksum.
+var perturb = []struct {
+	param  Param
+	name   string
+	change func(*Params)
+}{
+	{Source, "Source", func(p *Params) { p.Source++ }},
+	{Sources, "Plan", func(p *Params) { p.Plan = &batch.Plan{Sources: []int64{3, 1}} }}, // the base's lanes swapped
+	{Rounds, "Rounds", func(p *Params) { p.Rounds++ }},
+	{Seed, "Seed", func(p *Params) { p.Seed++ }},
+}
+
+// TestKernelIdentity: a checkpoint names its run by the program the row
+// runs, so for every single-pass BSP row the fingerprint's Program changes
+// with each parameter the row reads, stays put when Source changes on a
+// row that does not read it, and is the same for two runs under the same
+// parameters.
+func TestKernelIdentity(t *testing.T) {
+	edges := gen.Grid(5, 6).EdgeList()
+	flat := graph.MustBuild(30, edges, graph.BuildOptions{})
+	weighted := graph.MustBuild(30, edges, graph.BuildOptions{Weights: gen.UniformWeights(len(edges), 9, 1)})
+	covered := Weights
+	for _, q := range perturb {
+		covered |= q.param
 	}
 	for _, k := range kernels {
 		if k.BSP == nil || k.MultiPass {
 			continue // GraphCT-only and multi-pass rows write no checkpoints
 		}
-		w, ok := want[k.Name]
-		if !ok {
-			t.Errorf("row %s has no pinned label", k.Name)
-			continue
+		if missing := k.Reads &^ covered; missing != 0 {
+			t.Errorf("row %s reads parameters %#b, which perturb does not change", k.Name, missing)
 		}
-		q := p
-		if k.Reads&Source == 0 && k.Reads&Sources != 0 {
-			q = batched
+		g := flat
+		if k.Reads&Weights != 0 {
+			g = weighted
 		}
-		if got := k.Label(q); got != w {
-			t.Errorf("row %s: label %q, want %q", k.Name, got, w)
+		identity := func(p Params) string {
+			t.Helper()
+			stop := &ckpt.Hooks{Kill: func(step int64) bool { return step == 0 }}
+			_, err := k.BSP(g, p, nil, core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir(), Hooks: stop}))
+			var ie *core.InterruptedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("row %s under %+v: want InterruptedError at boundary 0, got %v", k.Name, p, err)
+			}
+			s, err := ckpt.Load(ie.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.FP.Program
 		}
-	}
-	if got := Lookup("bfs").Label(batched); got != "multibfs lanes=9,2" {
-		t.Errorf("batched bfs: label %q, want %q", got, "multibfs lanes=9,2")
+		for _, q := range perturb {
+			reads := k.Reads&q.param != 0
+			if !reads && q.param != Source {
+				continue
+			}
+			// The base run is batched over two sources when it perturbs the
+			// source list or the row answers only batches.
+			p := Params{Source: 1, Rounds: 5, Seed: 7}
+			if q.param == Sources || k.Reads&(Source|Sources) == Sources {
+				p.Plan, p.Batch = &batch.Plan{Sources: []int64{1, 3}}, true
+			}
+			before := identity(p)
+			if again := identity(p); again != before {
+				t.Errorf("row %s: two runs under %+v are %q and %q", k.Name, p, before, again)
+			}
+			q.change(&p)
+			switch after := identity(p); {
+			case reads && after == before:
+				t.Errorf("row %s: changing %s leaves its identity %q", k.Name, q.name, before)
+			case !reads && after != before:
+				t.Errorf("row %s does not read %s, but changing it moves its identity from %q to %q", k.Name, q.name, before, after)
+			}
+		}
 	}
 }

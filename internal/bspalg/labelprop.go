@@ -1,6 +1,7 @@
 package bspalg
 
 import (
+	"fmt"
 	"sort"
 
 	"graphxmt/internal/core"
@@ -24,20 +25,19 @@ import (
 type lpProgram struct {
 	// Rounds is the maximum number of propagation supersteps.
 	Rounds int
-	// cache[v][i] is the latest label received from Neighbors(v)[i].
-	cache [][]int64
+	// The latest label received from each neighbour.
+	nbrCache
 }
 
-// NewLPProgram returns a program instance sized for g.
+// NewLPProgram returns a program instance sized for g. Initial labels are
+// the vertex IDs, so every cached neighbour label starts as its ID.
 func NewLPProgram(g *graph.Graph, rounds int) core.Program {
-	n := g.NumVertices()
-	p := &lpProgram{Rounds: rounds, cache: make([][]int64, n)}
-	for v := int64(0); v < n; v++ {
-		// Initial labels are the neighbor IDs themselves.
-		p.cache[v] = append([]int64(nil), g.Neighbors(v)...)
-	}
-	return p
+	return &lpProgram{Rounds: rounds, nbrCache: newNbrCache(g, func(w int64) int64 { return w })}
 }
+
+// ProgramName is the program's checkpoint fingerprint identity: its type
+// and the round cap, without the cache.
+func (p *lpProgram) ProgramName() string { return fmt.Sprintf("%T{Rounds:%d}", p, p.Rounds) }
 
 // InitialState implements core.Program: every vertex starts in its own
 // community.
@@ -57,7 +57,7 @@ func (p *lpProgram) Compute(v *core.VertexContext) {
 		// initial cache below, without a broadcast round.
 	}
 	nbr := v.Neighbors()
-	cache := p.cache[v.ID()]
+	cache := p.of(v.ID())
 	for _, m := range v.Messages() {
 		sender := m >> 32
 		label := m & 0xffffffff

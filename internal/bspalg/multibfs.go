@@ -51,8 +51,8 @@ const (
 // multiBFSProgram is the batched multi-source vertex program. Construct it
 // through MultiBFS/multiReach (the zero value is not runnable).
 type multiBFSProgram struct {
-	// lanes is the lane assignment: lanes[i] owns bit i (batch.Plan.Sources).
-	lanes []int64
+	// plan is the lane assignment: plan.Sources[i] owns bit i.
+	plan *batch.Plan
 	// srcMask maps a source vertex to its lane bit. Read-only after
 	// construction, so concurrent InitialState calls are safe.
 	srcMask map[int64]uint64
@@ -66,7 +66,7 @@ type multiBFSProgram struct {
 
 func newMultiProgram(g *graph.Graph, plan *batch.Plan, withLevels bool) *multiBFSProgram {
 	p := &multiBFSProgram{
-		lanes:   plan.Sources,
+		plan:    plan,
 		srcMask: make(map[int64]uint64, len(plan.Sources)),
 	}
 	for i, s := range plan.Sources {
@@ -101,17 +101,19 @@ func (p *multiBFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
 // floods as pull sweeps.
 func (*multiBFSProgram) PullCapable() bool { return true }
 
-// ProgramName is the program's checkpoint fingerprint identity.
+// ProgramName is the program's checkpoint fingerprint identity: its kind
+// and its lane order. Per-vertex lane masks and the aux levels mean
+// something only under the assignment they were written with, so a batch
+// resumes only under the exact source order it started with.
 func (p *multiBFSProgram) ProgramName() string {
 	if p.levels == nil {
-		return "multireach"
+		return "multireach lanes=" + p.plan.String()
 	}
-	return "multibfs"
+	return "multibfs lanes=" + p.plan.String()
 }
 
-// Lanes implements core.LaneProgram: checkpoints pin the assignment and
-// obs reports lane occupancy.
-func (p *multiBFSProgram) Lanes() []int64 { return p.lanes }
+// Lanes implements core.LaneProgram: obs reports lane occupancy.
+func (p *multiBFSProgram) Lanes() []int64 { return p.plan.Sources }
 
 // AuxState implements core.AuxProgram: the packed levels ride in every
 // boundary snapshot, so resumed and retried batches keep the levels

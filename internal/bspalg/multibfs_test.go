@@ -190,7 +190,6 @@ func TestMultiBFSRecoveryMatrix(t *testing.T) {
 	if plan.Occupancy() != batch.MaxLanes {
 		t.Fatalf("occupancy = %d, want %d", plan.Occupancy(), batch.MaxLanes)
 	}
-	label := "multibfs lanes=" + plan.String()
 
 	for _, w := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
@@ -204,7 +203,7 @@ func TestMultiBFSRecoveryMatrix(t *testing.T) {
 				dir := t.TempDir()
 				fp := &faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}
 				_, err := MultiBFS(g, plan, nil,
-					core.WithCheckpoint(&ckpt.Policy{Dir: dir, Label: label, Hooks: fp.Hooks()}))
+					core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: fp.Hooks()}))
 				var ie *core.InterruptedError
 				if !errors.As(err, &ie) {
 					t.Fatalf("kill@%d: want InterruptedError, got %v", k, err)
@@ -213,7 +212,6 @@ func TestMultiBFSRecoveryMatrix(t *testing.T) {
 					t.Fatalf("kill@%d: InterruptedError = %+v", k, ie)
 				}
 				res, err := MultiBFS(g, plan, nil,
-					core.WithCheckpoint(&ckpt.Policy{Dir: dir, Label: label}),
 					core.WithResume(ie.CheckpointPath))
 				if err != nil {
 					t.Fatalf("resume from kill@%d: %v", k, err)
@@ -234,7 +232,8 @@ func TestMultiBFSRecoveryMatrix(t *testing.T) {
 
 // TestMultiBFSResumeRejectsLaneMismatch: a checkpoint taken under one lane
 // assignment refuses to resume under a permuted one — the typed error
-// names the "lane assignment" fingerprint field.
+// names the "program" fingerprint field, whose identity carries the lane
+// order.
 func TestMultiBFSResumeRejectsLaneMismatch(t *testing.T) {
 	g := multiTestGraph(t, 10)
 	planA, err := batch.NewPlan([]int64{5, 9, 17}, g.NumVertices())
@@ -248,20 +247,19 @@ func TestMultiBFSResumeRejectsLaneMismatch(t *testing.T) {
 	dir := t.TempDir()
 	fp := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
 	_, err = MultiBFS(g, planA, nil,
-		core.WithCheckpoint(&ckpt.Policy{Dir: dir, Label: "batch", Hooks: fp.Hooks()}))
+		core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: fp.Hooks()}))
 	var ie *core.InterruptedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want InterruptedError, got %v", err)
 	}
 	_, err = MultiBFS(g, planB, nil,
-		core.WithCheckpoint(&ckpt.Policy{Dir: dir, Label: "batch"}),
 		core.WithResume(ie.CheckpointPath))
 	var me *ckpt.MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("permuted lanes: want MismatchError, got %v", err)
 	}
-	if me.Field != "lane assignment" {
-		t.Fatalf("mismatch field = %q, want \"lane assignment\"", me.Field)
+	if me.Field != "program" || me.Got != "multibfs lanes=5,9,17" || me.Want != "multibfs lanes=5,17,9" {
+		t.Fatalf("mismatch = %+v, want the program's lane orders 5,9,17 vs 5,17,9", me)
 	}
 }
 

@@ -24,9 +24,8 @@ import (
 // engine's hot path pays a single pointer check.
 type Policy struct {
 	// Dir is the directory checkpoints are written to (created if absent).
-	// An empty Dir makes the policy label-only: nothing is written, but
-	// Label still participates in resume fingerprint validation — the
-	// shape of a run that resumes a checkpoint without taking new ones.
+	// It is required: a run that resumes without taking new checkpoints
+	// passes no Policy at all.
 	Dir string
 	// EveryN writes a checkpoint after every Nth superstep boundary;
 	// 0 selects 1 (every boundary). Interrupts (Config.Stop) force a write
@@ -36,10 +35,6 @@ type Policy struct {
 	// ones after each successful write; 0 keeps everything. Emergency
 	// checkpoints (written on a vertex-program panic) are never pruned.
 	Keep int
-	// Label identifies the run beyond the engine-visible configuration —
-	// CLIs put the algorithm and its parameters here (e.g. "bfs src=5").
-	// Resume fails with a MismatchError if labels differ.
-	Label string
 	// Hooks, when non-nil, lets the fault-injection harness intercept
 	// checkpoint writes and simulate kills. Nil in production.
 	Hooks *Hooks
@@ -73,14 +68,13 @@ type Fingerprint struct {
 	GraphCRC uint32
 	Vertices int64
 	Edges    int64
-	// Program is the vertex program's name (core.ProgramNameOf).
+	// Program is the vertex program's identity (core.ProgramNameOf): its
+	// type and parameters, so a run resumes only under the program value
+	// it checkpointed — the same source, rounds, seed or lane order.
 	Program string
-	// Label is Policy.Label — program parameters live here, since the
-	// engine cannot introspect program struct fields portably.
-	Label string
 	// Combiner records whether a combiner was configured. The function
-	// itself cannot be fingerprinted; the label should disambiguate
-	// algorithms with optional combiners.
+	// itself cannot be fingerprinted: a program that may run under two
+	// different combiners names the one it was given in its identity.
 	Combiner bool
 	// Sparse is Config.SparseActivation.
 	Sparse bool
@@ -114,12 +108,6 @@ type Fingerprint struct {
 	// differently per representation, and a run may only resume under the
 	// representation it checkpointed with.
 	Rep string
-	// Lanes is the batched run's lane assignment — the comma-separated
-	// source list in lane order (core.LaneProgram) — or "" for unbatched
-	// runs. Per-vertex lane masks and the aux level words are meaningful
-	// only under the assignment they were written with, so a batch may
-	// only resume under the exact source order it started with.
-	Lanes string
 }
 
 // Check compares fp (from a checkpoint) against want (the resuming run)
@@ -134,7 +122,6 @@ func (fp Fingerprint) Check(want Fingerprint) error {
 		{"vertices", fmt.Sprint(fp.Vertices), fmt.Sprint(want.Vertices)},
 		{"edges", fmt.Sprint(fp.Edges), fmt.Sprint(want.Edges)},
 		{"program", fp.Program, want.Program},
-		{"label", fp.Label, want.Label},
 		{"combiner", fmt.Sprint(fp.Combiner), fmt.Sprint(want.Combiner)},
 		{"sparse activation", fmt.Sprint(fp.Sparse), fmt.Sprint(want.Sparse)},
 		{"chunk schedule", fp.Schedule, want.Schedule},
@@ -143,7 +130,6 @@ func (fp Fingerprint) Check(want Fingerprint) error {
 		{"max messages", fmt.Sprint(fp.MaxMessages), fmt.Sprint(want.MaxMessages)},
 		{"max retries", fmt.Sprint(fp.Retries), fmt.Sprint(want.Retries)},
 		{"representation", fp.Rep, want.Rep},
-		{"lane assignment", fp.Lanes, want.Lanes},
 		{"cost schedule", fmt.Sprintf("%08x", fp.CostsCRC), fmt.Sprintf("%08x", want.CostsCRC)},
 	}
 	for _, c := range cs {
@@ -217,8 +203,8 @@ type Snapshot struct {
 	// Aux is the program's auxiliary state — the deep copy of
 	// core.AuxProgram's backing slice at this boundary (e.g. MultiBFS's
 	// packed per-vertex per-lane levels). Its length and encoding are
-	// program-defined; FP.Lanes plus FP.Program pin the interpretation.
-	// Empty for programs without aux state.
+	// program-defined; FP.Program (a batch's lane order included) pins the
+	// interpretation. Empty for programs without aux state.
 	Aux []int64
 	// Aggregates and PrevAggregates (the Pregel previous-superstep view),
 	// sorted by name.

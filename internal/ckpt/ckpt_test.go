@@ -36,7 +36,6 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 			Vertices:      n,
 			Edges:         int64(rng.Intn(1000)),
 			Program:       "prog-" + strings.Repeat("x", rng.Intn(8)),
-			Label:         "label" + string(rune('a'+rng.Intn(26))),
 			Combiner:      rng.Intn(2) == 0,
 			Sparse:        rng.Intn(2) == 0,
 			Schedule:      []string{"degree", "fixed"}[rng.Intn(2)],
@@ -46,7 +45,6 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 			Direction:     []string{"auto", "push", "pull"}[rng.Intn(3)],
 			Retries:       int64(rng.Intn(4)),
 			Rep:           []string{"flat", "compressed"}[rng.Intn(2)],
-			Lanes:         []string{"", "3,17,42", "0"}[rng.Intn(3)],
 		},
 		Step:   step,
 		States: make([]int64, n),
@@ -305,7 +303,7 @@ func stampVersion(t *testing.T, path string, ver uint32) {
 }
 
 // TestUnknownVersionRejected: the format has one version and no decoder
-// for any other. Files stamped with a retired version (1-6 were written by
+// for any other. Files stamped with a retired version (1-7 were written by
 // earlier engines), a future one, or garbage are a typed VersionError from
 // both Load and Verify — never a mis-decode.
 func TestUnknownVersionRejected(t *testing.T) {
@@ -315,7 +313,7 @@ func TestUnknownVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 99} {
+	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 99} {
 		stampVersion(t, path, ver)
 		_, loadErr := ckpt.Load(path)
 		for _, err := range []error{loadErr, ckpt.Verify(path)} {
@@ -328,31 +326,31 @@ func TestUnknownVersionRejected(t *testing.T) {
 			}
 		}
 	}
-	stampVersion(t, path, 7)
+	stampVersion(t, path, 8)
 	if _, err := ckpt.Load(path); err != nil {
 		t.Fatalf("restamped current version: %v", err)
 	}
 }
 
 // TestEncodeGolden pins the payload bytes: FNV-64a of Encode over
-// randSnapshot seeds 1-8, captured on the commit before the field list
-// became Snapshot.walk. The seeds cover every optional section both present
-// and absent (broadcast records, direction arrays, retry counts, aux,
-// aggregates, phases). A change here is a format change: bump the version.
+// randSnapshot seeds 1-8, captured at format version 8. The seeds cover
+// every optional section both present and absent (broadcast records,
+// direction arrays, retry counts, aux, aggregates, phases). A change here
+// is a format change: bump the version.
 func TestEncodeGolden(t *testing.T) {
 	golden := []struct {
 		seed int64
 		size int
 		hash uint64
 	}{
-		{1, 2699, 0x10e37c566363fa26}, // dir, retry, aux; no bcast
-		{2, 6447, 0x09b46b8aedc09c67}, // bcast, dir, retry; no aux
-		{3, 3196, 0x004a6f8d2ac78283}, // bcast, aux; no dir, no retry
-		{4, 6730, 0x6c9f1a5a5f4c0f18}, // bcast, dir, aux; no retry
-		{5, 2223, 0xd2e773446e7076ba}, // bcast, aux; no aggregates
-		{6, 3490, 0x5a8e09da05054505}, // bcast, retry; no phases
-		{7, 2390, 0xdbb0098d66a1e0b7}, // dir, retry; no bcast, no aux
-		{8, 6116, 0xb7921c25fce365be}, // bcast, dir, aux; no aggregates
+		{1, 5952, 0x5423508d95774442}, // bcast, dir, retry; no aux, aggregates, phases
+		{2, 4218, 0x0530446c7b85abe0}, // bcast, retry, aux, phases; no dir
+		{3, 2601, 0x6160c0e005f43131}, // dir, retry, aux, aggregates, phases; no bcast
+		{4, 4505, 0x98c7fe869c10fdda}, // bcast, aux; no dir, retry, phases
+		{5, 4331, 0xef39ddad121da888}, // every section
+		{6, 4110, 0x1bd726bd912f40d1}, // bcast, retry, aux, aggregates; no dir
+		{7, 5971, 0xb5cdf5f0f23e830e}, // dir, aggregates, phases; no bcast, retry, aux
+		{8, 4313, 0x12389b6014697e1a}, // bcast, retry, aux, aggregates, phases; no dir
 	}
 	for _, g := range golden {
 		b := ckpt.Encode(randSnapshot(rand.New(rand.NewSource(g.seed))))
@@ -367,43 +365,61 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintCheck: Check covers every field of the fingerprint. A
+// copy of base with any one field perturbed fails Check with a
+// MismatchError that names that field, and no two fields share a name; the
+// perturbed fingerprint survives an Encode/Decode round trip. A field added
+// to Fingerprint without a Check row or a walk line fails here.
 func TestFingerprintCheck(t *testing.T) {
 	base := ckpt.Fingerprint{
-		GraphCRC: 1, Vertices: 10, Edges: 20, Program: "bfs", Label: "src=0",
-		Combiner: true, Sparse: false, MaxSupersteps: 1000, MaxMessages: 1 << 28, CostsCRC: 2,
-		Direction: "auto",
+		GraphCRC: 1, Vertices: 10, Edges: 20, Program: "bspalg.BFSProgram{Source:0}",
+		Combiner: true, Schedule: "degree64", MaxSupersteps: 1000, MaxMessages: 1 << 28, CostsCRC: 2,
+		Direction: "auto", Retries: 2, Rep: "flat",
 	}
 	if err := base.Check(base); err != nil {
 		t.Fatalf("identical fingerprints rejected: %v", err)
 	}
-	cases := []struct {
-		field  string
-		mutate func(*ckpt.Fingerprint)
-	}{
-		{"graph checksum", func(f *ckpt.Fingerprint) { f.GraphCRC++ }},
-		{"vertices", func(f *ckpt.Fingerprint) { f.Vertices++ }},
-		{"edges", func(f *ckpt.Fingerprint) { f.Edges++ }},
-		{"program", func(f *ckpt.Fingerprint) { f.Program = "cc" }},
-		{"label", func(f *ckpt.Fingerprint) { f.Label = "src=1" }},
-		{"combiner", func(f *ckpt.Fingerprint) { f.Combiner = false }},
-		{"sparse activation", func(f *ckpt.Fingerprint) { f.Sparse = true }},
-		{"chunk schedule", func(f *ckpt.Fingerprint) { f.Schedule = "degree" }},
-		{"direction", func(f *ckpt.Fingerprint) { f.Direction = "pull" }},
-		{"max supersteps", func(f *ckpt.Fingerprint) { f.MaxSupersteps = 5 }},
-		{"max messages", func(f *ckpt.Fingerprint) { f.MaxMessages = 5 }},
-		{"lane assignment", func(f *ckpt.Fingerprint) { f.Lanes = "3,17" }},
-		{"cost schedule", func(f *ckpt.Fingerprint) { f.CostsCRC++ }},
-	}
-	for _, tc := range cases {
-		want := base
-		tc.mutate(&want)
-		err := base.Check(want)
-		var me *ckpt.MismatchError
-		if !errors.As(err, &me) {
-			t.Fatalf("%s: want MismatchError, got %v", tc.field, err)
+	fieldOf := map[string]string{} // MismatchError.Field -> struct field
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fp := base
+		switch f := reflect.ValueOf(&fp).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint32:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s is a %s, which this test cannot perturb", name, f.Kind())
 		}
-		if me.Field != tc.field {
-			t.Fatalf("mismatch field = %q, want %q", me.Field, tc.field)
+		var me *ckpt.MismatchError
+		if err := fp.Check(base); !errors.As(err, &me) {
+			t.Errorf("perturbed %s: want MismatchError, got %v", name, err)
+			continue
+		}
+		if other, dup := fieldOf[me.Field]; dup {
+			t.Errorf("fields %s and %s both mismatch as %q", other, name, me.Field)
+		}
+		fieldOf[me.Field] = name
+
+		s := &ckpt.Snapshot{
+			FP:               fp,
+			Live:             fp.Vertices,
+			States:           make([]int64, fp.Vertices),
+			Halted:           ckpt.Bitmap{N: fp.Vertices, Words: make([]uint64, (fp.Vertices+63)/64)},
+			ActivePerStep:    []int64{1},
+			MessagesPerStep:  []int64{2},
+			DeliveredPerStep: []int64{3},
+		}
+		got, err := ckpt.Decode(ckpt.Encode(s), name)
+		if err != nil {
+			t.Errorf("perturbed %s: decode: %v", name, err)
+		} else if got.FP != fp {
+			t.Errorf("perturbed %s: round trip gave %+v, want %+v", name, got.FP, fp)
 		}
 	}
 }

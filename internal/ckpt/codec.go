@@ -29,7 +29,7 @@ import (
 // version and minVersion together.
 const (
 	magic      = "GXMTCKP1"
-	version    = 7
+	version    = 8
 	minVersion = version
 	headerLen  = 16
 
@@ -37,7 +37,10 @@ const (
 	ext = ".gxckpt"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Castagnoli is the CRC-32C table behind every checksum a checkpoint
+// holds: the file's payload CRC here, and the graph and cost-schedule
+// CRCs of its fingerprint (package core).
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CorruptError reports a checkpoint file that failed structural validation
 // (bad magic, checksum mismatch, truncation, or an impossible length).
@@ -114,14 +117,12 @@ func (s *Snapshot) walk(c codec) {
 	c.i64(&fp.Vertices)
 	c.i64(&fp.Edges)
 	c.str(&fp.Program)
-	c.str(&fp.Label)
 	c.boolean(&fp.Combiner)
 	c.boolean(&fp.Sparse)
 	c.str(&fp.Schedule)
 	c.str(&fp.Direction)
 	c.i64(&fp.Retries)
 	c.str(&fp.Rep)
-	c.str(&fp.Lanes)
 	c.i64(&fp.MaxSupersteps)
 	c.i64(&fp.MaxMessages)
 	c.u32(&fp.CostsCRC)
@@ -462,7 +463,7 @@ func EmergencyFileName(step int64) string {
 func frame(payload []byte) (hdr [headerLen]byte) {
 	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], version)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, Castagnoli))
 	return hdr
 }
 
@@ -485,7 +486,7 @@ func unframe(path string) ([]byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(data[12:16])
 	payload := data[headerLen:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got := crc32.Checksum(payload, Castagnoli); got != want {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
 	}
 	return payload, nil

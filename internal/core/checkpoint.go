@@ -20,6 +20,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"math/bits"
+	"reflect"
 	"slices"
 
 	"graphxmt/internal/ckpt"
@@ -56,23 +57,31 @@ func WithMaxSupersteps(n int) Option {
 	return func(c *Config) { c.MaxSupersteps = n }
 }
 
-// programNamer lets a vertex program name itself for checkpoint
-// fingerprints. Programs that don't implement it are named by their Go
-// type. Wrappers (e.g. the fault-injection harness) forward the inner
-// program's name so wrapping never changes the fingerprint.
+// programNamer lets a vertex program name its own fingerprint identity.
+// A pointer program whose parameters sit beside run state (caches, aux
+// levels) implements it to name those parameters. Wrappers (e.g. the
+// fault-injection harness) forward the inner program's name so wrapping
+// never changes the fingerprint.
 type programNamer interface {
 	ProgramName() string
 }
 
-// ProgramNameOf returns the fingerprint name of a vertex program.
+// ProgramNameOf returns a vertex program's fingerprint identity: its
+// ProgramName if it has one, else its Go type, followed for a struct value
+// by its fields (bspalg.BFSProgram{Source:5}). A struct value's fields are
+// its parameters, so two programs that would compute different runs have
+// different identities. A pointer program without ProgramName is named by
+// its type alone: its fields hold run state, and printing them would print
+// addresses.
 func ProgramNameOf(p Program) string {
 	if n, ok := p.(programNamer); ok {
 		return n.ProgramName()
 	}
-	return fmt.Sprintf("%T", p)
+	if reflect.TypeOf(p).Kind() != reflect.Struct {
+		return fmt.Sprintf("%T", p)
+	}
+	return fmt.Sprintf("%T%+v", p, p)
 }
-
-var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // crcInt64s hashes s as little-endian bytes, converted 32 KiB at a time
 // over a re-sliced source/destination pair, so the loop has one condition
@@ -99,7 +108,7 @@ func crcInt64s(h hash.Hash32, s []int64) {
 // memory, but it differs from the flat CRC of the same graph: the
 // representation is part of the fingerprint (see Fingerprint.Rep).
 func graphCRC(g *graph.Graph) uint32 {
-	h := crc32.New(ckptCRCTable)
+	h := crc32.New(ckpt.Castagnoli)
 	var hdr [10]byte
 	binary.LittleEndian.PutUint64(hdr[:8], uint64(g.NumVertices()))
 	if g.Weighted() {
@@ -120,7 +129,7 @@ func graphCRC(g *graph.Graph) uint32 {
 }
 
 func costsCRC(c CostSchedule) uint32 {
-	h := crc32.New(ckptCRCTable)
+	h := crc32.New(ckpt.Castagnoli)
 	crcInt64s(h, []int64{
 		c.ScanLoadsPerVertex,
 		c.ActiveIssuePerVertex, c.ActiveLoadsPerVertex, c.ActiveStoresPerVertex,
@@ -135,10 +144,6 @@ func costsCRC(c CostSchedule) uint32 {
 // runFingerprint builds the fingerprint the run's checkpoints carry and
 // that Resume validates the loaded checkpoint against.
 func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs CostSchedule) ckpt.Fingerprint {
-	label := ""
-	if cfg.Checkpoint != nil {
-		label = cfg.Checkpoint.Label
-	}
 	// The sweep partition (sweepBoundaries), which aggregator fold trees
 	// follow: the degree-weighted ranges cut at multiples of 64 for a full
 	// scan, their restriction to the candidates for a sparse sweep.
@@ -151,7 +156,6 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		Vertices:      g.NumVertices(),
 		Edges:         g.NumEdges(),
 		Program:       ProgramNameOf(cfg.Program),
-		Label:         label,
 		Combiner:      cfg.Combiner != nil,
 		Sparse:        cfg.SparseActivation,
 		Schedule:      schedule,
@@ -161,7 +165,6 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		Direction:     cfg.Direction.String(),
 		Retries:       int64(max(cfg.MaxRetries, 0)),
 		Rep:           string(g.Rep()),
-		Lanes:         laneString(laneSourcesOf(cfg.Program)),
 	}
 }
 
@@ -175,7 +178,7 @@ type ckptRun struct {
 	everyN int
 	// sup, when non-nil, is the run supervisor (supervise.go): retry makes
 	// record run at every boundary even when EveryN (or the absence of a
-	// checkpoint directory) gates disk writes, and the run deadline is
+	// policy) gates disk writes, and the run deadline is
 	// surfaced from atBoundary so it composes with the stop channel's
 	// finish-superstep-then-exit contract.
 	sup *supRun
@@ -346,11 +349,10 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64
 	// is configured), and the run exits typed. An interrupt outranks the
 	// deadline — it carries the caller's intent.
 	timedOut := sup != nil && sup.runExpired()
-	// With no policy, or a label-only one (a resume without a new
-	// checkpoint directory), nothing is ever written, but retry still needs
-	// the in-memory boundary snapshot to roll back to.
+	// With no policy nothing is ever written, but retry still needs the
+	// in-memory boundary snapshot to roll back to.
 	p := ck.policy
-	writes := p != nil && p.Dir != ""
+	writes := p != nil
 	if writes && p.Hooks != nil && p.Hooks.Kill != nil && p.Hooks.Kill(int64(step)) {
 		stopped = true
 	}
@@ -392,7 +394,7 @@ func (ck *ckptRun) emergency() string {
 // supervisor's post-init snapshot (Step = -1) is in-memory only: no
 // boundary has completed, so there is nothing a resume could consume.
 func writeEmergency(p *ckpt.Policy, snap *ckpt.Snapshot) string {
-	if p == nil || p.Dir == "" || snap == nil || snap.Step < 0 {
+	if p == nil || snap == nil || snap.Step < 0 {
 		return ""
 	}
 	path, err := ckpt.WriteFile(p.Dir, snap, ckpt.EmergencyFileName(snap.Step), p.Hooks)
@@ -426,8 +428,8 @@ func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 // present is damaged: silently recomputing from scratch is worse than
 // making the operator decide.
 func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
-	if ck == nil || ck.policy == nil || ck.policy.Dir == "" {
-		return nil, fmt.Errorf("core: ResumeLatest requires a checkpoint policy with a directory")
+	if ck == nil || ck.policy == nil {
+		return nil, fmt.Errorf("core: ResumeLatest requires a checkpoint policy")
 	}
 	noter := obs.FindFallbackNoter(runSink(cfg))
 	s, _, err := ckpt.ResumeLatestValid(ck.policy.Dir, ck.fp, func(path string, cause error) {

@@ -25,7 +25,11 @@ package core
 // cost model charges), and SentPhysical is the record count under either;
 // only host time shows the pull win.
 
-import "graphxmt/internal/graph"
+import (
+	"strings"
+
+	"graphxmt/internal/graph"
+)
 
 // DirectionMode selects how the engine executes broadcast-heavy
 // supersteps. The zero value is DirAuto.
@@ -98,7 +102,7 @@ func pullCapable(p Program) bool {
 // capability the program does not declare, and by the CLIs when -direction
 // names a mode the selected algorithm cannot honor.
 type DirectionError struct {
-	Program string        // program name (ProgramNameOf)
+	Program string        // program type (ProgramNameOf up to its fields)
 	Mode    DirectionMode // the requested mode
 }
 
@@ -145,16 +149,13 @@ type dirState struct {
 // the decision record).
 func startDir(cfg *Config, g *graph.Graph) (*dirState, error) {
 	capable := pullCapable(cfg.Program)
-	if cfg.Direction < DirAuto || cfg.Direction > DirPull {
-		return nil, &DirectionError{Program: ProgramNameOf(cfg.Program), Mode: cfg.Direction}
+	if cfg.Direction < DirAuto || cfg.Direction > DirPull || !capable && cfg.Direction == DirPull {
+		// The fault is the program's type, not the parameters its identity adds.
+		name, _, _ := strings.Cut(ProgramNameOf(cfg.Program), "{")
+		return nil, &DirectionError{Program: name, Mode: cfg.Direction}
 	}
-	if !capable {
-		if cfg.Direction == DirPull {
-			return nil, &DirectionError{Program: ProgramNameOf(cfg.Program), Mode: cfg.Direction}
-		}
-		if cfg.Direction == DirAuto {
-			return nil, nil
-		}
+	if !capable && cfg.Direction == DirAuto {
+		return nil, nil
 	}
 	return &dirState{
 		mode:       cfg.Direction,

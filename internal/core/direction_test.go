@@ -361,7 +361,7 @@ func TestDirectionResumeRejectsMismatch(t *testing.T) {
 	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
 	cfg := core.Config{
 		Program:    bspalg.BFSProgram{Source: 0},
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=0", Hooks: plan.Hooks()},
+		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
 	}
 	_, _, err = runRec(g, 3, cfg)
 	var ie *core.InterruptedError
@@ -370,10 +370,9 @@ func TestDirectionResumeRejectsMismatch(t *testing.T) {
 	}
 
 	cfg = core.Config{
-		Program:    bspalg.BFSProgram{Source: 0},
-		Direction:  core.DirPush,
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=0"},
-		Resume:     ie.CheckpointPath,
+		Program:   bspalg.BFSProgram{Source: 0},
+		Direction: core.DirPush,
+		Resume:    ie.CheckpointPath,
 	}
 	_, _, err = runRec(g, 3, cfg)
 	var me *ckpt.MismatchError

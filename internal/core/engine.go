@@ -110,11 +110,12 @@ type Config struct {
 	SparseActivation bool
 	// Checkpoint, when non-nil, enables superstep-boundary checkpointing
 	// under the given policy (package ckpt; see checkpoint.go and
-	// docs/ROBUSTNESS.md). nil costs one pointer check per superstep.
+	// docs/ROBUSTNESS.md); a policy without a Dir is an error. nil costs one
+	// pointer check per superstep.
 	Checkpoint *ckpt.Policy
 	// Resume, when non-empty, restores the run from the checkpoint at this
 	// path instead of starting at superstep 0. The checkpoint's fingerprint
-	// must match this config (same graph, program, label, and engine
+	// must match this config (same graph, program value, and engine
 	// options) or Run returns *ckpt.MismatchError.
 	Resume string
 	// Stop, when non-nil, is polled at every superstep boundary: once it
@@ -143,10 +144,9 @@ type Config struct {
 	MaxRetries int
 	// StepTimeout, when positive, arms a watchdog over each superstep: a
 	// superstep that outlives the deadline triggers an emergency
-	// checkpoint (when a policy with a directory is configured) plus a
-	// flight-recorder dump from the watchdog goroutine, and the run
-	// returns *TimeoutError (Stalled=true) at the next boundary it
-	// reaches. 0 disables the watchdog at zero hot-path cost.
+	// checkpoint (when a policy is configured) plus a flight-recorder dump
+	// from the watchdog goroutine, and the run returns *TimeoutError
+	// (Stalled=true) at the next boundary it reaches. 0 disables the watchdog at zero hot-path cost.
 	StepTimeout time.Duration
 	// RunTimeout, when positive, bounds the whole run's wall-clock time.
 	// The deadline is checked at superstep boundaries — the engine
@@ -160,8 +160,8 @@ type Config struct {
 	// truncated, and version-incompatible snapshots are skipped (each
 	// skip reported through the obs sink) and the chain falls back to the
 	// next older one. An empty directory starts fresh; a directory with
-	// only damaged checkpoints is an error. Requires a Checkpoint policy
-	// with a directory. Mutually exclusive with Resume.
+	// only damaged checkpoints is an error. Requires a Checkpoint policy.
+	// Mutually exclusive with Resume.
 	ResumeLatest bool
 
 	// expandBroadcasts reverts SendToNeighbors to eager per-edge expansion
@@ -216,6 +216,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
+	if cfg.Checkpoint != nil && cfg.Checkpoint.Dir == "" {
+		return nil, fmt.Errorf("core: checkpoint policy without a directory")
+	}
 	maxSteps := cfg.MaxSupersteps
 	if maxSteps == 0 {
 		maxSteps = 1000
@@ -250,8 +253,7 @@ func Run(cfg Config) (*Result, error) {
 	}()
 	// laneSrc/progAux are the program's batching capability surfaces
 	// (lanes.go): the lane assignment of a batched multi-source program
-	// (obs reporting; the fingerprint pin happens in runFingerprint) and
-	// its auxiliary state slice (snapshot/restore/rollback below). Both
+	// (obs reporting) and its auxiliary state slice (snapshot/restore/rollback below). Both
 	// nil for ordinary programs.
 	laneSrc := laneSourcesOf(cfg.Program)
 	progAux := auxOf(cfg.Program)

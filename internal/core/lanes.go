@@ -7,10 +7,12 @@ package core
 // optimization, and checkpointing all operate on opaque int64 payloads —
 // but two small interfaces let the optional layers cooperate:
 //
-//   - LaneProgram exposes the batch's lane assignment, so checkpoints pin
-//     it in the fingerprint (resuming a batch under a different source
-//     order is a typed MismatchError, not silently scrambled lanes) and
-//     the obs layer can report per-superstep lane activity.
+//   - LaneProgram exposes the batch's lane assignment, so the obs layer can
+//     report lane occupancy and per-superstep lane activity. The
+//     checkpoint fingerprint pins the assignment through the program's
+//     ProgramName, which names its lane order (resuming a batch under a
+//     different source order is a typed MismatchError, not silently
+//     scrambled lanes).
 //   - AuxProgram exposes program-owned per-run auxiliary state (e.g. the
 //     per-vertex per-lane first-set levels MultiBFS recovers distances
 //     from), so the checkpoint/retry machinery snapshots, restores, and
@@ -21,11 +23,7 @@ package core
 // neither costs nothing; the lane fold below runs only for observed runs
 // of lane programs.
 
-import (
-	"math/bits"
-	"strconv"
-	"strings"
-)
+import "math/bits"
 
 // Or is the bitwise-OR combiner lane-bitmask programs use. OR is
 // commutative, associative, and idempotent, so every fold the engine
@@ -38,7 +36,7 @@ func Or(a, b int64) int64 { return a | b }
 // returns the lane assignment: Lanes()[i] is the source vertex owning bit
 // i of the per-vertex lane mask. The slice must be constant for the
 // program's lifetime. Wrappers (e.g. the fault-injection harness) forward
-// the inner program's lanes so wrapping never changes fingerprints.
+// the inner program's lanes so wrapping never changes lane reporting.
 type LaneProgram interface {
 	Lanes() []int64
 }
@@ -61,24 +59,6 @@ func laneSourcesOf(p Program) []int64 {
 		return lp.Lanes()
 	}
 	return nil
-}
-
-// laneString renders a lane assignment as the comma-separated source list
-// pinned into checkpoint fingerprints — byte-identical to the form
-// internal/batch's Plan.String prints, so fingerprints and CLI output
-// agree. "" for unbatched runs.
-func laneString(lanes []int64) string {
-	if len(lanes) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, s := range lanes {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatInt(s, 10))
-	}
-	return sb.String()
 }
 
 // auxOf returns the program's auxiliary state slice, or nil.

@@ -359,8 +359,9 @@ func TestCheckpointWriteFailure(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatch: resuming with the wrong program, graph, or
-// label is a typed MismatchError naming the differing field.
+// TestResumeRejectsMismatch: resuming with the wrong program type, program
+// parameters, engine option or graph is a typed MismatchError naming the
+// differing field.
 func TestResumeRejectsMismatch(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 1})
 	if err != nil {
@@ -370,7 +371,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
 	cfg := core.Config{
 		Program:    bspalg.BFSProgram{Source: 0},
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=0", Hooks: plan.Hooks()},
+		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
 	}
 	_, _, err = runRec(g, 3, cfg)
 	var ie *core.InterruptedError
@@ -379,7 +380,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	path := ie.CheckpointPath
 
-	check := func(name, wantField string, cfg core.Config) {
+	check := func(name, wantField string, cfg core.Config) *ckpt.MismatchError {
 		t.Helper()
 		cfg.Resume = path
 		_, _, err := runRec(g, 3, cfg)
@@ -390,19 +391,15 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		if me.Field != wantField {
 			t.Fatalf("%s: mismatch field %q, want %q", name, me.Field, wantField)
 		}
+		return me
 	}
-	check("wrong program", "program", core.Config{
-		Program:    bspalg.CCProgram{},
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=0"},
-	})
-	check("wrong label", "label", core.Config{
-		Program:    bspalg.BFSProgram{Source: 5},
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=5"},
-	})
+	check("wrong program", "program", core.Config{Program: bspalg.CCProgram{}})
+	if me := check("wrong source", "program", core.Config{Program: bspalg.BFSProgram{Source: 5}}); me.Got != "bspalg.BFSProgram{Source:0}" || me.Want != "bspalg.BFSProgram{Source:5}" {
+		t.Fatalf("wrong source: mismatch %+v, want the two BFSProgram values", me)
+	}
 	check("wrong sparse mode", "sparse activation", core.Config{
 		Program:          bspalg.BFSProgram{Source: 0},
 		SparseActivation: true,
-		Checkpoint:       &ckpt.Policy{Dir: dir, Label: "bfs src=0"},
 	})
 
 	g2, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 2})
@@ -410,9 +407,8 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = core.Config{
-		Program:    bspalg.BFSProgram{Source: 0},
-		Checkpoint: &ckpt.Policy{Dir: dir, Label: "bfs src=0"},
-		Resume:     path,
+		Program: bspalg.BFSProgram{Source: 0},
+		Resume:  path,
 	}
 	_, _, err = runRec(g2, 3, cfg)
 	var me *ckpt.MismatchError
@@ -421,6 +417,16 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	if me.Field != "graph checksum" && me.Field != "edges" {
 		t.Fatalf("wrong graph: mismatch field %q", me.Field)
+	}
+}
+
+// TestPolicyNeedsDir: a checkpoint policy says where checkpoints go, so
+// one without a directory is refused before superstep 0. A run that
+// resumes without taking new checkpoints passes no policy at all.
+func TestPolicyNeedsDir(t *testing.T) {
+	_, _, err := runRec(gen.Path(8), 1, core.Config{Program: bspalg.CCProgram{}, Checkpoint: &ckpt.Policy{EveryN: 2}})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint policy without a directory") {
+		t.Fatalf("policy without a Dir: got %v", err)
 	}
 }
 

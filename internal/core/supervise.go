@@ -165,7 +165,7 @@ func (sp *supRun) fire() {
 	step := int(sp.curStep.Load())
 	ckptPath := writeEmergency(sp.policy, sp.lastSnap.Load())
 	var flightPath string
-	if sp.policy != nil && sp.policy.Dir != "" {
+	if sp.policy != nil {
 		flightPath = sp.o.flightDump(sp.policy.Dir,
 			fmt.Sprintf("watchdog: superstep %d exceeded %v", step, sp.stepTimeout))
 	}

@@ -309,7 +309,7 @@ func (pp *panicProgram) PullCapable() bool {
 
 // Lanes forwards the inner program's lane assignment (core.LaneProgram);
 // nil when the inner program is unbatched, which the engine treats as
-// absent — so wrapping never changes fingerprints or lane reporting.
+// absent — so wrapping never changes lane reporting.
 func (pp *panicProgram) Lanes() []int64 {
 	if p, ok := pp.inner.(core.LaneProgram); ok {
 		return p.Lanes()
