@@ -221,12 +221,12 @@ func main() {
 	// The flight recorder rides along whenever there is somewhere useful to
 	// dump (a checkpoint directory) or someone watching (-http, -obs-*);
 	// default runs keep the nil-sink hot path.
-	var flight *live.FlightRecorder
+	var flight *obs.Store
 	if liveSrv != nil {
 		sess.AddSink(liveSrv.Sink())
 		flight = liveSrv.Flight()
 	} else if checkpointed || sess.Sink != nil {
-		flight = live.NewFlightRecorder(0)
+		flight = &obs.Store{MaxRuns: 16}
 		sess.AddSink(flight)
 	}
 	if flight != nil {
@@ -262,7 +262,6 @@ func main() {
 	fmt.Printf("loaded %v (%s adjacency) in %v\n", g, g.Rep(), time.Since(loadStart).Round(time.Microsecond))
 
 	rec := trace.NewRecorder()
-	sess.Attach(rec, g.NumVertices(), g.NumEdges())
 	source := *src
 	if source < 0 {
 		source = g.MaxDegreeVertex()
@@ -290,9 +289,11 @@ func main() {
 		}
 	}
 
-	// Zero supervision knobs leave the supervisor off.
+	// Zero supervision knobs leave the supervisor off; every engine pass
+	// reports to the session's sink.
 	opts := []core.Option{core.WithDirection(dir),
-		core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout)}
+		core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),
+		func(cfg *core.Config) { cfg.Obs = sess.Sink }}
 	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(&ckpt.Policy{
 			Dir:    *ckptDir,

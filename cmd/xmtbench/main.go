@@ -133,19 +133,20 @@ func main() {
 	if liveSrv != nil {
 		sess.AddSink(liveSrv.Sink())
 	}
-	// Experiments build their recorders internally, so observers are
-	// attached via the process-wide recorder factory.
+	// Experiments build their GraphCT recorders internally, so observers
+	// are attached via the process-wide recorder factory.
 	sess.InstallFactory()
 
 	setup := experiments.Setup{
-		Scale:       *scale,
-		EdgeFactor:  *ef,
-		Seed:        *seed,
-		Procs:       *procs,
-		Direction:   dir,
-		Retries:     *retries,
-		StepTimeout: *stepTimeout,
-		RunTimeout:  *runTimeout,
+		Scale:      *scale,
+		EdgeFactor: *ef,
+		Seed:       *seed,
+		Procs:      *procs,
+		Direction:  dir,
+		// Every BSP pass runs under the supervisor flags and reports to
+		// the session's sink; zero supervision knobs leave it off.
+		Engine: []core.Option{core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),
+			func(cfg *core.Config) { cfg.Obs = sess.Sink }},
 	}
 	cfg := machine.DefaultConfig()
 	cfg.Procs = *procs

@@ -114,3 +114,23 @@ func TestDocListsEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryBSPPassObserved: every BSP engine pass an experiment makes
+// reports to the session's sink, including the passes that record no work
+// profile. fig2's BFS and both of aux's CC and BFS run with a nil recorder.
+func TestEveryBSPPassObserved(t *testing.T) {
+	for exp, want := range map[string]int{"fig2": 1, "aux": 2} {
+		out := filepath.Join(t.TempDir(), "run.jsonl")
+		cmd := exec.Command(bin, "-exp", exp, "-scale", "8", "-ef", "8", "-obs-format", "jsonl", "-obs-out", out)
+		if b, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("-exp %s: %v\n%s", exp, err, b)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(b, []byte(`{"ev":"run_start","label":"bsp"`)); got < want {
+			t.Errorf("-exp %s: %d bsp runs observed, want at least %d", exp, got, want)
+		}
+	}
+}

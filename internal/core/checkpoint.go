@@ -431,10 +431,10 @@ func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
 	if ck == nil || ck.policy == nil {
 		return nil, fmt.Errorf("core: ResumeLatest requires a checkpoint policy")
 	}
-	noter := obs.FindFallbackNoter(runSink(cfg))
+	noters := obs.Find[obs.FallbackNoter](cfg.Obs)
 	s, _, err := ckpt.ResumeLatestValid(ck.policy.Dir, ck.fp, func(path string, cause error) {
-		if noter != nil {
-			noter.NoteFallback(path, cause)
+		for _, n := range noters {
+			n.NoteFallback(path, cause)
 		}
 	})
 	if err != nil {

@@ -93,11 +93,10 @@ type Config struct {
 	// Obs receives host-runtime observability events: wall-clock spans
 	// for each engine phase of each superstep, per-worker busy time,
 	// per-superstep counters, and sampled memory statistics (package
-	// obs). nil disables observability at zero hot-path cost; in that
-	// case Run also accepts a sink attached to Recorder via an
-	// obs.SinkProvider observer, so CLIs can wire observability through
-	// the recorder they already pass around. Observability never affects
-	// Result or the recorded work profile.
+	// obs). It is the engine's only sink: nil disables observability at
+	// zero hot-path cost. When it is or tees an obs.Store, a crash dumps
+	// that store's latest supersteps next to the emergency checkpoint.
+	// Observability never affects Result or the recorded work profile.
 	Obs obs.Sink
 	// SparseActivation switches the runtime from the paper's full
 	// per-superstep vertex scan to an active-worklist schedule: only

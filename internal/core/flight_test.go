@@ -25,7 +25,6 @@ import (
 	"graphxmt/internal/faultinject"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/obs"
-	"graphxmt/internal/obs/live"
 )
 
 func TestFlightRecorderDumpOnPanic(t *testing.T) {
@@ -52,7 +51,7 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	fr := live.NewFlightRecorder(0)
+	fr := &obs.Store{}
 	var stream bytes.Buffer
 	jsonl := obs.NewJSONL(&stream)
 	cfg := core.Config{

@@ -54,23 +54,10 @@ type obsRun struct {
 	now, nextMem time.Time
 }
 
-// runSink resolves the sink for a run: Config.Obs, or the sink carried by
-// the recorder's observer (how CLIs attach observability without plumbing
-// it through the bspalg wrappers).
-func runSink(cfg *Config) obs.Sink {
-	if cfg.Obs != nil {
-		return cfg.Obs
-	}
-	if p, ok := cfg.Recorder.Observer().(obs.SinkProvider); ok {
-		return p.ObsSink()
-	}
-	return nil
-}
-
 // startObs opens an observed run; a nil return is the disabled state every
 // hook checks.
 func startObs(cfg *Config, g *graph.Graph) *obsRun {
-	sink := runSink(cfg)
+	sink := cfg.Obs
 	if sink == nil {
 		return nil
 	}
@@ -167,19 +154,19 @@ func (o *obsRun) finish() {
 	o.sink.RunEnd(time.Since(o.start))
 }
 
-// flightDump asks the flight recorder reachable from the run's sink (if
-// any) to dump its superstep ring into dir, returning the written path.
-// Best-effort: a missing recorder or a write failure yields "" — the dump
-// must never mask the ProgramError it annotates. Safe on a nil *obsRun.
+// flightDump asks the first obs.Store in the run's sink (if any) to dump
+// its latest supersteps into dir, returning the written path. Best-effort:
+// a missing store or a write failure yields "" — the dump must never mask
+// the ProgramError it annotates. Safe on a nil *obsRun.
 func (o *obsRun) flightDump(dir, cause string) string {
 	if o == nil || dir == "" {
 		return ""
 	}
-	fd := obs.FindFlightDumper(o.sink)
-	if fd == nil {
+	stores := obs.Find[*obs.Store](o.sink)
+	if len(stores) == 0 {
 		return ""
 	}
-	path, err := fd.DumpFlight(dir, cause)
+	path, err := stores[0].DumpFlight(dir, cause)
 	if err != nil {
 		return ""
 	}

@@ -25,7 +25,6 @@ import (
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/obs"
-	"graphxmt/internal/obs/live"
 )
 
 // transientStep panics on its first `count` Compute calls of one superstep
@@ -245,7 +244,7 @@ func TestRetryExhausted(t *testing.T) {
 	cfg.MaxRetries = 2
 	cfg.Program = plan.WrapProgram(cfg.Program)
 	cfg.Checkpoint = &ckpt.Policy{Dir: dir}
-	cfg.Obs = live.NewFlightRecorder(0)
+	cfg.Obs = &obs.Store{}
 	_, _, err = runRec(g, 3, cfg)
 	var re *core.RetryExhaustedError
 	if !errors.As(err, &re) {
@@ -375,7 +374,7 @@ func TestWatchdogStall(t *testing.T) {
 	cfg.StepTimeout = 60 * time.Millisecond
 	cfg.Program = plan.WrapProgram(cfg.Program)
 	cfg.Checkpoint = &ckpt.Policy{Dir: dir}
-	cfg.Obs = obs.Tee(m, live.NewFlightRecorder(0))
+	cfg.Obs = obs.Tee(m, &obs.Store{})
 	_, _, err = runRec(g, 3, cfg)
 	var te *core.TimeoutError
 	if !errors.As(err, &te) {

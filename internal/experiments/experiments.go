@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/core"
@@ -46,30 +45,27 @@ type Setup struct {
 	// pull-capable kernels (CC, BFS, label propagation). The zero value is
 	// core.DirAuto; core.DirPush is the forced-push A/B control.
 	Direction core.DirectionMode
-	// Retries, StepTimeout and RunTimeout arm the engine's run supervisor
-	// for every BSP pass an experiment performs (see docs/ROBUSTNESS.md).
-	// Zero values leave supervision off — the benchmark's default, since
-	// the retry snapshot costs one state copy per superstep boundary.
-	Retries     int
-	StepTimeout time.Duration
-	RunTimeout  time.Duration
+	// Engine holds the options every BSP pass an experiment performs
+	// takes: xmtbench's run supervisor (see docs/ROBUSTNESS.md; off by
+	// default, since the retry snapshot costs one state copy per superstep
+	// boundary) and its observability sink.
+	Engine []core.Option
 	// Sources are the msbfs experiment's BFS sources; nil selects 64
 	// stride-spread ones.
 	Sources []int64
 }
 
-// engineOpts returns the core options of one BSP engine pass: the
-// supervisor knobs (zero values leave it off) and, for a pull-capable
-// program (pull), the direction mode.
+// engineOpts returns the core options of one BSP engine pass: a copy of
+// Engine and, for a pull-capable program (pull), the direction mode.
 func (s Setup) engineOpts(pull bool) []core.Option {
-	opts := []core.Option{core.WithRetries(s.Retries), core.WithStepTimeout(s.StepTimeout), core.WithRunTimeout(s.RunTimeout)}
+	opts := slices.Clone(s.Engine)
 	if pull {
 		opts = append(opts, core.WithDirection(s.Direction))
 	}
 	return opts
 }
 
-// run is one engine pass named name under the setup's supervisor, with
+// run is one engine pass named name under the setup's Engine options, with
 // the engine's default direction.
 func (s Setup) run(name string, cfg core.Config) (*core.Result, error) {
 	for _, o := range s.engineOpts(false) {

@@ -140,7 +140,7 @@ func TestTable1Procs(t *testing.T) {
 // pass.
 func TestSupervisionReachesEveryPass(t *testing.T) {
 	g, s := testGraph(t)
-	s.RunTimeout = time.Nanosecond
+	s.Engine = []core.Option{core.WithRunTimeout(time.Nanosecond)}
 	first := map[string]string{
 		"table1": "bsp cc", "fig1": "bsp cc", "fig2": "bsp bfs", "fig3": "bsp bfs", "fig4": "",
 		"aux": "bsp cc", "extensions": "bsp kcore", "graph500": "graph500 bsp", "msbfs": "bsp msbfs",

@@ -27,15 +27,14 @@ type Chrome struct {
 	runBase time.Duration
 	label   string
 
-	headerDone bool
-	first      bool
-	threads    int // worker tracks emitted so far
-	err        error
+	sep     string // written before the next event
+	threads int    // worker tracks emitted so far
+	err     error  // the first marshalling error; write errors stick in bw
 }
 
 // NewChrome returns a sink writing to w. Call Close to finish the JSON.
 func NewChrome(w io.Writer) *Chrome {
-	return &Chrome{bw: bufio.NewWriter(w), base: time.Now(), first: true}
+	return &Chrome{bw: bufio.NewWriter(w), base: time.Now(), sep: "{\"traceEvents\":[\n"}
 }
 
 // chromeEvent is one trace event. dur is always emitted — a zero-duration
@@ -56,24 +55,14 @@ func (c *Chrome) emit(ev chromeEvent) {
 	if c.err != nil {
 		return
 	}
-	if !c.headerDone {
-		if _, c.err = c.bw.WriteString(`{"traceEvents":[` + "\n"); c.err != nil {
-			return
-		}
-		c.headerDone = true
-	}
-	if !c.first {
-		if _, c.err = c.bw.WriteString(",\n"); c.err != nil {
-			return
-		}
-	}
-	c.first = false
 	b, err := json.Marshal(ev)
 	if err != nil {
 		c.err = err
 		return
 	}
-	_, c.err = c.bw.Write(b)
+	c.bw.WriteString(c.sep)
+	c.bw.Write(b)
+	c.sep = ",\n"
 }
 
 func (c *Chrome) meta(tid int, key, name string) {
@@ -140,14 +129,11 @@ func (c *Chrome) RunEnd(wall time.Duration) {
 
 // Close terminates the traceEvents array and flushes.
 func (c *Chrome) Close() error {
-	if c.err == nil && !c.headerDone {
+	if c.sep != ",\n" {
 		// No events at all: still produce a valid, empty trace.
-		_, c.err = c.bw.WriteString(`{"traceEvents":[`)
-		c.headerDone = true
+		c.bw.WriteString(`{"traceEvents":[`)
 	}
-	if c.err == nil {
-		_, c.err = c.bw.WriteString("\n]," + `"displayTimeUnit":"ms"}` + "\n")
-	}
+	c.bw.WriteString("\n]," + `"displayTimeUnit":"ms"}` + "\n")
 	if err := c.bw.Flush(); c.err == nil {
 		c.err = err
 	}

@@ -56,21 +56,13 @@ func AddFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Session is a started observability session: the sink to attach (nil when
 // observability is off — -workers and -pprof still applied), plus the
-// teardown state Close finalizes.
+// teardown Close runs in setup order: stop pprof, render or flush the
+// sink, close its file, restore the recorder factory.
 type Session struct {
-	Sink Sink
-
-	report    *Report
-	reportOut io.WriteCloser // nil = stdout
-	outFile   io.Closer
-	jsonl     *JSONL
-	chrome    *Chrome
-	stopPProf func() error
-
-	mu          sync.Mutex
-	observers   []*RecorderObserver
-	prevFactory func() any
-	factorySet  bool
+	Sink      Sink
+	closers   []func() error
+	mu        sync.Mutex
+	observers []*RecorderObserver
 }
 
 // Start validates the flags and opens the session: applies the worker
@@ -96,37 +88,34 @@ func (c *CLIFlags) Start() (*Session, error) {
 	if format == "" && c.Out != "" {
 		format = "report"
 	}
-	switch format {
-	case "":
+	switch {
+	case format == "":
 		return s, nil
-	case "report":
-		s.report = NewReport()
-		s.Sink = s.report
-		if c.Out != "" {
-			f, err := os.Create(c.Out)
-			if err != nil {
-				return nil, fmt.Errorf("obs: %w", err)
-			}
-			s.reportOut = f
-		}
-	case "jsonl", "chrome":
-		if c.Out == "" {
-			return nil, fmt.Errorf("obs: -obs-format %s requires -obs-out", format)
-		}
+	case format != "report" && format != "jsonl" && format != "chrome":
+		return nil, fmt.Errorf("obs: unknown -obs-format %q (want report, jsonl, or chrome)", format)
+	case format != "report" && c.Out == "":
+		return nil, fmt.Errorf("obs: -obs-format %s requires -obs-out", format)
+	}
+	var w io.Writer = os.Stdout
+	if c.Out != "" {
 		f, err := os.Create(c.Out)
 		if err != nil {
 			return nil, fmt.Errorf("obs: %w", err)
 		}
-		s.outFile = f
-		if format == "jsonl" {
-			s.jsonl = NewJSONL(f)
-			s.Sink = s.jsonl
-		} else {
-			s.chrome = NewChrome(f)
-			s.Sink = s.chrome
-		}
-	default:
-		return nil, fmt.Errorf("obs: unknown -obs-format %q (want report, jsonl, or chrome)", format)
+		w = f
+		// Closed once the sink below has flushed into it.
+		defer func() { s.closers = append(s.closers, f.Close) }()
+	}
+	switch format {
+	case "report":
+		r := NewReport()
+		s.Sink, s.closers = r, append(s.closers, func() error { return r.Render(w) })
+	case "jsonl":
+		j := NewJSONL(w)
+		s.Sink, s.closers = j, append(s.closers, j.Close)
+	case "chrome":
+		ch := NewChrome(w)
+		s.Sink, s.closers = ch, append(s.closers, ch.Close)
 	}
 	return s, nil
 }
@@ -151,10 +140,10 @@ func (s *Session) startPProf(spec string) error {
 		f.Close()
 		return fmt.Errorf("obs: cpu profile: %w", err)
 	}
-	s.stopPProf = func() error {
+	s.closers = append(s.closers, func() error {
 		pprof.StopCPUProfile()
 		return f.Close()
-	}
+	})
 	return nil
 }
 
@@ -167,18 +156,13 @@ func (s *Session) AddSink(extra Sink) {
 }
 
 // Attach wires the session's sink to rec as a RecorderObserver (no-op
-// without a sink): shared-memory kernel phases recorded on rec become
-// spans, and BSP runs using rec discover the sink through it. vertices and
-// edges annotate the run when known (pass 0 otherwise).
+// without a sink): the phases of the shared-memory kernel recording on rec
+// become spans. BSP runs take the sink from core.Config.Obs instead.
+// vertices and edges annotate the run when known (pass 0 otherwise).
 func (s *Session) Attach(rec *trace.Recorder, vertices, edges int64) {
-	if s.Sink == nil || rec == nil {
-		return
+	if s.Sink != nil && rec != nil {
+		rec.SetObserver(s.observer(vertices, edges))
 	}
-	o := NewRecorderObserver(s.Sink, vertices, edges)
-	rec.SetObserver(o)
-	s.mu.Lock()
-	s.observers = append(s.observers, o)
-	s.mu.Unlock()
 }
 
 // InstallFactory makes every trace.NewRecorder in the process carry a
@@ -189,28 +173,22 @@ func (s *Session) InstallFactory() {
 	if s.Sink == nil {
 		return
 	}
-	s.prevFactory = trace.SetObserverFactory(func() any {
-		o := NewRecorderObserver(s.Sink, 0, 0)
-		s.mu.Lock()
-		s.observers = append(s.observers, o)
-		s.mu.Unlock()
-		return o
-	})
-	s.factorySet = true
+	prev := trace.SetObserverFactory(func() any { return s.observer(0, 0) })
+	s.closers = append(s.closers, func() error { trace.SetObserverFactory(prev); return nil })
+}
+
+// observer returns an observer of the session's sink that Close finishes.
+func (s *Session) observer(vertices, edges int64) *RecorderObserver {
+	o := NewRecorderObserver(s.Sink, vertices, edges)
+	s.mu.Lock()
+	s.observers = append(s.observers, o)
+	s.mu.Unlock()
+	return o
 }
 
 // Close finishes open observers, renders/flushes the sink, stops pprof,
-// and closes output files.
+// and closes output files; the first error wins.
 func (s *Session) Close() error {
-	var first error
-	keep := func(err error) {
-		if first == nil && err != nil {
-			first = err
-		}
-	}
-	if s.factorySet {
-		trace.SetObserverFactory(s.prevFactory)
-	}
 	s.mu.Lock()
 	observers := s.observers
 	s.observers = nil
@@ -218,27 +196,11 @@ func (s *Session) Close() error {
 	for _, o := range observers {
 		o.Finish()
 	}
-	if s.report != nil {
-		var w io.Writer = os.Stdout
-		if s.reportOut != nil {
-			w = s.reportOut
+	var first error
+	for _, c := range s.closers {
+		if err := c(); first == nil {
+			first = err
 		}
-		keep(s.report.Render(w))
-		if s.reportOut != nil {
-			keep(s.reportOut.Close())
-		}
-	}
-	if s.jsonl != nil {
-		keep(s.jsonl.Close())
-	}
-	if s.chrome != nil {
-		keep(s.chrome.Close())
-	}
-	if s.outFile != nil {
-		keep(s.outFile.Close())
-	}
-	if s.stopPProf != nil {
-		keep(s.stopPProf())
 	}
 	return first
 }

@@ -43,9 +43,8 @@ func (j *JSONL) RunStart(info RunInfo) {
 	}{"run_start", info.Label, info.Workers, info.Vertices, info.Edges, info.Lanes})
 }
 
-// SpanEvent is a Span as the JSONL stream writes it, the "span" event. The
-// flight recorder's dump carries the same objects.
-type SpanEvent struct {
+// spanEvent is a Span as JSONL and the flight dump write it.
+type spanEvent struct {
 	Ev         string    `json:"ev"`
 	Name       string    `json:"name"`
 	Step       int       `json:"step"`
@@ -57,9 +56,8 @@ type SpanEvent struct {
 	Regions    int64     `json:"regions,omitempty"`
 }
 
-// NewSpanEvent encodes s; the event owns its busy times, so it may outlive
-// the Span call.
-func NewSpanEvent(s Span) SpanEvent {
+// newSpanEvent encodes s into an event that owns its busy times.
+func newSpanEvent(s Span) spanEvent {
 	var busy []float64
 	if len(s.WorkerBusy) > 0 {
 		busy = make([]float64, len(s.WorkerBusy))
@@ -67,11 +65,11 @@ func NewSpanEvent(s Span) SpanEvent {
 			busy[i] = us(b)
 		}
 	}
-	return SpanEvent{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk), s.Regions}
+	return spanEvent{"span", s.Name, s.Step, us(s.Start), us(s.Dur), busy, s.Chunks, us(s.MaxChunk), s.Regions}
 }
 
 // StepEvent is a StepStats as the JSONL stream writes it, the "step" event.
-// The flight recorder's dump and live's /runs carry the same objects.
+// The flight dump and live's /runs carry the same objects.
 type StepEvent struct {
 	Ev        string `json:"ev"`
 	Step      int    `json:"step"`
@@ -90,17 +88,17 @@ type StepEvent struct {
 	Lanes     int64  `json:"lanes,omitempty"`
 }
 
-// NewStepEvent encodes st.
-func NewStepEvent(st StepStats) StepEvent {
+// newStepEvent encodes st.
+func newStepEvent(st StepStats) StepEvent {
 	return StepEvent{"step", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, st.Received, st.ScratchBytes,
 		st.Direction, st.Delivery, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes}
 }
 
 // Span implements Sink.
-func (j *JSONL) Span(s Span) { j.emit(NewSpanEvent(s)) }
+func (j *JSONL) Span(s Span) { j.emit(newSpanEvent(s)) }
 
 // Step implements Sink.
-func (j *JSONL) Step(st StepStats) { j.emit(NewStepEvent(st)) }
+func (j *JSONL) Step(st StepStats) { j.emit(newStepEvent(st)) }
 
 // NoteFallback implements FallbackNoter: each damaged checkpoint the
 // resume fallback chain skips becomes a "ckpt_fallback" event.

@@ -152,34 +152,6 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFlightRingDepth drives more supersteps through the recorder than its
-// depth and checks the ring keeps exactly the most recent ones.
-func TestFlightRingDepth(t *testing.T) {
-	fr := live.NewFlightRecorder(8)
-	fr.RunStart(obs.RunInfo{Label: "synthetic", Workers: 2})
-	for s := 0; s < 20; s++ {
-		fr.Span(obs.Span{Name: "compute", Step: s, Dur: time.Microsecond})
-		fr.Step(obs.StepStats{Step: s, Active: int64(s)})
-	}
-	steps := fr.Steps()
-	if len(steps) != 8 {
-		t.Fatalf("ring holds %d steps, want 8", len(steps))
-	}
-	for i, s := range steps {
-		if s != 12+i {
-			t.Fatalf("ring = %v; want supersteps 12..19 oldest first", steps)
-		}
-	}
-	path, err := fr.DumpFlight(t.TempDir(), "synthetic drill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := readFile(t, path)
-	if !strings.Contains(dump, `"cause":"synthetic drill"`) || !strings.Contains(dump, `"dropped":12`) {
-		t.Fatalf("dump missing cause/dropped:\n%s", dump)
-	}
-}
-
 func httpGet(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -269,7 +241,7 @@ func TestSinksDoNotRetainWorkerBusy(t *testing.T) {
 		report, teeReport := obs.NewReport(), obs.NewReport()
 		metricsSink, teeMetrics := obs.NewMetrics(nil), obs.NewMetrics(nil)
 		jl, ch, teeJL := obs.NewJSONL(&jsonl), obs.NewChrome(&chrome), obs.NewJSONL(&teeJSONL)
-		flight := live.NewFlightRecorder(0)
+		flight := &obs.Store{}
 		srv := live.NewServer(nil, 8)
 		for _, sink := range []obs.Sink{report, metricsSink, jl, ch, flight, srv.Sink(),
 			obs.Tee(teeReport, teeMetrics, teeJL)} {
@@ -296,7 +268,7 @@ func TestSinksDoNotRetainWorkerBusy(t *testing.T) {
 		}
 		out["jsonl"], out["tee/jsonl"] = jsonl.String(), teeJSONL.String()
 		out["chrome"] = wallClock.ReplaceAllString(chrome.String(), `"$1":0`)
-		for name, f := range map[string]*live.FlightRecorder{"flight": flight, "server/flight": srv.Flight()} {
+		for name, f := range map[string]*obs.Store{"flight": flight, "server/flight": srv.Flight()} {
 			path, err := f.DumpFlight(t.TempDir(), "test")
 			if err != nil {
 				t.Fatal(err)

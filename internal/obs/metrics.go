@@ -33,54 +33,23 @@ import (
 type Metrics struct {
 	reg *metrics.Registry
 
-	runsStarted *metrics.Counter
-	runsDone    *metrics.Counter
-	steps       *metrics.Counter
-	active      *metrics.Counter
-	logical     *metrics.Counter
-	physical    *metrics.Counter
-	delivered   *metrics.Counter
-	received    *metrics.Counter
-	retries     *metrics.Counter
-	stalls      *metrics.Counter
-	fallbacks   *metrics.Counter
-	batchRuns   *metrics.Counter
-	dirSteps    map[string]*metrics.Counter
-	delivery    map[string]*metrics.Counter // by StepStats.Delivery, registered on first sight
+	// The instruments, named where NewMetrics registers them.
+	runsStarted, runsDone, steps, active, logical, physical, delivered, received,
+	retries, stalls, fallbacks, batchRuns, push, pull *metrics.Counter
+	workers, vertices, edges, frontier, unvisited, scratch, busyPerm,
+	heapAlloc, heapSys, gcCount, lanes, amortized *metrics.Gauge
+	stepWall, runWall, ckptWall *metrics.Histogram
+	// Registered on first sight: the phase histograms by span name, the
+	// delivery counters by path, the busy counters by worker index.
+	phases   []named[*metrics.Histogram]
+	delivery []named[*metrics.Counter]
+	busyUs   []*metrics.Counter
 
-	workers   *metrics.Gauge
-	vertices  *metrics.Gauge
-	edges     *metrics.Gauge
-	frontier  *metrics.Gauge
-	unvisited *metrics.Gauge
-	scratch   *metrics.Gauge
-	busyPerm  *metrics.Gauge
-	heapAlloc *metrics.Gauge
-	heapSys   *metrics.Gauge
-	gcCount   *metrics.Gauge
-	lanes     *metrics.Gauge
-	amortized *metrics.Gauge
-
-	stepWall *metrics.Histogram
-	runWall  *metrics.Histogram
-	ckptWall *metrics.Histogram
-	phase    map[string]*metrics.Histogram
-	busyUs   []*metrics.Counter // per worker index
-
-	// Per-run batch accumulation: lane occupancy of the current run and its
-	// logical sends so far, so RunEnd can publish the amortized per-query
-	// edge cost (sends / lanes) without re-reading the event stream.
-	curLanes int
-	curSent  int64
-
-	// Per-superstep accumulation between Span and Step events: a
-	// superstep's wall is the sum of its engine phase spans
-	// (compute/terminate/deliver/worklist — the checkpoint span is charged
-	// to its own histogram), and its busy time is the per-worker busy total
-	// across those spans.
-	curWall time.Duration
-	curBusy time.Duration
-	curWkrs int
+	// The current run's lanes, sends and workers, and its spans since the
+	// last Step folded the way Report folds a superstep.
+	curLanes, curWkrs int
+	curSent           int64
+	step              stepFold
 }
 
 // NewMetrics returns a Metrics sink feeding reg (nil creates a fresh
@@ -103,8 +72,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		stalls:      reg.Counter("graphxmt_watchdog_stalls_total", "supersteps that outlived the watchdog deadline"),
 		fallbacks:   reg.Counter("graphxmt_ckpt_fallback_total", "damaged checkpoints skipped by the resume fallback chain"),
 		batchRuns:   reg.Counter("graphxmt_batch_runs_total", "batched multi-source runs observed (lane occupancy > 0)"),
-		dirSteps:    map[string]*metrics.Counter{},
-		delivery:    map[string]*metrics.Counter{},
 		workers:     reg.Gauge("graphxmt_run_workers", "host worker count of the current run"),
 		vertices:    reg.Gauge("graphxmt_graph_vertices", "vertex count of the current run's graph"),
 		edges:       reg.Gauge("graphxmt_graph_edges", "edge count of the current run's graph"),
@@ -120,13 +87,14 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		stepWall:    reg.Histogram("graphxmt_superstep_wall_us", "superstep wall time (sum of engine phase spans), microseconds", metrics.DurationBounds),
 		runWall:     reg.Histogram("graphxmt_run_wall_us", "whole-run wall time, microseconds", metrics.DurationBounds),
 		ckptWall:    reg.Histogram("graphxmt_checkpoint_write_us", "checkpoint snapshot+write latency, microseconds", metrics.DurationBounds),
-		phase:       map[string]*metrics.Histogram{},
 	}
-	for _, d := range []string{"push", "pull"} {
-		m.dirSteps[d] = reg.Counter("graphxmt_direction_steps_total",
-			"supersteps delivered in each direction", metrics.Label{Key: "direction", Value: d})
-	}
+	m.push, m.pull = dirCounter(reg, "push"), dirCounter(reg, "pull")
 	return m
+}
+
+func dirCounter(reg *metrics.Registry, dir string) *metrics.Counter {
+	return reg.Counter("graphxmt_direction_steps_total", "supersteps delivered in each direction",
+		metrics.Label{Key: "direction", Value: dir})
 }
 
 // Registry returns the registry this sink feeds.
@@ -143,7 +111,7 @@ func (m *Metrics) RunStart(info RunInfo) {
 		m.batchRuns.Inc()
 	}
 	m.curLanes, m.curSent = info.Lanes, 0
-	m.curWall, m.curBusy, m.curWkrs = 0, 0, info.Workers
+	m.step, m.curWkrs = stepFold{}, info.Workers
 	for len(m.busyUs) < info.Workers {
 		m.busyUs = append(m.busyUs, m.reg.Counter("graphxmt_worker_busy_us_total",
 			"per-worker busy time folded from chunk timing, microseconds",
@@ -153,34 +121,37 @@ func (m *Metrics) RunStart(info RunInfo) {
 
 // Span implements Sink.
 func (m *Metrics) Span(s Span) {
-	h, ok := m.phase[s.Name]
-	if !ok {
-		h = m.reg.Histogram("graphxmt_phase_us", "engine/kernel phase duration, microseconds",
+	lookup(&m.phases, s.Name, func() *metrics.Histogram {
+		return m.reg.Histogram("graphxmt_phase_us", "engine/kernel phase duration, microseconds",
 			metrics.DurationBounds, metrics.Label{Key: "phase", Value: s.Name})
-		m.phase[s.Name] = h
+	}).Observe(s.Dur.Microseconds())
+	for w, b := range s.WorkerBusy[:min(len(s.WorkerBusy), len(m.busyUs))] {
+		m.busyUs[w].Add(b.Microseconds())
 	}
-	h.Observe(s.Dur.Microseconds())
-	var busy time.Duration
-	for w, b := range s.WorkerBusy {
-		busy += b
-		if w < len(m.busyUs) {
-			m.busyUs[w].Add(b.Microseconds())
-		}
-	}
-	if s.Name == obsCheckpointPhase {
+	if s.Name == checkpointPhase {
 		m.ckptWall.Observe(s.Dur.Microseconds())
-		return
 	}
-	if s.Step >= 0 {
-		m.curWall += s.Dur
-		m.curBusy += busy
-	}
+	m.step.add(&s)
 }
 
-// obsCheckpointPhase mirrors core's checkpoint span name; the engine owns
-// the name, the sink only special-cases it (checkpoint latency has its own
-// histogram and is excluded from superstep wall).
-const obsCheckpointPhase = "checkpoint"
+// named is an instrument of one label value.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// lookup returns the instrument named name in list, registering it with
+// mk on first sight (a scan beats hashing a handful of names).
+func lookup[T any](list *[]named[T], name string, mk func() T) T {
+	for _, e := range *list {
+		if e.name == name {
+			return e.v
+		}
+	}
+	v := mk()
+	*list = append(*list, named[T]{name, v})
+	return v
+}
 
 // Step implements Sink.
 func (m *Metrics) Step(st StepStats) {
@@ -197,26 +168,27 @@ func (m *Metrics) Step(st StepStats) {
 	}
 	m.scratch.Set(st.ScratchBytes)
 	if st.Direction != "" {
-		if c, ok := m.dirSteps[st.Direction]; ok {
-			c.Inc()
+		switch st.Direction {
+		case "push":
+			m.push.Inc()
+		case "pull":
+			m.pull.Inc()
 		}
 		m.frontier.Set(st.FrontierEdges)
 		m.unvisited.Set(st.UnvisitedEdges)
 	}
 	if st.Delivery != "" {
-		c, ok := m.delivery[st.Delivery]
-		if !ok {
-			c = m.reg.Counter("graphxmt_delivery_total", "superstep boundaries by delivery path taken",
+		lookup(&m.delivery, st.Delivery, func() *metrics.Counter {
+			return m.reg.Counter("graphxmt_delivery_total", "superstep boundaries by delivery path taken",
 				metrics.Label{Key: "path", Value: st.Delivery})
-			m.delivery[st.Delivery] = c
-		}
-		c.Inc()
+		}).Inc()
 	}
-	m.stepWall.Observe(m.curWall.Microseconds())
-	if m.curWall > 0 && m.curWkrs > 0 {
-		m.busyPerm.Set(int64(m.curBusy) * 1000 / (int64(m.curWall) * int64(m.curWkrs)))
+	f := m.step
+	m.step = stepFold{}
+	m.stepWall.Observe(f.wall.Microseconds())
+	if f.wall > 0 && m.curWkrs > 0 {
+		m.busyPerm.Set(int64(f.busy) * 1000 / (int64(f.wall) * int64(m.curWkrs)))
 	}
-	m.curWall, m.curBusy = 0, 0
 }
 
 // NoteFallback implements FallbackNoter: each damaged checkpoint the

@@ -7,14 +7,21 @@
 // does host wall-clock time go as the frontier grows and shrinks, and why
 // is w=8 not 8x faster than w=1.
 //
-// Producers emit events into a Sink; three sinks are provided:
+// Producers emit one event stream into a Sink, recorded once and rendered
+// many ways:
 //
-//   - Report: an in-memory aggregator that renders a human-readable run
-//     report (per-superstep phase table + worker-utilization summary — the
-//     host-side analogue of the paper's Figures 1-2).
+//   - Store: the one recorded copy — per run, each superstep's counters
+//     and spans (the first Head and the latest Tail) plus the run's
+//     totals. It is the flight recorder a crash dumps, and live's /runs.
+//   - Report: a Store rendered as a human-readable run report
+//     (per-superstep phase table + utilization summary — the host-side
+//     analogue of the paper's Figures 1, 3 and 4).
 //   - JSONL: a line-delimited JSON event stream for ad-hoc tooling.
 //   - Chrome: a Chrome trace-event file (load it in Perfetto or
 //     chrome://tracing) with one track per host worker.
+//   - Metrics: an atomic registry for live's /metrics.
+//
+// Tee composes sinks; Find reaches the ones behind a Tee.
 //
 // A nil Sink disables observability at zero hot-path cost: producers guard
 // every hook on a single pointer and allocate nothing when it is nil.
@@ -24,8 +31,9 @@
 // with or without a sink attached (asserted by core's determinism tests).
 //
 // Sink methods are invoked from the observed kernel's driving goroutine
-// only — never from par workers — so sinks need no internal locking, but
-// they must copy any slice they retain (Span.WorkerBusy is reused).
+// only — never from par workers — so only a sink read from elsewhere (a
+// Store behind live's HTTP handlers) locks, and every sink must copy any
+// slice it retains (Span.WorkerBusy is reused).
 package obs
 
 import "time"
@@ -166,12 +174,4 @@ type Sink interface {
 	Step(StepStats)
 	Mem(MemSample)
 	RunEnd(wall time.Duration)
-}
-
-// SinkProvider is implemented by recorder observers that carry a Sink; the
-// BSP engine uses it to discover the sink attached to its trace.Recorder
-// when Config.Obs is nil, so CLIs can attach observability once without
-// threading it through every algorithm wrapper.
-type SinkProvider interface {
-	ObsSink() Sink
 }

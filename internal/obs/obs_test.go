@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/fnv"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -441,25 +443,157 @@ func TestEngineChromeTraceBFS(t *testing.T) {
 }
 
 // TestSinkViaRecorderObserver checks the CLI attachment path end to end:
-// the engine discovers the sink through the recorder's observer
-// (SinkProvider) with Config.Obs unset, exactly as bspgraph attaches it.
+// bspgraph hands the engine its session sink through Config.Obs while a
+// recorder observer feeds the same store. The BSP run is observed exactly
+// once, through Config.Obs — the observer skips the engine's bsp/ phases —
+// and a recorder observer alone does not reach the engine.
 func TestSinkViaRecorderObserver(t *testing.T) {
 	g := gen.Ring(1 << 8)
-	sink := &capture{}
-	o := obs.NewRecorderObserver(sink, g.NumVertices(), g.NumEdges())
-	rec := trace.NewRecorder()
-	rec.SetObserver(o)
-	if _, err := bspalg.BFS(g, 0, rec); err != nil {
+	for _, viaConfig := range []bool{true, false} {
+		store := &obs.Store{Head: 1 << 10}
+		o := obs.NewRecorderObserver(store, g.NumVertices(), g.NumEdges())
+		rec := trace.NewRecorder()
+		rec.SetObserver(o)
+		var opts []core.Option
+		if viaConfig {
+			opts = append(opts, func(cfg *core.Config) { cfg.Obs = store })
+		}
+		res, err := bspalg.BFS(g, 0, rec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Finish()
+		runs := store.Runs()
+		if !viaConfig {
+			if len(runs) != 0 {
+				t.Fatalf("a recorder observer alone reached the engine: %d runs", len(runs))
+			}
+			continue
+		}
+		if len(runs) != 1 || runs[0].Label != "bsp" || !runs[0].Done {
+			t.Fatalf("runs = %+v, want one finished bsp run", runs)
+		}
+		if len(runs[0].Steps) != res.Supersteps {
+			t.Fatalf("store holds %d steps, Result has %d", len(runs[0].Steps), res.Supersteps)
+		}
+	}
+}
+
+// flightDump dumps store into a fresh directory and returns the header and
+// the records, each decoded into a map.
+func flightDump(t *testing.T, store *obs.Store) (map[string]any, []map[string]any) {
+	t.Helper()
+	path, err := store.DumpFlight(t.TempDir(), "test")
+	if err != nil {
 		t.Fatal(err)
 	}
-	o.Finish()
-	if len(sink.runs) == 0 {
-		t.Fatal("engine did not discover the sink through the recorder observer")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sink.runs[0].Label != "bsp" {
-		t.Fatalf("label = %q, want bsp", sink.runs[0].Label)
+	var lines []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+		var v map[string]any
+		if err := json.Unmarshal(line, &v); err != nil {
+			t.Fatalf("flight line %q: %v", line, err)
+		}
+		lines = append(lines, v)
 	}
-	if len(sink.spans) == 0 || len(sink.steps) == 0 {
-		t.Fatalf("no spans/steps through observer path: %d/%d", len(sink.spans), len(sink.steps))
+	return lines[0], lines[1:]
+}
+
+// TestFlightRingDepth drives more supersteps through a store than its
+// tail and checks the flight dump keeps exactly the most recent ones.
+func TestFlightRingDepth(t *testing.T) {
+	store := &obs.Store{Tail: 8}
+	store.RunStart(obs.RunInfo{Label: "synthetic", Workers: 2})
+	for s := 0; s < 20; s++ {
+		store.Span(obs.Span{Name: "compute", Step: s, Dur: time.Microsecond})
+		store.Step(obs.StepStats{Step: s, Active: int64(s)})
+	}
+	header, recs := flightDump(t, store)
+	if header["cause"] != "test" || header["steps"] != 8.0 || header["depth"] != 8.0 || header["dropped"] != 12.0 {
+		t.Fatalf("flight header = %v, want 8 of depth 8 with 12 dropped", header)
+	}
+	for i, rec := range recs {
+		if rec["step"] != float64(12+i) || rec["active"] != float64(12+i) {
+			t.Fatalf("record %d = %v; want supersteps 12..19 oldest first", i, rec)
+		}
+	}
+}
+
+// TestStoreKeepsSpansOnlyForTheFlightDump: a live server's store keeps a
+// long run's first supersteps for /runs, but their spans only while the
+// flight dump can reach them, so a superstep costs it its counters rather
+// than its spans (four of them, each with 64 workers' busy times here).
+func TestStoreKeepsSpansOnlyForTheFlightDump(t *testing.T) {
+	const steps, workers, tail = 2000, 64, 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	store := &obs.Store{Head: steps, Tail: tail}
+	store.RunStart(obs.RunInfo{Label: "bsp", Workers: workers})
+	busy := make([]time.Duration, workers)
+	for s := 0; s < steps; s++ {
+		for _, name := range enginePhases {
+			store.Span(obs.Span{Name: name, Step: s, Dur: time.Microsecond, WorkerBusy: busy})
+		}
+		store.Step(obs.StepStats{Step: s, Active: 1})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The spans would hold 4 × (Span + 64 × 8 B) ≈ 2.4 KiB a superstep.
+	if perStep := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / steps; perStep > 1024 {
+		t.Errorf("store retains %d B a superstep; want its counters, not its spans", perStep)
+	}
+	if runs := store.Runs(); len(runs[0].Steps) != steps {
+		t.Errorf("/runs holds %d steps, want %d", len(runs[0].Steps), steps)
+	}
+	_, recs := flightDump(t, store)
+	if len(recs) != tail {
+		t.Fatalf("flight dump has %d records, want %d", len(recs), tail)
+	}
+	for i, rec := range recs {
+		if rec["step"] != float64(steps-tail+i) || len(rec["spans"].([]any)) != len(enginePhases) {
+			t.Errorf("record %d: step %v with %d spans, want step %d with %d", i, rec["step"], len(rec["spans"].([]any)), steps-tail+i, len(enginePhases))
+		}
+	}
+}
+
+// TestFlightKeepsSpansWithTheirRun: a BSP run that ends at step 0, a
+// spans-only kernel run at step 0, then another BSP run. Every dumped
+// record carries its own run's label and only that run's spans — a run
+// ending at the step the next one starts at no longer takes its spans.
+func TestFlightKeepsSpansWithTheirRun(t *testing.T) {
+	store := &obs.Store{}
+	bsp := func(name string) {
+		store.RunStart(obs.RunInfo{Label: "bsp", Workers: 1})
+		store.Span(obs.Span{Name: "init", Step: -1, Dur: time.Microsecond})
+		store.Span(obs.Span{Name: name, Step: 0, Dur: time.Microsecond})
+		store.Step(obs.StepStats{Step: 0})
+		store.RunEnd(time.Millisecond)
+	}
+	bsp("compute")
+	store.RunStart(obs.RunInfo{Label: "cc", Workers: 1})
+	store.Span(obs.Span{Name: "cc/iter", Step: 0, Dur: time.Microsecond})
+	store.RunEnd(time.Millisecond)
+	bsp("compute2")
+
+	_, recs := flightDump(t, store)
+	want := []struct {
+		label string
+		spans []string
+	}{{"bsp", []string{"init", "compute"}}, {"cc", []string{"cc/iter"}}, {"bsp", []string{"init", "compute2"}}}
+	if len(recs) != len(want) {
+		t.Fatalf("dump has %d records, want %d: %v", len(recs), len(want), recs)
+	}
+	for i, rec := range recs {
+		var names []string
+		for _, sp := range rec["spans"].([]any) {
+			names = append(names, sp.(map[string]any)["name"].(string))
+		}
+		if rec["label"] != want[i].label || strings.Join(names, ",") != strings.Join(want[i].spans, ",") {
+			t.Errorf("record %d: label %v spans %v, want %s %v", i, rec["label"], names, want[i].label, want[i].spans)
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // touching a single kernel signature, and cross-links each span to the
 // trace phase it profiles by name and index.
 //
-// Phases named "bsp/..." are skipped: the BSP engine discovers the sink
-// through the observer (SinkProvider) and emits its own, finer-grained
-// spans (compute/terminate/deliver/worklist per superstep) directly.
+// Phases named "bsp/..." are skipped: the BSP engine emits its own,
+// finer-grained spans (compute/terminate/deliver/worklist per superstep)
+// to the sink in core.Config.Obs.
 //
 // The observer is lazy: RunStart is emitted on the first non-bsp phase
 // (labelled by the phase name's prefix up to the first '/'), and a
@@ -48,10 +48,6 @@ type RecorderObserver struct {
 func NewRecorderObserver(sink Sink, vertices, edges int64) *RecorderObserver {
 	return &RecorderObserver{sink: sink, vertices: vertices, edges: edges}
 }
-
-// ObsSink implements SinkProvider, handing the BSP engine the sink behind
-// this observer.
-func (o *RecorderObserver) ObsSink() Sink { return o.sink }
 
 // PhaseStarted is the trace.Recorder phase-observer callback.
 func (o *RecorderObserver) PhaseStarted(name string, index int) {

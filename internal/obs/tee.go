@@ -4,8 +4,8 @@ import "time"
 
 // teeSink fans one observability event stream out to several sinks, in
 // order — how a CLI attaches a post-hoc sink (report/JSONL/chrome), the
-// live metrics sink, and a flight recorder to the same run without the
-// engine knowing about any of them. Construct with Tee.
+// live metrics sink and store to the same run without the engine knowing
+// about any of them. Construct with Tee.
 type teeSink struct{ sinks []Sink }
 
 // Tee composes sinks into one. Nil sinks are dropped and nested tees are
@@ -68,31 +68,6 @@ func (t *teeSink) RunEnd(wall time.Duration) {
 	}
 }
 
-// FlightDumper is implemented by sinks that keep a crash-time ring of
-// recent supersteps (the flight recorder in obs/live). DumpFlight writes
-// the ring as JSONL into dir, annotated with cause, and returns the file
-// path. The BSP engine invokes it when a vertex-program panic forces an
-// emergency checkpoint, so the dump lands next to the checkpoint.
-type FlightDumper interface {
-	DumpFlight(dir, cause string) (string, error)
-}
-
-// FindFlightDumper returns the first FlightDumper reachable from s —
-// s itself, or a member of a teeSink — or nil.
-func FindFlightDumper(s Sink) FlightDumper {
-	if fd, ok := s.(FlightDumper); ok {
-		return fd
-	}
-	if t, ok := s.(*teeSink); ok {
-		for _, inner := range t.sinks {
-			if fd, ok := inner.(FlightDumper); ok {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
 // FallbackNoter is implemented by sinks that want to hear about checkpoint
 // fallback: each time the resume chain (ckpt.ResumeLatestValid, wired
 // through core.Config.ResumeLatest) skips a damaged snapshot, NoteFallback
@@ -102,35 +77,19 @@ type FallbackNoter interface {
 	NoteFallback(path string, cause error)
 }
 
-// FindFallbackNoter returns a FallbackNoter covering every sink reachable
-// from s — s itself, or the members of a teeSink — or nil when none
-// implement the interface.
-func FindFallbackNoter(s Sink) FallbackNoter {
+// Find returns the sinks composed into s — s itself, or each member of a
+// Tee — that are a T: how the engine reaches the FallbackNoters and the
+// flight recorder (*Store) behind its one sink.
+func Find[T any](s Sink) []T {
+	members := []Sink{s}
 	if t, ok := s.(*teeSink); ok {
-		var out []FallbackNoter
-		for _, inner := range t.sinks {
-			if fn, ok := inner.(FallbackNoter); ok {
-				out = append(out, fn)
-			}
+		members = t.sinks
+	}
+	var out []T
+	for _, m := range members {
+		if v, ok := m.(T); ok {
+			out = append(out, v)
 		}
-		switch len(out) {
-		case 0:
-			return nil
-		case 1:
-			return out[0]
-		}
-		return multiNoter(out)
 	}
-	if fn, ok := s.(FallbackNoter); ok {
-		return fn
-	}
-	return nil
-}
-
-type multiNoter []FallbackNoter
-
-func (m multiNoter) NoteFallback(path string, cause error) {
-	for _, fn := range m {
-		fn.NoteFallback(path, cause)
-	}
+	return out
 }
