@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bspgraph -g graph.gxmt -alg cc [-src -1] [-sources 5,17,99] [-batch] [-procs 128]
-//	         [-rounds 30] [-workers N] [-direction auto|push|pull] [-graph-rep flat|compressed]
+//	         [-rounds 30] [-workers N] [-graph-rep flat|compressed]
 //	         [-checkpoint-dir dir] [-ckpt-every 1] [-ckpt-keep 0] [-resume ckpt|auto]
 //	         [-retries N] [-step-timeout 0] [-run-timeout 0] [-http host:port] [-http-linger 0s]
 //	         [-obs-format report|jsonl|chrome] [-obs-out trace.json] [-pprof addr|file]
@@ -107,7 +107,6 @@ func main() {
 	stepTimeout := flag.Duration("step-timeout", 0, "per-superstep watchdog deadline, e.g. 30s (0 = off)")
 	runTimeout := flag.Duration("run-timeout", 0, "whole-run deadline; finishes the superstep in flight and checkpoints (0 = off)")
 	faultPlan := flag.String("fault-plan", "", "fault-injection plan, e.g. \"kill@2;panic@3:17\" (testing)")
-	direction := flag.String("direction", "auto", "superstep direction: auto (adaptive push/pull), push (forced scatter), pull (pull every eligible superstep)")
 	graphRep := flag.String("graph-rep", "", "force the adjacency representation: flat or compressed (default: as loaded)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	liveFlags := live.AddFlags(flag.CommandLine)
@@ -160,12 +159,9 @@ func main() {
 			}
 		}
 	})
-	dir, ok := core.ParseDirection(strings.TrimSpace(*direction))
-	if !ok {
-		usage("-direction must be auto, push or pull, got %q", *direction)
-	}
 	var rep graph.Rep
 	if s := strings.TrimSpace(*graphRep); s != "" {
+		var ok bool
 		if rep, ok = graph.ParseRep(s); !ok {
 			usage("-graph-rep must be flat or compressed, got %q", *graphRep)
 		}
@@ -291,8 +287,7 @@ func main() {
 
 	// Zero supervision knobs leave the supervisor off; every engine pass
 	// reports to the session's sink.
-	opts := []core.Option{core.WithDirection(dir),
-		core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),
+	opts := []core.Option{core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),
 		func(cfg *core.Config) { cfg.Obs = sess.Sink }}
 	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(&ckpt.Policy{

@@ -10,7 +10,7 @@
 //	xmtbench [-exp all|<name>|<group>] [-csv dir]
 //	         [-scale 16] [-ef 16] [-seed 1] [-procs 128] [-model analytic|des]
 //	         [-sources 5,17,99]
-//	         [-direction auto|push|pull] [-graph-rep flat|compressed]
+//	         [-graph-rep flat|compressed]
 //	         [-retries N] [-step-timeout 0] [-run-timeout 0]
 //	         [-workers N] [-obs-format report|jsonl|chrome] [-obs-out out] [-pprof addr|file]
 //	         [-http host:port] [-http-linger 0s]
@@ -66,7 +66,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	procs := flag.Int("procs", 128, "simulated machine size in processors")
 	model := flag.String("model", "analytic", "machine model: analytic or des")
-	direction := flag.String("direction", "auto", "superstep direction for BSP runs: auto, push or pull")
 	graphRep := flag.String("graph-rep", "", "adjacency representation for the workload: flat or compressed (default: flat)")
 	retries := flag.Int("retries", 0, "re-execute a faulting superstep up to N times in every BSP pass (0 = off)")
 	stepTimeout := flag.Duration("step-timeout", 0, "per-superstep watchdog deadline for every BSP pass (0 = off)")
@@ -90,12 +89,9 @@ func main() {
 	if *procs <= 0 {
 		usage("-procs must be > 0, got %d", *procs)
 	}
-	dir, ok := core.ParseDirection(strings.TrimSpace(*direction))
-	if !ok {
-		usage("-direction must be auto, push or pull, got %q", *direction)
-	}
 	var rep graph.Rep
 	if s := strings.TrimSpace(*graphRep); s != "" {
+		var ok bool
 		if rep, ok = graph.ParseRep(s); !ok {
 			usage("-graph-rep must be flat or compressed, got %q", *graphRep)
 		}
@@ -142,7 +138,6 @@ func main() {
 		EdgeFactor: *ef,
 		Seed:       *seed,
 		Procs:      *procs,
-		Direction:  dir,
 		// Every BSP pass runs under the supervisor flags and reports to
 		// the session's sink; zero supervision knobs leave it off.
 		Engine: []core.Option{core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),

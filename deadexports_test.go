@@ -22,7 +22,7 @@ import (
 // its external tests, re-exported from an export_test.go.
 var deadExportAllow = map[string]string{
 	"internal/bspalg.NewKCoreProgram":       "core's determinism matrix runs an aux-state program",
-	"internal/bspalg.NewLPProgram":          "core's broadcast and direction tests run a pull-capable program without a combiner",
+	"internal/bspalg.NewLPProgram":          "core's broadcast and direction tests run a label-exchanging program without a combiner",
 	"internal/bspalg.PageRankProgram":       "core's tests run the Sum-combining dense program",
 	"internal/bspalg.TCProgram":             "core's tests run the per-edge-unicast program",
 	"internal/ckpt.Decode":                  "core's determinism matrix decodes each boundary's payload as it is written",

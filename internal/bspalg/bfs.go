@@ -32,11 +32,6 @@ func (p BFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
 	return unreachable
 }
 
-// PullCapable implements core.PullProgram: BFS broadcasts only via
-// SendToNeighbors and at most once per vertex per superstep, so
-// direction-optimizing supersteps may execute its floods as pull sweeps.
-func (BFSProgram) PullCapable() bool { return true }
-
 // Compute implements core.Program.
 func (p BFSProgram) Compute(v *core.VertexContext) {
 	d := v.State()

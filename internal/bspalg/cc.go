@@ -26,11 +26,6 @@ type CCProgram struct{}
 // component.
 func (CCProgram) InitialState(_ *graph.Graph, v int64) int64 { return v }
 
-// PullCapable implements core.PullProgram: CC broadcasts only via
-// SendToNeighbors and at most once per vertex per superstep, so
-// direction-optimizing supersteps may execute its floods as pull sweeps.
-func (CCProgram) PullCapable() bool { return true }
-
 // Compute implements core.Program.
 func (CCProgram) Compute(v *core.VertexContext) {
 	label := v.State()

@@ -65,8 +65,6 @@ type Kernel struct {
 	Reads Param
 	// MultiPass rows are not one checkpointable engine pass.
 	MultiPass bool
-	// Pull marks a pull-capable BSP program: a direction mode applies.
-	Pull bool
 	// Exact rows' BSP and GraphCT Answers are equal.
 	Exact bool
 	// A nil BSP is a GraphCT-only kernel, a nil Twin a BSP-only one.
@@ -96,7 +94,7 @@ func Names(keep func(*Kernel) bool) string {
 
 var kernels = []*Kernel{
 	{
-		Name: "cc", Pull: true, Exact: true,
+		Name: "cc", Exact: true,
 		BSP: func(g *graph.Graph, _ Params, rec *trace.Recorder, opts ...core.Option) (Out, error) {
 			return then(ConnectedComponents(g, rec, opts...))(func(r *CCResult) Out {
 				return Out{Lines: []string{
@@ -115,7 +113,7 @@ var kernels = []*Kernel{
 	},
 	{
 		// With a Plan, Answer is every source's distances in plan order.
-		Name: "bfs", Reads: Source | Sources, Pull: true, Exact: true,
+		Name: "bfs", Reads: Source | Sources, Exact: true,
 		BSP: func(g *graph.Graph, p Params, rec *trace.Recorder, opts ...core.Option) (Out, error) {
 			if p.Plan != nil && p.Batch {
 				return then(MultiBFS(g, p.Plan, rec, opts...))(func(r *MultiResult) Out {
@@ -160,7 +158,7 @@ var kernels = []*Kernel{
 	},
 	{
 		// Batched reachability, no levels; Answer is every vertex's lane mask.
-		Name: "reach", Reads: Sources, Pull: true,
+		Name: "reach", Reads: Sources,
 		BSP: func(g *graph.Graph, p Params, rec *trace.Recorder, opts ...core.Option) (Out, error) {
 			return then(runMulti(g, p.Plan, rec, false, opts))(func(r *MultiResult) Out {
 				return Out{Lines: []string{fmt.Sprintf("[bsp multireach] lanes=%d supersteps=%d reached(sum over lanes)=%d", p.Plan.Occupancy(), r.Supersteps, lanesReached(r.Masks))},
@@ -236,7 +234,7 @@ var kernels = []*Kernel{
 	},
 	{
 		// Labels differ legitimately: synchronous versus in-place sweeps.
-		Name: "lp", Reads: Rounds, Pull: true,
+		Name: "lp", Reads: Rounds,
 		BSP: func(g *graph.Graph, p Params, rec *trace.Recorder, opts ...core.Option) (Out, error) {
 			return then(LabelPropagation(g, p.Rounds, rec, opts...))(func(r *LPResult) Out {
 				return Out{Lines: []string{fmt.Sprintf("[bsp lp] %d communities in %d supersteps", r.Communities, r.Supersteps)},
@@ -281,7 +279,7 @@ var kernels = []*Kernel{
 	},
 	{
 		// Four double-sweep BFS passes; Answer is the bound.
-		Name: "diameter", Reads: Source, MultiPass: true, Pull: true, Exact: true,
+		Name: "diameter", Reads: Source, MultiPass: true, Exact: true,
 		BSP: func(g *graph.Graph, p Params, rec *trace.Recorder, opts ...core.Option) (Out, error) {
 			d, err := approxDiameter(g, p.Source, 4, rec, opts...)
 			if err != nil {

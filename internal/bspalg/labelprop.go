@@ -43,12 +43,6 @@ func (p *lpProgram) ProgramName() string { return fmt.Sprintf("%T{Rounds:%d}", p
 // community.
 func (*lpProgram) InitialState(_ *graph.Graph, v int64) int64 { return v }
 
-// PullCapable implements core.PullProgram: label propagation broadcasts
-// only via SendToNeighbors and at most once per vertex per superstep, so
-// direction-optimizing supersteps may execute its exchanges as pull
-// sweeps.
-func (*lpProgram) PullCapable() bool { return true }
-
 // Compute implements core.Program.
 func (p *lpProgram) Compute(v *core.VertexContext) {
 	if v.Superstep() == 0 {

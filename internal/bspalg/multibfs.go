@@ -21,9 +21,8 @@ package bspalg
 //
 // OR is commutative, associative, and idempotent, so every fold order the
 // engine uses — chunk merges, combiner reduction, pull-sweep gathers,
-// either broadcast treatment — yields the same masks; MultiBFS declares
-// PullCapable and sets core.Or as its combiner, making the full
-// direction-optimizing machinery available to batched runs.
+// either broadcast treatment — yields the same masks; MultiBFS sets core.Or
+// as its combiner, so a pull folds each vertex's gather into one mask.
 
 import (
 	"fmt"
@@ -94,12 +93,6 @@ func (p *multiBFSProgram) InitialState(_ *graph.Graph, v int64) int64 {
 	}
 	return int64(m)
 }
-
-// PullCapable implements core.PullProgram: like single-source BFS, the
-// program broadcasts at most once per vertex per superstep via
-// SendToNeighbors only, so direction-optimizing supersteps may execute its
-// floods as pull sweeps.
-func (*multiBFSProgram) PullCapable() bool { return true }
 
 // ProgramName is the program's checkpoint fingerprint identity: its kind
 // and its lane order. Per-vertex lane masks and the aux levels mean

@@ -42,9 +42,10 @@ func multiTestSources(n int64) []int64 {
 
 // TestMultiBFSEquivalenceMatrix is the tentpole correctness assertion:
 // every lane of a batched run unpacks to distances bit-identical to an
-// independent single-source BFS, across worker counts, graph
-// representations and direction modes. (The per-edge broadcast treatment
-// is core's to set: core's TestMultiBFSExpandedBroadcasts.)
+// independent single-source BFS, across worker counts and graph
+// representations. (The per-edge broadcast treatment and the forced
+// directions are core's to set: core's TestMultiBFSExpandedBroadcasts and
+// TestPushPullEquivalence.)
 func TestMultiBFSEquivalenceMatrix(t *testing.T) {
 	flat := multiTestGraph(t, 11)
 	comp, err := graph.Compress(flat)
@@ -70,28 +71,25 @@ func TestMultiBFSEquivalenceMatrix(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"flat", flat}, {"compressed", comp}}
-	dirs := []core.DirectionMode{core.DirAuto, core.DirPush, core.DirPull}
 	for _, w := range []int{1, 3, 8} {
 		for _, rep := range reps {
-			for _, dir := range dirs {
-				t.Run(fmt.Sprintf("w=%d/%s/%s", w, rep.name, dir), func(t *testing.T) {
-					defer par.SetWorkers(par.SetWorkers(w))
-					mr, err := MultiBFS(rep.g, plan, nil, core.WithDirection(dir))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for lane := range plan.Sources {
-						if got := mr.Dist(lane); !reflect.DeepEqual(got, base[lane]) {
-							for v := range got {
-								if got[v] != base[lane][v] {
-									t.Fatalf("lane %d (source %d): dist[%d] = %d, want %d",
-										lane, plan.Sources[lane], v, got[v], base[lane][v])
-								}
+			t.Run(fmt.Sprintf("w=%d/%s", w, rep.name), func(t *testing.T) {
+				defer par.SetWorkers(par.SetWorkers(w))
+				mr, err := MultiBFS(rep.g, plan, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lane := range plan.Sources {
+					if got := mr.Dist(lane); !reflect.DeepEqual(got, base[lane]) {
+						for v := range got {
+							if got[v] != base[lane][v] {
+								t.Fatalf("lane %d (source %d): dist[%d] = %d, want %d",
+									lane, plan.Sources[lane], v, got[v], base[lane][v])
 							}
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -91,11 +91,6 @@ type Fingerprint struct {
 	MaxMessages   int64
 	// CostsCRC is a CRC32 over the resolved cost schedule.
 	CostsCRC uint32
-	// Direction is the run's direction mode ("auto", "push" or "pull" —
-	// core.DirectionMode). The push/pull decision sequence is a pure
-	// function of the mode and the run's logical counters, so a run may
-	// only resume under the mode it started with.
-	Direction string
 	// Retries is the run's Config.MaxRetries bound. The retry loop
 	// re-executes a faulting superstep from the boundary snapshot, so the
 	// retry budget shapes which faults a run survives; a resumed run must
@@ -125,7 +120,6 @@ func (fp Fingerprint) Check(want Fingerprint) error {
 		{"combiner", fmt.Sprint(fp.Combiner), fmt.Sprint(want.Combiner)},
 		{"sparse activation", fmt.Sprint(fp.Sparse), fmt.Sprint(want.Sparse)},
 		{"chunk schedule", fp.Schedule, want.Schedule},
-		{"direction", fp.Direction, want.Direction},
 		{"max supersteps", fmt.Sprint(fp.MaxSupersteps), fmt.Sprint(want.MaxSupersteps)},
 		{"max messages", fmt.Sprint(fp.MaxMessages), fmt.Sprint(want.MaxMessages)},
 		{"max retries", fmt.Sprint(fp.Retries), fmt.Sprint(want.Retries)},
@@ -192,8 +186,7 @@ type Snapshot struct {
 	// Directions is the per-superstep push/pull decision sequence: one
 	// entry per completed superstep (length Step+1), values 1 (push) or 2
 	// (pull) — core.DirectionMode. Visited is the direction heuristic's
-	// visited-vertex bitmap (FP.Vertices bits). Both are present together
-	// when the run's direction layer was active, and both empty otherwise.
+	// visited-vertex bitmap (FP.Vertices bits). Every snapshot carries both.
 	Directions []int64
 	Visited    Bitmap
 	// RetriesPerStep is the per-superstep retry count: one entry per

@@ -42,7 +42,6 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 			MaxSupersteps: int64(rng.Intn(1 << 20)),
 			MaxMessages:   int64(rng.Intn(1 << 30)),
 			CostsCRC:      rng.Uint32(),
-			Direction:     []string{"auto", "push", "pull"}[rng.Intn(3)],
 			Retries:       int64(rng.Intn(4)),
 			Rep:           []string{"flat", "compressed"}[rng.Intn(2)],
 		},
@@ -86,18 +85,15 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 		s.MessagesPerStep = append(s.MessagesPerStep, int64(rng.Intn(1000)))
 		s.DeliveredPerStep = append(s.DeliveredPerStep, int64(rng.Intn(1000)))
 	}
-	if rng.Intn(2) == 0 {
-		// Direction-layer state: present together — one push/pull
-		// decision per completed superstep plus the per-vertex visited
-		// bitmap.
-		for i := int64(0); i <= step; i++ {
-			s.Directions = append(s.Directions, int64(1+rng.Intn(2)))
-		}
-		s.Visited = ckpt.Bitmap{N: n, Words: make([]uint64, (n+63)/64)}
-		for i := int64(0); i < n; i++ {
-			if rng.Intn(2) == 0 {
-				s.Visited.Words[i/64] |= 1 << (i % 64)
-			}
+	// Direction-layer state, always present: one push/pull decision per
+	// completed superstep plus the per-vertex visited bitmap.
+	for i := int64(0); i <= step; i++ {
+		s.Directions = append(s.Directions, int64(1+rng.Intn(2)))
+	}
+	s.Visited = ckpt.Bitmap{N: n, Words: make([]uint64, (n+63)/64)}
+	for i := int64(0); i < n; i++ {
+		if rng.Intn(2) == 0 {
+			s.Visited.Words[i/64] |= 1 << (i % 64)
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -151,12 +147,10 @@ func setStep(s *ckpt.Snapshot, step int64) {
 	s.ActivePerStep = resize(s.ActivePerStep)
 	s.MessagesPerStep = resize(s.MessagesPerStep)
 	s.DeliveredPerStep = resize(s.DeliveredPerStep)
-	if len(s.Directions) > 0 {
-		for int64(len(s.Directions)) < step+1 {
-			s.Directions = append(s.Directions, 1)
-		}
-		s.Directions = s.Directions[:step+1]
+	for int64(len(s.Directions)) < step+1 {
+		s.Directions = append(s.Directions, 1)
 	}
+	s.Directions = s.Directions[:step+1]
 	if len(s.RetriesPerStep) > 0 {
 		s.RetriesPerStep = resize(s.RetriesPerStep)
 	}
@@ -243,7 +237,8 @@ func TestCorruptionRejected(t *testing.T) {
 // TestInvalidBroadcastRecordsRejected: broadcast-record damage that a
 // checksum cannot catch — a well-formed encode of semantically impossible
 // records — is rejected by the decoder's structural cross-checks with a
-// typed CorruptError.
+// typed CorruptError, as is a payload without the direction arrays every
+// snapshot carries.
 func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	base := randSnapshot(rng)
@@ -265,6 +260,9 @@ func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 		}},
 		{"seq beyond unicast count", func(s *ckpt.Snapshot) {
 			s.BcastSeq[len(s.BcastSeq)-1] = int64(len(s.MsgDest)) + 1
+		}},
+		{"no direction arrays", func(s *ckpt.Snapshot) {
+			s.Directions, s.Visited = nil, ckpt.Bitmap{}
 		}},
 	}
 	for _, m := range mutations {
@@ -303,7 +301,7 @@ func stampVersion(t *testing.T, path string, ver uint32) {
 }
 
 // TestUnknownVersionRejected: the format has one version and no decoder
-// for any other. Files stamped with a retired version (1-7 were written by
+// for any other. Files stamped with a retired version (1-8 were written by
 // earlier engines), a future one, or garbage are a typed VersionError from
 // both Load and Verify — never a mis-decode.
 func TestUnknownVersionRejected(t *testing.T) {
@@ -313,7 +311,7 @@ func TestUnknownVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 99} {
+	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 99} {
 		stampVersion(t, path, ver)
 		_, loadErr := ckpt.Load(path)
 		for _, err := range []error{loadErr, ckpt.Verify(path)} {
@@ -326,31 +324,31 @@ func TestUnknownVersionRejected(t *testing.T) {
 			}
 		}
 	}
-	stampVersion(t, path, 8)
+	stampVersion(t, path, 9)
 	if _, err := ckpt.Load(path); err != nil {
 		t.Fatalf("restamped current version: %v", err)
 	}
 }
 
 // TestEncodeGolden pins the payload bytes: FNV-64a of Encode over
-// randSnapshot seeds 1-8, captured at format version 8. The seeds cover
-// every optional section both present and absent (broadcast records,
-// direction arrays, retry counts, aux, aggregates, phases). A change here
-// is a format change: bump the version.
+// randSnapshot seeds 1-7 and 15, captured at format version 9. The seeds
+// cover every optional section both present and absent (broadcast records,
+// retry counts, aux, aggregates, phases); the direction arrays are in every
+// payload. A change here is a format change: bump the version.
 func TestEncodeGolden(t *testing.T) {
 	golden := []struct {
 		seed int64
 		size int
 		hash uint64
 	}{
-		{1, 5952, 0x5423508d95774442}, // bcast, dir, retry; no aux, aggregates, phases
-		{2, 4218, 0x0530446c7b85abe0}, // bcast, retry, aux, phases; no dir
-		{3, 2601, 0x6160c0e005f43131}, // dir, retry, aux, aggregates, phases; no bcast
-		{4, 4505, 0x98c7fe869c10fdda}, // bcast, aux; no dir, retry, phases
-		{5, 4331, 0xef39ddad121da888}, // every section
-		{6, 4110, 0x1bd726bd912f40d1}, // bcast, retry, aux, aggregates; no dir
-		{7, 5971, 0xb5cdf5f0f23e830e}, // dir, aggregates, phases; no bcast, retry, aux
-		{8, 4313, 0x12389b6014697e1a}, // bcast, retry, aux, aggregates, phases; no dir
+		{1, 1688, 0xb34d6881838768e4},  // retry, phases; no bcast, aux, aggregates
+		{2, 5619, 0x7edc81db66f33037},  // bcast, retry, aggregates, phases; no aux
+		{3, 5723, 0xb9304c72a8ce5ad4},  // retry, aux, aggregates, phases; no bcast
+		{4, 3467, 0x37aaa9422849a217},  // every section
+		{5, 3739, 0x78c5b19cedfe07f0},  // bcast, retry, aggregates, phases; no aux
+		{6, 6315, 0x017c1c83ca046542},  // aux, aggregates, phases; no bcast, retry
+		{7, 4817, 0x944f7937cbaed41c},  // bcast, retry, phases; no aux, aggregates
+		{15, 5364, 0x8a124cddf53fad61}, // bcast, retry; no aux, aggregates, phases
 	}
 	for _, g := range golden {
 		b := ckpt.Encode(randSnapshot(rand.New(rand.NewSource(g.seed))))
@@ -374,7 +372,7 @@ func TestFingerprintCheck(t *testing.T) {
 	base := ckpt.Fingerprint{
 		GraphCRC: 1, Vertices: 10, Edges: 20, Program: "bspalg.BFSProgram{Source:0}",
 		Combiner: true, Schedule: "degree64", MaxSupersteps: 1000, MaxMessages: 1 << 28, CostsCRC: 2,
-		Direction: "auto", Retries: 2, Rep: "flat",
+		Retries: 2, Rep: "flat",
 	}
 	if err := base.Check(base); err != nil {
 		t.Fatalf("identical fingerprints rejected: %v", err)
@@ -414,6 +412,8 @@ func TestFingerprintCheck(t *testing.T) {
 			ActivePerStep:    []int64{1},
 			MessagesPerStep:  []int64{2},
 			DeliveredPerStep: []int64{3},
+			Directions:       []int64{1},
+			Visited:          ckpt.Bitmap{N: fp.Vertices, Words: make([]uint64, (fp.Vertices+63)/64)},
 		}
 		got, err := ckpt.Decode(ckpt.Encode(s), name)
 		if err != nil {

@@ -29,7 +29,7 @@ import (
 // version and minVersion together.
 const (
 	magic      = "GXMTCKP1"
-	version    = 8
+	version    = 9
 	minVersion = version
 	headerLen  = 16
 
@@ -120,7 +120,6 @@ func (s *Snapshot) walk(c codec) {
 	c.boolean(&fp.Combiner)
 	c.boolean(&fp.Sparse)
 	c.str(&fp.Schedule)
-	c.str(&fp.Direction)
 	c.i64(&fp.Retries)
 	c.str(&fp.Rep)
 	c.i64(&fp.MaxSupersteps)
@@ -418,23 +417,18 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 			}
 		}
 	}
-	// Direction-layer arrays are present together or not at all; when
-	// present, the decision sequence covers every completed superstep with
-	// push/pull values and the visited bitmap is per-vertex.
-	if (len(s.Directions) == 0) != (s.Visited.N == 0) {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction arrays mismatched (%d decisions, %d visited)", len(s.Directions), s.Visited.N)}
+	// Direction-layer arrays are always present: the decision sequence
+	// covers every completed superstep with push/pull values and the
+	// visited bitmap is per-vertex.
+	if int64(len(s.Directions)) != want {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction sequence sized %d, want %d (step %d)", len(s.Directions), want, s.Step)}
 	}
-	if len(s.Directions) > 0 {
-		if int64(len(s.Directions)) != want {
-			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction sequence sized %d, want %d (step %d)", len(s.Directions), want, s.Step)}
-		}
-		if s.Visited.N != s.FP.Vertices {
-			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("visited bitmap sized %d, fingerprint says %d vertices", s.Visited.N, s.FP.Vertices)}
-		}
-		for i, v := range s.Directions {
-			if v != 1 && v != 2 {
-				return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction %d has invalid value %d (want 1=push or 2=pull)", i, v)}
-			}
+	if s.Visited.N != s.FP.Vertices {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("visited bitmap sized %d, fingerprint says %d vertices", s.Visited.N, s.FP.Vertices)}
+	}
+	for i, v := range s.Directions {
+		if v != 1 && v != 2 {
+			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction %d has invalid value %d (want 1=push or 2=pull)", i, v)}
 		}
 	}
 	live := s.FP.Vertices

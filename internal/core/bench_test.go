@@ -270,19 +270,22 @@ func BenchmarkEngineBcastStarFloodCombiner(b *testing.B) {
 }
 
 // Direction A/B benchmarks: BFS (no combiner — the pull-scatter path) on
-// the scale-18 RMAT graph, auto-direction against the forced-push control.
-// The auto run executes apex supersteps as pull sweeps over sorted
-// adjacency instead of scattering every frontier record through per-vertex
-// counting sort; results and profiles are bit-identical (direction_test.go),
-// so the Auto/Push ratio is pure delivery cost on identical work.
+// the scale-18 RMAT graph, the engine's own decisions against the forced-push
+// oracle (core.ForceDirection). The decided run executes apex supersteps as
+// pull sweeps over sorted adjacency instead of scattering every frontier
+// record through per-vertex counting sort; results and profiles are
+// bit-identical (direction_test.go), so the Auto/Push ratio is pure delivery
+// cost on identical work.
 func BenchmarkEngineDirBFSAuto(b *testing.B) {
 	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}, Direction: core.DirAuto})
+	benchRun(b, core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}})
 }
 
 func BenchmarkEngineDirBFSPush(b *testing.B) {
 	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}, Direction: core.DirPush})
+	cfg := core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}}
+	core.ForceDirection(core.DirPush)(&cfg)
+	benchRun(b, cfg)
 }
 
 // BenchmarkGather is the sweep after a pull boundary and nothing else: every

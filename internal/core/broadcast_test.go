@@ -31,7 +31,7 @@ import (
 // legacy eager expansion); the record path must match it bit-for-bit at 1,
 // 3, and 8 workers, and the expanded path must stay worker-deterministic
 // too. detGraph's dense supersteps carry ~2x16K logical messages, above
-// pullMinEdges, so the pull-capable kernels pull them; the shrinking tail
+// pullMinEdges, so the engine pulls them; the shrinking tail
 // supersteps fall below it and push their records.
 func TestBroadcastMatchesExpandedPath(t *testing.T) {
 	g := detGraph(t)
@@ -319,7 +319,7 @@ func TestMultiBFSExpandedBroadcasts(t *testing.T) {
 					defer par.SetWorkers(par.SetWorkers(w))
 					run := func(expand bool) (dist [][]int64, lanes []int64) {
 						sink := &stepCapture{}
-						mr, err := bspalg.MultiBFS(g, plan, nil, core.WithDirection(dir), core.WithExpandBroadcasts(expand),
+						mr, err := bspalg.MultiBFS(g, plan, nil, core.ForceDirection(dir), core.WithExpandBroadcasts(expand),
 							func(c *core.Config) { c.Obs = sink })
 						if err != nil {
 							t.Fatal(err)

@@ -162,7 +162,6 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		MaxSupersteps: int64(maxSteps),
 		MaxMessages:   maxMsgs,
 		CostsCRC:      costsCRC(costs),
-		Direction:     cfg.Direction.String(),
 		Retries:       int64(max(cfg.MaxRetries, 0)),
 		Rep:           string(g.Rep()),
 	}
@@ -296,15 +295,12 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t 
 	// Direction layer state: the per-step decision sequence (so resume
 	// re-delivers under the recorded decision and the restored Result
 	// matches) and the visited bitmap (so post-resume decisions see the same
-	// unvisited-edge count the uninterrupted run would have). Both absent
-	// when the direction layer is inactive.
-	if ds != nil {
-		for _, d := range res.DirectionPerStep[len(ck.dirs):] {
-			ck.dirs = append(ck.dirs, int64(d))
-		}
-		s.Directions = slices.Clip(ck.dirs)
-		s.Visited = ckpt.Bitmap{N: s.Halted.N, Words: slices.Clone(ds.visited)}
+	// unvisited-edge count the uninterrupted run would have).
+	for _, d := range res.DirectionPerStep[len(ck.dirs):] {
+		ck.dirs = append(ck.dirs, int64(d))
 	}
+	s.Directions = slices.Clip(ck.dirs)
+	s.Visited = ckpt.Bitmap{N: s.Halted.N, Words: slices.Clone(ds.visited)}
 	// Per-superstep retry counts: present exactly when the retry supervisor
 	// is active, so a resumed run's Result.RetriesPerStep matches an
 	// uninterrupted one's.
@@ -459,19 +455,17 @@ func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState
 	res.ActivePerStep = append(res.ActivePerStep[:0], s.ActivePerStep...)
 	res.MessagesPerStep = append(res.MessagesPerStep[:0], s.MessagesPerStep...)
 	res.DeliveredPerStep = append(res.DeliveredPerStep[:0], s.DeliveredPerStep...)
-	if ds != nil {
-		res.DirectionPerStep = res.DirectionPerStep[:0]
-		for _, d := range s.Directions {
-			res.DirectionPerStep = append(res.DirectionPerStep, DirectionMode(d))
-		}
-		// Rebuild the visited bitmap and its incident-edge sum from the
-		// snapshot.
-		copy(ds.visited, s.Visited.Words)
-		ds.visitedEdges = 0
-		for i, w := range ds.visited {
-			for ; w != 0; w &= w - 1 {
-				ds.visitedEdges += master.graph.Degree(int64(i<<6 | bits.TrailingZeros64(w)))
-			}
+	res.DirectionPerStep = res.DirectionPerStep[:0]
+	for _, d := range s.Directions {
+		res.DirectionPerStep = append(res.DirectionPerStep, DirectionMode(d))
+	}
+	// Rebuild the visited bitmap and its incident-edge sum from the
+	// snapshot.
+	copy(ds.visited, s.Visited.Words)
+	ds.visitedEdges = 0
+	for i, w := range ds.visited {
+		for ; w != 0; w &= w - 1 {
+			ds.visitedEdges += master.graph.Degree(int64(i<<6 | bits.TrailingZeros64(w)))
 		}
 	}
 	if len(s.Aggregates) > 0 {

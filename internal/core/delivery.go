@@ -230,12 +230,10 @@ type pathInputs struct {
 	logical  int64 // messages, one per broadcast edge
 	unicast  int64 // messages in the log
 	records  int   // broadcast records
-	n, edges int64 // graph.NumVertices, graph.NumEdges
+	n        int64 // graph.NumVertices
 	combiner bool
-	// dir is the superstep's recorded direction (direction.go); DirAuto
-	// when the direction layer is inactive.
-	dir     DirectionMode
-	workers int // par.Workers()
+	dir      DirectionMode // the superstep's recorded direction (direction.go)
+	workers  int           // par.Workers()
 }
 
 // choosePath decides how a superstep's traffic is delivered and names the
@@ -245,9 +243,7 @@ type pathInputs struct {
 //   - A superstep far below n takes the lookaside whatever the direction
 //     says (a gather sweep over every edge costs more than reading a few
 //     stored messages) — unless it is large enough to sort in parallel.
-//   - Pullable records are pulled when the recorded direction says so,
-//     and, with no direction layer, under PR 5's combiner-pull rule: the
-//     frontier covers half the edges.
+//   - Pullable records are pulled when the recorded direction says so.
 //   - Pullable records with a combiner and no pull fold sequentially
 //     (denseFold): the exact per-edge fold order for any combiner.
 //   - Everything else is the counting sort, forked when there are workers
@@ -262,8 +258,6 @@ func choosePath(in pathInputs) (p path, why string) {
 		p.kind, why = pathLookaside, "logical*lookasideCutoff < n"
 	case eligible && in.dir == DirPull:
 		p.kind, why = pathPull, "recorded direction"
-	case eligible && in.dir == DirAuto && in.combiner && in.logical*2 >= in.edges:
-		p.kind, why = pathPull, "combiner, 2*logical >= edges"
 	case eligible && in.combiner:
 		p.kind, why = pathCSR, "records fold sequentially"
 	case parallel:
@@ -351,7 +345,7 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionM
 	n := t.g.NumVertices()
 	in := pathInputs{
 		logical: t.logical, unicast: t.sends.sealed, records: len(t.bcasts),
-		n: n, edges: t.g.NumEdges(), combiner: ib.combine != nil,
+		n: n, combiner: ib.combine != nil,
 		dir: dir, workers: par.Workers(),
 	}
 	p, _ := choosePath(in)

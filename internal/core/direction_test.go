@@ -43,7 +43,7 @@ func hasDir(res *core.Result, want core.DirectionMode) bool {
 	return slices.Contains(res.DirectionPerStep, want)
 }
 
-// orderProbe is the order-sensitive pull-capable program: a vertex's state
+// orderProbe is the order-sensitive program: a vertex's state
 // is a rolling hash of Messages() in the order the engine yields them, so a
 // gather that produced the right multiset in the wrong order — or folded
 // it — changes every downstream state. About three quarters of the vertices
@@ -52,7 +52,6 @@ func hasDir(res *core.Result, want core.DirectionMode) bool {
 type orderProbe struct{ rounds int }
 
 func (orderProbe) InitialState(_ *graph.Graph, v int64) int64 { return v*0x9E3779B9 + 1 }
-func (orderProbe) PullCapable() bool                          { return true }
 
 func (p orderProbe) Compute(v *core.VertexContext) {
 	h := v.State()
@@ -80,7 +79,7 @@ func cfgRun(mk func(g *graph.Graph) core.Config) func(*testing.T, *graph.Graph, 
 	return func(t *testing.T, g *graph.Graph, w int, d core.DirectionMode) dirRun {
 		res, ph := runDet(t, g, w, func() core.Config {
 			cfg := mk(g)
-			cfg.Direction = d
+			core.ForceDirection(d)(&cfg)
 			return cfg
 		})
 		return dirRun{sansDirections(res), res.DirectionPerStep, ph}
@@ -101,13 +100,13 @@ func multiBFSRun(t *testing.T, g *graph.Graph, w int, d core.DirectionMode) dirR
 		t.Fatal(err)
 	}
 	rec, capt := trace.NewRecorder(), &stepCapture{}
-	mr, err := bspalg.MultiBFS(g, plan, rec, core.WithDirection(d), func(c *core.Config) { c.Obs = capt })
+	mr, err := bspalg.MultiBFS(g, plan, rec, core.ForceDirection(d), func(c *core.Config) { c.Obs = capt })
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirs := make([]core.DirectionMode, len(capt.steps))
 	for i, st := range capt.steps {
-		dirs[i], _ = core.ParseDirection(st.Direction)
+		dirs[i] = map[string]core.DirectionMode{"push": core.DirPush, "pull": core.DirPull}[st.Direction]
 	}
 	return dirRun{mr, dirs, rec.Phases()}
 }
@@ -146,11 +145,7 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 		g *graph.Graph
 		// wantPull asserts the auto and forced-pull runs pulled at least once.
 		wantPull bool
-		// legacy marks a program that is not pull-capable: forced pull is a
-		// typed error, and auto is the legacy engine, which pulls combining
-		// floods on its own heuristic and keeps no decision record.
-		legacy bool
-		run    func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun
+		run      func(*testing.T, *graph.Graph, int, core.DirectionMode) dirRun
 	}{
 		{name: "bfs", wantPull: true, run: cfgRun(func(*graph.Graph) core.Config {
 			return core.Config{Program: bspalg.BFSProgram{Source: 0}}
@@ -172,7 +167,7 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: true}
 		})},
 		{name: "msbfs/or", wantPull: true, run: multiBFSRun},
-		{name: "pagerank/sum", legacy: true, run: pagerank},
+		{name: "pagerank/sum", wantPull: true, run: pagerank},
 		// The kernels above forgive a fold that lets an unstamped neighbor
 		// in (a stale BFS bit or label changes nothing; PageRank stamps
 		// everyone); the probe's partial frontiers and hashed state do not.
@@ -187,7 +182,7 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 		// Dense, overlapping lists of equal length: every gather reads a
 		// full clique.
 		{name: "probe/cliques", g: cliques, wantPull: true, run: probe},
-		{name: "pagerank/cliques", g: cliques, legacy: true, run: pagerank},
+		{name: "pagerank/cliques", g: cliques, wantPull: true, run: pagerank},
 		{name: "probe/n=1", g: graph.MustBuild(1, nil, graph.BuildOptions{}), run: probe},
 	}
 	for _, tc := range cases {
@@ -197,9 +192,6 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 				flat = shared
 			}
 			modes := []core.DirectionMode{core.DirPush, core.DirAuto, core.DirPull}
-			if tc.legacy {
-				modes = modes[:2]
-			}
 			base := tc.run(t, flat, 1, core.DirPush)
 			record := map[core.DirectionMode][]core.DirectionMode{core.DirPush: base.dirs}
 			if slices.Contains(base.dirs, core.DirPull) {
@@ -227,6 +219,95 @@ func TestDirectionDeterminismMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPushPullEquivalence runs every row of the kernel table that has a BSP
+// runner — at 1 and 3 workers, on the flat graph and its compressed twin —
+// once on the engine's own decisions and once forced to push and to pull
+// (core.ForceDirection), and requires the same Out and charged profile from
+// all of them. On the engine-decided runs a superstep whose boundary pulled
+// must have recorded the pull decision: there is one place a direction is
+// chosen, for every program.
+func TestPushPullEquivalence(t *testing.T) {
+	flat := detGraph(t)
+	edges := flat.EdgeList()
+	weighted, err := graph.Build(flat.NumVertices(), edges, graph.BuildOptions{Weights: gen.UniformWeights(len(edges), 10, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := flat.NumVertices()
+	plan, err := batch.NewPlan([]int64{flat.MaxDegreeVertex(), 0, n / 2, n - 1}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name string
+		k    *bspalg.Kernel
+		p    bspalg.Params
+	}
+	var rows []row
+	for _, name := range strings.Split(bspalg.Names(func(k *bspalg.Kernel) bool { return k.BSP != nil }), ", ") {
+		k := bspalg.Lookup(name)
+		p := bspalg.Params{Source: flat.MaxDegreeVertex(), Rounds: 7, Seed: 3, Samples: 4}
+		if k.Reads&bspalg.Sources == 0 || k.Reads&bspalg.Source != 0 {
+			rows = append(rows, row{name, k, p})
+		}
+		if k.Reads&bspalg.Sources != 0 {
+			p.Plan, p.Batch = plan, true
+			rows = append(rows, row{name + "/batch", k, p})
+		}
+	}
+	pulled := map[string]bool{}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			g := flat
+			if r.k.Reads&bspalg.Weights != 0 {
+				g = weighted
+			}
+			run := func(rep *graph.Graph, w int, d core.DirectionMode) (bspalg.Out, []*trace.Phase, []obs.StepStats) {
+				t.Helper()
+				rec, capt := trace.NewRecorder(), &stepCapture{}
+				defer par.SetWorkers(par.SetWorkers(w))
+				out, err := r.k.BSP(rep, r.p, rec, core.ForceDirection(d), func(c *core.Config) { c.Obs = capt })
+				if err != nil {
+					t.Fatalf("%s w=%d %s: %v", rep.Rep(), w, d, err)
+				}
+				return out, rec.Phases(), capt.steps
+			}
+			base, basePh, _ := run(g, 1, core.DirPush)
+			for _, rep := range []*graph.Graph{g, core.MustCompress(g)} {
+				t.Run(string(rep.Rep()), func(t *testing.T) {
+					for _, w := range []int{1, 3} {
+						for _, d := range []core.DirectionMode{core.DirPush, core.DirAuto, core.DirPull} {
+							out, ph, steps := run(rep, w, d)
+							if !reflect.DeepEqual(base, out) {
+								t.Fatalf("w=%d %s: Out differs from the flat 1-worker forced-push run", w, d)
+							}
+							comparePhases(t, basePh, ph)
+							if d != core.DirAuto {
+								continue
+							}
+							for _, st := range steps {
+								if strings.HasPrefix(st.Delivery, "pull") {
+									pulled[r.name] = true
+									if st.Direction != "pull" {
+										t.Fatalf("w=%d: step %d delivered by %q under direction %q", w, st.Step, st.Delivery, st.Direction)
+									}
+								}
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+	// The rows whose dense supersteps the engine pulls, combining (pagerank)
+	// or not: the equality above is not vacuously about all-push runs.
+	for _, name := range []string{"bfs", "cc", "kcore", "pagerank"} {
+		if !pulled[name] {
+			t.Errorf("%s: no engine-decided run pulled", name)
+		}
 	}
 }
 
@@ -262,7 +343,8 @@ func TestDirectionPullReducesPhysical(t *testing.T) {
 	g := detGraph(t)
 	run := func(d core.DirectionMode) []obsStep {
 		sink := &stepCapture{}
-		cfg := core.Config{Graph: g, Program: bspalg.CCProgram{}, Direction: d, Obs: sink}
+		cfg := core.Config{Graph: g, Program: bspalg.CCProgram{}, Obs: sink}
+		core.ForceDirection(d)(&cfg)
 		if _, err := core.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -345,115 +427,6 @@ func TestDirectionRecoveryAcrossSwitch(t *testing.T) {
 				k, base.DirectionPerStep, res.DirectionPerStep)
 		}
 		comparePhases(t, basePh, ph)
-	}
-}
-
-// TestDirectionResumeRejectsMismatch: the direction mode is part of the
-// checkpoint fingerprint, so resuming under a different -direction is a
-// typed MismatchError naming the field — never a silent replay under the
-// wrong decision rule.
-func TestDirectionResumeRejectsMismatch(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
-	cfg := core.Config{
-		Program:    bspalg.BFSProgram{Source: 0},
-		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
-	}
-	_, _, err = runRec(g, 3, cfg)
-	var ie *core.InterruptedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want InterruptedError, got %v", err)
-	}
-
-	cfg = core.Config{
-		Program:   bspalg.BFSProgram{Source: 0},
-		Direction: core.DirPush,
-		Resume:    ie.CheckpointPath,
-	}
-	_, _, err = runRec(g, 3, cfg)
-	var me *ckpt.MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("want MismatchError, got %v", err)
-	}
-	if me.Field != "direction" {
-		t.Fatalf("mismatch field %q, want \"direction\"", me.Field)
-	}
-}
-
-// dirlessProg is a minimal program that does not implement PullProgram.
-type dirlessProg struct{}
-
-func (dirlessProg) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (dirlessProg) Compute(v *core.VertexContext)          { v.VoteToHalt() }
-
-// TestDirectionErrors: requesting pull for a program without pull
-// capability is a typed *DirectionError; push is honored for any program
-// (it is the A/B control); out-of-range modes are rejected; and forced
-// pull on a capable program still matches the push control.
-func TestDirectionErrors(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, runErr := core.Run(core.Config{Graph: g, Program: dirlessProg{}, Direction: core.DirPull})
-	var de *core.DirectionError
-	if !errors.As(runErr, &de) {
-		t.Fatalf("pull on non-capable program: want DirectionError, got %v", runErr)
-	}
-	if de.Mode != core.DirPull {
-		t.Fatalf("DirectionError.Mode = %v, want pull", de.Mode)
-	}
-
-	if _, err := core.Run(core.Config{Graph: g, Program: dirlessProg{}, Direction: core.DirPush}); err != nil {
-		t.Fatalf("push on non-capable program must run: %v", err)
-	}
-	_, runErr = core.Run(core.Config{Graph: g, Program: dirlessProg{}, Direction: core.DirectionMode(7)})
-	if !errors.As(runErr, &de) {
-		t.Fatalf("out-of-range mode: want DirectionError, got %v", runErr)
-	}
-
-	pull, err := core.Run(core.Config{Graph: g, Program: bspalg.CCProgram{}, Direction: core.DirPull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	push, err := core.Run(core.Config{Graph: g, Program: bspalg.CCProgram{}, Direction: core.DirPush})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sansDirections(pull), sansDirections(push)) {
-		t.Fatal("forced-pull Result differs from forced-push control")
-	}
-}
-
-// TestParseDirection pins the CLI flag mapping shared by bspgraph and
-// xmtbench.
-func TestParseDirection(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		mode core.DirectionMode
-		ok   bool
-	}{
-		{"auto", core.DirAuto, true},
-		{"push", core.DirPush, true},
-		{"pull", core.DirPull, true},
-		{"", core.DirAuto, false},
-		{"Pull", core.DirAuto, false},
-		{"both", core.DirAuto, false},
-	} {
-		mode, ok := core.ParseDirection(tc.in)
-		if mode != tc.mode || ok != tc.ok {
-			t.Fatalf("ParseDirection(%q) = (%v,%v), want (%v,%v)", tc.in, mode, ok, tc.mode, tc.ok)
-		}
-	}
-	for _, m := range []core.DirectionMode{core.DirAuto, core.DirPush, core.DirPull} {
-		back, ok := core.ParseDirection(m.String())
-		if !ok || back != m {
-			t.Fatalf("round trip %v via %q failed", m, m.String())
-		}
 	}
 }
 

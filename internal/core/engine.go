@@ -123,14 +123,6 @@ type Config struct {
 	// *InterruptedError. This is how cmd/bspgraph turns SIGINT/SIGTERM
 	// into a resumable exit.
 	Stop <-chan struct{}
-	// Direction selects push/pull execution for broadcast-heavy supersteps
-	// (direction.go). The zero value (DirAuto) enables the adaptive
-	// heuristic for pull-capable programs and is the legacy engine for all
-	// others; DirPush forces push scatter (the A/B control); DirPull
-	// requires a pull-capable program or Run returns *DirectionError. The
-	// mode is recorded in checkpoint fingerprints, so a resumed run must
-	// use the mode it started with.
-	Direction DirectionMode
 	// MaxRetries bounds deterministic superstep retry (supervise.go): a
 	// vertex-program panic rolls the engine back to the last superstep
 	// boundary's in-memory snapshot and re-executes, up to MaxRetries
@@ -168,6 +160,12 @@ type Config struct {
 	// against (set only through export_test.go). Both treatments give the
 	// same Result, profile and logical counters, so it is not fingerprinted.
 	expandBroadcasts bool
+	// direction, when DirPush or DirPull (set only through export_test.go),
+	// forces every pullable superstep's decision: the push and pull oracles
+	// the engine's own decisions are tested against. All three give the same
+	// Result but for DirectionPerStep, and the same profile, so it is not
+	// fingerprinted.
+	direction DirectionMode
 	// logSeen, when set (only through export_test.go), is handed every
 	// delivered superstep's unicast log: the bytes it fills and the
 	// messages it holds.
@@ -193,11 +191,9 @@ type Result struct {
 	// Aggregates holds the final value of every named aggregator.
 	Aggregates map[string]int64
 	// DirectionPerStep records each superstep's push/pull decision (one
-	// entry per superstep, DirPush or DirPull) when the direction layer is
-	// active — the program is pull-capable or a non-auto Direction was
-	// requested; nil otherwise. The sequence is a pure function of logical
-	// counters, identical at any worker count, and is persisted in
-	// checkpoints so resume replays it exactly.
+	// entry per superstep, DirPush or DirPull). The sequence is a pure
+	// function of logical counters, identical at any worker count, and is
+	// persisted in checkpoints so resume replays it exactly.
 	DirectionPerStep []DirectionMode
 	// RetriesPerStep records, when Config.MaxRetries is positive, how many
 	// times each superstep was re-executed after a trapped fault (one
@@ -285,13 +281,8 @@ func Run(cfg Config) (*Result, error) {
 	if sup != nil && sup.maxRetries > 0 && resumeSnap != nil {
 		sup.retries = append(sup.retries, resumeSnap.RetriesPerStep...)
 	}
-	// ds is the direction-decision state; nil (program not pull-capable,
-	// mode auto) is the legacy engine and costs one pointer check per
-	// superstep.
-	ds, err := startDir(&cfg, g)
-	if err != nil {
-		return nil, err
-	}
+	// ds is the direction-decision state.
+	ds := startDir(&cfg, g)
 	// o is the observability state; nil (no sink) costs one pointer check
 	// per hook below. tObs is only written/read when o != nil.
 	o := startObs(&cfg, g)
@@ -437,13 +428,8 @@ func Run(cfg Config) (*Result, error) {
 			tr.logical += g.Degree(tr.bcasts[i].src)
 		}
 		// Re-deliver under the decision the original boundary recorded, so
-		// the resumed inbox is built by the same path (DirAuto when the
-		// direction layer is inactive — the legacy delivery heuristics).
-		resumeDir := DirAuto
-		if k := len(res.DirectionPerStep); ds != nil && k > 0 {
-			resumeDir = res.DirectionPerStep[k-1]
-		}
-		scratch.deliver(tr, ib, candidates, resumeDir)
+		// the resumed inbox is built by the same path.
+		scratch.deliver(tr, ib, candidates, res.DirectionPerStep[len(res.DirectionPerStep)-1])
 		if cfg.SparseActivation {
 			// The worklist is every vertex awake or with mail, however the
 			// original boundary built it (awakeList).
@@ -622,15 +608,11 @@ func Run(cfg Config) (*Result, error) {
 		// incident edges. Everything here is a logical counter; the
 		// decision is recorded before delivery so checkpoints persist it
 		// even when this superstep is the run's last boundary.
-		var dirMode DirectionMode
-		var frontierEdges, unvisitedEdges int64
-		if ds != nil {
-			ds.visitedEdges += visitedDelta
-			frontierEdges = sent - unicast
-			unvisitedEdges = ds.totalEdges - ds.visitedEdges
-			dirMode = ds.decide(frontierEdges, unicast)
-			res.DirectionPerStep = append(res.DirectionPerStep, dirMode)
-		}
+		ds.visitedEdges += visitedDelta
+		frontierEdges := sent - unicast
+		unvisitedEdges := ds.totalEdges - ds.visitedEdges
+		dirMode := ds.decide(frontierEdges, unicast)
+		res.DirectionPerStep = append(res.DirectionPerStep, dirMode)
 
 		// Charge the compute phase: active dispatch, message receive,
 		// message send, and chunked global buffer allocation.
@@ -660,10 +642,8 @@ func Run(cfg Config) (*Result, error) {
 		var st obs.StepStats
 		if o != nil {
 			tObs = o.phase(obsPhaseTerminate, step, tObs)
-			st = obs.StepStats{Step: step, Active: active, Sent: sent, Received: received, Retries: retried}
-			if ds != nil {
-				st.Direction, st.FrontierEdges, st.UnvisitedEdges = dirMode.String(), frontierEdges, unvisitedEdges
-			}
+			st = obs.StepStats{Step: step, Active: active, Sent: sent, Received: received, Retries: retried,
+				Direction: dirMode.String(), FrontierEdges: frontierEdges, UnvisitedEdges: unvisitedEdges}
 		}
 		if sent == 0 && live == 0 {
 			if o != nil {

@@ -70,3 +70,10 @@ func WithLogBytes(bytes, msgs *int64) Option {
 		c.logSeen = func(b, m int64) { *bytes, *msgs = *bytes+b, *msgs+m }
 	}
 }
+
+// ForceDirection forces every pullable superstep's decision
+// (Config.direction): DirPush and DirPull are the oracles the engine's own
+// decisions are tested against; DirAuto leaves them to the engine.
+func ForceDirection(m DirectionMode) Option {
+	return func(c *Config) { c.direction = m }
+}

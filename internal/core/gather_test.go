@@ -37,7 +37,6 @@ type scriptProbe struct {
 }
 
 func (scriptProbe) InitialState(_ *graph.Graph, v int64) int64 { return v + 1 }
-func (scriptProbe) PullCapable() bool                          { return true }
 
 func (p scriptProbe) Compute(v *core.VertexContext) {
 	const prime = 1099511628211
@@ -84,7 +83,8 @@ func pullAgrees(t *testing.T, g *graph.Graph, mk func() core.Config) map[bool][]
 	for _, sparse := range []bool{false, true} {
 		run := func(rep *graph.Graph, w int, d core.DirectionMode, expand bool) (*core.Result, *stepCapture, []*trace.Phase) {
 			cfg, sink := mk(), &stepCapture{}
-			cfg.Direction, cfg.SparseActivation, cfg.Obs = d, sparse, sink
+			cfg.SparseActivation, cfg.Obs = sparse, sink
+			core.ForceDirection(d)(&cfg)
 			core.WithExpandBroadcasts(expand)(&cfg)
 			res, ph, err := runRec(rep, w, cfg)
 			if err != nil {
@@ -323,13 +323,13 @@ func TestGatherAsymmetricGraph(t *testing.T) {
 					}
 					return nil
 				}}}}
-				cfg.Direction = core.DirPull
+				core.ForceDirection(core.DirPull)(&cfg)
 				_, _, err := runRec(g, w, cfg)
 				var ae *core.AsymmetricGraphError
 				if !errors.As(err, &ae) || ae.Superstep != 0 || ae.Gathered != 0 {
 					t.Fatalf("%s w=%d: want AsymmetricGraphError at superstep 0 with nothing gathered, got %v", g.Rep(), w, err)
 				}
-				cfg.Direction = core.DirPush
+				core.ForceDirection(core.DirPush)(&cfg)
 				if _, _, err := runRec(g, w, cfg); err != nil {
 					t.Fatalf("%s w=%d: forced push: %v", g.Rep(), w, err)
 				}

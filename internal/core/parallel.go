@@ -141,9 +141,9 @@ type chunkState struct {
 	// the live (non-halted) vertex count its transitions made.
 	halt      wordCursor
 	haltDelta int64
-	// seen walks the run's visited bitmap (direction.go; set is nil when
-	// the direction layer is inactive); visitedDelta accumulates the degree
-	// sum of the vertices this chunk marked this superstep.
+	// seen walks the run's visited bitmap (direction.go); visitedDelta
+	// accumulates the degree sum of the vertices this chunk marked this
+	// superstep.
 	seen         wordCursor
 	visitedDelta int64
 	// one backs Messages() after a combining pull boundary (gather): the
@@ -422,12 +422,9 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	ctx.id = v
 	ctx.msgs = msgs
 	ctx.halt = false
-	var sentBefore int64
-	if cs.seen.set != nil {
-		sentBefore = cs.eng.sent + ctx.logLen()
-	}
+	sentBefore := cs.eng.sent + ctx.logLen()
 	p.Compute(ctx)
-	if cs.seen.set != nil && !cs.seen.at(v) && (hasMsgs || cs.eng.sent+ctx.logLen() > sentBefore) {
+	if !cs.seen.at(v) && (hasMsgs || cs.eng.sent+ctx.logLen() > sentBefore) {
 		// A vertex is visited once it has received or sent a message — the
 		// logical event the direction heuristic's unvisited-edge count
 		// tracks. Single-owner write: v's word belongs to exactly this chunk.
@@ -500,14 +497,11 @@ func (ib *inbox) ensureLook(n int64) {
 }
 
 // ensureChunks guarantees at least numChunks chunk states exist, each
-// wired to the run's shared graph/costs/states and (when the direction
-// layer is active) the shared visited bitmap.
+// wired to the run's shared graph/costs/states and visited bitmap.
 func (s *runScratch) ensureChunks(numChunks int, master *engineState, ds *dirState) {
 	for len(s.chunks) < numChunks {
 		cs := &chunkState{}
-		if ds != nil {
-			cs.seen.set = ds.visited
-		}
+		cs.seen.set = ds.visited
 		cs.eng.graph = master.graph
 		cs.eng.costs = master.costs
 		cs.eng.states = master.states
@@ -749,8 +743,8 @@ func ensureInt64(s []int64, n int) []int64 {
 // laws — see deliver). Without one there is no fold to hide behind: a
 // second record would lose a message, so the fill reports false and
 // delivery falls back to the push scatter — a deterministic, input-driven
-// fallback (the PullProgram contract says it cannot happen; the check makes
-// a contract violation safe rather than silently wrong).
+// fallback for a program that broadcast twice from one vertex in a
+// superstep without a combiner.
 func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n int64) bool {
 	ib.ensureLook(n)
 	look, sent, id := ib.look, ib.sent, ib.identity()

@@ -358,7 +358,7 @@ func TestGroupByDestLayout(t *testing.T) {
 
 // TestChoosePath pins the routing: every cell of the table, both sides of
 // each of the three constants, the int32-cursor limit, one worker, and the
-// PR 5 combiner-pull rule.
+// recorded direction.
 func TestChoosePath(t *testing.T) {
 	const (
 		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
@@ -401,12 +401,8 @@ func TestChoosePath(t *testing.T) {
 		// Pullable records: direction, then combiner.
 		{"recorded pull", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}, "pull", "recorded direction"},
 		{"recorded pull, combiner", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}, "pull", "recorded direction"},
-		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"recorded push, combiner: no parallel cell", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4, dir: DirPush, combiner: true}, "csr", "records fold sequentially"},
-		{"PR 5 combiner-pull", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 17, workers: 4, combiner: true}, "pull", "combiner, 2*logical >= edges"},
-		{"PR 5: frontier under half the edges", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1<<17 + 1, workers: 4, combiner: true}, "csr", "records fold sequentially"},
-		{"PR 5: no combiner", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"PR 5: no combiner, one worker", pathInputs{logical: 1 << 16, records: 9, n: small, edges: 1 << 16, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
+		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
+		{"recorded push, combiner: no parallel cell", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush, combiner: true}, "csr", "records fold sequentially"},
 	} {
 		p, why := choosePath(tc.in)
 		if p.String() != tc.want || why != tc.why {

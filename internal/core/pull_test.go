@@ -169,7 +169,9 @@ func TestPullAsymmetricGraph(t *testing.T) {
 	}
 	for _, g := range []*graph.Graph{comp, graph.Decompress(comp)} {
 		for _, w := range []int{1, 3} {
-			_, _, err := runRec(g, w, core.Config{Program: bspalg.BFSProgram{Source: 0}, Direction: core.DirPull})
+			cfg := core.Config{Program: bspalg.BFSProgram{Source: 0}}
+			core.ForceDirection(core.DirPull)(&cfg)
+			_, _, err := runRec(g, w, cfg)
 			var ae *core.AsymmetricGraphError
 			if !errors.As(err, &ae) {
 				t.Fatalf("%s w=%d: want AsymmetricGraphError, got %v", g.Rep(), w, err)
@@ -177,7 +179,8 @@ func TestPullAsymmetricGraph(t *testing.T) {
 			if ae.Superstep != 0 || ae.Delivered != n-1 || ae.Gathered != 0 {
 				t.Fatalf("%s w=%d: %+v", g.Rep(), w, ae)
 			}
-			if _, _, err := runRec(g, w, core.Config{Program: bspalg.BFSProgram{Source: 0}, Direction: core.DirPush}); err != nil {
+			core.ForceDirection(core.DirPush)(&cfg)
+			if _, _, err := runRec(g, w, cfg); err != nil {
 				t.Fatalf("%s w=%d: forced push: %v", g.Rep(), w, err)
 			}
 		}
@@ -247,12 +250,13 @@ func FuzzPullEquivalence(f *testing.F) {
 			g = core.MustCompress(g)
 		}
 		mk := func(d core.DirectionMode) core.Config {
-			return core.Config{
+			cfg := core.Config{
 				Program:          fuzzPrograms[int(shape)/5%len(fuzzPrograms)],
 				Combiner:         fuzzCombiners[int(combiner)%len(fuzzCombiners)],
 				SparseActivation: sparse,
-				Direction:        d,
 			}
+			core.ForceDirection(d)(&cfg)
+			return cfg
 		}
 		push, pushPh, err := runRec(g, 1, mk(core.DirPush))
 		if err != nil {

@@ -52,7 +52,7 @@ func TestRegionsPerSuperstep(t *testing.T) {
 		run     func(sink obs.Sink) error
 	}{
 		{"bfs/push", 6, map[string]int64{"init": 1, "compute": 6, "deliver": 10}, func(sink obs.Sink) error {
-			_, err := bspalg.BFS(r14, 0, nil, core.WithDirection(core.DirPush), withObs(sink))
+			_, err := bspalg.BFS(r14, 0, nil, core.ForceDirection(core.DirPush), withObs(sink))
 			return err
 		}},
 		{"bfs/auto", 6, map[string]int64{"init": 1, "compute": 6}, func(sink obs.Sink) error {

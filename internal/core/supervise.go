@@ -235,9 +235,7 @@ func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, 
 	if len(aux) > 0 && len(snap.Aux) == len(aux) {
 		copy(aux, snap.Aux)
 	}
-	if ds != nil {
-		copy(ds.visited, snap.Visited.Words)
-	}
+	copy(ds.visited, snap.Visited.Words)
 	for _, cs := range scratch.chunks {
 		for _, a := range cs.eng.aggregates {
 			a.seeded = false

@@ -56,13 +56,6 @@ func (f *transientStep) Compute(v *core.VertexContext) {
 
 func (f *transientStep) ProgramName() string { return core.ProgramNameOf(f.inner) }
 
-func (f *transientStep) PullCapable() bool {
-	if p, ok := f.inner.(core.PullProgram); ok {
-		return p.PullCapable()
-	}
-	return false
-}
-
 // takeRetries detaches Result.RetriesPerStep for separate comparison (the
 // rest of the Result is compared with DeepEqual against a fault-free run,
 // whose retry counts are all zero by construction).
@@ -90,7 +83,7 @@ func assertRetries(t *testing.T, rp []int64, step int, want int64) {
 }
 
 // TestRetryDeterminismMatrix injects a one-shot transient panic at every
-// superstep of three program shapes (pull-capable BFS under adaptive
+// superstep of three program shapes (BFS under the engine's own
 // direction, CC with combiner, aggregator-carrying triangle counting),
 // under both broadcast treatments, at 1, 3, and 8 workers. Every retried
 // run must be bit-identical — Result and trace profile — to a fault-free

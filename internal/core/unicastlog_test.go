@@ -129,55 +129,58 @@ func TestUnicastLogGolden(t *testing.T) {
 		{"sum", core.Sum},
 		{"closure", func(a, b int64) int64 { return a ^ b }},
 	}
+	// Recaptured when every run began recording its push/pull decisions
+	// (all push here: every superstep unicasts); with
+	// Result.DirectionPerStep left out the rows hash as before.
 	golden := map[string]uint64{
-		"0/none/dense":        0x831e5201b1cc1309,
-		"0/none/sparse":       0xb801b5b26ed02b1,
-		"0/sum/dense":         0x8877d2606a5dd857,
-		"0/sum/sparse":        0xcee9e0f325377891,
-		"0/closure/dense":     0xb9d046ebc36a7ee5,
-		"0/closure/sparse":    0x3672cc156d8b79f9,
-		"1/none/dense":        0x72ecfe02d7cdf0db,
-		"1/none/sparse":       0x9e8e73c7a11e1402,
-		"1/sum/dense":         0x9736077ee4bda1a,
-		"1/sum/sparse":        0x19e6674f728621a3,
-		"1/closure/dense":     0x55a114a7053dfd34,
-		"1/closure/sparse":    0x151085986434896e,
-		"B-1/none/dense":      0xceea3f81c72b2e78,
-		"B-1/none/sparse":     0xe131d6acc45d0c20,
-		"B-1/sum/dense":       0xae9de8fd34d44a6e,
-		"B-1/sum/sparse":      0x807caa6b3c78462e,
-		"B-1/closure/dense":   0x55c0796456a06cf5,
-		"B-1/closure/sparse":  0x8d8bcbb4c8b2a785,
-		"B/none/dense":        0x1dcffeb3a2ef3070,
-		"B/none/sparse":       0x4bb27e2f6609a741,
-		"B/sum/dense":         0xd3a8eee4c00c9a1a,
-		"B/sum/sparse":        0xd47a70099e88bde0,
-		"B/closure/dense":     0x191c841483be34e0,
-		"B/closure/sparse":    0x86c9206c0fd89864,
-		"B+1/none/dense":      0x7cc77021cf0c87e0,
-		"B+1/none/sparse":     0x4beff255fd55122a,
-		"B+1/sum/dense":       0x62e9fc104b59067d,
-		"B+1/sum/sparse":      0x4981c0d3e208d47c,
-		"B+1/closure/dense":   0xc22ccf106a4fdbc4,
-		"B+1/closure/sparse":  0x457c871b8288aec7,
-		"3B+7/none/dense":     0x8961ebedfe184276,
-		"3B+7/none/sparse":    0x366407f919ace235,
-		"3B+7/sum/dense":      0x79c907dbb60f4ebd,
-		"3B+7/sum/sparse":     0xb7e999f3784bbfff,
-		"3B+7/closure/dense":  0x97d6d6d08ef0c0bd,
-		"3B+7/closure/sparse": 0x98bcec7ea7a95e38,
-		"gap/none/dense":      0x6a11d15e1bf6b225,
-		"gap/none/sparse":     0xefb8a6e640fbcd81,
-		"gap/sum/dense":       0x69a8f27a16242491,
-		"gap/sum/sparse":      0xebdbb5fab102ccb,
-		"gap/closure/dense":   0x3166efe8d447557b,
-		"gap/closure/sparse":  0x6fabd451df64bacb,
-		"all/none/dense":      0xedb7577435d77a00,
-		"all/none/sparse":     0x5789186492e6e5e1,
-		"all/sum/dense":       0x44034bb831c8180,
-		"all/sum/sparse":      0x7aa5fd3ea7ad86fb,
-		"all/closure/dense":   0x39cbc185e8bd3fee,
-		"all/closure/sparse":  0xd52e9699daa8912f,
+		"0/none/dense":        0xc6c8e6465440e44e,
+		"0/none/sparse":       0xcd2f99d817dfaa06,
+		"0/sum/dense":         0xa15470e8cda85994,
+		"0/sum/sparse":        0xf15af8fe5c4ddede,
+		"0/closure/dense":     0x123121315ea3401a,
+		"0/closure/sparse":    0xa55b6b7617d54216,
+		"1/none/dense":        0x9fc6a2a9068dcb6c,
+		"1/none/sparse":       0x28992f3a06469565,
+		"1/sum/dense":         0xd0c046ac69589ced,
+		"1/sum/sparse":        0x294f10cdf60d2cb4,
+		"1/closure/dense":     0xb6d9188b65220373,
+		"1/closure/sparse":    0xed8dc444a3780331,
+		"B-1/none/dense":      0xcf237be743c845eb,
+		"B-1/none/sparse":     0x4f1f87b48460a717,
+		"B-1/sum/dense":       0x672d97914622d391,
+		"B-1/sum/sparse":      0x57e805d00d43c82d,
+		"B-1/closure/dense":   0x56118d9564aa2d92,
+		"B-1/closure/sparse":  0xb5bb2f951e016dd6,
+		"B/none/dense":        0x9ffb9eba3e97dc6b,
+		"B/none/sparse":       0x8f37743f33dc131a,
+		"B/sum/dense":         0x1e2d447cbe324dd1,
+		"B/sum/sparse":        0xd95f0a53005a1133,
+		"B/closure/dense":     0x920908f1d9b1a37,
+		"B/closure/sparse":    0xc8b80dd58ef429e7,
+		"B+1/none/dense":      0x43194ac04585553b,
+		"B+1/none/sparse":     0xf420fc8a62d3d701,
+		"B+1/sum/dense":       0x3febe3335811b7a6,
+		"B+1/sum/sparse":      0xdb57c5f3a1de0bcf,
+		"B+1/closure/dense":   0x597ead7db05491e3,
+		"B+1/closure/sparse":  0x907a7e92c08a8244,
+		"3B+7/none/dense":     0x40465087526827cd,
+		"3B+7/none/sparse":    0x8f38cc79590878ee,
+		"3B+7/sum/dense":      0x2cd816edc262252,
+		"3B+7/sum/sparse":     0xc2a3cc4596e46838,
+		"3B+7/closure/dense":  0xc96d2583f33f0bba,
+		"3B+7/closure/sparse": 0x91a2dc82c5c78b6b,
+		"gap/none/dense":      0x86d3c878bf9f192e,
+		"gap/none/sparse":     0x4e529ef41a952f8a,
+		"gap/sum/dense":       0x6088633008e5e616,
+		"gap/sum/sparse":      0x9049443d316bded0,
+		"gap/closure/dense":   0x8a8073e33706408,
+		"gap/closure/sparse":  0x9d7afb1f10736bf0,
+		"all/none/dense":      0xa89e986acbb24513,
+		"all/none/sparse":     0x88ab2c8a0d3e9492,
+		"all/sum/dense":       0x3bf44c18b1bbf0ab,
+		"all/sum/sparse":      0xbe18ecb4f4df4088,
+		"all/closure/dense":   0x2def9ebcc2f3d7d9,
+		"all/closure/sparse":  0x9b0a41747f396694,
 	}
 	for _, r := range rows {
 		for _, cb := range combiners {

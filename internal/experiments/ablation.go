@@ -224,7 +224,7 @@ type sensitivityResult struct {
 // insensitive to latency; starve the streams and latency bites.
 func sensitivityMachine(g *graph.Graph, s Setup) (*sensitivityResult, error) {
 	rec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
+	if _, err := bspalg.ConnectedComponents(g, rec, s.Engine...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	res := &sensitivityResult{

@@ -41,10 +41,6 @@ type Setup struct {
 	// Model evaluates work profiles; nil selects the analytic model with
 	// the default (PNNL Cray XMT) configuration.
 	Model machine.Model
-	// Direction selects the BSP engine's superstep direction mode for the
-	// pull-capable kernels (CC, BFS, label propagation). The zero value is
-	// core.DirAuto; core.DirPush is the forced-push A/B control.
-	Direction core.DirectionMode
 	// Engine holds the options every BSP pass an experiment performs
 	// takes: xmtbench's run supervisor (see docs/ROBUSTNESS.md; off by
 	// default, since the retry snapshot costs one state copy per superstep
@@ -55,20 +51,9 @@ type Setup struct {
 	Sources []int64
 }
 
-// engineOpts returns the core options of one BSP engine pass: a copy of
-// Engine and, for a pull-capable program (pull), the direction mode.
-func (s Setup) engineOpts(pull bool) []core.Option {
-	opts := slices.Clone(s.Engine)
-	if pull {
-		opts = append(opts, core.WithDirection(s.Direction))
-	}
-	return opts
-}
-
-// run is one engine pass named name under the setup's Engine options, with
-// the engine's default direction.
+// run is one engine pass named name under the setup's Engine options.
 func (s Setup) run(name string, cfg core.Config) (*core.Result, error) {
-	for _, o := range s.engineOpts(false) {
+	for _, o := range s.Engine {
 		o(&cfg)
 	}
 	res, err := core.Run(cfg)
@@ -163,7 +148,7 @@ func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]pairRo
 		}
 		p.Source = in.MaxDegreeVertex()
 		bspRec := trace.NewRecorder()
-		b, err := k.BSP(in, p, bspRec, s.engineOpts(k.Pull)...)
+		b, err := k.BSP(in, p, bspRec, s.Engine...)
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: bsp %s: %w", pr.bsp, err)
 		}
@@ -233,7 +218,7 @@ type fig1Result struct{ procSweep }
 // times across the processor sweep.
 func fig1(g *graph.Graph, s Setup) (*fig1Result, error) {
 	bspRec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, bspRec, s.engineOpts(true)...); err != nil {
+	if _, err := bspalg.ConnectedComponents(g, bspRec, s.Engine...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	ctRec := trace.NewRecorder()
@@ -252,7 +237,7 @@ type fig2Result struct {
 // fig2 runs BSP BFS and reports frontier vs messages per level.
 func fig2(g *graph.Graph, s Setup) (*fig2Result, error) {
 	src := g.MaxDegreeVertex()
-	bsp, err := bspalg.BFS(g, src, nil, s.engineOpts(true)...)
+	bsp, err := bspalg.BFS(g, src, nil, s.Engine...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
@@ -270,7 +255,7 @@ type fig3Result struct {
 func fig3(g *graph.Graph, s Setup) (*fig3Result, error) {
 	src := g.MaxDegreeVertex()
 	bspRec := trace.NewRecorder()
-	if _, err := bspalg.BFS(g, src, bspRec, s.engineOpts(true)...); err != nil {
+	if _, err := bspalg.BFS(g, src, bspRec, s.Engine...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
 	ctRec := trace.NewRecorder()
@@ -335,7 +320,7 @@ type auxResult struct {
 func aux(g *graph.Graph, s Setup) (*auxResult, error) {
 	res := &auxResult{}
 
-	bspCC, err := bspalg.ConnectedComponents(g, nil, s.engineOpts(true)...)
+	bspCC, err := bspalg.ConnectedComponents(g, nil, s.Engine...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
@@ -358,7 +343,7 @@ func aux(g *graph.Graph, s Setup) (*auxResult, error) {
 		res.WriteRatio = float64(res.BSPWrites) / float64(res.GraphCTWrites)
 	}
 
-	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.engineOpts(true)...)
+	bfs, err := bspalg.BFS(g, g.MaxDegreeVertex(), nil, s.Engine...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}

@@ -77,7 +77,7 @@ func msbfs(g *graph.Graph, s Setup) (*msbfsResult, error) {
 
 	batchRec := trace.NewRecorder()
 	batchStart := time.Now()
-	mr, err := bspalg.MultiBFS(g, plan, batchRec, s.engineOpts(true)...)
+	mr, err := bspalg.MultiBFS(g, plan, batchRec, s.Engine...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bsp msbfs: %w", err)
 	}
@@ -95,7 +95,7 @@ func msbfs(g *graph.Graph, s Setup) (*msbfsResult, error) {
 	for lane, src := range plan.Sources {
 		seqRec := trace.NewRecorder()
 		seqStart := time.Now()
-		sr, err := bspalg.BFS(g, src, seqRec, s.engineOpts(true)...)
+		sr, err := bspalg.BFS(g, src, seqRec, s.Engine...)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bsp bfs source=%d: %w", src, err)
 		}

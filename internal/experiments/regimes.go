@@ -61,7 +61,7 @@ func regimes(g *graph.Graph, s Setup) (*regimeResult, error) {
 	}
 
 	rec := trace.NewRecorder()
-	if _, err := bspalg.ConnectedComponents(g, rec, s.engineOpts(true)...); err != nil {
+	if _, err := bspalg.ConnectedComponents(g, rec, s.Engine...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp cc: %w", err)
 	}
 	diagnose("BSP connected components", "bsp_cc", rec.PhasesNamed("bsp/superstep"))
@@ -71,7 +71,7 @@ func regimes(g *graph.Graph, s Setup) (*regimeResult, error) {
 
 	src := g.MaxDegreeVertex()
 	rec = trace.NewRecorder()
-	if _, err := bspalg.BFS(g, src, rec, s.engineOpts(true)...); err != nil {
+	if _, err := bspalg.BFS(g, src, rec, s.Engine...); err != nil {
 		return nil, fmt.Errorf("experiments: bsp bfs: %w", err)
 	}
 	diagnose("BSP breadth-first search", "bsp_bfs", rec.PhasesNamed("bsp/superstep"))

@@ -297,16 +297,6 @@ func (pp *panicProgram) ProgramName() string {
 	return core.ProgramNameOf(pp.inner)
 }
 
-// PullCapable forwards the inner program's pull capability, so wrapping
-// never changes direction decisions (or fingerprints) versus the
-// unwrapped run.
-func (pp *panicProgram) PullCapable() bool {
-	if p, ok := pp.inner.(core.PullProgram); ok {
-		return p.PullCapable()
-	}
-	return false
-}
-
 // Lanes forwards the inner program's lane assignment (core.LaneProgram);
 // nil when the inner program is unbatched, which the engine treats as
 // absent — so wrapping never changes lane reporting.

@@ -43,12 +43,10 @@ func feedMixed(sink obs.Sink) {
 			span("worklist", s, at+9*d, d, 0)
 			st := obs.StepStats{Step: s, Active: int64(s + 1), Sent: int64(10*s + lanes), SentPhysical: int64(3 * s),
 				Delivered: int64(9 * s), Received: int64(9 * s), ScratchBytes: int64(1<<12 + s), Delivery: "lookaside",
-				Lanes: int64(1 + s%lanes), Stalled: s == 9}
+				Lanes: int64(1 + s%lanes), Stalled: s == 9,
+				Direction: []string{"push", "pull"}[s%2], FrontierEdges: int64(s), UnvisitedEdges: int64(steps - s)}
 			if s == 7 {
 				st.Retries = 1
-			}
-			if s%3 != 0 {
-				st.Direction, st.FrontierEdges, st.UnvisitedEdges = []string{"push", "pull"}[s%2], int64(s), int64(steps-s)
 			}
 			sink.Step(st)
 			if s%10 == 0 {

@@ -167,16 +167,14 @@ func (m *Metrics) Step(st StepStats) {
 		m.stalls.Inc()
 	}
 	m.scratch.Set(st.ScratchBytes)
-	if st.Direction != "" {
-		switch st.Direction {
-		case "push":
-			m.push.Inc()
-		case "pull":
-			m.pull.Inc()
-		}
-		m.frontier.Set(st.FrontierEdges)
-		m.unvisited.Set(st.UnvisitedEdges)
+	switch st.Direction {
+	case "push":
+		m.push.Inc()
+	case "pull":
+		m.pull.Inc()
 	}
+	m.frontier.Set(st.FrontierEdges)
+	m.unvisited.Set(st.UnvisitedEdges)
 	if st.Delivery != "" {
 		lookup(&m.delivery, st.Delivery, func() *metrics.Counter {
 			return m.reg.Counter("graphxmt_delivery_total", "superstep boundaries by delivery path taken",

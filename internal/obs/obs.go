@@ -111,8 +111,8 @@ type StepStats struct {
 	// ScratchBytes approximates the engine's reusable scratch footprint
 	// (send buffers, inbox CSR, delivery counters, worklists).
 	ScratchBytes int64
-	// Direction is the superstep's push/pull decision ("push" or "pull")
-	// when the engine's direction layer is active; empty otherwise.
+	// Direction is the superstep's push/pull decision ("push" or "pull");
+	// the engine sets it on every superstep.
 	Direction string
 	// Delivery names what the boundary after this superstep did with its
 	// traffic (core's choosePath): "lookaside" (stamped only the receivers,
@@ -126,8 +126,7 @@ type StepStats struct {
 	Delivery string
 	// FrontierEdges is the broadcast-incident-edge count the direction
 	// heuristic compared (logical messages minus unicasts); UnvisitedEdges
-	// is the incident-edge count of not-yet-visited vertices. Both zero
-	// when Direction is empty.
+	// is the incident-edge count of not-yet-visited vertices.
 	FrontierEdges  int64
 	UnvisitedEdges int64
 	// Retries is the number of times the superstep was re-executed after a

@@ -84,10 +84,7 @@ func (r *storeRun) render(w io.Writer) {
 
 	// Per-superstep table: counters first, then one column per phase in
 	// first-seen order.
-	fmt.Fprintf(w, "%6s %10s %10s %10s %10s %9s", "step", "active", "sent", "phys", "delivered", "scratch")
-	if r.hasDir {
-		fmt.Fprintf(w, " %4s %10s %10s", "dir", "front", "unvis")
-	}
+	fmt.Fprintf(w, "%6s %10s %10s %10s %10s %9s %4s %10s %10s", "step", "active", "sent", "phys", "delivered", "scratch", "dir", "front", "unvis")
 	if r.hasDelivery {
 		fmt.Fprintf(w, " %-18s", "delivery")
 	}
@@ -187,16 +184,10 @@ func (r *storeRun) render(w io.Writer) {
 func (r *storeRun) printRow(w io.Writer, rec *record) {
 	st := &rec.st
 	if rec.stats {
-		fmt.Fprintf(w, "%6d %10d %10d %10d %10d %9s", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, fmtBytes(uint64(st.ScratchBytes)))
+		fmt.Fprintf(w, "%6d %10d %10d %10d %10d %9s %4s %10d %10d", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered,
+			fmtBytes(uint64(st.ScratchBytes)), cmp.Or(st.Direction, "-"), st.FrontierEdges, st.UnvisitedEdges)
 	} else {
-		fmt.Fprintf(w, "%6d %10s %10s %10s %10s %9s", st.Step, "-", "-", "-", "-", "-")
-	}
-	if r.hasDir {
-		if st.Direction != "" {
-			fmt.Fprintf(w, " %4s %10d %10d", st.Direction, st.FrontierEdges, st.UnvisitedEdges)
-		} else {
-			fmt.Fprintf(w, " %4s %10s %10s", "-", "-", "-")
-		}
+		fmt.Fprintf(w, "%6d %10s %10s %10s %10s %9s %4s %10s %10s", st.Step, "-", "-", "-", "-", "-", "-", "-", "-")
 	}
 	if r.hasDelivery {
 		fmt.Fprintf(w, " %-18s", cmp.Or(st.Delivery, "-"))

@@ -75,7 +75,7 @@ type storeRun struct {
 	busy              []time.Duration
 	stepWall, deliver *metrics.Histogram
 	// Which optional report columns the run's supersteps carried.
-	hasDir, hasDelivery, hasRetry bool
+	hasDelivery, hasRetry bool
 
 	memFirst, memLast MemSample
 	memPeak           uint64
@@ -300,7 +300,6 @@ func (r *storeRun) step(s *Store, st *StepStats) {
 	if st.Stalled {
 		r.stalls++
 	}
-	r.hasDir = r.hasDir || st.Direction != ""
 	r.hasDelivery = r.hasDelivery || st.Delivery != ""
 	r.hasRetry = r.hasRetry || st.Retries > 0 || st.Stalled
 	if rec := r.record(s, st.Step); rec != nil {
