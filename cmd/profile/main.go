@@ -9,7 +9,6 @@
 //	profile -in bfs.profile.json                      # default machine, proc sweep
 //	profile -in bfs.profile.json -latency 1200        # slower memory
 //	profile -in bfs.profile.json -streams 32 -procs 64
-//	profile -in bfs.profile.json -model des           # discrete-event model
 //	profile -in bfs.profile.json -phases              # per-phase breakdown + regimes
 //
 // The shared obs flags (-workers, -obs-format/-obs-out, -pprof) are
@@ -32,7 +31,6 @@ func main() {
 	latency := flag.Int("latency", 0, "override memory latency in cycles (0 = default)")
 	streams := flag.Int("streams", 0, "override streams per processor (0 = default)")
 	hotspot := flag.Int("hotspot", 0, "override hotspot cycles per fetch-and-add (0 = default)")
-	modelName := flag.String("model", "analytic", "machine model: analytic or des")
 	phases := flag.Bool("phases", false, "print per-phase times and regime diagnosis")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -90,19 +88,10 @@ func main() {
 	}
 	cfg.Procs = *procs
 
-	var model machine.Model
-	switch *modelName {
-	case "analytic":
-		model = machine.NewAnalytic(cfg)
-	case "des":
-		model = machine.NewDES(cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "profile: unknown model %q\n", *modelName)
-		os.Exit(2)
-	}
+	model := machine.NewAnalytic(cfg)
 
-	fmt.Printf("machine: L=%d cycles, S=%d streams/proc, hotspot=%d cycles, %s model\n",
-		cfg.MemLatency, cfg.StreamsPerProc, cfg.HotspotCycles, *modelName)
+	fmt.Printf("machine: L=%d cycles, S=%d streams/proc, hotspot=%d cycles, analytic model\n",
+		cfg.MemLatency, cfg.StreamsPerProc, cfg.HotspotCycles)
 	fmt.Println("\nprocessor sweep:")
 	for _, p := range machine.ProcSweep(*procs) {
 		fmt.Printf("  %4d procs: %.6fs\n", p, machine.Seconds(model, ph, p))
@@ -110,10 +99,9 @@ func main() {
 	fmt.Printf("headline: %.6fs at %d procs\n", machine.Seconds(model, ph, *procs), *procs)
 
 	if *phases {
-		analytic := machine.NewAnalytic(cfg)
 		fmt.Println("\nper-phase breakdown:")
 		for _, p := range ph {
-			regime, share := analytic.Diagnose(p, *procs)
+			regime, share := model.Diagnose(p, *procs)
 			fmt.Printf("  %-18s[%2d] %10.6fs  %-14s (%.0f%%)\n",
 				p.Name, p.Index,
 				cfg.Seconds(model.PhaseCycles(p, *procs)), regime, 100*share)

@@ -66,11 +66,11 @@ func TestExitStatus(t *testing.T) {
 		out    string // regexp the first stdout line (status 0) or stderr must match
 	}{
 		{"ok/analytic", []string{"-in", profileFile}, 0, `^profile: 2 phases from \S+p\.json$`},
-		{"ok/des phases", []string{"-in", profileFile, "-model", "des", "-phases"}, 0, `^profile: 2 phases from \S+p\.json$`},
+		{"ok/phases", []string{"-in", profileFile, "-phases"}, 0, `^profile: 2 phases from \S+p\.json$`},
 		{"usage/no input", nil, 2, `-in is required`},
 		{"usage/bad latency", []string{"-in", profileFile, "-latency", "-1"}, 2, `-latency must be >= 0 cycles`},
 		{"usage/bad procs", []string{"-in", profileFile, "-procs", "0"}, 2, `-procs must be > 0, got 0`},
-		{"usage/unknown model", []string{"-in", profileFile, "-model", "exact"}, 2, `unknown model "exact"`},
+		{"usage/unknown model", []string{"-in", profileFile, "-model", "des"}, 2, `flag provided but not defined: -model`},
 		{"fatal/missing profile", []string{"-in", profileFile + ".absent"}, 1, `p\.json\.absent: no such file or directory`},
 		{"fatal/corrupt profile", []string{"-in", corrupt}, 1, `decoding profile`},
 	}
@@ -97,5 +97,21 @@ func TestExitStatus(t *testing.T) {
 				t.Errorf("panicked:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+// TestMachineBanner pins the machine line to the flags that set it, and
+// checks that -phases breaks the time down once per recorded phase.
+func TestMachineBanner(t *testing.T) {
+	out, err := exec.Command(bin, "-in", profileFile, "-latency", "600", "-streams", "50", "-hotspot", "7", "-phases").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "machine: L=600 cycles, S=50 streams/proc, hotspot=7 cycles, analytic model\n"
+	if !strings.Contains(string(out), want) {
+		t.Errorf("no line %q in\n%s", want, out)
+	}
+	if n := regexp.MustCompile(`(?m)^  bsp/superstep +\[ [01]\] `).FindAllIndex(out, -1); len(n) != 2 {
+		t.Errorf("per-phase breakdown has %d phase lines, want 2:\n%s", len(n), out)
 	}
 }

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	xmtbench [-exp all|<name>|<group>] [-csv dir]
-//	         [-scale 16] [-ef 16] [-seed 1] [-procs 128] [-model analytic|des]
+//	         [-scale 16] [-ef 16] [-seed 1] [-procs 128]
 //	         [-sources 5,17,99]
 //	         [-graph-rep flat|compressed]
 //	         [-retries N] [-step-timeout 0] [-run-timeout 0]
@@ -54,7 +54,6 @@ import (
 	"graphxmt/internal/core"
 	"graphxmt/internal/experiments"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/machine"
 	"graphxmt/internal/obs"
 	"graphxmt/internal/obs/live"
 )
@@ -65,7 +64,6 @@ func main() {
 	ef := flag.Int("ef", 16, "RMAT edge factor; the paper uses 16")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	procs := flag.Int("procs", 128, "simulated machine size in processors")
-	model := flag.String("model", "analytic", "machine model: analytic or des")
 	graphRep := flag.String("graph-rep", "", "adjacency representation for the workload: flat or compressed (default: flat)")
 	retries := flag.Int("retries", 0, "re-execute a faulting superstep up to N times in every BSP pass (0 = off)")
 	stepTimeout := flag.Duration("step-timeout", 0, "per-superstep watchdog deadline for every BSP pass (0 = off)")
@@ -143,19 +141,9 @@ func main() {
 		Engine: []core.Option{core.WithRetries(*retries), core.WithStepTimeout(*stepTimeout), core.WithRunTimeout(*runTimeout),
 			func(cfg *core.Config) { cfg.Obs = sess.Sink }},
 	}
-	cfg := machine.DefaultConfig()
-	cfg.Procs = *procs
-	switch *model {
-	case "analytic":
-		setup.Model = machine.NewAnalytic(cfg)
-	case "des":
-		setup.Model = machine.NewDES(cfg)
-	default:
-		usage("unknown model %q", *model)
-	}
 
-	fmt.Printf("graphxmt bench: RMAT scale=%d ef=%d seed=%d, %d simulated processors, %s model\n",
-		*scale, *ef, *seed, *procs, *model)
+	fmt.Printf("graphxmt bench: RMAT scale=%d ef=%d seed=%d, %d simulated processors, analytic model\n",
+		*scale, *ef, *seed, *procs)
 	start := time.Now()
 	g, err := experiments.BuildGraph(setup)
 	if err != nil {

@@ -55,6 +55,7 @@ func TestExitStatus(t *testing.T) {
 			`^graphxmt bench: RMAT scale=6 ef=4 seed=1, 128 simulated processors, analytic model$`},
 		{"usage/bad scale", []string{"-scale", "0"}, 2, `-scale must be in \(0,40\], got 0`},
 		{"usage/unknown experiment", append([]string{"-exp", "fig9"}, small...), 2, `unknown experiment "fig9"`},
+		{"usage/unknown model", append([]string{"-model", "des"}, small...), 2, `flag provided but not defined: -model`},
 		{"usage/bad sources", append([]string{"-exp", "table1", "-sources", "5,64"}, small...), 2, `source 64 out of range \[0,64\)`},
 		{"fatal/graph500 run timeout", append([]string{"-exp", "graph500", "-run-timeout", "1ns"}, small...), 1,
 			`^xmtbench: experiments: graph500 bsp: graph500: key \d+: .*run exceeded`},

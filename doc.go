@@ -14,8 +14,9 @@
 //   - graph, graphio, gen, rng, par, trace: the substrates (CSR graphs,
 //     I/O in three formats, RMAT/ER/WS/BA and structured generators,
 //     deterministic PRNG, host parallelism, work-profile tracing)
-//   - machine: the simulated Cray XMT (analytic and discrete-event
-//     Threadstorm models, regime diagnosis) standing in for the hardware;
+//   - machine: the simulated Cray XMT (an analytic Threadstorm model,
+//     checked against a test-only discrete-event simulator, and regime
+//     diagnosis) standing in for the hardware;
 //     full/empty-bit synchronization is charged as memory and hotspot
 //     operations in the work profiles only
 //   - graph500: a Graph500-style BFS benchmark harness with validation

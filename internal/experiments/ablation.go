@@ -72,11 +72,11 @@ func ablationActivation(g *graph.Graph, s Setup) (*activationResult, error) {
 	procs := machine.ProcSweep(s.Procs)
 	res := &activationResult{
 		Procs:    procs,
-		FullScan: stepTimes(s.Model, fullRec.Phases(), procs, true),
-		Sparse:   stepTimes(s.Model, sparseRec.Phases(), procs, true),
+		FullScan: stepTimes(s.model, fullRec.Phases(), procs, true),
+		Sparse:   stepTimes(s.model, sparseRec.Phases(), procs, true),
 	}
-	res.FullScanTotal = machine.Seconds(s.Model, fullRec.Phases(), s.Procs)
-	res.SparseTotal = machine.Seconds(s.Model, sparseRec.Phases(), s.Procs)
+	res.FullScanTotal = machine.Seconds(s.model, fullRec.Phases(), s.Procs)
+	res.SparseTotal = machine.Seconds(s.model, sparseRec.Phases(), s.Procs)
 	return res, nil
 }
 
@@ -126,8 +126,8 @@ func ablationHotspot(g *graph.Graph, s Setup) (*hotspotResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		tMax := machine.Seconds(s.Model, rec.Phases(), s.Procs)
-		t8 := machine.Seconds(s.Model, rec.Phases(), 8)
+		tMax := machine.Seconds(s.model, rec.Phases(), s.Procs)
+		t8 := machine.Seconds(s.model, rec.Phases(), 8)
 		res.TimeAtMax = append(res.TimeAtMax, tMax)
 		res.Speedup = append(res.Speedup, t8/tMax)
 	}
@@ -182,8 +182,8 @@ func ablationCombiner(g *graph.Graph, s Setup) (*combinerResult, error) {
 	}
 	res := &combinerResult{
 		procs:      s.Procs,
-		Plain:      machine.Seconds(s.Model, plainRec.Phases(), s.Procs),
-		Combined:   machine.Seconds(s.Model, combRec.Phases(), s.Procs),
+		Plain:      machine.Seconds(s.model, plainRec.Phases(), s.Procs),
+		Combined:   machine.Seconds(s.model, combRec.Phases(), s.Procs),
 		Supersteps: plain.Supersteps,
 	}
 	for _, d := range plain.DeliveredPerStep {

@@ -38,9 +38,6 @@ type Setup struct {
 	// Procs is the machine size evaluated for headline numbers (128 in
 	// the paper); scaling figures sweep 8..Procs.
 	Procs int
-	// Model evaluates work profiles; nil selects the analytic model with
-	// the default (PNNL Cray XMT) configuration.
-	Model machine.Model
 	// Engine holds the options every BSP pass an experiment performs
 	// takes: xmtbench's run supervisor (see docs/ROBUSTNESS.md; off by
 	// default, since the retry snapshot costs one state copy per superstep
@@ -49,6 +46,10 @@ type Setup struct {
 	// Sources are the msbfs experiment's BFS sources; nil selects 64
 	// stride-spread ones.
 	Sources []int64
+
+	// model evaluates every work profile: the analytic model of the
+	// paper's PNNL Cray XMT, built by withDefaults.
+	model *machine.Analytic
 }
 
 // run is one engine pass named name under the setup's Engine options.
@@ -73,9 +74,7 @@ func (s Setup) withDefaults() Setup {
 	if s.Procs == 0 {
 		s.Procs = 128
 	}
-	if s.Model == nil {
-		s.Model = machine.NewAnalytic(machine.DefaultConfig())
-	}
+	s.model = machine.NewAnalytic(machine.DefaultConfig())
 	return s
 }
 
@@ -157,8 +156,8 @@ func (s Setup) runPairs(g *graph.Graph, pairs []pair, p bspalg.Params) ([]pairRo
 		if twin.Exact && !slices.Equal(b.Answer, c.Answer) {
 			return nil, nil, fmt.Errorf("experiments: %s: the BSP and GraphCT answers differ", pr.title)
 		}
-		r := pairRow{Algorithm: pr.title, BSP: machine.Seconds(s.Model, bspRec.Phases(), s.Procs),
-			GraphCT: machine.Seconds(s.Model, ctRec.Phases(), s.Procs)}
+		r := pairRow{Algorithm: pr.title, BSP: machine.Seconds(s.model, bspRec.Phases(), s.Procs),
+			GraphCT: machine.Seconds(s.model, ctRec.Phases(), s.Procs)}
 		if r.GraphCT > 0 {
 			r.Ratio = r.BSP / r.GraphCT
 		}
@@ -183,10 +182,10 @@ func (s Setup) sweepOf(bsp, ct *trace.Recorder, ctPhase string) procSweep {
 	b, c := bsp.Phases(), ct.PhasesNamed(ctPhase)
 	return procSweep{
 		Procs:        procs,
-		BSP:          stepTimes(s.Model, b, procs, true),
-		GraphCT:      stepTimes(s.Model, c, procs, false),
-		BSPTotal:     machine.Seconds(s.Model, b, s.Procs),
-		GraphCTTotal: machine.Seconds(s.Model, c, s.Procs),
+		BSP:          stepTimes(s.model, b, procs, true),
+		GraphCT:      stepTimes(s.model, c, procs, false),
+		BSPTotal:     machine.Seconds(s.model, b, s.Procs),
+		GraphCTTotal: machine.Seconds(s.model, c, s.Procs),
 	}
 }
 
@@ -194,7 +193,7 @@ func (s Setup) sweepOf(bsp, ct *trace.Recorder, ctPhase string) procSweep {
 // is step k's time at procs[i]. perIndex sums the phases that share an
 // Index into one step, as a BSP superstep's scan and compute regions
 // are; otherwise each phase is a step.
-func stepTimes(m machine.Model, phases []*trace.Phase, procs []int, perIndex bool) [][]float64 {
+func stepTimes(m *machine.Analytic, phases []*trace.Phase, procs []int, perIndex bool) [][]float64 {
 	var t [][]float64
 	for i, p := range procs {
 		for k, sec := range machine.PhaseSeconds(m, phases, p) {
@@ -293,8 +292,8 @@ func fig4(g *graph.Graph, s Setup) (*fig4Result, error) {
 		Candidates: bspTC.CandidateMessages,
 	}
 	for _, p := range res.Procs {
-		res.BSP = append(res.BSP, machine.Seconds(s.Model, bspRec.Phases(), p))
-		res.GraphCT = append(res.GraphCT, machine.Seconds(s.Model, ctRec.Phases(), p))
+		res.BSP = append(res.BSP, machine.Seconds(s.model, bspRec.Phases(), p))
+		res.GraphCT = append(res.GraphCT, machine.Seconds(s.model, ctRec.Phases(), p))
 	}
 	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"graphxmt/internal/graph"
-	"graphxmt/internal/machine"
 )
 
 // defaultSetup is the configuration the committed EXPERIMENTS.md numbers
@@ -277,42 +276,6 @@ func TestBFSSourcePicksMaxDegree(t *testing.T) {
 	for v := int64(0); v < g.NumVertices(); v++ {
 		if g.Degree(v) > d {
 			t.Fatalf("vertex %d has higher degree than source %d", v, src)
-		}
-	}
-}
-
-func TestTable1UnderDESModel(t *testing.T) {
-	// The full pipeline also runs under the discrete-event Threadstorm
-	// model (small scale: the DES simulates op-by-op). The analytic and
-	// DES evaluations must tell the same story: GraphCT wins everything.
-	s := defaultSetup()
-	s.Scale = 9
-	cfg := machine.DefaultConfig()
-	s.Model = machine.NewDES(cfg)
-	g, err := BuildGraph(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	des, err := table1(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Model = machine.NewAnalytic(cfg)
-	ana, err := table1(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range des.Rows {
-		if row.Ratio < 1 {
-			t.Fatalf("DES: %s ratio %.2f < 1", row.Algorithm, row.Ratio)
-		}
-		// Per-row agreement between models within a modest factor.
-		for _, pair := range [][2]float64{{row.BSP, ana.Rows[i].BSP}, {row.GraphCT, ana.Rows[i].GraphCT}} {
-			r := pair[0] / pair[1]
-			if r < 1/3.0 || r > 3.0 {
-				t.Fatalf("%s: DES %.5fs vs analytic %.5fs (ratio %.2f)",
-					row.Algorithm, pair[0], pair[1], r)
-			}
 		}
 	}
 }

@@ -73,7 +73,7 @@ func graph500Pair(g *graph.Graph, s Setup) (*graph500Result, error) {
 	var r graph500Result
 	for i, bsp := range []bool{false, true} {
 		res, err := graph500.RunOnGraph(g, graph500.Config{
-			SearchKeys: 16, Seed: s.Seed, Procs: s.Procs, Model: s.Model, BSP: bsp,
+			SearchKeys: 16, Seed: s.Seed, Procs: s.Procs, BSP: bsp,
 		}, s.Engine...)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: graph500 %s: %w", strings.ToLower(graph500Models[i]), err)

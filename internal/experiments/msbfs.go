@@ -85,7 +85,7 @@ func msbfs(g *graph.Graph, s Setup) (*msbfsResult, error) {
 		procs:           s.Procs,
 		Plan:            plan,
 		BatchWall:       time.Since(batchStart),
-		BatchSim:        machine.Seconds(s.Model, batchRec.Phases(), s.Procs),
+		BatchSim:        machine.Seconds(s.model, batchRec.Phases(), s.Procs),
 		BatchSupersteps: mr.Supersteps,
 	}
 	for _, m := range mr.MessagesPerStep {
@@ -100,7 +100,7 @@ func msbfs(g *graph.Graph, s Setup) (*msbfsResult, error) {
 			return nil, fmt.Errorf("experiments: bsp bfs source=%d: %w", src, err)
 		}
 		r.SeqWall += time.Since(seqStart)
-		r.SeqSim += machine.Seconds(s.Model, seqRec.Phases(), s.Procs)
+		r.SeqSim += machine.Seconds(s.model, seqRec.Phases(), s.Procs)
 		for _, m := range sr.MessagesPerStep {
 			r.SeqMessages += m
 		}

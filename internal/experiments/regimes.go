@@ -40,21 +40,17 @@ type regimeKernel struct {
 // regimes runs CC and BFS in both models and diagnoses every recorded
 // phase under the analytic model.
 func regimes(g *graph.Graph, s Setup) (*regimeResult, error) {
-	analytic, ok := s.Model.(*machine.Analytic)
-	if !ok {
-		analytic = machine.NewAnalytic(machine.DefaultConfig())
-	}
 	res := &regimeResult{Procs: s.Procs}
 	diagnose := func(title, name string, phases []*trace.Phase) {
 		k := regimeKernel{title: title, name: name}
 		for _, p := range phases {
-			r, share := analytic.Diagnose(p, s.Procs)
+			r, share := s.model.Diagnose(p, s.Procs)
 			k.phases = append(k.phases, regimePhase{
 				Name:    p.Name,
 				Index:   p.Index,
 				Regime:  r,
 				Share:   share,
-				Seconds: analytic.Config().Seconds(analytic.PhaseCycles(p, s.Procs)),
+				Seconds: s.model.Config().Seconds(s.model.PhaseCycles(p, s.Procs)),
 			})
 		}
 		res.Kernels = append(res.Kernels, k)

@@ -42,8 +42,6 @@ type Config struct {
 	Seed uint64
 	// Procs is the simulated machine size.
 	Procs int
-	// Model evaluates the work profiles; nil selects the analytic model.
-	Model machine.Model
 	// BSP selects the BSP implementation instead of the shared-memory one.
 	BSP bool
 }
@@ -54,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Procs == 0 {
 		c.Procs = 128
-	}
-	if c.Model == nil {
-		c.Model = machine.NewAnalytic(machine.DefaultConfig())
 	}
 	return c
 }
@@ -80,6 +75,7 @@ type Result struct {
 // run under opts.
 func RunOnGraph(g *graph.Graph, cfg Config, opts ...core.Option) (*Result, error) {
 	cfg = cfg.withDefaults()
+	model := machine.NewAnalytic(machine.DefaultConfig())
 	res := &Result{}
 	res.Keys = SampleKeys(g, cfg.SearchKeys, cfg.Seed)
 	if len(res.Keys) == 0 {
@@ -103,7 +99,7 @@ func RunOnGraph(g *graph.Graph, cfg Config, opts ...core.Option) (*Result, error
 		}
 		res.Validated++
 
-		seconds := machine.Seconds(cfg.Model, rec.Phases(), cfg.Procs)
+		seconds := machine.Seconds(model, rec.Phases(), cfg.Procs)
 		var edges int64
 		for v := int64(0); v < g.NumVertices(); v++ {
 			if dist[v] >= 0 {

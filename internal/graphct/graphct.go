@@ -186,20 +186,7 @@ type TriangleResult struct {
 // data-dependent branches.
 func Triangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 	ph := rec.StartPhase("tri/count", 0)
-	// With detailed recording on, capture each pair's true merge cost so
-	// the discrete-event model sees the real task-size skew (hub pairs are
-	// thousands of times costlier than leaf pairs on scale-free graphs).
-	const detailCap = 1 << 20
-	var detail func(steps int64)
-	if rec.Detail() && g.NumEdges()/2 <= detailCap {
-		detail = func(steps int64) {
-			ph.AddDetail(trace.TaskCost{
-				Issue: uint32(steps * triIssuePerCmp),
-				Mem:   uint32(steps*triLoadsPerCmp + 2),
-			})
-		}
-	}
-	count, cmps, maxPair := intersectPairs(g, nil, detail)
+	count, cmps, maxPair := intersectPairs(g, nil)
 	m := g.NumEdges() / 2 // (v,u) pairs with v < u
 	ph.AddTasks(m, triIssuePerCmp*cmps, triLoadsPerCmp*cmps+2*m, count)
 	ph.ObserveTask(maxPair * (triIssuePerCmp + triLoadsPerCmp))
@@ -211,12 +198,12 @@ func Triangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 // would. It returns the common neighbors w > u summed over the pairs (the
 // triangles), the merge steps summed over the pairs, and the largest
 // len(N(v))+len(N(u)). A non-nil perVertex credits each triangle to its
-// three corners; a non-nil pair receives each pair's merge steps.
+// three corners.
 //
 // The merge is computed, not executed: N(v) is marked once per v and each
 // pair is two binary searches plus branch-free sums of marks
 // (markedIntersect).
-func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (count, steps, maxPair int64) {
+func intersectPairs(g *graph.Graph, perVertex []int64) (count, steps, maxPair int64) {
 	n := g.NumVertices()
 	mark := make([]uint8, n)
 	var nvBuf, nuBuf []int64
@@ -242,9 +229,6 @@ func intersectPairs(g *graph.Graph, perVertex []int64, pair func(steps int64)) (
 			}
 			if p := int64(len(nv) + len(nu)); p > maxPair {
 				maxPair = p
-			}
-			if pair != nil {
-				pair(s)
 			}
 		}
 		for _, w := range nv {
@@ -324,7 +308,7 @@ func ClusteringCoefficients(g *graph.Graph, rec *trace.Recorder) *ClusteringResu
 	n := g.NumVertices()
 	perVertex := make([]int64, n)
 	ph := rec.StartPhase("ccoef/count", 0)
-	count, cmps, _ := intersectPairs(g, perVertex, nil)
+	count, cmps, _ := intersectPairs(g, perVertex)
 	m := g.NumEdges() / 2
 	ph.AddTasks(m, cmps, cmps+2*m, 3*count)
 

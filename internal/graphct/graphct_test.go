@@ -9,7 +9,6 @@ import (
 
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
-	"graphxmt/internal/machine"
 	"graphxmt/internal/rng"
 	"graphxmt/internal/trace"
 )
@@ -182,10 +181,9 @@ func TestTrianglesMatchReferenceProperty(t *testing.T) {
 
 // mergeTriangles and mergeClustering are the kernels as GraphCT writes
 // them, executing the two-pointer merge per edge. They are the oracle the
-// marked intersection must reproduce: result, profile and detail alike.
+// marked intersection must reproduce: result and profile alike.
 func mergeTriangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 	ph := rec.StartPhase("tri/count", 0)
-	recordDetail := rec.Detail() && g.NumEdges()/2 <= 1<<20
 	var count, cmps, maxPair int64
 	for v := int64(0); v < g.NumVertices(); v++ {
 		nv := g.Neighbors(v)
@@ -198,9 +196,6 @@ func mergeTriangles(g *graph.Graph, rec *trace.Recorder) *TriangleResult {
 			count += c
 			cmps += steps
 			maxPair = max(maxPair, int64(len(nv)+len(nu)))
-			if recordDetail {
-				ph.AddDetail(trace.TaskCost{Issue: uint32(steps * triIssuePerCmp), Mem: uint32(steps*triLoadsPerCmp + 2)})
-			}
 		}
 	}
 	m := g.NumEdges() / 2
@@ -267,33 +262,14 @@ func oracleMerge(a, b []int64, floor int64, perVertex []int64) (count, steps int
 	return count, steps
 }
 
-// phaseView is a Phase without its mutex, for whole-value comparison.
-type phaseView struct {
-	Name                                       string
-	Index                                      int
-	Tasks, Issue, Loads, Stores, MaxTask, Barr int64
-	Hot                                        [trace.NumHotClasses]int64
-	Detail                                     []trace.TaskCost
-}
-
-func phaseViews(rec *trace.Recorder) []phaseView {
-	var out []phaseView
-	for _, p := range rec.Phases() {
-		out = append(out, phaseView{p.Name, p.Index, p.Tasks, p.Issue, p.Loads, p.Stores,
-			p.MaxTask, p.Barriers, p.Hot, p.Detail})
-	}
-	return out
-}
-
 // checkTrianglesMatchMerge runs Triangles and ClusteringCoefficients and
-// their merge oracles with detail recording on, and reports the first
-// difference in result or recorded profile.
+// their merge oracles, and reports the first difference in result or
+// recorded profile.
 func checkTrianglesMatchMerge(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	run := func(kernel func(*trace.Recorder) any) (any, []phaseView) {
+	run := func(kernel func(*trace.Recorder) any) (any, []trace.PhaseState) {
 		rec := trace.NewRecorder()
-		rec.DetailTasks = true
-		return kernel(rec), phaseViews(rec)
+		return kernel(rec), rec.AppendStates(nil)
 	}
 	for _, k := range []struct {
 		name      string
@@ -743,68 +719,6 @@ func TestApproxDiameterLowerBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTrianglesDetailRecording(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 9, EdgeFactor: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder()
-	rec.DetailTasks = true
-	res := Triangles(g, rec)
-	phases := rec.PhasesNamed("tri/count")
-	if len(phases) != 1 {
-		t.Fatalf("phases = %d", len(phases))
-	}
-	p := phases[0]
-	if int64(len(p.Detail)) != p.Tasks {
-		t.Fatalf("detail tasks %d != recorded tasks %d", len(p.Detail), p.Tasks)
-	}
-	// Per-task detail must sum to the aggregate issue count.
-	var issue int64
-	for _, tc := range p.Detail {
-		issue += int64(tc.Issue)
-	}
-	if issue != p.Issue {
-		t.Fatalf("detail issue %d != aggregate %d", issue, p.Issue)
-	}
-	// Skew: the costliest pair dwarfs the median on a scale-free graph.
-	maxTask := uint32(0)
-	for _, tc := range p.Detail {
-		if tc.Issue > maxTask {
-			maxTask = tc.Issue
-		}
-	}
-	if int64(maxTask)*int64(len(p.Detail)) < 2*p.Issue {
-		t.Fatalf("no task skew: max %d, mean %d", maxTask, p.Issue/int64(len(p.Detail)))
-	}
-	_ = res
-}
-
-func TestTrianglesDetailFeedsDES(t *testing.T) {
-	// The DES consumes the recorded per-task detail; compare against the
-	// same phase without detail (synthetic uniform tasks) — both must be
-	// finite and within a band of each other.
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	detRec := trace.NewRecorder()
-	detRec.DetailTasks = true
-	Triangles(g, detRec)
-	plainRec := trace.NewRecorder()
-	Triangles(g, plainRec)
-
-	des := machine.NewDES(machine.DefaultConfig())
-	tDetail := machine.Seconds(des, detRec.Phases(), 16)
-	tPlain := machine.Seconds(des, plainRec.Phases(), 16)
-	if tDetail <= 0 || tPlain <= 0 {
-		t.Fatalf("times: %v, %v", tDetail, tPlain)
-	}
-	if r := tDetail / tPlain; r < 0.25 || r > 4 {
-		t.Fatalf("detail (%v) vs synthetic (%v) diverge: %vx", tDetail, tPlain, r)
 	}
 }
 

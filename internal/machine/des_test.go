@@ -2,47 +2,45 @@ package machine
 
 import (
 	"container/heap"
+	"testing"
 
 	"graphxmt/internal/trace"
 )
 
-// DES is the discrete-event Threadstorm simulator. It simulates every
+// DES is the discrete-event Threadstorm simulator, the test oracle the
+// analytic model is checked against (TestModelsAgree). It simulates every
 // processor's 128 hardware streams executing the phase's tasks: a processor
 // issues one ready operation per cycle, a memory operation parks its stream
 // for MemLatency cycles, hotspot fetch-and-adds additionally serialize
 // through a per-word token, and streams pull tasks from a shared queue as
 // they finish — the XMT runtime's dynamic loop scheduling.
 //
-// DES exists to validate the analytic model (they must agree within a
-// tolerance across regimes; see TestModelsAgree) and to let small
-// experiments run with full fidelity. Phases whose total op count exceeds
-// MaxOps fall back to the analytic model so the Model interface stays total
-// on big inputs.
+// It simulates op by op, so a phase of more than desMaxOps operations is
+// refused: it fails the calling test, naming the phase, rather than being
+// answered by some other model.
 type DES struct {
+	tb  testing.TB
 	cfg Config
-	// MaxOps bounds the number of simulated operations per phase; beyond
-	// it the analytic model is used. Zero selects a default of 8M ops.
-	MaxOps   int64
-	fallback *Analytic
 }
 
-// NewDES returns a discrete-event model with the given configuration.
-func NewDES(cfg Config) *DES {
+// desMaxOps bounds the operations the DES simulates in one phase.
+const desMaxOps = 8 << 20
+
+// NewDES returns a discrete-event model with the given configuration that
+// fails tb on a phase it refuses to simulate.
+func NewDES(tb testing.TB, cfg Config) *DES {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		tb.Fatal(err)
 	}
-	return &DES{cfg: cfg, fallback: NewAnalytic(cfg)}
+	return &DES{tb: tb, cfg: cfg}
 }
 
 // Config returns the hardware parameters.
 func (d *DES) Config() Config { return d.cfg }
 
-func (d *DES) maxOps() int64 {
-	if d.MaxOps > 0 {
-		return d.MaxOps
-	}
-	return 8 << 20
-}
+// phaseOps is the number of operations the DES simulates for p: issue,
+// memory and hotspot.
+func phaseOps(p *trace.Phase) int64 { return p.Issue + p.Loads + p.Stores + p.HotTotal() }
 
 // desTask is one task's remaining work inside the simulator.
 type desTask struct {
@@ -111,10 +109,11 @@ func (d *DES) PhaseCycles(p *trace.Phase, procs int) float64 {
 	if procs <= 0 {
 		procs = d.cfg.Procs
 	}
-	if p.TotalOps() > d.maxOps() {
-		return d.fallback.PhaseCycles(p, procs)
+	if ops := phaseOps(p); ops > desMaxOps {
+		d.tb.Helper()
+		d.tb.Fatalf("DES: phase %s[%d] has %d ops, over the %d-op cap", p.Name, p.Index, ops, desMaxOps)
 	}
-	tasks := d.materialize(p)
+	tasks := materialize(p)
 	overhead := float64(p.Barriers)*d.cfg.barrierCycles(procs) + float64(d.cfg.DispatchCycles)
 	if len(tasks) == 0 {
 		return overhead
@@ -197,22 +196,13 @@ func (d *DES) PhaseCycles(p *trace.Phase, procs int) float64 {
 	return float64(finish) + overhead
 }
 
-// materialize converts a phase profile into concrete tasks. Recorded detail
-// is used verbatim; otherwise tasks are synthesized with the phase's
+// materialize converts a phase profile into concrete tasks: the phase's
 // average costs, with one task carrying the recorded critical path and
 // hotspot ops spread across tasks.
-func (d *DES) materialize(p *trace.Phase) []desTask {
-	if len(p.Detail) > 0 {
-		tasks := make([]desTask, len(p.Detail))
-		for i, tc := range p.Detail {
-			tasks[i] = desTask{issue: int64(tc.Issue), mem: int64(tc.Mem)}
-		}
-		d.spreadHot(p, tasks)
-		return tasks
-	}
+func materialize(p *trace.Phase) []desTask {
 	n := p.Tasks
 	if n <= 0 {
-		if p.TotalOps() == 0 {
+		if phaseOps(p) == 0 {
 			return nil
 		}
 		n = 1
@@ -243,14 +233,6 @@ func (d *DES) materialize(p *trace.Phase) []desTask {
 			tasks[0].issue += extra
 		}
 	}
-	d.spreadHot(p, tasks)
-	return tasks
-}
-
-func (d *DES) spreadHot(p *trace.Phase, tasks []desTask) {
-	if len(tasks) == 0 {
-		return
-	}
 	for c := 0; c < int(trace.NumHotClasses); c++ {
 		h := p.Hot[c]
 		if h == 0 {
@@ -265,4 +247,5 @@ func (d *DES) spreadHot(p *trace.Phase, tasks []desTask) {
 			}
 		}
 	}
+	return tasks
 }

@@ -24,10 +24,10 @@
 //     serially at that word regardless of P: the reduced scalability the
 //     paper attributes to message-queue counters.
 //
-// Two interchangeable models implement this: Analytic (closed-form bounds,
-// used for full experiments) and DES (a discrete-event stream simulator,
-// used to validate the analytic model at small scale). Both consume
-// trace.Phase profiles and are deterministic.
+// Analytic implements this with closed-form bounds; it consumes
+// trace.Phase profiles and is deterministic. Every published number comes
+// from it. Its oracle, a discrete-event stream simulator, lives in this
+// package's tests (TestModelsAgree) and substitutes for it through Model.
 package machine
 
 import (

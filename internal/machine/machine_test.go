@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +202,7 @@ func TestDESIssueBound(t *testing.T) {
 	cfg.DispatchCycles = 0
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	// 4096 pure-issue tasks of 64 ops on 2 procs: 4096*64/2 cycles.
 	p := phaseWith(4096, 4096*64, 0, 0, 64)
 	p.Barriers = 0
@@ -216,7 +218,7 @@ func TestDESLatencyVisible(t *testing.T) {
 	cfg.DispatchCycles = 0
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	// A single task of 100 serial memory ops: no parallelism can hide
 	// latency; time ~ 100 * (L+1).
 	p := phaseWith(1, 0, 100, 0, 100)
@@ -233,7 +235,7 @@ func TestDESHotspotSerializes(t *testing.T) {
 	cfg.DispatchCycles = 0
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	p := &trace.Phase{}
 	p.AddTasks(1024, 0, 0, 0)
 	p.AddHot(trace.HotMsgCounter, 100000)
@@ -247,35 +249,31 @@ func TestDESHotspotSerializes(t *testing.T) {
 	}
 }
 
-func TestDESUsesDetailTasks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DispatchCycles = 0
-	cfg.BarrierBase = 0
-	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
-	p := &trace.Phase{}
-	p.AddTasks(2, 1000, 0, 0)
-	p.AddDetail(trace.TaskCost{Issue: 999, Mem: 0}, trace.TaskCost{Issue: 1, Mem: 0})
-	// On one processor the imbalanced detail still sums to 1000 issue ops.
-	got := d.PhaseCycles(p, 1)
-	if got < 1000 || got > 1100 {
-		t.Fatalf("DES with detail = %v, want ~1000", got)
-	}
-}
+// fatalTB turns a test failure into a panic carrying its message, so a
+// test can check that the DES refuses a phase.
+type fatalTB struct{ testing.TB }
 
-func TestDESFallsBackOnHugePhases(t *testing.T) {
-	cfg := DefaultConfig()
-	d := NewDES(cfg)
-	d.MaxOps = 1000
-	p := phaseWith(1<<16, 1<<20, 1<<20, 0, 64)
-	a := NewAnalytic(cfg)
-	if got, want := d.PhaseCycles(p, 64), a.PhaseCycles(p, 64); got != want {
-		t.Fatalf("fallback = %v, want analytic %v", got, want)
-	}
+func (fatalTB) Helper() {}
+
+func (fatalTB) Fatalf(format string, args ...any) { panic(fmt.Sprintf(format, args...)) }
+
+// A phase over the op cap fails the calling test by name instead of being
+// simulated, or answered by another model.
+func TestDESRefusesHugePhases(t *testing.T) {
+	d := NewDES(fatalTB{t}, DefaultConfig())
+	p := phaseWith(1<<16, 1<<23, 1<<23, 0, 64)
+	p.Name, p.Index = "tri/count", 3
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "tri/count[3]") || !strings.Contains(msg, "cap") {
+			t.Fatalf("refusal = %q, want one naming tri/count[3] and the cap", msg)
+		}
+	}()
+	d.PhaseCycles(p, 64)
 }
 
 func TestDESEmptyPhase(t *testing.T) {
-	d := NewDES(DefaultConfig())
+	d := NewDES(t, DefaultConfig())
 	p := &trace.Phase{Barriers: 1}
 	got := d.PhaseCycles(p, 16)
 	cfg := DefaultConfig()
@@ -293,7 +291,7 @@ func TestModelsAgree(t *testing.T) {
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
 	a := NewAnalytic(cfg)
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	cases := []*trace.Phase{
 		phaseWith(1<<14, 1<<18, 1<<18, 0, 32),     // balanced
 		phaseWith(1<<14, 1<<20, 0, 0, 64),         // issue heavy
@@ -324,7 +322,7 @@ func TestDESScalesIssueBound(t *testing.T) {
 	cfg.DispatchCycles = 0
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	p := phaseWith(1<<14, 1<<21, 0, 0, 128)
 	p.Barriers = 0
 	t4 := d.PhaseCycles(p, 4)
@@ -344,7 +342,7 @@ func BenchmarkAnalyticPhase(b *testing.B) {
 
 func BenchmarkDESPhase(b *testing.B) {
 	cfg := DefaultConfig()
-	d := NewDES(cfg)
+	d := NewDES(b, cfg)
 	p := phaseWith(1<<10, 1<<14, 1<<14, 0, 48)
 	for i := 0; i < b.N; i++ {
 		d.PhaseCycles(p, 16)
@@ -407,7 +405,7 @@ func TestDESRespectsLowerBoundsProperty(t *testing.T) {
 	cfg.DispatchCycles = 0
 	cfg.BarrierBase = 0
 	cfg.BarrierPerLogP = 0
-	d := NewDES(cfg)
+	d := NewDES(t, cfg)
 	f := func(tasksRaw, issueRaw, memRaw uint16, hotRaw uint8, procsRaw uint8) bool {
 		tasks := int64(tasksRaw%2048) + 1
 		issue := int64(issueRaw % 8192)
@@ -440,9 +438,5 @@ func TestPhaseCyclesDefaultProcs(t *testing.T) {
 	p := phaseWith(1<<16, 1<<20, 1<<20, 0, 40)
 	if m.PhaseCycles(p, 0) != m.PhaseCycles(p, DefaultConfig().Procs) {
 		t.Fatal("default procs not applied")
-	}
-	d := NewDES(DefaultConfig())
-	if d.PhaseCycles(p, 0) != d.PhaseCycles(p, DefaultConfig().Procs) {
-		t.Fatal("DES default procs not applied")
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"io"
 )
 
-// phaseJSON is the serialized form of a Phase (Detail and the mutex are
-// intentionally excluded: detail is a simulation-local aid, not part of
-// the portable profile).
+// phaseJSON is the serialized form of a Phase: every profile field.
 type phaseJSON struct {
 	Name     string               `json:"name"`
 	Index    int                  `json:"index"`

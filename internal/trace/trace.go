@@ -63,12 +63,6 @@ func (h HotClass) String() string {
 	return fmt.Sprintf("hot(%d)", uint8(h))
 }
 
-// TaskCost describes one task's cost when detailed recording is enabled.
-type TaskCost struct {
-	Issue uint32
-	Mem   uint32
-}
-
 // Phase is the work profile of one parallel region between barriers.
 // Fields are updated with atomics so host-parallel kernels may record
 // concurrently; use the Add* helpers rather than writing fields directly.
@@ -92,12 +86,6 @@ type Phase struct {
 	// Barriers is the number of full machine barriers this phase ends with
 	// (usually 1).
 	Barriers int64
-
-	// Detail holds per-task costs when the recorder has detail enabled;
-	// consumed by the discrete-event model. Nil otherwise.
-	Detail []TaskCost
-
-	detailMu sync.Mutex
 }
 
 // AddTasks records n tasks with aggregate costs. It is safe for concurrent
@@ -123,25 +111,6 @@ func (p *Phase) ObserveTask(ops int64) {
 			return
 		}
 	}
-}
-
-// AddDetail appends per-task costs for the discrete-event model.
-func (p *Phase) AddDetail(tasks ...TaskCost) {
-	p.detailMu.Lock()
-	p.Detail = append(p.Detail, tasks...)
-	p.detailMu.Unlock()
-}
-
-// Mem returns the total number of global memory operations.
-func (p *Phase) Mem() int64 { return p.Loads + p.Stores }
-
-// TotalOps returns issue plus memory plus hotspot ops.
-func (p *Phase) TotalOps() int64 {
-	t := p.Issue + p.Mem()
-	for _, h := range p.Hot {
-		t += h
-	}
-	return t
 }
 
 // HotTotal returns the total hotspot ops across all classes.
@@ -171,11 +140,9 @@ func (p *Phase) String() string {
 }
 
 // PhaseState is the value-type snapshot of a Phase: every profile field
-// the machine model and the determinism tests consume, without the
-// synchronization state (Phase embeds a mutex, so it cannot be copied as a
-// struct). Detail (per-task costs) is intentionally excluded — it exists
-// only for the discrete-event model and is not part of the checkpointable
-// profile (see docs/ROBUSTNESS.md).
+// the machine model and the determinism tests consume, read once the
+// phase's atomic updates have quiesced. Checkpoints encode it (see
+// docs/ROBUSTNESS.md).
 type PhaseState struct {
 	Name     string
 	Index    int
@@ -262,10 +229,6 @@ type Recorder struct {
 	mu     sync.Mutex
 	phases []*Phase
 
-	// DetailTasks enables per-task recording in kernels that support it
-	// (needed by the discrete-event machine model). Set before running.
-	DetailTasks bool
-
 	// obs is an opaque host-observability attachment (set by CLIs, read
 	// back by the BSP engine via Observer); po is its cached
 	// phaseObserver view, nil when the attachment doesn't observe phases.
@@ -336,9 +299,6 @@ func (r *Recorder) StartPhase(name string, index int) *Phase {
 	}
 	return p
 }
-
-// Detail reports whether per-task detail should be recorded.
-func (r *Recorder) Detail() bool { return r != nil && r.DetailTasks }
 
 // Phases returns the recorded phases in order.
 func (r *Recorder) Phases() []*Phase {

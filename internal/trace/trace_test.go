@@ -16,9 +16,6 @@ func TestPhaseAccumulation(t *testing.T) {
 	if p.Tasks != 15 || p.Issue != 110 || p.Loads != 55 || p.Stores != 30 {
 		t.Fatalf("got %+v", p)
 	}
-	if p.Mem() != 85 {
-		t.Fatalf("Mem() = %d, want 85", p.Mem())
-	}
 	p.AddHot(HotMsgCounter, 7)
 	p.AddHot(HotMsgCounter, 3)
 	p.AddHot(HotQueueTail, 4)
@@ -30,9 +27,6 @@ func TestPhaseAccumulation(t *testing.T) {
 	}
 	if p.MaxHot() != 10 {
 		t.Fatalf("MaxHot = %d", p.MaxHot())
-	}
-	if p.TotalOps() != 110+85+14 {
-		t.Fatalf("TotalOps = %d", p.TotalOps())
 	}
 }
 
@@ -93,9 +87,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	p := r.StartPhase("x", 0)
 	p.AddTasks(1, 1, 1, 1) // must not panic
-	if r.Detail() {
-		t.Fatal("nil recorder should not request detail")
-	}
 	if got := r.Phases(); got != nil {
 		t.Fatalf("nil recorder Phases = %v", got)
 	}
@@ -199,15 +190,6 @@ func TestHotClassString(t *testing.T) {
 	}
 	if HotClass(200).String() == "" {
 		t.Fatal("unknown class should still format")
-	}
-}
-
-func TestAddDetail(t *testing.T) {
-	p := &Phase{}
-	p.AddDetail(TaskCost{1, 2}, TaskCost{3, 4})
-	p.AddDetail(TaskCost{5, 6})
-	if len(p.Detail) != 3 || p.Detail[2].Issue != 5 {
-		t.Fatalf("detail = %v", p.Detail)
 	}
 }
 
