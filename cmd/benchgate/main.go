@@ -1,16 +1,20 @@
 // Command benchgate compares two sets of Go benchmark results and fails
 // when any benchmark's median ns/op regressed beyond a threshold. It is the
-// CI regression gate for the engine benchmarks: the committed BENCH_core.json
-// baseline (or a fresh merge-base run on the same machine) is -old, the PR
-// head's run is -new.
+// CI regression gate for the engine benchmarks: a run of the merge-base on
+// the same machine is -old, the PR head's run is -new. A baseline from
+// another machine, such as the committed BENCH_core.json, is a valid input
+// but no gate: host differences swamp the threshold.
 //
 // Both inputs may be plain `go test -bench` text or the `go test -json`
 // event stream (sniffed per file). Run benchmarks with -count=5 or more so
 // the median has something to chew on; medians make the gate robust to a
 // single noisy run, which mean-based gates are not.
 //
+//	git checkout "$(git merge-base origin/main HEAD)"
+//	go test -run '^$' -bench Engine -count 5 ./internal/core/ > base.txt
+//	git checkout -
 //	go test -run '^$' -bench Engine -count 5 -json ./internal/core/ > new.json
-//	benchgate -old BENCH_core.json -new new.json -threshold 10
+//	benchgate -old base.txt -new new.json -threshold 10
 //
 // Exit status: 0 when no benchmark regressed past the threshold, 1 on
 // regression or malformed input. Benchmarks present in only one input are

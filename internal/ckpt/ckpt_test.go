@@ -1,8 +1,10 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
@@ -163,7 +165,7 @@ func TestRoundTripProperty(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 50; i++ {
 		want := randSnapshot(rng)
-		path, err := ckpt.WriteFile(dir, want, ckpt.FileName(want.Step), nil)
+		path, err := new(ckpt.Writer).WriteFile(dir, want, ckpt.FileName(want.Step), nil)
 		if err != nil {
 			t.Fatalf("iter %d: write: %v", i, err)
 		}
@@ -183,7 +185,7 @@ func TestCorruptionRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	s := randSnapshot(rng)
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
+	path, err := new(ckpt.Writer).WriteFile(dir, s, ckpt.FileName(s.Step), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +206,7 @@ func TestCorruptionRejected(t *testing.T) {
 		if err == nil {
 			t.Fatalf("bit flip at offset %d accepted", off)
 		}
+		sameVerify(t, flipped, err)
 		var ce *ckpt.CorruptError
 		var ve *ckpt.VersionError
 		if !errors.As(err, &ce) && !errors.As(err, &ve) {
@@ -221,6 +224,7 @@ func TestCorruptionRejected(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("truncation to %d bytes: want CorruptError, got %v", keep, err)
 		}
+		sameVerify(t, truncated, err)
 	}
 
 	// Appending trailing garbage breaks the checksum; replacing the
@@ -229,8 +233,55 @@ func TestCorruptionRejected(t *testing.T) {
 	if err := os.WriteFile(truncated, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ckpt.Load(truncated); err == nil {
+	_, err = ckpt.Load(truncated)
+	if err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	sameVerify(t, truncated, err)
+}
+
+// sameVerify: every damage above is to the envelope or breaks the payload
+// CRC, so Verify, which streams the file, reports exactly what Load, which
+// reads it whole, reported.
+func sameVerify(t *testing.T, path string, loadErr error) {
+	t.Helper()
+	if err := ckpt.Verify(path); err == nil || err.Error() != loadErr.Error() {
+		t.Fatalf("Verify(%s) = %v; Load said %v", filepath.Base(path), err, loadErr)
+	}
+}
+
+// TestDecodeBulkFieldErrors: each whole-array field decodes in one bounded
+// loop, and its damage reads as it did when the decoder took one element
+// per call. A payload cut inside a field's elements fails the field's
+// length check at the length's own offset; a byte other than 0 or 1 in a
+// bitmap's last element is an invalid boolean at that byte's offset.
+func TestDecodeBulkFieldErrors(t *testing.T) {
+	s := randSnapshot(rand.New(rand.NewSource(4))) // every section present
+	b := ckpt.Encode(nil, s)
+	fields := ckpt.BulkFields(s)
+	if len(fields) != 14 {
+		t.Fatalf("%d bulk fields, want 14 (12 int64s, 2 bitmaps)", len(fields))
+	}
+	for _, f := range fields {
+		if f.N == 0 {
+			continue
+		}
+		cut := f.Off + f.Elem*(f.N/2) + f.Elem/2
+		_, err := ckpt.Decode(b[:cut], "p")
+		want := fmt.Sprintf("ckpt: corrupt checkpoint p: impossible slice length %d at offset %d", f.N, f.Off-8)
+		if err == nil || err.Error() != want {
+			t.Errorf("cut at %d, inside the field at %d: %v; want %s", cut, f.Off, err, want)
+		}
+		if f.Elem != 1 {
+			continue
+		}
+		bad := bytes.Clone(b)
+		bad[f.Off+f.N-1] = 2
+		_, err = ckpt.Decode(bad, "p")
+		want = fmt.Sprintf("ckpt: corrupt checkpoint p: invalid boolean at offset %d", f.Off+f.N-1)
+		if err == nil || err.Error() != want {
+			t.Errorf("2 in the last byte of the bitmap at %d: %v; want %s", f.Off, err, want)
+		}
 	}
 }
 
@@ -273,7 +324,7 @@ func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 			s.BcastSeq = append([]int64(nil), base.BcastSeq...)
 			m.mut(&s)
 			dir := t.TempDir()
-			path, err := ckpt.WriteFile(dir, &s, ckpt.FileName(s.Step), nil)
+			path, err := new(ckpt.Writer).WriteFile(dir, &s, ckpt.FileName(s.Step), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +358,7 @@ func stampVersion(t *testing.T, path string, ver uint32) {
 func TestUnknownVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := randSnapshot(rand.New(rand.NewSource(3)))
-	path, err := ckpt.WriteFile(dir, s, ckpt.FileName(s.Step), nil)
+	path, err := new(ckpt.Writer).WriteFile(dir, s, ckpt.FileName(s.Step), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +386,10 @@ func TestUnknownVersionRejected(t *testing.T) {
 // cover every optional section both present and absent (broadcast records,
 // retry counts, aux, aggregates, phases); the direction arrays are in every
 // payload. A change here is a format change: bump the version.
+//
+// One buffer serves every seed, as a run's Writer serves every boundary: a
+// payload that fits is encoded where the buffer is, and one that does not
+// moves it once, to its own size and a quarter.
 func TestEncodeGolden(t *testing.T) {
 	golden := []struct {
 		seed int64
@@ -350,16 +405,26 @@ func TestEncodeGolden(t *testing.T) {
 		{7, 4817, 0x944f7937cbaed41c},  // bcast, retry, phases; no aux, aggregates
 		{15, 5364, 0x8a124cddf53fad61}, // bcast, retry; no aux, aggregates, phases
 	}
+	var buf []byte
+	moves := 0
 	for _, g := range golden {
-		b := ckpt.Encode(randSnapshot(rand.New(rand.NewSource(g.seed))))
+		b := ckpt.Encode(buf, randSnapshot(rand.New(rand.NewSource(g.seed))))
 		h := fnv.New64a()
 		h.Write(b)
 		if len(b) != g.size || h.Sum64() != g.hash {
 			t.Errorf("seed %d: %d bytes, hash %#016x; want %d bytes, hash %#016x", g.seed, len(b), h.Sum64(), g.size, g.hash)
 		}
-		if cap(b) != len(b) {
-			t.Errorf("seed %d: Encode sized its buffer at %d for a %d-byte payload", g.seed, cap(b), len(b))
+		if cap(buf) >= len(b) {
+			if &b[:1][0] != &buf[:1][0] {
+				t.Errorf("seed %d: a %d-byte payload moved a buffer of capacity %d", g.seed, len(b), cap(buf))
+			}
+		} else if moves++; cap(b) != len(b)+len(b)/4 {
+			t.Errorf("seed %d: Encode grew its buffer to %d for a %d-byte payload, want %d", g.seed, cap(b), len(b), len(b)+len(b)/4)
 		}
+		buf = b
+	}
+	if moves != 2 {
+		t.Errorf("the buffer moved %d times over the seeds, want 2 (for seeds 1 and 2)", moves)
 	}
 }
 
@@ -415,7 +480,7 @@ func TestFingerprintCheck(t *testing.T) {
 			Directions:       []int64{1},
 			Visited:          ckpt.Bitmap{N: fp.Vertices, Words: make([]uint64, (fp.Vertices+63)/64)},
 		}
-		got, err := ckpt.Decode(ckpt.Encode(s), name)
+		got, err := ckpt.Decode(ckpt.Encode(nil, s), name)
 		if err != nil {
 			t.Errorf("perturbed %s: decode: %v", name, err)
 		} else if got.FP != fp {
@@ -431,7 +496,7 @@ func TestWriteAtomicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ok := randSnapshot(rng)
 	setStep(ok, 3)
-	if _, err := ckpt.WriteFile(dir, ok, ckpt.FileName(3), nil); err != nil {
+	if _, err := new(ckpt.Writer).WriteFile(dir, ok, ckpt.FileName(3), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,7 +505,7 @@ func TestWriteAtomicity(t *testing.T) {
 	hooks := &ckpt.Hooks{
 		WrapWrite: func(step int64, w io.Writer) io.Writer { return failAfter{w: w} },
 	}
-	_, err := ckpt.WriteFile(dir, bad, ckpt.FileName(4), hooks)
+	_, err := new(ckpt.Writer).WriteFile(dir, bad, ckpt.FileName(4), hooks)
 	var we *ckpt.WriteError
 	if !errors.As(err, &we) {
 		t.Fatalf("want WriteError, got %v", err)
@@ -472,14 +537,14 @@ func TestLatestPathAndPrune(t *testing.T) {
 	for _, step := range []int64{0, 2, 5, 9} {
 		s := randSnapshot(rng)
 		setStep(s, step)
-		if _, err := ckpt.WriteFile(dir, s, ckpt.FileName(step), nil); err != nil {
+		if _, err := new(ckpt.Writer).WriteFile(dir, s, ckpt.FileName(step), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// An emergency checkpoint must be invisible to LatestPath and Prune.
 	em := randSnapshot(rng)
 	setStep(em, 11)
-	if _, err := ckpt.WriteFile(dir, em, ckpt.EmergencyFileName(11), nil); err != nil {
+	if _, err := new(ckpt.Writer).WriteFile(dir, em, ckpt.EmergencyFileName(11), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"graphxmt/internal/trace"
@@ -225,19 +226,37 @@ func (e *encoder) str(s *string) {
 	e.buf = append(e.buf, *s...)
 }
 
+// int64s writes the length and then every value, converted in one bounded
+// loop into bytes grown once.
 func (e *encoder) int64s(s *[]int64) {
 	e.length(len(*s), 8)
-	for i := range *s {
-		e.i64(&(*s)[i])
+	out := e.grow(8 * len(*s))
+	for i, x := range *s {
+		binary.LittleEndian.PutUint64(out[8*i:8*i+8], uint64(x))
 	}
 }
 
-// bitmap writes one byte per vertex, as the []bool it replaced did.
+// bitmap writes one byte per vertex, as the []bool it replaced did: each
+// word fills the 64 bytes of its vertices, the last word only those below N.
 func (e *encoder) bitmap(b *Bitmap) {
 	e.length(int(b.N), 1)
-	for v := int64(0); v < b.N; v++ {
-		e.buf = append(e.buf, byte(b.Words[v>>6]>>(v&63)&1))
+	out := e.grow(int(b.N))
+	for i := 0; len(out) > 0; i++ {
+		blk := out[:min(len(out), 64)]
+		w := b.Words[i]
+		for j := range blk {
+			blk[j] = byte(w >> j & 1)
+		}
+		out = out[len(blk):]
 	}
+}
+
+// grow extends buf by n bytes and returns them. The sizer's walk reserved
+// the capacity, so the slice never moves.
+func (e *encoder) grow(n int) []byte {
+	e.buf = slices.Grow(e.buf, n)
+	e.buf = e.buf[:len(e.buf)+n]
+	return e.buf[len(e.buf)-n:]
 }
 
 func (e *encoder) length(have, _ int) int {
@@ -331,35 +350,59 @@ func (d *decoder) length(_, minBytes int) int {
 	return int(n)
 }
 
+// int64s reads a length and then the values in one bounded loop; the length
+// check already held the field to the bytes left, and need takes them all.
 func (d *decoder) int64s(s *[]int64) {
-	if n := d.length(0, 8); n > 0 {
-		*s = make([]int64, n)
-		for i := range *s {
-			d.i64(&(*s)[i])
-		}
+	n := d.length(0, 8)
+	if n == 0 || !d.need(8*n) {
+		return
 	}
+	in := d.data[d.pos : d.pos+8*n]
+	*s = make([]int64, n)
+	for i := range *s {
+		(*s)[i] = int64(binary.LittleEndian.Uint64(in[8*i : 8*i+8]))
+	}
+	d.pos += 8 * n
 }
 
+// bitmap reads one byte per vertex. Each must be 0 or 1, and the first
+// that is not is reported at its own offset, as boolean would.
 func (d *decoder) bitmap(b *Bitmap) {
-	if n := d.length(0, 1); n > 0 {
-		*b = Bitmap{N: int64(n), Words: make([]uint64, (n+63)/64)}
-		for v := 0; v < n; v++ {
-			var set bool
-			if d.boolean(&set); set {
-				b.Words[v>>6] |= 1 << (v & 63)
-			}
-		}
+	n := d.length(0, 1)
+	if n == 0 || !d.need(n) {
+		return
 	}
+	in := d.data[d.pos : d.pos+n]
+	*b = Bitmap{N: int64(n), Words: make([]uint64, (n+63)/64)}
+	for i := range b.Words {
+		blk := in[64*i : min(len(in), 64*i+64)]
+		var w uint64
+		for j, c := range blk {
+			if c > 1 {
+				d.fail("invalid boolean at offset %d", d.pos+64*i+j)
+				return
+			}
+			w |= uint64(c) << j
+		}
+		b.Words[i] = w
+	}
+	d.pos += n
 }
 
 // encode serializes the snapshot payload (without magic/version/checksum —
-// WriteFile adds the envelope). The buffer is sized by a first walk, so a
-// boundary that carries its traffic as broadcast records, or a long
-// per-step history, costs one allocation like any other.
-func encode(s *Snapshot) []byte {
+// WriteFile adds the envelope) into buf's backing array. A first walk sizes
+// the payload, so a boundary that carries its traffic as broadcast
+// records, or a long per-step history, is encoded without moving the
+// buffer. buf is replaced only when the payload outgrows it, by one with a
+// quarter to spare: a run's later boundaries carry a longer history and
+// often more traffic, and should fit without another move.
+func encode(buf []byte, s *Snapshot) []byte {
 	var size sizer
 	s.walk(&size)
-	e := &encoder{buf: make([]byte, 0, size)}
+	if cap(buf) < int(size) {
+		buf = make([]byte, 0, size+size/4)
+	}
+	e := &encoder{buf: buf[:0]}
 	s.walk(e)
 	return e.buf
 }
@@ -468,41 +511,69 @@ func unframe(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < headerLen {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), headerLen)}
+	want, err := checkHeader(path, data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:8]) != magic {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
-	}
-	v := binary.LittleEndian.Uint32(data[8:12])
-	if v < minVersion || v > version {
-		return nil, &VersionError{Path: path, Version: v}
-	}
-	want := binary.LittleEndian.Uint32(data[12:16])
 	payload := data[headerLen:]
-	if got := crc32.Checksum(payload, Castagnoli); got != want {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
+	if err := checkCRC(path, want, crc32.Checksum(payload, Castagnoli)); err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
 
+// checkHeader validates the envelope at the front of data — at least
+// headerLen bytes of it unless the file is shorter — and returns the
+// payload CRC it records.
+func checkHeader(path string, data []byte) (uint32, error) {
+	if len(data) < headerLen {
+		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), headerLen)}
+	}
+	if string(data[:8]) != magic {
+		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
+	}
+	v := binary.LittleEndian.Uint32(data[8:12])
+	if v < minVersion || v > version {
+		return 0, &VersionError{Path: path, Version: v}
+	}
+	return binary.LittleEndian.Uint32(data[12:16]), nil
+}
+
+// checkCRC compares the payload CRC the header records with the one
+// computed over the payload.
+func checkCRC(path string, want, got uint32) error {
+	if got != want {
+		return &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
+	}
+	return nil
+}
+
+// Writer writes checkpoint files through one payload buffer, grown only
+// when a snapshot outgrows it and reused by every other write, so a run
+// faults the buffer's pages in once rather than at every boundary. The
+// zero value is ready; a Writer is not safe for concurrent use.
+type Writer struct {
+	buf []byte
+}
+
 // WriteFile atomically writes the snapshot to dir/name: encode into a temp
 // file in dir, sync, rename. hooks.WrapWrite (fault injection) may
-// interpose a failing writer; any failure removes the temp file, leaves
-// existing checkpoints untouched, and returns a WriteError.
-func WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, error) {
+// interpose a failing writer, and is consulted before the snapshot is
+// read; any failure removes the temp file, leaves existing checkpoints
+// untouched, and returns a WriteError.
+func (wr *Writer) WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, error) {
 	final := filepath.Join(dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", &WriteError{Path: final, Err: err}
 	}
-	payload := encode(s)
-	hdr := frame(payload)
 	if hooks != nil && hooks.TornWrite != nil && hooks.TornWrite(s.Step) {
 		// Simulate a crash mid-write on a filesystem without atomic rename:
 		// a valid header followed by half the payload lands directly at the
 		// final name, and the write reports success so the run carries on
 		// oblivious. A later Load of the file fails its CRC check.
-		if err := os.WriteFile(final, append(hdr[:], payload[:len(payload)/2]...), 0o644); err != nil {
+		wr.buf = encode(wr.buf, s)
+		hdr := frame(wr.buf)
+		if err := os.WriteFile(final, append(hdr[:], wr.buf[:len(wr.buf)/2]...), 0o644); err != nil {
 			return "", &WriteError{Path: final, Err: err}
 		}
 		return final, nil
@@ -515,8 +586,10 @@ func WriteFile(dir string, s *Snapshot, name string, hooks *Hooks) (string, erro
 	if hooks != nil && hooks.WrapWrite != nil {
 		w = hooks.WrapWrite(s.Step, f)
 	}
+	wr.buf = encode(wr.buf, s)
+	hdr := frame(wr.buf)
 	if _, err = w.Write(hdr[:]); err == nil {
-		_, err = w.Write(payload)
+		_, err = w.Write(wr.buf)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -547,10 +620,34 @@ func Load(path string) (*Snapshot, error) {
 // path: header shape, magic, known version, and payload CRC. It does not
 // decode the payload or compare fingerprints — a nil return means the
 // bytes on disk are the bytes that were written, which is the guarantee
-// Prune and the fallback chain need.
+// Prune and the fallback chain need. The payload is checksummed as it
+// streams through one fixed buffer, never held whole.
 func Verify(path string) error {
-	_, err := unframe(path)
-	return err
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var buf [32 << 10]byte
+	n, err := io.ReadFull(f, buf[:headerLen])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	want, err := checkHeader(path, buf[:n])
+	if err != nil {
+		return err
+	}
+	var got uint32
+	for {
+		n, err := f.Read(buf[:])
+		got = crc32.Update(got, Castagnoli, buf[:n])
+		if err == io.EOF {
+			return checkCRC(path, want, got)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // periodicSteps lists the supersteps of dir's periodic checkpoints, newest

@@ -14,3 +14,30 @@ func LatestPath(dir string) (string, error) {
 	}
 	return filepath.Join(dir, FileName(steps[0])), nil
 }
+
+// BulkField locates one whole-array field of a payload: its N elements of
+// Elem bytes each start at Off, right after the 8-byte length.
+type BulkField struct{ Off, N, Elem int }
+
+// BulkFields lists s's int64s and bitmap fields in payload order.
+func BulkFields(s *Snapshot) []BulkField {
+	var m marker
+	s.walk(&m)
+	return m.fields
+}
+
+// marker is a sizer that notes where each whole-array field lands.
+type marker struct {
+	sizer
+	fields []BulkField
+}
+
+func (m *marker) int64s(s *[]int64) {
+	m.fields = append(m.fields, BulkField{int(m.sizer) + 8, len(*s), 8})
+	m.sizer.int64s(s)
+}
+
+func (m *marker) bitmap(b *Bitmap) {
+	m.fields = append(m.fields, BulkField{int(m.sizer) + 8, int(b.N), 1})
+	m.sizer.bitmap(b)
+}

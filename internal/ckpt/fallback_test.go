@@ -26,7 +26,7 @@ func writeChain(t *testing.T, dir string, n int64) ckpt.Fingerprint {
 	base := randSnapshot(rng)
 	for step := int64(0); step < n; step++ {
 		setStep(base, step)
-		if _, err := ckpt.WriteFile(dir, base, ckpt.FileName(step), nil); err != nil {
+		if _, err := new(ckpt.Writer).WriteFile(dir, base, ckpt.FileName(step), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,18 +20,33 @@ import (
 // The seed corpus is valid payloads (the golden test's seeds 1-8, which
 // cover every optional section present and absent, at a handful of
 // vertices so the engine's byte-at-a-time minimizer stays cheap),
-// truncations of them, and single bit flips.
+// truncations of them, single bit flips, cuts inside each whole-array
+// field, and a 2 in each bitmap's last byte.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b := ckpt.Encode(randSnapshotSized(rng, 6, 6))
+		s := randSnapshotSized(rng, 6, 6)
+		b := ckpt.Encode(nil, s)
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 		f.Add(b[:rng.Intn(len(b))])
 		flipped := bytes.Clone(b)
 		flipped[rng.Intn(len(b))] ^= 1 << uint(rng.Intn(8))
 		f.Add(flipped)
+		// Damage inside each whole-array field: a cut mid-element, and for
+		// a bitmap a 2 in its last byte.
+		for _, fl := range ckpt.BulkFields(s) {
+			if fl.N == 0 {
+				continue
+			}
+			f.Add(b[:fl.Off+fl.Elem*(fl.N/2)+fl.Elem/2])
+			if fl.Elem == 1 {
+				two := bytes.Clone(b)
+				two[fl.Off+fl.N-1] = 2
+				f.Add(two)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		before := heapAllocated()
@@ -42,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 			if s != nil || !errors.As(err, &ce) {
 				t.Fatalf("Decode = %v, %v; want nil and a *CorruptError", s, err)
 			}
-		} else if again := ckpt.Encode(s); !bytes.Equal(again, b) {
+		} else if again := ckpt.Encode(nil, s); !bytes.Equal(again, b) {
 			t.Fatalf("accepted %d-byte input re-encodes to %d different bytes", len(b), len(again))
 		}
 		// The widest in-memory element per encoded byte is an Aggregate (32

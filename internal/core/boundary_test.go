@@ -1,27 +1,32 @@
 package core_test
 
-// The supervised boundary's cost and its sharing. ckptRun.record deep-copies
+// The supervised boundary's cost and its sharing. ckptRun.record copies
 // what the next sweep can overwrite and references, clipped to length, the
 // run's append-only histories (per-step counters, retry counts, direction
 // decisions, trace phases). These tests pin both halves: a boundary's
 // allocation does not grow with the supersteps already completed, and a
 // snapshot that shares a history prefix with the live run still holds
-// exactly that prefix however far the run appends past it.
+// exactly that prefix however far the run appends past it. The last pins
+// that a boundary's write runs beside the next sweep.
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"graphxmt/internal/bspalg"
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/core"
 	"graphxmt/internal/faultinject"
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 	"graphxmt/internal/trace"
 )
 
@@ -139,5 +144,65 @@ func TestBoundaryHistorySharedAcrossKillAndRetry(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// stepSignal closes ch the first time superstep step computes; everything
+// else, fingerprint identity included, is the inner program's.
+type stepSignal struct {
+	inner core.Program
+	step  int
+	once  sync.Once
+	ch    chan struct{}
+}
+
+func (p *stepSignal) InitialState(g *graph.Graph, v int64) int64 { return p.inner.InitialState(g, v) }
+func (p *stepSignal) ProgramName() string                        { return core.ProgramNameOf(p.inner) }
+
+func (p *stepSignal) Compute(v *core.VertexContext) {
+	if v.Superstep() == p.step {
+		p.once.Do(func() { close(p.ch) })
+	}
+	p.inner.Compute(v)
+}
+
+// TestWriteOverlapsNextSweep: a periodic checkpoint write runs beside the
+// next superstep's sweep. The write of boundary k is held open until
+// superstep k+1 computes, or a second passes; the sweep must get there
+// without waiting for the write, and the run must still end identical to
+// an unchecked one, with the held checkpoint loadable.
+func TestWriteOverlapsNextSweep(t *testing.T) {
+	const k = 5
+	g := gen.Path(64)
+	base, basePh, err := runRec(g, 2, core.Config{Program: bspalg.BFSProgram{Source: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &stepSignal{inner: bspalg.BFSProgram{Source: 0}, step: k + 1, ch: make(chan struct{})}
+	overlapped := false
+	dir := t.TempDir()
+	hooks := &ckpt.Hooks{WrapWrite: func(step int64, w io.Writer) io.Writer {
+		if step == k {
+			select {
+			case <-prog.ch:
+				overlapped = true
+			case <-time.After(time.Second):
+			}
+		}
+		return w
+	}}
+	res, ph, err := runRec(g, 2, core.Config{Program: prog, Checkpoint: &ckpt.Policy{Dir: dir, Hooks: hooks}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !overlapped {
+		t.Fatalf("superstep %d did not compute while boundary %d's write was held", k+1, k)
+	}
+	if !reflect.DeepEqual(base, res) {
+		t.Fatal("checkpointed Result differs from the unchecked run")
+	}
+	comparePhases(t, basePh, ph)
+	if s, err := ckpt.Load(filepath.Join(dir, ckpt.FileName(k))); err != nil || s.Step != k {
+		t.Fatalf("Load(boundary %d) = %v, %v", k, s, err)
 	}
 }

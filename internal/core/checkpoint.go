@@ -187,6 +187,17 @@ type ckptRun struct {
 	// emergency checkpoint written when a vertex program panics
 	// mid-superstep and the retry supervisor's rollback.
 	snap *ckpt.Snapshot
+	// spare is the snapshot snap replaced. The next record refills its
+	// arrays in place of allocating them, so from the third boundary on a
+	// snapshot is copied into memory the run already owns.
+	spare *ckpt.Snapshot
+	// w writes the run's checkpoints through one reused payload buffer.
+	w ckpt.Writer
+	// writing is the periodic write in flight, nil when none. It reads
+	// snap and w's buffer while the next sweep runs, and join collects its
+	// error before anything else may touch either: before the next record,
+	// before an emergency write, and before Run returns.
+	writing chan error
 	// aux is the program's live auxiliary state slice (core.AuxProgram),
 	// deep-copied into every boundary snapshot. nil for programs without
 	// aux state.
@@ -217,11 +228,8 @@ func startCkpt(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs C
 	return ck
 }
 
-func aggSnapshot(aggs map[string]*aggregator) []ckpt.Aggregate {
-	if len(aggs) == 0 {
-		return nil
-	}
-	out := make([]ckpt.Aggregate, 0, len(aggs))
+// appendAggs appends the run-level aggregators to out, sorted by name.
+func appendAggs(out []ckpt.Aggregate, aggs map[string]*aggregator) []ckpt.Aggregate {
 	for name, a := range aggs {
 		out = append(out, ckpt.Aggregate{Name: name, Value: a.value, Seeded: a.seeded})
 	}
@@ -229,11 +237,9 @@ func aggSnapshot(aggs map[string]*aggregator) []ckpt.Aggregate {
 	return out
 }
 
-func prevAggSnapshot(prev map[string]int64) []ckpt.Aggregate {
-	if len(prev) == 0 {
-		return nil
-	}
-	out := make([]ckpt.Aggregate, 0, len(prev))
+// appendPrevAggs appends the previous superstep's aggregate view to out,
+// sorted by name.
+func appendPrevAggs(out []ckpt.Aggregate, prev map[string]int64) []ckpt.Aggregate {
 	for name, v := range prev {
 		out = append(out, ckpt.Aggregate{Name: name, Value: v, Seeded: true})
 	}
@@ -252,30 +258,57 @@ func sortAggs(aggs []ckpt.Aggregate) {
 }
 
 // record refreshes the in-memory boundary snapshot after superstep step and
-// publishes it. What the next sweep can overwrite is deep-copied: states,
-// the halted set, the visited bitmap, aux, the in-flight traffic, the
-// aggregates. What only ever grows by append is referenced — the per-step
-// counters, retry counts, direction decisions and trace phases — so a
-// boundary costs O(n + traffic) however many supersteps came before. Every
-// such reference is clipped to its length: the engine appends past it (in
-// place or after a move, never through it), and neither a snapshot's
-// holder nor a rollback can reach the entries that come later.
+// publishes it. What the next sweep can overwrite is copied: states, the
+// halted set, the visited bitmap, aux, the in-flight traffic, the
+// aggregates. The copies go into the arrays of the snapshot two boundaries
+// back, which no holder can reach any more: rollback and every write read
+// the newest snapshot, and a watchdog write still reading the older one
+// is waited out. What only ever grows by append is referenced — the
+// per-step counters, retry counts, direction decisions and trace phases —
+// so a boundary costs O(n + traffic) however many supersteps came before.
+// Every such reference is clipped to its length: the engine appends past
+// it (in place or after a move, never through it), and neither a
+// snapshot's holder nor a rollback can reach the entries that come later.
 func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
 	ck.phases = rec.AppendStates(ck.phases)
-	s := &ckpt.Snapshot{
+	// Direction layer state: the per-step decision sequence (so resume
+	// re-delivers under the recorded decision and the restored Result
+	// matches) and, below, the visited bitmap (so post-resume decisions see
+	// the same unvisited-edge count the uninterrupted run would have).
+	for _, d := range res.DirectionPerStep[len(ck.dirs):] {
+		ck.dirs = append(ck.dirs, int64(d))
+	}
+	s := ck.spare
+	if s == nil {
+		s = new(ckpt.Snapshot)
+	} else if ck.sup != nil {
+		ck.sup.release(s)
+	}
+	n := int64(len(res.States))
+	*s = ckpt.Snapshot{
 		FP:               ck.fp,
 		Step:             int64(step),
 		Live:             live,
-		States:           slices.Clone(master.states),
-		Halted:           ckpt.Bitmap{N: int64(len(res.States)), Words: slices.Clone(halted)},
-		MsgDest:          make([]int64, 0, t.sends.sealed),
-		MsgVal:           make([]int64, 0, t.sends.sealed),
+		States:           append(s.States[:0], master.states...),
+		Halted:           ckpt.Bitmap{N: n, Words: append(s.Halted.Words[:0], halted...)},
+		MsgDest:          slices.Grow(s.MsgDest[:0], int(t.sends.sealed)),
+		MsgVal:           slices.Grow(s.MsgVal[:0], int(t.sends.sealed)),
+		BcastSrc:         slices.Grow(s.BcastSrc[:0], len(t.bcasts)),
+		BcastVal:         slices.Grow(s.BcastVal[:0], len(t.bcasts)),
+		BcastSeq:         slices.Grow(s.BcastSeq[:0], len(t.bcasts)),
 		ActivePerStep:    slices.Clip(res.ActivePerStep),
 		MessagesPerStep:  slices.Clip(res.MessagesPerStep),
 		DeliveredPerStep: slices.Clip(res.DeliveredPerStep),
-		Aggregates:       aggSnapshot(master.aggregates),
-		PrevAggregates:   prevAggSnapshot(master.prevAggregates),
-		Phases:           slices.Clip(ck.phases),
+		Directions:       slices.Clip(ck.dirs),
+		Visited:          ckpt.Bitmap{N: n, Words: append(s.Visited.Words[:0], ds.visited...)},
+		// Program-owned auxiliary state: MultiBFS's packed per-lane levels
+		// and the like. The compute sweep confines aux writes to the
+		// computing vertex's own words, so at a boundary the slice is
+		// quiescent and a plain copy captures it exactly.
+		Aux:            append(s.Aux[:0], ck.aux...),
+		Aggregates:     appendAggs(s.Aggregates[:0], master.aggregates),
+		PrevAggregates: appendPrevAggs(s.PrevAggregates[:0], master.prevAggregates),
+		Phases:         slices.Clip(ck.phases),
 	}
 	// In-flight traffic, sent during step: the unicast log, and beside it
 	// the broadcast records delivery kept instead of expanding, so a resumed
@@ -284,53 +317,43 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t 
 		s.MsgDest = append(s.MsgDest, dest)
 		s.MsgVal = append(s.MsgVal, value)
 	}
-	if len(t.bcasts) > 0 {
-		s.BcastSrc = make([]int64, len(t.bcasts))
-		s.BcastVal = make([]int64, len(t.bcasts))
-		s.BcastSeq = make([]int64, len(t.bcasts))
-		for i, r := range t.bcasts {
-			s.BcastSrc[i], s.BcastVal[i], s.BcastSeq[i] = r.src, r.val, r.seq
-		}
+	for _, r := range t.bcasts {
+		s.BcastSrc = append(s.BcastSrc, r.src)
+		s.BcastVal = append(s.BcastVal, r.val)
+		s.BcastSeq = append(s.BcastSeq, r.seq)
 	}
-	// Direction layer state: the per-step decision sequence (so resume
-	// re-delivers under the recorded decision and the restored Result
-	// matches) and the visited bitmap (so post-resume decisions see the same
-	// unvisited-edge count the uninterrupted run would have).
-	for _, d := range res.DirectionPerStep[len(ck.dirs):] {
-		ck.dirs = append(ck.dirs, int64(d))
-	}
-	s.Directions = slices.Clip(ck.dirs)
-	s.Visited = ckpt.Bitmap{N: s.Halted.N, Words: slices.Clone(ds.visited)}
 	// Per-superstep retry counts: present exactly when the retry supervisor
 	// is active, so a resumed run's Result.RetriesPerStep matches an
 	// uninterrupted one's.
 	if ck.sup != nil && ck.sup.maxRetries > 0 {
 		s.RetriesPerStep = slices.Clip(ck.sup.retries)
 	}
-	// Program-owned auxiliary state: MultiBFS's packed per-lane levels and
-	// the like. The compute sweep confines aux writes to the computing
-	// vertex's own words, so at a boundary the slice is quiescent and a
-	// plain copy captures it exactly.
-	s.Aux = slices.Clone(ck.aux)
 	ck.publish(s)
 }
 
 // publish makes s the run's boundary snapshot: what a trapped superstep
 // rolls back to, what emergency writes, and — through the supervisor's
-// atomic pointer — what the watchdog goroutine persists on a stall.
+// atomic pointer — what the watchdog goroutine persists on a stall. The
+// snapshot it replaces becomes the spare the next record refills.
 func (ck *ckptRun) publish(s *ckpt.Snapshot) {
-	ck.snap = s
+	ck.spare, ck.snap = ck.snap, s
 	if ck.sup != nil {
 		ck.sup.lastSnap.Store(s)
 	}
 }
 
-// atBoundary runs at the end of every non-terminal superstep: refresh the
-// boundary snapshot, write it to disk when the cadence (or an interrupt)
-// says so, and surface interruption as *InterruptedError. A checkpoint
-// write failure aborts the run; previously written checkpoints are intact
-// (writes are temp-file + rename).
+// atBoundary runs at the end of every non-terminal superstep: collect the
+// previous boundary's write, refresh the boundary snapshot, start its
+// write when the cadence says so, and surface interruption as
+// *InterruptedError. A write runs beside the next superstep's sweep, so a
+// failure aborts the run at the boundary after it (or when Run returns);
+// previously written checkpoints are intact (writes are temp-file +
+// rename). An interrupt's write is the last, and finishes before
+// atBoundary returns its path.
 func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) error {
+	if err := ck.join(); err != nil {
+		return err
+	}
 	stopped := false
 	if ck.stop != nil {
 		select {
@@ -356,14 +379,21 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64
 		ck.record(step, live, res, halted, t, master, ds, rec)
 	}
 	path := ""
-	if writes && (stopped || timedOut || (step+1)%ck.everyN == 0) {
+	if writes && (stopped || timedOut) {
 		var err error
-		if path, err = ckpt.WriteFile(p.Dir, ck.snap, ckpt.FileName(int64(step)), p.Hooks); err != nil {
+		if path, err = ck.write(ck.snap); err != nil {
 			return err
 		}
-		if err := ckpt.Prune(p.Dir, p.Keep); err != nil {
-			return err
-		}
+	} else if writes && (step+1)%ck.everyN == 0 {
+		done, s := make(chan error, 1), ck.snap
+		ck.writing = done
+		go func() {
+			var err error
+			// Deferred, so a hook that exits the goroutine cannot leave
+			// join waiting.
+			defer func() { done <- err }()
+			_, err = ck.write(s)
+		}()
 	}
 	if stopped {
 		return &InterruptedError{Superstep: step, CheckpointPath: path}
@@ -374,13 +404,36 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64
 	return nil
 }
 
+// write persists s as its boundary's periodic checkpoint and prunes the
+// directory.
+func (ck *ckptRun) write(s *ckpt.Snapshot) (string, error) {
+	p := ck.policy
+	path, err := ck.w.WriteFile(p.Dir, s, ckpt.FileName(s.Step), p.Hooks)
+	if err != nil {
+		return "", err
+	}
+	return path, ckpt.Prune(p.Dir, p.Keep)
+}
+
+// join waits for the write in flight, if any, and returns its error.
+func (ck *ckptRun) join() error {
+	if ck == nil || ck.writing == nil {
+		return nil
+	}
+	err := <-ck.writing
+	ck.writing = nil
+	return err
+}
+
 // emergency persists the run's boundary snapshot because the superstep
-// after it trapped.
+// after it trapped. The trap is what the run reports, so the error of a
+// periodic write still in flight is dropped.
 func (ck *ckptRun) emergency() string {
 	if ck == nil {
 		return ""
 	}
-	return writeEmergency(ck.policy, ck.snap)
+	ck.join()
+	return writeEmergency(&ck.w, ck.policy, ck.snap)
 }
 
 // writeEmergency writes snap — the last completed boundary — as an
@@ -389,11 +442,11 @@ func (ck *ckptRun) emergency() string {
 // reported, and a failing emergency write must not mask it. The retry
 // supervisor's post-init snapshot (Step = -1) is in-memory only: no
 // boundary has completed, so there is nothing a resume could consume.
-func writeEmergency(p *ckpt.Policy, snap *ckpt.Snapshot) string {
+func writeEmergency(w *ckpt.Writer, p *ckpt.Policy, snap *ckpt.Snapshot) string {
 	if p == nil || snap == nil || snap.Step < 0 {
 		return ""
 	}
-	path, err := ckpt.WriteFile(p.Dir, snap, ckpt.EmergencyFileName(snap.Step), p.Hooks)
+	path, err := w.WriteFile(p.Dir, snap, ckpt.EmergencyFileName(snap.Step), p.Hooks)
 	if err != nil {
 		return ""
 	}
@@ -411,7 +464,8 @@ func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 	}
 	// The loaded snapshot doubles as the resumed run's first boundary
 	// snapshot, so retry can roll back — and an emergency checkpoint can be
-	// written — before the first post-resume boundary refreshes it.
+	// written — before the first post-resume boundary refreshes it. It then
+	// joins the cycle: the second post-resume boundary refills its arrays.
 	ck.publish(s)
 	return s, nil
 }

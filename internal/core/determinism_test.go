@@ -317,7 +317,7 @@ func TestBitmapWordEdges(t *testing.T) {
 
 					if base.Supersteps <= 1<<10 {
 						// Every boundary, checked as the checkpoint writer encodes it.
-						tap := &haltedTap{t: t}
+						tap := &haltedTap{}
 						c = cfg()
 						c.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), Keep: 1, Hooks: &ckpt.Hooks{WrapWrite: func(_ int64, w io.Writer) io.Writer {
 							tap.writes = 0
@@ -325,8 +325,14 @@ func TestBitmapWordEdges(t *testing.T) {
 						}}}
 						res, ph, err = runRec(g, 8, c)
 						same("checkpointed", res, ph, err)
-						if tap.boundaries != base.Supersteps-1 {
-							t.Fatalf("checked %d boundaries, the run has %d", tap.boundaries, base.Supersteps-1)
+						if tap.err != nil {
+							t.Fatal(tap.err)
+						}
+						for _, s := range tap.snaps {
+							checkBitmaps(t, s)
+						}
+						if len(tap.snaps) != base.Supersteps-1 {
+							t.Fatalf("checked %d boundaries, the run has %d", len(tap.snaps), base.Supersteps-1)
 						}
 					}
 
@@ -393,11 +399,13 @@ func bfsReceivers(g *graph.Graph) (active, first []int64) {
 }
 
 // haltedTap reads each boundary's checkpoint payload as the writer encodes
-// it — the second Write of a checkpoint file, after its header — and checks
-// its bitmaps.
+// it — the second Write of a checkpoint file, after its header — and keeps
+// it decoded for checkBitmaps once the run has returned: the write runs on
+// the checkpoint writer's goroutine, where a test may not stop.
 type haltedTap struct {
-	t                  *testing.T
-	writes, boundaries int
+	writes int
+	snaps  []*ckpt.Snapshot
+	err    error
 }
 
 func (h *haltedTap) Write(b []byte) (int, error) {
@@ -405,11 +413,10 @@ func (h *haltedTap) Write(b []byte) (int, error) {
 		return len(b), nil
 	}
 	s, err := ckpt.Decode(b, "tap")
-	if err != nil {
-		h.t.Fatalf("boundary %d: %v", h.boundaries, err)
+	if err != nil && h.err == nil {
+		h.err = fmt.Errorf("boundary %d: %w", len(h.snaps), err)
 	}
-	checkBitmaps(h.t, s)
-	h.boundaries++
+	h.snaps = append(h.snaps, s)
 	return len(b), nil
 }
 

@@ -260,6 +260,10 @@ func Run(cfg Config) (*Result, error) {
 	// channel, no resume, no supervisor) costs one pointer check per
 	// superstep boundary.
 	ck := startCkpt(&cfg, g, maxSteps, maxMsgs, costs, sup)
+	// No checkpoint write outlives Run: the caller owns the Result arrays a
+	// snapshot references. A successful run collects the write's error
+	// below; every other exit already has an error to report.
+	defer ck.join()
 	var resumeSnap *ckpt.Snapshot
 	switch {
 	case cfg.Resume != "":
@@ -705,6 +709,9 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
+	}
+	if err := ck.join(); err != nil {
+		return nil, err
 	}
 	if sup != nil && sup.maxRetries > 0 {
 		res.RetriesPerStep = sup.retries

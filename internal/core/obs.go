@@ -30,7 +30,8 @@ const (
 	obsPhaseWorklist  = "worklist"  // sparse-activation worklist build
 
 	// obsPhaseCheckpoint is emitted only when a checkpoint policy is
-	// configured (the superstep-boundary snapshot + write).
+	// configured: the boundary's snapshot, and any wait for the previous
+	// boundary's write (which otherwise runs beside the sweep).
 	obsPhaseCheckpoint = "checkpoint"
 )
 

@@ -193,7 +193,7 @@ func TestScheduleFingerprintMismatch(t *testing.T) {
 		}
 		for _, name := range tc.oldNames {
 			snap.FP.Schedule = name
-			old, err := ckpt.WriteFile(t.TempDir(), snap, "old.gxckpt", nil)
+			old, err := new(ckpt.Writer).WriteFile(t.TempDir(), snap, "old.gxckpt", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,9 +20,10 @@ package core
 // is set. It observes superstep progress through two atomics the engine
 // updates at superstep entry, and on expiry persists what it can — an
 // emergency checkpoint of the last boundary snapshot (via an atomic
-// pointer; nothing a published snapshot can reach is written again while
-// the run lasts, and stop joins the goroutine before Run hands the Result's
-// arrays to its caller) and a flight-recorder dump — then latches a stall
+// pointer; the write pins that snapshot, no boundary refills a pinned
+// snapshot's arrays until the write ends, and stop joins the goroutine
+// before Run hands the Result's arrays to its caller) and a
+// flight-recorder dump — then latches a stall
 // flag the engine turns into a typed *TimeoutError. A superstep that never
 // finishes cannot return an error, but its artifacts are already on disk.
 //
@@ -73,9 +74,9 @@ type supRun struct {
 	retries []int64
 
 	// Watchdog plumbing. lastSnap is the newest boundary snapshot
-	// (ckptRun.publish; immutable once published), stepMark/curStep are the
-	// in-flight superstep's start time and index, fired latches the
-	// one-shot stall. done stops the goroutine and exited reports it gone.
+	// (ckptRun.publish), stepMark/curStep are the in-flight superstep's
+	// start time and index, fired latches the one-shot stall. done stops
+	// the goroutine and exited reports it gone.
 	o        *obsRun
 	policy   *ckpt.Policy
 	lastSnap atomic.Pointer[ckpt.Snapshot]
@@ -85,7 +86,14 @@ type supRun struct {
 	done     chan struct{}
 	exited   chan struct{}
 
+	// pinned is the snapshot the stall's emergency write reads, taken from
+	// lastSnap under mu, and written is closed when that write ends. fired
+	// latches only after the write, so a superstep that stalls and then
+	// completes can reach further boundaries meanwhile; release keeps them
+	// from refilling the pinned snapshot's arrays.
 	mu          sync.Mutex
+	pinned      *ckpt.Snapshot
+	written     chan struct{}
 	stallStep   int
 	stallCkpt   string
 	stallFlight string
@@ -113,7 +121,7 @@ func (sp *supRun) startWatchdog(o *obsRun, p *ckpt.Policy) {
 		return
 	}
 	sp.o, sp.policy = o, p
-	sp.done, sp.exited = make(chan struct{}), make(chan struct{})
+	sp.done, sp.exited, sp.written = make(chan struct{}), make(chan struct{}), make(chan struct{})
 	tick := sp.stepTimeout / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
@@ -158,12 +166,18 @@ func (sp *supRun) watch(tick time.Duration) {
 }
 
 // fire persists the stall artifacts and latches the flag. Runs on the
-// watchdog goroutine: it touches only the atomic snapshot pointer (nothing
-// it reaches is written after publication), the checkpoint directory, and
-// the flight recorder (internally locked).
+// watchdog goroutine: it touches only the snapshot it pins (whose arrays
+// no boundary refills until the write ends), the checkpoint directory, and
+// the flight recorder (internally locked). The emergency write has a
+// payload buffer of its own: the engine's may be in use.
 func (sp *supRun) fire() {
 	step := int(sp.curStep.Load())
-	ckptPath := writeEmergency(sp.policy, sp.lastSnap.Load())
+	sp.mu.Lock()
+	snap := sp.lastSnap.Load()
+	sp.pinned = snap
+	sp.mu.Unlock()
+	ckptPath := writeEmergency(new(ckpt.Writer), sp.policy, snap)
+	close(sp.written)
 	var flightPath string
 	if sp.policy != nil {
 		flightPath = sp.o.flightDump(sp.policy.Dir,
@@ -173,6 +187,21 @@ func (sp *supRun) fire() {
 	sp.stallStep, sp.stallCkpt, sp.stallFlight = step, ckptPath, flightPath
 	sp.mu.Unlock()
 	sp.fired.Store(true)
+}
+
+// release returns once no emergency write reads s, so that record may
+// refill its arrays. s is never the newest snapshot, so a write that has
+// not pinned it yet never will.
+func (sp *supRun) release(s *ckpt.Snapshot) {
+	if sp.stepTimeout <= 0 {
+		return
+	}
+	sp.mu.Lock()
+	pinned := sp.pinned == s
+	sp.mu.Unlock()
+	if pinned {
+		<-sp.written
+	}
 }
 
 // beginStep marks a superstep's entry for the watchdog.

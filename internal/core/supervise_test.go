@@ -8,12 +8,15 @@ package core_test
 // See docs/ROBUSTNESS.md.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -397,6 +400,82 @@ func TestWatchdogStall(t *testing.T) {
 		t.Fatal("resumed Result differs from unstalled run")
 	}
 	comparePhases(t, basePh, ph)
+}
+
+// TestWatchdogWriteOutlivesStall: the watchdog fires on a superstep that
+// then completes, and its emergency write of the last boundary is held
+// open while the run records further boundaries. A boundary refills the
+// arrays of the snapshot two back, so the one the write reads comes up for
+// reuse at the second boundary after it, which must wait for the write;
+// the first may not. The emergency file is, byte for byte, the periodic
+// checkpoint of the boundary it names. Meant to be run under -race too.
+func TestWatchdogWriteOutlivesStall(t *testing.T) {
+	const stall = 3 // the stalled superstep; its emergency write holds boundary 2
+	plan, err := faultinject.ParsePlan(fmt.Sprintf("slowstep@%d:400", stall))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		wrapped = map[int64]int{}
+		during  int // boundaries written while the emergency write was held
+	)
+	reuse := make(chan struct{}) // the write of the boundary that reuses the pinned arrays
+	hooks := &ckpt.Hooks{WrapWrite: func(step int64, w io.Writer) io.Writer {
+		if strings.HasPrefix(filepath.Base(w.(*os.File).Name()), "emergency-") {
+			if step != stall-1 {
+				t.Errorf("emergency write of boundary %d, want %d", step, stall-1)
+				return w
+			}
+			// The watchdog's write, called before it reads the snapshot.
+			select {
+			case <-reuse:
+			case <-time.After(time.Second):
+			}
+			mu.Lock()
+			during = wrapped[stall]
+			mu.Unlock()
+			return w
+		}
+		mu.Lock()
+		wrapped[step]++
+		mu.Unlock()
+		if step == stall+1 {
+			close(reuse)
+		}
+		return w
+	}}
+	dir := t.TempDir()
+	cfg := core.Config{
+		Program:     plan.WrapProgram(bspalg.BFSProgram{Source: 0}),
+		StepTimeout: 100 * time.Millisecond,
+		Checkpoint:  &ckpt.Policy{Dir: dir, Hooks: hooks},
+	}
+	_, _, err = runRec(gen.Path(200), 2, cfg)
+	var te *core.TimeoutError
+	if !errors.As(err, &te) || !te.Stalled || te.Superstep != stall {
+		t.Fatalf("want a stall TimeoutError at superstep %d, got %v", stall, err)
+	}
+	if want := filepath.Join(dir, ckpt.EmergencyFileName(stall-1)); te.CheckpointPath != want {
+		t.Fatalf("emergency checkpoint %q, want %q", te.CheckpointPath, want)
+	}
+	if during != 1 {
+		t.Errorf("the boundary after the stalled superstep was written %d times while the emergency write was held, want 1", during)
+	}
+	emergency, err := os.ReadFile(te.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periodic, err := os.ReadFile(filepath.Join(dir, ckpt.FileName(stall-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(emergency, periodic) {
+		t.Fatalf("emergency checkpoint (%d bytes) differs from the periodic checkpoint of boundary %d (%d bytes)", len(emergency), stall-1, len(periodic))
+	}
+	if s, err := ckpt.Load(te.CheckpointPath); err != nil || s.Step != stall-1 {
+		t.Fatalf("Load(emergency) = step %v, %v", s, err)
+	}
 }
 
 // TestWatchdogStalledTerminalSuperstep: a stall during the final superstep

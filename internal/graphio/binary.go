@@ -72,13 +72,21 @@ func writeBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
+// writeInt64s writes s as little-endian bytes, converted 32 KiB at a time
+// over a re-sliced source/destination pair, so w sees one call per block
+// rather than one per value.
 func writeInt64s(w io.Writer, s []int64) error {
-	var buf [8]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		if _, err := w.Write(buf[:]); err != nil {
+	var buf [1 << 15]byte
+	for len(s) > 0 {
+		blk := s[:min(len(s), len(buf)/8)]
+		out := buf[:8*len(blk)]
+		for i, x := range blk {
+			binary.LittleEndian.PutUint64(out[8*i:8*i+8], uint64(x))
+		}
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
+		s = s[len(blk):]
 	}
 	return nil
 }

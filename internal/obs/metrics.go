@@ -86,7 +86,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		amortized:   reg.Gauge("graphxmt_batch_amortized_edges_per_query", "logical sends divided by lane occupancy for the last completed batched run"),
 		stepWall:    reg.Histogram("graphxmt_superstep_wall_us", "superstep wall time (sum of engine phase spans), microseconds", metrics.DurationBounds),
 		runWall:     reg.Histogram("graphxmt_run_wall_us", "whole-run wall time, microseconds", metrics.DurationBounds),
-		ckptWall:    reg.Histogram("graphxmt_checkpoint_write_us", "checkpoint snapshot+write latency, microseconds", metrics.DurationBounds),
+		ckptWall:    reg.Histogram("graphxmt_checkpoint_write_us", "checkpoint boundary latency on the engine (snapshot, and any wait for the previous write), microseconds", metrics.DurationBounds),
 	}
 	m.push, m.pull = dirCounter(reg, "push"), dirCounter(reg, "pull")
 	return m
