@@ -44,8 +44,8 @@ func multiTestSources(n int64) []int64 {
 // every lane of a batched run unpacks to distances bit-identical to an
 // independent single-source BFS, across worker counts and graph
 // representations. (The per-edge broadcast treatment and the forced
-// directions are core's to set: core's TestMultiBFSExpandedBroadcasts and
-// TestPushPullEquivalence.)
+// directions are core's to set: the bfs-batch and reach rows of core's
+// TestEngineMatrix.)
 func TestMultiBFSEquivalenceMatrix(t *testing.T) {
 	flat := multiTestGraph(t, 11)
 	comp, err := graph.Compress(flat)
@@ -136,7 +136,7 @@ func (s *laneSink) RunEnd(time.Duration)   {}
 // TestMultiBFSObsLanes: the obs layer reports lane occupancy at RunStart
 // and a per-superstep active-lane count within it. (That the count is a
 // pure function of the logical traffic, identical under the per-edge
-// broadcast treatment, is core's TestMultiBFSExpandedBroadcasts.)
+// broadcast treatment, is core's TestEngineMatrix: bfs-batch and reach.)
 func TestMultiBFSObsLanes(t *testing.T) {
 	g := multiTestGraph(t, 10)
 	plan, err := batch.NewPlan(multiTestSources(g.NumVertices()), g.NumVertices())

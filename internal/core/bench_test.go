@@ -8,7 +8,7 @@ package core_test
 //
 // Run with -bench Engine; compare par.SetWorkers(1) against the default to
 // see the host-parallel speedup. Simulated results and profiles are
-// identical at any worker count (see determinism_test.go).
+// identical at any worker count (see matrix_test.go).
 
 import (
 	"fmt"
@@ -274,7 +274,7 @@ func BenchmarkEngineBcastStarFloodCombiner(b *testing.B) {
 // oracle (core.ForceDirection). The decided run executes apex supersteps as
 // pull sweeps over sorted adjacency instead of scattering every frontier
 // record through per-vertex counting sort; results and profiles are
-// bit-identical (direction_test.go), so the Auto/Push ratio is pure delivery
+// bit-identical (matrix_test.go), so the Auto/Push ratio is pure delivery
 // cost on identical work.
 func BenchmarkEngineDirBFSAuto(b *testing.B) {
 	g := engineGraph(b)

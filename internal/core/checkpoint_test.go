@@ -1,63 +1,88 @@
-package core
+package core_test
+
+// What a supervised boundary allocates: not more with the supersteps
+// already completed, nor with the graph or its traffic.
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
+	"graphxmt/internal/bspalg"
 	"graphxmt/internal/ckpt"
+	"graphxmt/internal/core"
 	"graphxmt/internal/gen"
+	"graphxmt/internal/graph"
 )
+
+// allocated is what a run of mk's program on g at one worker allocates,
+// cut off by MaxSupersteps at steps.
+func allocated(t *testing.T, g *graph.Graph, mk func() core.Config, steps int) int64 {
+	t.Helper()
+	cfg := mk()
+	cfg.MaxSupersteps = steps
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := runRec(g, 1, cfg)
+	runtime.ReadMemStats(&after)
+	var be *core.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("MaxSupersteps=%d: want BudgetError, got %v", steps, err)
+	}
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestBoundaryAllocIndependentOfHistory: a BFS wave relayed down a path,
+// one vertex a superstep, under retry (so every boundary is recorded) with
+// a recorder (so the profile is history too), cut off by MaxSupersteps at S
+// and at 2S. A boundary costs O(n + traffic), so the run that is twice as
+// long allocates twice as much; when every boundary re-copied the history
+// it allocated close to four times as much.
+func TestBoundaryAllocIndependentOfHistory(t *testing.T) {
+	const steps = 1000
+	g := gen.Path(2*steps + 100)
+	mk := func() core.Config {
+		return core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: true, MaxRetries: 1}
+	}
+	allocated(t, g, mk, steps) // warm the engine's pools
+	short, long := allocated(t, g, mk, steps), allocated(t, g, mk, 2*steps)
+	if float64(long) > 2.5*float64(short) {
+		t.Fatalf("%d supersteps allocated %d B, %d supersteps %d B: %.2fx, want <= 2.5x — the boundary snapshot is re-copying history",
+			2*steps, long, steps, short, float64(long)/float64(short))
+	}
+}
+
+// boundaryLoad keeps every vertex awake and every boundary full: every
+// other vertex broadcasts and every 32nd sends a unicast, each superstep.
+type boundaryLoad struct{}
+
+func (boundaryLoad) InitialState(*graph.Graph, int64) int64 { return 0 }
+func (boundaryLoad) Compute(v *core.VertexContext) {
+	v.SetState(v.State() + int64(len(v.Messages())))
+	if v.ID()%2 == 0 {
+		v.SendToNeighbors(v.ID())
+	}
+	if v.ID()%32 == 0 {
+		v.Send(v.ID()*7919%v.NumVertices(), v.ID())
+	}
+}
 
 // TestBoundaryAllocationIsConstant: from the third boundary on, a
 // checkpointed boundary refills the arrays of the snapshot two back and
 // encodes into the run's payload buffer, so what it allocates does not
 // grow with the graph or its traffic. At 2^17 vertices one copy of the
-// states is 1 MiB and the payload 2.6 MiB; a boundary — record, and the
-// periodic write it starts, joined, with a prune that verifies — must stay
-// under 64 KiB.
+// states is 1 MiB and the payload over 2 MiB; the eight boundaries a run
+// of twelve supersteps has past a run of four's — each a record, a
+// periodic write and a prune that verifies, with the superstep before it —
+// must stay under 64 KiB apiece.
 func TestBoundaryAllocationIsConstant(t *testing.T) {
-	const n = 1 << 17
-	g := gen.Path(n)
-	tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
-	for v := range int64(4096) {
-		tr.sends.add(v*7919%n, v)
+	g := gen.Path(1 << 17)
+	mk := func() core.Config {
+		return core.Config{Program: boundaryLoad{}, Checkpoint: &ckpt.Policy{Dir: t.TempDir(), Keep: 2}}
 	}
-	tr.sends.seal()
-	for v := int64(0); v < n; v += 2 {
-		tr.bcasts = append(tr.bcasts, bcastRec{src: v, val: v, seq: tr.sends.sealed})
-	}
-	res := &Result{States: make([]int64, n)}
-	halted := make([]uint64, n/64)
-	master := &engineState{graph: g, states: res.States,
-		aggregates:     map[string]*aggregator{"sum": {value: 1, seeded: true}},
-		prevAggregates: map[string]int64{"sum": 0}}
-	ds := startDir(&Config{}, g)
-	ck := &ckptRun{policy: &ckpt.Policy{Dir: t.TempDir(), Keep: 2}, everyN: 1}
-
-	var before, after runtime.MemStats
-	for step := range 12 {
-		res.States[step] = int64(step + 1)
-		halted[step] = 1
-		res.ActivePerStep = append(res.ActivePerStep, n)
-		res.MessagesPerStep = append(res.MessagesPerStep, n)
-		res.DeliveredPerStep = append(res.DeliveredPerStep, n)
-		res.DirectionPerStep = append(res.DirectionPerStep, DirPush)
-		runtime.ReadMemStats(&before)
-		err := ck.atBoundary(step, n-int64(step+1), res, halted, tr, master, ds, nil)
-		if err == nil {
-			err = ck.join() // the boundary's write, whole
-		}
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("boundary %d: %d B", step, got)
-		if step >= 2 && got > 64<<10 {
-			t.Errorf("boundary %d allocated %d B; from the third boundary on, want under 64 KiB", step, got)
-		}
-		if s := ck.snap; s.Step != int64(step) || s.States[step] != int64(step+1) || len(s.BcastSrc) != len(tr.bcasts) {
-			t.Fatalf("boundary %d: snapshot holds step %d", step, s.Step)
-		}
+	allocated(t, g, mk, 4) // warm the engine's pools
+	short, long := allocated(t, g, mk, 4), allocated(t, g, mk, 12)
+	if per := (long - short) / 8; per > 64<<10 {
+		t.Errorf("a boundary allocated %d B; from the third boundary on, want under 64 KiB (4 supersteps %d B, 12 %d B)", per, short, long)
 	}
 }

@@ -1,510 +1,272 @@
-package core
+package core_test
+
+// The programming model's semantics on small hand-checked runs: halting,
+// message delivery and reactivation, aggregators, combiners, budgets and the
+// charged profile.
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"graphxmt/internal/bspalg"
+	"graphxmt/internal/core"
 	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
+	"graphxmt/internal/par"
 	"graphxmt/internal/trace"
 )
 
-// haltProgram votes to halt immediately without sending.
-type haltProgram struct{}
+// program is a Program built from its Compute.
+type program func(v *core.VertexContext)
 
-func (haltProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (haltProgram) Compute(v *VertexContext)               { v.VoteToHalt() }
+func (program) InitialState(*graph.Graph, int64) int64 { return 0 }
+func (p program) Compute(v *core.VertexContext)        { p(v) }
 
-func TestRunTerminatesWhenAllHalt(t *testing.T) {
-	g := gen.Ring(8)
-	res, err := Run(Config{Graph: g, Program: haltProgram{}})
-	if err != nil {
-		t.Fatal(err)
+// pingProgram: vertex 0 sends 42 to its neighbors in superstep 0;
+// receivers record the largest message and halt.
+func pingProgram(v *core.VertexContext) {
+	if v.Superstep() == 0 && v.ID() == 0 {
+		v.SendToNeighbors(42)
 	}
-	if res.Supersteps != 1 {
-		t.Fatalf("supersteps = %d, want 1", res.Supersteps)
+	for _, m := range v.Messages() {
+		v.SetState(max(v.State(), m))
 	}
-	if res.ActivePerStep[0] != 8 {
-		t.Fatalf("superstep 0 active = %d, want all", res.ActivePerStep[0])
-	}
+	v.VoteToHalt()
 }
 
-// pingProgram: vertex 0 sends its ID to neighbors at step 0; receivers
-// record the max message then halt.
-type pingProgram struct{}
-
-func (pingProgram) InitialState(*graph.Graph, int64) int64 { return -1 }
-func (pingProgram) Compute(v *VertexContext) {
-	if v.Superstep() == 0 {
-		if v.ID() == 0 {
-			v.SendToNeighbors(42)
+// relay forwards a token along a ring for hops hops: halted vertices are
+// reactivated by messages. A vertex's state counts its visits.
+func relay(hops int64) program {
+	return func(v *core.VertexContext) {
+		if v.Superstep() == 0 && v.ID() == 0 {
+			v.Send(1, 1)
+		}
+		for _, m := range v.Messages() {
+			v.SetState(v.State() + 1)
+			if m < hops {
+				v.Send((v.ID()+1)%v.NumVertices(), m+1)
+			}
 		}
 		v.VoteToHalt()
-		return
-	}
-	best := v.State()
-	for _, m := range v.Messages() {
-		if m > best {
-			best = m
-		}
-	}
-	v.SetState(best)
-	v.VoteToHalt()
-}
-
-func TestMessagesCrossSuperstepBoundary(t *testing.T) {
-	g := gen.Star(5) // 0 is the hub
-	res, err := Run(Config{Graph: g, Program: pingProgram{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supersteps != 2 {
-		t.Fatalf("supersteps = %d, want 2", res.Supersteps)
-	}
-	for v := int64(1); v < 5; v++ {
-		if res.States[v] != 42 {
-			t.Fatalf("state[%d] = %d, want 42", v, res.States[v])
-		}
-	}
-	if res.States[0] != -1 {
-		t.Fatalf("hub state = %d, want unchanged", res.States[0])
-	}
-	// Only vertices with messages run in superstep 1.
-	if res.ActivePerStep[1] != 4 {
-		t.Fatalf("superstep 1 active = %d, want 4", res.ActivePerStep[1])
-	}
-	if res.MessagesPerStep[0] != 4 || res.MessagesPerStep[1] != 0 {
-		t.Fatalf("messages = %v", res.MessagesPerStep)
 	}
 }
 
-// relayProgram forwards a token along a ring exactly k hops, proving that
-// halted vertices are reactivated by messages.
-type relayProgram struct{ hops int64 }
-
-func (relayProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (p relayProgram) Compute(v *VertexContext) {
-	if v.Superstep() == 0 {
-		if v.ID() == 0 {
-			v.Send((v.ID()+1)%v.NumVertices(), 1)
-		}
-		v.VoteToHalt()
-		return
+// TestRunSemantics runs small programs whose every outcome is known.
+func TestRunSemantics(t *testing.T) {
+	halt := program(func(v *core.VertexContext) { v.VoteToHalt() })
+	var inbox []int64 // what vertex 0 received, in order
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		prog core.Program
+		want func(res *core.Result) bool
+	}{
+		{"all-halt", gen.Ring(8), halt, func(r *core.Result) bool { return r.Supersteps == 1 && r.ActivePerStep[0] == 8 }},
+		{"empty-graph", graph.MustBuild(0, nil, graph.BuildOptions{}), halt, func(r *core.Result) bool {
+			return r.Supersteps == 1 && len(r.States) == 0
+		}},
+		// Only vertices with messages run in superstep 1; the hub keeps 0.
+		{"messages-cross-the-boundary", gen.Star(5), program(pingProgram), func(r *core.Result) bool {
+			return r.Supersteps == 2 && slices.Equal(r.States, []int64{0, 42, 42, 42, 42}) &&
+				r.ActivePerStep[1] == 4 && slices.Equal(r.MessagesPerStep, []int64{4, 0})
+		}},
+		// The token visits 1, 2, 3, 4, 0, 1, 2; termination is detected
+		// within the final superstep, so 7 hops take 8 supersteps.
+		{"halted-reactivate", gen.Ring(5), relay(7), func(r *core.Result) bool {
+			return slices.Equal(r.States, []int64{1, 2, 2, 1, 1}) && r.Supersteps == 8
+		}},
+		// A vertex may message any vertex it can identify: 3 is no
+		// neighbor of 0 on the path.
+		{"send-to-any-vertex", gen.Path(4), program(func(v *core.VertexContext) {
+			if v.Superstep() == 0 && v.ID() == 0 {
+				v.Send(3, 99)
+			}
+			for _, m := range v.Messages() {
+				v.SetState(m)
+			}
+			v.VoteToHalt()
+		}), func(r *core.Result) bool { return r.States[3] == 99 }},
+		{"aggregators", gen.Star(6), program(func(v *core.VertexContext) {
+			v.Aggregate("degsum", v.Degree(), core.Sum)
+			v.Aggregate("maxid", v.ID(), func(a, b int64) int64 { return max(a, b) })
+			v.Aggregate("minid", v.ID(), core.Min)
+			v.VoteToHalt()
+		}), func(r *core.Result) bool {
+			return r.Aggregates["degsum"] == 10 && r.Aggregates["maxid"] == 5 && r.Aggregates["minid"] == 0
+		}},
+		// Delivery is stable, so an inbox holds its messages in global send
+		// order — vertex order within a superstep — a guarantee programs may
+		// rely on for reproducibility (not for semantics).
+		{"inbox-send-order", gen.Ring(6), program(func(v *core.VertexContext) {
+			if v.Superstep() == 0 {
+				v.Send(0, v.ID())
+			} else if v.ID() == 0 {
+				inbox = append(inbox, v.Messages()...)
+			}
+			v.VoteToHalt()
+		}), func(*core.Result) bool { return slices.Equal(inbox, []int64{0, 1, 2, 3, 4, 5}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Run(core.Config{Graph: tc.g, Program: tc.prog})
+			if err != nil || !tc.want(res) {
+				t.Fatalf("%+v, %v", res, err)
+			}
+		})
 	}
-	for _, m := range v.Messages() {
-		v.SetState(v.State() + 1)
-		if m < p.hops {
-			v.Send((v.ID()+1)%v.NumVertices(), m+1)
-		}
-	}
-	v.VoteToHalt()
 }
 
-func TestHaltedVerticesReactivateOnMessage(t *testing.T) {
-	g := gen.Ring(5)
-	res, err := Run(Config{Graph: g, Program: relayProgram{hops: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Token visits vertices 1,2,3,4,0,1,2 — vertex 1 and 2 twice.
-	if res.States[1] != 2 || res.States[2] != 2 || res.States[3] != 1 {
-		t.Fatalf("states = %v", res.States)
-	}
-	// Step 0 plus 7 hop steps; termination is detected within the final
-	// superstep (no extra empty step runs).
-	if res.Supersteps != 8 {
-		t.Fatalf("supersteps = %d", res.Supersteps)
-	}
-}
-
-// floodMin floods the minimum ID; used to test combiners (min-combinable).
-type floodMin struct{}
-
-func (floodMin) InitialState(_ *graph.Graph, v int64) int64 { return v }
-func (floodMin) Compute(v *VertexContext) {
-	changed := false
-	st := v.State()
-	for _, m := range v.Messages() {
-		if m < st {
-			st = m
-			changed = true
+// TestRunErrors: a run without a graph or a program, one that outruns
+// MaxSupersteps and one that sends past MaxMessagesPerSuperstep fail.
+func TestRunErrors(t *testing.T) {
+	chatty := program(func(v *core.VertexContext) { v.SendToNeighbors(1) })
+	for want, cfg := range map[string]core.Config{
+		"nil graph":   {Program: chatty},
+		"nil program": {Graph: gen.Ring(4)},
+		"convergence": {Graph: gen.Ring(4), Program: chatty, MaxSupersteps: 5},
+		"cap":         {Graph: gen.Complete(16), Program: chatty, MaxSupersteps: 3, MaxMessagesPerSuperstep: 10},
+	} {
+		if _, err := core.Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v", want, err)
 		}
 	}
-	if changed {
-		v.SetState(st)
-	}
-	if v.Superstep() == 0 || changed {
-		v.SendToNeighbors(st)
-	}
-	v.VoteToHalt()
 }
 
+// TestCombinerPreservesResult: combining gives the same states in as many
+// supersteps, and never delivers more.
 func TestCombinerPreservesResult(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 9, EdgeFactor: 6, Seed: 12})
+	g := rmat(t, 9, 12)
+	plain, err := core.Run(core.Config{Graph: g, Program: minFlood{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(Config{Graph: g, Program: floodMin{}})
+	combined, err := core.Run(core.Config{Graph: g, Program: minFlood{}, Combiner: core.Min})
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := Run(Config{Graph: g, Program: floodMin{}, Combiner: Min})
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(plain.States, combined.States) || plain.Supersteps != combined.Supersteps {
+		t.Fatalf("combining changed the result: %d vs %d supersteps", plain.Supersteps, combined.Supersteps)
 	}
-	for v := range plain.States {
-		if plain.States[v] != combined.States[v] {
-			t.Fatalf("state[%d]: %d vs %d", v, plain.States[v], combined.States[v])
-		}
-	}
-	if plain.Supersteps != combined.Supersteps {
-		t.Fatalf("supersteps differ: %d vs %d", plain.Supersteps, combined.Supersteps)
-	}
-	// Combining must not increase delivered messages.
 	for i := range combined.DeliveredPerStep {
 		if combined.DeliveredPerStep[i] > plain.DeliveredPerStep[i] {
-			t.Fatalf("step %d: combined delivered %d > plain %d",
-				i, combined.DeliveredPerStep[i], plain.DeliveredPerStep[i])
+			t.Fatalf("step %d: combined delivered %d > plain %d", i, combined.DeliveredPerStep[i], plain.DeliveredPerStep[i])
 		}
-	}
-}
-
-// aggProgram exercises aggregators.
-type aggProgram struct{}
-
-func (aggProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (aggProgram) Compute(v *VertexContext) {
-	v.Aggregate("degsum", v.Degree(), Sum)
-	v.Aggregate("maxid", v.ID(), func(a, b int64) int64 { return max(a, b) })
-	v.Aggregate("minid", v.ID(), Min)
-	v.VoteToHalt()
-}
-
-func TestAggregators(t *testing.T) {
-	g := gen.Star(6)
-	res, err := Run(Config{Graph: g, Program: aggProgram{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aggregates["degsum"] != g.NumEdges() {
-		t.Fatalf("degsum = %d, want %d", res.Aggregates["degsum"], g.NumEdges())
-	}
-	if res.Aggregates["maxid"] != 5 || res.Aggregates["minid"] != 0 {
-		t.Fatalf("aggregates = %v", res.Aggregates)
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	g := gen.Ring(4)
-	if _, err := Run(Config{Program: haltProgram{}}); err == nil {
-		t.Fatal("nil graph should error")
-	}
-	if _, err := Run(Config{Graph: g}); err == nil {
-		t.Fatal("nil program should error")
-	}
-}
-
-// chattyProgram never halts and always sends, to exercise the superstep
-// bound and the message cap.
-type chattyProgram struct{}
-
-func (chattyProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (chattyProgram) Compute(v *VertexContext)               { v.SendToNeighbors(1) }
-
-func TestMaxSuperstepsEnforced(t *testing.T) {
-	g := gen.Ring(4)
-	_, err := Run(Config{Graph: g, Program: chattyProgram{}, MaxSupersteps: 5})
-	if err == nil || !strings.Contains(err.Error(), "convergence") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMessageCapEnforced(t *testing.T) {
-	g := gen.Complete(16)
-	_, err := Run(Config{Graph: g, Program: chattyProgram{}, MaxSupersteps: 3,
-		MaxMessagesPerSuperstep: 10})
-	if err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestProfileCharging(t *testing.T) {
 	g := gen.Star(5)
 	rec := trace.NewRecorder()
-	costs := DefaultCosts()
-	res, err := Run(Config{Graph: g, Program: pingProgram{}, Recorder: rec, Costs: &costs})
+	costs := core.DefaultCosts()
+	res, err := core.Run(core.Config{Graph: g, Program: program(pingProgram), Recorder: rec, Costs: &costs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := rec.PhasesNamed("bsp/superstep")
-	if len(phases) != res.Supersteps {
-		t.Fatalf("phases = %d, supersteps = %d", len(phases), res.Supersteps)
+	phases, scans := rec.PhasesNamed("bsp/superstep"), rec.PhasesNamed("bsp/scan")
+	if len(phases) != res.Supersteps || len(scans) != res.Supersteps {
+		t.Fatalf("%d superstep and %d scan phases, %d supersteps", len(phases), len(scans), res.Supersteps)
 	}
-	n := g.NumVertices()
 	// Every superstep has a scan region covering the full vertex set.
-	scans := rec.PhasesNamed("bsp/scan")
-	if len(scans) != res.Supersteps {
-		t.Fatalf("scan phases = %d, supersteps = %d", len(scans), res.Supersteps)
-	}
+	n := g.NumVertices()
 	for i, sp := range scans {
 		if sp.Loads != costs.ScanLoadsPerVertex*n || sp.Tasks != n {
 			t.Fatalf("scan %d: loads %d tasks %d", i, sp.Loads, sp.Tasks)
 		}
 	}
-	// Superstep 0: all 5 active + 4 sends.
-	p0 := phases[0]
-	wantLoads := costs.ActiveLoadsPerVertex*5 +
-		costs.SendLoadsPerMsg*4 + costs.DeliverLoadsPerMsg*4
-	if p0.Loads != wantLoads {
-		t.Fatalf("superstep 0 loads = %d, want %d", p0.Loads, wantLoads)
+	// Superstep 0: all 5 active + 4 sends. Superstep 1: 4 active receiving
+	// 1 message each, no sends.
+	p0, p1 := phases[0], phases[1]
+	if want := costs.ActiveLoadsPerVertex*5 + costs.SendLoadsPerMsg*4 + costs.DeliverLoadsPerMsg*4; p0.Loads != want {
+		t.Fatalf("superstep 0 loads = %d, want %d", p0.Loads, want)
 	}
-	if p0.Hot[trace.HotMsgCounter] != costs.hotOps(4) {
+	if p0.Hot[trace.HotMsgCounter] != (4+costs.HotMsgChunk-1)/costs.HotMsgChunk {
 		t.Fatalf("superstep 0 hot = %d", p0.Hot[trace.HotMsgCounter])
 	}
-	// Superstep 1: 4 active receiving 1 message each, no sends.
-	p1 := phases[1]
-	wantLoads1 := costs.ActiveLoadsPerVertex*4 + costs.RecvLoadsPerMsg*4
-	if p1.Loads != wantLoads1 {
-		t.Fatalf("superstep 1 loads = %d, want %d", p1.Loads, wantLoads1)
-	}
-	if p1.Stores != costs.ActiveStoresPerVertex*4 {
-		t.Fatalf("superstep 1 stores = %d", p1.Stores)
-	}
-}
-
-func TestDeliverNoCombiner(t *testing.T) {
-	buf := []Message{{Dest: 2, Value: 5}, {Dest: 0, Value: 1}, {Dest: 2, Value: 7}}
-	ib := newInbox(3, nil)
-	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 3), ib, nil, DirAuto)
-	off, val := ib.off, ib.val
-	if delivered != 3 {
-		t.Fatalf("delivered = %d", delivered)
-	}
-	if off[0] != 0 || off[1] != 1 || off[2] != 1 || off[3] != 3 {
-		t.Fatalf("offsets = %v", off)
-	}
-	if val[0] != 1 {
-		t.Fatalf("vertex 0 inbox = %v", val[0:1])
-	}
-	got := val[off[2]:off[3]]
-	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Fatalf("vertex 2 inbox = %v", got)
-	}
-}
-
-func TestDeliverWithCombiner(t *testing.T) {
-	buf := []Message{{Dest: 1, Value: 5}, {Dest: 1, Value: 3}, {Dest: 1, Value: 9}}
-	ib := newInbox(2, Min)
-	delivered, _ := (&runScratch{}).deliver(logTraffic(buf, 2), ib, nil, DirAuto)
-	off, val := ib.off, ib.val
-	if delivered != 1 {
-		t.Fatalf("delivered = %d", delivered)
-	}
-	inbox := val[off[1]:off[2]]
-	if len(inbox) != 1 || inbox[0] != 3 {
-		t.Fatalf("combined inbox = %v", inbox)
-	}
-	if off[1]-off[0] != 0 {
-		t.Fatal("vertex 0 should have empty inbox")
-	}
-}
-
-func TestEmptyGraph(t *testing.T) {
-	g := graph.MustBuild(0, nil, graph.BuildOptions{})
-	res, err := Run(Config{Graph: g, Program: haltProgram{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supersteps != 1 || len(res.States) != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestSendToArbitraryVertex(t *testing.T) {
-	// A vertex may message any vertex it can identify, not only neighbors.
-	g := gen.Path(4)
-	res, err := Run(Config{Graph: g, Program: farSend{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.States[3] != 99 {
-		t.Fatalf("state[3] = %d", res.States[3])
-	}
-}
-
-type farSend struct{}
-
-func (farSend) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (farSend) Compute(v *VertexContext) {
-	if v.Superstep() == 0 && v.ID() == 0 {
-		v.Send(3, 99) // not a neighbor on the path
-	}
-	for _, m := range v.Messages() {
-		v.SetState(m)
-	}
-	v.VoteToHalt()
-}
-
-func TestSparseActivationEquivalence(t *testing.T) {
-	// Sparse activation must not change any observable result: states,
-	// superstep counts, active counts, message counts.
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prog := range []Program{floodMin{}, pingProgram{}, relayProgram{hops: 5}} {
-		full, err := Run(Config{Graph: g, Program: prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := Run(Config{Graph: g, Program: prog, SparseActivation: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Supersteps != sparse.Supersteps {
-			t.Fatalf("%T: supersteps %d vs %d", prog, full.Supersteps, sparse.Supersteps)
-		}
-		for v := range full.States {
-			if full.States[v] != sparse.States[v] {
-				t.Fatalf("%T: state[%d] differs", prog, v)
-			}
-		}
-		for s := range full.ActivePerStep {
-			if full.ActivePerStep[s] != sparse.ActivePerStep[s] {
-				t.Fatalf("%T: active[%d] %d vs %d", prog, s,
-					full.ActivePerStep[s], sparse.ActivePerStep[s])
-			}
-			if full.MessagesPerStep[s] != sparse.MessagesPerStep[s] {
-				t.Fatalf("%T: messages[%d] differ", prog, s)
-			}
-		}
+	if want := costs.ActiveLoadsPerVertex*4 + costs.RecvLoadsPerMsg*4; p1.Loads != want || p1.Stores != costs.ActiveStoresPerVertex*4 {
+		t.Fatalf("superstep 1 loads = %d, stores = %d; want %d, %d", p1.Loads, p1.Stores, want, costs.ActiveStoresPerVertex*4)
 	}
 }
 
 func TestSparseActivationReducesScanCharges(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	g := rmat(t, 10, 3)
+	var scans [2][]*trace.Phase
+	for i, sparse := range []bool{false, true} {
+		rec := trace.NewRecorder()
+		if _, err := core.Run(core.Config{Graph: g, Program: minFlood{}, Recorder: rec, SparseActivation: sparse}); err != nil {
+			t.Fatal(err)
+		}
+		scans[i] = rec.PhasesNamed("bsp/scan")
 	}
-	fullRec := trace.NewRecorder()
-	if _, err := Run(Config{Graph: g, Program: floodMin{}, Recorder: fullRec}); err != nil {
-		t.Fatal(err)
-	}
-	sparseRec := trace.NewRecorder()
-	if _, err := Run(Config{Graph: g, Program: floodMin{}, Recorder: sparseRec,
-		SparseActivation: true}); err != nil {
-		t.Fatal(err)
-	}
-	fullScans := fullRec.PhasesNamed("bsp/scan")
-	sparseScans := sparseRec.PhasesNamed("bsp/scan")
-	if len(fullScans) != len(sparseScans) {
-		t.Fatalf("scan phase counts differ: %d vs %d", len(fullScans), len(sparseScans))
+	if len(scans[0]) != len(scans[1]) {
+		t.Fatalf("scan phase counts differ: %d vs %d", len(scans[0]), len(scans[1]))
 	}
 	// Every full scan covers n vertices; sparse scans cover at most that,
-	// and strictly less in the converged tail.
+	// and a quarter of it at most in the converged tail.
 	n := g.NumVertices()
-	for i := range fullScans {
-		if fullScans[i].Tasks != n {
-			t.Fatalf("full scan %d covers %d, want %d", i, fullScans[i].Tasks, n)
-		}
-		if sparseScans[i].Tasks > n {
-			t.Fatalf("sparse scan %d covers %d > n", i, sparseScans[i].Tasks)
+	for i := range scans[0] {
+		if scans[0][i].Tasks != n || scans[1][i].Tasks > n {
+			t.Fatalf("scan %d covers %d vertices, sparse %d; n = %d", i, scans[0][i].Tasks, scans[1][i].Tasks, n)
 		}
 	}
-	lastSparse := sparseScans[len(sparseScans)-1]
-	if lastSparse.Tasks*4 > n {
-		t.Fatalf("tail sparse scan covers %d of %d vertices; worklist not shrinking",
-			lastSparse.Tasks, n)
+	if last := scans[1][len(scans[1])-1]; last.Tasks*4 > n {
+		t.Fatalf("tail sparse scan covers %d of %d vertices; worklist not shrinking", last.Tasks, n)
 	}
 }
 
-// aggReader checks Pregel aggregator visibility: values aggregated in
-// superstep s are readable in superstep s+1, and nothing is visible at
-// superstep 0.
-type aggReader struct {
-	sawAtStep0 bool
-	read       []int64
-}
-
-func (*aggReader) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (p *aggReader) Compute(v *VertexContext) {
-	if v.Superstep() == 0 {
-		if _, ok := v.PreviousAggregate("count"); ok {
-			p.sawAtStep0 = true
-		}
-	} else if v.ID() == 0 {
-		if val, ok := v.PreviousAggregate("count"); ok {
-			p.read = append(p.read, val)
-		}
-	}
-	v.Aggregate("count", 1, Sum)
-	if v.Superstep() < 2 {
-		v.SendToNeighbors(1) // keep the computation alive two more steps
-	}
-	v.VoteToHalt()
-}
-
+// TestPreviousAggregateVisibility: values aggregated in superstep s are
+// readable in superstep s+1, nothing is visible at superstep 0, and
+// aggregators accumulate over the run.
 func TestPreviousAggregateVisibility(t *testing.T) {
-	g := gen.Ring(5)
-	prog := &aggReader{}
-	res, err := Run(Config{Graph: g, Program: prog})
+	var sawAtStep0 bool
+	var read []int64
+	prog := program(func(v *core.VertexContext) {
+		if val, ok := v.PreviousAggregate("count"); v.Superstep() == 0 {
+			sawAtStep0 = sawAtStep0 || ok
+		} else if v.ID() == 0 && ok {
+			read = append(read, val)
+		}
+		v.Aggregate("count", 1, core.Sum)
+		if v.Superstep() < 2 {
+			v.SendToNeighbors(1) // keep the computation alive two more steps
+		}
+		v.VoteToHalt()
+	})
+	res, err := core.Run(core.Config{Graph: gen.Ring(5), Program: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.sawAtStep0 {
-		t.Fatal("aggregate visible at superstep 0")
-	}
-	if len(prog.read) == 0 {
-		t.Fatal("no aggregate snapshots read")
-	}
-	// After superstep 0 (all 5 vertices aggregated 1), vertex 0 reads 5.
-	if prog.read[0] != 5 {
-		t.Fatalf("superstep-1 snapshot = %d, want 5", prog.read[0])
-	}
-	// Aggregators are cumulative across the run.
 	var totalActive int64
 	for _, a := range res.ActivePerStep {
 		totalActive += a
 	}
-	if res.Aggregates["count"] != totalActive {
-		t.Fatalf("final aggregate %d, want %d", res.Aggregates["count"], totalActive)
+	// After superstep 0 (all 5 vertices aggregated 1), vertex 0 reads 5.
+	if sawAtStep0 || len(read) == 0 || read[0] != 5 || res.Aggregates["count"] != totalActive {
+		t.Fatalf("visible at superstep 0: %v; vertex 0 read %v, want 5 first; final %d, want %d",
+			sawAtStep0, read, res.Aggregates["count"], totalActive)
 	}
 }
 
-// orderProgram records the order messages arrive at vertex 0.
-type orderProgram struct{ got []int64 }
-
-func (*orderProgram) InitialState(*graph.Graph, int64) int64 { return 0 }
-func (p *orderProgram) Compute(v *VertexContext) {
-	if v.Superstep() == 0 {
-		// Every vertex sends its ID to vertex 0; sends happen in
-		// ascending vertex order because the engine runs vertices in
-		// order within a superstep.
-		v.Send(0, v.ID())
-		v.VoteToHalt()
-		return
-	}
-	if v.ID() == 0 {
-		p.got = append(p.got, v.Messages()...)
-	}
-	v.VoteToHalt()
-}
-
-func TestInboxPreservesSendOrder(t *testing.T) {
-	// The delivery counting sort is stable, so a vertex's inbox holds
-	// messages in global send order — a documented determinism guarantee
-	// programs may rely on for reproducibility (not for semantics).
-	g := gen.Ring(6)
-	prog := &orderProgram{}
-	if _, err := Run(Config{Graph: g, Program: prog}); err != nil {
+// TestUnicastLogConcurrentRuns: runs in one process share the block and
+// flat-buffer pools; a block owned twice would corrupt somebody's count.
+func TestUnicastLogConcurrentRuns(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 16, Seed: 7})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.got) != 6 {
-		t.Fatalf("messages = %v", prog.got)
+	want := graph.ReferenceTriangles(g)
+	defer par.SetWorkers(par.SetWorkers(3))
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 3; j++ {
+				if tc, err := bspalg.Triangles(g, nil); err != nil || tc.Count != want {
+					t.Errorf("concurrent run: %v triangles (err %v), reference %d", tc, err, want)
+				}
+			}
+		}()
 	}
-	for i, m := range prog.got {
-		if m != int64(i) {
-			t.Fatalf("inbox order = %v, want ascending", prog.got)
-		}
-	}
+	wg.Wait()
 }

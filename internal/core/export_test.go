@@ -11,10 +11,6 @@ func MustCompress(g *graph.Graph) *graph.Graph {
 	return c
 }
 
-// LookasideCutoff lets tests replay choosePath's per-superstep
-// representation decision and check the engine made it.
-const LookasideCutoff = lookasideCutoff
-
 // UnitRunsPerBlock lets tests put send counts either side of a block
 // boundary: the messages a log block holds when no two consecutive sends
 // share a destination, each a value and a run header.
@@ -24,11 +20,6 @@ const UnitRunsPerBlock = msgBlockLen / 2
 // (Config.expandBroadcasts): the per-edge oracle the record path must match.
 func WithExpandBroadcasts(on bool) Option {
 	return func(c *Config) { c.expandBroadcasts = on }
-}
-
-// SweepRanges is the full-scan chunk partition a run on g uses.
-func SweepRanges(g *graph.Graph) []int {
-	return new(runScratch).sweepBoundaries(g.Offsets(), nil, false)
 }
 
 // NewGatherSweep is BenchmarkGather's harness: it delivers one broadcast

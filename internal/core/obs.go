@@ -6,7 +6,7 @@ package core
 // no allocation, no atomic traffic on the hot path (benchmark-verified
 // against the engine benchmarks). Observability reads only values the
 // engine computes anyway, so Result and the recorded XMT profile are
-// bit-identical with or without a sink (see determinism_test.go).
+// bit-identical with or without a sink (see matrix_test.go).
 
 import (
 	"bytes"

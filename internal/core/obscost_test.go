@@ -6,8 +6,6 @@ package core_test
 // the samples the report's first/last/peak line is made of.
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"graphxmt/internal/core"
@@ -77,11 +75,5 @@ func TestMemSamplesSurvivePacing(t *testing.T) {
 			t.Fatalf("empty sample %+v", m)
 		}
 	}
-	var buf bytes.Buffer
-	if err := report.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "mem: heap ") {
-		t.Fatalf("report lost its memory line:\n%s", buf.String())
-	}
+	reportHas(t, report, "mem: heap ")
 }

@@ -1,14 +1,14 @@
 package core
 
-// White-box tests of the delivery primitives and the decision in front of
-// them (delivery.go): every primitive against a naive oracle — a stable
-// sort by destination, then a flat left fold — and choosePath against a
-// literal table of today's routing. These call the primitives directly,
-// bypassing the thresholds that route small inputs in production.
+// White-box tests of the delivery primitives (delivery.go): every primitive
+// against a naive oracle — a stable sort by destination, then a flat left
+// fold. These call the primitives directly, bypassing the thresholds that
+// route small inputs in production; which route a superstep takes, and
+// that every route reaches the same inbox, is the matrix's
+// (TestEngineMatrix).
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -216,15 +216,16 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 }
 
 // TestDeliveryPrimitives runs the four primitives (and combineGroups on top
-// of groupByDest) over source {log, records, both interleaved} × graph
-// representation ×
+// of groupByDest, whose sort it also runs through int64 cursors) over
+// source {log, records, both interleaved} × graph representation ×
 // combiner {none, Min, Sum, a non-associative one} × inbox {CSR at fan-in 1,
 // 2, 3, 8 and 96 — more shares than segments, shares crossing block
 // boundaries — and lookaside} × message counts straddling a log block ×
 // {random destinations, every message to one destination: every share's
 // cursor for it in a different row}. One scratch and one inbox serve every
 // row, as a run reuses them across supersteps: receiver bits and offsets
-// left by one row must never read as messages in the next.
+// left by one row must never read as messages in the next. Last, the flat
+// message buffers must pass between runs on different Ps (flatCache).
 func TestDeliveryPrimitives(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(1)
@@ -317,98 +318,22 @@ func TestDeliveryPrimitives(t *testing.T) {
 								}
 							}
 							t.Run(name, func(t *testing.T) { checkInbox(t, ib, delivered, rowWant) })
+							if C > 0 && cb.f == nil {
+								// A superstep of 2^31 messages or more sorts through
+								// int64 cursors: the same sort, at that width.
+								wide := newInbox(n, nil)
+								wide.val = make([]int64, len(msgs))
+								bnds := s.shares(tr, C)
+								countingSort(s, tr, bnds, make([]int64, n*int64(len(bnds)-1)), n, wide.off, wide.val, wide.recv)
+								t.Run(name+"/int64", func(t *testing.T) { checkInbox(t, wide, int64(len(msgs)), want) })
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-}
-
-// TestGroupByDestLayout: a superstep of 2^31 or more messages sorts through
-// int64 cursors — too many messages to test with, so the same sort is run at
-// that width over small traffic, at every fan-in.
-func TestGroupByDestLayout(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(4))
-	r := rng.New(3)
-	for _, n := range []int64{1, 7, 8192} {
-		for _, count := range []int{0, 5, 3*msgBlockLen + 7} {
-			for _, oneDest := range []bool{false, true} {
-				msgs := randomMessages(r, count, n)
-				for i := range msgs {
-					if oneDest {
-						msgs[i].Dest = n / 2
-					}
-				}
-				tr, want := logTraffic(msgs, n), oracle(msgs, n, nil)
-				for _, C := range []int{1, 2, 3, 8, 96} {
-					s := &runScratch{}
-					bnds := s.shares(tr, C)
-					ib := newInbox(n, nil)
-					ib.val = make([]int64, count)
-					countingSort(s, tr, bnds, make([]int64, n*int64(len(bnds)-1)), n, ib.off, ib.val, ib.recv)
-					t.Run(fmt.Sprintf("n=%d/count=%d/oneDest=%v/C=%d", n, count, oneDest, C), func(t *testing.T) {
-						checkInbox(t, ib, int64(count), want)
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestChoosePath pins the routing: every cell of the table, both sides of
-// each of the three constants, the int32-cursor limit, one worker, and the
-// recorded direction.
-func TestChoosePath(t *testing.T) {
-	const (
-		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
-		small = 1 << 10 // vertices: 2^14 messages are far above it
-	)
-	for _, tc := range []struct {
-		name string
-		in   pathInputs
-		want string
-		why  string
-	}{
-		// The log, no combiner or with one: same routing.
-		{"log far below n", pathInputs{logical: 100, unicast: 100, n: big, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
-		{"log just below n/cutoff", pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
-		{"log at n/cutoff", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"log at n/cutoff, combiner", pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"log below deliverParallelMin", pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"log at deliverParallelMin", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"log at deliverParallelMin, combiner", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"log at deliverParallelMin, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"parallel beats lookaside", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"same traffic, one worker", pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}, "lookaside", "logical*lookasideCutoff < n"},
-		{"last int32 cursor", pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, n: small, workers: 4}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"logical == MaxInt32", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"MaxInt32 messages, huge n", pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"no messages, vertices awake", pathInputs{n: small, workers: 4}, "lookaside", "logical*lookasideCutoff < n"},
-
-		// Records: pulled only at pullMinEdges and beside no unicast; a mixed
-		// stream is never forked.
-		{"records below pullMinEdges", pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 1, dir: DirPull}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"records below pullMinEdges, combiner", pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"small records, big graph", pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside", "logical*lookasideCutoff < n"},
-		{"records beside a unicast", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"records beside a unicast, big graph", pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: big, workers: 4, dir: DirPull}, "lookaside", "logical*lookasideCutoff < n"},
-		{"records at pullMinEdges", pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 1}, "csr", "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"},
-		{"pullable records, parallel", pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"pullable records far below n", pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}, "lookaside", "logical*lookasideCutoff < n"},
-		{"pullable records far below n, parallel", pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 4, dir: DirPull}, "pull", "recorded direction"},
-
-		// Pullable records: direction, then combiner.
-		{"recorded pull", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}, "pull", "recorded direction"},
-		{"recorded pull, combiner", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}, "pull", "recorded direction"},
-		{"recorded push", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush}, "csr-par", "workers > 1, deliverParallelMin <= logical < 2^31"},
-		{"recorded push, combiner: no parallel cell", pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush, combiner: true}, "csr", "records fold sequentially"},
-	} {
-		p, why := choosePath(tc.in)
-		if p.String() != tc.want || why != tc.why {
-			t.Errorf("%s: choosePath(%+v) = %s (%s), want %s (%s)", tc.name, tc.in, p, why, tc.want, tc.why)
-		}
-	}
+	t.Run("flatCache", testFlatCache)
 }
 
 // FuzzDeliverEquivalence: random traffic — a unicast log, one broadcast
@@ -532,77 +457,6 @@ func FuzzDeliverEquivalence(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestNextWorklistPathsAgree(t *testing.T) {
-	r := rng.New(3)
-	const n = int64(2000)
-	const step = 5
-	// Build a delivered inbox and wake set, then check the dense-sweep and
-	// stamp+radix paths produce the same ascending candidate list. The
-	// paths are selected by size in production; here we invoke each via
-	// crafted inputs on both sides of the threshold and cross-check with a
-	// reference set.
-	for trial := 0; trial < 10; trial++ {
-		msgCount := int(r.Uint64n(3 * uint64(n)))
-		buf := randomMessages(r, msgCount, n)
-		wakeSet := map[int64]bool{}
-		for i := uint64(0); i < r.Uint64n(uint64(n)); i++ {
-			wakeSet[int64(r.Uint64n(uint64(n)))] = true
-		}
-		var wake []int64
-		for v := int64(0); v < n; v++ {
-			if wakeSet[v] {
-				wake = append(wake, v)
-			}
-		}
-
-		// Reference: the sorted union of receivers and wake vertices.
-		recvSet := map[int64]bool{}
-		for _, m := range buf {
-			recvSet[m.Dest] = true
-		}
-		want := []int64{}
-		for v := int64(0); v < n; v++ {
-			if recvSet[v] || wakeSet[v] {
-				want = append(want, v)
-			}
-		}
-
-		for _, w := range []int{1, 6} {
-			func() {
-				defer par.SetWorkers(par.SetWorkers(w))
-				s := &runScratch{}
-				ib := newInbox(n, nil)
-				tr := logTraffic(buf, n)
-				delivered, _ := s.deliver(tr, ib, []int64{}, DirAuto)
-				if delivered != int64(len(buf)) {
-					t.Fatalf("trial %d w=%d: delivered = %d, want %d", trial, w, delivered, len(buf))
-				}
-				stamp := make([]int64, n)
-				par.FillInt64(stamp, -1)
-				// At a boundary the halted set is the complement of the wake
-				// set; here every vertex ran in the sweep before it.
-				halted := make([]uint64, (n+63)/64)
-				for v := int64(0); v < n; v++ {
-					if !wakeSet[v] {
-						setBit(halted, v)
-					}
-				}
-				ran := make([]int64, n)
-				par.Iota(ran)
-				got := s.nextWorklist(ran, step, int64(len(wake)), delivered, tr, stamp, ib, halted)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d w=%d: worklist len %d, want %d", trial, w, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d w=%d: worklist[%d] = %d, want %d", trial, w, i, got[i], want[i])
-					}
-				}
-			}()
-		}
-	}
 }
 
 // TestSweepChunkSizeDeterministic: chunk boundaries depend only on the sweep
@@ -747,30 +601,6 @@ func checkPartition(t *testing.T, b []int, count int) {
 	}
 }
 
-// TestResolveFold: the three built-in combiners are recognised by identity
-// — through any path a func value takes to Config.Combiner — and nothing
-// else is, however it behaves.
-func TestResolveFold(t *testing.T) {
-	viaOption := Config{}
-	func(c *Config) { c.Combiner = Min }(&viaOption)
-	for _, tc := range []struct {
-		name string
-		f    func(a, b int64) int64
-		want foldKind
-	}{
-		{"nil", nil, foldNone},
-		{"Or", Or, foldOr},
-		{"Sum", Sum, foldSum},
-		{"Min", viaOption.Combiner, foldMin},
-		{"max", func(a, b int64) int64 { return max(a, b) }, foldGeneric},
-		{"closure over Sum", func(a, b int64) int64 { return Sum(a, b) }, foldGeneric},
-	} {
-		if got := resolveFold(tc.f); got != tc.want {
-			t.Errorf("resolveFold(%s) = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // BenchmarkDeliverCutoff is the bench behind lookasideCutoff: one boundary
 // plus the full-scan sweep's inbox probe that follows it, for n vertices
 // (2^16: the arrays sit in L2; 2^20: they do not) and n/div uniformly
@@ -880,11 +710,11 @@ func BenchmarkPullFloor(b *testing.B) {
 	}
 }
 
-// TestFlatCache: a run takes the message buffers the last run put back
+// testFlatCache: a run takes the message buffers the last run put back
 // whichever P either ran on, and two collections after the last put the
 // cache holds nothing. The putting goroutine spins on its P while the test
 // takes, so the take runs on another.
-func TestFlatCache(t *testing.T) {
+func testFlatCache(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs two Ps")
 	}
