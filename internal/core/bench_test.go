@@ -27,39 +27,14 @@ import (
 const engineBenchScale = 18
 
 var (
-	engineBenchOnce  sync.Once
-	engineBenchGraph *graph.Graph
-
-	engineBenchCompOnce sync.Once
-	engineBenchComp     *graph.Graph
+	// engineGraph is the scale-18 RMAT the engine benches share, and
+	// engineGraphCompressed its delta-varint twin — same logical graph,
+	// compressed adjacency — for the representation A/B pair; each built once.
+	engineGraph = sync.OnceValue(func() *graph.Graph {
+		return mustGraph(gen.RMAT(gen.RMATConfig{Scale: engineBenchScale, EdgeFactor: 8, Seed: 7}))
+	})
+	engineGraphCompressed = sync.OnceValue(func() *graph.Graph { return mustGraph(graph.Compress(engineGraph())) })
 )
-
-func engineGraph(b *testing.B) *graph.Graph {
-	b.Helper()
-	engineBenchOnce.Do(func() {
-		g, err := gen.RMAT(gen.RMATConfig{Scale: engineBenchScale, EdgeFactor: 8, Seed: 7})
-		if err != nil {
-			panic(err)
-		}
-		engineBenchGraph = g
-	})
-	return engineBenchGraph
-}
-
-// engineGraphCompressed is the delta-varint twin of engineGraph — same
-// logical graph, compressed adjacency — for the representation A/B pair.
-func engineGraphCompressed(b *testing.B) *graph.Graph {
-	b.Helper()
-	g := engineGraph(b)
-	engineBenchCompOnce.Do(func() {
-		c, err := graph.Compress(g)
-		if err != nil {
-			panic(err)
-		}
-		engineBenchComp = c
-	})
-	return engineBenchComp
-}
 
 // benchFloodMin floods the minimum vertex ID — the dense CC/BFS superstep
 // pattern: every improved vertex re-floods its neighborhood.
@@ -101,8 +76,7 @@ func benchRun(b *testing.B, cfg core.Config) (res *core.Result) {
 }
 
 func BenchmarkEngineDenseFlood(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}})
 }
 
 // BenchmarkEngineDenseFloodCompressed is the representation A/B control:
@@ -110,42 +84,32 @@ func BenchmarkEngineDenseFlood(b *testing.B) {
 // streaming-decode cost on the engine's scatter and worklist sweeps is the
 // DenseFloodCompressed / DenseFlood ratio on identical logical work.
 func BenchmarkEngineDenseFloodCompressed(b *testing.B) {
-	g := engineGraphCompressed(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}})
+	benchRun(b, core.Config{Graph: engineGraphCompressed(), Program: benchFloodMin{}})
 }
 
 func BenchmarkEngineDenseFloodCombiner(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSparseFlood(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}, SparseActivation: true})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}, SparseActivation: true})
 }
 
 func BenchmarkEngineSparseFloodCombiner(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{},
-		SparseActivation: true, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}, SparseActivation: true, Combiner: core.Min})
 }
 
 // BenchmarkEngineWorkers pins the host worker count so speedup curves can
 // be read off directly: -bench EngineWorkers -cpu 1 is not needed, the
 // subbenchmark name carries the worker count.
 func BenchmarkEngineWorkers(b *testing.B) {
-	g := engineGraph(b)
+	g := engineGraph()
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName(w), func(b *testing.B) {
-			old := par.SetWorkers(w)
-			defer par.SetWorkers(old)
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			defer par.SetWorkers(par.SetWorkers(w))
 			benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}})
 		})
 	}
-}
-
-func benchName(w int) string {
-	return fmt.Sprintf("w=%d", w)
 }
 
 // Degree-skew benchmarks: the sweep partition on the graphs it exists for.
@@ -153,38 +117,22 @@ func benchName(w int) string {
 // owning nearly every edge — and its hub inbox exercises the combining path's
 // segment prefold; the RMAT graph is the paper's skewed-degree workload.
 var (
-	skewBenchOnce sync.Once
-	skewBenchRMAT *graph.Graph
-	skewBenchStar *graph.Graph
+	skewStar = sync.OnceValue(func() *graph.Graph { return gen.Star(1 << 18) })
+	skewRMAT = sync.OnceValue(func() *graph.Graph {
+		return mustGraph(gen.RMAT(gen.RMATConfig{Scale: 16, EdgeFactor: 16, Seed: 7}))
+	})
 )
 
-func skewGraphs(b *testing.B) (star, rmat *graph.Graph) {
-	b.Helper()
-	skewBenchOnce.Do(func() {
-		skewBenchStar = gen.Star(1 << 18)
-		g, err := gen.RMAT(gen.RMATConfig{Scale: 16, EdgeFactor: 16, Seed: 7})
-		if err != nil {
-			panic(err)
-		}
-		skewBenchRMAT = g
-	})
-	return skewBenchStar, skewBenchRMAT
-}
-
 func BenchmarkEngineSkewStarFlood(b *testing.B) {
-	star, _ := skewGraphs(b)
-	benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: skewStar(), Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATDenseFlood(b *testing.B) {
-	_, rmat := skewGraphs(b)
-	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{}, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: skewRMAT(), Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATSparseFlood(b *testing.B) {
-	_, rmat := skewGraphs(b)
-	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{},
-		SparseActivation: true, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: skewRMAT(), Program: benchFloodMin{}, SparseActivation: true, Combiner: core.Min})
 }
 
 // BenchmarkEngineSkewTC runs the message-heaviest algorithm (triangle
@@ -195,10 +143,7 @@ func BenchmarkEngineSkewRMATSparseFlood(b *testing.B) {
 // of the traffic, go out in long runs to one destination at 8 bytes and a
 // bit; supersteps 0 and 2 send runs of one, 16 bytes a message.
 func BenchmarkEngineSkewTC(b *testing.B) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := mustGraph(gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 8, Seed: 7}))
 	tc := func(opts ...core.Option) {
 		if _, err := bspalg.Triangles(g, nil, opts...); err != nil {
 			b.Fatal(err)
@@ -260,13 +205,11 @@ func BenchmarkEngineUnicastHub(b *testing.B) {
 // the record scatter, the combined variant the pull-side fold over the
 // hub's quarter-million stamped neighbors.
 func BenchmarkEngineBcastStarFlood(b *testing.B) {
-	star, _ := skewGraphs(b)
-	benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}})
+	benchRun(b, core.Config{Graph: skewStar(), Program: benchFloodMin{}})
 }
 
 func BenchmarkEngineBcastStarFloodCombiner(b *testing.B) {
-	star, _ := skewGraphs(b)
-	benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min})
+	benchRun(b, core.Config{Graph: skewStar(), Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 // Direction A/B benchmarks: BFS (no combiner — the pull-scatter path) on
@@ -277,13 +220,11 @@ func BenchmarkEngineBcastStarFloodCombiner(b *testing.B) {
 // bit-identical (matrix_test.go), so the Auto/Push ratio is pure delivery
 // cost on identical work.
 func BenchmarkEngineDirBFSAuto(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: bspalg.BFSProgram{Source: 0}})
 }
 
 func BenchmarkEngineDirBFSPush(b *testing.B) {
-	g := engineGraph(b)
-	cfg := core.Config{Graph: g, Program: bspalg.BFSProgram{Source: 0}}
+	cfg := core.Config{Graph: engineGraph(), Program: bspalg.BFSProgram{Source: 0}}
 	core.ForceDirection(core.DirPush)(&cfg)
 	benchRun(b, cfg)
 }
@@ -304,7 +245,7 @@ func BenchmarkGather(b *testing.B) {
 		name  string
 		every int64
 	}{{"1of16", 16}, {"1of2", 2}, {"saturated", 1}}
-	for _, g := range []*graph.Graph{engineGraph(b), engineGraphCompressed(b)} {
+	for _, g := range []*graph.Graph{engineGraph(), engineGraphCompressed()} {
 		for _, fold := range folds {
 			for _, frac := range fracs {
 				b.Run(fmt.Sprintf("%s/%s/%s", fold.name, frac.name, g.Rep()), func(b *testing.B) {
@@ -355,17 +296,17 @@ func (p benchRelay) Compute(v *core.VertexContext) {
 	v.VoteToHalt()
 }
 
+// relayConfig is the token relayed 1024 hops around a 2^16-vertex ring
+// under sparse activation, with sink attached.
+func relayConfig(sink obs.Sink) core.Config {
+	const n = 1 << 16
+	return core.Config{Graph: gen.Ring(n), Program: benchRelay{hops: 1024, n: n}, SparseActivation: true, MaxSupersteps: 2000, Obs: sink}
+}
+
 // BenchmarkEngineSparseRelay measures per-superstep engine overhead with a
 // single-vertex active set (1024 supersteps per run).
 func BenchmarkEngineSparseRelay(b *testing.B) {
-	const n = 1 << 16
-	g := gen.Ring(n)
-	benchRun(b, core.Config{
-		Graph:            g,
-		Program:          benchRelay{hops: 1024, n: n},
-		SparseActivation: true,
-		MaxSupersteps:    2000,
-	})
+	benchRun(b, relayConfig(nil))
 }
 
 // BenchmarkEngineGridBFSFullScan is the paper's schedule at its worst: a
@@ -390,20 +331,11 @@ func BenchmarkEngineGridBFSFullScan(b *testing.B) {
 // case is the plain benchmarks themselves (Config.Obs nil), which the
 // instrumentation must leave within noise (<2%).
 func BenchmarkEngineDenseFloodObs(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}, Obs: obs.NewReport()})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}, Obs: obs.NewReport()})
 }
 
 func BenchmarkEngineSparseRelayObs(b *testing.B) {
-	const n = 1 << 16
-	g := gen.Ring(n)
-	benchRun(b, core.Config{
-		Graph:            g,
-		Program:          benchRelay{hops: 1024, n: n},
-		SparseActivation: true,
-		MaxSupersteps:    2000,
-		Obs:              obs.NewReport(),
-	})
+	benchRun(b, relayConfig(obs.NewReport()))
 }
 
 // BenchmarkEngineDenseFloodMetrics swaps the report sink for the live
@@ -413,20 +345,11 @@ func BenchmarkEngineSparseRelayObs(b *testing.B) {
 // BenchmarkEngineDenseFlood (nil sink); see PERFORMANCE.md for the measured
 // delta.
 func BenchmarkEngineDenseFloodMetrics(b *testing.B) {
-	g := engineGraph(b)
-	benchRun(b, core.Config{Graph: g, Program: benchFloodMin{}, Obs: obs.NewMetrics(nil)})
+	benchRun(b, core.Config{Graph: engineGraph(), Program: benchFloodMin{}, Obs: obs.NewMetrics(nil)})
 }
 
 func BenchmarkEngineSparseRelayMetrics(b *testing.B) {
-	const n = 1 << 16
-	g := gen.Ring(n)
-	benchRun(b, core.Config{
-		Graph:            g,
-		Program:          benchRelay{hops: 1024, n: n},
-		SparseActivation: true,
-		MaxSupersteps:    2000,
-		Obs:              obs.NewMetrics(nil),
-	})
+	benchRun(b, relayConfig(obs.NewMetrics(nil)))
 }
 
 // MS-BFS A/B pair: one 64-lane batched run against 64 sequential
@@ -450,22 +373,18 @@ func msbfsBenchPlan(b *testing.B, g *graph.Graph) *batch.Plan {
 	return plan
 }
 
-func benchMSBFSBatch(b *testing.B, g *graph.Graph) {
+// benchMSBFS runs the plan's 64 sources as one batch, or one by one.
+func benchMSBFS(b *testing.B, g *graph.Graph, batched bool) {
 	plan := msbfsBenchPlan(b, g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bspalg.MultiBFS(g, plan, nil); err != nil {
-			b.Fatal(err)
+		if batched {
+			if _, err := bspalg.MultiBFS(g, plan, nil); err != nil {
+				b.Fatal(err)
+			}
+			continue
 		}
-	}
-}
-
-func benchMSBFSSequential(b *testing.B, g *graph.Graph) {
-	plan := msbfsBenchPlan(b, g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
 		for _, s := range plan.Sources {
 			if _, err := bspalg.BFS(g, s, nil); err != nil {
 				b.Fatal(err)
@@ -474,18 +393,11 @@ func benchMSBFSSequential(b *testing.B, g *graph.Graph) {
 	}
 }
 
-func BenchmarkEngineMSBFSBatch64(b *testing.B) {
-	benchMSBFSBatch(b, engineGraph(b))
-}
-
-func BenchmarkEngineMSBFSSequential64(b *testing.B) {
-	benchMSBFSSequential(b, engineGraph(b))
-}
-
+func BenchmarkEngineMSBFSBatch64(b *testing.B)      { benchMSBFS(b, engineGraph(), true) }
+func BenchmarkEngineMSBFSSequential64(b *testing.B) { benchMSBFS(b, engineGraph(), false) }
 func BenchmarkEngineMSBFSBatch64Compressed(b *testing.B) {
-	benchMSBFSBatch(b, engineGraphCompressed(b))
+	benchMSBFS(b, engineGraphCompressed(), true)
 }
-
 func BenchmarkEngineMSBFSSequential64Compressed(b *testing.B) {
-	benchMSBFSSequential(b, engineGraphCompressed(b))
+	benchMSBFS(b, engineGraphCompressed(), false)
 }

@@ -36,7 +36,7 @@ import (
 // engine went on appending to, holds exactly the final histories' prefix.
 func TestBoundaryHistorySharedAcrossKillAndRetry(t *testing.T) {
 	// Scale 12: the BFS apex sends enough to be kept as records and pulled.
-	g := rmat(t, 12, 7)
+	g := rmat(12, 7)
 	const faultStep = 2
 	// A fresh one-shot fault per run: the run that executes faultStep — the
 	// killed one or the resumed one — retries it once.

@@ -136,7 +136,7 @@ func TestRunErrors(t *testing.T) {
 // TestCombinerPreservesResult: combining gives the same states in as many
 // supersteps, and never delivers more.
 func TestCombinerPreservesResult(t *testing.T) {
-	g := rmat(t, 9, 12)
+	g := rmat(9, 12)
 	plain, err := core.Run(core.Config{Graph: g, Program: minFlood{}})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestProfileCharging(t *testing.T) {
 }
 
 func TestSparseActivationReducesScanCharges(t *testing.T) {
-	g := rmat(t, 10, 3)
+	g := rmat(10, 3)
 	var scans [2][]*trace.Phase
 	for i, sparse := range []bool{false, true} {
 		rec := trace.NewRecorder()
@@ -250,10 +250,7 @@ func TestPreviousAggregateVisibility(t *testing.T) {
 // TestUnicastLogConcurrentRuns: runs in one process share the block and
 // flat-buffer pools; a block owned twice would corrupt somebody's count.
 func TestUnicastLogConcurrentRuns(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 16, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 16, Seed: 7}))
 	want := graph.ReferenceTriangles(g)
 	defer par.SetWorkers(par.SetWorkers(3))
 	var wg sync.WaitGroup

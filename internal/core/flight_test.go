@@ -38,7 +38,7 @@ func jsonLines(t *testing.T, b []byte) (objs []map[string]any) {
 }
 
 func TestFlightRecorderDumpOnPanic(t *testing.T) {
-	g := rmat(t, 10, 7)
+	g := rmat(10, 7)
 	target := int64(101)
 	for g.Degree(target) == 0 {
 		target++

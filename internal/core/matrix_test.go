@@ -279,10 +279,7 @@ func matrixGraphs(t *testing.T) []*mgraph {
 	ring := gen.Ring(1 << 18)
 	add("ring", ring.NumVertices(), ring.EdgeList()).only = func(r *mrow) bool { return strings.HasPrefix(r.name, "log") }
 	add("cliques", 12*40+64, gen.CliqueChain(12, 40).EdgeList())
-	ba, err := gen.BarabasiAlbert(1<<11, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ba := mustGraph(gen.BarabasiAlbert(1<<11, 8, 7))
 	add("ba", ba.NumVertices(), ba.EdgeList())
 	comp, closer, err := graphio.OpenCSR2(outStarCSR2(t, 20001))
 	if err != nil {
@@ -550,22 +547,22 @@ func (m *matrix) cell(t *testing.T, c []int, k int) {
 	case 1:
 		plan := &faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}
 		policy := &ckpt.Policy{Dir: t.TempDir(), EveryN: 1 << 30, Hooks: plan.Hooks()}
-		killed, err := exec(r, g, w, nil, opts(func(cfg *core.Config) { cfg.Checkpoint = policy })...)
+		killed, kerr := exec(r, g, w, nil, opts(func(cfg *core.Config) { cfg.Checkpoint = policy })...)
 		var ie *core.InterruptedError
-		if !errors.As(err, &ie) || ie.Superstep != k {
-			t.Fatalf("kill@%d: want InterruptedError at superstep %d, got %v", k, k, err)
+		if !errors.As(kerr, &ie) || ie.Superstep != k {
+			t.Fatalf("kill@%d: want InterruptedError at superstep %d, got %v", k, k, kerr)
 		}
 		m.reached["a kill at a pull boundary"] = m.reached["a kill at a pull boundary"] || strings.HasPrefix(killed.steps[k].Delivery, "pull")
 		// The boundary holds the superstep's unicast log beside its
 		// broadcasts as records, or as per-edge messages when expanded.
-		snap, err := ckpt.Load(ie.CheckpointPath)
+		snap, lerr := ckpt.Load(ie.CheckpointPath)
 		want := base.steps[k].Sent
 		if !expand {
 			want -= base.steps[k].FrontierEdges
 		}
-		if err != nil || int64(len(snap.MsgDest)) != want || expand && len(snap.BcastSrc) > 0 {
+		if lerr != nil || int64(len(snap.MsgDest)) != want || expand && len(snap.BcastSrc) > 0 {
 			t.Fatalf("kill@%d: checkpoint of %d messages and %d broadcast records, want %d messages (expanded %v): %v",
-				k, len(snap.MsgDest), len(snap.BcastSrc), want, expand, err)
+				k, len(snap.MsgDest), len(snap.BcastSrc), want, expand, lerr)
 		}
 		// Resume at the next worker count under the other broadcast
 		// treatment: neither is part of a checkpoint's fingerprint.

@@ -18,19 +18,12 @@ import (
 // allocations per superstep, run set-up included (the parent commit spent
 // 14: a WorkerBusy slice per span, a map per report row, procfs reads).
 func TestObservedRelayAllocBudget(t *testing.T) {
-	const n = 1 << 16
-	g := gen.Ring(n)
+	cfg := relayConfig(nil)
 	var res *core.Result
 	allocs := testing.AllocsPerRun(3, func() {
 		var err error
-		res, err = core.Run(core.Config{
-			Graph:            g,
-			Program:          benchRelay{hops: 1024, n: n},
-			SparseActivation: true,
-			MaxSupersteps:    2000,
-			Obs:              obs.Tee(obs.NewReport(), obs.NewMetrics(nil)),
-		})
-		if err != nil {
+		cfg.Obs = obs.Tee(obs.NewReport(), obs.NewMetrics(nil))
+		if res, err = core.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

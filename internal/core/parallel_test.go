@@ -3,12 +3,13 @@ package core
 // White-box tests of the delivery primitives (delivery.go): every primitive
 // against a naive oracle — a stable sort by destination, then a flat left
 // fold. These call the primitives directly, bypassing the thresholds that
-// route small inputs in production; which route a superstep takes, and
-// that every route reaches the same inbox, is the matrix's
-// (TestEngineMatrix).
+// route small inputs in production; the routing itself is choosePath's
+// table, and that every route reaches the same inbox in a whole run is the
+// matrix's (TestEngineMatrix).
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -225,7 +226,8 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 // cursor for it in a different row}. One scratch and one inbox serve every
 // row, as a run reuses them across supersteps: receiver bits and offsets
 // left by one row must never read as messages in the next. Last, the flat
-// message buffers must pass between runs on different Ps (flatCache).
+// message buffers must pass between runs on different Ps (flatCache), and
+// choosePath routes every row of its table as the table says.
 func TestDeliveryPrimitives(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(1)
@@ -334,6 +336,65 @@ func TestDeliveryPrimitives(t *testing.T) {
 		}
 	}
 	t.Run("flatCache", testFlatCache)
+	t.Run("choosePath", testChoosePath)
+}
+
+// testChoosePath pins the routing: both sides of each of the three
+// constants, the int32-cursor limit (a superstep of 2^31 messages or more
+// never takes the parallel sort), one worker, records beside a unicast
+// (never forked, never pulled), and the recorded direction.
+func testChoosePath(t *testing.T) {
+	const (
+		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
+		small = 1 << 10 // vertices: 2^14 messages are far above it
+		look  = "logical*lookasideCutoff < n"
+		seq   = "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"
+		fork  = "workers > 1, deliverParallelMin <= logical < 2^31"
+		pull  = "recorded direction"
+		fold  = "records fold sequentially"
+	)
+	kind := map[string]string{look: "lookaside", seq: "csr", fork: "csr-par", pull: "pull", fold: "csr"}
+	for _, tc := range []struct {
+		name, why string
+		in        pathInputs
+	}{
+		// The log, no combiner or with one: same routing.
+		{"log far below n", look, pathInputs{logical: 100, unicast: 100, n: big, workers: 4}},
+		{"log just below n/cutoff", look, pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}},
+		{"log at n/cutoff", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}},
+		{"log at n/cutoff, combiner", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}},
+		{"log below deliverParallelMin", seq, pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}},
+		{"log at deliverParallelMin", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}},
+		{"log at deliverParallelMin, combiner", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}},
+		{"log at deliverParallelMin, one worker", seq, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}},
+		{"parallel beats lookaside", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}},
+		{"same traffic, one worker", look, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}},
+		{"last int32 cursor", fork, pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, n: small, workers: 4}},
+		{"logical == MaxInt32", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}},
+		{"MaxInt32 messages, huge n", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}},
+		{"no messages, vertices awake", look, pathInputs{n: small, workers: 4}},
+		// Records: pulled only at pullMinEdges and beside no unicast; a mixed
+		// stream is never forked.
+		{"records below pullMinEdges", seq, pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 1, dir: DirPull}},
+		{"records below pullMinEdges, combiner", seq, pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
+		{"small records, big graph", look, pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}},
+		{"records beside a unicast", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
+		{"records beside a unicast, no combiner", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull}},
+		{"records beside a unicast, big graph", look, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: big, workers: 4, dir: DirPull}},
+		{"records at pullMinEdges", seq, pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 1}},
+		{"pullable records, parallel", fork, pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 4, dir: DirPush}},
+		{"pullable records far below n", look, pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}},
+		{"pullable records far below n, parallel", pull, pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 4, dir: DirPull}},
+		// Pullable records: direction, then combiner.
+		{"recorded pull", pull, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}},
+		{"recorded pull, combiner", pull, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}},
+		{"recorded push", fork, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush}},
+		{"recorded push, combiner: no parallel cell", fold, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPush, combiner: true}},
+	} {
+		if p, why := choosePath(tc.in); p.String() != kind[tc.why] || why != tc.why {
+			t.Errorf("%s: choosePath(%+v) = %s (%s), want %s (%s)", tc.name, tc.in, p, why, kind[tc.why], tc.why)
+		}
+	}
 }
 
 // FuzzDeliverEquivalence: random traffic — a unicast log, one broadcast

@@ -2,20 +2,26 @@ package core_test
 
 // The fused pull where it meets untrusted input: a graph whose adjacency is
 // not what its flags say has to fail typed instead of letting push and pull
-// disagree. That pulling equals pushing on every graph, resumed and
-// retried, is the matrix's (TestEngineMatrix).
+// disagree; and on generated graphs, pulling equals pushing. That it does
+// on every fixed graph, resumed and retried, is the matrix's
+// (TestEngineMatrix).
 
 import (
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"graphxmt/internal/core"
+	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 	"graphxmt/internal/graphio"
+	"graphxmt/internal/obs"
 )
 
 // outStarCSR2 writes a hand-crafted CSR2 file, byte by byte after the
@@ -97,4 +103,57 @@ func TestPullAsymmetricGraph(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPullEquivalence: on a generated graph — a power law with a tail of
+// vertices no edge touches, uniform random, a star, preferential attachment,
+// each with well over 2^14 arcs — the order probe forced to pull every
+// eligible superstep gives what it gives forced to push: answer, counters
+// and profile, under every combiner, activation, representation and worker
+// count.
+func FuzzPullEquivalence(f *testing.F) {
+	for shape := uint8(0); shape < 8; shape++ {
+		f.Add(uint64(shape)+1, shape, shape+1, shape%2 == 0, shape)
+	}
+	probes := slices.DeleteFunc(matrixRows(), func(r *mrow) bool { return !strings.HasPrefix(r.name, "probe") })
+	f.Fuzz(func(t *testing.T, seed uint64, shape, probe uint8, sparse bool, workers uint8) {
+		var g *graph.Graph
+		var err error
+		switch shape % 4 {
+		case 0:
+			var edges []graph.Edge
+			var n int64
+			if edges, n, err = gen.RMATEdges(gen.RMATConfig{Scale: 10, EdgeFactor: 24, Seed: seed}); err == nil {
+				g, err = graph.Build(n+int64(seed%97), edges, graph.BuildOptions{})
+			}
+		case 1:
+			g, err = gen.ErdosRenyi(3000+int64(seed%1000), 24000, seed)
+		case 2:
+			g = gen.Star(36001 + int64(seed%512))
+		default:
+			g, err = gen.BarabasiAlbert(4000, 6, seed)
+		}
+		if err != nil {
+			t.Skip(err)
+		}
+		if seed&1 == 1 {
+			g = core.MustCompress(g)
+		}
+		r := probes[int(probe)%len(probes)]
+		run := func(w int, d core.DirectionMode) outcome {
+			o, err := exec(r, g, w, nil, core.ForceDirection(d), func(c *core.Config) { c.SparseActivation = sparse })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		push, pull := run(1, core.DirPush), run(1+int(workers%8), core.DirPull)
+		if !slices.ContainsFunc(pull.steps, func(st obs.StepStats) bool { return st.Direction == "pull" }) {
+			t.Fatalf("%s: forced pull never pulled", r.name)
+		}
+		if !reflect.DeepEqual(push.val, pull.val) || !slices.EqualFunc(push.steps, pull.steps, func(a, b obs.StepStats) bool { return logical(a) == logical(b) }) {
+			t.Fatalf("%s: pull differs from push", r.name)
+		}
+		comparePhases(t, push.phases, pull.phases)
+	})
 }

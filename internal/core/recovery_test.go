@@ -37,14 +37,17 @@ func runRec(g *graph.Graph, w int, cfg core.Config) (*core.Result, []*trace.Phas
 	return res, rec.Phases(), err
 }
 
-// rmat is the RMAT graph of the given scale (edge factor 8) the drills run on.
-func rmat(t *testing.T, scale int, seed uint64) *graph.Graph {
-	t.Helper()
-	g, err := gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: seed})
+// mustGraph is a generated graph whose parameters are known to be valid.
+func mustGraph(g *graph.Graph, err error) *graph.Graph {
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return g
+}
+
+// rmat is the RMAT graph of the given scale (edge factor 8) the drills run on.
+func rmat(scale int, seed uint64) *graph.Graph {
+	return mustGraph(gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: seed}))
 }
 
 // ccMin is the program most drills run: CC folding by Min.
@@ -104,7 +107,7 @@ func isEmergency(path string) bool { return strings.HasPrefix(filepath.Base(path
 // emergency checkpoint of the last completed boundary is written, and the
 // unwrapped program resumes from it.
 func TestProgramPanicRecovered(t *testing.T) {
-	g := rmat(t, 10, 7)
+	g := rmat(10, 7)
 	target := int64(101)
 	for g.Degree(target) == 0 {
 		target++
@@ -128,7 +131,7 @@ func TestProgramPanicRecovered(t *testing.T) {
 // TestPanicWithoutBoundary: a panic before any boundary completes (step 0,
 // or the InitialState sweep) yields a ProgramError with no checkpoint.
 func TestPanicWithoutBoundary(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	_, _, err := runRec(g, 3, core.Config{
 		Program:    mustPlan(t, "panic@0:17").WrapProgram(bspalg.CCProgram{}),
 		Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
@@ -206,7 +209,7 @@ func TestCheckpointWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ccMin()
 	cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: mustPlan(t, "failwrite@2").Hooks()}
-	_, _, err := runRec(rmat(t, 8, 1), 3, cfg)
+	_, _, err := runRec(rmat(8, 1), 3, cfg)
 	var we *ckpt.WriteError
 	if !errors.As(err, &we) || !errors.Is(err, faultinject.ErrInjectedWrite) {
 		t.Fatalf("want a WriteError wrapping the injected failure, got %v", err)
@@ -227,7 +230,7 @@ func TestCheckpointWriteFailure(t *testing.T) {
 // MismatchError naming the differing field. A representation change shows
 // first in the graph CRC, which hashes the stored bytes.
 func TestResumeRejectsMismatch(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	bfs := core.Config{Program: bspalg.BFSProgram{Source: 0}}
 	path := killedAt(t, g, bfs, 1)
 	check := func(name string, g *graph.Graph, cfg core.Config, fields ...string) *ckpt.MismatchError {
@@ -245,7 +248,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		t.Fatalf("wrong source: mismatch %+v, want the two BFSProgram values", me)
 	}
 	check("wrong sparse mode", g, core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: true}, "sparse activation")
-	check("wrong graph", rmat(t, 8, 2), bfs, "graph checksum", "edges")
+	check("wrong graph", rmat(8, 2), bfs, "graph checksum", "edges")
 	check("flat to compressed", core.MustCompress(g), bfs, "graph checksum", "representation")
 	path = killedAt(t, core.MustCompress(g), bfs, 1)
 	check("compressed to flat", g, bfs, "graph checksum", "representation")
@@ -264,7 +267,7 @@ func TestPolicyNeedsDir(t *testing.T) {
 // TestResumeRejectsCorruption: resuming from a bit-flipped or truncated
 // checkpoint is a typed CorruptError, surfaced through core.Run.
 func TestResumeRejectsCorruption(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	data, err := os.ReadFile(killedAt(t, g, core.Config{Program: bspalg.CCProgram{}}, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +294,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 // TestCheckpointCadenceAndRetention: EveryN gates disk writes, Keep prunes
 // old checkpoints, and the newest one resumes to a bit-identical result.
 func TestCheckpointCadenceAndRetention(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	dir := t.TempDir()
 	cfg := ccMin()
 	cfg.Checkpoint = &ckpt.Policy{Dir: dir, EveryN: 2, Keep: 2}
@@ -315,7 +318,7 @@ func TestCheckpointCadenceAndRetention(t *testing.T) {
 // with a policy the interrupt carries a resumable checkpoint, without one
 // it carries none.
 func TestStopChannel(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	ch := make(chan struct{})
 	close(ch)
 	for _, policy := range []*ckpt.Policy{{Dir: t.TempDir()}, nil} {
@@ -335,12 +338,9 @@ func TestStopChannel(t *testing.T) {
 // TestBudgetExceeded: a program that never halts outruns MaxSupersteps,
 // and the typed BudgetError carries the last superstep's counters.
 func TestBudgetExceeded(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 6, EdgeFactor: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(gen.RMAT(gen.RMATConfig{Scale: 6, EdgeFactor: 4, Seed: 1}))
 	n := g.NumVertices()
-	_, _, err = runRec(g, 3, core.Config{Program: program(func(v *core.VertexContext) { v.Send(v.ID(), 1) }), MaxSupersteps: 5})
+	_, _, err := runRec(g, 3, core.Config{Program: program(func(v *core.VertexContext) { v.Send(v.ID(), 1) }), MaxSupersteps: 5})
 	var be *core.BudgetError
 	if !errors.As(err, &be) || be.MaxSupersteps != 5 || be.LastActive != n || be.LastSent != n || be.LastDelivered != n || be.Live != n {
 		t.Fatalf("want a BudgetError with bound 5 and all counters %d, got %v", n, err)
@@ -370,7 +370,7 @@ func TestCheckpointObsSpan(t *testing.T) {
 	r := obs.NewReport()
 	cfg := ccMin()
 	cfg.Checkpoint, cfg.Obs = &ckpt.Policy{Dir: t.TempDir()}, r
-	if _, _, err := runRec(rmat(t, 8, 1), 2, cfg); err != nil {
+	if _, _, err := runRec(rmat(8, 1), 2, cfg); err != nil {
 		t.Fatal(err)
 	}
 	reportHas(t, r, "checkpoint")

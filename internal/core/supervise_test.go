@@ -94,7 +94,7 @@ func ccFaultTarget(g *graph.Graph) int64 {
 // exactly two retries, counted in Result.RetriesPerStep, the metrics
 // registry, and the report sink's retry column.
 func TestRetryCountsAndObservability(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	m, r := obs.NewMetrics(nil), obs.NewReport()
 	cfg := ccMin()
 	cfg.Program = mustPlan(t, fmt.Sprintf("panicn@1:%d:2", ccFaultTarget(g))).WrapProgram(cfg.Program)
@@ -117,7 +117,7 @@ func TestRetryCountsAndObservability(t *testing.T) {
 // bit-identically. Without retries the same fault is a plain ProgramError,
 // even when the supervisor runs for timeouts.
 func TestRetryExhausted(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	target := ccFaultTarget(g)
 	plan := mustPlan(t, fmt.Sprintf("panic@1:%d", target))
 	cfg := ccMin()
@@ -161,7 +161,7 @@ func stalled(t *testing.T, g *graph.Graph, step, ms int, stepTimeout, runTimeout
 // goroutine and surfaces a typed TimeoutError at the next boundary; the
 // checkpoint resumes bit-identically.
 func TestWatchdogStall(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	m := obs.NewMetrics(nil)
 	_, err := stalled(t, g, 1, 600, 60*time.Millisecond, 0, t.TempDir(), obs.Tee(m, &obs.Store{}))
 	var te *core.TimeoutError
@@ -254,7 +254,7 @@ func TestWatchdogWriteOutlivesStall(t *testing.T) {
 // does not cost the finished run its Result — the stall is still observed
 // (metrics), but the run returns normally.
 func TestWatchdogStalledTerminalSuperstep(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	base, _, err := runRec(g, 3, ccMin())
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestWatchdogStalledTerminalSuperstep(t *testing.T) {
 // checkpoint directory the deadline still ends the run, with no resume
 // path.
 func TestRunTimeout(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	for _, dir := range []string{t.TempDir(), ""} {
 		_, err := stalled(t, g, 1, 400, 0, 150*time.Millisecond, dir, nil)
 		var te *core.TimeoutError
@@ -292,7 +292,7 @@ func TestRunTimeout(t *testing.T) {
 // chain newest-first past damaged snapshots (torn writes, bit flips),
 // counts each skip in the fallback metric, and completes bit-identically.
 func TestResumeLatestFallback(t *testing.T) {
-	g := rmat(t, 8, 1)
+	g := rmat(8, 1)
 	base, basePh, err := runRec(g, 3, ccMin())
 	if err != nil {
 		t.Fatal(err)

@@ -37,32 +37,13 @@ func (p kHopMin) Compute(v *core.VertexContext) {
 	v.VoteToHalt()
 }
 
-// bruteKHopMin computes the minimum ID within k hops of every vertex by
-// bounded BFS.
+// bruteKHopMin is the minimum ID within k hops of every vertex: the first
+// vertex, in ID order, that a BFS from it reaches in k hops or fewer.
 func bruteKHopMin(g *graph.Graph, k int) []int64 {
-	n := g.NumVertices()
-	out := make([]int64, n)
-	for s := int64(0); s < n; s++ {
-		minID := s
-		dist := map[int64]int{s: 0}
-		queue := []int64{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			if v < minID {
-				minID = v
-			}
-			if dist[v] == k {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				if _, seen := dist[w]; !seen {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		out[s] = minID
+	out := make([]int64, g.NumVertices())
+	for s := range out {
+		d := graph.ReferenceBFS(g, int64(s))
+		out[s] = int64(slices.IndexFunc(d, func(x int64) bool { return x >= 0 && x <= int64(k) }))
 	}
 	return out
 }
@@ -96,13 +77,8 @@ func TestTutorialKHopMin(t *testing.T) {
 }
 
 func TestTutorialProfileEvaluates(t *testing.T) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := trace.NewRecorder()
-	if _, err := core.Run(core.Config{Graph: g, Program: kHopMin{K: 2},
-		Combiner: core.Min, Recorder: rec}); err != nil {
+	if _, err := core.Run(core.Config{Graph: rmat(10, 1), Program: kHopMin{K: 2}, Combiner: core.Min, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	model := machine.NewAnalytic(machine.DefaultConfig())
