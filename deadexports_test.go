@@ -8,32 +8,37 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// deadExportAllow names the exported identifiers under internal/ that only
-// other packages' tests use, with the reason each is exported anyway. Keep
-// it short: what only its own package's tests use is unexported and, for
-// its external tests, re-exported from an export_test.go.
+// deadExportAllow names the exported identifiers and members under
+// internal/ that only tests use, or that only the benchmark sets, with the
+// reason each is exported anyway. Keep it short: what only its own
+// package's tests use is unexported and, for its external tests,
+// re-exported from an export_test.go.
 var deadExportAllow = map[string]string{
-	"internal/bspalg.NewKCoreProgram":       "core's determinism matrix runs an aux-state program",
-	"internal/bspalg.NewLPProgram":          "core's broadcast and direction tests run a label-exchanging program without a combiner",
-	"internal/bspalg.PageRankProgram":       "core's tests run the Sum-combining dense program",
-	"internal/bspalg.TCProgram":             "core's tests run the per-edge-unicast program",
-	"internal/ckpt.Decode":                  "core's determinism matrix decodes each boundary's payload as it is written",
-	"internal/faultinject.ErrInjectedWrite": "core's recovery test checks that a WriteError wraps the injected failure",
-	"internal/faultinject.FlipBit":          "ckpt's and core's tests corrupt checkpoint files",
-	"internal/faultinject.TruncateTail":     "ckpt's and core's tests tear checkpoint files",
-	"internal/gen.BinaryTree":               "a tree fixture for graphct's and bspalg's tests",
-	"internal/metrics.ValidateExposition":   "live's tests validate the /metrics body",
-	"internal/obs.NewChrome":                "live's tests feed the Chrome sink",
-	"internal/obs.NewJSONL":                 "core's and live's tests read the JSONL event stream",
-	"internal/obs/live.NewServer":           "core's determinism test and live's tests start a server without flags",
+	"internal/bspalg.NewKCoreProgram":           "core's determinism matrix runs an aux-state program",
+	"internal/bspalg.NewLPProgram":              "core's broadcast and direction tests run a label-exchanging program without a combiner",
+	"internal/bspalg.PageRankProgram":           "core's tests run the Sum-combining dense program",
+	"internal/bspalg.TCProgram":                 "core's tests run the per-edge-unicast program",
+	"internal/ckpt.Decode":                      "core's determinism matrix decodes each boundary's payload as it is written",
+	"internal/faultinject.ErrInjectedWrite":     "core's recovery test checks that a WriteError wraps the injected failure",
+	"internal/faultinject.FlipBit":              "ckpt's and core's tests corrupt checkpoint files",
+	"internal/faultinject.TruncateTail":         "ckpt's and core's tests tear checkpoint files",
+	"internal/gen.BinaryTree":                   "a tree fixture for graphct's and bspalg's tests",
+	"internal/graph.BuildOptions.SortAdjacency": "bench/workloads.go sets it; ROADMAP item 1(b) deletes it with the benchmark's next change",
+	"internal/graph.Graph.VerifyCompressed":     "graphio's fuzz tests and graph's tests audit CSR2 decoding with it, the only ascent and self-loop check (ROADMAP item 16)",
+	"internal/metrics.ValidateExposition":       "live's tests validate the /metrics body",
+	"internal/obs.NewChrome":                    "live's tests feed the Chrome sink",
+	"internal/obs.NewJSONL":                     "core's and live's tests read the JSONL event stream",
+	"internal/obs/live.NewServer":               "core's determinism test and live's tests start a server without flags",
 }
 
 // TestNoDeadExports fails on any exported package-level identifier under
@@ -48,8 +53,17 @@ var deadExportAllow = map[string]string{
 //     errors.As), or
 //   - it is on deadExportAllow.
 //
-// Methods and struct fields are out of scope: interface satisfaction uses
-// them without naming them.
+// It also fails on two kinds of dead member of a named type under
+// internal/, exported or not:
+//
+//   - an exported method that no non-test code names and that implements
+//     no interface the module's non-test code declares or uses, and
+//   - an exported struct field that no code, tests included, reads
+//     (assignments and composite-literal keys are writes), unless it is
+//     embedded or its type has struct tags or implements error: reflection
+//     and errors.As read those.
+//
+// Members are named "pkg.Type.Member" on the allow-list and in the report.
 func TestNoDeadExports(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -63,7 +77,7 @@ func TestNoDeadExports(t *testing.T) {
 		t.Error(p)
 	}
 	if len(dead) > 0 {
-		t.Errorf("%d of %d exported identifiers under internal/ are used by nothing outside their package; "+
+		t.Errorf("%d of %d exported identifiers and members under internal/ are dead by the rules above; "+
 			"delete or unexport them (or, for cross-package test support only, add them to deadExportAllow with a reason):\n\t%s",
 			len(dead), cands, strings.Join(dead, "\n\t"))
 	}
@@ -73,19 +87,39 @@ func TestNoDeadExports(t *testing.T) {
 // the allow-list. It returns the dead identifiers, each as "name (kind,
 // file:line)", the allow-list's faults, and the number of candidates.
 func (m *module) deadExports(allow map[string]string) (dead, problems []string, candidates int) {
-	// Candidates: the exported package-level identifiers under internal/.
-	cands := map[string]types.Object{}
+	// Candidates: the exported package-level identifiers under internal/,
+	// and the exported methods and fields of every named type declared there.
+	cands, members := map[string]types.Object{}, map[string]types.Object{}
 	for _, p := range m.pkgs {
 		if !m.isInternal(p.types) {
 			continue
 		}
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
 				cands[m.name(obj)] = obj
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			for i := 0; i < n.NumMethods(); i++ {
+				if fn := n.Method(i); fn.Exported() {
+					members[m.name(tn)+"."+fn.Name()] = fn
+				}
+			}
+			if st, ok := n.Underlying().(*types.Struct); ok && !reflected(n, st) {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						members[m.name(tn)+"."+f.Name()] = f
+					}
+				}
 			}
 		}
 	}
+	maps.Copy(cands, members)
 
 	live := map[types.Object]bool{}
 	var queue []types.Object
@@ -121,6 +155,9 @@ func (m *module) deadExports(allow map[string]string) (dead, problems []string, 
 		}
 	}
 	closure()
+	if err := m.liveMembers(members, live); err != nil {
+		problems = append(problems, err.Error())
+	}
 	// The allow-list, whose entries must be needed.
 	for name, reason := range allow {
 		switch obj := cands[name]; {
@@ -140,7 +177,8 @@ func (m *module) deadExports(allow map[string]string) (dead, problems []string, 
 	for _, obj := range cands {
 		switch obj.(type) {
 		case *types.Const, *types.Var:
-			if n, ok := obj.Type().(*types.Named); ok && n.Obj().Pkg() == obj.Pkg() && live[n.Obj()] {
+			if n, ok := obj.Type().(*types.Named); ok && obj.Parent() == obj.Pkg().Scope() &&
+				n.Obj().Pkg() == obj.Pkg() && live[n.Obj()] {
 				live[obj] = true
 			}
 		}
@@ -157,6 +195,126 @@ func (m *module) deadExports(allow map[string]string) (dead, problems []string, 
 	return dead, problems, len(cands)
 }
 
+// reflected reports whether a struct type's fields are read without being
+// named: through reflection (it has struct tags) or errors.As (it is an
+// error).
+func reflected(n *types.Named, st *types.Struct) bool {
+	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+	if types.Implements(n, errIface) || types.Implements(types.NewPointer(n), errIface) {
+		return true
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Tag(i) != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// liveMembers marks the live methods and fields among members: a method
+// that non-test code names or that implements an interface the module's
+// non-test code declares or uses, and a field that any code reads.
+func (m *module) liveMembers(members map[string]types.Object, live map[types.Object]bool) error {
+	reads, err := m.testReads()
+	if err != nil {
+		return err
+	}
+	ifaces := interfaceSet{seen: map[types.Type]bool{}}
+	// error, and the methods fmt and errors look for by assertion.
+	ifaces.add(types.Universe.Lookup("error").Type())
+	ifaces.add(method("String", types.Typ[types.String]))
+	ifaces.add(method("Unwrap", types.Universe.Lookup("error").Type()))
+	for _, p := range m.pkgs {
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+				live[fn.Origin()] = true
+			}
+			ifaces.add(obj.Type())
+		}
+		for _, obj := range p.info.Defs {
+			if obj != nil {
+				ifaces.add(obj.Type())
+			}
+		}
+		for _, tv := range p.info.Types {
+			ifaces.add(tv.Type)
+		}
+		p.fieldReads(func(f *types.Var) { live[f.Origin()] = true })
+	}
+	for _, obj := range members {
+		if reads[obj.Pos()] {
+			live[obj] = true
+		}
+		fn, ok := obj.(*types.Func)
+		if !ok || live[fn] {
+			continue
+		}
+		recv := fn.Signature().Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, iface := range ifaces.list {
+			if sel, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); sel != nil &&
+				(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+				live[fn] = true
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// method is the interface of one method that takes nothing and returns a
+// result of type res.
+func method(name string, res types.Type) *types.Interface {
+	sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", res)), false)
+	return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+}
+
+// interfaceSet collects the non-empty interfaces a set of types mentions,
+// through pointers, containers and signatures.
+type interfaceSet struct {
+	seen map[types.Type]bool
+	list []*types.Interface
+}
+
+func (s *interfaceSet) add(t types.Type) {
+	if t == nil || s.seen[t] {
+		return
+	}
+	s.seen[t] = true
+	switch t := t.(type) {
+	case *types.Alias:
+		s.add(types.Unalias(t))
+	case *types.Named:
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			s.add(it)
+		}
+	case *types.Interface:
+		if t.NumMethods() > 0 {
+			s.list = append(s.list, t)
+		}
+	case *types.Pointer:
+		s.add(t.Elem())
+	case *types.Slice:
+		s.add(t.Elem())
+	case *types.Array:
+		s.add(t.Elem())
+	case *types.Chan:
+		s.add(t.Elem())
+	case *types.Map:
+		s.add(t.Key())
+		s.add(t.Elem())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			s.add(t.At(i).Type())
+		}
+	case *types.Signature:
+		s.add(t.Params())
+		s.add(t.Results())
+	}
+}
+
 // origin returns the generic object behind an instantiated func or var.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
@@ -169,13 +327,20 @@ func origin(obj types.Object) types.Object {
 }
 
 func kind(obj types.Object) string {
-	switch obj.(type) {
+	switch obj := obj.(type) {
 	case *types.Func:
+		if obj.Signature().Recv() != nil {
+			return "method"
+		}
 		return "func"
 	case *types.TypeName:
 		return "type"
 	case *types.Const:
 		return "const"
+	case *types.Var:
+		if obj.IsField() {
+			return "field"
+		}
 	}
 	return "var"
 }
@@ -283,11 +448,20 @@ type module struct {
 	std        types.ImporterFrom
 	pkgs       map[string]*modPkg // by import path
 	dirs       map[string]string  // import path -> directory
+	src        map[string]*srcPkg // by import path; shared with test views
+}
+
+// srcPkg is a package directory's parsed files: its own, its in-package
+// tests' and its external test package's. A package's declarations keep
+// their positions in every check that reuses these files.
+type srcPkg struct {
+	files, tests, xtests []*ast.File
 }
 
 type modPkg struct {
 	types *types.Package
 	info  *types.Info
+	files []*ast.File
 }
 
 func (m *module) isInternal(p *types.Package) bool {
@@ -313,6 +487,7 @@ func loadModule(t *testing.T, root string) *module {
 		fset: token.NewFileSet(),
 		pkgs: map[string]*modPkg{},
 		dirs: map[string]string{},
+		src:  map[string]*srcPkg{},
 	}
 	m.std = importer.ForCompiler(m.fset, "source", nil).(types.ImporterFrom)
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -351,37 +526,148 @@ func modulePath(gomod string) string {
 	return ""
 }
 
+// parse parses a package directory's files once; a directory without Go
+// files parses as nil.
+func (m *module) parse(ip string) (*srcPkg, error) {
+	if s, ok := m.src[ip]; ok {
+		return s, nil
+	}
+	dir := m.dirs[ip]
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		if _, ok := err.(*build.NoGoError); ok {
+			m.src[ip] = nil
+			return nil, nil
+		}
+		return nil, err
+	}
+	s := &srcPkg{}
+	for _, set := range []struct {
+		names []string
+		files *[]*ast.File
+	}{{bp.GoFiles, &s.files}, {bp.TestGoFiles, &s.tests}, {bp.XTestGoFiles, &s.xtests}} {
+		for _, name := range set.names {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			*set.files = append(*set.files, f)
+		}
+	}
+	m.src[ip] = s
+	return s, nil
+}
+
 // load type-checks one package of the module from its non-test files; a
 // directory without Go files loads as nil.
 func (m *module) load(ip string) (*modPkg, error) {
 	if p, ok := m.pkgs[ip]; ok {
 		return p, nil
 	}
-	dir := m.dirs[ip]
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			m.pkgs[ip] = nil
-			return nil, nil
-		}
+	s, err := m.parse(ip)
+	if s == nil || err != nil {
+		m.pkgs[ip] = nil
 		return nil, err
 	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	p := &modPkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
-	conf := types.Config{Importer: m}
-	p.types, err = conf.Check(ip, m.fset, files, p.info)
+	p, err := m.check(ip, s.files)
 	if err != nil {
 		return nil, err
 	}
 	m.pkgs[ip] = p
 	return p, nil
+}
+
+// check type-checks files as package ip, importing through m.
+func (m *module) check(ip string, files []*ast.File) (*modPkg, error) {
+	p := &modPkg{files: files, info: &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	var err error
+	p.types, err = (&types.Config{Importer: m}).Check(ip, m.fset, files, p.info)
+	return p, err
+}
+
+// testReads returns the declaring positions of the struct fields that the
+// module's test code reads. Each package's tests are checked the way go test
+// builds them: the in-package test files with the package's own, then the
+// external test package in a view of the module where that augmented
+// package replaces the plain one, and every package importing it is
+// re-checked against it, so that each type has one copy.
+func (m *module) testReads() (map[token.Pos]bool, error) {
+	reads := map[token.Pos]bool{}
+	read := func(f *types.Var) { reads[f.Origin().Pos()] = true }
+	for ip := range m.dirs {
+		s, err := m.parse(ip)
+		if err != nil {
+			return nil, err
+		}
+		if s == nil || len(s.tests)+len(s.xtests) == 0 {
+			continue
+		}
+		p, err := m.check(ip, slices.Concat(s.files, s.tests))
+		if err != nil {
+			return nil, err
+		}
+		p.fieldReads(read)
+		if len(s.xtests) == 0 {
+			continue
+		}
+		view := &module{root: m.root, path: m.path, fset: m.fset, std: m.std, dirs: m.dirs, src: m.src,
+			pkgs: map[string]*modPkg{ip: p}}
+		for dep, q := range m.pkgs {
+			if !imports(q.types, ip, map[*types.Package]bool{}) {
+				view.pkgs[dep] = q
+			}
+		}
+		x, err := view.check(ip+"_test", s.xtests)
+		if err != nil {
+			return nil, err
+		}
+		x.fieldReads(read)
+	}
+	return reads, nil
+}
+
+// imports reports whether p is ip or imports it, directly or not.
+func imports(p *types.Package, ip string, seen map[*types.Package]bool) bool {
+	if p.Path() == ip {
+		return true
+	}
+	seen[p] = true
+	for _, q := range p.Imports() {
+		if !seen[q] && imports(q, ip, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// fieldReads calls read for every struct field a package's code reads: a
+// field selection that is not the left side of a plain assignment.
+func (p *modPkg) fieldReads(read func(*types.Var)) {
+	for _, f := range p.files {
+		written := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if s := p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+					read(s.Obj().(*types.Var))
+				}
+			}
+			return true
+		})
+	}
 }
 
 func (m *module) Import(ip string) (*types.Package, error) {
@@ -458,7 +744,7 @@ func TestDeadExportRules(t *testing.T) {
 					"type Result int\n\ntype Private int\n\n" +
 					"func (T) M() Result { return 0 }\n\nfunc (T) m() Private { return 0 }\n\n" +
 					"func New() *T { return nil }\n",
-				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { a.New() }\n",
+				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { t := a.New(); _ = t.F; t.M() }\n",
 			},
 			dead: []string{
 				"internal/a.Hidden (type, internal/a/a.go:10)",
@@ -470,8 +756,73 @@ func TestDeadExportRules(t *testing.T) {
 			files: map[string]string{
 				"internal/a/a.go": "package a\n\ntype impl struct{}\n\ntype Out int\n\n" +
 					"func (impl) Get() Out { return 0 }\n\nfunc Make() impl { return impl{} }\n",
-				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { a.Make() }\n",
+				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { a.Make().Get() }\n",
 			},
+		},
+		{
+			name: "a method no non-test code names is reported",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc New() T { return T{} }\n\n" +
+					"func (T) Used() {}\n\nfunc (T) Inner() {}\n\nfunc (t T) Outer() { t.Inner() }\n\n" +
+					"func (*T) Dead() {}\n\ntype hidden struct{}\n\nfunc (hidden) Dead() {}\n",
+				"internal/a/a_test.go": "package a\n\nfunc f(t T) { t.Dead(); hidden{}.Dead() }\n",
+				"cmd/x/main.go":        "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { t := a.New(); t.Used(); t.Outer() }\n",
+			},
+			dead: []string{
+				"internal/a.T.Dead (method, internal/a/a.go:13)",
+				"internal/a.hidden.Dead (method, internal/a/a.go:17)",
+			},
+		},
+		{
+			name: "a method reached only through an interface is live",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\n" +
+					"type Namer interface{ Name() string }\n\nfunc Use(n Namer) string { return n.Name() }\n\n" +
+					"type T struct{}\n\nfunc New() *T { return &T{} }\n\n" +
+					"func (T) Name() string { return \"\" }\n\n" +
+					"func (*T) Write(p []byte) (int, error) { return len(p), nil }\n\n" +
+					"func (T) String() string { return \"\" }\n\n" +
+					"func (T) Unwrap() error { return nil }\n\n" +
+					"func (T) Other() string { return \"\" }\n",
+				"cmd/x/main.go": "package main\n\nimport (\n\t\"fmt\"\n\n\t\"example.com/m/internal/a\"\n)\n\n" +
+					"func main() { t := a.New(); a.Use(t); fmt.Fprintln(t, t) }\n",
+			},
+			dead: []string{"internal/a.T.Other (method, internal/a/a.go:19)"},
+		},
+		{
+			name: "a field nothing reads is reported",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype T struct {\n\tRead, Written, Unread, Bumped int\n\tunexported int\n}\n",
+				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\n" +
+					"func main() {\n\tt := a.T{Unread: 1}\n\tt.Written = t.Read\n\tt.Bumped++\n}\n",
+			},
+			dead: []string{
+				"internal/a.T.Unread (field, internal/a/a.go:4)",
+				"internal/a.T.Written (field, internal/a/a.go:4)",
+			},
+		},
+		{
+			name: "tagged, error and embedded fields are exempt",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\n" +
+					"type J struct {\n\tX int `json:\"x\"`\n\tY int\n}\n\n" +
+					"type E struct{ Code int }\n\nfunc (*E) Error() string { return \"\" }\n\n" +
+					"type W struct{ J }\n",
+				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\n" +
+					"func main() { _, _, _ = a.J{}, a.E{}, a.W{} }\n",
+			},
+		},
+		{
+			name: "a field a test reads is live",
+			files: map[string]string{
+				"internal/a/a.go":           "package a\n\ntype T struct{ In, Ext, None int }\n",
+				"internal/b/b.go":           "package b\n\nimport \"example.com/m/internal/a\"\n\nfunc Get() a.T { return a.T{} }\n",
+				"internal/a/export_test.go": "package a\n\nfunc In(t T) int { return t.In }\n",
+				"internal/a/a_test.go": "package a_test\n\nimport (\n\t\"example.com/m/internal/a\"\n\t\"example.com/m/internal/b\"\n)\n\n" +
+					"func f() int { var t a.T = b.Get(); return t.Ext + a.In(t) }\n",
+				"cmd/x/main.go": "package main\n\nimport \"example.com/m/internal/b\"\n\nfunc main() { b.Get() }\n",
+			},
+			dead: []string{"internal/a.T.None (field, internal/a/a.go:3)"},
 		},
 		{
 			name: "consts of a live type are live, of a dead type dead",
@@ -506,9 +857,13 @@ func TestDeadExportRules(t *testing.T) {
 		{
 			name: "an allow-list entry keeps test support live, and what it reaches",
 			files: map[string]string{
-				"internal/a/a.go": "package a\n\ntype Fixture struct{}\n\nfunc Support() *Fixture { return nil }\n",
+				"internal/a/a.go": "package a\n\ntype Fixture struct{ Set int }\n\nfunc Support() *Fixture { return nil }\n\nfunc (*Fixture) Check() {}\n",
 			},
-			allow: map[string]string{"internal/a.Support": "b's tests build a fixture"},
+			allow: map[string]string{
+				"internal/a.Support":       "b's tests build a fixture",
+				"internal/a.Fixture.Check": "b's tests check it",
+				"internal/a.Fixture.Set":   "the benchmark sets it",
+			},
 		},
 		{
 			name: "faulty allow-list entries are reported",

@@ -65,8 +65,6 @@ type BFSResult struct {
 	// MessagesPerStep holds messages generated by each superstep — the
 	// green series of the paper's Figure 2.
 	MessagesPerStep []int64
-	// ActivePerStep holds vertices that ran Compute in each superstep.
-	ActivePerStep []int64
 	// FrontierPerStep holds the number of vertices that first adopted
 	// their final distance in each superstep: the true frontier (the red
 	// series of Figure 2). FrontierPerStep[s] is the number of vertices at
@@ -89,7 +87,6 @@ func BFS(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option)
 		Dist:            res.States,
 		Supersteps:      res.Supersteps,
 		MessagesPerStep: res.MessagesPerStep,
-		ActivePerStep:   res.ActivePerStep,
 	}
 	// Normalize infinity to -1 and recover per-level frontier sizes from
 	// the final distances (level s vertices became frontier in superstep s).

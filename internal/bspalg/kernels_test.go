@@ -275,11 +275,7 @@ func refLabelPropagation(g *graph.Graph, rounds int) []int64 {
 			for _, m := range heard[v] {
 				view[v][slices.Index(g.Neighbors(v), m[0])] = m[1]
 			}
-			counts := map[int64]int64{}
-			for _, l := range view[v] {
-				counts[l]++
-			}
-			if best := graphct.PluralityLabel(counts, label[v], step); best != label[v] {
+			if best := graphct.PluralityLabel(view[v], label[v], step); best != label[v] {
 				label[v] = best
 				for _, w := range g.Neighbors(v) {
 					if step < rounds {

@@ -62,12 +62,8 @@ func (p *lpProgram) Compute(v *core.VertexContext) {
 		v.Charge(4, 4, 1)
 	}
 	if len(cache) > 0 {
-		counts := make(map[int64]int64, len(cache))
-		for _, l := range cache {
-			counts[l]++
-		}
 		v.Charge(int64(len(cache)), int64(len(cache)), 0)
-		best := graphct.PluralityLabel(counts, v.State(), v.Superstep())
+		best := graphct.PluralityLabel(cache, v.State(), v.Superstep())
 		if best != v.State() {
 			v.SetState(best)
 			if v.Superstep() < p.Rounds {

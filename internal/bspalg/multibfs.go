@@ -169,11 +169,10 @@ type MultiResult struct {
 	// Supersteps is the batched run's superstep count: the deepest lane's
 	// BFS depth plus the terminal superstep.
 	Supersteps int
-	// ActivePerStep / MessagesPerStep are the engine's per-superstep
-	// counters for the one shared run. MessagesPerStep counts each
-	// lane-packed broadcast once per edge — not once per lane per edge —
-	// which is precisely the amortization the batch buys.
-	ActivePerStep   []int64
+	// MessagesPerStep is the engine's per-superstep message counter for
+	// the one shared run. It counts each lane-packed broadcast once per
+	// edge — not once per lane per edge — which is precisely the
+	// amortization the batch buys.
 	MessagesPerStep []int64
 	// Masks holds every vertex's final lane bitmask: bit i set means lane
 	// i's search reached the vertex.
@@ -232,7 +231,6 @@ func runMulti(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, withLevels 
 	return &MultiResult{
 		Plan:            plan,
 		Supersteps:      res.Supersteps,
-		ActivePerStep:   res.ActivePerStep,
 		MessagesPerStep: res.MessagesPerStep,
 		Masks:           res.States,
 		levels:          prog.levels,

@@ -53,8 +53,6 @@ type SSSPResult struct {
 	Dist []int64
 	// Supersteps is the superstep count until convergence.
 	Supersteps int
-	// MessagesPerStep holds relaxation messages per superstep.
-	MessagesPerStep []int64
 }
 
 // SSSP runs BSP single-source shortest paths on a weighted graph with
@@ -73,9 +71,8 @@ func SSSP(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option
 		return nil, err
 	}
 	out := &SSSPResult{
-		Dist:            res.States,
-		Supersteps:      res.Supersteps,
-		MessagesPerStep: res.MessagesPerStep,
+		Dist:       res.States,
+		Supersteps: res.Supersteps,
 	}
 	for i, d := range out.Dist {
 		if d >= unreachable {

@@ -28,7 +28,7 @@ type Policy struct {
 	// passes no Policy at all.
 	Dir string
 	// EveryN writes a checkpoint after every Nth superstep boundary;
-	// 0 selects 1 (every boundary). Interrupts (Config.Stop) force a write
+	// 0 selects 1 (every boundary). Interrupts (core.WithStop) force a write
 	// regardless of the cadence.
 	EveryN int
 	// Keep retains only the newest Keep periodic checkpoints, pruning older
@@ -91,7 +91,7 @@ type Fingerprint struct {
 	MaxMessages   int64
 	// CostsCRC is a CRC32 over the resolved cost schedule.
 	CostsCRC uint32
-	// Retries is the run's Config.MaxRetries bound. The retry loop
+	// Retries is the run's core.WithRetries bound. The retry loop
 	// re-executes a faulting superstep from the boundary snapshot, so the
 	// retry budget shapes which faults a run survives; a resumed run must
 	// keep the bound it started with for Result.RetriesPerStep to stay
@@ -149,9 +149,6 @@ type Bitmap struct {
 	Words []uint64
 }
 
-// Has reports vertex v's flag.
-func (b Bitmap) Has(v int64) bool { return b.Words[v>>6]>>(v&63)&1 != 0 }
-
 // Snapshot is the complete engine state at one superstep boundary: the
 // boundary after superstep Step completed, before Step+1 begins. Messages
 // are the ones sent during Step (they are delivered to inboxes when the
@@ -199,8 +196,10 @@ type Snapshot struct {
 	// program-defined; FP.Program (a batch's lane order included) pins the
 	// interpretation. Empty for programs without aux state.
 	Aux []int64
-	// Aggregates and PrevAggregates (the Pregel previous-superstep view),
-	// sorted by name.
+	// Aggregates holds the run-level aggregators, sorted by name.
+	// PrevAggregates is the previous-superstep view a program reads; the
+	// engine writes the aggregates there too, which is what that view is
+	// at every boundary, and ignores it on load.
 	Aggregates     []Aggregate
 	PrevAggregates []Aggregate
 	// Phases is the accumulated trace profile.

@@ -88,8 +88,8 @@ func TestBitmapWordEdges(t *testing.T) {
 						spec = append(spec, fmt.Sprintf("panicn@%d:%d:1", s, v))
 					}
 					c := cfg()
-					c.Program, c.MaxRetries = mustPlan(t, strings.Join(spec, ";")).WrapProgram(c.Program), 1
-					res, ph, err := runRec(g, 3, c)
+					c.Program = mustPlan(t, strings.Join(spec, ";")).WrapProgram(c.Program)
+					res, ph, err := runRec(g, 3, c, core.WithRetries(1))
 					if err != nil || !slices.Equal(res.RetriesPerStep, slices.Repeat([]int64{1}, base.Supersteps)) {
 						t.Fatalf("retry every superstep: %v, RetriesPerStep %v", err, res.RetriesPerStep)
 					}
@@ -100,12 +100,10 @@ func TestBitmapWordEdges(t *testing.T) {
 					if base.Supersteps <= 1<<10 {
 						// Every boundary, checked as the checkpoint writer encodes it.
 						tap := &haltedTap{}
-						c = cfg()
-						c.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), Keep: 1, Hooks: &ckpt.Hooks{WrapWrite: func(_ int64, w io.Writer) io.Writer {
+						res, ph, err = runRec(g, 8, cfg(), core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir(), Keep: 1, Hooks: &ckpt.Hooks{WrapWrite: func(_ int64, w io.Writer) io.Writer {
 							tap.writes = 0
 							return io.MultiWriter(w, tap)
-						}}}
-						res, ph, err = runRec(g, 8, c)
+						}}}))
 						if err != nil || tap.err != nil || !reflect.DeepEqual(base, res) {
 							t.Fatalf("checkpointed at w=8: %v, %v; Result equal to w=1's: %v", err, tap.err, reflect.DeepEqual(base, res))
 						}
@@ -192,7 +190,7 @@ func checkBitmaps(t *testing.T, s *ckpt.Snapshot) {
 	n := s.FP.Vertices
 	var clear int64
 	for v := int64(0); v < n; v++ {
-		if !s.Halted.Has(v) {
+		if s.Halted.Words[v>>6]>>(v&63)&1 == 0 {
 			clear++
 		}
 	}

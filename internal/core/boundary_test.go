@@ -41,7 +41,9 @@ func TestBoundaryHistorySharedAcrossKillAndRetry(t *testing.T) {
 	// A fresh one-shot fault per run: the run that executes faultStep — the
 	// killed one or the resumed one — retries it once.
 	mk := func() core.Config {
-		return core.Config{Program: newTransientStep(bspalg.BFSProgram{Source: 0}, faultStep, 1), MaxRetries: 2}
+		cfg := core.Config{Program: newTransientStep(bspalg.BFSProgram{Source: 0}, faultStep, 1)}
+		core.WithRetries(2)(&cfg)
+		return cfg
 	}
 	res, basePh, err := runRec(g, 1, mk())
 	if err != nil {
@@ -54,16 +56,13 @@ func TestBoundaryHistorySharedAcrossKillAndRetry(t *testing.T) {
 		for k := 0; k <= res.Supersteps-2; k++ {
 			t.Run(fmt.Sprintf("w=%d/kill@%d", w, k), func(t *testing.T) {
 				dir := t.TempDir()
-				cfg := mk()
-				cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: (&faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}).Hooks()}
-				_, _, err := runRec(g, w, cfg)
+				kill := &ckpt.Policy{Dir: dir, Hooks: (&faultinject.Plan{KillAt: map[int64]bool{int64(k): true}}).Hooks()}
+				_, _, err := runRec(g, w, mk(), core.WithCheckpoint(kill))
 				var ie *core.InterruptedError
 				if !errors.As(err, &ie) || ie.CheckpointPath == "" {
 					t.Fatalf("want InterruptedError with a checkpoint, got %v", err)
 				}
-				cfg = mk()
-				cfg.Checkpoint, cfg.Resume = &ckpt.Policy{Dir: dir}, ie.CheckpointPath
-				got, ph, err := runRec(g, w, cfg)
+				got, ph, err := runRec(g, w, mk(), core.WithCheckpoint(&ckpt.Policy{Dir: dir}), core.WithResume(ie.CheckpointPath))
 				if err != nil || !reflect.DeepEqual(res, got) {
 					t.Fatalf("resume: %v; Result differs from an uninterrupted run's: %v", err, !reflect.DeepEqual(res, got))
 				}
@@ -143,7 +142,7 @@ func TestWriteOverlapsNextSweep(t *testing.T) {
 		}
 		return w
 	}}
-	res, ph, err := runRec(g, 2, core.Config{Program: prog, Checkpoint: &ckpt.Policy{Dir: dir, Hooks: hooks}})
+	res, ph, err := runRec(g, 2, core.Config{Program: prog}, core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: hooks}))
 	if err != nil {
 		t.Fatal(err)
 	}

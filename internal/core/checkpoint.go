@@ -34,22 +34,27 @@ import (
 // without new function signatures.
 type Option func(*Config)
 
-// WithCheckpoint enables superstep-boundary checkpointing under p.
+// WithCheckpoint enables superstep-boundary checkpointing under p (package
+// ckpt; see docs/ROBUSTNESS.md); a policy without a Dir is an error. No
+// policy costs one pointer check per superstep.
 func WithCheckpoint(p *ckpt.Policy) Option {
-	return func(c *Config) { c.Checkpoint = p }
+	return func(c *Config) { c.checkpoint = p }
 }
 
 // WithResume makes the run restore from the checkpoint at path instead of
-// starting at superstep 0.
+// starting at superstep 0. The checkpoint's fingerprint must match the
+// config (same graph, program value, and engine options) or Run returns
+// *ckpt.MismatchError.
 func WithResume(path string) Option {
-	return func(c *Config) { c.Resume = path }
+	return func(c *Config) { c.resume = path }
 }
 
-// WithStop installs a stop channel: when it is closed the engine finishes
-// the current superstep, checkpoints (if a policy is configured), and
-// returns *InterruptedError.
+// WithStop installs a stop channel, polled at every superstep boundary:
+// once it is closed the engine finishes the current superstep, checkpoints
+// (if a policy is configured), and returns *InterruptedError. This is how
+// cmd/bspgraph turns SIGINT/SIGTERM into a resumable exit.
 func WithStop(ch <-chan struct{}) Option {
-	return func(c *Config) { c.Stop = ch }
+	return func(c *Config) { c.stop = ch }
 }
 
 // WithMaxSupersteps bounds the run (see Config.MaxSupersteps).
@@ -162,7 +167,7 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		MaxSupersteps: int64(maxSteps),
 		MaxMessages:   maxMsgs,
 		CostsCRC:      costsCRC(costs),
-		Retries:       int64(max(cfg.MaxRetries, 0)),
+		Retries:       int64(max(cfg.maxRetries, 0)),
 		Rep:           string(g.Rep()),
 	}
 }
@@ -212,11 +217,11 @@ type ckptRun struct {
 
 // startCkpt resolves the run's checkpoint state; nil disables everything.
 func startCkpt(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs CostSchedule, sup *supRun) *ckptRun {
-	if cfg.Checkpoint == nil && cfg.Stop == nil && cfg.Resume == "" && !cfg.ResumeLatest && sup == nil {
+	if cfg.checkpoint == nil && cfg.stop == nil && cfg.resume == "" && !cfg.resumeLatest && sup == nil {
 		return nil
 	}
-	ck := &ckptRun{policy: cfg.Checkpoint, stop: cfg.Stop, sup: sup, aux: auxOf(cfg.Program)}
-	if ck.policy != nil || cfg.Resume != "" || cfg.ResumeLatest {
+	ck := &ckptRun{policy: cfg.checkpoint, stop: cfg.stop, sup: sup, aux: auxOf(cfg.Program)}
+	if ck.policy != nil || cfg.resume != "" || cfg.resumeLatest {
 		ck.fp = runFingerprint(cfg, g, maxSteps, maxMsgs, costs)
 	}
 	if ck.policy != nil {
@@ -232,16 +237,6 @@ func startCkpt(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs C
 func appendAggs(out []ckpt.Aggregate, aggs map[string]*aggregator) []ckpt.Aggregate {
 	for name, a := range aggs {
 		out = append(out, ckpt.Aggregate{Name: name, Value: a.value, Seeded: a.seeded})
-	}
-	sortAggs(out)
-	return out
-}
-
-// appendPrevAggs appends the previous superstep's aggregate view to out,
-// sorted by name.
-func appendPrevAggs(out []ckpt.Aggregate, prev map[string]int64) []ckpt.Aggregate {
-	for name, v := range prev {
-		out = append(out, ckpt.Aggregate{Name: name, Value: v, Seeded: true})
 	}
 	sortAggs(out)
 	return out
@@ -305,9 +300,13 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t 
 		// and the like. The compute sweep confines aux writes to the
 		// computing vertex's own words, so at a boundary the slice is
 		// quiescent and a plain copy captures it exactly.
-		Aux:            append(s.Aux[:0], ck.aux...),
-		Aggregates:     appendAggs(s.Aggregates[:0], master.aggregates),
-		PrevAggregates: appendPrevAggs(s.PrevAggregates[:0], master.prevAggregates),
+		Aux:        append(s.Aux[:0], ck.aux...),
+		Aggregates: appendAggs(s.Aggregates[:0], master.aggregates),
+		// The format keeps the view a program had of the previous
+		// superstep's aggregates. Aggregators accumulate over the whole run
+		// and every run-level one is seeded, so at a boundary that view is
+		// the aggregates themselves.
+		PrevAggregates: appendAggs(s.PrevAggregates[:0], master.aggregates),
 		Phases:         slices.Clip(ck.phases),
 	}
 	// In-flight traffic, sent during step: the unicast log, and beside it
@@ -453,7 +452,7 @@ func writeEmergency(w *ckpt.Writer, p *ckpt.Policy, snap *ckpt.Snapshot) string 
 	return path
 }
 
-// loadResume loads and fingerprint-checks the checkpoint at cfg.Resume.
+// loadResume loads and fingerprint-checks the checkpoint WithResume named.
 func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 	s, err := ckpt.Load(path)
 	if err != nil {
@@ -470,7 +469,7 @@ func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 	return s, nil
 }
 
-// loadLatest resolves Config.ResumeLatest: walk the policy directory's
+// loadLatest resolves WithResumeLatest: walk the policy directory's
 // checkpoints newest-first and load the first valid one, reporting each
 // skipped (corrupt, truncated, or version-incompatible) snapshot through
 // the run's obs sink. Returns (nil, nil) when the directory holds no
@@ -528,12 +527,6 @@ func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState
 			// The reduction function is not serializable; mergeAggregates
 			// adopts the one the resumed program registers on first use.
 			master.aggregates[a.Name] = &aggregator{value: a.Value, seeded: a.Seeded}
-		}
-	}
-	if len(s.PrevAggregates) > 0 {
-		master.prevAggregates = make(map[string]int64, len(s.PrevAggregates))
-		for _, a := range s.PrevAggregates {
-			master.prevAggregates[a.Name] = a.Value
 		}
 	}
 	rec.RestoreState(s.Phases)

@@ -42,7 +42,9 @@ func TestBoundaryAllocIndependentOfHistory(t *testing.T) {
 	const steps = 1000
 	g := gen.Path(2*steps + 100)
 	mk := func() core.Config {
-		return core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: true, MaxRetries: 1}
+		cfg := core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: true}
+		core.WithRetries(1)(&cfg)
+		return cfg
 	}
 	allocated(t, g, mk, steps) // warm the engine's pools
 	short, long := allocated(t, g, mk, steps), allocated(t, g, mk, 2*steps)
@@ -78,7 +80,9 @@ func (boundaryLoad) Compute(v *core.VertexContext) {
 func TestBoundaryAllocationIsConstant(t *testing.T) {
 	g := gen.Path(1 << 17)
 	mk := func() core.Config {
-		return core.Config{Program: boundaryLoad{}, Checkpoint: &ckpt.Policy{Dir: t.TempDir(), Keep: 2}}
+		cfg := core.Config{Program: boundaryLoad{}}
+		core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir(), Keep: 2})(&cfg)
+		return cfg
 	}
 	allocated(t, g, mk, 4) // warm the engine's pools
 	short, long := allocated(t, g, mk, 4), allocated(t, g, mk, 12)

@@ -165,10 +165,6 @@ type engineState struct {
 	// program folding into one name skips the map on every call but the first.
 	lastAggName string
 	lastAgg     *aggregator
-	// prevAggregates snapshots the aggregators as of the end of the
-	// previous superstep (Pregel semantics: a value aggregated in
-	// superstep s is visible to every vertex in superstep s+1).
-	prevAggregates map[string]int64
 
 	// extra* accumulate Charge calls within one superstep.
 	extraIssue, extraLoads, extraStores int64
@@ -271,13 +267,6 @@ func (v *VertexContext) NeighborWeights() []int64 {
 	return v.engine.graph.NeighborWeights(v.id)
 }
 
-// HasNeighbor reports whether w is adjacent to this vertex (binary search
-// on sorted graphs). The membership loads it implies must be charged via
-// Charge by programs that care about fidelity.
-func (v *VertexContext) HasNeighbor(w int64) bool {
-	return v.engine.graph.HasEdge(v.id, w)
-}
-
 // Charge records algorithm-specific work beyond the engine's fixed
 // per-vertex and per-message costs — e.g. the adjacency scans of the
 // triangle counting program. The charges are added to the current
@@ -377,14 +366,6 @@ func (v *VertexContext) Aggregate(name string, value int64, reduce func(a, b int
 		return
 	}
 	agg.value = agg.reduce(agg.value, value)
-}
-
-// PreviousAggregate returns the value the named aggregator held at the end
-// of the previous superstep (Pregel's aggregator visibility rule), and
-// whether it existed. During superstep 0 nothing is visible.
-func (v *VertexContext) PreviousAggregate(name string) (int64, bool) {
-	val, ok := v.engine.prevAggregates[name]
-	return val, ok
 }
 
 // Sum is an aggregator reduction.

@@ -193,16 +193,9 @@ func (p path) String() string {
 	return [...]string{"none", "lookaside", "csr", "csr-par", "pull"}[p.kind]
 }
 
-// The three host-speed constants of delivery. Every path delivers the same
-// sequences, so none of them can reach a message; pullMinEdges, which the
-// direction decision reads too, reaches Result.DirectionPerStep.
+// The two host-speed constants of delivery. Every path delivers the same
+// sequences, so neither can reach a message.
 const (
-	// pullMinEdges is the logical-message count below which a
-	// pure-broadcast superstep is never pulled. BenchmarkPullFloor finds
-	// the pull's win set by the frontier's density, not by this size, at
-	// 2^10 to 2^17 messages; it stays because moving it moves
-	// Result.DirectionPerStep.
-	pullMinEdges = 1 << 14
 	// deliverParallelMin is the logical-message count below which forking
 	// the counting sort costs more than it saves.
 	deliverParallelMin = 1 << 14
@@ -215,13 +208,6 @@ const (
 	// while they fit.
 	lookasideCutoff = 4
 )
-
-// pullable reports whether a superstep's broadcast records may be pulled:
-// only when it is pure broadcast (a pull cannot deliver a Send) and at
-// least pullMinEdges big. The direction decision asks too (dirState.decide).
-func pullable(unicast, logical int64) bool {
-	return unicast == 0 && logical >= pullMinEdges
-}
 
 // pathInputs is everything a delivery decision may depend on: logical and
 // physical counters, run constants and the worker count — never the
@@ -243,14 +229,15 @@ type pathInputs struct {
 //   - A superstep far below n takes the lookaside whatever the direction
 //     says (a gather sweep over every edge costs more than reading a few
 //     stored messages) — unless it is large enough to sort in parallel.
-//   - Pullable records are pulled when the recorded direction says so.
+//   - Records are pullable when the superstep is pure broadcast (a pull
+//     cannot deliver a Send), and pulled when the recorded direction says so.
 //   - Pullable records with a combiner and no pull fold sequentially
 //     (denseFold): the exact per-edge fold order for any combiner.
 //   - Everything else is the counting sort, forked when there are workers
 //     and messages enough to pay for it, few enough for int32 cursors, and
 //     the traffic is not a mixed log + records stream.
 func choosePath(in pathInputs) (p path, why string) {
-	eligible := in.records > 0 && pullable(in.unicast, in.logical)
+	eligible := in.records > 0 && in.unicast == 0
 	parallel := in.workers > 1 && in.logical >= deliverParallelMin && in.logical < math.MaxInt32 &&
 		(in.unicast == 0 || in.records == 0)
 	switch {

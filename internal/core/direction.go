@@ -101,13 +101,14 @@ func startDir(cfg *Config, g *graph.Graph) *dirState {
 
 // decide returns the direction for the superstep whose compute sweep just
 // finished, given the frontier's broadcast-incident-edge count and the
-// unicast message count. Pull requires a pullable superstep (pure
-// broadcast, and big enough); delivery still pushes one whose records
-// cannot be pulled (fillBcastLookaside). Everything read here is a logical
-// counter or run-constant, keeping the decision worker-count- and
+// unicast message count. Pull requires a pullable superstep: pure
+// broadcast, with a broadcast to pull. Delivery still pushes one whose
+// records cannot be pulled (fillBcastLookaside). How dense the frontier
+// is, not how big, is what makes a pull pay. Everything read here is a
+// logical counter or run-constant, keeping the decision worker-count- and
 // treatment-independent.
 func (ds *dirState) decide(bcastEdges, unicast int64) DirectionMode {
-	if ds.mode == DirPush || !pullable(unicast, bcastEdges) {
+	if ds.mode == DirPush || unicast != 0 || bcastEdges == 0 {
 		return DirPush
 	}
 	if ds.mode == DirPull {

@@ -65,6 +65,11 @@ type Program interface {
 	Compute(v *VertexContext)
 }
 
+// maxMessagesPerSuperstep bounds send-buffer growth. Algorithms that
+// exceed it (BSP triangle counting at scale) must use a streaming evaluator
+// instead; the engine returns *MessageCapError.
+const maxMessagesPerSuperstep = 1 << 28
+
 // Config configures a BSP run.
 type Config struct {
 	// Graph is the input graph (required).
@@ -86,10 +91,6 @@ type Config struct {
 	// Costs is the engine cost schedule; the zero value selects
 	// DefaultCosts.
 	Costs *CostSchedule
-	// MaxMessagesPerSuperstep bounds send-buffer growth; 0 selects 1<<28.
-	// Algorithms that exceed it (BSP triangle counting at scale) must use
-	// a streaming evaluator instead; the engine returns an error.
-	MaxMessagesPerSuperstep int64
 	// Obs receives host-runtime observability events: wall-clock spans
 	// for each engine phase of each superstep, per-worker busy time,
 	// per-superstep counters, and sampled memory statistics (package
@@ -107,54 +108,22 @@ type Config struct {
 	// magnitude larger" in BSP — with sparse activation that overhead
 	// disappears (see xmtbench -exp ablation-activation).
 	SparseActivation bool
-	// Checkpoint, when non-nil, enables superstep-boundary checkpointing
-	// under the given policy (package ckpt; see checkpoint.go and
-	// docs/ROBUSTNESS.md); a policy without a Dir is an error. nil costs one
-	// pointer check per superstep.
-	Checkpoint *ckpt.Policy
-	// Resume, when non-empty, restores the run from the checkpoint at this
-	// path instead of starting at superstep 0. The checkpoint's fingerprint
-	// must match this config (same graph, program value, and engine
-	// options) or Run returns *ckpt.MismatchError.
-	Resume string
-	// Stop, when non-nil, is polled at every superstep boundary: once it
-	// is closed, the engine finishes the current superstep, writes a
-	// checkpoint (when a policy is configured), and returns
-	// *InterruptedError. This is how cmd/bspgraph turns SIGINT/SIGTERM
-	// into a resumable exit.
-	Stop <-chan struct{}
-	// MaxRetries bounds deterministic superstep retry (supervise.go): a
-	// vertex-program panic rolls the engine back to the last superstep
-	// boundary's in-memory snapshot and re-executes, up to MaxRetries
-	// times per superstep, before giving up with *RetryExhaustedError.
-	// Because re-execution consumes exactly the boundary state the failed
-	// attempt did, a run that survives a transient fault is bit-identical
-	// (Result and profile) to a fault-free run at any worker count. 0 or
-	// negative disables retry. The bound is recorded in checkpoint
-	// fingerprints, so a resumed run must keep the bound it started with.
-	MaxRetries int
-	// StepTimeout, when positive, arms a watchdog over each superstep: a
-	// superstep that outlives the deadline triggers an emergency
-	// checkpoint (when a policy is configured) plus a flight-recorder dump
-	// from the watchdog goroutine, and the run returns *TimeoutError
-	// (Stalled=true) at the next boundary it reaches. 0 disables the watchdog at zero hot-path cost.
-	StepTimeout time.Duration
-	// RunTimeout, when positive, bounds the whole run's wall-clock time.
-	// The deadline is checked at superstep boundaries — the engine
-	// finishes the superstep in flight, writes a checkpoint (when a
-	// policy is configured), and returns *TimeoutError (Stalled=false) —
-	// so it composes with Stop's finish-superstep-then-exit contract.
-	// 0 disables the bound.
-	RunTimeout time.Duration
-	// ResumeLatest, when true, resumes from the newest *valid* checkpoint
-	// in the policy's directory (ckpt.ResumeLatestValid): corrupt,
-	// truncated, and version-incompatible snapshots are skipped (each
-	// skip reported through the obs sink) and the chain falls back to the
-	// next older one. An empty directory starts fresh; a directory with
-	// only damaged checkpoints is an error. Requires a Checkpoint policy.
-	// Mutually exclusive with Resume.
-	ResumeLatest bool
 
+	// The persistence and supervision settings, set through their Options:
+	// checkpoint (WithCheckpoint), resume (WithResume), resumeLatest
+	// (WithResumeLatest), stop (WithStop), maxRetries (WithRetries),
+	// stepTimeout (WithStepTimeout) and runTimeout (WithRunTimeout).
+	checkpoint   *ckpt.Policy
+	resume       string
+	resumeLatest bool
+	stop         <-chan struct{}
+	maxRetries   int
+	stepTimeout  time.Duration
+	runTimeout   time.Duration
+
+	// msgCap, when positive (set only through export_test.go), replaces
+	// maxMessagesPerSuperstep.
+	msgCap int64
 	// expandBroadcasts reverts SendToNeighbors to eager per-edge expansion
 	// into the send log: the per-edge oracle the record path is tested
 	// against (set only through export_test.go). Both treatments give the
@@ -195,7 +164,7 @@ type Result struct {
 	// function of logical counters, identical at any worker count, and is
 	// persisted in checkpoints so resume replays it exactly.
 	DirectionPerStep []DirectionMode
-	// RetriesPerStep records, when Config.MaxRetries is positive, how many
+	// RetriesPerStep records, when WithRetries set a positive bound, how many
 	// times each superstep was re-executed after a trapped fault (one
 	// entry per superstep, normally 0); nil when retry is disabled. The
 	// counts are persisted in checkpoints so a resumed run's totals match
@@ -211,7 +180,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Dir == "" {
+	if cfg.checkpoint != nil && cfg.checkpoint.Dir == "" {
 		return nil, fmt.Errorf("core: checkpoint policy without a directory")
 	}
 	maxSteps := cfg.MaxSupersteps
@@ -220,9 +189,9 @@ func Run(cfg Config) (*Result, error) {
 	} else if maxSteps < 0 {
 		maxSteps = math.MaxInt // unbounded
 	}
-	maxMsgs := cfg.MaxMessagesPerSuperstep
-	if maxMsgs == 0 {
-		maxMsgs = 1 << 28
+	maxMsgs := int64(maxMessagesPerSuperstep)
+	if cfg.msgCap > 0 {
+		maxMsgs = cfg.msgCap
 	}
 	costs := DefaultCosts()
 	if cfg.Costs != nil {
@@ -253,7 +222,7 @@ func Run(cfg Config) (*Result, error) {
 	laneSrc := laneSourcesOf(cfg.Program)
 	progAux := auxOf(cfg.Program)
 	// sup is the run-supervision state (retry, watchdog, run deadline);
-	// nil (no MaxRetries, no timeouts) costs one pointer check per
+	// nil (no retries, no timeouts) costs one pointer check per
 	// superstep (supervise.go).
 	sup := startSup(&cfg)
 	// ck is the checkpoint/interrupt state; nil (no policy, no stop
@@ -266,13 +235,13 @@ func Run(cfg Config) (*Result, error) {
 	defer ck.join()
 	var resumeSnap *ckpt.Snapshot
 	switch {
-	case cfg.Resume != "":
-		s, err := ck.loadResume(cfg.Resume)
+	case cfg.resume != "":
+		s, err := ck.loadResume(cfg.resume)
 		if err != nil {
 			return nil, err
 		}
 		resumeSnap = s
-	case cfg.ResumeLatest:
+	case cfg.resumeLatest:
 		// Fallback chain: newest valid checkpoint in the policy's
 		// directory, or a fresh start when the directory has none (and no
 		// damaged ones either).
@@ -296,7 +265,7 @@ func Run(cfg Config) (*Result, error) {
 		tObs = time.Now()
 	}
 	if sup != nil {
-		sup.startWatchdog(o, cfg.Checkpoint)
+		sup.startWatchdog(o, cfg.checkpoint)
 		defer sup.stop()
 	}
 	// halted has one bit per vertex. live counts the clear ones from the
@@ -523,7 +492,7 @@ func Run(cfg Config) (*Result, error) {
 				for c := 0; c < numChunks; c++ {
 					lo, hi := bounds[c], bounds[c+1]
 					cs := scratch.chunks[c]
-					cs.reset(step, master.prevAggregates)
+					cs.reset(step)
 					cs.ctx.log = &tr.sends
 					cs.eng.bcastBuf = bb
 					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
@@ -547,7 +516,7 @@ func Run(cfg Config) (*Result, error) {
 			} else {
 				par.ForBoundaryChunks(bounds, func(c, lo, hi int) {
 					cs := scratch.chunks[c]
-					cs.reset(step, master.prevAggregates)
+					cs.reset(step)
 					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
 				})
 				scratch.spliceSends(&tr.sends, numChunks)
@@ -631,17 +600,6 @@ func Run(cfg Config) (*Result, error) {
 		res.ActivePerStep = append(res.ActivePerStep, active)
 		res.MessagesPerStep = append(res.MessagesPerStep, sent)
 		res.Supersteps++
-
-		// Snapshot aggregators for next superstep's PreviousAggregate
-		// (Pregel visibility: values aggregated in superstep s are
-		// readable in s+1). Aggregators accumulate over the whole run.
-		if len(master.aggregates) > 0 {
-			snap := make(map[string]int64, len(master.aggregates))
-			for name, agg := range master.aggregates {
-				snap[name] = agg.value
-			}
-			master.prevAggregates = snap
-		}
 
 		var st obs.StepStats
 		if o != nil {

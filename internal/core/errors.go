@@ -39,7 +39,7 @@ func (e *ProgramError) Error() string {
 }
 
 // InterruptedError reports a run stopped at a superstep boundary by
-// Config.Stop or a fault-injected kill. The completed superstep's state was
+// WithStop or a fault-injected kill. The completed superstep's state was
 // checkpointed (when a policy is configured) so the run can resume.
 type InterruptedError struct {
 	// Superstep is the last completed superstep.
@@ -78,7 +78,7 @@ func (e *BudgetError) Error() string {
 }
 
 // RetryExhaustedError reports a superstep that kept faulting after
-// Config.MaxRetries deterministic re-executions from the last boundary
+// WithRetries deterministic re-executions from the last boundary
 // snapshot. Cause is the final attempt's fault (a *ProgramError for
 // vertex-program panics); the emergency checkpoint and flight-recorder
 // paths locate the persisted state of the last good boundary.
@@ -106,8 +106,8 @@ func (e *RetryExhaustedError) Error() string {
 func (e *RetryExhaustedError) Unwrap() error { return e.Cause }
 
 // TimeoutError reports a run stopped by a watchdog deadline: either a
-// single superstep outlived Config.StepTimeout (Stalled=true) or the whole
-// run outlived Config.RunTimeout. In both cases the engine persists what it
+// single superstep outlived WithStepTimeout (Stalled=true) or the whole
+// run outlived WithRunTimeout. In both cases the engine persists what it
 // can — a flight-recorder dump at fire time and an emergency checkpoint of
 // the last completed boundary — before returning.
 type TimeoutError struct {
@@ -134,7 +134,7 @@ func (e *TimeoutError) Error() string {
 }
 
 // MessageCapError reports a superstep that exceeded
-// Config.MaxMessagesPerSuperstep. Algorithms that legitimately exceed it
+// maxMessagesPerSuperstep. Algorithms that legitimately exceed it
 // (BSP triangle counting at scale) must use a streaming evaluator.
 type MessageCapError struct {
 	Superstep int

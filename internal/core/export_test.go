@@ -68,3 +68,9 @@ func WithLogBytes(bytes, msgs *int64) Option {
 func ForceDirection(m DirectionMode) Option {
 	return func(c *Config) { c.direction = m }
 }
+
+// WithMessageCap lowers the per-superstep message cap (Config.msgCap) so a
+// small run can reach *MessageCapError.
+func WithMessageCap(n int64) Option {
+	return func(c *Config) { c.msgCap = n }
+}

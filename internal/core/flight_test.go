@@ -50,9 +50,9 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	var stream bytes.Buffer
 	jsonl := obs.NewJSONL(&stream)
 	cfg := ccMin()
-	cfg.Program, cfg.Checkpoint, cfg.MaxRetries = plan.WrapProgram(cfg.Program), &ckpt.Policy{Dir: t.TempDir()}, 1
+	cfg.Program = plan.WrapProgram(cfg.Program)
 	cfg.Obs = obs.Tee(obs.NewReport(), &obs.Store{}, jsonl)
-	_, _, err := runRec(g, 3, cfg)
+	_, _, err := runRec(g, 3, cfg, core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir()}), core.WithRetries(1))
 	var pe *core.ProgramError
 	if !errors.As(err, &pe) || pe.CheckpointPath == "" || pe.FlightRecorderPath == "" {
 		t.Fatalf("want a ProgramError with an emergency checkpoint and a flight-recorder dump, got %v", err)

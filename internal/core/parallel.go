@@ -255,12 +255,11 @@ func awake(halted, recv []uint64, lo, hi int) iter.Seq[int64] {
 // reset prepares the chunk for one superstep. Aggregator partials are not
 // cleared here: mergeAggregates unseeds them as it consumes them. Nor is the
 // unicast log, which every sweep leaves empty (spliceSends).
-func (cs *chunkState) reset(step int, prevAggs map[string]int64) {
+func (cs *chunkState) reset(step int) {
 	cs.eng.superstep = step
 	cs.eng.bcastBuf = cs.eng.bcastBuf[:0]
 	cs.eng.sent, cs.eng.expanded = 0, 0
 	cs.eng.extraIssue, cs.eng.extraLoads, cs.eng.extraStores = 0, 0, 0
-	cs.eng.prevAggregates = prevAggs
 	cs.active, cs.received, cs.haltDelta, cs.visitedDelta = 0, 0, 0, 0
 	cs.trap = nil
 }

@@ -10,7 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -84,7 +84,7 @@ func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool)
 			continue
 		}
 		if dests[u] == nil {
-			dests[u] = r.Perm(int(n) - sources)
+			dests[u] = rand.New(rand.NewPCG(r.Uint64(), 0)).Perm(int(n) - sources)
 		}
 		edges[i] = graph.Edge{U: int64(u), V: int64(sources + dests[u][i/sources])}
 	}
@@ -339,7 +339,7 @@ func TestDeliveryPrimitives(t *testing.T) {
 	t.Run("choosePath", testChoosePath)
 }
 
-// testChoosePath pins the routing: both sides of each of the three
+// testChoosePath pins the routing: both sides of each of the two
 // constants, the int32-cursor limit (a superstep of 2^31 messages or more
 // never takes the parallel sort), one worker, records beside a unicast
 // (never forked, never pulled), and the recorded direction.
@@ -373,18 +373,18 @@ func testChoosePath(t *testing.T) {
 		{"logical == MaxInt32", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}},
 		{"MaxInt32 messages, huge n", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}},
 		{"no messages, vertices awake", look, pathInputs{n: small, workers: 4}},
-		// Records: pulled only at pullMinEdges and beside no unicast; a mixed
-		// stream is never forked.
-		{"records below pullMinEdges", seq, pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 1, dir: DirPull}},
-		{"records below pullMinEdges, combiner", seq, pathInputs{logical: pullMinEdges - 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
+		// Records: pulled at any size beside no unicast; a mixed stream is
+		// never forked.
+		{"small records, recorded pull", pull, pathInputs{logical: 1 << 12, records: 9, n: small, workers: 1, dir: DirPull}},
+		{"small records, recorded pull, combiner", pull, pathInputs{logical: 1 << 12, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
 		{"small records, big graph", look, pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}},
 		{"records beside a unicast", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
 		{"records beside a unicast, no combiner", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull}},
 		{"records beside a unicast, big graph", look, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: big, workers: 4, dir: DirPull}},
-		{"records at pullMinEdges", seq, pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 1}},
-		{"pullable records, parallel", fork, pathInputs{logical: pullMinEdges, records: 9, n: small, workers: 4, dir: DirPush}},
-		{"pullable records far below n", look, pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}},
-		{"pullable records far below n, parallel", pull, pathInputs{logical: pullMinEdges, records: 9, n: big, workers: 4, dir: DirPull}},
+		{"pullable records, one worker", seq, pathInputs{logical: deliverParallelMin, records: 9, n: small, workers: 1}},
+		{"pullable records, parallel", fork, pathInputs{logical: deliverParallelMin, records: 9, n: small, workers: 4, dir: DirPush}},
+		{"pullable records far below n", look, pathInputs{logical: deliverParallelMin, records: 9, n: big, workers: 1, dir: DirPull, combiner: true}},
+		{"pullable records far below n, parallel", pull, pathInputs{logical: deliverParallelMin, records: 9, n: big, workers: 4, dir: DirPull}},
 		// Pullable records: direction, then combiner.
 		{"recorded pull", pull, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 4, dir: DirPull}},
 		{"recorded pull, combiner", pull, pathInputs{logical: 1 << 16, records: 9, n: small, workers: 1, dir: DirPull, combiner: true}},
@@ -697,75 +697,6 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 						b.Fatal("no messages read")
 					}
 				})
-			}
-		}
-	}
-}
-
-// BenchmarkPullFloor is the bench behind pullMinEdges: one pure-broadcast
-// superstep of about logical messages on a random graph of average degree
-// 8, pushed (the CSR build) and pulled (the broadcaster stamp and, but for a
-// saturated boundary, the receiver pass), plus the full-scan sweep that
-// reads it: the inbox probe, or the gather. Either every vertex broadcasts
-// (frontier=1/1: n = logical/8) or every fourth does (frontier=1/4: n =
-// logical/2, the edge of the direction decision's dirGamma gate). 4*logical
-// >= n, so the lookaside row pre-empts neither. docs/PERFORMANCE.md §3 has
-// the table.
-func BenchmarkPullFloor(b *testing.B) {
-	for logical := int64(1 << 10); logical <= 1<<17; logical <<= 1 {
-		for _, stride := range []int64{1, 4} {
-			n := logical * stride / 8
-			g, err := gen.ErdosRenyi(n, 4*n, uint64(logical))
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
-			for v := int64(0); v < n; v += stride {
-				if g.Degree(v) > 0 {
-					tr.bcasts = append(tr.bcasts, bcastRec{src: v, val: v + 1})
-					tr.logical += g.Degree(v)
-				}
-			}
-			for _, cb := range []struct {
-				name string
-				f    func(a, b int64) int64
-			}{{"none", nil}, {"min", Min}} {
-				for _, pull := range []bool{false, true} {
-					name := fmt.Sprintf("logical=2^%d/frontier=1/%d/%s/pull=%v", bits.Len64(uint64(logical))-1, stride, cb.name, pull)
-					b.Run(name, func(b *testing.B) {
-						s := &runScratch{symmetric: true}
-						ib := newInbox(n, cb.f)
-						cs := &chunkState{}
-						cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, tr.bufs, &cs.eng
-						var sum int64
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							p := path{kind: pathCSR}
-							if pull {
-								p.kind = pathPull
-								ib.fillBcastLookaside(tr.bcasts, n)
-							}
-							s.build(p, tr, ib, nil)
-							for v := int64(0); v < n; v++ {
-								var msgs []int64
-								switch {
-								case pull:
-									msgs = cs.gather(ib, v)
-								case hasMessages(ib, v):
-									msgs = ib.slice(v)
-								}
-								if len(msgs) > 0 {
-									sum += msgs[0]
-								}
-							}
-						}
-						cs.ctx.returnBuf()
-						if sum == 0 {
-							b.Fatal("no messages read")
-						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*tr.logical), "ns/edge")
-					})
-				}
 			}
 		}
 	}

@@ -26,13 +26,16 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// runRec executes cfg under w workers with a fresh recorder, returning
-// result, profile, and error.
-func runRec(g *graph.Graph, w int, cfg core.Config) (*core.Result, []*trace.Phase, error) {
+// runRec executes cfg with opts under w workers with a fresh recorder,
+// returning result, profile, and error.
+func runRec(g *graph.Graph, w int, cfg core.Config, opts ...core.Option) (*core.Result, []*trace.Phase, error) {
 	defer par.SetWorkers(par.SetWorkers(w))
 	rec := trace.NewRecorder()
 	cfg.Graph = g
 	cfg.Recorder = rec
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	res, err := core.Run(cfg)
 	return res, rec.Phases(), err
 }
@@ -66,8 +69,8 @@ func mustPlan(t *testing.T, spec string) *faultinject.Plan {
 // returns the checkpoint it wrote there, the only one.
 func killedAt(t *testing.T, g *graph.Graph, cfg core.Config, k int64) string {
 	t.Helper()
-	cfg.Checkpoint = &ckpt.Policy{Dir: t.TempDir(), EveryN: 1 << 30, Hooks: (&faultinject.Plan{KillAt: map[int64]bool{k: true}}).Hooks()}
-	_, _, err := runRec(g, 3, cfg)
+	policy := &ckpt.Policy{Dir: t.TempDir(), EveryN: 1 << 30, Hooks: (&faultinject.Plan{KillAt: map[int64]bool{k: true}}).Hooks()}
+	_, _, err := runRec(g, 3, cfg, core.WithCheckpoint(policy))
 	var ie *core.InterruptedError
 	if !errors.As(err, &ie) || ie.Superstep != int(k) || ie.CheckpointPath == "" {
 		t.Fatalf("kill@%d: want InterruptedError with a checkpoint, got %v", k, err)
@@ -84,9 +87,7 @@ func resumes(t *testing.T, g *graph.Graph, w int, mk func() core.Config, path st
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mk()
-	cfg.Resume = path
-	res, ph, err := runRec(g, w, cfg)
+	res, ph, err := runRec(g, w, mk(), core.WithResume(path))
 	if err != nil {
 		t.Fatalf("resume from %s: %v", filepath.Base(path), err)
 	}
@@ -115,8 +116,8 @@ func TestProgramPanicRecovered(t *testing.T) {
 	plan := mustPlan(t, fmt.Sprintf("panic@1:%d", target))
 	for _, w := range []int{1, 3, 8} {
 		cfg := ccMin()
-		cfg.Program, cfg.Checkpoint = plan.WrapProgram(cfg.Program), &ckpt.Policy{Dir: t.TempDir()}
-		_, _, err := runRec(g, w, cfg)
+		cfg.Program = plan.WrapProgram(cfg.Program)
+		_, _, err := runRec(g, w, cfg, core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir()}))
 		var pe *core.ProgramError
 		if !errors.As(err, &pe) || pe.Vertex != target || pe.Superstep != 1 || pe.Phase != "compute" || len(pe.Stack) == 0 {
 			t.Fatalf("w=%d: want a ProgramError with a stack at vertex %d, superstep 1, compute; got %v", w, target, err)
@@ -132,10 +133,8 @@ func TestProgramPanicRecovered(t *testing.T) {
 // or the InitialState sweep) yields a ProgramError with no checkpoint.
 func TestPanicWithoutBoundary(t *testing.T) {
 	g := rmat(8, 1)
-	_, _, err := runRec(g, 3, core.Config{
-		Program:    mustPlan(t, "panic@0:17").WrapProgram(bspalg.CCProgram{}),
-		Checkpoint: &ckpt.Policy{Dir: t.TempDir()},
-	})
+	_, _, err := runRec(g, 3, core.Config{Program: mustPlan(t, "panic@0:17").WrapProgram(bspalg.CCProgram{})},
+		core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir()}))
 	var pe *core.ProgramError
 	if !errors.As(err, &pe) || pe.Vertex != 17 || pe.Superstep != 0 || pe.CheckpointPath != "" {
 		t.Fatalf("want a ProgramError at vertex 17, superstep 0, no checkpoint; got %v", err)
@@ -207,9 +206,7 @@ func dirNames(t *testing.T, dir string) (names []string) {
 // and leaves no temp-file litter or partial final file.
 func TestCheckpointWriteFailure(t *testing.T) {
 	dir := t.TempDir()
-	cfg := ccMin()
-	cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: mustPlan(t, "failwrite@2").Hooks()}
-	_, _, err := runRec(rmat(8, 1), 3, cfg)
+	_, _, err := runRec(rmat(8, 1), 3, ccMin(), core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: mustPlan(t, "failwrite@2").Hooks()}))
 	var we *ckpt.WriteError
 	if !errors.As(err, &we) || !errors.Is(err, faultinject.ErrInjectedWrite) {
 		t.Fatalf("want a WriteError wrapping the injected failure, got %v", err)
@@ -235,8 +232,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	path := killedAt(t, g, bfs, 1)
 	check := func(name string, g *graph.Graph, cfg core.Config, fields ...string) *ckpt.MismatchError {
 		t.Helper()
-		cfg.Resume = path
-		_, _, err := runRec(g, 3, cfg)
+		_, _, err := runRec(g, 3, cfg, core.WithResume(path))
 		var me *ckpt.MismatchError
 		if !errors.As(err, &me) || !slices.Contains(fields, me.Field) {
 			t.Fatalf("%s: want a MismatchError on %v, got %v", name, fields, err)
@@ -258,7 +254,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 // one without a directory is refused before superstep 0. A run that
 // resumes without taking new checkpoints passes no policy at all.
 func TestPolicyNeedsDir(t *testing.T) {
-	_, _, err := runRec(gen.Path(8), 1, core.Config{Program: bspalg.CCProgram{}, Checkpoint: &ckpt.Policy{EveryN: 2}})
+	_, _, err := runRec(gen.Path(8), 1, core.Config{Program: bspalg.CCProgram{}}, core.WithCheckpoint(&ckpt.Policy{EveryN: 2}))
 	if err == nil || !strings.Contains(err.Error(), "checkpoint policy without a directory") {
 		t.Fatalf("policy without a Dir: got %v", err)
 	}
@@ -283,7 +279,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 		if err := damage(path); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = runRec(g, 3, core.Config{Program: bspalg.CCProgram{}, Resume: path})
+		_, _, err = runRec(g, 3, core.Config{Program: bspalg.CCProgram{}}, core.WithResume(path))
 		var ce *ckpt.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s resume: want CorruptError, got %v", name, err)
@@ -296,9 +292,7 @@ func TestResumeRejectsCorruption(t *testing.T) {
 func TestCheckpointCadenceAndRetention(t *testing.T) {
 	g := rmat(8, 1)
 	dir := t.TempDir()
-	cfg := ccMin()
-	cfg.Checkpoint = &ckpt.Policy{Dir: dir, EveryN: 2, Keep: 2}
-	if _, _, err := runRec(g, 3, cfg); err != nil {
+	if _, _, err := runRec(g, 3, ccMin(), core.WithCheckpoint(&ckpt.Policy{Dir: dir, EveryN: 2, Keep: 2})); err != nil {
 		t.Fatal(err)
 	}
 	names := dirNames(t, dir)
@@ -322,9 +316,7 @@ func TestStopChannel(t *testing.T) {
 	ch := make(chan struct{})
 	close(ch)
 	for _, policy := range []*ckpt.Policy{{Dir: t.TempDir()}, nil} {
-		cfg := ccMin()
-		cfg.Stop, cfg.Checkpoint = ch, policy
-		_, _, err := runRec(g, 3, cfg)
+		_, _, err := runRec(g, 3, ccMin(), core.WithStop(ch), core.WithCheckpoint(policy))
 		var ie *core.InterruptedError
 		if !errors.As(err, &ie) || ie.Superstep != 0 || (ie.CheckpointPath == "") != (policy == nil) {
 			t.Fatalf("policy %v: want an InterruptedError at superstep 0, a checkpoint with the policy; got %v", policy, err)
@@ -369,8 +361,8 @@ func TestUnboundedSupersteps(t *testing.T) {
 func TestCheckpointObsSpan(t *testing.T) {
 	r := obs.NewReport()
 	cfg := ccMin()
-	cfg.Checkpoint, cfg.Obs = &ckpt.Policy{Dir: t.TempDir()}, r
-	if _, _, err := runRec(rmat(8, 1), 2, cfg); err != nil {
+	cfg.Obs = r
+	if _, _, err := runRec(rmat(8, 1), 2, cfg, core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir()})); err != nil {
 		t.Fatal(err)
 	}
 	reportHas(t, r, "checkpoint")
@@ -407,10 +399,8 @@ func TestScheduleFingerprintMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := mk()
-			cfg.Resume = old
 			var me *ckpt.MismatchError
-			if _, _, err := runRec(g, 1, cfg); !errors.As(err, &me) || me.Field != "chunk schedule" || me.Got != name || me.Want != tc.want {
+			if _, _, err := runRec(g, 1, mk(), core.WithResume(old)); !errors.As(err, &me) || me.Field != "chunk schedule" || me.Got != name || me.Want != tc.want {
 				t.Fatalf("sparse=%v checkpoint under partition %q: want a chunk schedule MismatchError %s vs %s, got %v", tc.sparse, name, name, tc.want, err)
 			}
 		}

@@ -16,7 +16,7 @@ package core
 // is bit-identical to a fault-free one at any worker count
 // (supervise_test.go).
 //
-// The watchdog is a single goroutine armed only when Config.StepTimeout
+// The watchdog is a single goroutine armed only when WithStepTimeout
 // is set. It observes superstep progress through two atomics the engine
 // updates at superstep entry, and on expiry persists what it can — an
 // emergency checkpoint of the last boundary snapshot (via an atomic
@@ -27,7 +27,7 @@ package core
 // flag the engine turns into a typed *TimeoutError. A superstep that never
 // finishes cannot return an error, but its artifacts are already on disk.
 //
-// With MaxRetries, StepTimeout, and RunTimeout all unset the supervisor
+// With no retries and neither timeout set the supervisor
 // is nil and the engine pays one pointer check per superstep, the same
 // contract as the Obs and Checkpoint layers.
 
@@ -41,29 +41,49 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// WithRetries bounds deterministic superstep retry (Config.MaxRetries).
+// WithRetries bounds deterministic superstep retry: a vertex-program panic
+// rolls the engine back to the last superstep boundary's in-memory
+// snapshot and re-executes, up to n times per superstep, before giving up
+// with *RetryExhaustedError. Because re-execution consumes exactly the
+// boundary state the failed attempt did, a run that survives a transient
+// fault is bit-identical (Result and profile) to a fault-free run at any
+// worker count. 0 or negative disables retry. The bound is recorded in
+// checkpoint fingerprints, so a resumed run must keep the bound it started
+// with.
 func WithRetries(n int) Option {
-	return func(c *Config) { c.MaxRetries = n }
+	return func(c *Config) { c.maxRetries = n }
 }
 
-// WithStepTimeout sets the per-superstep watchdog deadline.
+// WithStepTimeout, when d is positive, arms a watchdog over each
+// superstep: a superstep that outlives d triggers an emergency checkpoint
+// (when a policy is configured) plus a flight-recorder dump from the
+// watchdog goroutine, and the run returns *TimeoutError (Stalled=true) at
+// the next boundary it reaches. No watchdog costs nothing on the hot path.
 func WithStepTimeout(d time.Duration) Option {
-	return func(c *Config) { c.StepTimeout = d }
+	return func(c *Config) { c.stepTimeout = d }
 }
 
-// WithRunTimeout sets the whole-run deadline.
+// WithRunTimeout, when d is positive, bounds the whole run's wall-clock
+// time. The deadline is checked at superstep boundaries: the engine
+// finishes the superstep in flight, writes a checkpoint (when a policy is
+// configured), and returns *TimeoutError (Stalled=false), so it composes
+// with WithStop's finish-superstep-then-exit contract.
 func WithRunTimeout(d time.Duration) Option {
-	return func(c *Config) { c.RunTimeout = d }
+	return func(c *Config) { c.runTimeout = d }
 }
 
-// WithResumeLatest makes the run resume from the newest valid checkpoint
-// in the policy's directory (Config.ResumeLatest).
+// WithResumeLatest makes the run resume from the newest *valid* checkpoint
+// in the policy's directory (ckpt.ResumeLatestValid): corrupt, truncated
+// and version-incompatible snapshots are skipped (each skip reported
+// through the obs sink) and the chain falls back to the next older one. An
+// empty directory starts fresh; a directory with only damaged checkpoints
+// is an error. It requires a checkpoint policy and excludes WithResume.
 func WithResumeLatest() Option {
-	return func(c *Config) { c.ResumeLatest = true }
+	return func(c *Config) { c.resumeLatest = true }
 }
 
-// supRun is the per-run supervisor state. nil when MaxRetries,
-// StepTimeout, and RunTimeout are all unset.
+// supRun is the per-run supervisor state. nil with no retries and
+// neither timeout set.
 type supRun struct {
 	maxRetries  int
 	stepTimeout time.Duration
@@ -101,16 +121,16 @@ type supRun struct {
 
 // startSup resolves the run's supervisor; nil disables everything.
 func startSup(cfg *Config) *supRun {
-	if cfg.MaxRetries <= 0 && cfg.StepTimeout <= 0 && cfg.RunTimeout <= 0 {
+	if cfg.maxRetries <= 0 && cfg.stepTimeout <= 0 && cfg.runTimeout <= 0 {
 		return nil
 	}
 	sp := &supRun{
-		stepTimeout: cfg.StepTimeout,
-		runTimeout:  cfg.RunTimeout,
+		stepTimeout: cfg.stepTimeout,
+		runTimeout:  cfg.runTimeout,
 		runStart:    time.Now(),
 	}
-	if cfg.MaxRetries > 0 {
-		sp.maxRetries = cfg.MaxRetries
+	if cfg.maxRetries > 0 {
+		sp.maxRetries = cfg.maxRetries
 	}
 	return sp
 }

@@ -98,8 +98,8 @@ func TestRetryCountsAndObservability(t *testing.T) {
 	m, r := obs.NewMetrics(nil), obs.NewReport()
 	cfg := ccMin()
 	cfg.Program = mustPlan(t, fmt.Sprintf("panicn@1:%d:2", ccFaultTarget(g))).WrapProgram(cfg.Program)
-	cfg.MaxRetries, cfg.Obs = 3, obs.Tee(m, r)
-	res, _, err := runRec(g, 3, cfg)
+	cfg.Obs = obs.Tee(m, r)
+	res, _, err := runRec(g, 3, cfg, core.WithRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,8 @@ func TestRetryExhausted(t *testing.T) {
 	target := ccFaultTarget(g)
 	plan := mustPlan(t, fmt.Sprintf("panic@1:%d", target))
 	cfg := ccMin()
-	cfg.MaxRetries, cfg.Program = 2, plan.WrapProgram(cfg.Program)
-	cfg.Checkpoint, cfg.Obs = &ckpt.Policy{Dir: t.TempDir()}, &obs.Store{}
-	_, _, err := runRec(g, 3, cfg)
+	cfg.Program, cfg.Obs = plan.WrapProgram(cfg.Program), &obs.Store{}
+	_, _, err := runRec(g, 3, cfg, core.WithRetries(2), core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir()}))
 	var re *core.RetryExhaustedError
 	var pe *core.ProgramError
 	if !errors.As(err, &re) || re.Superstep != 1 || re.Attempts != 3 || !errors.As(err, &pe) || pe.Vertex != target {
@@ -132,11 +131,11 @@ func TestRetryExhausted(t *testing.T) {
 	if !isEmergency(re.CheckpointPath) || re.FlightRecorderPath == "" {
 		t.Fatalf("emergency checkpoint %q, flight-recorder dump %q", re.CheckpointPath, re.FlightRecorderPath)
 	}
-	resumes(t, g, 3, func() core.Config { c := ccMin(); c.MaxRetries = 2; return c }, re.CheckpointPath)
+	resumes(t, g, 3, func() core.Config { c := ccMin(); core.WithRetries(2)(&c); return c }, re.CheckpointPath)
 
 	cfg = ccMin()
-	cfg.StepTimeout, cfg.Program = time.Hour, plan.WrapProgram(cfg.Program)
-	if _, _, err = runRec(g, 3, cfg); errors.As(err, &re) || !errors.As(err, &pe) {
+	cfg.Program = plan.WrapProgram(cfg.Program)
+	if _, _, err = runRec(g, 3, cfg, core.WithStepTimeout(time.Hour)); errors.As(err, &re) || !errors.As(err, &pe) {
 		t.Fatalf("timeouts-only supervisor: want a plain ProgramError, got %v", err)
 	}
 }
@@ -148,11 +147,12 @@ func stalled(t *testing.T, g *graph.Graph, step, ms int, stepTimeout, runTimeout
 	t.Helper()
 	cfg := ccMin()
 	cfg.Program = mustPlan(t, fmt.Sprintf("slowstep@%d:%d", step, ms)).WrapProgram(cfg.Program)
-	cfg.StepTimeout, cfg.RunTimeout, cfg.Obs = stepTimeout, runTimeout, sink
+	cfg.Obs = sink
+	opts := []core.Option{core.WithStepTimeout(stepTimeout), core.WithRunTimeout(runTimeout)}
 	if dir != "" {
-		cfg.Checkpoint = &ckpt.Policy{Dir: dir}
+		opts = append(opts, core.WithCheckpoint(&ckpt.Policy{Dir: dir}))
 	}
-	res, _, err := runRec(g, 3, cfg)
+	res, _, err := runRec(g, 3, cfg, opts...)
 	return res, err
 }
 
@@ -218,12 +218,8 @@ func TestWatchdogWriteOutlivesStall(t *testing.T) {
 		return w
 	}}
 	dir := t.TempDir()
-	cfg := core.Config{
-		Program:     plan.WrapProgram(bspalg.BFSProgram{Source: 0}),
-		StepTimeout: 100 * time.Millisecond,
-		Checkpoint:  &ckpt.Policy{Dir: dir, Hooks: hooks},
-	}
-	_, _, err := runRec(gen.Path(200), 2, cfg)
+	_, _, err := runRec(gen.Path(200), 2, core.Config{Program: plan.WrapProgram(bspalg.BFSProgram{Source: 0})},
+		core.WithStepTimeout(100*time.Millisecond), core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: hooks}))
 	var te *core.TimeoutError
 	if !errors.As(err, &te) || !te.Stalled || te.Superstep != stall {
 		t.Fatalf("want a stall TimeoutError at superstep %d, got %v", stall, err)
@@ -302,8 +298,8 @@ func TestResumeLatestFallback(t *testing.T) {
 	}
 	latest := func(dir string, sink obs.Sink) (*core.Result, error) {
 		cfg := ccMin()
-		cfg.Checkpoint, cfg.ResumeLatest, cfg.Obs = &ckpt.Policy{Dir: dir}, true, sink
-		res, ph, err := runRec(g, 3, cfg)
+		cfg.Obs = sink
+		res, ph, err := runRec(g, 3, cfg, core.WithCheckpoint(&ckpt.Policy{Dir: dir}), core.WithResumeLatest())
 		if err == nil && reflect.DeepEqual(base, res) {
 			comparePhases(t, basePh, ph)
 		} else if err == nil {
@@ -314,10 +310,8 @@ func TestResumeLatestFallback(t *testing.T) {
 	killed := func(spec string) string {
 		dir := t.TempDir()
 		plan := mustPlan(t, spec)
-		cfg := ccMin()
-		cfg.Checkpoint = &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()}
 		var ie *core.InterruptedError
-		if _, _, err := runRec(g, 3, cfg); !errors.As(err, &ie) {
+		if _, _, err := runRec(g, 3, ccMin(), core.WithCheckpoint(&ckpt.Policy{Dir: dir, Hooks: plan.Hooks()})); !errors.As(err, &ie) {
 			t.Fatalf("%s: want InterruptedError, got %v", spec, err)
 		}
 		return dir
@@ -361,10 +355,8 @@ func TestResumeLatestFallback(t *testing.T) {
 		t.Fatalf("exhausted chain: got %v; want NoValidCheckpointError with 3 skips", err)
 	}
 
-	// ResumeLatest without a checkpoint directory is a usage error.
-	cfg := ccMin()
-	cfg.ResumeLatest = true
-	if _, _, err := runRec(g, 3, cfg); err == nil {
-		t.Fatal("ResumeLatest without a policy directory accepted")
+	// WithResumeLatest without a checkpoint directory is a usage error.
+	if _, _, err := runRec(g, 3, ccMin(), core.WithResumeLatest()); err == nil {
+		t.Fatal("WithResumeLatest without a policy directory accepted")
 	}
 }

@@ -66,7 +66,7 @@ func newPanicN(vertex, count int64) *PanicN {
 
 // SlowStep is a one-shot superstep stall: the first Compute call of the
 // superstep sleeps Millis milliseconds (once per process, not per vertex),
-// long enough to trip a Config.StepTimeout watchdog without distorting
+// long enough to trip a core.WithStepTimeout watchdog without distorting
 // every subsequent attempt or superstep.
 type SlowStep struct {
 	Millis int64

@@ -140,16 +140,6 @@ func (g *Graph) computeMaxDegree() {
 	}
 }
 
-// DegreeHistogram returns counts of vertices per degree value, as a map
-// from degree to vertex count.
-func (g *Graph) DegreeHistogram() map[int64]int64 {
-	h := make(map[int64]int64)
-	for v := int64(0); v < g.n; v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // AdjacencyError reports a flat adjacency list that breaks the Graph
 // invariant: a neighbour repeated or out of order, or the vertex itself.
 type AdjacencyError struct {

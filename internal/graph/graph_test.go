@@ -195,14 +195,10 @@ func TestFromCSRRefusesNonSimpleLists(t *testing.T) {
 	}
 }
 
-func TestMaxDegreeAndHistogram(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	g := triangleWithTail(t)
 	if g.MaxDegree() != 3 {
 		t.Fatalf("max degree = %d", g.MaxDegree())
-	}
-	h := g.DegreeHistogram()
-	if h[0] != 1 || h[1] != 1 || h[2] != 2 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
 	}
 }
 
@@ -312,20 +308,14 @@ func TestBuildSymmetryProperty(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := newUnionFind(5)
-	if uf.Sets() != 5 {
-		t.Fatalf("sets = %d", uf.Sets())
-	}
 	if !uf.Union(0, 1) || !uf.Union(1, 2) {
 		t.Fatal("unions failed")
 	}
 	if uf.Union(0, 2) {
 		t.Fatal("redundant union reported as merge")
 	}
-	if uf.Sets() != 3 {
-		t.Fatalf("sets = %d", uf.Sets())
-	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Fatal("Same wrong")
+	if uf.Find(0) != uf.Find(2) || uf.Find(0) == uf.Find(3) {
+		t.Fatal("Find wrong")
 	}
 }
 
@@ -419,7 +409,7 @@ func TestComponentsMatchUnionFindProperty(t *testing.T) {
 		}
 		for v := int64(0); v < n; v++ {
 			for w := int64(0); w < n; w++ {
-				if (labels[v] == labels[w]) != uf.Same(v, w) {
+				if (labels[v] == labels[w]) != (uf.Find(v) == uf.Find(w)) {
 					return false
 				}
 			}

@@ -7,7 +7,6 @@ package graph
 type unionFind struct {
 	parent []int64
 	rank   []int8
-	sets   int64
 }
 
 // newUnionFind returns n singleton sets.
@@ -15,7 +14,6 @@ func newUnionFind(n int64) *unionFind {
 	uf := &unionFind{
 		parent: make([]int64, n),
 		rank:   make([]int8, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int64(i)
@@ -45,15 +43,8 @@ func (uf *unionFind) Union(x, y int64) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (uf *unionFind) Sets() int64 { return uf.sets }
-
-// Same reports whether x and y are in the same set.
-func (uf *unionFind) Same(x, y int64) bool { return uf.Find(x) == uf.Find(y) }
 
 // ReferenceComponents labels every vertex with the smallest vertex ID in
 // its connected component using union-find, ignoring edge direction. It is

@@ -2,42 +2,50 @@ package graphct
 
 import (
 	"math"
+	"slices"
 
 	"graphxmt/internal/graph"
 	"graphxmt/internal/rng"
 	"graphxmt/internal/trace"
 )
 
-// PluralityLabel picks the winning label from neighbor-label counts: the
-// most frequent label, keeping the current label when it ties for the
-// maximum, and otherwise breaking ties with a per-round hash. A plain
-// minimum tie-break would degenerate label propagation into min-label
-// flooding (i.e. connected components) during the all-labels-distinct
-// opening rounds; hashing keeps the choice deterministic without that
-// bias. Shared by the shared-memory and BSP variants.
-func PluralityLabel(counts map[int64]int64, current int64, round int) int64 {
-	var maxCount int64 = -1
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
+// PluralityLabel picks the winning label among a vertex's neighbor labels:
+// the most frequent label, keeping the current label when it ties for the
+// maximum, and otherwise the tied label with the least (per-round hash,
+// label) pair. A plain minimum tie-break would degenerate label
+// propagation into min-label flooding (i.e. connected components) during
+// the all-labels-distinct opening rounds; hashing keeps the choice
+// deterministic without that bias. It counts the runs of a sorted copy of
+// labels, so neither the order of labels nor any visiting order can change
+// the answer. Shared by the shared-memory and BSP variants.
+func PluralityLabel(labels []int64, current int64, round int) int64 {
+	var buf [64]int64
+	sorted := append(buf[:0], labels...)
+	slices.Sort(sorted)
+	var maxCount, curCount int64
+	best, bestH := current, uint64(math.MaxUint64)
+	for i := 0; i < len(sorted); {
+		l, j := sorted[i], i+1
+		for j < len(sorted) && sorted[j] == l {
+			j++
 		}
-	}
-	if maxCount <= 0 {
-		return current
-	}
-	if counts[current] == maxCount {
-		return current
-	}
-	best := current
-	bestH := uint64(math.MaxUint64)
-	for l, c := range counts {
-		if c != maxCount {
+		c := int64(j - i)
+		i = j
+		if l == current {
+			curCount = c
+		}
+		if c < maxCount {
 			continue
 		}
-		h := rng.Mix64(uint64(l) ^ uint64(round)*0x9e3779b97f4a7c15)
-		if h < bestH || (h == bestH && l < best) {
+		if c > maxCount {
+			maxCount, best, bestH = c, current, math.MaxUint64
+		}
+		if h := rng.Mix64(uint64(l) ^ uint64(round)*0x9e3779b97f4a7c15); h < bestH || h == bestH && l < best {
 			best, bestH = l, h
 		}
+	}
+	if curCount == maxCount {
+		return current
 	}
 	return best
 }
@@ -64,8 +72,8 @@ type CommunityResult struct {
 // algorithm of Raghavan, Albert and Kumara, in the shared-memory style of
 // the authors' "parallel community detection for massive graphs" line of
 // work: every sweep each vertex adopts the label held by the plurality of
-// its neighbors (smallest label wins ties, which makes the sweep
-// deterministic), reading labels in place so updates propagate within a
+// its neighbors (PluralityLabel breaks ties, deterministically), reading
+// labels in place so updates propagate within a
 // sweep — the same in-iteration propagation that distinguishes the
 // shared-memory connected-components kernel from its BSP counterpart.
 func LabelPropagation(g *graph.Graph, opt CommunityOptions, rec *trace.Recorder) *CommunityResult {
@@ -78,7 +86,7 @@ func LabelPropagation(g *graph.Graph, opt CommunityOptions, rec *trace.Recorder)
 		labels[i] = int64(i)
 	}
 	res := &CommunityResult{Labels: labels}
-	counts := make(map[int64]int64)
+	nbrLabels := make([]int64, 0, g.MaxDegree())
 	for res.Iterations < opt.MaxIterations {
 		ph := rec.StartPhase("lp/iter", res.Iterations)
 		var changes int64
@@ -87,13 +95,11 @@ func LabelPropagation(g *graph.Graph, opt CommunityOptions, rec *trace.Recorder)
 			if len(nbr) == 0 {
 				continue
 			}
-			for k := range counts {
-				delete(counts, k)
-			}
+			nbrLabels = nbrLabels[:0]
 			for _, w := range nbr {
-				counts[labels[w]]++
+				nbrLabels = append(nbrLabels, labels[w])
 			}
-			best := PluralityLabel(counts, labels[v], res.Iterations)
+			best := PluralityLabel(nbrLabels, labels[v], res.Iterations)
 			if best != labels[v] {
 				labels[v] = best
 				changes++

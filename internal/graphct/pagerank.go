@@ -23,9 +23,8 @@ type PageRankResult struct {
 	Rank []float64
 	// Iterations is the number of power iterations performed.
 	Iterations int
-	// Delta is the final L1 change.
-	Delta float64
-	// Converged reports whether Delta <= Tolerance within MaxIterations.
+	// Converged reports whether an iteration's L1 change fell to Tolerance
+	// within MaxIterations.
 	Converged bool
 }
 
@@ -83,7 +82,6 @@ func PageRank(g *graph.Graph, opt PageRankOptions, rec *trace.Recorder) *PageRan
 		}
 		rank, next = next, rank
 		res.Iterations++
-		res.Delta = delta
 		m := g.NumEdges()
 		// Scatter loop: read rank + degree per vertex, read adjacency +
 		// read-modify-write target per edge.

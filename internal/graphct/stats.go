@@ -13,9 +13,8 @@ import (
 type DegreeStats struct {
 	Min, Max  int64
 	Mean      float64
-	Variance  float64
 	Median    int64
-	P99, P999 int64
+	P99       int64
 	Isolated  int64 // vertices of degree 0
 	GiniIndex float64
 }
@@ -32,13 +31,12 @@ func Degrees(g *graph.Graph, rec *trace.Recorder) DegreeStats {
 		return s
 	}
 	degs := make([]int64, n)
-	var sum, sumSq float64
+	var sum float64
 	s.Min = math.MaxInt64
 	for v := int64(0); v < n; v++ {
 		d := g.Degree(v)
 		degs[v] = d
 		sum += float64(d)
-		sumSq += float64(d) * float64(d)
 		if d < s.Min {
 			s.Min = d
 		}
@@ -50,11 +48,9 @@ func Degrees(g *graph.Graph, rec *trace.Recorder) DegreeStats {
 		}
 	}
 	s.Mean = sum / float64(n)
-	s.Variance = sumSq/float64(n) - s.Mean*s.Mean
 	sort.Slice(degs, func(i, j int) bool { return degs[i] < degs[j] })
 	s.Median = degs[n/2]
 	s.P99 = degs[min64(n-1, n*99/100)]
-	s.P999 = degs[min64(n-1, n*999/1000)]
 	if sum > 0 {
 		// Gini over the sorted degree sequence.
 		var cum float64

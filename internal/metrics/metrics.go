@@ -44,9 +44,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -111,9 +108,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []int64 { return h.bounds }
 
 // BucketCounts returns a snapshot of the per-bucket (non-cumulative)
 // counts, the +Inf bucket last. A concurrent Observe may land between

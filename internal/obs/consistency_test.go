@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"graphxmt/internal/metrics"
 	"graphxmt/internal/obs"
 	"graphxmt/internal/obs/live"
 )
@@ -81,7 +82,8 @@ func feedMixed(sink obs.Sink) {
 // the Chrome file validates.
 func TestRenderersAgree(t *testing.T) {
 	var jsonlBuf, chromeBuf bytes.Buffer
-	report, metricsSink, srv := obs.NewReport(), obs.NewMetrics(nil), live.NewServer(nil, 0)
+	srvMetrics := metrics.NewRegistry()
+	report, metricsSink, srv := obs.NewReport(), obs.NewMetrics(nil), live.NewServer(srvMetrics, 0)
 	jsonl, chrome := obs.NewJSONL(&jsonlBuf), obs.NewChrome(&chromeBuf)
 	feedMixed(obs.Tee(report, jsonl, chrome, metricsSink, srv.Sink()))
 	for _, c := range []interface{ Close() error }{jsonl, chrome} {
@@ -148,7 +150,7 @@ func TestRenderersAgree(t *testing.T) {
 		t.Errorf("fallbacks: counter %d, jsonl %d, want 1", got, fallbacks)
 	}
 	var prom bytes.Buffer
-	if err := srv.Registry().WritePrometheus(&prom); err != nil {
+	if err := srvMetrics.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
 	var local bytes.Buffer

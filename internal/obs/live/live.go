@@ -70,9 +70,6 @@ func NewServer(reg *metrics.Registry, flightDepth int) *Server {
 // engine's flight-dump hook (obs.Find).
 func (s *Server) Sink() obs.Sink { return s.sink }
 
-// Registry returns the metrics registry the server scrapes.
-func (s *Server) Registry() *metrics.Registry { return s.metrics.Registry() }
-
 // Flight returns the server's store, for SIGQUIT handlers to dump.
 func (s *Server) Flight() *obs.Store { return s.store }
 

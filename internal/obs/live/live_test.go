@@ -242,7 +242,8 @@ func TestSinksDoNotRetainWorkerBusy(t *testing.T) {
 		metricsSink, teeMetrics := obs.NewMetrics(nil), obs.NewMetrics(nil)
 		jl, ch, teeJL := obs.NewJSONL(&jsonl), obs.NewChrome(&chrome), obs.NewJSONL(&teeJSONL)
 		flight := &obs.Store{}
-		srv := live.NewServer(nil, 8)
+		srvMetrics := metrics.NewRegistry()
+		srv := live.NewServer(srvMetrics, 8)
 		for _, sink := range []obs.Sink{report, metricsSink, jl, ch, flight, srv.Sink(),
 			obs.Tee(teeReport, teeMetrics, teeJL)} {
 			feedReusedBusy(wrap(sink))
@@ -259,7 +260,7 @@ func TestSinksDoNotRetainWorkerBusy(t *testing.T) {
 			}
 			out[name] = buf.String()
 		}
-		for name, m := range map[string]*metrics.Registry{"metrics": metricsSink.Registry(), "tee/metrics": teeMetrics.Registry(), "server/metrics": srv.Registry()} {
+		for name, m := range map[string]*metrics.Registry{"metrics": metricsSink.Registry(), "tee/metrics": teeMetrics.Registry(), "server/metrics": srvMetrics} {
 			var buf bytes.Buffer
 			if err := m.WritePrometheus(&buf); err != nil {
 				t.Fatal(err)

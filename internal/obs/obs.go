@@ -130,9 +130,9 @@ type StepStats struct {
 	FrontierEdges  int64
 	UnvisitedEdges int64
 	// Retries is the number of times the superstep was re-executed after a
-	// trapped fault (core.Config.MaxRetries); zero on a clean superstep or
+	// trapped fault (core.WithRetries); zero on a clean superstep or
 	// when retry is disabled. Stalled reports that the superstep outlived
-	// the watchdog deadline (core.Config.StepTimeout) — it completed, but
+	// the watchdog deadline (core.WithStepTimeout) — it completed, but
 	// the run will end with a TimeoutError at this boundary unless the
 	// superstep was terminal.
 	Retries int64

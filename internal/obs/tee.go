@@ -70,7 +70,7 @@ func (t *teeSink) RunEnd(wall time.Duration) {
 
 // FallbackNoter is implemented by sinks that want to hear about checkpoint
 // fallback: each time the resume chain (ckpt.ResumeLatestValid, wired
-// through core.Config.ResumeLatest) skips a damaged snapshot, NoteFallback
+// through core.WithResumeLatest) skips a damaged snapshot, NoteFallback
 // receives the skipped file's path and the validation error. Invoked
 // before RunStart, once per skipped checkpoint.
 type FallbackNoter interface {

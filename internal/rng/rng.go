@@ -2,18 +2,15 @@
 // generators used throughout graphxmt. Determinism matters here: every
 // experiment in the paper reproduction must be replayable bit-for-bit from a
 // seed, independent of host parallelism, so we avoid math/rand's global
-// state and use explicit generator values that can be split into
-// independent streams for parallel graph generation.
+// state and use explicit generator values, one per independently seeded
+// stream.
 //
 // Xoshiro256** is the generator, seeded through splitmix64 as its authors
 // recommend; Mix64 is one splitmix64 round, for cheap one-shot hashing of
 // integers.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // splitMix64 is D. Lemire / S. Vigna's splitmix64 generator, seeded with
 // its state.
@@ -122,44 +119,4 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = aHi*bHi + w2 + (w1 >> 32)
 	lo = a * b
 	return
-}
-
-// Split returns a new generator whose stream is independent of the
-// receiver's for any practical purpose: it is seeded by hashing the
-// receiver's next output with the supplied stream index, so generating from
-// the child never perturbs the parent beyond the single Uint64 consumed.
-func (x *Xoshiro) Split(stream uint64) *Xoshiro {
-	return New(Mix64(x.Uint64()) ^ Mix64(stream*0x9e3779b97f4a7c15+1))
-}
-
-// Norm returns a standard normal variate via the Box-Muller transform.
-func (x *Xoshiro) Norm() float64 {
-	// Avoid log(0).
-	u1 := x.Float64()
-	for u1 == 0 {
-		u1 = x.Float64()
-	}
-	u2 := x.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (x *Xoshiro) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (x *Xoshiro) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		swap(i, j)
-	}
 }

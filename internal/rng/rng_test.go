@@ -128,70 +128,6 @@ func TestMul64Property(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%100) + 1
-		p := New(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(1)
-	c1 := parent.Split(0)
-	c2 := parent.Split(1)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split children matched %d/1000 outputs", same)
-	}
-}
-
-func TestSplitDeterministicGivenParentState(t *testing.T) {
-	a := New(17)
-	b := New(17)
-	ca := a.Split(5)
-	cb := b.Split(5)
-	for i := 0; i < 100; i++ {
-		if ca.Uint64() != cb.Uint64() {
-			t.Fatal("split is not a deterministic function of parent state")
-		}
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	x := New(123)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := x.Norm()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestMix64Distinct(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 10000; i++ {
@@ -200,21 +136,6 @@ func TestMix64Distinct(t *testing.T) {
 			t.Fatalf("Mix64 collision at %d", i)
 		}
 		seen[h] = true
-	}
-}
-
-func TestShuffleCoversArrangements(t *testing.T) {
-	// A crude sanity check: shuffling [0,1,2] many times should hit all 6
-	// arrangements.
-	x := New(2024)
-	seen := map[[3]int]bool{}
-	for i := 0; i < 600; i++ {
-		arr := [3]int{0, 1, 2}
-		x.Shuffle(3, func(i, j int) { arr[i], arr[j] = arr[j], arr[i] })
-		seen[arr] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("saw %d/6 arrangements", len(seen))
 	}
 }
 

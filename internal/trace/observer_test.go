@@ -19,9 +19,6 @@ func TestPhaseObserverNotified(t *testing.T) {
 	r := NewRecorder()
 	o := &recordingObserver{}
 	r.SetObserver(o)
-	if r.Observer() != o {
-		t.Fatal("Observer() did not return the attached object")
-	}
 	r.StartPhase("bfs/level", 0)
 	r.StartPhase("bfs/level", 1)
 	r.StartPhase("stats/degrees", 0)
@@ -39,27 +36,25 @@ func TestPhaseObserverNotified(t *testing.T) {
 	}
 }
 
-// TestObserverNonPhaseObserver: any value can ride on the recorder; only
-// phaseObserver implementations get StartPhase callbacks.
+// TestObserverNonPhaseObserver: any value can be attached; only
+// phaseObserver implementations get StartPhase callbacks, and attaching
+// something else detaches the last one.
 func TestObserverNonPhaseObserver(t *testing.T) {
 	r := NewRecorder()
+	o := &recordingObserver{}
+	r.SetObserver(o)
 	r.SetObserver("opaque payload")
 	r.StartPhase("cc/iter", 0) // must not panic
-	if got := r.Observer(); got != "opaque payload" {
-		t.Fatalf("Observer() = %v", got)
-	}
 	r.SetObserver(nil)
-	if r.Observer() != nil {
-		t.Fatal("Observer() not cleared")
+	r.StartPhase("cc/iter", 1)
+	if len(o.names) != 0 {
+		t.Fatalf("a detached observer saw %v", o.names)
 	}
 }
 
 func TestNilRecorderObserverSafe(t *testing.T) {
 	var r *Recorder
 	r.SetObserver(&recordingObserver{}) // must not panic
-	if r.Observer() != nil {
-		t.Fatal("nil recorder returned an observer")
-	}
 }
 
 func TestObserverFactory(t *testing.T) {
@@ -75,7 +70,7 @@ func TestObserverFactory(t *testing.T) {
 	if made != 2 {
 		t.Fatalf("factory invoked %d times, want 2", made)
 	}
-	o1, ok := r1.Observer().(*recordingObserver)
+	o1, ok := r1.po.(*recordingObserver)
 	if !ok {
 		t.Fatal("recorder missing factory observer")
 	}
@@ -83,13 +78,13 @@ func TestObserverFactory(t *testing.T) {
 	if len(o1.names) != 1 || o1.names[0] != "sv/round" {
 		t.Fatalf("factory observer saw %v", o1.names)
 	}
-	if r1.Observer() == r2.Observer() {
+	if r1.po == r2.po {
 		t.Fatal("recorders share one observer; factory must mint fresh ones")
 	}
 
 	// Restoring the previous factory stops attachment.
 	SetObserverFactory(prev)
-	if r := NewRecorder(); r.Observer() != nil && prev == nil {
+	if r := NewRecorder(); r.po != nil && prev == nil {
 		t.Fatal("observer attached after factory cleared")
 	}
 }

@@ -229,11 +229,9 @@ type Recorder struct {
 	mu     sync.Mutex
 	phases []*Phase
 
-	// obs is an opaque host-observability attachment (set by CLIs, read
-	// back by the BSP engine via Observer); po is its cached
-	// phaseObserver view, nil when the attachment doesn't observe phases.
-	obs any
-	po  phaseObserver
+	// po is the host-observability attachment (set by CLIs) as a
+	// phaseObserver, nil when it doesn't observe phases.
+	po phaseObserver
 }
 
 // observerFactory, when set, attaches a fresh observer to every Recorder
@@ -267,21 +265,8 @@ func (r *Recorder) SetObserver(o any) {
 	if r == nil {
 		return
 	}
-	r.obs = o
 	r.po, _ = o.(phaseObserver)
 }
-
-// Observer returns the attached host-observability object, or nil.
-func (r *Recorder) Observer() any {
-	if r == nil {
-		return nil
-	}
-	return r.obs
-}
-
-// Discard reports whether the recorder is nil, letting kernels accept a nil
-// *Recorder to mean "don't record".
-func (r *Recorder) Discard() bool { return r == nil }
 
 // StartPhase appends and returns a new phase with the given name and index.
 // A nil recorder returns a throwaway phase so kernels can record
@@ -319,34 +304,4 @@ func (r *Recorder) PhasesNamed(name string) []*Phase {
 		}
 	}
 	return out
-}
-
-// Totals returns a synthetic phase holding the sums over all recorded
-// phases (Tasks, ops, hotspots, barriers; MaxTask is the max over phases).
-func (r *Recorder) Totals() *Phase {
-	t := &Phase{Name: "totals"}
-	for _, p := range r.Phases() {
-		t.Tasks += p.Tasks
-		t.Issue += p.Issue
-		t.Loads += p.Loads
-		t.Stores += p.Stores
-		t.Barriers += p.Barriers
-		for c := range p.Hot {
-			t.Hot[c] += p.Hot[c]
-		}
-		if p.MaxTask > t.MaxTask {
-			t.MaxTask = p.MaxTask
-		}
-	}
-	return t
-}
-
-// Reset discards all recorded phases.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.phases = nil
-	r.mu.Unlock()
 }
