@@ -2,7 +2,6 @@ package bspalg
 
 import (
 	"fmt"
-	"sort"
 
 	"graphxmt/internal/core"
 	"graphxmt/internal/graph"
@@ -50,14 +49,19 @@ func (p *lpProgram) Compute(v *core.VertexContext) {
 		// vertex ID); kick off the first exchange by recomputing from the
 		// initial cache below, without a broadcast round.
 	}
+	// Messages arrive in ascending sender order on every delivery path (the
+	// broadcasters' order, or a pull's walk of the ascending neighbor list),
+	// so one cursor over nbr finds every sender's slot.
 	nbr := v.Neighbors()
 	cache := p.of(v.ID())
+	i := 0
 	for _, m := range v.Messages() {
 		sender := m >> 32
-		label := m & 0xffffffff
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] >= sender })
+		for i < len(nbr) && nbr[i] < sender {
+			i++
+		}
 		if i < len(nbr) && nbr[i] == sender {
-			cache[i] = label
+			cache[i] = m & 0xffffffff
 		}
 		v.Charge(4, 4, 1)
 	}

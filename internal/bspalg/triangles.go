@@ -255,7 +255,8 @@ func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) (*TCResult, error) 
 		{active3, s2, 0, 0},
 	}
 	for i, st := range steps {
-		chargeSuperstep(rec, i, costs, n, st.active, st.received, st.sent, st.extra, st.extra)
+		scan, ph := rec.StartPhase("bsp/scan", i), rec.StartPhase("bsp/superstep", i)
+		costs.ChargeSuperstep(scan, ph, n, st.active, st.received, st.sent, st.extra, st.extra, 0)
 		out.MessagesPerStep = append(out.MessagesPerStep, st.sent)
 		out.TotalMessages += st.sent
 		out.Supersteps++
@@ -264,30 +265,4 @@ func StreamingTriangles(g *graph.Graph, rec *trace.Recorder) (*TCResult, error) 
 		}
 	}
 	return out, nil
-}
-
-// chargeSuperstep records one synthetic BSP superstep phase with the same
-// cost structure core.Run charges.
-func chargeSuperstep(rec *trace.Recorder, step int, costs core.CostSchedule,
-	n, active, received, sent, extraIssue, extraLoads int64) {
-	scan := rec.StartPhase("bsp/scan", step)
-	scan.AddTasks(n, 0, costs.ScanLoadsPerVertex*n, 0)
-	scan.ObserveTask(costs.ScanLoadsPerVertex)
-	ph := rec.StartPhase("bsp/superstep", step)
-	ph.AddTasks(active+sent,
-		costs.ActiveIssuePerVertex*active+costs.RecvIssuePerMsg*received+costs.SendIssuePerMsg*sent+extraIssue,
-		costs.ActiveLoadsPerVertex*active+costs.RecvLoadsPerMsg*received+costs.SendLoadsPerMsg*sent+extraLoads,
-		costs.ActiveStoresPerVertex*active+costs.SendStoresPerMsg*sent)
-	ph.AddHot(trace.HotMsgCounter, hotOps(costs, sent))
-	ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
-	ph.ObserveTask(costs.ActiveIssuePerVertex + costs.ActiveLoadsPerVertex +
-		costs.RecvIssuePerMsg + costs.RecvLoadsPerMsg)
-}
-
-func hotOps(c core.CostSchedule, msgs int64) int64 {
-	chunk := c.HotMsgChunk
-	if chunk <= 0 {
-		chunk = 1
-	}
-	return (msgs + chunk - 1) / chunk
 }

@@ -176,7 +176,7 @@ func (benchHubSend) Compute(v *core.VertexContext) {
 }
 
 // BenchmarkEngineUnicastHub: 2^20 unicast messages to eight hubs, grouped
-// (no combiner) and folded (Sum, through the hub prefold). No two
+// (no combiner) and folded (Sum, through the sequential denseFold). No two
 // consecutive sends share a destination, so every run is one message long
 // and log-B/msg is 16: a value and a run header each.
 func BenchmarkEngineUnicastHub(b *testing.B) {

@@ -26,10 +26,15 @@ const (
 // back, full when they meet. A run never spans two blocks.
 type msgBlock [msgBlockLen]int64
 
-// blockPool recycles log blocks across supersteps and across runs, so
-// unicast traffic is written into memory neither allocated nor zeroed
-// again; a sync.Pool, so an idle process gives it all back.
+// Log blocks are recycled, so unicast traffic is written into memory
+// neither allocated nor zeroed again: within a run through the run's free
+// list (runScratch.blocks), which every superstep's release refills exactly,
+// and across runs through blockPool — a sync.Pool, so an idle process gives
+// them all back, but one that drops a put now and then (always under -race),
+// which only a run's first blocks may feel.
 var blockPool = sync.Pool{New: func() any { return new(msgBlock) }}
+
+func poolBlock() *msgBlock { return blockPool.Get().(*msgBlock) }
 
 // logSeg is a sealed block: nval values, and the headers of the nrun runs
 // that hold them, the first run's in the block's last slot.
@@ -44,15 +49,16 @@ func (s logSeg) vals() []int64 { return s.blk[:s.nval] }
 
 // msgLog is a stream of unicast messages in send order, written once by
 // Send and read in place by every boundary consumer: segs are blocks from
-// blockPool, sealed counts the values in segs. The block being filled, blk,
-// is not yet in segs: vals is its values, capped at lim, the slot reserved
-// for the open run's header — so that a send with room is an append; the
-// closed runs' headers fill the slots above lim, and the open run, to dest,
-// began at start. A chunk's log is spliced into the superstep's by pointer
-// (spliceSends), never copied.
+// blocks, the run's free list, sealed counts the values in segs. The block
+// being filled, blk, is not yet in segs: vals is its values, capped at lim,
+// the slot reserved for the open run's header — so that a send with room is
+// an append; the closed runs' headers fill the slots above lim, and the open
+// run, to dest, began at start. A chunk's log is spliced into the
+// superstep's by pointer (spliceSends), never copied.
 type msgLog struct {
 	segs   []logSeg
 	sealed int64
+	blocks *freeList[*msgBlock]
 
 	blk        *msgBlock
 	vals       []int64
@@ -90,7 +96,7 @@ func (l *msgLog) closeRun(end int, dest int64) {
 func (l *msgLog) fresh(run []int64) []int64 {
 	l.vals = run
 	l.seal()
-	l.blk, l.lim = blockPool.Get().(*msgBlock), msgBlockLen-1
+	l.blk, l.lim = l.blocks.get(), msgBlockLen-1
 	return l.blk[:0]
 }
 
@@ -105,11 +111,11 @@ func (l *msgLog) seal() {
 	}
 }
 
-// release returns every block to the pool and empties the log.
+// release returns every block to the free list and empties the log.
 func (l *msgLog) release() {
 	l.seal()
 	for i, seg := range l.segs {
-		blockPool.Put(seg.blk)
+		l.blocks.put(seg.blk)
 		l.segs[i] = logSeg{}
 	}
 	l.segs, l.sealed = l.segs[:0], 0
@@ -312,8 +318,8 @@ func (v *VertexContext) openRun(dest int64) {
 // records a single broadcast record and expands it at delivery — directly
 // into the inbox — so the physical traffic of a flood superstep is
 // O(frontier), not O(edges incident on the frontier). The received message
-// sequences are identical to per-edge expansion (see deliver for where
-// combiner associativity is leaned on).
+// sequences, and every combiner's fold of them, are identical to per-edge
+// expansion (see deliver).
 func (v *VertexContext) SendToNeighbors(value int64) {
 	e := v.engine
 	deg := e.graph.Degree(v.id)

@@ -1,5 +1,7 @@
 package core
 
+import "graphxmt/internal/trace"
+
 // CostSchedule describes what each engine operation costs on the simulated
 // Cray XMT, in the cost classes of package trace. The defaults model the
 // paper's implementation: a BSP layer written in XMT-C on top of GraphCT
@@ -68,12 +70,21 @@ func DefaultCosts() CostSchedule {
 	}
 }
 
-// hotOps returns the number of global-cursor fetch-and-adds needed to
-// allocate slots for n messages.
-func (c CostSchedule) hotOps(n int64) int64 {
-	chunk := c.HotMsgChunk
-	if chunk <= 0 {
-		chunk = 1
-	}
-	return (n + chunk - 1) / chunk
+// ChargeSuperstep charges one superstep to its two phases: to scan the
+// inspection of scanned vertices; to ph the dispatch of active vertices, the
+// messages received, the messages sent, their global-cursor fetch-and-adds
+// (one per HotMsgChunk slots) and their delivery, plus what the program
+// charged itself (VertexContext.Charge). Run charges every superstep through
+// it, and so does an evaluator that replays the engine's supersteps without
+// running them (bspalg.StreamingTriangles), so the two cannot disagree.
+func (c CostSchedule) ChargeSuperstep(scan, ph *trace.Phase, scanned, active, received, sent, extraIssue, extraLoads, extraStores int64) {
+	scan.AddTasks(scanned, 0, c.ScanLoadsPerVertex*scanned, 0)
+	scan.ObserveTask(c.ScanLoadsPerVertex)
+	ph.AddTasks(active+sent,
+		c.ActiveIssuePerVertex*active+c.RecvIssuePerMsg*received+c.SendIssuePerMsg*sent+extraIssue,
+		c.ActiveLoadsPerVertex*active+c.RecvLoadsPerMsg*received+(c.SendLoadsPerMsg+c.DeliverLoadsPerMsg)*sent+extraLoads,
+		c.ActiveStoresPerVertex*active+(c.SendStoresPerMsg+c.DeliverStoresPerMsg)*sent+extraStores)
+	chunk := max(c.HotMsgChunk, 1)
+	ph.AddHot(trace.HotMsgCounter, (sent+chunk-1)/chunk)
+	ph.ObserveTask(c.ActiveIssuePerVertex + c.ActiveLoadsPerVertex + c.RecvIssuePerMsg + c.RecvLoadsPerMsg)
 }

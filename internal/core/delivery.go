@@ -11,11 +11,12 @@ import (
 // Delivery: what a superstep boundary does with the superstep's traffic.
 // One value describes the traffic (traffic), one function decides what
 // happens to it (choosePath), four primitives do it — groupByDest,
-// lookasideScatter, lookasideFold, denseFold, plus combineGroups on top of
-// the first and the pull stamp in parallel.go — and one value holds what the
-// next sweep reads (inbox). Every path hands each vertex the same message
-// sequence, so the choice is a pure host-speed decision that never reaches
-// Result or the charged profile; docs/PERFORMANCE.md §3 has the table.
+// lookasideScatter, lookasideFold, denseFold, plus the pull stamp in
+// parallel.go — and one value holds what the next sweep reads (inbox).
+// Every path hands each vertex the same message sequence, and every
+// combining path folds it left to right in send order, so the choice is a
+// pure host-speed decision that never reaches Result or the charged
+// profile; docs/PERFORMANCE.md §3 has the table.
 
 // traffic is one superstep's outgoing messages, held from the sweep that
 // writes them until the boundary's last consumer (the checkpoint) is done:
@@ -177,8 +178,8 @@ const (
 	// pathCSR: the sequential CSR build, O(n + traffic) — groupByDest with
 	// one share, or denseFold with a combiner.
 	pathCSR
-	// pathCSRPar: the CSR build with one share per worker — groupByDest, then
-	// combineGroups with a combiner.
+	// pathCSRPar: the CSR build with one share per worker — groupByDest,
+	// never with a combiner.
 	pathCSRPar
 	// pathPull: stamp the broadcasters and build nothing; the next compute
 	// sweep gathers (chunkState.gather).
@@ -231,8 +232,8 @@ type pathInputs struct {
 //     stored messages) — unless it is large enough to sort in parallel.
 //   - Records are pullable when the superstep is pure broadcast (a pull
 //     cannot deliver a Send), and pulled when the recorded direction says so.
-//   - Pullable records with a combiner and no pull fold sequentially
-//     (denseFold): the exact per-edge fold order for any combiner.
+//   - Any other traffic with a combiner folds sequentially (denseFold):
+//     the exact per-edge fold order for any combiner.
 //   - Everything else is the counting sort, forked when there are workers
 //     and messages enough to pay for it, few enough for int32 cursors, and
 //     the traffic is not a mixed log + records stream.
@@ -245,8 +246,8 @@ func choosePath(in pathInputs) (p path, why string) {
 		p.kind, why = pathLookaside, "logical*lookasideCutoff < n"
 	case eligible && in.dir == DirPull:
 		p.kind, why = pathPull, "recorded direction"
-	case eligible && in.combiner:
-		p.kind, why = pathCSR, "records fold sequentially"
+	case in.combiner:
+		p.kind, why = pathCSR, "a combiner folds sequentially"
 	case parallel:
 		p.kind, why = pathCSRPar, "workers > 1, deliverParallelMin <= logical < 2^31"
 	default:
@@ -324,10 +325,8 @@ func (ib *inbox) slice(v int64) []int64 {
 // neighbor order, a property of the graph, so they are bit-identical at
 // any worker count, and they equal the push send order exactly, because
 // adjacency lists are ascending and senders run, hence send, in ascending
-// order. With a combiner, when one source broadcasts more than once in a
-// superstep, equality with the per-edge path leans on the commutativity +
-// associativity Config.Combiner documents — the same contract the hub
-// prefolds of combineGroups rely on.
+// order. A source that broadcast more than once in the superstep has no
+// single value to stamp, so that superstep is pushed instead.
 func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionMode) (int64, path) {
 	n := t.g.NumVertices()
 	in := pathInputs{
@@ -337,7 +336,7 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionM
 	}
 	p, _ := choosePath(in)
 	if p.kind == pathPull && !ib.fillBcastLookaside(t.bcasts, n) {
-		// A source broadcast twice with no combiner to fold the values: push.
+		// A source broadcast twice: push.
 		in.dir = DirPush
 		p, _ = choosePath(in)
 	}
@@ -403,15 +402,12 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
 	case pathCSRPar:
 		C = deliverChunks(n)
 	}
-	switch {
-	case combine == nil:
-		ib.val = ensureInt64(ib.val, int(t.logical))
-		s.groupByDest(t, n, C, ib.off, ib.val, ib.recv)
-		return t.logical
-	case C == 1:
+	if combine != nil {
 		return s.denseFold(t, ib, n)
 	}
-	return s.combineGroups(t, ib, n, C)
+	ib.val = ensureInt64(ib.val, int(t.logical))
+	s.groupByDest(t, n, C, ib.off, ib.val, ib.recv)
+	return t.logical
 }
 
 // deliverChunkBudget is the counting-sort scratch budget: the fan-in C

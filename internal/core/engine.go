@@ -82,9 +82,11 @@ type Config struct {
 	// superstep's counters) rather than silently stopping or hanging.
 	MaxSupersteps int
 	// Combiner, when non-nil, merges messages addressed to the same vertex
-	// at the superstep boundary (Pregel's combiner optimization). It must
-	// be commutative and associative. Or, Sum and Min are recognised by
-	// identity and folded inline on pull supersteps (resolveFold).
+	// at the superstep boundary (Pregel's combiner optimization). Each
+	// vertex's messages are folded left to right in send order, on every
+	// delivery path and at any worker count, so any function gives the same
+	// Result everywhere. Or, Sum and Min are recognised by identity and
+	// folded inline on pull supersteps (resolveFold).
 	Combiner func(a, b int64) int64
 	// Recorder receives the work profile; nil disables recording.
 	Recorder *trace.Recorder
@@ -204,16 +206,24 @@ func Run(cfg Config) (*Result, error) {
 		States:     make([]int64, n),
 		Aggregates: map[string]int64{},
 	}
-	// The two buffers sized by message volume come from, and go back to,
-	// the process's other runs (flatCache).
+	// The buffer sized by message volume comes from, and goes back to, the
+	// process's other runs (flatCache).
 	flat := takeFlat()
-	scratch := &runScratch{groupVal: flat.groupVal, gather: gatherPool{size: 2 * g.MaxDegree()}}
+	scratch := &runScratch{gather: newGatherPool(2 * g.MaxDegree()), blocks: freeList[*msgBlock]{mk: poolBlock}}
 	// ib is what each boundary's delivery builds and the next sweep reads.
 	ib := newInbox(n, cfg.Combiner)
 	ib.val = flat.inboxVal
+	// tr is the superstep's outgoing traffic: the unicast log and the
+	// broadcast records (one per SendToNeighbors call, not per edge).
+	tr := &traffic{g: g, bufs: scratch.gather, sends: msgLog{blocks: &scratch.blocks}}
 	defer func() {
-		flat.inboxVal, flat.groupVal = ib.val, scratch.groupVal
+		flat.inboxVal = ib.val
 		putFlat(flat)
+		// The run's log blocks go back to blockPool for the next run.
+		tr.sends.release()
+		for _, b := range scratch.blocks.free {
+			blockPool.Put(b)
+		}
 	}()
 	// laneSrc/progAux are the program's batching capability surfaces
 	// (lanes.go): the lane assignment of a batched multi-source program
@@ -314,10 +324,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// tr is the superstep's outgoing traffic: the unicast log and the
-	// broadcast records (one per SendToNeighbors call, not per edge).
-	tr := &traffic{g: g, bufs: &scratch.gather}
-
 	// Sparse-activation worklist: the vertices worth inspecting this
 	// superstep (message receivers plus non-halted vertices), nil under the
 	// full scan. stamp deduplicates insertions per superstep.
@@ -337,7 +343,7 @@ func Run(cfg Config) (*Result, error) {
 		costs:  costs,
 		states: res.States,
 		expand: cfg.expandBroadcasts,
-		bufs:   &scratch.gather,
+		bufs:   scratch.gather,
 	}
 	// With no recorder every superstep charges one throwaway phase, not a
 	// fresh pair.
@@ -441,21 +447,18 @@ func Run(cfg Config) (*Result, error) {
 		// never-reassigned copy by value; capturing the loop variable
 		// itself heap-allocates a cell every superstep.
 		step := step
-		var ph *trace.Phase
+		var scan, ph *trace.Phase
 		var numChunks int
 		var retried int64
+		scanCount := n
+		if cfg.SparseActivation {
+			scanCount = int64(len(candidates))
+		}
 		for {
 			// The last boundary is done with its traffic (and a trapped
-			// attempt's is void): the blocks go back to the pool.
+			// attempt's is void): the blocks go back to the free list.
 			tr.sends.release()
-			scanCount := n
-			if cfg.SparseActivation {
-				scanCount = int64(len(candidates))
-			}
-			scan := startPhase("bsp/scan", step)
-			scan.AddTasks(scanCount, 0, costs.ScanLoadsPerVertex*scanCount, 0)
-			scan.ObserveTask(costs.ScanLoadsPerVertex)
-
+			scan = startPhase("bsp/scan", step)
 			ph = startPhase("bsp/superstep", step)
 
 			// Compute sweep: worker-independent chunks, each with a private
@@ -587,15 +590,9 @@ func Run(cfg Config) (*Result, error) {
 		dirMode := ds.decide(frontierEdges, unicast)
 		res.DirectionPerStep = append(res.DirectionPerStep, dirMode)
 
-		// Charge the compute phase: active dispatch, message receive,
-		// message send, and chunked global buffer allocation.
-		ph.AddTasks(active+sent,
-			costs.ActiveIssuePerVertex*active+costs.RecvIssuePerMsg*received+costs.SendIssuePerMsg*sent+extraIssue,
-			costs.ActiveLoadsPerVertex*active+costs.RecvLoadsPerMsg*received+costs.SendLoadsPerMsg*sent+extraLoads,
-			costs.ActiveStoresPerVertex*active+costs.SendStoresPerMsg*sent+extraStores)
-		ph.AddHot(trace.HotMsgCounter, costs.hotOps(sent))
-		ph.ObserveTask(costs.ActiveIssuePerVertex + costs.ActiveLoadsPerVertex +
-			costs.RecvIssuePerMsg + costs.RecvLoadsPerMsg)
+		// Charge the superstep: the scan, active dispatch, message receive,
+		// send, chunked global buffer allocation and delivery.
+		costs.ChargeSuperstep(scan, ph, scanCount, active, received, sent, extraIssue, extraLoads, extraStores)
 
 		res.ActivePerStep = append(res.ActivePerStep, active)
 		res.MessagesPerStep = append(res.MessagesPerStep, sent)
@@ -625,7 +622,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		delivered, took := scratch.deliver(tr, ib, candidates, dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
-		ph.AddTasks(0, 0, costs.DeliverLoadsPerMsg*sent, costs.DeliverStoresPerMsg*sent)
 		if o != nil {
 			tObs = o.phase(obsPhaseDeliver, step, tObs)
 		}

@@ -29,9 +29,9 @@ func WithExpandBroadcasts(on bool) Option {
 // that follows: gather for every vertex, returning the messages obtained.
 func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64) func() int64 {
 	n := g.NumVertices()
-	s := &runScratch{gather: gatherPool{size: 2 * g.MaxDegree()}}
+	s := &runScratch{gather: newGatherPool(2 * g.MaxDegree())}
 	ib := newInbox(n, combine)
-	tr := &traffic{g: g, bufs: &s.gather}
+	tr := &traffic{g: g, bufs: s.gather}
 	for _, src := range srcs {
 		tr.bcasts = append(tr.bcasts, bcastRec{src: src, val: src + 1})
 		tr.logical += g.Degree(src)
@@ -43,7 +43,7 @@ func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64
 		s.build(path{kind: pathPull}, tr, ib, nil)
 	}
 	cs := &chunkState{}
-	cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, &s.gather, &cs.eng
+	cs.eng.graph, cs.eng.bufs, cs.ctx.engine = g, s.gather, &cs.eng
 	return func() int64 {
 		var received int64
 		for v := int64(0); v < n; v++ {

@@ -21,7 +21,7 @@ func TestPullLookasideFill(t *testing.T) {
 		{"closure", func(a, b int64) int64 { return max(a, b) }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, tr := &runScratch{}, &traffic{}
+			s, tr := &runScratch{gather: newGatherPool(0)}, &traffic{}
 			ib := &inbox{combine: tc.combine, fold: resolveFold(tc.combine)}
 			empty := s.scratchBytes(0, tr, ib, nil, nil)
 			fills := [][]bcastRec{

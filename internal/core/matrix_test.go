@@ -196,7 +196,12 @@ func matrixRows() []*mrow {
 		}})
 	}
 	return append(rows, &mrow{name: "log", mk: func() core.Config { return core.Config{Program: logProbe{}} }},
-		&mrow{name: "log-sum", mk: func() core.Config { return core.Config{Program: logProbe{}, Combiner: core.Sum} }})
+		&mrow{name: "log-sum", mk: func() core.Config { return core.Config{Program: logProbe{}, Combiner: core.Sum} }},
+		// 3a-b is neither associative nor commutative: only the left fold in
+		// send order gives the baseline's answer.
+		&mrow{name: "probe-3a-b", mk: func() core.Config {
+			return core.Config{Program: orderProbe{rounds: 4}, Combiner: func(a, b int64) int64 { return 3*a - b }}
+		}})
 }
 
 // mgraph is one graph, with its compressed twin and a relabelled copy
@@ -463,8 +468,8 @@ type matrix struct {
 
 // baseline is row ri on graph gi at one worker, flat, push, records, no
 // fault, under schedule sched. A sparse baseline also gives the full scan's
-// answer and counters; a full one the GraphCT twin's answer (exact rows)
-// and the reference's.
+// answer and counters; a full one the GraphCT twin's answer (exact rows),
+// the reference's, and the message counts countIdentity derives.
 func (m *matrix) baseline(t *testing.T, ri, gi, sched int) outcome {
 	if b, ok := m.base[[3]int{ri, gi, sched}]; ok {
 		return b
@@ -499,8 +504,59 @@ func (m *matrix) baseline(t *testing.T, ri, gi, sched int) outcome {
 		if ref := matrixRefs[r.name]; ref != nil && !slices.Equal(out.Answer, ref(gr.flat, p)) {
 			t.Fatalf("answer %v, the reference's %v", out.Answer, ref(gr.flat, p))
 		}
+		if err := countIdentity(r.name, gr.flat, out, b.steps); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return b
+}
+
+// countIdentity checks a row's message counts against what the graph and
+// the answer alone make them (Chin et al.'s accounting): CC's superstep 0
+// broadcasts along every arc, 2m; a BFS sends each reached vertex's degree
+// once; TC's superstep 0 sends each of the m edges up, its superstep 1 the
+// Σ_v lo(v)·hi(v) wedge candidates of the neighbors below and above each
+// vertex, and its superstep 2 one message per triangle. An answer that
+// survives a dropped or duplicated send still fails here.
+func countIdentity(row string, g *graph.Graph, out bspalg.Out, steps []obs.StepStats) error {
+	var sent int64
+	for _, st := range steps {
+		sent += st.Sent
+	}
+	n := g.NumVertices()
+	switch row {
+	case "cc":
+		if arcs := g.Offsets()[n]; len(steps) > 0 && steps[0].Sent != arcs {
+			return fmt.Errorf("cc superstep 0 sent %d messages, the graph has %d arcs", steps[0].Sent, arcs)
+		}
+	case "bfs":
+		var want int64
+		for v, d := range out.Answer {
+			if d >= 0 {
+				want += g.Degree(int64(v))
+			}
+		}
+		if sent != want {
+			return fmt.Errorf("bfs sent %d messages, the reached vertices' degrees sum to %d", sent, want)
+		}
+	case "tc", "tc-streaming":
+		var m, cand int64
+		for v := range n {
+			nbr := g.Neighbors(v)
+			lo, _ := slices.BinarySearch(nbr, v)
+			hi, _ := slices.BinarySearch(nbr, v+1)
+			m, cand = m+int64(len(nbr)-hi), cand+int64(lo)*int64(len(nbr)-hi)
+		}
+		var tri, gotCand, total, supersteps int64
+		if _, err := fmt.Sscanf(out.Lines[0], "[bsp "+row+"] triangles=%d candidates=%d total-messages=%d supersteps=%d", &tri, &gotCand, &total, &supersteps); err != nil {
+			return err
+		}
+		if gotCand != cand || total != m+cand+tri {
+			return fmt.Errorf("%s: %d candidates and %d messages, want Σ lo·hi = %d and m + candidates + triangles = %d + %d + %d",
+				row, gotCand, total, cand, m, cand, tri)
+		}
+	}
+	return nil
 }
 
 // faults are the boundaries (kill) or supersteps (retry) cell c faults at:

@@ -177,7 +177,7 @@ func (o *obsRun) flightDump(dir, cause string) string {
 // scratchBytes approximates the engine's reusable scratch footprint: the
 // run-level buffers (the inbox and the adjacency-buffer pool among them),
 // the slots the superstep's unicast log fills — values and run headers, not
-// the rest of a partial block, nor the blocks idle in blockPool — plus
+// the rest of a partial block, nor the blocks idle on the free list — plus
 // every chunk's record buffer and segment list — re-measured only for the
 // numChunks chunks that just ran, so a near-empty superstep after a
 // 256-chunk one does not walk them all again.
@@ -195,11 +195,11 @@ func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidat
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
 	b += int64(cap(s.acc)+cap(ib.own)+cap(s.connected)) * 8
 	b += int64(cap(s.counts)) * 4
-	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8
-	b += int64(cap(s.rangeMax)+cap(s.hubDest)+cap(s.hubVal)+cap(s.hubPart)) * 8
-	b += int64(cap(s.foldBnds)+cap(s.bounds)+cap(s.ranges)+cap(s.pullBnds)+cap(s.shareBnds)) * 8
-	b += int64(cap(s.bcastWork)) * 8
-	b += int64(len(s.gather.free)) * s.gather.size * 8 // every buffer is back by the boundary
+	b += int64(cap(s.rangeCnt)+cap(s.sortScratch)+cap(s.bcastWork)) * 8
+	b += int64(cap(s.bounds)+cap(s.ranges)+cap(s.pullBnds)+cap(s.shareBnds)) * 8
+	for _, buf := range s.gather.free { // every buffer is back by the boundary
+		b += int64(cap(buf)) * 8
+	}
 	for _, cs := range s.chunks[:numChunks] {
 		was := cs.scratch
 		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"weak"
 
@@ -51,16 +50,11 @@ import (
 //     deliver and chunkState.gather). Counters and charges still see one
 //     logical message per edge.
 //
-//   - The combining path groups messages per destination first (the same
-//     stable sort) and then left-folds each destination's messages in send
-//     order over destination ranges weighted by message count. Groups
-//     smaller than hubFoldMin reproduce the sequential combine order for
-//     ANY combiner — associativity is not required for determinism across
-//     worker counts. A hub group of at least hubFoldMin messages is folded
-//     over fixed-size segments whose partials combine in segment order — a
-//     tree that is still a pure function of the group length, hence
-//     worker-independent, but relies on the associativity Config.Combiner
-//     documents to equal the flat left fold.
+//   - A combiner folds each destination's messages left to right in send
+//     order on every path: sequentially at the boundary (lookasideFold,
+//     denseFold), or along the receiver's ascending neighbor list in a
+//     pull's gather. No fold is a tree, so no combiner needs to be
+//     associative for determinism across worker counts.
 //
 //   - Aggregators fold per chunk and the chunk partials fold in chunk
 //     index order. Chunk boundaries are worker-independent, so the fold
@@ -117,15 +111,6 @@ const sweepVertexWork = 4
 // costs more than half of so small a sweep. Both sweeps merge the
 // same per-chunk partials, so this is a pure host-speed knob.
 const sweepSerialMax = 1 << 17
-
-// hubFoldMin is the combining-path hub threshold: a destination group of
-// at least this many messages is folded over hubFoldSeg-sized segments in
-// parallel (see combineGroups). Below it, the exact sequential
-// left-fold order is preserved for any combiner.
-const (
-	hubFoldMin = 1 << 13
-	hubFoldSeg = 1 << 11
-)
 
 // chunkState is the private state of one sweep chunk: everything a worker
 // mutates while running its chunk's vertices, merged deterministically (in
@@ -264,21 +249,16 @@ func (cs *chunkState) reset(step int) {
 	cs.trap = nil
 }
 
-// gatherPool is the run's free list of adjacency buffers, each 2*MaxDegree
-// long — one half for a decoded neighbor list, one for a pull's gathered
-// values — so nothing ever has to grow one and DecodeNeighbors can be handed
-// one on either graph representation (a flat graph's shared CSR slice comes
-// back instead and the buffer goes unused). A sweep chunk holds a buffer
-// from its first need of one until it ends, a traffic enumerator while it
-// runs: at most par.Workers() are out at once, and all are back by the
-// boundary.
-type gatherPool struct {
+// freeList is a run's free list of one kind of buffer: get hands back the
+// last one put, or makes one (mk) when none is kept. Sweep chunks take and
+// return theirs concurrently.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free [][]int64
-	size int64
+	free []T
+	mk   func() T
 }
 
-func (p *gatherPool) get() []int64 {
+func (p *freeList[T]) get() T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if k := len(p.free); k > 0 {
@@ -286,13 +266,27 @@ func (p *gatherPool) get() []int64 {
 		p.free = p.free[:k-1]
 		return b
 	}
-	return make([]int64, p.size)
+	return p.mk()
 }
 
-func (p *gatherPool) put(b []int64) {
+func (p *freeList[T]) put(b T) {
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()
+}
+
+// gatherPool is the run's free list of adjacency buffers, each size =
+// 2*MaxDegree long — one half for a decoded neighbor list, one for a pull's
+// gathered values — so nothing ever has to grow one and DecodeNeighbors can
+// be handed one on either graph representation (a flat graph's shared CSR
+// slice comes back instead and the buffer goes unused). A sweep chunk holds
+// a buffer from its first need of one until it ends, a traffic enumerator
+// while it runs: at most par.Workers() are out at once, and all are back by
+// the boundary.
+type gatherPool = freeList[[]int64]
+
+func newGatherPool(size int64) *gatherPool {
+	return &gatherPool{mk: func() []int64 { return make([]int64, size) }}
 }
 
 // foldKind is how a pull-mode gather reduces a vertex's stamped neighbors:
@@ -450,12 +444,15 @@ type runScratch struct {
 	sendOff      []int64 // per-chunk offsets into the superstep's unicast stream
 	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
 
+	// blocks is the run's free list of log blocks (msgLog).
+	blocks freeList[*msgBlock]
+
 	// Delivery scratch (delivery.go). gather lends adjacency buffers to
 	// sweep chunks and traffic enumerators; pullBnds / connected /
 	// numConnected / symmetric are what a pull knows of the graph alone
 	// (pullRanges, build); bcastWork / shareBnds split traffic into a
 	// counting sort's shares; acc is denseFold's.
-	gather       gatherPool
+	gather       *gatherPool
 	pullBnds     []int
 	connected    []uint64
 	numConnected int64
@@ -465,14 +462,7 @@ type runScratch struct {
 	acc          []int64
 
 	counts   []int32 // C*n destination cursors, share-major (countingSort)
-	groupOff []int64 // n+1 group boundaries (combining path)
-	groupVal []int64 // grouped message values (combining path); Run borrows it from flatCache
-	rangeCnt []int64 // per-range counters for compaction sweeps
-	rangeMax []int64 // per-range max group size (hub detection)
-	foldBnds []int   // message-weighted fold range boundaries
-	hubDest  []int64 // destinations with >= hubFoldMin messages, ascending
-	hubVal   []int64 // prefolded hub values, parallel to hubDest
-	hubPart  []int64 // per-segment partials of one hub prefold
+	rangeCnt []int64 // per-range counters (countingSort, pullReceivers)
 
 	// Sweep chunk boundaries (see sweepBoundaries): ranges is the graph's
 	// degree-weighted vertex partition, cut once per run; bounds is a sparse
@@ -506,6 +496,7 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, ds *dirSta
 		cs.eng.states = master.states
 		cs.eng.expand = master.expand
 		cs.eng.bufs = master.bufs
+		cs.eng.log.blocks = &s.blocks
 		cs.ctx.engine, cs.ctx.log, cs.ctx.n = &cs.eng, &cs.eng.log, master.graph.NumVertices()
 		s.chunks = append(s.chunks, cs)
 	}
@@ -682,28 +673,28 @@ func (s *runScratch) mergeAggregates(master *engineState, numChunks int) {
 	}
 }
 
-// flatBufs are the two buffers of a run sized by its message volume — the
-// inbox values and the combining path's grouped values. They grow to the
-// run's largest superstep and, like the log's blocks, are worth keeping
-// across runs: the next Run in the process takes the pair the last one put
-// back, un-zeroed (every delivery writes what it later reads).
-type flatBufs struct{ inboxVal, groupVal []int64 }
+// flatBufs is the buffer of a run sized by its message volume — the inbox
+// values. It grows to the run's largest superstep and, like the log's
+// blocks, is worth keeping across runs: the next Run in the process takes
+// the one the last one put back, un-zeroed (every delivery writes what it
+// later reads).
+type flatBufs struct{ inboxVal []int64 }
 
-// flatCache keeps the pair between runs. A sync.Pool alone keeps a lone
+// flatCache keeps the buffer between runs. A sync.Pool alone keeps a lone
 // object in the per-P slot of the P that put it, where a Get on any other P
-// cannot reach it, so whether a run reused the pair or allocated a fresh
+// cannot reach it, so whether a run reused the buffer or allocated a fresh
 // one (51 MiB for BSP TC at scale 13) depended on which P the scheduler
-// resumed it on. Here the pool only decides how long the pair lives: it
+// resumed it on. Here the pool only decides how long the buffer lives: it
 // holds the one strong reference and drops it at the second collection
-// after the last put, so an idle process gives the pair back. A run on any
-// P takes the pair through the weak pointer.
+// after the last put, so an idle process gives the buffer back. A run on any
+// P takes the buffer through the weak pointer.
 var flatCache struct {
 	mu   sync.Mutex
 	last weak.Pointer[flatBufs]
 	keep sync.Pool
 }
 
-// takeFlat returns the pair the last run put back, while the pool still
+// takeFlat returns the buffer the last run put back, while the pool still
 // holds it, or an empty one.
 func takeFlat() *flatBufs {
 	flatCache.mu.Lock()
@@ -736,14 +727,10 @@ func ensureInt64(s []int64, n int) []int64 {
 // fillBcastLookaside stamps each record's value into the per-source
 // lookaside the pull gather reads, after retiring the previous fill: its set
 // bits say which slots to hand back to the identity, O(n/64 + its frontier).
-// Sequential and in record order, so with a combiner a source that broadcast
-// more than once this superstep pre-folds its values deterministically
-// (equality with the per-edge path then leans on the documented combiner
-// laws — see deliver). Without one there is no fold to hide behind: a
-// second record would lose a message, so the fill reports false and
-// delivery falls back to the push scatter — a deterministic, input-driven
-// fallback for a program that broadcast twice from one vertex in a
-// superstep without a combiner.
+// A source that broadcast more than once this superstep has no one value to
+// stamp — its second record would be lost, or under a combiner folded out of
+// send order — so the fill reports false and delivery pushes instead: a
+// deterministic, input-driven fallback.
 func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n int64) bool {
 	ib.ensureLook(n)
 	look, sent, id := ib.look, ib.sent, ib.identity()
@@ -755,16 +742,12 @@ func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n int64) bool {
 	}
 	ib.stamped = 0
 	for _, r := range bcasts {
-		switch {
-		case bit(sent, r.src) == 0:
-			sent[r.src>>6] |= 1 << (uint64(r.src) & 63)
-			look[r.src] = r.val
-			ib.stamped++
-		case ib.combine != nil:
-			look[r.src] = ib.combine(look[r.src], r.val)
-		default:
+		if bit(sent, r.src) != 0 {
 			return false
 		}
+		setBit(sent, r.src)
+		look[r.src] = r.val
+		ib.stamped++
 	}
 	return true
 }
@@ -811,120 +794,6 @@ func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
 		rangeCnt[r] = cnt
 	})
 	return par.ExclusivePrefixSum(rangeCnt)
-}
-
-// combineGroups groups messages per destination with the stable sort, which
-// marks the receivers in recv, then folds each destination's group and
-// compacts the folded values into the inbox. Two skew defenses keep a hub
-// inbox from serializing the phase:
-//
-//   - The compaction sweep runs over destination ranges weighted by
-//     message count — gOff is itself a message prefix sum, so
-//     WeightedBoundaries splits it into near-equal fold-work ranges
-//     instead of equal vertex-count ranges.
-//
-//   - A group of at least hubFoldMin messages (a hub inbox) is prefolded
-//     in parallel over hubFoldSeg-sized segments, whose partials combine
-//     in segment index order. The segment tree is a pure function of the
-//     group length, so it is worker-independent; it equals the flat left
-//     fold by the associativity Config.Combiner documents. Groups below
-//     the threshold keep the exact sequential left-fold order, preserving
-//     determinism for ANY combiner on non-skewed traffic.
-func (s *runScratch) combineGroups(t *traffic, ib *inbox, n int64, C int) int64 {
-	combine := ib.combine
-	s.groupOff = ensureInt64(s.groupOff, int(n)+1)
-	s.groupVal = ensureInt64(s.groupVal, int(t.logical))
-	s.groupByDest(t, n, C, s.groupOff, s.groupVal, ib.recv)
-	gOff, gVal := s.groupOff, s.groupVal
-
-	// Fold ranges weighted by messages-per-destination (+1 per vertex so
-	// message-free stretches still split).
-	s.foldBnds = par.WeightedBoundaries(s.foldBnds, int(n),
-		sweepTargetChunks(int(n)), func(i int) int64 {
-			return gOff[i] + int64(i)
-		})
-	numR := len(s.foldBnds) - 1
-	s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-	s.rangeMax = ensureInt64(s.rangeMax, numR)
-	rangeCnt, rangeMax := s.rangeCnt, s.rangeMax
-	par.ForBoundaryChunks(s.foldBnds, func(r, lo, hi int) {
-		var cnt, maxG int64
-		for v := lo; v < hi; v++ {
-			if g := gOff[v+1] - gOff[v]; g > 0 {
-				cnt++
-				if g > maxG {
-					maxG = g
-				}
-			}
-		}
-		rangeCnt[r] = cnt
-		rangeMax[r] = maxG
-	})
-
-	// Prefold hub groups. Detection cost is confined to ranges whose max
-	// group size crossed the threshold, so the common no-hub superstep pays
-	// nothing beyond the max tracking above.
-	s.hubDest = s.hubDest[:0]
-	for r := 0; r < numR; r++ {
-		if rangeMax[r] < hubFoldMin {
-			continue
-		}
-		for v := int64(s.foldBnds[r]); v < int64(s.foldBnds[r+1]); v++ {
-			if gOff[v+1]-gOff[v] >= hubFoldMin {
-				s.hubDest = append(s.hubDest, v)
-			}
-		}
-	}
-	hubs := s.hubDest
-	s.hubVal = ensureInt64(s.hubVal, len(hubs))
-	for i, h := range hubs {
-		seg := gVal[gOff[h]:gOff[h+1]]
-		numSeg := (len(seg) + hubFoldSeg - 1) / hubFoldSeg
-		s.hubPart = ensureInt64(s.hubPart, numSeg)
-		part := s.hubPart
-		par.ForFixedChunks(len(seg), hubFoldSeg, func(si, lo, hi int) {
-			acc := seg[lo]
-			for j := lo + 1; j < hi; j++ {
-				acc = combine(acc, seg[j])
-			}
-			part[si] = acc
-		})
-		acc := part[0]
-		for si := 1; si < numSeg; si++ {
-			acc = combine(acc, part[si])
-		}
-		s.hubVal[i] = acc
-	}
-
-	delivered := par.ExclusivePrefixSum(rangeCnt)
-	off := ib.off
-	val := ensureInt64(ib.val, int(delivered))
-	par.ForBoundaryChunks(s.foldBnds, func(r, lo, hi int) {
-		pos := rangeCnt[r]
-		for v := lo; v < hi; v++ {
-			off[v] = pos
-			glo, ghi := gOff[v], gOff[v+1]
-			if ghi > glo {
-				var acc int64
-				if ghi-glo >= hubFoldMin {
-					hidx := sort.Search(len(hubs), func(j int) bool {
-						return hubs[j] >= int64(v)
-					})
-					acc = s.hubVal[hidx]
-				} else {
-					acc = gVal[glo]
-					for i := glo + 1; i < ghi; i++ {
-						acc = combine(acc, gVal[i])
-					}
-				}
-				val[pos] = acc
-				pos++
-			}
-		}
-	})
-	off[n] = delivered
-	ib.val = val
-	return delivered
 }
 
 // nextWorklist builds the next superstep's sparse-activation candidate

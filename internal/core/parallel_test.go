@@ -54,10 +54,13 @@ func randomMessages(r *rng.Xoshiro, count int, n int64) []Message {
 	return buf
 }
 
+// emptyLog is a log with a free list of its own, as Run gives its logs one.
+func emptyLog() msgLog { return msgLog{blocks: &freeList[*msgBlock]{mk: poolBlock}} }
+
 // logTraffic is buf as the unicast log a sweep's Sends would have left, over
 // an edgeless graph of n vertices.
 func logTraffic(buf []Message, n int64) *traffic {
-	t := &traffic{g: graph.MustBuild(n, nil, graph.BuildOptions{}), logical: int64(len(buf))}
+	t := &traffic{g: graph.MustBuild(n, nil, graph.BuildOptions{}), sends: emptyLog(), logical: int64(len(buf))}
 	for _, m := range buf {
 		t.sends.add(m.Dest, m.Value)
 	}
@@ -93,7 +96,7 @@ func recordTraffic(r *rng.Xoshiro, count int, n int64, oneDest, compressed bool)
 		isSource = func(v int64) bool { return v < n-1 }
 	}
 	flat := graph.MustBuild(n, edges, graph.BuildOptions{})
-	t := &traffic{g: flat, bufs: &gatherPool{size: 2 * flat.MaxDegree()}, logical: int64(count)}
+	t := &traffic{g: flat, bufs: newGatherPool(2 * flat.MaxDegree()), sends: emptyLog(), logical: int64(count)}
 	if compressed {
 		t.g = MustCompress(flat)
 	}
@@ -178,19 +181,6 @@ func oracle(msgs []Message, n int64, combine func(a, b int64) int64) [][]int64 {
 	return want
 }
 
-// hubs is the destinations that receive hubFoldMin messages or more: the
-// groups combineGroups folds as a tree.
-func hubs(msgs []Message) []int64 {
-	per := map[int64]int{}
-	var out []int64
-	for _, m := range msgs {
-		if per[m.Dest]++; per[m.Dest] == hubFoldMin {
-			out = append(out, m.Dest)
-		}
-	}
-	return out
-}
-
 // hasMessages is the full scan's test for stored messages (runRange): v's
 // bit in recv.
 func hasMessages(ib *inbox, v int64) bool { return bit(ib.recv, v) == 1 }
@@ -216,24 +206,24 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 	}
 }
 
-// TestDeliveryPrimitives runs the four primitives (and combineGroups on top
-// of groupByDest, whose sort it also runs through int64 cursors) over
-// source {log, records, both interleaved} × graph representation ×
-// combiner {none, Min, Sum, a non-associative one} × inbox {CSR at fan-in 1,
-// 2, 3, 8 and 96 — more shares than segments, shares crossing block
-// boundaries — and lookaside} × message counts straddling a log block ×
-// {random destinations, every message to one destination: every share's
-// cursor for it in a different row}. One scratch and one inbox serve every
-// row, as a run reuses them across supersteps: receiver bits and offsets
-// left by one row must never read as messages in the next. Last, the flat
-// message buffers must pass between runs on different Ps (flatCache), and
-// choosePath routes every row of its table as the table says.
+// TestDeliveryPrimitives runs the four primitives (groupByDest also through
+// int64 cursors) over source {log, records, both interleaved} × graph
+// representation × combiner {none, Min, Sum, a non-associative one} × inbox
+// {CSR at fan-in 1, 2, 3, 8 and 96 — more shares than segments, shares
+// crossing block boundaries; with a combiner, denseFold and a forced csr-par
+// — and lookaside} × message counts straddling a log block × {random
+// destinations, every message to one destination: every share's cursor for
+// it in a different row}. One scratch and one inbox serve every row, as a
+// run reuses them across supersteps: receiver bits and offsets left by one
+// row must never read as messages in the next. Last, the flat message buffer
+// must pass between runs on different Ps (flatCache), and choosePath routes
+// every row of its table as the table says.
 func TestDeliveryPrimitives(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	r := rng.New(1)
 	const B = msgBlockLen
 	// 3a-b is neither commutative nor associative: every primitive must
-	// reproduce the exact per-destination send order, bar the hub prefold.
+	// reproduce the exact per-destination send order.
 	weird := func(a, b int64) int64 { return 3*a - b }
 	combiners := []struct {
 		name string
@@ -304,22 +294,11 @@ func TestDeliveryPrimitives(t *testing.T) {
 							case C == 1:
 								delivered = s.denseFold(tr, ib, n)
 							default:
-								delivered = s.combineGroups(tr, ib, n, C)
+								// A combiner never forks: a forced csr-par folds
+								// sequentially all the same.
+								delivered = s.build(path{kind: pathCSRPar}, tr, ib, nil)
 							}
-							rowWant := want
-							if C > 1 && cb.name == "3a-b" {
-								// A hub group folds as a tree, which takes an
-								// associative combiner: the hub's one value is the
-								// tree's, not the flat fold's, so only its arrival
-								// is checked there.
-								rowWant = slices.Clone(want)
-								for _, d := range hubs(msgs) {
-									if got := ib.slice(d); len(got) == 1 {
-										rowWant[d] = got
-									}
-								}
-							}
-							t.Run(name, func(t *testing.T) { checkInbox(t, ib, delivered, rowWant) })
+							t.Run(name, func(t *testing.T) { checkInbox(t, ib, delivered, want) })
 							if C > 0 && cb.f == nil {
 								// A superstep of 2^31 messages or more sorts through
 								// int64 cursors: the same sort, at that width.
@@ -342,7 +321,8 @@ func TestDeliveryPrimitives(t *testing.T) {
 // testChoosePath pins the routing: both sides of each of the two
 // constants, the int32-cursor limit (a superstep of 2^31 messages or more
 // never takes the parallel sort), one worker, records beside a unicast
-// (never forked, never pulled), and the recorded direction.
+// (never forked, never pulled), the recorded direction, and a combiner
+// (never forked).
 func testChoosePath(t *testing.T) {
 	const (
 		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
@@ -351,21 +331,22 @@ func testChoosePath(t *testing.T) {
 		seq   = "one worker, mixed traffic, or logical outside [deliverParallelMin, 2^31)"
 		fork  = "workers > 1, deliverParallelMin <= logical < 2^31"
 		pull  = "recorded direction"
-		fold  = "records fold sequentially"
+		fold  = "a combiner folds sequentially"
 	)
 	kind := map[string]string{look: "lookaside", seq: "csr", fork: "csr-par", pull: "pull", fold: "csr"}
 	for _, tc := range []struct {
 		name, why string
 		in        pathInputs
 	}{
-		// The log, no combiner or with one: same routing.
+		// The log; a combiner folds it sequentially wherever the lookaside
+		// does not take it.
 		{"log far below n", look, pathInputs{logical: 100, unicast: 100, n: big, workers: 4}},
 		{"log just below n/cutoff", look, pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}},
 		{"log at n/cutoff", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}},
-		{"log at n/cutoff, combiner", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}},
+		{"log at n/cutoff, combiner", fold, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}},
 		{"log below deliverParallelMin", seq, pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}},
 		{"log at deliverParallelMin", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}},
-		{"log at deliverParallelMin, combiner", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}},
+		{"log at deliverParallelMin, combiner", fold, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}},
 		{"log at deliverParallelMin, one worker", seq, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}},
 		{"parallel beats lookaside", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}},
 		{"same traffic, one worker", look, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}},
@@ -378,7 +359,7 @@ func testChoosePath(t *testing.T) {
 		{"small records, recorded pull", pull, pathInputs{logical: 1 << 12, records: 9, n: small, workers: 1, dir: DirPull}},
 		{"small records, recorded pull, combiner", pull, pathInputs{logical: 1 << 12, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
 		{"small records, big graph", look, pathInputs{logical: 50, records: 9, n: big, workers: 4, dir: DirPull}},
-		{"records beside a unicast", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
+		{"records beside a unicast", fold, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull, combiner: true}},
 		{"records beside a unicast, no combiner", seq, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: small, workers: 4, dir: DirPull}},
 		{"records beside a unicast, big graph", look, pathInputs{logical: 1 << 16, unicast: 1, records: 9, n: big, workers: 4, dir: DirPull}},
 		{"pullable records, one worker", seq, pathInputs{logical: deliverParallelMin, records: 9, n: small, workers: 1}},
@@ -408,8 +389,9 @@ func testChoosePath(t *testing.T) {
 // vertex with a neighbor broadcasts when count is even), with no bit left by
 // the delivery before.
 // Only a no-combiner pull under the full scan marks every vertex with a
-// neighbor instead: its gather finds out. The combiners are commutative and
-// associative, as a pull's neighbor-order fold requires.
+// neighbor instead: its gather finds out. Among the combiners is 3a-b, neither
+// commutative nor associative: every path, the pull's neighbor-order fold
+// included, folds in exact send order.
 func FuzzDeliverEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint16(5000), uint8(0), uint8(0), uint8(1), false)
 	f.Add(uint64(2), uint16(64), uint16(0), uint8(1), uint8(1), uint8(4), true)
@@ -417,6 +399,8 @@ func FuzzDeliverEquivalence(f *testing.F) {
 	f.Add(uint64(4), uint16(0), uint16(7), uint8(0), uint8(3), uint8(7), true)
 	f.Add(uint64(5), uint16(200), uint16(4100), uint8(2), uint8(2), uint8(2), false)
 	f.Add(uint64(6), uint16(511), uint16(9000), uint8(2), uint8(0), uint8(5), true)
+	f.Add(uint64(7), uint16(400), uint16(6000), uint8(1), uint8(4), uint8(3), false)
+	f.Add(uint64(8), uint16(300), uint16(5001), uint8(2), uint8(4), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed uint64, nv, count uint16, source, combiner, workers uint8, sparse bool) {
 		defer par.SetWorkers(par.SetWorkers(1 + int(workers%8)))
 		r := rng.New(seed)
@@ -429,11 +413,11 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		if seed&1 == 1 {
 			g = MustCompress(g)
 		}
-		combine := []func(a, b int64) int64{nil, Min, Sum, Or}[combiner%4]
+		combine := []func(a, b int64) int64{nil, Min, Sum, Or, func(a, b int64) int64 { return 3*a - b }}[combiner%5]
 		// superstep draws one superstep's traffic and its oracle: source%3 is
 		// 0 for the log alone, 1 for the records alone, 2 for both.
 		superstep := func() (*traffic, [][]int64) {
-			tr := &traffic{g: g, bufs: &gatherPool{size: 2 * g.MaxDegree()}}
+			tr := &traffic{g: g, bufs: newGatherPool(2 * g.MaxDegree()), sends: emptyLog()}
 			var log []Message
 			if source%3 != 1 {
 				log = randomMessages(r, int(count), n)
