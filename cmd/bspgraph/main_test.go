@@ -119,6 +119,12 @@ func TestExitStatus(t *testing.T) {
 	if err := os.WriteFile(emptyFile, []byte("# empty\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A path longer than the engine's default superstep bound: BFS from an
+	// end needs one superstep per hop.
+	pathFile := filepath.Join(t.TempDir(), "path.gxmt")
+	if err := graphio.WriteBinaryFile(pathFile, gen.Path(2000)); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name   string
@@ -142,6 +148,7 @@ func TestExitStatus(t *testing.T) {
 		{"fatal/CSR1 file with a duplicate arc", []string{"-g", csr1File(t, 0, []int64{0, 2, 4}, []int64{1, 1, 0, 0}), "-alg", "tc"}, 1, `duplicate neighbour 1`, false},
 		{"fatal/CSR1 file with a self-loop", []string{"-g", csr1File(t, 0, []int64{0, 1, 2}, []int64{0, 1}), "-alg", "tc"}, 1, `adjacency of vertex 0: self-loop`, false},
 		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`, false},
+		{"ok/bfs along a 2000-vertex path", []string{"-g", pathFile, "-alg", "bfs", "-src", "0"}, 0, `^$`, false},
 		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`, false},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,
 			`resume with -resume \S+ckpt-000000001\.gxckpt`, false},

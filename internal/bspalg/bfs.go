@@ -76,9 +76,10 @@ type BFSResult struct {
 // engine extras (checkpointing, resume, stop channels, budgets).
 func BFS(g *graph.Graph, source int64, rec *trace.Recorder, opts ...core.Option) (*BFSResult, error) {
 	res, err := run(core.Config{
-		Graph:    g,
-		Program:  BFSProgram{Source: source},
-		Recorder: rec,
+		Graph:         g,
+		Program:       BFSProgram{Source: source},
+		Recorder:      rec,
+		MaxSupersteps: waveSupersteps(g),
 	}, opts)
 	if err != nil {
 		return nil, err

@@ -61,9 +61,10 @@ type CCResult struct {
 // ConnectedComponents runs Algorithm 1 to convergence.
 func ConnectedComponents(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*CCResult, error) {
 	res, err := run(core.Config{
-		Graph:    g,
-		Program:  CCProgram{},
-		Recorder: rec,
+		Graph:         g,
+		Program:       CCProgram{},
+		Recorder:      rec,
+		MaxSupersteps: waveSupersteps(g),
 	}, opts)
 	if err != nil {
 		return nil, err

@@ -356,6 +356,12 @@ func run(cfg core.Config, opts []core.Option) (*core.Result, error) {
 	return core.Run(cfg)
 }
 
+// waveSupersteps bounds a run whose wave advances one hop per superstep —
+// BFS, a batch of them, connected components: a start, at most n-1 hops,
+// and a drain, however long the input's diameter. The engine's default
+// bound of 1,000 would refuse a path of a few thousand vertices.
+func waveSupersteps(g *graph.Graph) int { return int(g.NumVertices()) + 2 }
+
 func maxOf(xs []int64) (m int64) {
 	for _, x := range xs {
 		m = max(m, x)

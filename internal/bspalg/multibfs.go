@@ -220,10 +220,11 @@ func runMulti(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, withLevels 
 	}
 	prog := newMultiProgram(g, plan, withLevels)
 	res, err := run(core.Config{
-		Graph:    g,
-		Program:  prog,
-		Combiner: core.Or,
-		Recorder: rec,
+		Graph:         g,
+		Program:       prog,
+		Combiner:      core.Or,
+		Recorder:      rec,
+		MaxSupersteps: waveSupersteps(g),
 	}, opts)
 	if err != nil {
 		return nil, err

@@ -182,10 +182,8 @@ type Snapshot struct {
 	DeliveredPerStep []int64
 	// Directions is the per-superstep push/pull decision sequence: one
 	// entry per completed superstep (length Step+1), values 1 (push) or 2
-	// (pull) — core.DirectionMode. Visited is the direction heuristic's
-	// visited-vertex bitmap (FP.Vertices bits). Every snapshot carries both.
+	// (pull) — core.DirectionMode. Every snapshot carries it.
 	Directions []int64
-	Visited    Bitmap
 	// RetriesPerStep is the per-superstep retry count: one entry per
 	// completed superstep (length Step+1) when the run's retry supervisor
 	// was active, empty otherwise.
@@ -197,11 +195,7 @@ type Snapshot struct {
 	// interpretation. Empty for programs without aux state.
 	Aux []int64
 	// Aggregates holds the run-level aggregators, sorted by name.
-	// PrevAggregates is the previous-superstep view a program reads; the
-	// engine writes the aggregates there too, which is what that view is
-	// at every boundary, and ignores it on load.
-	Aggregates     []Aggregate
-	PrevAggregates []Aggregate
+	Aggregates []Aggregate
 	// Phases is the accumulated trace profile.
 	Phases []trace.PhaseState
 }

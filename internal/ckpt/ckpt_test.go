@@ -87,16 +87,10 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 		s.MessagesPerStep = append(s.MessagesPerStep, int64(rng.Intn(1000)))
 		s.DeliveredPerStep = append(s.DeliveredPerStep, int64(rng.Intn(1000)))
 	}
-	// Direction-layer state, always present: one push/pull decision per
-	// completed superstep plus the per-vertex visited bitmap.
+	// The direction sequence, always present: one push/pull decision per
+	// completed superstep.
 	for i := int64(0); i <= step; i++ {
 		s.Directions = append(s.Directions, int64(1+rng.Intn(2)))
-	}
-	s.Visited = ckpt.Bitmap{N: n, Words: make([]uint64, (n+63)/64)}
-	for i := int64(0); i < n; i++ {
-		if rng.Intn(2) == 0 {
-			s.Visited.Words[i/64] |= 1 << (i % 64)
-		}
 	}
 	if rng.Intn(2) == 0 {
 		// Retry-supervisor state: one retry count per completed
@@ -116,9 +110,6 @@ func randSnapshotSized(rng *rand.Rand, maxVertices, maxMessages int) *ckpt.Snaps
 	for i, k := 0, rng.Intn(3); i < k; i++ {
 		s.Aggregates = append(s.Aggregates, ckpt.Aggregate{
 			Name: "agg" + string(rune('a'+i)), Value: rng.Int63n(1 << 40), Seeded: rng.Intn(2) == 0,
-		})
-		s.PrevAggregates = append(s.PrevAggregates, ckpt.Aggregate{
-			Name: "agg" + string(rune('a'+i)), Value: rng.Int63n(1 << 40), Seeded: true,
 		})
 	}
 	for i, k := 0, rng.Intn(6); i < k; i++ {
@@ -256,11 +247,11 @@ func sameVerify(t *testing.T, path string, loadErr error) {
 // length check at the length's own offset; a byte other than 0 or 1 in a
 // bitmap's last element is an invalid boolean at that byte's offset.
 func TestDecodeBulkFieldErrors(t *testing.T) {
-	s := randSnapshot(rand.New(rand.NewSource(4))) // every section present
+	s := randSnapshot(rand.New(rand.NewSource(2))) // every section present
 	b := ckpt.Encode(nil, s)
 	fields := ckpt.BulkFields(s)
-	if len(fields) != 14 {
-		t.Fatalf("%d bulk fields, want 14 (12 int64s, 2 bitmaps)", len(fields))
+	if len(fields) != 13 {
+		t.Fatalf("%d bulk fields, want 13 (12 int64s, 1 bitmap)", len(fields))
 	}
 	for _, f := range fields {
 		if f.N == 0 {
@@ -288,7 +279,7 @@ func TestDecodeBulkFieldErrors(t *testing.T) {
 // TestInvalidBroadcastRecordsRejected: broadcast-record damage that a
 // checksum cannot catch — a well-formed encode of semantically impossible
 // records — is rejected by the decoder's structural cross-checks with a
-// typed CorruptError, as is a payload without the direction arrays every
+// typed CorruptError, as is a payload without the direction sequence every
 // snapshot carries.
 func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -312,8 +303,8 @@ func TestInvalidBroadcastRecordsRejected(t *testing.T) {
 		{"seq beyond unicast count", func(s *ckpt.Snapshot) {
 			s.BcastSeq[len(s.BcastSeq)-1] = int64(len(s.MsgDest)) + 1
 		}},
-		{"no direction arrays", func(s *ckpt.Snapshot) {
-			s.Directions, s.Visited = nil, ckpt.Bitmap{}
+		{"no direction sequence", func(s *ckpt.Snapshot) {
+			s.Directions = nil
 		}},
 	}
 	for _, m := range mutations {
@@ -352,9 +343,10 @@ func stampVersion(t *testing.T, path string, ver uint32) {
 }
 
 // TestUnknownVersionRejected: the format has one version and no decoder
-// for any other. Files stamped with a retired version (1-8 were written by
-// earlier engines), a future one, or garbage are a typed VersionError from
-// both Load and Verify — never a mis-decode.
+// for any other. Files stamped with a retired version (every one below the
+// current was written by an earlier engine), a future one, or garbage are a
+// typed VersionError from both Load and Verify — never a mis-decode. Each
+// version is a subtest (v0 … v99), so a failure names the version.
 func TestUnknownVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := randSnapshot(rand.New(rand.NewSource(3)))
@@ -362,29 +354,35 @@ func TestUnknownVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 99} {
-		stampVersion(t, path, ver)
-		_, loadErr := ckpt.Load(path)
-		for _, err := range []error{loadErr, ckpt.Verify(path)} {
-			var ve *ckpt.VersionError
-			if !errors.As(err, &ve) {
-				t.Fatalf("version %d: want VersionError, got %v", ver, err)
-			}
-			if ve.Version != ver {
-				t.Fatalf("VersionError.Version = %d, want %d", ve.Version, ver)
-			}
-		}
+	var rejected []uint32
+	for ver := range uint32(ckpt.Version) {
+		rejected = append(rejected, ver)
 	}
-	stampVersion(t, path, 9)
+	for _, ver := range append(rejected, ckpt.Version+1, 99) {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			stampVersion(t, path, ver)
+			_, loadErr := ckpt.Load(path)
+			for _, err := range []error{loadErr, ckpt.Verify(path)} {
+				var ve *ckpt.VersionError
+				if !errors.As(err, &ve) {
+					t.Fatalf("want VersionError, got %v", err)
+				}
+				if ve.Version != ver {
+					t.Fatalf("VersionError.Version = %d, want %d", ve.Version, ver)
+				}
+			}
+		})
+	}
+	stampVersion(t, path, ckpt.Version)
 	if _, err := ckpt.Load(path); err != nil {
 		t.Fatalf("restamped current version: %v", err)
 	}
 }
 
 // TestEncodeGolden pins the payload bytes: FNV-64a of Encode over
-// randSnapshot seeds 1-7 and 15, captured at format version 9. The seeds
+// randSnapshot seeds 1-7 and 17, captured at format version 10. The seeds
 // cover every optional section both present and absent (broadcast records,
-// retry counts, aux, aggregates, phases); the direction arrays are in every
+// retry counts, aux, aggregates, phases); the direction sequence is in every
 // payload. A change here is a format change: bump the version.
 //
 // One buffer serves every seed, as a run's Writer serves every boundary: a
@@ -396,14 +394,14 @@ func TestEncodeGolden(t *testing.T) {
 		size int
 		hash uint64
 	}{
-		{1, 1688, 0xb34d6881838768e4},  // retry, phases; no bcast, aux, aggregates
-		{2, 5619, 0x7edc81db66f33037},  // bcast, retry, aggregates, phases; no aux
-		{3, 5723, 0xb9304c72a8ce5ad4},  // retry, aux, aggregates, phases; no bcast
-		{4, 3467, 0x37aaa9422849a217},  // every section
-		{5, 3739, 0x78c5b19cedfe07f0},  // bcast, retry, aggregates, phases; no aux
-		{6, 6315, 0x017c1c83ca046542},  // aux, aggregates, phases; no bcast, retry
-		{7, 4817, 0x944f7937cbaed41c},  // bcast, retry, phases; no aux, aggregates
-		{15, 5364, 0x8a124cddf53fad61}, // bcast, retry; no aux, aggregates, phases
+		{1, 1543, 0x11ed4e4b56191af7},  // aggregates, phases; no bcast, retry, aux
+		{2, 5122, 0x12a6c0f8d7917495},  // every section
+		{3, 4960, 0x98b67aa156ea448a},  // retry, phases; no bcast, aux, aggregates
+		{4, 3119, 0x8fc9596c2e24b0f9},  // bcast, aux, aggregates, phases; no retry
+		{5, 3314, 0xa94311ae137973e2},  // bcast, phases; no retry, aux, aggregates
+		{6, 6126, 0xd7d605dfe91fee78},  // aux, aggregates, phases; no bcast, retry
+		{7, 4920, 0x7d13efe318ddf48b},  // bcast, retry, aux, phases; no aggregates
+		{17, 4800, 0x1bba65fdc87be834}, // retry, aggregates; no bcast, aux, phases
 	}
 	var buf []byte
 	moves := 0
@@ -478,7 +476,6 @@ func TestFingerprintCheck(t *testing.T) {
 			MessagesPerStep:  []int64{2},
 			DeliveredPerStep: []int64{3},
 			Directions:       []int64{1},
-			Visited:          ckpt.Bitmap{N: fp.Vertices, Words: make([]uint64, (fp.Vertices+63)/64)},
 		}
 		got, err := ckpt.Decode(ckpt.Encode(nil, s), name)
 		if err != nil {

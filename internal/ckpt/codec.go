@@ -30,7 +30,7 @@ import (
 // version and minVersion together.
 const (
 	magic      = "GXMTCKP1"
-	version    = 9
+	version    = 10
 	minVersion = version
 	headerLen  = 16
 
@@ -140,23 +140,20 @@ func (s *Snapshot) walk(c codec) {
 	c.int64s(&s.MessagesPerStep)
 	c.int64s(&s.DeliveredPerStep)
 	c.int64s(&s.Directions)
-	c.bitmap(&s.Visited)
 	c.int64s(&s.RetriesPerStep)
 	// Program-defined length — no structural cross-check is possible beyond
 	// the slice-length sanity the decoder already applies; a mismatched
 	// length is caught by the engine at restore time.
 	c.int64s(&s.Aux)
 
-	for _, aggs := range []*[]Aggregate{&s.Aggregates, &s.PrevAggregates} {
-		if n := c.length(len(*aggs), aggregateMinBytes); n != len(*aggs) {
-			*aggs = make([]Aggregate, n)
-		}
-		for i := range *aggs {
-			a := &(*aggs)[i]
-			c.str(&a.Name)
-			c.i64(&a.Value)
-			c.boolean(&a.Seeded)
-		}
+	if n := c.length(len(s.Aggregates), aggregateMinBytes); n != len(s.Aggregates) {
+		s.Aggregates = make([]Aggregate, n)
+	}
+	for i := range s.Aggregates {
+		a := &s.Aggregates[i]
+		c.str(&a.Name)
+		c.i64(&a.Value)
+		c.boolean(&a.Seeded)
 	}
 
 	if n := c.length(len(s.Phases), phaseMinBytes); n != len(s.Phases) {
@@ -460,14 +457,10 @@ func Decode(payload []byte, path string) (*Snapshot, error) {
 			}
 		}
 	}
-	// Direction-layer arrays are always present: the decision sequence
-	// covers every completed superstep with push/pull values and the
-	// visited bitmap is per-vertex.
+	// The decision sequence is always present: it covers every completed
+	// superstep with push/pull values.
 	if int64(len(s.Directions)) != want {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("direction sequence sized %d, want %d (step %d)", len(s.Directions), want, s.Step)}
-	}
-	if s.Visited.N != s.FP.Vertices {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("visited bitmap sized %d, fingerprint says %d vertices", s.Visited.N, s.FP.Vertices)}
 	}
 	for i, v := range s.Directions {
 		if v != 1 && v != 2 {

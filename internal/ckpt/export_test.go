@@ -5,6 +5,9 @@ import "path/filepath"
 // Encode exposes the payload encoder to the external tests.
 var Encode = encode
 
+// Version is the format version the writer stamps and the reader accepts.
+const Version = version
+
 // LatestPath returns the highest-step periodic checkpoint in dir, or ""
 // when dir contains none: the checkpoint ResumeLatestValid tries first.
 func LatestPath(dir string) (string, error) {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"math/bits"
 	"reflect"
 	"slices"
 
@@ -254,22 +253,20 @@ func sortAggs(aggs []ckpt.Aggregate) {
 
 // record refreshes the in-memory boundary snapshot after superstep step and
 // publishes it. What the next sweep can overwrite is copied: states, the
-// halted set, the visited bitmap, aux, the in-flight traffic, the
-// aggregates. The copies go into the arrays of the snapshot two boundaries
-// back, which no holder can reach any more: rollback and every write read
-// the newest snapshot, and a watchdog write still reading the older one
-// is waited out. What only ever grows by append is referenced — the
+// halted set, aux, the in-flight traffic, the aggregates. The copies go
+// into the arrays of the snapshot two boundaries back, which no holder can
+// reach any more: rollback and every write read the newest snapshot, and a
+// watchdog write still reading the older one is waited out. What only ever
+// grows by append is referenced — the
 // per-step counters, retry counts, direction decisions and trace phases —
 // so a boundary costs O(n + traffic) however many supersteps came before.
 // Every such reference is clipped to its length: the engine appends past
 // it (in place or after a move, never through it), and neither a
 // snapshot's holder nor a rollback can reach the entries that come later.
-func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) {
+func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, rec *trace.Recorder) {
 	ck.phases = rec.AppendStates(ck.phases)
-	// Direction layer state: the per-step decision sequence (so resume
-	// re-delivers under the recorded decision and the restored Result
-	// matches) and, below, the visited bitmap (so post-resume decisions see
-	// the same unvisited-edge count the uninterrupted run would have).
+	// The per-step decision sequence, so resume re-delivers under the
+	// recorded decision and the restored Result matches.
 	for _, d := range res.DirectionPerStep[len(ck.dirs):] {
 		ck.dirs = append(ck.dirs, int64(d))
 	}
@@ -295,19 +292,13 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []uint64, t 
 		MessagesPerStep:  slices.Clip(res.MessagesPerStep),
 		DeliveredPerStep: slices.Clip(res.DeliveredPerStep),
 		Directions:       slices.Clip(ck.dirs),
-		Visited:          ckpt.Bitmap{N: n, Words: append(s.Visited.Words[:0], ds.visited...)},
 		// Program-owned auxiliary state: MultiBFS's packed per-lane levels
 		// and the like. The compute sweep confines aux writes to the
 		// computing vertex's own words, so at a boundary the slice is
 		// quiescent and a plain copy captures it exactly.
 		Aux:        append(s.Aux[:0], ck.aux...),
 		Aggregates: appendAggs(s.Aggregates[:0], master.aggregates),
-		// The format keeps the view a program had of the previous
-		// superstep's aggregates. Aggregators accumulate over the whole run
-		// and every run-level one is seeded, so at a boundary that view is
-		// the aggregates themselves.
-		PrevAggregates: appendAggs(s.PrevAggregates[:0], master.aggregates),
-		Phases:         slices.Clip(ck.phases),
+		Phases:     slices.Clip(ck.phases),
 	}
 	// In-flight traffic, sent during step: the unicast log, and beside it
 	// the broadcast records delivery kept instead of expanding, so a resumed
@@ -349,7 +340,7 @@ func (ck *ckptRun) publish(s *ckpt.Snapshot) {
 // previously written checkpoints are intact (writes are temp-file +
 // rename). An interrupt's write is the last, and finishes before
 // atBoundary returns its path.
-func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, ds *dirState, rec *trace.Recorder) error {
+func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64, t *traffic, master *engineState, rec *trace.Recorder) error {
 	if err := ck.join(); err != nil {
 		return err
 	}
@@ -375,7 +366,7 @@ func (ck *ckptRun) atBoundary(step int, live int64, res *Result, halted []uint64
 		stopped = true
 	}
 	if writes || (sup != nil && sup.maxRetries > 0) {
-		ck.record(step, live, res, halted, t, master, ds, rec)
+		ck.record(step, live, res, halted, t, master, rec)
 	}
 	path := ""
 	if writes && (stopped || timedOut) {
@@ -501,7 +492,7 @@ func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
 // halted set, counters, aggregators, and the trace profile. The message
 // queue and worklist are rebuilt by Run (they live in engine-local
 // buffers).
-func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState, ds *dirState, rec *trace.Recorder) (live int64) {
+func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState, rec *trace.Recorder) (live int64) {
 	copy(res.States, s.States)
 	copy(halted, s.Halted.Words)
 	res.Supersteps = int(s.Step) + 1
@@ -511,15 +502,6 @@ func restore(s *ckpt.Snapshot, res *Result, halted []uint64, master *engineState
 	res.DirectionPerStep = res.DirectionPerStep[:0]
 	for _, d := range s.Directions {
 		res.DirectionPerStep = append(res.DirectionPerStep, DirectionMode(d))
-	}
-	// Rebuild the visited bitmap and its incident-edge sum from the
-	// snapshot.
-	copy(ds.visited, s.Visited.Words)
-	ds.visitedEdges = 0
-	for i, w := range ds.visited {
-		for ; w != 0; w &= w - 1 {
-			ds.visitedEdges += master.graph.Degree(int64(i<<6 | bits.TrailingZeros64(w)))
-		}
 	}
 	if len(s.Aggregates) > 0 {
 		master.aggregates = make(map[string]*aggregator, len(s.Aggregates))

@@ -264,8 +264,6 @@ func Run(cfg Config) (*Result, error) {
 	if sup != nil && sup.maxRetries > 0 && resumeSnap != nil {
 		sup.retries = append(sup.retries, resumeSnap.RetriesPerStep...)
 	}
-	// ds is the direction-decision state.
-	ds := startDir(&cfg, g)
 	// o is the observability state; nil (no sink) costs one pointer check
 	// per hook below. tObs is only written/read when o != nil.
 	o := startObs(&cfg, g)
@@ -326,14 +324,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// Sparse-activation worklist: the vertices worth inspecting this
 	// superstep (message receivers plus non-halted vertices), nil under the
-	// full scan. stamp deduplicates insertions per superstep.
+	// full scan.
 	var candidates []int64
-	var stamp []int64
 	if cfg.SparseActivation {
 		candidates = make([]int64, n)
 		par.Iota(candidates)
-		stamp = make([]int64, n)
-		par.FillInt64(stamp, -1)
 	}
 
 	// master owns the run-persistent engine state: vertex states and the
@@ -357,7 +352,7 @@ func Run(cfg Config) (*Result, error) {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
 		// written to disk) so a fault in superstep 0 has a snapshot to
 		// roll back to.
-		ck.record(-1, live, res, halted, tr, master, ds, cfg.Recorder)
+		ck.record(-1, live, res, halted, tr, master, cfg.Recorder)
 	}
 
 	// stepDone completes a superstep's record with what is only known once the
@@ -365,7 +360,7 @@ func Run(cfg Config) (*Result, error) {
 	// a stall latched meanwhile, the lanes in flight — and emits it.
 	stepDone := func(st obs.StepStats, numChunks int, took path) {
 		st.Delivery = took.String()
-		st.ScratchBytes = scratch.scratchBytes(numChunks, tr, ib, candidates, stamp)
+		st.ScratchBytes = scratch.scratchBytes(numChunks, tr, ib, candidates)
 		if sup != nil {
 			st.Stalled = sup.stalledAt(st.Step)
 		}
@@ -384,7 +379,7 @@ func Run(cfg Config) (*Result, error) {
 		// contains the original charges — and both go through the same
 		// code the original boundary used, so every downstream quantity is
 		// bit-identical to the uninterrupted run's.
-		live = restore(resumeSnap, res, halted, master, ds, cfg.Recorder)
+		live = restore(resumeSnap, res, halted, master, cfg.Recorder)
 		if len(progAux) > 0 {
 			// Program-owned aux state. A checkpoint taken under a different
 			// batch shape cannot resume: the levels recorded before the
@@ -468,7 +463,7 @@ func Run(cfg Config) (*Result, error) {
 			// profiles are identical at any host configuration.
 			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation)
 			numChunks = len(bounds) - 1
-			scratch.ensureChunks(numChunks, master, ds)
+			scratch.ensureChunks(numChunks, master)
 			prog := cfg.Program
 			if o != nil {
 				tObs = time.Now()
@@ -553,7 +548,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, pe
 			}
 			retried++
-			sup.rollbackTo(ck.snap, halted, progAux, master, ds, scratch, cfg.Recorder)
+			sup.rollbackTo(ck.snap, halted, progAux, master, scratch, cfg.Recorder)
 		}
 		if sup != nil && sup.maxRetries > 0 {
 			sup.retries = append(sup.retries, retried)
@@ -564,7 +559,7 @@ func Run(cfg Config) (*Result, error) {
 		// per-edge expansion produced before broadcasts became records — so
 		// counters, charges, budgets, and termination are untouched by how
 		// the traffic is physically represented.
-		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta := scratch.mergeCounters(numChunks, tr.sends.sealed)
+		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta := scratch.mergeCounters(numChunks, tr.sends.sealed)
 		live += haltDelta
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
@@ -577,17 +572,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		scratch.mergeAggregates(master, numChunks)
 
-		// Direction decision for this superstep's delivery: fold the
-		// chunks' newly-visited degree sums (single-owner writes merged in
-		// chunk order, but a sum — worker-independent either way), then
-		// compare the frontier's incident edges against the unvisited
-		// incident edges. Everything here is a logical counter; the
-		// decision is recorded before delivery so checkpoints persist it
-		// even when this superstep is the run's last boundary.
-		ds.visitedEdges += visitedDelta
+		// Direction decision for this superstep's delivery, from logical
+		// counters alone (direction.go). It is recorded before delivery so
+		// checkpoints persist it even when this superstep is the run's last
+		// boundary.
 		frontierEdges := sent - unicast
-		unvisitedEdges := ds.totalEdges - ds.visitedEdges
-		dirMode := ds.decide(frontierEdges, unicast)
+		dirMode := decide(cfg.direction, frontierEdges, unicast, g.NumEdges())
 		res.DirectionPerStep = append(res.DirectionPerStep, dirMode)
 
 		// Charge the superstep: the scan, active dispatch, message receive,
@@ -602,7 +592,7 @@ func Run(cfg Config) (*Result, error) {
 		if o != nil {
 			tObs = o.phase(obsPhaseTerminate, step, tObs)
 			st = obs.StepStats{Step: step, Active: active, Sent: sent, Received: received, Retries: retried,
-				Direction: dirMode.String(), FrontierEdges: frontierEdges, UnvisitedEdges: unvisitedEdges}
+				Direction: dirMode.String(), FrontierEdges: frontierEdges}
 		}
 		if sent == 0 && live == 0 {
 			if o != nil {
@@ -630,7 +620,7 @@ func Run(cfg Config) (*Result, error) {
 			// Next worklist: message receivers plus vertices that stayed
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
-			candidates = scratch.nextWorklist(candidates, step, live, delivered, tr, stamp, ib, halted)
+			candidates = scratch.nextWorklist(candidates, live, delivered, tr, ib, halted)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}
@@ -647,7 +637,7 @@ func Run(cfg Config) (*Result, error) {
 			if o != nil {
 				tObs = time.Now()
 			}
-			if err := ck.atBoundary(step, live, res, halted, tr, master, ds, cfg.Recorder); err != nil {
+			if err := ck.atBoundary(step, live, res, halted, tr, master, cfg.Recorder); err != nil {
 				return nil, err
 			}
 			if o != nil && ck.policy != nil {

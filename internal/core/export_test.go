@@ -62,6 +62,12 @@ func WithLogBytes(bytes, msgs *int64) Option {
 	}
 }
 
+// DirGamma is the frontier density at which the engine's own decision
+// pulls: a pullable superstep whose frontier edges times DirGamma reach the
+// graph's arcs. TestEngineMatrix pins the value and names this one when a
+// decision departs from it.
+const DirGamma = dirGamma
+
 // ForceDirection forces every pullable superstep's decision
 // (Config.direction): DirPush and DirPull are the oracles the engine's own
 // decisions are tested against; DirAuto leaves them to the engine.

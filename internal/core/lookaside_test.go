@@ -23,7 +23,7 @@ func TestPullLookasideFill(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, tr := &runScratch{gather: newGatherPool(0)}, &traffic{}
 			ib := &inbox{combine: tc.combine, fold: resolveFold(tc.combine)}
-			empty := s.scratchBytes(0, tr, ib, nil, nil)
+			empty := s.scratchBytes(0, tr, ib, nil)
 			fills := [][]bcastRec{
 				{{src: 1, val: 5}, {src: 2, val: 6}, {src: 63, val: 0}, {src: 64, val: tc.identity}, {src: 199, val: 7000}},
 				{{src: 2, val: 1000}},
@@ -51,7 +51,7 @@ func TestPullLookasideFill(t *testing.T) {
 				}
 			}
 			held := int64(8*len(ib.look) + 8*len(ib.sent))
-			if got := s.scratchBytes(0, tr, ib, nil, nil) - empty; got != held || held != 8*n+8*4 {
+			if got := s.scratchBytes(0, tr, ib, nil) - empty; got != held || held != 8*n+8*4 {
 				t.Errorf("scratchBytes counts %d bytes of lookaside, the arrays hold %d (want %d)", got, held, 8*n+8*4)
 			}
 		})

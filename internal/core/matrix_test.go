@@ -436,8 +436,8 @@ func exec(r *mrow, g *graph.Graph, w int, sinks []obs.Sink, opts ...core.Option)
 }
 
 // logical is what a superstep's counters agree on in every cell.
-func logical(st obs.StepStats) [8]int64 {
-	return [8]int64{int64(st.Step), st.Active, st.Sent, st.Delivered, st.Received, st.FrontierEdges, st.UnvisitedEdges, st.Lanes}
+func logical(st obs.StepStats) [7]int64 {
+	return [7]int64{int64(st.Step), st.Active, st.Sent, st.Delivered, st.Received, st.FrontierEdges, st.Lanes}
 }
 
 // matrixRefs are the graph package's references, for the rows that have one.
@@ -652,8 +652,16 @@ func (m *matrix) cell(t *testing.T, c []int, k int) {
 		}
 		// Only a pure-broadcast superstep with a message may pull, and forced
 		// pull pulls every one.
-		if pullable := st.Sent == st.FrontierEdges && st.Sent > 0; st.Direction == "pull" && !pullable || dir == core.DirPull && pullable && st.Direction != "pull" {
+		pullable := st.Sent == st.FrontierEdges && st.Sent > 0
+		if st.Direction == "pull" && !pullable || dir == core.DirPull && pullable && st.Direction != "pull" {
 			t.Fatalf("superstep %d of %d messages (%d broadcast) decided %q", st.Step, st.Sent, st.FrontierEdges, st.Direction)
+		}
+		// The engine's own decision pulls exactly a pullable superstep whose
+		// frontier covers a quarter of the arcs: the threshold is pinned
+		// here, not read from the engine, so retuning it fails by name.
+		if dense := pullable && st.FrontierEdges*4 >= g.NumEdges(); dir == core.DirAuto && dense != (st.Direction == "pull") {
+			t.Fatalf("superstep %d of %d broadcast edges on %d arcs decided %q (pullable %v; pinned threshold 4, the engine's dirGamma %d)",
+				st.Step, st.FrontierEdges, g.NumEdges(), st.Direction, pullable, core.DirGamma)
 		}
 		if expand && st.SentPhysical != st.Sent || st.SentPhysical > st.Sent {
 			t.Fatalf("superstep %d: %d physical sends for %d logical (expanded %v)", st.Step, st.SentPhysical, st.Sent, expand)
@@ -730,8 +738,10 @@ func relabelled(t *testing.T, r *mrow, gr *mgraph, base outcome) {
 // after its boundary) and charged profile; a retried one retries superstep
 // k once if it computes; a killed one's checkpoint holds the boundary's
 // broadcasts as records or, expanded, as messages. The cells of one direction mode decide alike, a
-// superstep delivered by a pull decided pull, and a forced push decides
-// push. Exact rows also run on a relabelled copy (row/graph/relabel).
+// superstep delivered by a pull decided pull, a forced push decides push,
+// and the engine's own decision pulls exactly the pure-broadcast supersteps
+// whose frontier covers a quarter of the arcs. Exact rows also run on a
+// relabelled copy (row/graph/relabel).
 //
 // Tier-1 runs a deterministic sample (see sample): every pair of factor
 // values, every axis value with every (row, graph) pair, and a kernel

@@ -183,14 +183,14 @@ func (o *obsRun) flightDump(dir, cause string) string {
 // 256-chunk one does not walk them all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
-func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates, stamp []int64) int64 {
+func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates []int64) int64 {
 	const (
 		recSize = 24 // bcastRec: three int64s
 		segSize = 16 // logSeg: a block pointer and two int32s
 	)
 	b := t.sends.bytes() + int64(cap(t.bcasts))*recSize
 	b += int64(cap(t.sends.segs)) * segSize
-	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(stamp)) * 8
+	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(s.listed)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
 	b += int64(cap(s.acc)+cap(ib.own)+cap(s.connected)) * 8

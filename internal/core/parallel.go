@@ -126,11 +126,6 @@ type chunkState struct {
 	// the live (non-halted) vertex count its transitions made.
 	halt      wordCursor
 	haltDelta int64
-	// seen walks the run's visited bitmap (direction.go); visitedDelta
-	// accumulates the degree sum of the vertices this chunk marked this
-	// superstep.
-	seen         wordCursor
-	visitedDelta int64
 	// one backs Messages() after a combining pull boundary (gather): the
 	// folded value.
 	one [1]int64
@@ -168,7 +163,7 @@ func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []
 	defer cs.guard()
 	defer cs.ctx.detach()
 	cs.ctx.attach()
-	cs.halt, cs.seen = wordCursor{set: halted, i: -1}, wordCursor{set: cs.seen.set, i: -1}
+	cs.halt = wordCursor{set: halted, i: -1}
 	if candidates != nil {
 		for _, v := range candidates[lo:hi] {
 			cs.runVertex(p, v, step, ib)
@@ -179,7 +174,6 @@ func (cs *chunkState) runRange(p Program, lo, hi, step int, ib *inbox, halted []
 		}
 	}
 	cs.halt.flush()
-	cs.seen.flush()
 }
 
 // wordCursor walks a vertex bitmap for a chunk's ascending vertices, loading
@@ -245,7 +239,7 @@ func (cs *chunkState) reset(step int) {
 	cs.eng.bcastBuf = cs.eng.bcastBuf[:0]
 	cs.eng.sent, cs.eng.expanded = 0, 0
 	cs.eng.extraIssue, cs.eng.extraLoads, cs.eng.extraStores = 0, 0, 0
-	cs.active, cs.received, cs.haltDelta, cs.visitedDelta = 0, 0, 0, 0
+	cs.active, cs.received, cs.haltDelta = 0, 0, 0
 	cs.trap = nil
 }
 
@@ -415,15 +409,7 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	ctx.id = v
 	ctx.msgs = msgs
 	ctx.halt = false
-	sentBefore := cs.eng.sent + ctx.logLen()
 	p.Compute(ctx)
-	if !cs.seen.at(v) && (hasMsgs || cs.eng.sent+ctx.logLen() > sentBefore) {
-		// A vertex is visited once it has received or sent a message — the
-		// logical event the direction heuristic's unvisited-edge count
-		// tracks. Single-owner write: v's word belongs to exactly this chunk.
-		cs.seen.flip(v)
-		cs.visitedDelta += cs.eng.graph.Degree(v)
-	}
 	if ctx.halt != wasHalted {
 		cs.halt.flip(v)
 		if ctx.halt {
@@ -471,7 +457,8 @@ type runScratch struct {
 	ranges []int
 
 	// Sparse-activation scratch.
-	sortScratch []int64 // radix-sort ping buffer
+	sortScratch []int64  // radix-sort ping buffer
+	listed      []uint64 // nextWorklist's dedup bitmap, all clear between calls
 }
 
 // ensureLook sizes the pull lookaside, every slot holding the identity and
@@ -486,11 +473,10 @@ func (ib *inbox) ensureLook(n int64) {
 }
 
 // ensureChunks guarantees at least numChunks chunk states exist, each
-// wired to the run's shared graph/costs/states and visited bitmap.
-func (s *runScratch) ensureChunks(numChunks int, master *engineState, ds *dirState) {
+// wired to the run's shared graph/costs/states.
+func (s *runScratch) ensureChunks(numChunks int, master *engineState) {
 	for len(s.chunks) < numChunks {
 		cs := &chunkState{}
-		cs.seen.set = ds.visited
 		cs.eng.graph = master.graph
 		cs.eng.costs = master.costs
 		cs.eng.states = master.states
@@ -551,7 +537,7 @@ func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int
 // superstep's log length: its Sends, and the per-edge messages of expanded
 // broadcasts. sent is the logical message count — broadcasts count one
 // message per edge, exactly what per-edge expansion would have appended.
-func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta, visitedDelta int64) {
+func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta int64) {
 	unicast = logged
 	for _, cs := range s.chunks[:numChunks] {
 		active += cs.active
@@ -562,7 +548,6 @@ func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, receive
 		extraLoads += cs.eng.extraLoads
 		extraStores += cs.eng.extraStores
 		haltDelta += cs.haltDelta
-		visitedDelta += cs.visitedDelta
 	}
 	sent += unicast
 	return
@@ -805,24 +790,31 @@ func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
 // Two equivalent strategies, chosen by deterministic quantities only:
 // large worklists take awakeList's dense sweep over the bitmaps (ascending
 // by construction, O(n/64 + k)); small ones keep the awake candidates in
-// place, add the receivers stamp-deduplicated and radix-sort, O(k).
-func (s *runScratch) nextWorklist(candidates []int64, step int, live, delivered int64, t *traffic, stamp []int64, ib *inbox, halted []uint64) []int64 {
-	st, n := int64(step), int64(len(stamp))
+// place, add the receivers deduplicated through the listed bitmap and
+// radix-sort, O(k). The bitmap is cleared over the output, also O(k).
+func (s *runScratch) nextWorklist(candidates []int64, live, delivered int64, t *traffic, ib *inbox, halted []uint64) []int64 {
+	n := int64(cap(candidates))
 	if (delivered+live)*4 >= n || t.logical >= n {
 		return s.awakeList(candidates, halted, ib.recv)
+	}
+	if s.listed == nil {
+		s.listed = make([]uint64, (n+63)/64)
 	}
 	out := candidates[:0]
 	for i := 0; live > 0 && i < len(candidates); i++ {
 		if v := candidates[i]; bit(halted, v) == 0 {
-			stamp[v] = st
+			setBit(s.listed, v)
 			out = append(out, v)
 		}
 	}
 	for dest := range t.all() {
-		if stamp[dest] != st {
-			stamp[dest] = st
+		if bit(s.listed, dest) == 0 {
+			setBit(s.listed, dest)
 			out = append(out, dest)
 		}
+	}
+	for _, v := range out {
+		s.listed[v>>6] = 0
 	}
 	s.sortScratch = ensureInt64(s.sortScratch, len(out))
 	par.RadixSortInt64(out, s.sortScratch, n-1)

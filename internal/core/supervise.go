@@ -8,8 +8,8 @@ package core
 // sweep reads only boundary state (vertex states, the halted set, the
 // previous boundary's inboxes) and writes vertex-confined state, so a
 // trapped sweep can be rolled back by restoring the handful of arrays it
-// may have touched — states, halt flags, the direction layer's visited
-// bitmap, the trace profile — and unseeding the chunk-local aggregator
+// may have touched — states, halt flags, the program's aux state, the
+// trace profile — and unseeding the chunk-local aggregator
 // partials. Inboxes, the message queue, worklists, and the sparse
 // delivery lookasides are never mutated mid-sweep, so re-execution
 // consumes exactly the input the failed attempt did and the retried run
@@ -271,20 +271,17 @@ func (sp *supRun) runExpired() bool {
 // compute sweep may have mutated, priming a bit-identical re-execution:
 // vertex states and halt flags (vertex-confined writes), the program's
 // auxiliary state (AuxProgram writes are vertex-confined too, so the
-// attempt may have recorded levels the retry must re-record), the
-// direction layer's visited bitmap (its incident-edge sum is folded only
-// after the trap check, so the bitmap alone needs restoring), the trace
+// attempt may have recorded levels the retry must re-record), the trace
 // profile (the attempt's scan/superstep phases are discarded and
 // re-recorded), and the chunk-local aggregator partials (reset
 // deliberately preserves seeded partials for mergeAggregates to consume;
 // a discarded attempt must unseed them or the retry would double-fold).
-func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, master *engineState, ds *dirState, scratch *runScratch, rec *trace.Recorder) {
+func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, master *engineState, scratch *runScratch, rec *trace.Recorder) {
 	copy(master.states, snap.States)
 	copy(halted, snap.Halted.Words)
 	if len(aux) > 0 && len(snap.Aux) == len(aux) {
 		copy(aux, snap.Aux)
 	}
-	copy(ds.visited, snap.Visited.Words)
 	for _, cs := range scratch.chunks {
 		for _, a := range cs.eng.aggregates {
 			a.seeded = false

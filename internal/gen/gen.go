@@ -337,15 +337,21 @@ func BarabasiAlbert(n int64, m int, seed uint64) (*graph.Graph, error) {
 			targets = append(targets, i, j)
 		}
 	}
+	// The picks are taken in draw order: a map's iteration order would
+	// reorder targets, and so the later draws, from run to run.
+	chosen := make(map[int64]bool, m)
+	picks := make([]int64, 0, m)
 	for v := int64(m) + 1; v < n; v++ {
-		chosen := make(map[int64]bool, m)
-		for len(chosen) < m {
+		clear(chosen)
+		picks = picks[:0]
+		for len(picks) < m {
 			w := targets[r.Intn(len(targets))]
-			if w != v {
+			if w != v && !chosen[w] {
 				chosen[w] = true
+				picks = append(picks, w)
 			}
 		}
-		for w := range chosen {
+		for _, w := range picks {
 			edges = append(edges, graph.Edge{U: v, V: w})
 			targets = append(targets, v, w)
 		}

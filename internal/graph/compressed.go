@@ -20,7 +20,7 @@ import (
 // parallel byte offsets array coff (len n+1, the byte prefix sum) locates
 // each vertex's block in the blob, and the ordinary degree prefix sum
 // (Graph.Offsets) stays uncompressed, so Degree, degree-weighted sweep
-// chunking, and the direction heuristic's unvisited-edge counters work
+// chunking, and the direction heuristic's frontier-edge count work
 // unchanged on either representation.
 
 // Rep names a graph representation; CLIs expose it as -graph-rep.

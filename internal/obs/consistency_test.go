@@ -45,7 +45,7 @@ func feedMixed(sink obs.Sink) {
 			st := obs.StepStats{Step: s, Active: int64(s + 1), Sent: int64(10*s + lanes), SentPhysical: int64(3 * s),
 				Delivered: int64(9 * s), Received: int64(9 * s), ScratchBytes: int64(1<<12 + s), Delivery: "lookaside",
 				Lanes: int64(1 + s%lanes), Stalled: s == 9,
-				Direction: []string{"push", "pull"}[s%2], FrontierEdges: int64(s), UnvisitedEdges: int64(steps - s)}
+				Direction: []string{"push", "pull"}[s%2], FrontierEdges: int64(s)}
 			if s == 7 {
 				st.Retries = 1
 			}

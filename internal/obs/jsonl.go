@@ -82,7 +82,6 @@ type StepEvent struct {
 	Direction string `json:"direction,omitempty"`
 	Delivery  string `json:"delivery,omitempty"`
 	Frontier  int64  `json:"frontier_edges,omitempty"`
-	Unvisited int64  `json:"unvisited_edges,omitempty"`
 	Retries   int64  `json:"retries,omitempty"`
 	Stalled   bool   `json:"stalled,omitempty"`
 	Lanes     int64  `json:"lanes,omitempty"`
@@ -91,7 +90,7 @@ type StepEvent struct {
 // newStepEvent encodes st.
 func newStepEvent(st StepStats) StepEvent {
 	return StepEvent{"step", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered, st.Received, st.ScratchBytes,
-		st.Direction, st.Delivery, st.FrontierEdges, st.UnvisitedEdges, st.Retries, st.Stalled, st.Lanes}
+		st.Direction, st.Delivery, st.FrontierEdges, st.Retries, st.Stalled, st.Lanes}
 }
 
 // Span implements Sink.

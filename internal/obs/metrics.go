@@ -21,8 +21,8 @@ import (
 //     observes several runs keeps accumulating — reconcile per run with
 //     Result, or scrape deltas);
 //   - durations are microseconds, suffix _us; histograms use log2 buckets;
-//   - gauges hold the most recent superstep's view (frontier/unvisited
-//     edges, scratch bytes, busy fraction in permille).
+//   - gauges hold the most recent superstep's view (frontier edges,
+//     scratch bytes, busy fraction in permille).
 //
 // Like every sink, Metrics is fed from the observed run's driving goroutine
 // only; the instruments themselves are atomics, so concurrent HTTP scrapes
@@ -36,7 +36,7 @@ type Metrics struct {
 	// The instruments, named where NewMetrics registers them.
 	runsStarted, runsDone, steps, active, logical, physical, delivered, received,
 	retries, stalls, fallbacks, batchRuns, push, pull *metrics.Counter
-	workers, vertices, edges, frontier, unvisited, scratch, busyPerm,
+	workers, vertices, edges, frontier, scratch, busyPerm,
 	heapAlloc, heapSys, gcCount, lanes, amortized *metrics.Gauge
 	stepWall, runWall, ckptWall *metrics.Histogram
 	// Registered on first sight: the phase histograms by span name, the
@@ -76,7 +76,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		vertices:    reg.Gauge("graphxmt_graph_vertices", "vertex count of the current run's graph"),
 		edges:       reg.Gauge("graphxmt_graph_edges", "edge count of the current run's graph"),
 		frontier:    reg.Gauge("graphxmt_frontier_edges", "broadcast-incident edge count the direction heuristic compared (last superstep)"),
-		unvisited:   reg.Gauge("graphxmt_unvisited_edges", "incident-edge count of not-yet-visited vertices (last superstep)"),
 		scratch:     reg.Gauge("graphxmt_scratch_bytes", "engine reusable scratch footprint (last superstep)"),
 		busyPerm:    reg.Gauge("graphxmt_step_busy_permille", "last superstep's worker busy time over wall*workers, in permille"),
 		heapAlloc:   reg.Gauge("graphxmt_heap_alloc_bytes", "heap bytes allocated (last sample)"),
@@ -174,7 +173,6 @@ func (m *Metrics) Step(st StepStats) {
 		m.pull.Inc()
 	}
 	m.frontier.Set(st.FrontierEdges)
-	m.unvisited.Set(st.UnvisitedEdges)
 	if st.Delivery != "" {
 		lookup(&m.delivery, st.Delivery, func() *metrics.Counter {
 			return m.reg.Counter("graphxmt_delivery_total", "superstep boundaries by delivery path taken",

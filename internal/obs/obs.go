@@ -125,10 +125,8 @@ type StepStats struct {
 	// unlike Direction it may differ between worker counts.
 	Delivery string
 	// FrontierEdges is the broadcast-incident-edge count the direction
-	// heuristic compared (logical messages minus unicasts); UnvisitedEdges
-	// is the incident-edge count of not-yet-visited vertices.
-	FrontierEdges  int64
-	UnvisitedEdges int64
+	// heuristic compared (logical messages minus unicasts).
+	FrontierEdges int64
 	// Retries is the number of times the superstep was re-executed after a
 	// trapped fault (core.WithRetries); zero on a clean superstep or
 	// when retry is disabled. Stalled reports that the superstep outlived

@@ -84,7 +84,7 @@ func (r *storeRun) render(w io.Writer) {
 
 	// Per-superstep table: counters first, then one column per phase in
 	// first-seen order.
-	fmt.Fprintf(w, "%6s %10s %10s %10s %10s %9s %4s %10s %10s", "step", "active", "sent", "phys", "delivered", "scratch", "dir", "front", "unvis")
+	fmt.Fprintf(w, "%6s %10s %10s %10s %10s %9s %4s %10s", "step", "active", "sent", "phys", "delivered", "scratch", "dir", "front")
 	if r.hasDelivery {
 		fmt.Fprintf(w, " %-18s", "delivery")
 	}
@@ -184,10 +184,10 @@ func (r *storeRun) render(w io.Writer) {
 func (r *storeRun) printRow(w io.Writer, rec *record) {
 	st := &rec.st
 	if rec.stats {
-		fmt.Fprintf(w, "%6d %10d %10d %10d %10d %9s %4s %10d %10d", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered,
-			fmtBytes(uint64(st.ScratchBytes)), cmp.Or(st.Direction, "-"), st.FrontierEdges, st.UnvisitedEdges)
+		fmt.Fprintf(w, "%6d %10d %10d %10d %10d %9s %4s %10d", st.Step, st.Active, st.Sent, st.SentPhysical, st.Delivered,
+			fmtBytes(uint64(st.ScratchBytes)), cmp.Or(st.Direction, "-"), st.FrontierEdges)
 	} else {
-		fmt.Fprintf(w, "%6d %10s %10s %10s %10s %9s %4s %10s %10s", st.Step, "-", "-", "-", "-", "-", "-", "-", "-")
+		fmt.Fprintf(w, "%6d %10s %10s %10s %10s %9s %4s %10s", st.Step, "-", "-", "-", "-", "-", "-", "-")
 	}
 	if r.hasDelivery {
 		fmt.Fprintf(w, " %-18s", cmp.Or(st.Delivery, "-"))
