@@ -225,6 +225,9 @@ func main() {
 		flight = &obs.Store{MaxRuns: 16}
 		sess.AddSink(flight)
 	}
+	if resumeLatest {
+		sess.AddSink(skipNotes{})
+	}
 	if flight != nil {
 		// SIGQUIT dumps the superstep ring without stopping the run —
 		// crash-context on demand for a wedged or slow computation.
@@ -339,6 +342,19 @@ func main() {
 	exitOn(sess.Close())
 	exitOn(liveFlags.Close(liveSrv))
 }
+
+// skipNotes is the sink that reports each checkpoint -resume auto skips on
+// stderr, naming the file and the cause, whatever other sinks the run has.
+type skipNotes struct{}
+
+func (skipNotes) NoteFallback(path string, cause error) {
+	fmt.Fprintf(os.Stderr, "bspgraph: -resume auto skipped %s: %v\n", path, cause)
+}
+func (skipNotes) RunStart(obs.RunInfo) {}
+func (skipNotes) Span(obs.Span)        {}
+func (skipNotes) Step(obs.StepStats)   {}
+func (skipNotes) Mem(obs.MemSample)    {}
+func (skipNotes) RunEnd(time.Duration) {}
 
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "bspgraph: "+format+"\n", args...)

@@ -261,3 +261,43 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeAutoReportsSkips: -resume auto skips a checkpoint of a retired
+// format version, says so on stderr naming the file — with no obs sink
+// attached — and resumes from the newest valid checkpoint: the run's stdout
+// is an uninterrupted run's, and it writes the boundaries after the one it
+// resumed from and none before.
+func TestResumeAutoReportsSkips(t *testing.T) {
+	args := []string{"-g", graphFile, "-alg", "pagerank", "-rounds", "30"}
+	status, want, stderr := run(t, args...)
+	if status != 0 {
+		t.Fatalf("uninterrupted run: exit %d\n%s", status, stderr)
+	}
+	every := t.TempDir()
+	if status, _, stderr = run(t, append(args, "-checkpoint-dir", every)...); status != 0 {
+		t.Fatalf("checkpointed run: exit %d\n%s", status, stderr)
+	}
+	valid, err := os.ReadFile(filepath.Join(every, "ckpt-000000024.gxckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(retired[8:12], 9) // the format version
+	dir := t.TempDir()
+	skipped := filepath.Join(dir, "ckpt-000000040.gxckpt")
+	if err := errors.Join(os.WriteFile(filepath.Join(dir, "ckpt-000000024.gxckpt"), valid, 0o644), os.WriteFile(skipped, retired, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	status, got, stderr := run(t, append(args, "-checkpoint-dir", dir, "-resume", "auto")...)
+	if status != 0 || got != want {
+		t.Fatalf("resumed run: exit %d, stdout\n%s\nwant\n%s\nstderr\n%s", status, got, want, stderr)
+	}
+	if !strings.Contains(stderr, "skipped "+skipped) || !strings.Contains(stderr, "version 9") {
+		t.Fatalf("stderr does not name the skipped file and its cause:\n%s", stderr)
+	}
+	for step, written := range map[int]bool{0: false, 23: false, 25: true} {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("ckpt-%09d.gxckpt", step))); (err == nil) != written {
+			t.Errorf("checkpoint %d written: %v, want %v", step, err == nil, written)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"slices"
+	"unsafe"
 
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/graph"
@@ -87,10 +88,16 @@ func ProgramNameOf(p Program) string {
 	return fmt.Sprintf("%T%+v", p, p)
 }
 
-// crcInt64s hashes s as little-endian bytes, converted 32 KiB at a time
-// over a re-sliced source/destination pair, so the loop has one condition
-// and one store per value: the conversion, not the CRC, is graphCRC's cost.
+// crcInt64s hashes s as little-endian bytes. On a little-endian host those
+// are the words' own bytes, hashed in place (graphio's mmap takes the same
+// view); elsewhere they are converted 32 KiB at a time over a re-sliced
+// source/destination pair, so the loop has one condition and one store per
+// value.
 func crcInt64s(h hash.Hash32, s []int64) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s)))
+		return
+	}
 	var buf [1 << 15]byte
 	for len(s) > 0 {
 		blk := s[:min(len(s), len(buf)/8)]
@@ -106,11 +113,11 @@ func crcInt64s(h hash.Hash32, s []int64) {
 // graphCRC checksums the graph's identity: vertex count, flags, and the
 // CSR arrays (plus weights when present). Byte 8 of the header once flagged
 // a directed graph and is always 0, so CRCs from before graphs were only
-// undirected still match. Computed once per checkpointed
-// run; O(E) but pure streaming. On compressed graphs the delta-varint
-// bytes are hashed directly — never decoded — so the CRC is O(1) extra
-// memory, but it differs from the flat CRC of the same graph: the
-// representation is part of the fingerprint (see Fingerprint.Rep).
+// undirected still match. Computed once per graph (startCkpt); O(E)
+// but pure streaming. On compressed graphs the delta-varint bytes are
+// hashed directly — never decoded — so the CRC is O(1) extra memory, but it
+// differs from the flat CRC of the same graph: the representation is part
+// of the fingerprint (see Fingerprint.Rep).
 func graphCRC(g *graph.Graph) uint32 {
 	h := crc32.New(ckpt.Castagnoli)
 	var hdr [10]byte
@@ -146,8 +153,8 @@ func costsCRC(c CostSchedule) uint32 {
 }
 
 // runFingerprint builds the fingerprint the run's checkpoints carry and
-// that Resume validates the loaded checkpoint against.
-func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs CostSchedule) ckpt.Fingerprint {
+// that Resume validates the loaded checkpoint against; crc is graphCRC(g).
+func runFingerprint(cfg *Config, g *graph.Graph, crc uint32, maxSteps int, maxMsgs int64, costs CostSchedule) ckpt.Fingerprint {
 	// The sweep partition (sweepBoundaries), which aggregator fold trees
 	// follow: the degree-weighted ranges cut at multiples of 64 for a full
 	// scan, their restriction to the candidates for a sparse sweep.
@@ -156,7 +163,7 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		schedule = "ranges64"
 	}
 	return ckpt.Fingerprint{
-		GraphCRC:      graphCRC(g),
+		GraphCRC:      crc,
 		Vertices:      g.NumVertices(),
 		Edges:         g.NumEdges(),
 		Program:       ProgramNameOf(cfg.Program),
@@ -215,13 +222,16 @@ type ckptRun struct {
 }
 
 // startCkpt resolves the run's checkpoint state; nil disables everything.
-func startCkpt(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, costs CostSchedule, sup *supRun) *ckptRun {
+func startCkpt(cfg *Config, g *graph.Graph, ar *arena, maxSteps int, maxMsgs int64, costs CostSchedule, sup *supRun) *ckptRun {
 	if cfg.checkpoint == nil && cfg.stop == nil && cfg.resume == "" && !cfg.resumeLatest && sup == nil {
 		return nil
 	}
 	ck := &ckptRun{policy: cfg.checkpoint, stop: cfg.stop, sup: sup, aux: auxOf(cfg.Program)}
 	if ck.policy != nil || cfg.resume != "" || cfg.resumeLatest {
-		ck.fp = runFingerprint(cfg, g, maxSteps, maxMsgs, costs)
+		if !ar.crcDone { // hashed once per graph
+			ar.crc, ar.crcDone = graphCRC(g), true
+		}
+		ck.fp = runFingerprint(cfg, g, ar.crc, maxSteps, maxMsgs, costs)
 	}
 	if ck.policy != nil {
 		ck.everyN = ck.policy.EveryN

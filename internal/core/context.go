@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"graphxmt/internal/graph"
 )
 
 // msgBlockLen is the size, in 8-byte slots, of one block of the unicast log
-// (64 KiB): the pool and the segment list are touched once per block, and
+// (64 KiB): the free list and the segment list are touched once per block, and
 // the partial block a sweep chunk ends on wastes little
 // (docs/PERFORMANCE.md §12 has the measured alternatives).
 const msgBlockLen = 1 << 13
@@ -23,18 +22,11 @@ const (
 
 // msgBlock is one block of the unicast log: values from the front, one
 // header per run of consecutive sends to the same destination from the
-// back, full when they meet. A run never spans two blocks.
+// back, full when they meet. A run never spans two blocks. Blocks are
+// recycled through the arena's free list (arena.blocks), which every
+// superstep's release refills exactly, so unicast traffic is written into
+// memory neither allocated nor zeroed again, within a run or across runs.
 type msgBlock [msgBlockLen]int64
-
-// Log blocks are recycled, so unicast traffic is written into memory
-// neither allocated nor zeroed again: within a run through the run's free
-// list (runScratch.blocks), which every superstep's release refills exactly,
-// and across runs through blockPool — a sync.Pool, so an idle process gives
-// them all back, but one that drops a put now and then (always under -race),
-// which only a run's first blocks may feel.
-var blockPool = sync.Pool{New: func() any { return new(msgBlock) }}
-
-func poolBlock() *msgBlock { return blockPool.Get().(*msgBlock) }
 
 // logSeg is a sealed block: nval values, and the headers of the nrun runs
 // that hold them, the first run's in the block's last slot.

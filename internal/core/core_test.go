@@ -216,11 +216,16 @@ func TestSparseActivationReducesScanCharges(t *testing.T) {
 	}
 }
 
-// TestUnicastLogConcurrentRuns: runs in one process share the block and
-// flat-buffer pools; a block owned twice would corrupt somebody's count.
+// TestUnicastLogConcurrentRuns: runs in one process share the arena slot,
+// on graphs of different sizes; an arena, or a log block, owned twice would
+// corrupt somebody's count.
 func TestUnicastLogConcurrentRuns(t *testing.T) {
-	g := mustGraph(gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 16, Seed: 7}))
-	want := graph.ReferenceTriangles(g)
+	var graphs []*graph.Graph
+	var want []int64
+	for _, scale := range []int{10, 8} {
+		g := mustGraph(gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 16, Seed: 7}))
+		graphs, want = append(graphs, g), append(want, graph.ReferenceTriangles(g))
+	}
 	defer par.SetWorkers(par.SetWorkers(3))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -228,8 +233,9 @@ func TestUnicastLogConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				if tc, err := bspalg.Triangles(g, nil); err != nil || tc.Count != want {
-					t.Errorf("concurrent run: %v triangles (err %v), reference %d", tc, err, want)
+				k := (i + j) % 2
+				if tc, err := bspalg.Triangles(graphs[k], nil); err != nil || tc.Count != want[k] {
+					t.Errorf("concurrent run on graph %d: %v triangles (err %v), reference %d", k, tc, err, want[k])
 				}
 			}
 		}()

@@ -20,8 +20,10 @@ import (
 
 // traffic is one superstep's outgoing messages, held from the sweep that
 // writes them until the boundary's last consumer (the checkpoint) is done:
-// the unicast log plus the broadcast records, each written once and never
-// copied. Everything after the sweep reads the messages one way — all.
+// the unicast log, written once and spliced by pointer, plus the broadcast
+// records, copied once from the chunks' buffers when the sweep forked
+// (concatBcasts). Everything after the sweep reads the messages one way —
+// all.
 type traffic struct {
 	sends  msgLog
 	bcasts []bcastRec
@@ -123,7 +125,7 @@ func (c *logCursor) next() (int64, []int64) {
 // record cannot make a share C times longer than its peers). One share is
 // the whole traffic, and so is a mixed log + records stream at any C:
 // choosePath never forks one.
-func (s *runScratch) shares(t *traffic, C int) []int {
+func (s *arena) shares(t *traffic, C int) []int {
 	b := s.shareBnds[:0]
 	switch nrec := len(t.bcasts); {
 	case nrec == 0:
@@ -278,8 +280,8 @@ func choosePath(in pathInputs) (p path, why string) {
 // touches it (no sweep writes it).
 type inbox struct {
 	off       []int64
-	val       []int64 // Run borrows it from flatCache
-	span      []int64 // allocated by the first lookaside delivery
+	val       []int64
+	span      []int64 // grown by the first lookaside delivery
 	recv, own []uint64
 	lookaside bool
 
@@ -287,15 +289,21 @@ type inbox struct {
 	look            []int64
 	sent            []uint64
 	stamped         int64
+	// looked says the run filled look and sent (ensureLook).
+	looked bool
 	// fold and combine are the run's combiner, resolved once (resolveFold).
 	fold    foldKind
 	combine func(a, b int64) int64
 }
 
-// newInbox is an n-vertex run's inbox before any delivery: nobody received.
-func newInbox(n int64, combine func(a, b int64) int64) *inbox {
-	own := make([]uint64, (n+63)/64)
-	return &inbox{off: make([]int64, n+1), recv: own, own: own, fold: resolveFold(combine), combine: combine}
+// reset makes ib, by capacity, an n-vertex run's inbox before any delivery:
+// nobody received, and the lookaside is filled on its first use.
+func (ib *inbox) reset(n int64, combine func(a, b int64) int64) {
+	ib.off = ensureInt64(ib.off, int(n+1))
+	clear(ib.off)
+	ib.own = zeroedWords(ib.own, n)
+	ib.recv, ib.lookaside, ib.pull, ib.saturated, ib.looked = ib.own, false, false, false, false
+	ib.fold, ib.combine = resolveFold(combine), combine
 }
 
 // slice returns vertex v's stored messages.
@@ -327,7 +335,7 @@ func (ib *inbox) slice(v int64) []int64 {
 // adjacency lists are ascending and senders run, hence send, in ascending
 // order. A source that broadcast more than once in the superstep has no
 // single value to stamp, so that superstep is pushed instead.
-func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionMode) (int64, path) {
+func (s *arena) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionMode) (int64, path) {
 	n := t.g.NumVertices()
 	in := pathInputs{
 		logical: t.logical, unicast: t.sends.sealed, records: len(t.bcasts),
@@ -351,7 +359,7 @@ func (s *runScratch) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionM
 // (prev nil) or when prev has more entries, and under sparse activation
 // the words of prev — the candidates of the sweep just run, which hold
 // every receiver — so a near-empty superstep pays nothing per vertex.
-func (s *runScratch) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
+func (s *arena) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
 	n, combine, sparse := t.g.NumVertices(), ib.combine, prev != nil
 	if !sparse || len(prev) > len(ib.own) {
 		clear(ib.own)
@@ -367,10 +375,10 @@ func (s *runScratch) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
 		// Every vertex with a neighbor broadcast: on symmetric adjacency all
 		// the neighbors of each are stamped, they are the receivers, and no
 		// receiver pass is needed. That leans on the symmetry deliver
-		// documents, so the run's first such boundary makes the pass anyway;
-		// if it disagrees the boundary is not saturated, and the sweep that
-		// gathers behind its stamps falls short of the count reported here:
-		// Run's AsymmetricGraphError.
+		// documents, so the graph's first such boundary (the arena keeps the
+		// verdict) makes the pass anyway; if it disagrees no boundary on the
+		// graph is saturated, and the sweep that gathers behind its stamps
+		// falls short of the count reported here: Run's AsymmetricGraphError.
 		connected := s.pullRanges(t)
 		if combine == nil && !sparse {
 			ib.recv = s.connected
@@ -442,7 +450,7 @@ func deliverChunks(n int64) int {
 // stable grouping, independent of the internal split, so the fan-in may
 // track the worker count freely (deliverChunks); the sequential sort is
 // C = 1, which forks nothing.
-func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64, recv []uint64) {
+func (s *arena) groupByDest(t *traffic, n int64, C int, off, val []int64, recv []uint64) {
 	bnds := s.shares(t, C)
 	need := n * int64(len(bnds)-1)
 	if t.logical >= math.MaxInt32 {
@@ -462,7 +470,7 @@ func (s *runScratch) groupByDest(t *traffic, n int64, C int, off, val []int64, r
 // so two workers never write the same cache line; destination-major, the
 // counters of one destination (and of a skewed graph's hot low-numbered
 // hubs) shared a line that every increment stole from the other workers.
-func countingSort[K int32 | int64](s *runScratch, t *traffic, bnds []int, counts []K, n int64, off, val []int64, recv []uint64) {
+func countingSort[K int32 | int64](s *arena, t *traffic, bnds []int, counts []K, n int64, off, val []int64, recv []uint64) {
 	R, need := len(bnds)-1, int64(len(counts))
 
 	// Pass 1: per-(share, destination) counts — one length per run when the
@@ -628,7 +636,7 @@ func lookasideFold(t *traffic, ib *inbox) int64 {
 // destination that received anything, left-folded in exact send order —
 // correct for ANY combiner. The first
 // arrival at a destination sets its recv bit, which the compaction reads.
-func (s *runScratch) denseFold(t *traffic, ib *inbox, n int64) int64 {
+func (s *arena) denseFold(t *traffic, ib *inbox, n int64) int64 {
 	s.acc = ensureInt64(s.acc, int(n))
 	recv, acc, combine := ib.recv, s.acc, ib.combine
 	var delivered int64

@@ -44,6 +44,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -206,25 +207,13 @@ func Run(cfg Config) (*Result, error) {
 		States:     make([]int64, n),
 		Aggregates: map[string]int64{},
 	}
-	// The buffer sized by message volume comes from, and goes back to, the
-	// process's other runs (flatCache).
-	flat := takeFlat()
-	scratch := &runScratch{gather: newGatherPool(2 * g.MaxDegree()), blocks: freeList[*msgBlock]{mk: poolBlock}}
-	// ib is what each boundary's delivery builds and the next sweep reads.
-	ib := newInbox(n, cfg.Combiner)
-	ib.val = flat.inboxVal
-	// tr is the superstep's outgoing traffic: the unicast log and the
-	// broadcast records (one per SendToNeighbors call, not per edge).
-	tr := &traffic{g: g, bufs: scratch.gather, sends: msgLog{blocks: &scratch.blocks}}
-	defer func() {
-		flat.inboxVal = ib.val
-		putFlat(flat)
-		// The run's log blocks go back to blockPool for the next run.
-		tr.sends.release()
-		for _, b := range scratch.blocks.free {
-			blockPool.Put(b)
-		}
-	}()
+	// Every buffer sized by n or by traffic, and what the engine derives
+	// from the graph alone, comes from and goes back to the process's other
+	// runs (arena). ib is what each boundary's delivery builds and the next
+	// sweep reads, tr the superstep's outgoing traffic.
+	ar := takeArena(g, cfg.Combiner)
+	defer putArena(ar)
+	ib, tr := &ar.ib, &ar.tr
 	// laneSrc/progAux are the program's batching capability surfaces
 	// (lanes.go): the lane assignment of a batched multi-source program
 	// (obs reporting) and its auxiliary state slice (snapshot/restore/rollback below). Both
@@ -238,7 +227,7 @@ func Run(cfg Config) (*Result, error) {
 	// ck is the checkpoint/interrupt state; nil (no policy, no stop
 	// channel, no resume, no supervisor) costs one pointer check per
 	// superstep boundary.
-	ck := startCkpt(&cfg, g, maxSteps, maxMsgs, costs, sup)
+	ck := startCkpt(&cfg, g, ar, maxSteps, maxMsgs, costs, sup)
 	// No checkpoint write outlives Run: the caller owns the Result arrays a
 	// snapshot references. A successful run collects the write's error
 	// below; every other exit already has an error to report.
@@ -278,8 +267,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// halted has one bit per vertex. live counts the clear ones from the
 	// chunks' halt transitions: a popcount would cost n/64 every superstep.
-	halted := make([]uint64, (n+63)/64)
-	live := n
+	halted, live := ar.halted, n
 	if resumeSnap == nil {
 		// initTrap collects vertex-program panics from the InitialState
 		// sweep; the lowest panicking vertex wins, which is deterministic
@@ -327,7 +315,8 @@ func Run(cfg Config) (*Result, error) {
 	// full scan.
 	var candidates []int64
 	if cfg.SparseActivation {
-		candidates = make([]int64, n)
+		ar.candidates = ensureInt64(ar.candidates, int(n))
+		candidates = ar.candidates[:n:n] // nextWorklist reads n off its cap
 		par.Iota(candidates)
 	}
 
@@ -338,7 +327,10 @@ func Run(cfg Config) (*Result, error) {
 		costs:  costs,
 		states: res.States,
 		expand: cfg.expandBroadcasts,
-		bufs:   scratch.gather,
+		bufs:   ar.gather,
+	}
+	for _, cs := range ar.chunks { // the chunks earlier runs left
+		cs.bind(master)
 	}
 	// With no recorder every superstep charges one throwaway phase, not a
 	// fresh pair.
@@ -360,7 +352,7 @@ func Run(cfg Config) (*Result, error) {
 	// a stall latched meanwhile, the lanes in flight — and emits it.
 	stepDone := func(st obs.StepStats, numChunks int, took path) {
 		st.Delivery = took.String()
-		st.ScratchBytes = scratch.scratchBytes(numChunks, tr, ib, candidates)
+		st.ScratchBytes = ar.scratchBytes(numChunks)
 		if sup != nil {
 			st.Stalled = sup.stalledAt(st.Step)
 		}
@@ -395,7 +387,7 @@ func Run(cfg Config) (*Result, error) {
 			tr.sends.add(dest, resumeSnap.MsgVal[i])
 		}
 		tr.sends.seal()
-		tr.bcasts = make([]bcastRec, len(resumeSnap.BcastSrc))
+		tr.bcasts = slices.Grow(tr.bcasts[:0], len(resumeSnap.BcastSrc))[:len(resumeSnap.BcastSrc)]
 		tr.logical = tr.sends.sealed
 		for i := range tr.bcasts {
 			tr.bcasts[i] = bcastRec{src: resumeSnap.BcastSrc[i], val: resumeSnap.BcastVal[i], seq: resumeSnap.BcastSeq[i]}
@@ -403,11 +395,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Re-deliver under the decision the original boundary recorded, so
 		// the resumed inbox is built by the same path.
-		scratch.deliver(tr, ib, candidates, res.DirectionPerStep[len(res.DirectionPerStep)-1])
+		ar.deliver(tr, ib, candidates, res.DirectionPerStep[len(res.DirectionPerStep)-1])
 		if cfg.SparseActivation {
 			// The worklist is every vertex awake or with mail, however the
 			// original boundary built it (awakeList).
-			candidates = scratch.awakeList(candidates, halted, ib.recv)
+			candidates = ar.awakeList(candidates, halted, ib.recv)
 		}
 	}
 
@@ -461,9 +453,9 @@ func Run(cfg Config) (*Result, error) {
 			// a pure function of the graph and the active set (see
 			// sweepBoundaries) — never of the worker count — so results and
 			// profiles are identical at any host configuration.
-			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation)
+			bounds := ar.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation)
 			numChunks = len(bounds) - 1
-			scratch.ensureChunks(numChunks, master)
+			ar.ensureChunks(numChunks, master)
 			prog := cfg.Program
 			if o != nil {
 				tObs = time.Now()
@@ -489,14 +481,13 @@ func Run(cfg Config) (*Result, error) {
 				bb := tr.bcasts[:0]
 				for c := 0; c < numChunks; c++ {
 					lo, hi := bounds[c], bounds[c+1]
-					cs := scratch.chunks[c]
+					cs := ar.chunks[c]
 					cs.reset(step)
-					cs.ctx.log = &tr.sends
-					cs.eng.bcastBuf = bb
+					own := cs.eng.bcastBuf // the chunk's, kept for parallel sweeps
+					cs.ctx.log, cs.eng.bcastBuf = &tr.sends, bb
 					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
 					cs.ctx.log = &cs.eng.log
-					bb = cs.eng.bcastBuf
-					cs.eng.bcastBuf = nil
+					bb, cs.eng.bcastBuf = cs.eng.bcastBuf, own
 					if cs.trap != nil {
 						// A trapped chunk is the lowest one (index order); later
 						// chunks won't run, matching the parallel path's
@@ -513,12 +504,12 @@ func Run(cfg Config) (*Result, error) {
 				}
 			} else {
 				par.ForBoundaryChunks(bounds, func(c, lo, hi int) {
-					cs := scratch.chunks[c]
+					cs := ar.chunks[c]
 					cs.reset(step)
 					cs.runRange(prog, lo, hi, step, ib, halted, candidates)
 				})
-				scratch.spliceSends(&tr.sends, numChunks)
-				tr.bcasts = scratch.concatBcasts(tr.bcasts, numChunks)
+				ar.spliceSends(&tr.sends, numChunks)
+				tr.bcasts = ar.concatBcasts(tr.bcasts, numChunks)
 			}
 			if o != nil {
 				// Emitted before the trap check so a panicking superstep's
@@ -527,7 +518,7 @@ func Run(cfg Config) (*Result, error) {
 				// next begins.
 				tObs = o.phase(obsPhaseCompute, step, tObs)
 			}
-			pe := scratch.firstTrap(numChunks, step)
+			pe := ar.firstTrap(numChunks, step)
 			if pe == nil {
 				break
 			}
@@ -548,7 +539,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, pe
 			}
 			retried++
-			sup.rollbackTo(ck.snap, halted, progAux, master, scratch, cfg.Recorder)
+			sup.rollbackTo(ck.snap, halted, progAux, master, ar, cfg.Recorder)
 		}
 		if sup != nil && sup.maxRetries > 0 {
 			sup.retries = append(sup.retries, retried)
@@ -559,7 +550,7 @@ func Run(cfg Config) (*Result, error) {
 		// per-edge expansion produced before broadcasts became records — so
 		// counters, charges, budgets, and termination are untouched by how
 		// the traffic is physically represented.
-		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta := scratch.mergeCounters(numChunks, tr.sends.sealed)
+		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta := ar.mergeCounters(numChunks, tr.sends.sealed)
 		live += haltDelta
 		if sent > maxMsgs {
 			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
@@ -570,7 +561,7 @@ func Run(cfg Config) (*Result, error) {
 			// differ only on adjacency that is not symmetric.
 			return nil, &AsymmetricGraphError{Superstep: step - 1, Delivered: res.DeliveredPerStep[k-1], Gathered: received}
 		}
-		scratch.mergeAggregates(master, numChunks)
+		ar.mergeAggregates(master, numChunks)
 
 		// Direction decision for this superstep's delivery, from logical
 		// counters alone (direction.go). It is recorded before delivery so
@@ -610,7 +601,7 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.logSeen != nil {
 			cfg.logSeen(tr.sends.bytes(), tr.sends.sealed)
 		}
-		delivered, took := scratch.deliver(tr, ib, candidates, dirMode)
+		delivered, took := ar.deliver(tr, ib, candidates, dirMode)
 		res.DeliveredPerStep = append(res.DeliveredPerStep, delivered)
 		if o != nil {
 			tObs = o.phase(obsPhaseDeliver, step, tObs)
@@ -620,7 +611,7 @@ func Run(cfg Config) (*Result, error) {
 			// Next worklist: message receivers plus vertices that stayed
 			// awake, deduplicated and in ascending order for deterministic
 			// execution.
-			candidates = scratch.nextWorklist(candidates, live, delivered, tr, ib, halted)
+			candidates = ar.nextWorklist(candidates, live, delivered, tr, ib, halted)
 			if o != nil {
 				o.phase(obsPhaseWorklist, step, tObs)
 			}

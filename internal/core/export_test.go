@@ -1,6 +1,10 @@
 package core
 
-import "graphxmt/internal/graph"
+import (
+	"weak"
+
+	"graphxmt/internal/graph"
+)
 
 // MustCompress is graph.Compress for test graphs known to compress.
 func MustCompress(g *graph.Graph) *graph.Graph {
@@ -29,7 +33,7 @@ func WithExpandBroadcasts(on bool) Option {
 // that follows: gather for every vertex, returning the messages obtained.
 func NewGatherSweep(g *graph.Graph, combine func(a, b int64) int64, srcs []int64) func() int64 {
 	n := g.NumVertices()
-	s := &runScratch{gather: newGatherPool(2 * g.MaxDegree())}
+	s := &arena{gather: newGatherPool(2 * g.MaxDegree())}
 	ib := newInbox(n, combine)
 	tr := &traffic{g: g, bufs: s.gather}
 	for _, src := range srcs {
@@ -79,4 +83,54 @@ func ForceDirection(m DirectionMode) Option {
 // small run can reach *MessageCapError.
 func WithMessageCap(n int64) Option {
 	return func(c *Config) { c.msgCap = n }
+}
+
+// DropArena empties the arena slot, so that the next Run builds a fresh
+// arena.
+func DropArena() {
+	arenaSlot.mu.Lock()
+	arenaSlot.last = weak.Pointer[arena]{}
+	arenaSlot.mu.Unlock()
+}
+
+// PoisonArena overwrites, to its capacity, every buffer of the arena the
+// last run put back — words with a non-zero pattern, bitmaps with every bit
+// set — leaving what the arena derived from its graph alone. A run that
+// read a lent buffer before writing it would read the poison. It reports
+// whether the slot held an arena.
+func PoisonArena() bool {
+	arenaSlot.mu.Lock()
+	a := arenaSlot.last.Value()
+	arenaSlot.mu.Unlock()
+	if a == nil {
+		return false
+	}
+	words := [][]int64{a.ib.off, a.ib.val, a.ib.span, a.ib.look, a.candidates, a.sendOff, a.bcastWork, a.acc, a.rangeCnt, a.sortScratch}
+	words = append(words, a.gather.free...)
+	for _, b := range a.blocks.free {
+		words = append(words, b[:])
+	}
+	for _, w := range words {
+		poison(w, func(i int) int64 { return 0x5eedf00ddeadbeef + int64(i) })
+	}
+	for _, set := range [][]uint64{a.ib.own, a.ib.sent, a.halted, a.listed} {
+		poison(set, func(int) uint64 { return ^uint64(0) })
+	}
+	poison(a.counts, func(i int) int32 { return 0x5eed + int32(i) })
+	for _, b := range [][]int{a.bcastOff, a.shareBnds, a.bounds} {
+		poison(b, func(i int) int { return 7 + i })
+	}
+	poison(a.tr.bcasts, func(i int) bcastRec { return bcastRec{src: int64(i), val: 0x5eed, seq: int64(i)} })
+	for _, cs := range a.chunks {
+		poison(cs.eng.bcastBuf, func(i int) bcastRec { return bcastRec{src: int64(i), val: 0x5eed, seq: int64(i)} })
+	}
+	return true
+}
+
+// poison sets every element of s, to its capacity, to at(i).
+func poison[T any](s []T, at func(i int) T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = at(i)
+	}
 }

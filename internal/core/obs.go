@@ -175,7 +175,8 @@ func (o *obsRun) flightDump(dir, cause string) string {
 }
 
 // scratchBytes approximates the engine's reusable scratch footprint: the
-// run-level buffers (the inbox and the adjacency-buffer pool among them),
+// arena capacity the run holds (the inbox, the halted set and worklist, the
+// adjacency-buffer pool and what was derived from the graph among them),
 // the slots the superstep's unicast log fills — values and run headers, not
 // the rest of a partial block, nor the blocks idle on the free list — plus
 // every chunk's record buffer and segment list — re-measured only for the
@@ -183,14 +184,15 @@ func (o *obsRun) flightDump(dir, cause string) string {
 // 256-chunk one does not walk them all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
-func (s *runScratch) scratchBytes(numChunks int, t *traffic, ib *inbox, candidates []int64) int64 {
+func (s *arena) scratchBytes(numChunks int) int64 {
 	const (
 		recSize = 24 // bcastRec: three int64s
 		segSize = 16 // logSeg: a block pointer and two int32s
 	)
+	t, ib := &s.tr, &s.ib
 	b := t.sends.bytes() + int64(cap(t.bcasts))*recSize
 	b += int64(cap(t.sends.segs)) * segSize
-	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(candidates)+cap(s.listed)) * 8
+	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(s.candidates)+cap(s.listed)+cap(s.halted)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
 	b += int64(cap(s.acc)+cap(ib.own)+cap(s.connected)) * 8

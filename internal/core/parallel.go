@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
-	"weak"
 
 	"graphxmt/internal/par"
 )
@@ -23,7 +22,7 @@ import (
 //   - The compute sweep is partitioned into chunks whose boundaries are a
 //     pure function of the graph and the active set — never of the worker
 //     count. The graph's degree prefix sum (graph.Offsets) is split once
-//     per run into near-equal edge-work vertex ranges, so a hub vertex of a
+//     per graph into near-equal edge-work vertex ranges, so a hub vertex of a
 //     skewed graph cannot make one chunk run sweepMaxChunks× longer than
 //     its peers; a full scan is cut at those ranges, a sparse sweep at the
 //     same ranges restricted to its candidates (sweepBoundaries), every cut
@@ -129,7 +128,7 @@ type chunkState struct {
 	// one backs Messages() after a combining pull boundary (gather): the
 	// folded value.
 	one [1]int64
-	// scratch is the chunk's share of runScratch.chunkScratch.
+	// scratch is the chunk's share of arena.chunkScratch.
 	scratch int64
 	// trap records a vertex-program panic recovered while running this
 	// chunk (nil otherwise). The engine folds traps into a ProgramError
@@ -269,7 +268,7 @@ func (p *freeList[T]) put(b T) {
 	p.mu.Unlock()
 }
 
-// gatherPool is the run's free list of adjacency buffers, each size =
+// gatherPool is the arena's free list of adjacency buffers, each at least
 // 2*MaxDegree long — one half for a decoded neighbor list, one for a pull's
 // gathered values — so nothing ever has to grow one and DecodeNeighbors can
 // be handed one on either graph representation (a flat graph's shared CSR
@@ -420,81 +419,13 @@ func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	}
 }
 
-// runScratch holds every buffer the engine reuses across supersteps: the
-// per-chunk worker states and the delivery / worklist scratch that the
-// sequential engine used to reallocate each superstep.
-type runScratch struct {
-	chunks []*chunkState
-	// chunkScratch is the chunks' total buffer footprint (scratchBytes).
-	chunkScratch int64
-	sendOff      []int64 // per-chunk offsets into the superstep's unicast stream
-	bcastOff     []int   // per-chunk broadcast-record offsets for the merge copy
-
-	// blocks is the run's free list of log blocks (msgLog).
-	blocks freeList[*msgBlock]
-
-	// Delivery scratch (delivery.go). gather lends adjacency buffers to
-	// sweep chunks and traffic enumerators; pullBnds / connected /
-	// numConnected / symmetric are what a pull knows of the graph alone
-	// (pullRanges, build); bcastWork / shareBnds split traffic into a
-	// counting sort's shares; acc is denseFold's.
-	gather       *gatherPool
-	pullBnds     []int
-	connected    []uint64
-	numConnected int64
-	symmetric    bool
-	bcastWork    []int64
-	shareBnds    []int
-	acc          []int64
-
-	counts   []int32 // C*n destination cursors, share-major (countingSort)
-	rangeCnt []int64 // per-range counters (countingSort, pullReceivers)
-
-	// Sweep chunk boundaries (see sweepBoundaries): ranges is the graph's
-	// degree-weighted vertex partition, cut once per run; bounds is a sparse
-	// sweep's restriction of it to the candidates.
-	bounds []int
-	ranges []int
-
-	// Sparse-activation scratch.
-	sortScratch []int64  // radix-sort ping buffer
-	listed      []uint64 // nextWorklist's dedup bitmap, all clear between calls
-}
-
-// ensureLook sizes the pull lookaside, every slot holding the identity and
-// no bit set.
-func (ib *inbox) ensureLook(n int64) {
-	if int64(len(ib.look)) < n {
-		ib.look, ib.sent = make([]int64, n), make([]uint64, (n+63)/64)
-		if id := ib.identity(); id != 0 {
-			par.FillInt64(ib.look, id)
-		}
-	}
-}
-
-// ensureChunks guarantees at least numChunks chunk states exist, each
-// wired to the run's shared graph/costs/states.
-func (s *runScratch) ensureChunks(numChunks int, master *engineState) {
-	for len(s.chunks) < numChunks {
-		cs := &chunkState{}
-		cs.eng.graph = master.graph
-		cs.eng.costs = master.costs
-		cs.eng.states = master.states
-		cs.eng.expand = master.expand
-		cs.eng.bufs = master.bufs
-		cs.eng.log.blocks = &s.blocks
-		cs.ctx.engine, cs.ctx.log, cs.ctx.n = &cs.eng, &cs.eng.log, master.graph.NumVertices()
-		s.chunks = append(s.chunks, cs)
-	}
-}
-
 // sweepBoundaries returns the compute sweep's chunk boundaries for one
 // superstep: a strictly increasing []int from 0 to the number of items swept
 // (n, or the sparse sweep's candidates), a pure function of the graph offsets
 // and the active set — never of the worker count. The graph's vertex ranges
 // split the work prefix sum (degree + sweepVertexWork per vertex) into
 // sweepTargetChunks(n) near-equal chunks at multiples of 64 (wordRanges),
-// once per run, and a full scan is cut at them. A sparse sweep takes the same
+// once per graph (arena), and a full scan is cut at them. A sparse sweep takes the same
 // ranges restricted to its ascending candidates — one binary search per range
 // boundary, each resuming where the last one ended — and keeps a cut only
 // once the chunk behind it holds sweepMinChunk candidates. So every sparse
@@ -502,11 +433,11 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState) {
 // full range plus its first sweepMinChunk-1 candidates, with no pass over the
 // candidates at all. A sparse cut is the first candidate at or above a range
 // start, so a sparse chunk owns whole bitmap words too.
-func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int {
-	if s.ranges == nil {
-		s.ranges = []int{0} // no vertices, no chunks
+func (s *arena) sweepBoundaries(off, candidates []int64, sparse bool) []int {
+	if len(s.ranges) == 0 {
+		s.ranges = append(s.ranges, 0) // no vertices, no chunks
 		if n := len(off) - 1; n > 0 {
-			s.ranges = wordRanges(nil, n, func(i int) int64 {
+			s.ranges = wordRanges(s.ranges, n, func(i int) int64 {
 				return off[i] + sweepVertexWork*int64(i)
 			})
 		}
@@ -537,7 +468,7 @@ func (s *runScratch) sweepBoundaries(off, candidates []int64, sparse bool) []int
 // superstep's log length: its Sends, and the per-edge messages of expanded
 // broadcasts. sent is the logical message count — broadcasts count one
 // message per edge, exactly what per-edge expansion would have appended.
-func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta int64) {
+func (s *arena) mergeCounters(numChunks int, logged int64) (active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta int64) {
 	unicast = logged
 	for _, cs := range s.chunks[:numChunks] {
 		active += cs.active
@@ -558,7 +489,7 @@ func (s *runScratch) mergeCounters(numChunks int, logged int64) (active, receive
 // are worker-independent and each chunk runs its vertices in ascending
 // order, so the reported vertex is the lowest panicking vertex — identical
 // at any host worker count.
-func (s *runScratch) firstTrap(numChunks, step int) *ProgramError {
+func (s *arena) firstTrap(numChunks, step int) *ProgramError {
 	for _, cs := range s.chunks[:numChunks] {
 		if cs.trap != nil {
 			return &ProgramError{
@@ -577,7 +508,7 @@ func (s *runScratch) firstTrap(numChunks, step int) *ProgramError {
 // — exactly the send order a sequential sweep would have produced — by
 // pointer: no message is copied, and every chunk's log is left empty.
 // s.sendOff[c] ends up as the stream position of chunk c's first message.
-func (s *runScratch) spliceSends(dst *msgLog, numChunks int) {
+func (s *arena) spliceSends(dst *msgLog, numChunks int) {
 	s.sendOff = ensureInt64(s.sendOff, numChunks)
 	for c, cs := range s.chunks[:numChunks] {
 		l := &cs.eng.log
@@ -595,7 +526,7 @@ func (s *runScratch) spliceSends(dst *msgLog, numChunks int) {
 // sweep records them in — globalizing each record's seq by the chunk's
 // unicast offset (s.sendOff, so spliceSends must run first). The serial
 // fast path threads one shared record buffer instead and needs no merge.
-func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
+func (s *arena) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 	if cap(s.bcastOff) < numChunks+1 {
 		s.bcastOff = make([]int, numChunks+1)
 	}
@@ -625,7 +556,7 @@ func (s *runScratch) concatBcasts(dst []bcastRec, numChunks int) []bcastRec {
 // persistent aggregators in chunk index order, then unseeds the partials
 // for the next superstep. Chunk boundaries are worker-independent, so the
 // fold order — hence the value, for any reduction — is too.
-func (s *runScratch) mergeAggregates(master *engineState, numChunks int) {
+func (s *arena) mergeAggregates(master *engineState, numChunks int) {
 	for _, cs := range s.chunks[:numChunks] {
 		if cs.eng.aggregates == nil {
 			continue
@@ -658,57 +589,6 @@ func (s *runScratch) mergeAggregates(master *engineState, numChunks int) {
 	}
 }
 
-// flatBufs is the buffer of a run sized by its message volume — the inbox
-// values. It grows to the run's largest superstep and, like the log's
-// blocks, is worth keeping across runs: the next Run in the process takes
-// the one the last one put back, un-zeroed (every delivery writes what it
-// later reads).
-type flatBufs struct{ inboxVal []int64 }
-
-// flatCache keeps the buffer between runs. A sync.Pool alone keeps a lone
-// object in the per-P slot of the P that put it, where a Get on any other P
-// cannot reach it, so whether a run reused the buffer or allocated a fresh
-// one (51 MiB for BSP TC at scale 13) depended on which P the scheduler
-// resumed it on. Here the pool only decides how long the buffer lives: it
-// holds the one strong reference and drops it at the second collection
-// after the last put, so an idle process gives the buffer back. A run on any
-// P takes the buffer through the weak pointer.
-var flatCache struct {
-	mu   sync.Mutex
-	last weak.Pointer[flatBufs]
-	keep sync.Pool
-}
-
-// takeFlat returns the buffer the last run put back, while the pool still
-// holds it, or an empty one.
-func takeFlat() *flatBufs {
-	flatCache.mu.Lock()
-	b := flatCache.last.Value()
-	flatCache.last = weak.Pointer[flatBufs]{}
-	flatCache.mu.Unlock()
-	if b == nil {
-		b = new(flatBufs)
-	}
-	return b
-}
-
-// putFlat hands b to the next run. It first drops one reference the pool
-// holds, so the pool does not grow with the runs between two collections.
-func putFlat(b *flatBufs) {
-	flatCache.keep.Get()
-	flatCache.keep.Put(b)
-	flatCache.mu.Lock()
-	flatCache.last = weak.Make(b)
-	flatCache.mu.Unlock()
-}
-
-func ensureInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
 // fillBcastLookaside stamps each record's value into the per-source
 // lookaside the pull gather reads, after retiring the previous fill: its set
 // bits say which slots to hand back to the identity, O(n/64 + its frontier).
@@ -738,16 +618,16 @@ func (ib *inbox) fillBcastLookaside(bcasts []bcastRec, n int64) bool {
 }
 
 // pullRanges returns the number of vertices with a neighbor — the most a
-// combining pull can deliver — counted once per run along with the bitmap of
+// combining pull can deliver — counted once per graph (arena) along with the bitmap of
 // them (connected: the receivers of a saturated pull) and the degree-weighted
 // destination ranges of pullReceivers: all depend only on the graph.
-func (s *runScratch) pullRanges(t *traffic) int64 {
+func (s *arena) pullRanges(t *traffic) int64 {
 	if len(s.pullBnds) == 0 {
 		n, goff := int(t.g.NumVertices()), t.g.Offsets()
 		s.pullBnds = wordRanges(s.pullBnds, n, func(i int) int64 {
 			return goff[i] + int64(i)
 		})
-		s.connected = make([]uint64, (n+63)/64)
+		s.connected, s.numConnected = zeroedWords(s.connected, int64(n)), 0
 		for v := 0; v < n; v++ {
 			if goff[v+1] > goff[v] {
 				setBit(s.connected, int64(v))
@@ -761,7 +641,7 @@ func (s *runScratch) pullRanges(t *traffic) int64 {
 // pullReceivers counts the vertices with at least one stamped neighbor —
 // what a combining pull delivers — over the ranges of pullRanges, each walk
 // exiting on its first hit, and sets their bits in recv.
-func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
+func (s *arena) pullReceivers(t *traffic, ib *inbox) int64 {
 	g, sent, recv := t.g, ib.sent, ib.recv
 	s.rangeCnt = ensureInt64(s.rangeCnt, len(s.pullBnds)-1)
 	rangeCnt := s.rangeCnt
@@ -792,13 +672,13 @@ func (s *runScratch) pullReceivers(t *traffic, ib *inbox) int64 {
 // by construction, O(n/64 + k)); small ones keep the awake candidates in
 // place, add the receivers deduplicated through the listed bitmap and
 // radix-sort, O(k). The bitmap is cleared over the output, also O(k).
-func (s *runScratch) nextWorklist(candidates []int64, live, delivered int64, t *traffic, ib *inbox, halted []uint64) []int64 {
+func (s *arena) nextWorklist(candidates []int64, live, delivered int64, t *traffic, ib *inbox, halted []uint64) []int64 {
 	n := int64(cap(candidates))
 	if (delivered+live)*4 >= n || t.logical >= n {
 		return s.awakeList(candidates, halted, ib.recv)
 	}
-	if s.listed == nil {
-		s.listed = make([]uint64, (n+63)/64)
+	if len(s.listed) == 0 {
+		s.listed = zeroedWords(s.listed, n)
 	}
 	out := candidates[:0]
 	for i := 0; live > 0 && i < len(candidates); i++ {
@@ -825,7 +705,7 @@ func (s *runScratch) nextWorklist(candidates []int64, live, delivered int64, t *
 // index order, over the candidates backing array: nextWorklist's answer,
 // and a resume's. It is serial: an entry costs one store, where the sweep
 // that reads it pays a call per entry.
-func (s *runScratch) awakeList(candidates []int64, halted, recv []uint64) []int64 {
+func (s *arena) awakeList(candidates []int64, halted, recv []uint64) []int64 {
 	out := candidates[:0]
 	for v := range awake(halted, recv, 0, cap(candidates)) {
 		out = append(out, v)

@@ -55,7 +55,16 @@ func randomMessages(r *rng.Xoshiro, count int, n int64) []Message {
 }
 
 // emptyLog is a log with a free list of its own, as Run gives its logs one.
-func emptyLog() msgLog { return msgLog{blocks: &freeList[*msgBlock]{mk: poolBlock}} }
+func emptyLog() msgLog {
+	return msgLog{blocks: &freeList[*msgBlock]{mk: func() *msgBlock { return new(msgBlock) }}}
+}
+
+// newInbox is an n-vertex run's inbox before any delivery.
+func newInbox(n int64, combine func(a, b int64) int64) *inbox {
+	ib := new(inbox)
+	ib.reset(n, combine)
+	return ib
+}
 
 // logTraffic is buf as the unicast log a sweep's Sends would have left, over
 // an edgeless graph of n vertices.
@@ -215,8 +224,7 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 // destinations, every message to one destination: every share's cursor for
 // it in a different row}. One scratch and one inbox serve every row, as a
 // run reuses them across supersteps: receiver bits and offsets left by one
-// row must never read as messages in the next. Last, the flat message buffer
-// must pass between runs on different Ps (flatCache), and choosePath routes
+// row must never read as messages in the next. Last, choosePath routes
 // every row of its table as the table says.
 func TestDeliveryPrimitives(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
@@ -229,7 +237,7 @@ func TestDeliveryPrimitives(t *testing.T) {
 		name string
 		f    func(a, b int64) int64
 	}{{"none", nil}, {"min", Min}, {"sum", Sum}, {"3a-b", weird}}
-	s := &runScratch{}
+	s := &arena{}
 	ib := &inbox{}
 	var backing []int64
 	var words []uint64
@@ -314,7 +322,6 @@ func TestDeliveryPrimitives(t *testing.T) {
 			}
 		}
 	}
-	t.Run("flatCache", testFlatCache)
 	t.Run("choosePath", testChoosePath)
 }
 
@@ -451,7 +458,7 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		for i := range trs {
 			trs[i], wants[i] = superstep()
 		}
-		s := &runScratch{}
+		s := &arena{}
 		ib := newInbox(n, combine)
 		paths := []path{{kind: pathLookaside}, {kind: pathCSR}, {kind: pathCSRPar}}
 		if source%3 == 1 {
@@ -588,7 +595,7 @@ func TestSweepChunkSizeDeterministic(t *testing.T) {
 		var full []int
 		for _, w := range []int{1, 16} {
 			par.SetWorkers(w)
-			s := &runScratch{}
+			s := &arena{}
 			got := slices.Clone(s.sweepBoundaries(off, nil, false))
 			if full == nil {
 				full = got
@@ -662,7 +669,7 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 			}
 			for _, lookaside := range []bool{false, true} {
 				b.Run(fmt.Sprintf("n=%d/sent=n/%d/lookaside=%v", n, div, lookaside), func(b *testing.B) {
-					s := &runScratch{}
+					s := &arena{}
 					ib := newInbox(n, nil)
 					kind := pathCSR
 					if lookaside {
@@ -686,35 +693,38 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 	}
 }
 
-// testFlatCache: a run takes the message buffers the last run put back
-// whichever P either ran on, and two collections after the last put the
-// cache holds nothing. The putting goroutine spins on its P while the test
-// takes, so the take runs on another.
-func testFlatCache(t *testing.T) {
+// TestArenaSlot: a run takes the arena the last run put back whichever P
+// either ran on, and two collections after the last put the slot holds
+// nothing. The putting goroutine spins on its P while the test takes, so the
+// take runs on another.
+func TestArenaSlot(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs two Ps")
 	}
-	const mark = 12345
-	b := &flatBufs{inboxVal: make([]int64, mark)}
+	g := gen.Path(100)
+	a := takeArena(g, nil)
 	var put, stop atomic.Bool
 	go func() {
-		putFlat(b)
+		putArena(a)
 		put.Store(true)
 		for !stop.Load() {
 		}
 	}()
 	for !put.Load() {
 	}
-	got := takeFlat()
+	got := takeArena(g, nil)
 	stop.Store(true)
-	if got != b {
-		t.Fatal("a run on another P allocated instead of taking the buffers the last run put back")
+	if got != a {
+		t.Fatal("a run on another P built an arena instead of taking the one the last run put back")
 	}
-	putFlat(b)
-	b, got = nil, nil
+	putArena(a)
+	a, got = nil, nil
 	runtime.GC()
 	runtime.GC()
-	if got := takeFlat(); len(got.inboxVal) == mark {
-		t.Fatal("the cache still holds the buffers two collections after the last put")
+	arenaSlot.mu.Lock()
+	kept := arenaSlot.last.Value()
+	arenaSlot.mu.Unlock()
+	if kept != nil {
+		t.Fatal("the slot still holds the arena two collections after the last put")
 	}
 }

@@ -276,7 +276,7 @@ func (sp *supRun) runExpired() bool {
 // re-recorded), and the chunk-local aggregator partials (reset
 // deliberately preserves seeded partials for mergeAggregates to consume;
 // a discarded attempt must unseed them or the retry would double-fold).
-func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, master *engineState, scratch *runScratch, rec *trace.Recorder) {
+func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []uint64, aux []int64, master *engineState, scratch *arena, rec *trace.Recorder) {
 	copy(master.states, snap.States)
 	copy(halted, snap.Halted.Words)
 	if len(aux) > 0 && len(snap.Aux) == len(aux) {
