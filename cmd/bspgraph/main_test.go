@@ -125,6 +125,11 @@ func TestExitStatus(t *testing.T) {
 	if err := graphio.WriteBinaryFile(pathFile, gen.Path(2000)); err != nil {
 		t.Fatal(err)
 	}
+	// A path one hop longer than a batch's packed levels reach from an end.
+	longPath := filepath.Join(t.TempDir(), "path64k.gxmt")
+	if err := graphio.WriteBinaryFile(longPath, gen.Path(1<<16)); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name   string
@@ -149,6 +154,9 @@ func TestExitStatus(t *testing.T) {
 		{"fatal/CSR1 file with a self-loop", []string{"-g", csr1File(t, 0, []int64{0, 1, 2}, []int64{0, 1}), "-alg", "tc"}, 1, `adjacency of vertex 0: self-loop`, false},
 		{"ok/cc on an empty graph", []string{"-g", emptyFile, "-alg", "cc"}, 0, `^$`, false},
 		{"ok/bfs along a 2000-vertex path", []string{"-g", pathFile, "-alg", "bfs", "-src", "0"}, 0, `^$`, false},
+		{"fatal/batched bfs deeper than its packed levels", []string{"-g", longPath, "-alg", "bfs", "-sources", "0,65535", "-batch"}, 1,
+			`^bspgraph: bspalg: a batched BFS records levels up to 65534, and this batch goes deeper; run its sources unbatched\n$`, false},
+		{"ok/the same sources unbatched", []string{"-g", longPath, "-alg", "bfs", "-sources", "0,65535"}, 0, `^$`, false},
 		{"usage/bfs from an explicit source on an empty graph", []string{"-g", emptyFile, "-alg", "bfs", "-src", "0"}, 2, `-src 0 out of range \[0,0\)`, false},
 		{"interrupted/kill at boundary 1", []string{"-g", graphFile, "-alg", "cc", "-checkpoint-dir", t.TempDir(), "-fault-plan", "kill@1"}, 3,
 			`resume with -resume \S+ckpt-000000001\.gxckpt`, false},

@@ -25,8 +25,10 @@ package bspalg
 // as its combiner, so a pull folds each vertex's gather into one mask.
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"graphxmt/internal/batch"
 	"graphxmt/internal/core"
@@ -37,8 +39,8 @@ import (
 // Packed level layout: four 16-bit levels per int64 word, so a 64-lane
 // batch costs 16 words (128 bytes) per vertex. 0xFFFF marks "not yet
 // reached"; a freshly allocated array is filled with -1 (every field
-// unset). The 0xFFFE cap is far above the engine's default superstep
-// budget (1000), so it is a structural invariant, not a practical limit.
+// unset). A level is at most 0xFFFE: a batch that goes deeper stops at
+// the superstep after that and fails with a LevelRangeError.
 const (
 	laneLevelBits     = 16
 	laneLevelsPerWord = 64 / laneLevelBits
@@ -61,6 +63,18 @@ type multiBFSProgram struct {
 	// bookkeeping entirely.
 	levels    []int64
 	laneWords int
+	// deep is set when a lane reached a vertex at a level past
+	// laneLevelMax, which the packing cannot record.
+	deep atomic.Bool
+}
+
+// LevelRangeError reports a batched BFS that went deeper than its packed
+// levels hold: some lane reached a vertex more than MaxLevel hops from its
+// source.
+type LevelRangeError struct{ MaxLevel int }
+
+func (e *LevelRangeError) Error() string {
+	return fmt.Sprintf("bspalg: a batched BFS records levels up to %d, and this batch goes deeper; run its sources unbatched", e.MaxLevel)
 }
 
 func newMultiProgram(g *graph.Graph, plan *batch.Plan, withLevels bool) *multiBFSProgram {
@@ -148,7 +162,8 @@ func (p *multiBFSProgram) Compute(v *core.VertexContext) {
 // — a bit is fresh exactly once.
 func (p *multiBFSProgram) setLevels(v int64, mask uint64, step int64) {
 	if step > laneLevelMax {
-		panic(fmt.Sprintf("bspalg: superstep %d exceeds the packed level range %d", step, laneLevelMax))
+		p.deep.Store(true)
+		return
 	}
 	base := v * int64(p.laneWords)
 	for mask != 0 {
@@ -219,13 +234,23 @@ func runMulti(g *graph.Graph, plan *batch.Plan, rec *trace.Recorder, withLevels 
 		return nil, fmt.Errorf("bspalg: empty batch plan")
 	}
 	prog := newMultiProgram(g, plan, withLevels)
+	bound := waveSupersteps(g)
+	if withLevels {
+		// Superstep laneLevelMax+1 is the first whose fresh bits have no
+		// level; the run stops after it.
+		bound = min(bound, laneLevelMax+2)
+	}
 	res, err := run(core.Config{
 		Graph:         g,
 		Program:       prog,
 		Combiner:      core.Or,
 		Recorder:      rec,
-		MaxSupersteps: waveSupersteps(g),
+		MaxSupersteps: bound,
 	}, opts)
+	var be *core.BudgetError
+	if prog.deep.Load() || withLevels && errors.As(err, &be) && be.MaxSupersteps == laneLevelMax+2 {
+		return nil, &LevelRangeError{MaxLevel: laneLevelMax}
+	}
 	if err != nil {
 		return nil, err
 	}

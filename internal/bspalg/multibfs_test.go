@@ -296,3 +296,30 @@ func TestMultiBFSRetryTransient(t *testing.T) {
 		t.Fatal("retried batch differs from fault-free run")
 	}
 }
+
+// TestMultiBFSLevelRange: a batch whose deepest lane is laneLevelMax hops
+// from its source finishes with that level recorded; one hop more is a
+// LevelRangeError, while the reachability batch, which records no level,
+// finishes.
+func TestMultiBFSLevelRange(t *testing.T) {
+	for _, n := range []int64{laneLevelMax + 1, laneLevelMax + 2} {
+		g := gen.Path(n)
+		plan, err := batch.NewPlan([]int64{0, n / 2}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := MultiBFS(g, plan, nil)
+		var le *LevelRangeError
+		switch {
+		case n-1 <= laneLevelMax && err != nil:
+			t.Fatalf("eccentricity %d: %v", n-1, err)
+		case n-1 <= laneLevelMax && mr.Dist(0)[n-1] != n-1:
+			t.Fatalf("eccentricity %d: level %d", n-1, mr.Dist(0)[n-1])
+		case n-1 > laneLevelMax && (!errors.As(err, &le) || le.MaxLevel != laneLevelMax):
+			t.Fatalf("eccentricity %d: want a LevelRangeError at %d, got %v", n-1, laneLevelMax, err)
+		}
+		if _, err := runMulti(g, plan, nil, false, nil); err != nil {
+			t.Fatalf("reach, eccentricity %d: %v", n-1, err)
+		}
+	}
+}

@@ -24,9 +24,11 @@ import (
 // marks the neighbours below v in an n-bit bitmap and tests each candidate
 // with one bit. Superstep 1 sends destination-major, every received ID to
 // one upper neighbour before the next, so each (v, n) pair writes its
-// wedges to consecutive inbox slots. Delivery is stable and each sender
-// sends every n the list it received, in order, so each inbox holds exactly
-// the sequence Algorithm 3's message-major loop would put there — unless
+// wedges as one run of the unicast log, and the boundary delivers them by
+// run (the runs path): superstep 2 reads each wedge where superstep 1
+// wrote it, 8 B a wedge, never copied into an inbox. Delivery is stable
+// and each sender sends every n the list it received, in order, so each
+// vertex reads exactly the sequence Algorithm 3's message-major loop would put there — unless
 // the graph keeps parallel edges: a repeated upper neighbour then receives
 // its copies interleaved differently, the same multiset in another order,
 // with the same count, Result and profile.
@@ -140,8 +142,8 @@ type TCResult struct {
 }
 
 // Triangles runs Algorithm 3 through the generic engine, materializing
-// every wedge message. Use StreamingTriangles for graphs whose wedge count
-// exceeds memory.
+// every wedge message once, in the unicast log that superstep 2 reads.
+// Use StreamingTriangles for graphs whose wedge count exceeds memory.
 func Triangles(g *graph.Graph, rec *trace.Recorder, opts ...core.Option) (*TCResult, error) {
 	res, err := run(core.Config{
 		Graph:    g,

@@ -80,7 +80,7 @@ func takeArena(g *graph.Graph, combine func(a, b int64) int64) *arena {
 	arenaSlot.mu.Unlock()
 	if a == nil {
 		a = &arena{gather: newGatherPool(0), blocks: freeList[*msgBlock]{mk: func() *msgBlock { return new(msgBlock) }}}
-		a.tr.sends.blocks = &a.blocks
+		a.tr.sends.blocks, a.ib.held.blocks = &a.blocks, &a.blocks
 	}
 	a.lend(g, combine)
 	return a
@@ -122,9 +122,10 @@ func (a *arena) lend(g *graph.Graph, combine func(a, b int64) int64) {
 // CSR2 mapping, closed since. The log blocks go back to the free list.
 func (a *arena) unbind() {
 	a.tr.sends.release()
+	a.ib.held.release()
 	a.tr.bcasts, a.tr.g, a.ib.combine = a.tr.bcasts[:0], nil, nil
 	for _, cs := range a.chunks {
-		*cs = chunkState{eng: engineState{log: cs.eng.log, bcastBuf: cs.eng.bcastBuf[:0]}, scratch: cs.scratch}
+		*cs = chunkState{eng: engineState{log: cs.eng.log, bcastBuf: cs.eng.bcastBuf[:0]}, runs: cs.runs[:0], scratch: cs.scratch}
 	}
 }
 

@@ -75,24 +75,52 @@ func (boundaryLoad) Compute(v *core.VertexContext) {
 	}
 }
 
+// wedgeLoad is TC's wedge superstep every superstep: pure unicast, every
+// fourth vertex sending a run of eight messages to one destination, so
+// each boundary takes the runs path and the next sweep reads the log.
+type wedgeLoad struct{}
+
+func (wedgeLoad) InitialState(*graph.Graph, int64) int64 { return 0 }
+func (wedgeLoad) Compute(v *core.VertexContext) {
+	v.SetState(v.State() + int64(len(v.Messages())))
+	if v.ID()%4 == 0 {
+		for i := range int64(8) {
+			v.Send(v.ID()*7919%v.NumVertices(), v.ID()+i)
+		}
+	}
+}
+
 // TestBoundaryAllocationIsConstant: from the third boundary on, a
 // checkpointed boundary refills the arrays of the snapshot two back and
-// encodes into the run's payload buffer, so what it allocates does not
-// grow with the graph or its traffic. At 2^17 vertices one copy of the
-// states is 1 MiB and the payload over 2 MiB; the eight boundaries a run
-// of twelve supersteps has past a run of four's — each a record, a
-// periodic write and a prune that verifies, with the superstep before it —
-// must stay under 64 KiB apiece.
+// encodes into the run's payload buffer, and a log the runs path delivered
+// goes back to the free list a superstep later, so what a boundary
+// allocates does not grow with the graph or its traffic. At 2^17 vertices
+// one copy of the states is 1 MiB and the payload over 2 MiB; the eight
+// boundaries a run of twelve supersteps has past a run of four's — each a
+// record, a periodic write and a prune that verifies, with the superstep
+// before it — must stay under 64 KiB apiece, under broadcast records
+// beside a unicast and under TC's wedges.
 func TestBoundaryAllocationIsConstant(t *testing.T) {
 	g := gen.Path(1 << 17)
-	mk := func() core.Config {
-		cfg := core.Config{Program: boundaryLoad{}}
-		core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir(), Keep: 2})(&cfg)
-		return cfg
-	}
-	allocated(t, g, mk, 4) // warm what a process initializes once
-	short, long := allocated(t, g, mk, 4), allocated(t, g, mk, 12)
-	if per := (long - short) / 8; per > 64<<10 {
-		t.Errorf("a boundary allocated %d B; from the third boundary on, want under 64 KiB (4 supersteps %d B, 12 %d B)", per, short, long)
+	for name, prog := range map[string]core.Program{"records": boundaryLoad{}, "wedges": wedgeLoad{}} {
+		t.Run(name, func(t *testing.T) {
+			mk := func() core.Config {
+				cfg := core.Config{Program: prog}
+				core.WithCheckpoint(&ckpt.Policy{Dir: t.TempDir(), Keep: 2})(&cfg)
+				return cfg
+			}
+			allocated(t, g, mk, 4) // warm what a process initializes once
+			short, long := allocated(t, g, mk, 4), allocated(t, g, mk, 12)
+			if per := (long - short) / 8; per > 64<<10 {
+				t.Errorf("a boundary allocated %d B; from the third boundary on, want under 64 KiB (4 supersteps %d B, 12 %d B)", per, short, long)
+			}
+			capt := &stepCapture{}
+			if _, _, err := runRec(g, 1, core.Config{Program: prog, Obs: capt, MaxSupersteps: 3}); !errors.As(err, new(*core.BudgetError)) {
+				t.Fatalf("want BudgetError, got %v", err)
+			}
+			if name == "wedges" && capt.steps[1].Delivery != "runs" {
+				t.Fatalf("wedges delivered by %q, want runs", capt.steps[1].Delivery)
+			}
+		})
 	}
 }

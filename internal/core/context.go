@@ -115,14 +115,25 @@ func (l *msgLog) release() {
 
 // bytes is the log's footprint in slots used, values and run headers.
 func (l *msgLog) bytes() int64 {
-	b := l.sealed + int64(len(l.vals))
+	b := l.sealed + int64(len(l.vals)) + l.runs()
 	if l.blk != nil {
 		b += int64(msgBlockLen - 1 - l.lim)
 	}
-	for _, s := range l.segs {
-		b += int64(s.nrun)
-	}
 	return 8 * b
+}
+
+// runs is the number of runs in the sealed segments.
+func (l *msgLog) runs() (k int64) {
+	for _, s := range l.segs {
+		k += int64(s.nrun)
+	}
+	return k
+}
+
+// run is the run a groupRuns reference names, read in place.
+func (l *msgLog) run(ref int64) []int64 {
+	lo, hi := ref>>runLenBits&runLenMask, ref>>runLenBits&runLenMask+ref&runLenMask
+	return l.segs[ref>>(2*runLenBits)].blk[lo:hi:hi]
 }
 
 // bcastRec is one recorded broadcast: SendToNeighbors stores a single

@@ -10,20 +10,21 @@ import (
 
 // Delivery: what a superstep boundary does with the superstep's traffic.
 // One value describes the traffic (traffic), one function decides what
-// happens to it (choosePath), four primitives do it — groupByDest,
-// lookasideScatter, lookasideFold, denseFold, plus the pull stamp in
-// parallel.go — and one value holds what the next sweep reads (inbox).
-// Every path hands each vertex the same message sequence, and every
-// combining path folds it left to right in send order, so the choice is a
-// pure host-speed decision that never reaches Result or the charged
+// happens to it (choosePath), five primitives do it — groupByDest,
+// groupRuns, lookasideScatter, lookasideFold, denseFold, plus the pull
+// stamp in parallel.go — and one value holds what the next sweep reads
+// (inbox). Every path hands each vertex the same message sequence, and
+// every combining path folds it left to right in send order, so the choice
+// is a pure host-speed decision that never reaches Result or the charged
 // profile; docs/PERFORMANCE.md §3 has the table.
 
 // traffic is one superstep's outgoing messages, held from the sweep that
-// writes them until the boundary's last consumer (the checkpoint) is done:
-// the unicast log, written once and spliced by pointer, plus the broadcast
-// records, copied once from the chunks' buffers when the sweep forked
-// (concatBcasts). Everything after the sweep reads the messages one way —
-// all.
+// writes them until the boundary's last consumer (the checkpoint) is done —
+// or, when the runs path delivered it, until the next sweep has read it in
+// place (inbox.held): the unicast log, written once and spliced by pointer,
+// plus the broadcast records, copied once from the chunks' buffers when the
+// sweep forked (concatBcasts). Everything after the sweep reads the
+// messages one way — all — but the next sweep after the runs path.
 type traffic struct {
 	sends  msgLog
 	bcasts []bcastRec
@@ -186,6 +187,10 @@ const (
 	// pathPull: stamp the broadcasters and build nothing; the next compute
 	// sweep gathers (chunkState.gather).
 	pathPull
+	// pathRuns: group the log's run headers by destination, O(n + runs),
+	// and move no value; the next compute sweep reads the runs where Send
+	// wrote them (groupRuns, chunkState.readRuns).
+	pathRuns
 )
 
 // String is the name reports, JSONL lines and metrics carry.
@@ -193,7 +198,7 @@ func (p path) String() string {
 	if p.saturated {
 		return "pull+saturated"
 	}
-	return [...]string{"none", "lookaside", "csr", "csr-par", "pull"}[p.kind]
+	return [...]string{"none", "lookaside", "csr", "csr-par", "pull", "runs"}[p.kind]
 }
 
 // The two host-speed constants of delivery. Every path delivers the same
@@ -210,6 +215,13 @@ const (
 	// n/2 once the arrays outgrow the cache, and ahead all the way to n
 	// while they fit.
 	lookasideCutoff = 4
+	// runsMinLen is the mean log run length from which the runs path
+	// delivers pure unicast traffic: unicast >= runs*runsMinLen. The path
+	// holds 8 B per run, not 8 B per message, beside the log both paths
+	// hold; BenchmarkDeliverRunLength (delivery plus the sweep that reads
+	// it) has it 3.8x behind the CSR build in time at a mean of 1, 1.5x at
+	// 2, 1.1x at 8 and 1.2x ahead at 64.
+	runsMinLen = 2
 )
 
 // pathInputs is everything a delivery decision may depend on: logical and
@@ -218,6 +230,7 @@ const (
 type pathInputs struct {
 	logical  int64 // messages, one per broadcast edge
 	unicast  int64 // messages in the log
+	runs     int64 // runs in the log (msgLog.runs)
 	records  int   // broadcast records
 	n        int64 // graph.NumVertices
 	combiner bool
@@ -236,6 +249,8 @@ type pathInputs struct {
 //     cannot deliver a Send), and pulled when the recorded direction says so.
 //   - Any other traffic with a combiner folds sequentially (denseFold):
 //     the exact per-edge fold order for any combiner.
+//   - Pure unicast whose log runs are long enough is grouped by run, and
+//     the next sweep reads it in place (groupRuns).
 //   - Everything else is the counting sort, forked when there are workers
 //     and messages enough to pay for it, few enough for int32 cursors, and
 //     the traffic is not a mixed log + records stream.
@@ -250,6 +265,8 @@ func choosePath(in pathInputs) (p path, why string) {
 		p.kind, why = pathPull, "recorded direction"
 	case in.combiner:
 		p.kind, why = pathCSR, "a combiner folds sequentially"
+	case in.records == 0 && in.unicast > 0 && in.unicast >= in.runs*runsMinLen:
+		p.kind, why = pathRuns, "pure unicast, unicast >= runs*runsMinLen"
 	case parallel:
 		p.kind, why = pathCSRPar, "workers > 1, deliverParallelMin <= logical < 2^31"
 	default:
@@ -276,6 +293,11 @@ func choosePath(in pathInputs) (p path, why string) {
 // built-in fold — 0, or MaxInt64 under Min — so a fold needs no test per
 // arc.
 //
+// After a runs boundary val is not used: off is n+1 offsets into refs, one
+// reference per run of the log — segment<<26 | start in block<<13 | length
+// — which held, the superstep's log, keeps in place until the sweep after
+// the one that reads it begins (Run).
+//
 // A resume re-derives the inbox by re-delivering; a retry's rollback never
 // touches it (no sweep writes it).
 type inbox struct {
@@ -284,6 +306,10 @@ type inbox struct {
 	span      []int64 // grown by the first lookaside delivery
 	recv, own []uint64
 	lookaside bool
+
+	runs bool
+	refs []int64
+	held msgLog
 
 	pull, saturated bool
 	look            []int64
@@ -302,7 +328,7 @@ func (ib *inbox) reset(n int64, combine func(a, b int64) int64) {
 	ib.off = ensureInt64(ib.off, int(n+1))
 	clear(ib.off)
 	ib.own = zeroedWords(ib.own, n)
-	ib.recv, ib.lookaside, ib.pull, ib.saturated, ib.looked = ib.own, false, false, false, false
+	ib.recv, ib.lookaside, ib.pull, ib.saturated, ib.looked, ib.runs = ib.own, false, false, false, false, false
 	ib.fold, ib.combine = resolveFold(combine), combine
 }
 
@@ -338,7 +364,7 @@ func (ib *inbox) slice(v int64) []int64 {
 func (s *arena) deliver(t *traffic, ib *inbox, prev []int64, dir DirectionMode) (int64, path) {
 	n := t.g.NumVertices()
 	in := pathInputs{
-		logical: t.logical, unicast: t.sends.sealed, records: len(t.bcasts),
+		logical: t.logical, unicast: t.sends.sealed, runs: t.sends.runs(), records: len(t.bcasts),
 		n: n, combiner: ib.combine != nil,
 		dir: dir, workers: par.Workers(),
 	}
@@ -369,8 +395,12 @@ func (s *arena) build(p path, t *traffic, ib *inbox, prev []int64) int64 {
 		ib.own[v>>6] = 0
 	}
 	ib.recv, ib.lookaside, ib.pull, ib.saturated = ib.own, p.kind == pathLookaside, p.kind == pathPull, false
+	ib.runs = p.kind == pathRuns
 	C := 1
 	switch p.kind {
+	case pathRuns:
+		groupRuns(t, ib, n)
+		return t.logical
 	case pathPull:
 		// Every vertex with a neighbor broadcast: on symmetric adjacency all
 		// the neighbors of each are stamped, they are the receivers, and no
@@ -573,6 +603,40 @@ func scatterRuns[K int32 | int64](row []K, val []int64, s logSeg) {
 		}
 		p += n
 	}
+}
+
+// groupRuns is the runs path's boundary: a stable counting sort of the
+// log's run headers by destination, which moves no value. refs gets one
+// reference per run, each destination's in send order, off (n+1) their
+// boundaries and recv the destinations; the next sweep reads the runs from
+// the log (chunkState.readRuns), which Run hands to the inbox to hold.
+func groupRuns(t *traffic, ib *inbox, n int64) {
+	off, recv := ib.off, ib.recv
+	clear(off)
+	for _, s := range t.sends.segs {
+		for _, h := range s.hdrs() {
+			off[h>>runLenBits]++
+			setBit(recv, h>>runLenBits)
+		}
+	}
+	var at int64
+	for d, k := range off {
+		off[d], at = at, at+k
+	}
+	ib.refs = ensureInt64(ib.refs, int(at))
+	refs := ib.refs
+	for i, s := range t.sends.segs {
+		hdrs, p := s.hdrs(), int64(0)
+		for j := len(hdrs) - 1; j >= 0; j-- {
+			dest, k := hdrs[j]>>runLenBits, hdrs[j]&runLenMask
+			refs[off[dest]] = int64(i)<<(2*runLenBits) | p<<runLenBits | k
+			off[dest]++
+			p += k
+		}
+	}
+	// off[d] is now where d's group ends: the next one's start.
+	copy(off[1:], off[:n])
+	off[0] = 0
 }
 
 // lookasideScatter stores every message in the lookaside, touching only

@@ -443,7 +443,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for {
 			// The last boundary is done with its traffic (and a trapped
-			// attempt's is void): the blocks go back to the free list.
+			// attempt's is void): the blocks go back to the free list. A log
+			// the runs path delivered is read by this sweep where it lies: the
+			// inbox holds it, through any retry, until the next superstep's
+			// first attempt, when the sweep that read it has succeeded.
+			if retried == 0 {
+				ib.held.release()
+				if ib.runs {
+					tr.sends, ib.held = ib.held, tr.sends
+				}
+			}
 			tr.sends.release()
 			scan = startPhase("bsp/scan", step)
 			ph = startPhase("bsp/superstep", step)

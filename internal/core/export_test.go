@@ -105,8 +105,11 @@ func PoisonArena() bool {
 	if a == nil {
 		return false
 	}
-	words := [][]int64{a.ib.off, a.ib.val, a.ib.span, a.ib.look, a.candidates, a.sendOff, a.bcastWork, a.acc, a.rangeCnt, a.sortScratch}
+	words := [][]int64{a.ib.off, a.ib.val, a.ib.refs, a.ib.span, a.ib.look, a.candidates, a.sendOff, a.bcastWork, a.acc, a.rangeCnt, a.sortScratch}
 	words = append(words, a.gather.free...)
+	for _, cs := range a.chunks {
+		words = append(words, cs.runs)
+	}
 	for _, b := range a.blocks.free {
 		words = append(words, b[:])
 	}

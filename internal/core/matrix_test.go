@@ -608,6 +608,7 @@ func (m *matrix) cell(t *testing.T, c []int, k int) {
 			t.Fatalf("kill@%d: want InterruptedError at superstep %d, got %v", k, k, kerr)
 		}
 		m.reached["a kill at a pull boundary"] = m.reached["a kill at a pull boundary"] || strings.HasPrefix(killed.steps[k].Delivery, "pull")
+		m.reached["a kill at a runs boundary of tc"] = m.reached["a kill at a runs boundary of tc"] || r.name == "tc" && killed.steps[k].Delivery == "runs"
 		// The boundary holds the superstep's unicast log beside its
 		// broadcasts as records, or as per-edge messages when expanded.
 		snap, lerr := ckpt.Load(ie.CheckpointPath)
@@ -674,6 +675,8 @@ func (m *matrix) cell(t *testing.T, c []int, k int) {
 		m.reached["broadcast records fewer than their edges"] = m.reached["broadcast records fewer than their edges"] || st.SentPhysical < st.Sent
 		m.reached["a retry of a superstep that gathers"] = m.reached["a retry of a superstep that gathers"] ||
 			c[axFault] == 2 && st.Step == k && i > 0 && strings.HasPrefix(got.steps[i-1].Delivery, "pull")
+		m.reached["a retry of a superstep that reads runs"] = m.reached["a retry of a superstep that reads runs"] ||
+			c[axFault] == 2 && st.Step == k && i > 0 && got.steps[i-1].Delivery == "runs"
 	}
 	comparePhases(t, base.phases, got.phases)
 	key := [3]int{c[axRow], c[axGraph], c[axDir]}
@@ -748,8 +751,9 @@ func relabelled(t *testing.T, r *mrow, gr *mgraph, base outcome) {
 // fixture's faults at every boundary and superstep. GRAPHXMT_MATRIX=full runs the product. The
 // whole sample must reach every delivery kind, a log whose chunks straddle
 // a block, broadcast records fewer than their edges, a kill at a pull
-// boundary, a retry of a superstep that gathers, and a decided pull on
-// bfs, cc, kcore and pagerank.
+// boundary and at a runs boundary of tc, a retry of a superstep that
+// gathers and of one that reads runs, and a decided pull on bfs, cc, kcore
+// and pagerank.
 func TestEngineMatrix(t *testing.T) {
 	m := &matrix{rows: matrixRows(), graphs: matrixGraphs(t), base: map[[3]int]outcome{}, dirs: map[[3]int][]string{},
 		reached: map[string]bool{}}
@@ -784,6 +788,11 @@ func TestEngineMatrix(t *testing.T) {
 		for _, name := range []string{"log", "log-sum"} {
 			seeds = append(seeds, []int{slices.IndexFunc(m.rows, func(r *mrow) bool { return r.name == name }), ring, 1, -1, -1, 1, -1, 0})
 		}
+		// TC's wedge superstep delivered by runs, killed at every boundary at
+		// eight workers and resumed at one, and retried at every superstep at
+		// one worker: rmat7 is small enough to fault everywhere.
+		tc, rmat7 := slices.IndexFunc(m.rows, func(r *mrow) bool { return r.name == "tc" }), slices.IndexFunc(m.graphs, func(g *mgraph) bool { return g.name == "rmat7" })
+		seeds = append(seeds, []int{tc, rmat7, 2, 0, 0, 0, 0, 1}, []int{tc, rmat7, 0, 0, 1, 0, 1, 2})
 		cells = sample(sizes, ok, seeds)
 	}
 	slices.SortStableFunc(cells, func(a, b []int) int {
@@ -830,8 +839,9 @@ func TestEngineMatrix(t *testing.T) {
 		return
 	}
 	want := []string{"a log whose chunks straddle a block", "broadcast records fewer than their edges",
-		"a kill at a pull boundary", "a retry of a superstep that gathers"}
-	for _, d := range []string{"lookaside", "csr", "csr-par", "pull", "pull+saturated"} {
+		"a kill at a pull boundary", "a retry of a superstep that gathers",
+		"a kill at a runs boundary of tc", "a retry of a superstep that reads runs"}
+	for _, d := range []string{"lookaside", "csr", "csr-par", "pull", "pull+saturated", "runs"} {
 		want = append(want, "a delivery by "+d)
 	}
 	for _, name := range []string{"bfs", "cc", "kcore", "pagerank"} {

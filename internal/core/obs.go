@@ -178,10 +178,11 @@ func (o *obsRun) flightDump(dir, cause string) string {
 // arena capacity the run holds (the inbox, the halted set and worklist, the
 // adjacency-buffer pool and what was derived from the graph among them),
 // the slots the superstep's unicast log fills — values and run headers, not
-// the rest of a partial block, nor the blocks idle on the free list — plus
-// every chunk's record buffer and segment list — re-measured only for the
-// numChunks chunks that just ran, so a near-empty superstep after a
-// 256-chunk one does not walk them all again.
+// the rest of a partial block, nor the blocks idle on the free list — and
+// those of the log the inbox holds for the sweep after a runs boundary,
+// plus every chunk's record buffer, segment list and runs buffer —
+// re-measured only for the numChunks chunks that just ran, so a near-empty
+// superstep after a 256-chunk one does not walk them all again.
 // Called once per superstep, after the sweep's logs were spliced into
 // sends, and only when a sink is attached.
 func (s *arena) scratchBytes(numChunks int) int64 {
@@ -190,9 +191,9 @@ func (s *arena) scratchBytes(numChunks int) int64 {
 		segSize = 16 // logSeg: a block pointer and two int32s
 	)
 	t, ib := &s.tr, &s.ib
-	b := t.sends.bytes() + int64(cap(t.bcasts))*recSize
-	b += int64(cap(t.sends.segs)) * segSize
-	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.span)+cap(s.candidates)+cap(s.listed)+cap(s.halted)) * 8
+	b := t.sends.bytes() + ib.held.bytes() + int64(cap(t.bcasts))*recSize
+	b += int64(cap(t.sends.segs)+cap(ib.held.segs)) * segSize
+	b += int64(cap(ib.off)+cap(ib.val)+cap(ib.refs)+cap(ib.span)+cap(s.candidates)+cap(s.listed)+cap(s.halted)) * 8
 	b += int64(cap(ib.look)+cap(ib.sent)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
 	b += int64(cap(s.acc)+cap(ib.own)+cap(s.connected)) * 8
@@ -204,7 +205,7 @@ func (s *arena) scratchBytes(numChunks int) int64 {
 	}
 	for _, cs := range s.chunks[:numChunks] {
 		was := cs.scratch
-		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize
+		cs.scratch = int64(cap(cs.eng.log.segs))*segSize + int64(cap(cs.eng.bcastBuf))*recSize + int64(cap(cs.runs))*8
 		s.chunkScratch += cs.scratch - was
 	}
 	return b + s.chunkScratch

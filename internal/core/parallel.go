@@ -126,8 +126,9 @@ type chunkState struct {
 	halt      wordCursor
 	haltDelta int64
 	// one backs Messages() after a combining pull boundary (gather): the
-	// folded value.
-	one [1]int64
+	// folded value; runs after a runs boundary, a vertex's runs (readRuns).
+	one  [1]int64
+	runs []int64
 	// scratch is the chunk's share of arena.chunkScratch.
 	scratch int64
 	// trap records a vertex-program panic recovered while running this
@@ -389,13 +390,36 @@ func (cs *chunkState) gather(ib *inbox, v int64) []int64 {
 	return cs.one[:]
 }
 
+// readRuns is the consumer side of a runs boundary: v's messages, read
+// from the log the inbox holds. One run is a slice of its block, several
+// are copied into the chunk's buffer in send order — the sequence the CSR
+// build would have stored.
+func (cs *chunkState) readRuns(ib *inbox, v int64) []int64 {
+	refs := ib.refs[ib.off[v]:ib.off[v+1]]
+	switch len(refs) {
+	case 0:
+		return nil
+	case 1:
+		return ib.held.run(refs[0])
+	}
+	buf := cs.runs[:0]
+	for _, r := range refs {
+		buf = append(buf, ib.held.run(r)...)
+	}
+	cs.runs = buf
+	return buf
+}
+
 // runVertex executes one vertex against this chunk's private context. It
 // is the parallel twin of the sequential engine's per-vertex dispatch.
 func (cs *chunkState) runVertex(p Program, v int64, step int, ib *inbox) {
 	var msgs []int64
-	if ib.pull {
+	switch {
+	case ib.pull:
 		msgs = cs.gather(ib, v)
-	} else {
+	case ib.runs:
+		msgs = cs.readRuns(ib, v)
+	default:
 		msgs = ib.slice(v)
 	}
 	hasMsgs, wasHalted := len(msgs) > 0, cs.halt.at(v)

@@ -195,13 +195,19 @@ func oracle(msgs []Message, n int64, combine func(a, b int64) int64) [][]int64 {
 func hasMessages(ib *inbox, v int64) bool { return bit(ib.recv, v) == 1 }
 
 // checkInbox compares what the sweep would read from ib with want, and recv
-// with the vertices want has messages for.
+// with the vertices want has messages for. After a runs boundary the sweep
+// reads the log the inbox holds by then: the caller sets held.
 func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 	t.Helper()
 	var total int64
+	cs := &chunkState{}
 	for v, w := range want {
 		total += int64(len(w))
-		if got := ib.slice(int64(v)); !slices.Equal(got, w) || hasMessages(ib, int64(v)) != (len(w) > 0) {
+		got := ib.slice
+		if ib.runs {
+			got = func(v int64) []int64 { return cs.readRuns(ib, v) }
+		}
+		if got := got(int64(v)); !slices.Equal(got, w) || hasMessages(ib, int64(v)) != (len(w) > 0) {
 			t.Fatalf("inbox[%d] = %v (recv %v), want %v", v, got, hasMessages(ib, int64(v)), w)
 		}
 	}
@@ -215,12 +221,13 @@ func checkInbox(t *testing.T, ib *inbox, delivered int64, want [][]int64) {
 	}
 }
 
-// TestDeliveryPrimitives runs the four primitives (groupByDest also through
+// TestDeliveryPrimitives runs the five primitives (groupByDest also through
 // int64 cursors) over source {log, records, both interleaved} × graph
 // representation × combiner {none, Min, Sum, a non-associative one} × inbox
 // {CSR at fan-in 1, 2, 3, 8 and 96 — more shares than segments, shares
 // crossing block boundaries; with a combiner, denseFold and a forced csr-par
-// — and lookaside} × message counts straddling a log block × {random
+// — lookaside, and for the log alone without a combiner groupRuns, read
+// as the sweep reads it} × message counts straddling a log block × {random
 // destinations, every message to one destination: every share's cursor for
 // it in a different row}. One scratch and one inbox serve every row, as a
 // run reuses them across supersteps: receiver bits and offsets left by one
@@ -317,6 +324,14 @@ func TestDeliveryPrimitives(t *testing.T) {
 								t.Run(name+"/int64", func(t *testing.T) { checkInbox(t, wide, int64(len(msgs)), want) })
 							}
 						}
+						if source == "log" && cb.f == nil {
+							// The runs path: the sweep reads the log in place.
+							clear(ib.own)
+							delivered := s.build(path{kind: pathRuns}, tr, ib, nil)
+							ib.held = tr.sends
+							t.Run(fmt.Sprintf("log/oneDest=%v/count=%d/runs", oneDest, count), func(t *testing.T) { checkInbox(t, ib, delivered, want) })
+							ib.runs = false
+						}
 					}
 				}
 			}
@@ -325,11 +340,11 @@ func TestDeliveryPrimitives(t *testing.T) {
 	t.Run("choosePath", testChoosePath)
 }
 
-// testChoosePath pins the routing: both sides of each of the two
+// testChoosePath pins the routing: both sides of each of the three
 // constants, the int32-cursor limit (a superstep of 2^31 messages or more
 // never takes the parallel sort), one worker, records beside a unicast
-// (never forked, never pulled), the recorded direction, and a combiner
-// (never forked).
+// (never forked, never pulled, never grouped by run), the recorded
+// direction, and a combiner (never forked, never grouped by run).
 func testChoosePath(t *testing.T) {
 	const (
 		big   = 1 << 20 // vertices: nothing below 2^18 messages is near it
@@ -339,28 +354,42 @@ func testChoosePath(t *testing.T) {
 		fork  = "workers > 1, deliverParallelMin <= logical < 2^31"
 		pull  = "recorded direction"
 		fold  = "a combiner folds sequentially"
+		runs  = "pure unicast, unicast >= runs*runsMinLen"
 	)
-	kind := map[string]string{look: "lookaside", seq: "csr", fork: "csr-par", pull: "pull", fold: "csr"}
+	kind := map[string]string{look: "lookaside", seq: "csr", fork: "csr-par", pull: "pull", fold: "csr", runs: "runs"}
 	for _, tc := range []struct {
 		name, why string
 		in        pathInputs
 	}{
-		// The log; a combiner folds it sequentially wherever the lookaside
-		// does not take it.
-		{"log far below n", look, pathInputs{logical: 100, unicast: 100, n: big, workers: 4}},
-		{"log just below n/cutoff", look, pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, n: big, workers: 1}},
-		{"log at n/cutoff", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1}},
-		{"log at n/cutoff, combiner", fold, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, n: big, workers: 1, combiner: true}},
-		{"log below deliverParallelMin", seq, pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, n: small, workers: 4}},
-		{"log at deliverParallelMin", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4}},
-		{"log at deliverParallelMin, combiner", fold, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 4, combiner: true}},
-		{"log at deliverParallelMin, one worker", seq, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: small, workers: 1}},
-		{"parallel beats lookaside", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 2}},
-		{"same traffic, one worker", look, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, n: big, workers: 1}},
-		{"last int32 cursor", fork, pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, n: small, workers: 4}},
-		{"logical == MaxInt32", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: small, workers: 4}},
-		{"MaxInt32 messages, huge n", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, n: 1 << 40, workers: 4}},
+		// The log of runs of one; a combiner folds it sequentially wherever
+		// the lookaside does not take it.
+		{"log far below n", look, pathInputs{logical: 100, unicast: 100, runs: 100, n: big, workers: 4}},
+		{"log just below n/cutoff", look, pathInputs{logical: big/lookasideCutoff - 1, unicast: big/lookasideCutoff - 1, runs: big/lookasideCutoff - 1, n: big, workers: 1}},
+		{"log at n/cutoff", seq, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, runs: big / lookasideCutoff, n: big, workers: 1}},
+		{"log at n/cutoff, combiner", fold, pathInputs{logical: big / lookasideCutoff, unicast: big / lookasideCutoff, runs: big / lookasideCutoff, n: big, workers: 1, combiner: true}},
+		{"log below deliverParallelMin", seq, pathInputs{logical: deliverParallelMin - 1, unicast: deliverParallelMin - 1, runs: deliverParallelMin - 1, n: small, workers: 4}},
+		{"log at deliverParallelMin", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, runs: deliverParallelMin, n: small, workers: 4}},
+		{"log at deliverParallelMin, combiner", fold, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, runs: deliverParallelMin, n: small, workers: 4, combiner: true}},
+		{"log at deliverParallelMin, one worker", seq, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, runs: deliverParallelMin, n: small, workers: 1}},
+		{"parallel beats lookaside", fork, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, runs: deliverParallelMin, n: big, workers: 2}},
+		{"same traffic, one worker", look, pathInputs{logical: deliverParallelMin, unicast: deliverParallelMin, runs: deliverParallelMin, n: big, workers: 1}},
+		{"last int32 cursor", fork, pathInputs{logical: math.MaxInt32 - 1, unicast: math.MaxInt32 - 1, runs: math.MaxInt32 - 1, n: small, workers: 4}},
+		{"logical == MaxInt32", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, runs: math.MaxInt32, n: small, workers: 4}},
+		{"MaxInt32 messages, huge n", seq, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, runs: math.MaxInt32, n: 1 << 40, workers: 4}},
 		{"no messages, vertices awake", look, pathInputs{n: small, workers: 4}},
+		// The log of longer runs: grouped by run from a mean of runsMinLen
+		// on, ahead of the parallel sort, never beside a record or under a
+		// combiner, and never when the lookaside takes it.
+		{"mean run length 2", runs, pathInputs{logical: 1 << 16, unicast: 1 << 16, runs: 1 << 15, n: small, workers: 1}},
+		{"mean run length 2, parallel", runs, pathInputs{logical: 1 << 16, unicast: 1 << 16, runs: 1 << 15, n: small, workers: 4}},
+		{"mean run length just under 2", fork, pathInputs{logical: 1 << 16, unicast: 1 << 16, runs: 1<<15 + 1, n: small, workers: 4}},
+		{"mean run length just under 2, one worker", seq, pathInputs{logical: 1 << 16, unicast: 1 << 16, runs: 1<<15 + 1, n: small, workers: 1}},
+		{"mean run length 66", runs, pathInputs{logical: 66 << 10, unicast: 66 << 10, runs: 1 << 10, n: small, workers: 8}},
+		{"one run", runs, pathInputs{logical: 1 << 13, unicast: 1 << 13, runs: 1, n: small, workers: 1}},
+		{"long runs, combiner", fold, pathInputs{logical: 1 << 16, unicast: 1 << 16, runs: 1 << 10, n: small, workers: 4, combiner: true}},
+		{"long runs beside a record", seq, pathInputs{logical: 1 << 16, unicast: 1<<16 - 8, runs: 1 << 10, records: 1, n: small, workers: 4}},
+		{"long runs far below n", look, pathInputs{logical: 1 << 12, unicast: 1 << 12, runs: 1 << 6, n: big, workers: 1}},
+		{"long runs, logical == MaxInt32", runs, pathInputs{logical: math.MaxInt32, unicast: math.MaxInt32, runs: 1 << 20, n: small, workers: 4}},
 		// Records: pulled at any size beside no unicast; a mixed stream is
 		// never forked.
 		{"small records, recorded pull", pull, pathInputs{logical: 1 << 12, records: 9, n: small, workers: 1, dir: DirPull}},
@@ -391,7 +420,8 @@ func testChoosePath(t *testing.T) {
 // choosePath can return, forced in turn on one scratch and one inbox, for
 // two supersteps' traffic in turn: each vertex reads the oracle's sequence
 // whichever path built its inbox, pull (read through the gather, pure
-// broadcast only) included, and recv is exactly the vertices with a message
+// broadcast only) and runs (read from the log in place, the log alone
+// without a combiner) included, and recv is exactly the vertices with a message
 // — after a pull that stamped its receivers or found them saturated (every
 // vertex with a neighbor broadcasts when count is even), with no bit left by
 // the delivery before.
@@ -461,8 +491,11 @@ func FuzzDeliverEquivalence(f *testing.F) {
 		s := &arena{}
 		ib := newInbox(n, combine)
 		paths := []path{{kind: pathLookaside}, {kind: pathCSR}, {kind: pathCSRPar}}
-		if source%3 == 1 {
+		switch {
+		case source%3 == 1:
 			paths = append(paths, path{kind: pathPull})
+		case source%3 == 0 && combine == nil:
+			paths = append(paths, path{kind: pathRuns})
 		}
 		// Under sparse activation a delivery retires the bits of the sweep's
 		// candidates, which hold every receiver of the delivery before: here,
@@ -478,6 +511,7 @@ func FuzzDeliverEquivalence(f *testing.F) {
 					t.Fatal("one record per source, yet the broadcaster stamp reports a duplicate")
 				}
 				delivered := s.build(p, tr, ib, prev)
+				ib.held = tr.sends
 				if sparse {
 					prev = prev[:0]
 					for v, w := range want {
@@ -689,6 +723,53 @@ func BenchmarkDeliverCutoff(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkDeliverRunLength is the bench behind runsMinLen: one boundary
+// of 2^21 unicast messages to 2^14 vertices — 16 MiB of values, past the
+// cache as TC's wedge superstep is — in runs of a mean length of 1, 2, 8
+// or 64 to random destinations (exact at 1, geometric above), plus the
+// sweep that reads every receiver's messages, through the CSR build and
+// through the runs path; docs/PERFORMANCE.md §3 has the table.
+func BenchmarkDeliverRunLength(b *testing.B) {
+	const n, count = 1 << 14, 1 << 21
+	for _, mean := range []int{1, 2, 8, 64} {
+		r := rng.New(5)
+		tr := &traffic{g: graph.MustBuild(n, nil, graph.BuildOptions{}), sends: emptyLog(), logical: count}
+		for k := 0; k < count; {
+			dest := int64(r.Uint64n(n))
+			for k < count {
+				tr.sends.add(dest, int64(k))
+				if k++; mean == 1 || r.Uint64n(uint64(mean)) == 0 {
+					break
+				}
+			}
+		}
+		tr.sends.seal()
+		for _, kind := range []pathKind{pathCSR, pathRuns} {
+			b.Run(fmt.Sprintf("mean=%d/%s", mean, path{kind: kind}), func(b *testing.B) {
+				s, ib, cs := &arena{}, newInbox(n, nil), &chunkState{}
+				var sum int64
+				for i := 0; i < b.N; i++ {
+					s.build(path{kind: kind}, tr, ib, nil)
+					ib.held = tr.sends
+					for v := int64(0); v < n; v++ {
+						msgs := ib.slice
+						if ib.runs {
+							msgs = func(v int64) []int64 { return cs.readRuns(ib, v) }
+						}
+						for _, m := range msgs(v) {
+							sum += m
+						}
+					}
+				}
+				if want := int64(b.N) * count * (count - 1) / 2; sum != want {
+					b.Fatalf("read %d, want %d", sum, want)
+				}
+				b.ReportMetric(float64(tr.sends.runs()), "runs")
+			})
 		}
 	}
 }
